@@ -3,10 +3,12 @@
 //! PVM substrate.
 
 use airshed_core::config::SimConfig;
-use airshed_core::driver::{replay, run_with_profile};
+use airshed_core::driver::{run_with_profile_on, ChemLayout};
+use airshed_core::plan::replay_profile;
 use airshed_core::predict::PerfModel;
 use airshed_core::profile::WorkProfile;
 use airshed_core::taskpar::replay_taskparallel;
+use airshed_core::ExecSpec;
 use airshed_hpf::pipeline::schedule;
 use airshed_hpf::pvm;
 use airshed_machine::MachineProfile;
@@ -19,14 +21,18 @@ fn tiny_profile() -> &'static WorkProfile {
     CELL.get_or_init(|| {
         let mut cfg = SimConfig::test_tiny(4, 2);
         cfg.start_hour = 10;
-        run_with_profile(&cfg).1
+        run_with_profile_on(&cfg, ExecSpec::default()).1
     })
 }
 
 fn bench_replay(c: &mut Criterion) {
     let prof = tiny_profile();
     c.bench_function("runtime/replay_p64", |b| {
-        b.iter(|| black_box(replay(prof, MachineProfile::t3e(), 64).total_seconds))
+        b.iter(|| {
+            black_box(
+                replay_profile(prof, MachineProfile::t3e(), 64, ChemLayout::Block).total_seconds,
+            )
+        })
     });
     c.bench_function("runtime/replay_taskparallel_p64", |b| {
         b.iter(|| black_box(replay_taskparallel(prof, MachineProfile::paragon(), 64).total_seconds))

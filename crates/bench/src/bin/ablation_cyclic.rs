@@ -13,7 +13,8 @@
 
 use airshed_bench::table::{secs, Table};
 use airshed_bench::{la_profile, PAPER_NODES};
-use airshed_core::driver::{replay_with_layout, ChemLayout};
+use airshed_core::driver::ChemLayout;
+use airshed_core::plan::replay_profile;
 use airshed_core::predict::PerfModel;
 use airshed_machine::MachineProfile;
 
@@ -32,8 +33,8 @@ fn main() {
         "model chem (s)",
     ]);
     for &p in &PAPER_NODES {
-        let block = replay_with_layout(&profile, t3e, p, ChemLayout::Block);
-        let cyclic = replay_with_layout(&profile, t3e, p, ChemLayout::Cyclic);
+        let block = replay_profile(&profile, t3e, p, ChemLayout::Block);
+        let cyclic = replay_profile(&profile, t3e, p, ChemLayout::Cyclic);
         let pred = model.predict(&t3e, p);
         t.row(vec![
             p.to_string(),

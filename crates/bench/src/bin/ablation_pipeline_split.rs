@@ -9,7 +9,8 @@
 
 use airshed_bench::table::{secs, Table};
 use airshed_bench::{la_profile, PAPER_NODES};
-use airshed_core::driver::replay;
+use airshed_core::driver::ChemLayout;
+use airshed_core::plan::replay_profile;
 use airshed_core::taskpar::{optimize_split, replay_taskparallel};
 use airshed_machine::MachineProfile;
 
@@ -29,7 +30,7 @@ fn main() {
         if p < 4 {
             continue;
         }
-        let dp = replay(&profile, paragon, p).total_seconds;
+        let dp = replay_profile(&profile, paragon, p, ChemLayout::Block).total_seconds;
         let default = replay_taskparallel(&profile, paragon, p).total_seconds;
         let (p_in, p_out, best) = optimize_split(&profile, paragon, p);
         t.row(vec![

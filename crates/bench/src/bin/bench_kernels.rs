@@ -25,7 +25,7 @@ use airshed_chem::mechanism::Mechanism;
 use airshed_chem::species as sp;
 use airshed_chem::youngboris::{integrate_cell, YbOptions, YbWorkspace};
 use airshed_core::config::{DatasetChoice, SimConfig};
-use airshed_core::driver::{run_resumable_with, run_with_profile_obs};
+use airshed_core::driver::{run_resumable_with, run_with_profile_on, Episode};
 use airshed_core::obs::{Collector, Obs, SpanSink};
 use airshed_core::phases::PhaseEngine;
 use airshed_core::{optimize_plan, ExecSpec};
@@ -138,13 +138,13 @@ fn phase_medians(exec: ExecSpec) -> Vec<(&'static str, f64)> {
     // (dataset build, allocator warmup, code paging) that would skew the
     // recorded medians; only steady-state iterations land in the sink.
     {
-        let (_, profile) = run_with_profile_obs(&config, exec, &Obs::off());
+        let (_, profile) = run_with_profile_on(&config, exec);
         black_box(profile.hours.len());
     }
     let sink = Arc::new(SpanSink::new());
     let obs = Obs::new(Arc::clone(&sink) as Arc<dyn Collector>);
     for _ in 0..3 {
-        let (_, profile) = run_with_profile_obs(&config, exec, &obs);
+        let (_, profile, _) = Episode::new(&config, None, exec, &obs).run(config.hours);
         black_box(profile.hours.len());
     }
     sink.phase_wall_medians()
@@ -159,7 +159,7 @@ fn plan_optimize(exec: ExecSpec) -> (f64, f64, f64) {
     let mut config = SimConfig::test_tiny(16, 1);
     config.dataset = DatasetChoice::LosAngeles;
     config.start_hour = 12;
-    let (_, profile) = run_with_profile_obs(&config, exec, &Obs::off());
+    let (_, profile) = run_with_profile_on(&config, exec);
     let machine = MachineProfile::t3e();
     let t = Instant::now();
     let choice = optimize_plan(&profile, &machine, 16);
@@ -167,25 +167,17 @@ fn plan_optimize(exec: ExecSpec) -> (f64, f64, f64) {
     (choice.default_seconds, choice.predicted_seconds, search_s)
 }
 
-/// Analytic copy-traffic accounting for one hour of a paper grid at
-/// P = 16: bytes moved outside the kernels — redistribution local
-/// copies (§3 plans), SoA column staging in chemistry, and result
-/// serialization. Deterministic plan-derived numbers, not wall clock;
-/// the same accounting a traced run exports on its `copy bytes`
-/// counter track.
+/// Copy-traffic accounting for one hour of a paper grid at P = 16:
+/// bytes moved outside the kernels — redistribution local copies (§3
+/// plans), SoA column staging in chemistry, and result serialization.
+/// Deterministic byte counts, not wall clock; the same accounting a
+/// traced run exports on its `copy bytes` counter track.
 fn copy_traffic(dataset: DatasetChoice, exec: ExecSpec) -> airshed_core::report::CopyBytes {
     let mut config = SimConfig::test_tiny(16, 1);
     config.dataset = dataset;
     config.start_hour = 12;
-    let (_, profile) = run_with_profile_obs(&config, exec, &Obs::off());
-    airshed_core::plan::replay_profile(
-        &profile,
-        config.machine,
-        16,
-        airshed_core::ChemLayout::Block,
-    )
-    .copy_bytes
-    .unwrap_or_default()
+    let (report, _) = run_with_profile_on(&config, exec);
+    report.copy_bytes.unwrap_or_default()
 }
 
 /// Cold-batch jobs/sec against a fresh pool of `workers` workers.

@@ -7,7 +7,8 @@
 
 use airshed_bench::table::{secs, Table};
 use airshed_bench::{la_profile, PAPER_NODES};
-use airshed_core::driver::replay;
+use airshed_core::driver::ChemLayout;
+use airshed_core::plan::replay_profile;
 use airshed_machine::MachineProfile;
 
 fn main() {
@@ -19,7 +20,7 @@ fn main() {
     for &p in &PAPER_NODES {
         let mut cells = vec![p.to_string()];
         for (mi, m) in machines.iter().enumerate() {
-            let r = replay(&profile, *m, p);
+            let r = replay_profile(&profile, *m, p, ChemLayout::Block);
             cells.push(secs(r.total_seconds));
             results[mi].push(r.total_seconds);
         }

@@ -7,7 +7,8 @@
 
 use airshed_bench::table::{secs, Table};
 use airshed_bench::{la_profile, ne_profile, PAPER_NODES};
-use airshed_core::driver::replay;
+use airshed_core::driver::ChemLayout;
+use airshed_core::plan::replay_profile;
 use airshed_machine::MachineProfile;
 
 fn main() {
@@ -19,8 +20,8 @@ fn main() {
     let mut la_times = Vec::new();
     let mut ne_times = Vec::new();
     for &p in &PAPER_NODES {
-        let rla = replay(&la, t3e, p).total_seconds;
-        let rne = replay(&ne, t3e, p).total_seconds;
+        let rla = replay_profile(&la, t3e, p, ChemLayout::Block).total_seconds;
+        let rne = replay_profile(&ne, t3e, p, ChemLayout::Block).total_seconds;
         la_times.push(rla);
         ne_times.push(rne);
         t.row(vec![

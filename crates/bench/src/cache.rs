@@ -5,9 +5,10 @@
 //! `target/airshed-profiles/` and are invalidated by bumping [`MAGIC`].
 
 use airshed_core::config::SimConfig;
-use airshed_core::driver::run_with_profile;
+use airshed_core::driver::run_with_profile_on;
 use airshed_core::profile::{HourProfile, StepProfile, WorkProfile};
 use airshed_core::state::HourSummary;
+use airshed_core::ExecSpec;
 use std::fs;
 use std::io::{self, Read, Write};
 use std::path::PathBuf;
@@ -37,7 +38,7 @@ pub fn load_or_run(key: &str, config: &SimConfig) -> WorkProfile {
     }
     eprintln!("[cache] {key}: running numerics (once; cached afterwards)...");
     let started = std::time::Instant::now();
-    let (_, profile) = run_with_profile(config);
+    let (_, profile) = run_with_profile_on(config, ExecSpec::default());
     eprintln!(
         "[cache] {key}: done in {:.1}s host time",
         started.elapsed().as_secs_f64()
@@ -210,7 +211,7 @@ mod tests {
     #[test]
     fn roundtrip_preserves_profile() {
         let cfg = SimConfig::test_tiny(2, 1);
-        let (_, prof) = run_with_profile(&cfg);
+        let (_, prof) = run_with_profile_on(&cfg, ExecSpec::default());
         let bytes = encode(&prof).unwrap();
         let back = decode(&bytes).unwrap();
         assert_eq!(back.dataset, prof.dataset);
@@ -232,7 +233,9 @@ mod tests {
     #[test]
     fn decode_rejects_garbage() {
         assert!(decode(b"not a profile").is_err());
-        let mut bytes = encode(&run_with_profile(&SimConfig::test_tiny(2, 1)).1).unwrap();
+        let mut bytes =
+            encode(&run_with_profile_on(&SimConfig::test_tiny(2, 1), ExecSpec::default()).1)
+                .unwrap();
         bytes[0] ^= 0xFF;
         assert!(decode(&bytes).is_err());
     }

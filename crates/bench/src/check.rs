@@ -3,10 +3,10 @@
 //! noise-aware thresholds.
 //!
 //! The two documents are flattened to dotted keys
-//! (`la_hour.serial_s`, `la_hour_phase_median_us.chemistry`, ...) by a
-//! minimal hand-rolled JSON parser (the vendored serde shim is a no-op,
-//! and the bench documents are objects-of-objects-of-numbers by
-//! construction). A gated key fails when
+//! (`la_hour.serial_s`, `la_hour_phase_median_us.chemistry`, ...) — the
+//! bench documents are objects-of-objects-of-numbers by construction,
+//! read with the workspace's one JSON reader
+//! ([`airshed_core::obs::dist::Json`]). A gated key fails when
 //!
 //! ```text
 //! current > baseline * rel_limit + abs_slack
@@ -20,6 +20,7 @@
 //! documents report different `host_threads`, gating is skipped
 //! entirely — cross-host comparisons are not regressions.
 
+use airshed_core::obs::dist::Json;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -27,134 +28,38 @@ use std::fmt;
 /// Non-numeric leaves are rejected — the bench writers only emit
 /// numbers, so anything else means the document is not a bench report.
 pub fn flatten_bench_json(text: &str) -> Result<BTreeMap<String, f64>, String> {
-    let mut p = Parser {
-        bytes: text.as_bytes(),
-        pos: 0,
-    };
-    let mut out = BTreeMap::new();
-    p.skip_ws();
-    p.object(&mut String::new(), &mut out)?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(format!("trailing content at byte {}", p.pos));
+    let doc = Json::parse(text)?;
+    if !matches!(doc, Json::Obj(_)) {
+        return Err("a bench document is a JSON object".into());
     }
+    let mut out = BTreeMap::new();
+    flatten_into(&doc, &mut String::new(), &mut out)?;
     Ok(out)
 }
 
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl Parser<'_> {
-    fn skip_ws(&mut self) {
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| b.is_ascii_whitespace())
-        {
-            self.pos += 1;
+fn flatten_into(
+    value: &Json,
+    prefix: &mut String,
+    out: &mut BTreeMap<String, f64>,
+) -> Result<(), String> {
+    match value {
+        Json::Num(v) => {
+            out.insert(prefix.clone(), *v);
         }
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.bytes.get(self.pos) == Some(&b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!(
-                "expected '{}' at byte {}, found {:?}",
-                b as char,
-                self.pos,
-                self.bytes.get(self.pos).map(|&c| c as char)
-            ))
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let start = self.pos;
-        while let Some(&b) = self.bytes.get(self.pos) {
-            match b {
-                b'"' => {
-                    let s = std::str::from_utf8(&self.bytes[start..self.pos])
-                        .map_err(|e| e.to_string())?
-                        .to_string();
-                    self.pos += 1;
-                    return Ok(s);
+        Json::Obj(fields) => {
+            for (key, child) in fields {
+                let saved = prefix.len();
+                if !prefix.is_empty() {
+                    prefix.push('.');
                 }
-                // Bench keys never need escapes; reject rather than
-                // mis-parse.
-                b'\\' => return Err(format!("escape in key at byte {}", self.pos)),
-                _ => self.pos += 1,
+                prefix.push_str(key);
+                flatten_into(child, prefix, out)?;
+                prefix.truncate(saved);
             }
         }
-        Err("unterminated string".into())
+        other => return Err(format!("non-numeric leaf at '{prefix}': {other:?}")),
     }
-
-    fn number(&mut self) -> Result<f64, String> {
-        let start = self.pos;
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|&b| b.is_ascii_digit() || matches!(b, b'-' | b'+' | b'.' | b'e' | b'E'))
-        {
-            self.pos += 1;
-        }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .ok()
-            .and_then(|s| s.parse::<f64>().ok())
-            .ok_or_else(|| format!("bad number at byte {start}"))
-    }
-
-    fn object(
-        &mut self,
-        prefix: &mut String,
-        out: &mut BTreeMap<String, f64>,
-    ) -> Result<(), String> {
-        self.expect(b'{')?;
-        self.skip_ws();
-        if self.bytes.get(self.pos) == Some(&b'}') {
-            self.pos += 1;
-            return Ok(());
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let saved = prefix.len();
-            if !prefix.is_empty() {
-                prefix.push('.');
-            }
-            prefix.push_str(&key);
-            match self.bytes.get(self.pos) {
-                Some(b'{') => self.object(prefix, out)?,
-                Some(_) => {
-                    let v = self.number()?;
-                    out.insert(prefix.clone(), v);
-                }
-                None => return Err("unexpected end of document".into()),
-            }
-            prefix.truncate(saved);
-            self.skip_ws();
-            match self.bytes.get(self.pos) {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(());
-                }
-                other => {
-                    return Err(format!(
-                        "expected ',' or '}}' at byte {}, found {:?}",
-                        self.pos,
-                        other.map(|&c| c as char)
-                    ))
-                }
-            }
-        }
-    }
+    Ok(())
 }
 
 /// The gate for one key class: fail when

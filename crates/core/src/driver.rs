@@ -1,14 +1,16 @@
 //! The data-parallel Airshed driver — Figure 1's loop with the three
 //! redistribution steps of §2.2.
 //!
-//! `run_with_profile` executes the real numerics once (host-side) while
-//! charging the configured virtual machine; it returns both the timing
-//! report and the captured [`WorkProfile`]. `replay` re-charges a
-//! captured profile on a different machine or node count without
-//! re-running the kernels — the results are identical because the
-//! numerics are deterministic and P-independent.
+//! [`Episode`] executes the real numerics once (host-side), an hour at
+//! a time, while charging the configured virtual machine; it finishes
+//! into the timing report and the captured [`WorkProfile`].
+//! [`crate::plan::replay_profile`] re-charges a captured profile on a
+//! different machine or node count without re-running the kernels — the
+//! results are identical because the numerics are deterministic and
+//! P-independent.
 
 use crate::backend::ExecSpec;
+use crate::checkpoint::Checkpoint;
 use crate::config::SimConfig;
 use crate::obs::{Obs, Track};
 use crate::phases::PhaseEngine;
@@ -17,7 +19,9 @@ use crate::report::{CopyBytes, RunReport};
 use crate::state::SimState;
 use airshed_hpf::dist::Distribution;
 use airshed_hpf::redist::{airshed_redists, labels, plan, AirshedRedists, RedistPlan};
-use airshed_machine::{Machine, MachineProfile};
+use airshed_machine::Machine;
+use airshed_met::hourly::HourlyInput;
+use airshed_transport::operator::HorizontalTransport;
 
 /// Machine word size — 8 bytes on all three paper machines.
 pub const WORD: usize = 8;
@@ -48,11 +52,6 @@ impl ChemLayout {
             ChemLayout::Cyclic => Distribution::cyclic(3, dim),
             ChemLayout::BlockCyclic(b) => Distribution::block_cyclic(3, dim, *b),
         }
-    }
-
-    /// The distribution the chemistry phase (columns, dimension 2) gets.
-    pub fn distribution(&self) -> Distribution {
-        self.distribution_on(2)
     }
 
     /// Reduce per-item work to per-node work under this layout. The
@@ -126,13 +125,7 @@ pub struct HourPlans {
 
 impl HourPlans {
     pub fn new(shape: &[usize; 3], p: usize) -> HourPlans {
-        Self::with_layout(shape, p, ChemLayout::Block)
-    }
-
-    /// Plans for a specific chemistry layout: the `D_Trans -> D_Chem` and
-    /// `D_Chem -> D_Repl` plans follow the chosen distribution.
-    pub fn with_layout(shape: &[usize; 3], p: usize, chem_layout: ChemLayout) -> HourPlans {
-        Self::with_layouts(shape, p, PlanLayouts::chem(chem_layout))
+        Self::with_layouts(shape, p, PlanLayouts::default())
     }
 
     /// Plans for an explicit per-phase layout choice: every edge touching
@@ -167,11 +160,6 @@ impl HourPlans {
             trans_layout: layouts.transport,
             chem_layout: layouts.chemistry,
         }
-    }
-
-    /// The layout pair these plans were built for.
-    pub fn layouts(&self) -> PlanLayouts {
-        PlanLayouts::new(self.trans_layout, self.chem_layout)
     }
 }
 
@@ -209,149 +197,204 @@ pub fn charge_hour(machine: &mut Machine, hp: &HourProfile, plans: &HourPlans) {
     crate::plan::PhaseGraph::for_hour(hp, plans, machine.p()).execute(machine);
 }
 
-/// Execute a configured run: real numerics once, virtual time for
-/// `config.machine` × `config.p`. Returns the report and the reusable
-/// work profile.
-pub fn run_with_profile(config: &SimConfig) -> (RunReport, WorkProfile) {
-    let (report, profile, _) = run_resumable(config, None);
-    (report, profile)
+/// [`charge_hour`] for every captured hour in turn; returns the copy
+/// traffic those hours account for ([`copy_bytes_for_hour`]).
+pub(crate) fn charge_hours(
+    machine: &mut Machine,
+    hours: &[HourProfile],
+    plans: &HourPlans,
+) -> CopyBytes {
+    let mut copied = CopyBytes::default();
+    for hp in hours {
+        charge_hour(machine, hp, plans);
+        copied.add(&copy_bytes_for_hour(
+            plans,
+            hp.steps.len(),
+            hp.surface.len(),
+        ));
+    }
+    copied
 }
 
-/// [`run_with_profile`] on an explicit execution backend.
-pub fn run_with_profile_on(config: &SimConfig, exec: ExecSpec) -> (RunReport, WorkProfile) {
-    let (report, profile, _) = run_resumable_with(config, None, exec);
-    (report, profile)
+/// The shared input stage of one simulated hour: the hourly input
+/// bundle (`inputhour`) and the transport operators assembled from its
+/// winds (`pretrans`), with the work each charged. It depends only on
+/// the weather regime and the hour — never on emissions — which is why
+/// an ensemble runs it once per group and every member steps on it.
+pub struct InputStage {
+    hour: usize,
+    pub(crate) input: HourlyInput,
+    input_work: f64,
+    op: HorizontalTransport,
+    pretrans_work: f64,
 }
 
-/// [`run_with_profile_on`] reporting spans through an [`Obs`] handle.
-pub fn run_with_profile_obs(
-    config: &SimConfig,
-    exec: ExecSpec,
-    obs: &Obs,
-) -> (RunReport, WorkProfile) {
-    let (report, profile, _) = run_resumable_obs(config, None, exec, obs);
-    (report, profile)
-}
-
-/// Execute `config.hours` hours, optionally resuming from a checkpoint
-/// (which supplies both the state and the first hour). Returns the
-/// report, the work profile, and a checkpoint for the following hour —
-/// a run split at any hour boundary is bit-identical to an uninterrupted
-/// one (no hidden state crosses the hour loop). Runs on the default
-/// execution backend (the thread pool over all host cores); the backend
-/// never affects the results, only wall-clock.
-pub fn run_resumable(
-    config: &SimConfig,
-    resume: Option<crate::checkpoint::Checkpoint>,
-) -> (RunReport, WorkProfile, crate::checkpoint::Checkpoint) {
-    run_resumable_with(config, resume, ExecSpec::default())
-}
-
-/// [`run_resumable`] on an explicit execution backend ([`ExecSpec`]).
-/// The backend choice is recorded in the returned report.
-pub fn run_resumable_with(
-    config: &SimConfig,
-    resume: Option<crate::checkpoint::Checkpoint>,
-    exec: ExecSpec,
-) -> (RunReport, WorkProfile, crate::checkpoint::Checkpoint) {
-    run_resumable_obs(config, resume, exec, &Obs::off())
-}
-
-/// [`run_resumable_with`] reporting spans through an [`Obs`] handle.
+/// One run of Figure 1's hour loop, stepped an hour at a time — the
+/// only code that knows the phase order. The standalone driver steps it
+/// `config.hours` times, a server worker or fabric shard checks
+/// cancellation and streams checkpoints between steps, and an ensemble
+/// steps one episode per member on a shared [`InputStage`]. Real
+/// numerics run once on the host while the configured virtual machine
+/// is charged; a run split at any hour boundary is bit-identical to an
+/// uninterrupted one (no hidden state crosses the hour loop), and the
+/// execution backend never affects the results, only wall-clock.
 ///
-/// When `obs` is enabled the driver opens one span per simulated hour
-/// ("hour"), one per phase invocation inside it (the [`PhaseKind`]
-/// labels), and one around [`charge_hour`] — and the engine's pool
-/// forks report per-task worker spans through the same handle. The
-/// virtual machine's own trace is enabled too; its events (every
-/// PhaseGraph node and redistribution edge, in virtual time) are
-/// exported onto [`Track::Virtual`] rows and the span buffers are
-/// flushed at each hour boundary. With a disabled handle this function
-/// is exactly [`run_resumable_with`]: no clock reads, no tracing, and
-/// bit-identical results either way (instrumentation never reorders
-/// the item-ordered reductions).
+/// With an enabled [`Obs`] handle every hour opens one "hour" span, one
+/// span per phase invocation inside it (the [`PhaseKind`] labels) and
+/// one around [`charge_hour`]; the engine's pool forks report per-task
+/// worker spans through the same handle; and at each hour boundary the
+/// virtual machine's events (every PhaseGraph node and redistribution
+/// edge, in virtual time) are exported onto [`Track::Virtual`] rows, the
+/// cumulative `copy bytes` counters are sampled, an attached oracle is
+/// fed, and the span buffers are flushed. With a disabled handle there
+/// are no clock reads and no tracing, and the results are bit-identical
+/// either way (instrumentation never reorders the item-ordered
+/// reductions).
 ///
 /// [`PhaseKind`]: airshed_machine::accounting::PhaseKind
-pub fn run_resumable_obs(
-    config: &SimConfig,
-    resume: Option<crate::checkpoint::Checkpoint>,
-    exec: ExecSpec,
-    obs: &Obs,
-) -> (RunReport, WorkProfile, crate::checkpoint::Checkpoint) {
-    let dataset = config.dataset.build();
-    let mut engine = PhaseEngine::new(dataset, config.kh, config.chem_opts);
-    engine.exec = exec;
-    engine.obs = obs.clone();
-    if config.weather == crate::config::Weather::Stagnation {
-        engine.generator = airshed_met::hourly::InputGenerator::stagnation();
-    }
-    if config.emission_scale != 1.0 {
-        engine.scale_emissions(config.emission_scale);
-    }
-    let (mut state, first_hour) = match resume {
-        Some(c) => {
-            assert_eq!(
-                c.state.shape(),
-                [
-                    engine.dataset.spec.species,
-                    engine.dataset.spec.layers,
-                    engine.dataset.nodes()
-                ],
-                "checkpoint shape does not match the configured dataset"
-            );
-            (c.state, c.next_hour)
+pub struct Episode {
+    engine: PhaseEngine,
+    /// The state and the next hour to simulate.
+    checkpoint: Checkpoint,
+    /// Hours captured so far.
+    profile: WorkProfile,
+    machine: Machine,
+    plans: HourPlans,
+    cell_volumes: Vec<f64>,
+    copy_total: CopyBytes,
+    /// Machine trace events already exported to `obs`.
+    trace_mark: usize,
+}
+
+impl Episode {
+    /// Set up a run of `config` on `exec`, starting from the background
+    /// state at `config.start_hour` or from the `resume` checkpoint.
+    /// `config.hours` is not read: the caller decides how often to step.
+    pub fn new(
+        config: &SimConfig,
+        resume: Option<Checkpoint>,
+        exec: ExecSpec,
+        obs: &Obs,
+    ) -> Episode {
+        let mut engine = PhaseEngine::new(config.dataset.build(), config.kh, config.chem_opts);
+        engine.exec = exec;
+        engine.obs = obs.clone();
+        if config.weather == crate::config::Weather::Stagnation {
+            engine.generator = airshed_met::hourly::InputGenerator::stagnation();
         }
-        None => (
-            SimState::from_background(&engine.dataset),
-            config.start_hour,
-        ),
-    };
-    let cell_volumes = SimState::cell_volumes(&engine.dataset);
-    let shape = state.shape();
-
-    let mut machine = Machine::new(config.machine, config.p);
-    if obs.enabled() {
-        machine.trace.enable();
+        if config.emission_scale != 1.0 {
+            engine.scale_emissions(config.emission_scale);
+        }
+        let spec = &engine.dataset.spec;
+        let shape = [spec.species, spec.layers, engine.dataset.nodes()];
+        let checkpoint = resume.unwrap_or_else(|| Checkpoint {
+            next_hour: config.start_hour,
+            state: SimState::from_background(&engine.dataset),
+        });
+        assert_eq!(
+            checkpoint.state.shape(),
+            shape,
+            "checkpoint shape does not match the configured dataset"
+        );
+        let mut machine = Machine::new(config.machine, config.p);
+        if obs.enabled() {
+            machine.trace.enable();
+        }
+        Episode {
+            profile: WorkProfile {
+                dataset: spec.name,
+                shape,
+                hours: Vec::new(),
+                summaries: Vec::new(),
+            },
+            cell_volumes: SimState::cell_volumes(&engine.dataset),
+            plans: HourPlans::new(&shape, config.p),
+            engine,
+            checkpoint,
+            machine,
+            copy_total: CopyBytes::default(),
+            trace_mark: 0,
+        }
     }
-    let mut trace_mark = 0usize;
-    let plans = HourPlans::new(&shape, config.p);
 
-    let mut hours = Vec::with_capacity(config.hours);
-    let mut summaries = Vec::with_capacity(config.hours);
-    let mut copy_total = CopyBytes::default();
+    /// Adopt the hours an interrupted run of the same scenario already
+    /// captured (the partial profile that travels with its checkpoint):
+    /// they are charged to the machine and the copy totals as if this
+    /// episode had run them, so it finishes into the same report and
+    /// profile as an uninterrupted run.
+    pub fn adopt(&mut self, partial: WorkProfile) {
+        assert!(self.profile.hours.is_empty(), "adopt before the first step");
+        assert_eq!(
+            partial.shape, self.profile.shape,
+            "partial profile does not match the configured dataset"
+        );
+        self.copy_total = charge_hours(&mut self.machine, &partial.hours, &self.plans);
+        // Whoever ran those hours exported their virtual-time events.
+        self.trace_mark = self.machine.trace.events().len();
+        self.profile = partial;
+    }
 
-    for h in 0..config.hours {
-        let hour = first_hour + h;
+    /// Run `inputhour` and `pretrans` for the next hour.
+    pub fn input_stage(&mut self) -> InputStage {
+        let hour = self.checkpoint.next_hour;
         let tag = hour as u32;
-        engine.set_obs_hour(tag);
+        self.engine.set_obs_hour(tag);
+        let (input, input_work) = {
+            let _s = self.engine.obs.span_hour("inputhour", tag);
+            self.engine.input_hour(hour)
+        };
+        let (op, pretrans_work) = {
+            let _s = self.engine.obs.span_hour("pretrans", tag);
+            self.engine.pretrans(&input)
+        };
+        InputStage {
+            hour,
+            input,
+            input_work,
+            op,
+            pretrans_work,
+        }
+    }
+
+    /// Simulate the next hour: on this episode's own input stage, or on
+    /// a `shared` one that another episode of the same weather regime
+    /// and hour already ran (see [`InputStage`]).
+    pub fn step(&mut self, shared: Option<&InputStage>) {
+        let obs = self.engine.obs.clone();
+        let hour = self.checkpoint.next_hour;
+        let tag = hour as u32;
+        self.engine.set_obs_hour(tag);
         {
             let _hour_span = obs.span_hour("hour", tag);
-            let (input, input_work) = {
-                let _s = obs.span_hour("inputhour", tag);
-                engine.input_hour(hour)
+            let own;
+            let stage = match shared {
+                Some(stage) => stage,
+                None => {
+                    own = self.input_stage();
+                    &own
+                }
             };
-            let (op, pretrans_work) = {
-                let _s = obs.span_hour("pretrans", tag);
-                engine.pretrans(&input)
-            };
+            assert_eq!(stage.hour, hour, "input stage is for another hour");
+            let (engine, input) = (&self.engine, &stage.input);
+            let state = &mut self.checkpoint.state;
 
             let mut steps = Vec::with_capacity(input.nsteps);
             for _ in 0..input.nsteps {
                 let transport1 = {
                     let _s = obs.span_hour("transport", tag);
-                    engine.transport_half_step(&op, &mut state)
+                    engine.transport_half_step(&stage.op, state)
                 };
                 let chemistry = {
                     let _s = obs.span_hour("chemistry", tag);
-                    engine.chemistry_step(&mut state, &input)
+                    engine.chemistry_step(state, input)
                 };
                 let (_aero, aerosol) = {
                     let _s = obs.span_hour("aerosol", tag);
-                    engine.aerosol_step(&mut state, &input, &cell_volumes)
+                    engine.aerosol_step(state, input, &self.cell_volumes)
                 };
                 let transport2 = {
                     let _s = obs.span_hour("transport", tag);
-                    engine.transport_half_step(&op, &mut state)
+                    engine.transport_half_step(&stage.op, state)
                 };
                 steps.push(StepProfile {
                     transport1,
@@ -364,7 +407,7 @@ pub fn run_resumable_obs(
 
             let (summary, output_work) = {
                 let _s = obs.span_hour("outputhour", tag);
-                engine.output_hour(&state, hour)
+                engine.output_hour(state, hour)
             };
             let mut surface =
                 Vec::with_capacity(crate::profile::SURFACE_SPECIES.len() * state.nodes);
@@ -372,8 +415,8 @@ pub fn run_resumable_obs(
                 surface.extend_from_slice(state.plane(s, 0));
             }
             let hp = HourProfile {
-                input_work,
-                pretrans_work,
+                input_work: stage.input_work,
+                pretrans_work: stage.pretrans_work,
                 output_work,
                 input_bytes: input.data_bytes(),
                 steps,
@@ -381,51 +424,32 @@ pub fn run_resumable_obs(
             };
             {
                 let _s = obs.span_hour("charge_hour", tag);
-                charge_hour(&mut machine, &hp, &plans);
+                charge_hour(&mut self.machine, &hp, &self.plans);
             }
-            hours.push(hp);
-            summaries.push(summary);
+            self.profile.hours.push(hp);
+            self.profile.summaries.push(summary);
+            self.checkpoint.next_hour += 1;
         }
+        let hp = self.profile.hours.last().expect("just pushed");
         // Copy-traffic accounting: redistribution local copies and the
         // surface snapshot from the plans, SoA staging as measured by
         // the engine (they agree today; the measured number is the one
         // that drops when the zero-copy refactor lands).
-        {
-            let hp = hours.last().expect("hour profile was just pushed");
-            let mut cb = copy_bytes_for_hour(&plans, hp.steps.len(), hp.surface.len());
-            cb.soa_staging = engine.take_staged_bytes();
-            copy_total.add(&cb);
-        }
-        // Hour boundary: export the virtual-machine events this hour's
-        // graph execution charged (every PhaseKind node and redist
-        // edge, in virtual time) and flush the span buffers.
+        let mut cb = copy_bytes_for_hour(&self.plans, hp.steps.len(), hp.surface.len());
+        cb.soa_staging = self.engine.take_staged_bytes();
+        self.copy_total.add(&cb);
         if obs.enabled() {
             // Cumulative copy-bytes counters, one series per copy
             // class, sampled at the hour boundary.
             let now_us = obs.us_since_epoch(std::time::Instant::now());
-            obs.record_counter(
-                "redist_local",
-                "copy bytes",
-                now_us,
-                copy_total.redist_local as f64,
-                Some(tag),
-            );
-            obs.record_counter(
-                "soa_staging",
-                "copy bytes",
-                now_us,
-                copy_total.soa_staging as f64,
-                Some(tag),
-            );
-            obs.record_counter(
-                "result_serialization",
-                "copy bytes",
-                now_us,
-                copy_total.result_serialization as f64,
-                Some(tag),
-            );
-            let events = machine.trace.events();
-            let new_events = &events[trace_mark..];
+            for (kind, _, v) in copy_classes(&self.copy_total) {
+                obs.record_counter(kind, "copy bytes", now_us, v as f64, Some(tag));
+            }
+            // The virtual-machine events this hour's graph execution
+            // charged (every PhaseKind node and redist edge, in virtual
+            // time).
+            let events = self.machine.trace.events();
+            let new_events = &events[self.trace_mark..];
             for e in new_events {
                 obs.record_virtual(e.label, Track::Virtual(e.label), e.start, e.end, Some(tag));
             }
@@ -434,90 +458,106 @@ pub fn run_resumable_obs(
             // `charge_hour` just executed) and sample the per-phase
             // residuals onto the counter track.
             if let Some(oracle) = obs.oracle() {
-                let hp = hours.last().expect("hour profile was just pushed");
-                let graph = crate::plan::PhaseGraph::for_hour(hp, &plans, config.p);
+                let graph = crate::plan::PhaseGraph::for_hour(hp, &self.plans, self.machine.p());
                 let hour_report = oracle.observe_hour(&graph, new_events, tag);
-                hour_report.record_counters(obs, tag);
+                hour_report.record_counters(&obs, tag);
             }
-            trace_mark = events.len();
+            self.trace_mark = events.len();
             obs.flush();
         }
     }
-    if let Some(oracle) = obs.oracle() {
-        oracle.publish_to(obs);
+
+    /// The state and the next hour to simulate.
+    pub fn checkpoint(&self) -> &Checkpoint {
+        &self.checkpoint
     }
-    if obs.enabled() {
-        use crate::obs::prom::{label, PromWriter};
-        let mut w = PromWriter::new();
-        w.header(
-            "airshed_copy_bytes_total",
-            "Bytes copied outside the kernels, by copy class.",
-            "counter",
-        );
-        for (kind, phase, v) in [
-            ("redist_local", "communication", copy_total.redist_local),
-            ("soa_staging", "chemistry", copy_total.soa_staging),
-            (
-                "result_serialization",
-                "output",
-                copy_total.result_serialization,
-            ),
-        ] {
-            w.sample(
-                "airshed_copy_bytes_total",
-                &format!("{},{}", label("kind", kind), label("phase", phase)),
-                v as f64,
-            );
+
+    /// The work profile captured so far (adopted hours included).
+    pub fn profile(&self) -> &WorkProfile {
+        &self.profile
+    }
+
+    /// Step `hours` times, then [`finish`](Episode::finish).
+    pub fn run(mut self, hours: usize) -> (RunReport, WorkProfile, Checkpoint) {
+        for _ in 0..hours {
+            self.step(None);
         }
-        obs.publish("copy-traffic", w.finish());
+        self.finish()
     }
 
-    let profile = WorkProfile {
-        dataset: engine.dataset.spec.name,
-        shape,
-        hours,
-        summaries: summaries.clone(),
-    };
-    let mut report =
-        RunReport::from_machine(engine.dataset.spec.name, &machine, config.hours, summaries);
-    report.backend = exec.describe();
-    report.copy_bytes = Some(copy_total);
-    let checkpoint = crate::checkpoint::Checkpoint {
-        next_hour: first_hour + config.hours,
-        state,
-    };
-    (report, profile, checkpoint)
+    /// Close the run: the timing report for the hours captured (the
+    /// backend choice recorded in it), the reusable work profile, and a
+    /// checkpoint for the following hour. Publishes the oracle's and
+    /// the `copy-traffic` Prometheus sections through the obs handle.
+    pub fn finish(self) -> (RunReport, WorkProfile, Checkpoint) {
+        let obs = &self.engine.obs;
+        if let Some(oracle) = obs.oracle() {
+            oracle.publish_to(obs);
+        }
+        if obs.enabled() {
+            use crate::obs::prom::{label, PromWriter};
+            let mut w = PromWriter::new();
+            w.header(
+                "airshed_copy_bytes_total",
+                "Bytes copied outside the kernels, by copy class.",
+                "counter",
+            );
+            for (kind, phase, v) in copy_classes(&self.copy_total) {
+                w.sample(
+                    "airshed_copy_bytes_total",
+                    &format!("{},{}", label("kind", kind), label("phase", phase)),
+                    v as f64,
+                );
+            }
+            obs.publish("copy-traffic", w.finish());
+        }
+        let mut report = RunReport::from_machine(
+            self.profile.dataset,
+            &self.machine,
+            self.profile.hours.len(),
+            self.profile.summaries.clone(),
+        );
+        report.backend = self.engine.exec.describe();
+        report.copy_bytes = Some(self.copy_total);
+        (report, self.profile, self.checkpoint)
+    }
 }
 
-/// Execute a configured run, discarding the profile.
-pub fn run(config: &SimConfig) -> RunReport {
-    run_with_profile(config).0
+/// The copy classes with the phase each is attributed to, as
+/// `(kind, phase, bytes)`.
+fn copy_classes(cb: &CopyBytes) -> [(&'static str, &'static str, u64); 3] {
+    [
+        ("redist_local", "communication", cb.redist_local),
+        ("soa_staging", "chemistry", cb.soa_staging),
+        ("result_serialization", "output", cb.result_serialization),
+    ]
 }
 
-/// Replay a captured profile on another machine / node count. Science
-/// summaries carry over unchanged (the numerics do not depend on the
-/// machine).
-pub fn replay(profile: &WorkProfile, machine_profile: MachineProfile, p: usize) -> RunReport {
-    replay_with_layout(profile, machine_profile, p, ChemLayout::Block)
+/// Execute `config.hours` hours untraced on `exec`, optionally resuming
+/// from a checkpoint: an [`Episode`] stepped to the end. Returns the
+/// report, the work profile, and a checkpoint for the following hour.
+pub fn run_resumable_with(
+    config: &SimConfig,
+    resume: Option<Checkpoint>,
+    exec: ExecSpec,
+) -> (RunReport, WorkProfile, Checkpoint) {
+    Episode::new(config, resume, exec, &Obs::off()).run(config.hours)
 }
 
-/// Replay with an explicit chemistry column layout (block vs cyclic).
-/// Delegates to the plan layer — the same graph execution the server
-/// and figure binaries use.
-pub fn replay_with_layout(
-    profile: &WorkProfile,
-    machine_profile: MachineProfile,
-    p: usize,
-    layout: ChemLayout,
-) -> RunReport {
-    crate::plan::replay_profile(profile, machine_profile, p, layout)
+/// [`run_resumable_with`] from the background state, without the
+/// checkpoint.
+pub fn run_with_profile_on(config: &SimConfig, exec: ExecSpec) -> (RunReport, WorkProfile) {
+    let (report, profile, _) = run_resumable_with(config, None, exec);
+    (report, profile)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::SimConfig;
+    use crate::plan::replay_profile;
     use crate::testsupport::{tiny_config, tiny_profile, tiny_run};
+    use airshed_machine::MachineProfile;
 
     #[test]
     fn run_produces_consistent_report() {
@@ -541,7 +581,7 @@ mod tests {
     #[test]
     fn replay_matches_original_run_exactly() {
         let (r, prof) = tiny_run();
-        let r2 = replay(prof, tiny_config().machine, 4);
+        let r2 = replay_profile(prof, tiny_config().machine, 4, ChemLayout::Block);
         assert!((r.total_seconds - r2.total_seconds).abs() < 1e-12);
         assert!((r.communication_seconds - r2.communication_seconds).abs() < 1e-12);
         assert!((r.chemistry_seconds - r2.chemistry_seconds).abs() < 1e-12);
@@ -550,8 +590,8 @@ mod tests {
     #[test]
     fn chemistry_scales_io_does_not() {
         let prof = tiny_profile();
-        let r2 = replay(prof, airshed_machine::MachineProfile::t3e(), 2);
-        let r16 = replay(prof, airshed_machine::MachineProfile::t3e(), 16);
+        let r2 = replay_profile(prof, MachineProfile::t3e(), 2, ChemLayout::Block);
+        let r16 = replay_profile(prof, MachineProfile::t3e(), 16, ChemLayout::Block);
         // Chemistry parallelises across columns.
         assert!(
             r16.chemistry_seconds < 0.3 * r2.chemistry_seconds,
@@ -571,7 +611,7 @@ mod tests {
     #[test]
     fn transport_stops_scaling_at_layer_count() {
         let prof = tiny_profile();
-        let t = |p: usize| replay(prof, airshed_machine::MachineProfile::t3e(), p);
+        let t = |p: usize| replay_profile(prof, MachineProfile::t3e(), p, ChemLayout::Block);
         let r2 = t(2);
         let r5 = t(5);
         let r32 = t(32);
@@ -613,7 +653,7 @@ mod tests {
         assert!(cb.redist_local > 0, "redist local copies must be counted");
         assert!(cb.soa_staging > 0, "SoA staging must be counted");
         assert!(cb.result_serialization > 0, "surface bytes must be counted");
-        let r2 = replay(prof, tiny_config().machine, 4);
+        let r2 = replay_profile(prof, tiny_config().machine, 4, ChemLayout::Block);
         assert_eq!(r2.copy_bytes, Some(cb));
     }
 
@@ -624,18 +664,8 @@ mod tests {
         // gets faster (or at worst equal) at every node count.
         let prof = tiny_profile();
         for p in [8usize, 16, 32] {
-            let block = replay_with_layout(
-                prof,
-                airshed_machine::MachineProfile::t3e(),
-                p,
-                ChemLayout::Block,
-            );
-            let cyclic = replay_with_layout(
-                prof,
-                airshed_machine::MachineProfile::t3e(),
-                p,
-                ChemLayout::Cyclic,
-            );
+            let block = replay_profile(prof, MachineProfile::t3e(), p, ChemLayout::Block);
+            let cyclic = replay_profile(prof, MachineProfile::t3e(), p, ChemLayout::Cyclic);
             assert!(
                 cyclic.chemistry_seconds <= block.chemistry_seconds * 1.001,
                 "P={p}: cyclic {} vs block {}",
@@ -664,12 +694,12 @@ mod tests {
         // Same numerics at a different node count (fresh 1-hour run)...
         let mut cfg = SimConfig::test_tiny(13, 1);
         cfg.start_hour = 10;
-        let (rb, _) = run_with_profile(&cfg);
+        let (rb, _) = run_with_profile_on(&cfg, ExecSpec::default());
         let (ra, prof_a) = tiny_run();
         assert_eq!(ra.summaries[0].max_o3, rb.summaries[0].max_o3);
         assert_eq!(ra.summaries[0].mean_nox, rb.summaries[0].mean_nox);
         // ...and replays on any machine carry the summaries unchanged.
-        let rc = replay(prof_a, airshed_machine::MachineProfile::paragon(), 64);
+        let rc = replay_profile(prof_a, MachineProfile::paragon(), 64, ChemLayout::Block);
         assert_eq!(rc.summaries.len(), ra.summaries.len());
         assert_eq!(rc.peak_o3(), ra.peak_o3());
     }

@@ -18,7 +18,7 @@
 //! only on the weather regime and the simulated hour — emissions enter
 //! the model later, in the chemistry phase — so members that share
 //! `(weather, start hour)` share the hourly input bundle and the
-//! assembled transport operators bit for bit. [`run_ensemble_obs`]
+//! assembled transport operators bit for bit. [`run_ensemble`]
 //! groups members by that key ([`EnsembleJob::input_groups`]), runs the
 //! input stage **once per group per hour**, and forks only the
 //! perturbed fields per member. The savings are measured (bytes of
@@ -49,14 +49,11 @@
 
 use crate::backend::ExecSpec;
 use crate::config::{SimConfig, Weather};
-use crate::driver::HourPlans;
+use crate::driver::Episode;
 use crate::obs::prom::PromWriter;
 use crate::obs::Obs;
-use crate::phases::PhaseEngine;
-use crate::profile::{HourProfile, StepProfile, WorkProfile};
+use crate::profile::WorkProfile;
 use crate::report::RunReport;
-use crate::state::SimState;
-use airshed_machine::Machine;
 use std::time::Instant;
 
 /// One ensemble member: a perturbation of the base scenario.
@@ -160,15 +157,6 @@ impl EnsembleJob {
         }
     }
 
-    /// A multi-day episode batch: one member per day, same perturbation
-    /// otherwise.
-    pub fn multi_day(base: SimConfig, days: usize) -> EnsembleJob {
-        EnsembleJob {
-            base,
-            members: (0..days).map(MemberSpec::day).collect(),
-        }
-    }
-
     pub fn push(&mut self, member: MemberSpec) -> &mut EnsembleJob {
         self.members.push(member);
         self
@@ -265,11 +253,6 @@ impl EnsembleResult {
     }
 }
 
-/// Run an ensemble with shared-input dedup on the default backend.
-pub fn run_ensemble(job: &EnsembleJob) -> EnsembleResult {
-    run_ensemble_obs(job, ExecSpec::default(), &Obs::off(), true)
-}
-
 /// Run an ensemble. With `dedup`, members are grouped by
 /// [`EnsembleJob::input_groups`] and each group's `inputhour`/`pretrans`
 /// stage runs once per hour, shared by every member in the group;
@@ -277,12 +260,7 @@ pub fn run_ensemble(job: &EnsembleJob) -> EnsembleResult {
 /// (the baseline the dedup column in EXPERIMENTS.md compares against).
 /// Either way each member's report and profile are bit-identical to a
 /// standalone run of its [`EnsembleJob::member_config`].
-pub fn run_ensemble_obs(
-    job: &EnsembleJob,
-    exec: ExecSpec,
-    obs: &Obs,
-    dedup: bool,
-) -> EnsembleResult {
+pub fn run_ensemble(job: &EnsembleJob, exec: ExecSpec, obs: &Obs, dedup: bool) -> EnsembleResult {
     assert!(!job.is_empty(), "ensemble has no members");
     let sweep_start = Instant::now();
     let mut results: Vec<Option<MemberResult>> = (0..job.len()).map(|_| None).collect();
@@ -292,9 +270,7 @@ pub fn run_ensemble_obs(
         // Undeduplicated baseline: every member is an independent run.
         for (i, slot) in results.iter_mut().enumerate() {
             let config = job.member_config(i);
-            let (mut report, profile, _) =
-                crate::driver::run_resumable_obs(&config, None, exec, obs);
-            report.backend = exec.describe();
+            let (report, profile, _) = Episode::new(&config, None, exec, obs).run(config.hours);
             *slot = Some(MemberResult {
                 spec: job.members[i],
                 config,
@@ -343,11 +319,13 @@ pub fn run_ensemble_obs(
     }
 }
 
-/// Run one shared-input group: the group leader's engine produces the
-/// hourly input bundle and transport operators once, and every member's
-/// step loop consumes them. Mirrors `driver::run_resumable_obs` exactly
-/// — same phase order, same profile capture, same machine charging —
-/// so member results stay bit-identical to standalone runs.
+/// Run one shared-input group: one [`Episode`] per member (emission
+/// scaling perturbs the inventory at engine level, exactly as in a
+/// standalone run); each hour the group leader runs the input stage
+/// once and every member steps on it. All engines in the group would
+/// produce bit-identical bundles — the generator never reads the
+/// emission inventory — so member results stay bit-identical to
+/// standalone runs.
 fn run_group(
     job: &EnsembleJob,
     group: &[usize],
@@ -357,154 +335,40 @@ fn run_group(
     results: &mut [Option<MemberResult>],
 ) {
     let configs: Vec<SimConfig> = group.iter().map(|&i| job.member_config(i)).collect();
-    let hours = job.base.hours;
-    let start_hour = configs[0].start_hour;
-
-    // One engine per member: emission scaling perturbs the inventory at
-    // engine level, exactly as the standalone driver applies it.
-    let mut engines: Vec<PhaseEngine> = configs
+    let mut episodes: Vec<Episode> = configs
         .iter()
-        .map(|config| {
-            let mut engine = PhaseEngine::new(config.dataset.build(), config.kh, config.chem_opts);
-            engine.exec = exec;
-            engine.obs = obs.clone();
-            if config.weather == Weather::Stagnation {
-                engine.generator = airshed_met::hourly::InputGenerator::stagnation();
-            }
-            if config.emission_scale != 1.0 {
-                engine.scale_emissions(config.emission_scale);
-            }
-            engine
-        })
+        .map(|config| Episode::new(config, None, exec, obs))
         .collect();
+    // Members after the leader skip their whole input stage.
+    let followers = group.len() - 1;
+    let mut stage_seconds = 0.0;
 
-    let mut states: Vec<SimState> = engines
-        .iter()
-        .map(|e| SimState::from_background(&e.dataset))
-        .collect();
-    let cell_volumes = SimState::cell_volumes(&engines[0].dataset);
-    let shape = states[0].shape();
-    let mut machines: Vec<Machine> = configs
-        .iter()
-        .map(|c| Machine::new(c.machine, c.p))
-        .collect();
-    let plans: Vec<HourPlans> = configs
-        .iter()
-        .map(|c| HourPlans::new(&shape, c.p))
-        .collect();
-
-    let mut hour_profiles: Vec<Vec<HourProfile>> = vec![Vec::with_capacity(hours); group.len()];
-    let mut summaries: Vec<Vec<crate::state::HourSummary>> =
-        vec![Vec::with_capacity(hours); group.len()];
-
-    for h in 0..hours {
-        let hour = start_hour + h;
-        let tag = hour as u32;
-
-        // Shared input stage: once per group-hour, on the leader's
-        // engine (all engines in the group would produce bit-identical
-        // bundles — the generator never reads the emission inventory).
+    for _ in 0..job.base.hours {
         let stage_start = Instant::now();
-        let (input, input_work) = {
-            let _s = obs.span_hour("inputhour", tag);
-            engines[0].input_hour(hour)
-        };
-        let (op, pretrans_work) = {
-            let _s = obs.span_hour("pretrans", tag);
-            engines[0].pretrans(&input)
-        };
-        let stage_seconds = stage_start.elapsed().as_secs_f64();
+        let stage = episodes[0].input_stage();
+        stage_seconds += stage_start.elapsed().as_secs_f64();
         stats.input_runs += 1;
-        stats.input_hours_deduped += group.len() - 1;
-        stats.saved_bytes += input.data_bytes() as u64 * (group.len() as u64 - 1);
-        stats.saved_seconds += stage_seconds * (group.len() as f64 - 1.0);
+        stats.input_hours_deduped += followers;
+        stats.saved_bytes += (stage.input.data_bytes() * followers) as u64;
 
-        for (m, engine) in engines.iter_mut().enumerate() {
-            engine.set_obs_hour(tag);
-            let _member_span = obs.span_arg("ensemble-member", "member", group[m] as i64);
-            let state = &mut states[m];
-            let mut steps = Vec::with_capacity(input.nsteps);
-            for _ in 0..input.nsteps {
-                let transport1 = {
-                    let _s = obs.span_hour("transport", tag);
-                    engine.transport_half_step(&op, state)
-                };
-                let chemistry = {
-                    let _s = obs.span_hour("chemistry", tag);
-                    engine.chemistry_step(state, &input)
-                };
-                let (_aero, aerosol) = {
-                    let _s = obs.span_hour("aerosol", tag);
-                    engine.aerosol_step(state, &input, &cell_volumes)
-                };
-                let transport2 = {
-                    let _s = obs.span_hour("transport", tag);
-                    engine.transport_half_step(&op, state)
-                };
-                steps.push(StepProfile {
-                    transport1,
-                    transport2,
-                    chemistry,
-                    aerosol,
-                });
-            }
-            debug_assert!(state.is_physical(), "member went unphysical at hour {hour}");
-
-            let (summary, output_work) = {
-                let _s = obs.span_hour("outputhour", tag);
-                engine.output_hour(state, hour)
-            };
-            let mut surface =
-                Vec::with_capacity(crate::profile::SURFACE_SPECIES.len() * state.nodes);
-            for &s in &crate::profile::SURFACE_SPECIES {
-                surface.extend_from_slice(state.plane(s, 0));
-            }
-            let hp = HourProfile {
-                input_work,
-                pretrans_work,
-                output_work,
-                input_bytes: input.data_bytes(),
-                steps,
-                surface,
-            };
-            crate::driver::charge_hour(&mut machines[m], &hp, &plans[m]);
-            hour_profiles[m].push(hp);
-            summaries[m].push(summary);
-        }
-        if obs.enabled() {
-            obs.flush();
+        for (episode, &i) in episodes.iter_mut().zip(group) {
+            let _member_span = obs.span_arg("ensemble-member", "member", i as i64);
+            episode.step(Some(&stage));
         }
     }
+    stats.saved_seconds += stage_seconds * followers as f64;
 
-    for (m, &i) in group.iter().enumerate() {
-        let config = configs[m].clone();
-        let member_summaries = std::mem::take(&mut summaries[m]);
-        let mut report = RunReport::from_machine(
-            engines[m].dataset.spec.name,
-            &machines[m],
-            hours,
-            member_summaries.clone(),
-        );
-        report.backend = exec.describe();
-        // Members after the group leader skipped their whole input
-        // stage; the leader ran it for everyone and saved nothing.
+    for (m, ((episode, config), &i)) in episodes.into_iter().zip(configs).zip(group).enumerate() {
+        let (mut report, profile, _) = episode.finish();
+        // The leader ran the input stage for everyone and saved nothing.
         if m > 0 {
-            let bytes: u64 = hour_profiles[m]
-                .iter()
-                .map(|hp| hp.input_bytes as u64)
-                .sum();
+            let bytes: u64 = profile.hours.iter().map(|hp| hp.input_bytes as u64).sum();
             report.dedup_saved_bytes = Some(bytes);
-            report.dedup_saved_seconds = Some(stats.saved_seconds / (group.len() - 1) as f64);
+            report.dedup_saved_seconds = Some(stage_seconds);
         } else {
             report.dedup_saved_bytes = Some(0);
             report.dedup_saved_seconds = Some(0.0);
         }
-        let profile = WorkProfile {
-            dataset: engines[m].dataset.spec.name,
-            shape,
-            hours: std::mem::take(&mut hour_profiles[m]),
-            summaries: member_summaries,
-        };
         results[i] = Some(MemberResult {
             spec: job.members[i],
             config,
@@ -610,7 +474,7 @@ mod tests {
     #[test]
     fn dedup_measures_real_savings() {
         let job = EnsembleJob::emission_sweep(tiny_base(), &[1.0, 0.7, 0.4]);
-        let result = run_ensemble(&job);
+        let result = run_ensemble(&job, ExecSpec::default(), &Obs::off(), true);
         assert_eq!(result.members.len(), 3);
         // 1 hour, 3 members, 1 group: input ran once, saved twice.
         assert_eq!(result.dedup.input_runs, 1);

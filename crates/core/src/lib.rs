@@ -31,7 +31,8 @@
 //!   lowers from;
 //! * [`backend`] — execution backends (serial / thread pool) that run
 //!   the same partitions on real host cores;
-//! * [`driver`] — the data-parallel main loop (executes the plan graph);
+//! * [`driver`] — the data-parallel main loop: [`driver::Episode`], the
+//!   one hour stepper every way of running a simulation goes through;
 //! * [`taskpar`] — the pipelined task-parallel variant (§5, Figure 8),
 //!   scheduled from the graph's stage annotations;
 //! * [`predict`] — the §4 analytic performance model, folded over the
@@ -63,9 +64,8 @@ pub mod viz;
 
 pub use backend::{Backend, BackendKind, ExecSpec};
 pub use config::{DatasetChoice, SimConfig};
-pub use driver::{replay, run, run_with_profile};
 pub use driver::{ChemLayout, PlanLayouts};
-pub use ensemble::{run_ensemble, run_ensemble_obs, DedupStats, EnsembleJob, EnsembleResult};
+pub use ensemble::{run_ensemble, DedupStats, EnsembleJob, EnsembleResult};
 pub use obs::oracle::{validate_profile, Oracle, Validation};
 pub use obs::Obs;
 pub use plan::{optimize_plan, PhaseGraph, PlanChoice};

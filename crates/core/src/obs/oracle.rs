@@ -425,19 +425,6 @@ impl Oracle {
         }
     }
 
-    /// Per-phase fitted work rates (units/second): one-parameter least
-    /// squares through the origin of charged work against measured
-    /// seconds. Labels with no work observed are omitted.
-    pub fn work_rates(&self) -> Vec<(&'static str, f64)> {
-        let inner = self.inner.lock().unwrap();
-        inner
-            .work
-            .iter()
-            .filter(|(_, f)| f.wt > 0.0 && f.ww > 0.0)
-            .map(|(&l, f)| (l, f.ww / f.wt))
-            .collect()
-    }
-
     /// Pooled fitted compute rate over every compute observation.
     pub fn fitted_rate(&self) -> f64 {
         let inner = self.inner.lock().unwrap();

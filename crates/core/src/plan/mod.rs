@@ -468,8 +468,8 @@ impl PhaseGraph {
 
 /// Replay a captured profile through the plan layer: build each hour's
 /// [`PhaseGraph`] and execute it on a fresh machine. This is the single
-/// replay implementation behind `driver::replay`, the figure binaries
-/// and the server's pricing/execution path.
+/// replay implementation behind the figure binaries and the server's
+/// pricing/execution path.
 pub fn replay_profile(
     profile: &WorkProfile,
     machine_profile: MachineProfile,
@@ -491,15 +491,7 @@ pub fn replay_profile_with(
 ) -> RunReport {
     let mut machine = Machine::new(machine_profile, p);
     let plans = HourPlans::with_layouts(&profile.shape, p, layouts);
-    let mut copy_total = crate::report::CopyBytes::default();
-    for hp in &profile.hours {
-        PhaseGraph::for_hour(hp, &plans, p).execute(&mut machine);
-        copy_total.add(&crate::driver::copy_bytes_for_hour(
-            &plans,
-            hp.steps.len(),
-            hp.surface.len(),
-        ));
-    }
+    let copy_total = crate::driver::charge_hours(&mut machine, &profile.hours, &plans);
     let mut report = RunReport::from_machine(
         profile.dataset,
         &machine,
@@ -637,16 +629,5 @@ mod tests {
         // Output is sequential: extra output nodes change nothing.
         let [_, _, output4] = g.stage_durations(MachineProfile::t3e(), 1, 4);
         assert_eq!(output, output4);
-    }
-
-    #[test]
-    fn replay_profile_matches_driver_replay() {
-        let prof = tiny_profile();
-        for p in [2usize, 8] {
-            let a = replay_profile(prof, MachineProfile::paragon(), p, ChemLayout::Block);
-            let b = crate::driver::replay(prof, MachineProfile::paragon(), p);
-            assert_eq!(a.total_seconds, b.total_seconds, "p={p}");
-            assert_eq!(a.communication_seconds, b.communication_seconds);
-        }
     }
 }

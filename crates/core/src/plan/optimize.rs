@@ -66,11 +66,6 @@ impl PlanChoice {
     pub fn saving_seconds(&self) -> f64 {
         self.default_seconds - self.predicted_seconds
     }
-
-    /// True when the optimizer kept the paper's default plan.
-    pub fn is_default(&self) -> bool {
-        self.layouts == PlanLayouts::default() && self.split.is_none()
-    }
 }
 
 /// Predicted cost of executing `profile` under `layouts`: build each

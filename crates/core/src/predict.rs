@@ -414,7 +414,8 @@ impl LayoutChoice {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::driver::replay;
+    use crate::driver::ChemLayout;
+    use crate::plan::replay_profile;
     use crate::testsupport::tiny_profile;
     use airshed_machine::MachineProfile;
 
@@ -461,7 +462,7 @@ mod tests {
         let t3e = MachineProfile::t3e();
         for p in [2usize, 4, 8, 16, 32] {
             let pred = m.predict(&t3e, p);
-            let meas = replay(prof, t3e, p);
+            let meas = replay_profile(prof, t3e, p, ChemLayout::Block);
             let rel = |a: f64, b: f64| (a - b).abs() / b.max(1e-12);
             assert!(
                 rel(pred.io, meas.io_seconds) < 0.05,
@@ -504,7 +505,7 @@ mod tests {
         let t3e = MachineProfile::t3e();
         for p in [4usize, 16, 64] {
             let pred = m.predict(&t3e, p);
-            let meas = replay(prof, t3e, p);
+            let meas = replay_profile(prof, t3e, p, ChemLayout::Block);
             let pairs = [
                 (
                     pred.comm_repl_to_trans,

@@ -46,6 +46,7 @@
 
 use crate::backend::ExecSpec;
 use crate::config::SimConfig;
+use crate::driver::Episode;
 use crate::ensemble::EnsembleResult;
 use crate::obs::oracle::solve_dense;
 use crate::obs::Obs;
@@ -382,7 +383,7 @@ pub fn what_if(
     };
     let mut config = base.clone();
     config.emission_scale = scale;
-    let (report, profile, _) = crate::driver::run_resumable_obs(&config, None, exec, obs);
+    let (report, profile, _) = Episode::new(&config, None, exec, obs).run(config.hours);
     let field = profile
         .hours
         .last()
@@ -452,7 +453,7 @@ mod tests {
         base.dataset = crate::config::DatasetChoice::Tiny(40);
         base.start_hour = 10;
         let job = EnsembleJob::emission_sweep(base.clone(), &[0.5, 0.75, 1.0, 1.25]);
-        let result = run_ensemble(&job);
+        let result = run_ensemble(&job, ExecSpec::default(), &Obs::off(), true);
         let surface = ResponseSurface::from_ensemble(&result).unwrap();
         assert_eq!(surface.members(), 4);
         assert_eq!(surface.cells(), result.members[0].surface().len());
@@ -486,7 +487,7 @@ mod tests {
         base.dataset = crate::config::DatasetChoice::Tiny(40);
         base.start_hour = 10;
         let job = EnsembleJob::emission_sweep(base.clone(), &[0.6, 0.8, 1.0]);
-        let result = run_ensemble(&job);
+        let result = run_ensemble(&job, ExecSpec::default(), &Obs::off(), true);
         let surface = ResponseSurface::from_ensemble(&result).unwrap();
         let loose = surface.error_bound().max(1e-12) * 10.0;
         let hit = what_if(

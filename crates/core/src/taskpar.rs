@@ -12,9 +12,9 @@
 //! stages (main loop replayed on the P − io compute subgroup), and the
 //! pipeline recurrence combines them.
 
-use crate::driver::{HourPlans, PlanLayouts};
+use crate::driver::{ChemLayout, HourPlans, PlanLayouts};
 use crate::obs::{Obs, Track};
-use crate::plan::PhaseGraph;
+use crate::plan::{replay_profile, PhaseGraph};
 use crate::profile::WorkProfile;
 use crate::report::RunReport;
 use airshed_hpf::pipeline::{schedule, sequential_makespan};
@@ -215,10 +215,10 @@ pub fn fig9_sweep(
     machine_profile: MachineProfile,
     ps: &[usize],
 ) -> Vec<Fig9Row> {
-    let base = crate::driver::replay(profile, machine_profile, 1).total_seconds;
+    let base = replay_profile(profile, machine_profile, 1, ChemLayout::Block).total_seconds;
     ps.iter()
         .map(|&p| {
-            let dp = crate::driver::replay(profile, machine_profile, p).total_seconds;
+            let dp = replay_profile(profile, machine_profile, p, ChemLayout::Block).total_seconds;
             let tp = if p >= 3 {
                 replay_taskparallel(profile, machine_profile, p).total_seconds
             } else {
@@ -262,7 +262,6 @@ pub fn as_run_report(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::driver::replay;
     use crate::testsupport::tiny_profile;
     use airshed_machine::MachineProfile;
 
@@ -285,10 +284,10 @@ mod tests {
         // gives up two compute nodes; at small P the opposite.
         let prof = profile();
         let m = MachineProfile::paragon();
-        let dp64 = replay(&prof, m, 64).total_seconds;
+        let dp64 = replay_profile(&prof, m, 64, ChemLayout::Block).total_seconds;
         let tp64 = replay_taskparallel(&prof, m, 64).total_seconds;
         assert!(tp64 < dp64, "at P=64 pipelining must win: {tp64} vs {dp64}");
-        let dp4 = replay(&prof, m, 4).total_seconds;
+        let dp4 = replay_profile(&prof, m, 4, ChemLayout::Block).total_seconds;
         let tp4 = replay_taskparallel(&prof, m, 4).total_seconds;
         // At P=4 the pipeline surrenders half the compute nodes — it
         // should NOT be dramatically better, and typically loses.

@@ -7,8 +7,9 @@
 //! *predicts* can share it; tests that need different numerics still run
 //! their own.
 
+use crate::backend::ExecSpec;
 use crate::config::SimConfig;
-use crate::driver::run_with_profile;
+use crate::driver::run_with_profile_on;
 use crate::profile::WorkProfile;
 use crate::report::RunReport;
 use std::sync::OnceLock;
@@ -20,18 +21,13 @@ pub fn tiny_run() -> &'static (RunReport, WorkProfile) {
     CELL.get_or_init(|| {
         let mut cfg = SimConfig::test_tiny(4, 3);
         cfg.start_hour = 10;
-        run_with_profile(&cfg)
+        run_with_profile_on(&cfg, ExecSpec::default())
     })
 }
 
 /// The canonical tiny work profile.
 pub fn tiny_profile() -> &'static WorkProfile {
     &tiny_run().1
-}
-
-/// The canonical tiny report (T3E, P = 4).
-pub fn tiny_report() -> &'static RunReport {
-    &tiny_run().0
 }
 
 /// The configuration the fixture was built with.

@@ -1,6 +1,6 @@
 //! Property-based tests for the plan-graph IR.
 
-use airshed_core::driver::{ChemLayout, HourPlans};
+use airshed_core::driver::{ChemLayout, HourPlans, PlanLayouts};
 use airshed_core::plan::{optimize_plan, ItemLayout, Op, PhaseGraph};
 use airshed_core::profile::{HourProfile, StepProfile, WorkProfile};
 use airshed_machine::MachineProfile;
@@ -46,7 +46,7 @@ proptest! {
     ) {
         let shape = [species, layers, nodes];
         let layout = if cyclic { ChemLayout::Cyclic } else { ChemLayout::Block };
-        let plans = HourPlans::with_layout(&shape, p, layout);
+        let plans = HourPlans::with_layouts(&shape, p, PlanLayouts::chem(layout));
         let graph = PhaseGraph::for_hour(&hour(shape, steps, 1.0e3), &plans, p);
         for edge in &graph.edges {
             prop_assert!(

@@ -295,7 +295,7 @@ pub struct EnsembleFabricOutcome {
 ///
 /// Shared-input dedup is a per-process optimisation (members in one
 /// process share the `inputhour`/`pretrans` stage — see
-/// [`airshed_core::ensemble::run_ensemble_obs`]); the fabric instead
+/// [`airshed_core::ensemble::run_ensemble`]); the fabric instead
 /// buys horizontal scale, and the surrogate tier is what keeps fabric
 /// sweeps cheap. Surrogate hits are recorded on the obs spine as the
 /// `fabric_surrogate_hits` counter.

@@ -791,7 +791,8 @@ pub fn report_fingerprint(r: &RunReport) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use airshed_core::driver::run_resumable;
+    use airshed_core::driver::run_resumable_with;
+    use airshed_core::ExecSpec;
 
     fn sample_config() -> SimConfig {
         let mut c = SimConfig::test_tiny(4, 2);
@@ -865,7 +866,7 @@ mod tests {
         // report and perf model through the wire and back.
         let mut cfg = SimConfig::test_tiny(4, 1);
         cfg.start_hour = 12;
-        let (report, profile, ckpt) = run_resumable(&cfg, None);
+        let (report, profile, ckpt) = run_resumable_with(&cfg, None, ExecSpec::default());
         let model = PerfModel::from_profile(&profile);
 
         let progress = Msg::Progress {
@@ -972,7 +973,7 @@ mod tests {
     fn fingerprint_ignores_host_dependent_fields() {
         let mut cfg = SimConfig::test_tiny(2, 1);
         cfg.start_hour = 12;
-        let (mut report, _, _) = run_resumable(&cfg, None);
+        let (mut report, _, _) = run_resumable_with(&cfg, None, ExecSpec::default());
         let a = report_fingerprint(&report);
         report.backend = "rayon(64)".into();
         report.predicted_seconds = Some(123.0);
@@ -1019,7 +1020,7 @@ mod tests {
         // panic: flip a byte inside the nested ASHCKPT1 block.
         let mut cfg = SimConfig::test_tiny(2, 1);
         cfg.start_hour = 12;
-        let (_, profile, ckpt) = run_resumable(&cfg, None);
+        let (_, profile, ckpt) = run_resumable_with(&cfg, None, ExecSpec::default());
         let assign = Msg::Assign {
             job: 3,
             ctx: TraceContext::for_job(3),

@@ -750,6 +750,7 @@ impl Router {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use airshed_core::plan::replay_profile;
     use airshed_core::testsupport::tiny_profile;
 
     fn family_config(p: usize, hours: usize) -> SimConfig {
@@ -867,7 +868,8 @@ mod tests {
             .collect();
         let mut completed = 0;
         for id in b_jobs {
-            let mut report = airshed_core::driver::replay(tiny_profile(), MachineProfile::t3e(), 4);
+            let mut report =
+                replay_profile(tiny_profile(), MachineProfile::t3e(), 4, ChemLayout::Block);
             report.predicted_seconds = None;
             let ctx = r.job_ctx(id).unwrap();
             r.on_msg(
@@ -917,7 +919,8 @@ mod tests {
         let id = r.submit(0, family_config(4, 1), ChemLayout::Block);
         let assigns = r.poll(0);
         assert_eq!(assigns.len(), 1);
-        let mut report = airshed_core::driver::replay(tiny_profile(), MachineProfile::t3e(), 4);
+        let mut report =
+            replay_profile(tiny_profile(), MachineProfile::t3e(), 4, ChemLayout::Block);
         report.copy_bytes = Some(airshed_core::report::CopyBytes {
             redist_local: 1000,
             soa_staging: 500,

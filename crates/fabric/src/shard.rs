@@ -9,7 +9,7 @@
 //!   every `heartbeat_ms` — the front-end's liveness signal;
 //! * `workers` **worker threads** pop jobs and run them hour by hour
 //!   through the server's checkpoint machinery
-//!   ([`run_hourly_hooked`]), streaming a `Progress` resume point after
+//!   ([`run_hourly`]), streaming a `Progress` resume point after
 //!   every completed hour, then `Calibrated` (the §4 model fitted from
 //!   the fresh profile), `Recalibrated` (the oracle's fitted machine
 //!   parameters) and finally the `Completed` report.
@@ -31,7 +31,7 @@ use airshed_core::obs::oracle::Oracle;
 use airshed_core::obs::SpanSink;
 use airshed_core::plan::replay_profile;
 use airshed_core::{ExecSpec, Obs, PerfModel};
-use airshed_server::worker::run_hourly_hooked;
+use airshed_server::worker::run_hourly;
 use airshed_server::JobError;
 use std::collections::VecDeque;
 use std::net::{Shutdown, TcpStream};
@@ -269,14 +269,14 @@ fn worker_loop(inner: &Arc<Inner>, opts: &ShardOptions, base: &Obs, traced: bool
                     inner.sever();
                 }
             };
-            run_hourly_hooked(
+            run_hourly(
                 &config,
                 resume,
                 &inner.cancel,
                 None,
                 opts.exec,
                 &job_obs,
-                &mut on_hour,
+                Some(&mut on_hour),
             )
         }));
 

@@ -388,11 +388,6 @@ impl<W: Write> FaultyWriter<W> {
         }
     }
 
-    /// Frames attempted so far (faulted frames included).
-    pub fn frames_sent(&self) -> u64 {
-        self.sent
-    }
-
     pub fn get_ref(&self) -> &W {
         &self.inner
     }

@@ -239,11 +239,6 @@ impl Dataset {
     pub fn nodes(&self) -> usize {
         self.mesh.n_free()
     }
-
-    /// Total concentration-array element count `species × layers × nodes`.
-    pub fn array_elems(&self) -> usize {
-        self.spec.species * self.spec.layers * self.nodes()
-    }
 }
 
 #[cfg(test)]

@@ -25,7 +25,6 @@
 //!   substrate, with observed-traffic accounting (the plan-vs-reality
 //!   check);
 //! * [`loops`] — owned-index-set helpers for parallel loops;
-//! * [`groups`] — node subgroups (task regions);
 //! * [`pipeline`] — pipelined task-parallel scheduling (§5, Figure 8);
 //! * [`pvm`] — a PVM-like message-passing substrate (threads +
 //!   mailboxes) hosting foreign modules;
@@ -35,7 +34,6 @@ pub mod array;
 pub mod dist;
 pub mod exec;
 pub mod foreign;
-pub mod groups;
 pub mod host;
 pub mod loops;
 pub mod pipeline;
@@ -44,5 +42,4 @@ pub mod redist;
 
 pub use array::DistributedArray;
 pub use dist::{DimDist, Distribution};
-pub use groups::NodeGroup;
 pub use redist::RedistPlan;

@@ -100,19 +100,6 @@ impl Machine {
         }
     }
 
-    /// Execute a pre-lowered plan: each step in order, with the usual
-    /// phase barriers. Returns the elapsed time of the whole sequence.
-    pub fn execute_plan<'a, I>(&mut self, steps: I) -> f64
-    where
-        I: IntoIterator<Item = PlanStep<'a>>,
-    {
-        let start = self.elapsed();
-        for step in steps {
-            self.execute_step(&step);
-        }
-        self.elapsed() - start
-    }
-
     fn compute_labeled(
         &mut self,
         label: &'static str,

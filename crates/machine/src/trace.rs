@@ -6,7 +6,7 @@
 //! the transport phase stops scaling or what the pipeline actually
 //! overlaps.
 
-use crate::accounting::{PhaseCategory, PhaseKind};
+use crate::accounting::PhaseCategory;
 use serde::Serialize;
 
 /// One recorded phase.
@@ -37,10 +37,6 @@ impl Trace {
         self.enabled = true;
     }
 
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
     pub fn record(&mut self, label: &'static str, category: PhaseCategory, start: f64, end: f64) {
         if self.enabled {
             debug_assert!(end >= start);
@@ -51,15 +47,6 @@ impl Trace {
                 end,
             });
         }
-    }
-
-    /// Record a computation phase identified by its IR [`PhaseKind`]:
-    /// both the Gantt row label and the accounting category derive from
-    /// the kind, so timeline output cannot drift from the phase
-    /// breakdown. Communication phases keep their redistribution labels
-    /// (those are plan *edge* names, recorded via [`Trace::record`]).
-    pub fn record_phase(&mut self, kind: PhaseKind, start: f64, end: f64) {
-        self.record(kind.label(), kind.category(), start, end);
     }
 
     pub fn events(&self) -> &[TraceEvent] {

@@ -9,7 +9,8 @@
 
 use crate::hosting::{replay_with_popexp, Hosting};
 use airshed_core::config::SimConfig;
-use airshed_core::driver::run_with_profile;
+use airshed_core::driver::run_with_profile_on;
+use airshed_core::ExecSpec;
 use airshed_machine::MachineProfile;
 use serde::Serialize;
 
@@ -77,7 +78,7 @@ impl Gems {
     pub fn evaluate(&self, scenario: &Scenario) -> ScenarioOutcome {
         let mut config = self.base.clone();
         config.emission_scale *= scenario.emission_scale;
-        let (report, profile) = run_with_profile(&config);
+        let (report, profile) = run_with_profile_on(&config, ExecSpec::default());
         let pop = replay_with_popexp(&profile, self.machine, self.p, self.hosting);
         ScenarioOutcome {
             name: scenario.name.clone(),

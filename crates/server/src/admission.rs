@@ -173,13 +173,14 @@ impl AdmissionController {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use airshed_core::driver::run_with_profile;
+    use airshed_core::driver::run_with_profile_on;
+    use airshed_core::ExecSpec;
     use airshed_machine::MachineProfile;
 
     fn calibrated_controller(budget: Option<f64>) -> (AdmissionController, SimConfig) {
         let mut config = SimConfig::test_tiny(4, 1);
         config.start_hour = 12;
-        let (_, profile) = run_with_profile(&config);
+        let (_, profile) = run_with_profile_on(&config, ExecSpec::default());
         let ctl = AdmissionController::new(budget);
         ctl.calibrate(&config, &profile);
         (ctl, config)

@@ -18,7 +18,7 @@
 //! * [`queue`] — bounded MPMC queue; producers get [`SubmitOutcome::QueueFull`]
 //!   instead of blocking (explicit backpressure);
 //! * [`worker`] — N OS threads running jobs hour-by-hour through
-//!   `core::run_resumable`, so cancellation and deadlines take effect at
+//!   one `core::driver::Episode`, so cancellation and deadlines take effect at
 //!   hour boundaries and interrupted jobs hand back a [`ResumePoint`];
 //! * [`cache`] — sharded LRU caches: captured [`WorkProfile`]s keyed by
 //!   the numerics (machine/P-independent, the paper's key observation)
@@ -42,7 +42,7 @@ use crate::queue::{BoundedQueue, PushError};
 use airshed_core::checkpoint::Checkpoint;
 use airshed_core::config::SimConfig;
 use airshed_core::driver::ChemLayout;
-use airshed_core::ensemble::{run_ensemble_obs, EnsembleJob, EnsembleResult};
+use airshed_core::ensemble::{run_ensemble, EnsembleJob, EnsembleResult};
 use airshed_core::surrogate::{ResponseSurface, SurrogateAnswer, WhatIfOutcome};
 use airshed_core::{Obs, RunReport, WorkProfile};
 use std::collections::HashMap;
@@ -210,11 +210,6 @@ impl JobHandle {
             }
             done = self.cell.completed.wait(done).unwrap();
         }
-    }
-
-    /// Non-blocking probe for the result.
-    pub fn try_result(&self) -> Option<JobResult> {
-        self.cell.done.lock().unwrap().clone()
     }
 }
 
@@ -519,7 +514,7 @@ impl ScenarioServer {
                 };
             }
         }
-        let result = run_ensemble_obs(job, self.shared.exec, obs, dedup);
+        let result = run_ensemble(job, self.shared.exec, obs, dedup);
 
         let metrics = &self.shared.metrics;
         metrics.ensemble_members.add(result.members.len() as u64);

@@ -8,8 +8,8 @@
 //!    placement; replay the captured [`WorkProfile`] on this one through
 //!    the plan layer (`airshed_core::plan::replay_profile` — no kernels
 //!    re-run, the paper's run-once/replay-everywhere path);
-//! 3. **miss** — run the real numerics, hour by hour through
-//!    `run_resumable`, checking cancellation and the wall-clock deadline
+//! 3. **miss** — run the real numerics, hour by hour on one
+//!    `driver::Episode`, checking cancellation and the wall-clock deadline
 //!    at every hour boundary. An interrupted job hands back a
 //!    [`ResumePoint`] so a later request can finish the episode with no
 //!    work lost and bit-identical results.
@@ -20,12 +20,9 @@
 use crate::cache::{NumericsKey, ResultKey};
 use crate::{JobCell, JobError, JobResult, ResumePoint, ScenarioRequest, Shared};
 use airshed_core::config::SimConfig;
-use airshed_core::driver::run_resumable_obs;
-use airshed_core::driver::PlanLayouts;
+use airshed_core::driver::{Episode, PlanLayouts};
 use airshed_core::obs::Track;
 use airshed_core::plan::replay_profile_with;
-use airshed_core::profile::HourProfile;
-use airshed_core::state::HourSummary;
 use airshed_core::ExecSpec;
 use airshed_core::Obs;
 use airshed_core::WorkProfile;
@@ -152,13 +149,14 @@ fn execute(shared: &Shared, job: &QueuedJob, deadline_at: Option<Instant>, obs: 
         None => {
             metrics.profile_cache_misses.inc();
             let resume = request.resume.as_deref().cloned();
-            let profile = Arc::new(run_hourly_obs(
+            let profile = Arc::new(run_hourly(
                 config,
                 resume,
                 &job.cell.cancel,
                 deadline_at,
                 shared.exec,
                 obs,
+                None,
             )?);
             shared.profiles.insert(numerics_key, Arc::clone(&profile));
             shared.admission.calibrate(config, &profile);
@@ -191,63 +189,21 @@ fn execute(shared: &Shared, job: &QueuedJob, deadline_at: Option<Instant>, obs: 
     Ok(report)
 }
 
-/// Execute `config` hour by hour through the checkpoint machinery, so
-/// cancellation and the deadline take effect at hour boundaries and an
-/// interrupted run can be resumed with bit-identical results. Returns
-/// the stitched [`WorkProfile`] covering the whole episode.
-pub fn run_hourly(
-    config: &SimConfig,
-    resume: Option<ResumePoint>,
-    cancel: &AtomicBool,
-    deadline_at: Option<Instant>,
-    exec: ExecSpec,
-) -> Result<WorkProfile, JobError> {
-    run_hourly_obs(config, resume, cancel, deadline_at, exec, &Obs::off())
-}
-
-/// [`run_hourly`] reporting the driver's spans through `obs` (the
-/// worker's lane-bound handle), so each simulated hour of a server job
-/// shows up nested under that worker's job span.
-pub fn run_hourly_obs(
-    config: &SimConfig,
-    resume: Option<ResumePoint>,
-    cancel: &AtomicBool,
-    deadline_at: Option<Instant>,
-    exec: ExecSpec,
-    obs: &Obs,
-) -> Result<WorkProfile, JobError> {
-    run_hourly_inner(config, resume, cancel, deadline_at, exec, obs, None)
-}
-
-/// [`run_hourly_obs`], additionally calling `on_hour` with a
-/// [`ResumePoint`] capturing all progress after every completed hour.
+/// Execute `config` hour by hour on one [`Episode`], so cancellation
+/// and the deadline take effect at hour boundaries and an interrupted
+/// run can be resumed with bit-identical results. Returns the
+/// [`WorkProfile`] covering the whole episode, resumed hours included.
+/// The driver's spans go through `obs` (a worker's lane-bound handle
+/// nests each simulated hour under that worker's job span).
+///
+/// `on_hour`, when given, is called after every completed hour with a
+/// [`ResumePoint`] capturing all progress (a per-hour clone of the
+/// accumulated profile; streaming-checkpoint callers accept that cost).
 /// The fabric shard streams these to its front-end so that if the shard
 /// is lost, its jobs resume from the last reported hour on another
 /// shard instead of restarting — with bit-identical final results,
 /// courtesy of the checkpoint guarantee.
-#[allow(clippy::too_many_arguments)]
-pub fn run_hourly_hooked(
-    config: &SimConfig,
-    resume: Option<ResumePoint>,
-    cancel: &AtomicBool,
-    deadline_at: Option<Instant>,
-    exec: ExecSpec,
-    obs: &Obs,
-    on_hour: &mut dyn FnMut(&ResumePoint),
-) -> Result<WorkProfile, JobError> {
-    run_hourly_inner(
-        config,
-        resume,
-        cancel,
-        deadline_at,
-        exec,
-        obs,
-        Some(on_hour),
-    )
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_hourly_inner(
+pub fn run_hourly(
     config: &SimConfig,
     resume: Option<ResumePoint>,
     cancel: &AtomicBool,
@@ -256,91 +212,43 @@ fn run_hourly_inner(
     obs: &Obs,
     mut on_hour: Option<&mut dyn FnMut(&ResumePoint)>,
 ) -> Result<WorkProfile, JobError> {
-    let total = config.hours;
-    let (mut hours, mut summaries, mut meta, mut checkpoint) = match resume {
-        Some(r) => (
-            r.partial.hours,
-            r.partial.summaries,
-            Some((r.partial.dataset, r.partial.shape)),
-            Some(r.checkpoint),
-        ),
-        None => (Vec::new(), Vec::new(), None, None),
-    };
+    let (checkpoint, partial) = resume.map(|r| (r.checkpoint, r.partial)).unzip();
+    let mut episode = Episode::new(config, checkpoint, exec, obs);
+    if let Some(partial) = partial {
+        episode.adopt(partial);
+    }
 
-    while hours.len() < total {
+    while episode.profile().hours.len() < config.hours {
         if cancel.load(Ordering::Relaxed) {
             return Err(JobError::Cancelled {
-                resume: pack(hours, summaries, meta, checkpoint),
+                resume: interrupted(episode),
             });
         }
         if deadline_at.is_some_and(|d| Instant::now() >= d) {
             return Err(JobError::DeadlineExpired {
-                resume: pack(hours, summaries, meta, checkpoint),
+                resume: interrupted(episode),
             });
         }
-        let mut segment = config.clone();
-        segment.hours = 1;
-        let (_, prof, next) = run_resumable_obs(&segment, checkpoint.take(), exec, obs);
-        meta = Some((prof.dataset, prof.shape));
-        hours.extend(prof.hours);
-        summaries.extend(prof.summaries);
-        checkpoint = Some(next);
-        // The hooked path pays a per-hour clone of the accumulated
-        // profile; streaming-checkpoint callers accept that cost.
+        episode.step(None);
         if let Some(hook) = on_hour.as_deref_mut() {
-            if let (Some((dataset, shape)), Some(ckpt)) = (meta, checkpoint.as_ref()) {
-                hook(&ResumePoint {
-                    checkpoint: ckpt.clone(),
-                    partial: WorkProfile {
-                        dataset,
-                        shape,
-                        hours: hours.clone(),
-                        summaries: summaries.clone(),
-                    },
-                });
-            }
+            hook(&ResumePoint {
+                checkpoint: episode.checkpoint().clone(),
+                partial: episode.profile().clone(),
+            });
         }
     }
-
-    let (dataset, shape) = match meta {
-        Some(m) => m,
-        // 0-hour request with no resume point: run the (empty) episode
-        // once just to learn the dataset metadata.
-        None => {
-            let mut empty = config.clone();
-            empty.hours = 0;
-            let (_, prof, _) = run_resumable_obs(&empty, None, exec, obs);
-            (prof.dataset, prof.shape)
-        }
-    };
-    Ok(WorkProfile {
-        dataset,
-        shape,
-        hours,
-        summaries,
-    })
+    Ok(episode.finish().1)
 }
 
-fn pack(
-    hours: Vec<HourProfile>,
-    summaries: Vec<HourSummary>,
-    meta: Option<(&'static str, [usize; 3])>,
-    checkpoint: Option<airshed_core::checkpoint::Checkpoint>,
-) -> Option<Box<ResumePoint>> {
-    match (meta, checkpoint) {
-        (Some((dataset, shape)), Some(checkpoint)) if !hours.is_empty() => {
-            Some(Box::new(ResumePoint {
-                checkpoint,
-                partial: WorkProfile {
-                    dataset,
-                    shape,
-                    hours,
-                    summaries,
-                },
-            }))
-        }
-        _ => None,
-    }
+/// What an interrupted episode hands back: its progress, if it made any.
+fn interrupted(episode: Episode) -> Option<Box<ResumePoint>> {
+    let (_, partial, checkpoint) = episode.finish();
+    (!partial.hours.is_empty()).then(|| {
+        Box::new(ResumePoint {
+            checkpoint,
+            partial,
+        })
+    })
 }
 
 fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {
@@ -356,7 +264,8 @@ fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use airshed_core::driver::{replay, run_with_profile};
+    use airshed_core::driver::{run_resumable_with, run_with_profile_on, ChemLayout};
+    use airshed_core::obs::SpanSink;
     use airshed_core::plan::replay_profile;
 
     fn config(hours: usize) -> SimConfig {
@@ -369,11 +278,22 @@ mod tests {
         AtomicBool::new(false)
     }
 
+    /// `run_hourly` as a plain caller uses it: untraced, no hour hook.
+    fn hourly(
+        config: &SimConfig,
+        resume: Option<ResumePoint>,
+        cancel: &AtomicBool,
+        deadline_at: Option<Instant>,
+    ) -> Result<WorkProfile, JobError> {
+        let exec = ExecSpec::default();
+        run_hourly(config, resume, cancel, deadline_at, exec, &Obs::off(), None)
+    }
+
     #[test]
     fn hourly_execution_matches_straight_run_bitwise() {
         let cfg = config(3);
-        let (_, straight) = run_with_profile(&cfg);
-        let stitched = run_hourly(&cfg, None, &never(), None, ExecSpec::default()).unwrap();
+        let (_, straight) = run_with_profile_on(&cfg, ExecSpec::default());
+        let stitched = hourly(&cfg, None, &never(), None).unwrap();
         assert_eq!(stitched.hours.len(), straight.hours.len());
         assert_eq!(stitched.dataset, straight.dataset);
         assert_eq!(stitched.shape, straight.shape);
@@ -388,8 +308,8 @@ mod tests {
             }
         }
         // And so the derived reports agree exactly.
-        let ra = replay(&stitched, cfg.machine, cfg.p);
-        let rb = replay(&straight, cfg.machine, cfg.p);
+        let ra = replay_profile(&stitched, cfg.machine, cfg.p, ChemLayout::Block);
+        let rb = replay_profile(&straight, cfg.machine, cfg.p, ChemLayout::Block);
         assert_eq!(ra.total_seconds, rb.total_seconds);
         assert_eq!(ra.peak_o3(), rb.peak_o3());
     }
@@ -397,27 +317,27 @@ mod tests {
     #[test]
     fn interrupted_run_resumes_to_the_same_profile() {
         let cfg = config(4);
-        let (_, straight) = run_with_profile(&cfg);
+        let (_, straight) = run_with_profile_on(&cfg, ExecSpec::default());
 
         // Cancel after 0 hours is impossible mid-loop here; instead cut
         // the episode in half manually and resume through a ResumePoint.
         let mut half = cfg.clone();
         half.hours = 2;
-        let stitched_half = run_hourly(&half, None, &never(), None, ExecSpec::default()).unwrap();
+        let stitched_half = hourly(&half, None, &never(), None).unwrap();
         // Rebuild the checkpoint by running the same half through the
         // resumable driver directly.
-        let (_, _, ckpt) = airshed_core::driver::run_resumable(&half, None);
+        let (_, _, ckpt) = run_resumable_with(&half, None, ExecSpec::default());
         let resume = ResumePoint {
             checkpoint: ckpt,
             partial: stitched_half,
         };
-        let full = run_hourly(&cfg, Some(resume), &never(), None, ExecSpec::default()).unwrap();
+        let full = hourly(&cfg, Some(resume), &never(), None).unwrap();
         assert_eq!(full.hours.len(), 4);
         for (a, b) in full.hours.iter().zip(&straight.hours) {
             assert_eq!(a.surface, b.surface);
         }
-        let ra = replay(&full, cfg.machine, cfg.p);
-        let rb = replay(&straight, cfg.machine, cfg.p);
+        let ra = replay_profile(&full, cfg.machine, cfg.p, ChemLayout::Block);
+        let rb = replay_profile(&straight, cfg.machine, cfg.p, ChemLayout::Block);
         assert_eq!(ra.total_seconds, rb.total_seconds);
     }
 
@@ -427,13 +347,8 @@ mod tests {
         // result computed from a cached profile (plan replay) carries
         // exactly the virtual cost a fresh run would have charged.
         let cfg = config(2);
-        let (fresh, profile) = run_with_profile(&cfg);
-        let cached = replay_profile(
-            &profile,
-            cfg.machine,
-            cfg.p,
-            airshed_core::driver::ChemLayout::Block,
-        );
+        let (fresh, profile) = run_with_profile_on(&cfg, ExecSpec::default());
+        let cached = replay_profile(&profile, cfg.machine, cfg.p, ChemLayout::Block);
         assert_eq!(fresh.total_seconds, cached.total_seconds);
         assert_eq!(fresh.communication_seconds, cached.communication_seconds);
         assert_eq!(fresh.io_seconds, cached.io_seconds);
@@ -445,7 +360,7 @@ mod tests {
     fn pre_cancelled_run_returns_cancelled_without_work() {
         let cfg = config(2);
         let cancelled = AtomicBool::new(true);
-        match run_hourly(&cfg, None, &cancelled, None, ExecSpec::default()) {
+        match hourly(&cfg, None, &cancelled, None) {
             Err(JobError::Cancelled { resume }) => assert!(resume.is_none()),
             other => panic!("expected cancellation, got {other:?}"),
         }
@@ -456,9 +371,61 @@ mod tests {
         let cfg = config(3);
         // Deadline already in the past: expires before the first hour.
         let past = Instant::now();
-        match run_hourly(&cfg, None, &never(), Some(past), ExecSpec::default()) {
+        match hourly(&cfg, None, &never(), Some(past)) {
             Err(JobError::DeadlineExpired { resume }) => assert!(resume.is_none()),
             other => panic!("expected expiry, got {other:?}"),
         }
+    }
+    #[test]
+    fn copy_counters_are_cumulative_over_the_whole_job() {
+        let cfg = config(3);
+        let sink = Arc::new(SpanSink::new());
+        let obs = Obs::new(sink.clone());
+        let profile =
+            run_hourly(&cfg, None, &never(), None, ExecSpec::default(), &obs, None).unwrap();
+        let total = replay_profile(&profile, cfg.machine, cfg.p, ChemLayout::Block)
+            .copy_bytes
+            .expect("replay accounts copies");
+
+        let series: Vec<f64> = sink
+            .events()
+            .iter()
+            .filter(|e| e.track == Track::Counter("copy bytes") && e.name == "redist_local")
+            .map(|e| e.dur_us)
+            .collect();
+        assert_eq!(series.len(), 3, "one sample per simulated hour");
+        assert!(
+            series.windows(2).all(|w| w[0] < w[1]),
+            "redist_local must accumulate across hours: {series:?}"
+        );
+        assert_eq!(series[2], total.redist_local as f64);
+
+        let sections = sink.sections();
+        let (_, text) = sections
+            .iter()
+            .find(|(name, _)| *name == "copy-traffic")
+            .expect("copy-traffic section published");
+        for (kind, bytes) in [
+            ("redist_local", total.redist_local),
+            ("soa_staging", total.soa_staging),
+            ("result_serialization", total.result_serialization),
+        ] {
+            let line = text
+                .lines()
+                .find(|l| l.contains(&format!("kind=\"{kind}\"")))
+                .unwrap_or_else(|| panic!("no {kind} sample in {text}"));
+            let value: f64 = line.rsplit(' ').next().unwrap().parse().unwrap();
+            assert_eq!(value, bytes as f64, "{kind} must be the job total");
+        }
+    }
+
+    #[test]
+    fn zero_hour_request_returns_an_empty_profile_with_metadata() {
+        let cfg = config(0);
+        let empty = hourly(&cfg, None, &never(), None).unwrap();
+        let (_, one_hour) = run_with_profile_on(&config(1), ExecSpec::default());
+        assert!(empty.hours.is_empty() && empty.summaries.is_empty());
+        assert_eq!(empty.dataset, one_hour.dataset);
+        assert_eq!(empty.shape, one_hour.shape);
     }
 }

@@ -47,11 +47,6 @@ impl CsrBuilder {
         }
     }
 
-    /// Number of raw (unmerged) triplets so far.
-    pub fn raw_len(&self) -> usize {
-        self.triplets.len()
-    }
-
     /// Sort, merge duplicates, and produce the CSR matrix.
     pub fn build(mut self) -> Csr {
         self.triplets.sort_unstable_by_key(|a| (a.0, a.1));

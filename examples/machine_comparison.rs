@@ -7,14 +7,16 @@
 //! ```
 
 use airshed::core::config::SimConfig;
-use airshed::core::driver::{replay, run_with_profile};
+use airshed::core::driver::{run_with_profile_on, ChemLayout};
+use airshed::core::plan::replay_profile;
+use airshed::core::ExecSpec;
 use airshed::machine::MachineProfile;
 
 fn main() {
     let mut config = SimConfig::test_tiny(4, 4);
     config.start_hour = 9;
     println!("capturing the work profile (numerics run once)...");
-    let (_, profile) = run_with_profile(&config);
+    let (_, profile) = run_with_profile_on(&config, ExecSpec::default());
 
     let machines = MachineProfile::paper_machines();
     println!(
@@ -24,7 +26,7 @@ fn main() {
     for p in [4usize, 8, 16, 32, 64, 128] {
         let ts: Vec<f64> = machines
             .iter()
-            .map(|m| replay(&profile, *m, p).total_seconds)
+            .map(|m| replay_profile(&profile, *m, p, ChemLayout::Block).total_seconds)
             .collect();
         println!("{:>5} {:>12.2} {:>12.2} {:>14.2}", p, ts[0], ts[1], ts[2]);
     }

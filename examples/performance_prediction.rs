@@ -14,15 +14,17 @@
 //! ```
 
 use airshed::core::config::SimConfig;
-use airshed::core::driver::{replay, run_with_profile};
+use airshed::core::driver::{run_with_profile_on, ChemLayout};
+use airshed::core::plan::replay_profile;
 use airshed::core::predict::PerfModel;
+use airshed::core::ExecSpec;
 use airshed::machine::MachineProfile;
 
 fn main() {
     let mut config = SimConfig::test_tiny(4, 4);
     config.start_hour = 10;
     println!("calibration run on a small machine (P = 4)...");
-    let (small, profile) = run_with_profile(&config);
+    let (small, profile) = run_with_profile_on(&config, ExecSpec::default());
     println!("  P=4 measured: {:.2}s", small.total_seconds);
 
     let model = PerfModel::from_profile(&profile);
@@ -35,7 +37,7 @@ fn main() {
     );
     for p in [8usize, 16, 32, 64, 128, 256] {
         let pred = model.predict(&t3e, p);
-        let meas = replay(&profile, t3e, p);
+        let meas = replay_profile(&profile, t3e, p, ChemLayout::Block);
         println!(
             "{:>5} {:>14.2} {:>14.2} {:>7.1}%",
             p,

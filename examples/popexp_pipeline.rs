@@ -7,7 +7,8 @@
 //! ```
 
 use airshed::core::config::SimConfig;
-use airshed::core::driver::run_with_profile;
+use airshed::core::driver::run_with_profile_on;
+use airshed::core::ExecSpec;
 use airshed::machine::MachineProfile;
 use airshed::popexp::{replay_with_popexp, Hosting};
 
@@ -15,7 +16,7 @@ fn main() {
     let mut config = SimConfig::test_tiny(4, 5);
     config.start_hour = 9;
     println!("running Airshed ({} hours)...", config.hours);
-    let (_, profile) = run_with_profile(&config);
+    let (_, profile) = run_with_profile_on(&config, ExecSpec::default());
 
     let paragon = MachineProfile::paragon();
     println!("\nintegrated Airshed+PopExp on the virtual Paragon:");

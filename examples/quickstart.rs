@@ -6,7 +6,9 @@
 //! ```
 
 use airshed::core::config::{DatasetChoice, SimConfig};
-use airshed::core::driver::run_with_profile;
+use airshed::core::driver::{run_with_profile_on, ChemLayout};
+use airshed::core::plan::replay_profile;
+use airshed::core::ExecSpec;
 use airshed::machine::MachineProfile;
 
 fn main() {
@@ -29,7 +31,7 @@ fn main() {
         config.hours,
         config.dataset.name()
     );
-    let (report, profile) = run_with_profile(&config);
+    let (report, profile) = run_with_profile_on(&config, ExecSpec::default());
 
     println!("\n--- science ---");
     for s in &report.summaries {
@@ -51,7 +53,7 @@ fn main() {
         profile.total_steps()
     );
     for p in [4usize, 64] {
-        let r = airshed::core::driver::replay(&profile, MachineProfile::paragon(), p);
+        let r = replay_profile(&profile, MachineProfile::paragon(), p, ChemLayout::Block);
         println!("  Paragon P={:<3} -> {:.1}s", p, r.total_seconds);
     }
 }

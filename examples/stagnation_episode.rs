@@ -10,8 +10,9 @@
 //! ```
 
 use airshed::core::config::{DatasetChoice, SimConfig, Weather};
-use airshed::core::driver::run_with_profile;
+use airshed::core::driver::run_with_profile_on;
 use airshed::core::viz;
+use airshed::core::ExecSpec;
 use airshed::machine::MachineProfile;
 
 fn episode(weather: Weather) -> (airshed::core::RunReport, airshed::core::WorkProfile) {
@@ -26,7 +27,7 @@ fn episode(weather: Weather) -> (airshed::core::RunReport, airshed::core::WorkPr
         weather,
         emission_scale: 1.0,
     };
-    run_with_profile(&config)
+    run_with_profile_on(&config, ExecSpec::default())
 }
 
 fn main() {

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# CI gate: formatting, release build, full test suite (doctests
-# included), a warning-free clippy pass (all targets, benches included),
+# CI gate: formatting, release build, the whole workspace's test suite
+# (every crate's unit tests and doctests included), the benchmark
+# package's build and tests, a warning-free clippy pass (all targets, benches included),
 # a 2-thread backend smoke run, an observability smoke run (the trace
 # must be loadable JSON with spans for every phase), and warning-free
 # rustdoc.
@@ -13,11 +14,14 @@ cargo fmt --check
 echo "==> cargo build --release"
 cargo build --release
 
-echo "==> cargo test -q"
-cargo test -q
+echo "==> cargo test --workspace -q --offline"
+cargo test --workspace -q --offline
 
-echo "==> cargo test --doc --workspace -q"
-cargo test --doc --workspace -q
+echo "==> benchmark package builds and tests against this workspace"
+# benchmark/ is a workspace of its own; an API deletion here must not
+# silently break what it compiles against.
+cargo build --release --offline --manifest-path benchmark/Cargo.toml
+cargo test --release --offline --manifest-path benchmark/Cargo.toml
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings

@@ -12,13 +12,13 @@
 //! configuration, from one binary — the "downstream user" entry point.
 
 use airshed::core::config::{DatasetChoice, SimConfig, Weather};
-use airshed::core::driver::{replay_with_layout, run_with_profile_obs, ChemLayout, PlanLayouts};
-use airshed::core::ensemble::{run_ensemble_obs, EnsembleJob, MemberSpec};
+use airshed::core::driver::{ChemLayout, Episode, PlanLayouts};
+use airshed::core::ensemble::{run_ensemble, EnsembleJob, MemberSpec};
 use airshed::core::obs::dist::{self, TraceDoc};
 use airshed::core::obs::oracle::{validate_profile, Oracle};
 use airshed::core::obs::{Collector, Obs, SpanSink};
 use airshed::core::plan::optimize::plan_cost;
-use airshed::core::plan::{optimize_plan, replay_profile_with};
+use airshed::core::plan::{optimize_plan, replay_profile, replay_profile_with};
 use airshed::core::predict::PerfModel;
 use airshed::core::profile::SURFACE_SPECIES;
 use airshed::core::surrogate::{what_if, ResponseSurface, WhatIfOutcome};
@@ -493,6 +493,16 @@ fn layout(o: &Options) -> ChemLayout {
     }
 }
 
+/// Run the numerics of `config`, traced through `obs`.
+fn simulate(
+    config: &SimConfig,
+    exec: ExecSpec,
+    obs: &Obs,
+) -> (airshed::core::RunReport, airshed::core::WorkProfile) {
+    let (report, profile, _) = Episode::new(config, None, exec, obs).run(config.hours);
+    (report, profile)
+}
+
 fn cmd_run(o: &Options, obs: &Obs) {
     let p = o.nodes[0];
     let exec = exec(o);
@@ -504,9 +514,9 @@ fn cmd_run(o: &Options, obs: &Obs) {
         p,
         exec.describe()
     );
-    let (report, profile) = run_with_profile_obs(&config(o, p), exec, obs);
+    let (report, profile) = simulate(&config(o, p), exec, obs);
     let report = if o.cyclic {
-        replay_with_layout(&profile, o.machine, p, ChemLayout::Cyclic)
+        replay_profile(&profile, o.machine, p, ChemLayout::Cyclic)
     } else {
         report
     };
@@ -555,7 +565,7 @@ fn cmd_gridinfo(o: &Options, obs: &Obs) {
 }
 
 fn cmd_sweep(o: &Options, obs: &Obs) {
-    let (_, profile) = run_with_profile_obs(&config(o, o.nodes[0]), exec(o), obs);
+    let (_, profile) = simulate(&config(o, o.nodes[0]), exec(o), obs);
     println!(
         "{:>6} {:>12} {:>12} {:>14}",
         "P", "T3E (s)", "T3D (s)", "Paragon (s)"
@@ -563,7 +573,7 @@ fn cmd_sweep(o: &Options, obs: &Obs) {
     for &p in &o.nodes {
         let row: Vec<f64> = MachineProfile::paper_machines()
             .iter()
-            .map(|m| replay_with_layout(&profile, *m, p, layout(o)).total_seconds)
+            .map(|m| replay_profile(&profile, *m, p, layout(o)).total_seconds)
             .collect();
         println!(
             "{:>6} {:>12.2} {:>12.2} {:>14.2}",
@@ -573,7 +583,7 @@ fn cmd_sweep(o: &Options, obs: &Obs) {
 }
 
 fn cmd_predict(o: &Options, obs: &Obs) {
-    let (_, profile) = run_with_profile_obs(&config(o, o.nodes[0]), exec(o), obs);
+    let (_, profile) = simulate(&config(o, o.nodes[0]), exec(o), obs);
     let model = PerfModel::from_profile(&profile);
     println!(
         "{:>6} {:>14} {:>14} {:>8}",
@@ -586,7 +596,7 @@ fn cmd_predict(o: &Options, obs: &Obs) {
     };
     for &p in &sweep {
         let pred = model.predict(&o.machine, p);
-        let meas = replay_with_layout(&profile, o.machine, p, layout(o));
+        let meas = replay_profile(&profile, o.machine, p, layout(o));
         println!(
             "{:>6} {:>14.2} {:>14.2} {:>7.1}%",
             p,
@@ -610,7 +620,7 @@ fn cmd_plan(o: &Options, obs: &Obs) {
     );
     // One numerics run captures the work profile the planner folds over;
     // every plan below is a replay of the same (bit-identical) physics.
-    let (_, profile) = run_with_profile_obs(&config(o, p), exec, obs);
+    let (_, profile) = simulate(&config(o, p), exec, obs);
     let default_layouts = PlanLayouts::default();
     let default_predicted = plan_cost(&profile, &o.machine, p, default_layouts);
     let default_measured = replay_profile_with(&profile, o.machine, p, default_layouts);
@@ -722,7 +732,7 @@ fn cmd_validate(o: &Options, obs: &Obs) -> Result<(), String> {
     // export of this command carries the per-hour residual counter track.
     let live = Arc::new(Oracle::new(o.machine));
     let obs_with_oracle = obs.clone().with_oracle(Arc::clone(&live));
-    let (_, profile) = run_with_profile_obs(&config(o, nodes[0]), exec, &obs_with_oracle);
+    let (_, profile) = simulate(&config(o, nodes[0]), exec, &obs_with_oracle);
     // Then sweep the node counts through a fresh oracle on plan replays.
     let v = validate_profile(&profile, o.machine, &nodes);
     print!("{}", v.text());
@@ -734,7 +744,7 @@ fn cmd_validate(o: &Options, obs: &Obs) -> Result<(), String> {
 }
 
 fn cmd_popexp(o: &Options, obs: &Obs) {
-    let (_, profile) = run_with_profile_obs(&config(o, o.nodes[0]), exec(o), obs);
+    let (_, profile) = simulate(&config(o, o.nodes[0]), exec(o), obs);
     println!(
         "{:>6} {:>14} {:>16} {:>10}",
         "P", "native (s)", "foreign (s)", "overhead"
@@ -1022,15 +1032,14 @@ fn fabric_local(o: &Options, scenarios: &[Scenario]) -> Result<(), String> {
         let profile = match profiles.get(&key) {
             Some(p) => Arc::clone(p),
             None => {
-                let p = run_hourly(&s.config, None, &never, None, exec)
+                let p = run_hourly(&s.config, None, &never, None, exec, &Obs::off(), None)
                     .map_err(|e| format!("scenario {i}: {e:?}"))?;
                 let p = Arc::new(p);
                 profiles.insert(key, Arc::clone(&p));
                 p
             }
         };
-        let report =
-            airshed::core::plan::replay_profile(&profile, s.config.machine, s.config.p, s.layout);
+        let report = replay_profile(&profile, s.config.machine, s.config.p, s.layout);
         reports.push((i, report));
     }
     let wall = started.elapsed();
@@ -1232,7 +1241,7 @@ fn cmd_ensemble(o: &Options, obs: &Obs) -> Result<(), String> {
         },
         if dedup { "on" } else { "off" },
     );
-    let result = run_ensemble_obs(&job, run_exec, obs, dedup);
+    let result = run_ensemble(&job, run_exec, obs, dedup);
 
     println!("member  perturbation                      total(s)  peak O3(ppb)  input stage");
     for (i, m) in result.members.iter().enumerate() {

@@ -9,19 +9,21 @@
 //!
 //! ```
 //! use airshed::core::config::SimConfig;
-//! use airshed::core::driver::{replay, run_with_profile};
+//! use airshed::core::driver::{run_with_profile_on, ChemLayout};
+//! use airshed::core::plan::replay_profile;
+//! use airshed::core::ExecSpec;
 //! use airshed::machine::MachineProfile;
 //!
 //! // One simulated hour over the tiny test domain on 4 virtual T3E nodes.
 //! let mut config = SimConfig::test_tiny(4, 1);
 //! config.start_hour = 12;
-//! let (report, profile) = run_with_profile(&config);
+//! let (report, profile) = run_with_profile_on(&config, ExecSpec::default());
 //! assert!(report.total_seconds > 0.0);
 //! assert!(report.peak_o3() > 0.0);
 //!
 //! // The captured work replays instantly on any machine / node count,
 //! // with identical science.
-//! let paragon = replay(&profile, MachineProfile::paragon(), 64);
+//! let paragon = replay_profile(&profile, MachineProfile::paragon(), 64, ChemLayout::Block);
 //! assert_eq!(paragon.peak_o3(), report.peak_o3());
 //! assert!(paragon.total_seconds > report.total_seconds); // slower machine
 //! ```

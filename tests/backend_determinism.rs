@@ -24,7 +24,7 @@
 //! exactly reproducible.
 
 use airshed::core::config::{DatasetChoice, SimConfig};
-use airshed::core::driver::{run_resumable_obs, run_resumable_with};
+use airshed::core::driver::{run_resumable_with, Episode};
 use airshed::core::obs::{Collector, Obs, SpanSink};
 use airshed::core::profile::WorkProfile;
 use airshed::core::{BackendKind, ExecSpec};
@@ -187,10 +187,11 @@ fn tracing_enabled_is_bit_identical_to_disabled() {
     config.p = 4;
     config.start_hour = 11;
     for exec in [ExecSpec::serial(), ExecSpec::rayon(4), ExecSpec::simd(4)] {
-        let (_, profile_off, chk_off) = run_resumable_obs(&config, None, exec, &Obs::off());
+        let (_, profile_off, chk_off) =
+            Episode::new(&config, None, exec, &Obs::off()).run(config.hours);
         let sink = Arc::new(SpanSink::new());
         let obs = Obs::new(Arc::clone(&sink) as Arc<dyn Collector>);
-        let (_, profile_on, chk_on) = run_resumable_obs(&config, None, exec, &obs);
+        let (_, profile_on, chk_on) = Episode::new(&config, None, exec, &obs).run(config.hours);
         assert_identical(
             &format!("tracing on vs off ({})", exec.describe()),
             &(profile_off, chk_off.state.conc),
@@ -217,13 +218,14 @@ fn oracle_validation_is_bit_identical_to_untraced() {
     config.p = 4;
     config.start_hour = 11;
     for exec in [ExecSpec::serial(), ExecSpec::rayon(4), ExecSpec::simd(4)] {
-        let (_, profile_off, chk_off) = run_resumable_obs(&config, None, exec, &Obs::off());
+        let (_, profile_off, chk_off) =
+            Episode::new(&config, None, exec, &Obs::off()).run(config.hours);
 
         let sink = Arc::new(SpanSink::new());
         let oracle = Arc::new(Oracle::new(config.machine));
         let obs =
             Obs::new(Arc::clone(&sink) as Arc<dyn Collector>).with_oracle(Arc::clone(&oracle));
-        let (_, profile_on, chk_on) = run_resumable_obs(&config, None, exec, &obs);
+        let (_, profile_on, chk_on) = Episode::new(&config, None, exec, &obs).run(config.hours);
 
         assert_identical(
             &format!("oracle on vs off ({})", exec.describe()),

@@ -4,7 +4,9 @@
 
 use airshed::core::checkpoint::Checkpoint;
 use airshed::core::config::SimConfig;
-use airshed::core::driver::{replay, run_resumable, run_with_profile};
+use airshed::core::driver::{run_resumable_with, run_with_profile_on, ChemLayout};
+use airshed::core::plan::replay_profile;
+use airshed::core::ExecSpec;
 use airshed::server::{JobError, ResumePoint, ScenarioRequest, ScenarioServer, ServerConfig};
 use std::time::Duration;
 
@@ -17,17 +19,19 @@ fn config(hours: usize) -> SimConfig {
 #[test]
 fn split_run_is_bit_identical_to_straight_run() {
     // Straight 4-hour run.
-    let (straight_report, straight_profile, straight_end) = run_resumable(&config(4), None);
+    let (straight_report, straight_profile, straight_end) =
+        run_resumable_with(&config(4), None, ExecSpec::default());
 
     // 2 hours, checkpoint through a (serialised!) file, 2 more hours.
-    let (_, first_profile, ckpt) = run_resumable(&config(2), None);
+    let (_, first_profile, ckpt) = run_resumable_with(&config(2), None, ExecSpec::default());
     let path =
         std::env::temp_dir().join(format!("airshed_restart_test_{}.bin", std::process::id()));
     ckpt.save(&path).unwrap();
     let restored = Checkpoint::load(&path).unwrap();
     let _ = std::fs::remove_file(&path);
     assert_eq!(restored.next_hour, 11);
-    let (_, second_profile, resumed_end) = run_resumable(&config(2), Some(restored));
+    let (_, second_profile, resumed_end) =
+        run_resumable_with(&config(2), Some(restored), ExecSpec::default());
 
     // Final states identical to the bit.
     assert_eq!(straight_end.state.conc, resumed_end.state.conc);
@@ -64,10 +68,11 @@ fn split_run_is_bit_identical_to_straight_run() {
 
 #[test]
 fn checkpoint_shape_mismatch_is_rejected() {
-    let (_, _, ckpt) = run_resumable(&config(1), None);
+    let (_, _, ckpt) = run_resumable_with(&config(1), None, ExecSpec::default());
     let mut other = SimConfig::test_tiny(4, 1);
     other.dataset = airshed::core::config::DatasetChoice::Tiny(200);
-    let result = std::panic::catch_unwind(|| run_resumable(&other, Some(ckpt)));
+    let result =
+        std::panic::catch_unwind(|| run_resumable_with(&other, Some(ckpt), ExecSpec::default()));
     assert!(result.is_err(), "shape mismatch must panic loudly");
 }
 
@@ -75,14 +80,14 @@ fn checkpoint_shape_mismatch_is_rejected() {
 fn server_resumes_an_interrupted_scenario_bit_identically() {
     // The uninterrupted reference for a 4-hour episode.
     let cfg = config(4);
-    let (_, straight_profile) = run_with_profile(&cfg);
-    let reference = replay(&straight_profile, cfg.machine, cfg.p);
+    let (_, straight_profile) = run_with_profile_on(&cfg, ExecSpec::default());
+    let reference = replay_profile(&straight_profile, cfg.machine, cfg.p, ChemLayout::Block);
 
     // A 2-hour prefix, as if the server had been stopped mid-scenario;
     // its checkpoint plus captured work form the resume point.
     let mut half = cfg.clone();
     half.hours = 2;
-    let (_, partial, checkpoint) = run_resumable(&half, None);
+    let (_, partial, checkpoint) = run_resumable_with(&half, None, ExecSpec::default());
 
     let server = ScenarioServer::start(ServerConfig {
         workers: 1,
@@ -119,8 +124,8 @@ fn deadline_interrupted_job_resumes_with_no_work_lost() {
     // request finishes. On a fast machine the first attempt may complete
     // outright — both paths must yield the reference report.
     let cfg = config(3);
-    let (_, straight_profile) = run_with_profile(&cfg);
-    let reference = replay(&straight_profile, cfg.machine, cfg.p);
+    let (_, straight_profile) = run_with_profile_on(&cfg, ExecSpec::default());
+    let reference = replay_profile(&straight_profile, cfg.machine, cfg.p, ChemLayout::Block);
 
     let server = ScenarioServer::start(ServerConfig {
         workers: 1,
@@ -155,8 +160,8 @@ fn deadline_interrupted_job_resumes_with_no_work_lost() {
 
 #[test]
 fn plain_run_matches_resumable_fresh_run() {
-    let (a, pa) = run_with_profile(&config(2));
-    let (b, pb, _) = run_resumable(&config(2), None);
+    let (a, pa) = run_with_profile_on(&config(2), ExecSpec::default());
+    let (b, pb, _) = run_resumable_with(&config(2), None, ExecSpec::default());
     assert_eq!(a.total_seconds, b.total_seconds);
     assert_eq!(pa.summaries.len(), pb.summaries.len());
     assert_eq!(pa.hours[0].surface, pb.hours[0].surface);

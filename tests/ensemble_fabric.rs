@@ -5,7 +5,7 @@
 //! bit-identity with single-process runs.
 
 use airshed::core::config::SimConfig;
-use airshed::core::ensemble::{run_ensemble_obs, EnsembleJob};
+use airshed::core::ensemble::{run_ensemble, EnsembleJob};
 use airshed::core::plan::replay_profile;
 use airshed::core::surrogate::ResponseSurface;
 use airshed::core::{ExecSpec, Obs};
@@ -52,7 +52,7 @@ fn shard_thread(
 #[test]
 fn ensemble_fans_out_with_surrogate_pruning_and_survives_a_shard_loss() {
     // Tier 0: a local sweep fits the response surface over [0.8, 1.2].
-    let trained = run_ensemble_obs(
+    let trained = run_ensemble(
         &EnsembleJob::emission_sweep(base(), &[0.8, 1.0, 1.2]),
         ExecSpec::serial(),
         &Obs::off(),
@@ -119,7 +119,16 @@ fn ensemble_fans_out_with_surrogate_pruning_and_survives_a_shard_loss() {
     for (i, report) in &outcome.reports {
         assert!(*i >= 2, "in-range members must not be routed");
         let config = job.member_config(*i);
-        let profile = run_hourly(&config, None, &never, None, ExecSpec::serial()).unwrap();
+        let profile = run_hourly(
+            &config,
+            None,
+            &never,
+            None,
+            ExecSpec::serial(),
+            &Obs::off(),
+            None,
+        )
+        .unwrap();
         let reference = replay_profile(&profile, config.machine, config.p, Default::default());
         assert_eq!(
             report_fingerprint(report),

@@ -7,7 +7,7 @@
 
 use airshed::core::config::{SimConfig, Weather};
 use airshed::core::driver::run_with_profile_on;
-use airshed::core::ensemble::{run_ensemble_obs, EnsembleJob, MemberSpec};
+use airshed::core::ensemble::{run_ensemble, EnsembleJob, MemberSpec};
 use airshed::core::profile::WorkProfile;
 use airshed::core::{ExecSpec, Obs, RunReport};
 use airshed::fabric::report_fingerprint;
@@ -93,7 +93,7 @@ fn normalized(report: &RunReport) -> RunReport {
 fn deduped_members_are_bit_identical_to_standalone_runs() {
     let job = mixed_job();
     assert_eq!(job.input_groups().len(), 3, "the job must fork 3 groups");
-    let result = run_ensemble_obs(&job, ExecSpec::serial(), &Obs::off(), true);
+    let result = run_ensemble(&job, ExecSpec::serial(), &Obs::off(), true);
     assert_eq!(result.members.len(), job.len());
     assert_eq!(result.dedup.groups, 3);
     assert_eq!(
@@ -113,14 +113,20 @@ fn deduped_members_are_bit_identical_to_standalone_runs() {
             "member {i} ({}) report diverged from its standalone run",
             member.spec.describe()
         );
+        // Copy accounting rides outside the fingerprint.
+        assert!(report.copy_bytes.is_some());
+        assert_eq!(
+            member.report.copy_bytes, report.copy_bytes,
+            "member {i} copy accounting diverged from its standalone run"
+        );
     }
 }
 
 #[test]
 fn dedup_on_and_off_agree_bit_for_bit() {
     let job = mixed_job();
-    let deduped = run_ensemble_obs(&job, ExecSpec::serial(), &Obs::off(), true);
-    let baseline = run_ensemble_obs(&job, ExecSpec::serial(), &Obs::off(), false);
+    let deduped = run_ensemble(&job, ExecSpec::serial(), &Obs::off(), true);
+    let baseline = run_ensemble(&job, ExecSpec::serial(), &Obs::off(), false);
     assert_eq!(baseline.dedup.input_hours_deduped, 0);
     assert_eq!(baseline.dedup.saved_bytes, 0);
     for (i, (a, b)) in deduped.members.iter().zip(&baseline.members).enumerate() {

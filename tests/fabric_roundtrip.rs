@@ -46,7 +46,16 @@ fn reference_fingerprints(batch: &[(SimConfig, ChemLayout)]) -> Vec<String> {
         .iter()
         .map(|(config, layout)| {
             let profile = profiles.entry(NumericsKey::of(config)).or_insert_with(|| {
-                run_hourly(config, None, &never, None, ExecSpec::serial()).unwrap()
+                run_hourly(
+                    config,
+                    None,
+                    &never,
+                    None,
+                    ExecSpec::serial(),
+                    &Obs::off(),
+                    None,
+                )
+                .unwrap()
             });
             report_fingerprint(&replay_profile(profile, config.machine, config.p, *layout))
         })

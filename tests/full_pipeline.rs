@@ -4,8 +4,10 @@
 //! consistency.
 
 use airshed::core::config::{DatasetChoice, SimConfig};
-use airshed::core::driver::{replay, run_with_profile};
+use airshed::core::driver::{run_with_profile_on, ChemLayout};
+use airshed::core::plan::replay_profile;
 use airshed::core::profile::SURFACE_SPECIES;
+use airshed::core::ExecSpec;
 use airshed::machine::MachineProfile;
 use std::sync::OnceLock;
 
@@ -23,7 +25,7 @@ fn episode() -> &'static (airshed::core::RunReport, airshed::core::WorkProfile) 
             weather: Default::default(),
             emission_scale: 1.0,
         };
-        run_with_profile(&config)
+        run_with_profile_on(&config, ExecSpec::default())
     })
 }
 
@@ -88,13 +90,13 @@ fn work_profile_is_replayable_across_the_full_machine_grid() {
     let mut last_total = f64::INFINITY;
     for p in [1usize, 2, 4, 8, 16, 32, 64, 128, 256] {
         for m in MachineProfile::paper_machines() {
-            let r = replay(prof, m, p);
+            let r = replay_profile(prof, m, p, ChemLayout::Block);
             assert!(r.total_seconds.is_finite() && r.total_seconds > 0.0);
             assert_eq!(r.summaries.len(), 6);
         }
         // On a fixed machine, more nodes never makes the run slower by
         // more than the growing communication (allow 5% slack).
-        let t = replay(prof, MachineProfile::t3e(), p).total_seconds;
+        let t = replay_profile(prof, MachineProfile::t3e(), p, ChemLayout::Block).total_seconds;
         assert!(t < last_total * 1.05, "P={p}: {t} vs previous {last_total}");
         last_total = t;
     }
@@ -116,7 +118,7 @@ fn emission_controls_reduce_ozone_peak() {
         weather: Default::default(),
         emission_scale: 0.3,
     };
-    let (cut, _) = run_with_profile(&config);
+    let (cut, _) = run_with_profile_on(&config, ExecSpec::default());
     assert!(
         cut.peak_o3() < base,
         "70% emission cut should lower peak O3: {} -> {}",

@@ -3,7 +3,8 @@
 //! run in (the paper's data sets are multi-day smog episodes).
 
 use airshed::core::config::{DatasetChoice, SimConfig};
-use airshed::core::driver::run_with_profile;
+use airshed::core::driver::run_with_profile_on;
+use airshed::core::ExecSpec;
 use airshed::machine::MachineProfile;
 use std::sync::OnceLock;
 
@@ -21,7 +22,7 @@ fn two_days() -> &'static (airshed::core::RunReport, airshed::core::WorkProfile)
             weather: Default::default(),
             emission_scale: 1.0,
         };
-        run_with_profile(&config)
+        run_with_profile_on(&config, ExecSpec::default())
     })
 }
 

@@ -6,7 +6,9 @@
 //! the runtime tolerable; `cargo test -- --ignored` opts in.
 
 use airshed::core::config::{DatasetChoice, SimConfig};
-use airshed::core::driver::{replay, run_with_profile};
+use airshed::core::driver::{run_with_profile_on, ChemLayout};
+use airshed::core::plan::replay_profile;
+use airshed::core::ExecSpec;
 use airshed::machine::MachineProfile;
 
 #[test]
@@ -23,7 +25,7 @@ fn ne_two_hour_slice_runs_and_scales() {
         weather: Default::default(),
         emission_scale: 1.0,
     };
-    let (r, prof) = run_with_profile(&config);
+    let (r, prof) = run_with_profile_on(&config, ExecSpec::default());
     assert_eq!(prof.shape[0], 35);
     assert_eq!(prof.shape[1], 5);
     assert!(
@@ -33,8 +35,8 @@ fn ne_two_hour_slice_runs_and_scales() {
     );
     assert!(r.peak_o3() > 0.0 && r.peak_o3() < 0.5);
     // Chemistry dominates and scales; transport saturates at 5 layers.
-    let t16 = replay(&prof, MachineProfile::t3e(), 16);
-    let t128 = replay(&prof, MachineProfile::t3e(), 128);
+    let t16 = replay_profile(&prof, MachineProfile::t3e(), 16, ChemLayout::Block);
+    let t128 = replay_profile(&prof, MachineProfile::t3e(), 128, ChemLayout::Block);
     assert!(t128.chemistry_seconds < 0.2 * t16.chemistry_seconds);
     assert!((t128.transport_seconds - t16.transport_seconds).abs() < 1e-9);
 }

@@ -7,9 +7,11 @@
 //!    modules cost little (Figure 13).
 
 use airshed::core::config::SimConfig;
-use airshed::core::driver::{replay, run_with_profile};
+use airshed::core::driver::{run_with_profile_on, ChemLayout};
+use airshed::core::plan::replay_profile;
 use airshed::core::predict::PerfModel;
 use airshed::core::taskpar::fig9_sweep;
+use airshed::core::ExecSpec;
 use airshed::core::WorkProfile;
 use airshed::machine::MachineProfile;
 use airshed::popexp::fig13_sweep;
@@ -20,7 +22,7 @@ fn profile() -> &'static WorkProfile {
     CELL.get_or_init(|| {
         let mut cfg = SimConfig::test_tiny(4, 4);
         cfg.start_hour = 9;
-        run_with_profile(&cfg).1
+        run_with_profile_on(&cfg, ExecSpec::default()).1
     })
 }
 
@@ -35,10 +37,10 @@ fn claim1_performance_portability() {
     let speedups: Vec<Vec<f64>> = machines
         .iter()
         .map(|m| {
-            let t4 = replay(prof, *m, 4).total_seconds;
+            let t4 = replay_profile(prof, *m, 4, ChemLayout::Block).total_seconds;
             SWEEP
                 .iter()
-                .map(|&p| t4 / replay(prof, *m, p).total_seconds)
+                .map(|&p| t4 / replay_profile(prof, *m, p, ChemLayout::Block).total_seconds)
                 .collect()
         })
         .collect();
@@ -56,7 +58,7 @@ fn claim1_performance_portability() {
     for &p in &SWEEP {
         let t: Vec<f64> = machines
             .iter()
-            .map(|m| replay(prof, *m, p).total_seconds)
+            .map(|m| replay_profile(prof, *m, p, ChemLayout::Block).total_seconds)
             .collect();
         assert!(t[0] < t[1] && t[1] < t[2], "ranking broken at P={p}: {t:?}");
     }
@@ -71,7 +73,7 @@ fn claim2_predictable_performance() {
     let t3e = MachineProfile::t3e();
     for &p in &SWEEP {
         let pred = model.predict(&t3e, p).total;
-        let meas = replay(prof, t3e, p).total_seconds;
+        let meas = replay_profile(prof, t3e, p, ChemLayout::Block).total_seconds;
         let err = (pred - meas).abs() / meas;
         assert!(
             err < 0.30,

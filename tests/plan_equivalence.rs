@@ -11,7 +11,7 @@
 //! test is fast, self-contained, and exercises the real LA/NE array
 //! shapes without running the numerics.
 
-use airshed::core::driver::{ChemLayout, HourPlans, WORD};
+use airshed::core::driver::{ChemLayout, HourPlans, PlanLayouts, WORD};
 use airshed::core::plan::PhaseGraph;
 use airshed::core::profile::{HourProfile, StepProfile, WorkProfile};
 use airshed::core::report::RunReport;
@@ -240,7 +240,8 @@ fn cyclic_layout_replay_is_bit_identical_to_legacy() {
     let mp = MachineProfile::t3e();
     for p in SWEEP_P {
         let mut machine = Machine::new(mp, p);
-        let plans = HourPlans::with_layout(&profile.shape, p, ChemLayout::Cyclic);
+        let plans =
+            HourPlans::with_layouts(&profile.shape, p, PlanLayouts::chem(ChemLayout::Cyclic));
         for hp in &profile.hours {
             charge_hour_legacy(&mut machine, hp, &plans);
         }
@@ -285,7 +286,6 @@ fn optimized_plans_are_bit_identical_and_never_lose_to_default() {
     // (the cost fold is the virtual machine, bit for bit), and (c)
     // changes nothing about the science — the replayed reports differ
     // only in time accounting, never in the carried concentrations.
-    use airshed::core::driver::PlanLayouts;
     use airshed::core::plan::{optimize_plan, replay_profile_with};
 
     for profile in &paper_profiles() {
@@ -339,7 +339,7 @@ fn graph_edges_conserve_bytes_for_lcg_shapes_and_layouts() {
             ChemLayout::Cyclic
         };
         let profile = synthetic_profile("FUZZ", shape, rng.next_u64());
-        let plans = HourPlans::with_layout(&shape, p, layout);
+        let plans = HourPlans::with_layouts(&shape, p, PlanLayouts::chem(layout));
         let graph = PhaseGraph::for_hour(&profile.hours[0], &plans, p);
         for edge in &graph.edges {
             assert!(

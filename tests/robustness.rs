@@ -4,7 +4,9 @@
 use airshed::chem::youngboris::{integrate_cell, YbOptions, YbWorkspace};
 use airshed::chem::Mechanism;
 use airshed::core::config::{DatasetChoice, SimConfig};
-use airshed::core::driver::{replay, run_with_profile};
+use airshed::core::driver::{run_resumable_with, run_with_profile_on, ChemLayout};
+use airshed::core::plan::replay_profile;
+use airshed::core::ExecSpec;
 use airshed::hpf::dist::Distribution;
 use airshed::hpf::redist::plan;
 use airshed::machine::MachineProfile;
@@ -13,7 +15,7 @@ use airshed::machine::MachineProfile;
 fn single_node_run_works() {
     let mut cfg = SimConfig::test_tiny(1, 1);
     cfg.start_hour = 12;
-    let (r, prof) = run_with_profile(&cfg);
+    let (r, prof) = run_with_profile_on(&cfg, ExecSpec::default());
     assert!(r.total_seconds > 0.0);
     // On one node every redistribution is pure local copying.
     for c in &r.comm_steps {
@@ -21,7 +23,7 @@ fn single_node_run_works() {
     }
     // Replay on 1..3 nodes stays consistent.
     for p in 1..=3 {
-        let rr = replay(&prof, MachineProfile::t3d(), p);
+        let rr = replay_profile(&prof, MachineProfile::t3d(), p, ChemLayout::Block);
         assert!(rr.total_seconds.is_finite());
     }
 }
@@ -31,8 +33,8 @@ fn more_nodes_than_columns_is_handled() {
     // 80-column dataset replayed on 512 nodes: trailing nodes own nothing,
     // everything must still add up.
     let cfg = SimConfig::test_tiny(4, 1);
-    let (_, prof) = run_with_profile(&cfg);
-    let r = replay(&prof, MachineProfile::t3e(), 512);
+    let (_, prof) = run_with_profile_on(&cfg, ExecSpec::default());
+    let r = replay_profile(&prof, MachineProfile::t3e(), 512, ChemLayout::Block);
     assert!(r.total_seconds.is_finite() && r.total_seconds > 0.0);
     assert!(r.chemistry_seconds > 0.0);
 }
@@ -42,7 +44,7 @@ fn zero_emission_scenario_relaxes_to_background() {
     let mut cfg = SimConfig::test_tiny(4, 2);
     cfg.emission_scale = 0.0;
     cfg.start_hour = 1; // night: no photochemistry either
-    let (r, _) = run_with_profile(&cfg);
+    let (r, _) = run_with_profile_on(&cfg, ExecSpec::default());
     // Without emissions or sun, NOx can only decay.
     let first = r.summaries.first().unwrap().mean_nox;
     let last = r.summaries.last().unwrap().mean_nox;
@@ -225,8 +227,9 @@ fn fabric_steal_keeps_one_trace_context_across_victim_and_thief() {
     // The thief finishes its own job and runs dry while the victim's
     // window is still full: the queued job is stolen, and the Assign it
     // rides out on carries the context stamped at submit.
-    let (_, profile, _) = airshed::core::driver::run_resumable(&SimConfig::test_tiny(4, 1), None);
-    let report = replay(&profile, MachineProfile::t3e(), 4);
+    let (_, profile, _) =
+        run_resumable_with(&SimConfig::test_tiny(4, 1), None, ExecSpec::default());
+    let report = replay_profile(&profile, MachineProfile::t3e(), 4, ChemLayout::Block);
     let thief_ctx = r.job_ctx(thief_job).unwrap();
     r.on_msg(
         1,
@@ -286,7 +289,7 @@ fn fabric_failover_resumes_from_progress_checkpoints() {
     cfg.start_hour = 9;
     let mut first_hour = cfg.clone();
     first_hour.hours = 1;
-    let (_, partial, checkpoint) = airshed::core::driver::run_resumable(&first_hour, None);
+    let (_, partial, checkpoint) = run_resumable_with(&first_hour, None, ExecSpec::default());
     let resume = ResumePoint {
         checkpoint,
         partial,
@@ -363,8 +366,9 @@ fn fabric_failover_resumes_from_progress_checkpoints() {
 
     // Completion on the survivor: the report's latency anatomy records
     // the failover segment and the shard-measured hour.
-    let (_, profile, _) = airshed::core::driver::run_resumable(&SimConfig::test_tiny(4, 1), None);
-    let report = replay(&profile, MachineProfile::t3e(), 4);
+    let (_, profile, _) =
+        run_resumable_with(&SimConfig::test_tiny(4, 1), None, ExecSpec::default());
+    let report = replay_profile(&profile, MachineProfile::t3e(), 4, ChemLayout::Block);
     r.on_msg(
         1,
         Msg::Completed {

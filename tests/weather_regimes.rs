@@ -4,7 +4,8 @@
 //! matter in regulatory modelling.
 
 use airshed::core::config::{DatasetChoice, SimConfig, Weather};
-use airshed::core::driver::run_with_profile;
+use airshed::core::driver::run_with_profile_on;
+use airshed::core::ExecSpec;
 use airshed::machine::MachineProfile;
 
 fn run(weather: Weather) -> airshed::core::RunReport {
@@ -19,7 +20,7 @@ fn run(weather: Weather) -> airshed::core::RunReport {
         weather,
         emission_scale: 1.0,
     };
-    run_with_profile(&config).0
+    run_with_profile_on(&config, ExecSpec::default()).0
 }
 
 #[test]
