@@ -297,7 +297,10 @@ pub struct EnsembleFabricOutcome {
 /// process share the `inputhour`/`pretrans` stage — see
 /// [`airshed_core::ensemble::run_ensemble`]); the fabric instead
 /// buys horizontal scale, and the surrogate tier is what keeps fabric
-/// sweeps cheap. Surrogate hits are recorded on the obs spine as the
+/// sweeps cheap. Members that differ in emission scale, weather or day
+/// are distinct numerics keys and spread over the shards like any
+/// batch; members with equal numerics (a repeated spec) are placed on
+/// one shard, which runs them once and replays the rest. Surrogate hits are recorded on the obs spine as the
 /// `fabric_surrogate_hits` counter.
 pub fn serve_ensemble(
     listener: &TcpListener,

@@ -20,18 +20,34 @@
 //! known outstanding jobs (or 1 when nothing is known), which degrades
 //! to least-loaded routing.
 //!
+//! **Numerics affinity**: a shard runs each [`NumericsKey`] once and
+//! replays its profile for every other job of that key (see
+//! [`crate::shard`]), so placement charges numerics, not jobs. Each
+//! live shard carries the set of keys placed on it; a job whose key is
+//! already there adds no placement cost, a shard's load counts each key
+//! whose profile it does not hold yet once, and a tie in predicted
+//! finish goes to the shard that holds the key. The placement cost is
+//! not the §4 price: the prediction stamped on a dispatched job is
+//! still [`Router::job_cost`], whether the shard runs or replays it.
+//!
 //! **Stealing**: only `workers` jobs are ever in flight to a shard (the
 //! dispatch window); the rest of its queue is a logical backlog held
-//! here. A shard that runs dry steals queued jobs from the shard with
-//! the most predicted backlog — a cheap local move, no revocation
-//! protocol, because undispatched jobs only exist in the router.
+//! here. A shard that runs dry steals from the shard with the most
+//! predicted backlog — a cheap local move, no revocation protocol,
+//! because undispatched jobs only exist in the router. What moves is a
+//! whole key-group the victim has not started: all its queued jobs of
+//! one key, never a key that is resident or in flight there (those jobs
+//! are microsecond replays where they are and a numerics run anywhere
+//! else).
 //!
 //! **Failover**: a shard that misses heartbeats past the timeout (or
-//! drops its connection) is declared lost; every job it held is
-//! re-routed with the freshest [`ResumePoint`] its hourly `Progress`
-//! reports carried, so the new shard resumes from the checkpoint
-//! instead of restarting — and the checkpoint guarantee makes the final
-//! report bit-identical either way.
+//! drops its connection) is declared lost and its keys forgotten;
+//! every job it held is re-routed, in-flight jobs first, with the
+//! freshest [`ResumePoint`] its hourly `Progress` reports carried, so
+//! the new shard resumes from the checkpoint instead of restarting —
+//! and the checkpoint guarantee makes the final report bit-identical
+//! either way. Queued siblings follow their key's leader through the
+//! same affinity rule.
 
 use crate::proto::{Msg, ScenarioJob};
 use airshed_core::config::SimConfig;
@@ -44,7 +60,7 @@ use airshed_core::{PerfModel, RunReport};
 use airshed_machine::MachineProfile;
 use airshed_server::cache::NumericsKey;
 use airshed_server::ResumePoint;
-use std::collections::{HashMap, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::time::Duration;
 
 /// Router tuning knobs.
@@ -73,6 +89,9 @@ pub struct ShardCounters {
     pub failed_over: u64,
     /// Jobs this shard completed.
     pub completed: u64,
+    /// Completed jobs the shard answered from a resident profile, as
+    /// the router infers it: no `Progress` hour and no resume point.
+    pub profile_hits: u64,
 }
 
 struct Shard {
@@ -85,6 +104,10 @@ struct Shard {
     machines: HashMap<&'static str, MachineProfile>,
     inflight: Vec<u64>,
     backlog: VecDeque<u64>,
+    /// Numerics keys placed here (queued, in flight or completed);
+    /// `true` once a job of the key completed here, i.e. its profile is
+    /// resident in the shard's store. Forgotten when the shard is lost.
+    keys: HashMap<NumericsKey, bool>,
     counters: ShardCounters,
 }
 
@@ -92,6 +115,8 @@ struct Job {
     /// Caller's tag (scenario index) echoed back with the result.
     scenario: usize,
     config: SimConfig,
+    /// `NumericsKey::of(&config)`, the unit of placement.
+    key: NumericsKey,
     layout: ChemLayout,
     /// Freshest resume state, from hourly `Progress` reports.
     resume: Option<ResumePoint>,
@@ -184,6 +209,7 @@ impl Router {
             machines: HashMap::new(),
             inflight: Vec::new(),
             backlog: VecDeque::new(),
+            keys: HashMap::new(),
             counters: ShardCounters::default(),
         });
         self.shards.len() - 1
@@ -198,6 +224,7 @@ impl Router {
             id,
             Job {
                 scenario,
+                key: NumericsKey::of(&config),
                 config,
                 layout,
                 resume: None,
@@ -267,8 +294,7 @@ impl Router {
             }
             Msg::Calibrated { job, model } => {
                 if let Some(j) = self.jobs.get(&job) {
-                    let key = NumericsKey::of(&j.config).family();
-                    self.models.insert(key, model);
+                    self.models.insert(j.key.family(), model);
                 } else {
                     // Job already finished (Calibrated races Completed
                     // only if reordered — same stream, so in practice
@@ -332,11 +358,13 @@ impl Router {
     }
 
     /// Work stealing: a live shard whose pipeline has room and whose
-    /// backlog is empty takes one queued job at a time from the live
-    /// shard with the largest predicted backlog. Only shards whose
-    /// pipeline is already full are valid victims — their backlog is
-    /// true excess; stealing from a shard that could dispatch the job
-    /// itself would just ping-pong work between idle shards.
+    /// backlog is empty takes one key-group at a time — every queued
+    /// job of one numerics key — from the live shard with the largest
+    /// predicted backlog. Only shards whose pipeline is already full
+    /// are valid victims — their backlog is true excess; stealing from
+    /// a shard that could dispatch the job itself would just ping-pong
+    /// work between idle shards. And only groups the victim has not
+    /// started move (see [`Router::stealable_key`]).
     fn steal(&mut self) {
         loop {
             let mut moved = false;
@@ -346,35 +374,58 @@ impl Router {
                     continue;
                 }
                 // Victim: most predicted backlog seconds, ties to the
-                // lowest index; must have excess queued work.
+                // lowest index; must have an unstarted group queued.
                 let victim = (0..self.shards.len())
                     .filter(|&v| v != thief && self.shards[v].alive)
-                    .filter(|&v| {
-                        !self.shards[v].backlog.is_empty()
-                            && self.shards[v].inflight.len() >= self.shards[v].window
+                    .filter(|&v| self.shards[v].inflight.len() >= self.shards[v].window)
+                    .filter_map(|v| {
+                        let key = self.stealable_key(v)?;
+                        Some((self.backlog_cost(v), v, key))
                     })
-                    .map(|v| (self.backlog_cost(v), v))
-                    .max_by(|(ca, va), (cb, vb)| {
+                    .max_by(|(ca, va, _), (cb, vb, _)| {
                         ca.partial_cmp(cb)
                             .unwrap_or(std::cmp::Ordering::Equal)
                             .then(vb.cmp(va))
                     })
-                    .map(|(_, v)| v);
-                let Some(victim) = victim else { continue };
-                // Take from the back: the job farthest from running.
-                let id = self.shards[victim].backlog.pop_back().unwrap();
-                self.shards[thief].backlog.push_back(id);
-                self.shards[thief].counters.stolen += 1;
-                let j = self.jobs.get_mut(&id).unwrap();
-                j.shard = Some(thief);
-                j.hop = HOP_NAMES[1];
-                j.stolen += 1;
+                    .map(|(_, v, key)| (v, key.clone()));
+                let Some((victim, key)) = victim else {
+                    continue;
+                };
+                let jobs = &self.jobs;
+                let (group, rest): (VecDeque<u64>, VecDeque<u64>) = self.shards[victim]
+                    .backlog
+                    .iter()
+                    .partition(|id| jobs.get(id).is_some_and(|j| j.key == key));
+                self.shards[victim].backlog = rest;
+                self.shards[victim].keys.remove(&key);
+                self.shards[thief].keys.entry(key).or_insert(false);
+                self.shards[thief].counters.stolen += group.len() as u64;
+                for id in &group {
+                    if let Some(j) = self.jobs.get_mut(id) {
+                        j.shard = Some(thief);
+                        j.hop = HOP_NAMES[1];
+                        j.stolen += 1;
+                    }
+                }
+                self.shards[thief].backlog = group;
                 moved = true;
             }
             if !moved {
                 return;
             }
         }
+    }
+
+    /// The key-group a thief may take from `victim`: the key of the
+    /// queued job farthest from running whose numerics the victim has
+    /// neither finished (resident) nor started (in flight).
+    fn stealable_key(&self, victim: usize) -> Option<&NumericsKey> {
+        let v = &self.shards[victim];
+        let key_of = |id: &u64| self.jobs.get(id).map(|j| &j.key);
+        v.backlog.iter().rev().filter_map(key_of).find(|&key| {
+            v.keys.get(key) != Some(&true)
+                && !v.inflight.iter().filter_map(key_of).any(|k| k == key)
+        })
     }
 
     /// Ship backlog jobs up to each live shard's dispatch window.
@@ -415,7 +466,12 @@ impl Router {
             return;
         };
         self.detach(job);
-        self.shards[shard].counters.completed += 1;
+        let s = &mut self.shards[shard];
+        s.counters.completed += 1;
+        if j.hours_reported == 0 && j.resume.is_none() && j.config.hours > 0 {
+            s.counters.profile_hits += 1;
+        }
+        s.keys.insert(j.key.clone(), true);
         if let Some(p) = j.predicted {
             report.predicted_seconds = Some(p);
             self.predicted_hist
@@ -465,6 +521,7 @@ impl Router {
             return;
         }
         self.shards[shard].alive = false;
+        self.shards[shard].keys.clear();
         let mut displaced: Vec<u64> = self.shards[shard].inflight.drain(..).collect();
         displaced.extend(self.shards[shard].backlog.drain(..));
         for id in displaced {
@@ -487,23 +544,33 @@ impl Router {
 
     /// Route one job to the live shard with the earliest predicted
     /// completion; returns the chosen shard, or `None` if none is live.
+    /// A shard that already holds the job's numerics key is charged
+    /// nothing for it (the job replays there) and wins ties.
     fn route(&mut self, id: u64) -> Option<usize> {
+        let key = self.jobs.get(&id)?.key.clone();
         let best = (0..self.shards.len())
             .filter(|&s| self.shards[s].alive)
             .map(|s| {
-                let finish =
-                    self.shard_load(s) + self.job_cost(s, id).unwrap_or_else(|| self.mean_cost());
-                (finish, s)
+                let elsewhere = !self.shards[s].keys.contains_key(&key);
+                let placement = if elsewhere {
+                    self.job_cost(s, id).unwrap_or_else(|| self.mean_cost())
+                } else {
+                    0.0
+                };
+                (self.shard_load(s) + placement, elsewhere, s)
             })
-            // Earliest finish wins; ties go to the lowest shard index.
-            .min_by(|(ca, sa), (cb, sb)| {
+            // Earliest finish wins; ties go to the shard holding the
+            // key, then to the lowest shard index.
+            .min_by(|(ca, ea, sa), (cb, eb, sb)| {
                 ca.partial_cmp(cb)
                     .unwrap_or(std::cmp::Ordering::Equal)
+                    .then(ea.cmp(eb))
                     .then(sa.cmp(sb))
             })
-            .map(|(_, s)| s)?;
+            .map(|(_, _, s)| s)?;
         self.shards[best].backlog.push_back(id);
-        self.jobs.get_mut(&id).unwrap().shard = Some(best);
+        self.shards[best].keys.entry(key).or_insert(false);
+        self.jobs.get_mut(&id)?.shard = Some(best);
         Some(best)
     }
 
@@ -516,7 +583,7 @@ impl Router {
     /// lands. Public so tests can assert the cost function directly.
     pub fn job_cost(&self, shard: usize, job: u64) -> Option<f64> {
         let j = self.jobs.get(&job)?;
-        let model = self.models.get(&NumericsKey::of(&j.config).family())?;
+        let model = self.models.get(&j.key.family())?;
         let machine = self.shards[shard]
             .machines
             .get(j.config.machine.name)
@@ -528,23 +595,40 @@ impl Router {
         Some(per_hour * remaining as f64)
     }
 
-    /// Predicted virtual seconds of everything queued or running on
+    /// Predicted virtual seconds of the numerics queued or running on
     /// `shard` (unknown families at the mean known cost).
     pub fn shard_load(&self, shard: usize) -> f64 {
-        let s = &self.shards[shard];
-        s.inflight
-            .iter()
-            .chain(s.backlog.iter())
-            .map(|&id| self.job_cost(shard, id).unwrap_or_else(|| self.mean_cost()))
-            .sum()
+        self.numerics_cost(shard, true)
     }
 
     fn backlog_cost(&self, shard: usize) -> f64 {
-        self.shards[shard]
-            .backlog
-            .iter()
-            .map(|&id| self.job_cost(shard, id).unwrap_or_else(|| self.mean_cost()))
-            .sum()
+        self.numerics_cost(shard, false)
+    }
+
+    /// What `shard` still has to compute: each key whose profile is not
+    /// resident there is charged once, at the price of its first job in
+    /// dispatch order (the one that runs it; its siblings replay).
+    /// Without `inflight`, keys already running are not charged either
+    /// — what is left is the backlog a thief could relieve.
+    fn numerics_cost(&self, shard: usize, inflight: bool) -> f64 {
+        let s = &self.shards[shard];
+        let mut seen = HashSet::new();
+        let mut mean = None;
+        let mut total = 0.0;
+        for (i, &id) in s.inflight.iter().chain(&s.backlog).enumerate() {
+            let Some(j) = self.jobs.get(&id) else {
+                continue;
+            };
+            if s.keys.get(&j.key) == Some(&true) || !seen.insert(&j.key) {
+                continue;
+            }
+            if inflight || i >= s.inflight.len() {
+                total += self
+                    .job_cost(shard, id)
+                    .unwrap_or_else(|| *mean.get_or_insert_with(|| self.mean_cost()));
+            }
+        }
+        total
     }
 
     /// Fallback price for uncalibrated families: the mean predicted
@@ -670,6 +754,19 @@ impl Router {
             }
         }
         w.header(
+            "airshed_fabric_shard_profile_hits_total",
+            "Completed jobs a shard answered by replaying a resident \
+             work profile (no numerics run).",
+            "counter",
+        );
+        for s in &self.shards {
+            w.sample(
+                "airshed_fabric_shard_profile_hits_total",
+                &label("shard", &s.name),
+                s.counters.profile_hits as f64,
+            );
+        }
+        w.header(
             "airshed_fabric_shard_up",
             "1 while the shard is connected and heartbeating.",
             "gauge",
@@ -759,6 +856,63 @@ mod tests {
         c
     }
 
+    /// Job `i` of a batch whose jobs all differ in numerics (one key
+    /// each), so placement has nothing to co-locate and the tests of
+    /// balancing, stealing and failover see one unit of work per job.
+    fn distinct_config(i: usize, p: usize, hours: usize) -> SimConfig {
+        let mut c = family_config(p, hours);
+        c.emission_scale = 1.0 + i as f64 / 100.0;
+        c
+    }
+
+    /// Submit `distinct_config(i, ..)` with its family calibrated.
+    fn submit_calibrated(r: &mut Router, i: usize, p: usize, hours: usize) -> u64 {
+        let c = distinct_config(i, p, hours);
+        r.calibrate(&c, PerfModel::from_profile(tiny_profile()));
+        r.submit(i, c, ChemLayout::Block)
+    }
+
+    fn tiny_report() -> RunReport {
+        replay_profile(tiny_profile(), MachineProfile::t3e(), 4, ChemLayout::Block)
+    }
+
+    /// Feed `shard`'s `Completed` for `job` to the router.
+    fn complete(r: &mut Router, shard: usize, job: u64, now_ms: u64) {
+        let ctx = r.job_ctx(job).expect("job is outstanding");
+        let msg = Msg::Completed {
+            job,
+            ctx,
+            sent_us: 0,
+            report: Box::new(tiny_report()),
+        };
+        r.on_msg(shard, msg, now_ms);
+    }
+
+    /// Feed one `Progress` hour for `job`, carrying a one-hour resume
+    /// point (the router only reads how many hours it covers).
+    fn progress(r: &mut Router, shard: usize, job: u64, now_ms: u64) {
+        use airshed_core::checkpoint::Checkpoint;
+        use airshed_core::config::DatasetChoice;
+        use airshed_core::state::SimState;
+        let mut partial = tiny_profile().clone();
+        partial.hours.truncate(1);
+        let resume = ResumePoint {
+            checkpoint: Checkpoint {
+                next_hour: 7,
+                state: SimState::from_background(&DatasetChoice::Tiny(10).build()),
+            },
+            partial,
+        };
+        let msg = Msg::Progress {
+            job,
+            ctx: r.job_ctx(job).expect("job is outstanding"),
+            sent_us: 0,
+            hour_us: 1_000,
+            resume: Box::new(resume),
+        };
+        r.on_msg(shard, msg, now_ms);
+    }
+
     fn calibrated_router(slow_factor: f64) -> Router {
         // Two shards on the "same" machine type, but shard 1's oracle
         // reports its nodes run `slow_factor`x slower than nominal.
@@ -794,9 +948,7 @@ mod tests {
         // earliest-predicted-completion routing provably beats blind
         // round-robin on total makespan.
         let mut r = calibrated_router(8.0);
-        let jobs: Vec<u64> = (0..8)
-            .map(|i| r.submit(i, family_config(4, 2), ChemLayout::Block))
-            .collect();
+        let jobs: Vec<u64> = (0..8).map(|i| submit_calibrated(&mut r, i, 4, 2)).collect();
 
         // The cost function itself sees the recalibration: the same job
         // is ~8x more expensive on the degraded shard.
@@ -836,7 +988,7 @@ mod tests {
     fn mildly_slower_shard_still_shares_load() {
         let mut r = calibrated_router(1.5);
         for i in 0..10 {
-            r.submit(i, family_config(4, 2), ChemLayout::Block);
+            submit_calibrated(&mut r, i, 4, 2);
         }
         let (a, b) = (r.counters(0).routed, r.counters(1).routed);
         assert_eq!(a + b, 10);
@@ -850,13 +1002,7 @@ mod tests {
         // Tiny windows so most jobs sit in the router-side backlog.
         r.add_shard("a", 1, 0);
         r.add_shard("b", 1, 0);
-        r.calibrate(
-            &family_config(4, 1),
-            PerfModel::from_profile(tiny_profile()),
-        );
-        let jobs: Vec<u64> = (0..6)
-            .map(|i| r.submit(i, family_config(4, 1), ChemLayout::Block))
-            .collect();
+        let jobs: Vec<u64> = (0..6).map(|i| submit_calibrated(&mut r, i, 4, 1)).collect();
         let assigns = r.poll(0);
         assert_eq!(assigns.len(), 2, "one in-flight job per shard window");
         // Shard b's pipeline completes everything it holds; its backlog
@@ -868,20 +1014,7 @@ mod tests {
             .collect();
         let mut completed = 0;
         for id in b_jobs {
-            let mut report =
-                replay_profile(tiny_profile(), MachineProfile::t3e(), 4, ChemLayout::Block);
-            report.predicted_seconds = None;
-            let ctx = r.job_ctx(id).unwrap();
-            r.on_msg(
-                1,
-                Msg::Completed {
-                    job: id,
-                    ctx,
-                    sent_us: 0,
-                    report: Box::new(report),
-                },
-                10,
-            );
+            complete(&mut r, 1, id, 10);
             completed += 1;
             r.poll(10);
         }
@@ -907,7 +1040,7 @@ mod tests {
         r.add_shard("b", 4, 0);
         // No models calibrated: routing must still spread the load.
         for i in 0..8 {
-            r.submit(i, family_config(4, 1), ChemLayout::Block);
+            r.submit(i, distinct_config(i, 4, 1), ChemLayout::Block);
         }
         assert_eq!(r.counters(0).routed, 4);
         assert_eq!(r.counters(1).routed, 4);
@@ -919,8 +1052,7 @@ mod tests {
         let id = r.submit(0, family_config(4, 1), ChemLayout::Block);
         let assigns = r.poll(0);
         assert_eq!(assigns.len(), 1);
-        let mut report =
-            replay_profile(tiny_profile(), MachineProfile::t3e(), 4, ChemLayout::Block);
+        let mut report = tiny_report();
         report.copy_bytes = Some(airshed_core::report::CopyBytes {
             redist_local: 1000,
             soa_staging: 500,
@@ -967,5 +1099,181 @@ mod tests {
         assert!(text.contains(r#"airshed_fabric_copy_bytes_total{kind="redist_local"} 1000"#));
         assert!(text.contains(r#"airshed_fabric_copy_bytes_total{kind="soa_staging"} 500"#));
         assert!(text.contains("airshed_fabric_ctx_mismatches_total 0"));
+    }
+
+    /// Placement `p` of numerics key `k`: jobs of one key differ only in
+    /// where they are charged.
+    fn keyed_config(k: usize, p: usize) -> SimConfig {
+        distinct_config(k, p, 1)
+    }
+
+    #[test]
+    fn every_key_lands_on_one_shard_for_any_submit_order() {
+        // 4 keys x 3 placements over 2 uncalibrated shards (the
+        // benchmark's fabric batch): whatever the order, each key's
+        // jobs co-locate and the keys split two and two.
+        let batch: Vec<(usize, usize)> = (0..4).flat_map(|k| [4, 8, 16].map(|p| (k, p))).collect();
+        for window in [1, 2] {
+            for seed in 0..64u64 {
+                let mut order = batch.clone();
+                let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+                for i in (1..order.len()).rev() {
+                    state = state
+                        .wrapping_mul(6_364_136_223_846_793_005)
+                        .wrapping_add(1_442_695_040_888_963_407);
+                    order.swap(i, (state >> 33) as usize % (i + 1));
+                }
+                let mut r = Router::new(RouterConfig::default());
+                r.add_shard("a", window, 0);
+                r.add_shard("b", window, 0);
+                let mut shards_of_key = [[false; 2]; 4];
+                for (i, &(k, p)) in order.iter().enumerate() {
+                    let id = r.submit(i, keyed_config(k, p), ChemLayout::Block);
+                    shards_of_key[k][r.job_shard(id).expect("routed")] = true;
+                }
+                for s in 0..2 {
+                    let held = shards_of_key.iter().filter(|on| on[s]).count();
+                    assert_eq!(held, 2, "seed {seed}: shard {s} holds {held} keys");
+                }
+                for (k, on) in shards_of_key.iter().enumerate() {
+                    assert!(on[0] != on[1], "seed {seed}: key {k} is split");
+                }
+                assert_eq!(r.counters(0).routed + r.counters(1).routed, 12);
+            }
+        }
+    }
+
+    #[test]
+    fn thieves_take_whole_unstarted_key_groups_only() {
+        let mut r = Router::new(RouterConfig::default());
+        r.add_shard("victim", 1, 0);
+        r.add_shard("thief", 1, 0);
+        // Key 0 (three placements) and key 2 (two) pile up on the
+        // victim; the thief only gets key 1's single job.
+        let mut submit = |k, p| r.submit(0, keyed_config(k, p), ChemLayout::Block);
+        let a1 = submit(0, 4);
+        let b1 = submit(1, 4);
+        let a2 = submit(0, 8);
+        let c1 = submit(2, 4);
+        let c2 = submit(2, 8);
+        let a3 = submit(0, 16);
+        for id in [a1, a2, a3, c1, c2] {
+            assert_eq!(r.job_shard(id), Some(0));
+        }
+        assert_eq!(r.job_shard(b1), Some(1));
+        assert_eq!(r.poll(0).len(), 2, "a1 and b1 go in flight");
+
+        // The thief runs dry while a1 is still running on the victim.
+        // Key 0 is in flight there, so its queued siblings stay; key 2
+        // has not started and moves whole.
+        progress(&mut r, 1, b1, 10);
+        complete(&mut r, 1, b1, 10);
+        let assigns = r.poll(10);
+        assert_eq!(r.counters(1).stolen, 2, "both jobs of the group count");
+        for id in [c1, c2] {
+            assert_eq!(r.job_shard(id), Some(1));
+            assert_eq!(r.job_hop(id), "steal");
+        }
+        for id in [a2, a3] {
+            assert_eq!(r.job_shard(id), Some(0), "in-flight key must stay");
+        }
+        assert!(matches!(assigns[..], [(1, Msg::Assign { job, .. })] if job == c1));
+
+        // Dry again with only in-flight-key jobs queued on the victim:
+        // nothing to take.
+        progress(&mut r, 1, c1, 20);
+        complete(&mut r, 1, c1, 20);
+        r.poll(20);
+        complete(&mut r, 1, c2, 30);
+        r.poll(30);
+        assert_eq!(r.counters(1).stolen, 2);
+        // Key 0 becomes resident on the victim; a3 is still queued
+        // behind a2 and still not stealable.
+        progress(&mut r, 0, a1, 40);
+        complete(&mut r, 0, a1, 40);
+        let assigns = r.poll(40);
+        assert!(matches!(assigns[..], [(0, Msg::Assign { job, .. })] if job == a2));
+        assert_eq!(r.job_shard(a3), Some(0), "resident key must stay");
+        assert_eq!(r.counters(1).stolen, 2);
+        complete(&mut r, 0, a2, 50);
+        r.poll(50);
+        complete(&mut r, 0, a3, 60);
+        assert_eq!(r.outstanding(), 0);
+        assert_eq!(r.counters(0).profile_hits, 2, "a2 and a3 replayed");
+        assert_eq!(r.counters(1).profile_hits, 1, "c2 replayed; b1, c1 ran");
+    }
+
+    #[test]
+    fn a_lost_shards_key_group_follows_its_leader_to_one_survivor() {
+        let mut r = Router::new(RouterConfig::default());
+        for name in ["doomed", "s1", "s2"] {
+            r.add_shard(name, 1, 0);
+        }
+        let mut submit = |k, p| r.submit(0, keyed_config(k, p), ChemLayout::Block);
+        let a1 = submit(0, 4);
+        let b1 = submit(1, 4);
+        let _c1 = submit(2, 4);
+        let a2 = submit(0, 8);
+        let a3 = submit(0, 16);
+        for id in [a1, a2, a3] {
+            assert_eq!(r.job_shard(id), Some(0));
+        }
+        assert_eq!(r.poll(0).len(), 3);
+        // The leader checkpoints one hour, then its shard drops.
+        progress(&mut r, 0, a1, 100);
+        r.on_disconnect(0);
+        assert!(r.shards[0].keys.is_empty(), "a lost shard forgets its keys");
+        for id in [a1, a2, a3] {
+            assert_eq!(r.job_shard(id), Some(1), "the group stays together");
+            assert_eq!(r.job_hop(id), "failover");
+        }
+        assert_eq!(r.counters(1).failed_over, 3);
+        assert_eq!(r.counters(2).failed_over, 0);
+        // The survivor's window frees up: the leader goes first and
+        // carries its checkpoint.
+        complete(&mut r, 1, b1, 200);
+        let assigns = r.poll(200);
+        match &assigns[..] {
+            [(1, Msg::Assign { job, work, .. })] => {
+                assert_eq!(*job, a1);
+                let resume = work
+                    .resume
+                    .as_ref()
+                    .expect("failover carries the checkpoint");
+                assert_eq!(resume.partial.hours.len(), 1);
+            }
+            _ => panic!("expected one Assign to the survivor"),
+        }
+    }
+
+    #[test]
+    fn a_profile_hit_keeps_the_price_stamped_at_dispatch() {
+        let mut r = calibrated_router(2.0);
+        let leader = submit_calibrated(&mut r, 0, 4, 2);
+        // (A dearer placement, so waiting behind the leader still beats
+        // running the key again on the slower shard.)
+        let sibling = submit_calibrated(&mut r, 0, 2, 2);
+        assert_eq!(r.job_shard(sibling), r.job_shard(leader));
+        let shard = r.job_shard(leader).unwrap();
+        assert_eq!(r.poll(0).len(), 2, "both fit the window");
+        let price = r.job_cost(shard, sibling).expect("calibrated family");
+        assert!(price > 0.0);
+
+        progress(&mut r, shard, leader, 10);
+        complete(&mut r, shard, leader, 20);
+        // The sibling replays: no Progress, just Completed.
+        complete(&mut r, shard, sibling, 21);
+        assert_eq!(r.counters(shard).profile_hits, 1);
+        let finished = r.take_finished();
+        let (_, report) = &finished[1];
+        assert_eq!(
+            report.as_ref().unwrap().predicted_seconds,
+            Some(price),
+            "the placement discount must not leak into the §4 price"
+        );
+        assert!(r.prometheus().contains(&format!(
+            "airshed_fabric_shard_profile_hits_total{{shard=\"{}\"}} 1",
+            r.shard_name(shard)
+        )));
     }
 }

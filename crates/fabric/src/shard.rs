@@ -7,12 +7,17 @@
 //!   local queue, `Shutdown` (or a closed socket) drains and exits;
 //! * a **heartbeat thread** sends `Heartbeat{seq, running, queued}`
 //!   every `heartbeat_ms` — the front-end's liveness signal;
-//! * `workers` **worker threads** pop jobs and run them hour by hour
-//!   through the server's checkpoint machinery
-//!   ([`run_hourly`]), streaming a `Progress` resume point after
-//!   every completed hour, then `Calibrated` (the §4 model fitted from
-//!   the fresh profile), `Recalibrated` (the oracle's fitted machine
-//!   parameters) and finally the `Completed` report.
+//! * `workers` **worker threads** pop jobs and fetch each job's work
+//!   profile from the shard's single-flight [`ProfileStore`] — the same
+//!   store the local server's workers use, so a numerics key is
+//!   computed once per shard. The first job of a key runs it hour by
+//!   hour through the server's checkpoint machinery ([`run_hourly`]),
+//!   streaming a `Progress` resume point after every completed hour,
+//!   then `Calibrated` (the §4 model fitted from the fresh profile) and
+//!   `Recalibrated` (the oracle's fitted machine parameters). Every job
+//!   — that one, its siblings that waited for it, and later jobs of the
+//!   key on any placement — then replays the profile and sends the
+//!   `Completed` report; for all but the first that is the only frame.
 //!
 //! All writes share one mutex-guarded [`FaultyWriter`], so frames from
 //! concurrent workers never interleave — and a [`FaultPlan`] can
@@ -31,8 +36,9 @@ use airshed_core::obs::oracle::Oracle;
 use airshed_core::obs::SpanSink;
 use airshed_core::plan::replay_profile;
 use airshed_core::{ExecSpec, Obs, PerfModel};
+use airshed_server::cache::{NumericsKey, ProfileStore};
 use airshed_server::worker::run_hourly;
-use airshed_server::JobError;
+use airshed_server::{JobError, ServerConfig};
 use std::collections::VecDeque;
 use std::net::{Shutdown, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -86,6 +92,8 @@ struct Inner {
     cancel: AtomicBool,
     running: AtomicU32,
     hours_done: AtomicU64,
+    /// Work profiles by numerics key, shared by all workers.
+    profiles: ProfileStore,
 }
 
 impl Inner {
@@ -129,6 +137,7 @@ pub fn run_shard(opts: ShardOptions, obs: &Obs) -> Result<(), String> {
         TcpStream::connect(&opts.connect).map_err(|e| format!("connect {}: {e}", opts.connect))?;
     stream.set_nodelay(true).ok();
     let mut reader = stream.try_clone().map_err(|e| format!("clone: {e}"))?;
+    let sizing = ServerConfig::default();
     let inner = Arc::new(Inner {
         writer: Mutex::new(FaultyWriter::new(stream, opts.fault.clone())),
         queue: Mutex::new(VecDeque::new()),
@@ -137,6 +146,7 @@ pub fn run_shard(opts: ShardOptions, obs: &Obs) -> Result<(), String> {
         cancel: AtomicBool::new(false),
         running: AtomicU32::new(0),
         hours_done: AtomicU64::new(0),
+        profiles: ProfileStore::new(sizing.cache_shards, sizing.profile_cache_capacity),
     });
 
     // `sent_us` stamps ride on Hello/Heartbeat/Progress/Completed so
@@ -248,41 +258,43 @@ fn worker_loop(inner: &Arc<Inner>, opts: &ShardOptions, base: &Obs, traced: bool
             // The shard-side job span: same trace_id as the frontend's
             // job span, so the stitcher can parent and link them.
             let _job_span = job_obs.span_arg("job", "trace_id", ctx.trace_id as i64);
-            let mut hour_started = Instant::now();
-            let mut on_hour = |rp: &airshed_server::ResumePoint| {
-                let hour_us = hour_started.elapsed().as_micros() as u64;
-                let _ = inner.send(&Msg::Progress {
-                    job: id,
-                    ctx,
-                    sent_us: stamp(),
-                    hour_us,
-                    resume: Box::new(rp.clone()),
-                });
-                hour_started = Instant::now();
-                let done = inner.hours_done.fetch_add(1, Ordering::Relaxed) + 1;
-                if opts.die_after_hours.is_some_and(|n| done >= n) {
-                    // The CI crash: gone between two heartbeats, with
-                    // the hour just finished already on the wire.
-                    std::process::exit(3);
-                }
-                if opts.drop_after_hours.is_some_and(|n| done >= n) {
-                    inner.sever();
-                }
-            };
-            run_hourly(
-                &config,
-                resume,
-                &inner.cancel,
-                None,
-                opts.exec,
-                &job_obs,
-                Some(&mut on_hour),
-            )
-        }));
-
-        match outcome {
-            Ok(Ok(profile)) => {
-                // Model first, so the router prices with it before the
+            // Only the job that finds its key cold runs the numerics
+            // (and streams checkpoints); a resident profile makes an
+            // attached resume point irrelevant, because the report is
+            // bit-identical either way.
+            let key = NumericsKey::of(&config);
+            inner.profiles.get_or_run(&key, &inner.cancel, None, || {
+                let mut hour_started = Instant::now();
+                let mut on_hour = |rp: &airshed_server::ResumePoint| {
+                    let hour_us = hour_started.elapsed().as_micros() as u64;
+                    let _ = inner.send(&Msg::Progress {
+                        job: id,
+                        ctx,
+                        sent_us: stamp(),
+                        hour_us,
+                        resume: Box::new(rp.clone()),
+                    });
+                    hour_started = Instant::now();
+                    let done = inner.hours_done.fetch_add(1, Ordering::Relaxed) + 1;
+                    if opts.die_after_hours.is_some_and(|n| done >= n) {
+                        // The CI crash: gone between two heartbeats, with
+                        // the hour just finished already on the wire.
+                        std::process::exit(3);
+                    }
+                    if opts.drop_after_hours.is_some_and(|n| done >= n) {
+                        inner.sever();
+                    }
+                };
+                let profile = run_hourly(
+                    &config,
+                    resume,
+                    &inner.cancel,
+                    None,
+                    opts.exec,
+                    &job_obs,
+                    Some(&mut on_hour),
+                )?;
+                // Model first, so the router prices with it before a
                 // completion frees capacity for the next dispatch.
                 inner.send(&Msg::Calibrated {
                     job: id,
@@ -293,6 +305,12 @@ fn worker_loop(inner: &Arc<Inner>, opts: &ShardOptions, base: &Obs, traced: bool
                         machine: oracle.recalibrated(),
                     });
                 }
+                Ok(profile)
+            })
+        }));
+
+        match outcome {
+            Ok(Ok((profile, _))) => {
                 let report = replay_profile(&profile, config.machine, config.p, layout);
                 let msg = Msg::Completed {
                     job: id,

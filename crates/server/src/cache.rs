@@ -9,14 +9,26 @@
 //! physics) while the result cache is keyed by the full [`ResultKey`]
 //! (numerics + machine profile + node count), so a repeat of the exact
 //! same scenario skips even the replay.
+//!
+//! Profiles live in a [`ProfileStore`]: the LRU plus a **single-flight**
+//! guard, so a numerics key is computed once wherever it lives. The
+//! server's workers and the fabric's shard workers both go through
+//! [`ProfileStore::get_or_run`]: the first caller of a cold key runs the
+//! numerics, concurrent callers of the same key wait for that run
+//! instead of repeating it, and everyone after replays the resident
+//! profile.
 
+use crate::JobError;
 use airshed_chem::youngboris::{AsymptoticForm, YbOptions};
 use airshed_core::config::{DatasetChoice, SimConfig, Weather};
 use airshed_core::driver::{ChemLayout, PlanLayouts};
+use airshed_core::WorkProfile;
 use std::collections::hash_map::DefaultHasher;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::hash::{Hash, Hasher};
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::time::{Duration, Instant};
 
 /// Everything that determines the *numerics* of a scenario — two configs
 /// with equal keys produce bit-identical work profiles and science.
@@ -216,6 +228,127 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedLru<K, V> {
     }
 }
 
+/// How [`ProfileStore::get_or_run`] came by the profile it returned.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Fetch {
+    /// The profile was resident when the caller arrived.
+    Hit,
+    /// Another caller was running this key; this one waited for it.
+    Coalesced,
+    /// This caller ran the numerics.
+    Ran,
+}
+
+/// A cancel flag is a plain atomic nobody notifies on, so a waiter
+/// re-reads its flag (and its deadline) at this period while it sleeps
+/// on the leader.
+const WAITER_POLL: Duration = Duration::from_millis(10);
+
+/// The work-profile cache with a single-flight guard: per
+/// [`NumericsKey`], at most one caller at a time runs the numerics.
+pub struct ProfileStore {
+    resident: ShardedLru<NumericsKey, Arc<WorkProfile>>,
+    /// Keys a leader is running right now.
+    in_flight: Mutex<HashSet<NumericsKey>>,
+    /// Signalled whenever a leader lets go of its key, whatever the
+    /// outcome.
+    released: Condvar,
+}
+
+/// The leader's claim on its key. Dropping it — on return, on `?`, or
+/// while a panic unwinds through the numerics — frees the key and wakes
+/// the waiters, so a failed run can never strand them.
+struct Flight<'a> {
+    store: &'a ProfileStore,
+    key: &'a NumericsKey,
+}
+
+impl Drop for Flight<'_> {
+    fn drop(&mut self) {
+        self.store.flights().remove(self.key);
+        self.store.released.notify_all();
+    }
+}
+
+impl ProfileStore {
+    /// `capacity` profiles spread over `shards` locks.
+    pub fn new(shards: usize, capacity: usize) -> ProfileStore {
+        ProfileStore {
+            resident: ShardedLru::new(shards, capacity),
+            in_flight: Mutex::new(HashSet::new()),
+            released: Condvar::new(),
+        }
+    }
+
+    /// The in-flight set only ever sees whole `insert`/`remove` calls,
+    /// so it is valid even if a holder of the lock panicked.
+    fn flights(&self) -> MutexGuard<'_, HashSet<NumericsKey>> {
+        self.in_flight
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Seed a profile computed elsewhere (an ensemble sweep's members).
+    pub fn insert(&self, key: NumericsKey, profile: Arc<WorkProfile>) {
+        self.resident.insert(key, profile);
+    }
+
+    /// The profile for `key`, running the numerics at most once however
+    /// many callers ask at the same time. A resident profile is
+    /// returned after one cache lookup. Otherwise the first caller
+    /// becomes the leader: it calls `run`, and its profile becomes
+    /// resident before its claim on the key is released. Callers that
+    /// arrive meanwhile wait — each still honouring its own `cancel`
+    /// flag and `deadline_at` (there is nothing to resume: a waiter did
+    /// no work) — and when the leader is cancelled, expires, fails or
+    /// panics, the first waiter to wake takes over as leader with its
+    /// own `run`.
+    pub fn get_or_run(
+        &self,
+        key: &NumericsKey,
+        cancel: &AtomicBool,
+        deadline_at: Option<Instant>,
+        run: impl FnOnce() -> Result<WorkProfile, JobError>,
+    ) -> Result<(Arc<WorkProfile>, Fetch), JobError> {
+        if let Some(profile) = self.resident.get(key) {
+            return Ok((profile, Fetch::Hit));
+        }
+        let mut flights = self.flights();
+        let mut fetch = Fetch::Hit;
+        loop {
+            // A leader publishes its profile before it releases the
+            // key, so under this lock a cold key is either in flight or
+            // ours to run.
+            if let Some(profile) = self.resident.get(key) {
+                return Ok((profile, fetch));
+            }
+            if !flights.contains(key) {
+                flights.insert(key.clone());
+                break;
+            }
+            fetch = Fetch::Coalesced;
+            if cancel.load(Ordering::Relaxed) {
+                return Err(JobError::Cancelled { resume: None });
+            }
+            let now = Instant::now();
+            if deadline_at.is_some_and(|d| now >= d) {
+                return Err(JobError::DeadlineExpired { resume: None });
+            }
+            let nap = deadline_at.map_or(WAITER_POLL, |d| WAITER_POLL.min(d - now));
+            flights = self
+                .released
+                .wait_timeout(flights, nap)
+                .unwrap_or_else(PoisonError::into_inner)
+                .0;
+        }
+        drop(flights);
+        let _flight = Flight { store: self, key };
+        let profile = Arc::new(run()?);
+        self.resident.insert(key.clone(), Arc::clone(&profile));
+        Ok((profile, Fetch::Ran))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -301,5 +434,161 @@ mod tests {
             ResultKey::of(&a, ChemLayout::Cyclic).layouts.chemistry,
             ChemLayout::Cyclic
         );
+    }
+
+    // --- single-flight store ---------------------------------------------
+
+    use std::sync::atomic::AtomicUsize;
+    use std::sync::mpsc;
+
+    /// An empty profile labelled with who produced it.
+    fn marked(by: &'static str) -> WorkProfile {
+        WorkProfile {
+            dataset: by,
+            shape: [0; 3],
+            hours: Vec::new(),
+            summaries: Vec::new(),
+        }
+    }
+
+    fn cold_key() -> NumericsKey {
+        NumericsKey::of(&SimConfig::test_tiny(4, 1))
+    }
+
+    /// A leader that announces it holds the key, then blocks in its
+    /// numerics until told how to end them.
+    fn blocked_leader<'a>(
+        store: &'a ProfileStore,
+        key: &'a NumericsKey,
+        started: mpsc::Sender<()>,
+        release: mpsc::Receiver<Result<WorkProfile, JobError>>,
+    ) -> impl FnOnce() -> Result<(Arc<WorkProfile>, Fetch), JobError> + 'a {
+        move || {
+            store.get_or_run(key, &AtomicBool::new(false), None, || {
+                started.send(()).unwrap();
+                release.recv().unwrap()
+            })
+        }
+    }
+
+    #[test]
+    fn concurrent_callers_of_a_cold_key_run_it_once() {
+        let store = ProfileStore::new(2, 8);
+        let key = cold_key();
+        let never = AtomicBool::new(false);
+        let runs = AtomicUsize::new(0);
+        let (started_tx, started_rx) = mpsc::channel();
+        let (release_tx, release_rx) = mpsc::channel();
+        let (arrived_tx, arrived_rx) = mpsc::channel();
+        std::thread::scope(|scope| {
+            let leader = scope.spawn(blocked_leader(&store, &key, started_tx, release_rx));
+            started_rx.recv().unwrap();
+            // The key is held until `release`: every caller from here on
+            // finds it in flight, or resident if it is late.
+            let followers: Vec<_> = (0..7)
+                .map(|_| {
+                    let arrived = arrived_tx.clone();
+                    let (store, key, never, runs) = (&store, &key, &never, &runs);
+                    scope.spawn(move || {
+                        arrived.send(()).unwrap();
+                        store.get_or_run(key, never, None, || {
+                            runs.fetch_add(1, Ordering::SeqCst);
+                            Ok(marked("follower"))
+                        })
+                    })
+                })
+                .collect();
+            for _ in 0..7 {
+                arrived_rx.recv().unwrap();
+            }
+            release_tx.send(Ok(marked("leader"))).unwrap();
+            let (profile, fetch) = leader.join().unwrap().unwrap();
+            assert_eq!((profile.dataset, fetch), ("leader", Fetch::Ran));
+            for follower in followers {
+                let (profile, fetch) = follower.join().unwrap().unwrap();
+                assert_eq!(profile.dataset, "leader");
+                assert_ne!(fetch, Fetch::Ran);
+            }
+        });
+        assert_eq!(runs.load(Ordering::SeqCst), 0, "followers never ran");
+        let (_, fetch) = store
+            .get_or_run(&key, &never, None, || Ok(marked("late")))
+            .unwrap();
+        assert_eq!(fetch, Fetch::Hit);
+    }
+
+    #[test]
+    fn waiters_honour_their_own_cancel_flag_and_deadline() {
+        let store = ProfileStore::new(2, 8);
+        let key = cold_key();
+        let (started_tx, started_rx) = mpsc::channel();
+        let (release_tx, release_rx) = mpsc::channel();
+        let must_not_run = || -> Result<WorkProfile, JobError> { panic!("a waiter ran") };
+        let flag = AtomicBool::new(false);
+        std::thread::scope(|scope| {
+            let leader = scope.spawn(blocked_leader(&store, &key, started_tx, release_rx));
+            started_rx.recv().unwrap();
+            // The leader stays blocked until every waiter below is back.
+            let cancelled = AtomicBool::new(true);
+            match store.get_or_run(&key, &cancelled, None, must_not_run) {
+                Err(JobError::Cancelled { resume: None }) => {}
+                other => panic!("expected cancellation, got {other:?}"),
+            }
+            let never = AtomicBool::new(false);
+            let soon = Instant::now() + Duration::from_millis(30);
+            match store.get_or_run(&key, &never, Some(soon), must_not_run) {
+                Err(JobError::DeadlineExpired { resume: None }) => {}
+                other => panic!("expected expiry, got {other:?}"),
+            }
+            // A flag raised while the waiter is already asleep.
+            let waiter = scope.spawn(|| store.get_or_run(&key, &flag, None, must_not_run));
+            flag.store(true, Ordering::Relaxed);
+            match waiter.join().unwrap() {
+                Err(JobError::Cancelled { resume: None }) => {}
+                other => panic!("expected cancellation, got {other:?}"),
+            }
+            release_tx.send(Ok(marked("leader"))).unwrap();
+            assert_eq!(leader.join().unwrap().unwrap().1, Fetch::Ran);
+        });
+    }
+
+    #[test]
+    fn a_waiter_takes_over_when_the_leader_fails_or_panics() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        for leader_panics in [false, true] {
+            let store = ProfileStore::new(2, 8);
+            let key = cold_key();
+            let never = AtomicBool::new(false);
+            let (started_tx, started_rx) = mpsc::channel();
+            let (release_tx, release_rx) = mpsc::channel();
+            // A stranded waiter would hang; the deadline turns that
+            // into a failure instead.
+            let patience = Instant::now() + Duration::from_secs(60);
+            std::thread::scope(|scope| {
+                let lead = blocked_leader(&store, &key, started_tx, release_rx);
+                let leader = scope.spawn(|| catch_unwind(AssertUnwindSafe(lead)));
+                started_rx.recv().unwrap();
+                let waiter = scope.spawn(|| {
+                    store.get_or_run(&key, &never, Some(patience), || Ok(marked("waiter")))
+                });
+                if leader_panics {
+                    // A closed channel panics the leader mid-numerics.
+                    drop(release_tx);
+                } else {
+                    let cancelled = Err(JobError::Cancelled { resume: None });
+                    release_tx.send(cancelled).unwrap();
+                }
+                match leader.join().unwrap() {
+                    Err(_) => assert!(leader_panics),
+                    Ok(result) => assert!(matches!(result, Err(JobError::Cancelled { .. }))),
+                }
+                let (profile, fetch) = waiter.join().unwrap().unwrap();
+                assert_eq!((profile.dataset, fetch), ("waiter", Fetch::Ran));
+            });
+            let (profile, fetch) = store
+                .get_or_run(&key, &never, None, || Ok(marked("late")))
+                .unwrap();
+            assert_eq!((profile.dataset, fetch), ("waiter", Fetch::Hit));
+        }
     }
 }

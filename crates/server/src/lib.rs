@@ -22,7 +22,9 @@
 //!   hour boundaries and interrupted jobs hand back a [`ResumePoint`];
 //! * [`cache`] — sharded LRU caches: captured [`WorkProfile`]s keyed by
 //!   the numerics (machine/P-independent, the paper's key observation)
-//!   and finished [`RunReport`]s keyed by the full scenario;
+//!   behind a single-flight guard, so concurrent jobs of one numerics
+//!   key run it once, and finished [`RunReport`]s keyed by the full
+//!   scenario;
 //! * [`admission`] — `core::PerfModel` predicts a job's virtual cost
 //!   before it is accepted; over-budget scenarios are rejected up front;
 //! * [`metrics`] — counters and latency histograms for every stage, with
@@ -36,7 +38,7 @@ pub mod queue;
 pub mod worker;
 
 use crate::admission::{AdmissionController, AdmissionDecision};
-use crate::cache::{NumericsKey, ResultKey, ShardedLru};
+use crate::cache::{NumericsKey, ProfileStore, ResultKey, ShardedLru};
 use crate::metrics::{Metrics, MetricsSnapshot};
 use crate::queue::{BoundedQueue, PushError};
 use airshed_core::checkpoint::Checkpoint;
@@ -344,7 +346,7 @@ impl Default for ServerConfig {
 pub(crate) struct Shared {
     pub(crate) queue: BoundedQueue<worker::QueuedJob>,
     pub(crate) metrics: Metrics,
-    pub(crate) profiles: ShardedLru<NumericsKey, Arc<WorkProfile>>,
+    pub(crate) profiles: ProfileStore,
     pub(crate) results: ShardedLru<ResultKey, Arc<RunReport>>,
     pub(crate) admission: AdmissionController,
     /// Fitted response surfaces from completed ensembles, keyed by the
@@ -410,7 +412,7 @@ impl ScenarioServer {
         let shared = Arc::new(Shared {
             queue: BoundedQueue::new(config.queue_capacity),
             metrics: Metrics::new(),
-            profiles: ShardedLru::new(config.cache_shards, config.profile_cache_capacity),
+            profiles: ProfileStore::new(config.cache_shards, config.profile_cache_capacity),
             results: ShardedLru::new(config.cache_shards, config.result_cache_capacity),
             admission: AdmissionController::new(config.budget_seconds),
             surrogates: Mutex::new(HashMap::new()),
@@ -761,6 +763,104 @@ mod tests {
         assert_eq!(m.profile_cache_hits, 1);
         assert_eq!(m.profile_cache_misses, 1);
         assert!(m.reconciles());
+    }
+
+    /// The report a standalone run of `request` produces, as the bits
+    /// the science and the virtual clock are compared by.
+    fn reference_bits(request: &ScenarioRequest) -> (u64, u64) {
+        let c = &request.config;
+        let (_, profile) =
+            airshed_core::driver::run_with_profile_on(c, airshed_core::ExecSpec::default());
+        report_bits(&airshed_core::plan::replay_profile(
+            &profile,
+            c.machine,
+            c.p,
+            request.layout,
+        ))
+    }
+
+    fn report_bits(report: &RunReport) -> (u64, u64) {
+        (report.total_seconds.to_bits(), report.peak_o3().to_bits())
+    }
+
+    #[test]
+    fn concurrent_cold_jobs_of_one_key_run_the_numerics_once() {
+        // Eight placements of one cold numerics key on four workers:
+        // whoever pops first runs it, the rest wait or replay.
+        let server = small_server(4);
+        let requests: Vec<_> = (1..=8).map(|p| tiny_request(p, 1)).collect();
+        let handles: Vec<_> = requests
+            .iter()
+            .map(|r| server.submit(r.clone()).into_handle().unwrap())
+            .collect();
+        let reports: Vec<_> = handles.iter().map(|h| h.wait().unwrap()).collect();
+        for (p, report) in (1..=8).zip(&reports) {
+            assert_eq!(report.p, p);
+            assert_eq!(report.peak_o3(), reports[0].peak_o3());
+        }
+        assert_eq!(report_bits(&reports[3]), reference_bits(&requests[3]));
+        let m = server.shutdown();
+        assert_eq!(m.profile_cache_misses, 1, "{m}");
+        assert_eq!(m.profile_cache_hits, 7, "{m}");
+        assert!(m.profile_coalesced <= m.profile_cache_hits);
+        assert_eq!(m.completed, 8);
+        assert!(m.reconciles(), "{m}");
+        let prom = m.to_prometheus();
+        let line = format!(
+            "airshed_server_profile_coalesced_total {}",
+            m.profile_coalesced
+        );
+        assert!(prom.contains(&line), "{prom}");
+    }
+
+    /// Spin (no sleep) until some worker has started the numerics.
+    fn await_first_miss(server: &ScenarioServer) {
+        while server.metrics().profile_cache_misses == 0 {
+            std::thread::yield_now();
+        }
+    }
+
+    #[test]
+    fn a_cancelled_waiter_returns_without_the_leaders_result() {
+        let server = small_server(2);
+        let leader = server.submit(tiny_request(4, 3)).into_handle().unwrap();
+        await_first_miss(&server);
+        let waiter = server.submit(tiny_request(8, 3)).into_handle().unwrap();
+        waiter.cancel();
+        match waiter.wait() {
+            Err(JobError::Cancelled { resume }) => assert!(resume.is_none()),
+            other => panic!("expected cancellation, got {other:?}"),
+        }
+        leader.wait().expect("the leader is unaffected");
+        let m = server.shutdown();
+        assert_eq!((m.cancelled, m.completed), (1, 1));
+        assert_eq!(m.profile_cache_misses, 1, "a waiter never runs numerics");
+        assert!(m.reconciles(), "{m}");
+    }
+
+    #[test]
+    fn a_waiter_is_promoted_when_the_leader_is_cancelled() {
+        let server = small_server(2);
+        let leader = server.submit(tiny_request(4, 3)).into_handle().unwrap();
+        await_first_miss(&server);
+        let request = tiny_request(8, 3);
+        let waiter = server.submit(request.clone()).into_handle().unwrap();
+        leader.cancel();
+        // The waiter finishes either way, with the standalone result.
+        let report = waiter.wait().expect("the waiter completes");
+        assert_eq!(report_bits(&report), reference_bits(&request));
+        let m = server.shutdown();
+        match leader.wait() {
+            // The usual case: the leader stops at its next hour
+            // boundary and the waiter runs the numerics itself.
+            Err(JobError::Cancelled { .. }) => {
+                assert_eq!((m.profile_cache_misses, m.cancelled), (2, 1), "{m}");
+            }
+            // The flag landed after the leader's last hour boundary.
+            Ok(_) => assert_eq!((m.profile_cache_misses, m.completed), (1, 2), "{m}"),
+            Err(other) => panic!("unexpected leader outcome: {other}"),
+        }
+        assert!(m.reconciles(), "{m}");
     }
 
     #[test]

@@ -44,9 +44,12 @@ pub struct Metrics {
     /// Jobs currently sitting in the submission queue (gauge).
     pub queue_depth: Gauge,
 
-    // Cache observability.
+    // Cache observability. A profile miss is a numerics run, exactly:
+    // a job that waited on another job's run of its key is a hit, and
+    // is also counted in `profile_coalesced`.
     pub profile_cache_hits: Counter,
     pub profile_cache_misses: Counter,
+    pub profile_coalesced: Counter,
     pub result_cache_hits: Counter,
     pub result_cache_misses: Counter,
 
@@ -83,6 +86,7 @@ impl Metrics {
             queue_depth: self.queue_depth.get(),
             profile_cache_hits: self.profile_cache_hits.get(),
             profile_cache_misses: self.profile_cache_misses.get(),
+            profile_coalesced: self.profile_coalesced.get(),
             result_cache_hits: self.result_cache_hits.get(),
             result_cache_misses: self.result_cache_misses.get(),
             ensemble_members: self.ensemble_members.get(),
@@ -112,6 +116,7 @@ pub struct MetricsSnapshot {
     pub queue_depth: i64,
     pub profile_cache_hits: u64,
     pub profile_cache_misses: u64,
+    pub profile_coalesced: u64,
     pub result_cache_hits: u64,
     pub result_cache_misses: u64,
     pub ensemble_members: u64,
@@ -242,6 +247,17 @@ impl MetricsSnapshot {
             );
         }
 
+        w.header(
+            "airshed_server_profile_coalesced_total",
+            "Profile-cache hits that waited on another job's numerics run.",
+            "counter",
+        );
+        w.sample(
+            "airshed_server_profile_coalesced_total",
+            "",
+            self.profile_coalesced as f64,
+        );
+
         let ensemble: [(&str, &str, u64); 3] = [
             (
                 "airshed_server_ensemble_members_total",
@@ -335,8 +351,9 @@ impl fmt::Display for MetricsSnapshot {
         )?;
         writeln!(
             f,
-            "  profile cache: {} hits / {} misses; result cache: {} hits / {} misses",
+            "  profile cache: {} hits ({} coalesced) / {} misses; result cache: {} hits / {} misses",
             self.profile_cache_hits,
+            self.profile_coalesced,
             self.profile_cache_misses,
             self.result_cache_hits,
             self.result_cache_misses

@@ -5,9 +5,12 @@
 //! 1. **result-cache hit** — the exact scenario (numerics + machine + P)
 //!    ran before; return the cached [`RunReport`](airshed_core::report::RunReport);
 //! 2. **profile-cache hit** — the numerics ran before on *some*
-//!    placement; replay the captured [`WorkProfile`] on this one through
-//!    the plan layer (`airshed_core::plan::replay_profile` — no kernels
-//!    re-run, the paper's run-once/replay-everywhere path);
+//!    placement, or another worker is running them right now (this job
+//!    waits for that run: the store is single-flight, see
+//!    [`ProfileStore`](crate::cache::ProfileStore)); replay the captured
+//!    [`WorkProfile`] on this placement through the plan layer
+//!    (`airshed_core::plan::replay_profile` — no kernels re-run, the
+//!    paper's run-once/replay-everywhere path);
 //! 3. **miss** — run the real numerics, hour by hour on one
 //!    `driver::Episode`, checking cancellation and the wall-clock deadline
 //!    at every hour boundary. An interrupted job hands back a
@@ -17,7 +20,7 @@
 //! Panics inside the numerics are contained with `catch_unwind`: the job
 //! fails, the worker thread survives.
 
-use crate::cache::{NumericsKey, ResultKey};
+use crate::cache::{Fetch, NumericsKey, ResultKey};
 use crate::{JobCell, JobError, JobResult, ResumePoint, ScenarioRequest, Shared};
 use airshed_core::config::SimConfig;
 use airshed_core::driver::{Episode, PlanLayouts};
@@ -141,37 +144,44 @@ fn execute(shared: &Shared, job: &QueuedJob, deadline_at: Option<Instant>, obs: 
     }
     metrics.result_cache_misses.inc();
 
-    let profile = match shared.profiles.get(&numerics_key) {
-        Some(profile) => {
-            metrics.profile_cache_hits.inc();
-            profile
-        }
-        None => {
-            metrics.profile_cache_misses.inc();
-            let resume = request.resume.as_deref().cloned();
-            let profile = Arc::new(run_hourly(
-                config,
-                resume,
-                &job.cell.cancel,
-                deadline_at,
-                shared.exec,
-                obs,
-                None,
-            )?);
-            shared.profiles.insert(numerics_key, Arc::clone(&profile));
-            shared.admission.calibrate(config, &profile);
-            // The driver just fed this run's spans to the oracle (when
-            // one is attached); hand its recalibrated machine profile to
-            // admission so later predictions track the observed fleet,
-            // not the datasheet.
-            if let Some(oracle) = obs.oracle() {
-                if oracle.comm_observations() > 0 {
-                    shared.admission.apply_recalibration(oracle.recalibrated());
+    let (profile, fetch) =
+        shared
+            .profiles
+            .get_or_run(&numerics_key, &job.cell.cancel, deadline_at, || {
+                metrics.profile_cache_misses.inc();
+                let profile = run_hourly(
+                    config,
+                    request.resume.as_deref().cloned(),
+                    &job.cell.cancel,
+                    deadline_at,
+                    shared.exec,
+                    obs,
+                    None,
+                )?;
+                // Before the profile is published, so a job that waited
+                // on this run is priced by the model it calibrated.
+                shared.admission.calibrate(config, &profile);
+                // The driver just fed this run's spans to the oracle (when
+                // one is attached); hand its recalibrated machine profile to
+                // admission so later predictions track the observed fleet,
+                // not the datasheet.
+                if let Some(oracle) = obs.oracle() {
+                    if oracle.comm_observations() > 0 {
+                        shared.admission.apply_recalibration(oracle.recalibrated());
+                    }
                 }
-            }
-            profile
+                Ok(profile)
+            })?;
+    // A job that waited on another job's run counts as a hit: misses
+    // are numerics runs, exactly.
+    match fetch {
+        Fetch::Ran => {}
+        Fetch::Hit => metrics.profile_cache_hits.inc(),
+        Fetch::Coalesced => {
+            metrics.profile_cache_hits.inc();
+            metrics.profile_coalesced.inc();
         }
-    };
+    }
 
     // Whether the profile came from the cache or was just captured, the
     // report is charged through the same plan-graph execution — a cached

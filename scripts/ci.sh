@@ -73,7 +73,21 @@ echo "==> fabric multi-process smoke (1 front-end + 2 shards, kill one mid-run)"
 # Single-process reference fingerprints for the same 16-job batch ...
 cargo run --release -q --bin airshed -- fabric --local \
     --jobs 16 --dataset tiny:60 --hours 3 --out "$trace_dir/fabric_ref.txt"
-# ... then the real thing: two shard processes, shard 1 hard-exits after
+# ... the same batch on two healthy shards: bit-identical, and each of
+# the 4 numerics keys runs once, so 12 of the 16 jobs are answered from
+# a resident profile — an exact count, whichever shard a key lands on ...
+cargo run --release -q --bin airshed -- fabric \
+    --shards 2 --jobs 16 --dataset tiny:60 --hours 3 \
+    --out "$trace_dir/fabric_calm.txt" --metrics-out "$trace_dir/fab_calm.prom"
+cmp "$trace_dir/fabric_ref.txt" "$trace_dir/fabric_calm.txt"
+profile_hits="$(awk '/^airshed_fabric_shard_profile_hits_total\{/ { n += $2 } END { print n + 0 }' \
+    "$trace_dir/fab_calm.prom")"
+[ "$profile_hits" -eq 12 ] || {
+    echo "fabric smoke FAILED: $profile_hits profile hits, expected 12" >&2
+    exit 1
+}
+echo "fabric OK: 16/16 reports bit-identical, 4 numerics runs + 12 profile hits"
+# ... then the drill: two shard processes, shard 1 hard-exits after
 # 4 completed hours, its jobs must fail over (resuming from streamed
 # checkpoints) and every report must still arrive bit-identical — with
 # per-process traces on, proving tracing costs no fidelity.

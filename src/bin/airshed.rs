@@ -1175,8 +1175,8 @@ fn cmd_fabric(o: &Options, obs: &Obs) -> Result<(), String> {
     }
     for (name, c) in &outcome.shards {
         println!(
-            "shard {name}: routed {} stolen {} failed-over {} completed {}",
-            c.routed, c.stolen, c.failed_over, c.completed
+            "shard {name}: routed {} stolen {} failed-over {} completed {} profile-hits {}",
+            c.routed, c.stolen, c.failed_over, c.completed, c.profile_hits
         );
     }
     let failed_over: u64 = outcome.shards.iter().map(|(_, c)| c.failed_over).sum();

@@ -68,13 +68,23 @@ fn shard_thread(
     drop_after_hours: Option<u64>,
     fault: FaultPlan,
 ) -> std::thread::JoinHandle<()> {
+    shard_with_workers(addr, name, 1, drop_after_hours, fault)
+}
+
+fn shard_with_workers(
+    addr: std::net::SocketAddr,
+    name: &str,
+    workers: usize,
+    drop_after_hours: Option<u64>,
+    fault: FaultPlan,
+) -> std::thread::JoinHandle<()> {
     let name = name.to_string();
     std::thread::spawn(move || {
         let result = run_shard(
             ShardOptions {
                 connect: addr.to_string(),
                 name,
-                workers: 1,
+                workers,
                 exec: ExecSpec::serial(),
                 heartbeat_ms: 50,
                 die_after_hours: None,
@@ -139,10 +149,12 @@ fn fabric_survives_a_shard_dropping_mid_batch() {
     let batch = scenarios(6);
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
-    // Shard "doomed" severs its connection after 3 completed hours —
-    // mid-batch, with jobs in flight.
+    // Shard "doomed" severs its connection after its first completed
+    // hour — mid-job, with the rest of that job's key-group queued
+    // behind it (a shard runs each numerics key once, so either shard
+    // only ever completes two hours per key it holds).
     let shards = [
-        shard_thread(addr, "doomed", Some(3), FaultPlan::none()),
+        shard_thread(addr, "doomed", Some(1), FaultPlan::none()),
         shard_thread(addr, "survivor", None, FaultPlan::none()),
     ];
 
@@ -185,6 +197,86 @@ fn fabric_survives_a_shard_dropping_mid_batch() {
     assert!(outcome
         .prometheus
         .contains("airshed_fabric_shard_up{shard=\"doomed\"} 0"));
+}
+
+/// Four numerics keys on three placements each, interleaved so jobs of
+/// one key are never adjacent in submit order.
+fn family_batch() -> Vec<(SimConfig, ChemLayout)> {
+    let mut batch = Vec::new();
+    for p in [2, 4, 8] {
+        for scale in [1.0, 0.8, 0.6, 0.4] {
+            let mut c = SimConfig::test_tiny(p, 1);
+            c.dataset = airshed::core::config::DatasetChoice::Tiny(40);
+            c.start_hour = 7;
+            c.emission_scale = scale;
+            batch.push((c, ChemLayout::Block));
+        }
+    }
+    batch
+}
+
+/// Serve `family_batch()` on the given shards and check that every key
+/// ran once: 12 reference fingerprints, 4 jobs that executed hours, 8
+/// answered from a resident profile.
+fn each_key_runs_once(shards: Vec<std::thread::JoinHandle<()>>, listener: TcpListener) {
+    let batch = family_batch();
+    let outcome = serve_batch(
+        &listener,
+        FrontendOptions {
+            expect: shards.len(),
+            // Nobody is lost here; a starved heartbeat must not look
+            // like a loss (a failover would re-run a key).
+            router: RouterConfig {
+                heartbeat_timeout_ms: 60_000,
+            },
+            deadline: Some(Duration::from_secs(120)),
+        },
+        &batch,
+        &Obs::off(),
+    )
+    .unwrap();
+    for handle in shards {
+        handle.join().unwrap();
+    }
+
+    assert!(outcome.failures.is_empty(), "{:?}", outcome.failures);
+    assert_eq!(outcome.reports.len(), batch.len());
+    let reference = reference_fingerprints(&batch);
+    for (i, report) in &outcome.reports {
+        assert_eq!(report_fingerprint(report), reference[*i], "scenario {i}");
+    }
+    let hours = |report: &airshed::core::RunReport| report.anatomy.expect("anatomy").hours;
+    let ran = outcome.reports.iter().filter(|(_, r)| hours(r) > 0).count();
+    let replayed = outcome
+        .reports
+        .iter()
+        .filter(|(_, r)| hours(r) == 0)
+        .count();
+    assert_eq!((ran, replayed), (4, 8), "one numerics run per key");
+    let routed: u64 = outcome.shards.iter().map(|(_, c)| c.routed).sum();
+    let hits: u64 = outcome.shards.iter().map(|(_, c)| c.profile_hits).sum();
+    assert_eq!((routed, hits), (12, 8), "{:?}", outcome.shards);
+}
+
+#[test]
+fn fabric_runs_each_numerics_key_once_across_two_shards() {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let shards = vec![
+        shard_thread(addr, "a", None, FaultPlan::none()),
+        shard_thread(addr, "b", None, FaultPlan::none()),
+    ];
+    each_key_runs_once(shards, listener);
+}
+
+#[test]
+fn concurrent_workers_of_one_shard_share_a_single_numerics_run() {
+    // One shard, two workers: same-key jobs are in flight together, so
+    // it is the store's single-flight path that keeps the count at one.
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let shards = vec![shard_with_workers(addr, "solo", 2, None, FaultPlan::none())];
+    each_key_runs_once(shards, listener);
 }
 
 #[test]

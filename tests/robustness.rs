@@ -135,6 +135,15 @@ fn tiny_datasets_of_any_size_build() {
 // — no wall sleeps, no timing-dependent flakiness — and assert the
 // same behaviors the multi-process CI smoke exercises for real.
 
+/// Job `i` of a batch in which every job has numerics of its own: the
+/// router co-locates jobs that share a numerics key, and these tests are
+/// about balancing, stealing and failover of independent work.
+fn distinct_tiny(i: usize, hours: usize) -> SimConfig {
+    let mut cfg = SimConfig::test_tiny(4, hours);
+    cfg.emission_scale = 1.0 + i as f64 / 100.0;
+    cfg
+}
+
 #[test]
 fn fabric_shard_loss_fails_over_on_missed_heartbeats_deterministically() {
     use airshed::fabric::{Msg, Router, RouterConfig};
@@ -148,7 +157,7 @@ fn fabric_shard_loss_fails_over_on_missed_heartbeats_deterministically() {
         .map(|i| {
             r.submit(
                 i,
-                SimConfig::test_tiny(4, 2),
+                distinct_tiny(i, 2),
                 airshed::core::driver::ChemLayout::Block,
             )
         })
@@ -206,7 +215,7 @@ fn fabric_steal_keeps_one_trace_context_across_victim_and_thief() {
         .map(|i| {
             r.submit(
                 i,
-                SimConfig::test_tiny(4, 1),
+                distinct_tiny(i, 1),
                 airshed::core::driver::ChemLayout::Block,
             )
         })

@@ -451,8 +451,10 @@ fn fabric_traces_merge_into_one_coherent_timeline() {
             "fabric",
             "--shards",
             "2",
+            // Two numerics keys (the batch stripes four placements per
+            // emission policy): one per shard, so both shards trace.
             "--jobs",
-            "2",
+            "8",
             "--workers",
             "1",
             "--dataset",
