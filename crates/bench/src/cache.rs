@@ -1,20 +1,21 @@
 //! Disk cache for captured work profiles.
 //!
-//! A tiny purpose-built binary format (little-endian, length-prefixed) —
-//! no external serialization crates needed. Cache files live under
-//! `target/airshed-profiles/` and are invalidated by bumping [`MAGIC`].
+//! A cache file is [`MAGIC`] followed by the profile bytes the fabric
+//! wire already carries (`airshed_fabric::proto::enc_profile`). Cache
+//! files live under `target/airshed-profiles/` and are invalidated by
+//! bumping [`MAGIC`].
 
 use airshed_core::config::SimConfig;
 use airshed_core::driver::run_with_profile_on;
-use airshed_core::profile::{HourProfile, StepProfile, WorkProfile};
-use airshed_core::state::HourSummary;
+use airshed_core::profile::WorkProfile;
 use airshed_core::ExecSpec;
+use airshed_fabric::proto::{dec_profile, enc_profile};
+use airshed_fabric::wire::{Dec, Enc, WireError};
 use std::fs;
-use std::io::{self, Read, Write};
 use std::path::PathBuf;
 
 /// Format magic + version.
-pub const MAGIC: &[u8; 8] = b"ASHPRF05";
+pub const MAGIC: &[u8; 8] = b"ASHPRF06";
 
 fn cache_dir() -> PathBuf {
     // Keep the cache inside the workspace target dir.
@@ -44,163 +45,29 @@ pub fn load_or_run(key: &str, config: &SimConfig) -> WorkProfile {
         started.elapsed().as_secs_f64()
     );
     let _ = fs::create_dir_all(&dir);
-    match encode(&profile) {
-        Ok(bytes) => {
-            if let Err(e) = fs::write(&path, bytes) {
-                eprintln!("[cache] {key}: could not write cache: {e}");
-            }
-        }
-        Err(e) => eprintln!("[cache] {key}: encode failed: {e}"),
+    if let Err(e) = fs::write(&path, encode(&profile)) {
+        eprintln!("[cache] {key}: could not write cache: {e}");
     }
     profile
 }
 
-// --- encoding helpers -------------------------------------------------
-
-fn w_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
+/// Encode a profile: [`MAGIC`], then the fabric's profile bytes.
+pub fn encode(p: &WorkProfile) -> Vec<u8> {
+    let mut e = Enc::new();
+    enc_profile(&mut e, p);
+    [MAGIC.as_slice(), &e.finish()].concat()
 }
 
-fn w_f64(out: &mut Vec<u8>, v: f64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn w_vec(out: &mut Vec<u8>, v: &[f64]) {
-    w_u64(out, v.len() as u64);
-    for &x in v {
-        w_f64(out, x);
-    }
-}
-
-/// Encode a profile to bytes.
-pub fn encode(p: &WorkProfile) -> io::Result<Vec<u8>> {
-    let mut out = Vec::new();
-    out.write_all(MAGIC)?;
-    w_u64(&mut out, p.dataset.len() as u64);
-    out.extend_from_slice(p.dataset.as_bytes());
-    for &d in &p.shape {
-        w_u64(&mut out, d as u64);
-    }
-    w_u64(&mut out, p.hours.len() as u64);
-    for h in &p.hours {
-        w_f64(&mut out, h.input_work);
-        w_f64(&mut out, h.pretrans_work);
-        w_f64(&mut out, h.output_work);
-        w_u64(&mut out, h.input_bytes as u64);
-        w_vec(&mut out, &h.surface);
-        w_u64(&mut out, h.steps.len() as u64);
-        for s in &h.steps {
-            w_vec(&mut out, &s.transport1);
-            w_vec(&mut out, &s.transport2);
-            w_vec(&mut out, &s.chemistry);
-            w_f64(&mut out, s.aerosol);
-        }
-    }
-    w_u64(&mut out, p.summaries.len() as u64);
-    for s in &p.summaries {
-        w_u64(&mut out, s.hour as u64);
-        w_f64(&mut out, s.max_o3);
-        w_f64(&mut out, s.mean_o3);
-        w_f64(&mut out, s.mean_nox);
-        w_f64(&mut out, s.mean_total_n);
-    }
-    Ok(out)
-}
-
-struct Reader<'a> {
-    data: &'a [u8],
-}
-
-impl<'a> Reader<'a> {
-    fn u64(&mut self) -> io::Result<u64> {
-        let mut b = [0u8; 8];
-        self.data.read_exact(&mut b)?;
-        Ok(u64::from_le_bytes(b))
-    }
-
-    fn f64(&mut self) -> io::Result<f64> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
-    fn vec(&mut self) -> io::Result<Vec<f64>> {
-        let n = self.u64()? as usize;
-        if n > 1 << 28 {
-            return Err(io::Error::other("implausible vector length"));
-        }
-        let mut v = Vec::with_capacity(n);
-        for _ in 0..n {
-            v.push(self.f64()?);
-        }
-        Ok(v)
-    }
-}
-
-/// Decode a profile from bytes.
-pub fn decode(bytes: &[u8]) -> io::Result<WorkProfile> {
-    let mut r = Reader { data: bytes };
-    let mut magic = [0u8; 8];
-    r.data.read_exact(&mut magic)?;
-    if &magic != MAGIC {
-        return Err(io::Error::other("bad magic / stale cache version"));
-    }
-    let name_len = r.u64()? as usize;
-    if name_len > 64 {
-        return Err(io::Error::other("implausible name length"));
-    }
-    let mut name = vec![0u8; name_len];
-    r.data.read_exact(&mut name)?;
-    let name = String::from_utf8(name).map_err(io::Error::other)?;
-    let dataset: &'static str = match name.as_str() {
-        "LA" => "LA",
-        "NE" => "NE",
-        "TINY" => "TINY",
-        other => Box::leak(other.to_string().into_boxed_str()),
-    };
-    let shape = [r.u64()? as usize, r.u64()? as usize, r.u64()? as usize];
-    let n_hours = r.u64()? as usize;
-    let mut hours = Vec::with_capacity(n_hours);
-    for _ in 0..n_hours {
-        let input_work = r.f64()?;
-        let pretrans_work = r.f64()?;
-        let output_work = r.f64()?;
-        let input_bytes = r.u64()? as usize;
-        let surface = r.vec()?;
-        let n_steps = r.u64()? as usize;
-        let mut steps = Vec::with_capacity(n_steps);
-        for _ in 0..n_steps {
-            steps.push(StepProfile {
-                transport1: r.vec()?,
-                transport2: r.vec()?,
-                chemistry: r.vec()?,
-                aerosol: r.f64()?,
-            });
-        }
-        hours.push(HourProfile {
-            input_work,
-            pretrans_work,
-            output_work,
-            input_bytes,
-            steps,
-            surface,
-        });
-    }
-    let n_sum = r.u64()? as usize;
-    let mut summaries = Vec::with_capacity(n_sum);
-    for _ in 0..n_sum {
-        summaries.push(HourSummary {
-            hour: r.u64()? as usize,
-            max_o3: r.f64()?,
-            mean_o3: r.f64()?,
-            mean_nox: r.f64()?,
-            mean_total_n: r.f64()?,
-        });
-    }
-    Ok(WorkProfile {
-        dataset,
-        shape,
-        hours,
-        summaries,
-    })
+/// Decode a cache file; anything but [`MAGIC`] followed by exactly one
+/// well-formed profile is an error.
+pub fn decode(bytes: &[u8]) -> Result<WorkProfile, WireError> {
+    let body = bytes
+        .strip_prefix(MAGIC.as_slice())
+        .ok_or(WireError::Malformed("bad magic / stale cache version"))?;
+    let mut d = Dec::new(body);
+    let profile = dec_profile(&mut d)?;
+    d.done()?;
+    Ok(profile)
 }
 
 #[cfg(test)]
@@ -208,12 +75,27 @@ mod tests {
     use super::*;
     use airshed_core::config::{DatasetChoice, SimConfig};
 
+    fn sample() -> WorkProfile {
+        run_with_profile_on(&SimConfig::test_tiny(2, 1), ExecSpec::default()).1
+    }
+
+    /// `bytes` (the encoding of `p`) with its first `f64s` length prefix
+    /// — the first step's `transport1`, after magic, dataset string,
+    /// shape, hour count, the first hour's three works + input bytes and
+    /// step count — overwritten to claim 32 GiB of f64s.
+    fn with_oversized_prefix(bytes: &[u8], p: &WorkProfile) -> Vec<u8> {
+        let at = MAGIC.len() + 4 + p.dataset.len() + 3 * 8 + 4 + 3 * 8 + 8 + 4;
+        let n = p.hours[0].steps[0].transport1.len() as u32;
+        assert_eq!(bytes[at..at + 4], n.to_le_bytes(), "prefix offset");
+        let mut huge = bytes.to_vec();
+        huge[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        huge
+    }
+
     #[test]
     fn roundtrip_preserves_profile() {
-        let cfg = SimConfig::test_tiny(2, 1);
-        let (_, prof) = run_with_profile_on(&cfg, ExecSpec::default());
-        let bytes = encode(&prof).unwrap();
-        let back = decode(&bytes).unwrap();
+        let prof = sample();
+        let back = decode(&encode(&prof)).unwrap();
         assert_eq!(back.dataset, prof.dataset);
         assert_eq!(back.shape, prof.shape);
         assert_eq!(back.hours.len(), prof.hours.len());
@@ -233,11 +115,21 @@ mod tests {
     #[test]
     fn decode_rejects_garbage() {
         assert!(decode(b"not a profile").is_err());
-        let mut bytes =
-            encode(&run_with_profile_on(&SimConfig::test_tiny(2, 1), ExecSpec::default()).1)
-                .unwrap();
+        let mut bytes = encode(&sample());
         bytes[0] ^= 0xFF;
         assert!(decode(&bytes).is_err());
+    }
+
+    #[test]
+    fn every_truncation_and_an_oversized_prefix_are_errors() {
+        let prof = sample();
+        let bytes = encode(&prof);
+        for cut in 0..bytes.len() {
+            assert!(decode(&bytes[..cut]).is_err(), "prefix of {cut} bytes");
+        }
+        // The claim must fail on the bytes present, not be reserved for.
+        let huge = with_oversized_prefix(&bytes, &prof);
+        assert!(matches!(decode(&huge), Err(WireError::Malformed(_))));
     }
 
     #[test]
@@ -252,6 +144,24 @@ mod tests {
         let b = load_or_run(key, &cfg);
         assert_eq!(a.hours.len(), b.hours.len());
         assert_eq!(a.hours[0].surface, b.hours[0].surface);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn load_or_run_recomputes_over_a_damaged_file() {
+        let cfg = standard_tiny();
+        let key = "TEST_cache_damaged";
+        let path = super::cache_dir().join(format!("{key}.bin"));
+        let _ = std::fs::remove_file(&path);
+        let good = load_or_run(key, &cfg);
+        let bytes = std::fs::read(&path).unwrap();
+        let huge = with_oversized_prefix(&bytes, &good);
+        for damaged in [&bytes[..bytes.len() / 2], &huge[..]] {
+            std::fs::write(&path, damaged).unwrap();
+            let again = load_or_run(key, &cfg);
+            assert_eq!(again.hours[0].surface, good.hours[0].surface);
+            assert_eq!(std::fs::read(&path).unwrap(), bytes, "cache rewritten");
+        }
         let _ = std::fs::remove_file(&path);
     }
 

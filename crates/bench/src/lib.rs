@@ -6,7 +6,6 @@
 //! binaries load the cache. Delete the directory to force recomputation.
 
 pub mod cache;
-pub mod check;
 pub mod table;
 
 use airshed_core::config::{DatasetChoice, SimConfig};
@@ -41,9 +40,4 @@ pub fn la_profile() -> WorkProfile {
 /// Load or compute the standard 24-hour NE profile.
 pub fn ne_profile() -> WorkProfile {
     cache::load_or_run("NE_24h", &standard_config(DatasetChoice::NorthEast, 24))
-}
-
-/// A fast profile for smoke-testing the harness itself.
-pub fn tiny_profile() -> WorkProfile {
-    cache::load_or_run("TINY_3h", &standard_config(DatasetChoice::Tiny(80), 3))
 }

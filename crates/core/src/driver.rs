@@ -26,51 +26,9 @@ use airshed_transport::operator::HorizontalTransport;
 /// Machine word size — 8 bytes on all three paper machines.
 pub const WORD: usize = 8;
 
-/// How a distributed phase lays its items out over nodes. Fx supports
-/// block, cyclic and block-cyclic layouts; the paper's Airshed used
-/// `BLOCK` everywhere. `CYCLIC` stripes items round-robin, which
-/// balances the urban/rural chemistry load imbalance; `BlockCyclic(b)`
-/// deals contiguous runs of `b` items round-robin, trading imbalance
-/// against redistribution message counts. Historically named for the
-/// chemistry phase (the first to gain a layout knob); the plan
-/// optimizer now picks one per distributed phase.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum ChemLayout {
-    #[default]
-    Block,
-    Cyclic,
-    /// Round-robin runs of the given block size (HPF `CYCLIC(b)`).
-    BlockCyclic(usize),
-}
-
-impl ChemLayout {
-    /// The HPF distribution of `A(species, layers, nodes)` this layout
-    /// gives a phase distributed along dimension `dim`.
-    pub fn distribution_on(&self, dim: usize) -> Distribution {
-        match self {
-            ChemLayout::Block => Distribution::block(3, dim),
-            ChemLayout::Cyclic => Distribution::cyclic(3, dim),
-            ChemLayout::BlockCyclic(b) => Distribution::block_cyclic(3, dim, *b),
-        }
-    }
-
-    /// Reduce per-item work to per-node work under this layout. The
-    /// partition math lives on the plan IR's [`crate::plan::ItemLayout`];
-    /// this is a convenience alias.
-    pub fn per_node(&self, per_item: &[f64], p: usize) -> Vec<f64> {
-        crate::plan::ItemLayout::from(*self).per_node(per_item, p)
-    }
-}
-
-impl std::fmt::Display for ChemLayout {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ChemLayout::Block => write!(f, "BLOCK"),
-            ChemLayout::Cyclic => write!(f, "CYCLIC"),
-            ChemLayout::BlockCyclic(b) => write!(f, "CYCLIC({b})"),
-        }
-    }
-}
+/// The historical name of [`crate::plan::ItemLayout`] (chemistry was the
+/// first phase to gain a layout knob); the two are one type.
+pub use crate::plan::ItemLayout as ChemLayout;
 
 /// One layout choice per distributed phase — the optimizer's decision
 /// variable. `Default` is the paper's plan: `BLOCK` everywhere.

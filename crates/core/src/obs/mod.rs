@@ -196,31 +196,6 @@ impl SpanSink {
         out.sort_by(|a, b| a.ts_us.total_cmp(&b.ts_us));
         out
     }
-
-    /// Median wall-clock duration (µs) per span name over lane tracks,
-    /// sorted by name. Used by `bench_kernels` so bench numbers and
-    /// traces come from the same clock.
-    pub fn phase_wall_medians(&self) -> Vec<(&'static str, f64)> {
-        let mut by_name: std::collections::BTreeMap<&'static str, Vec<f64>> = Default::default();
-        for e in self.events() {
-            if matches!(e.track, Track::Lane(_)) {
-                by_name.entry(e.name).or_default().push(e.dur_us);
-            }
-        }
-        by_name
-            .into_iter()
-            .map(|(name, mut durs)| {
-                durs.sort_by(f64::total_cmp);
-                let mid = durs.len() / 2;
-                let median = if durs.len() % 2 == 1 {
-                    durs[mid]
-                } else {
-                    0.5 * (durs[mid - 1] + durs[mid])
-                };
-                (name, median)
-            })
-            .collect()
-    }
 }
 
 impl Collector for SpanSink {
@@ -663,35 +638,5 @@ mod tests {
         let sections = sink.sections();
         assert_eq!(sections.len(), 2);
         assert_eq!(sections[0], ("server", "v2".to_string()));
-    }
-
-    #[test]
-    fn phase_medians_are_per_name() {
-        let sink = Arc::new(SpanSink::new());
-        let obs = Obs::new(sink.clone());
-        let t0 = Instant::now();
-        for d in [10u64, 20, 30] {
-            obs.record_interval(
-                "chemistry",
-                Track::Lane(0),
-                t0,
-                t0 + Duration::from_micros(d),
-                None,
-                None,
-            );
-        }
-        // Pool-worker spans are excluded from phase medians.
-        obs.record_interval(
-            "chemistry",
-            Track::PoolWorker { lane: 0, worker: 0 },
-            t0,
-            t0 + Duration::from_micros(500),
-            None,
-            None,
-        );
-        let medians = sink.phase_wall_medians();
-        assert_eq!(medians.len(), 1);
-        assert_eq!(medians[0].0, "chemistry");
-        assert!((medians[0].1 - 20.0).abs() < 1.5);
     }
 }

@@ -30,9 +30,10 @@
 //!    [`replay_profile`], so a cached profile and a fresh run charge
 //!    identical virtual cost.
 
-use crate::driver::{ChemLayout, HourPlans, PlanLayouts};
+use crate::driver::{HourPlans, PlanLayouts};
 use crate::profile::{HourProfile, WorkProfile};
 use crate::report::RunReport;
+use airshed_hpf::dist::Distribution;
 use airshed_hpf::loops::block_ranges;
 use airshed_hpf::redist::PlanEdge;
 use airshed_machine::{Machine, MachineProfile, PhaseKind, PlanStep};
@@ -54,14 +55,19 @@ pub enum Stage {
     Output,
 }
 
-/// How distributed per-item work maps onto nodes — the plan-level view
-/// of an HPF distribution's work partition. This is the *single* place
-/// that owns the per-item → per-node reduction; `ChemLayout::per_node`
-/// and the driver both delegate here.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+/// How a distributed phase lays its items out over nodes — the
+/// plan-level view of an HPF distribution's work partition, and the
+/// *single* place that owns the per-item → per-node reduction. Fx
+/// supports block, cyclic and block-cyclic layouts; the paper's Airshed
+/// used `BLOCK` everywhere (the `Default`). `CYCLIC` balances the
+/// urban/rural chemistry load imbalance; `BlockCyclic(b)` trades
+/// imbalance against redistribution message counts. The plan optimizer
+/// picks one per distributed phase.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum ItemLayout {
     /// Contiguous blocks (HPF `BLOCK`), ceil-sized with trailing nodes
     /// possibly empty.
+    #[default]
     Block,
     /// Round-robin striping (HPF `CYCLIC`): item `i` goes to node
     /// `i mod p`.
@@ -73,6 +79,16 @@ pub enum ItemLayout {
 }
 
 impl ItemLayout {
+    /// The HPF distribution of `A(species, layers, nodes)` this layout
+    /// gives a phase distributed along dimension `dim`.
+    pub fn distribution_on(&self, dim: usize) -> Distribution {
+        match self {
+            ItemLayout::Block => Distribution::block(3, dim),
+            ItemLayout::Cyclic => Distribution::cyclic(3, dim),
+            ItemLayout::BlockCyclic(b) => Distribution::block_cyclic(3, dim, *b),
+        }
+    }
+
     /// Reduce per-item work (per layer or per column) to per-node work
     /// under this layout.
     ///
@@ -151,12 +167,12 @@ impl ItemLayout {
     }
 }
 
-impl From<ChemLayout> for ItemLayout {
-    fn from(layout: ChemLayout) -> ItemLayout {
-        match layout {
-            ChemLayout::Block => ItemLayout::Block,
-            ChemLayout::Cyclic => ItemLayout::Cyclic,
-            ChemLayout::BlockCyclic(b) => ItemLayout::BlockCyclic(b),
+impl std::fmt::Display for ItemLayout {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ItemLayout::Block => write!(f, "BLOCK"),
+            ItemLayout::Cyclic => write!(f, "CYCLIC"),
+            ItemLayout::BlockCyclic(b) => write!(f, "CYCLIC({b})"),
         }
     }
 }
@@ -281,8 +297,8 @@ impl PhaseGraph {
             assert_eq!(e.loads.len(), p, "plans were built for a different P");
         }
         let layers = plans.shape[1];
-        let trans_layout = ItemLayout::from(plans.trans_layout);
-        let chem_layout = ItemLayout::from(plans.chem_layout);
+        let trans_layout = plans.trans_layout;
+        let chem_layout = plans.chem_layout;
 
         let compute = |stage, kind, work| PhaseNode {
             stage,
@@ -474,7 +490,7 @@ pub fn replay_profile(
     profile: &WorkProfile,
     machine_profile: MachineProfile,
     p: usize,
-    layout: ChemLayout,
+    layout: ItemLayout,
 ) -> RunReport {
     replay_profile_with(profile, machine_profile, p, PlanLayouts::chem(layout))
 }

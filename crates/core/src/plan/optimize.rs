@@ -91,36 +91,49 @@ pub fn plan_cost(
     total
 }
 
-/// Search the plan space for the cheapest way to run `profile` on
-/// `machine` with `p` nodes.
-///
-/// Stage 1 enumerates per-phase layouts — transport over the layer axis,
-/// chemistry over the column axis ([`candidate_layouts`] each) — and
-/// scores the implied graphs with [`plan_cost`]. The default plan is
-/// evaluated first and only a strictly cheaper candidate replaces it, so
-/// ties deterministically keep the paper's layouts. Stage 2 (when `p`
-/// admits a pipeline) reuses the task-parallel split search on the
-/// winning layouts and adopts the pipelined plan only if its makespan
-/// beats the data-parallel prediction.
-pub fn optimize_plan(profile: &WorkProfile, machine: &MachineProfile, p: usize) -> PlanChoice {
-    let default_seconds = plan_cost(profile, machine, p, PlanLayouts::default());
-    let mut best = (PlanLayouts::default(), default_seconds);
-    for &transport in &candidate_layouts(profile.shape[1], p) {
-        for &chemistry in &candidate_layouts(profile.shape[2], p) {
+/// The one exhaustive layout search: transport over the layer axis
+/// crossed with chemistry over the column axis ([`candidate_layouts`]
+/// each), scored by `cost`. The default plan is evaluated first and only
+/// a strictly cheaper candidate replaces it, so ties deterministically
+/// keep the paper's layouts. Returns `(chosen, its cost, default cost)`.
+pub(crate) fn search_layouts(
+    shape: &[usize; 3],
+    p: usize,
+    cost: impl Fn(PlanLayouts) -> f64,
+) -> (PlanLayouts, f64, f64) {
+    let default_cost = cost(PlanLayouts::default());
+    let mut best = (PlanLayouts::default(), default_cost);
+    for &transport in &candidate_layouts(shape[1], p) {
+        for &chemistry in &candidate_layouts(shape[2], p) {
             let layouts = PlanLayouts::new(transport, chemistry);
             if layouts == PlanLayouts::default() {
                 continue;
             }
-            let cost = plan_cost(profile, machine, p, layouts);
-            if cost < best.1 {
-                best = (layouts, cost);
+            let c = cost(layouts);
+            if c < best.1 {
+                best = (layouts, c);
             }
         }
     }
+    (best.0, best.1, default_cost)
+}
+
+/// Search the plan space for the cheapest way to run `profile` on
+/// `machine` with `p` nodes.
+///
+/// Stage 1 is the exhaustive per-phase layout search (transport ×
+/// chemistry over [`candidate_layouts`], default first, ties keep it)
+/// scoring each candidate's implied graphs with [`plan_cost`]. Stage 2
+/// (when `p` admits a pipeline) reuses the task-parallel split search
+/// on the winning layouts and adopts the pipelined plan only if its
+/// makespan beats the data-parallel prediction.
+pub fn optimize_plan(profile: &WorkProfile, machine: &MachineProfile, p: usize) -> PlanChoice {
+    let (layouts, predicted_seconds, default_seconds) =
+        search_layouts(&profile.shape, p, |l| plan_cost(profile, machine, p, l));
     let mut choice = PlanChoice {
-        layouts: best.0,
+        layouts,
         split: None,
-        predicted_seconds: best.1,
+        predicted_seconds,
         default_seconds,
     };
     if p >= 3 {

@@ -26,7 +26,7 @@
 //! independently.
 
 use crate::driver::{HourPlans, PlanLayouts};
-use crate::plan::optimize::candidate_layouts;
+use crate::plan::optimize::search_layouts;
 use crate::plan::{ItemLayout, Op, PhaseGraph, PhaseNode};
 use crate::profile::WorkProfile;
 use airshed_hpf::redist::labels;
@@ -335,11 +335,11 @@ impl PerfModel {
     pub fn layout_cost(&self, machine: &MachineProfile, p: usize, layouts: PlanLayouts) -> f64 {
         let rate = machine.rate;
         let ceil_model = self.predict(machine, p);
-        let heaviest = |per_item: &[f64], layout: crate::driver::ChemLayout| -> Option<f64> {
+        let heaviest = |per_item: &[f64], layout: ItemLayout| -> Option<f64> {
             if per_item.is_empty() {
                 return None;
             }
-            let per = ItemLayout::from(layout).per_node(per_item, p);
+            let per = layout.per_node(per_item, p);
             Some(per.iter().fold(0.0f64, |a, &b| a.max(b)) / rate)
         };
         let transport =
@@ -359,29 +359,17 @@ impl PerfModel {
     }
 
     /// Search the per-phase layout space for the cheapest plan on
-    /// `machine` × `p` under [`PerfModel::layout_cost`]. Exhaustive over
-    /// the candidate set ([`candidate_layouts`]); the default plan is
-    /// always a candidate and ties keep it, so
+    /// `machine` × `p` under [`PerfModel::layout_cost`]: the same
+    /// exhaustive search as [`crate::plan::optimize_plan`]'s first stage.
+    /// The default plan is always a candidate and ties keep it, so
     /// `chosen.hour_cost <= chosen.default_hour_cost` by construction.
     pub fn choose_layout(&self, machine: &MachineProfile, p: usize) -> LayoutChoice {
-        let default_cost = self.layout_cost(machine, p, PlanLayouts::default());
-        let mut best = (PlanLayouts::default(), default_cost);
-        for &transport in &candidate_layouts(self.shape[1], p) {
-            for &chemistry in &candidate_layouts(self.shape[2], p) {
-                let layouts = PlanLayouts::new(transport, chemistry);
-                if layouts == PlanLayouts::default() {
-                    continue;
-                }
-                let cost = self.layout_cost(machine, p, layouts);
-                if cost < best.1 {
-                    best = (layouts, cost);
-                }
-            }
-        }
+        let (layouts, cost, default_cost) =
+            search_layouts(&self.shape, p, |l| self.layout_cost(machine, p, l));
         let hours = self.hours.max(1) as f64;
         LayoutChoice {
-            layouts: best.0,
-            hour_cost: best.1 / hours,
+            layouts,
+            hour_cost: cost / hours,
             default_hour_cost: default_cost / hours,
         }
     }

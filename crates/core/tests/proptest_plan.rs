@@ -107,7 +107,7 @@ proptest! {
             (nodes, choice.layouts.chemistry),
         ] {
             let work: Vec<f64> = (0..n_items).map(|i| 1.0 + (i % 5) as f64).collect();
-            let per = ItemLayout::from(layout).per_node(&work, p);
+            let per = layout.per_node(&work, p);
             prop_assert_eq!(per.len(), p);
             let total: f64 = per.iter().sum();
             let expect: f64 = work.iter().sum();

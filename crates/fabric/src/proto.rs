@@ -458,7 +458,10 @@ fn dec_resume(d: &mut Dec) -> Result<ResumePoint, WireError> {
     })
 }
 
-fn enc_profile(e: &mut Enc, p: &WorkProfile) {
+/// The one byte encoding of a [`WorkProfile`]: what `Progress` frames
+/// carry as the partial profile and what the figure harness's disk cache
+/// stores after its magic.
+pub fn enc_profile(e: &mut Enc, p: &WorkProfile) {
     e.str(p.dataset);
     for &s in &p.shape {
         e.usize(s);
@@ -484,7 +487,10 @@ fn enc_profile(e: &mut Enc, p: &WorkProfile) {
     }
 }
 
-fn dec_profile(d: &mut Dec) -> Result<WorkProfile, WireError> {
+/// Inverse of [`enc_profile`]. Every length prefix is checked against the
+/// bytes actually present before anything is reserved for it, so a
+/// truncated or corrupt input is an `Err`, never a huge allocation.
+pub fn dec_profile(d: &mut Dec) -> Result<WorkProfile, WireError> {
     let dataset = intern(d.str()?);
     let shape = [d.usize()?, d.usize()?, d.usize()?];
     let n_hours = d.len_prefix(8)?;

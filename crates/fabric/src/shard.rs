@@ -36,9 +36,9 @@ use airshed_core::obs::oracle::Oracle;
 use airshed_core::obs::SpanSink;
 use airshed_core::plan::replay_profile;
 use airshed_core::{ExecSpec, Obs, PerfModel};
-use airshed_server::cache::{NumericsKey, ProfileStore};
+use airshed_server::cache::{NumericsKey, ProfileStore, CACHE_SHARDS, PROFILE_CACHE_CAPACITY};
 use airshed_server::worker::run_hourly;
-use airshed_server::{JobError, ServerConfig};
+use airshed_server::JobError;
 use std::collections::VecDeque;
 use std::net::{Shutdown, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -137,7 +137,6 @@ pub fn run_shard(opts: ShardOptions, obs: &Obs) -> Result<(), String> {
         TcpStream::connect(&opts.connect).map_err(|e| format!("connect {}: {e}", opts.connect))?;
     stream.set_nodelay(true).ok();
     let mut reader = stream.try_clone().map_err(|e| format!("clone: {e}"))?;
-    let sizing = ServerConfig::default();
     let inner = Arc::new(Inner {
         writer: Mutex::new(FaultyWriter::new(stream, opts.fault.clone())),
         queue: Mutex::new(VecDeque::new()),
@@ -146,7 +145,7 @@ pub fn run_shard(opts: ShardOptions, obs: &Obs) -> Result<(), String> {
         cancel: AtomicBool::new(false),
         running: AtomicU32::new(0),
         hours_done: AtomicU64::new(0),
-        profiles: ProfileStore::new(sizing.cache_shards, sizing.profile_cache_capacity),
+        profiles: ProfileStore::new(CACHE_SHARDS, PROFILE_CACHE_CAPACITY),
     });
 
     // `sent_us` stamps ride on Hello/Heartbeat/Progress/Completed so

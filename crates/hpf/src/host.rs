@@ -125,19 +125,6 @@ pub fn available_threads() -> usize {
         .unwrap_or(1)
 }
 
-/// Number of logical processors the machine actually has, ignoring
-/// affinity masks and cgroup quotas that `available_parallelism`
-/// honours. Bench reports record this so a result produced in a
-/// constrained container is not mistaken for one from the full host.
-/// Falls back to [`available_threads`] when `/proc/cpuinfo` is
-/// unreadable (non-Linux hosts).
-pub fn physical_threads() -> usize {
-    let count = std::fs::read_to_string("/proc/cpuinfo")
-        .map(|s| s.lines().filter(|l| l.starts_with("processor")).count())
-        .unwrap_or(0);
-    count.max(available_threads())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -183,12 +170,6 @@ mod tests {
     #[test]
     fn empty_queue_is_fine() {
         run_parts(8, Vec::new());
-    }
-
-    #[test]
-    fn physical_threads_is_at_least_available() {
-        assert!(physical_threads() >= available_threads());
-        assert!(physical_threads() >= 1);
     }
 
     #[test]

@@ -142,6 +142,14 @@ impl ResultKey {
     }
 }
 
+/// Lock shards per cache. The server's two caches and a fabric shard's
+/// profile store are sized by this and the two capacities below.
+pub const CACHE_SHARDS: usize = 8;
+/// Total entries across a work-profile cache.
+pub const PROFILE_CACHE_CAPACITY: usize = 64;
+/// Total entries across the run-report cache.
+pub const RESULT_CACHE_CAPACITY: usize = 256;
+
 struct Entry<V> {
     value: V,
     stamp: u64,

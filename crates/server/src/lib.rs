@@ -307,14 +307,6 @@ pub struct ServerConfig {
     /// Admission budget in *virtual* (target-machine) seconds; `None`
     /// admits everything.
     pub budget_seconds: Option<f64>,
-    /// Total entries across the work-profile cache.
-    pub profile_cache_capacity: usize,
-    /// Total entries across the run-report cache.
-    pub result_cache_capacity: usize,
-    /// Lock shards per cache.
-    pub cache_shards: usize,
-    /// Default per-job wall-clock deadline.
-    pub default_deadline: Option<Duration>,
     /// Execution backend each worker runs the numerics on. A job's
     /// transport/chemistry loops fork onto this backend's threads, so
     /// total kernel concurrency is roughly `workers × exec.threads`.
@@ -332,10 +324,6 @@ impl Default for ServerConfig {
             workers: 4,
             queue_capacity: 64,
             budget_seconds: None,
-            profile_cache_capacity: 64,
-            result_cache_capacity: 256,
-            cache_shards: 8,
-            default_deadline: None,
             exec: airshed_core::ExecSpec::default(),
             obs: Obs::off(),
         }
@@ -412,8 +400,8 @@ impl ScenarioServer {
         let shared = Arc::new(Shared {
             queue: BoundedQueue::new(config.queue_capacity),
             metrics: Metrics::new(),
-            profiles: ProfileStore::new(config.cache_shards, config.profile_cache_capacity),
-            results: ShardedLru::new(config.cache_shards, config.result_cache_capacity),
+            profiles: ProfileStore::new(cache::CACHE_SHARDS, cache::PROFILE_CACHE_CAPACITY),
+            results: ShardedLru::new(cache::CACHE_SHARDS, cache::RESULT_CACHE_CAPACITY),
             admission: AdmissionController::new(config.budget_seconds),
             surrogates: Mutex::new(HashMap::new()),
             exec: config.exec,
@@ -422,13 +410,12 @@ impl ScenarioServer {
         let workers = (0..config.workers.max(1))
             .map(|i| {
                 let shared = Arc::clone(&shared);
-                let default_deadline = config.default_deadline;
                 // Worker k records on lane k+1 (lane 0 is the client /
                 // CLI driver), so concurrent jobs get separate tracks.
                 let worker_obs = config.obs.with_lane(i as u32 + 1);
                 std::thread::Builder::new()
                     .name(format!("airshed-worker-{i}"))
-                    .spawn(move || worker::worker_loop(&shared, default_deadline, &worker_obs))
+                    .spawn(move || worker::worker_loop(&shared, &worker_obs))
                     .expect("spawn worker thread")
             })
             .collect();

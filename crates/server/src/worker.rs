@@ -32,7 +32,7 @@ use airshed_core::WorkProfile;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// One accepted job travelling through the queue.
 pub(crate) struct QueuedJob {
@@ -46,7 +46,7 @@ pub(crate) struct QueuedJob {
 /// `obs` is the worker's lane-bound observability handle: the queue
 /// wait, each job's execution, and the driver's per-hour spans all land
 /// on this worker's track.
-pub(crate) fn worker_loop(shared: &Shared, default_deadline: Option<Duration>, obs: &Obs) {
+pub(crate) fn worker_loop(shared: &Shared, obs: &Obs) {
     while let Some(job) = shared.queue.pop() {
         let metrics = &shared.metrics;
         metrics.queue_depth.dec();
@@ -71,11 +71,7 @@ pub(crate) fn worker_loop(shared: &Shared, default_deadline: Option<Duration>, o
         }
 
         let started = Instant::now();
-        let deadline_at = job
-            .request
-            .deadline
-            .or(default_deadline)
-            .map(|d| started + d);
+        let deadline_at = job.request.deadline.map(|d| started + d);
         let result: JobResult = {
             let _job_span = obs.span_arg("job", "job", job.id.0 as i64);
             match catch_unwind(AssertUnwindSafe(|| execute(shared, &job, deadline_at, obs))) {

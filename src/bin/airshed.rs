@@ -874,7 +874,6 @@ fn cmd_serve_batch(o: &Options, obs: &Obs) -> Result<(), String> {
         budget_seconds: o.budget,
         exec,
         obs: obs.clone(),
-        ..Default::default()
     });
 
     // Run the first scenario synchronously: it calibrates the admission
