@@ -51,7 +51,7 @@ fn reaction_delta(r: &Reaction, atoms: &[f64; N_SPECIES]) -> f64 {
 /// Audit a mechanism against an atom-count table; returns every reaction
 /// whose net atom change exceeds `tol`.
 pub fn audit(mech: &Mechanism, atoms: &[f64; N_SPECIES], tol: f64) -> Vec<Imbalance> {
-    mech.reactions
+    mech.reactions()
         .iter()
         .filter_map(|r| {
             let delta = reaction_delta(r, atoms);
@@ -94,8 +94,8 @@ mod tests {
     fn audit_catches_a_planted_leak() {
         // Re-create the bug this tool exists for: ISOP + NO3 consuming a
         // nitrogen atom into a nitrogen-free product.
-        let mut mech = Mechanism::carbon_bond();
-        mech.reactions.push(Reaction {
+        let mut rows = Mechanism::carbon_bond().reactions().to_vec();
+        rows.push(Reaction {
             label: "ISOP+NO3->XO2 (leak!)",
             rate_law: RateLaw::Arrhenius {
                 a: 1.0,
@@ -106,7 +106,7 @@ mod tests {
             consume: vec![(sp::ISOP, 1.0), (sp::NO3, 1.0)],
             produce: vec![(sp::XO2, 1.0)],
         });
-        let leaks = audit_nitrogen(&mech);
+        let leaks = audit_nitrogen(&Mechanism::from_table(rows, N_SPECIES));
         assert_eq!(leaks.len(), 1);
         assert_eq!(leaks[0].reaction, "ISOP+NO3->XO2 (leak!)");
         assert!((leaks[0].delta + 1.0).abs() < 1e-12, "one N destroyed");
@@ -117,7 +117,7 @@ mod tests {
         // 0.89 NO2 + 0.11 NO from 1 NO3 balances.
         let mech = Mechanism::carbon_bond();
         let r = mech
-            .reactions
+            .reactions()
             .iter()
             .find(|r| r.label.starts_with("NO3+hv"))
             .unwrap();

@@ -29,13 +29,14 @@
 //! a `#[target_feature(enable = "avx2,fma")]` instantiation ([`Fused`])
 //! or the portable one ([`Unfused`]).
 
-use crate::mechanism::Mechanism;
+use crate::mechanism::{kernels, Mechanism, N_REACTIONS};
+use crate::species::N_SPECIES;
 use crate::vertical::ColumnGeometry;
 use crate::youngboris::{advance, asymptotic, YbOptions, YbStats};
 use airshed_simd::{fma_available, F64x4, Fused, Madd, Unfused};
 
 /// Scratch for the lockstep integrator — the [`F64x4`] mirror of
-/// `YbWorkspace`, plus the per-species reciprocal buffer.
+/// `YbWorkspace`.
 pub struct Yb4Workspace {
     p0: Vec<F64x4>,
     l0: Vec<F64x4>,
@@ -43,7 +44,6 @@ pub struct Yb4Workspace {
     lp: Vec<F64x4>,
     cp: Vec<F64x4>,
     c1: Vec<F64x4>,
-    inv: Vec<F64x4>,
 }
 
 impl Yb4Workspace {
@@ -55,78 +55,88 @@ impl Yb4Workspace {
             lp: vec![F64x4::zero(); n_species],
             cp: vec![F64x4::zero(); n_species],
             c1: vec![F64x4::zero(); n_species],
-            inv: vec![F64x4::zero(); n_species],
         }
     }
 }
 
 /// Vectorised production/loss evaluation: lane `j` of `p[s]`/`l[s]` is
 /// the production rate / loss frequency of species `s` in column `j`.
-/// Matches `Mechanism::prod_loss` per lane up to the reciprocal
-/// reassociation (`rate * (1/c)` instead of `rate / c`).
-pub fn prod_loss4(
-    mech: &Mechanism,
-    conc: &[F64x4],
-    k: &[f64],
-    p: &mut [F64x4],
-    l: &mut [F64x4],
-    inv: &mut [F64x4],
-) {
+/// For the carbon-bond mechanism this is the generated four-lane kernel,
+/// which matches `Mechanism::prod_loss` per lane up to the reciprocal
+/// reassociation (`rate * (1/c)` instead of `rate / c`) and the fused
+/// multiply-adds; a table-only mechanism is evaluated lane by lane by
+/// `Mechanism::prod_loss` itself.
+pub fn prod_loss4(mech: &Mechanism, conc: &[F64x4], k: &[f64], p: &mut [F64x4], l: &mut [F64x4]) {
+    let sized = [conc.len(), p.len(), l.len()] == [N_SPECIES; 3];
+    let Some(ck) = mech.compiled_k(k).filter(|_| sized) else {
+        return prod_loss4_lanes(mech, conc, k, p, l);
+    };
     #[cfg(target_arch = "x86_64")]
     if fma_available() {
-        // SAFETY: avx2+fma verified by `fma_available`.
-        unsafe { prod_loss4_fma(mech, conc, k, p, l, inv) };
+        // SAFETY: `prod_loss4_fma` requires avx2 and fma, which
+        // `fma_available` has just detected on this CPU.
+        unsafe { prod_loss4_fma(conc, ck, p, l) };
         return;
     }
-    prod_loss4_impl::<Unfused>(mech, conc, k, p, l, inv);
+    prod_loss4_unfused(conc, ck, p, l);
 }
 
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-unsafe fn prod_loss4_fma(
-    mech: &Mechanism,
-    conc: &[F64x4],
-    k: &[f64],
-    p: &mut [F64x4],
-    l: &mut [F64x4],
-    inv: &mut [F64x4],
-) {
-    prod_loss4_impl::<Fused>(mech, conc, k, p, l, inv);
-}
-
+/// The species-sized arrays the generated kernel takes. The callers hand
+/// in slices cut to `n_species` of a compiled mechanism, so a mismatch
+/// is a bug in this module — a panic, never an out-of-bounds access.
 #[inline(always)]
-fn prod_loss4_impl<M: Madd>(
-    mech: &Mechanism,
+fn species_arrays<'a>(
+    conc: &'a [F64x4],
+    p: &'a mut [F64x4],
+    l: &'a mut [F64x4],
+) -> (
+    &'a [F64x4; N_SPECIES],
+    &'a mut [F64x4; N_SPECIES],
+    &'a mut [F64x4; N_SPECIES],
+) {
+    match (conc.try_into(), p.try_into(), l.try_into()) {
+        (Ok(c), Ok(p), Ok(l)) => (c, p, l),
+        _ => panic!("compiled four-lane kernel called with slices of another length"),
+    }
+}
+
+/// The one [`Fused`] instantiation of the generated kernel. Requires
+/// avx2 and fma: call it only after [`fma_available`] returned true.
+#[cfg(target_arch = "x86_64")]
+#[inline(never)]
+#[target_feature(enable = "avx2,fma")]
+fn prod_loss4_fma(conc: &[F64x4], k: &[f64; N_REACTIONS], p: &mut [F64x4], l: &mut [F64x4]) {
+    debug_assert!(fma_available());
+    let (c, p, l) = species_arrays(conc, p, l);
+    kernels::prod_loss_x4::<Fused>(c, k, p, l);
+}
+
+/// The one [`Unfused`] (portable) instantiation of the generated kernel.
+#[inline(never)]
+pub(crate) fn prod_loss4_unfused(
     conc: &[F64x4],
-    k: &[f64],
+    k: &[f64; N_REACTIONS],
     p: &mut [F64x4],
     l: &mut [F64x4],
-    inv: &mut [F64x4],
 ) {
-    debug_assert_eq!(conc.len(), mech.n_species);
-    const FLOOR: f64 = 1e-30;
-    let floor = F64x4::splat(FLOOR);
-    let one = F64x4::splat(1.0);
-    for s in 0..mech.n_species {
-        p[s] = F64x4::zero();
-        l[s] = F64x4::zero();
-        inv[s] = one / conc[s].max(floor);
-    }
-    for (r, &kr) in mech.reactions.iter().zip(k) {
-        if kr == 0.0 {
-            continue;
+    let (c, p, l) = species_arrays(conc, p, l);
+    kernels::prod_loss_x4::<Unfused>(c, k, p, l);
+}
+
+/// Four-lane production/loss of a table-only mechanism: each lane goes
+/// through the scalar table walk. No production caller — it serves the
+/// hand-built mechanisms of tests.
+fn prod_loss4_lanes(mech: &Mechanism, conc: &[F64x4], k: &[f64], p: &mut [F64x4], l: &mut [F64x4]) {
+    let n = conc.len();
+    let (mut c1, mut p1, mut l1) = (vec![0.0; n], vec![0.0; n], vec![0.0; n]);
+    for lane in 0..F64x4::LANES {
+        for s in 0..n {
+            c1[s] = conc[s].lane(lane);
         }
-        let mut rate = F64x4::splat(kr);
-        for &s in &r.rate_order {
-            rate *= conc[s];
-        }
-        // No `rate <= 0` early-out: concentrations are non-negative, so
-        // a zero rate contributes exactly zero to every lane.
-        for &(s, nu) in &r.consume {
-            l[s] = M::madd4(rate * inv[s], F64x4::splat(nu), l[s]);
-        }
-        for &(s, nu) in &r.produce {
-            p[s] = M::madd4(rate, F64x4::splat(nu), p[s]);
+        mech.prod_loss(&c1, k, &mut p1, &mut l1);
+        for s in 0..n {
+            p[s].set_lane(lane, p1[s]);
+            l[s].set_lane(lane, l1[s]);
         }
     }
 }
@@ -144,47 +154,71 @@ pub fn integrate_cell4(
     opts: &YbOptions,
     ws: &mut Yb4Workspace,
 ) -> YbStats {
+    debug_assert_eq!(conc.len(), mech.n_species());
+    debug_assert_eq!(k.len(), mech.n_reactions());
+    let Some(ck) = mech.compiled_k(k).filter(|_| conc.len() == N_SPECIES) else {
+        return integrate_cell4_impl::<Unfused>(conc, dt_min, opts, ws, |c, p, l| {
+            prod_loss4_lanes(mech, c, k, p, l)
+        });
+    };
     #[cfg(target_arch = "x86_64")]
     if fma_available() {
-        // SAFETY: avx2+fma verified by `fma_available`.
-        return unsafe { integrate_cell4_fma(mech, conc, k, dt_min, opts, ws) };
+        // SAFETY: `integrate_cell4_fma` requires avx2 and fma, which
+        // `fma_available` has just detected on this CPU.
+        return unsafe { integrate_cell4_fma(conc, ck, dt_min, opts, ws) };
     }
-    integrate_cell4_impl::<Unfused>(mech, conc, k, dt_min, opts, ws)
+    integrate_cell4_unfused(conc, ck, dt_min, opts, ws)
 }
 
+/// The [`Fused`] instantiation of the lockstep integrator. Requires avx2
+/// and fma: call it only after [`fma_available`] returned true.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
-unsafe fn integrate_cell4_fma(
-    mech: &Mechanism,
+fn integrate_cell4_fma(
     conc: &mut [F64x4],
-    k: &[f64],
+    k: &[f64; N_REACTIONS],
     dt_min: f64,
     opts: &YbOptions,
     ws: &mut Yb4Workspace,
 ) -> YbStats {
-    integrate_cell4_impl::<Fused>(mech, conc, k, dt_min, opts, ws)
+    debug_assert!(fma_available());
+    integrate_cell4_impl::<Fused>(conc, dt_min, opts, ws, |c, p, l| prod_loss4_fma(c, k, p, l))
 }
 
-#[inline(always)]
-fn integrate_cell4_impl<M: Madd>(
-    mech: &Mechanism,
+/// The [`Unfused`] (portable) instantiation of the lockstep integrator
+/// on the compiled mechanism.
+pub(crate) fn integrate_cell4_unfused(
     conc: &mut [F64x4],
-    k: &[f64],
+    k: &[f64; N_REACTIONS],
     dt_min: f64,
     opts: &YbOptions,
     ws: &mut Yb4Workspace,
 ) -> YbStats {
-    debug_assert_eq!(conc.len(), mech.n_species);
+    integrate_cell4_impl::<Unfused>(conc, dt_min, opts, ws, |c, p, l| {
+        prod_loss4_unfused(c, k, p, l)
+    })
+}
+
+/// The lockstep integrator, over a multiply-add strategy and the
+/// production/loss evaluation `pl(conc, p, l)` of the mechanism.
+#[inline(always)]
+fn integrate_cell4_impl<M: Madd>(
+    conc: &mut [F64x4],
+    dt_min: f64,
+    opts: &YbOptions,
+    ws: &mut Yb4Workspace,
+    pl: impl Fn(&[F64x4], &mut [F64x4], &mut [F64x4]),
+) -> YbStats {
     let mut stats = YbStats::default();
     if dt_min <= 0.0 {
         return stats;
     }
-    let n = mech.n_species;
+    let n = conc.len();
     let zero = F64x4::zero();
     let atol4 = F64x4::splat(opts.atol);
     let half = F64x4::splat(0.5);
 
-    prod_loss4_impl::<M>(mech, conc, k, &mut ws.p0, &mut ws.l0, &mut ws.inv);
+    pl(conc, &mut ws.p0, &mut ws.l0);
     stats.evals += 1;
 
     // Initial substep from the fastest non-stiff relative rate — the
@@ -215,7 +249,7 @@ fn integrate_cell4_impl<M: Madd>(
     while t < dt_min {
         h = h.min(dt_min - t).max(opts.h_min);
         if !fresh_pl {
-            prod_loss4_impl::<M>(mech, conc, k, &mut ws.p0, &mut ws.l0, &mut ws.inv);
+            pl(conc, &mut ws.p0, &mut ws.l0);
             stats.evals += 1;
             fresh_pl = true;
         }
@@ -247,7 +281,7 @@ fn integrate_cell4_impl<M: Madd>(
             ws.cp[i] = cp.max(zero);
         }
 
-        prod_loss4_impl::<M>(mech, &ws.cp, k, &mut ws.pp, &mut ws.lp, &mut ws.inv);
+        pl(&ws.cp, &mut ws.pp, &mut ws.lp);
         stats.evals += 1;
 
         // Corrector: vector trapezoid when every lane is non-stiff;
@@ -398,9 +432,11 @@ pub fn diffuse_column4(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::species::{self as sp, background_vector, N_SPECIES};
+    use crate::species::{self as sp, background_vector};
     use crate::vertical::diffuse_column;
     use crate::youngboris::{integrate_cell_with_k, YbWorkspace};
+    use proptest::prelude::*;
+    use proptest::test_runner::TestCaseError;
 
     fn polluted(seed: usize) -> Vec<f64> {
         let mut c = background_vector();
@@ -414,36 +450,181 @@ mod tests {
         c
     }
 
+    fn pack(cols: &[Vec<f64>]) -> Vec<F64x4> {
+        (0..cols[0].len())
+            .map(|s| F64x4::new(cols[0][s], cols[1][s], cols[2][s], cols[3][s]))
+            .collect()
+    }
+
+    /// The carbon-bond rows without the generated kernels.
+    fn table_only() -> Mechanism {
+        Mechanism::from_table(Mechanism::carbon_bond().reactions().to_vec(), N_SPECIES)
+    }
+
+    type Kernel4 = Box<dyn Fn(&[F64x4], &[f64], &mut [F64x4], &mut [F64x4])>;
+    type Integrator4 = Box<dyn Fn(&mut [F64x4], &[f64], f64, &YbOptions) -> YbStats>;
+
+    fn compiled(k: &[f64]) -> &[f64; N_REACTIONS] {
+        k.try_into().unwrap()
+    }
+
+    /// Every way a four-lane evaluation can run: the dispatched kernel
+    /// (`Fused` on an FMA host), the `Unfused` instantiation the dispatch
+    /// never reaches there, and the per-lane path of a table-only
+    /// mechanism.
+    fn kernels4() -> Vec<(&'static str, Kernel4)> {
+        vec![
+            (
+                "dispatched",
+                Box::new(|c, k, p, l| prod_loss4(&Mechanism::carbon_bond(), c, k, p, l)),
+            ),
+            (
+                "unfused",
+                Box::new(|c, k, p, l| prod_loss4_unfused(c, compiled(k), p, l)),
+            ),
+            (
+                "table-only",
+                Box::new(|c, k, p, l| prod_loss4(&table_only(), c, k, p, l)),
+            ),
+        ]
+    }
+
+    /// The same three for the lockstep integrator.
+    fn integrators4() -> Vec<(&'static str, Integrator4)> {
+        let ws = || Yb4Workspace::new(N_SPECIES);
+        vec![
+            (
+                "dispatched",
+                Box::new(move |c, k, dt, o| {
+                    integrate_cell4(&Mechanism::carbon_bond(), c, k, dt, o, &mut ws())
+                }),
+            ),
+            (
+                "unfused",
+                Box::new(move |c, k, dt, o| {
+                    integrate_cell4_unfused(c, compiled(k), dt, o, &mut ws())
+                }),
+            ),
+            (
+                "table-only",
+                Box::new(move |c, k, dt, o| integrate_cell4(&table_only(), c, k, dt, o, &mut ws())),
+            ),
+        ]
+    }
+
     #[test]
     fn prod_loss4_matches_scalar_per_lane() {
         let m = Mechanism::carbon_bond();
         let mut k = Vec::new();
         m.rate_constants(298.0, 0.8, &mut k);
         let cols: Vec<Vec<f64>> = (0..4).map(polluted).collect();
-        let mut conc4 = vec![F64x4::zero(); N_SPECIES];
-        for s in 0..N_SPECIES {
-            conc4[s] = F64x4::new(cols[0][s], cols[1][s], cols[2][s], cols[3][s]);
+        let conc4 = pack(&cols);
+        for (name, kernel) in kernels4() {
+            let mut p4 = vec![F64x4::zero(); N_SPECIES];
+            let mut l4 = vec![F64x4::zero(); N_SPECIES];
+            kernel(&conc4, &k, &mut p4, &mut l4);
+            for (lane, col) in cols.iter().enumerate() {
+                let mut p = vec![0.0; N_SPECIES];
+                let mut l = vec![0.0; N_SPECIES];
+                m.prod_loss(col, &k, &mut p, &mut l);
+                for s in 0..N_SPECIES {
+                    let (gp, gl) = (p4[s].lane(lane), l4[s].lane(lane));
+                    assert!(
+                        (gp - p[s]).abs() <= 1e-12 * p[s].abs().max(1e-300),
+                        "{name} lane {lane} species {s}: p {gp} vs {}",
+                        p[s]
+                    );
+                    assert!(
+                        (gl - l[s]).abs() <= 1e-12 * l[s].abs().max(1e-300),
+                        "{name} lane {lane} species {s}: l {gl} vs {}",
+                        l[s]
+                    );
+                }
+            }
         }
-        let mut p4 = vec![F64x4::zero(); N_SPECIES];
-        let mut l4 = vec![F64x4::zero(); N_SPECIES];
-        let mut inv = vec![F64x4::zero(); N_SPECIES];
-        prod_loss4(&m, &conc4, &k, &mut p4, &mut l4, &mut inv);
+    }
+
+    /// One lane of the four-lane evaluation as a table walk: the
+    /// reciprocal form and the multiply-add strategy of the generated
+    /// kernel, interpreted row by row.
+    fn reciprocal_form_table_walk<M: Madd>(
+        m: &Mechanism,
+        conc: &[f64],
+        k: &[f64],
+    ) -> (Vec<f64>, Vec<f64>) {
+        let inv: Vec<f64> = conc.iter().map(|c| 1.0 / c.max(1e-30)).collect();
+        let (mut p, mut l) = (vec![0.0; conc.len()], vec![0.0; conc.len()]);
+        for (r, &kr) in m.reactions().iter().zip(k) {
+            if kr == 0.0 {
+                continue;
+            }
+            let rate = r.rate_order.iter().fold(kr, |rate, &s| rate * conc[s]);
+            for &(s, nu) in &r.consume {
+                l[s] = M::madd(rate * inv[s], nu, l[s]);
+            }
+            for &(s, nu) in &r.produce {
+                p[s] = M::madd(rate, nu, p[s]);
+            }
+        }
+        (p, l)
+    }
+
+    fn assert_lanes_equal_walk<M: Madd>(
+        name: &str,
+        cols: &[Vec<f64>],
+        k: &[f64],
+        p4: &[F64x4],
+        l4: &[F64x4],
+    ) -> Result<(), TestCaseError> {
+        let m = Mechanism::carbon_bond();
         for (lane, col) in cols.iter().enumerate() {
-            let mut p = vec![0.0; N_SPECIES];
-            let mut l = vec![0.0; N_SPECIES];
-            m.prod_loss(col, &k, &mut p, &mut l);
+            let (p, l) = reciprocal_form_table_walk::<M>(&m, col, k);
             for s in 0..N_SPECIES {
                 let (gp, gl) = (p4[s].lane(lane), l4[s].lane(lane));
-                assert!(
-                    (gp - p[s]).abs() <= 1e-12 * p[s].abs().max(1e-300),
-                    "lane {lane} species {s}: p {gp} vs {}",
-                    p[s]
-                );
-                assert!(
-                    (gl - l[s]).abs() <= 1e-12 * l[s].abs().max(1e-300),
-                    "lane {lane} species {s}: l {gl} vs {}",
+                prop_assert!(
+                    gp.to_bits() == p[s].to_bits() && gl.to_bits() == l[s].to_bits(),
+                    "{name} lane {lane} species {s}: p {gp} vs {}, l {gl} vs {}",
+                    p[s],
                     l[s]
                 );
+            }
+        }
+        Ok(())
+    }
+
+    fn concentration() -> impl Strategy<Value = f64> {
+        prop_oneof![
+            Just(0.0),
+            (-31.0f64..-28.0).prop_map(|e| 10f64.powf(e)),
+            (-14.0f64..0.7).prop_map(|e| 10f64.powf(e)),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Each lane of both instantiations of the generated four-lane
+        /// kernel is, bit for bit, the table walk written in the
+        /// reciprocal form — exact zeros, floor-scale radicals and the
+        /// night's zeroed photolysis constants included.
+        #[test]
+        fn generated_four_lane_kernels_equal_the_reciprocal_table_walk(
+            cols in prop::collection::vec(prop::collection::vec(concentration(), N_SPECIES), 4),
+            t in 255.0f64..320.0,
+            sun in prop_oneof![Just(0.0), Just(1.0), 1e-4f64..1.0],
+        ) {
+            let mut k = Vec::new();
+            Mechanism::carbon_bond().rate_constants(t, sun, &mut k);
+            let conc4 = pack(&cols);
+            let mut p4 = vec![F64x4::splat(f64::NAN); N_SPECIES];
+            let mut l4 = p4.clone();
+            prod_loss4_unfused(&conc4, compiled(&k), &mut p4, &mut l4);
+            assert_lanes_equal_walk::<Unfused>("unfused", &cols, &k, &p4, &l4)?;
+            #[cfg(target_arch = "x86_64")]
+            if fma_available() {
+                // SAFETY: avx2 and fma were detected on the line above.
+                unsafe { prod_loss4_fma(&conc4, compiled(&k), &mut p4, &mut l4) };
+                assert_lanes_equal_walk::<Fused>("fused", &cols, &k, &p4, &l4)?;
             }
         }
     }
@@ -456,29 +637,27 @@ mod tests {
         m.rate_constants(300.0, 0.85, &mut k);
         let cols: Vec<Vec<f64>> = (0..4).map(polluted).collect();
 
-        let mut conc4 = vec![F64x4::zero(); N_SPECIES];
-        for s in 0..N_SPECIES {
-            conc4[s] = F64x4::new(cols[0][s], cols[1][s], cols[2][s], cols[3][s]);
-        }
-        let mut ws4 = Yb4Workspace::new(N_SPECIES);
-        let stats4 = integrate_cell4(&m, &mut conc4, &k, 10.0, &opts, &mut ws4);
-        assert!(stats4.substeps > 0 && stats4.evals > 0);
+        for (name, integrate) in integrators4() {
+            let mut conc4 = pack(&cols);
+            let stats4 = integrate(&mut conc4, &k, 10.0, &opts);
+            assert!(stats4.substeps > 0 && stats4.evals > 0);
 
-        for (lane, col) in cols.iter().enumerate() {
-            let mut ws = YbWorkspace::new(N_SPECIES);
-            let mut c = col.clone();
-            integrate_cell_with_k(&m, &mut c, &k, 10.0, &opts, &mut ws);
-            for s in 0..N_SPECIES {
-                let got = conc4[s].lane(lane);
-                let want = c[s];
-                // Both trajectories satisfy the same eps; they may
-                // differ at the order of the local error.
-                let tol = 0.05 * want.abs() + 1e-7;
-                assert!(
-                    (got - want).abs() <= tol,
-                    "lane {lane} species {s}: {got} vs {want}"
-                );
-                assert!(got.is_finite() && got >= 0.0);
+            for (lane, col) in cols.iter().enumerate() {
+                let mut ws = YbWorkspace::new(N_SPECIES);
+                let mut c = col.clone();
+                integrate_cell_with_k(&m, &mut c, &k, 10.0, &opts, &mut ws);
+                for s in 0..N_SPECIES {
+                    let got = conc4[s].lane(lane);
+                    let want = c[s];
+                    // Both trajectories satisfy the same eps; they may
+                    // differ at the order of the local error.
+                    let tol = 0.05 * want.abs() + 1e-7;
+                    assert!(
+                        (got - want).abs() <= tol,
+                        "{name} lane {lane} species {s}: {got} vs {want}"
+                    );
+                    assert!(got.is_finite() && got >= 0.0);
+                }
             }
         }
     }
@@ -487,19 +666,59 @@ mod tests {
     fn lockstep_identical_lanes_stay_identical() {
         // Four identical columns must produce four identical lanes —
         // lockstep cannot introduce lane cross-talk.
-        let m = Mechanism::carbon_bond();
         let opts = YbOptions::default();
         let mut k = Vec::new();
-        m.rate_constants(298.0, 0.6, &mut k);
+        Mechanism::carbon_bond().rate_constants(298.0, 0.6, &mut k);
         let col = polluted(2);
-        let mut conc4: Vec<F64x4> = col.iter().map(|&v| F64x4::splat(v)).collect();
-        let mut ws4 = Yb4Workspace::new(N_SPECIES);
-        integrate_cell4(&m, &mut conc4, &k, 10.0, &opts, &mut ws4);
-        for s in 0..N_SPECIES {
-            let v = conc4[s].lane(0);
-            for lane in 1..4 {
-                assert_eq!(v.to_bits(), conc4[s].lane(lane).to_bits(), "species {s}");
+        for (name, integrate) in integrators4() {
+            let mut conc4: Vec<F64x4> = col.iter().map(|&v| F64x4::splat(v)).collect();
+            integrate(&mut conc4, &k, 10.0, &opts);
+            for s in 0..N_SPECIES {
+                let v = conc4[s].lane(0);
+                for lane in 1..4 {
+                    assert_eq!(
+                        v.to_bits(),
+                        conc4[s].lane(lane).to_bits(),
+                        "{name} species {s}"
+                    );
+                }
             }
+        }
+    }
+
+    #[test]
+    fn lockstep_integrates_a_hand_built_table() {
+        // A one-species decay has no generated kernel: the integrator
+        // evaluates its lanes through the scalar table walk.
+        let m = Mechanism::from_table(
+            vec![crate::mechanism::Reaction {
+                label: "A->",
+                rate_law: crate::mechanism::RateLaw::Arrhenius {
+                    a: 0.3,
+                    t_exp: 0.0,
+                    ea_over_r: 0.0,
+                },
+                rate_order: vec![0],
+                consume: vec![(0, 1.0)],
+                produce: vec![],
+            }],
+            1,
+        );
+        let mut k = Vec::new();
+        m.rate_constants(298.0, 0.0, &mut k);
+        let mut conc4 = vec![F64x4::new(2.0, 1.0, 0.5, 0.0)];
+        let opts = YbOptions {
+            eps: 1e-4,
+            ..Default::default()
+        };
+        integrate_cell4(&m, &mut conc4, &k, 10.0, &opts, &mut Yb4Workspace::new(1));
+        let decay = (-0.3f64 * 10.0).exp();
+        for (lane, c0) in [2.0, 1.0, 0.5, 0.0].into_iter().enumerate() {
+            let (got, want) = (conc4[0].lane(lane), c0 * decay);
+            assert!(
+                (got - want).abs() <= 5e-3 * want,
+                "lane {lane}: {got} vs {want}"
+            );
         }
     }
 

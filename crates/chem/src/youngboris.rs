@@ -144,14 +144,14 @@ pub fn integrate_cell_with_k(
     opts: &YbOptions,
     ws: &mut YbWorkspace,
 ) -> YbStats {
-    debug_assert_eq!(conc.len(), mech.n_species);
+    debug_assert_eq!(conc.len(), mech.n_species());
     debug_assert_eq!(k.len(), mech.n_reactions());
     let mut stats = YbStats::default();
     if dt_min <= 0.0 {
         return stats;
     }
 
-    let n = mech.n_species;
+    let n = mech.n_species();
     let mut t = 0.0;
 
     // Initial P/L evaluation; reused across rejected retries.
@@ -287,8 +287,8 @@ mod tests {
 
     /// One-species linear decay mechanism: A -> (nothing), k per minute.
     fn decay_mech(k: f64) -> Mechanism {
-        Mechanism {
-            reactions: vec![Reaction {
+        Mechanism::from_table(
+            vec![Reaction {
                 label: "A->",
                 rate_law: RateLaw::Arrhenius {
                     a: k,
@@ -299,16 +299,16 @@ mod tests {
                 consume: vec![(0, 1.0)],
                 produce: vec![],
             }],
-            n_species: 1,
-        }
+            1,
+        )
     }
 
     /// Production + stiff loss: (source) -> A at p, A -> at l.
     /// Source is modelled as a slow reaction of an abundant, nearly
     /// constant reservoir species B.
     fn prod_loss_mech(l: f64) -> Mechanism {
-        Mechanism {
-            reactions: vec![
+        Mechanism::from_table(
+            vec![
                 Reaction {
                     label: "B->A",
                     rate_law: RateLaw::Arrhenius {
@@ -332,8 +332,8 @@ mod tests {
                     produce: vec![],
                 },
             ],
-            n_species: 2,
-        }
+            2,
+        )
     }
 
     #[test]
