@@ -13,9 +13,12 @@
 //!   background concentrations and emission profiles;
 //! * [`mechanism`] — the reaction mechanism (Arrhenius + photolysis rate
 //!   laws, fractional and negative product stoichiometry as in CB-IV) and
-//!   production/loss-frequency evaluation;
+//!   production/loss-frequency evaluation, by straight-line kernels that
+//!   `build.rs` generates from the one carbon-bond table;
 //! * [`youngboris`] — the hybrid predictor–corrector stiff ODE scheme of
 //!   Young & Boris (1977) that the paper cites for the chemistry solve;
+//! * [`simd`] — the same integrator on four columns in lockstep
+//!   (`F64x4` lanes), for the `simd` backend;
 //! * [`vertical`] — implicit (backward-Euler, Thomas-solve) vertical
 //!   diffusion with surface emission and dry-deposition fluxes;
 //! * [`audit`] — reaction-by-reaction atom-balance checking (N, S);

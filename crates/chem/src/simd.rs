@@ -12,31 +12,46 @@
 //! which is why the simd chemistry contract is epsilon-bounded, not
 //! bit-identical (see DESIGN.md "SIMD backend").
 //!
-//! Two deliberate reassociations beyond the lockstep stepping:
+//! Three deliberate departures from the scalar arithmetic beyond the
+//! lockstep stepping:
 //!
-//! * [`prod_loss4`] precomputes `1 / max(c, FLOOR)` once per species
-//!   and multiplies, instead of dividing per consume entry (~35 divides
-//!   per evaluation instead of ~110);
+//! * [`prod_loss4`] computes `1 / max(c, FLOOR)` once per species and
+//!   multiplies, instead of dividing per consume entry (32 divides per
+//!   evaluation instead of 126);
 //! * fused multiply-adds ([`Madd`] with [`Fused`]) round once where the
-//!   scalar kernel rounds twice.
+//!   scalar kernel rounds twice — in the production/loss sums and in the
+//!   Euler/trapezoid updates, also for the non-stiff lanes of a species
+//!   another lane of which is stiff;
+//! * the stiff asymptotic update takes its exponential from the vector
+//!   polynomial `exp4` (within 2 ulp of `f64::exp`), not from libm.
 //!
-//! The vertical solve ([`diffuse_column4`]) uses neither: its
+//! Production/loss is the four-lane kernel `build.rs` generates from the
+//! carbon-bond table (see [`crate::mechanism`]): straight-line, one
+//! register accumulator per species. The integrator around it has no
+//! branch that depends on stiffness: predictor and corrector each run a
+//! vector pass over every species, then a vector asymptotic pass over
+//! the short list of species with a stiff lane.
+//!
+//! The vertical solve ([`diffuse_column4`]) uses none of this: its
 //! coefficients are lane-shared scalars and its lanewise arithmetic is
 //! exactly [`crate::vertical::diffuse_column`]'s, so each lane of the
 //! vertical solve is bit-identical to the scalar path.
 //!
 //! Dispatch: every public kernel checks [`fma_available`] once and runs
 //! a `#[target_feature(enable = "avx2,fma")]` instantiation ([`Fused`])
-//! or the portable one ([`Unfused`]).
+//! or the portable one ([`Unfused`]). Those two calls are this module's
+//! only `unsafe`; their precondition is the CPU feature check on the
+//! line above each. The generated kernels contain none, and index only
+//! fixed-size arrays with constants.
 
 use crate::mechanism::{kernels, Mechanism, N_REACTIONS};
 use crate::species::N_SPECIES;
 use crate::vertical::ColumnGeometry;
-use crate::youngboris::{advance, asymptotic, YbOptions, YbStats};
+use crate::youngboris::{AsymptoticForm, YbOptions, YbStats};
 use airshed_simd::{fma_available, F64x4, Fused, Madd, Unfused};
 
 /// Scratch for the lockstep integrator — the [`F64x4`] mirror of
-/// `YbWorkspace`.
+/// `YbWorkspace`, plus the list of species with a stiff lane.
 pub struct Yb4Workspace {
     p0: Vec<F64x4>,
     l0: Vec<F64x4>,
@@ -44,6 +59,7 @@ pub struct Yb4Workspace {
     lp: Vec<F64x4>,
     cp: Vec<F64x4>,
     c1: Vec<F64x4>,
+    stiff: Vec<usize>,
 }
 
 impl Yb4Workspace {
@@ -55,6 +71,7 @@ impl Yb4Workspace {
             lp: vec![F64x4::zero(); n_species],
             cp: vec![F64x4::zero(); n_species],
             c1: vec![F64x4::zero(); n_species],
+            stiff: vec![0; n_species],
         }
     }
 }
@@ -199,8 +216,82 @@ pub(crate) fn integrate_cell4_unfused(
     })
 }
 
+/// `exp(x)` per lane for `x` in `[-50, 0]` — the stiff pass's only
+/// transcendental. Cody–Waite reduction `x = n·ln2 + r` with a two-part
+/// `ln2`, the degree-13 Taylor polynomial of `exp(r)` on `|r| ≤ ln2/2`
+/// in Horner form, and the exponent `n` added into the result's bits.
+/// Within 2 ulp of `f64::exp` under either [`Madd`] strategy, exactly
+/// `1.0` at `0.0`; a NaN lane yields an unspecified finite or NaN value
+/// (the caller's select discards such lanes).
+#[inline(always)]
+pub(crate) fn exp4<M: Madd>(x: F64x4) -> F64x4 {
+    // 1.5·2^52: adding it rounds to an integer and leaves that integer
+    // in the low mantissa bits.
+    const SHIFT: f64 = 6_755_399_441_055_744.0;
+    // ln2 in two parts (fdlibm's): the high part's low 32 bits are zero,
+    // so `n · LN2_HI` is exact for the small `n` here.
+    const LN2_HI: f64 = f64::from_bits(0x3FE6_2E42_FEE0_0000);
+    const LN2_LO: f64 = f64::from_bits(0x3DEA_39EF_3579_3C76);
+    // 1/13!, 1/12!, ..., 1/2!
+    const TAYLOR: [f64; 12] = [
+        1.0 / 6_227_020_800.0,
+        1.0 / 479_001_600.0,
+        1.0 / 39_916_800.0,
+        1.0 / 3_628_800.0,
+        1.0 / 362_880.0,
+        1.0 / 40_320.0,
+        1.0 / 5_040.0,
+        1.0 / 720.0,
+        1.0 / 120.0,
+        1.0 / 24.0,
+        1.0 / 6.0,
+        0.5,
+    ];
+    let shift = F64x4::splat(SHIFT);
+    let shifted = M::madd4(x, F64x4::splat(std::f64::consts::LOG2_E), shift);
+    let n = shifted - shift;
+    let r = M::madd4(n, F64x4::splat(-LN2_HI), x);
+    let r = M::madd4(n, F64x4::splat(-LN2_LO), r);
+    let mut q = F64x4::splat(TAYLOR[0]);
+    for c in &TAYLOR[1..] {
+        q = M::madd4(q, r, F64x4::splat(*c));
+    }
+    let e = M::madd4(r * r, q, r) + F64x4::splat(1.0);
+    // 2^n: `n + 1023` moved into the exponent field. `n` is in
+    // [-73, 0] here, so the biased exponent stays normal.
+    let pow2 = |lane: usize| f64::from_bits(shifted.0[lane].to_bits().wrapping_add(1023) << 52);
+    e * F64x4([pow2(0), pow2(1), pow2(2), pow2(3)])
+}
+
+/// `youngboris::asymptotic` on four lanes. The rational form is the
+/// scalar arithmetic lane for lane; the exponential form differs from it
+/// by [`exp4`] alone. Lanes with `l == 0` come out NaN or infinite — the
+/// caller selects them away.
+#[inline(always)]
+fn asymptotic4<M: Madd>(c0: F64x4, p: F64x4, l: F64x4, h4: F64x4, form: AsymptoticForm) -> F64x4 {
+    match form {
+        AsymptoticForm::Rational => {
+            let two = F64x4::splat(2.0);
+            let tau = F64x4::splat(1.0) / l;
+            (c0 * (two * tau - h4) + two * p * tau * h4) / (two * tau + h4)
+        }
+        AsymptoticForm::Exponential => {
+            let lh = l * h4;
+            let ceq = p / l;
+            let decay = exp4::<M>((-lh).max(F64x4::splat(-50.0)));
+            lh.select_gt(F64x4::splat(50.0), ceq, ceq + (c0 - ceq) * decay)
+        }
+    }
+}
+
 /// The lockstep integrator, over a multiply-add strategy and the
 /// production/loss evaluation `pl(conc, p, l)` of the mechanism.
+///
+/// Predictor and corrector each run as two passes: a branch-free vector
+/// Euler / trapezoid over every species, which also lists the species
+/// with a stiff lane, then the vector asymptotic update of the listed
+/// few, blended per lane over the first pass's value. No branch depends
+/// on a species' stiffness.
 #[inline(always)]
 fn integrate_cell4_impl<M: Madd>(
     conc: &mut [F64x4],
@@ -213,12 +304,19 @@ fn integrate_cell4_impl<M: Madd>(
     if dt_min <= 0.0 {
         return stats;
     }
+    // Every buffer cut to the same length once, so the loops below carry
+    // no bounds checks.
     let n = conc.len();
+    let (p0, l0) = (&mut ws.p0[..n], &mut ws.l0[..n]);
+    let (pp, lp) = (&mut ws.pp[..n], &mut ws.lp[..n]);
+    let (cp, c1) = (&mut ws.cp[..n], &mut ws.c1[..n]);
+    let stiff = &mut ws.stiff[..n];
     let zero = F64x4::zero();
     let atol4 = F64x4::splat(opts.atol);
     let half = F64x4::splat(0.5);
+    let ratio4 = F64x4::splat(opts.stiff_ratio);
 
-    pl(conc, &mut ws.p0, &mut ws.l0);
+    pl(conc, p0, l0);
     stats.evals += 1;
 
     // Initial substep from the fastest non-stiff relative rate — the
@@ -229,9 +327,9 @@ fn integrate_cell4_impl<M: Madd>(
         for i in 0..n {
             for lane in 0..F64x4::LANES {
                 let c = conc[i].lane(lane);
-                let l0 = ws.l0[i].lane(lane);
-                let f = (ws.p0[i].lane(lane) - l0 * c).abs();
-                if l0 * opts.h_max < 1e4 {
+                let l = l0[i].lane(lane);
+                let f = (p0[i].lane(lane) - l * c).abs();
+                if l * opts.h_max < 1e4 {
                     max_rel = max_rel.max(f / (c + opts.atol));
                 }
             }
@@ -249,90 +347,67 @@ fn integrate_cell4_impl<M: Madd>(
     while t < dt_min {
         h = h.min(dt_min - t).max(opts.h_min);
         if !fresh_pl {
-            pl(conc, &mut ws.p0, &mut ws.l0);
+            pl(conc, p0, l0);
             stats.evals += 1;
             fresh_pl = true;
         }
         let h4 = F64x4::splat(h);
 
-        // Predictor: vector explicit Euler when every lane is non-stiff
-        // for this species; otherwise the scalar per-lane branch (which
-        // is the only place the stiff exponential appears).
+        // Predictor, pass 1: explicit Euler for every species, and the
+        // list of those with a stiff lane (appended without a branch).
+        let mut n_stiff = 0;
         for i in 0..n {
-            let cp = if (ws.l0[i] * h4).reduce_max() <= opts.stiff_ratio {
-                let f = ws.p0[i] - ws.l0[i] * conc[i];
-                M::madd4(h4, f, conc[i])
-            } else {
-                let mut out = F64x4::zero();
-                for lane in 0..F64x4::LANES {
-                    out.set_lane(
-                        lane,
-                        advance(
-                            conc[i].lane(lane),
-                            ws.p0[i].lane(lane),
-                            ws.l0[i].lane(lane),
-                            h,
-                            opts,
-                        ),
-                    );
-                }
-                out
-            };
-            ws.cp[i] = cp.max(zero);
+            let f = p0[i] - l0[i] * conc[i];
+            cp[i] = M::madd4(h4, f, conc[i]).max(zero);
+            stiff[n_stiff] = i;
+            n_stiff += usize::from((l0[i] * h4).any_gt(ratio4));
+        }
+        // Pass 2: the asymptotic update on the stiff lanes of the list.
+        for &i in &stiff[..n_stiff] {
+            let asym = asymptotic4::<M>(conc[i], p0[i], l0[i], h4, opts.form);
+            cp[i] = (l0[i] * h4).select_gt(ratio4, asym.max(zero), cp[i]);
         }
 
-        pl(&ws.cp, &mut ws.pp, &mut ws.lp);
+        pl(cp, pp, lp);
         stats.evals += 1;
 
-        // Corrector: vector trapezoid when every lane is non-stiff;
-        // mixed-stiffness species fall back to the scalar branch
-        // per lane.
+        // Corrector, pass 1: trapezoid for every species (second slope
+        // at the predictor), listing the species with a stiff lane.
+        let half_h4 = F64x4::splat(0.5 * h);
+        let mut n_stiff = 0;
         for i in 0..n {
-            let lbar4 = (ws.l0[i] + ws.lp[i]) * half;
-            let c1 = if (lbar4 * h4).reduce_max() <= opts.stiff_ratio {
-                let f0 = ws.p0[i] - ws.l0[i] * conc[i];
-                let fp = ws.pp[i] - ws.lp[i] * ws.cp[i];
-                M::madd4(F64x4::splat(0.5 * h), f0 + fp, conc[i])
-            } else {
-                let mut out = F64x4::zero();
-                for lane in 0..F64x4::LANES {
-                    let c0 = conc[i].lane(lane);
-                    let lbar = lbar4.lane(lane);
-                    let v = if lbar * h <= opts.stiff_ratio {
-                        let f0 = ws.p0[i].lane(lane) - ws.l0[i].lane(lane) * c0;
-                        let fp = ws.pp[i].lane(lane) - ws.lp[i].lane(lane) * ws.cp[i].lane(lane);
-                        c0 + 0.5 * h * (f0 + fp)
-                    } else {
-                        let pbar = 0.5 * (ws.p0[i].lane(lane) + ws.pp[i].lane(lane));
-                        asymptotic(c0, pbar, lbar, h, opts.form)
-                    };
-                    out.set_lane(lane, v);
-                }
-                out
-            };
-            ws.c1[i] = c1.max(zero);
+            let f0 = p0[i] - l0[i] * conc[i];
+            let fp = pp[i] - lp[i] * cp[i];
+            c1[i] = M::madd4(half_h4, f0 + fp, conc[i]).max(zero);
+            let lbar = (l0[i] + lp[i]) * half;
+            stiff[n_stiff] = i;
+            n_stiff += usize::from((lbar * h4).any_gt(ratio4));
         }
-
-        // Error: the strictest lane controls the shared substep.
-        let mut err = 0.0f64;
+        // Pass 2: the asymptotic update with step-averaged production
+        // and loss on the stiff lanes, and — same lanes — the drift of
+        // the quasi-equilibrium P/L across the substep, which is the
+        // error estimate of a species pinned to its equilibrium.
+        let mut err4 = zero;
+        for &i in &stiff[..n_stiff] {
+            let lbar = (l0[i] + lp[i]) * half;
+            let pbar = half * (p0[i] + pp[i]);
+            let lbar_h = lbar * h4;
+            let asym = asymptotic4::<M>(conc[i], pbar, lbar, h4, opts.form);
+            c1[i] = lbar_h.select_gt(ratio4, asym.max(zero), c1[i]);
+            let drift = half * (pp[i] / lp[i] - p0[i] / l0[i]).abs() / (c1[i] + atol4);
+            let drift = lbar_h.select_gt(ratio4, drift, zero);
+            let drift = l0[i].select_gt(zero, drift, zero);
+            err4 = err4.max(lp[i].select_gt(zero, drift, zero));
+        }
+        // Error: predictor/corrector difference; the strictest lane
+        // controls the shared substep.
         for i in 0..n {
-            let e4 = (ws.c1[i] - ws.cp[i]).abs() / (ws.c1[i] + atol4);
-            err = err.max(e4.reduce_max());
-            for lane in 0..F64x4::LANES {
-                let l0 = ws.l0[i].lane(lane);
-                let lp = ws.lp[i].lane(lane);
-                let lbar = 0.5 * (l0 + lp);
-                if lbar * h > opts.stiff_ratio && l0 > 0.0 && lp > 0.0 {
-                    let eq0 = ws.p0[i].lane(lane) / l0;
-                    let eqp = ws.pp[i].lane(lane) / lp;
-                    let e = 0.5 * (eqp - eq0).abs() / (ws.c1[i].lane(lane) + opts.atol);
-                    err = err.max(e);
-                }
-            }
+            err4 = err4.max((c1[i] - cp[i]).abs() / (c1[i] + atol4));
         }
+        let err = err4.reduce_max();
 
         if err <= opts.eps || h <= opts.h_min * (1.0 + 1e-12) {
-            conc.copy_from_slice(&ws.c1);
+            conc.copy_from_slice(c1);
             t += h;
             stats.substeps += 1;
             fresh_pl = false;
@@ -718,6 +793,152 @@ mod tests {
             assert!(
                 (got - want).abs() <= 5e-3 * want,
                 "lane {lane}: {got} vs {want}"
+            );
+        }
+    }
+
+    fn ulps_apart(a: f64, b: f64) -> u64 {
+        // Both positive and finite here, so the bit patterns are ordered.
+        a.to_bits().abs_diff(b.to_bits())
+    }
+
+    fn exp4_both(x: F64x4) -> [(&'static str, F64x4); 2] {
+        // `Fused` outside a `target_feature` function is the software
+        // `fma`: the same single rounding, so the same bits.
+        [("fused", exp4::<Fused>(x)), ("unfused", exp4::<Unfused>(x))]
+    }
+
+    #[test]
+    fn exp4_is_within_two_ulp_on_a_dense_grid() {
+        let steps = 200_000;
+        for i in (0..=steps).step_by(4) {
+            let at = |j: usize| -50.0 * (i + j).min(steps) as f64 / steps as f64;
+            let x = F64x4::new(at(0), at(1), at(2), at(3));
+            for (name, got) in exp4_both(x) {
+                for lane in 0..4 {
+                    let want = x.lane(lane).exp();
+                    let d = ulps_apart(got.lane(lane), want);
+                    assert!(d <= 2, "{name} exp4({}) is {d} ulp off", x.lane(lane));
+                }
+            }
+        }
+        for (name, got) in exp4_both(F64x4::new(0.0, -0.0, -50.0, -1e-300)) {
+            assert_eq!(got.lane(0), 1.0, "{name}");
+            assert_eq!(got.lane(1), 1.0, "{name}");
+            assert!(ulps_apart(got.lane(2), (-50.0f64).exp()) <= 2, "{name}");
+            assert_eq!(got.lane(3), 1.0, "{name}");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4096))]
+
+        #[test]
+        fn exp4_is_within_two_ulp_on_random_arguments(
+            x in prop::collection::vec(-50.0f64..0.0, 4),
+        ) {
+            let x4 = F64x4::from_slice(&x);
+            for (name, got) in exp4_both(x4) {
+                for lane in 0..4 {
+                    let d = ulps_apart(got.lane(lane), x[lane].exp());
+                    prop_assert!(d <= 2, "{name} exp4({}) is {d} ulp off", x[lane]);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn asymptotic4_matches_the_scalar_update_lane_for_lane() {
+        use crate::youngboris::asymptotic;
+        let c0 = F64x4::new(1e-3, 0.0, 2e-9, 0.5);
+        let p = F64x4::new(1e-2, 3e-7, 0.0, 1e-30);
+        let l = F64x4::new(1e4, 3.0, 80.0, 1e-2);
+        let h = 0.7;
+        for form in [AsymptoticForm::Rational, AsymptoticForm::Exponential] {
+            let got = asymptotic4::<Unfused>(c0, p, l, F64x4::splat(h), form);
+            for lane in 0..4 {
+                let want = asymptotic(c0.lane(lane), p.lane(lane), l.lane(lane), h, form);
+                let got = got.lane(lane);
+                let tol = match form {
+                    // The scalar arithmetic, lane for lane.
+                    AsymptoticForm::Rational => 0.0,
+                    // `exp4` is within 2 ulp of `exp`.
+                    AsymptoticForm::Exponential => 4.0 * f64::EPSILON * want.abs(),
+                };
+                assert!(
+                    (got - want).abs() <= tol,
+                    "{form:?} lane {lane}: {got} vs {want}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn stiff_pass_with_zero_loss_or_production_lanes_stores_only_finite_values() {
+        // A is stiff in lane 0 from the start (l = 1e6). In lane 1 it
+        // starts at exactly zero, so its loss frequency rate/[A] is 0
+        // while B feeds it: ceq = p/0 = inf on the discarded side. Lanes
+        // 2 and 3 have p == l == 0 (no C, no B): ceq = 0/0 = NaN there.
+        let arr = |a: f64| crate::mechanism::RateLaw::Arrhenius {
+            a,
+            t_exp: 0.0,
+            ea_over_r: 0.0,
+        };
+        let rx = |label, a, order: &[usize], consume: &[usize], produce: &[usize]| {
+            crate::mechanism::Reaction {
+                label,
+                rate_law: arr(a),
+                rate_order: order.to_vec(),
+                consume: consume.iter().map(|&s| (s, 1.0)).collect(),
+                produce: produce.iter().map(|&s| (s, 1.0)).collect(),
+            }
+        };
+        // A + C -> C at 1e6 (A's loss frequency is 1e6·[C]), B -> A
+        // slowly, D inert (p == l == 0 always).
+        let m = Mechanism::from_table(
+            vec![
+                rx("A+C->C", 1e6, &[0, 2], &[0], &[]),
+                rx("B->A", 1e-3, &[1], &[1], &[0]),
+            ],
+            4,
+        );
+        let mut k = Vec::new();
+        m.rate_constants(298.0, 0.0, &mut k);
+        for form in [AsymptoticForm::Exponential, AsymptoticForm::Rational] {
+            let mut conc = vec![
+                F64x4::new(1e-3, 0.0, 1e-3, 0.0),
+                F64x4::new(1.0, 1.0, 0.0, 0.0),
+                F64x4::new(1.0, 1e-3, 0.0, 0.0),
+                F64x4::new(0.0, 1.0, 0.0, 2.0),
+            ];
+            let opts = YbOptions {
+                form,
+                ..Default::default()
+            };
+            let mut ws = Yb4Workspace::new(4);
+            let stats = integrate_cell4(&m, &mut conc, &k, 5.0, &opts, &mut ws);
+            assert!(stats.substeps > 0);
+            let stored = [&conc, &ws.cp, &ws.c1, &ws.p0, &ws.l0, &ws.pp, &ws.lp];
+            for (b, buf) in stored.iter().enumerate() {
+                for (s, v) in buf.iter().enumerate() {
+                    for lane in 0..4 {
+                        let x = v.lane(lane);
+                        assert!(
+                            x.is_finite() && x >= 0.0,
+                            "{form:?} buffer {b} species {s} lane {lane}: {x}"
+                        );
+                    }
+                }
+            }
+            assert_eq!(
+                conc[0].lane(3),
+                0.0,
+                "nothing produces or removes A in lane 3"
+            );
+            assert!(
+                conc[0].lane(0) < 1e-6,
+                "stiff lane relaxed: {}",
+                conc[0].lane(0)
             );
         }
     }

@@ -247,10 +247,9 @@ pub fn integrate_cell_with_k(
 }
 
 /// Predictor update for a single species: explicit Euler when non-stiff,
-/// asymptotic when `l·h` exceeds the threshold. `pub(crate)` so the
-/// lockstep 4-lane integrator reuses the scalar branch bit-for-bit.
+/// asymptotic when `l·h` exceeds the threshold.
 #[inline]
-pub(crate) fn advance(c0: f64, p: f64, l: f64, h: f64, opts: &YbOptions) -> f64 {
+fn advance(c0: f64, p: f64, l: f64, h: f64, opts: &YbOptions) -> f64 {
     if l * h <= opts.stiff_ratio {
         c0 + h * (p - l * c0)
     } else {
@@ -259,7 +258,8 @@ pub(crate) fn advance(c0: f64, p: f64, l: f64, h: f64, opts: &YbOptions) -> f64 
 }
 
 /// Asymptotic update of `dc/dt = P − L·c` over a step `h`, treating `P`
-/// and `τ = 1/L` as constant.
+/// and `τ = 1/L` as constant. `pub(crate)` as the reference of the
+/// four-lane `simd::asymptotic4`.
 #[inline]
 pub(crate) fn asymptotic(c0: f64, p: f64, l: f64, h: f64, form: AsymptoticForm) -> f64 {
     let lh = l * h;

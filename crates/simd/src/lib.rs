@@ -109,6 +109,22 @@ impl F64x4 {
         ])
     }
 
+    /// Lanewise `if self > o { a } else { b }` — a true select (compare
+    /// and blend), so a NaN or infinity in the lane not chosen never
+    /// reaches the result. A NaN in `self` or `o` chooses `b`.
+    #[inline(always)]
+    pub fn select_gt(self, o: F64x4, a: F64x4, b: F64x4) -> F64x4 {
+        let pick = |i: usize| if self.0[i] > o.0[i] { a.0[i] } else { b.0[i] };
+        F64x4([pick(0), pick(1), pick(2), pick(3)])
+    }
+
+    /// Whether any lane of `self` exceeds the same lane of `o` (one
+    /// compare and a mask test; NaN lanes count as not greater).
+    #[inline(always)]
+    pub fn any_gt(self, o: F64x4) -> bool {
+        (self.0[0] > o.0[0]) | (self.0[1] > o.0[1]) | (self.0[2] > o.0[2]) | (self.0[3] > o.0[3])
+    }
+
     /// Lanewise fused multiply-add `self * b + c` (one rounding per
     /// lane). Compiles to `vfmadd…pd` when the calling function carries
     /// the `fma` target feature; elsewhere it falls back to the libm
@@ -289,6 +305,18 @@ mod tests {
         assert_eq!((a / b).lane(0), 0.5);
         assert_eq!(a.max(b).0, [3.0, 0.5, 0.0, 1e300]);
         assert_eq!((-a).lane(1), 2.0);
+    }
+
+    #[test]
+    fn select_gt_blends_per_lane_and_never_leaks_the_other_side() {
+        let x = F64x4::new(2.0, 1.0, f64::NAN, 1.0 + f64::EPSILON);
+        let a = F64x4::new(10.0, f64::NAN, 30.0, 40.0);
+        let b = F64x4::new(f64::INFINITY, -2.0, -3.0, f64::NAN);
+        let got = x.select_gt(F64x4::splat(1.0), a, b);
+        assert_eq!(got.0, [10.0, -2.0, -3.0, 40.0]);
+        assert!(x.any_gt(F64x4::splat(1.5)));
+        assert!(!x.any_gt(F64x4::splat(2.0)));
+        assert!(!F64x4::splat(f64::NAN).any_gt(F64x4::zero()));
     }
 
     #[test]

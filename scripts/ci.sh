@@ -2,7 +2,8 @@
 # CI gate: formatting, release build, the whole workspace's test suite
 # (every crate's unit tests and doctests included), the benchmark
 # package's build and tests, a warning-free clippy pass (all targets),
-# a 2-thread backend smoke run, an observability smoke run (the trace
+# a 2-thread backend smoke run, the simd smoke runs and the LA
+# simd-vs-serial epsilon sweep, an observability smoke run (the trace
 # must be loadable JSON with spans for every phase), a smoke run of all
 # four benchmark workloads, the fabric / ensemble / oracle / optimizer
 # smokes, and warning-free rustdoc.
@@ -36,6 +37,13 @@ cargo run --release --bin airshed -- run \
     --dataset la --hours 1 --backend simd --no-map
 cargo run --release --bin airshed -- run \
     --dataset ne --hours 1 --backend simd --no-map
+
+echo "==> simd LA sweep (lockstep chemistry stays epsilon-bounded against serial)"
+# The contract the lockstep integrator's arithmetic (reciprocal form,
+# fused multiply-adds, vector exp) is held to, on the paper's grid at
+# P = 4, 16, 64; the benchmark's own tolerance check mirrors it.
+cargo test --release --offline --test backend_determinism -- \
+    --ignored la_simd_is_epsilon_bounded
 
 echo "==> observability smoke test (--trace-out / --metrics-out)"
 trace_dir="$(mktemp -d)"
