@@ -38,7 +38,7 @@ pub(crate) mod kernels {
     include!(concat!(env!("OUT_DIR"), "/carbon_bond_kernels.rs"));
 }
 
-pub use kernels::N_REACTIONS;
+pub(crate) use kernels::N_REACTIONS;
 
 /// A complete mechanism.
 ///
@@ -299,31 +299,6 @@ mod tests {
         let mut rows = mech().reactions().to_vec();
         rows[0].rate_order = vec![N_SPECIES];
         Mechanism::from_table(rows, N_SPECIES);
-    }
-
-    #[test]
-    fn compiled_kernel_is_bit_identical_to_the_table_walk() {
-        // Fixed states, day and night, with exact zeros and tiny
-        // radicals; the random sweep is `tests/proptest_chem.rs`.
-        let m = mech();
-        let mut k = Vec::new();
-        for (sun, scale) in [(0.0, 1.0), (0.8, 1.0), (1.0, 1e-30), (0.3, 0.0)] {
-            m.rate_constants(301.0, sun, &mut k);
-            let mut conc = sp::background_vector();
-            conc[sp::NO] = 0.05;
-            conc[sp::OLE] = 0.02;
-            conc[sp::OH] = 1e-7 * scale;
-            conc[sp::HO2] = 1e-6 * scale;
-            conc[sp::O1D] = 1e-30;
-            let (mut p, mut l) = (vec![1.0; 35], vec![1.0; 35]);
-            let (mut pt, mut lt) = (vec![2.0; 35], vec![2.0; 35]);
-            m.prod_loss(&conc, &k, &mut p, &mut l);
-            m.prod_loss_table_walk(&conc, &k, &mut pt, &mut lt);
-            for s in 0..35 {
-                assert_eq!(p[s].to_bits(), pt[s].to_bits(), "p[{s}] sun {sun}");
-                assert_eq!(l[s].to_bits(), lt[s].to_bits(), "l[{s}] sun {sun}");
-            }
-        }
     }
 
     #[test]

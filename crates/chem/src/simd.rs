@@ -224,7 +224,7 @@ pub(crate) fn integrate_cell4_unfused(
 /// `1.0` at `0.0`; a NaN lane yields an unspecified finite or NaN value
 /// (the caller's select discards such lanes).
 #[inline(always)]
-pub(crate) fn exp4<M: Madd>(x: F64x4) -> F64x4 {
+fn exp4<M: Madd>(x: F64x4) -> F64x4 {
     // 1.5·2^52: adding it rounds to an integer and leaves that integer
     // in the low mantissa bits.
     const SHIFT: f64 = 6_755_399_441_055_744.0;
