@@ -6,7 +6,9 @@
 //! machine charges that distribution to a modeled clock. A [`Backend`]
 //! is the physical counterpart: it takes the same `ItemLayout`
 //! partitions and runs them on OS threads via the shared-memory pool in
-//! `airshed_hpf::host`.
+//! `airshed_hpf::host`. (Transport's host items are finer than its
+//! virtual ones — layer × four-species group — because the species of a
+//! layer share one operator; the charges stay per layer.)
 //!
 //! Three backends exist:
 //!
@@ -16,10 +18,12 @@
 //!   workers pulling tasks from a shared queue; the crate itself is not
 //!   a dependency — the pool is `airshed_hpf::host::run_parts`).
 //! * [`BackendKind::Simd`] — the same fork–join pool, but inside each
-//!   partition the phase kernels run their 4-wide vectorised variants
-//!   (`airshed_chem::simd`, `airshed_transport`'s simd solver path).
-//!   Thread-level and lane-level parallelism compose: partitions across
-//!   the pool, columns across lanes.
+//!   partition the chemistry runs its 4-wide lockstep variant
+//!   (`airshed_chem::simd`). Thread-level and lane-level parallelism
+//!   compose: partitions across the pool, columns across lanes.
+//!   (Transport is 4-wide on *every* backend — its lanes are species,
+//!   bit-identical to the one-plane solve — so it is no part of what
+//!   distinguishes this one.)
 //!
 //! Determinism contract: backends only control *where* a partition
 //! runs, never how results merge. Kernels write into per-item or
@@ -27,12 +31,12 @@
 //! order afterwards, so `Serial` and `Rayon` at any thread count
 //! produce bit-identical states and work profiles (pinned by the
 //! `backend_determinism` suite). `Simd` keeps the same merge
-//! discipline but swaps the kernel arithmetic: lockstep chemistry
-//! stepping and reassociated solver reductions make it
-//! *epsilon-bounded* against serial, not bit-identical — except where
-//! the simd kernels deliberately keep scalar association (the vertical
-//! Thomas solve), which stays exact. The equivalence suite pins both
-//! sides of that contract.
+//! discipline but swaps the chemistry arithmetic: lockstep stepping
+//! makes it *epsilon-bounded* against serial, not bit-identical —
+//! except where its kernels deliberately keep scalar association (the
+//! vertical Thomas solve), which stays exact, and in transport, which
+//! is serial's kernel. The equivalence suite pins both sides of that
+//! contract.
 
 use airshed_hpf::host;
 
@@ -44,8 +48,8 @@ pub enum BackendKind {
     /// Fork–join worker pool on host threads.
     #[default]
     Rayon,
-    /// Pool scheduling plus 4-wide vectorised kernels inside each
-    /// partition (lockstep chemistry columns, simd transport solver).
+    /// Pool scheduling plus 4-wide lockstep chemistry inside each
+    /// partition.
     Simd,
 }
 
@@ -106,7 +110,7 @@ impl ExecSpec {
     }
 
     /// The vectorised executor: pool scheduling over `threads` workers
-    /// (min 1) with 4-wide simd kernels inside each partition.
+    /// (min 1) with 4-wide lockstep chemistry inside each partition.
     pub fn simd(threads: usize) -> ExecSpec {
         ExecSpec {
             kind: BackendKind::Simd,
@@ -133,7 +137,7 @@ impl ExecSpec {
         }
     }
 
-    /// Whether phase kernels should take their vectorised variants.
+    /// Whether the chemistry should take its lockstep variant.
     pub fn vectorized(&self) -> bool {
         self.kind == BackendKind::Simd
     }

@@ -8,15 +8,15 @@
 //!
 //! The same partitions also drive the *real* execution: the engine's
 //! [`ExecSpec`] lowers each phase's `ItemLayout` onto the shared-memory
-//! backend (`crate::backend`) — transport blocks by layer, chemistry
-//! stripes columns cyclically, the aerosol's parallel pass blocks by
-//! cell. Work-unit merges are item-indexed and reduced sequentially in
-//! item order, so the serial and rayon backends at any thread count
-//! produce bit-identical states and profiles. The simd backend keeps
-//! the same merge discipline but runs vectorised kernels inside each
-//! partition (4-column lockstep chemistry, simd transport solver),
-//! making it epsilon-bounded against serial rather than bit-identical
-//! (see `crate::backend` for the full contract).
+//! backend (`crate::backend`) — transport blocks (layer, four-species
+//! group) items layer-major, chemistry stripes columns cyclically, the
+//! aerosol's parallel pass blocks by cell. Work-unit merges are
+//! item-indexed and reduced sequentially in item order, so the serial
+//! and rayon backends at any thread count produce bit-identical states
+//! and profiles. The simd backend keeps the same merge discipline and
+//! the same transport kernel; its chemistry runs four columns in
+//! lockstep, which makes it epsilon-bounded against serial rather than
+//! bit-identical (see `crate::backend` for the full contract).
 //!
 //! Work-unit coefficients are flop-scale calibration constants
 //! ([`WorkCoeffs`]); with the default machine rates they land the
@@ -41,8 +41,10 @@ use airshed_hpf::host::Task;
 use airshed_met::emissions::{EmissionInventory, PointSource};
 use airshed_met::hourly::{HourlyInput, InputGenerator};
 use airshed_simd::F64x4;
-use airshed_transport::operator::{HorizontalTransport, TransportWorkspace};
+use airshed_transport::operator::HorizontalTransport;
+use airshed_transport::solver::{LaneWorkspace, SolveStats};
 use std::sync::Mutex;
+use std::time::Instant;
 
 /// Work-unit coefficients (flop-equivalents per elementary operation).
 #[derive(Debug, Clone, Copy)]
@@ -160,8 +162,8 @@ pub struct PhaseEngine {
     staged_bytes: std::sync::atomic::AtomicU64,
     /// Simulated hour tag attached to pool-task spans.
     obs_hour: Option<u32>,
-    /// Reusable per-worker transport scratch (RHS + solver vectors).
-    transport_pool: WorkspacePool<TransportWorkspace>,
+    /// Reusable per-worker transport scratch (four-species lane vectors).
+    transport_pool: WorkspacePool<LaneWorkspace>,
     /// Reusable per-worker chemistry scratch.
     chem_pool: WorkspacePool<ChemScratch>,
     /// Reusable aerosol per-cell delta buffer.
@@ -252,70 +254,84 @@ impl PhaseEngine {
     /// One transport half step over all layers and species. Returns work
     /// per *layer* (the transport distribution unit).
     ///
-    /// Execution mirrors the transport node's layout: BLOCK over layers
-    /// — the paper's "the degree of parallelism is restricted to the
-    /// number of layers". Each partition owns whole layers (every
-    /// species plane of those layers) and checks a warm
-    /// [`TransportWorkspace`] out of the pool, so the solves are
-    /// allocation-free after the first step. Per-plane iteration counts
-    /// land in indexed slots and are reduced in plane order.
+    /// The species of a layer share its operator, so the host items are
+    /// (layer, four-species group) — each one lockstep solve
+    /// ([`HorizontalTransport::half_step_lanes`]), bit-identical per
+    /// plane to the one-plane solve on every backend — layer-major,
+    /// BLOCK over the workers, so a worker keeps one operator in cache.
+    /// The paper's "the degree of parallelism is restricted to the number
+    /// of layers" stays a property of the *virtual* machine: per-plane
+    /// iterations are reduced per layer, in plane order, as ever. The
+    /// calling thread checks the lane workspaces out of the pool, so
+    /// workers allocate nothing.
     pub fn transport_half_step(&self, op: &HorizontalTransport, state: &mut SimState) -> Vec<f64> {
-        let layers = state.layers;
-        let nodes = state.nodes;
-        let species = state.species;
+        const LANES: usize = F64x4::LANES;
+        let (layers, nodes, species) = (state.layers, state.nodes, state.species);
         let nnz = op.layers[0].sys.nnz() as f64;
-        let parts = ItemLayout::Block.partition(layers, self.exec.parallelism().min(layers));
-        let mut per_plane_iters = vec![0usize; species * layers];
+        let groups = species.div_ceil(LANES);
+        let items = layers * groups;
+        let parts = ItemLayout::Block.partition(items, self.exec.parallelism().min(items));
+        let mut workspaces: Vec<LaneWorkspace> = parts
+            .iter()
+            .map(|_| self.transport_pool.take(|| LaneWorkspace::new(nodes)))
+            .collect();
+        let mut per_item: Vec<Option<[SolveStats; LANES]>> = vec![None; items];
         {
             // Plane (s, l) is the contiguous chunk
-            // `conc[(s*layers + l)*nodes ..][..nodes]`; hand each
-            // partition its planes and matching iteration slots.
+            // `conc[(s*layers + l)*nodes ..][..nodes]`; item `l*groups + g`
+            // owns the planes of species `4g..4g+4` in layer `l`.
             let mut planes: Vec<Option<&mut [f64]>> =
                 state.conc.chunks_mut(nodes).map(Some).collect();
-            let mut slots: Vec<Option<&mut usize>> = per_plane_iters.iter_mut().map(Some).collect();
             let bg = &self.background;
+            let mut stats_rest = per_item.as_mut_slice();
             let mut tasks: Vec<Task> = Vec::with_capacity(parts.len());
-            for part in &parts {
-                if part.is_empty() {
-                    continue;
-                }
-                let mut owned: Vec<(usize, usize, &mut [f64], &mut usize)> =
-                    Vec::with_capacity(part.len() * species);
-                for s in 0..species {
-                    for &l in part {
-                        let plane = s * layers + l;
-                        owned.push((
-                            s,
-                            l,
-                            planes[plane].take().expect("plane owned twice"),
-                            slots[plane].take().expect("slot owned twice"),
-                        ));
-                    }
-                }
-                let simd = self.exec.vectorized();
+            for (part, ws) in parts.iter().zip(workspaces.iter_mut()) {
+                // Block partitions are contiguous ascending ranges.
+                let (stats_out, tail) = stats_rest.split_at_mut(part.len());
+                stats_rest = tail;
+                let owned: Vec<(usize, usize, Vec<&mut [f64]>)> = part
+                    .iter()
+                    .map(|&item| {
+                        let (l, s0) = (item / groups, item % groups * LANES);
+                        let fields = (s0..species.min(s0 + LANES))
+                            .map(|s| planes[s * layers + l].take().expect("plane owned twice"))
+                            .collect();
+                        (l, s0, fields)
+                    })
+                    .collect();
                 tasks.push(Box::new(move || {
-                    let mut ws = self.transport_pool.take(TransportWorkspace::new);
-                    for (s, l, data, iters) in owned {
-                        let stats = if simd {
-                            op.half_step_simd(l, data, bg[s], &mut ws)
-                        } else {
-                            op.half_step(l, data, bg[s], &mut ws)
-                        };
-                        *iters = stats.iterations;
+                    for ((l, s0, mut fields), out) in owned.into_iter().zip(stats_out) {
+                        let bg = &bg[s0..s0 + fields.len()];
+                        *out = Some(op.half_step_lanes(l, &mut fields, bg, ws));
                     }
-                    self.transport_pool.put(ws);
                 }));
             }
             let hook = PoolHook::new(&self.obs, "transport", self.obs_hour);
             self.exec.run_observed(tasks, hook.as_observer());
         }
+        for ws in workspaces {
+            self.transport_pool.put(ws);
+        }
         // Deterministic reduction in plane order — identical for every
         // backend and thread count.
         let mut per_layer = vec![0.0; layers];
-        for (plane, &iters) in per_plane_iters.iter().enumerate() {
-            // +1: the RHS matvec and residual check are real work even
-            // when the warm start already satisfies the tolerance.
-            per_layer[plane % layers] += (iters + 1) as f64 * nnz * self.coeffs.solve_per_nnz_iter;
+        let mut unconverged = 0u32;
+        for s in 0..species {
+            for (l, work) in per_layer.iter_mut().enumerate() {
+                let stats = per_item[l * groups + s / LANES].expect("item ran")[s % LANES];
+                // +1: the RHS matvec and residual check are real work even
+                // when the warm start already satisfies the tolerance.
+                *work += (stats.iterations + 1) as f64 * nnz * self.coeffs.solve_per_nnz_iter;
+                unconverged += u32::from(!stats.converged);
+            }
+        }
+        if unconverged > 0 && self.obs.enabled() {
+            // A plane that hit `max_iter` or a breakdown guard advanced
+            // the state all the same; make that visible.
+            let (name, n) = ("transport.unconverged", f64::from(unconverged));
+            let now_us = self.obs.us_since_epoch(Instant::now());
+            self.obs
+                .record_counter(name, "solver", now_us, n, self.obs_hour);
         }
         per_layer
     }
@@ -788,12 +804,81 @@ mod tests {
     }
 
     #[test]
+    fn transport_is_bit_identical_on_every_backend_and_thread_count() {
+        // One kernel for every backend: the state and the per-layer
+        // charges equal serial's bit for bit, whether the (layer,
+        // species-group) items outnumber the threads or not (tiny: 45
+        // items against 64 threads).
+        let mut e = engine();
+        let (input, _) = e.input_hour(13);
+        let (op, _) = e.pretrans(&input);
+        // Chemistry first, so no plane is the uniform background.
+        let mut start = SimState::from_background(&e.dataset);
+        e.exec = ExecSpec::serial();
+        e.chemistry_step(&mut start, &input);
+        let run = |e: &PhaseEngine| {
+            let mut s = start.clone();
+            let w1 = e.transport_half_step(&op, &mut s);
+            let w2 = e.transport_half_step(&op, &mut s);
+            (s.conc, w1, w2)
+        };
+        let want = run(&e);
+        assert!(want.1.iter().all(|&w| w > 0.0) && want.1 != want.2);
+        let specs = [1usize, 2, 4]
+            .map(ExecSpec::simd)
+            .into_iter()
+            .chain([1usize, 2, 8, 64].map(ExecSpec::rayon));
+        for spec in specs {
+            e.exec = spec;
+            assert!(run(&e) == want, "{} differs from serial", spec.describe());
+        }
+    }
+
+    #[test]
+    fn unconverged_planes_are_counted_on_the_trace() {
+        use crate::obs::{SpanSink, Track};
+        use std::sync::Arc;
+        let mut e = engine();
+        let sink = Arc::new(SpanSink::new());
+        e.obs = Obs::new(sink.clone());
+        let (input, _) = e.input_hour(13);
+        let (mut op, _) = e.pretrans(&input);
+        let mut state = SimState::from_background(&e.dataset);
+        e.chemistry_step(&mut state, &input);
+        let counters = |sink: &SpanSink| -> Vec<f64> {
+            e.obs.flush();
+            sink.events()
+                .iter()
+                .filter(|r| r.name == "transport.unconverged")
+                .map(|r| {
+                    assert_eq!(r.track, Track::Counter("solver"));
+                    r.dur_us
+                })
+                .collect()
+        };
+        // Every plane converges: nothing is recorded.
+        let converged = e.transport_half_step(&op, &mut state.clone());
+        assert!(counters(&sink).is_empty());
+        // One iteration is not enough for most planes; the state still
+        // advances, and the count says how many planes that was.
+        op.max_iter = 1;
+        let capped = e.transport_half_step(&op, &mut state);
+        let seen = counters(&sink);
+        assert_eq!(seen.len(), 1);
+        let planes = (state.species * state.layers) as f64;
+        assert!(seen[0] >= 1.0 && seen[0] <= planes, "{seen:?} of {planes}");
+        // A capped plane is charged the one iteration it did.
+        assert!(capped.iter().zip(&converged).all(|(c, w)| c < w));
+    }
+
+    #[test]
     fn simd_backend_is_epsilon_bounded_against_serial() {
-        // The simd backend reassociates (lockstep substeps, fused
-        // multiply-adds, simd solver reductions) so it is not
-        // bit-identical — but one full phase sequence must stay within
-        // integrator-tolerance distance of the serial reference, and
-        // the per-item work layouts must be identically shaped.
+        // The simd backend's chemistry reassociates (lockstep substeps,
+        // fused multiply-adds), so a full phase sequence is not
+        // bit-identical — but it must stay within integrator-tolerance
+        // distance of the serial reference with identically shaped work
+        // layouts. Its transport is serial's kernel: from the same input
+        // state the charges are equal.
         let mut e = engine();
         let (input, _) = e.input_hour(13);
         let vols = SimState::cell_volumes(&e.dataset);
@@ -811,7 +896,7 @@ mod tests {
             e.exec = ExecSpec::simd(threads);
             let (s2, wt2, wc2, _) = run(&e);
             assert!(s2.is_physical());
-            assert_eq!(wt1.len(), wt2.len());
+            assert_eq!(wt1, wt2);
             assert_eq!(wc1.len(), wc2.len());
             assert!(wc2.iter().all(|&w| w > 0.0));
             for (i, (a, b)) in s1.conc.iter().zip(&s2.conc).enumerate() {

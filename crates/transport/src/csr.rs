@@ -6,6 +6,8 @@
 //! mat-vec — the inner loop of every transport solve — contiguous and
 //! branch-free.
 
+use airshed_simd::F64x4;
+
 /// A square sparse matrix in CSR format.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Csr {
@@ -116,56 +118,24 @@ impl Csr {
         }
     }
 
-    /// [`matvec`](Csr::matvec) with a 4-wide vectorised row kernel:
-    /// per row, value quads load contiguously, the gathered `x` entries
-    /// fill a [`airshed_simd::F64x4`], and a fused multiply-add
-    /// accumulates into four partial sums reduced pairwise (plus a
-    /// scalar remainder). The reassociated row sum makes this
-    /// epsilon-bounded, not bit-identical, against `matvec`.
-    pub fn matvec_simd(&self, x: &[f64], y: &mut [f64]) {
-        #[cfg(target_arch = "x86_64")]
-        if airshed_simd::fma_available() {
-            // SAFETY: avx2+fma verified by `fma_available`.
-            unsafe { self.matvec_fma(x, y) };
-            return;
-        }
-        self.matvec_vec::<airshed_simd::Unfused>(x, y);
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2,fma")]
-    unsafe fn matvec_fma(&self, x: &[f64], y: &mut [f64]) {
-        self.matvec_vec::<airshed_simd::Fused>(x, y);
-    }
-
+    /// Four mat-vecs at once, the operands held node-major: lane `l` of
+    /// `x[j]` is entry `j` of right-hand side `l`. Each stored value and
+    /// column index is read once per four right-hand sides and meets one
+    /// contiguous 32-byte load — no gather. Every lane sums its row from
+    /// `0.0` in storage order as [`matvec`](Csr::matvec) does, so lane `l`
+    /// of the result is bit for bit `matvec` of right-hand side `l`.
+    /// `row(i, acc)` receives each finished row, so the caller can store
+    /// it and fold it into a dot product in the same pass.
     #[inline(always)]
-    fn matvec_vec<M: airshed_simd::Madd>(&self, x: &[f64], y: &mut [f64]) {
-        use airshed_simd::F64x4;
+    pub fn matvec_lanes(&self, x: &[F64x4], mut row: impl FnMut(usize, F64x4)) {
         debug_assert_eq!(x.len(), self.n);
-        debug_assert_eq!(y.len(), self.n);
         for i in 0..self.n {
-            let lo = self.row_ptr[i];
-            let hi = self.row_ptr[i + 1];
-            let vals = &self.val[lo..hi];
-            let cols = &self.col[lo..hi];
+            let (lo, hi) = (self.row_ptr[i], self.row_ptr[i + 1]);
             let mut acc = F64x4::zero();
-            let mut k = 0;
-            while k + 4 <= vals.len() {
-                let xv = F64x4::new(
-                    x[cols[k] as usize],
-                    x[cols[k + 1] as usize],
-                    x[cols[k + 2] as usize],
-                    x[cols[k + 3] as usize],
-                );
-                acc = M::madd4(F64x4::from_slice(&vals[k..]), xv, acc);
-                k += 4;
+            for (&v, &j) in self.val[lo..hi].iter().zip(&self.col[lo..hi]) {
+                acc += F64x4::splat(v) * x[j as usize];
             }
-            let mut s = acc.reduce_add();
-            while k < vals.len() {
-                s = M::madd(vals[k], x[cols[k] as usize], s);
-                k += 1;
-            }
-            y[i] = s;
+            row(i, acc);
         }
     }
 

@@ -4,12 +4,18 @@
 //! The operator couples every grid column in a layer, which is exactly why
 //! the paper's transport phase parallelises only across layers: "The
 //! 2-dimensional Lxy is however difficult to parallelize, so the degree of
-//! parallelism is restricted to the number of layers."
+//! parallelism is restricted to the number of layers." The species of a
+//! layer share that operator, so [`HorizontalTransport::half_step_lanes`]
+//! advances four per solve, each bit for bit what
+//! [`half_step`](HorizontalTransport::half_step) gives.
 
 use crate::csr::Csr;
-use crate::solver::{bicgstab_simd_with, bicgstab_with, Jacobi, SolveStats, SolverWorkspace};
+use crate::solver::{
+    bicgstab_lanes, bicgstab_with, Jacobi, LaneWorkspace, SolveStats, SolverWorkspace,
+};
 use crate::supg::assemble_layer;
 use airshed_grid::mesh::Mesh;
+use airshed_simd::F64x4;
 
 /// Per-layer Crank–Nicolson system: `sys · c¹ = rhs_mat · c⁰` with
 /// Dirichlet rows on the domain boundary.
@@ -24,8 +30,7 @@ pub struct LayerOperator {
 }
 
 /// Reusable scratch for [`HorizontalTransport::half_step`]: the RHS vector
-/// plus the solver's workspace. One per worker thread; reused across all
-/// (layer, species) solves and successive transport steps.
+/// plus the solver's workspace.
 #[derive(Default)]
 pub struct TransportWorkspace {
     rhs: Vec<f64>,
@@ -125,49 +130,15 @@ impl HorizontalTransport {
         bg: f64,
         ws: &mut TransportWorkspace,
     ) -> SolveStats {
-        self.half_step_on(layer, conc, bg, ws, false)
-    }
-
-    /// [`half_step`](HorizontalTransport::half_step) on the vectorised
-    /// solver path ([`bicgstab_simd_with`] plus the simd RHS mat-vec).
-    /// Epsilon-bounded against the scalar path: same tolerance, possibly
-    /// different iteration counts.
-    pub fn half_step_simd(
-        &self,
-        layer: usize,
-        conc: &mut [f64],
-        bg: f64,
-        ws: &mut TransportWorkspace,
-    ) -> SolveStats {
-        self.half_step_on(layer, conc, bg, ws, true)
-    }
-
-    fn half_step_on(
-        &self,
-        layer: usize,
-        conc: &mut [f64],
-        bg: f64,
-        ws: &mut TransportWorkspace,
-        simd: bool,
-    ) -> SolveStats {
         debug_assert_eq!(conc.len(), self.n);
         let op = &self.layers[layer];
         ws.rhs.resize(self.n, 0.0);
-        if simd {
-            op.rhs_mat.matvec_simd(conc, &mut ws.rhs);
-        } else {
-            op.rhs_mat.matvec(conc, &mut ws.rhs);
-        }
+        op.rhs_mat.matvec(conc, &mut ws.rhs);
         for &b in &self.boundary {
             ws.rhs[b] = bg;
         }
         // Warm start from the current field: successive steps are close.
-        let solve = if simd {
-            bicgstab_simd_with
-        } else {
-            bicgstab_with
-        };
-        let stats = solve(
+        let stats = bicgstab_with(
             &op.sys,
             &ws.rhs,
             conc,
@@ -181,6 +152,60 @@ impl HorizontalTransport {
         for c in conc.iter_mut() {
             if *c < 0.0 {
                 *c = 0.0;
+            }
+        }
+        stats
+    }
+
+    /// Forwards to [`half_step`](HorizontalTransport::half_step): the
+    /// one-plane simd solver is gone (every backend takes `half_step_lanes`)
+    /// and this name survives only because the benchmark package calls it.
+    pub fn half_step_simd(
+        &self,
+        layer: usize,
+        conc: &mut [f64],
+        bg: f64,
+        ws: &mut TransportWorkspace,
+    ) -> SolveStats {
+        self.half_step(layer, conc, bg, ws)
+    }
+
+    /// One half step on one to four fields of a layer at once — the
+    /// species that share its operator, `bg[l]` the boundary value of
+    /// `planes[l]`. The fields are gathered node-major into [`F64x4`]
+    /// lanes, advanced by one [`bicgstab_lanes`] solve and scattered
+    /// back; each ends bit for bit where `half_step` would have put it,
+    /// with the same statistics (pad lanes report zero iterations).
+    pub fn half_step_lanes(
+        &self,
+        layer: usize,
+        planes: &mut [&mut [f64]],
+        bg: &[f64],
+        ws: &mut LaneWorkspace,
+    ) -> [SolveStats; F64x4::LANES] {
+        let live = planes.len();
+        assert!((1..=F64x4::LANES).contains(&live) && bg.len() == live);
+        let op = &self.layers[layer];
+        // Pad lanes hold zeros: a zero field with a zero boundary value.
+        ws.x.fill(F64x4::zero());
+        for (l, plane) in planes.iter().enumerate() {
+            assert_eq!(plane.len(), self.n);
+            for (q, &c) in ws.x.iter_mut().zip(plane.iter()) {
+                q.0[l] = c;
+            }
+        }
+        let LaneWorkspace { x, r, .. } = &mut *ws;
+        op.rhs_mat.matvec_lanes(x, |i, acc| r[i] = acc);
+        let mut bg4 = F64x4::zero();
+        bg4.0[..live].copy_from_slice(bg);
+        for &b in &self.boundary {
+            ws.r[b] = bg4;
+        }
+        let stats = bicgstab_lanes(&op.sys, ws, live, self.rtol, self.max_iter, &op.pre);
+        // The same clip as `half_step`, on the way back out.
+        for (l, plane) in planes.iter_mut().enumerate() {
+            for (c, q) in plane.iter_mut().zip(&ws.x) {
+                *c = if q.0[l] < 0.0 { 0.0 } else { q.0[l] };
             }
         }
         stats
@@ -311,26 +336,62 @@ mod tests {
     }
 
     #[test]
-    fn simd_half_step_is_epsilon_bounded_against_scalar() {
+    fn lane_half_step_equals_one_half_step_per_plane_bit_for_bit() {
         let (d, op) = setup(0.3, 0.1);
-        let c0 = gaussian(&d, 40.0, 45.0, 10.0);
-        let mut c_scalar = c0.clone();
-        let mut c_simd = c0;
-        let mut ws_a = TransportWorkspace::new();
-        let mut ws_b = TransportWorkspace::new();
-        for _ in 0..10 {
-            let st_a = op.half_step(0, &mut c_scalar, 0.0, &mut ws_a);
-            let st_b = op.half_step_simd(0, &mut c_simd, 0.0, &mut ws_b);
-            assert!(st_a.converged && st_b.converged);
-        }
-        // Both paths solve to the same rtol; after 10 steps they agree to
-        // solver-tolerance scale, far below any physical signal.
-        let peak = c_scalar.iter().cloned().fold(0.0f64, f64::max);
-        for (s, (a, b)) in c_scalar.iter().zip(&c_simd).enumerate() {
-            assert!(
-                (a - b).abs() < 1e-6 * peak.max(1e-12),
-                "slot {s}: {a} vs {b}"
-            );
+        let n = d.mesh.n_free();
+        // A smooth blob, a sharp-edged one (undershoots: the clip), a
+        // uniform field at its boundary value (zero iterations) and an
+        // empty field fed from the boundary.
+        let edge: Vec<f64> = gaussian(&d, 60.0, 50.0, 9.0)
+            .iter()
+            .map(|&c| if c > 0.5 { 1.0 } else { 0.0 })
+            .collect();
+        let fields = [
+            gaussian(&d, 40.0, 45.0, 10.0),
+            edge,
+            vec![0.04; n],
+            vec![0.0; n],
+        ];
+        let bg = [0.0, 0.01, 0.04, 0.25];
+        let mut scalar_ws = TransportWorkspace::new();
+        let mut lane_ws = LaneWorkspace::new(n);
+        for layer in 0..2 {
+            for live in 1..=4 {
+                let mut want = fields[..live].to_vec();
+                let mut got = want.clone();
+                // Several steps, so warm starts and clipped fields feed back.
+                for step in 0..3 {
+                    let want_stats: Vec<SolveStats> = want
+                        .iter_mut()
+                        .zip(bg)
+                        .map(|(c, bg)| op.half_step(layer, c, bg, &mut scalar_ws))
+                        .collect();
+                    let mut planes: Vec<&mut [f64]> =
+                        got.iter_mut().map(Vec::as_mut_slice).collect();
+                    let stats = op.half_step_lanes(layer, &mut planes, &bg[..live], &mut lane_ws);
+                    let what = format!("layer {layer}, {live} planes, step {step}");
+                    for l in 0..live {
+                        assert_eq!(stats[l].iterations, want_stats[l].iterations, "{what}");
+                        assert_eq!(stats[l].converged, want_stats[l].converged, "{what}");
+                        assert_eq!(
+                            stats[l].residual.to_bits(),
+                            want_stats[l].residual.to_bits(),
+                            "{what}"
+                        );
+                        let same = got[l].iter().zip(&want[l]);
+                        assert!(
+                            same.clone().all(|(a, b)| a.to_bits() == b.to_bits()),
+                            "{what}"
+                        );
+                        assert!(got[l].iter().all(|c| c.is_finite() && *c >= 0.0), "{what}");
+                    }
+                    assert!(stats[live..].iter().all(|s| s.iterations == 0), "{what}");
+                    if step == 0 && live == 4 {
+                        assert_eq!(stats[2].iterations, 0, "uniform field is a fixed point");
+                        assert!(stats[0].iterations > stats[2].iterations + 3);
+                    }
+                }
+            }
         }
     }
 

@@ -2,12 +2,19 @@
 //! nonsymmetric SUPG systems and conjugate gradient for SPD systems
 //! (mass-matrix solves and tests).
 //!
+//! BiCGSTAB comes in two shapes with one arithmetic: [`bicgstab_with`]
+//! solves one right-hand side and is the reference; [`bicgstab_lanes`]
+//! solves up to four in lockstep, one per [`F64x4`] lane, each lane
+//! bit-identical to the reference (`tests/proptest_transport.rs`). The
+//! transport phase uses the lane form on every backend: the lanes are
+//! the species that share a layer's operator.
+//!
 //! Iteration counts are returned to the caller because they are the
 //! transport phase's *work units*: the machine model charges virtual time
 //! proportional to `iterations × nnz`.
 
 use crate::csr::Csr;
-use airshed_simd::{fma_available, F64x4, Fused, Madd, Unfused};
+use airshed_simd::F64x4;
 
 /// Outcome of an iterative solve.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -17,37 +24,21 @@ pub struct SolveStats {
     pub converged: bool,
 }
 
+/// What every dot product starts from, scalar and lane alike: `-0.0`,
+/// the additive identity that keeps the sign of an all-`-0.0` product sum
+/// (and what `Iterator::sum` folds from).
+const DOT_SEED: f64 = -0.0;
+
 fn dot(a: &[f64], b: &[f64]) -> f64 {
-    a.iter().zip(b).map(|(x, y)| x * y).sum()
+    let mut acc = DOT_SEED;
+    for (x, y) in a.iter().zip(b) {
+        acc += x * y;
+    }
+    acc
 }
 
 fn norm(a: &[f64]) -> f64 {
     dot(a, a).sqrt()
-}
-
-/// 4-wide dot product: one vector accumulator reduced pairwise, scalar
-/// remainder. Reassociated against [`dot`].
-#[inline(always)]
-fn dot_v<M: Madd>(a: &[f64], b: &[f64]) -> f64 {
-    debug_assert_eq!(a.len(), b.len());
-    let n = a.len();
-    let mut acc = F64x4::zero();
-    let mut i = 0;
-    while i + 4 <= n {
-        acc = M::madd4(F64x4::from_slice(&a[i..]), F64x4::from_slice(&b[i..]), acc);
-        i += 4;
-    }
-    let mut s = acc.reduce_add();
-    while i < n {
-        s = M::madd(a[i], b[i], s);
-        i += 1;
-    }
-    s
-}
-
-#[inline(always)]
-fn norm_v<M: Madd>(a: &[f64]) -> f64 {
-    dot_v::<M>(a, a).sqrt()
 }
 
 /// Jacobi (diagonal) preconditioner: `z = D⁻¹ r`. Public so callers can
@@ -75,9 +66,8 @@ impl Jacobi {
     }
 }
 
-/// Reusable scratch vectors for the iterative solvers. One workspace per
-/// thread/sequence of solves replaces the six `vec![0.0; n]` allocations
-/// (plus the residual clone) that each call used to make.
+/// Reusable scratch vectors for the one-right-hand-side solvers; one
+/// workspace serves any sequence of solves.
 #[derive(Default)]
 pub struct SolverWorkspace {
     r: Vec<f64>,
@@ -244,254 +234,246 @@ pub fn bicgstab_with(
     }
 }
 
-/// [`bicgstab_with`] with 4-wide vectorised inner loops (dot products,
-/// axpy updates, Jacobi application, and the CSR mat-vec) for the
-/// `--backend simd` executor.
-///
-/// The algorithm, iteration order, breakdown guards and convergence
-/// tests are identical to [`bicgstab_with`]; only the floating-point
-/// association differs (pairwise-reduced dot products, fused
-/// multiply-adds on FMA hosts). Iterates therefore follow a slightly
-/// different trajectory and the iteration count may differ by a few —
-/// both solutions satisfy the same relative tolerance.
-pub fn bicgstab_simd_with(
-    a: &Csr,
-    b: &[f64],
-    x: &mut [f64],
-    rtol: f64,
-    max_iter: usize,
-    pre: &Jacobi,
-    ws: &mut SolverWorkspace,
-) -> SolveStats {
-    #[cfg(target_arch = "x86_64")]
-    if fma_available() {
-        // SAFETY: avx2+fma verified by `fma_available`.
-        return unsafe { bicgstab_fma(a, b, x, rtol, max_iter, pre, ws) };
-    }
-    bicgstab_v::<Unfused>(a, b, x, rtol, max_iter, pre, ws)
+/// The vectors of a [`bicgstab_lanes`] solve, each holding four
+/// right-hand sides node-major, sized at construction so a solve never
+/// allocates. (The right-hand side becomes `r`, `s` lives in `r` and
+/// `shat` shares `hat` with `phat`.)
+pub struct LaneWorkspace {
+    /// The iterate: warm start in, solution out.
+    pub x: Vec<F64x4>,
+    /// Right-hand sides in; the solve consumes them (residual out).
+    pub r: Vec<F64x4>,
+    r0: Vec<F64x4>,
+    p: Vec<F64x4>,
+    v: Vec<F64x4>,
+    hat: Vec<F64x4>,
+    t: Vec<F64x4>,
 }
 
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-unsafe fn bicgstab_fma(
-    a: &Csr,
-    b: &[f64],
-    x: &mut [f64],
-    rtol: f64,
-    max_iter: usize,
-    pre: &Jacobi,
-    ws: &mut SolverWorkspace,
-) -> SolveStats {
-    bicgstab_v::<Fused>(a, b, x, rtol, max_iter, pre, ws)
-}
-
-/// `out[i] = y[i] + c * z[i]` vectorised (`c` splat, fused on FMA).
-#[inline(always)]
-fn vec_madd_into<M: Madd>(out: &mut [f64], y: &[f64], c: f64, z: &[f64]) {
-    let n = out.len();
-    let c4 = F64x4::splat(c);
-    let mut i = 0;
-    while i + 4 <= n {
-        let r = M::madd4(c4, F64x4::from_slice(&z[i..]), F64x4::from_slice(&y[i..]));
-        r.write_to(&mut out[i..]);
-        i += 4;
-    }
-    while i < n {
-        out[i] = M::madd(c, z[i], y[i]);
-        i += 1;
-    }
-}
-
-#[inline(always)]
-fn bicgstab_v<M: Madd>(
-    a: &Csr,
-    b: &[f64],
-    x: &mut [f64],
-    rtol: f64,
-    max_iter: usize,
-    pre: &Jacobi,
-    ws: &mut SolverWorkspace,
-) -> SolveStats {
-    let n = a.n();
-    debug_assert_eq!(b.len(), n);
-    debug_assert_eq!(x.len(), n);
-    debug_assert_eq!(pre.inv_diag.len(), n);
-    ws.ensure(n);
-
-    let SolverWorkspace {
-        r,
-        r0,
-        v,
-        p,
-        phat,
-        s,
-        shat,
-        t,
-    } = ws;
-
-    a.matvec_simd(x, r);
-    {
-        let mut i = 0;
-        while i + 4 <= n {
-            let d = F64x4::from_slice(&b[i..]) - F64x4::from_slice(&r[i..]);
-            d.write_to(&mut r[i..]);
-            i += 4;
-        }
-        while i < n {
-            r[i] = b[i] - r[i];
-            i += 1;
+impl LaneWorkspace {
+    /// A workspace for `n`-row systems.
+    pub fn new(n: usize) -> LaneWorkspace {
+        let buf = || vec![F64x4::zero(); n];
+        LaneWorkspace {
+            x: buf(),
+            r: buf(),
+            r0: buf(),
+            p: buf(),
+            v: buf(),
+            hat: buf(),
+            t: buf(),
         }
     }
-    let bnorm = norm_v::<M>(b).max(1e-300);
-    let mut rnorm = norm_v::<M>(r);
-    if rnorm / bnorm <= rtol {
-        return SolveStats {
-            iterations: 0,
-            residual: rnorm / bnorm,
-            converged: true,
+}
+
+/// Which lanes of a lockstep solve are still iterating, what the
+/// finished ones returned, and the step lengths of the running ones.
+struct LaneState {
+    active: [bool; F64x4::LANES],
+    stats: [SolveStats; F64x4::LANES],
+    alpha: [f64; F64x4::LANES],
+    omega: [f64; F64x4::LANES],
+}
+
+impl LaneState {
+    /// The lanes still iterating, as of this call.
+    fn running(&self) -> impl Iterator<Item = usize> {
+        let active = self.active;
+        (0..F64x4::LANES).filter(move |&l| active[l])
+    }
+
+    /// Lane `l` returns here. Its step lengths drop to zero so the
+    /// vectors it keeps carrying stay finite, and every later update of
+    /// `x` selects its old value.
+    fn stop(&mut self, l: usize, iterations: usize, residual: f64, converged: bool) {
+        self.active[l] = false;
+        self.alpha[l] = 0.0;
+        self.omega[l] = 0.0;
+        self.stats[l] = SolveStats {
+            iterations,
+            residual,
+            converged,
         };
+    }
+}
+
+/// `1.0` in the lanes flagged, `0.0` elsewhere — the left operand of a
+/// `select_gt(zero, new, old)`.
+fn lane_mask(flags: [bool; F64x4::LANES]) -> F64x4 {
+    F64x4(flags.map(|f| f64::from(u8::from(f))))
+}
+
+/// [`bicgstab_with`] for up to four right-hand sides against one matrix,
+/// in lockstep: lane `l` of `ws.r` holds right-hand side `l` and lane `l`
+/// of `ws.x` its warm start on entry, its solution on return. Lanes
+/// `live..` are padding: they report zero iterations and their `x` is
+/// left alone.
+///
+/// Every live lane is **bit-identical** to `bicgstab_with` on that
+/// right-hand side — `x`, iteration count and residual. Each lane runs
+/// the scalar solver's operations in the scalar order and association
+/// (dot products sequential over nodes from the same `-0.0`, two-rounding
+/// multiply-adds), keeps its own `rho/alpha/beta/omega`, and is frozen
+/// by a mask at exactly the point where the scalar code returns — the
+/// initial residual test, the half-step `‖s‖` test with its
+/// `x += alpha·phat`, the full-step test, each `1e-300` breakdown guard,
+/// `max_iter`. The dot products are folded into the loops that produce
+/// their operands, which changes no lane's summation order.
+pub fn bicgstab_lanes(
+    a: &Csr,
+    ws: &mut LaneWorkspace,
+    live: usize,
+    rtol: f64,
+    max_iter: usize,
+    pre: &Jacobi,
+) -> [SolveStats; F64x4::LANES] {
+    let n = a.n();
+    assert!(live <= F64x4::LANES);
+    // One length for every buffer, checked here rather than per index.
+    let (x, r, r0, inv) = (
+        &mut ws.x[..n],
+        &mut ws.r[..n],
+        &mut ws.r0[..n],
+        &pre.inv_diag[..n],
+    );
+    let (p, v, hat, t) = (
+        &mut ws.p[..n],
+        &mut ws.v[..n],
+        &mut ws.hat[..n],
+        &mut ws.t[..n],
+    );
+    let seed = F64x4::splat(DOT_SEED);
+    let zero = F64x4::zero();
+
+    let mut lanes = LaneState {
+        active: std::array::from_fn(|l| l < live),
+        stats: [SolveStats {
+            iterations: 0,
+            residual: 0.0,
+            converged: true,
+        }; F64x4::LANES],
+        alpha: [1.0; F64x4::LANES],
+        omega: [1.0; F64x4::LANES],
+    };
+
+    // r = b − A·x, with ‖b‖² taken before b is overwritten.
+    let (mut bb, mut rr) = (seed, seed);
+    a.matvec_lanes(x, |i, ax| {
+        bb += r[i] * r[i];
+        r[i] -= ax;
+        rr += r[i] * r[i];
+    });
+    let bnorm = bb.0.map(|q| q.sqrt().max(1e-300));
+    let mut rnorm = rr.0.map(f64::sqrt);
+    for l in 0..live {
+        if rnorm[l] / bnorm[l] <= rtol {
+            lanes.stop(l, 0, rnorm[l] / bnorm[l], true);
+        }
     }
 
     r0.copy_from_slice(r);
-    let mut rho = 1.0;
-    let mut alpha = 1.0;
-    let mut omega = 1.0;
-    v.fill(0.0);
-    p.fill(0.0);
+    v.fill(zero);
+    p.fill(zero);
+    let mut rho = [1.0; F64x4::LANES];
+    // dot(r0, r) with r0 = r sums the products `rr` just summed.
+    let mut rho_new = rr;
 
     for it in 1..=max_iter {
-        let rho_new = dot_v::<M>(r0, r);
-        if rho_new.abs() < 1e-300 {
-            return SolveStats {
-                iterations: it,
-                residual: rnorm / bnorm,
-                converged: rnorm / bnorm <= rtol,
-            };
+        let mut beta = [0.0; F64x4::LANES];
+        for l in lanes.running() {
+            if rho_new.0[l].abs() < 1e-300 {
+                // Breakdown: restart with the current residual.
+                let res = rnorm[l] / bnorm[l];
+                lanes.stop(l, it, res, res <= rtol);
+                continue;
+            }
+            beta[l] = (rho_new.0[l] / rho[l]) * (lanes.alpha[l] / lanes.omega[l]);
+            rho[l] = rho_new.0[l];
         }
-        let beta = (rho_new / rho) * (alpha / omega);
-        rho = rho_new;
-        // p = r + beta * (p - omega * v)
-        {
-            let b4 = F64x4::splat(beta);
-            let no4 = F64x4::splat(-omega);
-            let mut i = 0;
-            while i + 4 <= n {
-                let pv = M::madd4(no4, F64x4::from_slice(&v[i..]), F64x4::from_slice(&p[i..]));
-                let out = M::madd4(b4, pv, F64x4::from_slice(&r[i..]));
-                out.write_to(&mut p[i..]);
-                i += 4;
-            }
-            while i < n {
-                p[i] = M::madd(beta, M::madd(-omega, v[i], p[i]), r[i]);
-                i += 1;
-            }
+        if lanes.running().next().is_none() {
+            break;
         }
-        jacobi_apply_v(&pre.inv_diag, p, phat);
-        a.matvec_simd(phat, v);
-        let r0v = dot_v::<M>(r0, v);
-        if r0v.abs() < 1e-300 {
-            return SolveStats {
-                iterations: it,
-                residual: rnorm / bnorm,
-                converged: false,
-            };
+        let (beta, omega) = (F64x4(beta), F64x4(lanes.omega));
+        for i in 0..n {
+            p[i] = r[i] + beta * (p[i] - omega * v[i]);
+            hat[i] = p[i] * F64x4::splat(inv[i]);
         }
-        alpha = rho / r0v;
-        vec_madd_into::<M>(s, r, -alpha, v);
-        let snorm = norm_v::<M>(s);
-        if snorm / bnorm <= rtol {
-            // x += alpha * phat
-            let a4 = F64x4::splat(alpha);
-            let mut i = 0;
-            while i + 4 <= n {
-                let xv = M::madd4(
-                    a4,
-                    F64x4::from_slice(&phat[i..]),
-                    F64x4::from_slice(&x[i..]),
-                );
-                xv.write_to(&mut x[i..]);
-                i += 4;
-            }
-            while i < n {
-                x[i] = M::madd(alpha, phat[i], x[i]);
-                i += 1;
-            }
-            return SolveStats {
-                iterations: it,
-                residual: snorm / bnorm,
-                converged: true,
-            };
-        }
-        jacobi_apply_v(&pre.inv_diag, s, shat);
-        a.matvec_simd(shat, t);
-        let tt = dot_v::<M>(t, t);
-        omega = if tt > 1e-300 {
-            dot_v::<M>(t, s) / tt
-        } else {
-            0.0
-        };
-        // x += alpha * phat + omega * shat; r = s - omega * t
-        {
-            let a4 = F64x4::splat(alpha);
-            let o4 = F64x4::splat(omega);
-            let no4 = F64x4::splat(-omega);
-            let mut i = 0;
-            while i + 4 <= n {
-                let xv = M::madd4(
-                    a4,
-                    F64x4::from_slice(&phat[i..]),
-                    F64x4::from_slice(&x[i..]),
-                );
-                let xv = M::madd4(o4, F64x4::from_slice(&shat[i..]), xv);
-                xv.write_to(&mut x[i..]);
-                let rv = M::madd4(no4, F64x4::from_slice(&t[i..]), F64x4::from_slice(&s[i..]));
-                rv.write_to(&mut r[i..]);
-                i += 4;
-            }
-            while i < n {
-                x[i] = M::madd(omega, shat[i], M::madd(alpha, phat[i], x[i]));
-                r[i] = M::madd(-omega, t[i], s[i]);
-                i += 1;
+        let mut r0v = seed;
+        a.matvec_lanes(hat, |i, av| {
+            v[i] = av;
+            r0v += r0[i] * av;
+        });
+        for l in lanes.running() {
+            if r0v.0[l].abs() < 1e-300 {
+                lanes.stop(l, it, rnorm[l] / bnorm[l], false);
+            } else {
+                lanes.alpha[l] = rho[l] / r0v.0[l];
             }
         }
-        rnorm = norm_v::<M>(r);
-        if rnorm / bnorm <= rtol {
-            return SolveStats {
-                iterations: it,
-                residual: rnorm / bnorm,
-                converged: true,
-            };
+        // s = r − alpha·v (held in r) and shat = s·D⁻¹.
+        let alpha = F64x4(lanes.alpha);
+        let mut ss = seed;
+        for i in 0..n {
+            r[i] -= alpha * v[i];
+            ss += r[i] * r[i];
+            hat[i] = r[i] * F64x4::splat(inv[i]);
         }
-        if omega.abs() < 1e-300 {
-            return SolveStats {
-                iterations: it,
-                residual: rnorm / bnorm,
-                converged: false,
-            };
+        let mut half = [false; F64x4::LANES];
+        for l in lanes.running() {
+            let res = ss.0[l].sqrt() / bnorm[l];
+            if res <= rtol {
+                half[l] = true;
+                lanes.stop(l, it, res, true);
+            }
         }
+        if half.contains(&true) {
+            // x += alpha·phat in the lanes that met rtol on the half step.
+            let m = lane_mask(half);
+            for i in 0..n {
+                let phat = p[i] * F64x4::splat(inv[i]);
+                x[i] = m.select_gt(zero, x[i] + alpha * phat, x[i]);
+            }
+            if lanes.running().next().is_none() {
+                break;
+            }
+        }
+        let (mut tt, mut ts) = (seed, seed);
+        a.matvec_lanes(hat, |i, at| {
+            t[i] = at;
+            tt += at * at;
+            ts += at * r[i];
+        });
+        for l in lanes.running() {
+            let (tt, ts) = (tt.0[l], ts.0[l]);
+            lanes.omega[l] = if tt > 1e-300 { ts / tt } else { 0.0 };
+        }
+        // x += alpha·phat + omega·shat and r = s − omega·t; `phat` is
+        // recomputed (same bits) because `hat` now holds `shat`.
+        let (alpha, omega) = (F64x4(lanes.alpha), F64x4(lanes.omega));
+        let m = lane_mask(lanes.active);
+        let (mut rr, mut r0r) = (seed, seed);
+        for i in 0..n {
+            let phat = p[i] * F64x4::splat(inv[i]);
+            x[i] = m.select_gt(zero, x[i] + (alpha * phat + omega * hat[i]), x[i]);
+            r[i] -= omega * t[i];
+            rr += r[i] * r[i];
+            r0r += r0[i] * r[i];
+        }
+        for l in lanes.running() {
+            rnorm[l] = rr.0[l].sqrt();
+            let res = rnorm[l] / bnorm[l];
+            if res <= rtol {
+                lanes.stop(l, it, res, true);
+            } else if lanes.omega[l].abs() < 1e-300 {
+                lanes.stop(l, it, res, false);
+            }
+        }
+        rho_new = r0r;
     }
-    SolveStats {
-        iterations: max_iter,
-        residual: rnorm / bnorm,
-        converged: false,
+    for l in lanes.running() {
+        lanes.stop(l, max_iter, rnorm[l] / bnorm[l], false);
     }
-}
-
-/// `z[i] = r[i] * inv_diag[i]` vectorised (pure lanewise multiply, no
-/// reassociation).
-#[inline(always)]
-fn jacobi_apply_v(inv_diag: &[f64], r: &[f64], z: &mut [f64]) {
-    let n = r.len();
-    let mut i = 0;
-    while i + 4 <= n {
-        let out = F64x4::from_slice(&r[i..]) * F64x4::from_slice(&inv_diag[i..]);
-        out.write_to(&mut z[i..]);
-        i += 4;
-    }
-    while i < n {
-        z[i] = r[i] * inv_diag[i];
-        i += 1;
-    }
+    lanes.stats
 }
 
 /// Jacobi-preconditioned conjugate gradient for SPD matrices. Allocates a
@@ -704,45 +686,25 @@ mod tests {
     }
 
     #[test]
-    fn simd_bicgstab_solves_to_the_same_tolerance() {
-        let n = 128;
-        let a = advdiff(n);
-        let pre = Jacobi::new(&a);
-        let b: Vec<f64> = (0..n).map(|i| 1.0 + (i as f64 * 0.17).sin()).collect();
-
-        let mut x_scalar = vec![0.0; n];
-        let mut ws = SolverWorkspace::new();
-        let st = bicgstab_with(&a, &b, &mut x_scalar, 1e-10, 500, &pre, &mut ws);
-        assert!(st.converged);
-
-        let mut x_simd = vec![0.0; n];
-        let mut ws2 = SolverWorkspace::new();
-        let st2 = bicgstab_simd_with(&a, &b, &mut x_simd, 1e-10, 500, &pre, &mut ws2);
-        assert!(st2.converged, "{st2:?}");
-        check_solution(&a, &x_simd, &b, 1e-8);
-        // Iterates may reassociate; solutions agree to solver tolerance.
-        for (p, q) in x_scalar.iter().zip(&x_simd) {
-            assert!((p - q).abs() < 1e-7 * (1.0 + p.abs()), "{p} vs {q}");
+    fn dot_folds_from_negative_zero_like_iterator_sum() {
+        // The explicit loop must be, bit for bit, the `iter().sum()` it
+        // replaced: std folds floats from -0.0, so a sum of nothing but
+        // -0.0 products stays -0.0 and anything else erases the seed.
+        let cases: [(&[f64], &[f64]); 6] = [
+            (&[], &[]),
+            (&[0.0], &[-1.0]),
+            (&[0.0, -0.0], &[-3.0, 2.0]),
+            (&[0.0], &[1.0]),
+            (&[0.0, 0.0], &[-1.0, 1.0]),
+            (&[1.5, -2.0, 1e-200], &[2.0, 0.25, 1e-200]),
+        ];
+        let want_bits = [-0.0f64, -0.0, -0.0, 0.0, 0.0, 2.5].map(f64::to_bits);
+        for ((a, b), want) in cases.into_iter().zip(want_bits) {
+            let summed: f64 = a.iter().zip(b).map(|(x, y)| x * y).sum();
+            assert_eq!(dot(a, b).to_bits(), summed.to_bits(), "{a:?}·{b:?}");
+            assert_eq!(dot(a, b).to_bits(), want, "{a:?}·{b:?}");
         }
-        // Iteration counts land in the same ballpark.
-        assert!(st2.iterations.abs_diff(st.iterations) <= 3);
-    }
-
-    #[test]
-    fn simd_dot_is_close_and_deterministic() {
-        let a: Vec<f64> = (0..103).map(|i| (i as f64 * 0.3).sin() * 1e3).collect();
-        let b: Vec<f64> = (0..103).map(|i| (i as f64 * 0.7).cos()).collect();
-        let scalar = dot(&a, &b);
-        let fused = dot_v::<Fused>(&a, &b);
-        let unfused = dot_v::<Unfused>(&a, &b);
-        for v in [fused, unfused] {
-            assert!(
-                (v - scalar).abs() <= 1e-10 * scalar.abs().max(1.0),
-                "{v} vs {scalar}"
-            );
-        }
-        // Deterministic: repeated evaluation is bit-identical.
-        assert_eq!(fused.to_bits(), dot_v::<Fused>(&a, &b).to_bits());
+        assert_eq!(DOT_SEED.to_bits(), (-0.0f64).to_bits());
     }
 
     #[test]

@@ -2,8 +2,9 @@
 # CI gate: formatting, release build, the whole workspace's test suite
 # (every crate's unit tests and doctests included), the benchmark
 # package's build and tests, a warning-free clippy pass (all targets),
-# a 2-thread backend smoke run, the simd smoke runs and the LA
-# simd-vs-serial epsilon sweep, an observability smoke run (the trace
+# a 2-thread backend smoke run, the CLI thread-count invariance check
+# and the large-budget lane-solver proptests, the simd smoke runs and the
+# LA simd-vs-serial epsilon sweep, an observability smoke run (the trace
 # must be loadable JSON with spans for every phase), a smoke run of all
 # four benchmark workloads, the fabric / ensemble / oracle / optimizer
 # smokes, and warning-free rustdoc.
@@ -31,6 +32,12 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> backend smoke test (rayon, 2 threads)"
 cargo run --release --bin airshed -- run \
     --dataset tiny:60 --hours 1 --backend rayon --threads 2 --no-map
+
+echo "==> four-RHS solver proptests, large case budget"
+# `cargo test` runs 48 random systems; once here, 20 000 — every lane of
+# the lockstep BiCGSTAB bit-identical to the scalar solve.
+cargo test --release --offline -p airshed-transport --test proptest_transport -- \
+    --ignored lanes_match_the_scalar_solver_bit_for_bit_soak
 
 echo "==> simd backend smoke test (both paper grids)"
 cargo run --release --bin airshed -- run \
@@ -62,6 +69,34 @@ print(f"trace OK: {len(doc['traceEvents'])} events, phases covered")
 PY
 grep -q 'airshed_phase_seconds_count{phase="transport"}' "$trace_dir/metrics.prom"
 echo "metrics OK: phase histogram present"
+
+echo "==> thread-count invariance at the CLI (serial == rayon 3 == rayon 8)"
+# One transport kernel for every backend over (layer, four-species
+# group) items: the printed report may differ in its "host backend"
+# line and nowhere else.
+report() {
+    cargo run --release -q --bin airshed -- run \
+        --dataset tiny:60 --hours 2 --no-map --backend "$1" --threads "$2" "${@:3}" \
+        | grep -v '^  host backend:'
+}
+report serial 1 > "$trace_dir/serial.txt"
+report rayon 3 > "$trace_dir/rayon3.txt"
+report rayon 8 --trace-out "$trace_dir/t8.json" > "$trace_dir/rayon8.txt"
+cmp "$trace_dir/serial.txt" "$trace_dir/rayon3.txt"
+cmp "$trace_dir/serial.txt" "$trace_dir/rayon8.txt"
+# ... and 8 threads have work: min(threads, layers x ceil(species/4)) =
+# min(8, 5 x 9) transport pool tasks per half step, where BLOCK over
+# the 5 layers alone could fill 5.
+python3 - "$trace_dir/t8.json" <<'PY'
+import json, sys
+spans = [e for e in json.load(open(sys.argv[1]))["traceEvents"]
+         if e.get("ph") == "X" and e["name"] == "transport" and e["pid"] == 1]
+tasks = sum("seq" in e["args"] for e in spans)
+half_steps = len(spans) - tasks
+assert half_steps > 0 and tasks == 8 * half_steps, \
+    f"{tasks} transport pool tasks over {half_steps} half steps, expected 8 each"
+print(f"transport items OK: {tasks} pool tasks = 8 x {half_steps} half steps")
+PY
 
 echo "==> benchmark smoke (all four workloads, two units per metric)"
 # Proves the one measurement harness *runs* against this tree, not only

@@ -15,12 +15,12 @@
 //! and are `#[ignore]`d for runtime (opt in with `--ignored`).
 //!
 //! The **simd backend has a different contract** (see DESIGN.md "SIMD
-//! backend"): its chemistry steps four columns in lockstep and its
-//! transport solver reassociates reductions, so simd-vs-serial is
-//! **epsilon-bounded**, not bit-identical — but where the simd kernels
-//! promise bit-identity (input/pretrans/output phases, which take the
-//! scalar code paths; aerosol work charges; profile shapes) the suite
-//! still demands exact equality, and simd-vs-simd reruns must be
+//! backend"): its chemistry steps four columns in lockstep, so
+//! simd-vs-serial is **epsilon-bounded**, not bit-identical — but where
+//! the simd backend promises bit-identity (input/pretrans/output phases,
+//! which take the scalar code paths; transport from identical state,
+//! which is serial's kernel; aerosol work charges; profile shapes) the
+//! suite still demands exact equality, and simd-vs-simd reruns must be
 //! exactly reproducible.
 
 use airshed::core::config::{DatasetChoice, SimConfig};
@@ -78,7 +78,8 @@ fn assert_identical(label: &str, a: &(WorkProfile, Vec<f64>), b: &(WorkProfile, 
 /// Assert the simd equivalence contract against a serial reference:
 /// exact equality where the simd backend runs scalar code (input,
 /// pretrans, output work; profile shapes), epsilon-bounded agreement on
-/// the state and on the work charges of the reassociated kernels.
+/// the state and on the work charges downstream of the lockstep
+/// chemistry.
 fn assert_simd_equivalent(
     label: &str,
     serial: &(WorkProfile, Vec<f64>),
@@ -111,8 +112,17 @@ fn assert_simd_equivalent(
         assert_eq!(ha.steps.len(), hb.steps.len());
         for (k, (sa, sb)) in ha.steps.iter().zip(&hb.steps).enumerate() {
             // Work layouts keep their shape; magnitudes may differ
-            // (lockstep substep counts, solver iteration counts).
+            // where the input state does (lockstep substep counts, and
+            // through them later iteration counts). Transport itself is
+            // serial's kernel, so the very first half step — computed
+            // from identical state — is charged identically.
             assert_eq!(sa.transport1.len(), sb.transport1.len());
+            if (h, k) == (0, 0) {
+                assert_eq!(
+                    sa.transport1, sb.transport1,
+                    "{label}: first transport charge"
+                );
+            }
             assert_eq!(sa.chemistry.len(), sb.chemistry.len());
             assert!(
                 sb.chemistry.iter().all(|&w| w > 0.0),
