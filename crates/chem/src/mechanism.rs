@@ -169,10 +169,12 @@ impl Mechanism {
                 continue;
             }
             for &(s, nu) in &r.consume {
-                // Loss frequency: nu · rate / c. The concentrations in
-                // `rate_order` include c[s] itself, so this is finite for
-                // any state with c[s] > 0; floor avoids 0/0 for rate 0.
-                l[s] += nu * rate / conc[s].max(FLOOR);
+                // Loss frequency nu · rate / c, in the reciprocal form
+                // the kernels share: (rate · (1/c)) · nu. The
+                // concentrations in `rate_order` include c[s] itself, so
+                // this is finite for any state with c[s] > 0; the floor
+                // avoids 0/0 for rate 0.
+                l[s] += rate * (1.0 / conc[s].max(FLOOR)) * nu;
             }
             for &(s, nu) in &r.produce {
                 p[s] += nu * rate;

@@ -216,37 +216,15 @@ pub(crate) fn integrate_cell4_unfused(
     })
 }
 
-/// `exp(x)` per lane for `x` in `[-50, 0]` — the stiff pass's only
-/// transcendental. Cody–Waite reduction `x = n·ln2 + r` with a two-part
-/// `ln2`, the degree-13 Taylor polynomial of `exp(r)` on `|r| ≤ ln2/2`
-/// in Horner form, and the exponent `n` added into the result's bits.
-/// Within 2 ulp of `f64::exp` under either [`Madd`] strategy, exactly
-/// `1.0` at `0.0`; a NaN lane yields an unspecified finite or NaN value
-/// (the caller's select discards such lanes).
+/// [`exp_poly`](crate::youngboris::exp_poly) on four lanes: the same
+/// reduction, polynomial and exponent insertion, with the multiply-adds
+/// under `M`. Each lane of the [`Unfused`] instantiation is `exp_poly`
+/// bit for bit; [`Fused`] is
+/// within 2 ulp of `f64::exp` as well. A NaN lane yields an unspecified
+/// finite or NaN value (the caller's select discards such lanes).
 #[inline(always)]
 fn exp4<M: Madd>(x: F64x4) -> F64x4 {
-    // 1.5·2^52: adding it rounds to an integer and leaves that integer
-    // in the low mantissa bits.
-    const SHIFT: f64 = 6_755_399_441_055_744.0;
-    // ln2 in two parts (fdlibm's): the high part's low 32 bits are zero,
-    // so `n · LN2_HI` is exact for the small `n` here.
-    const LN2_HI: f64 = f64::from_bits(0x3FE6_2E42_FEE0_0000);
-    const LN2_LO: f64 = f64::from_bits(0x3DEA_39EF_3579_3C76);
-    // 1/13!, 1/12!, ..., 1/2!
-    const TAYLOR: [f64; 12] = [
-        1.0 / 6_227_020_800.0,
-        1.0 / 479_001_600.0,
-        1.0 / 39_916_800.0,
-        1.0 / 3_628_800.0,
-        1.0 / 362_880.0,
-        1.0 / 40_320.0,
-        1.0 / 5_040.0,
-        1.0 / 720.0,
-        1.0 / 120.0,
-        1.0 / 24.0,
-        1.0 / 6.0,
-        0.5,
-    ];
+    use crate::youngboris::exp_consts::{LN2_HI, LN2_LO, SHIFT, TAYLOR};
     let shift = F64x4::splat(SHIFT);
     let shifted = M::madd4(x, F64x4::splat(std::f64::consts::LOG2_E), shift);
     let n = shifted - shift;
@@ -257,16 +235,14 @@ fn exp4<M: Madd>(x: F64x4) -> F64x4 {
         q = M::madd4(q, r, F64x4::splat(*c));
     }
     let e = M::madd4(r * r, q, r) + F64x4::splat(1.0);
-    // 2^n: `n + 1023` moved into the exponent field. `n` is in
-    // [-73, 0] here, so the biased exponent stays normal.
     let pow2 = |lane: usize| f64::from_bits(shifted.0[lane].to_bits().wrapping_add(1023) << 52);
     e * F64x4([pow2(0), pow2(1), pow2(2), pow2(3)])
 }
 
-/// `youngboris::asymptotic` on four lanes. The rational form is the
-/// scalar arithmetic lane for lane; the exponential form differs from it
-/// by [`exp4`] alone. Lanes with `l == 0` come out NaN or infinite — the
-/// caller selects them away.
+/// `youngboris::asymptotic` on four lanes — the scalar arithmetic lane
+/// for lane in both forms under [`Unfused`]; under [`Fused`] the
+/// exponential form differs by [`exp4`]'s fused multiply-adds. Lanes with
+/// `l == 0` come out NaN or infinite — the caller selects them away.
 #[inline(always)]
 fn asymptotic4<M: Madd>(c0: F64x4, p: F64x4, l: F64x4, h4: F64x4, form: AsymptoticForm) -> F64x4 {
     match form {
@@ -509,7 +485,7 @@ mod tests {
     use super::*;
     use crate::species::{self as sp, background_vector};
     use crate::vertical::diffuse_column;
-    use crate::youngboris::{integrate_cell_with_k, YbWorkspace};
+    use crate::youngboris::{exp_poly, integrate_cell_with_k, YbWorkspace};
     use proptest::prelude::*;
     use proptest::test_runner::TestCaseError;
 
@@ -808,6 +784,20 @@ mod tests {
         [("fused", exp4::<Fused>(x)), ("unfused", exp4::<Unfused>(x))]
     }
 
+    /// The scalar oracle's exponential is the `Unfused` lane, bit for bit.
+    fn assert_unfused_lanes_are_exp_poly(x: F64x4) {
+        let got = exp4::<Unfused>(x);
+        for lane in 0..4 {
+            let want = exp_poly(x.lane(lane));
+            assert_eq!(
+                got.lane(lane).to_bits(),
+                want.to_bits(),
+                "x {}",
+                x.lane(lane)
+            );
+        }
+    }
+
     #[test]
     fn exp4_is_within_two_ulp_on_a_dense_grid() {
         let steps = 200_000;
@@ -821,6 +811,7 @@ mod tests {
                     assert!(d <= 2, "{name} exp4({}) is {d} ulp off", x.lane(lane));
                 }
             }
+            assert_unfused_lanes_are_exp_poly(x);
         }
         for (name, got) in exp4_both(F64x4::new(0.0, -0.0, -50.0, -1e-300)) {
             assert_eq!(got.lane(0), 1.0, "{name}");
@@ -844,6 +835,7 @@ mod tests {
                     prop_assert!(d <= 2, "{name} exp4({}) is {d} ulp off", x[lane]);
                 }
             }
+            assert_unfused_lanes_are_exp_poly(x4);
         }
     }
 
@@ -859,16 +851,7 @@ mod tests {
             for lane in 0..4 {
                 let want = asymptotic(c0.lane(lane), p.lane(lane), l.lane(lane), h, form);
                 let got = got.lane(lane);
-                let tol = match form {
-                    // The scalar arithmetic, lane for lane.
-                    AsymptoticForm::Rational => 0.0,
-                    // `exp4` is within 2 ulp of `exp`.
-                    AsymptoticForm::Exponential => 4.0 * f64::EPSILON * want.abs(),
-                };
-                assert!(
-                    (got - want).abs() <= tol,
-                    "{form:?} lane {lane}: {got} vs {want}"
-                );
+                assert_eq!(got.to_bits(), want.to_bits(), "{form:?} lane {lane}");
             }
         }
     }

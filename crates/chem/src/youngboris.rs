@@ -258,8 +258,8 @@ fn advance(c0: f64, p: f64, l: f64, h: f64, opts: &YbOptions) -> f64 {
 }
 
 /// Asymptotic update of `dc/dt = P − L·c` over a step `h`, treating `P`
-/// and `τ = 1/L` as constant. `pub(crate)` as the reference of the
-/// four-lane `simd::asymptotic4`.
+/// and `τ = 1/L` as constant — lane for lane the arithmetic of
+/// `simd::asymptotic4::<Unfused>`, [`exp_poly`] included.
 #[inline]
 pub(crate) fn asymptotic(c0: f64, p: f64, l: f64, h: f64, form: AsymptoticForm) -> f64 {
     let lh = l * h;
@@ -273,10 +273,61 @@ pub(crate) fn asymptotic(c0: f64, p: f64, l: f64, h: f64, form: AsymptoticForm) 
             if lh > 50.0 {
                 ceq
             } else {
-                ceq + (c0 - ceq) * (-lh).exp()
+                ceq + (c0 - ceq) * exp_poly((-lh).max(-50.0))
             }
         }
     }
+}
+
+/// Constants of [`exp_poly`], shared with its four-lane twin `simd::exp4`.
+pub(crate) mod exp_consts {
+    /// 1.5·2^52: adding it rounds to an integer and leaves that integer
+    /// in the low mantissa bits.
+    pub const SHIFT: f64 = 6_755_399_441_055_744.0;
+    /// ln2 in two parts (fdlibm's): the high part's low 32 bits are zero,
+    /// so `n · LN2_HI` is exact for the small `n` here.
+    pub const LN2_HI: f64 = f64::from_bits(0x3FE6_2E42_FEE0_0000);
+    pub const LN2_LO: f64 = f64::from_bits(0x3DEA_39EF_3579_3C76);
+    /// 1/13!, 1/12!, ..., 1/2!
+    pub const TAYLOR: [f64; 12] = [
+        1.0 / 6_227_020_800.0,
+        1.0 / 479_001_600.0,
+        1.0 / 39_916_800.0,
+        1.0 / 3_628_800.0,
+        1.0 / 362_880.0,
+        1.0 / 40_320.0,
+        1.0 / 5_040.0,
+        1.0 / 720.0,
+        1.0 / 120.0,
+        1.0 / 24.0,
+        1.0 / 6.0,
+        0.5,
+    ];
+}
+
+/// `exp(x)` for `x` in `[-50, 0]` — the stiff update's only
+/// transcendental, and not libm's: Cody–Waite reduction `x = n·ln2 + r`
+/// with a two-part `ln2`, the degree-13 Taylor polynomial of `exp(r)` on
+/// `|r| ≤ ln2/2` in Horner form with two-rounding multiply-adds, and the
+/// exponent `n` added into the result's bits. Within 2 ulp of `f64::exp`,
+/// exactly `1.0` at `0.0`, and made of correctly rounded operations only,
+/// so each lane of `simd::exp4::<Unfused>` is this function bit for bit
+/// on every host.
+#[inline]
+pub(crate) fn exp_poly(x: f64) -> f64 {
+    use exp_consts::{LN2_HI, LN2_LO, SHIFT, TAYLOR};
+    let shifted = x * std::f64::consts::LOG2_E + SHIFT;
+    let n = shifted - SHIFT;
+    let r = n * -LN2_HI + x;
+    let r = n * -LN2_LO + r;
+    let mut q = TAYLOR[0];
+    for c in &TAYLOR[1..] {
+        q = q * r + c;
+    }
+    let e = (r * r) * q + r + 1.0;
+    // 2^n: `n + 1023` moved into the exponent field. `n` is in
+    // [-73, 0] here, so the biased exponent stays normal.
+    e * f64::from_bits(shifted.to_bits().wrapping_add(1023) << 52)
 }
 
 #[cfg(test)]
