@@ -16,9 +16,12 @@
 //!   production/loss-frequency evaluation, by straight-line kernels that
 //!   `build.rs` generates from the one carbon-bond table;
 //! * [`youngboris`] — the hybrid predictor–corrector stiff ODE scheme of
-//!   Young & Boris (1977) that the paper cites for the chemistry solve;
-//! * [`simd`] — the same integrator on four columns in lockstep
-//!   (`F64x4` lanes), for the `simd` backend;
+//!   Young & Boris (1977) that the paper cites for the chemistry solve,
+//!   one cell at a time: the definition, and the oracle of the lanes;
+//! * [`simd`] — the same integrator on four cells at a time, one per
+//!   `F64x4` lane with its own substep controller, each lane
+//!   bit-identical to the scalar integrator: the kernel every backend
+//!   runs (the `simd` backend with fused multiply-adds);
 //! * [`vertical`] — implicit (backward-Euler, Thomas-solve) vertical
 //!   diffusion with surface emission and dry-deposition fluxes;
 //! * [`audit`] — reaction-by-reaction atom-balance checking (N, S);

@@ -1,58 +1,59 @@
-//! 4-column lockstep chemistry kernels for the `--backend simd`
-//! executor.
+//! Chemistry's cells as independent lanes: the Young–Boris integrator
+//! of every backend.
 //!
-//! The scalar chemistry phase integrates one grid cell at a time. This
-//! module integrates **four columns of the same layer in lockstep**:
-//! the cells share temperature, actinic factor (and therefore rate
-//! constants) and the substep controller, so the whole Young–Boris
-//! predictor/corrector runs on [`F64x4`] vectors — one lane per column.
-//! The shared substep is governed by the *strictest* lane (`err` is the
-//! max over lanes), so every lane is integrated at least as accurately
-//! as its scalar counterpart, but the accept/reject history differs —
-//! which is why the simd chemistry contract is epsilon-bounded, not
-//! bit-identical (see DESIGN.md "SIMD backend").
+//! Every grid cell's kinetics is independent of every other's, so
+//! [`integrate_stream`] integrates **four cells at a time, one per
+//! [`F64x4`] lane, each with its own substep controller**. It walks the
+//! same-layer cells of a partition (they share temperature and actinic
+//! factor, hence the rate constants `k`): a lane holds one cell with its
+//! own `t`, `h` and accept/reject history, and a lane whose cell reaches
+//! `dt` stores it and loads the next one, so the lanes stay full until
+//! the stream runs dry. Production/loss (the four-lane kernel `build.rs`
+//! generates, see [`crate::mechanism`]), predictor, corrector and the
+//! stiff asymptotic pass are branch-free vector passes with `h` a vector;
+//! the error maximum, accept/reject, `t += h` and the next `h` are per
+//! lane, by the very functions the scalar integrator calls; an accepted
+//! lane takes `c1` by a select, a rejected one keeps its state.
 //!
-//! Three deliberate departures from the scalar arithmetic beyond the
-//! lockstep stepping:
+//! **A lane does the scalar arithmetic.** Under [`Unfused`] every
+//! operation is the correctly rounded operation
+//! [`integrate_cell_with_k`](crate::youngboris::integrate_cell_with_k)
+//! performs on that cell, in the same order — loss frequencies in the
+//! reciprocal form, the stiff exponential from the polynomial
+//! `exp_poly`/`exp4` pair — so each cell comes out **bit-identical** to
+//! the scalar integrator in state, `substeps`, `rejected` and `evals`,
+//! whatever lane it ran in and whatever its neighbours were. That
+//! instantiation (portable, or compiled for `avx2`: the same bits) is the
+//! chemistry of the `serial` and `rayon` backends, of shards, server
+//! workers and ensembles. [`Fused`] is the one epsilon variant: the same
+//! body with fused multiply-adds in the production/loss sums, the
+//! Euler/trapezoid updates and `exp4`, for `--backend simd` — still
+//! independent of lane, grouping and thread count.
 //!
-//! * [`prod_loss4`] computes `1 / max(c, FLOOR)` once per species and
-//!   multiplies, instead of dividing per consume entry (32 divides per
-//!   evaluation instead of 126);
-//! * fused multiply-adds ([`Madd`] with [`Fused`]) round once where the
-//!   scalar kernel rounds twice — in the production/loss sums and in the
-//!   Euler/trapezoid updates, also for the non-stiff lanes of a species
-//!   another lane of which is stiff;
-//! * the stiff asymptotic update takes its exponential from the vector
-//!   polynomial `exp4` (within 2 ulp of `f64::exp`), not from libm.
+//! The vertical solve ([`diffuse_column4`]) has lane-shared coefficients
+//! and exactly [`crate::vertical::diffuse_column`]'s lanewise arithmetic,
+//! so each of its lanes is bit-identical to the scalar solve as well.
 //!
-//! Production/loss is the four-lane kernel `build.rs` generates from the
-//! carbon-bond table (see [`crate::mechanism`]): straight-line, one
-//! register accumulator per species. The integrator around it has no
-//! branch that depends on stiffness: predictor and corrector each run a
-//! vector pass over every species, then a vector asymptotic pass over
-//! the short list of species with a stiff lane.
-//!
-//! The vertical solve ([`diffuse_column4`]) uses none of this: its
-//! coefficients are lane-shared scalars and its lanewise arithmetic is
-//! exactly [`crate::vertical::diffuse_column`]'s, so each lane of the
-//! vertical solve is bit-identical to the scalar path.
-//!
-//! Dispatch: every public kernel checks [`fma_available`] once and runs
-//! a `#[target_feature(enable = "avx2,fma")]` instantiation ([`Fused`])
-//! or the portable one ([`Unfused`]). Those two calls are this module's
-//! only `unsafe`; their precondition is the CPU feature check on the
-//! line above each. The generated kernels contain none, and index only
-//! fixed-size arrays with constants.
+//! Dispatch: [`integrate_stream`] checks [`fma_available`] once and runs a
+//! `#[target_feature]` instantiation or the portable one. That call is
+//! this module's only `unsafe`; its precondition is the CPU feature check
+//! on the line above it, repeated as a `debug_assert!` inside each callee.
+//! The integrator body and the generated kernels contain none, and the
+//! kernels index only fixed-size arrays with constants.
 
 use crate::mechanism::{kernels, Mechanism, N_REACTIONS};
 use crate::species::N_SPECIES;
 use crate::vertical::ColumnGeometry;
-use crate::youngboris::{AsymptoticForm, YbOptions, YbStats};
+use crate::youngboris::{initial_substep, step_control, AsymptoticForm, YbOptions, YbStats};
 use airshed_simd::{fma_available, F64x4, Fused, Madd, Unfused};
 
-/// Scratch for the lockstep integrator — the [`F64x4`] mirror of
-/// `YbWorkspace`, plus the list of species with a stiff lane.
+const LANES: usize = F64x4::LANES;
+
+/// Scratch for [`integrate_stream`]: the lanes' state and the [`F64x4`]
+/// mirror of `YbWorkspace`, the list of species with a stiff lane, and
+/// the staging cells of the [`integrate_cell4`] adapter.
 pub struct Yb4Workspace {
+    conc: Vec<F64x4>,
     p0: Vec<F64x4>,
     l0: Vec<F64x4>,
     pp: Vec<F64x4>,
@@ -60,42 +61,24 @@ pub struct Yb4Workspace {
     cp: Vec<F64x4>,
     c1: Vec<F64x4>,
     stiff: Vec<usize>,
+    cells: Vec<f64>,
 }
 
 impl Yb4Workspace {
     pub fn new(n_species: usize) -> Yb4Workspace {
+        let lanes = || vec![F64x4::zero(); n_species];
         Yb4Workspace {
-            p0: vec![F64x4::zero(); n_species],
-            l0: vec![F64x4::zero(); n_species],
-            pp: vec![F64x4::zero(); n_species],
-            lp: vec![F64x4::zero(); n_species],
-            cp: vec![F64x4::zero(); n_species],
-            c1: vec![F64x4::zero(); n_species],
+            conc: lanes(),
+            p0: lanes(),
+            l0: lanes(),
+            pp: lanes(),
+            lp: lanes(),
+            cp: lanes(),
+            c1: lanes(),
             stiff: vec![0; n_species],
+            cells: vec![0.0; LANES * n_species],
         }
     }
-}
-
-/// Vectorised production/loss evaluation: lane `j` of `p[s]`/`l[s]` is
-/// the production rate / loss frequency of species `s` in column `j`.
-/// For the carbon-bond mechanism this is the generated four-lane kernel,
-/// which matches `Mechanism::prod_loss` per lane up to the reciprocal
-/// reassociation (`rate * (1/c)` instead of `rate / c`) and the fused
-/// multiply-adds; a table-only mechanism is evaluated lane by lane by
-/// `Mechanism::prod_loss` itself.
-pub fn prod_loss4(mech: &Mechanism, conc: &[F64x4], k: &[f64], p: &mut [F64x4], l: &mut [F64x4]) {
-    let sized = [conc.len(), p.len(), l.len()] == [N_SPECIES; 3];
-    let Some(ck) = mech.compiled_k(k).filter(|_| sized) else {
-        return prod_loss4_lanes(mech, conc, k, p, l);
-    };
-    #[cfg(target_arch = "x86_64")]
-    if fma_available() {
-        // SAFETY: `prod_loss4_fma` requires avx2 and fma, which
-        // `fma_available` has just detected on this CPU.
-        unsafe { prod_loss4_fma(conc, ck, p, l) };
-        return;
-    }
-    prod_loss4_unfused(conc, ck, p, l);
 }
 
 /// The species-sized arrays the generated kernel takes. The callers hand
@@ -117,8 +100,8 @@ fn species_arrays<'a>(
     }
 }
 
-/// The one [`Fused`] instantiation of the generated kernel. Requires
-/// avx2 and fma: call it only after [`fma_available`] returned true.
+/// The [`Fused`] instantiation of the generated kernel. Requires avx2
+/// and fma: call it only after [`fma_available`] returned true.
 #[cfg(target_arch = "x86_64")]
 #[inline(never)]
 #[target_feature(enable = "avx2,fma")]
@@ -128,14 +111,21 @@ fn prod_loss4_fma(conc: &[F64x4], k: &[f64; N_REACTIONS], p: &mut [F64x4], l: &m
     kernels::prod_loss_x4::<Fused>(c, k, p, l);
 }
 
-/// The one [`Unfused`] (portable) instantiation of the generated kernel.
+/// The [`Unfused`] instantiation of the generated kernel compiled for
+/// avx2 — the bits of [`prod_loss4_unfused`], in 256-bit registers.
+/// Requires avx2: call it only after [`fma_available`] returned true.
+#[cfg(target_arch = "x86_64")]
 #[inline(never)]
-pub(crate) fn prod_loss4_unfused(
-    conc: &[F64x4],
-    k: &[f64; N_REACTIONS],
-    p: &mut [F64x4],
-    l: &mut [F64x4],
-) {
+#[target_feature(enable = "avx2")]
+fn prod_loss4_avx2(conc: &[F64x4], k: &[f64; N_REACTIONS], p: &mut [F64x4], l: &mut [F64x4]) {
+    debug_assert!(fma_available());
+    let (c, p, l) = species_arrays(conc, p, l);
+    kernels::prod_loss_x4::<Unfused>(c, k, p, l);
+}
+
+/// The portable [`Unfused`] instantiation of the generated kernel.
+#[inline(never)]
+fn prod_loss4_unfused(conc: &[F64x4], k: &[f64; N_REACTIONS], p: &mut [F64x4], l: &mut [F64x4]) {
     let (c, p, l) = species_arrays(conc, p, l);
     kernels::prod_loss_x4::<Unfused>(c, k, p, l);
 }
@@ -146,7 +136,7 @@ pub(crate) fn prod_loss4_unfused(
 fn prod_loss4_lanes(mech: &Mechanism, conc: &[F64x4], k: &[f64], p: &mut [F64x4], l: &mut [F64x4]) {
     let n = conc.len();
     let (mut c1, mut p1, mut l1) = (vec![0.0; n], vec![0.0; n], vec![0.0; n]);
-    for lane in 0..F64x4::LANES {
+    for lane in 0..LANES {
         for s in 0..n {
             c1[s] = conc[s].lane(lane);
         }
@@ -158,11 +148,127 @@ fn prod_loss4_lanes(mech: &Mechanism, conc: &[F64x4], k: &[f64], p: &mut [F64x4]
     }
 }
 
-/// Advance four same-layer cells (one per lane of `conc[s]`) by
-/// `dt_min` minutes in lockstep, with shared, pre-evaluated rate
-/// constants `k`. Returns the batch's stats: `evals`/`substeps` count
-/// each lockstep operation once (all four lanes participate in every
-/// evaluation).
+/// How full [`integrate_stream`] kept its lanes: of the
+/// `LANES × vector_attempts` lane-attempts it executed, `lane_attempts`
+/// advanced a cell (each is one accepted or rejected substep of that
+/// cell); the rest ran in lanes waiting for the stream's last cells.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct LaneOccupancy {
+    /// Four-lane substep attempts (two production/loss evaluations each).
+    pub vector_attempts: u64,
+    /// Σ over cells of `substeps + rejected`.
+    pub lane_attempts: u64,
+}
+
+impl LaneOccupancy {
+    /// Merge the counts of another stream.
+    pub fn absorb(&mut self, other: LaneOccupancy) {
+        self.vector_attempts += other.vector_attempts;
+        self.lane_attempts += other.lane_attempts;
+    }
+
+    /// Useful share of the executed lane-attempts, in `(0, 1]`; `None`
+    /// if nothing ran.
+    pub fn ratio(&self) -> Option<f64> {
+        let executed = LANES as u64 * self.vector_attempts;
+        (executed > 0).then(|| self.lane_attempts as f64 / executed as f64)
+    }
+}
+
+/// Advance every cell of a stream by `dt_min` minutes with shared,
+/// pre-evaluated rate constants `k`: cell `i` is the species vector
+/// `cells[i * stride..][..n_species]` (so a stream is the same-layer
+/// cells of cell-major columns laid end to end: base slice at the layer,
+/// stride one column), and its work statistics land in `stats[i]`;
+/// `stats.len()` is the number of cells.
+///
+/// With `fused == false` every cell comes out bit-identical to
+/// [`integrate_cell_with_k`](crate::youngboris::integrate_cell_with_k) —
+/// concentrations and statistics — on every host; `fused == true` uses
+/// fused multiply-adds where the CPU has them (otherwise it is the same
+/// as `false`) and is epsilon-close to that. Either way a cell's result
+/// does not depend on its position in the stream or on the other cells.
+#[allow(clippy::too_many_arguments)]
+pub fn integrate_stream(
+    mech: &Mechanism,
+    fused: bool,
+    cells: &mut [f64],
+    stride: usize,
+    stats: &mut [YbStats],
+    k: &[f64],
+    dt_min: f64,
+    opts: &YbOptions,
+    ws: &mut Yb4Workspace,
+) -> LaneOccupancy {
+    debug_assert_eq!(k.len(), mech.n_reactions());
+    let n = mech.n_species();
+    let stream = Stream {
+        cells,
+        stride,
+        stats,
+        n,
+    };
+    let Some(ck) = mech.compiled_k(k).filter(|_| n == N_SPECIES) else {
+        return stream.integrate::<Unfused>(dt_min, opts, ws, |c, p, l| {
+            prod_loss4_lanes(mech, c, k, p, l)
+        });
+    };
+    #[cfg(target_arch = "x86_64")]
+    if fma_available() {
+        // SAFETY: `integrate_fma` requires avx2 and fma, `integrate_avx2`
+        // avx2; `fma_available` has just detected both on this CPU.
+        return unsafe {
+            if fused {
+                integrate_fma(stream, ck, dt_min, opts, ws)
+            } else {
+                integrate_avx2(stream, ck, dt_min, opts, ws)
+            }
+        };
+    }
+    stream.integrate::<Unfused>(dt_min, opts, ws, |c, p, l| prod_loss4_unfused(c, ck, p, l))
+}
+
+/// The [`Fused`] instantiation of the stream kernel. Requires avx2 and
+/// fma: call it only after [`fma_available`] returned true.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+fn integrate_fma(
+    stream: Stream,
+    k: &[f64; N_REACTIONS],
+    dt_min: f64,
+    opts: &YbOptions,
+    ws: &mut Yb4Workspace,
+) -> LaneOccupancy {
+    debug_assert!(fma_available());
+    stream.integrate::<Fused>(dt_min, opts, ws, |c, p, l| prod_loss4_fma(c, k, p, l))
+}
+
+/// The [`Unfused`] instantiation of the stream kernel compiled for avx2:
+/// the portable instantiation's bits. Requires avx2: call it only after
+/// [`fma_available`] returned true.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn integrate_avx2(
+    stream: Stream,
+    k: &[f64; N_REACTIONS],
+    dt_min: f64,
+    opts: &YbOptions,
+    ws: &mut Yb4Workspace,
+) -> LaneOccupancy {
+    debug_assert!(fma_available());
+    stream.integrate::<Unfused>(dt_min, opts, ws, |c, p, l| prod_loss4_avx2(c, k, p, l))
+}
+
+/// Four cells, one per lane of `conc[s]`, through [`integrate_stream`]
+/// (fused where the CPU allows): a stream of exactly four cells, so no
+/// lane is ever refilled. Kept for callers that hold lane-major cells.
+///
+/// The returned statistics count **vector iterations, not per-cell
+/// work**: `substeps` is the number of four-lane attempts the kernel ran
+/// (> 0 whenever `dt_min > 0`; each advances every unfinished lane by one
+/// attempt, accepted or not), `evals` the four-lane production/loss
+/// evaluations (two per attempt) and `rejected` is 0, since lanes accept
+/// and reject on their own.
 pub fn integrate_cell4(
     mech: &Mechanism,
     conc: &mut [F64x4],
@@ -171,57 +277,36 @@ pub fn integrate_cell4(
     opts: &YbOptions,
     ws: &mut Yb4Workspace,
 ) -> YbStats {
-    debug_assert_eq!(conc.len(), mech.n_species());
-    debug_assert_eq!(k.len(), mech.n_reactions());
-    let Some(ck) = mech.compiled_k(k).filter(|_| conc.len() == N_SPECIES) else {
-        return integrate_cell4_impl::<Unfused>(conc, dt_min, opts, ws, |c, p, l| {
-            prod_loss4_lanes(mech, c, k, p, l)
-        });
-    };
-    #[cfg(target_arch = "x86_64")]
-    if fma_available() {
-        // SAFETY: `integrate_cell4_fma` requires avx2 and fma, which
-        // `fma_available` has just detected on this CPU.
-        return unsafe { integrate_cell4_fma(conc, ck, dt_min, opts, ws) };
+    let n = conc.len();
+    debug_assert_eq!(n, mech.n_species());
+    let mut cells = std::mem::take(&mut ws.cells);
+    cells.resize(LANES * n, 0.0);
+    for (s, c) in conc.iter().enumerate() {
+        for lane in 0..LANES {
+            cells[lane * n + s] = c.lane(lane);
+        }
     }
-    integrate_cell4_unfused(conc, ck, dt_min, opts, ws)
-}
-
-/// The [`Fused`] instantiation of the lockstep integrator. Requires avx2
-/// and fma: call it only after [`fma_available`] returned true.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-fn integrate_cell4_fma(
-    conc: &mut [F64x4],
-    k: &[f64; N_REACTIONS],
-    dt_min: f64,
-    opts: &YbOptions,
-    ws: &mut Yb4Workspace,
-) -> YbStats {
-    debug_assert!(fma_available());
-    integrate_cell4_impl::<Fused>(conc, dt_min, opts, ws, |c, p, l| prod_loss4_fma(c, k, p, l))
-}
-
-/// The [`Unfused`] (portable) instantiation of the lockstep integrator
-/// on the compiled mechanism.
-pub(crate) fn integrate_cell4_unfused(
-    conc: &mut [F64x4],
-    k: &[f64; N_REACTIONS],
-    dt_min: f64,
-    opts: &YbOptions,
-    ws: &mut Yb4Workspace,
-) -> YbStats {
-    integrate_cell4_impl::<Unfused>(conc, dt_min, opts, ws, |c, p, l| {
-        prod_loss4_unfused(c, k, p, l)
-    })
+    let mut stats = [YbStats::default(); LANES];
+    let ran = integrate_stream(mech, true, &mut cells, n, &mut stats, k, dt_min, opts, ws);
+    for (s, c) in conc.iter_mut().enumerate() {
+        for lane in 0..LANES {
+            c.set_lane(lane, cells[lane * n + s]);
+        }
+    }
+    ws.cells = cells;
+    YbStats {
+        substeps: ran.vector_attempts,
+        rejected: 0,
+        evals: 2 * ran.vector_attempts,
+    }
 }
 
 /// [`exp_poly`](crate::youngboris::exp_poly) on four lanes: the same
 /// reduction, polynomial and exponent insertion, with the multiply-adds
 /// under `M`. Each lane of the [`Unfused`] instantiation is `exp_poly`
-/// bit for bit; [`Fused`] is
-/// within 2 ulp of `f64::exp` as well. A NaN lane yields an unspecified
-/// finite or NaN value (the caller's select discards such lanes).
+/// bit for bit; [`Fused`] is within 2 ulp of `f64::exp` as well. A NaN
+/// lane yields an unspecified finite or NaN value (the caller's select
+/// discards such lanes).
 #[inline(always)]
 fn exp4<M: Madd>(x: F64x4) -> F64x4 {
     use crate::youngboris::exp_consts::{LN2_HI, LN2_LO, SHIFT, TAYLOR};
@@ -260,145 +345,217 @@ fn asymptotic4<M: Madd>(c0: F64x4, p: F64x4, l: F64x4, h4: F64x4, form: Asymptot
     }
 }
 
-/// The lockstep integrator, over a multiply-add strategy and the
-/// production/loss evaluation `pl(conc, p, l)` of the mechanism.
-///
-/// Predictor and corrector each run as two passes: a branch-free vector
-/// Euler / trapezoid over every species, which also lists the species
-/// with a stiff lane, then the vector asymptotic update of the listed
-/// few, blended per lane over the first pass's value. No branch depends
-/// on a species' stiffness.
-#[inline(always)]
-fn integrate_cell4_impl<M: Madd>(
-    conc: &mut [F64x4],
-    dt_min: f64,
-    opts: &YbOptions,
-    ws: &mut Yb4Workspace,
-    pl: impl Fn(&[F64x4], &mut [F64x4], &mut [F64x4]),
-) -> YbStats {
-    let mut stats = YbStats::default();
-    if dt_min <= 0.0 {
-        return stats;
+/// The cells [`integrate_stream`] walks: cell `i` is
+/// `cells[i * stride..][..n]`, its statistics `stats[i]`.
+struct Stream<'a> {
+    cells: &'a mut [f64],
+    stride: usize,
+    stats: &'a mut [YbStats],
+    n: usize,
+}
+
+/// One lane's control state — the locals of the scalar integrator.
+#[derive(Clone, Copy)]
+struct Lane {
+    /// The cell in this lane; `None` once the stream has no cell left
+    /// for it (the lane then keeps a finished cell's finite state and
+    /// never stores).
+    cell: Option<usize>,
+    t: f64,
+    h: f64,
+    /// The lane's state changed since production/loss was last evaluated
+    /// at it: the evaluation at the top of the next attempt counts.
+    fresh: bool,
+    /// The lane has just loaded its cell: `h` is still to be seeded from
+    /// that evaluation.
+    unseeded: bool,
+}
+
+impl Stream<'_> {
+    /// Copy cell `i` into lane `lane` of `conc`.
+    fn load(&self, i: usize, lane: usize, conc: &mut [F64x4]) {
+        let cell = &self.cells[i * self.stride..][..self.n];
+        for (c, &v) in conc.iter_mut().zip(cell) {
+            c.set_lane(lane, v);
+        }
     }
-    // Every buffer cut to the same length once, so the loops below carry
-    // no bounds checks.
-    let n = conc.len();
-    let (p0, l0) = (&mut ws.p0[..n], &mut ws.l0[..n]);
-    let (pp, lp) = (&mut ws.pp[..n], &mut ws.lp[..n]);
-    let (cp, c1) = (&mut ws.cp[..n], &mut ws.c1[..n]);
-    let stiff = &mut ws.stiff[..n];
-    let zero = F64x4::zero();
-    let atol4 = F64x4::splat(opts.atol);
-    let half = F64x4::splat(0.5);
-    let ratio4 = F64x4::splat(opts.stiff_ratio);
 
-    pl(conc, p0, l0);
-    stats.evals += 1;
+    /// Copy lane `lane` of `conc` back into cell `i`.
+    fn store(&mut self, i: usize, lane: usize, conc: &[F64x4]) {
+        let cell = &mut self.cells[i * self.stride..][..self.n];
+        for (v, c) in cell.iter_mut().zip(conc) {
+            *v = c.lane(lane);
+        }
+    }
 
-    // Initial substep from the fastest non-stiff relative rate — the
-    // strictest over all four lanes, mirroring the scalar seeding per
-    // lane.
-    let mut h = {
-        let mut max_rel = 0.0f64;
-        for i in 0..n {
-            for lane in 0..F64x4::LANES {
-                let c = conc[i].lane(lane);
-                let l = l0[i].lane(lane);
-                let f = (p0[i].lane(lane) - l * c).abs();
-                if l * opts.h_max < 1e4 {
-                    max_rel = max_rel.max(f / (c + opts.atol));
+    /// The stream kernel, over a multiply-add strategy and the four-lane
+    /// production/loss evaluation `pl(conc, p, l)` of the mechanism.
+    ///
+    /// Every attempt evaluates production/loss at the lanes' states
+    /// (new work for a lane that accepted or loaded a cell; for a lane
+    /// that rejected it recomputes the same bits and is not counted),
+    /// then runs predictor and corrector as two passes each: a
+    /// branch-free vector Euler / trapezoid over every species, which
+    /// also lists the species with a stiff lane, then the vector
+    /// asymptotic update of the listed few, blended per lane over the
+    /// first pass's value. No branch depends on a species' stiffness;
+    /// the only per-lane branches are the controller's.
+    #[inline(always)]
+    fn integrate<M: Madd>(
+        mut self,
+        dt_min: f64,
+        opts: &YbOptions,
+        ws: &mut Yb4Workspace,
+        pl: impl Fn(&[F64x4], &mut [F64x4], &mut [F64x4]),
+    ) -> LaneOccupancy {
+        let mut ran = LaneOccupancy::default();
+        self.stats.fill(YbStats::default());
+        let n_cells = self.stats.len();
+        if dt_min <= 0.0 || n_cells == 0 {
+            return ran;
+        }
+        // Every buffer cut to the same length once, so the loops below
+        // carry no bounds checks.
+        let n = self.n;
+        let conc = &mut ws.conc[..n];
+        let (p0, l0) = (&mut ws.p0[..n], &mut ws.l0[..n]);
+        let (pp, lp) = (&mut ws.pp[..n], &mut ws.lp[..n]);
+        let (cp, c1) = (&mut ws.cp[..n], &mut ws.c1[..n]);
+        let stiff = &mut ws.stiff[..n];
+        let zero = F64x4::zero();
+        let atol4 = F64x4::splat(opts.atol);
+        let half = F64x4::splat(0.5);
+        let ratio4 = F64x4::splat(opts.stiff_ratio);
+
+        // The first cells, one per lane; lanes beyond the stream's
+        // length idle on a copy of cell 0.
+        let mut next = n_cells.min(LANES);
+        let mut lanes: [Lane; LANES] = std::array::from_fn(|j| {
+            self.load(if j < next { j } else { 0 }, j, conc);
+            Lane {
+                cell: (j < next).then_some(j),
+                t: 0.0,
+                h: opts.h_min,
+                fresh: true,
+                unseeded: true,
+            }
+        });
+        let mut live = next as u64;
+
+        while live > 0 {
+            pl(conc, p0, l0);
+            for (j, lane) in lanes.iter_mut().enumerate() {
+                let Some(cell) = lane.cell else { continue };
+                // The evaluation above, if it was new work, and the one
+                // at the predictor below.
+                self.stats[cell].evals += u64::from(lane.fresh) + 1;
+                if lane.unseeded {
+                    let state = (0..n).map(|i| (conc[i].lane(j), p0[i].lane(j), l0[i].lane(j)));
+                    lane.h = initial_substep(state, dt_min, opts);
+                    lane.unseeded = false;
+                }
+                lane.h = lane.h.min(dt_min - lane.t).max(opts.h_min);
+            }
+            ran.vector_attempts += 1;
+            ran.lane_attempts += live;
+            let h4 = F64x4(lanes.map(|lane| lane.h));
+
+            // Predictor, pass 1: explicit Euler for every species, and
+            // the list of those with a stiff lane (appended without a
+            // branch).
+            let mut n_stiff = 0;
+            for i in 0..n {
+                let f = p0[i] - l0[i] * conc[i];
+                cp[i] = M::madd4(h4, f, conc[i]).max(zero);
+                stiff[n_stiff] = i;
+                n_stiff += usize::from((l0[i] * h4).any_gt(ratio4));
+            }
+            // Pass 2: the asymptotic update on the stiff lanes of the list.
+            for &i in &stiff[..n_stiff] {
+                let asym = asymptotic4::<M>(conc[i], p0[i], l0[i], h4, opts.form);
+                cp[i] = (l0[i] * h4).select_gt(ratio4, asym.max(zero), cp[i]);
+            }
+
+            pl(cp, pp, lp);
+
+            // Corrector, pass 1: trapezoid for every species (second
+            // slope at the predictor), listing the species with a stiff
+            // lane.
+            let half_h4 = half * h4;
+            let mut n_stiff = 0;
+            for i in 0..n {
+                let f0 = p0[i] - l0[i] * conc[i];
+                let fp = pp[i] - lp[i] * cp[i];
+                c1[i] = M::madd4(half_h4, f0 + fp, conc[i]).max(zero);
+                let lbar = (l0[i] + lp[i]) * half;
+                stiff[n_stiff] = i;
+                n_stiff += usize::from((lbar * h4).any_gt(ratio4));
+            }
+            // Pass 2: the asymptotic update with step-averaged production
+            // and loss on the stiff lanes, and — same lanes — the drift
+            // of the quasi-equilibrium P/L across the substep, which is
+            // the error estimate of a species pinned to its equilibrium.
+            let mut err4 = zero;
+            for &i in &stiff[..n_stiff] {
+                let lbar = (l0[i] + lp[i]) * half;
+                let pbar = half * (p0[i] + pp[i]);
+                let lbar_h = lbar * h4;
+                let asym = asymptotic4::<M>(conc[i], pbar, lbar, h4, opts.form);
+                c1[i] = lbar_h.select_gt(ratio4, asym.max(zero), c1[i]);
+                let drift = half * (pp[i] / lp[i] - p0[i] / l0[i]).abs() / (c1[i] + atol4);
+                let drift = lbar_h.select_gt(ratio4, drift, zero);
+                let drift = l0[i].select_gt(zero, drift, zero);
+                err4 = err4.max(lp[i].select_gt(zero, drift, zero));
+            }
+            // Error: predictor/corrector difference, per lane.
+            for i in 0..n {
+                err4 = err4.max((c1[i] - cp[i]).abs() / (c1[i] + atol4));
+            }
+
+            // The scalar controller, lane by lane.
+            let mut accepted = zero;
+            for (j, lane) in lanes.iter_mut().enumerate() {
+                let Some(cell) = lane.cell else { continue };
+                let (accept, h_next) = step_control(err4.lane(j), lane.h, opts);
+                if accept {
+                    accepted.set_lane(j, 1.0);
+                    lane.t += lane.h;
+                    self.stats[cell].substeps += 1;
+                } else {
+                    self.stats[cell].rejected += 1;
+                }
+                lane.fresh = accept;
+                lane.h = h_next;
+            }
+            for i in 0..n {
+                conc[i] = accepted.select_gt(zero, c1[i], conc[i]);
+            }
+
+            // A lane whose cell reached `dt_min` stores it and takes the
+            // stream's next cell.
+            for (j, lane) in lanes.iter_mut().enumerate() {
+                let Some(cell) = lane.cell.filter(|_| lane.t >= dt_min) else {
+                    continue;
+                };
+                self.store(cell, j, conc);
+                if next < n_cells {
+                    self.load(next, j, conc);
+                    *lane = Lane {
+                        cell: Some(next),
+                        t: 0.0,
+                        h: opts.h_min,
+                        fresh: true,
+                        unseeded: true,
+                    };
+                    next += 1;
+                } else {
+                    lane.cell = None;
+                    live -= 1;
                 }
             }
         }
-        if max_rel > 0.0 {
-            (opts.eps / max_rel).clamp(opts.h_min, opts.h_max)
-        } else {
-            opts.h_max
-        }
+        ran
     }
-    .min(dt_min);
-
-    let mut t = 0.0;
-    let mut fresh_pl = true;
-    while t < dt_min {
-        h = h.min(dt_min - t).max(opts.h_min);
-        if !fresh_pl {
-            pl(conc, p0, l0);
-            stats.evals += 1;
-            fresh_pl = true;
-        }
-        let h4 = F64x4::splat(h);
-
-        // Predictor, pass 1: explicit Euler for every species, and the
-        // list of those with a stiff lane (appended without a branch).
-        let mut n_stiff = 0;
-        for i in 0..n {
-            let f = p0[i] - l0[i] * conc[i];
-            cp[i] = M::madd4(h4, f, conc[i]).max(zero);
-            stiff[n_stiff] = i;
-            n_stiff += usize::from((l0[i] * h4).any_gt(ratio4));
-        }
-        // Pass 2: the asymptotic update on the stiff lanes of the list.
-        for &i in &stiff[..n_stiff] {
-            let asym = asymptotic4::<M>(conc[i], p0[i], l0[i], h4, opts.form);
-            cp[i] = (l0[i] * h4).select_gt(ratio4, asym.max(zero), cp[i]);
-        }
-
-        pl(cp, pp, lp);
-        stats.evals += 1;
-
-        // Corrector, pass 1: trapezoid for every species (second slope
-        // at the predictor), listing the species with a stiff lane.
-        let half_h4 = F64x4::splat(0.5 * h);
-        let mut n_stiff = 0;
-        for i in 0..n {
-            let f0 = p0[i] - l0[i] * conc[i];
-            let fp = pp[i] - lp[i] * cp[i];
-            c1[i] = M::madd4(half_h4, f0 + fp, conc[i]).max(zero);
-            let lbar = (l0[i] + lp[i]) * half;
-            stiff[n_stiff] = i;
-            n_stiff += usize::from((lbar * h4).any_gt(ratio4));
-        }
-        // Pass 2: the asymptotic update with step-averaged production
-        // and loss on the stiff lanes, and — same lanes — the drift of
-        // the quasi-equilibrium P/L across the substep, which is the
-        // error estimate of a species pinned to its equilibrium.
-        let mut err4 = zero;
-        for &i in &stiff[..n_stiff] {
-            let lbar = (l0[i] + lp[i]) * half;
-            let pbar = half * (p0[i] + pp[i]);
-            let lbar_h = lbar * h4;
-            let asym = asymptotic4::<M>(conc[i], pbar, lbar, h4, opts.form);
-            c1[i] = lbar_h.select_gt(ratio4, asym.max(zero), c1[i]);
-            let drift = half * (pp[i] / lp[i] - p0[i] / l0[i]).abs() / (c1[i] + atol4);
-            let drift = lbar_h.select_gt(ratio4, drift, zero);
-            let drift = l0[i].select_gt(zero, drift, zero);
-            err4 = err4.max(lp[i].select_gt(zero, drift, zero));
-        }
-        // Error: predictor/corrector difference; the strictest lane
-        // controls the shared substep.
-        for i in 0..n {
-            err4 = err4.max((c1[i] - cp[i]).abs() / (c1[i] + atol4));
-        }
-        let err = err4.reduce_max();
-
-        if err <= opts.eps || h <= opts.h_min * (1.0 + 1e-12) {
-            conc.copy_from_slice(c1);
-            t += h;
-            stats.substeps += 1;
-            fresh_pl = false;
-            let grow = if err > 0.0 {
-                (0.9 * (opts.eps / err).sqrt()).clamp(0.5, 2.0)
-            } else {
-                2.0
-            };
-            h = (h * grow).clamp(opts.h_min, opts.h_max);
-        } else {
-            stats.rejected += 1;
-            h = (h * (0.9 * (opts.eps / err).sqrt()).clamp(0.1, 0.5)).max(opts.h_min);
-        }
-    }
-    stats
 }
 
 /// Scratch for [`diffuse_column4`]: the lane-shared tridiagonal
@@ -507,102 +664,14 @@ mod tests {
             .collect()
     }
 
-    /// The carbon-bond rows without the generated kernels.
-    fn table_only() -> Mechanism {
-        Mechanism::from_table(Mechanism::carbon_bond().reactions().to_vec(), N_SPECIES)
-    }
-
-    type Kernel4 = Box<dyn Fn(&[F64x4], &[f64], &mut [F64x4], &mut [F64x4])>;
-    type Integrator4 = Box<dyn Fn(&mut [F64x4], &[f64], f64, &YbOptions) -> YbStats>;
-
     fn compiled(k: &[f64]) -> &[f64; N_REACTIONS] {
         k.try_into().unwrap()
     }
 
-    /// Every way a four-lane evaluation can run: the dispatched kernel
-    /// (`Fused` on an FMA host), the `Unfused` instantiation the dispatch
-    /// never reaches there, and the per-lane path of a table-only
-    /// mechanism.
-    fn kernels4() -> Vec<(&'static str, Kernel4)> {
-        vec![
-            (
-                "dispatched",
-                Box::new(|c, k, p, l| prod_loss4(&Mechanism::carbon_bond(), c, k, p, l)),
-            ),
-            (
-                "unfused",
-                Box::new(|c, k, p, l| prod_loss4_unfused(c, compiled(k), p, l)),
-            ),
-            (
-                "table-only",
-                Box::new(|c, k, p, l| prod_loss4(&table_only(), c, k, p, l)),
-            ),
-        ]
-    }
-
-    /// The same three for the lockstep integrator.
-    fn integrators4() -> Vec<(&'static str, Integrator4)> {
-        let ws = || Yb4Workspace::new(N_SPECIES);
-        vec![
-            (
-                "dispatched",
-                Box::new(move |c, k, dt, o| {
-                    integrate_cell4(&Mechanism::carbon_bond(), c, k, dt, o, &mut ws())
-                }),
-            ),
-            (
-                "unfused",
-                Box::new(move |c, k, dt, o| {
-                    integrate_cell4_unfused(c, compiled(k), dt, o, &mut ws())
-                }),
-            ),
-            (
-                "table-only",
-                Box::new(move |c, k, dt, o| integrate_cell4(&table_only(), c, k, dt, o, &mut ws())),
-            ),
-        ]
-    }
-
-    #[test]
-    fn prod_loss4_matches_scalar_per_lane() {
-        let m = Mechanism::carbon_bond();
-        let mut k = Vec::new();
-        m.rate_constants(298.0, 0.8, &mut k);
-        let cols: Vec<Vec<f64>> = (0..4).map(polluted).collect();
-        let conc4 = pack(&cols);
-        for (name, kernel) in kernels4() {
-            let mut p4 = vec![F64x4::zero(); N_SPECIES];
-            let mut l4 = vec![F64x4::zero(); N_SPECIES];
-            kernel(&conc4, &k, &mut p4, &mut l4);
-            for (lane, col) in cols.iter().enumerate() {
-                let mut p = vec![0.0; N_SPECIES];
-                let mut l = vec![0.0; N_SPECIES];
-                m.prod_loss(col, &k, &mut p, &mut l);
-                for s in 0..N_SPECIES {
-                    let (gp, gl) = (p4[s].lane(lane), l4[s].lane(lane));
-                    assert!(
-                        (gp - p[s]).abs() <= 1e-12 * p[s].abs().max(1e-300),
-                        "{name} lane {lane} species {s}: p {gp} vs {}",
-                        p[s]
-                    );
-                    assert!(
-                        (gl - l[s]).abs() <= 1e-12 * l[s].abs().max(1e-300),
-                        "{name} lane {lane} species {s}: l {gl} vs {}",
-                        l[s]
-                    );
-                }
-            }
-        }
-    }
-
-    /// One lane of the four-lane evaluation as a table walk: the
-    /// reciprocal form and the multiply-add strategy of the generated
-    /// kernel, interpreted row by row.
-    fn reciprocal_form_table_walk<M: Madd>(
-        m: &Mechanism,
-        conc: &[f64],
-        k: &[f64],
-    ) -> (Vec<f64>, Vec<f64>) {
+    /// One lane of the four-lane evaluation under `M` as a table walk:
+    /// the reciprocal form, interpreted row by row. Under `Unfused` this
+    /// is `Mechanism::prod_loss`; under `Fused` nothing else defines it.
+    fn table_walk_under<M: Madd>(m: &Mechanism, conc: &[f64], k: &[f64]) -> (Vec<f64>, Vec<f64>) {
         let inv: Vec<f64> = conc.iter().map(|c| 1.0 / c.max(1e-30)).collect();
         let (mut p, mut l) = (vec![0.0; conc.len()], vec![0.0; conc.len()]);
         for (r, &kr) in m.reactions().iter().zip(k) {
@@ -620,16 +689,15 @@ mod tests {
         (p, l)
     }
 
-    fn assert_lanes_equal_walk<M: Madd>(
+    /// Each lane of `(p4, l4)` is `oracle(column)`, bit for bit.
+    fn assert_lanes_equal(
         name: &str,
         cols: &[Vec<f64>],
-        k: &[f64],
-        p4: &[F64x4],
-        l4: &[F64x4],
+        (p4, l4): (&[F64x4], &[F64x4]),
+        oracle: impl Fn(&[f64]) -> (Vec<f64>, Vec<f64>),
     ) -> Result<(), TestCaseError> {
-        let m = Mechanism::carbon_bond();
         for (lane, col) in cols.iter().enumerate() {
-            let (p, l) = reciprocal_form_table_walk::<M>(&m, col, k);
+            let (p, l) = oracle(col);
             for s in 0..N_SPECIES {
                 let (gp, gl) = (p4[s].lane(lane), l4[s].lane(lane));
                 prop_assert!(
@@ -654,93 +722,190 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(128))]
 
-        /// Each lane of both instantiations of the generated four-lane
-        /// kernel is, bit for bit, the table walk written in the
-        /// reciprocal form — exact zeros, floor-scale radicals and the
-        /// night's zeroed photolysis constants included.
+        /// Each lane of the `Unfused` four-lane kernel — portable and
+        /// avx2 — and of the per-lane path of a table-only mechanism is
+        /// the generated scalar kernel, bit for bit; each `Fused` lane is
+        /// the same table walk with fused multiply-adds. Exact zeros,
+        /// floor-scale radicals and the night's zeroed photolysis
+        /// constants included.
         #[test]
-        fn generated_four_lane_kernels_equal_the_reciprocal_table_walk(
+        fn four_lane_kernels_equal_the_scalar_kernel_lane_for_lane(
             cols in prop::collection::vec(prop::collection::vec(concentration(), N_SPECIES), 4),
             t in 255.0f64..320.0,
             sun in prop_oneof![Just(0.0), Just(1.0), 1e-4f64..1.0],
         ) {
+            let m = Mechanism::carbon_bond();
             let mut k = Vec::new();
-            Mechanism::carbon_bond().rate_constants(t, sun, &mut k);
+            m.rate_constants(t, sun, &mut k);
+            let scalar = |col: &[f64]| {
+                let (mut p, mut l) = (vec![f64::NAN; N_SPECIES], vec![f64::NAN; N_SPECIES]);
+                m.prod_loss(col, &k, &mut p, &mut l);
+                (p, l)
+            };
             let conc4 = pack(&cols);
             let mut p4 = vec![F64x4::splat(f64::NAN); N_SPECIES];
             let mut l4 = p4.clone();
             prod_loss4_unfused(&conc4, compiled(&k), &mut p4, &mut l4);
-            assert_lanes_equal_walk::<Unfused>("unfused", &cols, &k, &p4, &l4)?;
+            assert_lanes_equal("unfused", &cols, (&p4, &l4), scalar)?;
+            let table_only = Mechanism::from_table(m.reactions().to_vec(), N_SPECIES);
+            prod_loss4_lanes(&table_only, &conc4, &k, &mut p4, &mut l4);
+            assert_lanes_equal("table-only", &cols, (&p4, &l4), scalar)?;
             #[cfg(target_arch = "x86_64")]
             if fma_available() {
                 // SAFETY: avx2 and fma were detected on the line above.
+                unsafe { prod_loss4_avx2(&conc4, compiled(&k), &mut p4, &mut l4) };
+                assert_lanes_equal("avx2", &cols, (&p4, &l4), scalar)?;
+                // SAFETY: as above.
                 unsafe { prod_loss4_fma(&conc4, compiled(&k), &mut p4, &mut l4) };
-                assert_lanes_equal_walk::<Fused>("fused", &cols, &k, &p4, &l4)?;
+                assert_lanes_equal("fused", &cols, (&p4, &l4), |col| {
+                    table_walk_under::<Fused>(&m, col, &k)
+                })?;
             }
         }
     }
 
+    /// A stream of `cells` through the portable `Unfused` instantiation —
+    /// the one the dispatch never reaches on an avx2 host.
+    fn integrate_portable(
+        cells: &mut [f64],
+        stats: &mut [YbStats],
+        k: &[f64],
+        dt_min: f64,
+        opts: &YbOptions,
+    ) -> LaneOccupancy {
+        let stream = Stream {
+            cells,
+            stride: N_SPECIES,
+            stats,
+            n: N_SPECIES,
+        };
+        let mut ws = Yb4Workspace::new(N_SPECIES);
+        stream.integrate::<Unfused>(dt_min, opts, &mut ws, |c, p, l| {
+            prod_loss4_unfused(c, compiled(k), p, l)
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// The portable and the dispatched (avx2 where available)
+        /// `Unfused` instantiations agree bit for bit — state, statistics
+        /// and occupancy — on ragged streams of polluted and random cells.
+        #[test]
+        fn portable_and_dispatched_unfused_streams_agree_bit_for_bit(
+            wild in prop::collection::vec(prop::collection::vec(concentration(), N_SPECIES), 0..3),
+            n_polluted in 0usize..8,
+            sun in prop_oneof![Just(0.0), 1e-3f64..1.0],
+            dt in 0.5f64..10.0,
+            form in prop_oneof![Just(AsymptoticForm::Exponential), Just(AsymptoticForm::Rational)],
+        ) {
+            let m = Mechanism::carbon_bond();
+            let mut k = Vec::new();
+            m.rate_constants(296.0, sun, &mut k);
+            // Random states start far from any slow manifold: a coarse
+            // floor keeps their transients affordable.
+            let opts = YbOptions { form, h_min: 1e-3, ..Default::default() };
+            let cells: Vec<f64> = (0..n_polluted).map(polluted).chain(wild).flatten().collect();
+            let n_cells = cells.len() / N_SPECIES;
+            let (mut a, mut b) = (cells.clone(), cells);
+            let mut stats_a = vec![YbStats::default(); n_cells];
+            let mut stats_b = stats_a.clone();
+            let ran_a = integrate_portable(&mut a, &mut stats_a, &k, dt, &opts);
+            let mut ws = Yb4Workspace::new(N_SPECIES);
+            let ran_b =
+                integrate_stream(&m, false, &mut b, N_SPECIES, &mut stats_b, &k, dt, &opts, &mut ws);
+            prop_assert_eq!(ran_a, ran_b);
+            prop_assert_eq!(&stats_a, &stats_b);
+            prop_assert!(a.iter().zip(&b).all(|(x, y)| x.to_bits() == y.to_bits()));
+            prop_assert!(a.iter().all(|x| x.is_finite() && *x >= 0.0));
+        }
+    }
+
     #[test]
-    fn lockstep_integration_tracks_scalar_within_tolerance() {
+    fn stream_cells_equal_the_scalar_integrator_and_refill_keeps_lanes_busy() {
+        // Eleven cells of graded pollution: a ragged tail, lanes refilled
+        // at different times. Every cell is the scalar integrator's bits,
+        // and the occupancy counters add up to the per-cell statistics.
+        let m = Mechanism::carbon_bond();
+        let opts = YbOptions::default();
+        let mut k = Vec::new();
+        m.rate_constants(300.0, 0.85, &mut k);
+        let cols: Vec<Vec<f64>> = (0..11).map(polluted).collect();
+        let mut cells = cols.concat();
+        let mut stats = vec![YbStats::default(); cols.len()];
+        let mut ws4 = Yb4Workspace::new(N_SPECIES);
+        let ran = integrate_stream(
+            &m, false, &mut cells, N_SPECIES, &mut stats, &k, 10.0, &opts, &mut ws4,
+        );
+        let mut ws = YbWorkspace::new(N_SPECIES);
+        let mut lane_attempts = 0;
+        for (i, col) in cols.iter().enumerate() {
+            let mut c = col.clone();
+            let want = integrate_cell_with_k(&m, &mut c, &k, 10.0, &opts, &mut ws);
+            assert_eq!(stats[i], want, "cell {i}");
+            let got = &cells[i * N_SPECIES..][..N_SPECIES];
+            assert!(
+                got.iter().zip(&c).all(|(a, b)| a.to_bits() == b.to_bits()),
+                "cell {i}"
+            );
+            // evals = 2·substeps + rejected: every attempt evaluates at
+            // the predictor, every accepted one makes the next top
+            // evaluation new work (the first stands in for the last).
+            assert_eq!(want.evals, 2 * want.substeps + want.rejected);
+            lane_attempts += want.substeps + want.rejected;
+        }
+        assert_eq!(ran.lane_attempts, lane_attempts);
+        let occupancy = ran.ratio().unwrap();
+        assert!(occupancy > 0.7 && occupancy <= 1.0, "occupancy {occupancy}");
+        // Without refill the same cells in groups of four do worse.
+        let mut grouped = LaneOccupancy::default();
+        for group in cols.chunks(LANES) {
+            let mut cells = group.concat();
+            let mut stats = vec![YbStats::default(); group.len()];
+            grouped.absorb(integrate_stream(
+                &m, false, &mut cells, N_SPECIES, &mut stats, &k, 10.0, &opts, &mut ws4,
+            ));
+        }
+        assert_eq!(grouped.lane_attempts, ran.lane_attempts);
+        assert!(grouped.vector_attempts > ran.vector_attempts);
+    }
+
+    #[test]
+    fn four_cell_adapter_reports_vector_iterations() {
         let m = Mechanism::carbon_bond();
         let opts = YbOptions::default();
         let mut k = Vec::new();
         m.rate_constants(300.0, 0.85, &mut k);
         let cols: Vec<Vec<f64>> = (0..4).map(polluted).collect();
-
-        for (name, integrate) in integrators4() {
-            let mut conc4 = pack(&cols);
-            let stats4 = integrate(&mut conc4, &k, 10.0, &opts);
-            assert!(stats4.substeps > 0 && stats4.evals > 0);
-
-            for (lane, col) in cols.iter().enumerate() {
-                let mut ws = YbWorkspace::new(N_SPECIES);
-                let mut c = col.clone();
-                integrate_cell_with_k(&m, &mut c, &k, 10.0, &opts, &mut ws);
-                for s in 0..N_SPECIES {
-                    let got = conc4[s].lane(lane);
-                    let want = c[s];
-                    // Both trajectories satisfy the same eps; they may
-                    // differ at the order of the local error.
-                    let tol = 0.05 * want.abs() + 1e-7;
-                    assert!(
-                        (got - want).abs() <= tol,
-                        "{name} lane {lane} species {s}: {got} vs {want}"
-                    );
-                    assert!(got.is_finite() && got >= 0.0);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn lockstep_identical_lanes_stay_identical() {
-        // Four identical columns must produce four identical lanes —
-        // lockstep cannot introduce lane cross-talk.
-        let opts = YbOptions::default();
-        let mut k = Vec::new();
-        Mechanism::carbon_bond().rate_constants(298.0, 0.6, &mut k);
-        let col = polluted(2);
-        for (name, integrate) in integrators4() {
-            let mut conc4: Vec<F64x4> = col.iter().map(|&v| F64x4::splat(v)).collect();
-            integrate(&mut conc4, &k, 10.0, &opts);
+        let mut conc4 = pack(&cols);
+        let mut ws4 = Yb4Workspace::new(N_SPECIES);
+        let got = integrate_cell4(&m, &mut conc4, &k, 10.0, &opts, &mut ws4);
+        // The lanes are the stream's (fused where the CPU allows) ...
+        let mut cells = cols.concat();
+        let mut stats = [YbStats::default(); 4];
+        let ran = integrate_stream(
+            &m, true, &mut cells, N_SPECIES, &mut stats, &k, 10.0, &opts, &mut ws4,
+        );
+        for (lane, cell) in cells.chunks(N_SPECIES).enumerate() {
             for s in 0..N_SPECIES {
-                let v = conc4[s].lane(0);
-                for lane in 1..4 {
-                    assert_eq!(
-                        v.to_bits(),
-                        conc4[s].lane(lane).to_bits(),
-                        "{name} species {s}"
-                    );
-                }
+                assert_eq!(conc4[s].lane(lane).to_bits(), cell[s].to_bits());
             }
         }
+        // ... and the counts are the kernel's iterations: at least the
+        // slowest lane's attempts, at most the sum of all four.
+        assert_eq!(got.substeps, ran.vector_attempts);
+        assert_eq!((got.rejected, got.evals), (0, 2 * ran.vector_attempts));
+        let attempts = |s: &YbStats| s.substeps + s.rejected;
+        assert_eq!(got.substeps, stats.iter().map(attempts).max().unwrap());
+        assert!(got.substeps > 0);
     }
 
     #[test]
-    fn lockstep_integrates_a_hand_built_table() {
-        // A one-species decay has no generated kernel: the integrator
-        // evaluates its lanes through the scalar table walk.
+    fn stream_integrates_a_hand_built_table() {
+        // A one-species decay has no generated kernel: the stream
+        // evaluates its lanes through the scalar table walk, and each
+        // cell is still the scalar integrator's bits. Five cells, spaced
+        // three apart.
         let m = Mechanism::from_table(
             vec![crate::mechanism::Reaction {
                 label: "A->",
@@ -757,19 +922,33 @@ mod tests {
         );
         let mut k = Vec::new();
         m.rate_constants(298.0, 0.0, &mut k);
-        let mut conc4 = vec![F64x4::new(2.0, 1.0, 0.5, 0.0)];
         let opts = YbOptions {
             eps: 1e-4,
             ..Default::default()
         };
-        integrate_cell4(&m, &mut conc4, &k, 10.0, &opts, &mut Yb4Workspace::new(1));
-        let decay = (-0.3f64 * 10.0).exp();
-        for (lane, c0) in [2.0, 1.0, 0.5, 0.0].into_iter().enumerate() {
-            let (got, want) = (conc4[0].lane(lane), c0 * decay);
-            assert!(
-                (got - want).abs() <= 5e-3 * want,
-                "lane {lane}: {got} vs {want}"
+        let start = [2.0, 1.0, 0.5, 0.0, 3.0];
+        let mut cells = vec![-1.0; 3 * start.len()];
+        for (i, c0) in start.iter().enumerate() {
+            cells[3 * i] = *c0;
+        }
+        let mut stats = [YbStats::default(); 5];
+        let mut ws4 = Yb4Workspace::new(1);
+        for fused in [false, true] {
+            let mut got = cells.clone();
+            integrate_stream(
+                &m, fused, &mut got, 3, &mut stats, &k, 10.0, &opts, &mut ws4,
             );
+            let decay = (-0.3f64 * 10.0).exp();
+            for (i, c0) in start.iter().enumerate() {
+                let mut want = [*c0];
+                let want_stats =
+                    integrate_cell_with_k(&m, &mut want, &k, 10.0, &opts, &mut YbWorkspace::new(1));
+                assert_eq!(got[3 * i].to_bits(), want[0].to_bits(), "cell {i}");
+                assert_eq!(stats[i], want_stats, "cell {i}");
+                assert!((want[0] - c0 * decay).abs() <= 5e-3 * c0 * decay);
+                // The gaps between cells are not the stream's to touch.
+                assert_eq!(got[3 * i + 1..3 * i + 3], [-1.0, -1.0]);
+            }
         }
     }
 
@@ -959,18 +1138,42 @@ mod tests {
     }
 
     #[test]
-    fn zero_dt_is_a_noop() {
+    fn zero_dt_and_empty_streams_are_noops() {
         let m = Mechanism::carbon_bond();
         let mut k = Vec::new();
         m.rate_constants(298.0, 0.5, &mut k);
+        let opts = YbOptions::default();
+        let mut ws4 = Yb4Workspace::new(N_SPECIES);
         let mut conc4: Vec<F64x4> = background_vector()
             .iter()
             .map(|&v| F64x4::splat(v))
             .collect();
         let before = conc4.clone();
-        let mut ws4 = Yb4Workspace::new(N_SPECIES);
-        let stats = integrate_cell4(&m, &mut conc4, &k, 0.0, &YbOptions::default(), &mut ws4);
+        let stats = integrate_cell4(&m, &mut conc4, &k, 0.0, &opts, &mut ws4);
         assert_eq!(stats, YbStats::default());
         assert_eq!(before, conc4);
+        let mut cells = background_vector();
+        let mut stats = [YbStats {
+            substeps: 7,
+            rejected: 7,
+            evals: 7,
+        }];
+        let ran = integrate_stream(
+            &m, false, &mut cells, N_SPECIES, &mut stats, &k, 0.0, &opts, &mut ws4,
+        );
+        assert_eq!((ran, stats[0]), Default::default());
+        assert_eq!(cells, background_vector());
+        let ran = integrate_stream(
+            &m,
+            false,
+            &mut [],
+            N_SPECIES,
+            &mut [],
+            &k,
+            5.0,
+            &opts,
+            &mut ws4,
+        );
+        assert_eq!(ran.ratio(), None);
     }
 }

@@ -17,6 +17,16 @@
 //! * [`AsymptoticForm::Exponential`] — the exact constant-coefficient
 //!   solution `c₁ = Pτ + (c₀−Pτ)e^{−h/τ}`, L-stable. This is the default;
 //!   the benchmark suite includes an ablation comparing the two.
+//!
+//! [`integrate_cell_with_k`] is the *definition* of the chemistry: the
+//! production code integrates four cells at a time
+//! ([`crate::simd::integrate_stream`]), and each of its lanes is held,
+//! bit for bit, to what this function computes for that cell. Two
+//! choices here exist for that reason — the arithmetic is the lanes' —
+//! and both use correctly rounded operations only, so the bits are the
+//! same on every host: loss frequencies come in the reciprocal form
+//! (`Mechanism::prod_loss`), and the stiff update's exponential is the
+//! polynomial `exp_poly`, not libm's.
 
 use crate::mechanism::Mechanism;
 
@@ -157,26 +167,8 @@ pub fn integrate_cell_with_k(
     // Initial P/L evaluation; reused across rejected retries.
     mech.prod_loss(conc, k, &mut ws.p0, &mut ws.l0);
     stats.evals += 1;
-
-    // Initial substep from the fastest non-stiff relative rate.
-    let mut h = {
-        let mut max_rel = 0.0f64;
-        for i in 0..n {
-            let f = (ws.p0[i] - ws.l0[i] * conc[i]).abs();
-            let rel = f / (conc[i] + opts.atol);
-            // Ignore ultra-stiff species: they go through the asymptotic
-            // branch and do not constrain the step.
-            if ws.l0[i] * opts.h_max < 1e4 {
-                max_rel = max_rel.max(rel);
-            }
-        }
-        if max_rel > 0.0 {
-            (opts.eps / max_rel).clamp(opts.h_min, opts.h_max)
-        } else {
-            opts.h_max
-        }
-    }
-    .min(dt_min);
+    let state = (0..n).map(|i| (conc[i], ws.p0[i], ws.l0[i]));
+    let mut h = initial_substep(state, dt_min, opts);
 
     let mut fresh_pl = true;
     while t < dt_min {
@@ -226,24 +218,64 @@ pub fn integrate_cell_with_k(
             err = err.max(e);
         }
 
-        if err <= opts.eps || h <= opts.h_min * (1.0 + 1e-12) {
+        let (accepted, h_next) = step_control(err, h, opts);
+        if accepted {
             conc.copy_from_slice(&ws.c1);
             t += h;
             stats.substeps += 1;
             fresh_pl = false;
-            let grow = if err > 0.0 {
-                (0.9 * (opts.eps / err).sqrt()).clamp(0.5, 2.0)
-            } else {
-                2.0
-            };
-            h = (h * grow).clamp(opts.h_min, opts.h_max);
         } else {
-            stats.rejected += 1;
-            h = (h * (0.9 * (opts.eps / err).sqrt()).clamp(0.1, 0.5)).max(opts.h_min);
             // p0/l0 still valid for the same starting state.
+            stats.rejected += 1;
         }
+        h = h_next;
     }
     stats
+}
+
+/// The first substep of a cell, from its state as `(c, p, l)` per
+/// species: `eps` over the fastest non-stiff relative rate, within
+/// `[h_min, h_max]` and `dt_min`. Shared with the lanes of
+/// `simd::integrate_stream`, which seed each cell with it.
+pub(crate) fn initial_substep(
+    state: impl Iterator<Item = (f64, f64, f64)>,
+    dt_min: f64,
+    opts: &YbOptions,
+) -> f64 {
+    let mut max_rel = 0.0f64;
+    for (c, p, l) in state {
+        let rel = (p - l * c).abs() / (c + opts.atol);
+        // Ignore ultra-stiff species: they go through the asymptotic
+        // branch and do not constrain the step.
+        if l * opts.h_max < 1e4 {
+            max_rel = max_rel.max(rel);
+        }
+    }
+    let h = if max_rel > 0.0 {
+        (opts.eps / max_rel).clamp(opts.h_min, opts.h_max)
+    } else {
+        opts.h_max
+    };
+    h.min(dt_min)
+}
+
+/// The substep controller: whether an attempt of size `h` with error
+/// estimate `err` is accepted (always at `h_min`, to guarantee progress),
+/// and the size of the next attempt. Shared with the lanes of
+/// `simd::integrate_stream`, each of which runs it on its own `err`, `h`.
+#[inline]
+pub(crate) fn step_control(err: f64, h: f64, opts: &YbOptions) -> (bool, f64) {
+    if err <= opts.eps || h <= opts.h_min * (1.0 + 1e-12) {
+        let grow = if err > 0.0 {
+            (0.9 * (opts.eps / err).sqrt()).clamp(0.5, 2.0)
+        } else {
+            2.0
+        };
+        (true, (h * grow).clamp(opts.h_min, opts.h_max))
+    } else {
+        let shrink = (0.9 * (opts.eps / err).sqrt()).clamp(0.1, 0.5);
+        (false, (h * shrink).max(opts.h_min))
+    }
 }
 
 /// Predictor update for a single species: explicit Euler when non-stiff,
