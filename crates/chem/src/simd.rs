@@ -179,7 +179,8 @@ impl LaneOccupancy {
 /// pre-evaluated rate constants `k`: cell `i` is the species vector
 /// `cells[i * stride..][..n_species]` (so a stream is the same-layer
 /// cells of cell-major columns laid end to end: base slice at the layer,
-/// stride one column), and its work statistics land in `stats[i]`;
+/// stride one column), and its work statistics are added to `stats[i]`
+/// (so a caller walking the layers of a column sums it up in place);
 /// `stats.len()` is the number of cells.
 ///
 /// With `fused == false` every cell comes out bit-identical to
@@ -361,6 +362,8 @@ struct Lane {
     /// for it (the lane then keeps a finished cell's finite state and
     /// never stores).
     cell: Option<usize>,
+    /// The cell's statistics so far.
+    stats: YbStats,
     t: f64,
     h: f64,
     /// The lane's state changed since production/loss was last evaluated
@@ -409,7 +412,6 @@ impl Stream<'_> {
         pl: impl Fn(&[F64x4], &mut [F64x4], &mut [F64x4]),
     ) -> LaneOccupancy {
         let mut ran = LaneOccupancy::default();
-        self.stats.fill(YbStats::default());
         let n_cells = self.stats.len();
         if dt_min <= 0.0 || n_cells == 0 {
             return ran;
@@ -434,6 +436,7 @@ impl Stream<'_> {
             self.load(if j < next { j } else { 0 }, j, conc);
             Lane {
                 cell: (j < next).then_some(j),
+                stats: YbStats::default(),
                 t: 0.0,
                 h: opts.h_min,
                 fresh: true,
@@ -445,10 +448,12 @@ impl Stream<'_> {
         while live > 0 {
             pl(conc, p0, l0);
             for (j, lane) in lanes.iter_mut().enumerate() {
-                let Some(cell) = lane.cell else { continue };
+                if lane.cell.is_none() {
+                    continue;
+                }
                 // The evaluation above, if it was new work, and the one
                 // at the predictor below.
-                self.stats[cell].evals += u64::from(lane.fresh) + 1;
+                lane.stats.evals += u64::from(lane.fresh) + 1;
                 if lane.unseeded {
                     let state = (0..n).map(|i| (conc[i].lane(j), p0[i].lane(j), l0[i].lane(j)));
                     lane.h = initial_substep(state, dt_min, opts);
@@ -515,14 +520,16 @@ impl Stream<'_> {
             // The scalar controller, lane by lane.
             let mut accepted = zero;
             for (j, lane) in lanes.iter_mut().enumerate() {
-                let Some(cell) = lane.cell else { continue };
+                if lane.cell.is_none() {
+                    continue;
+                }
                 let (accept, h_next) = step_control(err4.lane(j), lane.h, opts);
                 if accept {
                     accepted.set_lane(j, 1.0);
                     lane.t += lane.h;
-                    self.stats[cell].substeps += 1;
+                    lane.stats.substeps += 1;
                 } else {
-                    self.stats[cell].rejected += 1;
+                    lane.stats.rejected += 1;
                 }
                 lane.fresh = accept;
                 lane.h = h_next;
@@ -538,10 +545,12 @@ impl Stream<'_> {
                     continue;
                 };
                 self.store(cell, j, conc);
+                self.stats[cell].absorb(lane.stats);
                 if next < n_cells {
                     self.load(next, j, conc);
                     *lane = Lane {
                         cell: Some(next),
+                        stats: YbStats::default(),
                         t: 0.0,
                         h: opts.h_min,
                         fresh: true,
@@ -838,7 +847,7 @@ mod tests {
             &m, false, &mut cells, N_SPECIES, &mut stats, &k, 10.0, &opts, &mut ws4,
         );
         let mut ws = YbWorkspace::new(N_SPECIES);
-        let mut lane_attempts = 0;
+        let (mut lane_attempts, mut evals) = (0, 0);
         for (i, col) in cols.iter().enumerate() {
             let mut c = col.clone();
             let want = integrate_cell_with_k(&m, &mut c, &k, 10.0, &opts, &mut ws);
@@ -853,21 +862,23 @@ mod tests {
             // evaluation new work (the first stands in for the last).
             assert_eq!(want.evals, 2 * want.substeps + want.rejected);
             lane_attempts += want.substeps + want.rejected;
+            evals += want.evals;
         }
         assert_eq!(ran.lane_attempts, lane_attempts);
         let occupancy = ran.ratio().unwrap();
         assert!(occupancy > 0.7 && occupancy <= 1.0, "occupancy {occupancy}");
-        // Without refill the same cells in groups of four do worse.
+        // Without refill the same cells in groups of four do worse; their
+        // statistics are added to what `stats` holds already.
         let mut grouped = LaneOccupancy::default();
-        for group in cols.chunks(LANES) {
+        for (group, stats) in cols.chunks(LANES).zip(stats.chunks_mut(LANES)) {
             let mut cells = group.concat();
-            let mut stats = vec![YbStats::default(); group.len()];
             grouped.absorb(integrate_stream(
-                &m, false, &mut cells, N_SPECIES, &mut stats, &k, 10.0, &opts, &mut ws4,
+                &m, false, &mut cells, N_SPECIES, stats, &k, 10.0, &opts, &mut ws4,
             ));
         }
         assert_eq!(grouped.lane_attempts, ran.lane_attempts);
         assert!(grouped.vector_attempts > ran.vector_attempts);
+        assert_eq!(stats.iter().map(|s| s.evals).sum::<u64>(), 2 * evals);
     }
 
     #[test]
@@ -931,9 +942,9 @@ mod tests {
         for (i, c0) in start.iter().enumerate() {
             cells[3 * i] = *c0;
         }
-        let mut stats = [YbStats::default(); 5];
         let mut ws4 = Yb4Workspace::new(1);
         for fused in [false, true] {
+            let mut stats = [YbStats::default(); 5];
             let mut got = cells.clone();
             integrate_stream(
                 &m, fused, &mut got, 3, &mut stats, &k, 10.0, &opts, &mut ws4,
@@ -1153,11 +1164,7 @@ mod tests {
         assert_eq!(stats, YbStats::default());
         assert_eq!(before, conc4);
         let mut cells = background_vector();
-        let mut stats = [YbStats {
-            substeps: 7,
-            rejected: 7,
-            evals: 7,
-        }];
+        let mut stats = [YbStats::default()];
         let ran = integrate_stream(
             &m, false, &mut cells, N_SPECIES, &mut stats, &k, 0.0, &opts, &mut ws4,
         );

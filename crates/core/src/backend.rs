@@ -17,25 +17,25 @@
 //! * [`Rayon`] — a fork–join worker pool (the rayon model: scoped
 //!   workers pulling tasks from a shared queue; the crate itself is not
 //!   a dependency — the pool is `airshed_hpf::host::run_parts`).
-//! * [`BackendKind::Simd`] — the same fork–join pool, but inside each
-//!   partition the chemistry runs its 4-wide lockstep variant
-//!   (`airshed_chem::simd`). Thread-level and lane-level parallelism
-//!   compose: partitions across the pool, columns across lanes.
-//!   (Transport is 4-wide on *every* backend — its lanes are species,
-//!   bit-identical to the one-plane solve — so it is no part of what
-//!   distinguishes this one.)
+//! * [`BackendKind::Simd`] — the same fork–join pool and the same
+//!   kernels, with one difference: the chemistry's lanes use fused
+//!   multiply-adds where the CPU has them (`airshed_chem::simd`).
+//!   Thread-level and lane-level parallelism compose on *every* backend:
+//!   partitions across the pool, and inside a partition four cells
+//!   (chemistry), four columns (vertical solve) or four species
+//!   (transport) across `F64x4` lanes, each lane doing the scalar
+//!   arithmetic.
 //!
 //! Determinism contract: backends only control *where* a partition
 //! runs, never how results merge. Kernels write into per-item or
 //! per-partition slots and the caller reduces sequentially in item
-//! order afterwards, so `Serial` and `Rayon` at any thread count
-//! produce bit-identical states and work profiles (pinned by the
-//! `backend_determinism` suite). `Simd` keeps the same merge
-//! discipline but swaps the chemistry arithmetic: lockstep stepping
-//! makes it *epsilon-bounded* against serial, not bit-identical —
-//! except where its kernels deliberately keep scalar association (the
-//! vertical Thomas solve), which stays exact, and in transport, which
-//! is serial's kernel. The equivalence suite pins both sides of that
+//! order afterwards, and no lane's result depends on what its
+//! neighbours hold, so `Serial` and `Rayon` at any thread count produce
+//! bit-identical states and work profiles (pinned by the
+//! `backend_determinism` suite). `Simd` is *epsilon-bounded* against
+//! them (fused rounding in the chemistry kinetics, ≤ 1e-9 relative on an
+//! episode; every other kernel is serial's) and bit-identical to itself
+//! at any thread count. The equivalence suite pins both sides of that
 //! contract.
 
 use airshed_hpf::host;
@@ -48,8 +48,7 @@ pub enum BackendKind {
     /// Fork–join worker pool on host threads.
     #[default]
     Rayon,
-    /// Pool scheduling plus 4-wide lockstep chemistry inside each
-    /// partition.
+    /// Pool scheduling, fused multiply-adds in the chemistry lanes.
     Simd,
 }
 
@@ -109,8 +108,8 @@ impl ExecSpec {
         }
     }
 
-    /// The vectorised executor: pool scheduling over `threads` workers
-    /// (min 1) with 4-wide lockstep chemistry inside each partition.
+    /// The fused executor: pool scheduling over `threads` workers (min 1)
+    /// with fused multiply-adds in the chemistry lanes.
     pub fn simd(threads: usize) -> ExecSpec {
         ExecSpec {
             kind: BackendKind::Simd,
@@ -137,7 +136,8 @@ impl ExecSpec {
         }
     }
 
-    /// Whether the chemistry should take its lockstep variant.
+    /// Whether the chemistry's lanes may fuse their multiply-adds — the
+    /// one thing a kernel may ask the backend.
     pub fn vectorized(&self) -> bool {
         self.kind == BackendKind::Simd
     }

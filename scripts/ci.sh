@@ -2,12 +2,14 @@
 # CI gate: formatting, release build, the whole workspace's test suite
 # (every crate's unit tests and doctests included), the benchmark
 # package's build and tests, a warning-free clippy pass (all targets),
-# a 2-thread backend smoke run, the CLI thread-count invariance check
-# and the large-budget lane-solver proptests, the simd smoke runs and the
-# LA simd-vs-serial epsilon sweep, an observability smoke run (the trace
-# must be loadable JSON with spans for every phase), a smoke run of all
-# four benchmark workloads, the fabric / ensemble / oracle / optimizer
-# smokes, and warning-free rustdoc.
+# a 2-thread backend smoke run, the large-budget lane proptests of
+# transport and chemistry, the simd smoke runs and the LA simd sweep
+# (bit-identical across threads, epsilon-bounded against serial), an
+# observability smoke run (the trace must be loadable JSON with spans
+# for every phase), the CLI thread-count invariance checks (serial ==
+# rayon, simd == simd), a smoke run of all four benchmark workloads, the
+# fabric / ensemble / oracle / optimizer smokes, and warning-free
+# rustdoc.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -45,10 +47,17 @@ cargo run --release --bin airshed -- run \
 cargo run --release --bin airshed -- run \
     --dataset ne --hours 1 --backend simd --no-map
 
-echo "==> simd LA sweep (lockstep chemistry stays epsilon-bounded against serial)"
-# The contract the lockstep integrator's arithmetic (reciprocal form,
-# fused multiply-adds, vector exp) is held to, on the paper's grid at
-# P = 4, 16, 64; the benchmark's own tolerance check mirrors it.
+echo "==> chemistry lane proptests, large case budget"
+# `cargo test` runs 40 random cell streams; once here, 4 000 — every
+# cell out of the exact lanes bit-identical to the scalar integrator,
+# whatever its lane and neighbours.
+cargo test --release --offline -p airshed-chem --test proptest_chem -- \
+    --ignored stream_lanes_are_the_scalar_integrator_bit_for_bit_soak
+
+echo "==> simd LA sweep (simd(1) == simd(2) == simd(4), epsilon-bounded against serial)"
+# Independent lanes on the paper's grid at P = 4, 16, 64: any thread
+# count gives the same bits, every column is charged serial's
+# evaluations, and the fused rounding stays within the stated bound.
 cargo test --release --offline --test backend_determinism -- \
     --ignored la_simd_is_epsilon_bounded
 
@@ -70,10 +79,10 @@ PY
 grep -q 'airshed_phase_seconds_count{phase="transport"}' "$trace_dir/metrics.prom"
 echo "metrics OK: phase histogram present"
 
-echo "==> thread-count invariance at the CLI (serial == rayon 3 == rayon 8)"
-# One transport kernel for every backend over (layer, four-species
-# group) items: the printed report may differ in its "host backend"
-# line and nowhere else.
+echo "==> thread-count invariance at the CLI (serial == rayon 3 == rayon 8, simd 1 == simd 3)"
+# One transport kernel and one chemistry kernel for every backend, no
+# lane's result depending on its neighbours: the printed report may
+# differ in its "host backend" line and nowhere else.
 report() {
     cargo run --release -q --bin airshed -- run \
         --dataset tiny:60 --hours 2 --no-map --backend "$1" --threads "$2" "${@:3}" \
@@ -84,6 +93,9 @@ report rayon 3 > "$trace_dir/rayon3.txt"
 report rayon 8 --trace-out "$trace_dir/t8.json" > "$trace_dir/rayon8.txt"
 cmp "$trace_dir/serial.txt" "$trace_dir/rayon3.txt"
 cmp "$trace_dir/serial.txt" "$trace_dir/rayon8.txt"
+report simd 1 > "$trace_dir/simd1.txt"
+report simd 3 > "$trace_dir/simd3.txt"
+cmp "$trace_dir/simd1.txt" "$trace_dir/simd3.txt"
 # ... and 8 threads have work: min(threads, layers x ceil(species/4)) =
 # min(8, 5 x 9) transport pool tasks per half step, where BLOCK over
 # the 5 layers alone could fill 5.

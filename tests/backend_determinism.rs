@@ -15,13 +15,18 @@
 //! and are `#[ignore]`d for runtime (opt in with `--ignored`).
 //!
 //! The **simd backend has a different contract** (see DESIGN.md "SIMD
-//! backend"): its chemistry steps four columns in lockstep, so
-//! simd-vs-serial is **epsilon-bounded**, not bit-identical — but where
-//! the simd backend promises bit-identity (input/pretrans/output phases,
-//! which take the scalar code paths; transport from identical state,
-//! which is serial's kernel; aerosol work charges; profile shapes) the
-//! suite still demands exact equality, and simd-vs-simd reruns must be
-//! exactly reproducible.
+//! backend"): it runs the very kernels of the other two, except that its
+//! chemistry lanes fuse their multiply-adds. So simd-vs-serial is
+//! **epsilon-bounded** — within 1e-5 relative on the episode's final
+//! concentrations, a bound the transport solver's stopping test sets,
+//! not the chemistry (see `assert_simd_equivalent`) — while everything
+//! that does not go through that rounding is held to exact equality
+//! (input/pretrans/output work, the first transport charges, aerosol
+//! charges, profile shapes, and the chemistry charges: the accept/reject
+//! history does not move at that epsilon). And because a cell's result
+//! depends neither on which cells share its lanes nor on the partition,
+//! `simd(1) == simd(2) == simd(4)` **bit for bit**, like serial and
+//! rayon.
 
 use airshed::core::config::{DatasetChoice, SimConfig};
 use airshed::core::driver::{run_resumable_with, Episode};
@@ -76,10 +81,17 @@ fn assert_identical(label: &str, a: &(WorkProfile, Vec<f64>), b: &(WorkProfile, 
 }
 
 /// Assert the simd equivalence contract against a serial reference:
-/// exact equality where the simd backend runs scalar code (input,
-/// pretrans, output work; profile shapes), epsilon-bounded agreement on
-/// the state and on the work charges downstream of the lockstep
-/// chemistry.
+/// exact equality where the fused rounding cannot reach (input,
+/// pretrans, output work; profile shapes; the first transport charges;
+/// aerosol charges) and where it does not move a decision (chemistry
+/// charges), 1e-5 relative agreement on the state.
+///
+/// Measured: 1.9e-6 on the tiny grid over two hours, 4.3e-7 on LA and
+/// 9.2e-8 on NE over one. One chemistry step leaves the two backends
+/// 5e-14 apart (`core::phases` pins 1e-9 there); what lifts an episode
+/// above that is BiCGSTAB's stopping test, whose iteration counts move
+/// with the last bits of the right-hand side — each moved count is a
+/// difference of the order of the solver's 1e-8 tolerance.
 fn assert_simd_equivalent(
     label: &str,
     serial: &(WorkProfile, Vec<f64>),
@@ -91,7 +103,7 @@ fn assert_simd_equivalent(
         let err = (a - b).abs() / (a.abs() + 1e-7);
         worst = worst.max(err);
         assert!(
-            err <= 0.05,
+            err <= 1e-5,
             "{label}: conc[{i}] diverged beyond tolerance: {a} vs {b}"
         );
         assert!(b.is_finite() && *b >= 0.0, "{label}: conc[{i}] = {b}");
@@ -111,11 +123,9 @@ fn assert_simd_equivalent(
         );
         assert_eq!(ha.steps.len(), hb.steps.len());
         for (k, (sa, sb)) in ha.steps.iter().zip(&hb.steps).enumerate() {
-            // Work layouts keep their shape; magnitudes may differ
-            // where the input state does (lockstep substep counts, and
-            // through them later iteration counts). Transport itself is
-            // serial's kernel, so the very first half step — computed
-            // from identical state — is charged identically.
+            // Transport is serial's kernel, so the very first half step
+            // — computed from identical state — is charged identically;
+            // later iteration counts may feel the epsilon in the state.
             assert_eq!(sa.transport1.len(), sb.transport1.len());
             if (h, k) == (0, 0) {
                 assert_eq!(
@@ -123,17 +133,17 @@ fn assert_simd_equivalent(
                     "{label}: first transport charge"
                 );
             }
-            assert_eq!(sa.chemistry.len(), sb.chemistry.len());
-            assert!(
-                sb.chemistry.iter().all(|&w| w > 0.0),
-                "{label}: hour {h} step {k}: empty chemistry charge"
+            // Every column is charged its own cells' evaluations, and
+            // the fused lanes accept and reject where serial's do.
+            assert_eq!(
+                sa.chemistry, sb.chemistry,
+                "{label}: hour {h} step {k} chemistry"
             );
             // Aerosol charges are state-independent (fixed per-cell
             // scan cost) — exact equality.
             assert_eq!(sa.aerosol, sb.aerosol, "{label}: hour {h} step {k} aerosol");
         }
     }
-    // The summaries track closely (peaks move with the epsilon).
     assert_eq!(serial.0.summaries.len(), simd.0.summaries.len());
     eprintln!("{label}: max rel state divergence {worst:.2e}");
 }
@@ -145,19 +155,19 @@ fn simd_sweep(dataset: DatasetChoice, hours: usize, ps: &[usize]) {
         config.p = p;
         config.start_hour = 11;
         let reference = episode(&config, ExecSpec::serial());
-        for threads in [1usize, 2] {
-            let vectored = episode(&config, ExecSpec::simd(threads));
-            assert_simd_equivalent(
-                &format!("{} P={p} simd({threads})", dataset.name()),
-                &reference,
-                &vectored,
+        let one = episode(&config, ExecSpec::simd(1));
+        let label = format!("{} P={p}", dataset.name());
+        assert_simd_equivalent(&format!("{label} simd(1)"), &reference, &one);
+        // The epsilon is a contract with serial, not a dependence on the
+        // partition: any thread count gives simd(1)'s bits.
+        for threads in [2usize, 4] {
+            let pooled = episode(&config, ExecSpec::simd(threads));
+            assert_identical(
+                &format!("{label} simd({threads}) vs simd(1)"),
+                &one,
+                &pooled,
             );
         }
-        // Rerunning the simd backend is exactly reproducible — the
-        // epsilon is a contract with serial, not nondeterminism.
-        let a = episode(&config, ExecSpec::simd(2));
-        let b = episode(&config, ExecSpec::simd(2));
-        assert_identical(&format!("{} P={p} simd(2) rerun", dataset.name()), &a, &b);
     }
 }
 
