@@ -14,16 +14,25 @@
 //!
 //! The carbon-bond rows live once, in `mechanism/table.rs`. `build.rs`
 //! compiles that file (and `mechanism/codegen.rs`) into itself and emits
-//! straight-line production/loss kernels for exactly those rows into
+//! one straight-line production/loss kernel for exactly those rows into
 //! `OUT_DIR`: every rate, then one register accumulator per species with
-//! its terms in reaction order — the order the table walk adds them in,
-//! so the scalar kernel is bit-identical to it. [`Mechanism::carbon_bond`]
-//! is the only constructor that attaches the kernels, and a `Mechanism`
-//! is immutable once built, so kernels and table cannot disagree. A
-//! hand-built [`Mechanism::from_table`] is evaluated by the table walk,
-//! which is also the oracle the kernels are tested against.
+//! its terms in reaction order — the order the table walk adds them in.
+//! The kernel is generic over its lane count (`airshed_simd::Lanes`):
+//! instantiated at `f64` it is [`Mechanism::prod_loss`], bit-identical to
+//! the table walk; instantiated at `F64x4` it is what the integrator's
+//! lanes run ([`crate::simd`]), each lane that same arithmetic.
+//! [`Mechanism::carbon_bond`] is the only constructor that attaches the
+//! kernel, and a `Mechanism` is immutable once built, so kernel and table
+//! cannot disagree. A hand-built [`Mechanism::from_table`] is evaluated
+//! by the table walk, which is also the oracle the kernel is tested
+//! against.
+//!
+//! Loss frequencies are computed in reciprocal form,
+//! `(rate · (1 / max(c, 1e-30))) · ν`, in the table walk and the kernel
+//! alike: one reciprocal per species instead of a quotient per term.
 
 use crate::species::{self as sp, N_SPECIES};
+use airshed_simd::Unfused;
 
 #[cfg(test)]
 mod codegen;
@@ -31,9 +40,9 @@ mod table;
 
 pub use table::{RateLaw, Reaction};
 
-/// The kernels `build.rs` generates from the carbon-bond table.
+/// The kernel `build.rs` generates from the carbon-bond table.
 pub(crate) mod kernels {
-    use airshed_simd::{F64x4, Madd};
+    use airshed_simd::{Lanes, Madd};
 
     include!(concat!(env!("OUT_DIR"), "/carbon_bond_kernels.rs"));
 }
@@ -57,7 +66,7 @@ pub(crate) use kernels::N_REACTIONS;
 pub struct Mechanism {
     reactions: Vec<Reaction>,
     n_species: usize,
-    /// `reactions` is the table the generated kernels were compiled
+    /// `reactions` is the table the generated kernel was compiled
     /// from. Only [`Mechanism::carbon_bond`] sets it and nothing mutates
     /// `reactions`, so it cannot go stale.
     compiled: bool,
@@ -88,7 +97,7 @@ impl Mechanism {
     }
 
     /// The condensed carbon-bond mechanism (72 reactions, 35 species),
-    /// with its generated kernels attached.
+    /// with its generated kernel attached.
     pub fn carbon_bond() -> Mechanism {
         Mechanism {
             compiled: true,
@@ -121,8 +130,8 @@ impl Mechanism {
         );
     }
 
-    /// `k` as the fixed-size vector the generated kernels take, if this
-    /// mechanism carries them and `k` has the compiled table's length.
+    /// `k` as the fixed-size vector the generated kernel takes, if this
+    /// mechanism carries it and `k` has the compiled table's length.
     pub(crate) fn compiled_k<'k>(&self, k: &'k [f64]) -> Option<&'k [f64; N_REACTIONS]> {
         if self.compiled {
             k.try_into().ok()
@@ -136,8 +145,9 @@ impl Mechanism {
     /// This is the `dc/dt = P - L·c` decomposition the Young–Boris scheme
     /// integrates. Concentrations and rate constants are non-negative.
     ///
-    /// The carbon-bond mechanism runs its generated kernel; any other
-    /// table (or slices of another length) takes the table walk.
+    /// The carbon-bond mechanism runs its generated kernel, one lane
+    /// wide; any other table (or slices of another length) takes the
+    /// table walk.
     pub fn prod_loss(&self, conc: &[f64], k: &[f64], p: &mut [f64], l: &mut [f64]) {
         if let Some(k) = self.compiled_k(k) {
             if let (Ok(c), Ok(p), Ok(l)) = (
@@ -145,7 +155,7 @@ impl Mechanism {
                 <&mut [f64; N_SPECIES]>::try_from(&mut *p),
                 <&mut [f64; N_SPECIES]>::try_from(&mut *l),
             ) {
-                return kernels::prod_loss_f64(c, k, p, l);
+                return kernels::prod_loss::<f64, Unfused>(c, k, p, l);
             }
         }
         self.prod_loss_table_walk(conc, k, p, l);

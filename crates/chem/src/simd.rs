@@ -20,14 +20,14 @@
 //! [`integrate_cell_with_k`](crate::youngboris::integrate_cell_with_k)
 //! performs on that cell, in the same order — loss frequencies in the
 //! reciprocal form, the stiff exponential from the polynomial
-//! `exp_poly`/`exp4` pair — so each cell comes out **bit-identical** to
+//! `exp_poly` — so each cell comes out **bit-identical** to
 //! the scalar integrator in state, `substeps`, `rejected` and `evals`,
 //! whatever lane it ran in and whatever its neighbours were. That
 //! instantiation (portable, or compiled for `avx2`: the same bits) is the
 //! chemistry of the `serial` and `rayon` backends, of shards, server
 //! workers and ensembles. [`Fused`] is the one epsilon variant: the same
 //! body with fused multiply-adds in the production/loss sums, the
-//! Euler/trapezoid updates and `exp4`, for `--backend simd` — still
+//! Euler/trapezoid updates and `exp_poly`, for `--backend simd` — still
 //! independent of lane, grouping and thread count.
 //!
 //! The vertical solve ([`diffuse_column4`]) has lane-shared coefficients
@@ -43,41 +43,37 @@
 
 use crate::mechanism::{kernels, Mechanism, N_REACTIONS};
 use crate::species::N_SPECIES;
-use crate::vertical::ColumnGeometry;
-use crate::youngboris::{initial_substep, step_control, AsymptoticForm, YbOptions, YbStats};
+use crate::vertical::{diffusion_system, ColumnGeometry};
+use crate::youngboris::{asymptotic, initial_substep, step_control, YbOptions, YbStats};
 use airshed_simd::{fma_available, F64x4, Fused, Madd, Unfused};
 
 const LANES: usize = F64x4::LANES;
 
 /// Scratch for [`integrate_stream`]: the lanes' state and the [`F64x4`]
-/// mirror of `YbWorkspace`, the list of species with a stiff lane, and
-/// the staging cells of the [`integrate_cell4`] adapter.
+/// mirror of `YbWorkspace` (`conc`, `p0`, `l0`, `pp`, `lp`, `cp`, `c1`,
+/// one vector per species each), the list of species with a stiff lane,
+/// and the staging cells of the [`integrate_cell4`] adapter. The kernel
+/// sizes it to the mechanism it is handed.
+#[derive(Default)]
 pub struct Yb4Workspace {
-    conc: Vec<F64x4>,
-    p0: Vec<F64x4>,
-    l0: Vec<F64x4>,
-    pp: Vec<F64x4>,
-    lp: Vec<F64x4>,
-    cp: Vec<F64x4>,
-    c1: Vec<F64x4>,
+    lanes: [Vec<F64x4>; 7],
     stiff: Vec<usize>,
     cells: Vec<f64>,
 }
 
 impl Yb4Workspace {
+    /// A workspace already sized for mechanisms of `n_species`.
     pub fn new(n_species: usize) -> Yb4Workspace {
-        let lanes = || vec![F64x4::zero(); n_species];
-        Yb4Workspace {
-            conc: lanes(),
-            p0: lanes(),
-            l0: lanes(),
-            pp: lanes(),
-            lp: lanes(),
-            cp: lanes(),
-            c1: lanes(),
-            stiff: vec![0; n_species],
-            cells: vec![0.0; LANES * n_species],
+        let mut ws = Yb4Workspace::default();
+        ws.fit(n_species);
+        ws
+    }
+
+    fn fit(&mut self, n_species: usize) {
+        for v in &mut self.lanes {
+            v.resize(n_species, F64x4::zero());
         }
+        self.stiff.resize(n_species, 0);
     }
 }
 
@@ -100,34 +96,29 @@ fn species_arrays<'a>(
     }
 }
 
-/// The [`Fused`] instantiation of the generated kernel. Requires avx2
-/// and fma: call it only after [`fma_available`] returned true.
+/// The generated kernel on four lanes, compiled for avx2 and fma: the
+/// [`Fused`] instantiation uses both; the [`Unfused`] one — Rust never
+/// contracts `a * b + c` — has the bits of [`prod_loss4_unfused`], in
+/// 256-bit registers. Call it only after [`fma_available`] returned true.
 #[cfg(target_arch = "x86_64")]
 #[inline(never)]
 #[target_feature(enable = "avx2,fma")]
-fn prod_loss4_fma(conc: &[F64x4], k: &[f64; N_REACTIONS], p: &mut [F64x4], l: &mut [F64x4]) {
+fn prod_loss4_avx2<M: Madd>(
+    conc: &[F64x4],
+    k: &[f64; N_REACTIONS],
+    p: &mut [F64x4],
+    l: &mut [F64x4],
+) {
     debug_assert!(fma_available());
     let (c, p, l) = species_arrays(conc, p, l);
-    kernels::prod_loss_x4::<Fused>(c, k, p, l);
-}
-
-/// The [`Unfused`] instantiation of the generated kernel compiled for
-/// avx2 — the bits of [`prod_loss4_unfused`], in 256-bit registers.
-/// Requires avx2: call it only after [`fma_available`] returned true.
-#[cfg(target_arch = "x86_64")]
-#[inline(never)]
-#[target_feature(enable = "avx2")]
-fn prod_loss4_avx2(conc: &[F64x4], k: &[f64; N_REACTIONS], p: &mut [F64x4], l: &mut [F64x4]) {
-    debug_assert!(fma_available());
-    let (c, p, l) = species_arrays(conc, p, l);
-    kernels::prod_loss_x4::<Unfused>(c, k, p, l);
+    kernels::prod_loss::<F64x4, M>(c, k, p, l);
 }
 
 /// The portable [`Unfused`] instantiation of the generated kernel.
 #[inline(never)]
 fn prod_loss4_unfused(conc: &[F64x4], k: &[f64; N_REACTIONS], p: &mut [F64x4], l: &mut [F64x4]) {
     let (c, p, l) = species_arrays(conc, p, l);
-    kernels::prod_loss_x4::<Unfused>(c, k, p, l);
+    kernels::prod_loss::<F64x4, Unfused>(c, k, p, l);
 }
 
 /// Four-lane production/loss of a table-only mechanism: each lane goes
@@ -216,24 +207,25 @@ pub fn integrate_stream(
     };
     #[cfg(target_arch = "x86_64")]
     if fma_available() {
-        // SAFETY: `integrate_fma` requires avx2 and fma, `integrate_avx2`
-        // avx2; `fma_available` has just detected both on this CPU.
+        // SAFETY: `integrate_avx2` requires avx2 and fma, which
+        // `fma_available` has just detected on this CPU.
         return unsafe {
             if fused {
-                integrate_fma(stream, ck, dt_min, opts, ws)
+                integrate_avx2::<Fused>(stream, ck, dt_min, opts, ws)
             } else {
-                integrate_avx2(stream, ck, dt_min, opts, ws)
+                integrate_avx2::<Unfused>(stream, ck, dt_min, opts, ws)
             }
         };
     }
     stream.integrate::<Unfused>(dt_min, opts, ws, |c, p, l| prod_loss4_unfused(c, ck, p, l))
 }
 
-/// The [`Fused`] instantiation of the stream kernel. Requires avx2 and
-/// fma: call it only after [`fma_available`] returned true.
+/// The stream kernel compiled for avx2 and fma, under either strategy
+/// (see [`prod_loss4_avx2`]). Call it only after [`fma_available`]
+/// returned true.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
-fn integrate_fma(
+fn integrate_avx2<M: Madd>(
     stream: Stream,
     k: &[f64; N_REACTIONS],
     dt_min: f64,
@@ -241,23 +233,7 @@ fn integrate_fma(
     ws: &mut Yb4Workspace,
 ) -> LaneOccupancy {
     debug_assert!(fma_available());
-    stream.integrate::<Fused>(dt_min, opts, ws, |c, p, l| prod_loss4_fma(c, k, p, l))
-}
-
-/// The [`Unfused`] instantiation of the stream kernel compiled for avx2:
-/// the portable instantiation's bits. Requires avx2: call it only after
-/// [`fma_available`] returned true.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-fn integrate_avx2(
-    stream: Stream,
-    k: &[f64; N_REACTIONS],
-    dt_min: f64,
-    opts: &YbOptions,
-    ws: &mut Yb4Workspace,
-) -> LaneOccupancy {
-    debug_assert!(fma_available());
-    stream.integrate::<Unfused>(dt_min, opts, ws, |c, p, l| prod_loss4_avx2(c, k, p, l))
+    stream.integrate::<M>(dt_min, opts, ws, |c, p, l| prod_loss4_avx2::<M>(c, k, p, l))
 }
 
 /// Four cells, one per lane of `conc[s]`, through [`integrate_stream`]
@@ -302,50 +278,6 @@ pub fn integrate_cell4(
     }
 }
 
-/// [`exp_poly`](crate::youngboris::exp_poly) on four lanes: the same
-/// reduction, polynomial and exponent insertion, with the multiply-adds
-/// under `M`. Each lane of the [`Unfused`] instantiation is `exp_poly`
-/// bit for bit; [`Fused`] is within 2 ulp of `f64::exp` as well. A NaN
-/// lane yields an unspecified finite or NaN value (the caller's select
-/// discards such lanes).
-#[inline(always)]
-fn exp4<M: Madd>(x: F64x4) -> F64x4 {
-    use crate::youngboris::exp_consts::{LN2_HI, LN2_LO, SHIFT, TAYLOR};
-    let shift = F64x4::splat(SHIFT);
-    let shifted = M::madd4(x, F64x4::splat(std::f64::consts::LOG2_E), shift);
-    let n = shifted - shift;
-    let r = M::madd4(n, F64x4::splat(-LN2_HI), x);
-    let r = M::madd4(n, F64x4::splat(-LN2_LO), r);
-    let mut q = F64x4::splat(TAYLOR[0]);
-    for c in &TAYLOR[1..] {
-        q = M::madd4(q, r, F64x4::splat(*c));
-    }
-    let e = M::madd4(r * r, q, r) + F64x4::splat(1.0);
-    let pow2 = |lane: usize| f64::from_bits(shifted.0[lane].to_bits().wrapping_add(1023) << 52);
-    e * F64x4([pow2(0), pow2(1), pow2(2), pow2(3)])
-}
-
-/// `youngboris::asymptotic` on four lanes — the scalar arithmetic lane
-/// for lane in both forms under [`Unfused`]; under [`Fused`] the
-/// exponential form differs by [`exp4`]'s fused multiply-adds. Lanes with
-/// `l == 0` come out NaN or infinite — the caller selects them away.
-#[inline(always)]
-fn asymptotic4<M: Madd>(c0: F64x4, p: F64x4, l: F64x4, h4: F64x4, form: AsymptoticForm) -> F64x4 {
-    match form {
-        AsymptoticForm::Rational => {
-            let two = F64x4::splat(2.0);
-            let tau = F64x4::splat(1.0) / l;
-            (c0 * (two * tau - h4) + two * p * tau * h4) / (two * tau + h4)
-        }
-        AsymptoticForm::Exponential => {
-            let lh = l * h4;
-            let ceq = p / l;
-            let decay = exp4::<M>((-lh).max(F64x4::splat(-50.0)));
-            lh.select_gt(F64x4::splat(50.0), ceq, ceq + (c0 - ceq) * decay)
-        }
-    }
-}
-
 /// The cells [`integrate_stream`] walks: cell `i` is
 /// `cells[i * stride..][..n]`, its statistics `stats[i]`.
 struct Stream<'a> {
@@ -356,10 +288,10 @@ struct Stream<'a> {
 }
 
 /// One lane's control state — the locals of the scalar integrator.
-#[derive(Clone, Copy)]
+#[derive(Clone, Copy, Default)]
 struct Lane {
-    /// The cell in this lane; `None` once the stream has no cell left
-    /// for it (the lane then keeps a finished cell's finite state and
+    /// The cell in this lane; `None` while the stream has no cell for it
+    /// (the lane then computes on a finished cell's finite state and
     /// never stores).
     cell: Option<usize>,
     /// The cell's statistics so far.
@@ -367,7 +299,7 @@ struct Lane {
     t: f64,
     h: f64,
     /// The lane's state changed since production/loss was last evaluated
-    /// at it: the evaluation at the top of the next attempt counts.
+    /// at it: the evaluation at the top of the next attempt is new work.
     fresh: bool,
     /// The lane has just loaded its cell: `h` is still to be seeded from
     /// that evaluation.
@@ -419,10 +351,10 @@ impl Stream<'_> {
         // Every buffer cut to the same length once, so the loops below
         // carry no bounds checks.
         let n = self.n;
-        let conc = &mut ws.conc[..n];
-        let (p0, l0) = (&mut ws.p0[..n], &mut ws.l0[..n]);
-        let (pp, lp) = (&mut ws.pp[..n], &mut ws.lp[..n]);
-        let (cp, c1) = (&mut ws.cp[..n], &mut ws.c1[..n]);
+        ws.fit(n);
+        let [conc, p0, l0, pp, lp, cp, c1] = &mut ws.lanes;
+        let (conc, cp, c1) = (&mut conc[..n], &mut cp[..n], &mut c1[..n]);
+        let (p0, l0, pp, lp) = (&mut p0[..n], &mut l0[..n], &mut pp[..n], &mut lp[..n]);
         let stiff = &mut ws.stiff[..n];
         let zero = F64x4::zero();
         let atol4 = F64x4::splat(opts.atol);
@@ -436,15 +368,12 @@ impl Stream<'_> {
             self.load(if j < next { j } else { 0 }, j, conc);
             Lane {
                 cell: (j < next).then_some(j),
-                stats: YbStats::default(),
-                t: 0.0,
-                h: opts.h_min,
                 fresh: true,
                 unseeded: true,
+                ..Lane::default()
             }
         });
         let mut live = next as u64;
-
         while live > 0 {
             pl(conc, p0, l0);
             for (j, lane) in lanes.iter_mut().enumerate() {
@@ -477,7 +406,7 @@ impl Stream<'_> {
             }
             // Pass 2: the asymptotic update on the stiff lanes of the list.
             for &i in &stiff[..n_stiff] {
-                let asym = asymptotic4::<M>(conc[i], p0[i], l0[i], h4, opts.form);
+                let asym = asymptotic::<F64x4, M>(conc[i], p0[i], l0[i], h4, opts.form);
                 cp[i] = (l0[i] * h4).select_gt(ratio4, asym.max(zero), cp[i]);
             }
 
@@ -505,7 +434,7 @@ impl Stream<'_> {
                 let lbar = (l0[i] + lp[i]) * half;
                 let pbar = half * (p0[i] + pp[i]);
                 let lbar_h = lbar * h4;
-                let asym = asymptotic4::<M>(conc[i], pbar, lbar, h4, opts.form);
+                let asym = asymptotic::<F64x4, M>(conc[i], pbar, lbar, h4, opts.form);
                 c1[i] = lbar_h.select_gt(ratio4, asym.max(zero), c1[i]);
                 let drift = half * (pp[i] / lp[i] - p0[i] / l0[i]).abs() / (c1[i] + atol4);
                 let drift = lbar_h.select_gt(ratio4, drift, zero);
@@ -537,7 +466,6 @@ impl Stream<'_> {
             for i in 0..n {
                 conc[i] = accepted.select_gt(zero, c1[i], conc[i]);
             }
-
             // A lane whose cell reached `dt_min` stores it and takes the
             // stream's next cell.
             for (j, lane) in lanes.iter_mut().enumerate() {
@@ -546,19 +474,14 @@ impl Stream<'_> {
                 };
                 self.store(cell, j, conc);
                 self.stats[cell].absorb(lane.stats);
+                *lane = Lane::default();
                 if next < n_cells {
                     self.load(next, j, conc);
-                    *lane = Lane {
-                        cell: Some(next),
-                        stats: YbStats::default(),
-                        t: 0.0,
-                        h: opts.h_min,
-                        fresh: true,
-                        unseeded: true,
-                    };
+                    lane.cell = Some(next);
+                    lane.fresh = true;
+                    lane.unseeded = true;
                     next += 1;
                 } else {
-                    lane.cell = None;
                     live -= 1;
                 }
             }
@@ -577,18 +500,12 @@ pub struct Column4Workspace {
     cprime: Vec<f64>,
 }
 
-impl Column4Workspace {
-    pub fn new() -> Column4Workspace {
-        Column4Workspace::default()
-    }
-}
-
 /// Four-column vertical diffusion: lane `j` of `c[l]` is layer `l` of
 /// column `j`. Geometry, `kz` and the deposition velocity are shared
 /// across lanes; only the emission flux differs per column. The
-/// tridiagonal factorisation is lane-shared and the lanewise arithmetic
-/// is exactly [`crate::vertical::diffuse_column`]'s (no FMA), so each
-/// lane is bit-identical to the scalar solve.
+/// tridiagonal system is [`crate::vertical::diffuse_column`]'s own, its
+/// factorisation lane-shared, and the lanewise arithmetic exactly the
+/// scalar solve's (no FMA), so each lane is bit-identical to it.
 pub fn diffuse_column4(
     geom: &ColumnGeometry,
     kz: &[f64],
@@ -599,34 +516,14 @@ pub fn diffuse_column4(
     ws: &mut Column4Workspace,
 ) {
     let n = geom.n_layers();
-    debug_assert_eq!(kz.len(), n - 1);
     debug_assert_eq!(c.len(), n);
     if dt_min <= 0.0 {
         return;
     }
-    ws.lower.clear();
-    ws.lower.resize(n, 0.0);
-    ws.diag.clear();
-    ws.diag.resize(n, 1.0);
-    ws.upper.clear();
-    ws.upper.resize(n, 0.0);
+    let system = [&mut ws.lower, &mut ws.diag, &mut ws.upper];
+    diffusion_system(geom, kz, dep_velocity, dt_min, system);
     ws.cprime.clear();
     ws.cprime.resize(n, 0.0);
-    for l in 0..n {
-        if l > 0 {
-            let dzc = geom.zm[l] - geom.zm[l - 1];
-            let a = dt_min * kz[l - 1] / (geom.dz[l] * dzc);
-            ws.lower[l] = -a;
-            ws.diag[l] += a;
-        }
-        if l + 1 < n {
-            let dzc = geom.zm[l + 1] - geom.zm[l];
-            let b = dt_min * kz[l] / (geom.dz[l] * dzc);
-            ws.upper[l] = -b;
-            ws.diag[l] += b;
-        }
-    }
-    ws.diag[0] += dt_min * dep_velocity / geom.dz[0];
     // Same association as the scalar path: (dt · E) / dz, per lane.
     c[0] += F64x4::splat(dt_min) * emis_flux / F64x4::splat(geom.dz[0]);
     // Thomas elimination with lane-shared factors, vector RHS.
@@ -651,7 +548,7 @@ mod tests {
     use super::*;
     use crate::species::{self as sp, background_vector};
     use crate::vertical::diffuse_column;
-    use crate::youngboris::{exp_poly, integrate_cell_with_k, YbWorkspace};
+    use crate::youngboris::{integrate_cell_with_k, AsymptoticForm, YbWorkspace};
     use proptest::prelude::*;
     use proptest::test_runner::TestCaseError;
 
@@ -762,10 +659,10 @@ mod tests {
             #[cfg(target_arch = "x86_64")]
             if fma_available() {
                 // SAFETY: avx2 and fma were detected on the line above.
-                unsafe { prod_loss4_avx2(&conc4, compiled(&k), &mut p4, &mut l4) };
+                unsafe { prod_loss4_avx2::<Unfused>(&conc4, compiled(&k), &mut p4, &mut l4) };
                 assert_lanes_equal("avx2", &cols, (&p4, &l4), scalar)?;
                 // SAFETY: as above.
-                unsafe { prod_loss4_fma(&conc4, compiled(&k), &mut p4, &mut l4) };
+                unsafe { prod_loss4_avx2::<Fused>(&conc4, compiled(&k), &mut p4, &mut l4) };
                 assert_lanes_equal("fused", &cols, (&p4, &l4), |col| {
                     table_walk_under::<Fused>(&m, col, &k)
                 })?;
@@ -963,89 +860,6 @@ mod tests {
         }
     }
 
-    fn ulps_apart(a: f64, b: f64) -> u64 {
-        // Both positive and finite here, so the bit patterns are ordered.
-        a.to_bits().abs_diff(b.to_bits())
-    }
-
-    fn exp4_both(x: F64x4) -> [(&'static str, F64x4); 2] {
-        // `Fused` outside a `target_feature` function is the software
-        // `fma`: the same single rounding, so the same bits.
-        [("fused", exp4::<Fused>(x)), ("unfused", exp4::<Unfused>(x))]
-    }
-
-    /// The scalar oracle's exponential is the `Unfused` lane, bit for bit.
-    fn assert_unfused_lanes_are_exp_poly(x: F64x4) {
-        let got = exp4::<Unfused>(x);
-        for lane in 0..4 {
-            let want = exp_poly(x.lane(lane));
-            assert_eq!(
-                got.lane(lane).to_bits(),
-                want.to_bits(),
-                "x {}",
-                x.lane(lane)
-            );
-        }
-    }
-
-    #[test]
-    fn exp4_is_within_two_ulp_on_a_dense_grid() {
-        let steps = 200_000;
-        for i in (0..=steps).step_by(4) {
-            let at = |j: usize| -50.0 * (i + j).min(steps) as f64 / steps as f64;
-            let x = F64x4::new(at(0), at(1), at(2), at(3));
-            for (name, got) in exp4_both(x) {
-                for lane in 0..4 {
-                    let want = x.lane(lane).exp();
-                    let d = ulps_apart(got.lane(lane), want);
-                    assert!(d <= 2, "{name} exp4({}) is {d} ulp off", x.lane(lane));
-                }
-            }
-            assert_unfused_lanes_are_exp_poly(x);
-        }
-        for (name, got) in exp4_both(F64x4::new(0.0, -0.0, -50.0, -1e-300)) {
-            assert_eq!(got.lane(0), 1.0, "{name}");
-            assert_eq!(got.lane(1), 1.0, "{name}");
-            assert!(ulps_apart(got.lane(2), (-50.0f64).exp()) <= 2, "{name}");
-            assert_eq!(got.lane(3), 1.0, "{name}");
-        }
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(4096))]
-
-        #[test]
-        fn exp4_is_within_two_ulp_on_random_arguments(
-            x in prop::collection::vec(-50.0f64..0.0, 4),
-        ) {
-            let x4 = F64x4::from_slice(&x);
-            for (name, got) in exp4_both(x4) {
-                for lane in 0..4 {
-                    let d = ulps_apart(got.lane(lane), x[lane].exp());
-                    prop_assert!(d <= 2, "{name} exp4({}) is {d} ulp off", x[lane]);
-                }
-            }
-            assert_unfused_lanes_are_exp_poly(x4);
-        }
-    }
-
-    #[test]
-    fn asymptotic4_matches_the_scalar_update_lane_for_lane() {
-        use crate::youngboris::asymptotic;
-        let c0 = F64x4::new(1e-3, 0.0, 2e-9, 0.5);
-        let p = F64x4::new(1e-2, 3e-7, 0.0, 1e-30);
-        let l = F64x4::new(1e4, 3.0, 80.0, 1e-2);
-        let h = 0.7;
-        for form in [AsymptoticForm::Rational, AsymptoticForm::Exponential] {
-            let got = asymptotic4::<Unfused>(c0, p, l, F64x4::splat(h), form);
-            for lane in 0..4 {
-                let want = asymptotic(c0.lane(lane), p.lane(lane), l.lane(lane), h, form);
-                let got = got.lane(lane);
-                assert_eq!(got.to_bits(), want.to_bits(), "{form:?} lane {lane}");
-            }
-        }
-    }
-
     #[test]
     fn stiff_pass_with_zero_loss_or_production_lanes_stores_only_finite_values() {
         // A is stiff in lane 0 from the start (l = 1e6). In lane 1 it
@@ -1091,8 +905,8 @@ mod tests {
             let mut ws = Yb4Workspace::new(4);
             let stats = integrate_cell4(&m, &mut conc, &k, 5.0, &opts, &mut ws);
             assert!(stats.substeps > 0);
-            let stored = [&conc, &ws.cp, &ws.c1, &ws.p0, &ws.l0, &ws.pp, &ws.lp];
-            for (b, buf) in stored.iter().enumerate() {
+            // What the lanes left behind, idle lanes' state included.
+            for (b, buf) in ws.lanes.iter().chain([&conc]).enumerate() {
                 for (s, v) in buf.iter().enumerate() {
                     for lane in 0..4 {
                         let x = v.lane(lane);
@@ -1131,7 +945,7 @@ mod tests {
         let mut c4: Vec<F64x4> = (0..5)
             .map(|l| F64x4::new(lanes[0][l], lanes[1][l], lanes[2][l], lanes[3][l]))
             .collect();
-        let mut ws = Column4Workspace::new();
+        let mut ws = Column4Workspace::default();
         diffuse_column4(&geom, &kz, 0.3, emis, 10.0, &mut c4, &mut ws);
         for (j, lane) in lanes.iter().enumerate() {
             let mut c = lane.clone();

@@ -75,6 +75,41 @@ pub fn thomas_solve(lower: &[f64], diag: &[f64], upper: &[f64], rhs: &mut [f64])
     }
 }
 
+/// The backward-Euler system of one column over `dt_min` minutes, into
+/// `lower`/`diag`/`upper` (see [`thomas_solve`]): interface diffusion plus
+/// the implicit first-order deposition sink in the surface layer. It does
+/// not depend on the species' concentrations, so [`diffuse_column`] and
+/// the four-column `simd::diffuse_column4` share it.
+pub(crate) fn diffusion_system(
+    geom: &ColumnGeometry,
+    kz: &[f64],
+    dep_velocity: f64,
+    dt_min: f64,
+    [lower, diag, upper]: [&mut Vec<f64>; 3],
+) {
+    let n = geom.n_layers();
+    debug_assert_eq!(kz.len(), n - 1);
+    for (v, fill) in [(&mut *lower, 0.0), (&mut *diag, 1.0), (&mut *upper, 0.0)] {
+        v.clear();
+        v.resize(n, fill);
+    }
+    for l in 0..n {
+        if l > 0 {
+            let dzc = geom.zm[l] - geom.zm[l - 1];
+            let a = dt_min * kz[l - 1] / (geom.dz[l] * dzc);
+            lower[l] = -a;
+            diag[l] += a;
+        }
+        if l + 1 < n {
+            let dzc = geom.zm[l + 1] - geom.zm[l];
+            let b = dt_min * kz[l] / (geom.dz[l] * dzc);
+            upper[l] = -b;
+            diag[l] += b;
+        }
+    }
+    diag[0] += dt_min * dep_velocity / geom.dz[0];
+}
+
 /// Advance one species in one column by `dt_min` minutes.
 ///
 /// * `kz` — interior interface diffusivities (m²/min), `n_layers - 1`
@@ -90,31 +125,13 @@ pub fn diffuse_column(
     dt_min: f64,
     c: &mut [f64],
 ) {
-    let n = geom.n_layers();
-    debug_assert_eq!(kz.len(), n - 1);
-    debug_assert_eq!(c.len(), n);
+    debug_assert_eq!(c.len(), geom.n_layers());
     if dt_min <= 0.0 {
         return;
     }
-    let mut lower = vec![0.0; n];
-    let mut diag = vec![1.0; n];
-    let mut upper = vec![0.0; n];
-    for l in 0..n {
-        if l > 0 {
-            let dzc = geom.zm[l] - geom.zm[l - 1];
-            let a = dt_min * kz[l - 1] / (geom.dz[l] * dzc);
-            lower[l] = -a;
-            diag[l] += a;
-        }
-        if l + 1 < n {
-            let dzc = geom.zm[l + 1] - geom.zm[l];
-            let b = dt_min * kz[l] / (geom.dz[l] * dzc);
-            upper[l] = -b;
-            diag[l] += b;
-        }
-    }
-    // Dry deposition: first-order sink in the surface layer, implicit.
-    diag[0] += dt_min * dep_velocity / geom.dz[0];
+    let (mut lower, mut diag, mut upper) = (Vec::new(), Vec::new(), Vec::new());
+    let system = [&mut lower, &mut diag, &mut upper];
+    diffusion_system(geom, kz, dep_velocity, dt_min, system);
     // Emission: explicit source into the surface layer.
     c[0] += dt_min * emis_flux / geom.dz[0];
     thomas_solve(&lower, &diag, &upper, c);

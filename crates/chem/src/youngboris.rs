@@ -29,6 +29,7 @@
 //! polynomial `exp_poly`, not libm's.
 
 use crate::mechanism::Mechanism;
+use airshed_simd::{Lanes, Madd, Unfused};
 
 /// Which asymptotic update the stiff branch uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -196,7 +197,7 @@ pub fn integrate_cell_with_k(
                 conc[i] + 0.5 * h * (f0 + fp)
             } else {
                 let pbar = 0.5 * (ws.p0[i] + ws.pp[i]);
-                asymptotic(conc[i], pbar, lbar, h, opts.form)
+                asymptotic::<f64, Unfused>(conc[i], pbar, lbar, h, opts.form)
             }
             .max(0.0);
         }
@@ -285,43 +286,52 @@ fn advance(c0: f64, p: f64, l: f64, h: f64, opts: &YbOptions) -> f64 {
     if l * h <= opts.stiff_ratio {
         c0 + h * (p - l * c0)
     } else {
-        asymptotic(c0, p, l, h, opts.form)
+        asymptotic::<f64, Unfused>(c0, p, l, h, opts.form)
     }
 }
 
 /// Asymptotic update of `dc/dt = P − L·c` over a step `h`, treating `P`
-/// and `τ = 1/L` as constant — lane for lane the arithmetic of
-/// `simd::asymptotic4::<Unfused>`, [`exp_poly`] included.
-#[inline]
-pub(crate) fn asymptotic(c0: f64, p: f64, l: f64, h: f64, form: AsymptoticForm) -> f64 {
-    let lh = l * h;
+/// and `τ = 1/L` as constant: one source for the scalar integrator
+/// (`V = f64`) and the lanes of `simd::integrate_stream` (`V = F64x4`).
+/// Lanes with `l == 0` come out NaN or infinite — callers select them
+/// away.
+#[inline(always)]
+pub(crate) fn asymptotic<V: Lanes, M: Madd>(c0: V, p: V, l: V, h: V, form: AsymptoticForm) -> V {
     match form {
         AsymptoticForm::Rational => {
-            let tau = 1.0 / l;
-            (c0 * (2.0 * tau - h) + 2.0 * p * tau * h) / (2.0 * tau + h)
+            let two = V::splat(2.0);
+            let tau = V::splat(1.0) / l;
+            (c0 * (two * tau - h) + two * p * tau * h) / (two * tau + h)
         }
         AsymptoticForm::Exponential => {
+            let lh = l * h;
             let ceq = p / l;
-            if lh > 50.0 {
-                ceq
-            } else {
-                ceq + (c0 - ceq) * exp_poly((-lh).max(-50.0))
-            }
+            let decay = exp_poly::<V, M>((-lh).max(V::splat(-50.0)));
+            lh.select_gt(V::splat(50.0), ceq, ceq + (c0 - ceq) * decay)
         }
     }
 }
 
-/// Constants of [`exp_poly`], shared with its four-lane twin `simd::exp4`.
-pub(crate) mod exp_consts {
-    /// 1.5·2^52: adding it rounds to an integer and leaves that integer
-    /// in the low mantissa bits.
-    pub const SHIFT: f64 = 6_755_399_441_055_744.0;
-    /// ln2 in two parts (fdlibm's): the high part's low 32 bits are zero,
-    /// so `n · LN2_HI` is exact for the small `n` here.
-    pub const LN2_HI: f64 = f64::from_bits(0x3FE6_2E42_FEE0_0000);
-    pub const LN2_LO: f64 = f64::from_bits(0x3DEA_39EF_3579_3C76);
-    /// 1/13!, 1/12!, ..., 1/2!
-    pub const TAYLOR: [f64; 12] = [
+/// `exp(x)` per lane for `x` in `[-50, 0]` — the stiff update's only
+/// transcendental, and not libm's: Cody–Waite reduction `x = n·ln2 + r`
+/// with a two-part `ln2`, the degree-13 Taylor polynomial of `exp(r)` on
+/// `|r| ≤ ln2/2` in Horner form, and the exponent `n` added into the
+/// result's bits. Within 2 ulp of `f64::exp` under either [`Madd`]
+/// strategy, exactly `1.0` at `0.0`, and — under [`Unfused`] — made of
+/// correctly rounded operations only, so the same bits on every host and
+/// at every lane count. A NaN lane yields an unspecified finite or NaN
+/// value (callers select such lanes away).
+#[inline(always)]
+pub(crate) fn exp_poly<V: Lanes, M: Madd>(x: V) -> V {
+    // 1.5·2^52: adding it rounds to an integer and leaves that integer
+    // in the low mantissa bits.
+    const SHIFT: f64 = 6_755_399_441_055_744.0;
+    // ln2 in two parts (fdlibm's): the high part's low 32 bits are zero,
+    // so `n · LN2_HI` is exact for the small `n` here.
+    const LN2_HI: f64 = f64::from_bits(0x3FE6_2E42_FEE0_0000);
+    const LN2_LO: f64 = f64::from_bits(0x3DEA_39EF_3579_3C76);
+    // 1/13!, 1/12!, ..., 1/2!
+    const TAYLOR: [f64; 12] = [
         1.0 / 6_227_020_800.0,
         1.0 / 479_001_600.0,
         1.0 / 39_916_800.0,
@@ -335,31 +345,19 @@ pub(crate) mod exp_consts {
         1.0 / 6.0,
         0.5,
     ];
-}
-
-/// `exp(x)` for `x` in `[-50, 0]` — the stiff update's only
-/// transcendental, and not libm's: Cody–Waite reduction `x = n·ln2 + r`
-/// with a two-part `ln2`, the degree-13 Taylor polynomial of `exp(r)` on
-/// `|r| ≤ ln2/2` in Horner form with two-rounding multiply-adds, and the
-/// exponent `n` added into the result's bits. Within 2 ulp of `f64::exp`,
-/// exactly `1.0` at `0.0`, and made of correctly rounded operations only,
-/// so each lane of `simd::exp4::<Unfused>` is this function bit for bit
-/// on every host.
-#[inline]
-pub(crate) fn exp_poly(x: f64) -> f64 {
-    use exp_consts::{LN2_HI, LN2_LO, SHIFT, TAYLOR};
-    let shifted = x * std::f64::consts::LOG2_E + SHIFT;
-    let n = shifted - SHIFT;
-    let r = n * -LN2_HI + x;
-    let r = n * -LN2_LO + r;
-    let mut q = TAYLOR[0];
+    let shift = V::splat(SHIFT);
+    let shifted = x.madd::<M>(V::splat(std::f64::consts::LOG2_E), shift);
+    let n = shifted - shift;
+    let r = n.madd::<M>(V::splat(-LN2_HI), x);
+    let r = n.madd::<M>(V::splat(-LN2_LO), r);
+    let mut q = V::splat(TAYLOR[0]);
     for c in &TAYLOR[1..] {
-        q = q * r + c;
+        q = q.madd::<M>(r, V::splat(*c));
     }
-    let e = (r * r) * q + r + 1.0;
+    let e = (r * r).madd::<M>(q, r) + V::splat(1.0);
     // 2^n: `n + 1023` moved into the exponent field. `n` is in
     // [-73, 0] here, so the biased exponent stays normal.
-    e * f64::from_bits(shifted.to_bits().wrapping_add(1023) << 52)
+    e * shifted.map(|s| f64::from_bits(s.to_bits().wrapping_add(1023) << 52))
 }
 
 #[cfg(test)]
@@ -367,6 +365,8 @@ mod tests {
     use super::*;
     use crate::mechanism::{Mechanism, RateLaw, Reaction};
     use crate::species::{self as sp, background_vector, N_SPECIES};
+    use airshed_simd::{F64x4, Fused};
+    use proptest::prelude::*;
 
     /// One-species linear decay mechanism: A -> (nothing), k per minute.
     fn decay_mech(k: f64) -> Mechanism {
@@ -417,6 +417,96 @@ mod tests {
             ],
             2,
         )
+    }
+
+    fn ulps_apart(a: f64, b: f64) -> u64 {
+        // Both positive and finite here, so the bit patterns are ordered.
+        a.to_bits().abs_diff(b.to_bits())
+    }
+
+    /// `exp_poly` on four lanes under both strategies, after checking
+    /// that each lane is the one-lane instantiation, bit for bit.
+    fn exp_poly_both(x: F64x4) -> [(&'static str, F64x4); 2] {
+        // `Fused` outside a `target_feature` function is the software
+        // `fma`: the same single rounding, so the same bits.
+        let (fused, unfused) = (exp_poly::<F64x4, Fused>(x), exp_poly::<F64x4, Unfused>(x));
+        for lane in 0..4 {
+            let (f, u) = (fused.lane(lane), unfused.lane(lane));
+            let x = x.lane(lane);
+            assert_eq!(f.to_bits(), exp_poly::<f64, Fused>(x).to_bits(), "x {x}");
+            assert_eq!(u.to_bits(), exp_poly::<f64, Unfused>(x).to_bits(), "x {x}");
+        }
+        [("fused", fused), ("unfused", unfused)]
+    }
+
+    #[test]
+    fn exp_poly_is_within_two_ulp_on_a_dense_grid() {
+        let steps = 200_000;
+        for i in (0..=steps).step_by(4) {
+            let at = |j: usize| -50.0 * (i + j).min(steps) as f64 / steps as f64;
+            let x = F64x4::new(at(0), at(1), at(2), at(3));
+            for (name, got) in exp_poly_both(x) {
+                for lane in 0..4 {
+                    let want = x.lane(lane).exp();
+                    let d = ulps_apart(got.lane(lane), want);
+                    assert!(d <= 2, "{name} exp_poly({}) is {d} ulp off", x.lane(lane));
+                }
+            }
+        }
+        for (name, got) in exp_poly_both(F64x4::new(0.0, -0.0, -50.0, -1e-300)) {
+            assert_eq!(got.lane(0), 1.0, "{name}");
+            assert_eq!(got.lane(1), 1.0, "{name}");
+            assert!(ulps_apart(got.lane(2), (-50.0f64).exp()) <= 2, "{name}");
+            assert_eq!(got.lane(3), 1.0, "{name}");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4096))]
+
+        #[test]
+        fn exp_poly_is_within_two_ulp_on_random_arguments(
+            x in prop::collection::vec(-50.0f64..0.0, 4),
+        ) {
+            for (name, got) in exp_poly_both(F64x4::from_slice(&x)) {
+                for lane in 0..4 {
+                    let d = ulps_apart(got.lane(lane), x[lane].exp());
+                    prop_assert!(d <= 2, "{name} exp_poly({}) is {d} ulp off", x[lane]);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn asymptotic_on_four_lanes_is_the_scalar_update_lane_for_lane() {
+        let c0 = F64x4::new(1e-3, 0.0, 2e-9, 0.5);
+        let p = F64x4::new(1e-2, 3e-7, 0.0, 1e-30);
+        let l = F64x4::new(1e4, 3.0, 80.0, 1e-2);
+        let h = F64x4::new(0.7, 0.7, 1.3, 2.0);
+        for form in [AsymptoticForm::Rational, AsymptoticForm::Exponential] {
+            let got = asymptotic::<F64x4, Unfused>(c0, p, l, h, form);
+            for lane in 0..4 {
+                let (c0, p, l, h) = (c0.lane(lane), p.lane(lane), l.lane(lane), h.lane(lane));
+                let want = asymptotic::<f64, Unfused>(c0, p, l, h, form);
+                assert_eq!(
+                    got.lane(lane).to_bits(),
+                    want.to_bits(),
+                    "{form:?} lane {lane}"
+                );
+                // The exponential form against libm (which it cuts off
+                // past `l·h = 50`), the rational one against its formula.
+                let reference = match form {
+                    AsymptoticForm::Exponential => p / l + (c0 - p / l) * (-l * h).exp(),
+                    AsymptoticForm::Rational => {
+                        (c0 * (2.0 / l - h) + 2.0 * p / l * h) / (2.0 / l + h)
+                    }
+                };
+                assert!(
+                    (want - reference).abs() <= 1e-14 * reference.abs() + 1e-30,
+                    "{form:?} lane {lane}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -111,6 +111,7 @@ impl<T> WorkspacePool<T> {
 /// One partition's chemistry scratch: the per-layer rate-constant cache,
 /// the stream kernel's lanes and per-cell statistics, the four-column
 /// vertical solve, and what the partition reports back.
+#[derive(Default)]
 struct ChemScratch {
     /// Rate constants per layer — shared by every column in a
     /// partition, evaluated once per fork instead of once per cell.
@@ -126,20 +127,6 @@ struct ChemScratch {
     work: Vec<f64>,
     /// How full the kinetics kept its lanes.
     ran: LaneOccupancy,
-}
-
-impl ChemScratch {
-    fn new() -> ChemScratch {
-        ChemScratch {
-            k_layers: Vec::new(),
-            lanes: Yb4Workspace::new(N_SPECIES),
-            col_stats: Vec::new(),
-            col4: Vec::new(),
-            thomas4: Column4Workspace::new(),
-            work: Vec::new(),
-            ran: LaneOccupancy::default(),
-        }
-    }
 }
 
 /// Everything the phases need, bundled.
@@ -382,7 +369,7 @@ impl PhaseEngine {
 
         let mut scratch: Vec<ChemScratch> = parts
             .iter()
-            .map(|_| self.chem_pool.take(ChemScratch::new))
+            .map(|_| self.chem_pool.take(ChemScratch::default))
             .collect();
         {
             let mut rest = cols.as_mut_slice();

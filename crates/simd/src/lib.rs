@@ -16,6 +16,9 @@
 //! * a safe portable wrapper instantiating it with [`Unfused`];
 //! * one runtime [`fma_available`] check per kernel entry.
 //!
+//! A kernel that must also exist for one value at a time is written once
+//! over [`Lanes`] (`f64` or [`F64x4`]), so the two cannot drift apart.
+//!
 //! Lanewise semantics are exactly scalar `f64` semantics — each lane of
 //! `a + b`, `a * b`, `a.max(b)`, … is bit-for-bit the corresponding
 //! scalar operation, including `-0.0` and NaN propagation (pinned by the
@@ -251,6 +254,80 @@ impl Madd for Unfused {
     }
 }
 
+/// One `f64` or four: what a kernel written once for both needs of its
+/// values. Every method is the lanewise scalar operation, so the
+/// instantiation of a kernel at `f64` computes, bit for bit, each lane of
+/// its instantiation at [`F64x4`] under the same [`Madd`].
+pub trait Lanes:
+    Copy
+    + Add<Output = Self>
+    + Sub<Output = Self>
+    + Mul<Output = Self>
+    + Div<Output = Self>
+    + Neg<Output = Self>
+{
+    /// Every lane set to `v`.
+    fn splat(v: f64) -> Self;
+    /// Lanewise `f64::max`.
+    fn max(self, o: Self) -> Self;
+    /// Lanewise `if self > o { a } else { b }` (see [`F64x4::select_gt`]).
+    fn select_gt(self, o: Self, a: Self, b: Self) -> Self;
+    /// `f` applied to every lane.
+    fn map(self, f: impl Fn(f64) -> f64) -> Self;
+    /// Lanewise `self * b + c`, rounded as `M` says.
+    fn madd<M: Madd>(self, b: Self, c: Self) -> Self;
+}
+
+impl Lanes for f64 {
+    #[inline(always)]
+    fn splat(v: f64) -> f64 {
+        v
+    }
+    #[inline(always)]
+    fn max(self, o: f64) -> f64 {
+        f64::max(self, o)
+    }
+    #[inline(always)]
+    fn select_gt(self, o: f64, a: f64, b: f64) -> f64 {
+        if self > o {
+            a
+        } else {
+            b
+        }
+    }
+    #[inline(always)]
+    fn map(self, f: impl Fn(f64) -> f64) -> f64 {
+        f(self)
+    }
+    #[inline(always)]
+    fn madd<M: Madd>(self, b: f64, c: f64) -> f64 {
+        M::madd(self, b, c)
+    }
+}
+
+impl Lanes for F64x4 {
+    #[inline(always)]
+    fn splat(v: f64) -> F64x4 {
+        F64x4::splat(v)
+    }
+    #[inline(always)]
+    fn max(self, o: F64x4) -> F64x4 {
+        F64x4::max(self, o)
+    }
+    #[inline(always)]
+    fn select_gt(self, o: F64x4, a: F64x4, b: F64x4) -> F64x4 {
+        F64x4::select_gt(self, o, a, b)
+    }
+    #[inline(always)]
+    fn map(self, f: impl Fn(f64) -> f64) -> F64x4 {
+        F64x4([f(self.0[0]), f(self.0[1]), f(self.0[2]), f(self.0[3])])
+    }
+    #[inline(always)]
+    fn madd<M: Madd>(self, b: F64x4, c: F64x4) -> F64x4 {
+        M::madd4(self, b, c)
+    }
+}
+
 /// Whether the host supports the AVX2+FMA fast path (checked once,
 /// cached). Kernels dispatch on this before calling their
 /// `#[target_feature]` instantiation.
@@ -358,6 +435,21 @@ mod tests {
             Fused::madd4(F64x4::splat(a), F64x4::splat(b), F64x4::splat(c)).lane(3),
             a.mul_add(b, c)
         );
+    }
+
+    #[test]
+    fn one_lane_and_four_run_the_same_generic_kernel() {
+        fn kernel<V: Lanes, M: Madd>(x: V) -> V {
+            let y = (-x).max(V::splat(0.25)).madd::<M>(x, V::splat(1.0) / x);
+            y.select_gt(V::splat(1.0), y - x, y.map(f64::sqrt))
+        }
+        let x = F64x4::new(0.3, -2.0, 1.0 + 2f64.powi(-30), 7.5);
+        let (fused, unfused) = (kernel::<F64x4, Fused>(x), kernel::<F64x4, Unfused>(x));
+        for lane in 0..4 {
+            let (f, u) = (fused.lane(lane), unfused.lane(lane));
+            assert_eq!(f.to_bits(), kernel::<f64, Fused>(x.lane(lane)).to_bits());
+            assert_eq!(u.to_bits(), kernel::<f64, Unfused>(x.lane(lane)).to_bits());
+        }
     }
 
     #[test]
