@@ -108,6 +108,13 @@ impl<T> WorkspacePool<T> {
     }
 }
 
+thread_local! {
+    /// The chemistry phase's cell-major staging buffer, shared by every
+    /// engine that steps on this thread (an ensemble holds one engine per
+    /// member; a buffer each would be resident all at once).
+    static STAGING: std::cell::RefCell<Vec<f64>> = const { std::cell::RefCell::new(Vec::new()) };
+}
+
 /// One partition's chemistry scratch: the per-layer rate-constant cache,
 /// the stream kernel's lanes and per-cell statistics, the four-column
 /// vertical solve, and what the partition reports back.
@@ -160,8 +167,6 @@ pub struct PhaseEngine {
     transport_pool: WorkspacePool<LaneWorkspace>,
     /// Reusable per-partition chemistry scratch.
     chem_pool: WorkspacePool<ChemScratch>,
-    /// Reusable cell-major staging buffer of the chemistry phase.
-    staging_pool: WorkspacePool<Vec<f64>>,
     /// Reusable aerosol per-cell delta buffer.
     delta_pool: WorkspacePool<Vec<CellDelta>>,
 }
@@ -192,7 +197,6 @@ impl PhaseEngine {
             obs_hour: None,
             transport_pool: WorkspacePool::new(),
             chem_pool: WorkspacePool::new(),
-            staging_pool: WorkspacePool::new(),
             delta_pool: WorkspacePool::new(),
         }
     }
@@ -347,9 +351,10 @@ impl PhaseEngine {
     /// of every backend: a cell's result and its column's charge do not
     /// depend on which cells share its lanes, so neither the partition
     /// nor the thread count can change a bit; the simd backend differs
-    /// only in asking for fused multiply-adds. The calling thread checks
-    /// the staging buffer and the partitions' scratch out of the pools,
-    /// so a warm step allocates nothing but its task list and result.
+    /// only in asking for fused multiply-adds. The calling thread lends
+    /// its staging buffer and checks the partitions' scratch out of the
+    /// engine's pool, so a warm step allocates nothing but its task list
+    /// and result.
     pub fn chemistry_step(&self, state: &mut SimState, input: &HourlyInput) -> Vec<f64> {
         let nodes = state.nodes;
         let col_len = N_SPECIES * state.layers;
@@ -360,7 +365,7 @@ impl PhaseEngine {
             (2 * nodes * col_len * std::mem::size_of::<f64>()) as u64,
             std::sync::atomic::Ordering::Relaxed,
         );
-        let mut cols = self.staging_pool.take(Vec::new);
+        let mut cols = STAGING.take();
         cols.resize(nodes * col_len, 0.0);
         let slots = || parts.iter().flatten().zip(0..);
         for (&n, slot) in slots() {
@@ -397,7 +402,7 @@ impl PhaseEngine {
         for (&n, slot) in slots() {
             state.write_column_cells(n, &cols[slot * col_len..][..col_len]);
         }
-        self.staging_pool.put(cols);
+        STAGING.set(cols);
         if let Some(occupancy) = ran.ratio().filter(|_| self.obs.enabled()) {
             // Measured where the work happens: four-lane substep attempts
             // and the share of their lanes that advanced a cell.
