@@ -108,13 +108,6 @@ impl<T> WorkspacePool<T> {
     }
 }
 
-thread_local! {
-    /// The chemistry phase's cell-major staging buffer, shared by every
-    /// engine that steps on this thread (an ensemble holds one engine per
-    /// member; a buffer each would be resident all at once).
-    static STAGING: std::cell::RefCell<Vec<f64>> = const { std::cell::RefCell::new(Vec::new()) };
-}
-
 /// One partition's chemistry scratch: the per-layer rate-constant cache,
 /// the stream kernel's lanes and per-cell statistics, the four-column
 /// vertical solve, and what the partition reports back.
@@ -351,10 +344,12 @@ impl PhaseEngine {
     /// of every backend: a cell's result and its column's charge do not
     /// depend on which cells share its lanes, so neither the partition
     /// nor the thread count can change a bit; the simd backend differs
-    /// only in asking for fused multiply-adds. The calling thread lends
-    /// its staging buffer and checks the partitions' scratch out of the
-    /// engine's pool, so a warm step allocates nothing but its task list
-    /// and result.
+    /// only in asking for fused multiply-adds. The calling thread checks
+    /// the partitions' scratch out of the engine's pool, so workers
+    /// allocate nothing; the staging buffer lives for the step only
+    /// (kept per engine or per thread it costs peak memory wherever
+    /// engines or threads outnumber the steps in flight, and saves no
+    /// measurable time).
     pub fn chemistry_step(&self, state: &mut SimState, input: &HourlyInput) -> Vec<f64> {
         let nodes = state.nodes;
         let col_len = N_SPECIES * state.layers;
@@ -365,8 +360,7 @@ impl PhaseEngine {
             (2 * nodes * col_len * std::mem::size_of::<f64>()) as u64,
             std::sync::atomic::Ordering::Relaxed,
         );
-        let mut cols = STAGING.take();
-        cols.resize(nodes * col_len, 0.0);
+        let mut cols = vec![0.0f64; nodes * col_len];
         let slots = || parts.iter().flatten().zip(0..);
         for (&n, slot) in slots() {
             state.read_column_cells(n, &mut cols[slot * col_len..][..col_len]);
@@ -402,7 +396,6 @@ impl PhaseEngine {
         for (&n, slot) in slots() {
             state.write_column_cells(n, &cols[slot * col_len..][..col_len]);
         }
-        STAGING.set(cols);
         if let Some(occupancy) = ran.ratio().filter(|_| self.obs.enabled()) {
             // Measured where the work happens: four-lane substep attempts
             // and the share of their lanes that advanced a cell.
