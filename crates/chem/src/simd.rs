@@ -333,8 +333,10 @@ impl Stream<'_> {
     /// branch-free vector Euler / trapezoid over every species, which
     /// also lists the species with a stiff lane, then the vector
     /// asymptotic update of the listed few, blended per lane over the
-    /// first pass's value. No branch depends on a species' stiffness;
-    /// the only per-lane branches are the controller's.
+    /// first pass's value. The only branch on a species' stiffness is
+    /// `asymptotic`'s shortcut when all four lanes are past the
+    /// exponential's range; the only per-lane branches are the
+    /// controller's.
     #[inline(always)]
     fn integrate<M: Madd>(
         mut self,

@@ -306,8 +306,15 @@ pub(crate) fn asymptotic<V: Lanes, M: Madd>(c0: V, p: V, l: V, h: V, form: Asymp
         AsymptoticForm::Exponential => {
             let lh = l * h;
             let ceq = p / l;
-            let decay = exp_poly::<V, M>((-lh).max(V::splat(-50.0)));
-            lh.select_gt(V::splat(50.0), ceq, ceq + (c0 - ceq) * decay)
+            // Past `l·h = 50` the gap to equilibrium has decayed below
+            // 2e-22 of itself: those lanes are at equilibrium, and when
+            // all are the exponential is not needed.
+            let fifty = V::splat(50.0);
+            if lh.all_gt(fifty) {
+                return ceq;
+            }
+            let decay = exp_poly::<V, M>((-lh).max(-fifty));
+            lh.select_gt(fifty, ceq, ceq + (c0 - ceq) * decay)
         }
     }
 }

@@ -272,6 +272,9 @@ pub trait Lanes:
     fn max(self, o: Self) -> Self;
     /// Lanewise `if self > o { a } else { b }` (see [`F64x4::select_gt`]).
     fn select_gt(self, o: Self, a: Self, b: Self) -> Self;
+    /// Whether every lane of `self` exceeds the same lane of `o` (NaN
+    /// lanes count as not greater).
+    fn all_gt(self, o: Self) -> bool;
     /// `f` applied to every lane.
     fn map(self, f: impl Fn(f64) -> f64) -> Self;
     /// Lanewise `self * b + c`, rounded as `M` says.
@@ -296,6 +299,10 @@ impl Lanes for f64 {
         }
     }
     #[inline(always)]
+    fn all_gt(self, o: f64) -> bool {
+        self > o
+    }
+    #[inline(always)]
     fn map(self, f: impl Fn(f64) -> f64) -> f64 {
         f(self)
     }
@@ -317,6 +324,10 @@ impl Lanes for F64x4 {
     #[inline(always)]
     fn select_gt(self, o: F64x4, a: F64x4, b: F64x4) -> F64x4 {
         F64x4::select_gt(self, o, a, b)
+    }
+    #[inline(always)]
+    fn all_gt(self, o: F64x4) -> bool {
+        (self.0[0] > o.0[0]) & (self.0[1] > o.0[1]) & (self.0[2] > o.0[2]) & (self.0[3] > o.0[3])
     }
     #[inline(always)]
     fn map(self, f: impl Fn(f64) -> f64) -> F64x4 {
@@ -441,6 +452,9 @@ mod tests {
     fn one_lane_and_four_run_the_same_generic_kernel() {
         fn kernel<V: Lanes, M: Madd>(x: V) -> V {
             let y = (-x).max(V::splat(0.25)).madd::<M>(x, V::splat(1.0) / x);
+            if y.all_gt(V::splat(1e9)) {
+                return y;
+            }
             y.select_gt(V::splat(1.0), y - x, y.map(f64::sqrt))
         }
         let x = F64x4::new(0.3, -2.0, 1.0 + 2f64.powi(-30), 7.5);
