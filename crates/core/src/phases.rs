@@ -460,7 +460,7 @@ impl PhaseEngine {
         for (l, k) in scratch.k_layers.iter().enumerate() {
             scratch.ran.absorb(integrate_stream(
                 &self.mech,
-                self.exec.vectorized(),
+                self.exec.fused(),
                 &mut buf[l * N_SPECIES..],
                 col_len,
                 &mut scratch.col_stats,
@@ -819,6 +819,14 @@ mod tests {
             .collect()
     }
 
+    /// The production/loss evaluations behind a column's chemistry
+    /// charge `w`.
+    fn charged_evals(e: &PhaseEngine, w: f64) -> f64 {
+        let per_eval = e.mech.n_reactions() as f64 * e.coeffs.chem_per_reaction_eval;
+        let per_column = N_SPECIES as f64 * e.coeffs.vertical_per_column_species;
+        (w - per_column) / per_eval
+    }
+
     /// A state a few steps away from the uniform background.
     fn developed_state(e: &PhaseEngine, input: &HourlyInput) -> SimState {
         let mut state = SimState::from_background(&e.dataset);
@@ -839,13 +847,11 @@ mod tests {
         let (input, _) = e.input_hour(13);
         let start = developed_state(&e, &input);
         let want = scalar_column_stats(&e, &start, &input);
-        let per_eval = e.mech.n_reactions() as f64 * e.coeffs.chem_per_reaction_eval;
-        let per_column = N_SPECIES as f64 * e.coeffs.vertical_per_column_species;
         for spec in [ExecSpec::serial(), ExecSpec::rayon(3), ExecSpec::simd(3)] {
             e.exec = spec;
             let charged = e.chemistry_step(&mut start.clone(), &input);
-            for (n, (w, stats)) in charged.iter().zip(&want).enumerate() {
-                let evals = (w - per_column) / per_eval;
+            for (n, (&w, stats)) in charged.iter().zip(&want).enumerate() {
+                let evals = charged_evals(&e, w);
                 assert_eq!(evals, stats.evals as f64, "{} column {n}", spec.describe());
             }
         }
@@ -885,9 +891,7 @@ mod tests {
         let occupancy = counter("chem.lane_occupancy");
         let lanes_run = F64x4::LANES as f64 * counter("chem.vector_attempts");
         // The charged evaluations, measured through the work vector ...
-        let per_eval = e.mech.n_reactions() as f64 * e.coeffs.chem_per_reaction_eval;
-        let per_column = N_SPECIES as f64 * e.coeffs.vertical_per_column_species;
-        let evals: f64 = charged.iter().map(|w| (w - per_column) / per_eval).sum();
+        let evals: f64 = charged.iter().map(|&w| charged_evals(&e, w)).sum();
         // ... are two per lane-attempt, less the evaluation at the top of
         // an attempt that follows a rejected one: that slack, exactly.
         let rejected: u64 = stats.iter().map(|s| s.rejected).sum();

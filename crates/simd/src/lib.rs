@@ -451,13 +451,18 @@ mod tests {
     #[test]
     fn one_lane_and_four_run_the_same_generic_kernel() {
         fn kernel<V: Lanes, M: Madd>(x: V) -> V {
-            let y = (-x).max(V::splat(0.25)).madd::<M>(x, V::splat(1.0) / x);
-            if y.all_gt(V::splat(1e9)) {
-                return y;
+            let one = V::splat(1.0);
+            let y = (-x).max(V::splat(0.25)).madd::<M>(x, one / x);
+            // A shortcut three of the lanes take on their own and the
+            // four together do not.
+            if y.all_gt(one) {
+                return y - x;
             }
-            y.select_gt(V::splat(1.0), y - x, y.map(f64::sqrt))
+            y.select_gt(one, y - x, y.map(f64::sqrt))
         }
         let x = F64x4::new(0.3, -2.0, 1.0 + 2f64.powi(-30), 7.5);
+        assert!(!x.all_gt(F64x4::splat(-2.0)) && x.all_gt(F64x4::splat(-2.5)));
+        assert!(!F64x4::new(1.0, f64::NAN, 1.0, 1.0).all_gt(F64x4::zero()));
         let (fused, unfused) = (kernel::<F64x4, Fused>(x), kernel::<F64x4, Unfused>(x));
         for lane in 0..4 {
             let (f, u) = (fused.lane(lane), unfused.lane(lane));

@@ -134,7 +134,10 @@ fn assert_simd_equivalent(
                 );
             }
             // Every column is charged its own cells' evaluations, and
-            // the fused lanes accept and reject where serial's do.
+            // in these episodes the fused lanes accept and reject where
+            // serial's do (a measured property, not a theorem: a change
+            // to the numerics may legitimately flip a decision in a
+            // handful of cells, and then this is the line to revisit).
             assert_eq!(
                 sa.chemistry, sb.chemistry,
                 "{label}: hour {h} step {k} chemistry"
