@@ -301,9 +301,6 @@ struct Lane {
     /// The lane's state changed since production/loss was last evaluated
     /// at it: the evaluation at the top of the next attempt is new work.
     fresh: bool,
-    /// The lane has just loaded its cell: `h` is still to be seeded from
-    /// that evaluation.
-    unseeded: bool,
 }
 
 impl Stream<'_> {
@@ -371,7 +368,6 @@ impl Stream<'_> {
             Lane {
                 cell: (j < next).then_some(j),
                 fresh: true,
-                unseeded: true,
                 ..Lane::default()
             }
         });
@@ -382,14 +378,14 @@ impl Stream<'_> {
                 if lane.cell.is_none() {
                     continue;
                 }
+                if lane.stats.evals == 0 {
+                    // A cell's first attempt: seed `h` from its state.
+                    let state = (0..n).map(|i| (conc[i].lane(j), p0[i].lane(j), l0[i].lane(j)));
+                    lane.h = initial_substep(state, dt_min, opts);
+                }
                 // The evaluation above, if it was new work, and the one
                 // at the predictor below.
                 lane.stats.evals += u64::from(lane.fresh) + 1;
-                if lane.unseeded {
-                    let state = (0..n).map(|i| (conc[i].lane(j), p0[i].lane(j), l0[i].lane(j)));
-                    lane.h = initial_substep(state, dt_min, opts);
-                    lane.unseeded = false;
-                }
                 lane.h = lane.h.min(dt_min - lane.t).max(opts.h_min);
             }
             ran.vector_attempts += 1;
@@ -481,7 +477,6 @@ impl Stream<'_> {
                     self.load(next, j, conc);
                     lane.cell = Some(next);
                     lane.fresh = true;
-                    lane.unseeded = true;
                     next += 1;
                 } else {
                     live -= 1;
