@@ -9,7 +9,8 @@
 
 use airshed_bench::table::{secs, Table};
 use airshed_bench::{la_profile, PAPER_NODES};
-use airshed_core::driver::ChemLayout;
+use airshed_core::driver::{ChemLayout, PlanLayouts};
+use airshed_core::obs::Obs;
 use airshed_core::plan::replay_profile;
 use airshed_core::taskpar::{optimize_split, replay_taskparallel};
 use airshed_machine::MachineProfile;
@@ -31,8 +32,10 @@ fn main() {
             continue;
         }
         let dp = replay_profile(&profile, paragon, p, ChemLayout::Block).total_seconds;
-        let default = replay_taskparallel(&profile, paragon, p).total_seconds;
-        let (p_in, p_out, best) = optimize_split(&profile, paragon, p);
+        let layouts = PlanLayouts::default();
+        let default =
+            replay_taskparallel(&profile, paragon, p, (1, 1), layouts, &Obs::off()).total_seconds;
+        let (p_in, p_out, best) = optimize_split(&profile, paragon, p, layouts);
         t.row(vec![
             p.to_string(),
             secs(dp),

@@ -10,7 +10,6 @@ pub mod table;
 
 use airshed_core::config::{DatasetChoice, SimConfig};
 use airshed_core::profile::WorkProfile;
-use airshed_machine::MachineProfile;
 
 /// The node counts of the paper's sweeps.
 pub const PAPER_NODES: [usize; 6] = [4, 8, 16, 32, 64, 128];
@@ -20,15 +19,8 @@ pub const PAPER_NODES: [usize; 6] = [4, 8, 16, 32, 64, 128];
 /// dataset).
 pub fn standard_config(dataset: DatasetChoice, hours: usize) -> SimConfig {
     SimConfig {
-        dataset,
-        machine: MachineProfile::t3e(),
-        p: 4,
         hours,
-        start_hour: 5,
-        kh: 0.012,
-        chem_opts: Default::default(),
-        weather: Default::default(),
-        emission_scale: 1.0,
+        ..SimConfig::new(dataset, 4)
     }
 }
 

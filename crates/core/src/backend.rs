@@ -3,20 +3,24 @@
 //!
 //! The plan IR describes *what* each phase distributes (chemistry per
 //! grid column, transport per layer, aerosol per cell) and the virtual
-//! machine charges that distribution to a modeled clock. A [`Backend`]
-//! is the physical counterpart: it takes the same `ItemLayout`
-//! partitions and runs them on OS threads via the shared-memory pool in
-//! `airshed_hpf::host`. (Transport's host items are finer than its
-//! virtual ones — layer × four-species group — because the species of a
-//! layer share one operator; the charges stay per layer.)
+//! machine charges that distribution to a modeled clock. An
+//! [`ExecSpec`] is the physical counterpart: it takes the same
+//! `ItemLayout` partitions and runs them on OS threads via the
+//! shared-memory pool in `airshed_hpf::host`
+//! ([`ExecSpec::run_observed`] is the one executor). (Transport's host
+//! items are finer than its virtual ones — layer × four-species group —
+//! because the species of a layer share one operator; the charges stay
+//! per layer.)
 //!
-//! Three backends exist:
+//! An `ExecSpec` is a [`BackendKind`] plus a thread count; three kinds
+//! exist:
 //!
-//! * [`Serial`] — every partition runs inline on the caller's thread, in
-//!   partition order. The baseline, and the reference for bit-identity.
-//! * [`Rayon`] — a fork–join worker pool (the rayon model: scoped
-//!   workers pulling tasks from a shared queue; the crate itself is not
-//!   a dependency — the pool is `airshed_hpf::host::run_parts`).
+//! * [`BackendKind::Serial`] — every partition runs inline on the
+//!   caller's thread, in partition order. The baseline, and the
+//!   reference for bit-identity.
+//! * [`BackendKind::Rayon`] — a fork–join worker pool (the rayon model:
+//!   scoped workers pulling tasks from a shared queue; the crate itself
+//!   is not a dependency — the pool is `airshed_hpf::host::run_parts`).
 //! * [`BackendKind::Simd`] — the same fork–join pool and the same
 //!   kernels, with one difference: the chemistry's lanes use fused
 //!   multiply-adds where the CPU has them (`airshed_chem::simd`).
@@ -129,7 +133,9 @@ impl ExecSpec {
         }
     }
 
-    /// How many partitions a phase should cut its items into.
+    /// How many partitions a phase should cut its items into, and how
+    /// many host threads [`run_observed`](ExecSpec::run_observed) gives
+    /// them.
     pub fn parallelism(&self) -> usize {
         match self.kind {
             BackendKind::Serial => 1,
@@ -179,57 +185,7 @@ impl ExecSpec {
         tasks: Vec<host::Task<'scope>>,
         observer: Option<&dyn host::PoolObserver>,
     ) {
-        let threads = match self.kind {
-            BackendKind::Serial => 1,
-            BackendKind::Rayon | BackendKind::Simd => self.threads.max(1),
-        };
-        host::run_parts_observed(threads, tasks, observer);
-    }
-}
-
-/// An executor for one fork of partitioned phase work. Object-safe so
-/// engines can hold `Box<dyn Backend>` when the choice is dynamic.
-pub trait Backend: Sync {
-    /// Name used in reports (`serial`, `rayon`).
-    fn name(&self) -> &'static str;
-    /// Worker threads this backend applies to a fork.
-    fn threads(&self) -> usize;
-    /// Execute every task to completion before returning.
-    fn for_parts<'scope>(&self, tasks: Vec<host::Task<'scope>>);
-}
-
-/// The baseline executor: runs tasks inline, in order.
-pub struct Serial;
-
-impl Backend for Serial {
-    fn name(&self) -> &'static str {
-        "serial"
-    }
-    fn threads(&self) -> usize {
-        1
-    }
-    fn for_parts<'scope>(&self, tasks: Vec<host::Task<'scope>>) {
-        for task in tasks {
-            task();
-        }
-    }
-}
-
-/// The pool executor: fork–join over `threads` scoped workers with
-/// dynamic task pulling.
-pub struct Rayon {
-    pub threads: usize,
-}
-
-impl Backend for Rayon {
-    fn name(&self) -> &'static str {
-        "rayon"
-    }
-    fn threads(&self) -> usize {
-        self.threads.max(1)
-    }
-    fn for_parts<'scope>(&self, tasks: Vec<host::Task<'scope>>) {
-        host::run_parts(self.threads(), tasks);
+        host::run_parts_observed(self.parallelism(), tasks, observer);
     }
 }
 

@@ -15,10 +15,11 @@ pub enum Weather {
     Stagnation,
 }
 
-/// Which dataset to simulate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Which dataset to simulate (by default the paper's main one).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum DatasetChoice {
     /// Los Angeles basin: A(35, 5, ~700).
+    #[default]
     LosAngeles,
     /// North-East United States: A(35, 5, ~3328).
     NorthEast,
@@ -70,11 +71,14 @@ pub struct SimConfig {
 }
 
 impl SimConfig {
-    /// A typical full-day LA run on the T3E, matching the paper's main
-    /// experiment.
-    pub fn la_t3e(p: usize) -> SimConfig {
+    /// The base every other configuration builds on with struct-update
+    /// syntax: the paper's standard episode — a full day from 05:00 on
+    /// `p` T3E nodes, baseline inventory, ventilated weather — for
+    /// `dataset`. The one place the model's horizontal diffusivity and
+    /// chemistry options are written down.
+    pub fn new(dataset: DatasetChoice, p: usize) -> SimConfig {
         SimConfig {
-            dataset: DatasetChoice::LosAngeles,
+            dataset,
             machine: MachineProfile::t3e(),
             p,
             hours: 24,
@@ -86,18 +90,18 @@ impl SimConfig {
         }
     }
 
+    /// A typical full-day LA run on the T3E, matching the paper's main
+    /// experiment.
+    pub fn la_t3e(p: usize) -> SimConfig {
+        SimConfig::new(DatasetChoice::LosAngeles, p)
+    }
+
     /// A small fast configuration for tests.
     pub fn test_tiny(p: usize, hours: usize) -> SimConfig {
         SimConfig {
-            dataset: DatasetChoice::Tiny(80),
-            machine: MachineProfile::t3e(),
-            p,
             hours,
             start_hour: 6,
-            kh: 0.012,
-            chem_opts: YbOptions::default(),
-            weather: Weather::default(),
-            emission_scale: 1.0,
+            ..SimConfig::new(DatasetChoice::Tiny(80), p)
         }
     }
 }

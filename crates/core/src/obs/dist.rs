@@ -703,12 +703,85 @@ mod tests {
         assert_eq!(doc, again);
     }
 
+    /// The reader against documents written by hand, not by `render`:
+    /// what the CLI smoke tests and `trace-merge` trust it with.
     #[test]
-    fn json_parser_rejects_garbage() {
-        assert!(Json::parse("{").is_err());
-        assert!(Json::parse("[1,]").is_err());
-        assert!(Json::parse("{}extra").is_err());
-        assert!(Json::parse("\"unterminated").is_err());
+    fn json_reader_matches_hand_written_documents() {
+        use Json::{Arr, Bool, Null, Num, Obj};
+        let s = |t: &str| Json::Str(t.to_string());
+        let nested = |depth: usize, leaf: Json| (0..depth).fold(leaf, |v, _| Arr(vec![v]));
+        let obj = |key: &str, value: Json| Obj(vec![(key.to_string(), value)]);
+        let cases = [
+            ("null", Null),
+            (" true\n", Bool(true)),
+            ("false", Bool(false)),
+            ("0", Num(0.0)),
+            ("-12.5", Num(-12.5)),
+            ("1e3", Num(1000.0)),
+            ("2.5E-2", Num(0.025)),
+            ("-1.5e+2", Num(-150.0)),
+            (r#""""#, s("")),
+            (r#""a\"b\\c\/d\n\t\r\b\f""#, s("a\"b\\c/d\n\t\r\u{8}\u{c}")),
+            (r#""\u0041\u00e9\u20ac""#, s("A\u{e9}\u{20ac}")),
+            (
+                "\"h\u{e9}llo \u{2192} \u{1f30d}\"",
+                s("h\u{e9}llo \u{2192} \u{1f30d}"),
+            ),
+            ("[]", Arr(vec![])),
+            (" [ ] ", Arr(vec![])),
+            ("{}", Obj(vec![])),
+            ("{ }", Obj(vec![])),
+            ("[[[[[[[[1]]]]]]]]", nested(8, Num(1.0))),
+            (
+                r#"{"a":{"b":[{"c":[null,{"d":"e"}]}]}}"#,
+                obj(
+                    "a",
+                    obj("b", Arr(vec![obj("c", Arr(vec![Null, obj("d", s("e"))]))])),
+                ),
+            ),
+            (
+                "{ \"k\" : 1 ,\n  \"list\" : [1, 2 , 3] }",
+                Obj(vec![
+                    ("k".into(), Num(1.0)),
+                    ("list".into(), Arr(vec![Num(1.0), Num(2.0), Num(3.0)])),
+                ]),
+            ),
+        ];
+        for (text, expected) in cases {
+            assert_eq!(Json::parse(text).as_ref(), Ok(&expected), "{text}");
+        }
+        let doc = Json::parse(r#"{"n":2.5,"s":"x","a":[1]}"#).unwrap();
+        assert_eq!(doc.get("n").and_then(Json::as_num), Some(2.5));
+        assert_eq!(doc.get("s").and_then(Json::as_str), Some("x"));
+        assert_eq!(doc.get("a").and_then(Json::as_arr), Some(&[Num(1.0)][..]));
+        assert!(doc.get("missing").is_none() && doc.get("n").unwrap().get("x").is_none());
+    }
+
+    #[test]
+    fn json_reader_rejects_malformed_documents() {
+        let malformed = [
+            "",
+            "{",
+            "[1,]",
+            "[1 2]",
+            "{}extra",
+            "[] []",
+            "\"unterminated",
+            "\"ends in a backslash\\",
+            "-",
+            "1.2.3",
+            r#"{"a" 1}"#,
+            r#"{"a":1,}"#,
+            r#"{1:2}"#,
+            "tru",
+            "nul",
+            r#""\x""#,
+            r#""\u12""#,
+            r#""\uzzzz""#,
+        ];
+        for text in malformed {
+            assert!(Json::parse(text).is_err(), "accepted {text:?}");
+        }
     }
 
     fn frontend_doc(offset_us: f64) -> String {

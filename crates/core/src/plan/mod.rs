@@ -6,7 +6,7 @@
 //! simulated run (Figure 4), the pipelined run (Figure 9) and the
 //! analytic prediction (Figures 6/7) alike. Before this module that
 //! description lived implicitly in four hand-kept-in-sync code paths
-//! (`driver::charge_hour`, `taskpar::replay_taskparallel_split`,
+//! (`driver::charge_hour`, `taskpar::replay_taskparallel`,
 //! `predict::PerfModel::from_profile`, and the server's replay). The
 //! [`PhaseGraph`] makes it explicit:
 //!

@@ -23,7 +23,7 @@ use crate::driver::{ChemLayout, HourPlans, PlanLayouts};
 use crate::plan::PhaseGraph;
 use crate::predict::step_seconds;
 use crate::profile::WorkProfile;
-use crate::taskpar::optimize_split_with;
+use crate::taskpar::optimize_split;
 use airshed_machine::MachineProfile;
 
 /// Candidate layouts for one distributed phase of `n_items` items on
@@ -137,7 +137,7 @@ pub fn optimize_plan(profile: &WorkProfile, machine: &MachineProfile, p: usize) 
         default_seconds,
     };
     if p >= 3 {
-        let (p_in, p_out, tp) = optimize_split_with(profile, *machine, p, choice.layouts);
+        let (p_in, p_out, tp) = optimize_split(profile, *machine, p, choice.layouts);
         if tp.total_seconds < choice.predicted_seconds {
             choice.split = Some((p_in, p_out));
             choice.predicted_seconds = tp.total_seconds;

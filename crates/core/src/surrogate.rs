@@ -274,24 +274,27 @@ impl ResponseSurface {
     /// The guarded query: answer instantly when the queried scale is
     /// inside the trained range **and** the fit's error bound is within
     /// `tolerance`; otherwise report why the caller must fall back to
-    /// exact simulation.
+    /// exact simulation. Both guards are written in the positive, so a
+    /// NaN scale or tolerance (the numbers are caller-supplied on the
+    /// serving path) fails them and falls back.
     pub fn query(&self, scale: f64, tolerance: f64) -> SurrogateAnswer {
-        if scale < self.lo || scale > self.hi {
+        if !(self.lo..=self.hi).contains(&scale) {
             return SurrogateAnswer::Fallback(FallbackReason::OutOfRange {
                 scale,
                 lo: self.lo,
                 hi: self.hi,
             });
         }
-        if self.max_residual > tolerance {
-            return SurrogateAnswer::Fallback(FallbackReason::BoundExceedsTolerance {
+        if self.max_residual <= tolerance {
+            SurrogateAnswer::Hit {
+                field: self.predict(scale),
+                bound: self.max_residual,
+            }
+        } else {
+            SurrogateAnswer::Fallback(FallbackReason::BoundExceedsTolerance {
                 bound: self.max_residual,
                 tolerance,
-            });
-        }
-        SurrogateAnswer::Hit {
-            field: self.predict(scale),
-            bound: self.max_residual,
+            })
         }
     }
 
@@ -445,6 +448,24 @@ mod tests {
             SurrogateAnswer::Hit { bound, .. } => assert_eq!(bound, surface.error_bound()),
             other => panic!("expected hit, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn nan_scale_and_nan_tolerance_fall_back() {
+        let surface = ResponseSurface::fit(&[0.5, 1.0, 1.5], &[vec![1.0], vec![2.0], vec![3.0]])
+            .expect("distinct scales fit");
+        assert!(matches!(
+            surface.query(f64::NAN, f64::INFINITY),
+            SurrogateAnswer::Fallback(FallbackReason::OutOfRange { .. })
+        ));
+        assert!(matches!(
+            surface.query(1.0, f64::NAN),
+            SurrogateAnswer::Fallback(FallbackReason::BoundExceedsTolerance { .. })
+        ));
+        assert!(matches!(
+            surface.query(1.0, f64::INFINITY),
+            SurrogateAnswer::Hit { .. }
+        ));
     }
 
     #[test]

@@ -16,10 +16,8 @@ use crate::driver::{ChemLayout, HourPlans, PlanLayouts};
 use crate::obs::{Obs, Track};
 use crate::plan::{replay_profile, PhaseGraph};
 use crate::profile::WorkProfile;
-use crate::report::RunReport;
 use airshed_hpf::pipeline::{schedule, sequential_makespan};
-use airshed_machine::accounting::PhaseCategory;
-use airshed_machine::{Machine, MachineProfile};
+use airshed_machine::MachineProfile;
 use serde::Serialize;
 
 /// Outcome of a pipelined replay.
@@ -39,64 +37,23 @@ pub struct TaskParReport {
 }
 
 /// Replay a captured profile through the three-stage pipeline on
-/// `machine` with `p` nodes (1 input + (p−2) compute + 1 output) — the
-/// paper's split.
+/// `machine` with `p` nodes split into `p_in` input nodes, `p_out`
+/// output nodes and the rest compute (`(1, 1)` is the paper's split),
+/// the main loop executed under `layouts`. A multi-node input group
+/// parallelises the `pretrans` operator assembly across layers (the
+/// file-reading part of `inputhour` stays sequential); output writing is
+/// sequential, so `p_out > 1` only ever wastes nodes — it is accepted to
+/// let the optimiser discover that.
+///
+/// The pipeline schedule is reported to `obs` as virtual-time spans: one
+/// [`Track::Stage`] row per stage (`input`, `compute`, `output`), one
+/// span per simulated hour on each — the paper's Fig 8 Gantt, exported
+/// to the trace.
 pub fn replay_taskparallel(
     profile: &WorkProfile,
     machine_profile: MachineProfile,
     p: usize,
-) -> TaskParReport {
-    replay_taskparallel_split(profile, machine_profile, p, 1, 1)
-}
-
-/// Replay with an explicit subgroup split: `p_in` input nodes, `p_out`
-/// output nodes, the rest compute. A multi-node input group parallelises
-/// the `pretrans` operator assembly across layers (the file-reading part
-/// of `inputhour` stays sequential); output writing is sequential, so
-/// `p_out > 1` only ever wastes nodes — it is accepted to let the
-/// optimiser discover that.
-pub fn replay_taskparallel_split(
-    profile: &WorkProfile,
-    machine_profile: MachineProfile,
-    p: usize,
-    p_in: usize,
-    p_out: usize,
-) -> TaskParReport {
-    replay_taskparallel_obs(profile, machine_profile, p, p_in, p_out, &Obs::off())
-}
-
-/// [`replay_taskparallel_split`] reporting the pipeline schedule as
-/// virtual-time spans: one [`Track::Stage`] row per stage (`input`,
-/// `compute`, `output`), one span per simulated hour on each — the
-/// paper's Fig 8 Gantt, exported to the trace.
-pub fn replay_taskparallel_obs(
-    profile: &WorkProfile,
-    machine_profile: MachineProfile,
-    p: usize,
-    p_in: usize,
-    p_out: usize,
-    obs: &Obs,
-) -> TaskParReport {
-    replay_taskparallel_obs_with(
-        profile,
-        machine_profile,
-        p,
-        p_in,
-        p_out,
-        PlanLayouts::default(),
-        obs,
-    )
-}
-
-/// [`replay_taskparallel_obs`] with an explicit per-phase layout choice
-/// for the main compute loop — the pipelined execution path for
-/// optimizer-chosen plans.
-pub fn replay_taskparallel_obs_with(
-    profile: &WorkProfile,
-    machine_profile: MachineProfile,
-    p: usize,
-    p_in: usize,
-    p_out: usize,
+    (p_in, p_out): (usize, usize),
     layouts: PlanLayouts,
     obs: &Obs,
 ) -> TaskParReport {
@@ -151,19 +108,11 @@ pub fn replay_taskparallel_obs_with(
 /// sequences of data parallel tasks" that the paper cites, solved here by
 /// enumeration over the graph's stage lowerings (the space is tiny: the
 /// same per-hour `PhaseGraph`s are re-lowered with each candidate
-/// `(p_in, p_out)`). Returns the best `(p_in, p_out)` and its report.
+/// `(p_in, p_out)`), the main loop executed under `layouts` — the
+/// pipeline-stage half of the plan optimizer's search
+/// ([`crate::plan::optimize::optimize_plan`]). Returns the best
+/// `(p_in, p_out)` and its report.
 pub fn optimize_split(
-    profile: &WorkProfile,
-    machine_profile: MachineProfile,
-    p: usize,
-) -> (usize, usize, TaskParReport) {
-    optimize_split_with(profile, machine_profile, p, PlanLayouts::default())
-}
-
-/// [`optimize_split`] with the main loop executed under an explicit
-/// per-phase layout choice — the pipeline-stage half of the plan
-/// optimizer's search ([`crate::plan::optimize::optimize_plan`]).
-pub fn optimize_split_with(
     profile: &WorkProfile,
     machine_profile: MachineProfile,
     p: usize,
@@ -177,12 +126,11 @@ pub fn optimize_split_with(
             if p_in + p_out >= p {
                 continue;
             }
-            let r = replay_taskparallel_obs_with(
+            let r = replay_taskparallel(
                 profile,
                 machine_profile,
                 p,
-                p_in,
-                p_out,
+                (p_in, p_out),
                 layouts,
                 &Obs::off(),
             );
@@ -220,7 +168,9 @@ pub fn fig9_sweep(
         .map(|&p| {
             let dp = replay_profile(profile, machine_profile, p, ChemLayout::Block).total_seconds;
             let tp = if p >= 3 {
-                replay_taskparallel(profile, machine_profile, p).total_seconds
+                let layouts = PlanLayouts::default();
+                replay_taskparallel(profile, machine_profile, p, (1, 1), layouts, &Obs::off())
+                    .total_seconds
             } else {
                 dp
             };
@@ -235,30 +185,6 @@ pub fn fig9_sweep(
         .collect()
 }
 
-/// Combined report helper: fold a task-parallel result into a RunReport-
-/// style summary for printing.
-pub fn as_run_report(
-    profile: &WorkProfile,
-    machine_profile: MachineProfile,
-    tp: &TaskParReport,
-) -> RunReport {
-    let mut m = Machine::new(machine_profile, tp.p);
-    // Attribute the pipeline's stage busy time to categories for display;
-    // elapsed is the makespan.
-    m.breakdown
-        .add(PhaseCategory::IoProc, tp.stage_busy[0] + tp.stage_busy[2]);
-    m.breakdown.add(PhaseCategory::Chemistry, tp.stage_busy[1]);
-    RunReport {
-        total_seconds: tp.total_seconds,
-        ..RunReport::from_machine(
-            profile.dataset,
-            &m,
-            profile.hours.len(),
-            profile.summaries.clone(),
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -269,10 +195,20 @@ mod tests {
         tiny_profile().clone()
     }
 
+    /// The default-layout replay with an explicit split, untraced.
+    fn replay_split(
+        prof: &WorkProfile,
+        m: MachineProfile,
+        p: usize,
+        split: (usize, usize),
+    ) -> TaskParReport {
+        replay_taskparallel(prof, m, p, split, PlanLayouts::default(), &Obs::off())
+    }
+
     #[test]
     fn pipeline_beats_unpipelined() {
         let prof = profile();
-        let tp = replay_taskparallel(&prof, MachineProfile::paragon(), 16);
+        let tp = replay_split(&prof, MachineProfile::paragon(), 16, (1, 1));
         assert!(tp.total_seconds < tp.unpipelined_seconds);
         assert!(tp.total_seconds > 0.0);
     }
@@ -285,10 +221,10 @@ mod tests {
         let prof = profile();
         let m = MachineProfile::paragon();
         let dp64 = replay_profile(&prof, m, 64, ChemLayout::Block).total_seconds;
-        let tp64 = replay_taskparallel(&prof, m, 64).total_seconds;
+        let tp64 = replay_split(&prof, m, 64, (1, 1)).total_seconds;
         assert!(tp64 < dp64, "at P=64 pipelining must win: {tp64} vs {dp64}");
         let dp4 = replay_profile(&prof, m, 4, ChemLayout::Block).total_seconds;
-        let tp4 = replay_taskparallel(&prof, m, 4).total_seconds;
+        let tp4 = replay_split(&prof, m, 4, (1, 1)).total_seconds;
         // At P=4 the pipeline surrenders half the compute nodes — it
         // should NOT be dramatically better, and typically loses.
         assert!(tp4 > 0.8 * dp4, "P=4: {tp4} vs {dp4}");
@@ -315,8 +251,8 @@ mod tests {
         let prof = profile();
         let m = MachineProfile::paragon();
         for p in [8usize, 16, 64] {
-            let default = replay_taskparallel(&prof, m, p);
-            let (p_in, p_out, best) = optimize_split(&prof, m, p);
+            let default = replay_split(&prof, m, p, (1, 1));
+            let (p_in, p_out, best) = optimize_split(&prof, m, p, PlanLayouts::default());
             assert!(
                 best.total_seconds <= default.total_seconds + 1e-12,
                 "P={p}: best {} vs default {}",
@@ -333,23 +269,13 @@ mod tests {
         // stage relative to a single node (same compute-group size).
         let prof = profile();
         let m = MachineProfile::paragon();
-        let one = replay_taskparallel_split(&prof, m, 32, 1, 1);
-        let five = replay_taskparallel_split(&prof, m, 36, 5, 1);
+        let one = replay_split(&prof, m, 32, (1, 1));
+        let five = replay_split(&prof, m, 36, (5, 1));
         assert!(
             five.stage_busy[0] < one.stage_busy[0],
             "input stage busy: {} !< {}",
             five.stage_busy[0],
             one.stage_busy[0]
         );
-    }
-
-    #[test]
-    fn as_run_report_carries_science() {
-        let prof = profile();
-        let m = MachineProfile::paragon();
-        let tp = replay_taskparallel(&prof, m, 8);
-        let r = as_run_report(&prof, m, &tp);
-        assert_eq!(r.summaries.len(), 3);
-        assert!((r.total_seconds - tp.total_seconds).abs() < 1e-12);
     }
 }

@@ -125,6 +125,17 @@ proptest! {
             }
             _ => prop_assert!(false, "extrapolating query must fall back"),
         }
+
+        // A NaN scale or tolerance satisfies neither guard: never a hit,
+        // however well the surface fits.
+        prop_assert!(matches!(
+            surface.query(f64::NAN, f64::INFINITY),
+            SurrogateAnswer::Fallback(FallbackReason::OutOfRange { .. })
+        ));
+        prop_assert!(matches!(
+            surface.query(inside, f64::NAN),
+            SurrogateAnswer::Fallback(FallbackReason::BoundExceedsTolerance { .. })
+        ));
     }
 
     /// Noise-free data of degree <= 2 is reproduced essentially exactly

@@ -35,6 +35,13 @@ pub struct MachineProfile {
     pub word_size: usize,
 }
 
+/// The paper's main machine, the T3E.
+impl Default for MachineProfile {
+    fn default() -> MachineProfile {
+        MachineProfile::t3e()
+    }
+}
+
 impl MachineProfile {
     /// Cray T3E — the paper's §4.3 measured parameters:
     /// `L = 5.2e-5 s/msg`, `G = 2.47e-8 s/B`, `H = 2.04e-8 s/B`, `W = 8`.

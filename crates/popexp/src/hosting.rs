@@ -301,7 +301,15 @@ mod tests {
         let prof = profile();
         let m = MachineProfile::paragon();
         let with = replay_with_popexp(&prof, m, 16, Hosting::NativeTask).total_seconds;
-        let without = airshed_core::taskpar::replay_taskparallel(&prof, m, 16).total_seconds;
+        let without = airshed_core::taskpar::replay_taskparallel(
+            &prof,
+            m,
+            16,
+            (1, 1),
+            Default::default(),
+            &airshed_core::obs::Obs::off(),
+        )
+        .total_seconds;
         // The integrated version has fewer compute nodes (popexp takes
         // some), so allow some slack — but it must be nowhere near
         // doubling.

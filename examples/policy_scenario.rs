@@ -10,21 +10,14 @@
 //! ```
 
 use airshed::core::config::{DatasetChoice, SimConfig};
-use airshed::machine::MachineProfile;
 use airshed::popexp::gems::{best_within_budget, cheapest_meeting_o3_target};
 use airshed::popexp::{Gems, Scenario};
 
 fn main() {
     let base = SimConfig {
-        dataset: DatasetChoice::Tiny(120),
-        machine: MachineProfile::t3e(),
-        p: 16,
         hours: 6,
         start_hour: 8,
-        kh: 0.012,
-        chem_opts: Default::default(),
-        weather: Default::default(),
-        emission_scale: 1.0,
+        ..SimConfig::new(DatasetChoice::Tiny(120), 16)
     };
     let gems = Gems::new(base, 16);
 

@@ -15,15 +15,9 @@ fn main() {
     // A ~120-column multiscale grid with one urban hot-spot, simulated
     // for four daylight hours on 16 virtual Cray T3E nodes.
     let config = SimConfig {
-        dataset: DatasetChoice::Tiny(120),
-        machine: MachineProfile::t3e(),
-        p: 16,
         hours: 4,
         start_hour: 9,
-        kh: 0.012,
-        chem_opts: Default::default(),
-        weather: Default::default(),
-        emission_scale: 1.0,
+        ..SimConfig::new(DatasetChoice::Tiny(120), 16)
     };
 
     println!(

@@ -13,19 +13,13 @@ use airshed::core::config::{DatasetChoice, SimConfig, Weather};
 use airshed::core::driver::run_with_profile_on;
 use airshed::core::viz;
 use airshed::core::ExecSpec;
-use airshed::machine::MachineProfile;
 
 fn episode(weather: Weather) -> (airshed::core::RunReport, airshed::core::WorkProfile) {
     let config = SimConfig {
-        dataset: DatasetChoice::Tiny(120),
-        machine: MachineProfile::t3e(),
-        p: 16,
         hours: 8,
         start_hour: 7,
-        kh: 0.012,
-        chem_opts: Default::default(),
         weather,
-        emission_scale: 1.0,
+        ..SimConfig::new(DatasetChoice::Tiny(120), 16)
     };
     run_with_profile_on(&config, ExecSpec::default())
 }

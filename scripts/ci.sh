@@ -8,8 +8,8 @@
 # observability smoke run (the trace must be loadable JSON with spans
 # for every phase), the CLI thread-count invariance checks (serial ==
 # rayon, simd == simd), a smoke run of all four benchmark workloads, the
-# fabric / ensemble / oracle / optimizer smokes, and warning-free
-# rustdoc.
+# fabric / ensemble / oracle / optimizer smokes, the flag table's help
+# golden and bad-input refusals, and warning-free rustdoc.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -191,6 +191,30 @@ echo "ensemble OK: dedup saved $saved_bytes bytes, both what-if tiers exercised"
 
 echo "==> docs link check (README.md, docs/*.md)"
 bash scripts/check_links.sh
+
+echo "==> flag table: help text against the golden, bad input named and refused"
+# The usage text is rendered from the flag and command tables
+# (src/bin/airshed/flags.rs); the golden is the hand-written string of
+# the binary before them, so a table edit that moves a byte shows here.
+cargo run --release -q --bin airshed -- help | cmp - tests/golden/airshed_help.txt
+cargo run --release -q --bin airshed -- validate --help | cmp - tests/golden/airshed_help.txt
+refused() { # <flag the message must name> <command line...>
+    local flag="$1" err
+    shift
+    if err="$(cargo run --release -q --bin airshed -- "$@" 2>&1 >/dev/null)"; then
+        echo "flag table FAILED: 'airshed $*' was accepted" >&2
+        exit 1
+    fi
+    case "$err" in
+        *panicked*) echo "flag table FAILED: 'airshed $*' panicked: $err" >&2; exit 1 ;;
+        *"$flag"*) ;;
+        *) echo "flag table FAILED: 'airshed $*' does not name $flag: $err" >&2; exit 1 ;;
+    esac
+}
+refused --hours run --hours x
+refused --emis run --emis nan --dataset tiny:40 --hours 1 --no-map
+refused --shards gridinfo --shards 3 --members 50
+echo "flag table OK: help byte-identical, three bad command lines refused by name"
 
 echo "==> performance-oracle smoke (airshed validate)"
 cargo run --release --bin airshed -- validate --help >/dev/null

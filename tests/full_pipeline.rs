@@ -11,22 +11,19 @@ use airshed::core::ExecSpec;
 use airshed::machine::MachineProfile;
 use std::sync::OnceLock;
 
+/// The suite's six-hour episode at a given emission scale.
+fn config(emission_scale: f64) -> SimConfig {
+    SimConfig {
+        hours: 6,
+        start_hour: 7,
+        emission_scale,
+        ..SimConfig::new(DatasetChoice::Tiny(100), 8)
+    }
+}
+
 fn episode() -> &'static (airshed::core::RunReport, airshed::core::WorkProfile) {
     static CELL: OnceLock<(airshed::core::RunReport, airshed::core::WorkProfile)> = OnceLock::new();
-    CELL.get_or_init(|| {
-        let config = SimConfig {
-            dataset: DatasetChoice::Tiny(100),
-            machine: MachineProfile::t3e(),
-            p: 8,
-            hours: 6,
-            start_hour: 7,
-            kh: 0.012,
-            chem_opts: Default::default(),
-            weather: Default::default(),
-            emission_scale: 1.0,
-        };
-        run_with_profile_on(&config, ExecSpec::default())
-    })
+    CELL.get_or_init(|| run_with_profile_on(&config(1.0), ExecSpec::default()))
 }
 
 #[test]
@@ -107,18 +104,7 @@ fn emission_controls_reduce_ozone_peak() {
     // The policy loop the paper motivates: cutting the inventory must cut
     // the headline ozone (this domain is not NOx-saturated).
     let base = episode().0.peak_o3();
-    let config = SimConfig {
-        dataset: DatasetChoice::Tiny(100),
-        machine: MachineProfile::t3e(),
-        p: 8,
-        hours: 6,
-        start_hour: 7,
-        kh: 0.012,
-        chem_opts: Default::default(),
-        weather: Default::default(),
-        emission_scale: 0.3,
-    };
-    let (cut, _) = run_with_profile_on(&config, ExecSpec::default());
+    let (cut, _) = run_with_profile_on(&config(0.3), ExecSpec::default());
     assert!(
         cut.peak_o3() < base,
         "70% emission cut should lower peak O3: {} -> {}",

@@ -5,22 +5,15 @@
 use airshed::core::config::{DatasetChoice, SimConfig};
 use airshed::core::driver::run_with_profile_on;
 use airshed::core::ExecSpec;
-use airshed::machine::MachineProfile;
 use std::sync::OnceLock;
 
 fn two_days() -> &'static (airshed::core::RunReport, airshed::core::WorkProfile) {
     static CELL: OnceLock<(airshed::core::RunReport, airshed::core::WorkProfile)> = OnceLock::new();
     CELL.get_or_init(|| {
         let config = SimConfig {
-            dataset: DatasetChoice::Tiny(80),
-            machine: MachineProfile::t3e(),
-            p: 8,
             hours: 48,
             start_hour: 0,
-            kh: 0.012,
-            chem_opts: Default::default(),
-            weather: Default::default(),
-            emission_scale: 1.0,
+            ..SimConfig::new(DatasetChoice::Tiny(80), 8)
         };
         run_with_profile_on(&config, ExecSpec::default())
     })

@@ -15,15 +15,9 @@ use airshed::machine::MachineProfile;
 #[ignore = "runs the NE numerics (~1 minute)"]
 fn ne_two_hour_slice_runs_and_scales() {
     let config = SimConfig {
-        dataset: DatasetChoice::NorthEast,
-        machine: MachineProfile::t3e(),
-        p: 16,
         hours: 2,
         start_hour: 11,
-        kh: 0.012,
-        chem_opts: Default::default(),
-        weather: Default::default(),
-        emission_scale: 1.0,
+        ..SimConfig::new(DatasetChoice::NorthEast, 16)
     };
     let (r, prof) = run_with_profile_on(&config, ExecSpec::default());
     assert_eq!(prof.shape[0], 35);

@@ -12,10 +12,11 @@
 //! shapes without running the numerics.
 
 use airshed::core::driver::{ChemLayout, HourPlans, PlanLayouts, WORD};
+use airshed::core::obs::Obs;
 use airshed::core::plan::PhaseGraph;
 use airshed::core::profile::{HourProfile, StepProfile, WorkProfile};
 use airshed::core::report::RunReport;
-use airshed::core::taskpar::replay_taskparallel_split;
+use airshed::core::taskpar::replay_taskparallel;
 use airshed::hpf::loops::block_ranges;
 use airshed::hpf::pipeline::{schedule, sequential_makespan};
 use airshed::machine::accounting::PhaseCategory;
@@ -154,7 +155,7 @@ fn replay_legacy(profile: &WorkProfile, mp: MachineProfile, p: usize) -> RunRepo
     )
 }
 
-/// The original `taskpar::replay_taskparallel_split` stage math.
+/// The original `taskpar::replay_taskparallel` stage math.
 fn taskpar_legacy(
     profile: &WorkProfile,
     mp: MachineProfile,
@@ -260,7 +261,14 @@ fn taskparallel_stages_are_bit_identical_to_legacy() {
                         continue;
                     }
                     let (makespan, unpipelined, busy) = taskpar_legacy(profile, mp, p, p_in, p_out);
-                    let tp = replay_taskparallel_split(profile, mp, p, p_in, p_out);
+                    let tp = replay_taskparallel(
+                        profile,
+                        mp,
+                        p,
+                        (p_in, p_out),
+                        PlanLayouts::default(),
+                        &Obs::off(),
+                    );
                     let tag = format!("{} p={p} split=({p_in},{p_out})", profile.dataset);
                     assert_eq!(makespan, tp.total_seconds, "{tag}");
                     assert_eq!(unpipelined, tp.unpipelined_seconds, "{tag}");
@@ -273,7 +281,7 @@ fn taskparallel_stages_are_bit_identical_to_legacy() {
     let profile = &paper_profiles()[0];
     let mp = MachineProfile::paragon();
     let (makespan, _, busy) = taskpar_legacy(profile, mp, 16, 5, 2);
-    let tp = replay_taskparallel_split(profile, mp, 16, 5, 2);
+    let tp = replay_taskparallel(profile, mp, 16, (5, 2), PlanLayouts::default(), &Obs::off());
     assert_eq!(makespan, tp.total_seconds);
     assert_eq!(busy, tp.stage_busy);
 }

@@ -2,248 +2,18 @@
 //! `airshed` binary with `--trace-out` / `--metrics-out` on a tiny
 //! scenario and validate both artifacts from the outside.
 //!
-//! The Chrome trace is checked with a small hand-written JSON parser
-//! (the vendored serde shim is a no-op, so this is the only honest way
-//! to prove the output *is* JSON): the document must parse, carry at
-//! least one complete-event span per simulated phase, nest every phase
+//! The Chrome trace is read with the library's one JSON reader
+//! (`core::obs::dist::Json`, whose own table test pins it against
+//! hand-written documents; ci.sh's `python3 json.load` is the outside
+//! opinion that the output *is* JSON): the document must parse, carry
+//! at least one complete-event span per simulated phase, nest every phase
 //! span inside an `hour` span on the driver lane, and name per-worker
 //! pool tracks. The Prometheus snapshot must parse line by line and
 //! carry the phase-latency histogram series.
 
+use airshed::core::obs::dist::Json;
 use std::collections::BTreeMap;
 use std::process::Command;
-
-// ---------------------------------------------------------------------
-// A minimal JSON value + recursive-descent parser (tests only).
-// ---------------------------------------------------------------------
-
-#[derive(Debug, Clone, PartialEq)]
-enum Json {
-    Null,
-    Bool(bool),
-    Num(f64),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(BTreeMap<String, Json>),
-}
-
-impl Json {
-    fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(m) => m.get(key),
-            _ => None,
-        }
-    }
-    fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-    fn as_num(&self) -> Option<f64> {
-        match self {
-            Json::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-    fn as_arr(&self) -> Option<&[Json]> {
-        match self {
-            Json::Arr(v) => Some(v),
-            _ => None,
-        }
-    }
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn parse(text: &'a str) -> Result<Json, String> {
-        let mut p = Parser {
-            bytes: text.as_bytes(),
-            pos: 0,
-        };
-        let v = p.value()?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(format!("trailing garbage at byte {}", p.pos));
-        }
-        Ok(v)
-    }
-
-    fn skip_ws(&mut self) {
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| b.is_ascii_whitespace())
-        {
-            self.pos += 1;
-        }
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.bytes.get(self.pos) == Some(&b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!(
-                "expected '{}' at byte {}, found {:?}",
-                b as char,
-                self.pos,
-                self.bytes.get(self.pos).map(|&c| c as char)
-            ))
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, String> {
-        self.skip_ws();
-        match self.bytes.get(self.pos) {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(_) => self.number(),
-            None => Err("unexpected end of input".into()),
-        }
-    }
-
-    fn literal(&mut self, word: &str, v: Json) -> Result<Json, String> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(v)
-        } else {
-            Err(format!("bad literal at byte {}", self.pos))
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        let start = self.pos;
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| b.is_ascii_digit() || matches!(b, b'-' | b'+' | b'.' | b'e' | b'E'))
-        {
-            self.pos += 1;
-        }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .map(Json::Num)
-            .ok_or_else(|| format!("bad number at byte {start}"))
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.bytes.get(self.pos) {
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    let esc = *self.bytes.get(self.pos).ok_or("unterminated escape")?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b't' => out.push('\t'),
-                        b'r' => out.push('\r'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .and_then(|h| u32::from_str_radix(h, 16).ok())
-                                .ok_or("bad \\u escape")?;
-                            self.pos += 4;
-                            out.push(char::from_u32(hex).ok_or("bad codepoint")?);
-                        }
-                        other => return Err(format!("bad escape '\\{}'", other as char)),
-                    }
-                }
-                Some(&b) => {
-                    // Multi-byte UTF-8 sequences pass through untouched.
-                    let len = match b {
-                        0x00..=0x7f => 1,
-                        0xc0..=0xdf => 2,
-                        0xe0..=0xef => 3,
-                        _ => 4,
-                    };
-                    let chunk = self
-                        .bytes
-                        .get(self.pos..self.pos + len)
-                        .ok_or("truncated utf-8")?;
-                    out.push_str(std::str::from_utf8(chunk).map_err(|e| e.to_string())?);
-                    self.pos += len;
-                }
-                None => return Err("unterminated string".into()),
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Json, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.bytes.get(self.pos) == Some(&b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.bytes.get(self.pos) {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                _ => return Err(format!("expected ',' or ']' at byte {}", self.pos)),
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, String> {
-        self.expect(b'{')?;
-        let mut map = BTreeMap::new();
-        self.skip_ws();
-        if self.bytes.get(self.pos) == Some(&b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(map));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            let val = self.value()?;
-            map.insert(key, val);
-            self.skip_ws();
-            match self.bytes.get(self.pos) {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(map));
-                }
-                _ => return Err(format!("expected ',' or '}}' at byte {}", self.pos)),
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// The smoke test proper.
-// ---------------------------------------------------------------------
 
 /// A complete ("ph":"X") span pulled out of the trace.
 struct Span {
@@ -284,7 +54,7 @@ fn cli_trace_and_metrics_exports_are_valid_and_complete() {
 
     // ---- the Chrome trace --------------------------------------------
     let text = std::fs::read_to_string(&trace_path).unwrap();
-    let doc = Parser::parse(&text).expect("trace must be valid JSON");
+    let doc = Json::parse(&text).expect("trace must be valid JSON");
     let events = doc
         .get("traceEvents")
         .and_then(Json::as_arr)
@@ -478,7 +248,7 @@ fn fabric_traces_merge_into_one_coherent_timeline() {
     assert!(status.success(), "airshed trace-merge failed: {status}");
 
     let text = std::fs::read_to_string(dir.join("fab.merged.json")).unwrap();
-    let doc = Parser::parse(&text).expect("merged trace must be valid JSON");
+    let doc = Json::parse(&text).expect("merged trace must be valid JSON");
     let events = doc.get("traceEvents").and_then(Json::as_arr).unwrap();
 
     let mut process_names: BTreeMap<i64, String> = BTreeMap::new();
@@ -630,7 +400,7 @@ fn cross_shard_sort_and_open_span_flush_on_drop() {
     assert_eq!(sink.dropped(), 0, "no shard may drop spans");
 
     // (2) The still-open span renders as a begin event.
-    let doc = Parser::parse(&trace).expect("trace with open spans must still be valid JSON");
+    let doc = Json::parse(&trace).expect("trace with open spans must still be valid JSON");
     let trace_events = doc.get("traceEvents").and_then(Json::as_arr).unwrap();
     let phase_of = |e: &Json, name: &str| {
         e.get("name").and_then(Json::as_str) == Some(name)
@@ -651,7 +421,7 @@ fn cross_shard_sort_and_open_span_flush_on_drop() {
     // the begin event disappears.
     drop(open_guard);
     let trace = sink.chrome_trace();
-    let doc = Parser::parse(&trace).unwrap();
+    let doc = Json::parse(&trace).unwrap();
     let trace_events = doc.get("traceEvents").and_then(Json::as_arr).unwrap();
     let closed_hours: Vec<&str> = trace_events
         .iter()

@@ -6,19 +6,13 @@
 use airshed::core::config::{DatasetChoice, SimConfig, Weather};
 use airshed::core::driver::run_with_profile_on;
 use airshed::core::ExecSpec;
-use airshed::machine::MachineProfile;
 
 fn run(weather: Weather) -> airshed::core::RunReport {
     let config = SimConfig {
-        dataset: DatasetChoice::Tiny(100),
-        machine: MachineProfile::t3e(),
-        p: 8,
         hours: 8,
         start_hour: 7,
-        kh: 0.012,
-        chem_opts: Default::default(),
         weather,
-        emission_scale: 1.0,
+        ..SimConfig::new(DatasetChoice::Tiny(100), 8)
     };
     run_with_profile_on(&config, ExecSpec::default()).0
 }
