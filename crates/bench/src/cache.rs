@@ -15,7 +15,7 @@ use std::fs;
 use std::path::PathBuf;
 
 /// Format magic + version.
-pub const MAGIC: &[u8; 8] = b"ASHPRF07";
+pub const MAGIC: &[u8; 8] = b"ASHPRF08";
 
 fn cache_dir() -> PathBuf {
     // Keep the cache inside the workspace target dir.

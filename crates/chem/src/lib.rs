@@ -20,8 +20,8 @@
 //!   one cell at a time: the definition, and the oracle of the lanes;
 //! * [`simd`] — the same integrator on four cells at a time, one per
 //!   `F64x4` lane with its own substep controller, each lane
-//!   bit-identical to the scalar integrator: the kernel every backend
-//!   runs (the `simd` backend with fused multiply-adds);
+//!   bit-identical to the scalar integrator: the kernel every run takes,
+//!   whatever its thread count or host;
 //! * [`vertical`] — implicit (backward-Euler, Thomas-solve) vertical
 //!   diffusion with surface emission and dry-deposition fluxes;
 //! * [`audit`] — reaction-by-reaction atom-balance checking (N, S);

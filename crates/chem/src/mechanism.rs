@@ -29,10 +29,11 @@
 //!
 //! Loss frequencies are computed in reciprocal form,
 //! `(rate · (1 / max(c, 1e-30))) · ν`, in the table walk and the kernel
-//! alike: one reciprocal per species instead of a quotient per term.
+//! alike: one reciprocal per species instead of a quotient per term. Each
+//! term enters its sum by one fused multiply-add (`f64::mul_add`,
+//! correctly rounded on every host), in both as well.
 
 use crate::species::{self as sp, N_SPECIES};
-use airshed_simd::Unfused;
 
 #[cfg(test)]
 mod codegen;
@@ -42,7 +43,7 @@ pub use table::{RateLaw, Reaction};
 
 /// The kernel `build.rs` generates from the carbon-bond table.
 pub(crate) mod kernels {
-    use airshed_simd::{Lanes, Madd};
+    use airshed_simd::Lanes;
 
     include!(concat!(env!("OUT_DIR"), "/carbon_bond_kernels.rs"));
 }
@@ -155,7 +156,7 @@ impl Mechanism {
                 <&mut [f64; N_SPECIES]>::try_from(&mut *p),
                 <&mut [f64; N_SPECIES]>::try_from(&mut *l),
             ) {
-                return kernels::prod_loss::<f64, Unfused>(c, k, p, l);
+                return kernels::prod_loss(c, k, p, l);
             }
         }
         self.prod_loss_table_walk(conc, k, p, l);
@@ -184,10 +185,10 @@ impl Mechanism {
                 // concentrations in `rate_order` include c[s] itself, so
                 // this is finite for any state with c[s] > 0; the floor
                 // avoids 0/0 for rate 0.
-                l[s] += rate * (1.0 / conc[s].max(FLOOR)) * nu;
+                l[s] = (rate * (1.0 / conc[s].max(FLOOR))).mul_add(nu, l[s]);
             }
             for &(s, nu) in &r.produce {
-                p[s] += nu * rate;
+                p[s] = rate.mul_add(nu, p[s]);
             }
         }
     }

@@ -1,5 +1,5 @@
 //! Chemistry's cells as independent lanes: the Young–Boris integrator
-//! of every backend.
+//! every run takes.
 //!
 //! Every grid cell's kinetics is independent of every other's, so
 //! [`integrate_stream`] integrates **four cells at a time, one per
@@ -15,20 +15,19 @@
 //! lane, by the very functions the scalar integrator calls; an accepted
 //! lane takes `c1` by a select, a rejected one keeps its state.
 //!
-//! **A lane does the scalar arithmetic.** Under [`Unfused`] every
-//! operation is the correctly rounded operation
+//! **A lane does the scalar arithmetic.** Every operation is the
+//! correctly rounded operation
 //! [`integrate_cell_with_k`](crate::youngboris::integrate_cell_with_k)
 //! performs on that cell, in the same order — loss frequencies in the
 //! reciprocal form, the stiff exponential from the polynomial
-//! `exp_poly` — so each cell comes out **bit-identical** to
-//! the scalar integrator in state, `substeps`, `rejected` and `evals`,
-//! whatever lane it ran in and whatever its neighbours were. That
-//! instantiation (portable, or compiled for `avx2`: the same bits) is the
-//! chemistry of the `serial` and `rayon` backends, of shards, server
-//! workers and ensembles. [`Fused`] is the one epsilon variant: the same
-//! body with fused multiply-adds in the production/loss sums, the
-//! Euler/trapezoid updates and `exp_poly`, for `--backend simd` — still
-//! independent of lane, grouping and thread count.
+//! `exp_poly`, fused multiply-adds in the production/loss sums, the
+//! Euler/trapezoid updates and `exp_poly` — so each cell comes out
+//! **bit-identical** to the scalar integrator in state, `substeps`,
+//! `rejected` and `evals`, whatever lane it ran in, whatever its
+//! neighbours were and whatever the host: `f64::mul_add` is one `vfmadd`
+//! in the instantiation compiled for `avx2,fma` and libm's software `fma`
+//! in the portable one, correctly rounded in both. This is the chemistry
+//! of every thread count, of shards, server workers and ensembles.
 //!
 //! The vertical solve ([`diffuse_column4`]) has lane-shared coefficients
 //! and exactly [`crate::vertical::diffuse_column`]'s lanewise arithmetic,
@@ -45,7 +44,7 @@ use crate::mechanism::{kernels, Mechanism, N_REACTIONS};
 use crate::species::N_SPECIES;
 use crate::vertical::{diffusion_system, ColumnGeometry};
 use crate::youngboris::{asymptotic, initial_substep, step_control, YbOptions, YbStats};
-use airshed_simd::{fma_available, F64x4, Fused, Madd, Unfused};
+use airshed_simd::{fma_available, F64x4};
 
 const LANES: usize = F64x4::LANES;
 
@@ -97,28 +96,24 @@ fn species_arrays<'a>(
 }
 
 /// The generated kernel on four lanes, compiled for avx2 and fma: the
-/// [`Fused`] instantiation uses both; the [`Unfused`] one — Rust never
-/// contracts `a * b + c` — has the bits of [`prod_loss4_unfused`], in
-/// 256-bit registers. Call it only after [`fma_available`] returned true.
+/// bits of [`prod_loss4_portable`], in 256-bit registers with one
+/// `vfmadd` per multiply-add. Call it only after [`fma_available`]
+/// returned true.
 #[cfg(target_arch = "x86_64")]
 #[inline(never)]
 #[target_feature(enable = "avx2,fma")]
-fn prod_loss4_avx2<M: Madd>(
-    conc: &[F64x4],
-    k: &[f64; N_REACTIONS],
-    p: &mut [F64x4],
-    l: &mut [F64x4],
-) {
+fn prod_loss4_avx2(conc: &[F64x4], k: &[f64; N_REACTIONS], p: &mut [F64x4], l: &mut [F64x4]) {
     debug_assert!(fma_available());
     let (c, p, l) = species_arrays(conc, p, l);
-    kernels::prod_loss::<F64x4, M>(c, k, p, l);
+    kernels::prod_loss(c, k, p, l);
 }
 
-/// The portable [`Unfused`] instantiation of the generated kernel.
+/// The portable instantiation of the generated kernel, for hosts without
+/// avx2 and fma.
 #[inline(never)]
-fn prod_loss4_unfused(conc: &[F64x4], k: &[f64; N_REACTIONS], p: &mut [F64x4], l: &mut [F64x4]) {
+fn prod_loss4_portable(conc: &[F64x4], k: &[f64; N_REACTIONS], p: &mut [F64x4], l: &mut [F64x4]) {
     let (c, p, l) = species_arrays(conc, p, l);
-    kernels::prod_loss::<F64x4, Unfused>(c, k, p, l);
+    kernels::prod_loss(c, k, p, l);
 }
 
 /// Four-lane production/loss of a table-only mechanism: each lane goes
@@ -174,16 +169,13 @@ impl LaneOccupancy {
 /// (so a caller walking the layers of a column sums it up in place);
 /// `stats.len()` is the number of cells.
 ///
-/// With `fused == false` every cell comes out bit-identical to
+/// Every cell comes out bit-identical to
 /// [`integrate_cell_with_k`](crate::youngboris::integrate_cell_with_k) —
-/// concentrations and statistics — on every host; `fused == true` uses
-/// fused multiply-adds where the CPU has them (otherwise it is the same
-/// as `false`) and is epsilon-close to that. Either way a cell's result
+/// concentrations and statistics — on every host, so a cell's result
 /// does not depend on its position in the stream or on the other cells.
 #[allow(clippy::too_many_arguments)]
 pub fn integrate_stream(
     mech: &Mechanism,
-    fused: bool,
     cells: &mut [f64],
     stride: usize,
     stats: &mut [YbStats],
@@ -201,7 +193,7 @@ pub fn integrate_stream(
         n,
     };
     let Some(ck) = mech.compiled_k(k).filter(|_| n == N_SPECIES) else {
-        return stream.integrate::<Unfused>(dt_min, opts, ws, |c, p, l| {
+        return stream.integrate(dt_min, opts, ws, |c, p, l| {
             prod_loss4_lanes(mech, c, k, p, l)
         });
     };
@@ -209,23 +201,17 @@ pub fn integrate_stream(
     if fma_available() {
         // SAFETY: `integrate_avx2` requires avx2 and fma, which
         // `fma_available` has just detected on this CPU.
-        return unsafe {
-            if fused {
-                integrate_avx2::<Fused>(stream, ck, dt_min, opts, ws)
-            } else {
-                integrate_avx2::<Unfused>(stream, ck, dt_min, opts, ws)
-            }
-        };
+        return unsafe { integrate_avx2(stream, ck, dt_min, opts, ws) };
     }
-    stream.integrate::<Unfused>(dt_min, opts, ws, |c, p, l| prod_loss4_unfused(c, ck, p, l))
+    stream.integrate(dt_min, opts, ws, |c, p, l| prod_loss4_portable(c, ck, p, l))
 }
 
-/// The stream kernel compiled for avx2 and fma, under either strategy
-/// (see [`prod_loss4_avx2`]). Call it only after [`fma_available`]
-/// returned true.
+/// The stream kernel compiled for avx2 and fma (see
+/// [`prod_loss4_avx2`]). Call it only after [`fma_available`] returned
+/// true.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
-fn integrate_avx2<M: Madd>(
+fn integrate_avx2(
     stream: Stream,
     k: &[f64; N_REACTIONS],
     dt_min: f64,
@@ -233,12 +219,12 @@ fn integrate_avx2<M: Madd>(
     ws: &mut Yb4Workspace,
 ) -> LaneOccupancy {
     debug_assert!(fma_available());
-    stream.integrate::<M>(dt_min, opts, ws, |c, p, l| prod_loss4_avx2::<M>(c, k, p, l))
+    stream.integrate(dt_min, opts, ws, |c, p, l| prod_loss4_avx2(c, k, p, l))
 }
 
-/// Four cells, one per lane of `conc[s]`, through [`integrate_stream`]
-/// (fused where the CPU allows): a stream of exactly four cells, so no
-/// lane is ever refilled. Kept for callers that hold lane-major cells.
+/// Four cells, one per lane of `conc[s]`, through [`integrate_stream`]:
+/// a stream of exactly four cells, so no lane is ever refilled. Kept for
+/// callers that hold lane-major cells.
 ///
 /// The returned statistics count **vector iterations, not per-cell
 /// work**: `substeps` is the number of four-lane attempts the kernel ran
@@ -264,7 +250,7 @@ pub fn integrate_cell4(
         }
     }
     let mut stats = [YbStats::default(); LANES];
-    let ran = integrate_stream(mech, true, &mut cells, n, &mut stats, k, dt_min, opts, ws);
+    let ran = integrate_stream(mech, &mut cells, n, &mut stats, k, dt_min, opts, ws);
     for (s, c) in conc.iter_mut().enumerate() {
         for lane in 0..LANES {
             c.set_lane(lane, cells[lane * n + s]);
@@ -320,8 +306,8 @@ impl Stream<'_> {
         }
     }
 
-    /// The stream kernel, over a multiply-add strategy and the four-lane
-    /// production/loss evaluation `pl(conc, p, l)` of the mechanism.
+    /// The stream kernel, over the four-lane production/loss evaluation
+    /// `pl(conc, p, l)` of the mechanism.
     ///
     /// Every attempt evaluates production/loss at the lanes' states
     /// (new work for a lane that accepted or loaded a cell; for a lane
@@ -335,7 +321,7 @@ impl Stream<'_> {
     /// exponential's range; the only per-lane branches are the
     /// controller's.
     #[inline(always)]
-    fn integrate<M: Madd>(
+    fn integrate(
         mut self,
         dt_min: f64,
         opts: &YbOptions,
@@ -398,13 +384,13 @@ impl Stream<'_> {
             let mut n_stiff = 0;
             for i in 0..n {
                 let f = p0[i] - l0[i] * conc[i];
-                cp[i] = M::madd4(h4, f, conc[i]).max(zero);
+                cp[i] = h4.mul_add(f, conc[i]).max(zero);
                 stiff[n_stiff] = i;
                 n_stiff += usize::from((l0[i] * h4).any_gt(ratio4));
             }
             // Pass 2: the asymptotic update on the stiff lanes of the list.
             for &i in &stiff[..n_stiff] {
-                let asym = asymptotic::<F64x4, M>(conc[i], p0[i], l0[i], h4, opts.form);
+                let asym = asymptotic(conc[i], p0[i], l0[i], h4, opts.form);
                 cp[i] = (l0[i] * h4).select_gt(ratio4, asym.max(zero), cp[i]);
             }
 
@@ -418,7 +404,7 @@ impl Stream<'_> {
             for i in 0..n {
                 let f0 = p0[i] - l0[i] * conc[i];
                 let fp = pp[i] - lp[i] * cp[i];
-                c1[i] = M::madd4(half_h4, f0 + fp, conc[i]).max(zero);
+                c1[i] = half_h4.mul_add(f0 + fp, conc[i]).max(zero);
                 let lbar = (l0[i] + lp[i]) * half;
                 stiff[n_stiff] = i;
                 n_stiff += usize::from((lbar * h4).any_gt(ratio4));
@@ -432,7 +418,7 @@ impl Stream<'_> {
                 let lbar = (l0[i] + lp[i]) * half;
                 let pbar = half * (p0[i] + pp[i]);
                 let lbar_h = lbar * h4;
-                let asym = asymptotic::<F64x4, M>(conc[i], pbar, lbar, h4, opts.form);
+                let asym = asymptotic(conc[i], pbar, lbar, h4, opts.form);
                 c1[i] = lbar_h.select_gt(ratio4, asym.max(zero), c1[i]);
                 let drift = half * (pp[i] / lp[i] - p0[i] / l0[i]).abs() / (c1[i] + atol4);
                 let drift = lbar_h.select_gt(ratio4, drift, zero);
@@ -502,7 +488,8 @@ pub struct Column4Workspace {
 /// across lanes; only the emission flux differs per column. The
 /// tridiagonal system is [`crate::vertical::diffuse_column`]'s own, its
 /// factorisation lane-shared, and the lanewise arithmetic exactly the
-/// scalar solve's (no FMA), so each lane is bit-identical to it.
+/// scalar solve's (which fuses nothing), so each lane is bit-identical
+/// to it.
 pub fn diffuse_column4(
     geom: &ColumnGeometry,
     kz: &[f64],
@@ -571,27 +558,6 @@ mod tests {
         k.try_into().unwrap()
     }
 
-    /// One lane of the four-lane evaluation under `M` as a table walk:
-    /// the reciprocal form, interpreted row by row. Under `Unfused` this
-    /// is `Mechanism::prod_loss`; under `Fused` nothing else defines it.
-    fn table_walk_under<M: Madd>(m: &Mechanism, conc: &[f64], k: &[f64]) -> (Vec<f64>, Vec<f64>) {
-        let inv: Vec<f64> = conc.iter().map(|c| 1.0 / c.max(1e-30)).collect();
-        let (mut p, mut l) = (vec![0.0; conc.len()], vec![0.0; conc.len()]);
-        for (r, &kr) in m.reactions().iter().zip(k) {
-            if kr == 0.0 {
-                continue;
-            }
-            let rate = r.rate_order.iter().fold(kr, |rate, &s| rate * conc[s]);
-            for &(s, nu) in &r.consume {
-                l[s] = M::madd(rate * inv[s], nu, l[s]);
-            }
-            for &(s, nu) in &r.produce {
-                p[s] = M::madd(rate, nu, p[s]);
-            }
-        }
-        (p, l)
-    }
-
     /// Each lane of `(p4, l4)` is `oracle(column)`, bit for bit.
     fn assert_lanes_equal(
         name: &str,
@@ -625,12 +591,11 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(128))]
 
-        /// Each lane of the `Unfused` four-lane kernel — portable and
-        /// avx2 — and of the per-lane path of a table-only mechanism is
-        /// the generated scalar kernel, bit for bit; each `Fused` lane is
-        /// the same table walk with fused multiply-adds. Exact zeros,
-        /// floor-scale radicals and the night's zeroed photolysis
-        /// constants included.
+        /// Each lane of the four-lane kernel — portable (libm's `fma`)
+        /// and avx2 (`vfmadd`) — and of the per-lane path of a table-only
+        /// mechanism (the table walk) is the generated scalar kernel, bit
+        /// for bit. Exact zeros, floor-scale radicals and the night's
+        /// zeroed photolysis constants included.
         #[test]
         fn four_lane_kernels_equal_the_scalar_kernel_lane_for_lane(
             cols in prop::collection::vec(prop::collection::vec(concentration(), N_SPECIES), 4),
@@ -648,27 +613,22 @@ mod tests {
             let conc4 = pack(&cols);
             let mut p4 = vec![F64x4::splat(f64::NAN); N_SPECIES];
             let mut l4 = p4.clone();
-            prod_loss4_unfused(&conc4, compiled(&k), &mut p4, &mut l4);
-            assert_lanes_equal("unfused", &cols, (&p4, &l4), scalar)?;
+            prod_loss4_portable(&conc4, compiled(&k), &mut p4, &mut l4);
+            assert_lanes_equal("portable", &cols, (&p4, &l4), scalar)?;
             let table_only = Mechanism::from_table(m.reactions().to_vec(), N_SPECIES);
             prod_loss4_lanes(&table_only, &conc4, &k, &mut p4, &mut l4);
             assert_lanes_equal("table-only", &cols, (&p4, &l4), scalar)?;
             #[cfg(target_arch = "x86_64")]
             if fma_available() {
                 // SAFETY: avx2 and fma were detected on the line above.
-                unsafe { prod_loss4_avx2::<Unfused>(&conc4, compiled(&k), &mut p4, &mut l4) };
+                unsafe { prod_loss4_avx2(&conc4, compiled(&k), &mut p4, &mut l4) };
                 assert_lanes_equal("avx2", &cols, (&p4, &l4), scalar)?;
-                // SAFETY: as above.
-                unsafe { prod_loss4_avx2::<Fused>(&conc4, compiled(&k), &mut p4, &mut l4) };
-                assert_lanes_equal("fused", &cols, (&p4, &l4), |col| {
-                    table_walk_under::<Fused>(&m, col, &k)
-                })?;
             }
         }
     }
 
-    /// A stream of `cells` through the portable `Unfused` instantiation —
-    /// the one the dispatch never reaches on an avx2 host.
+    /// A stream of `cells` through the portable instantiation — the one
+    /// the dispatch never reaches on an avx2 host.
     fn integrate_portable(
         cells: &mut [f64],
         stats: &mut [YbStats],
@@ -683,8 +643,8 @@ mod tests {
             n: N_SPECIES,
         };
         let mut ws = Yb4Workspace::new(N_SPECIES);
-        stream.integrate::<Unfused>(dt_min, opts, &mut ws, |c, p, l| {
-            prod_loss4_unfused(c, compiled(k), p, l)
+        stream.integrate(dt_min, opts, &mut ws, |c, p, l| {
+            prod_loss4_portable(c, compiled(k), p, l)
         })
     }
 
@@ -692,10 +652,12 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(24))]
 
         /// The portable and the dispatched (avx2 where available)
-        /// `Unfused` instantiations agree bit for bit — state, statistics
-        /// and occupancy — on ragged streams of polluted and random cells.
+        /// instantiations agree bit for bit — state, statistics and
+        /// occupancy — on ragged streams of polluted and random cells:
+        /// libm's `fma` against `vfmadd`, which is what makes a result
+        /// independent of the host it was computed on.
         #[test]
-        fn portable_and_dispatched_unfused_streams_agree_bit_for_bit(
+        fn portable_and_dispatched_streams_agree_bit_for_bit(
             wild in prop::collection::vec(prop::collection::vec(concentration(), N_SPECIES), 0..3),
             n_polluted in 0usize..8,
             sun in prop_oneof![Just(0.0), 1e-3f64..1.0],
@@ -716,7 +678,7 @@ mod tests {
             let ran_a = integrate_portable(&mut a, &mut stats_a, &k, dt, &opts);
             let mut ws = Yb4Workspace::new(N_SPECIES);
             let ran_b =
-                integrate_stream(&m, false, &mut b, N_SPECIES, &mut stats_b, &k, dt, &opts, &mut ws);
+                integrate_stream(&m, &mut b, N_SPECIES, &mut stats_b, &k, dt, &opts, &mut ws);
             prop_assert_eq!(ran_a, ran_b);
             prop_assert_eq!(&stats_a, &stats_b);
             prop_assert!(a.iter().zip(&b).all(|(x, y)| x.to_bits() == y.to_bits()));
@@ -738,7 +700,7 @@ mod tests {
         let mut stats = vec![YbStats::default(); cols.len()];
         let mut ws4 = Yb4Workspace::new(N_SPECIES);
         let ran = integrate_stream(
-            &m, false, &mut cells, N_SPECIES, &mut stats, &k, 10.0, &opts, &mut ws4,
+            &m, &mut cells, N_SPECIES, &mut stats, &k, 10.0, &opts, &mut ws4,
         );
         let mut ws = YbWorkspace::new(N_SPECIES);
         let (mut lane_attempts, mut evals) = (0, 0);
@@ -767,7 +729,7 @@ mod tests {
         for (group, stats) in cols.chunks(LANES).zip(stats.chunks_mut(LANES)) {
             let mut cells = group.concat();
             grouped.absorb(integrate_stream(
-                &m, false, &mut cells, N_SPECIES, stats, &k, 10.0, &opts, &mut ws4,
+                &m, &mut cells, N_SPECIES, stats, &k, 10.0, &opts, &mut ws4,
             ));
         }
         assert_eq!(grouped.lane_attempts, ran.lane_attempts);
@@ -785,11 +747,11 @@ mod tests {
         let mut conc4 = pack(&cols);
         let mut ws4 = Yb4Workspace::new(N_SPECIES);
         let got = integrate_cell4(&m, &mut conc4, &k, 10.0, &opts, &mut ws4);
-        // The lanes are the stream's (fused where the CPU allows) ...
+        // The lanes are the stream's ...
         let mut cells = cols.concat();
         let mut stats = [YbStats::default(); 4];
         let ran = integrate_stream(
-            &m, true, &mut cells, N_SPECIES, &mut stats, &k, 10.0, &opts, &mut ws4,
+            &m, &mut cells, N_SPECIES, &mut stats, &k, 10.0, &opts, &mut ws4,
         );
         for (lane, cell) in cells.chunks(N_SPECIES).enumerate() {
             for s in 0..N_SPECIES {
@@ -837,23 +799,18 @@ mod tests {
             cells[3 * i] = *c0;
         }
         let mut ws4 = Yb4Workspace::new(1);
-        for fused in [false, true] {
-            let mut stats = [YbStats::default(); 5];
-            let mut got = cells.clone();
-            integrate_stream(
-                &m, fused, &mut got, 3, &mut stats, &k, 10.0, &opts, &mut ws4,
-            );
-            let decay = (-0.3f64 * 10.0).exp();
-            for (i, c0) in start.iter().enumerate() {
-                let mut want = [*c0];
-                let want_stats =
-                    integrate_cell_with_k(&m, &mut want, &k, 10.0, &opts, &mut YbWorkspace::new(1));
-                assert_eq!(got[3 * i].to_bits(), want[0].to_bits(), "cell {i}");
-                assert_eq!(stats[i], want_stats, "cell {i}");
-                assert!((want[0] - c0 * decay).abs() <= 5e-3 * c0 * decay);
-                // The gaps between cells are not the stream's to touch.
-                assert_eq!(got[3 * i + 1..3 * i + 3], [-1.0, -1.0]);
-            }
+        let mut stats = [YbStats::default(); 5];
+        integrate_stream(&m, &mut cells, 3, &mut stats, &k, 10.0, &opts, &mut ws4);
+        let decay = (-0.3f64 * 10.0).exp();
+        for (i, c0) in start.iter().enumerate() {
+            let mut want = [*c0];
+            let want_stats =
+                integrate_cell_with_k(&m, &mut want, &k, 10.0, &opts, &mut YbWorkspace::new(1));
+            assert_eq!(cells[3 * i].to_bits(), want[0].to_bits(), "cell {i}");
+            assert_eq!(stats[i], want_stats, "cell {i}");
+            assert!((want[0] - c0 * decay).abs() <= 5e-3 * c0 * decay);
+            // The gaps between cells are not the stream's to touch.
+            assert_eq!(cells[3 * i + 1..3 * i + 3], [-1.0, -1.0]);
         }
     }
 
@@ -977,21 +934,11 @@ mod tests {
         let mut cells = background_vector();
         let mut stats = [YbStats::default()];
         let ran = integrate_stream(
-            &m, false, &mut cells, N_SPECIES, &mut stats, &k, 0.0, &opts, &mut ws4,
+            &m, &mut cells, N_SPECIES, &mut stats, &k, 0.0, &opts, &mut ws4,
         );
         assert_eq!((ran, stats[0]), Default::default());
         assert_eq!(cells, background_vector());
-        let ran = integrate_stream(
-            &m,
-            false,
-            &mut [],
-            N_SPECIES,
-            &mut [],
-            &k,
-            5.0,
-            &opts,
-            &mut ws4,
-        );
+        let ran = integrate_stream(&m, &mut [], N_SPECIES, &mut [], &k, 5.0, &opts, &mut ws4);
         assert_eq!(ran.ratio(), None);
     }
 }

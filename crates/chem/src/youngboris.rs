@@ -21,15 +21,19 @@
 //! [`integrate_cell_with_k`] is the *definition* of the chemistry: the
 //! production code integrates four cells at a time
 //! ([`crate::simd::integrate_stream`]), and each of its lanes is held,
-//! bit for bit, to what this function computes for that cell. Two
+//! bit for bit, to what this function computes for that cell. Three
 //! choices here exist for that reason — the arithmetic is the lanes' —
-//! and both use correctly rounded operations only, so the bits are the
+//! and all use correctly rounded operations only, so the bits are the
 //! same on every host: loss frequencies come in the reciprocal form
-//! (`Mechanism::prod_loss`), and the stiff update's exponential is the
-//! polynomial `exp_poly`, not libm's.
+//! (`Mechanism::prod_loss`), the stiff update's exponential is the
+//! polynomial `exp_poly`, not libm's, and the production/loss sums, the
+//! Euler and trapezoid updates and `exp_poly` take `f64::mul_add` where
+//! the lanes take `vfmadd` (outside an `fma` function that is libm's
+//! software `fma`: the same bits, slowly — this function is the oracle,
+//! not the production path).
 
 use crate::mechanism::Mechanism;
-use airshed_simd::{Lanes, Madd, Unfused};
+use airshed_simd::Lanes;
 
 /// Which asymptotic update the stiff branch uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -194,10 +198,10 @@ pub fn integrate_cell_with_k(
             ws.c1[i] = if lbar * h <= opts.stiff_ratio {
                 let f0 = ws.p0[i] - ws.l0[i] * conc[i];
                 let fp = ws.pp[i] - ws.lp[i] * ws.cp[i];
-                conc[i] + 0.5 * h * (f0 + fp)
+                (0.5 * h).mul_add(f0 + fp, conc[i])
             } else {
                 let pbar = 0.5 * (ws.p0[i] + ws.pp[i]);
-                asymptotic::<f64, Unfused>(conc[i], pbar, lbar, h, opts.form)
+                asymptotic(conc[i], pbar, lbar, h, opts.form)
             }
             .max(0.0);
         }
@@ -284,9 +288,9 @@ pub(crate) fn step_control(err: f64, h: f64, opts: &YbOptions) -> (bool, f64) {
 #[inline]
 fn advance(c0: f64, p: f64, l: f64, h: f64, opts: &YbOptions) -> f64 {
     if l * h <= opts.stiff_ratio {
-        c0 + h * (p - l * c0)
+        h.mul_add(p - l * c0, c0)
     } else {
-        asymptotic::<f64, Unfused>(c0, p, l, h, opts.form)
+        asymptotic(c0, p, l, h, opts.form)
     }
 }
 
@@ -296,7 +300,7 @@ fn advance(c0: f64, p: f64, l: f64, h: f64, opts: &YbOptions) -> f64 {
 /// Lanes with `l == 0` come out NaN or infinite — callers select them
 /// away.
 #[inline(always)]
-pub(crate) fn asymptotic<V: Lanes, M: Madd>(c0: V, p: V, l: V, h: V, form: AsymptoticForm) -> V {
+pub(crate) fn asymptotic<V: Lanes>(c0: V, p: V, l: V, h: V, form: AsymptoticForm) -> V {
     match form {
         AsymptoticForm::Rational => {
             let two = V::splat(2.0);
@@ -313,7 +317,7 @@ pub(crate) fn asymptotic<V: Lanes, M: Madd>(c0: V, p: V, l: V, h: V, form: Asymp
             if lh.all_gt(fifty) {
                 return ceq;
             }
-            let decay = exp_poly::<V, M>((-lh).max(-fifty));
+            let decay = exp_poly((-lh).max(-fifty));
             lh.select_gt(fifty, ceq, ceq + (c0 - ceq) * decay)
         }
     }
@@ -323,13 +327,13 @@ pub(crate) fn asymptotic<V: Lanes, M: Madd>(c0: V, p: V, l: V, h: V, form: Asymp
 /// transcendental, and not libm's: Cody–Waite reduction `x = n·ln2 + r`
 /// with a two-part `ln2`, the degree-13 Taylor polynomial of `exp(r)` on
 /// `|r| ≤ ln2/2` in Horner form, and the exponent `n` added into the
-/// result's bits. Within 2 ulp of `f64::exp` under either [`Madd`]
-/// strategy, exactly `1.0` at `0.0`, and — under [`Unfused`] — made of
-/// correctly rounded operations only, so the same bits on every host and
-/// at every lane count. A NaN lane yields an unspecified finite or NaN
-/// value (callers select such lanes away).
+/// result's bits. Within 2 ulp of `f64::exp`, exactly `1.0` at `0.0`,
+/// and made of correctly rounded operations only (the multiply-adds are
+/// fused), so the same bits on every host and at every lane count. A NaN
+/// lane yields an unspecified finite or NaN value (callers select such
+/// lanes away).
 #[inline(always)]
-pub(crate) fn exp_poly<V: Lanes, M: Madd>(x: V) -> V {
+pub(crate) fn exp_poly<V: Lanes>(x: V) -> V {
     // 1.5·2^52: adding it rounds to an integer and leaves that integer
     // in the low mantissa bits.
     const SHIFT: f64 = 6_755_399_441_055_744.0;
@@ -353,15 +357,15 @@ pub(crate) fn exp_poly<V: Lanes, M: Madd>(x: V) -> V {
         0.5,
     ];
     let shift = V::splat(SHIFT);
-    let shifted = x.madd::<M>(V::splat(std::f64::consts::LOG2_E), shift);
+    let shifted = x.mul_add(V::splat(std::f64::consts::LOG2_E), shift);
     let n = shifted - shift;
-    let r = n.madd::<M>(V::splat(-LN2_HI), x);
-    let r = n.madd::<M>(V::splat(-LN2_LO), r);
+    let r = n.mul_add(V::splat(-LN2_HI), x);
+    let r = n.mul_add(V::splat(-LN2_LO), r);
     let mut q = V::splat(TAYLOR[0]);
     for c in &TAYLOR[1..] {
-        q = q.madd::<M>(r, V::splat(*c));
+        q = q.mul_add(r, V::splat(*c));
     }
-    let e = (r * r).madd::<M>(q, r) + V::splat(1.0);
+    let e = (r * r).mul_add(q, r) + V::splat(1.0);
     // 2^n: `n + 1023` moved into the exponent field. `n` is in
     // [-73, 0] here, so the biased exponent stays normal.
     e * shifted.map(|s| f64::from_bits(s.to_bits().wrapping_add(1023) << 52))
@@ -372,7 +376,7 @@ mod tests {
     use super::*;
     use crate::mechanism::{Mechanism, RateLaw, Reaction};
     use crate::species::{self as sp, background_vector, N_SPECIES};
-    use airshed_simd::{F64x4, Fused};
+    use airshed_simd::F64x4;
     use proptest::prelude::*;
 
     /// One-species linear decay mechanism: A -> (nothing), k per minute.
@@ -431,19 +435,15 @@ mod tests {
         a.to_bits().abs_diff(b.to_bits())
     }
 
-    /// `exp_poly` on four lanes under both strategies, after checking
-    /// that each lane is the one-lane instantiation, bit for bit.
-    fn exp_poly_both(x: F64x4) -> [(&'static str, F64x4); 2] {
-        // `Fused` outside a `target_feature` function is the software
-        // `fma`: the same single rounding, so the same bits.
-        let (fused, unfused) = (exp_poly::<F64x4, Fused>(x), exp_poly::<F64x4, Unfused>(x));
+    /// `exp_poly` on four lanes, after checking that each lane is the
+    /// one-lane instantiation, bit for bit.
+    fn exp_poly4(x: F64x4) -> F64x4 {
+        let got = exp_poly(x);
         for lane in 0..4 {
-            let (f, u) = (fused.lane(lane), unfused.lane(lane));
             let x = x.lane(lane);
-            assert_eq!(f.to_bits(), exp_poly::<f64, Fused>(x).to_bits(), "x {x}");
-            assert_eq!(u.to_bits(), exp_poly::<f64, Unfused>(x).to_bits(), "x {x}");
+            assert_eq!(got.lane(lane).to_bits(), exp_poly(x).to_bits(), "x {x}");
         }
-        [("fused", fused), ("unfused", unfused)]
+        got
     }
 
     #[test]
@@ -452,20 +452,18 @@ mod tests {
         for i in (0..=steps).step_by(4) {
             let at = |j: usize| -50.0 * (i + j).min(steps) as f64 / steps as f64;
             let x = F64x4::new(at(0), at(1), at(2), at(3));
-            for (name, got) in exp_poly_both(x) {
-                for lane in 0..4 {
-                    let want = x.lane(lane).exp();
-                    let d = ulps_apart(got.lane(lane), want);
-                    assert!(d <= 2, "{name} exp_poly({}) is {d} ulp off", x.lane(lane));
-                }
+            let got = exp_poly4(x);
+            for lane in 0..4 {
+                let want = x.lane(lane).exp();
+                let d = ulps_apart(got.lane(lane), want);
+                assert!(d <= 2, "exp_poly({}) is {d} ulp off", x.lane(lane));
             }
         }
-        for (name, got) in exp_poly_both(F64x4::new(0.0, -0.0, -50.0, -1e-300)) {
-            assert_eq!(got.lane(0), 1.0, "{name}");
-            assert_eq!(got.lane(1), 1.0, "{name}");
-            assert!(ulps_apart(got.lane(2), (-50.0f64).exp()) <= 2, "{name}");
-            assert_eq!(got.lane(3), 1.0, "{name}");
-        }
+        let got = exp_poly4(F64x4::new(0.0, -0.0, -50.0, -1e-300));
+        assert_eq!(got.lane(0), 1.0);
+        assert_eq!(got.lane(1), 1.0);
+        assert!(ulps_apart(got.lane(2), (-50.0f64).exp()) <= 2);
+        assert_eq!(got.lane(3), 1.0);
     }
 
     proptest! {
@@ -475,11 +473,10 @@ mod tests {
         fn exp_poly_is_within_two_ulp_on_random_arguments(
             x in prop::collection::vec(-50.0f64..0.0, 4),
         ) {
-            for (name, got) in exp_poly_both(F64x4::from_slice(&x)) {
-                for lane in 0..4 {
-                    let d = ulps_apart(got.lane(lane), x[lane].exp());
-                    prop_assert!(d <= 2, "{name} exp_poly({}) is {d} ulp off", x[lane]);
-                }
+            let got = exp_poly4(F64x4::from_slice(&x));
+            for lane in 0..4 {
+                let d = ulps_apart(got.lane(lane), x[lane].exp());
+                prop_assert!(d <= 2, "exp_poly({}) is {d} ulp off", x[lane]);
             }
         }
     }
@@ -491,10 +488,10 @@ mod tests {
         let l = F64x4::new(1e4, 3.0, 80.0, 1e-2);
         let h = F64x4::new(0.7, 0.7, 1.3, 2.0);
         for form in [AsymptoticForm::Rational, AsymptoticForm::Exponential] {
-            let got = asymptotic::<F64x4, Unfused>(c0, p, l, h, form);
+            let got = asymptotic(c0, p, l, h, form);
             for lane in 0..4 {
                 let (c0, p, l, h) = (c0.lane(lane), p.lane(lane), l.lane(lane), h.lane(lane));
-                let want = asymptotic::<f64, Unfused>(c0, p, l, h, form);
+                let want = asymptotic(c0, p, l, h, form);
                 assert_eq!(
                     got.lane(lane).to_bits(),
                     want.to_bits(),

@@ -12,82 +12,34 @@
 //! because the species of a layer share one operator; the charges stay
 //! per layer.)
 //!
-//! An `ExecSpec` is a [`BackendKind`] plus a thread count; three kinds
-//! exist:
+//! An `ExecSpec` is a thread count and nothing else. With one thread
+//! every partition runs inline on the caller's thread, in partition
+//! order ([`ExecSpec::serial`]); with more, a fork–join worker pool runs
+//! them (the rayon model: scoped workers pulling tasks from a shared
+//! queue; the crate itself is not a dependency — the pool is
+//! `airshed_hpf::host::run_parts`). Thread-level and lane-level
+//! parallelism compose: partitions across the pool, and inside a
+//! partition four cells (chemistry), four columns (vertical solve) or
+//! four species (transport) across `F64x4` lanes, each lane doing the
+//! scalar arithmetic.
 //!
-//! * [`BackendKind::Serial`] — every partition runs inline on the
-//!   caller's thread, in partition order. The baseline, and the
-//!   reference for bit-identity.
-//! * [`BackendKind::Rayon`] — a fork–join worker pool (the rayon model:
-//!   scoped workers pulling tasks from a shared queue; the crate itself
-//!   is not a dependency — the pool is `airshed_hpf::host::run_parts`).
-//! * [`BackendKind::Simd`] — the same fork–join pool and the same
-//!   kernels, with one difference: the chemistry's lanes use fused
-//!   multiply-adds where the CPU has them (`airshed_chem::simd`).
-//!   Thread-level and lane-level parallelism compose on *every* backend:
-//!   partitions across the pool, and inside a partition four cells
-//!   (chemistry), four columns (vertical solve) or four species
-//!   (transport) across `F64x4` lanes, each lane doing the scalar
-//!   arithmetic.
-//!
-//! Determinism contract: backends only control *where* a partition
-//! runs, never how results merge. Kernels write into per-item or
-//! per-partition slots and the caller reduces sequentially in item
-//! order afterwards, and no lane's result depends on what its
-//! neighbours hold, so `Serial` and `Rayon` at any thread count produce
-//! bit-identical states and work profiles (pinned by the
-//! `backend_determinism` suite). `Simd` is *epsilon-bounded* against
-//! them (fused rounding in the chemistry kinetics: ≤ 1e-9 relative after
-//! one chemistry step, ≤ 1e-5 on an episode, where transport's stopping
-//! test amplifies it; every other kernel is serial's) and bit-identical
-//! to itself at any thread count. The equivalence suite pins both sides
-//! of that contract.
+//! Determinism contract: the thread count only controls *where* a
+//! partition runs, never how results merge and never the arithmetic.
+//! Kernels write into per-item or per-partition slots and the caller
+//! reduces sequentially in item order afterwards, no lane's result
+//! depends on what its neighbours hold, and every kernel is made of
+//! correctly rounded operations only (`airshed_chem::simd`), so any
+//! thread count on any host produces bit-identical states and work
+//! profiles (pinned by the `backend_determinism` suite).
 
 use airshed_hpf::host;
 
-/// Which executor runs partitioned phase work.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum BackendKind {
-    /// Inline, single-threaded, partition order.
-    Serial,
-    /// Fork–join worker pool on host threads.
-    #[default]
-    Rayon,
-    /// Pool scheduling, fused multiply-adds in the chemistry lanes.
-    Simd,
-}
-
-impl std::str::FromStr for BackendKind {
-    type Err = String;
-    fn from_str(s: &str) -> Result<BackendKind, String> {
-        match s {
-            "serial" => Ok(BackendKind::Serial),
-            "rayon" => Ok(BackendKind::Rayon),
-            "simd" => Ok(BackendKind::Simd),
-            other => Err(format!("unknown backend '{other}' (serial|rayon|simd)")),
-        }
-    }
-}
-
-impl std::fmt::Display for BackendKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            BackendKind::Serial => write!(f, "serial"),
-            BackendKind::Rayon => write!(f, "rayon"),
-            BackendKind::Simd => write!(f, "simd"),
-        }
-    }
-}
-
-/// A fully resolved execution choice: backend kind plus thread count.
-/// The default is the rayon pool over every available host core.
+/// How many host threads run partitioned phase work. The default is
+/// every available host core.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExecSpec {
-    /// Which executor runs the work.
-    pub kind: BackendKind,
-    /// Worker threads for the pool backend; ignored (treated as 1) by
-    /// the serial backend.
-    pub threads: usize,
+    /// Never zero: the constructors clamp.
+    threads: usize,
 }
 
 impl Default for ExecSpec {
@@ -97,68 +49,42 @@ impl Default for ExecSpec {
 }
 
 impl ExecSpec {
-    /// The inline single-threaded executor.
+    /// One thread: every partition inline on the caller's.
     pub fn serial() -> ExecSpec {
-        ExecSpec {
-            kind: BackendKind::Serial,
-            threads: 1,
-        }
+        ExecSpec::rayon(1)
     }
 
-    /// The fork–join pool executor with `threads` workers (min 1).
+    /// `threads` threads (min 1).
     pub fn rayon(threads: usize) -> ExecSpec {
         ExecSpec {
-            kind: BackendKind::Rayon,
             threads: threads.max(1),
         }
     }
 
-    /// The fused executor: pool scheduling over `threads` workers (min 1)
-    /// with fused multiply-adds in the chemistry lanes.
+    /// [`ExecSpec::rayon`] under the name it had while the arithmetic
+    /// was a backend's choice; kept, like `rayon` itself, until the
+    /// benchmark follows (ROADMAP item 2).
     pub fn simd(threads: usize) -> ExecSpec {
-        ExecSpec {
-            kind: BackendKind::Simd,
-            threads: threads.max(1),
-        }
-    }
-
-    /// Build a spec from CLI-ish inputs: optional kind (default rayon)
-    /// and optional thread count (default all host cores).
-    pub fn resolve(kind: Option<BackendKind>, threads: Option<usize>) -> ExecSpec {
-        let kind = kind.unwrap_or_default();
-        match kind {
-            BackendKind::Serial => ExecSpec::serial(),
-            BackendKind::Rayon => ExecSpec::rayon(threads.unwrap_or_else(host::available_threads)),
-            BackendKind::Simd => ExecSpec::simd(threads.unwrap_or_else(host::available_threads)),
-        }
+        ExecSpec::rayon(threads)
     }
 
     /// How many partitions a phase should cut its items into, and how
     /// many host threads [`run_observed`](ExecSpec::run_observed) gives
     /// them.
     pub fn parallelism(&self) -> usize {
-        match self.kind {
-            BackendKind::Serial => 1,
-            BackendKind::Rayon | BackendKind::Simd => self.threads.max(1),
-        }
+        self.threads
     }
 
-    /// Whether the chemistry's lanes may fuse their multiply-adds — the
-    /// one thing a kernel may ask the backend.
-    pub fn fused(&self) -> bool {
-        self.kind == BackendKind::Simd
-    }
-
-    /// Human-readable form for run reports and logs, e.g. `rayon(8)`.
+    /// Human-readable form for run reports and logs: `serial` or
+    /// `threads(8)`.
     pub fn describe(&self) -> String {
-        match self.kind {
-            BackendKind::Serial => "serial".to_string(),
-            BackendKind::Rayon => format!("rayon({})", self.threads),
-            BackendKind::Simd => format!("simd({})", self.threads),
+        match self.threads {
+            1 => "serial".to_string(),
+            n => format!("threads({n})"),
         }
     }
 
-    /// Run one fork of partition tasks on the chosen backend.
+    /// Run one fork of partition tasks.
     ///
     /// ```
     /// use airshed_core::backend::ExecSpec;
@@ -194,45 +120,19 @@ mod tests {
     use super::*;
 
     #[test]
-    fn kind_parses_and_prints() {
-        assert_eq!(
-            "serial".parse::<BackendKind>().unwrap(),
-            BackendKind::Serial
-        );
-        assert_eq!("rayon".parse::<BackendKind>().unwrap(), BackendKind::Rayon);
-        assert_eq!("simd".parse::<BackendKind>().unwrap(), BackendKind::Simd);
-        assert!("omp".parse::<BackendKind>().is_err());
-        assert_eq!(BackendKind::Rayon.to_string(), "rayon");
-        assert_eq!(BackendKind::Simd.to_string(), "simd");
+    fn a_spec_is_a_thread_count_of_at_least_one() {
+        assert!(ExecSpec::default().parallelism() >= 1);
+        assert_eq!(ExecSpec::serial().parallelism(), 1);
+        assert_eq!(ExecSpec::rayon(0), ExecSpec::serial());
+        assert_eq!(ExecSpec::rayon(1).describe(), "serial");
+        assert_eq!(ExecSpec::rayon(3).parallelism(), 3);
+        assert_eq!(ExecSpec::simd(3), ExecSpec::rayon(3));
+        assert_eq!(ExecSpec::simd(3).describe(), "threads(3)");
     }
 
     #[test]
-    fn default_spec_is_rayon_all_cores() {
-        let spec = ExecSpec::default();
-        assert_eq!(spec.kind, BackendKind::Rayon);
-        assert!(spec.threads >= 1);
-    }
-
-    #[test]
-    fn resolve_honors_explicit_choices() {
-        let s = ExecSpec::resolve(Some(BackendKind::Serial), Some(7));
-        assert_eq!(s, ExecSpec::serial());
-        assert_eq!(s.parallelism(), 1);
-        let r = ExecSpec::resolve(Some(BackendKind::Rayon), Some(3));
-        assert_eq!(r.threads, 3);
-        assert_eq!(r.parallelism(), 3);
-        assert_eq!(r.describe(), "rayon(3)");
-        let v = ExecSpec::resolve(Some(BackendKind::Simd), Some(2));
-        assert_eq!(v, ExecSpec::simd(2));
-        assert_eq!(v.parallelism(), 2);
-        assert!(v.fused());
-        assert_eq!(v.describe(), "simd(2)");
-        assert!(!r.fused() && !s.fused());
-    }
-
-    #[test]
-    fn both_backends_complete_all_tasks() {
-        for spec in [ExecSpec::serial(), ExecSpec::rayon(4), ExecSpec::simd(4)] {
+    fn every_thread_count_completes_all_tasks() {
+        for spec in [ExecSpec::serial(), ExecSpec::rayon(4)] {
             let mut out = vec![0usize; 8];
             let tasks: Vec<airshed_hpf::host::Task> = out
                 .iter_mut()

@@ -62,7 +62,7 @@ pub mod taskpar;
 pub mod testsupport;
 pub mod viz;
 
-pub use backend::{BackendKind, ExecSpec};
+pub use backend::ExecSpec;
 pub use config::{DatasetChoice, SimConfig};
 pub use driver::{ChemLayout, PlanLayouts};
 pub use ensemble::{run_ensemble, DedupStats, EnsembleJob, EnsembleResult};

@@ -12,12 +12,8 @@
 //! group) items layer-major, chemistry stripes columns cyclically, the
 //! aerosol's parallel pass blocks by cell. Work-unit merges are
 //! item-indexed and reduced sequentially in item order, and every kernel
-//! is one code path for every backend whose lanes do the scalar
-//! arithmetic, so the serial and rayon backends at any thread count
-//! produce bit-identical states and profiles. The simd backend runs the
-//! same paths and differs in one thing: its chemistry lanes use fused
-//! multiply-adds, which makes it epsilon-bounded against serial — and,
-//! like the others, independent of the thread count (see
+//! is one code path whose lanes do the scalar arithmetic, so any thread
+//! count produces bit-identical states and profiles (see
 //! `crate::backend` for the full contract).
 //!
 //! Work-unit coefficients are flop-scale calibration constants
@@ -341,10 +337,9 @@ impl PhaseEngine {
     /// mutates one disjoint chunk), cell-major within a column
     /// (`col[l*N_SPECIES + s]`), so the same-layer cells of a partition
     /// are one strided stream for the lane kernel. The one kinetics path
-    /// of every backend: a cell's result and its column's charge do not
+    /// of every run: a cell's result and its column's charge do not
     /// depend on which cells share its lanes, so neither the partition
-    /// nor the thread count can change a bit; the simd backend differs
-    /// only in asking for fused multiply-adds. The calling thread checks
+    /// nor the thread count can change a bit. The calling thread checks
     /// the partitions' scratch out of the engine's pool, so workers
     /// allocate nothing; the staging buffer lives for the step only
     /// (kept per engine or per thread it costs peak memory wherever
@@ -460,7 +455,6 @@ impl PhaseEngine {
         for (l, k) in scratch.k_layers.iter().enumerate() {
             scratch.ran.absorb(integrate_stream(
                 &self.mech,
-                self.exec.fused(),
                 &mut buf[l * N_SPECIES..],
                 col_len,
                 &mut scratch.col_stats,
@@ -686,8 +680,8 @@ mod tests {
     }
 
     #[test]
-    fn transport_is_bit_identical_on_every_backend_and_thread_count() {
-        // One kernel for every backend: the state and the per-layer
+    fn transport_is_bit_identical_at_every_thread_count() {
+        // One kernel at every thread count: the state and the per-layer
         // charges equal serial's bit for bit, whether the (layer,
         // species-group) items outnumber the threads or not (tiny: 45
         // items against 64 threads).
@@ -706,11 +700,7 @@ mod tests {
         };
         let want = run(&e);
         assert!(want.1.iter().all(|&w| w > 0.0) && want.1 != want.2);
-        let specs = [1usize, 2, 4]
-            .map(ExecSpec::simd)
-            .into_iter()
-            .chain([1usize, 2, 8, 64].map(ExecSpec::rayon));
-        for spec in specs {
+        for spec in [2usize, 4, 8, 64].map(ExecSpec::rayon) {
             e.exec = spec;
             assert!(run(&e) == want, "{} differs from serial", spec.describe());
         }
@@ -751,44 +741,6 @@ mod tests {
         assert!(seen[0] >= 1.0 && seen[0] <= planes, "{seen:?} of {planes}");
         // A capped plane is charged the one iteration it did.
         assert!(capped.iter().zip(&converged).all(|(c, w)| c < w));
-    }
-
-    #[test]
-    fn simd_backend_is_epsilon_bounded_against_serial() {
-        // The simd backend runs serial's code paths; only its chemistry
-        // lanes round differently (fused multiply-adds), so a full phase
-        // sequence is not bit-identical — but it stays within 1e-9 of the
-        // serial reference (measured here: 5e-14), with the same
-        // accept/reject history and therefore equal chemistry charges,
-        // and it does not depend on the thread count at all. Its
-        // transport is serial's kernel: from the same input state the
-        // charges are equal.
-        let mut e = engine();
-        let (input, _) = e.input_hour(13);
-        let vols = SimState::cell_volumes(&e.dataset);
-        let run = |e: &PhaseEngine| {
-            let mut s = SimState::from_background(&e.dataset);
-            let (op, _) = e.pretrans(&input);
-            let wt = e.transport_half_step(&op, &mut s);
-            let wc = e.chemistry_step(&mut s, &input);
-            let (ar, _) = e.aerosol_step(&mut s, &input, &vols);
-            (s.conc, wt, wc, ar)
-        };
-        e.exec = ExecSpec::serial();
-        let (s1, wt1, wc1, _) = run(&e);
-        e.exec = ExecSpec::simd(1);
-        let one = run(&e);
-        assert_eq!((&wt1, &wc1), (&one.1, &one.2));
-        let mut worst = 0.0f64;
-        for (i, (a, b)) in s1.iter().zip(&one.0).enumerate() {
-            assert!(b.is_finite() && *b >= 0.0, "slot {i}: {b}");
-            worst = worst.max((a - b).abs() / (a.abs() + 1e-7));
-        }
-        assert!(worst <= 1e-9, "simd is {worst:e} from serial");
-        for threads in [2usize, 4, 64] {
-            e.exec = ExecSpec::simd(threads);
-            assert!(run(&e) == one, "simd({threads}) differs from simd(1)");
-        }
     }
 
     /// Per grid column, Σ over its cells of the scalar integrator's
@@ -847,7 +799,7 @@ mod tests {
         let (input, _) = e.input_hour(13);
         let start = developed_state(&e, &input);
         let want = scalar_column_stats(&e, &start, &input);
-        for spec in [ExecSpec::serial(), ExecSpec::rayon(3), ExecSpec::simd(3)] {
+        for spec in [ExecSpec::serial(), ExecSpec::rayon(3)] {
             e.exec = spec;
             let charged = e.chemistry_step(&mut start.clone(), &input);
             for (n, (&w, stats)) in charged.iter().zip(&want).enumerate() {

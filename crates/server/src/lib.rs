@@ -307,9 +307,10 @@ pub struct ServerConfig {
     /// Admission budget in *virtual* (target-machine) seconds; `None`
     /// admits everything.
     pub budget_seconds: Option<f64>,
-    /// Execution backend each worker runs the numerics on. A job's
-    /// transport/chemistry loops fork onto this backend's threads, so
-    /// total kernel concurrency is roughly `workers × exec.threads`.
+    /// Host threads each worker runs the numerics on. A job's
+    /// transport/chemistry loops fork onto them, so total kernel
+    /// concurrency is roughly `workers × exec.parallelism()`; results do
+    /// not depend on it.
     pub exec: airshed_core::ExecSpec,
     /// Observability handle. Worker `k` records its job lifecycle and
     /// driver spans on lane `k + 1` of this handle's collector; the

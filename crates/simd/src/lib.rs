@@ -1,5 +1,4 @@
-//! Portable 4-lane `f64` SIMD primitives for the `--backend simd`
-//! executor.
+//! Portable 4-lane `f64` SIMD primitives for the numerics' lane kernels.
 //!
 //! Stable Rust has no `std::simd`, so the vector type is a hand-rolled
 //! newtype over `[f64; 4]` with 32-byte alignment and `#[inline(always)]`
@@ -9,23 +8,23 @@
 //! one it still emits (slower, but correct) scalar or SSE2 code. Hot
 //! kernels therefore follow the standard dispatch pattern:
 //!
-//! * a generic `#[inline(always)]` body, parameterised over a [`Madd`]
-//!   strategy so the fallback path never calls the libm software `fma`;
+//! * a generic `#[inline(always)]` body;
 //! * a non-generic `#[target_feature(enable = "avx2,fma")]` wrapper
-//!   instantiating the body with [`Fused`];
-//! * a safe portable wrapper instantiating it with [`Unfused`];
+//!   instantiating it;
+//! * a safe portable wrapper instantiating the same body;
 //! * one runtime [`fma_available`] check per kernel entry.
 //!
 //! A kernel that must also exist for one value at a time is written once
 //! over [`Lanes`] (`f64` or [`F64x4`]), so the two cannot drift apart.
 //!
 //! Lanewise semantics are exactly scalar `f64` semantics — each lane of
-//! `a + b`, `a * b`, `a.max(b)`, … is bit-for-bit the corresponding
-//! scalar operation, including `-0.0` and NaN propagation (pinned by the
-//! proptest suite in `tests/backend_determinism.rs`). Only [`Fused`]
-//! `madd` differs from `a * b + c` (single rounding), which is why
-//! kernels that promise bit-identity against the serial backend must use
-//! [`Unfused`] or plain `*`/`+`.
+//! `a + b`, `a * b`, `a.max(b)`, `a.mul_add(b, c)`, … is bit-for-bit the
+//! corresponding scalar operation, including `-0.0` and NaN propagation
+//! (pinned by `tests/proptest_lanes.rs`). That includes the fused
+//! multiply-add: `f64::mul_add` is correctly rounded everywhere — one
+//! `vfmadd` inside the `avx2,fma` instantiation, libm's software `fma`
+//! in the portable one — so the two instantiations of a kernel differ in
+//! speed and never in bits, and there is one arithmetic to choose from.
 
 use std::ops::{Add, AddAssign, Div, Mul, MulAssign, Neg, Sub, SubAssign};
 
@@ -130,9 +129,8 @@ impl F64x4 {
 
     /// Lanewise fused multiply-add `self * b + c` (one rounding per
     /// lane). Compiles to `vfmadd…pd` when the calling function carries
-    /// the `fma` target feature; elsewhere it falls back to the libm
-    /// software `fma` — hot fallback paths should monomorphise over
-    /// [`Madd`] with [`Unfused`] instead.
+    /// the `fma` target feature; elsewhere it is the libm software `fma`
+    /// — the same bits, slowly.
     #[inline(always)]
     pub fn mul_add(self, b: F64x4, c: F64x4) -> F64x4 {
         F64x4([
@@ -210,54 +208,10 @@ impl Neg for F64x4 {
     }
 }
 
-/// Multiply-add strategy a kernel is monomorphised over: [`Fused`] for
-/// the `#[target_feature(enable = "avx2,fma")]` instantiation (one
-/// rounding, hardware `vfmadd`), [`Unfused`] for the portable fallback
-/// (`a * b + c`, two roundings, never the libm software `fma`).
-pub trait Madd: Copy {
-    /// Whether `madd` rounds once (true FMA contraction).
-    const FUSED: bool;
-    fn madd(a: f64, b: f64, c: f64) -> f64;
-    fn madd4(a: F64x4, b: F64x4, c: F64x4) -> F64x4;
-}
-
-/// Single-rounding `a.mul_add(b, c)`; only instantiate inside functions
-/// compiled with the `fma` target feature.
-#[derive(Clone, Copy)]
-pub struct Fused;
-
-impl Madd for Fused {
-    const FUSED: bool = true;
-    #[inline(always)]
-    fn madd(a: f64, b: f64, c: f64) -> f64 {
-        a.mul_add(b, c)
-    }
-    #[inline(always)]
-    fn madd4(a: F64x4, b: F64x4, c: F64x4) -> F64x4 {
-        a.mul_add(b, c)
-    }
-}
-
-/// Two-rounding `a * b + c` — the portable path.
-#[derive(Clone, Copy)]
-pub struct Unfused;
-
-impl Madd for Unfused {
-    const FUSED: bool = false;
-    #[inline(always)]
-    fn madd(a: f64, b: f64, c: f64) -> f64 {
-        a * b + c
-    }
-    #[inline(always)]
-    fn madd4(a: F64x4, b: F64x4, c: F64x4) -> F64x4 {
-        a * b + c
-    }
-}
-
 /// One `f64` or four: what a kernel written once for both needs of its
 /// values. Every method is the lanewise scalar operation, so the
 /// instantiation of a kernel at `f64` computes, bit for bit, each lane of
-/// its instantiation at [`F64x4`] under the same [`Madd`].
+/// its instantiation at [`F64x4`].
 pub trait Lanes:
     Copy
     + Add<Output = Self>
@@ -277,8 +231,8 @@ pub trait Lanes:
     fn all_gt(self, o: Self) -> bool;
     /// `f` applied to every lane.
     fn map(self, f: impl Fn(f64) -> f64) -> Self;
-    /// Lanewise `self * b + c`, rounded as `M` says.
-    fn madd<M: Madd>(self, b: Self, c: Self) -> Self;
+    /// Lanewise `f64::mul_add`: `self * b + c`, rounded once.
+    fn mul_add(self, b: Self, c: Self) -> Self;
 }
 
 impl Lanes for f64 {
@@ -307,8 +261,8 @@ impl Lanes for f64 {
         f(self)
     }
     #[inline(always)]
-    fn madd<M: Madd>(self, b: f64, c: f64) -> f64 {
-        M::madd(self, b, c)
+    fn mul_add(self, b: f64, c: f64) -> f64 {
+        f64::mul_add(self, b, c)
     }
 }
 
@@ -334,8 +288,8 @@ impl Lanes for F64x4 {
         F64x4([f(self.0[0]), f(self.0[1]), f(self.0[2]), f(self.0[3])])
     }
     #[inline(always)]
-    fn madd<M: Madd>(self, b: F64x4, c: F64x4) -> F64x4 {
-        M::madd4(self, b, c)
+    fn mul_add(self, b: F64x4, c: F64x4) -> F64x4 {
+        F64x4::mul_add(self, b, c)
     }
 }
 
@@ -436,23 +390,19 @@ mod tests {
     }
 
     #[test]
-    fn fused_vs_unfused_madd() {
+    fn mul_add_rounds_once() {
         // A case where one rounding differs from two.
         let (a, b, c) = (1.0 + 2f64.powi(-30), 1.0 + 2f64.powi(-30), -1.0);
-        assert_eq!(Fused::madd(a, b, c), a.mul_add(b, c));
-        assert_eq!(Unfused::madd(a, b, c), a * b + c);
-        assert!(Fused::madd(a, b, c) != Unfused::madd(a, b, c));
-        assert_eq!(
-            Fused::madd4(F64x4::splat(a), F64x4::splat(b), F64x4::splat(c)).lane(3),
-            a.mul_add(b, c)
-        );
+        assert!(a.mul_add(b, c) != a * b + c);
+        let got = F64x4::splat(a).mul_add(F64x4::splat(b), F64x4::splat(c));
+        assert_eq!(got.0, [a.mul_add(b, c); 4]);
     }
 
     #[test]
     fn one_lane_and_four_run_the_same_generic_kernel() {
-        fn kernel<V: Lanes, M: Madd>(x: V) -> V {
+        fn kernel<V: Lanes>(x: V) -> V {
             let one = V::splat(1.0);
-            let y = (-x).max(V::splat(0.25)).madd::<M>(x, one / x);
+            let y = (-x).max(V::splat(0.25)).mul_add(x, one / x);
             // A shortcut three of the lanes take on their own and the
             // four together do not.
             if y.all_gt(one) {
@@ -463,11 +413,9 @@ mod tests {
         let x = F64x4::new(0.3, -2.0, 1.0 + 2f64.powi(-30), 7.5);
         assert!(!x.all_gt(F64x4::splat(-2.0)) && x.all_gt(F64x4::splat(-2.5)));
         assert!(!F64x4::new(1.0, f64::NAN, 1.0, 1.0).all_gt(F64x4::zero()));
-        let (fused, unfused) = (kernel::<F64x4, Fused>(x), kernel::<F64x4, Unfused>(x));
+        let four = kernel(x);
         for lane in 0..4 {
-            let (f, u) = (fused.lane(lane), unfused.lane(lane));
-            assert_eq!(f.to_bits(), kernel::<f64, Fused>(x.lane(lane)).to_bits());
-            assert_eq!(u.to_bits(), kernel::<f64, Unfused>(x.lane(lane)).to_bits());
+            assert_eq!(four.lane(lane).to_bits(), kernel(x.lane(lane)).to_bits());
         }
     }
 

@@ -6,7 +6,7 @@
 //! `to_bits`, not `==`, so `-0.0` vs `0.0` and NaN propagation are
 //! checked, not excused.
 
-use airshed_simd::{F64x4, Madd, Unfused};
+use airshed_simd::{F64x4, Lanes};
 use proptest::prelude::*;
 
 fn f(bits: u64) -> f64 {
@@ -48,12 +48,11 @@ proptest! {
                 va.mul_add(vb, vc).lane(lane),
                 a[lane].mul_add(b[lane], c[lane]),
             );
-            assert_bits(
-                "unfused madd4",
-                lane,
-                Unfused::madd4(va, vb, vc).lane(lane),
-                a[lane] * b[lane] + c[lane],
-            );
+            // The trait's method, which the generic kernels call, at
+            // both of its instantiations.
+            let want = f64::mul_add(a[lane], b[lane], c[lane]);
+            assert_bits("Lanes::mul_add x4", lane, Lanes::mul_add(va, vb, vc).lane(lane), want);
+            assert_bits("Lanes::mul_add x1", lane, Lanes::mul_add(a[lane], b[lane], c[lane]), want);
         }
         // Reductions follow their documented association exactly.
         assert_bits("reduce_add", 0, va.reduce_add(), (a[0] + a[1]) + (a[2] + a[3]));

@@ -2,14 +2,15 @@
 # CI gate: formatting, release build, the whole workspace's test suite
 # (every crate's unit tests and doctests included), the benchmark
 # package's build and tests, a warning-free clippy pass (all targets),
-# a 2-thread backend smoke run, the large-budget lane proptests of
-# transport and chemistry, the simd smoke runs and the LA simd sweep
-# (bit-identical across threads, epsilon-bounded against serial), an
-# observability smoke run (the trace must be loadable JSON with spans
-# for every phase), the CLI thread-count invariance checks (serial ==
-# rayon, simd == simd), a smoke run of all four benchmark workloads, the
-# fabric / ensemble / oracle / optimizer smokes, the flag table's help
-# golden and bad-input refusals, and warning-free rustdoc.
+# the one-arithmetic word check and the tracked line counts, a 2-thread
+# backend smoke run, the large-budget lane proptests of transport and
+# chemistry, the paper-grid smoke runs and the LA thread-count sweep
+# (bit-identical, full stop), an observability smoke run (the trace must
+# be loadable JSON with spans for every phase), the CLI thread-count
+# invariance checks (serial == rayon == simd), a smoke run of all four
+# benchmark workloads, the fabric / ensemble / oracle / optimizer smokes,
+# the flag table's help golden and bad-input refusals, and warning-free
+# rustdoc.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -31,6 +32,19 @@ cargo test --release --offline --manifest-path benchmark/Cargo.toml
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> one arithmetic: no rounding strategy, backend kind or cross-backend tolerance"
+# The words of the switch this tree no longer has. benchmark/ keeps
+# `within_simd_tolerance` until it follows the library (ROADMAP item 2).
+if git ls-files '*.rs' | grep -v '^vendor/\|^benchmark/' \
+    | xargs grep -nE '\b(Madd|Unfused|BackendKind|within_[a-z_]*tolerance)\b'; then
+    echo "one arithmetic FAILED: the names above are back" >&2
+    exit 1
+fi
+echo "one arithmetic OK"
+
+echo "==> scripts/loc.sh (tracked line counts)"
+bash scripts/loc.sh
+
 echo "==> backend smoke test (rayon, 2 threads)"
 cargo run --release --bin airshed -- run \
     --dataset tiny:60 --hours 1 --backend rayon --threads 2 --no-map
@@ -41,7 +55,7 @@ echo "==> four-RHS solver proptests, large case budget"
 cargo test --release --offline -p airshed-transport --test proptest_transport -- \
     --ignored lanes_match_the_scalar_solver_bit_for_bit_soak
 
-echo "==> simd backend smoke test (both paper grids)"
+echo "==> paper-grid smoke test (LA, NE)"
 cargo run --release --bin airshed -- run \
     --dataset la --hours 1 --backend simd --no-map
 cargo run --release --bin airshed -- run \
@@ -49,17 +63,17 @@ cargo run --release --bin airshed -- run \
 
 echo "==> chemistry lane proptests, large case budget"
 # `cargo test` runs 40 random cell streams; once here, 4 000 — every
-# cell out of the exact lanes bit-identical to the scalar integrator,
-# whatever its lane and neighbours.
+# cell out of the lanes bit-identical to the scalar integrator, whatever
+# its lane and neighbours.
 cargo test --release --offline -p airshed-chem --test proptest_chem -- \
     --ignored stream_lanes_are_the_scalar_integrator_bit_for_bit_soak
 
-echo "==> simd LA sweep (simd(1) == simd(2) == simd(4), epsilon-bounded against serial)"
-# Independent lanes on the paper's grid at P = 4, 16, 64: any thread
-# count gives the same bits, every column is charged serial's
-# evaluations, and the fused rounding stays within the stated bound.
+echo "==> LA sweep (serial == rayon(n) == simd(n), n = 1, 2, 8)"
+# Independent lanes on the paper's grid at P = 1, 4, 16: any thread
+# count under any of the three names gives serial's state, summaries and
+# work vectors, bit for bit.
 cargo test --release --offline --test backend_determinism -- \
-    --ignored la_simd_is_epsilon_bounded
+    --ignored la_serial_rayon_and_simd_are_bit_identical
 
 echo "==> observability smoke test (--trace-out / --metrics-out)"
 trace_dir="$(mktemp -d)"
@@ -79,8 +93,8 @@ PY
 grep -q 'airshed_phase_seconds_count{phase="transport"}' "$trace_dir/metrics.prom"
 echo "metrics OK: phase histogram present"
 
-echo "==> thread-count invariance at the CLI (serial == rayon 3 == rayon 8, simd 1 == simd 3)"
-# One transport kernel and one chemistry kernel for every backend, no
+echo "==> thread-count invariance at the CLI (serial == rayon 3 == rayon 8 == simd 3)"
+# One transport kernel, one chemistry kernel and one arithmetic, no
 # lane's result depending on its neighbours: the printed report may
 # differ in its "host backend" line and nowhere else.
 report() {
@@ -95,7 +109,8 @@ cmp "$trace_dir/serial.txt" "$trace_dir/rayon3.txt"
 cmp "$trace_dir/serial.txt" "$trace_dir/rayon8.txt"
 report simd 1 > "$trace_dir/simd1.txt"
 report simd 3 > "$trace_dir/simd3.txt"
-cmp "$trace_dir/simd1.txt" "$trace_dir/simd3.txt"
+cmp "$trace_dir/serial.txt" "$trace_dir/simd1.txt"
+cmp "$trace_dir/serial.txt" "$trace_dir/simd3.txt"
 # ... and 8 threads have work: min(threads, layers x ceil(species/4)) =
 # min(8, 5 x 9) transport pool tasks per half step, where BLOCK over
 # the 5 layers alone could fill 5.
@@ -214,7 +229,8 @@ refused() { # <flag the message must name> <command line...>
 refused --hours run --hours x
 refused --emis run --emis nan --dataset tiny:40 --hours 1 --no-map
 refused --shards gridinfo --shards 3 --members 50
-echo "flag table OK: help byte-identical, three bad command lines refused by name"
+refused --backend run --backend serial --threads 3
+echo "flag table OK: help byte-identical, four bad command lines refused by name"
 
 echo "==> performance-oracle smoke (airshed validate)"
 cargo run --release --bin airshed -- validate --help >/dev/null

@@ -95,7 +95,7 @@ fn main() -> ExitCode {
 mod tests {
     use super::*;
     use airshed::core::config::{DatasetChoice, Weather};
-    use airshed::core::{BackendKind, ExecSpec};
+    use airshed::core::ExecSpec;
     use flags::{exec, Cmd::*};
     use service::{demo_scenarios, fabric_scenarios, merge_label};
 
@@ -232,17 +232,25 @@ mod tests {
     #[test]
     fn parse_backend_options() {
         let o = parse(Run, "").unwrap();
-        assert_eq!(o.backend, None);
-        assert_eq!(exec(&o).kind, BackendKind::Rayon);
+        assert_eq!(o.threads, None);
+        assert_eq!(exec(&o), ExecSpec::default());
         let o = parse(Run, "--backend serial").unwrap();
         assert_eq!(exec(&o), ExecSpec::serial());
         let o = parse(Run, "--backend rayon --threads 4").unwrap();
         assert_eq!(exec(&o), ExecSpec::rayon(4));
-        let o = parse(Run, "--backend simd --threads 2").unwrap();
-        assert_eq!(exec(&o), ExecSpec::simd(2));
+        let o = parse(Run, "--threads 2 --backend simd").unwrap();
+        assert_eq!(exec(&o), ExecSpec::rayon(2));
         let o = parse(Run, "--backend simd").unwrap();
-        assert_eq!(exec(&o).kind, BackendKind::Simd);
-        assert!(exec(&o).threads >= 1);
+        assert_eq!(exec(&o), ExecSpec::default());
+        let o = parse(Run, "--backend serial --threads 1").unwrap();
+        assert_eq!(exec(&o), ExecSpec::serial());
+        for line in [
+            "--backend serial --threads 3",
+            "--threads 3 --backend serial",
+        ] {
+            let err = parse(Run, line).unwrap_err();
+            assert!(err.contains("--backend"), "{err}");
+        }
         assert!(parse(Run, "--backend omp").is_err());
         assert!(parse(Run, "--threads 0").is_err());
     }

@@ -18,7 +18,7 @@ use crate::{ensemble, model, service};
 use airshed::core::config::{DatasetChoice, SimConfig, Weather};
 use airshed::core::driver::ChemLayout;
 use airshed::core::obs::Obs;
-use airshed::core::{BackendKind, ExecSpec};
+use airshed::core::ExecSpec;
 use airshed::fabric::FaultPlan;
 use airshed::machine::MachineProfile;
 use Cmd::*;
@@ -40,7 +40,8 @@ pub struct Options {
     pub taskpar: bool,
     pub optimize: bool,
     pub no_map: bool,
-    pub backend: Option<BackendKind>,
+    /// `--backend serial` was given: its word for `--threads 1`.
+    pub serial: bool,
     pub threads: Option<usize>,
     // observability exports
     pub trace_out: Option<String>,
@@ -92,7 +93,7 @@ pub fn config(o: &Options, p: usize) -> SimConfig {
 }
 
 pub fn exec(o: &Options) -> ExecSpec {
-    ExecSpec::resolve(o.backend, o.threads)
+    o.threads.map_or_else(ExecSpec::default, ExecSpec::rayon)
 }
 
 pub fn layout(o: &Options) -> ChemLayout {
@@ -261,6 +262,20 @@ fn machine(v: &str) -> Result<MachineProfile, String> {
     MachineProfile::by_name(v).ok_or_else(|| format!("unknown machine '{v}' (t3e|t3d|paragon)"))
 }
 
+/// The three words `--backend` has always taken, as what they now mean: a
+/// thread count (the arithmetic is the same at every one).
+fn backend(o: &mut Options, v: &str) -> Result<(), String> {
+    match v {
+        "serial" => {
+            o.serial = true;
+            o.threads.get_or_insert(1);
+        }
+        "rayon" | "simd" => {}
+        _ => return Err(format!("unknown backend '{v}' (serial|rayon|simd)")),
+    }
+    Ok(())
+}
+
 /// A fault plan is validated here, not at shard start, and kept as text
 /// so that `fabric` can forward it.
 fn fault_spec(v: &str) -> Result<Option<String>, String> {
@@ -392,11 +407,14 @@ pub static FLAGS: &[Flag] = &[
                   model (re-priced after each oracle recalibration)"),
     flag("--no-map", Switch(|o| o.no_map = true), None, Run.bit() | Gridinfo.bit())
         .help(GENERAL, "  skip the ASCII ozone map"),
-    flag("--backend", Parsed(|o, v| set(&mut o.backend, v.parse().map(Some))), None, HOST)
-        .help(GENERAL, " serial | rayon | simd        (default rayon)")
-        .forward(|o| o.backend.map(|kind| kind.to_string())),
+    flag("--backend", Parsed(backend), None, SIM)
+        .help(GENERAL, " serial | rayon | simd        serial = --threads 1; rayon, simd = the pool")
+        .check(|o| match o.threads {
+            Some(n) if o.serial && n > 1 => Err(format!("serial is one thread, --threads says {n}")),
+            _ => Ok(()),
+        }),
     flag("--threads", Int(1, |o, n| o.threads = Some(n)), None, HOST)
-        .help(GENERAL, " N  host threads for the rayon/simd pool (default: all cores)")
+        .help(GENERAL, " N  host threads, same results at any N (default: all cores)")
         .forward(|o| o.threads.map(|n| n.to_string())),
     flag("--trace-out", Text(|o, v| o.trace_out = Some(v)), None, TRACED)
         .help(GENERAL, " F    write a Chrome trace-event JSON of the run to F
@@ -706,7 +724,11 @@ mod tests {
         assert_eq!(args[0], "shard");
         let back = parse(Shard, &args[1..]).unwrap();
         assert_eq!(format!("{back:?}"), format!("{child:?}"));
-        assert_eq!(exec(&back), ExecSpec::simd(3));
+        assert_eq!(exec(&back), ExecSpec::rayon(3));
+        // `--backend` stays with the front-end: a shard is told a thread count.
+        assert!(!args.contains(&"--backend".to_string()));
+        let serial = shard_args(&parse(Fabric, &words("--backend serial")).unwrap());
+        assert_eq!(serial[1..3], ["--threads", "1"]);
         // Nothing the user did not set is spelled out for the child.
         let bare = shard_args(&parse(Shard, &required(Shard)).unwrap());
         assert_eq!(

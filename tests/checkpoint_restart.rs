@@ -7,6 +7,7 @@ use airshed::core::config::SimConfig;
 use airshed::core::driver::{run_resumable_with, run_with_profile_on, ChemLayout};
 use airshed::core::plan::replay_profile;
 use airshed::core::ExecSpec;
+use airshed::fabric::report_fingerprint;
 use airshed::server::{JobError, ResumePoint, ScenarioRequest, ScenarioServer, ServerConfig};
 use std::time::Duration;
 
@@ -20,10 +21,12 @@ fn config(hours: usize) -> SimConfig {
 fn split_run_is_bit_identical_to_straight_run() {
     // Straight 4-hour run.
     let (straight_report, straight_profile, straight_end) =
-        run_resumable_with(&config(4), None, ExecSpec::default());
+        run_resumable_with(&config(4), None, ExecSpec::rayon(3));
 
-    // 2 hours, checkpoint through a (serialised!) file, 2 more hours.
-    let (_, first_profile, ckpt) = run_resumable_with(&config(2), None, ExecSpec::default());
+    // 2 hours, checkpoint through a (serialised!) file, 2 more hours —
+    // written at one thread count and resumed at another, neither the
+    // straight run's: a checkpoint does not remember who wrote it.
+    let (_, first_profile, ckpt) = run_resumable_with(&config(2), None, ExecSpec::simd(2));
     let path =
         std::env::temp_dir().join(format!("airshed_restart_test_{}.bin", std::process::id()));
     ckpt.save(&path).unwrap();
@@ -31,7 +34,7 @@ fn split_run_is_bit_identical_to_straight_run() {
     let _ = std::fs::remove_file(&path);
     assert_eq!(restored.next_hour, 11);
     let (_, second_profile, resumed_end) =
-        run_resumable_with(&config(2), Some(restored), ExecSpec::default());
+        run_resumable_with(&config(2), Some(restored), ExecSpec::serial());
 
     // Final states identical to the bit.
     assert_eq!(straight_end.state.conc, resumed_end.state.conc);
@@ -89,32 +92,40 @@ fn server_resumes_an_interrupted_scenario_bit_identically() {
     half.hours = 2;
     let (_, partial, checkpoint) = run_resumable_with(&half, None, ExecSpec::default());
 
-    let server = ScenarioServer::start(ServerConfig {
-        workers: 1,
-        ..Default::default()
-    });
-    let handle = server
-        .submit(ScenarioRequest::new(cfg.clone()).resuming(ResumePoint {
-            checkpoint,
-            partial,
-        }))
-        .into_handle()
-        .expect("resumed job accepted");
-    let report = handle.wait().expect("resumed job completes");
+    // The same request on a two-thread server and on an inline one: both
+    // fingerprint as the reference, so the server's thread count is not
+    // part of a result.
+    let resume = ResumePoint {
+        checkpoint,
+        partial,
+    };
+    for exec in [ExecSpec::simd(2), ExecSpec::serial()] {
+        let server = ScenarioServer::start(ServerConfig {
+            workers: 1,
+            exec,
+            ..Default::default()
+        });
+        let handle = server
+            .submit(ScenarioRequest::new(cfg.clone()).resuming(resume.clone()))
+            .into_handle()
+            .expect("resumed job accepted");
+        let report = handle.wait().expect("resumed job completes");
 
-    // Bit-identical to never having been interrupted.
-    assert_eq!(report.total_seconds, reference.total_seconds);
-    assert_eq!(report.peak_o3(), reference.peak_o3());
-    assert_eq!(report.summaries.len(), reference.summaries.len());
-    for (a, b) in report.summaries.iter().zip(&reference.summaries) {
-        assert_eq!(a.hour, b.hour);
-        assert_eq!(a.max_o3, b.max_o3);
-        assert_eq!(a.mean_nox, b.mean_nox);
+        // Bit-identical to never having been interrupted.
+        assert_eq!(report.total_seconds, reference.total_seconds);
+        assert_eq!(report.peak_o3(), reference.peak_o3());
+        assert_eq!(report.summaries.len(), reference.summaries.len());
+        for (a, b) in report.summaries.iter().zip(&reference.summaries) {
+            assert_eq!(a.hour, b.hour);
+            assert_eq!(a.max_o3, b.max_o3);
+            assert_eq!(a.mean_nox, b.mean_nox);
+        }
+        assert_eq!(report_fingerprint(&report), report_fingerprint(&reference));
+
+        let metrics = server.shutdown();
+        assert_eq!(metrics.completed, 1);
+        assert!(metrics.reconciles());
     }
-
-    let metrics = server.shutdown();
-    assert_eq!(metrics.completed, 1);
-    assert!(metrics.reconciles());
 }
 
 #[test]

@@ -38,6 +38,7 @@ fn bad_command_lines_name_their_flag_and_do_not_panic() {
     let bad = [
         ("run --hours x", "--hours"),
         ("run --threads -2", "--threads"),
+        ("run --backend serial --threads 3", "--backend"),
         ("run --emis nan", "--emis"),
         ("run --emis inf", "--emis"),
         ("run --nodes 4,,8", "--nodes"),
