@@ -8,7 +8,7 @@
 //! configured (= the paper's) values.
 
 use airshed_bench::table::Table;
-use airshed_hpf::redist::airshed_redists;
+use airshed_core::driver::{HourPlans, PlanLayouts};
 use airshed_machine::MachineProfile;
 
 fn main() {
@@ -20,7 +20,8 @@ fn main() {
     // each phase.
     let mut samples: Vec<(f64, f64, f64, f64)> = Vec::new();
     for p in [2usize, 4, 8] {
-        let r = airshed_redists(&shape, p, m.word_size);
+        let plans = HourPlans::shared(&shape, p, PlanLayouts::default());
+        let r = &plans.main;
         for plan in [&r.repl_to_trans, &r.trans_to_chem, &r.chem_to_repl] {
             let (load, cost) = plan
                 .loads

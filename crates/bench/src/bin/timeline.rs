@@ -5,7 +5,7 @@
 //! edge names (redistributions).
 
 use airshed_bench::la_profile;
-use airshed_core::driver::HourPlans;
+use airshed_core::driver::{HourPlans, PlanLayouts};
 use airshed_core::plan::PhaseGraph;
 use airshed_machine::{Machine, MachineProfile};
 
@@ -16,7 +16,7 @@ fn main() {
     for p in [4usize, 64] {
         let mut m = Machine::new(MachineProfile::t3e(), p);
         m.trace.enable();
-        let plans = HourPlans::new(&profile.shape, p);
+        let plans = HourPlans::shared(&profile.shape, p, PlanLayouts::default());
         PhaseGraph::for_hour(&profile.hours[noon], &plans, p).execute(&mut m);
         println!(
             "\n=== one simulated hour (hour index {noon}) on the T3E, P = {p} — {:.2}s ===",

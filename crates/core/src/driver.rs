@@ -18,10 +18,13 @@ use crate::profile::{HourProfile, StepProfile, WorkProfile};
 use crate::report::{CopyBytes, RunReport};
 use crate::state::SimState;
 use airshed_hpf::dist::Distribution;
-use airshed_hpf::redist::{airshed_redists, labels, plan, AirshedRedists, RedistPlan};
+use airshed_hpf::redist::{labels, plan, AirshedRedists, RedistPlan};
 use airshed_machine::Machine;
 use airshed_met::hourly::HourlyInput;
 use airshed_transport::operator::HorizontalTransport;
+use std::collections::{HashMap, VecDeque};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, LazyLock, Mutex, MutexGuard, PoisonError};
 
 /// Machine word size — 8 bytes on all three paper machines.
 pub const WORD: usize = 8;
@@ -68,7 +71,10 @@ impl std::fmt::Display for PlanLayouts {
     }
 }
 
-/// All redistribution plans one run needs, planned once per (shape, P).
+/// All redistribution plans one run needs — a pure function of
+/// `(shape, P, layouts)`, so the process derives each set once:
+/// [`HourPlans::shared`] is how everything outside this type gets one.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HourPlans {
     /// Array shape `[species, layers, nodes]` the plans were built for.
     pub shape: [usize; 3],
@@ -81,40 +87,121 @@ pub struct HourPlans {
     pub chem_layout: ChemLayout,
 }
 
+/// Plan sets the process-wide memo keeps. A server sees one set per
+/// distinct `(shape, P, layouts)` placement it replays on and an
+/// optimizing one ≈ 14 candidates per `(shape, P)`; past the bound the
+/// oldest entry goes first.
+pub const PLAN_MEMO_ENTRIES: usize = 256;
+
+/// Largest `P` whose plan set the memo keeps. An entry is four load
+/// vectors of `P` × 40 B, so the memo holds at most `256 × 160 B × 1024`
+/// = 40 MiB, and 5 MiB at the paper's largest machine (`P` = 128); a
+/// larger `P` is planned per call, as every `P` was before the memo.
+const PLAN_MEMO_MAX_P: usize = 1024;
+
+type PlanKey = ([usize; 3], usize, PlanLayouts);
+
+#[derive(Default)]
+struct PlanMemo {
+    sets: HashMap<PlanKey, Arc<HourPlans>>,
+    /// Keys of `sets`, oldest first.
+    order: VecDeque<PlanKey>,
+}
+
+static PLAN_MEMO: LazyLock<Mutex<PlanMemo>> = LazyLock::new(Mutex::default);
+
+/// The memo, locked. A panic cannot leave it half-updated in a way that
+/// matters (a key in `order` without its set is skipped on eviction), so
+/// a poisoned lock is still good.
+fn plan_memo() -> MutexGuard<'static, PlanMemo> {
+    PLAN_MEMO.lock().unwrap_or_else(PoisonError::into_inner)
+}
+static PLAN_MEMO_HITS: AtomicU64 = AtomicU64::new(0);
+static PLAN_MEMO_MISSES: AtomicU64 = AtomicU64::new(0);
+
+/// Counters of the process-wide plan memo behind [`HourPlans::shared`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PlanMemoStats {
+    /// Lookups answered with a plan set already derived.
+    pub hits: u64,
+    /// Lookups that planned (a cold key, or one past the bound).
+    pub misses: u64,
+    /// Plan sets resident now.
+    pub entries: u64,
+}
+
 impl HourPlans {
+    /// The plan set for `(shape, p, layouts)`, derived at most once
+    /// while it stays resident: a bounded process-wide memo
+    /// ([`PLAN_MEMO_ENTRIES`] sets, first in first out). Process-wide
+    /// rather than per server or per optimizer because the value depends
+    /// on nothing but the key — there is nothing to invalidate and every
+    /// caller (replay, layout search, pipeline split, oracle) wants the
+    /// same set.
+    pub fn shared(shape: &[usize; 3], p: usize, layouts: PlanLayouts) -> Arc<HourPlans> {
+        let key = (*shape, p, layouts);
+        if let Some(hit) = plan_memo().sets.get(&key) {
+            PLAN_MEMO_HITS.fetch_add(1, Ordering::Relaxed);
+            return Arc::clone(hit);
+        }
+        PLAN_MEMO_MISSES.fetch_add(1, Ordering::Relaxed);
+        // Planned outside the lock, so a cold key never stalls hits.
+        let fresh = Arc::new(HourPlans::with_layouts(shape, p, layouts));
+        if p > PLAN_MEMO_MAX_P {
+            return fresh;
+        }
+        let mut memo = plan_memo();
+        if let Some(raced) = memo.sets.get(&key) {
+            // Another thread planned the same key meanwhile: one entry.
+            return Arc::clone(raced);
+        }
+        if memo.sets.len() >= PLAN_MEMO_ENTRIES {
+            if let Some(oldest) = memo.order.pop_front() {
+                memo.sets.remove(&oldest);
+            }
+        }
+        memo.order.push_back(key);
+        memo.sets.insert(key, Arc::clone(&fresh));
+        fresh
+    }
+
+    /// Hits, misses and resident entries of the memo behind
+    /// [`HourPlans::shared`], for the whole process.
+    pub fn memo_stats() -> PlanMemoStats {
+        PlanMemoStats {
+            hits: PLAN_MEMO_HITS.load(Ordering::Relaxed),
+            misses: PLAN_MEMO_MISSES.load(Ordering::Relaxed),
+            entries: plan_memo().sets.len() as u64,
+        }
+    }
+
+    /// The paper's plan set (all-`BLOCK`), planned afresh — the memo's
+    /// miss path; callers want [`HourPlans::shared`].
     pub fn new(shape: &[usize; 3], p: usize) -> HourPlans {
         Self::with_layouts(shape, p, PlanLayouts::default())
     }
 
-    /// Plans for an explicit per-phase layout choice: every edge touching
-    /// a non-default phase distribution is re-planned from the chosen
-    /// distributions. With the default (all-`BLOCK`) layouts this builds
-    /// exactly the paper's plans, bit for bit.
+    /// Plans for an explicit per-phase layout choice, planned afresh
+    /// (the memo's miss path; callers want [`HourPlans::shared`]): each
+    /// of the hour's four edges is planned from the chosen
+    /// distributions. With the default (all-`BLOCK`) layouts these are
+    /// exactly the paper's plans, `hpf::redist::airshed_redists`.
     pub fn with_layouts(shape: &[usize; 3], p: usize, layouts: PlanLayouts) -> HourPlans {
-        let mut main = airshed_redists(shape, p, WORD);
+        let d_repl = Distribution::replicated(3);
         let d_trans = layouts.transport.distribution_on(1);
         let d_chem = layouts.chemistry.distribution_on(2);
-        if layouts.transport != ChemLayout::Block {
-            let mut r2t = plan(shape, &Distribution::replicated(3), &d_trans, p, WORD);
-            r2t.label = labels::REPL_TO_TRANS;
-            main.repl_to_trans = r2t;
-        }
-        if layouts.transport != ChemLayout::Block || layouts.chemistry != ChemLayout::Block {
-            let mut t2c = plan(shape, &d_trans, &d_chem, p, WORD);
-            t2c.label = labels::TRANS_TO_CHEM;
-            main.trans_to_chem = t2c;
-        }
-        if layouts.chemistry != ChemLayout::Block {
-            let mut c2r = plan(shape, &d_chem, &Distribution::replicated(3), p, WORD);
-            c2r.label = labels::CHEM_TO_REPL;
-            main.chem_to_repl = c2r;
-        }
-        let mut trans_to_repl = plan(shape, &d_trans, &Distribution::replicated(3), p, WORD);
-        trans_to_repl.label = labels::TRANS_TO_REPL;
+        let edge = |src: &Distribution, dst: &Distribution, label| RedistPlan {
+            label,
+            ..plan(shape, src, dst, p, WORD)
+        };
         HourPlans {
             shape: *shape,
-            main,
-            trans_to_repl,
+            main: AirshedRedists {
+                repl_to_trans: edge(&d_repl, &d_trans, labels::REPL_TO_TRANS),
+                trans_to_chem: edge(&d_trans, &d_chem, labels::TRANS_TO_CHEM),
+                chem_to_repl: edge(&d_chem, &d_repl, labels::CHEM_TO_REPL),
+            },
+            trans_to_repl: edge(&d_trans, &d_repl, labels::TRANS_TO_REPL),
             trans_layout: layouts.transport,
             chem_layout: layouts.chemistry,
         }
@@ -217,7 +304,7 @@ pub struct Episode {
     /// Hours captured so far.
     profile: WorkProfile,
     machine: Machine,
-    plans: HourPlans,
+    plans: Arc<HourPlans>,
     cell_volumes: Vec<f64>,
     copy_total: CopyBytes,
     /// Machine trace events already exported to `obs`.
@@ -266,7 +353,7 @@ impl Episode {
                 summaries: Vec::new(),
             },
             cell_volumes: SimState::cell_volumes(&engine.dataset),
-            plans: HourPlans::new(&shape, config.p),
+            plans: HourPlans::shared(&shape, config.p, PlanLayouts::default()),
             engine,
             checkpoint,
             machine,

@@ -43,7 +43,7 @@
 //! validate`).
 
 use super::Obs;
-use crate::driver::HourPlans;
+use crate::driver::{HourPlans, PlanLayouts};
 use crate::plan::{Op, PhaseGraph, Work};
 use crate::predict::{comm_step_costs, step_seconds, PerfModel, Prediction};
 use crate::profile::WorkProfile;
@@ -698,7 +698,7 @@ pub fn validate_profile(
     let oracle = Oracle::new(machine);
     let mut rows = Vec::with_capacity(nodes.len());
     for &p in nodes {
-        let plans = HourPlans::new(&profile.shape, p);
+        let plans = HourPlans::shared(&profile.shape, p, PlanLayouts::default());
         let mut m = Machine::new(machine, p);
         m.trace.enable();
         let mut mark = 0usize;

@@ -506,7 +506,7 @@ pub fn replay_profile_with(
     layouts: PlanLayouts,
 ) -> RunReport {
     let mut machine = Machine::new(machine_profile, p);
-    let plans = HourPlans::with_layouts(&profile.shape, p, layouts);
+    let plans = HourPlans::shared(&profile.shape, p, layouts);
     let copy_total = crate::driver::charge_hours(&mut machine, &profile.hours, &plans);
     let mut report = RunReport::from_machine(
         profile.dataset,

@@ -80,7 +80,7 @@ pub fn plan_cost(
     p: usize,
     layouts: PlanLayouts,
 ) -> f64 {
-    let plans = HourPlans::with_layouts(&profile.shape, p, layouts);
+    let plans = HourPlans::shared(&profile.shape, p, layouts);
     let mut total = 0.0;
     for hp in &profile.hours {
         let graph = PhaseGraph::for_hour(hp, &plans, p);

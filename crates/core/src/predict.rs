@@ -202,7 +202,7 @@ impl PerfModel {
     /// occurrences are P-independent) and accumulate per-kind compute
     /// work and per-label comm occurrence counts.
     pub fn from_profile(profile: &WorkProfile) -> PerfModel {
-        let plans = HourPlans::new(&profile.shape, 1);
+        let plans = HourPlans::shared(&profile.shape, 1, PlanLayouts::default());
         let mut io = 0.0;
         let mut transport = 0.0;
         let mut chemistry = 0.0;
@@ -347,7 +347,7 @@ impl PerfModel {
         let chemistry = heaviest(&self.chemistry_per_item, layouts.chemistry)
             .map(|c| c + self.seq_aerosol / rate)
             .unwrap_or(ceil_model.chemistry);
-        let plans = HourPlans::with_layouts(&self.shape, p, layouts);
+        let plans = HourPlans::shared(&self.shape, p, layouts);
         let occ = self.occurrences;
         let communication = machine.comm_phase_seconds(&plans.main.repl_to_trans.loads)
             * occ.repl_to_trans as f64
@@ -396,6 +396,12 @@ impl LayoutChoice {
     /// per hour (>= 0 by construction).
     pub fn hour_saving(&self) -> f64 {
         self.default_hour_cost - self.hour_cost
+    }
+
+    /// Predicted virtual cost of an `hours`-hour scenario under the
+    /// chosen plan.
+    pub fn scenario_seconds(&self, hours: usize) -> f64 {
+        self.hour_cost * hours as f64
     }
 }
 

@@ -74,7 +74,7 @@ pub fn replay_taskparallel(
     // across layers there) and hand off the decoded inputs; the Main
     // stage replays on a scratch compute-subgroup machine; the Output
     // stage receives the concentration array and writes it out.
-    let plans = HourPlans::with_layouts(&profile.shape, p_compute, layouts);
+    let plans = HourPlans::shared(&profile.shape, p_compute, layouts);
     for hp in &profile.hours {
         let graph = PhaseGraph::for_hour(hp, &plans, p_compute);
         let [input, compute, output] = graph.stage_durations(machine_profile, p_in, p_out);

@@ -14,7 +14,7 @@ use crate::wire::{Dec, Enc, WireError};
 use airshed_chem::youngboris::{AsymptoticForm, YbOptions};
 use airshed_core::checkpoint::Checkpoint;
 use airshed_core::config::{DatasetChoice, SimConfig, Weather};
-use airshed_core::driver::ChemLayout;
+use airshed_core::driver::{ChemLayout, PlanMemoStats};
 use airshed_core::obs::dist::TraceContext;
 use airshed_core::predict::CommOccurrences;
 use airshed_core::profile::{HourProfile, StepProfile};
@@ -63,12 +63,15 @@ pub enum Msg {
         workers: u32,
         sent_us: u64,
     },
-    /// Shard -> front-end liveness beacon with queue-depth telemetry.
+    /// Shard -> front-end liveness beacon with queue-depth telemetry and
+    /// the shard process's plan-memo counters (cumulative; the front-end
+    /// keeps the latest).
     Heartbeat {
         seq: u64,
         running: u32,
         queued: u32,
         sent_us: u64,
+        plans: PlanMemoStats,
     },
     /// Front-end -> shard: run this job.
     Assign {
@@ -144,11 +147,15 @@ impl Msg {
                 running,
                 queued,
                 sent_us,
+                plans,
             } => {
                 e.u64(*seq);
                 e.u32(*running);
                 e.u32(*queued);
                 e.u64(*sent_us);
+                e.u64(plans.hits);
+                e.u64(plans.misses);
+                e.u64(plans.entries);
             }
             Msg::Assign { job, ctx, work } => {
                 e.u64(*job);
@@ -210,6 +217,11 @@ impl Msg {
                 running: d.u32()?,
                 queued: d.u32()?,
                 sent_us: d.u64()?,
+                plans: PlanMemoStats {
+                    hits: d.u64()?,
+                    misses: d.u64()?,
+                    entries: d.u64()?,
+                },
             },
             tags::ASSIGN => Msg::Assign {
                 job: d.u64()?,
@@ -821,6 +833,11 @@ mod tests {
                 running: 2,
                 queued: 7,
                 sent_us: 67_890,
+                plans: PlanMemoStats {
+                    hits: 40,
+                    misses: 2,
+                    entries: 2,
+                },
             },
             Msg::Failed {
                 job: 9,

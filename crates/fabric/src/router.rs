@@ -51,7 +51,7 @@
 
 use crate::proto::{Msg, ScenarioJob};
 use airshed_core::config::SimConfig;
-use airshed_core::driver::ChemLayout;
+use airshed_core::driver::{ChemLayout, PlanMemoStats};
 use airshed_core::obs::dist::{TraceContext, HOP_NAMES};
 use airshed_core::obs::metrics::Histogram;
 use airshed_core::obs::prom::{label, PromWriter};
@@ -109,6 +109,8 @@ struct Shard {
     /// resident in the shard's store. Forgotten when the shard is lost.
     keys: HashMap<NumericsKey, bool>,
     counters: ShardCounters,
+    /// The shard process's plan-memo counters, as of its last heartbeat.
+    plans: PlanMemoStats,
 }
 
 struct Job {
@@ -211,6 +213,7 @@ impl Router {
             backlog: VecDeque::new(),
             keys: HashMap::new(),
             counters: ShardCounters::default(),
+            plans: PlanMemoStats::default(),
         });
         self.shards.len() - 1
     }
@@ -263,7 +266,8 @@ impl Router {
             self.shards[shard].last_seen_ms = now_ms;
         }
         match msg {
-            Msg::Heartbeat { .. } | Msg::Hello { .. } => {}
+            Msg::Heartbeat { plans, .. } => self.shards[shard].plans = plans,
+            Msg::Hello { .. } => {}
             Msg::Progress {
                 job,
                 ctx,
@@ -767,6 +771,29 @@ impl Router {
             );
         }
         w.header(
+            "airshed_fabric_cache_events_total",
+            "Fleet-wide plan-memo lookups (each shard process's counters \
+             as of its last heartbeat, summed).",
+            "counter",
+        );
+        let fleet = |f: fn(&PlanMemoStats) -> u64| -> f64 {
+            self.shards.iter().map(|s| f(&s.plans)).sum::<u64>() as f64
+        };
+        for (outcome, v) in [("hit", fleet(|p| p.hits)), ("miss", fleet(|p| p.misses))] {
+            let labels = format!("{},{}", label("cache", "plan"), label("outcome", outcome));
+            w.sample("airshed_fabric_cache_events_total", &labels, v);
+        }
+        w.header(
+            "airshed_fabric_cache_entries",
+            "Plan sets resident across the fleet (last heartbeats, summed).",
+            "gauge",
+        );
+        w.sample(
+            "airshed_fabric_cache_entries",
+            &label("cache", "plan"),
+            fleet(|p| p.entries),
+        );
+        w.header(
             "airshed_fabric_shard_up",
             "1 while the shard is connected and heartbeating.",
             "gauge",
@@ -1083,8 +1110,35 @@ mod tests {
         assert_eq!((a.stolen, a.failed_over), (0, 0));
         assert_eq!(r.ctx_mismatches(), 0);
         assert_eq!(r.fleet_copy_bytes().total(), 1550);
+        // Each shard's latest heartbeat carries its process's plan-memo
+        // counters; the fleet rows are their sum.
+        for (shard, seq, hits) in [(0, 1, 5), (1, 1, 30), (0, 2, 12)] {
+            let plans = PlanMemoStats {
+                hits,
+                misses: 3,
+                entries: 3,
+            };
+            r.on_msg(
+                shard,
+                Msg::Heartbeat {
+                    seq,
+                    running: 0,
+                    queued: 0,
+                    sent_us: 0,
+                    plans,
+                },
+                6,
+            );
+        }
 
         let text = r.prometheus();
+        assert!(
+            text.contains(r#"airshed_fabric_cache_events_total{cache="plan",outcome="hit"} 42"#)
+        );
+        assert!(
+            text.contains(r#"airshed_fabric_cache_events_total{cache="plan",outcome="miss"} 6"#)
+        );
+        assert!(text.contains(r#"airshed_fabric_cache_entries{cache="plan"} 6"#));
         assert!(text.contains(r#"airshed_fabric_jobs_total{shard="fast",event="routed"} 1"#));
         assert!(text.contains(r#"airshed_fabric_jobs_total{shard="fast",event="completed"} 1"#));
         assert!(text.contains(r#"airshed_fabric_shard_up{shard="slow"} 1"#));

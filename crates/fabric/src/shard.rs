@@ -5,7 +5,7 @@
 //!
 //! * the **main thread** reads frames — `Assign` lands jobs on the
 //!   local queue, `Shutdown` (or a closed socket) drains and exits;
-//! * a **heartbeat thread** sends `Heartbeat{seq, running, queued}`
+//! * a **heartbeat thread** sends `Heartbeat{seq, running, queued, plans}`
 //!   every `heartbeat_ms` — the front-end's liveness signal;
 //! * `workers` **worker threads** pop jobs and fetch each job's work
 //!   profile from the shard's single-flight [`ProfileStore`] — the same
@@ -31,6 +31,7 @@
 
 use crate::proto::{self, Msg, ScenarioJob};
 use crate::wire::{FaultPlan, FaultyWriter, WireError};
+use airshed_core::driver::HourPlans;
 use airshed_core::obs::dist::TraceContext;
 use airshed_core::obs::oracle::Oracle;
 use airshed_core::obs::SpanSink;
@@ -183,6 +184,7 @@ pub fn run_shard(opts: ShardOptions, obs: &Obs) -> Result<(), String> {
                     sent_us: wall
                         .as_ref()
                         .map_or(0, |o| o.us_since_epoch(Instant::now()) as u64),
+                    plans: HourPlans::memo_stats(),
                 }) {
                     return;
                 }

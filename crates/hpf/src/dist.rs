@@ -152,9 +152,41 @@ impl Distribution {
         }
     }
 
+    /// What `node` owns of dimension `dim` (extent `n`), counted without
+    /// building the range list: `(indices, contiguous ranges)` — the
+    /// total length and the entry count of [`Distribution::owned_dim`].
+    pub fn owned_extent(&self, dim: usize, n: usize, p: usize, node: usize) -> (usize, usize) {
+        assert!(node < p);
+        match self.dims[dim] {
+            DimDist::Collapsed => (n, usize::from(n > 0)),
+            DimDist::Block => {
+                let b = n.div_ceil(p).max(1);
+                let len = ((node + 1) * b).min(n) - (node * b).min(n);
+                (len, usize::from(len > 0))
+            }
+            DimDist::Cyclic => {
+                let count = n.saturating_sub(node).div_ceil(p);
+                (count, count)
+            }
+            DimDist::BlockCyclic(b) => {
+                // Ranges start at `node*b + k*b*p`; all are `b` long but
+                // possibly the last, which the extent cuts short.
+                let ranges = n.saturating_sub(node * b).div_ceil(b * p);
+                let Some(full) = ranges.checked_sub(1) else {
+                    return (0, 0);
+                };
+                let last_start = node * b + full * b * p;
+                (full * b + b.min(n - last_start), ranges)
+            }
+        }
+    }
+
     /// Number of elements `node` owns.
     pub fn owned_volume(&self, shape: &[usize], p: usize, node: usize) -> usize {
-        self.owned(shape, p, node).volume()
+        assert_eq!(shape.len(), self.ndims());
+        (0..self.ndims())
+            .map(|d| self.owned_extent(d, shape[d], p, node).0)
+            .product()
     }
 
     /// Unique owner of a global index under this distribution, or `None`
@@ -218,7 +250,7 @@ impl OwnedRegion {
         self.per_dim
             .iter()
             .zip(&other.per_dim)
-            .map(|(a, b)| intersect_len(a, b))
+            .map(|(a, b)| overlap(a, b).0)
             .product()
     }
 
@@ -232,20 +264,21 @@ impl OwnedRegion {
         self.per_dim
             .iter()
             .zip(&other.per_dim)
-            .map(|(a, b)| intersect_pieces(a, b))
+            .map(|(a, b)| overlap(a, b).1)
             .product()
     }
 }
 
-/// Number of nonempty pieces in the intersection of two sorted, disjoint
-/// range lists.
-fn intersect_pieces(a: &[Range<usize>], b: &[Range<usize>]) -> usize {
-    let mut pieces = 0;
+/// Intersection of two sorted, disjoint range lists in one walk:
+/// `(total overlap length, nonempty pieces)`.
+pub(crate) fn overlap(a: &[Range<usize>], b: &[Range<usize>]) -> (usize, usize) {
+    let (mut len, mut pieces) = (0, 0);
     let (mut i, mut j) = (0, 0);
     while i < a.len() && j < b.len() {
         let lo = a[i].start.max(b[j].start);
         let hi = a[i].end.min(b[j].end);
         if lo < hi {
+            len += hi - lo;
             pieces += 1;
         }
         if a[i].end <= b[j].end {
@@ -254,26 +287,7 @@ fn intersect_pieces(a: &[Range<usize>], b: &[Range<usize>]) -> usize {
             j += 1;
         }
     }
-    pieces
-}
-
-/// Total overlap length of two sorted, disjoint range lists.
-fn intersect_len(a: &[Range<usize>], b: &[Range<usize>]) -> usize {
-    let mut total = 0;
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        let lo = a[i].start.max(b[j].start);
-        let hi = a[i].end.min(b[j].end);
-        if lo < hi {
-            total += hi - lo;
-        }
-        if a[i].end <= b[j].end {
-            i += 1;
-        } else {
-            j += 1;
-        }
-    }
-    total
+    (len, pieces)
 }
 
 #[cfg(test)]
@@ -420,10 +434,40 @@ mod tests {
     }
 
     #[test]
-    fn intersect_len_cases() {
-        assert_eq!(intersect_len(&[0..5], &[3..8]), 2);
-        assert_eq!(intersect_len(&[0..2, 4..6], &[1..5]), 2);
-        assert_eq!(intersect_len(&[0..2], &[2..4]), 0);
-        assert_eq!(intersect_len(&[], &[0..10]), 0);
+    fn overlap_cases() {
+        assert_eq!(overlap(&[0..5], &[3..8]), (2, 1));
+        assert_eq!(overlap(&[0..2, 4..6], &[1..5]), (2, 2));
+        assert_eq!(overlap(&[0..2], &[2..4]), (0, 0));
+        assert_eq!(overlap(&[], &[0..10]), (0, 0));
+    }
+
+    #[test]
+    fn owned_extent_counts_what_owned_dim_lists() {
+        for kind in [
+            DimDist::Collapsed,
+            DimDist::Block,
+            DimDist::Cyclic,
+            DimDist::BlockCyclic(1),
+            DimDist::BlockCyclic(3),
+            DimDist::BlockCyclic(8),
+        ] {
+            let d = Distribution::new(vec![kind]);
+            for n in 0..40 {
+                for p in 1..12 {
+                    for node in 0..p {
+                        let ranges = d.owned_dim(0, n, p, node);
+                        let listed = (
+                            ranges.iter().map(|r| r.len()).sum::<usize>(),
+                            ranges.iter().filter(|r| !r.is_empty()).count(),
+                        );
+                        assert_eq!(
+                            d.owned_extent(0, n, p, node),
+                            listed,
+                            "{kind:?} n={n} p={p} node={node}"
+                        );
+                    }
+                }
+            }
+        }
     }
 }

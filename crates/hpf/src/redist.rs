@@ -4,14 +4,25 @@
 //! Semantics: each element's *sender* is its unique owner under the source
 //! distribution (if the source is replicated, every receiver already holds
 //! the data and only pays a local copy to the new layout). Each receiver
-//! needs its owned region under the destination distribution. Overlap
-//! volumes are computed dimension-wise (range-list intersections), so
-//! planning is `O(P² · ndims)` — independent of the array size.
+//! needs its owned region under the destination distribution.
+//!
+//! Cost of planning. A node's region is the full extent of every
+//! dimension but the distributed one, so when source and destination
+//! distribute *different* dimensions (every redistribution of the Airshed
+//! hour: layers ↔ columns ↔ replicated) the overlap of sender `s` and
+//! receiver `r` is `len_s · len_r · (the other extents)` in
+//! `pieces_s · pieces_r` fragments, and each node's load is a closed form
+//! of its own `(len, pieces)` and the totals: planning is `O(P · ndims)`
+//! arithmetic, builds no range list and is independent of the array size
+//! for every layout, `CYCLIC` included. Only a change of layout *within*
+//! one dimension (`BLOCK` → `CYCLIC` on the same axis — nothing Airshed
+//! asks for) intersects range lists pairwise: `O(P_owning² · n/P)`, where
+//! the lists of a `CYCLIC` layout grow with the extent `n`.
 //!
 //! The resulting per-node loads reproduce the paper's three §4.2
 //! redistribution cost equations exactly (see the tests).
 
-use crate::dist::Distribution;
+use crate::dist::{overlap, Distribution};
 use airshed_machine::cost::NodeCommLoad;
 
 /// Canonical labels of the Airshed redistribution edges. The driver, the
@@ -28,7 +39,7 @@ pub mod labels {
     pub const TRANS_TO_REPL: &str = "D_Trans->D_Repl";
 }
 
-/// One pairwise transfer, for diagnostics and tests.
+/// One pairwise transfer, for diagnostics and tests ([`transfers`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Transfer {
     pub from: usize,
@@ -36,13 +47,13 @@ pub struct Transfer {
     pub elems: usize,
 }
 
-/// A planned redistribution.
-#[derive(Debug, Clone)]
+/// A planned redistribution: what each node sends, receives and copies.
+/// The pairwise detail (a list that grows with P²) is not part of a
+/// plan; [`transfers`] derives it on request.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RedistPlan {
     /// Per-node communication loads (index = node id).
     pub loads: Vec<NodeCommLoad>,
-    /// Pairwise transfers (`from != to`); local copies are in `loads`.
-    pub transfers: Vec<Transfer>,
     /// Human-readable label, e.g. `"D_Trans->D_Chem"`.
     pub label: &'static str,
 }
@@ -72,9 +83,9 @@ impl RedistPlan {
     }
 
     /// Extract the comm edge this plan contributes to an execution
-    /// graph: its label plus the per-node `(m, b, c)` loads, detached
-    /// from the pairwise transfer detail. `airshed-core`'s
-    /// `plan::PhaseGraph` attaches these to its communication edges.
+    /// graph: its label plus the per-node `(m, b, c)` loads.
+    /// `airshed-core`'s `plan::PhaseGraph` attaches these to its
+    /// communication edges.
     pub fn edge(&self) -> PlanEdge {
         PlanEdge {
             label: self.label,
@@ -84,8 +95,8 @@ impl RedistPlan {
 }
 
 /// The execution-plan view of a redistribution: what a plan-graph comm
-/// edge carries. Unlike [`RedistPlan`] it has no pairwise transfer list —
-/// only the per-node message/byte/copy loads the cost model consumes.
+/// edge carries — the per-node message/byte/copy loads the cost model
+/// consumes.
 #[derive(Debug, Clone)]
 pub struct PlanEdge {
     /// Redistribution label, e.g. `"D_Trans->D_Chem"`.
@@ -112,6 +123,51 @@ impl PlanEdge {
     }
 }
 
+/// How [`plan`] lowers a distribution change.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Lowering {
+    /// Same distribution: nothing moves.
+    NoOp,
+    /// Replicated source: every node already holds all data and re-lays
+    /// its new owned region out locally (the paper's D_Repl -> D_Trans
+    /// case, pure H cost).
+    LocalCopy,
+    /// Replication from few sources, relayed (see [`Lowering::of`]).
+    Broadcast,
+    /// Unique owners send each receiver what it lacks, pair by pair.
+    Flat,
+}
+
+impl Lowering {
+    fn of(shape: &[usize], src: &Distribution, dst: &Distribution, p: usize) -> Lowering {
+        assert_eq!(src.ndims(), shape.len());
+        assert_eq!(dst.ndims(), shape.len());
+        if src == dst {
+            return Lowering::NoOp;
+        }
+        if src.is_replicated() {
+            return Lowering::LocalCopy;
+        }
+        // Replication from few sources: a flat pairwise plan would make
+        // each source send P copies of its whole block — no compiler
+        // generates that. Fx-style collective communication lowers it to
+        // a relayed (segmented binomial) broadcast: every node receives
+        // the array once and relays roughly what it received, paying
+        // ~log2(P) message startups. Gathers with ~P sources (e.g.
+        // D_Chem -> D_Repl) keep the flat plan, whose cost is the paper's
+        // `2LP + G·volume` equation.
+        if dst.is_replicated() {
+            let owners = (0..p)
+                .filter(|&n| src.owned_volume(shape, p, n) > 0)
+                .count();
+            if owners * 2 <= p {
+                return Lowering::Broadcast;
+            }
+        }
+        Lowering::Flat
+    }
+}
+
 /// Plan the redistribution of a `shape`-sized array from `src` to `dst`
 /// over `p` nodes with `word_size`-byte elements.
 pub fn plan(
@@ -121,46 +177,16 @@ pub fn plan(
     p: usize,
     word_size: usize,
 ) -> RedistPlan {
-    assert_eq!(src.ndims(), shape.len());
-    assert_eq!(dst.ndims(), shape.len());
     let mut loads = vec![NodeCommLoad::default(); p];
-    let mut transfers = Vec::new();
-
-    if src == dst {
-        return RedistPlan {
-            loads,
-            transfers,
-            label: "no-op",
-        };
-    }
-
-    if src.is_replicated() {
-        // Every node already holds all data: the change is a local
-        // re-layout of the node's new owned region (the paper's
-        // D_Repl -> D_Trans case, pure H cost).
-        for (node, load) in loads.iter_mut().enumerate() {
-            let vol = dst.owned_volume(shape, p, node);
-            load.bytes_copied = vol * word_size;
+    let label = match Lowering::of(shape, src, dst, p) {
+        Lowering::NoOp => "no-op",
+        Lowering::LocalCopy => {
+            for (node, load) in loads.iter_mut().enumerate() {
+                load.bytes_copied = dst.owned_volume(shape, p, node) * word_size;
+            }
+            "repl->dist"
         }
-        return RedistPlan {
-            loads,
-            transfers,
-            label: "repl->dist",
-        };
-    }
-
-    // Replication from few sources: a flat pairwise plan would make each
-    // source send P copies of its whole block — no compiler generates
-    // that. Fx-style collective communication lowers it to a relayed
-    // (segmented binomial) broadcast: every node receives the array once
-    // and relays roughly what it received, paying ~log2(P) message
-    // startups. Gathers with ~P sources (e.g. D_Chem -> D_Repl) keep the
-    // flat plan, whose cost is the paper's `2LP + G·volume` equation.
-    if dst.is_replicated() {
-        let owners = (0..p)
-            .filter(|&n| src.owned_volume(shape, p, n) > 0)
-            .count();
-        if owners * 2 <= p {
+        Lowering::Broadcast => {
             let total_bytes: usize = shape.iter().product::<usize>() * word_size;
             let rounds = p.next_power_of_two().trailing_zeros().max(1) as usize;
             for (node, load) in loads.iter_mut().enumerate() {
@@ -172,56 +198,123 @@ pub fn plan(
                 load.msgs_recv = rounds;
                 load.bytes_copied = own;
             }
-            return RedistPlan {
-                loads,
-                transfers,
-                label: "dist->repl (broadcast)",
-            };
+            "dist->repl (broadcast)"
         }
+        Lowering::Flat => {
+            plan_flat(shape, src, dst, word_size, &mut loads);
+            "dist->dist"
+        }
+    };
+    RedistPlan { loads, label }
+}
+
+/// The flat pairwise lowering of a distributed source: each receiver `r`
+/// needs its `dst` region; the part it already owns under `src` is a
+/// local copy, the rest arrives from the unique `src` owners, one
+/// message per contiguous piece (a BLOCK↔BLOCK overlap is one message,
+/// while interleaved `CYCLIC` ownership shatters the same bytes into
+/// strided pieces, each paying its own `L`).
+fn plan_flat(
+    shape: &[usize],
+    src: &Distribution,
+    dst: &Distribution,
+    word_size: usize,
+    loads: &mut [NodeCommLoad],
+) {
+    let p = loads.len();
+    let sd = src.distributed_dim().expect("flat plans have owners");
+    let dd = dst.distributed_dim();
+    // Elements (then bytes) per index pair of the (up to two)
+    // distributed dimensions.
+    let other: usize = (0..shape.len())
+        .filter(|&d| d != sd && Some(d) != dd)
+        .map(|d| shape[d])
+        .product();
+    if other == 0 {
+        return;
+    }
+    let pair_bytes = other * word_size;
+
+    if dd == Some(sd) {
+        // A layout change within one dimension: overlaps are genuine
+        // range-list intersections, one walk per pair of owning nodes.
+        let n = shape[sd];
+        let owned = |dist: &Distribution| -> Vec<_> {
+            (0..p)
+                .map(|node| (node, dist.owned_dim(sd, n, p, node)))
+                .filter(|(_, ranges)| !ranges.is_empty())
+                .collect()
+        };
+        let (senders, receivers) = (owned(src), owned(dst));
+        for (s, a) in &senders {
+            for (r, b) in &receivers {
+                let (len, pieces) = overlap(a, b);
+                let bytes = len * pair_bytes;
+                if s == r {
+                    loads[*r].bytes_copied += bytes;
+                } else {
+                    loads[*s].msgs_sent += pieces;
+                    loads[*s].bytes_sent += bytes;
+                    loads[*r].msgs_recv += pieces;
+                    loads[*r].bytes_recv += bytes;
+                }
+            }
+        }
+        return;
     }
 
-    // Source has unique owners. Each receiver r needs its dst region; the
-    // part it already owns under src is a local copy, the rest arrives
-    // from the unique src owners.
+    // Different dimensions (or a replicated destination, which is one
+    // whole "index" per node): sender `s` and receiver `r` overlap in
+    // `len_s * len_r` index pairs and `pieces_s * pieces_r` fragments, so
+    // every load is its node's own extents against the totals.
+    let extents = |dist: &Distribution, dim: Option<usize>| -> Vec<(usize, usize)> {
+        (0..p)
+            .map(|node| dim.map_or((1, 1), |d| dist.owned_extent(d, shape[d], p, node)))
+            .collect()
+    };
+    let (from, to) = (extents(src, Some(sd)), extents(dst, dd));
+    let sum = |e: &[(usize, usize)]| e.iter().fold((0, 0), |t, x| (t.0 + x.0, t.1 + x.1));
+    let ((from_len, from_pieces), (to_len, to_pieces)) = (sum(&from), sum(&to));
+    for (node, load) in loads.iter_mut().enumerate() {
+        let ((s_len, s_pieces), (r_len, r_pieces)) = (from[node], to[node]);
+        load.msgs_sent = s_pieces * (to_pieces - r_pieces);
+        load.bytes_sent = s_len * (to_len - r_len) * pair_bytes;
+        load.msgs_recv = r_pieces * (from_pieces - s_pieces);
+        load.bytes_recv = r_len * (from_len - s_len) * pair_bytes;
+        load.bytes_copied = s_len * r_len * pair_bytes;
+    }
+}
+
+/// The pairwise transfers (`from != to`) behind a flat plan — the detail
+/// [`plan`] folds into per-node loads without materialising it; empty
+/// for the lowerings that are not pairwise (no-op, replicated source,
+/// relayed broadcast). Diagnostic: `O(P²)` range-list intersections.
+pub fn transfers(
+    shape: &[usize],
+    src: &Distribution,
+    dst: &Distribution,
+    p: usize,
+) -> Vec<Transfer> {
+    if Lowering::of(shape, src, dst, p) != Lowering::Flat {
+        return Vec::new();
+    }
     let src_regions: Vec<_> = (0..p).map(|n| src.owned(shape, p, n)).collect();
     let dst_regions: Vec<_> = (0..p).map(|n| dst.owned(shape, p, n)).collect();
-
-    for s in 0..p {
-        for r in 0..p {
-            let vol = src_regions[s].intersection_volume(&dst_regions[r]);
-            if vol == 0 {
-                continue;
-            }
-            let bytes = vol * word_size;
-            if s == r {
-                loads[r].bytes_copied += bytes;
-            } else {
-                // Message startups scale with the contiguous pieces of
-                // the transfer: a BLOCK↔BLOCK overlap is one message,
-                // while interleaved (CYCLIC) ownership shatters the same
-                // bytes into strided pieces, each paying its own `L`.
-                let msgs = src_regions[s].intersection_fragments(&dst_regions[r]);
-                loads[s].msgs_sent += msgs;
-                loads[s].bytes_sent += bytes;
-                loads[r].msgs_recv += msgs;
-                loads[r].bytes_recv += bytes;
-                transfers.push(Transfer {
-                    from: s,
-                    to: r,
-                    elems: vol,
-                });
+    let mut out = Vec::new();
+    for (from, s) in src_regions.iter().enumerate() {
+        for (to, r) in dst_regions.iter().enumerate() {
+            let elems = s.intersection_volume(r);
+            if from != to && elems > 0 {
+                out.push(Transfer { from, to, elems });
             }
         }
     }
-    RedistPlan {
-        loads,
-        transfers,
-        label: "dist->dist",
-    }
+    out
 }
 
 /// Convenience: the three Airshed redistributions for a concentration
 /// array `A(species, layers, nodes)`.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AirshedRedists {
     pub repl_to_trans: RedistPlan,
     pub trans_to_chem: RedistPlan,
@@ -278,9 +371,9 @@ mod tests {
         let src = Distribution::block(3, 1);
         let dst = Distribution::block(3, 2);
         let plan = plan(&SHAPE, &src, &dst, p, W);
+        let transfers = transfers(&SHAPE, &src, &dst, p);
         for r in 0..p {
-            let inbound: usize = plan
-                .transfers
+            let inbound: usize = transfers
                 .iter()
                 .filter(|t| t.to == r)
                 .map(|t| t.elems)
@@ -428,7 +521,7 @@ mod tests {
         let d = Distribution::block(3, 2);
         let p = plan(&SHAPE, &d.clone(), &d, 8, W);
         assert!(p.loads.iter().all(|l| l.is_idle()));
-        assert!(p.transfers.is_empty());
+        assert!(transfers(&SHAPE, &d, &d, 8).is_empty());
     }
 
     #[test]

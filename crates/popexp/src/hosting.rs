@@ -18,7 +18,7 @@
 use crate::exposure::{ExposureResult, PopExpModel};
 use crate::population::PopulationGrid;
 use airshed_core::config::DatasetChoice;
-use airshed_core::driver::{charge_hour, HourPlans};
+use airshed_core::driver::{charge_hour, HourPlans, PlanLayouts};
 use airshed_core::profile::WorkProfile;
 use airshed_hpf::foreign::{coupling_loads, CouplingScenario};
 use airshed_hpf::pipeline::schedule;
@@ -135,7 +135,7 @@ pub fn replay_with_popexp(
     let mut popexp_durs = Vec::new();
     let mut exposures = Vec::new();
 
-    let plans = HourPlans::new(&profile.shape, p_compute);
+    let plans = HourPlans::shared(&profile.shape, p_compute, PlanLayouts::default());
     for (h, hp) in profile.hours.iter().enumerate() {
         let input_comm =
             machine_profile.latency + machine_profile.byte_cost * (3 * hp.input_bytes) as f64;

@@ -21,7 +21,7 @@ use airshed_core::config::SimConfig;
 use airshed_core::{LayoutChoice, PerfModel, WorkProfile};
 use airshed_machine::MachineProfile;
 use std::collections::HashMap;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 /// The controller's verdict on one scenario.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -40,7 +40,9 @@ pub enum AdmissionDecision {
 /// Predicts job cost per scenario family and enforces a budget.
 pub struct AdmissionController {
     budget_seconds: Option<f64>,
-    models: Mutex<HashMap<NumericsKey, PerfModel>>,
+    /// Shared handles, so pricing clones one out and lets the lock go
+    /// before it folds or searches anything.
+    models: Mutex<HashMap<NumericsKey, Arc<PerfModel>>>,
     /// Recalibrated machine profiles from the performance oracle, keyed
     /// by machine name: when the oracle has fitted fresher L/G/H/rate
     /// parameters from observed spans, predictions price with those
@@ -63,20 +65,32 @@ impl AdmissionController {
         self.budget_seconds
     }
 
+    /// Price `config` with its family's model, if the family has been
+    /// calibrated, on the oracle-recalibrated profile of its machine when
+    /// one exists and the nominal datasheet otherwise. The `models` lock
+    /// is released before `price` runs: a layout search on one worker
+    /// stalls neither another worker's pricing nor `calibrate`.
+    fn priced<T>(
+        &self,
+        config: &SimConfig,
+        price: impl FnOnce(&PerfModel, &MachineProfile) -> T,
+    ) -> Option<T> {
+        let family = NumericsKey::of(config).family();
+        let model = Arc::clone(self.models.lock().unwrap().get(&family)?);
+        let machine = self
+            .recalibrated(config.machine.name)
+            .unwrap_or(config.machine);
+        Some(price(&model, &machine))
+    }
+
     /// Predict the virtual run time of `config`, if this family has been
     /// calibrated. Episode length is scaled linearly from the calibrated
     /// run — diurnal variation makes this approximate, which is fine for
     /// an admission estimate.
     pub fn predict_seconds(&self, config: &SimConfig) -> Option<f64> {
-        let family = NumericsKey::of(config).family();
-        let models = self.models.lock().unwrap();
-        let model = models.get(&family)?;
-        // Price with the oracle-recalibrated profile when one exists for
-        // this machine; the nominal datasheet otherwise.
-        let machine = self
-            .recalibrated(config.machine.name)
-            .unwrap_or(config.machine);
-        Some(model.scenario_seconds(&machine, config.p, config.hours))
+        self.priced(config, |model, machine| {
+            model.scenario_seconds(machine, config.p, config.hours)
+        })
     }
 
     /// Run the model-level plan search for `config`'s family: the
@@ -86,20 +100,16 @@ impl AdmissionController {
     /// memoized, so every queued job is automatically re-planned with
     /// whatever the oracle has learned by the time it runs.
     pub fn plan_for(&self, config: &SimConfig) -> Option<LayoutChoice> {
-        let family = NumericsKey::of(config).family();
-        let models = self.models.lock().unwrap();
-        let model = models.get(&family)?;
-        let machine = self
-            .recalibrated(config.machine.name)
-            .unwrap_or(config.machine);
-        Some(model.choose_layout(&machine, config.p))
+        self.priced(config, |model, machine| {
+            model.choose_layout(machine, config.p)
+        })
     }
 
     /// [`AdmissionController::predict_seconds`] repriced with the
     /// optimizer's chosen plan instead of the default.
     pub fn predict_seconds_optimized(&self, config: &SimConfig) -> Option<f64> {
         self.plan_for(config)
-            .map(|choice| choice.hour_cost * config.hours as f64)
+            .map(|choice| choice.scenario_seconds(config.hours))
     }
 
     /// Install an oracle-recalibrated machine profile. Subsequent
@@ -158,10 +168,14 @@ impl AdmissionController {
     /// profile wins; the model is deterministic per family).
     pub fn calibrate(&self, config: &SimConfig, profile: &WorkProfile) {
         let family = NumericsKey::of(config).family();
-        let mut models = self.models.lock().unwrap();
-        models
-            .entry(family)
-            .or_insert_with(|| PerfModel::from_profile(profile));
+        if self.models.lock().unwrap().contains_key(&family) {
+            return;
+        }
+        // Folded outside the lock; if two first runs of a family race,
+        // both fold the same deterministic model and the first insert
+        // stays.
+        let model = Arc::new(PerfModel::from_profile(profile));
+        self.models.lock().unwrap().entry(family).or_insert(model);
     }
 
     /// Number of calibrated scenario families.
@@ -273,6 +287,47 @@ mod tests {
         let mut other = config.clone();
         other.machine = MachineProfile::paragon();
         assert!(ctl.recalibrated(other.machine.name).is_none());
+    }
+
+    #[test]
+    fn another_family_calibrates_while_a_search_runs() {
+        let (ctl, config) = calibrated_controller(None);
+        let mut other = config.clone();
+        other.emission_scale = 0.5;
+        assert_ne!(
+            NumericsKey::of(&other).family(),
+            NumericsKey::of(&config).family()
+        );
+        let (_, profile) = run_with_profile_on(&other, ExecSpec::default());
+        let (searching_tx, searching_rx) = std::sync::mpsc::channel();
+        let (calibrated_tx, calibrated_rx) = std::sync::mpsc::channel();
+        std::thread::scope(|scope| {
+            let (ctl, other, profile) = (&ctl, &other, &profile);
+            scope.spawn(move || {
+                searching_rx.recv().expect("the search starts");
+                ctl.calibrate(other, profile);
+                calibrated_tx
+                    .send(ctl.calibrated_families())
+                    .expect("report");
+            });
+            // The pricing closure is where `plan_for` searches: while it
+            // runs, the other thread must get through `calibrate`.
+            let families = ctl.priced(&config, |model, machine| {
+                searching_tx.send(()).expect("announce");
+                let during = calibrated_rx.recv_timeout(std::time::Duration::from_secs(30));
+                (model.choose_layout(machine, config.p), during)
+            });
+            let (choice, during) = families.expect("calibrated family");
+            assert_eq!(
+                during,
+                Ok(2),
+                "calibrate blocked behind a running layout search"
+            );
+            assert_eq!(
+                Some(choice.scenario_seconds(config.hours)),
+                ctl.predict_seconds_optimized(&config)
+            );
+        });
     }
 
     #[test]

@@ -874,6 +874,16 @@ mod tests {
         assert!(opt.plan_delta_seconds.unwrap() >= 0.0);
         // Optimized plans never change the science.
         assert_eq!(opt.peak_o3(), base.peak_o3());
+        // Priced from the search the worker ran: the value a separate
+        // search on the same model state gives.
+        assert_eq!(
+            opt.predicted_seconds,
+            server
+                .shared
+                .admission
+                .predict_seconds_optimized(&tiny_request(16, 1).config)
+        );
+        assert!(opt.predicted_seconds.is_some());
         server.shutdown();
     }
 

@@ -23,6 +23,7 @@
 //! which [`MetricsSnapshot::reconciles`] checks (a non-drained snapshot
 //! carries the remainder in `in_flight`).
 
+use airshed_core::driver::{HourPlans, PlanMemoStats};
 pub use airshed_core::obs::metrics::{Counter, Gauge, Histogram, HistogramSnapshot};
 use airshed_core::obs::prom::{self, PromWriter};
 use std::fmt;
@@ -89,6 +90,7 @@ impl Metrics {
             profile_coalesced: self.profile_coalesced.get(),
             result_cache_hits: self.result_cache_hits.get(),
             result_cache_misses: self.result_cache_misses.get(),
+            plans: HourPlans::memo_stats(),
             ensemble_members: self.ensemble_members.get(),
             ensemble_input_hours_shared: self.ensemble_input_hours_shared.get(),
             ensemble_saved_bytes: self.ensemble_saved_bytes.get(),
@@ -119,6 +121,11 @@ pub struct MetricsSnapshot {
     pub profile_coalesced: u64,
     pub result_cache_hits: u64,
     pub result_cache_misses: u64,
+    /// The plan memo behind every replay and layout search
+    /// (`HourPlans::shared`). It is the *process's*, not this server's:
+    /// a plan set depends on nothing a server owns, so servers sharing a
+    /// process share the sets and report the same three numbers.
+    pub plans: PlanMemoStats,
     pub ensemble_members: u64,
     pub ensemble_input_hours_shared: u64,
     pub ensemble_saved_bytes: u64,
@@ -229,11 +236,13 @@ impl MetricsSnapshot {
             "Cache hits and misses by cache and outcome.",
             "counter",
         );
-        let caches: [(&str, &str, u64); 4] = [
+        let caches: [(&str, &str, u64); 6] = [
             ("profile", "hit", self.profile_cache_hits),
             ("profile", "miss", self.profile_cache_misses),
             ("result", "hit", self.result_cache_hits),
             ("result", "miss", self.result_cache_misses),
+            ("plan", "hit", self.plans.hits),
+            ("plan", "miss", self.plans.misses),
         ];
         for (cache, outcome, v) in caches {
             w.sample(
@@ -246,6 +255,17 @@ impl MetricsSnapshot {
                 v as f64,
             );
         }
+
+        w.header(
+            "airshed_server_cache_entries",
+            "Entries resident in a cache (the process-wide plan memo).",
+            "gauge",
+        );
+        w.sample(
+            "airshed_server_cache_entries",
+            &prom::label("cache", "plan"),
+            self.plans.entries as f64,
+        );
 
         w.header(
             "airshed_server_profile_coalesced_total",
@@ -358,6 +378,11 @@ impl fmt::Display for MetricsSnapshot {
             self.result_cache_hits,
             self.result_cache_misses
         )?;
+        writeln!(
+            f,
+            "  plan memo (process-wide): {} hits / {} misses, {} plan sets resident",
+            self.plans.hits, self.plans.misses, self.plans.entries
+        )?;
         if self.ensemble_members > 0 || self.surrogate_answers() > 0 {
             writeln!(
                 f,
@@ -427,6 +452,13 @@ mod tests {
         assert!(
             text.contains("airshed_server_cache_events_total{cache=\"result\",outcome=\"hit\"} 1")
         );
+        for row in [
+            "airshed_server_cache_events_total{cache=\"plan\",outcome=\"hit\"} ",
+            "airshed_server_cache_events_total{cache=\"plan\",outcome=\"miss\"} ",
+            "airshed_server_cache_entries{cache=\"plan\"} ",
+        ] {
+            assert!(text.contains(row), "no {row} in {text}");
+        }
         assert!(text.contains("airshed_server_job_seconds_count{stage=\"service\"} 1"));
         assert!(text.contains("airshed_server_job_seconds_bucket{stage=\"service\",le=\"+Inf\"} 1"));
     }

@@ -127,9 +127,10 @@ fn execute(shared: &Shared, job: &QueuedJob, deadline_at: Option<Instant>, obs: 
     let metrics = &shared.metrics;
 
     // Predict the cost before doing any work, while the model state is
-    // what admission saw (None for a first-of-its-family scenario).
+    // what admission saw (None for a first-of-its-family scenario). An
+    // optimized job is priced from the search it just ran, not a second.
     let predicted_before = if request.optimize {
-        shared.admission.predict_seconds_optimized(config)
+        plan.map(|choice| choice.scenario_seconds(config.hours))
     } else {
         shared.admission.predict_seconds(config)
     };

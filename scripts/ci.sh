@@ -2,15 +2,16 @@
 # CI gate: formatting, release build, the whole workspace's test suite
 # (every crate's unit tests and doctests included), the benchmark
 # package's build and tests, a warning-free clippy pass (all targets),
-# the one-arithmetic word check and the tracked line counts, a 2-thread
-# backend smoke run, the large-budget lane proptests of transport and
-# chemistry, the paper-grid smoke runs and the LA thread-count sweep
-# (bit-identical, full stop), an observability smoke run (the trace must
-# be loadable JSON with spans for every phase), the CLI thread-count
-# invariance checks (serial == rayon == simd), a smoke run of all four
-# benchmark workloads, the fabric / ensemble / oracle / optimizer smokes,
-# the flag table's help golden and bad-input refusals, and warning-free
-# rustdoc.
+# the one-arithmetic word check, the tracked line counts and the
+# one-way-to-a-plan-set check, a 2-thread backend smoke run, the
+# large-budget lane proptests of transport and chemistry, the paper-grid
+# smoke runs and the LA thread-count sweep (bit-identical, full stop), an
+# observability smoke run (the trace must be loadable JSON with spans for
+# every phase), a serve-batch smoke (plan-memo rows present, with hits),
+# the CLI thread-count invariance checks (serial == rayon == simd), a
+# smoke run of all four benchmark workloads, the fabric / ensemble /
+# oracle / optimizer smokes, the flag table's help golden and bad-input
+# refusals, and warning-free rustdoc.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -44,6 +45,22 @@ echo "one arithmetic OK"
 
 echo "==> scripts/loc.sh (tracked line counts)"
 bash scripts/loc.sh
+
+echo "==> one way to get a plan set: HourPlans::shared outside driver.rs"
+# A plan set is derived once per process (the memo in core::driver);
+# planning one directly anywhere else in non-test code re-derives it per
+# call. Tests and benchmark/ may (the miss path is their reference).
+direct="$(git ls-files '*.rs' \
+    | grep -v '^vendor/\|^benchmark/\|^crates/core/src/driver\.rs$' | xargs awk '
+    FNR == 1 { in_tests = FILENAME ~ /(^|\/)tests\// }
+    /^[[:space:]]*#\[cfg\(test\)\]/ { in_tests = 1 }
+    !in_tests && /HourPlans::(with_layouts|new)\(/ { print FILENAME ":" FNR ": " $0 }')"
+if [ -n "$direct" ]; then
+    echo "$direct"
+    echo "plan sets FAILED: the lines above plan directly; use HourPlans::shared" >&2
+    exit 1
+fi
+echo "plan sets OK"
 
 echo "==> backend smoke test (rayon, 2 threads)"
 cargo run --release --bin airshed -- run \
@@ -92,6 +109,21 @@ print(f"trace OK: {len(doc['traceEvents'])} events, phases covered")
 PY
 grep -q 'airshed_phase_seconds_count{phase="transport"}' "$trace_dir/metrics.prom"
 echo "metrics OK: phase histogram present"
+
+echo "==> serve-batch smoke (plan sets derived once, then shared)"
+# 32 jobs over a handful of placements: the Prometheus snapshot must
+# carry the plan-memo rows beside result and profile, with hits.
+cargo run --release -q --bin airshed -- serve-batch \
+    --dataset tiny:60 --workers 2 --threads 2 --clients 4 --budget 2e4 \
+    --metrics-out "$trace_dir/serve.prom" | grep "plan memo"
+plan_hits="$(awk '/^airshed_server_cache_events_total\{cache="plan",outcome="hit"\}/ { print $2 }' \
+    "$trace_dir/serve.prom")"
+[ -n "$plan_hits" ] && [ "${plan_hits%.*}" -gt 0 ] || {
+    echo "serve-batch smoke FAILED: plan hit counter missing or zero ($plan_hits)" >&2
+    exit 1
+}
+grep -q 'airshed_server_cache_entries{cache="plan"}' "$trace_dir/serve.prom"
+echo "serve-batch OK: $plan_hits plan-memo hits"
 
 echo "==> thread-count invariance at the CLI (serial == rayon 3 == rayon 8 == simd 3)"
 # One transport kernel, one chemistry kernel and one arithmetic, no

@@ -178,6 +178,7 @@ fn fabric_shard_loss_fails_over_on_missed_heartbeats_deterministically() {
             running: 2,
             queued: 0,
             sent_us: 0,
+            plans: Default::default(),
         },
         900,
     );
@@ -337,6 +338,7 @@ fn fabric_failover_resumes_from_progress_checkpoints() {
             running: 0,
             queued: 0,
             sent_us: 0,
+            plans: Default::default(),
         },
         1400,
     );
