@@ -14,6 +14,7 @@ use crate::checkpoint::Checkpoint;
 use crate::config::SimConfig;
 use crate::obs::{Obs, Track};
 use crate::phases::PhaseEngine;
+use crate::plan::PhaseGraph;
 use crate::profile::{HourProfile, StepProfile, WorkProfile};
 use crate::report::{CopyBytes, RunReport};
 use crate::state::SimState;
@@ -239,7 +240,7 @@ pub fn copy_bytes_for_hour(plans: &HourPlans, steps: usize, surface_len: usize) 
 /// virtual times are bit-identical to charging the phases by hand (the
 /// `plan_equivalence` golden test pins this).
 pub fn charge_hour(machine: &mut Machine, hp: &HourProfile, plans: &HourPlans) {
-    crate::plan::PhaseGraph::for_hour(hp, plans, machine.p()).execute(machine);
+    PhaseGraph::for_hour(hp, plans, machine.p()).execute(machine);
 }
 
 /// [`charge_hour`] for every captured hour in turn; returns the copy
@@ -409,7 +410,7 @@ impl Episode {
         let hour = self.checkpoint.next_hour;
         let tag = hour as u32;
         self.engine.set_obs_hour(tag);
-        {
+        let graph = {
             let _hour_span = obs.span_hour("hour", tag);
             let own;
             let stage = match shared {
@@ -467,14 +468,19 @@ impl Episode {
                 steps,
                 surface,
             };
-            {
+            // What [`charge_hour`] does, keeping the graph: the oracle
+            // pairs it below with the events it charged.
+            let graph = {
                 let _s = obs.span_hour("charge_hour", tag);
-                charge_hour(&mut self.machine, &hp, &self.plans);
-            }
+                let graph = PhaseGraph::for_hour(&hp, &self.plans, self.machine.p());
+                graph.execute(&mut self.machine);
+                graph
+            };
             self.profile.hours.push(hp);
             self.profile.summaries.push(summary);
             self.checkpoint.next_hour += 1;
-        }
+            graph
+        };
         let hp = self.profile.hours.last().expect("just pushed");
         // Copy-traffic accounting: redistribution local copies and the
         // surface snapshot from the plans, SoA staging as measured by
@@ -499,13 +505,12 @@ impl Episode {
                 obs.record_virtual(e.label, Track::Virtual(e.label), e.start, e.end, Some(tag));
             }
             // Oracle hook: pair this hour's charged events with the
-            // plan graph that produced them (the same graph
-            // `charge_hour` just executed) and sample the per-phase
+            // plan graph that produced them and sample the per-phase
             // residuals onto the counter track.
             if let Some(oracle) = obs.oracle() {
-                let graph = crate::plan::PhaseGraph::for_hour(hp, &self.plans, self.machine.p());
-                let hour_report = oracle.observe_hour(&graph, new_events, tag);
-                hour_report.record_counters(&obs, tag);
+                oracle
+                    .observe_hour(&graph, new_events)
+                    .record_counters(&obs, tag);
             }
             self.trace_mark = events.len();
             obs.flush();

@@ -273,10 +273,10 @@ impl Obs {
     }
 
     /// Attach a performance oracle: the driver feeds it every executed
-    /// plan node paired with its measured span, the oracle accumulates
-    /// residuals and recalibrates machine parameters (see
-    /// [`oracle::Oracle`]). A no-op on a disabled handle's spans — the
-    /// oracle only ever observes when spans are being recorded.
+    /// plan node paired with its measured span and the oracle
+    /// accumulates residuals (see [`oracle::Oracle`]). A no-op on a
+    /// disabled handle's spans — the oracle only ever observes when
+    /// spans are being recorded.
     pub fn with_oracle(mut self, oracle: Arc<oracle::Oracle>) -> Obs {
         self.oracle = Some(oracle);
         self

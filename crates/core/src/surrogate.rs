@@ -48,7 +48,6 @@ use crate::backend::ExecSpec;
 use crate::config::SimConfig;
 use crate::driver::Episode;
 use crate::ensemble::EnsembleResult;
-use crate::obs::oracle::solve_dense;
 use crate::obs::Obs;
 use crate::report::RunReport;
 use std::fmt;
@@ -399,6 +398,37 @@ pub fn what_if(
     }
 }
 
+/// Solve `m y = r` (small k) by Gaussian elimination with partial
+/// pivoting. Returns `None` on a (numerically) singular system.
+fn solve_dense(mut m: Vec<Vec<f64>>, mut r: Vec<f64>) -> Option<Vec<f64>> {
+    let k = r.len();
+    for col in 0..k {
+        let pivot = (col..k).max_by(|&a, &b| m[a][col].abs().total_cmp(&m[b][col].abs()))?;
+        if m[pivot][col].abs() < 1e-12 {
+            return None;
+        }
+        m.swap(col, pivot);
+        r.swap(col, pivot);
+        let pivot_row = m[col].clone();
+        for row in col + 1..k {
+            let f = m[row][col] / pivot_row[col];
+            for (v, p) in m[row][col..].iter_mut().zip(&pivot_row[col..]) {
+                *v -= f * p;
+            }
+            r[row] -= f * r[col];
+        }
+    }
+    let mut y = vec![0.0; k];
+    for col in (0..k).rev() {
+        let mut v = r[col];
+        for j in col + 1..k {
+            v -= m[col][j] * y[j];
+        }
+        y[col] = v / m[col][col];
+    }
+    Some(y)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -536,5 +566,14 @@ mod tests {
             }
             other => panic!("expected exact fallback, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn solver_handles_singular_and_regular_systems() {
+        // Regular 2×2.
+        let y = solve_dense(vec![vec![2.0, 0.0], vec![0.0, 4.0]], vec![2.0, 8.0]).unwrap();
+        assert!((y[0] - 1.0).abs() < 1e-12 && (y[1] - 2.0).abs() < 1e-12);
+        // Singular.
+        assert!(solve_dense(vec![vec![1.0, 1.0], vec![1.0, 1.0]], vec![1.0, 2.0]).is_none());
     }
 }

@@ -1,4 +1,4 @@
-//! Multi-process scenario fabric: sharded serving with oracle-routed
+//! Multi-process scenario fabric: sharded serving with model-routed
 //! load balancing.
 //!
 //! The paper's airshed model ran on one fixed-size MPP. This crate is
@@ -9,12 +9,11 @@
 //! dependencies, every `f64` crosses the wire as its exact bit pattern,
 //! so a fabric run's reports are bit-identical to a single-process run.
 //!
-//! The interesting part is *where* jobs go. PR 5's oracle keeps a live,
-//! per-machine recalibration of the §4 performance model; each shard
-//! streams its recalibrated [`MachineProfile`](airshed_machine::MachineProfile)
-//! and freshly calibrated [`PerfModel`](airshed_core::PerfModel)s back
-//! to the front-end, which prices every incoming job on every shard and
-//! routes to the earliest predicted completion ([`router`]). Idle
+//! The interesting part is *where* jobs go. Each shard streams the
+//! [`PerfModel`](airshed_core::PerfModel) a fresh numerics run
+//! calibrated back to the front-end, which prices every incoming job
+//! with its family's model on the job's own machine and routes to the
+//! earliest predicted completion ([`router`]). Idle
 //! shards steal queued work from loaded ones, and a shard that stops
 //! heartbeating has its jobs re-routed — resuming from the hour
 //! checkpoints its `Progress` reports carried, not from scratch.

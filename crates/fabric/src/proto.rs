@@ -23,9 +23,13 @@ use airshed_core::state::HourSummary;
 use airshed_core::{PerfModel, RunReport, WorkProfile};
 use airshed_machine::MachineProfile;
 use airshed_server::ResumePoint;
+use std::collections::BTreeSet;
 use std::fmt::Write as _;
+use std::sync::{Mutex, PoisonError};
 
-/// Frame tag bytes, one per [`Msg`] variant.
+/// Frame tag bytes, one per [`Msg`] variant. Tag 8 carried a message
+/// that no longer exists; it is retired, never reused, so an old peer's
+/// frame decodes to [`WireError::UnknownTag`].
 pub mod tags {
     pub const HELLO: u8 = 1;
     pub const HEARTBEAT: u8 = 2;
@@ -34,7 +38,6 @@ pub mod tags {
     pub const COMPLETED: u8 = 5;
     pub const FAILED: u8 = 6;
     pub const CALIBRATED: u8 = 7;
-    pub const RECALIBRATED: u8 = 8;
     pub const SHUTDOWN: u8 = 9;
 }
 
@@ -105,9 +108,6 @@ pub enum Msg {
     /// Shard -> front-end: a fresh numerics run calibrated this job's
     /// scenario family; here is its §4 performance model.
     Calibrated { job: u64, model: PerfModel },
-    /// Shard -> front-end: the shard's oracle re-fitted its machine
-    /// parameters from observed spans.
-    Recalibrated { machine: MachineProfile },
     /// Front-end -> shard: drain and exit.
     Shutdown,
 }
@@ -123,7 +123,6 @@ impl Msg {
             Msg::Completed { .. } => tags::COMPLETED,
             Msg::Failed { .. } => tags::FAILED,
             Msg::Calibrated { .. } => tags::CALIBRATED,
-            Msg::Recalibrated { .. } => tags::RECALIBRATED,
             Msg::Shutdown => tags::SHUTDOWN,
         }
     }
@@ -195,9 +194,6 @@ impl Msg {
                 e.u64(*job);
                 enc_model(&mut e, model);
             }
-            Msg::Recalibrated { machine } => {
-                enc_machine(&mut e, machine);
-            }
             Msg::Shutdown => {}
         }
         e.finish()
@@ -250,9 +246,6 @@ impl Msg {
                 job: d.u64()?,
                 model: dec_model(&mut d)?,
             },
-            tags::RECALIBRATED => Msg::Recalibrated {
-                machine: dec_machine(&mut d)?,
-            },
             tags::SHUTDOWN => Msg::Shutdown,
             other => return Err(WireError::UnknownTag(other)),
         };
@@ -276,17 +269,46 @@ pub fn recv(r: &mut impl std::io::Read) -> Result<Msg, WireError> {
 // Domain codecs
 // ---------------------------------------------------------------------------
 
-/// Intern a decoded dataset name into the `&'static str` the profile
-/// structs carry. The three real datasets are constants; anything else
-/// (test fixtures) leaks — bounded by the number of distinct names.
-fn intern(name: String) -> &'static str {
-    match name.as_str() {
-        "LA" => "LA",
-        "NE" => "NE",
-        "TINY" => "TINY",
-        "TEST" => "TEST",
-        _ => Box::leak(name.into_boxed_str()),
+/// Names the codebase itself gives datasets and machines: decoding one
+/// allocates nothing.
+const CANONICAL_NAMES: [&str; 7] = [
+    "LA",
+    "NE",
+    "TINY",
+    "TEST",
+    "Cray T3E",
+    "Cray T3D",
+    "Intel Paragon",
+];
+/// Most distinct non-canonical names one process will intern, and the
+/// longest: together they bound what socket bytes can make it keep.
+const MAX_INTERNED_NAMES: usize = 64;
+const MAX_INTERNED_NAME_LEN: usize = 64;
+
+/// Intern a decoded dataset or machine name into the `&'static str` the
+/// profile structs carry. A name outside [`CANONICAL_NAMES`] (a test
+/// fixture, a custom machine) is leaked once and found again on every
+/// later decode; past the caps a new name is a decode error.
+fn intern(name: &str) -> Result<&'static str, WireError> {
+    static INTERNED: Mutex<BTreeSet<&'static str>> = Mutex::new(BTreeSet::new());
+    if let Some(canonical) = CANONICAL_NAMES.iter().find(|c| **c == name) {
+        return Ok(canonical);
     }
+    if name.len() > MAX_INTERNED_NAME_LEN {
+        return Err(WireError::Malformed("name too long"));
+    }
+    // An insert leaves the set valid at every step, so a poisoned lock
+    // still guards a usable set.
+    let mut interned = INTERNED.lock().unwrap_or_else(PoisonError::into_inner);
+    if let Some(known) = interned.get(name) {
+        return Ok(known);
+    }
+    if interned.len() >= MAX_INTERNED_NAMES {
+        return Err(WireError::Malformed("too many distinct names"));
+    }
+    let leaked: &'static str = Box::leak(name.into());
+    interned.insert(leaked);
+    Ok(leaked)
 }
 
 /// Trace context rides as three fixed u64s — no option prefix, so an
@@ -385,18 +407,8 @@ fn enc_machine(e: &mut Enc, m: &MachineProfile) {
 }
 
 fn dec_machine(d: &mut Dec) -> Result<MachineProfile, WireError> {
-    let name = d.str()?;
-    // Reuse the canonical profile names so decode does not leak for the
-    // paper machines; the numeric parameters still come off the wire
-    // (they may be oracle-recalibrated, not nominal).
-    let name: &'static str = match name.as_str() {
-        "Cray T3E" => "Cray T3E",
-        "Cray T3D" => "Cray T3D",
-        "Intel Paragon" => "Intel Paragon",
-        _ => intern(name),
-    };
     Ok(MachineProfile {
-        name,
+        name: intern(&d.str()?)?,
         rate: d.f64()?,
         latency: d.f64()?,
         byte_cost: d.f64()?,
@@ -503,7 +515,7 @@ pub fn enc_profile(e: &mut Enc, p: &WorkProfile) {
 /// bytes actually present before anything is reserved for it, so a
 /// truncated or corrupt input is an `Err`, never a huge allocation.
 pub fn dec_profile(d: &mut Dec) -> Result<WorkProfile, WireError> {
-    let dataset = intern(d.str()?);
+    let dataset = intern(&d.str()?)?;
     let shape = [d.usize()?, d.usize()?, d.usize()?];
     let n_hours = d.len_prefix(8)?;
     let mut hours = Vec::with_capacity(n_hours);
@@ -820,6 +832,8 @@ mod tests {
         c
     }
 
+    /// Tags 1, 2, 3, 6 and 9 here; 4, 5 and 7 carry run artifacts and
+    /// round-trip in `full_run_artifacts_round_trip_bit_exactly`.
     #[test]
     fn control_messages_round_trip() {
         for msg in [
@@ -838,6 +852,15 @@ mod tests {
                     misses: 2,
                     entries: 2,
                 },
+            },
+            Msg::Assign {
+                job: 5,
+                ctx: TraceContext::for_job(5),
+                work: Box::new(ScenarioJob {
+                    config: sample_config(),
+                    layout: ChemLayout::BlockCyclic(4),
+                    resume: None,
+                }),
             },
             Msg::Failed {
                 job: 9,
@@ -977,19 +1000,59 @@ mod tests {
     }
 
     #[test]
-    fn recalibrated_machine_keeps_fitted_parameters() {
-        let drifted = MachineProfile {
-            rate: 197.3e6,
-            latency: 6.1e-5,
-            ..MachineProfile::t3e()
+    fn custom_names_are_interned_once_and_capped_with_a_typed_error() {
+        let assign_on = |name: &'static str| {
+            let mut config = sample_config();
+            config.machine.name = name;
+            Msg::Assign {
+                job: 1,
+                ctx: TraceContext::for_job(1),
+                work: Box::new(ScenarioJob {
+                    config,
+                    layout: ChemLayout::Block,
+                    resume: None,
+                }),
+            }
         };
-        let msg = Msg::Recalibrated { machine: drifted };
-        let Msg::Recalibrated { machine } = Msg::decode(msg.tag(), &msg.encode()).unwrap() else {
-            panic!("wrong variant");
+        let decoded_name = |msg: &Msg| -> Result<&'static str, WireError> {
+            match Msg::decode(msg.tag(), &msg.encode())? {
+                Msg::Assign { work, .. } => Ok(work.config.machine.name),
+                other => panic!("wrong variant {other:?}"),
+            }
         };
-        assert_eq!(machine.name, "Cray T3E");
-        assert_eq!(machine.rate.to_bits(), drifted.rate.to_bits());
-        assert_eq!(machine.latency.to_bits(), drifted.latency.to_bits());
+        // The same custom-named frame, 10 000 times: one leaked string.
+        let custom = assign_on("Beowulf under the desk");
+        let first = decoded_name(&custom).unwrap();
+        assert_eq!(first, "Beowulf under the desk");
+        for _ in 0..10_000 {
+            let again = decoded_name(&custom).unwrap();
+            assert!(std::ptr::eq(first, again), "decode leaked a second copy");
+        }
+        // A canonical name is the constant, whatever the set holds.
+        assert!(std::ptr::eq(
+            decoded_name(&assign_on("Cray T3E")).unwrap(),
+            intern("Cray T3E").unwrap()
+        ));
+        // Too long: refused before it is kept.
+        let long = assign_on(
+            "a machine whose name goes on for rather longer than any name has a reason to",
+        );
+        assert!(matches!(
+            decoded_name(&long),
+            Err(WireError::Malformed("name too long"))
+        ));
+        // Fill the set: the name past the cap is a typed error, and the
+        // names already seen still decode to their one copy.
+        let refused = (0..=MAX_INTERNED_NAMES)
+            .map(|i| intern(&format!("cap fixture {i}")))
+            .filter(Result::is_err)
+            .count();
+        assert!(refused >= 1, "the cap never tripped");
+        assert!(matches!(
+            decoded_name(&assign_on("one name too many")),
+            Err(WireError::Malformed("too many distinct names"))
+        ));
+        assert!(std::ptr::eq(first, decoded_name(&custom).unwrap()));
     }
 
     #[test]
@@ -1029,11 +1092,14 @@ mod tests {
             sent_us: 0,
         };
         let mut payload = msg.encode();
-        // Unknown tag.
-        assert!(matches!(
-            Msg::decode(200, &payload),
-            Err(WireError::UnknownTag(200))
-        ));
+        // Unknown tag — 8 among them: retired with the message it
+        // carried, so an old peer's frame is a typed error.
+        for tag in [0, 8, 10, 200] {
+            assert!(matches!(
+                Msg::decode(tag, &payload),
+                Err(WireError::UnknownTag(t)) if t == tag
+            ));
+        }
         // Trailing garbage.
         payload.push(0);
         assert!(Msg::decode(tags::HELLO, &payload).is_err());

@@ -9,11 +9,12 @@
 //! clock (see `tests/robustness.rs`), while the socket shuffling in
 //! [`crate::frontend`] stays dumb.
 //!
-//! **Routing** prices a job on every live shard with the §4
+//! **Routing** prices a job with the §4
 //! [`PerfModel`] of the job's scenario *family* (the
 //! [`NumericsKey::family`] the server's admission controller also uses)
-//! evaluated against that shard's latest oracle-recalibrated
-//! [`MachineProfile`], scaled to the hours the job still has to run.
+//! on the job's own `config.machine`, scaled to the hours the job still
+//! has to run — a function of the job and its family model alone, so
+//! the price is the same on every shard and in every run.
 //! The job goes to the shard with the earliest predicted completion:
 //! `argmin(predicted backlog + this job's predicted cost)`. Families
 //! with no calibrated model yet are priced at the mean cost of the
@@ -57,7 +58,6 @@ use airshed_core::obs::metrics::Histogram;
 use airshed_core::obs::prom::{label, PromWriter};
 use airshed_core::report::{CopyBytes, LatencyAnatomy};
 use airshed_core::{PerfModel, RunReport};
-use airshed_machine::MachineProfile;
 use airshed_server::cache::NumericsKey;
 use airshed_server::ResumePoint;
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -100,8 +100,6 @@ struct Shard {
     window: usize,
     alive: bool,
     last_seen_ms: u64,
-    /// Oracle-recalibrated machine parameters, by machine name.
-    machines: HashMap<&'static str, MachineProfile>,
     inflight: Vec<u64>,
     backlog: VecDeque<u64>,
     /// Numerics keys placed here (queued, in flight or completed);
@@ -208,7 +206,6 @@ impl Router {
             window: workers.max(1),
             alive: true,
             last_seen_ms: now_ms,
-            machines: HashMap::new(),
             inflight: Vec::new(),
             backlog: VecDeque::new(),
             keys: HashMap::new(),
@@ -304,9 +301,6 @@ impl Router {
                     // only if reordered — same stream, so in practice
                     // Calibrated lands first); ignore.
                 }
-            }
-            Msg::Recalibrated { machine } => {
-                self.shards[shard].machines.insert(machine.name, machine);
             }
             Msg::Assign { .. } | Msg::Shutdown => {} // not shard -> front-end
         }
@@ -442,7 +436,7 @@ impl Router {
             {
                 let id = self.shards[s].backlog.pop_front().unwrap();
                 self.shards[s].inflight.push(id);
-                let predicted = self.job_cost(s, id);
+                let predicted = self.job_cost(id);
                 let now_ms = self.now_ms;
                 let job = self.jobs.get_mut(&id).unwrap();
                 job.predicted = predicted;
@@ -552,15 +546,12 @@ impl Router {
     /// nothing for it (the job replays there) and wins ties.
     fn route(&mut self, id: u64) -> Option<usize> {
         let key = self.jobs.get(&id)?.key.clone();
+        let cost = self.job_cost(id).unwrap_or_else(|| self.mean_cost());
         let best = (0..self.shards.len())
             .filter(|&s| self.shards[s].alive)
             .map(|s| {
                 let elsewhere = !self.shards[s].keys.contains_key(&key);
-                let placement = if elsewhere {
-                    self.job_cost(s, id).unwrap_or_else(|| self.mean_cost())
-                } else {
-                    0.0
-                };
+                let placement = if elsewhere { cost } else { 0.0 };
                 (self.shard_load(s) + placement, elsewhere, s)
             })
             // Earliest finish wins; ties go to the shard holding the
@@ -578,22 +569,17 @@ impl Router {
         Some(best)
     }
 
-    /// Predicted remaining virtual seconds of `job` on `shard`: the
-    /// family model's *optimized* hour cost — the cheapest per-phase
-    /// layout the planner could run this family with, priced on the
-    /// shard's recalibrated machine — scaled to the hours not yet
-    /// checkpointed. Placement-only: the shard still executes the job's
-    /// requested layout, so results are bit-identical wherever the job
-    /// lands. Public so tests can assert the cost function directly.
-    pub fn job_cost(&self, shard: usize, job: u64) -> Option<f64> {
+    /// Predicted remaining virtual seconds of `job`: the family model's
+    /// *optimized* hour cost — the cheapest per-phase layout the planner
+    /// could run this family with, priced on the job's `config.machine`
+    /// — scaled to the hours not yet checkpointed. Placement-only: the
+    /// shard still executes the job's requested layout, so results are
+    /// bit-identical wherever the job lands. Public so tests can assert
+    /// the cost function directly.
+    pub fn job_cost(&self, job: u64) -> Option<f64> {
         let j = self.jobs.get(&job)?;
         let model = self.models.get(&j.key.family())?;
-        let machine = self.shards[shard]
-            .machines
-            .get(j.config.machine.name)
-            .copied()
-            .unwrap_or(j.config.machine);
-        let per_hour = model.choose_layout(&machine, j.config.p).hour_cost;
+        let per_hour = model.choose_layout(&j.config.machine, j.config.p).hour_cost;
         let done = j.resume.as_ref().map_or(0, |r| r.partial.hours.len());
         let remaining = j.config.hours.saturating_sub(done);
         Some(per_hour * remaining as f64)
@@ -628,7 +614,7 @@ impl Router {
             }
             if inflight || i >= s.inflight.len() {
                 total += self
-                    .job_cost(shard, id)
+                    .job_cost(id)
                     .unwrap_or_else(|| *mean.get_or_insert_with(|| self.mean_cost()));
             }
         }
@@ -640,8 +626,8 @@ impl Router {
     fn mean_cost(&self) -> f64 {
         let (mut sum, mut n) = (0.0, 0u64);
         for (&id, j) in &self.jobs {
-            if let Some(s) = j.shard {
-                if let Some(c) = self.job_cost(s, id) {
+            if j.shard.is_some() {
+                if let Some(c) = self.job_cost(id) {
                     sum += c;
                     n += 1;
                 }
@@ -876,6 +862,7 @@ mod tests {
     use super::*;
     use airshed_core::plan::replay_profile;
     use airshed_core::testsupport::tiny_profile;
+    use airshed_machine::MachineProfile;
 
     fn family_config(p: usize, hours: usize) -> SimConfig {
         let mut c = SimConfig::test_tiny(p, hours);
@@ -940,87 +927,69 @@ mod tests {
         r.on_msg(shard, msg, now_ms);
     }
 
-    fn calibrated_router(slow_factor: f64) -> Router {
-        // Two shards on the "same" machine type, but shard 1's oracle
-        // reports its nodes run `slow_factor`x slower than nominal.
+    /// Two identical shards and the tiny family's model.
+    fn calibrated_router() -> Router {
         let mut r = Router::new(RouterConfig::default());
-        r.add_shard("fast", 8, 0);
-        r.add_shard("slow", 8, 0);
+        r.add_shard("a", 8, 0);
+        r.add_shard("b", 8, 0);
         r.calibrate(
             &family_config(4, 1),
             PerfModel::from_profile(tiny_profile()),
         );
-        let nominal = MachineProfile::t3e();
-        let degraded = MachineProfile {
-            rate: nominal.rate / slow_factor,
-            ..nominal
-        };
-        r.on_msg(1, Msg::Recalibrated { machine: degraded }, 0);
         r
-    }
-
-    /// Total makespan of an assignment under the router's own cost
-    /// model: max over shards of the predicted costs of their jobs.
-    fn makespan(r: &Router, assignment: &[(u64, usize)]) -> f64 {
-        let mut per_shard = [0.0f64; 2];
-        for &(job, shard) in assignment {
-            per_shard[shard] += r.job_cost(shard, job).unwrap();
-        }
-        per_shard.iter().cloned().fold(0.0, f64::max)
     }
 
     #[test]
     fn greedy_by_prediction_beats_round_robin_on_makespan() {
-        // Satellite: planted shard profiles (one 8x slower) where
-        // earliest-predicted-completion routing provably beats blind
-        // round-robin on total makespan.
-        let mut r = calibrated_router(8.0);
-        let jobs: Vec<u64> = (0..8).map(|i| submit_calibrated(&mut r, i, 4, 2)).collect();
-
-        // The cost function itself sees the recalibration: the same job
-        // is ~8x more expensive on the degraded shard.
-        let ratio = r.job_cost(1, jobs[0]).unwrap() / r.job_cost(0, jobs[0]).unwrap();
-        assert!(
-            ratio > 6.0,
-            "recalibrated shard should price much higher, got {ratio}"
-        );
-
-        let greedy: Vec<(u64, usize)> = jobs
-            .iter()
-            .map(|&id| (id, r.job_shard(id).expect("routed")))
-            .collect();
-        let round_robin: Vec<(u64, usize)> = jobs
+        // Identical shards, planted job costs: two six-hour episodes
+        // among one-hour ones, placed so that blind round-robin stacks
+        // both long ones on shard 0.
+        let mut r = calibrated_router();
+        let hours = [6, 1, 6, 1, 1, 1, 1, 1];
+        let jobs: Vec<u64> = hours
             .iter()
             .enumerate()
-            .map(|(i, &id)| (id, i % 2))
+            .map(|(i, &h)| submit_calibrated(&mut r, i, 4, h))
             .collect();
-        let g = makespan(&r, &greedy);
-        let rr = makespan(&r, &round_robin);
-        assert!(
-            g < rr / 2.0,
-            "greedy makespan {g} should beat round-robin {rr} decisively"
-        );
-        // With a ~8x-slower peer (compute scales, comm terms do not),
-        // the fast shard takes the heavy majority: the slow shard only
-        // gets a job once the fast shard's queue exceeds its unit cost.
-        assert!(
-            r.counters(0).routed >= 7,
-            "fast shard should take almost everything: {:?} vs {:?}",
-            r.counters(0),
-            r.counters(1)
-        );
+
+        // The cost function sees the hours, and nothing of the shard:
+        // every job is the one-hour price times its hours, so makespans
+        // compare exactly in hours.
+        let hour = r.job_cost(jobs[1]).unwrap();
+        for (&id, &h) in jobs.iter().zip(&hours) {
+            assert_eq!(r.job_cost(id), Some(hour * h as f64));
+        }
+        let makespan = |shard_of: &dyn Fn(usize) -> usize| {
+            let mut per_shard = [0usize; 2];
+            for (i, &h) in hours.iter().enumerate() {
+                per_shard[shard_of(i)] += h;
+            }
+            per_shard[0].max(per_shard[1])
+        };
+        // 18 hours of work: earliest-predicted-completion reaches the
+        // 9 / 9 optimum, round-robin ends 14 / 4.
+        assert_eq!(makespan(&|i| r.job_shard(jobs[i]).expect("routed")), 9);
+        assert_eq!(makespan(&|i| i % 2), 14);
+        // The long episodes went to different shards.
+        assert_ne!(r.job_shard(jobs[0]), r.job_shard(jobs[2]));
     }
 
     #[test]
-    fn mildly_slower_shard_still_shares_load() {
-        let mut r = calibrated_router(1.5);
-        for i in 0..10 {
-            submit_calibrated(&mut r, i, 4, 2);
-        }
+    fn mixed_job_costs_still_share_load() {
+        let mut r = calibrated_router();
+        let ids: Vec<u64> = (0..10)
+            .map(|i| submit_calibrated(&mut r, i, 4, 2 + i % 2))
+            .collect();
         let (a, b) = (r.counters(0).routed, r.counters(1).routed);
         assert_eq!(a + b, 10);
-        assert!(a > b, "fast shard should take more ({a} vs {b})");
-        assert!(b >= 2, "slow shard must still contribute ({a} vs {b})");
+        assert!(a >= 4 && b >= 4, "both shards must contribute ({a} vs {b})");
+        // List scheduling: the predicted loads end within one job.
+        let dearest = ids
+            .iter()
+            .map(|&id| r.job_cost(id).unwrap())
+            .fold(0.0, f64::max);
+        let gap = (r.shard_load(0) - r.shard_load(1)).abs();
+        assert!(gap <= dearest, "loads {gap} apart, dearest job {dearest}");
     }
 
     #[test]
@@ -1075,7 +1044,7 @@ mod tests {
 
     #[test]
     fn completion_sets_predicted_seconds_and_prometheus_renders() {
-        let mut r = calibrated_router(2.0);
+        let mut r = calibrated_router();
         let id = r.submit(0, family_config(4, 1), ChemLayout::Block);
         let assigns = r.poll(0);
         assert_eq!(assigns.len(), 1);
@@ -1139,9 +1108,9 @@ mod tests {
             text.contains(r#"airshed_fabric_cache_events_total{cache="plan",outcome="miss"} 6"#)
         );
         assert!(text.contains(r#"airshed_fabric_cache_entries{cache="plan"} 6"#));
-        assert!(text.contains(r#"airshed_fabric_jobs_total{shard="fast",event="routed"} 1"#));
-        assert!(text.contains(r#"airshed_fabric_jobs_total{shard="fast",event="completed"} 1"#));
-        assert!(text.contains(r#"airshed_fabric_shard_up{shard="slow"} 1"#));
+        assert!(text.contains(r#"airshed_fabric_jobs_total{shard="a",event="routed"} 1"#));
+        assert!(text.contains(r#"airshed_fabric_jobs_total{shard="a",event="completed"} 1"#));
+        assert!(text.contains(r#"airshed_fabric_shard_up{shard="b"} 1"#));
         assert!(
             text.contains(r#"airshed_fabric_completion_virtual_seconds_count{kind="predicted"} 1"#)
         );
@@ -1302,15 +1271,15 @@ mod tests {
 
     #[test]
     fn a_profile_hit_keeps_the_price_stamped_at_dispatch() {
-        let mut r = calibrated_router(2.0);
+        let mut r = calibrated_router();
         let leader = submit_calibrated(&mut r, 0, 4, 2);
         // (A dearer placement, so waiting behind the leader still beats
-        // running the key again on the slower shard.)
+        // running the key again on the other shard.)
         let sibling = submit_calibrated(&mut r, 0, 2, 2);
         assert_eq!(r.job_shard(sibling), r.job_shard(leader));
         let shard = r.job_shard(leader).unwrap();
         assert_eq!(r.poll(0).len(), 2, "both fit the window");
-        let price = r.job_cost(shard, sibling).expect("calibrated family");
+        let price = r.job_cost(sibling).expect("calibrated family");
         assert!(price > 0.0);
 
         progress(&mut r, shard, leader, 10);

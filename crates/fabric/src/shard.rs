@@ -13,11 +13,14 @@
 //!   computed once per shard. The first job of a key runs it hour by
 //!   hour through the server's checkpoint machinery ([`run_hourly`]),
 //!   streaming a `Progress` resume point after every completed hour,
-//!   then `Calibrated` (the §4 model fitted from the fresh profile) and
-//!   `Recalibrated` (the oracle's fitted machine parameters). Every job
-//!   — that one, its siblings that waited for it, and later jobs of the
-//!   key on any placement — then replays the profile and sends the
-//!   `Completed` report; for all but the first that is the only frame.
+//!   then `Calibrated` (the §4 model fitted from the fresh profile).
+//!   Every job — that one, its siblings that waited for it, and later
+//!   jobs of the key on any placement — then replays the profile and
+//!   sends the `Completed` report; for all but the first that is the
+//!   only frame.
+//!
+//! Jobs run on the caller's [`Obs`], one lane per worker: an untraced
+//! shard runs its numerics on a disabled handle.
 //!
 //! All writes share one mutex-guarded [`FaultyWriter`], so frames from
 //! concurrent workers never interleave — and a [`FaultPlan`] can
@@ -33,12 +36,10 @@ use crate::proto::{self, Msg, ScenarioJob};
 use crate::wire::{FaultPlan, FaultyWriter, WireError};
 use airshed_core::driver::HourPlans;
 use airshed_core::obs::dist::TraceContext;
-use airshed_core::obs::oracle::Oracle;
-use airshed_core::obs::SpanSink;
 use airshed_core::plan::replay_profile;
 use airshed_core::{ExecSpec, Obs, PerfModel};
 use airshed_server::cache::{NumericsKey, ProfileStore, CACHE_SHARDS, PROFILE_CACHE_CAPACITY};
-use airshed_server::worker::run_hourly;
+use airshed_server::worker::{panic_message, run_hourly};
 use airshed_server::JobError;
 use std::collections::VecDeque;
 use std::net::{Shutdown, TcpStream};
@@ -196,15 +197,8 @@ pub fn run_shard(opts: ShardOptions, obs: &Obs) -> Result<(), String> {
         .map(|w| {
             let inner = Arc::clone(&inner);
             let opts = opts.clone();
-            let base = if obs.enabled() {
-                obs.with_lane(w as u32)
-            } else {
-                // The oracle only sees spans on an enabled handle; give
-                // each worker a private sink so recalibration works
-                // even when the caller runs without observability.
-                Obs::new(Arc::new(SpanSink::new())).with_lane(w as u32)
-            };
-            std::thread::spawn(move || worker_loop(&inner, &opts, &base, traced))
+            let base = obs.with_lane(w as u32);
+            std::thread::spawn(move || worker_loop(&inner, &opts, &base))
         })
         .collect();
 
@@ -236,10 +230,10 @@ pub fn run_shard(opts: ShardOptions, obs: &Obs) -> Result<(), String> {
     Ok(())
 }
 
-fn worker_loop(inner: &Arc<Inner>, opts: &ShardOptions, base: &Obs, traced: bool) {
-    // Wall stamps use `base`'s epoch — when traced it shares the
-    // process obs epoch, which is exactly what the front-end's
-    // clock-offset estimate is relative to.
+fn worker_loop(inner: &Arc<Inner>, opts: &ShardOptions, base: &Obs) {
+    // Wall stamps use `base`'s epoch — the process obs epoch, which is
+    // exactly what the front-end's clock-offset estimate is relative to.
+    let traced = base.enabled();
     let stamp = || {
         if traced {
             base.us_since_epoch(Instant::now()) as u64
@@ -249,8 +243,6 @@ fn worker_loop(inner: &Arc<Inner>, opts: &ShardOptions, base: &Obs, traced: bool
     };
     while let Some((id, ctx, job)) = inner.pop() {
         inner.running.fetch_add(1, Ordering::Relaxed);
-        let oracle = Arc::new(Oracle::new(job.config.machine));
-        let job_obs = base.clone().with_oracle(Arc::clone(&oracle));
         let config = job.config.clone();
         let layout = job.layout;
         let resume = job.resume;
@@ -258,7 +250,7 @@ fn worker_loop(inner: &Arc<Inner>, opts: &ShardOptions, base: &Obs, traced: bool
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             // The shard-side job span: same trace_id as the frontend's
             // job span, so the stitcher can parent and link them.
-            let _job_span = job_obs.span_arg("job", "trace_id", ctx.trace_id as i64);
+            let _job_span = base.span_arg("job", "trace_id", ctx.trace_id as i64);
             // Only the job that finds its key cold runs the numerics
             // (and streams checkpoints); a resident profile makes an
             // attached resume point irrelevant, because the report is
@@ -292,7 +284,7 @@ fn worker_loop(inner: &Arc<Inner>, opts: &ShardOptions, base: &Obs, traced: bool
                     &inner.cancel,
                     None,
                     opts.exec,
-                    &job_obs,
+                    base,
                     Some(&mut on_hour),
                 )?;
                 // Model first, so the router prices with it before a
@@ -301,11 +293,6 @@ fn worker_loop(inner: &Arc<Inner>, opts: &ShardOptions, base: &Obs, traced: bool
                     job: id,
                     model: PerfModel::from_profile(&profile),
                 });
-                if oracle.comm_observations() > 0 {
-                    inner.send(&Msg::Recalibrated {
-                        machine: oracle.recalibrated(),
-                    });
-                }
                 Ok(profile)
             })
         }));
@@ -355,12 +342,80 @@ fn worker_loop(inner: &Arc<Inner>, opts: &ShardOptions, base: &Obs, traced: bool
     }
 }
 
-fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = panic.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = panic.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "unknown panic".to_string()
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::proto::tags;
+    use crate::wire::read_frame;
+    use airshed_core::config::SimConfig;
+    use airshed_core::driver::ChemLayout;
+    use std::net::TcpListener;
+
+    /// The module doc's promise, read off a loopback socket: an untraced
+    /// shard answers a cold key with `Progress` per hour, `Calibrated`,
+    /// `Completed`, a sibling of a resident key with `Completed` alone,
+    /// and sends nothing else but `Hello` and heartbeats.
+    #[test]
+    fn an_untraced_shard_sends_exactly_the_documented_frames() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let opts = ShardOptions {
+            connect: listener.local_addr().unwrap().to_string(),
+            workers: 1,
+            exec: ExecSpec::serial(),
+            heartbeat_ms: 20,
+            ..ShardOptions::default()
+        };
+        let shard = std::thread::spawn(move || run_shard(opts, &Obs::off()));
+        let (mut stream, _) = listener.accept().unwrap();
+
+        let mut seen = Vec::new();
+        // Frames up to and including the next `Completed`, heartbeats
+        // (the one frame with no fixed place) left out.
+        let mut read_through_completed = |stream: &mut TcpStream| loop {
+            let (tag, payload) = read_frame(stream).unwrap();
+            Msg::decode(tag, &payload).unwrap();
+            if tag != tags::HEARTBEAT {
+                seen.push(tag);
+            }
+            if tag == tags::COMPLETED {
+                break;
+            }
+        };
+        let hours = 2;
+        for (job, p) in [(1, 2), (2, 4)] {
+            let mut config = SimConfig::test_tiny(p, hours);
+            config.start_hour = 7;
+            let assign = Msg::Assign {
+                job,
+                ctx: TraceContext::for_job(job),
+                work: Box::new(ScenarioJob {
+                    config,
+                    layout: ChemLayout::Block,
+                    resume: None,
+                }),
+            };
+            proto::send(&mut stream, &assign).unwrap();
+            read_through_completed(&mut stream);
+        }
+        proto::send(&mut stream, &Msg::Shutdown).unwrap();
+        loop {
+            match read_frame(&mut stream) {
+                Ok((tag, _)) => assert_eq!(tag, tags::HEARTBEAT, "frame after the last job"),
+                Err(WireError::Closed) => break,
+                Err(e) => panic!("stream error {e}"),
+            }
+        }
+        shard.join().unwrap().unwrap();
+        assert_eq!(
+            seen,
+            [
+                tags::HELLO,
+                tags::PROGRESS,
+                tags::PROGRESS,
+                tags::CALIBRATED,
+                tags::COMPLETED,
+                tags::COMPLETED,
+            ]
+        );
     }
 }

@@ -19,7 +19,6 @@
 use crate::cache::NumericsKey;
 use airshed_core::config::SimConfig;
 use airshed_core::{LayoutChoice, PerfModel, WorkProfile};
-use airshed_machine::MachineProfile;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
@@ -43,11 +42,6 @@ pub struct AdmissionController {
     /// Shared handles, so pricing clones one out and lets the lock go
     /// before it folds or searches anything.
     models: Mutex<HashMap<NumericsKey, Arc<PerfModel>>>,
-    /// Recalibrated machine profiles from the performance oracle, keyed
-    /// by machine name: when the oracle has fitted fresher L/G/H/rate
-    /// parameters from observed spans, predictions price with those
-    /// instead of the nominal datasheet (latest recalibration wins).
-    machines: Mutex<HashMap<&'static str, MachineProfile>>,
 }
 
 impl AdmissionController {
@@ -57,7 +51,6 @@ impl AdmissionController {
         AdmissionController {
             budget_seconds,
             models: Mutex::new(HashMap::new()),
-            machines: Mutex::new(HashMap::new()),
         }
     }
 
@@ -65,22 +58,13 @@ impl AdmissionController {
         self.budget_seconds
     }
 
-    /// Price `config` with its family's model, if the family has been
-    /// calibrated, on the oracle-recalibrated profile of its machine when
-    /// one exists and the nominal datasheet otherwise. The `models` lock
-    /// is released before `price` runs: a layout search on one worker
-    /// stalls neither another worker's pricing nor `calibrate`.
-    fn priced<T>(
-        &self,
-        config: &SimConfig,
-        price: impl FnOnce(&PerfModel, &MachineProfile) -> T,
-    ) -> Option<T> {
+    /// The model of `config`'s family, if the family has been
+    /// calibrated. The `models` lock is released before the caller
+    /// prices with it: a layout search on one worker stalls neither
+    /// another worker's pricing nor `calibrate`.
+    fn model_for(&self, config: &SimConfig) -> Option<Arc<PerfModel>> {
         let family = NumericsKey::of(config).family();
-        let model = Arc::clone(self.models.lock().unwrap().get(&family)?);
-        let machine = self
-            .recalibrated(config.machine.name)
-            .unwrap_or(config.machine);
-        Some(price(&model, &machine))
+        self.models.lock().unwrap().get(&family).cloned()
     }
 
     /// Predict the virtual run time of `config`, if this family has been
@@ -88,21 +72,18 @@ impl AdmissionController {
     /// run — diurnal variation makes this approximate, which is fine for
     /// an admission estimate.
     pub fn predict_seconds(&self, config: &SimConfig) -> Option<f64> {
-        self.priced(config, |model, machine| {
-            model.scenario_seconds(machine, config.p, config.hours)
-        })
+        let model = self.model_for(config)?;
+        Some(model.scenario_seconds(&config.machine, config.p, config.hours))
     }
 
     /// Run the model-level plan search for `config`'s family: the
-    /// cheapest per-phase layouts on the (recalibrated, latest-wins)
-    /// machine, cost-annotated against the default plan. `None` until
-    /// the family is calibrated. Called at execute time rather than
-    /// memoized, so every queued job is automatically re-planned with
-    /// whatever the oracle has learned by the time it runs.
+    /// cheapest per-phase layouts on `config.machine`, cost-annotated
+    /// against the default plan. `None` until the family is calibrated.
+    /// Called at execute time rather than at submit, so a job queued
+    /// before its family's first profile landed is still planned.
     pub fn plan_for(&self, config: &SimConfig) -> Option<LayoutChoice> {
-        self.priced(config, |model, machine| {
-            model.choose_layout(machine, config.p)
-        })
+        let model = self.model_for(config)?;
+        Some(model.choose_layout(&config.machine, config.p))
     }
 
     /// [`AdmissionController::predict_seconds`] repriced with the
@@ -110,23 +91,6 @@ impl AdmissionController {
     pub fn predict_seconds_optimized(&self, config: &SimConfig) -> Option<f64> {
         self.plan_for(config)
             .map(|choice| choice.scenario_seconds(config.hours))
-    }
-
-    /// Install an oracle-recalibrated machine profile. Subsequent
-    /// predictions for machines with this name price with the fitted
-    /// parameters (latest recalibration wins).
-    pub fn apply_recalibration(&self, machine: MachineProfile) {
-        self.machines.lock().unwrap().insert(machine.name, machine);
-    }
-
-    /// The recalibrated profile for `name`, if the oracle has fitted one.
-    pub fn recalibrated(&self, name: &str) -> Option<MachineProfile> {
-        self.machines.lock().unwrap().get(name).copied()
-    }
-
-    /// Number of machines with an oracle-recalibrated profile installed.
-    pub fn recalibrated_count(&self) -> usize {
-        self.machines.lock().unwrap().len()
     }
 
     /// Decide whether to admit `config` under the default plan.
@@ -264,32 +228,6 @@ mod tests {
     }
 
     #[test]
-    fn recalibrated_machines_reprice_predictions() {
-        let (ctl, config) = calibrated_controller(None);
-        let nominal = ctl.predict_seconds(&config).unwrap();
-        assert_eq!(ctl.recalibrated_count(), 0);
-        // The oracle discovers the machine computes at half the
-        // datasheet rate: predictions roughly double (comm unchanged).
-        let drifted = MachineProfile {
-            rate: config.machine.rate / 2.0,
-            ..config.machine
-        };
-        ctl.apply_recalibration(drifted);
-        assert_eq!(ctl.recalibrated_count(), 1);
-        assert_eq!(ctl.recalibrated(config.machine.name), Some(drifted));
-        let repriced = ctl.predict_seconds(&config).unwrap();
-        assert!(
-            repriced > nominal * 1.5 && repriced < nominal * 2.5,
-            "half-rate recalibration should roughly double the estimate: \
-             {nominal} -> {repriced}"
-        );
-        // Other machines are unaffected.
-        let mut other = config.clone();
-        other.machine = MachineProfile::paragon();
-        assert!(ctl.recalibrated(other.machine.name).is_none());
-    }
-
-    #[test]
     fn another_family_calibrates_while_a_search_runs() {
         let (ctl, config) = calibrated_controller(None);
         let mut other = config.clone();
@@ -310,14 +248,12 @@ mod tests {
                     .send(ctl.calibrated_families())
                     .expect("report");
             });
-            // The pricing closure is where `plan_for` searches: while it
-            // runs, the other thread must get through `calibrate`.
-            let families = ctl.priced(&config, |model, machine| {
-                searching_tx.send(()).expect("announce");
-                let during = calibrated_rx.recv_timeout(std::time::Duration::from_secs(30));
-                (model.choose_layout(machine, config.p), during)
-            });
-            let (choice, during) = families.expect("calibrated family");
+            // Holding the model is where `plan_for` searches: meanwhile
+            // the other thread must get through `calibrate`.
+            let model = ctl.model_for(&config).expect("calibrated family");
+            searching_tx.send(()).expect("announce");
+            let during = calibrated_rx.recv_timeout(std::time::Duration::from_secs(30));
+            let choice = model.choose_layout(&config.machine, config.p);
             assert_eq!(
                 during,
                 Ok(2),
@@ -331,13 +267,13 @@ mod tests {
     }
 
     #[test]
-    fn planted_drift_changes_the_chosen_layout() {
+    fn the_chosen_layout_follows_the_configured_machine() {
         use airshed_core::driver::ChemLayout;
         use airshed_core::profile::{HourProfile, StepProfile};
 
         // A family whose chemistry load piles onto the first block of
-        // columns: under the nominal machine the optimizer must pick
-        // CYCLIC to spread it.
+        // columns: on the T3E the optimizer must pick CYCLIC to spread
+        // it.
         let mut chemistry = vec![1.0e8; 16];
         for w in chemistry.iter_mut().take(4) {
             *w = 9.0e8;
@@ -370,15 +306,10 @@ mod tests {
         assert_eq!(before.layouts.chemistry, ChemLayout::Cyclic);
         assert!(before.hour_cost < before.default_hour_cost);
 
-        // The oracle observes a drifted interconnect whose per-message
-        // latency exploded: CYCLIC's extra messages now cost more than
-        // its balance wins, so re-planning the same family flips the
-        // choice back to the default BLOCK plan.
-        let drifted = MachineProfile {
-            latency: config.machine.latency * 1.0e6,
-            ..config.machine
-        };
-        ctl.apply_recalibration(drifted);
+        // The same family on a machine whose per-message latency is a
+        // million times worse: CYCLIC's extra messages now cost more
+        // than its balance wins, so the plan is the default BLOCK.
+        config.machine.latency *= 1.0e6;
         let after = ctl.plan_for(&config).unwrap();
         assert_eq!(after.layouts.chemistry, ChemLayout::Block);
         // And the optimized admission price tracks the re-plan.

@@ -84,11 +84,11 @@ pub struct ScenarioRequest {
     /// is calibrated — the planner chooses the layouts instead.
     pub layout: ChemLayout,
     /// Let the plan optimizer pick the per-phase layouts at execute
-    /// time, priced on whatever machine parameters the oracle has
-    /// learned by then (queued jobs are thereby re-planned after each
-    /// recalibration). First-of-family jobs fall back to
-    /// [`ScenarioRequest::layout`]: there is no model to plan with
-    /// until their own run calibrates it.
+    /// time, priced on `config.machine` with the family's model (a job
+    /// queued before that model existed is planned once it does).
+    /// First-of-family jobs fall back to [`ScenarioRequest::layout`]:
+    /// there is no model to plan with until their own run calibrates
+    /// it.
     pub optimize: bool,
     /// Wall-clock budget for the job once it starts running; checked at
     /// hour boundaries. `None` falls back to the server default.
@@ -619,13 +619,6 @@ impl ScenarioServer {
         self.shared.admission.predict_seconds(config)
     }
 
-    /// Number of machines whose profile has been recalibrated by the
-    /// performance oracle (0 when no oracle is attached to the obs
-    /// handle or no job has run the numerics yet).
-    pub fn recalibrated_machines(&self) -> usize {
-        self.shared.admission.recalibrated_count()
-    }
-
     /// Graceful shutdown: stop accepting work, drain the queue, join the
     /// workers, and return the final metrics snapshot.
     pub fn shutdown(mut self) -> MetricsSnapshot {
@@ -664,7 +657,7 @@ mod tests {
     }
 
     #[test]
-    fn reports_carry_predictions_and_the_oracle_recalibrates() {
+    fn reports_carry_predictions_and_the_oracle_pairs_every_hour() {
         let sink = Arc::new(airshed_core::obs::SpanSink::new());
         let config = {
             let mut c = SimConfig::test_tiny(4, 1);
@@ -688,11 +681,9 @@ mod tests {
             .wait()
             .unwrap();
         assert!(r1.predicted_seconds.is_some());
-        // The driver fed the run's spans to the oracle, and the worker
-        // handed its recalibrated machine back to admission control.
+        // The driver fed the run's spans to the oracle.
         assert!(oracle.hours_observed() >= 1);
         assert_eq!(oracle.mismatched_hours(), 0);
-        assert_eq!(server.recalibrated_machines(), 1);
         // Second job, same family on another placement: predicted up
         // front and in the same ballpark as the charged result.
         let mut c2 = config.clone();
@@ -712,7 +703,9 @@ mod tests {
         );
         server.shutdown();
         // The final flush published the oracle section through obs.
-        assert!(sink.prometheus().contains("airshed_oracle_drift"));
+        let prom = sink.prometheus();
+        assert!(prom.contains("airshed_oracle_residual_mean{kind=\"model\""));
+        assert!(prom.contains("airshed_oracle_residual_mean{kind=\"pricing\""));
     }
 
     #[test]

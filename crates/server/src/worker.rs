@@ -111,10 +111,9 @@ fn execute(shared: &Shared, job: &QueuedJob, deadline_at: Option<Instant>, obs: 
     let config = &request.config;
     let numerics_key = NumericsKey::of(config);
     // Resolve the plan now, not at submit time: an optimized job queued
-    // before an oracle recalibration is re-planned with the machine
-    // parameters in force when it actually runs (latest wins, per
-    // machine family). First-of-family jobs have no model yet and run
-    // the requested layout.
+    // before its family's first profile landed is planned with the
+    // model that profile calibrated. A job that runs before any model
+    // exists runs the requested layout.
     let plan = if request.optimize {
         shared.admission.plan_for(config)
     } else {
@@ -158,15 +157,6 @@ fn execute(shared: &Shared, job: &QueuedJob, deadline_at: Option<Instant>, obs: 
                 // Before the profile is published, so a job that waited
                 // on this run is priced by the model it calibrated.
                 shared.admission.calibrate(config, &profile);
-                // The driver just fed this run's spans to the oracle (when
-                // one is attached); hand its recalibrated machine profile to
-                // admission so later predictions track the observed fleet,
-                // not the datasheet.
-                if let Some(oracle) = obs.oracle() {
-                    if oracle.comm_observations() > 0 {
-                        shared.admission.apply_recalibration(oracle.recalibrated());
-                    }
-                }
                 Ok(profile)
             })?;
     // A job that waited on another job's run counts as a hit: misses
@@ -258,7 +248,9 @@ fn interrupted(episode: Episode) -> Option<Box<ResumePoint>> {
     })
 }
 
-fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {
+/// The text of a caught panic payload (`&str` or `String`; anything else
+/// is "unknown panic").
+pub fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = panic.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = panic.downcast_ref::<String>() {

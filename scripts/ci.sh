@@ -43,6 +43,24 @@ if git ls-files '*.rs' | grep -v '^vendor/\|^benchmark/' \
 fi
 echo "one arithmetic OK"
 
+echo "==> one pricing machine: no refit loop, and an untraced shard is untraced"
+# The virtual machine charges with the profile the oracle is built from,
+# so a refit is the identity (EXPERIMENTS.md, "Online recalibration").
+# These are the names of the loop that carried it.
+if git ls-files '*.rs' | grep -v '^vendor/\|^benchmark/' \
+    | xargs grep -nE '\b(Recalibrated|apply_recalibration|fit_comm\w*|CommFit|fitted_rate)\b'; then
+    echo "one pricing machine FAILED: the names above are back" >&2
+    exit 1
+fi
+# A shard runs jobs on its caller's Obs; building its own sink is what
+# made every untraced cold job trace.
+if awk '/^[[:space:]]*#\[cfg\(test\)\]/ { exit } /SpanSink|with_oracle/ { print FILENAME ":" FNR ": " $0; found = 1 } END { exit !found }' \
+    crates/fabric/src/shard.rs; then
+    echo "one pricing machine FAILED: fabric::shard builds its own observer" >&2
+    exit 1
+fi
+echo "one pricing machine OK"
+
 echo "==> scripts/loc.sh (tracked line counts)"
 bash scripts/loc.sh
 
@@ -269,8 +287,17 @@ cargo run --release --bin airshed -- validate --help >/dev/null
 cargo run --release --bin airshed -- validate \
     --grid tiny:60 --hours 1 --nodes 4,16 --json "$trace_dir/validate.json" \
     | grep -q "predicted vs measured"
-python3 -c 'import json,sys; json.load(open(sys.argv[1]))' "$trace_dir/validate.json"
-echo "validate OK: tables printed, JSON parses"
+python3 - "$trace_dir/validate.json" <<'PY'
+import json, sys
+v = json.load(open(sys.argv[1]))
+assert [r["p"] for r in v["rows"]] == [4, 16], v["rows"]
+assert all(r["predicted"]["total"] > 0 and r["measured"]["total"] > 0 for r in v["rows"])
+phases = {r["phase"] for r in v["residuals"]}
+assert {"transport", "chemistry", "D_Trans->D_Chem"} <= phases, phases
+assert v["pricing_mare"] < 1e-9, v["pricing_mare"]
+assert "recalibrated" not in v and "drift" not in v, sorted(v)
+PY
+echo "validate OK: tables printed, JSON has its per-node rows and residuals and no refit"
 
 echo "==> plan optimizer smoke (both grids, predicted <= default)"
 # cmd_plan asserts chosen <= default internally and prints "plan OK"

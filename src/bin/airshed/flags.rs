@@ -175,7 +175,7 @@ pub static COMMANDS: [Command; 12] = [
         about: "integrated Airshed + population exposure (Figure 13 style)" },
     Command { cmd: Validate, name: "validate", run: model::cmd_validate,
         about: "run the performance oracle: predicted-vs-measured tables
-                over a node sweep plus L/G/H recalibration (Figure 5-7 style)" },
+                over a node sweep plus per-phase residuals (Figure 5-7 style)" },
     Command { cmd: Ensemble, name: "ensemble", run: ensemble::cmd_ensemble,
         about: "run an emission-scaling (or multi-day) ensemble sweep with
                 shared-input dedup, fit the surrogate response surface, and
@@ -404,7 +404,7 @@ pub static FLAGS: &[Flag] = &[
     flag("--optimize", Switch(|o| o.optimize = true), None, Plan.bit() | ServeBatch.bit())
         .help(GENERAL, "    plan: search the layout/pipeline plan space;
                   serve-batch: re-plan every job from the admission
-                  model (re-priced after each oracle recalibration)"),
+                  model (at execute time, once its family is calibrated)"),
     flag("--no-map", Switch(|o| o.no_map = true), None, Run.bit() | Gridinfo.bit())
         .help(GENERAL, "  skip the ASCII ozone map"),
     flag("--backend", Parsed(backend), None, SIM)

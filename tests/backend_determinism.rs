@@ -120,12 +120,12 @@ fn tracing_enabled_is_bit_identical_to_disabled() {
 
 #[test]
 fn oracle_validation_is_bit_identical_to_untraced() {
-    // The performance oracle rides on the trace stream: it re-lowers the
-    // hour's PhaseGraph and pairs it with the recorded spans, but it
-    // only ever *reads* profiles and events. A run with the oracle
-    // attached must be bit-identical to an untraced run, and on a
-    // healthy (undrifted) run the oracle's own pricing residuals are
-    // exactly the charge formulas, so they sit at numerical zero.
+    // The performance oracle rides on the trace stream: it pairs the
+    // hour's PhaseGraph with the recorded spans, but it only ever
+    // *reads* profiles and events. A run with the oracle attached must
+    // be bit-identical to an untraced run, and the oracle's own pricing
+    // residuals are exactly the charge formulas, so they sit at
+    // numerical zero.
     use airshed::core::Oracle;
 
     let mut config = SimConfig::test_tiny(17, 2);
@@ -150,16 +150,11 @@ fn oracle_validation_is_bit_identical_to_untraced() {
         // The oracle actually saw the run: every hour paired cleanly.
         assert_eq!(oracle.hours_observed(), 2, "oracle observed both hours");
         assert_eq!(oracle.mismatched_hours(), 0, "no mispaired hours");
-        assert!(oracle.observations() > 0 && oracle.comm_observations() > 0);
+        assert!(oracle.observations() > 0);
         assert!(
             oracle.pricing_mare() < 1e-9,
-            "undrifted pricing residuals must be numerically zero, got {}",
+            "pricing residuals must be numerically zero, got {}",
             oracle.pricing_mare()
-        );
-        assert!(
-            oracle.drift() < 1e-3,
-            "recalibrating against self-generated spans must not drift: {}",
-            oracle.drift()
         );
     }
 }

@@ -12,7 +12,7 @@
 use airshed::core::config::SimConfig;
 use airshed::core::driver::ChemLayout;
 use airshed::core::plan::replay_profile;
-use airshed::core::{ExecSpec, Obs};
+use airshed::core::{ExecSpec, Obs, PerfModel};
 use airshed::fabric::{
     report_fingerprint, run_shard, serve_batch, FaultPlan, FrontendOptions, RouterConfig,
     ShardOptions,
@@ -277,6 +277,60 @@ fn concurrent_workers_of_one_shard_share_a_single_numerics_run() {
     let addr = listener.local_addr().unwrap();
     let shards = vec![shard_with_workers(addr, "solo", 2, None, FaultPlan::none())];
     each_key_runs_once(shards, listener);
+}
+
+#[test]
+fn a_fabric_prediction_is_the_family_model_on_the_jobs_own_machine() {
+    // One key on two placements behind a one-worker shard: the second
+    // job is dispatched after the first one's `Calibrated`, so the
+    // router prices it — with the model of that profile on the job's
+    // `config.machine`, whatever shard it lands on and in every run.
+    let batch: Vec<_> = scenarios(2)
+        .into_iter()
+        .map(|(mut c, layout)| {
+            c.emission_scale = 1.0;
+            (c, layout)
+        })
+        .collect();
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let shard = shard_thread(addr, "solo", None, FaultPlan::none());
+    let outcome = serve_batch(
+        &listener,
+        FrontendOptions {
+            expect: 1,
+            router: RouterConfig::default(),
+            deadline: Some(Duration::from_secs(120)),
+        },
+        &batch,
+        &Obs::off(),
+    )
+    .unwrap();
+    shard.join().unwrap();
+    assert!(outcome.failures.is_empty(), "{:?}", outcome.failures);
+
+    let never = AtomicBool::new(false);
+    let (config, _) = &batch[1];
+    let profile = run_hourly(
+        config,
+        None,
+        &never,
+        None,
+        ExecSpec::serial(),
+        &Obs::off(),
+        None,
+    )
+    .unwrap();
+    let per_hour = PerfModel::from_profile(&profile)
+        .choose_layout(&config.machine, config.p)
+        .hour_cost;
+    let predicted: HashMap<usize, Option<f64>> = outcome
+        .reports
+        .iter()
+        .map(|(i, r)| (*i, r.predicted_seconds))
+        .collect();
+    assert_eq!(predicted[&0], None, "dispatched before any model existed");
+    assert_eq!(predicted[&1], Some(per_hour * config.hours as f64));
 }
 
 #[test]
