@@ -61,8 +61,12 @@ impl Checkpoint {
             .checked_mul(layers)
             .and_then(|v| v.checked_mul(nodes))
             .ok_or_else(|| io::Error::other("implausible checkpoint shape"))?;
-        if n > 1 << 30 {
-            return Err(io::Error::other("implausible checkpoint size"));
+        // The header is the peer's claim; the payload is what arrived.
+        // Nothing is reserved until the two agree, byte for byte.
+        if n.checked_mul(8) != Some(bytes.len()) {
+            return Err(io::Error::other(
+                "checkpoint payload does not match its header",
+            ));
         }
         let mut conc = Vec::with_capacity(n);
         for _ in 0..n {
@@ -134,6 +138,17 @@ mod tests {
         let off = nan.len() - 8;
         nan[off..].copy_from_slice(&f64::NAN.to_le_bytes());
         assert!(Checkpoint::decode(&nan).is_err());
+        // A header claiming 2^30 elements with no payload behind it is
+        // refused before anything is reserved.
+        let mut huge = good[..16].to_vec();
+        for dim in [1u64 << 10, 1 << 10, 1 << 10] {
+            huge.extend_from_slice(&dim.to_le_bytes());
+        }
+        assert!(Checkpoint::decode(&huge).is_err());
+        // Trailing bytes.
+        let mut long = c.encode();
+        long.push(0);
+        assert!(Checkpoint::decode(&long).is_err());
     }
 
     #[test]

@@ -69,7 +69,7 @@ pub use ensemble::{run_ensemble, DedupStats, EnsembleJob, EnsembleResult};
 pub use obs::oracle::{validate_profile, Oracle, Validation};
 pub use obs::Obs;
 pub use plan::{optimize_plan, PhaseGraph, PlanChoice};
-pub use predict::{cost_of, GraphCost, LayoutChoice, PerfModel};
+pub use predict::{LayoutChoice, PerfModel};
 pub use profile::WorkProfile;
 pub use report::RunReport;
 pub use surrogate::{what_if, ResponseSurface, SurrogateAnswer, WhatIfOutcome};

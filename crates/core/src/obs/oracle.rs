@@ -13,25 +13,19 @@
 //! executing a [`PhaseGraph`] charges exactly one trace event per plan
 //! node, in program order, so `graph.nodes` and the hour's slice of
 //! `machine.trace.events()` zip 1:1. For each pair the oracle computes
-//! two residuals:
+//! the **model residual** — the §4 closed form (even division with the
+//! ceil rule; the [`comm_step_costs`] equations) against the charged
+//! duration. This is the Figure 6/7 error: genuinely nonzero, dominated
+//! by the urban/rural work imbalance the simple model ignores.
 //!
-//! * the **model residual** — the §4 closed form (even division with
-//!   the ceil rule; the [`comm_step_costs`] equations) against the
-//!   charged duration. This is the Figure 6/7 error: genuinely nonzero,
-//!   dominated by the urban/rural work imbalance the simple model
-//!   ignores;
-//! * the **pricing residual** — the *nominal machine's own charge
-//!   formula* applied to the node's planned work/loads against the
-//!   charged duration. The virtual machine charges with the same
-//!   profile, so this is ~0 by construction; it is the cross-check of
-//!   [`step_seconds`] (what admission and the planner price with)
-//!   against the machine's own charge, and the stale-model alarm: it
-//!   grows only when the pricing fold and the machine disagree.
-//!
-//! The oracle reports; it does not fit. The machine's `L`/`G`/`H` are
-//! the datasheet the spans were charged from, so there is nothing in
-//! them to recover (EXPERIMENTS.md, "Online recalibration": the refit
-//! was the identity to 14 digits).
+//! The oracle reports; it does not fit, and it does not re-price. The
+//! machine's `L`/`G`/`H` are the datasheet the spans were charged from,
+//! so there is nothing in them to recover (EXPERIMENTS.md, "Online
+//! recalibration": the refit was the identity to 14 digits); and the
+//! charge itself *is* [`step_seconds`] — what admission and the planner
+//! price with — so a residual between the two would compare a formula
+//! with itself (`plan::tests::execute_is_the_running_sum_of_step_seconds`
+//! pins that instead).
 //!
 //! [`validate_profile`] runs the whole story as a sweep over node
 //! counts and renders the Figures 5–7 analogue tables (`airshed
@@ -40,7 +34,7 @@
 use super::Obs;
 use crate::driver::{HourPlans, PlanLayouts};
 use crate::plan::{Op, PhaseGraph, Work};
-use crate::predict::{comm_step_costs, step_seconds, PerfModel, Prediction};
+use crate::predict::{ceil_rule_seconds, comm_step_costs, step_seconds, PerfModel, Prediction};
 use crate::profile::WorkProfile;
 use crate::report::RunReport;
 use airshed_hpf::redist::labels;
@@ -131,9 +125,7 @@ pub struct ResidualSummary {
 #[derive(Default)]
 struct OracleInner {
     model: BTreeMap<&'static str, ResidualStat>,
-    pricing: BTreeMap<&'static str, ResidualStat>,
     model_hist: super::metrics::Histogram,
-    pricing_hist: super::metrics::Histogram,
     hours: u64,
     paired: u64,
     mismatched_hours: u64,
@@ -204,63 +196,43 @@ impl Oracle {
 
         for (node, ev) in graph.nodes.iter().zip(events) {
             let measured = ev.duration();
-            let (label, model_pred, pricing_pred, imbalance) = match &node.op {
+            let (label, model_pred, imbalance) = match &node.op {
                 Op::Compute { kind, work } => {
                     let (_, imbalance) = work.charged(p);
-                    // Pricing: what the nominal machine charges for the
-                    // heaviest node — exact on a healthy run. Shared with
-                    // the planner's objective fold ([`crate::predict::cost_of`]).
-                    let pricing = step_seconds(graph, node, &self.nominal);
-                    // Model: §4.1 even division with the ceil rule over
-                    // the phase's parallel axis.
+                    // §4.1: replicated work in full; transport
+                    // distributes layers, chemistry distributes columns,
+                    // both by the ceil rule over their item count.
                     let model = match work {
                         Work::Replicated { work, .. } => work / rate,
                         Work::Distributed { per_item, .. } => {
-                            // Transport distributes layers, chemistry
-                            // distributes columns; both reduce to the
-                            // same ceil rule over their item count.
-                            let n = per_item.len().max(1);
-                            let par = n.min(p) as f64;
-                            let ceil = (n as f64 / par).ceil();
-                            work.total() / rate * ceil / n as f64
+                            ceil_rule_seconds(work.total(), rate, per_item.len(), p)
                         }
                     };
-                    (kind.label(), model, pricing, imbalance)
+                    (kind.label(), model, imbalance)
                 }
                 Op::Comm { edge } => {
                     let e = &graph.edges[*edge];
-                    let pricing = step_seconds(graph, node, &self.nominal);
-                    let model = costs.for_label(e.label).unwrap_or(pricing);
+                    let model = costs
+                        .for_label(e.label)
+                        .unwrap_or_else(|| step_seconds(graph, node, &self.nominal));
                     let per_node: Vec<f64> =
                         e.loads.iter().map(|l| self.nominal.comm_cost(l)).collect();
                     let max = per_node.iter().fold(0.0f64, |a, &b| a.max(b));
                     let mean = per_node.iter().sum::<f64>() / per_node.len().max(1) as f64;
                     let imbalance = if mean > 0.0 { max / mean } else { 1.0 };
-                    (e.label, model, pricing, imbalance)
+                    (e.label, model, imbalance)
                 }
             };
 
             let model_rel = rel_err(measured, model_pred);
-            let pricing_rel = rel_err(measured, pricing_pred);
             inner
                 .model
                 .entry(label)
                 .or_default()
                 .record(model_rel, imbalance, model_pred, measured);
-            inner.pricing.entry(label).or_default().record(
-                pricing_rel,
-                imbalance,
-                pricing_pred,
-                measured,
-            );
             inner
                 .model_hist
                 .record(std::time::Duration::from_secs_f64(model_rel.abs().min(1e3)));
-            inner
-                .pricing_hist
-                .record(std::time::Duration::from_secs_f64(
-                    pricing_rel.abs().min(1e3),
-                ));
             let slot = hour_abs.entry(label).or_insert((0.0, 0));
             slot.0 += model_rel.abs();
             slot.1 += 1;
@@ -297,37 +269,10 @@ impl Oracle {
         inner.model.iter().map(|(&l, s)| (l, s.summary())).collect()
     }
 
-    /// Pricing residual summaries (nominal charge formula vs charged
-    /// spans) per label — ~0 unless the pricing fold and the machine's
-    /// charge formula disagree.
-    pub fn pricing_residuals(&self) -> Vec<(&'static str, ResidualSummary)> {
-        let inner = self.inner.lock().unwrap();
-        inner
-            .pricing
-            .iter()
-            .map(|(&l, s)| (l, s.summary()))
-            .collect()
-    }
-
-    /// Mean absolute pricing residual over all observations — the
-    /// scalar stale-model alarm.
-    pub fn pricing_mare(&self) -> f64 {
-        let inner = self.inner.lock().unwrap();
-        let (sum, n) = inner
-            .pricing
-            .values()
-            .fold((0.0, 0u64), |(s, n), st| (s + st.sum_abs_rel, n + st.count));
-        if n == 0 {
-            0.0
-        } else {
-            sum / n as f64
-        }
-    }
-
     /// Publish the oracle's Prometheus section through `obs`: the hours
-    /// paired, per-label mean residual gauges, and the model/pricing
-    /// residual histograms (bucket `le` values are *relative errors*,
-    /// not seconds — a residual of 0.1 lands in the 0.131072 bucket).
+    /// paired, per-label mean residual gauges, and the model residual
+    /// histogram (bucket `le` values are *relative errors*, not seconds
+    /// — a residual of 0.1 lands in the 0.131072 bucket).
     pub fn publish_to(&self, obs: &Obs) {
         use super::prom::{label, PromWriter};
         let mut w = PromWriter::new();
@@ -339,21 +284,16 @@ impl Oracle {
         w.sample("airshed_oracle_hours", "", self.hours_observed() as f64);
         w.header(
             "airshed_oracle_residual_mean",
-            "Mean absolute relative error per phase, by residual kind (model = \
-             closed-form prediction, pricing = nominal charge formula).",
+            "Mean absolute relative error per phase (kind = model: the closed-form \
+             prediction against the charged span).",
             "gauge",
         );
-        for (kind, stats) in [
-            ("model", self.model_residuals()),
-            ("pricing", self.pricing_residuals()),
-        ] {
-            for (phase, s) in stats {
-                w.sample(
-                    "airshed_oracle_residual_mean",
-                    &format!("{},{}", label("kind", kind), label("phase", phase)),
-                    s.mean_abs_rel,
-                );
-            }
+        for (phase, s) in self.model_residuals() {
+            w.sample(
+                "airshed_oracle_residual_mean",
+                &format!("{},{}", label("kind", "model"), label("phase", phase)),
+                s.mean_abs_rel,
+            );
         }
         {
             let inner = self.inner.lock().unwrap();
@@ -366,11 +306,6 @@ impl Oracle {
                 "airshed_oracle_residual",
                 &label("kind", "model"),
                 &inner.model_hist.snapshot(),
-            );
-            w.histogram(
-                "airshed_oracle_residual",
-                &label("kind", "pricing"),
-                &inner.pricing_hist.snapshot(),
             );
         }
         obs.publish("oracle", w.finish());
@@ -399,8 +334,8 @@ pub struct ValidationRow {
     pub measured_chem_to_repl: f64,
 }
 
-/// The outcome of [`validate_profile`]: rows per node count, pooled
-/// per-label model residuals, and the pooled pricing residual.
+/// The outcome of [`validate_profile`]: rows per node count and pooled
+/// per-label model residuals.
 #[derive(Debug, Clone)]
 pub struct Validation {
     pub dataset: String,
@@ -408,7 +343,6 @@ pub struct Validation {
     pub hours: usize,
     pub rows: Vec<ValidationRow>,
     pub residuals: Vec<(&'static str, ResidualSummary)>,
-    pub pricing_mare: f64,
 }
 
 /// Run the Figures 5–7 experiment on a captured profile: for each node
@@ -455,7 +389,6 @@ pub fn validate_profile(
         hours: profile.hours.len(),
         rows,
         residuals: oracle.model_residuals(),
-        pricing_mare: oracle.pricing_mare(),
     }
 }
 
@@ -589,9 +522,7 @@ impl Validation {
                 "\n"
             });
         }
-        out.push_str("  ],\n");
-        let _ = writeln!(out, "  \"pricing_mare\": {}", self.pricing_mare);
-        out.push_str("}\n");
+        out.push_str("  ]\n}\n");
         out
     }
 }
@@ -604,14 +535,14 @@ mod tests {
     use std::sync::Arc;
 
     /// Execute every hour of the tiny profile at each node count on
-    /// `planted`, feeding the spans to an oracle whose *nominal* is
-    /// `nominal` — the synthetic span stream of the residual tests.
-    fn observe_planted(nominal: MachineProfile, planted: MachineProfile, ps: &[usize]) -> Oracle {
+    /// `machine`, feeding the spans to an oracle built on the same
+    /// profile — the span stream of the residual tests.
+    fn observe(machine: MachineProfile, ps: &[usize]) -> Oracle {
         let profile = tiny_profile();
-        let oracle = Oracle::new(nominal);
+        let oracle = Oracle::new(machine);
         for &p in ps {
             let plans = HourPlans::new(&profile.shape, p);
-            let mut m = Machine::new(planted, p);
+            let mut m = Machine::new(machine, p);
             m.trace.enable();
             let mut mark = 0usize;
             for hp in &profile.hours {
@@ -628,35 +559,10 @@ mod tests {
     }
 
     #[test]
-    fn self_observation_prices_exactly_and_a_foreign_machine_raises_the_alarm() {
-        // The nominal machine generated the spans, so the pricing fold
-        // reproduces every duration.
-        let t3e = MachineProfile::t3e();
-        let oracle = observe_planted(t3e, t3e, &[4, 16, 64]);
-        for (label, s) in oracle.pricing_residuals() {
-            assert!(
-                s.mean_abs_rel < 1e-9,
-                "{label}: pricing residual {} should be ~0",
-                s.mean_abs_rel
-            );
-        }
-        assert!(oracle.pricing_mare() < 1e-9);
-        // Spans charged by a machine the oracle does not price with: the
-        // pricing residual is the alarm that says so.
-        let half_rate = MachineProfile {
-            rate: t3e.rate * 0.5,
-            ..t3e
-        };
-        let stale = observe_planted(t3e, half_rate, &[4, 16]);
-        assert!(stale.pricing_mare() > 0.1, "{}", stale.pricing_mare());
-    }
-
-    #[test]
     fn model_residuals_match_figure_6_7_error_structure() {
         // The §4 closed form's error is the Figure 6/7 story: exact on
         // the replicated phases, imbalance-bounded elsewhere.
-        let t3e = MachineProfile::t3e();
-        let oracle = observe_planted(t3e, t3e, &[4, 16, 64]);
+        let oracle = observe(MachineProfile::t3e(), &[4, 16, 64]);
         let stats: std::collections::BTreeMap<_, _> =
             oracle.model_residuals().into_iter().collect();
         for label in ["inputhour", "pretrans", "outputhour", "aerosol"] {
@@ -709,7 +615,8 @@ mod tests {
         assert!(!counters.is_empty());
         assert!(counters.iter().all(|e| e.hour == Some(5)));
         let prom = sink.prometheus();
-        assert!(prom.contains("airshed_oracle_residual_mean{kind=\"pricing\""));
+        assert!(prom.contains("airshed_oracle_residual_mean{kind=\"model\""));
+        assert!(!prom.contains("pricing"));
         assert!(prom.contains("airshed_oracle_residual_bucket{kind=\"model\",le=\"+Inf\"}"));
     }
 
@@ -733,14 +640,13 @@ mod tests {
         assert_eq!(v.rows.len(), 2);
         assert!(v.rows[0].measured_total > v.rows[1].measured_total);
         assert!(!v.residuals.is_empty());
-        assert!(v.pricing_mare < 1e-9);
         let text = v.text();
         assert!(text.contains("predicted vs measured"));
         assert!(text.contains("mean |rel|"));
         assert!(!text.contains("machine parameters"));
         let json = v.to_json();
         assert!(json.contains("\"rows\""));
-        assert!(json.contains("\"residuals\"") && json.contains("\"pricing_mare\""));
+        assert!(json.contains("\"residuals\"") && !json.contains("pricing"));
         assert!(!json.contains("recalibrated") && !json.contains("drift"));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         let mare = v.phase_mare();

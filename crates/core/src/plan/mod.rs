@@ -19,9 +19,11 @@
 //!
 //! Four lowerings consume the graph:
 //!
-//! 1. [`PhaseGraph::execute`] charges it to a [`Machine`] — this *is*
-//!    `driver::charge_hour`, bit-identical (golden-tested in
-//!    `tests/plan_equivalence.rs`);
+//! 1. [`PhaseGraph::execute`] charges it to a [`Machine`], each node
+//!    with [`step_seconds`] — the one cost fold: what admission, the
+//!    router, the optimizer and the oracle price with is the machine's
+//!    charge. This *is* `driver::charge_hour` (golden-tested against
+//!    the pre-IR charging code in `tests/plan_equivalence.rs`);
 //! 2. [`PhaseGraph::stage_durations`] folds the stage annotations into
 //!    the three pipeline stage durations `taskpar` schedules;
 //! 3. `predict::PerfModel::from_profile` folds node work totals and edge
@@ -31,12 +33,13 @@
 //!    identical virtual cost.
 
 use crate::driver::{HourPlans, PlanLayouts};
+use crate::predict::step_seconds;
 use crate::profile::{HourProfile, WorkProfile};
 use crate::report::RunReport;
 use airshed_hpf::dist::Distribution;
 use airshed_hpf::loops::block_ranges;
 use airshed_hpf::redist::PlanEdge;
-use airshed_machine::{Machine, MachineProfile, PhaseKind, PlanStep};
+use airshed_machine::{Machine, MachineProfile, PhaseCategory, PhaseKind};
 
 pub mod optimize;
 
@@ -390,49 +393,34 @@ impl PhaseGraph {
         }
     }
 
-    /// Lower one node to the machine's plan-step instruction set.
-    fn lower(&self, node: &PhaseNode) -> PlanStep<'_> {
-        match &node.op {
-            Op::Compute { kind, work } => match work {
-                Work::Replicated { work, .. } => PlanStep::Sequential {
-                    kind: *kind,
-                    work: *work,
-                },
-                Work::Distributed { per_item, layout } => PlanStep::Compute {
-                    kind: *kind,
-                    per_node: layout.per_node(per_item, self.p),
-                },
-            },
-            Op::Comm { edge } => {
-                let e = &self.edges[*edge];
-                PlanStep::Comm {
-                    label: e.label,
-                    loads: &e.loads,
-                }
-            }
+    /// Charge `nodes` to the machine in order, each with
+    /// [`step_seconds`] on the machine's own profile, under the label
+    /// and category of the node's kind or edge. Returns the elapsed
+    /// virtual time.
+    fn charge<'a>(&self, machine: &mut Machine, nodes: impl Iterator<Item = &'a PhaseNode>) -> f64 {
+        assert_eq!(machine.p(), self.p, "graph was planned for a different P");
+        let start = machine.elapsed();
+        for node in nodes {
+            let seconds = step_seconds(self, node, &machine.profile);
+            let (label, cat) = match &node.op {
+                Op::Compute { kind, .. } => (kind.label(), kind.category()),
+                Op::Comm { edge } => (self.edges[*edge].label, PhaseCategory::Communication),
+            };
+            machine.charge(label, cat, seconds);
         }
+        machine.elapsed() - start
     }
 
     /// Data-parallel lowering: charge every node of the graph to the
     /// machine in program order. Returns the elapsed virtual time.
     pub fn execute(&self, machine: &mut Machine) -> f64 {
-        assert_eq!(machine.p(), self.p, "graph was planned for a different P");
-        let start = machine.elapsed();
-        for node in &self.nodes {
-            machine.execute_step(&self.lower(node));
-        }
-        machine.elapsed() - start
+        self.charge(machine, self.nodes.iter())
     }
 
     /// Charge only the nodes of one pipeline stage (the task-parallel
     /// compute subgroup executes `Stage::Main` this way).
     pub fn execute_stage(&self, machine: &mut Machine, stage: Stage) -> f64 {
-        assert_eq!(machine.p(), self.p, "graph was planned for a different P");
-        let start = machine.elapsed();
-        for node in self.nodes.iter().filter(|n| n.stage == stage) {
-            machine.execute_step(&self.lower(node));
-        }
-        machine.elapsed() - start
+        self.charge(machine, self.nodes.iter().filter(|n| n.stage == stage))
     }
 
     /// Time one node takes on an I/O subgroup of `p_stage` nodes:
@@ -440,17 +428,15 @@ impl PhaseGraph {
     /// subgroup size), distributed work by its layout over the subgroup.
     fn io_node_seconds(&self, node: &PhaseNode, mp: &MachineProfile, p_stage: usize) -> f64 {
         match &node.op {
-            Op::Compute { work, .. } => match work {
-                Work::Replicated { work, parallelism } => {
-                    let par = (*parallelism).min(p_stage) as f64;
-                    work / (mp.rate * par)
-                }
-                Work::Distributed { per_item, layout } => {
-                    let per = layout.per_node(per_item, p_stage);
-                    per.iter().fold(0.0f64, |a, &b| a.max(b)) / mp.rate
-                }
-            },
-            Op::Comm { edge } => mp.comm_phase_seconds(&self.edges[*edge].loads),
+            Op::Compute {
+                work: Work::Replicated { work, parallelism },
+                ..
+            } => {
+                let par = (*parallelism).min(p_stage) as f64;
+                work / (mp.rate * par)
+            }
+            Op::Compute { work, .. } => work.charged(p_stage).0 / mp.rate,
+            Op::Comm { .. } => step_seconds(self, node, mp),
         }
     }
 
@@ -590,6 +576,48 @@ mod tests {
             }
             assert_eq!(direct.elapsed(), via_graph.elapsed(), "p={p}");
         }
+    }
+
+    /// The one-fold property: on every paper machine, a fresh machine
+    /// that executes the hours' graphs stands at exactly the running sum
+    /// of `step_seconds` over their nodes.
+    fn assert_one_fold(profile: &WorkProfile) {
+        for mp in MachineProfile::paper_machines() {
+            for p in [1usize, 3, 16, 128] {
+                let plans = HourPlans::new(&profile.shape, p);
+                let mut machine = Machine::new(mp, p);
+                let mut sum = 0.0f64;
+                for hp in &profile.hours {
+                    let graph = PhaseGraph::for_hour(hp, &plans, p);
+                    graph.execute(&mut machine);
+                    for node in &graph.nodes {
+                        sum += step_seconds(&graph, node, &mp);
+                    }
+                    assert_eq!(
+                        machine.elapsed().to_bits(),
+                        sum.to_bits(),
+                        "{} p={p}",
+                        mp.name
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn execute_is_the_running_sum_of_step_seconds() {
+        assert_one_fold(tiny_profile());
+    }
+
+    #[test]
+    #[ignore = "runs two hours of the LA numerics"]
+    fn execute_is_the_running_sum_of_step_seconds_on_la() {
+        let config = crate::SimConfig {
+            hours: 2,
+            ..crate::SimConfig::la_t3e(4)
+        };
+        let (_, profile) = crate::driver::run_with_profile_on(&config, Default::default());
+        assert_one_fold(&profile);
     }
 
     #[test]

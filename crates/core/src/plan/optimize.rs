@@ -70,10 +70,10 @@ impl PlanChoice {
 
 /// Predicted cost of executing `profile` under `layouts`: build each
 /// hour's [`PhaseGraph`] from the layouts' redistribution schedule and
-/// fold every node through [`step_seconds`] into one running sum — the
-/// same program-order accumulation the virtual machine's clock performs,
-/// so this *is*, bit for bit, the virtual time a replay of the same
-/// plan will charge.
+/// fold every node through [`step_seconds`] into one running sum —
+/// which is what the virtual machine does when it executes them
+/// ([`PhaseGraph::execute`] charges each node with the same function),
+/// so this is the virtual time a replay of the same plan will charge.
 pub fn plan_cost(
     profile: &WorkProfile,
     machine: &MachineProfile,

@@ -34,10 +34,11 @@ use airshed_machine::{MachineProfile, PhaseKind};
 use serde::Serialize;
 
 /// Virtual seconds the machine charges for one plan node — the single
-/// §4 pricing rule. [`cost_of`], the oracle's pricing residuals
-/// ([`crate::obs::oracle`]) and the plan optimizer
-/// ([`crate::plan::optimize`]) all delegate here, so a plan is priced
-/// identically wherever it is folded.
+/// §4 pricing rule, and the machine's only charge:
+/// [`PhaseGraph::execute`] advances the virtual clock by exactly this,
+/// and the plan optimizer ([`crate::plan::optimize`]), admission and the
+/// router fold the same function, so a plan is priced as it is charged
+/// wherever it is folded.
 pub fn step_seconds(graph: &PhaseGraph, node: &PhaseNode, machine: &MachineProfile) -> f64 {
     match &node.op {
         Op::Compute { work, .. } => work.charged(graph.p).0 / machine.rate,
@@ -45,50 +46,13 @@ pub fn step_seconds(graph: &PhaseGraph, node: &PhaseNode, machine: &MachineProfi
     }
 }
 
-/// Phase-attributed §4 cost of one plan graph on one machine.
-#[derive(Debug, Clone, Copy, Default, Serialize)]
-pub struct GraphCost {
-    pub io: f64,
-    pub transport: f64,
-    /// Chemistry plus the aerosol pass (the paper's phase accounting
-    /// groups them).
-    pub chemistry: f64,
-    pub communication: f64,
-    pub total: f64,
-}
-
-impl GraphCost {
-    /// Accumulate another graph's cost (e.g. summing hours of a run).
-    pub fn accumulate(&mut self, other: &GraphCost) {
-        self.io += other.io;
-        self.transport += other.transport;
-        self.chemistry += other.chemistry;
-        self.communication += other.communication;
-        self.total += other.total;
-    }
-}
-
-/// Fold the §4 cost of a plan graph — the analytic counterpart of
-/// [`PhaseGraph::execute`], and bit-identical to it: the fold visits the
-/// nodes in program order and charges each with [`step_seconds`], which
-/// is exactly what the virtual machine does. This is the optimizer's
-/// objective function and the single pricing API the server's admission
-/// control, the fabric router and the oracle all build on.
-pub fn cost_of(graph: &PhaseGraph, machine: &MachineProfile) -> GraphCost {
-    let mut c = GraphCost::default();
-    for node in &graph.nodes {
-        let s = step_seconds(graph, node, machine);
-        match &node.op {
-            Op::Compute { kind, .. } => match kind {
-                PhaseKind::InputHour | PhaseKind::PreTrans | PhaseKind::OutputHour => c.io += s,
-                PhaseKind::Transport => c.transport += s,
-                PhaseKind::Chemistry | PhaseKind::Aerosol => c.chemistry += s,
-            },
-            Op::Comm { .. } => c.communication += s,
-        }
-        c.total += s;
-    }
-    c
+/// §4.1 for a distributed phase of `items` items: the sequential time
+/// divided by the useful parallelism `min(items, P)`, per-node load
+/// taken with the ceil rule for uneven division.
+pub(crate) fn ceil_rule_seconds(seq_work: f64, rate: f64, items: usize, p: usize) -> f64 {
+    let n = items.max(1);
+    let ceil = (n as f64 / n.min(p) as f64).ceil();
+    seq_work / rate * ceil / n as f64
 }
 
 /// How many times each redistribution edge occurs in the modelled run,
@@ -118,10 +82,10 @@ pub struct PerfModel {
     /// Per-layer transport work summed over the whole run
     /// (P- and layout-independent) — what the layout-aware pricing in
     /// [`PerfModel::layout_cost`] folds instead of the even-division
-    /// approximation. Empty on models calibrated before this field
-    /// existed; pricing then falls back to the §4.1 ceil rule.
+    /// approximation. One entry per layer.
     pub transport_per_item: Vec<f64>,
-    /// Per-column chemistry work summed over the whole run.
+    /// Per-column chemistry work summed over the whole run, one entry
+    /// per column.
     pub chemistry_per_item: Vec<f64>,
 }
 
@@ -271,13 +235,9 @@ impl PerfModel {
 
         // --- Computation (§4.1): seq / useful parallelism, ceil rule ---
         let io = self.seq_io / rate;
-        let tr_par = layers.min(p) as f64;
-        let tr_ceil = (layers as f64 / tr_par).ceil();
-        let transport = self.seq_transport / rate * tr_ceil / layers as f64;
-        let ch_par = nodes.min(p) as f64;
-        let ch_ceil = (nodes as f64 / ch_par).ceil();
+        let transport = ceil_rule_seconds(self.seq_transport, rate, layers, p);
         let chemistry =
-            self.seq_chemistry / rate * ch_ceil / nodes as f64 + self.seq_aerosol / rate;
+            ceil_rule_seconds(self.seq_chemistry, rate, nodes, p) + self.seq_aerosol / rate;
 
         // --- Communication (§4.2): per-occurrence costs × counts ---
         let c = comm_step_costs(machine, self.shape, p);
@@ -305,19 +265,6 @@ impl PerfModel {
         }
     }
 
-    /// Predict across a node sweep.
-    pub fn sweep(&self, machine: &MachineProfile, ps: &[usize]) -> Vec<Prediction> {
-        ps.iter().map(|&p| self.predict(machine, p)).collect()
-    }
-
-    /// Per-hour §4 cost of the default (all-`BLOCK`) plan on one machine
-    /// × P point — the **single** pricing rule behind server admission
-    /// and the fabric router (both used to fold this slightly
-    /// differently; they now delegate here).
-    pub fn hour_cost(&self, machine: &MachineProfile, p: usize) -> f64 {
-        self.predict(machine, p).total / self.hours.max(1) as f64
-    }
-
     /// Predicted virtual cost of an `hours`-hour scenario of this family
     /// under the default plan.
     pub fn scenario_seconds(&self, machine: &MachineProfile, p: usize, hours: usize) -> f64 {
@@ -330,23 +277,16 @@ impl PerfModel {
     /// even division), and each redistribution is priced from the
     /// *planned* loads of the layout's actual redistribution schedule —
     /// so layouts that trade imbalance for extra messages are costed
-    /// honestly on both sides. Falls back to the closed-form compute
-    /// terms for models calibrated without per-item vectors.
+    /// honestly on both sides.
     pub fn layout_cost(&self, machine: &MachineProfile, p: usize, layouts: PlanLayouts) -> f64 {
         let rate = machine.rate;
-        let ceil_model = self.predict(machine, p);
-        let heaviest = |per_item: &[f64], layout: ItemLayout| -> Option<f64> {
-            if per_item.is_empty() {
-                return None;
-            }
+        let heaviest = |per_item: &[f64], layout: ItemLayout| {
             let per = layout.per_node(per_item, p);
-            Some(per.iter().fold(0.0f64, |a, &b| a.max(b)) / rate)
+            per.iter().fold(0.0f64, |a, &b| a.max(b)) / rate
         };
-        let transport =
-            heaviest(&self.transport_per_item, layouts.transport).unwrap_or(ceil_model.transport);
-        let chemistry = heaviest(&self.chemistry_per_item, layouts.chemistry)
-            .map(|c| c + self.seq_aerosol / rate)
-            .unwrap_or(ceil_model.chemistry);
+        let transport = heaviest(&self.transport_per_item, layouts.transport);
+        let chemistry =
+            heaviest(&self.chemistry_per_item, layouts.chemistry) + self.seq_aerosol / rate;
         let plans = HourPlans::shared(&self.shape, p, layouts);
         let occ = self.occurrences;
         let communication = machine.comm_phase_seconds(&plans.main.repl_to_trans.loads)
@@ -355,7 +295,7 @@ impl PerfModel {
                 * occ.trans_to_chem as f64
             + machine.comm_phase_seconds(&plans.main.chem_to_repl.loads) * occ.chem_to_repl as f64
             + machine.comm_phase_seconds(&plans.trans_to_repl.loads) * occ.trans_to_repl as f64;
-        ceil_model.io + transport + chemistry + communication
+        self.seq_io / rate + transport + chemistry + communication
     }
 
     /// Search the per-phase layout space for the cheapest plan on
@@ -551,13 +491,5 @@ mod tests {
             assert_eq!(c.for_label(labels::TRANS_TO_REPL), Some(c.trans_to_repl));
             assert_eq!(c.for_label("not-an-edge"), None);
         }
-    }
-
-    #[test]
-    fn sweep_shape() {
-        let (m, _) = model_and_profile();
-        let s = m.sweep(&MachineProfile::paragon(), &[4, 8, 16]);
-        assert_eq!(s.len(), 3);
-        assert!(s[0].total > s[2].total);
     }
 }

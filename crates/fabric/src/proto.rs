@@ -755,7 +755,7 @@ fn enc_model(e: &mut Enc, m: &PerfModel) {
 }
 
 fn dec_model(d: &mut Dec) -> Result<PerfModel, WireError> {
-    Ok(PerfModel {
+    let model = PerfModel {
         shape: [d.usize()?, d.usize()?, d.usize()?],
         seq_io: d.f64()?,
         seq_transport: d.f64()?,
@@ -771,7 +771,14 @@ fn dec_model(d: &mut Dec) -> Result<PerfModel, WireError> {
         },
         transport_per_item: d.f64s()?,
         chemistry_per_item: d.f64s()?,
-    })
+    };
+    // Layout pricing folds these per layer and per column.
+    if model.transport_per_item.len() != model.shape[1]
+        || model.chemistry_per_item.len() != model.shape[2]
+    {
+        return Err(WireError::Malformed("per-item work does not match shape"));
+    }
+    Ok(model)
 }
 
 /// Canonical fingerprint of a [`RunReport`]'s *deterministic* content:
@@ -1105,11 +1112,20 @@ mod tests {
         assert!(Msg::decode(tags::HELLO, &payload).is_err());
         // Truncated payload.
         assert!(Msg::decode(tags::HELLO, &payload[..3]).is_err());
-        // An Assign whose checkpoint bytes are corrupted must error, not
-        // panic: flip a byte inside the nested ASHCKPT1 block.
         let mut cfg = SimConfig::test_tiny(2, 1);
         cfg.start_hour = 12;
         let (_, profile, ckpt) = run_resumable_with(&cfg, None, ExecSpec::default());
+        // A family model whose per-item work is not one entry per layer
+        // is refused: layout pricing folds it per layer.
+        let mut model = PerfModel::from_profile(&profile);
+        model.transport_per_item.pop();
+        let short = Msg::Calibrated { job: 1, model };
+        assert!(matches!(
+            Msg::decode(tags::CALIBRATED, &short.encode()),
+            Err(WireError::Malformed("per-item work does not match shape"))
+        ));
+        // An Assign whose checkpoint bytes are corrupted must error, not
+        // panic: flip a byte inside the nested ASHCKPT1 block.
         let assign = Msg::Assign {
             job: 3,
             ctx: TraceContext::for_job(3),

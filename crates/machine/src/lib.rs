@@ -11,26 +11,32 @@
 //!   latency per message, per-byte processing at the endpoints, and
 //!   per-byte local copying — again settled by the most loaded node.
 //!
+//! Every phase ends in a barrier over all nodes, so the nodes' clocks
+//! are equal at every phase boundary and the machine keeps one: a phase
+//! advances it by its most loaded node's seconds. (Rounded `+` and
+//! `/ rate` are monotone, so the maximum commutes with both and this is
+//! the per-node machine, bit for bit — `tests/proptest_machine.rs` keeps
+//! the per-node reference.) Task-parallel subgroups are separate
+//! machines of subgroup size scheduled by `airshed-hpf`'s pipeline.
+//!
 //! The T3E parameter set is the one the paper reports
 //! (`L = 5.2e-5 s/msg`, `G = 2.47e-8 s/B`, `H = 2.04e-8 s/B`, 8-byte
 //! words); Paragon and T3D compute rates follow the paper's observed
 //! ratios (T3D ≈ 2× Paragon, T3E ≈ 10× Paragon).
 //!
-//! Modules: [`profiles`] (machine parameter sets), [`clock`] (per-node
-//! virtual clocks and barriers), [`cost`] (the communication cost model),
-//! [`accounting`] (per-phase time attribution), [`sim`] (the [`Machine`]
-//! façade the runtime drives).
+//! Modules: [`profiles`] (machine parameter sets), [`cost`] (the
+//! communication cost model), [`accounting`] (per-phase time
+//! attribution), [`trace`] (the optional phase timeline), [`sim`] (the
+//! [`Machine`] façade the runtime drives).
 
 pub mod accounting;
-pub mod clock;
 pub mod cost;
 pub mod profiles;
 pub mod sim;
 pub mod trace;
 
 pub use accounting::{PhaseBreakdown, PhaseCategory, PhaseKind};
-pub use clock::NodeClocks;
 pub use cost::NodeCommLoad;
 pub use profiles::MachineProfile;
-pub use sim::{Machine, PlanStep};
+pub use sim::Machine;
 pub use trace::{Trace, TraceEvent};

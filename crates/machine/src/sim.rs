@@ -1,38 +1,22 @@
 //! The [`Machine`] façade: a virtual parallel computer that the HPF-style
-//! runtime drives. Computation and communication phases advance per-node
-//! virtual clocks and attribute their cost to phase categories.
+//! runtime drives. Every phase of the Airshed loop ends in a barrier over
+//! all nodes, so the machine's virtual time is one number: a phase
+//! advances it by the seconds of its most loaded node and attributes
+//! them to a phase category.
 
-use crate::accounting::{CommLog, PhaseBreakdown, PhaseCategory, PhaseKind};
-use crate::clock::NodeClocks;
+use crate::accounting::{CommLog, PhaseBreakdown, PhaseCategory};
 use crate::cost::NodeCommLoad;
 use crate::profiles::MachineProfile;
 use crate::trace::Trace;
-
-/// One pre-lowered step of an execution plan — the instruction set the
-/// machine exposes to plan lowerings (`airshed-core`'s `plan` module
-/// compiles a `PhaseGraph` down to a sequence of these).
-///
-/// Compute steps are identified by their IR [`PhaseKind`], from which
-/// both the accounting category and the trace label derive; comm steps
-/// carry the per-node loads of a planned redistribution edge.
-#[derive(Debug, Clone)]
-pub enum PlanStep<'a> {
-    /// Distributed computation: node `i` performs `per_node[i]` units.
-    Compute { kind: PhaseKind, per_node: Vec<f64> },
-    /// Replicated (sequential) computation: every node does `work` units.
-    Sequential { kind: PhaseKind, work: f64 },
-    /// A redistribution with per-node `(m, b, c)` loads.
-    Comm {
-        label: &'static str,
-        loads: &'a [NodeCommLoad],
-    },
-}
 
 /// A virtual distributed-memory machine with `p` nodes.
 #[derive(Debug, Clone)]
 pub struct Machine {
     pub profile: MachineProfile,
-    pub clocks: NodeClocks,
+    p: usize,
+    /// Virtual seconds since construction — every node's clock, since
+    /// all of them stand at the last phase's barrier.
+    now: f64,
     pub breakdown: PhaseBreakdown,
     pub comm_log: CommLog,
     /// Optional phase trace (see [`Trace::enable`]).
@@ -41,9 +25,11 @@ pub struct Machine {
 
 impl Machine {
     pub fn new(profile: MachineProfile, p: usize) -> Machine {
+        assert!(p > 0, "need at least one node");
         Machine {
             profile,
-            clocks: NodeClocks::new(p),
+            p,
+            now: 0.0,
             breakdown: PhaseBreakdown::new(),
             comm_log: CommLog::new(),
             trace: Trace::default(),
@@ -52,138 +38,54 @@ impl Machine {
 
     /// Number of nodes.
     pub fn p(&self) -> usize {
-        self.clocks.p()
+        self.p
+    }
+
+    /// Elapsed virtual time.
+    pub fn elapsed(&self) -> f64 {
+        self.now
+    }
+
+    /// Charge one phase: `seconds` is what its most loaded node takes,
+    /// after which all nodes barrier. The only place the clock advances.
+    /// The time goes to `cat` in the breakdown (and, for a
+    /// `Communication` phase, to `label` in the comm log) and the phase
+    /// is traced under `label`. Returns the phase wall time.
+    pub fn charge(&mut self, label: &'static str, cat: PhaseCategory, seconds: f64) -> f64 {
+        let start = self.now;
+        self.now = start + seconds;
+        let dt = self.now - start;
+        self.breakdown.add(cat, dt);
+        if cat == PhaseCategory::Communication {
+            self.comm_log.record(label, dt);
+        }
+        self.trace.record(label, cat, start, self.now);
+        dt
     }
 
     /// Run a data-parallel computation phase: node `i` performs
     /// `per_node_work[i]` units, then all nodes barrier. Returns the phase
     /// wall time (slowest node).
     pub fn compute(&mut self, cat: PhaseCategory, per_node_work: &[f64]) -> f64 {
-        assert_eq!(per_node_work.len(), self.p());
-        let group: Vec<usize> = (0..self.p()).collect();
-        self.compute_group(cat, &group, per_node_work)
+        assert_eq!(per_node_work.len(), self.p);
+        let heaviest = per_node_work.iter().fold(0.0f64, |a, &b| a.max(b));
+        self.charge(cat.label(), cat, self.profile.compute_seconds(heaviest))
     }
 
-    /// Computation phase restricted to a node subgroup; only subgroup
-    /// clocks advance and barrier. `per_node_work[i]` applies to
-    /// `group[i]`.
-    pub fn compute_group(
-        &mut self,
-        cat: PhaseCategory,
-        group: &[usize],
-        per_node_work: &[f64],
-    ) -> f64 {
-        self.compute_labeled(cat.label(), cat, group, per_node_work)
-    }
-
-    /// Computation phase identified by its IR [`PhaseKind`]: the
-    /// accounting category and the trace label both derive from the
-    /// kind, so the Gantt timeline cannot drift from the Figure 4
-    /// breakdown. This is the entry point the plan executor uses.
-    pub fn compute_phase(&mut self, kind: PhaseKind, per_node_work: &[f64]) -> f64 {
-        let group: Vec<usize> = (0..self.p()).collect();
-        self.compute_labeled(kind.label(), kind.category(), &group, per_node_work)
-    }
-
-    /// Replicated computation identified by its IR [`PhaseKind`].
-    pub fn sequential_phase(&mut self, kind: PhaseKind, work: f64) -> f64 {
-        let per_node = vec![work; self.p()];
-        self.compute_phase(kind, &per_node)
-    }
-
-    /// Execute one pre-lowered plan step.
-    pub fn execute_step(&mut self, step: &PlanStep<'_>) -> f64 {
-        match step {
-            PlanStep::Compute { kind, per_node } => self.compute_phase(*kind, per_node),
-            PlanStep::Sequential { kind, work } => self.sequential_phase(*kind, *work),
-            PlanStep::Comm { label, loads } => self.communicate(label, loads),
-        }
-    }
-
-    fn compute_labeled(
-        &mut self,
-        label: &'static str,
-        cat: PhaseCategory,
-        group: &[usize],
-        per_node_work: &[f64],
-    ) -> f64 {
-        assert_eq!(per_node_work.len(), group.len());
-        let start = self
-            .clocks_group_max(group)
-            .max(self.clocks_group_min(group));
-        // All members must reach the phase start before working (phases
-        // begin after the previous barrier, so clocks are already equal
-        // within a group in normal operation).
-        for (&n, &w) in group.iter().zip(per_node_work) {
-            self.clocks.advance(n, self.profile.compute_seconds(w));
-        }
-        let end = self.clocks.barrier_group(group);
-        let dt = end - start;
-        self.breakdown.add(cat, dt);
-        self.trace.record(label, cat, start, end);
-        dt
-    }
-
-    /// Sequential (replicated) computation: every node in the group does
-    /// the same `work`, so the phase costs `work/rate` regardless of the
-    /// group size — the paper's constant I/O processing time.
-    pub fn sequential_group(&mut self, cat: PhaseCategory, group: &[usize], work: f64) -> f64 {
-        let per_node = vec![work; group.len()];
-        self.compute_group(cat, group, &per_node)
-    }
-
-    /// Sequential computation over all nodes.
+    /// Sequential (replicated) computation: every node does the same
+    /// `work`, so the phase costs `work/rate` regardless of the node
+    /// count — the paper's constant I/O processing time.
     pub fn sequential(&mut self, cat: PhaseCategory, work: f64) -> f64 {
-        let group: Vec<usize> = (0..self.p()).collect();
-        self.sequential_group(cat, &group, work)
+        self.charge(cat.label(), cat, self.profile.compute_seconds(work))
     }
 
     /// Run a communication (redistribution) phase over all nodes, with a
     /// per-node load vector, attributing the cost to `Communication` and
     /// logging it under `label`. Returns the phase wall time.
     pub fn communicate(&mut self, label: &'static str, loads: &[NodeCommLoad]) -> f64 {
-        let group: Vec<usize> = (0..self.p()).collect();
-        self.communicate_group(label, &group, loads)
-    }
-
-    /// Communication phase within a node subgroup.
-    pub fn communicate_group(
-        &mut self,
-        label: &'static str,
-        group: &[usize],
-        loads: &[NodeCommLoad],
-    ) -> f64 {
-        assert_eq!(loads.len(), group.len());
-        let start = self.clocks_group_max(group);
-        for (&n, load) in group.iter().zip(loads) {
-            self.clocks.advance(n, self.profile.comm_cost(load));
-        }
-        let end = self.clocks.barrier_group(group);
-        let dt = end - start;
-        self.breakdown.add(PhaseCategory::Communication, dt);
-        self.comm_log.record(label, dt);
-        self.trace
-            .record(label, PhaseCategory::Communication, start, end);
-        dt
-    }
-
-    /// Elapsed virtual time (slowest node).
-    pub fn elapsed(&self) -> f64 {
-        self.clocks.max()
-    }
-
-    fn clocks_group_max(&self, group: &[usize]) -> f64 {
-        group
-            .iter()
-            .map(|&n| self.clocks.time(n))
-            .fold(f64::NEG_INFINITY, f64::max)
-    }
-
-    fn clocks_group_min(&self, group: &[usize]) -> f64 {
-        group
-            .iter()
-            .map(|&n| self.clocks.time(n))
-            .fold(f64::INFINITY, f64::min)
+        assert_eq!(loads.len(), self.p);
+        let seconds = self.profile.comm_phase_seconds(loads);
+        self.charge(label, PhaseCategory::Communication, seconds)
     }
 }
 
@@ -253,25 +155,5 @@ mod tests {
         assert!(dt > 0.0);
         assert_eq!(m.breakdown.get(PhaseCategory::Communication), dt);
         assert_eq!(m.comm_log.total_for("D_Trans->D_Chem"), dt);
-    }
-
-    #[test]
-    fn subgroups_overlap_in_virtual_time() {
-        // Two disjoint groups each compute 1 s: total elapsed is 1 s, not
-        // 2 s — the foundation of the pipelined task parallelism.
-        let mut m = machine(4);
-        let rate = m.profile.rate;
-        m.compute_group(PhaseCategory::IoProc, &[0, 1], &[rate, rate]);
-        m.compute_group(PhaseCategory::Chemistry, &[2, 3], &[rate, rate]);
-        assert!((m.elapsed() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn group_barrier_syncs_members_only() {
-        let mut m = machine(3);
-        let rate = m.profile.rate;
-        m.compute_group(PhaseCategory::Transport, &[0, 1], &[2.0 * rate, rate]);
-        assert_eq!(m.clocks.time(0), m.clocks.time(1));
-        assert_eq!(m.clocks.time(2), 0.0);
     }
 }

@@ -1,9 +1,10 @@
-//! Property-based tests for the virtual machine: clock monotonicity,
-//! cost-model monotonicity and phase accounting consistency.
+//! Property-based tests for the virtual machine: the scalar clock
+//! against a per-node reference, cost-model monotonicity and phase
+//! accounting consistency.
 
 use airshed_machine::accounting::PhaseCategory;
 use airshed_machine::cost::NodeCommLoad;
-use airshed_machine::{Machine, MachineProfile, NodeClocks};
+use airshed_machine::{Machine, MachineProfile};
 use proptest::prelude::*;
 
 fn load_strategy() -> impl Strategy<Value = NodeCommLoad> {
@@ -23,29 +24,78 @@ fn load_strategy() -> impl Strategy<Value = NodeCommLoad> {
         })
 }
 
+/// The phase kinds `scalar_clock_is_the_per_node_machine` draws from:
+/// a sequential phase, two data-parallel ones and a redistribution.
+const CATS: [PhaseCategory; 4] = [
+    PhaseCategory::IoProc,
+    PhaseCategory::Transport,
+    PhaseCategory::Chemistry,
+    PhaseCategory::Communication,
+];
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Clocks never run backwards under any sequence of operations, and a
-    /// barrier equalises exactly to the max.
+    /// The scalar clock is the per-node machine: advance every node by
+    /// its own seconds, barrier to the maximum. `elapsed`, the breakdown
+    /// and every traced `(start, end)` agree bit for bit — which they
+    /// stop doing the moment a phase charges a sum or a mean of its
+    /// nodes instead of the slowest one.
     #[test]
-    fn clocks_are_monotone(
-        p in 1usize..16,
-        ops in prop::collection::vec((0usize..16, 0.0f64..10.0), 1..50),
+    fn scalar_clock_is_the_per_node_machine(
+        p in 1usize..12,
+        phases in prop::collection::vec(
+            (
+                0usize..4,
+                prop::collection::vec(0.0f64..1e12, 12),
+                prop::collection::vec(load_strategy(), 12),
+            ),
+            1..24,
+        ),
     ) {
-        let mut c = NodeClocks::new(p);
-        let mut last_max = 0.0f64;
-        for (node, dt) in ops {
-            c.advance(node % p, dt);
-            prop_assert!(c.max() >= last_max);
-            last_max = c.max();
+        let profile = MachineProfile::t3d();
+        let mut m = Machine::new(profile, p);
+        m.trace.enable();
+        let mut clocks = vec![0.0f64; p];
+        let mut spans = Vec::new();
+        let mut seconds = [0.0f64; 4];
+        for (kind, work, loads) in &phases {
+            let cat = CATS[*kind];
+            let per_node: Vec<f64> = match kind {
+                0 => {
+                    m.sequential(cat, work[0]);
+                    vec![profile.compute_seconds(work[0]); p]
+                }
+                3 => {
+                    m.communicate("edge", &loads[..p]);
+                    loads[..p].iter().map(|l| profile.comm_cost(l)).collect()
+                }
+                _ => {
+                    m.compute(cat, &work[..p]);
+                    work[..p].iter().map(|&w| profile.compute_seconds(w)).collect()
+                }
+            };
+            let start = clocks[0];
+            for (t, dt) in clocks.iter_mut().zip(per_node) {
+                *t += dt;
+            }
+            let end = clocks.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
+            clocks.fill(end);
+            seconds[*kind] += end - start;
+            spans.push((start.to_bits(), end.to_bits()));
         }
-        let m = c.barrier();
-        prop_assert_eq!(m, last_max);
-        for n in 0..p {
-            prop_assert_eq!(c.time(n), m);
+        prop_assert_eq!(m.elapsed().to_bits(), clocks[0].to_bits());
+        for (cat, secs) in CATS.into_iter().zip(seconds) {
+            prop_assert_eq!(m.breakdown.get(cat).to_bits(), secs.to_bits());
         }
-        prop_assert_eq!(c.imbalance(), 0.0);
+        prop_assert_eq!(m.comm_log.total(), seconds[3]);
+        let traced: Vec<_> = m
+            .trace
+            .events()
+            .iter()
+            .map(|e| (e.start.to_bits(), e.end.to_bits()))
+            .collect();
+        prop_assert_eq!(traced, spans);
     }
 
     /// The communication cost is monotone: adding load never makes a

@@ -705,7 +705,6 @@ mod tests {
         // The final flush published the oracle section through obs.
         let prom = sink.prometheus();
         assert!(prom.contains("airshed_oracle_residual_mean{kind=\"model\""));
-        assert!(prom.contains("airshed_oracle_residual_mean{kind=\"pricing\""));
     }
 
     #[test]

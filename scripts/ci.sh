@@ -2,8 +2,8 @@
 # CI gate: formatting, release build, the whole workspace's test suite
 # (every crate's unit tests and doctests included), the benchmark
 # package's build and tests, a warning-free clippy pass (all targets),
-# the one-arithmetic word check, the tracked line counts and the
-# one-way-to-a-plan-set check, a 2-thread backend smoke run, the
+# the one-arithmetic, one-pricing-machine and one-cost-fold word checks,
+# the one-way-to-a-plan-set check, a 2-thread backend smoke run, the
 # large-budget lane proptests of transport and chemistry, the paper-grid
 # smoke runs and the LA thread-count sweep (bit-identical, full stop), an
 # observability smoke run (the trace must be loadable JSON with spans for
@@ -11,7 +11,7 @@
 # the CLI thread-count invariance checks (serial == rayon == simd), a
 # smoke run of all four benchmark workloads, the fabric / ensemble /
 # oracle / optimizer smokes, the flag table's help golden and bad-input
-# refusals, and warning-free rustdoc.
+# refusals, warning-free rustdoc, and the tracked line counts.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -61,8 +61,22 @@ if awk '/^[[:space:]]*#\[cfg\(test\)\]/ { exit } /SpanSink|with_oracle/ { print 
 fi
 echo "one pricing machine OK"
 
-echo "==> scripts/loc.sh (tracked line counts)"
-bash scripts/loc.sh
+echo "==> one cost fold: the machine is a scalar clock charged with step_seconds"
+# PhaseGraph::execute charges each node with predict::step_seconds, so
+# there is no second copy of the rule to keep in step. These are the
+# names of the copy: per-node clocks, the plan-step instruction set, the
+# group doors, the unused graph fold and the residual between the two.
+fold="$(git ls-files '*.rs' | grep -v '^vendor/\|^benchmark/' | xargs awk '
+    FNR == 1 { in_tests = FILENAME ~ /(^|\/)tests\// }
+    /^[[:space:]]*#\[cfg\(test\)\]/ { in_tests = 1 }
+    !in_tests && /(^|[^[:alnum:]_])(NodeClocks|PlanStep|compute_group|communicate_group|cost_of|GraphCost|pricing_mare)([^[:alnum:]_]|$)/ {
+        print FILENAME ":" FNR ": " $0 }')"
+if [ -n "$fold" ]; then
+    echo "$fold"
+    echo "one cost fold FAILED: the names above are back" >&2
+    exit 1
+fi
+echo "one cost fold OK"
 
 echo "==> one way to get a plan set: HourPlans::shared outside driver.rs"
 # A plan set is derived once per process (the memo in core::driver);
@@ -294,8 +308,7 @@ assert [r["p"] for r in v["rows"]] == [4, 16], v["rows"]
 assert all(r["predicted"]["total"] > 0 and r["measured"]["total"] > 0 for r in v["rows"])
 phases = {r["phase"] for r in v["residuals"]}
 assert {"transport", "chemistry", "D_Trans->D_Chem"} <= phases, phases
-assert v["pricing_mare"] < 1e-9, v["pricing_mare"]
-assert "recalibrated" not in v and "drift" not in v, sorted(v)
+assert not {"pricing_mare", "recalibrated", "drift"} & set(v), sorted(v)
 PY
 echo "validate OK: tables printed, JSON has its per-node rows and residuals and no refit"
 
@@ -310,5 +323,8 @@ echo "plan OK: optimizer never predicts worse than the default on either grid"
 
 echo "==> cargo doc --workspace --no-deps (deny warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
+
+echo "==> scripts/loc.sh (tracked line counts)"
+bash scripts/loc.sh
 
 echo "==> CI passed"
