@@ -4,11 +4,12 @@
 //! files; ours are also the honest test that the simulation carries **no
 //! hidden state across hours**: a run split at any hour boundary must be
 //! bit-identical to an uninterrupted one (verified in the integration
-//! tests). The format is a small self-describing binary codec — no
-//! external serialization crates.
+//! tests). A checkpoint file is the `ASHCKPT1` magic followed by the
+//! checkpoint's [`Codec`](crate::codec::Codec) layout (declared in
+//! [`crate::codec`](mod@crate::codec)); a fabric `Progress` frame nests the same bytes.
 
+use crate::codec::{self, WireError};
 use crate::state::SimState;
-use std::io::{self, Read};
 
 const MAGIC: &[u8; 8] = b"ASHCKPT1";
 
@@ -24,78 +25,22 @@ pub struct Checkpoint {
 impl Checkpoint {
     /// Serialise to bytes.
     pub fn encode(&self) -> Vec<u8> {
-        let s = &self.state;
-        let mut out = Vec::with_capacity(8 + 4 * 8 + s.conc.len() * 8);
-        out.extend_from_slice(MAGIC);
-        for v in [
-            self.next_hour as u64,
-            s.species as u64,
-            s.layers as u64,
-            s.nodes as u64,
-        ] {
-            out.extend_from_slice(&v.to_le_bytes());
-        }
-        for &c in &s.conc {
-            out.extend_from_slice(&c.to_le_bytes());
-        }
-        out
+        codec::encode_magic(MAGIC, self)
     }
 
-    /// Deserialise from bytes; validates the header and element count.
-    pub fn decode(mut bytes: &[u8]) -> io::Result<Checkpoint> {
-        let mut magic = [0u8; 8];
-        bytes.read_exact(&mut magic)?;
-        if &magic != MAGIC {
-            return Err(io::Error::other("not an airshed checkpoint"));
-        }
-        let mut u = || -> io::Result<u64> {
-            let mut b = [0u8; 8];
-            bytes.read_exact(&mut b)?;
-            Ok(u64::from_le_bytes(b))
-        };
-        let next_hour = u()? as usize;
-        let species = u()? as usize;
-        let layers = u()? as usize;
-        let nodes = u()? as usize;
-        let n = species
-            .checked_mul(layers)
-            .and_then(|v| v.checked_mul(nodes))
-            .ok_or_else(|| io::Error::other("implausible checkpoint shape"))?;
-        // The header is the peer's claim; the payload is what arrived.
-        // Nothing is reserved until the two agree, byte for byte.
-        if n.checked_mul(8) != Some(bytes.len()) {
-            return Err(io::Error::other(
-                "checkpoint payload does not match its header",
-            ));
-        }
-        let mut conc = Vec::with_capacity(n);
-        for _ in 0..n {
-            let mut b = [0u8; 8];
-            bytes.read_exact(&mut b)?;
-            let v = f64::from_le_bytes(b);
-            if !v.is_finite() || v < 0.0 {
-                return Err(io::Error::other("unphysical concentration in checkpoint"));
-            }
-            conc.push(v);
-        }
-        Ok(Checkpoint {
-            next_hour,
-            state: SimState {
-                conc,
-                species,
-                layers,
-                nodes,
-            },
-        })
+    /// Deserialise from bytes; validates the magic, the shape against
+    /// the bytes present, and every concentration.
+    pub fn decode(bytes: &[u8]) -> Result<Checkpoint, WireError> {
+        codec::decode_magic(MAGIC, bytes)
     }
 
     /// Write to a file.
-    pub fn save(&self, path: &std::path::Path) -> io::Result<()> {
+    pub fn save(&self, path: &std::path::Path) -> std::io::Result<()> {
         std::fs::write(path, self.encode())
     }
 
     /// Read from a file.
-    pub fn load(path: &std::path::Path) -> io::Result<Checkpoint> {
+    pub fn load(path: &std::path::Path) -> Result<Checkpoint, WireError> {
         Checkpoint::decode(&std::fs::read(path)?)
     }
 }
@@ -127,28 +72,30 @@ mod tests {
     #[test]
     fn rejects_corruption() {
         let c = sample();
+        let malformed =
+            |bytes: &[u8]| matches!(Checkpoint::decode(bytes), Err(WireError::Malformed(_)));
         let mut bytes = c.encode();
         bytes[0] ^= 0xFF;
-        assert!(Checkpoint::decode(&bytes).is_err());
+        assert!(malformed(&bytes));
         // Truncation.
         let good = c.encode();
-        assert!(Checkpoint::decode(&good[..good.len() - 3]).is_err());
+        assert!(malformed(&good[..good.len() - 3]));
         // NaN smuggling.
         let mut nan = c.encode();
         let off = nan.len() - 8;
         nan[off..].copy_from_slice(&f64::NAN.to_le_bytes());
-        assert!(Checkpoint::decode(&nan).is_err());
+        assert!(malformed(&nan));
         // A header claiming 2^30 elements with no payload behind it is
         // refused before anything is reserved.
         let mut huge = good[..16].to_vec();
         for dim in [1u64 << 10, 1 << 10, 1 << 10] {
             huge.extend_from_slice(&dim.to_le_bytes());
         }
-        assert!(Checkpoint::decode(&huge).is_err());
+        assert!(malformed(&huge));
         // Trailing bytes.
         let mut long = c.encode();
         long.push(0);
-        assert!(Checkpoint::decode(&long).is_err());
+        assert!(malformed(&long));
     }
 
     #[test]

@@ -43,10 +43,13 @@
 //!   shared input stage executed once per group of members;
 //! * [`surrogate`] — the per-cell response surface fitted over a
 //!   finished ensemble, answering what-if queries with an error bound;
-//! * [`report`] — run reports for the figure harness.
+//! * [`report`] — run reports for the figure harness;
+//! * [`codec`](mod@codec) — the one byte layout of everything that
+//!   leaves a process: fabric frames, checkpoints, the figure cache.
 
 pub mod backend;
 pub mod checkpoint;
+pub mod codec;
 pub mod config;
 pub mod driver;
 pub mod ensemble;

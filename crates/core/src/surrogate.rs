@@ -324,11 +324,12 @@ impl ResponseSurface {
     }
 }
 
-fn powers(x: f64, k: usize) -> Vec<f64> {
-    let mut b = Vec::with_capacity(k);
+/// `[1, x, x²]` up to the `k ≤ 3` terms a fit of degree ≤ 2 uses.
+fn powers(x: f64, k: usize) -> [f64; 3] {
+    let mut b = [0.0; 3];
     let mut v = 1.0;
-    for _ in 0..k {
-        b.push(v);
+    for slot in &mut b[..k] {
+        *slot = v;
         v *= x;
     }
     b
@@ -374,18 +375,39 @@ pub fn what_if(
     exec: ExecSpec,
     obs: &Obs,
 ) -> WhatIfOutcome {
-    let reason = match surface {
-        Some(s) => match s.query(scale, tolerance) {
-            SurrogateAnswer::Hit { field, bound } => {
-                return WhatIfOutcome::Surrogate { field, bound };
-            }
-            SurrogateAnswer::Fallback(reason) => Some(reason),
-        },
-        None => None,
-    };
-    let mut config = base.clone();
-    config.emission_scale = scale;
-    let (report, profile, _) = Episode::new(&config, None, exec, obs).run(config.hours);
+    surrogate_tier(surface, scale, tolerance).unwrap_or_else(|reason| {
+        let mut config = base.clone();
+        config.emission_scale = scale;
+        exact_tier(&config, reason, exec, obs)
+    })
+}
+
+/// The first tier of [`what_if`] alone, querying the surface once: its
+/// answer, or why the exact tier must run (`None` when there is no
+/// surface at all).
+pub fn surrogate_tier(
+    surface: Option<&ResponseSurface>,
+    scale: f64,
+    tolerance: f64,
+) -> Result<WhatIfOutcome, Option<FallbackReason>> {
+    match surface.map(|s| s.query(scale, tolerance)) {
+        Some(SurrogateAnswer::Hit { field, bound }) => {
+            Ok(WhatIfOutcome::Surrogate { field, bound })
+        }
+        Some(SurrogateAnswer::Fallback(reason)) => Err(Some(reason)),
+        None => Err(None),
+    }
+}
+
+/// The second tier of [`what_if`] alone: simulate `config` (the base at
+/// the queried scale) and answer with its final-hour surface field.
+pub fn exact_tier(
+    config: &SimConfig,
+    reason: Option<FallbackReason>,
+    exec: ExecSpec,
+    obs: &Obs,
+) -> WhatIfOutcome {
+    let (report, profile, _) = Episode::new(config, None, exec, obs).run(config.hours);
     let field = profile
         .hours
         .last()

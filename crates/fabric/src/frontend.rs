@@ -11,7 +11,7 @@
 
 use crate::proto::{self, Msg};
 use crate::router::{Router, RouterConfig, ShardCounters};
-use crate::wire::WireError;
+use airshed_core::codec::WireError;
 use airshed_core::config::SimConfig;
 use airshed_core::driver::ChemLayout;
 use airshed_core::ensemble::EnsembleJob;

@@ -22,8 +22,8 @@
 //!
 //! | module       | job                                                    |
 //! |--------------|--------------------------------------------------------|
-//! | [`wire`]     | frames, byte codec, fault injection ([`FaultPlan`])    |
-//! | [`proto`]    | [`Msg`] — the typed protocol + domain codecs           |
+//! | [`wire`]     | frames and fault injection ([`FaultPlan`])             |
+//! | [`proto`]    | [`Msg`] — the typed protocol, its layout declared once |
 //! | [`router`]   | deterministic routing/stealing/failover state machine  |
 //! | [`shard`]    | shard process: worker pool behind one TCP connection   |
 //! | [`frontend`] | front-end process: accept shards, drive the [`Router`] |
@@ -40,4 +40,4 @@ pub use frontend::{
 pub use proto::{report_fingerprint, Msg, ScenarioJob};
 pub use router::{Router, RouterConfig, ShardCounters};
 pub use shard::{run_shard, ShardOptions};
-pub use wire::{FaultAction, FaultPlan, FaultyWriter, WireError};
+pub use wire::{FaultAction, FaultPlan, FaultyWriter};

@@ -33,7 +33,8 @@
 //! test harness down with it.
 
 use crate::proto::{self, Msg, ScenarioJob};
-use crate::wire::{FaultPlan, FaultyWriter, WireError};
+use crate::wire::{FaultPlan, FaultyWriter};
+use airshed_core::codec::WireError;
 use airshed_core::driver::HourPlans;
 use airshed_core::obs::dist::TraceContext;
 use airshed_core::plan::replay_profile;

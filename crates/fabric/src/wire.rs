@@ -1,4 +1,4 @@
-//! The length-framed wire layer.
+//! The length-framed wire layer: frames and fault injection.
 //!
 //! Every message on a fabric connection is one frame:
 //!
@@ -8,11 +8,10 @@
 //! +----------+--------+-------------+----------------+
 //! ```
 //!
-//! The payload is encoded with [`Enc`]/[`Dec`] — fixed-width
-//! little-endian integers and `f64::to_le_bytes` floats, so numeric
-//! round-trips are bit-exact (the fabric's bit-identity guarantee rides
-//! on this). No external serialization crates: the vendored serde shim
-//! is a no-op, and the format above needs nothing more.
+//! The header is one more [`airshed_core::codec`](mod@airshed_core::codec) layout, and the
+//! payload is a [`Msg`](crate::proto::Msg)'s fields in theirs, so every
+//! number crosses the wire bit-exactly (the fabric's bit-identity
+//! guarantee rides on this).
 //!
 //! Framing failures are *values*, never panics: a stream that ends
 //! mid-frame yields [`WireError::Truncated`], a stream that ends exactly
@@ -21,6 +20,7 @@
 //! damaged"). [`FaultPlan`] + [`FaultyWriter`] inject drop / delay /
 //! truncate faults at the frame level for tests and chaos runs.
 
+use airshed_core::codec::{self, Codec, WireError};
 use std::io::{self, Read, Write};
 
 /// Two-byte frame preamble: catches cross-protocol connections early.
@@ -31,57 +31,26 @@ pub const FRAME_MAGIC: [u8; 2] = *b"AF";
 /// is corruption, not data, and is rejected before allocating.
 pub const MAX_FRAME: u32 = 64 << 20;
 
-/// Everything that can go wrong on the wire.
-#[derive(Debug)]
-pub enum WireError {
-    /// The peer closed the stream on a frame boundary (clean EOF).
-    Closed,
-    /// The stream ended inside a frame: `got` of `expected` bytes.
-    Truncated { expected: usize, got: usize },
-    /// The first two bytes were not [`FRAME_MAGIC`].
-    BadMagic([u8; 2]),
-    /// The header announced a payload larger than [`MAX_FRAME`].
-    Oversized(u32),
-    /// The frame arrived whole but its payload does not decode.
-    Malformed(&'static str),
-    /// A tag byte no decoder claims.
-    UnknownTag(u8),
-    /// Transport-level I/O failure.
-    Io(io::Error),
+/// The bytes before every payload.
+struct Header {
+    magic: [u8; 2],
+    tag: u8,
+    len: u32,
 }
+airshed_core::codec! { Header { magic, tag, len } }
 
-impl std::fmt::Display for WireError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            WireError::Closed => write!(f, "connection closed"),
-            WireError::Truncated { expected, got } => {
-                write!(f, "truncated frame: {got} of {expected} bytes")
-            }
-            WireError::BadMagic(m) => write!(f, "bad frame magic {m:02x?}"),
-            WireError::Oversized(n) => write!(f, "oversized frame: {n} bytes"),
-            WireError::Malformed(what) => write!(f, "malformed payload: {what}"),
-            WireError::UnknownTag(t) => write!(f, "unknown message tag {t}"),
-            WireError::Io(e) => write!(f, "i/o error: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for WireError {}
-
-impl From<io::Error> for WireError {
-    fn from(e: io::Error) -> WireError {
-        WireError::Io(e)
-    }
+fn header(tag: u8, payload: &[u8]) -> Vec<u8> {
+    codec::encode(&Header {
+        magic: FRAME_MAGIC,
+        tag,
+        len: payload.len() as u32,
+    })
 }
 
 /// Write one frame (header + payload) and flush.
 pub fn write_frame(w: &mut impl Write, tag: u8, payload: &[u8]) -> io::Result<()> {
     debug_assert!(payload.len() as u64 <= MAX_FRAME as u64);
-    let mut header = [0u8; 7];
-    header[..2].copy_from_slice(&FRAME_MAGIC);
-    header[2] = tag;
-    header[3..].copy_from_slice(&(payload.len() as u32).to_le_bytes());
-    w.write_all(&header)?;
+    w.write_all(&header(tag, payload))?;
     w.write_all(payload)?;
     w.flush()
 }
@@ -112,13 +81,12 @@ fn fill(r: &mut impl Read, buf: &mut [u8], at_boundary: bool) -> Result<(), Wire
 
 /// Read one frame; blocks until a whole frame (or an error) arrives.
 pub fn read_frame(r: &mut impl Read) -> Result<(u8, Vec<u8>), WireError> {
-    let mut header = [0u8; 7];
-    fill(r, &mut header, true)?;
-    if header[..2] != FRAME_MAGIC {
-        return Err(WireError::BadMagic([header[0], header[1]]));
+    let mut bytes = [0; Header::MIN_BYTES];
+    fill(r, &mut bytes, true)?;
+    let Header { magic, tag, len } = codec::decode(&bytes)?;
+    if magic != FRAME_MAGIC {
+        return Err(WireError::BadMagic(magic));
     }
-    let tag = header[2];
-    let len = u32::from_le_bytes(header[3..7].try_into().unwrap());
     if len > MAX_FRAME {
         return Err(WireError::Oversized(len));
     }
@@ -132,155 +100,6 @@ pub fn read_frame(r: &mut impl Read) -> Result<(u8, Vec<u8>), WireError> {
         other => other,
     })?;
     Ok((tag, payload))
-}
-
-// ---------------------------------------------------------------------------
-// Payload codec
-// ---------------------------------------------------------------------------
-
-/// Append-only payload encoder. All integers little-endian fixed-width;
-/// floats as raw bits, so every `f64` survives the wire bit-exactly.
-#[derive(Default)]
-pub struct Enc {
-    buf: Vec<u8>,
-}
-
-impl Enc {
-    pub fn new() -> Enc {
-        Enc::default()
-    }
-
-    pub fn u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-
-    pub fn bool(&mut self, v: bool) {
-        self.buf.push(v as u8);
-    }
-
-    pub fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    pub fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    pub fn usize(&mut self, v: usize) {
-        self.u64(v as u64);
-    }
-
-    pub fn f64(&mut self, v: f64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    pub fn f64s(&mut self, vs: &[f64]) {
-        self.u32(vs.len() as u32);
-        for &v in vs {
-            self.f64(v);
-        }
-    }
-
-    pub fn str(&mut self, s: &str) {
-        self.bytes(s.as_bytes());
-    }
-
-    pub fn bytes(&mut self, b: &[u8]) {
-        self.u32(b.len() as u32);
-        self.buf.extend_from_slice(b);
-    }
-
-    pub fn finish(self) -> Vec<u8> {
-        self.buf
-    }
-}
-
-/// Matching decoder; every read is bounds-checked and returns
-/// [`WireError::Malformed`] instead of slicing out of range.
-pub struct Dec<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Dec<'a> {
-    pub fn new(buf: &'a [u8]) -> Dec<'a> {
-        Dec { buf, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&e| e <= self.buf.len())
-            .ok_or(WireError::Malformed("payload underrun"))?;
-        let s = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(s)
-    }
-
-    pub fn u8(&mut self) -> Result<u8, WireError> {
-        Ok(self.take(1)?[0])
-    }
-
-    pub fn bool(&mut self) -> Result<bool, WireError> {
-        match self.u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            _ => Err(WireError::Malformed("bool out of range")),
-        }
-    }
-
-    pub fn u32(&mut self) -> Result<u32, WireError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    pub fn u64(&mut self) -> Result<u64, WireError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    pub fn usize(&mut self) -> Result<usize, WireError> {
-        usize::try_from(self.u64()?).map_err(|_| WireError::Malformed("usize overflow"))
-    }
-
-    pub fn f64(&mut self) -> Result<f64, WireError> {
-        Ok(f64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    pub fn f64s(&mut self) -> Result<Vec<f64>, WireError> {
-        let n = self.len_prefix(8)?;
-        (0..n).map(|_| self.f64()).collect()
-    }
-
-    pub fn str(&mut self) -> Result<String, WireError> {
-        let b = self.bytes()?;
-        String::from_utf8(b.to_vec()).map_err(|_| WireError::Malformed("string not utf-8"))
-    }
-
-    pub fn bytes(&mut self) -> Result<&'a [u8], WireError> {
-        let n = self.len_prefix(1)?;
-        self.take(n)
-    }
-
-    /// Read a u32 element count and sanity-check it against the bytes
-    /// actually remaining (each element needs >= `min_elem_bytes`), so a
-    /// corrupt count fails fast instead of driving a huge allocation.
-    pub fn len_prefix(&mut self, min_elem_bytes: usize) -> Result<usize, WireError> {
-        let n = self.u32()? as usize;
-        let remaining = self.buf.len() - self.pos;
-        if n.saturating_mul(min_elem_bytes.max(1)) > remaining {
-            return Err(WireError::Malformed("length prefix exceeds payload"));
-        }
-        Ok(n)
-    }
-
-    /// Assert the payload was fully consumed.
-    pub fn done(self) -> Result<(), WireError> {
-        if self.pos == self.buf.len() {
-            Ok(())
-        } else {
-            Err(WireError::Malformed("trailing bytes in payload"))
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -414,11 +233,7 @@ impl<W: Write> FaultyWriter<W> {
                 write_frame(&mut self.inner, tag, payload)
             }
             Some(FaultAction::Truncate { keep }) => {
-                let mut header = [0u8; 7];
-                header[..2].copy_from_slice(&FRAME_MAGIC);
-                header[2] = tag;
-                header[3..].copy_from_slice(&(payload.len() as u32).to_le_bytes());
-                self.inner.write_all(&header)?;
+                self.inner.write_all(&header(tag, payload))?;
                 let keep = (keep as usize).min(payload.len());
                 self.inner.write_all(&payload[..keep])?;
                 self.inner.flush()?;
@@ -484,51 +299,6 @@ mod tests {
             read_frame(&mut Cursor::new(huge.to_vec())),
             Err(WireError::Oversized(_))
         ));
-    }
-
-    #[test]
-    fn codec_round_trips_bit_exactly() {
-        let mut e = Enc::new();
-        e.u8(200);
-        e.bool(true);
-        e.u32(u32::MAX - 1);
-        e.u64(1 << 60);
-        e.f64(0.1 + 0.2); // not representable exactly: bits must survive
-        e.f64s(&[f64::MIN_POSITIVE, -0.0, 3.5e300]);
-        e.str("Cray T3E");
-        let buf = e.finish();
-        let mut d = Dec::new(&buf);
-        assert_eq!(d.u8().unwrap(), 200);
-        assert!(d.bool().unwrap());
-        assert_eq!(d.u32().unwrap(), u32::MAX - 1);
-        assert_eq!(d.u64().unwrap(), 1 << 60);
-        assert_eq!(d.f64().unwrap().to_bits(), (0.1f64 + 0.2).to_bits());
-        let v = d.f64s().unwrap();
-        assert_eq!(v[1].to_bits(), (-0.0f64).to_bits());
-        assert_eq!(d.str().unwrap(), "Cray T3E");
-        d.done().unwrap();
-    }
-
-    #[test]
-    fn decoder_rejects_garbage_instead_of_panicking() {
-        // Truncated payloads.
-        assert!(Dec::new(&[1, 2]).u32().is_err());
-        assert!(Dec::new(&[]).f64().is_err());
-        // A length prefix claiming more elements than bytes remain.
-        let mut e = Enc::new();
-        e.u32(1_000_000);
-        let buf = e.finish();
-        assert!(matches!(
-            Dec::new(&buf).f64s(),
-            Err(WireError::Malformed(_))
-        ));
-        // Bad bool, bad utf-8, trailing bytes.
-        assert!(Dec::new(&[7]).bool().is_err());
-        let mut e = Enc::new();
-        e.bytes(&[0xff, 0xfe]);
-        let buf = e.finish();
-        assert!(Dec::new(&buf).str().is_err());
-        assert!(Dec::new(&[0]).done().is_err());
     }
 
     #[test]

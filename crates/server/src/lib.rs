@@ -42,10 +42,11 @@ use crate::cache::{NumericsKey, ProfileStore, ResultKey, ShardedLru};
 use crate::metrics::{Metrics, MetricsSnapshot};
 use crate::queue::{BoundedQueue, PushError};
 use airshed_core::checkpoint::Checkpoint;
+use airshed_core::codec::{Codec, Dec, Enc, WireError};
 use airshed_core::config::SimConfig;
 use airshed_core::driver::ChemLayout;
 use airshed_core::ensemble::{run_ensemble, EnsembleJob, EnsembleResult};
-use airshed_core::surrogate::{ResponseSurface, SurrogateAnswer, WhatIfOutcome};
+use airshed_core::surrogate::{exact_tier, surrogate_tier, ResponseSurface, WhatIfOutcome};
 use airshed_core::{Obs, RunReport, WorkProfile};
 use std::collections::HashMap;
 use std::fmt;
@@ -73,6 +74,22 @@ pub struct ResumePoint {
     pub checkpoint: Checkpoint,
     /// Hours captured so far (dataset/shape/summaries included).
     pub partial: WorkProfile,
+}
+
+/// On the wire a resume point is its checkpoint's `ASHCKPT1` file as one
+/// length-prefixed blob, then the partial profile.
+impl Codec for ResumePoint {
+    const MIN_BYTES: usize = 4 + WorkProfile::MIN_BYTES;
+    fn enc(&self, e: &mut Enc) {
+        e.bytes(&self.checkpoint.encode());
+        self.partial.enc(e);
+    }
+    fn dec(d: &mut Dec<'_>) -> Result<ResumePoint, WireError> {
+        Ok(ResumePoint {
+            checkpoint: Checkpoint::decode(d.bytes()?)?,
+            partial: WorkProfile::dec(d)?,
+        })
+    }
 }
 
 /// One scenario to run.
@@ -555,15 +572,20 @@ impl ScenarioServer {
             .unwrap()
             .get(&surrogate_key(base))
             .cloned();
-        let hit = surface
-            .as_ref()
-            .is_some_and(|s| matches!(s.query(scale, tolerance), SurrogateAnswer::Hit { .. }));
-        if !hit {
-            // Price the fallback before running it. Rejection here is
-            // not job-flow accounting: the query never entered the
-            // submit queue, so `rejected_admission` stays untouched.
-            let mut exact = base.clone();
-            exact.emission_scale = scale;
+        let metrics = &self.shared.metrics;
+        let reason = match surrogate_tier(surface.as_deref(), scale, tolerance) {
+            Ok(hit) => {
+                metrics.surrogate_hits.inc();
+                return WhatIfRouted::Answered(hit);
+            }
+            Err(reason) => reason,
+        };
+        // Price the fallback before running it. Rejection here is not
+        // job-flow accounting: the query never entered the submit
+        // queue, so `rejected_admission` stays untouched.
+        let mut exact = base.clone();
+        exact.emission_scale = scale;
+        {
             let _admission_span = obs.span("admission");
             if let AdmissionDecision::Reject {
                 predicted_seconds,
@@ -576,20 +598,8 @@ impl ScenarioServer {
                 };
             }
         }
-        let outcome = airshed_core::what_if(
-            surface.as_deref(),
-            base,
-            scale,
-            tolerance,
-            self.shared.exec,
-            obs,
-        );
-        let metrics = &self.shared.metrics;
-        if outcome.is_surrogate() {
-            metrics.surrogate_hits.inc();
-        } else {
-            metrics.surrogate_misses.inc();
-        }
+        let outcome = exact_tier(&exact, reason, self.shared.exec, obs);
+        metrics.surrogate_misses.inc();
         WhatIfRouted::Answered(outcome)
     }
 
@@ -1051,6 +1061,10 @@ mod tests {
         let answer = hit.outcome().expect("not rejected");
         assert!(answer.is_surrogate(), "in-range query takes the surrogate");
         assert!(!answer.field().is_empty());
+        // ... and it is the surface's own prediction, bit for bit.
+        let surface = ResponseSurface::from_ensemble(result).expect("clean sweep");
+        let bits = |f: &[f64]| f.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(answer.field()), bits(&surface.predict(0.9)));
         // Out-of-range what-if: exact fallback runs the simulator.
         let miss = server.what_if(&base, 3.0, 1.0);
         let answer = miss.outcome().expect("admitted fallback");

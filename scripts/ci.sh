@@ -3,7 +3,8 @@
 # (every crate's unit tests and doctests included), the benchmark
 # package's build and tests, a warning-free clippy pass (all targets),
 # the one-arithmetic, one-pricing-machine and one-cost-fold word checks,
-# the one-way-to-a-plan-set check, a 2-thread backend smoke run, the
+# the one-way-to-a-plan-set and one-codec checks, the large-budget
+# hostile-input property of every decoder, a 2-thread backend smoke run, the
 # large-budget lane proptests of transport and chemistry, the paper-grid
 # smoke runs and the LA thread-count sweep (bit-identical, full stop), an
 # observability smoke run (the trace must be loadable JSON with spans for
@@ -27,7 +28,9 @@ cargo test --workspace -q --offline
 echo "==> benchmark package builds and tests against this workspace"
 # benchmark/ is a workspace of its own; an API deletion here must not
 # silently break what it compiles against.
-cargo build --release --offline --manifest-path benchmark/Cargo.toml
+# --locked: benchmark/Cargo.lock is part of the yardstick, so no
+# dependency edge of a crate the `airshed` facade pulls in may move.
+cargo build --release --offline --locked --manifest-path benchmark/Cargo.toml
 cargo test --release --offline --manifest-path benchmark/Cargo.toml
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
@@ -93,6 +96,33 @@ if [ -n "$direct" ]; then
     exit 1
 fi
 echo "plan sets OK"
+
+echo "==> one codec: bytes meet numbers only in core::codec"
+# Every wire, checkpoint and cache layout is declared once with
+# `codec!` (crates/core/src/codec.rs); a second hand-rolled framing, or
+# an enc_*/dec_* pair written beside a declaration, is a second copy.
+framing="$(git ls-files '*.rs' \
+    | grep -v '^vendor/\|^benchmark/\|^crates/core/src/codec\.rs$' | xargs awk '
+    FNR == 1 { in_tests = FILENAME ~ /(^|\/)tests\// }
+    /^[[:space:]]*#\[cfg\(test\)\]/ { in_tests = 1 }
+    !in_tests && /(to|from)_le_bytes/ { print FILENAME ":" FNR ": " $0 }')"
+if [ -n "$framing" ]; then
+    echo "$framing"
+    echo "one codec FAILED: the lines above turn numbers into bytes outside core::codec" >&2
+    exit 1
+fi
+if grep -nE 'fn (enc|dec)_' crates/fabric/src/proto.rs; then
+    echo "one codec FAILED: hand-written codec functions are back in fabric::proto" >&2
+    exit 1
+fi
+echo "one codec OK"
+
+echo "==> every decoder under the hostile-input property, large budget"
+# `cargo test` runs 24 seeded values per type; once here, 1 500 —
+# round trip, every prefix refused, seeded flips and inflated counts
+# typed errors, and the allocation bound under a counting allocator.
+cargo test --release --offline -p airshed-fabric --test codec -- \
+    --ignored every_codec_type_round_trips_and_refuses_hostile_bytes_soak
 
 echo "==> backend smoke test (rayon, 2 threads)"
 cargo run --release --bin airshed -- run \
