@@ -22,10 +22,13 @@
 //! 1. [`PhaseGraph::execute`] charges it to a [`Machine`], each node
 //!    with [`step_seconds`] — the one cost fold: what admission, the
 //!    router, the optimizer and the oracle price with is the machine's
-//!    charge. This *is* `driver::charge_hour` (golden-tested against
-//!    the pre-IR charging code in `tests/plan_equivalence.rs`);
+//!    charge. This *is* `driver::charge_hour` (every bit of it pinned by
+//!    the goldens under `tests/golden/plan/`);
 //! 2. [`PhaseGraph::stage_durations`] folds the stage annotations into
-//!    the three pipeline stage durations `taskpar` schedules;
+//!    the three pipeline stage durations `taskpar` schedules — for §5's
+//!    Figure 9 and, with PopExp as a fourth stage, §6's Figures 12/13.
+//!    I/O stages charge [`Work::subgroup_seconds`] on their subgroup and
+//!    a handoff is the machine's `comm_cost` of one message;
 //! 3. `predict::PerfModel::from_profile` folds node work totals and edge
 //!    occurrence counts into the §4 closed-form model inputs;
 //! 4. `airshed-server` prices and executes scenarios through
@@ -39,7 +42,7 @@ use crate::report::RunReport;
 use airshed_hpf::dist::Distribution;
 use airshed_hpf::loops::block_ranges;
 use airshed_hpf::redist::PlanEdge;
-use airshed_machine::{Machine, MachineProfile, PhaseCategory, PhaseKind};
+use airshed_machine::{Machine, MachineProfile, NodeCommLoad, PhaseCategory, PhaseKind};
 
 pub mod optimize;
 
@@ -223,6 +226,21 @@ impl Work {
                 let imbalance = if mean > 0.0 { max / mean } else { 1.0 };
                 (max, imbalance)
             }
+        }
+    }
+
+    /// Seconds this work takes on a subgroup of `p_stage` nodes — a
+    /// pipeline stage off the main machine (§5's input and output
+    /// subgroups, §6's PopExp module). Replicated work divides by its
+    /// useful parallelism, capped by the subgroup size; distributed work
+    /// charges its heaviest node under its layout.
+    pub fn subgroup_seconds(&self, mp: &MachineProfile, p_stage: usize) -> f64 {
+        match self {
+            Work::Replicated { work, parallelism } => {
+                let par = (*parallelism).min(p_stage) as f64;
+                work / (mp.rate * par)
+            }
+            Work::Distributed { .. } => self.charged(p_stage).0 / mp.rate,
         }
     }
 }
@@ -423,47 +441,41 @@ impl PhaseGraph {
         self.charge(machine, self.nodes.iter().filter(|n| n.stage == stage))
     }
 
-    /// Time one node takes on an I/O subgroup of `p_stage` nodes:
-    /// replicated work divides by its useful parallelism (capped by the
-    /// subgroup size), distributed work by its layout over the subgroup.
-    fn io_node_seconds(&self, node: &PhaseNode, mp: &MachineProfile, p_stage: usize) -> f64 {
-        match &node.op {
-            Op::Compute {
-                work: Work::Replicated { work, parallelism },
-                ..
-            } => {
-                let par = (*parallelism).min(p_stage) as f64;
-                work / (mp.rate * par)
-            }
-            Op::Compute { work, .. } => work.charged(p_stage).0 / mp.rate,
-            Op::Comm { .. } => step_seconds(self, node, mp),
-        }
-    }
-
     /// Task-parallel lowering: the three §5 pipeline stage durations
     /// `[input, compute, output]` for this hour, with `p_in` input nodes,
     /// `self.p` compute nodes and `p_out` output nodes.
     ///
-    /// The input stage runs its nodes on the input subgroup then hands
-    /// the decoded inputs ([`PhaseGraph::input_handoff_bytes`]) to the
-    /// compute subgroup; the compute stage executes `Stage::Main` on a
-    /// scratch machine; the output stage receives the concentration
-    /// array ([`PhaseGraph::output_handoff_elems`]) and runs its nodes.
+    /// The input stage charges its nodes on the input subgroup
+    /// ([`Work::subgroup_seconds`]) then hands the decoded inputs
+    /// ([`PhaseGraph::input_handoff_bytes`]) to the compute subgroup; the
+    /// compute stage executes `Stage::Main` on a scratch machine; the
+    /// output stage receives the concentration array
+    /// ([`PhaseGraph::output_handoff_elems`]) and charges its nodes. A
+    /// handoff is one message of its bytes, priced by the machine.
     pub fn stage_durations(&self, mp: MachineProfile, p_in: usize, p_out: usize) -> [f64; 3] {
-        let mut input = 0.0;
-        for node in self.nodes.iter().filter(|n| n.stage == Stage::Input) {
-            input += self.io_node_seconds(node, &mp, p_in);
-        }
-        input += mp.latency + mp.byte_cost * self.input_handoff_bytes as f64;
-
-        let mut m = Machine::new(mp, self.p);
-        let compute = self.execute_stage(&mut m, Stage::Main);
-
-        let mut output =
-            mp.latency + mp.byte_cost * (self.output_handoff_elems * mp.word_size) as f64;
-        for node in self.nodes.iter().filter(|n| n.stage == Stage::Output) {
-            output += self.io_node_seconds(node, &mp, p_out);
-        }
+        let on_subgroup = |stage: Stage, p_stage: usize| {
+            self.nodes
+                .iter()
+                .filter(move |n| n.stage == stage)
+                .map(move |n| match &n.op {
+                    Op::Compute { work, .. } => work.subgroup_seconds(&mp, p_stage),
+                    Op::Comm { .. } => step_seconds(self, n, &mp),
+                })
+        };
+        let handoff = |bytes| {
+            mp.comm_cost(&NodeCommLoad {
+                msgs_sent: 1,
+                bytes_sent: bytes,
+                ..Default::default()
+            })
+        };
+        let input = on_subgroup(Stage::Input, p_in).fold(0.0, |t, s| t + s)
+            + handoff(self.input_handoff_bytes);
+        let compute = self.execute_stage(&mut Machine::new(mp, self.p), Stage::Main);
+        let output = on_subgroup(Stage::Output, p_out)
+            .fold(handoff(self.output_handoff_elems * mp.word_size), |t, s| {
+                t + s
+            });
         [input, compute, output]
     }
 }

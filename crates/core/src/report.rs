@@ -293,15 +293,16 @@ mod tests {
     #[test]
     fn report_reads_machine_accounts() {
         let mut m = Machine::new(MachineProfile::t3e(), 4);
-        m.compute(PhaseCategory::Chemistry, &[m.profile.rate; 4]);
-        m.communicate(
-            "D_Chem->D_Repl",
+        // One second of chemistry on every node, then one redistribution.
+        m.charge("chemistry", PhaseCategory::Chemistry, 1.0);
+        let comm = m.profile.comm_phase_seconds(
             &[NodeCommLoad {
                 msgs_sent: 3,
                 bytes_sent: 1 << 20,
                 ..Default::default()
             }; 4],
         );
+        m.charge("D_Chem->D_Repl", PhaseCategory::Communication, comm);
         let r = RunReport::from_machine("LA", &m, 24, vec![]);
         assert!((r.chemistry_seconds - 1.0).abs() < 1e-9);
         assert!(r.communication_seconds > 0.0);
@@ -312,11 +313,12 @@ mod tests {
 
     #[test]
     fn speedup_and_display() {
+        // Four seconds of chemistry on one node, or one on each of four.
         let mut m1 = Machine::new(MachineProfile::t3e(), 1);
-        m1.compute(PhaseCategory::Chemistry, &[4.0 * m1.profile.rate]);
+        m1.charge("chemistry", PhaseCategory::Chemistry, 4.0);
         let r1 = RunReport::from_machine("LA", &m1, 1, vec![]);
         let mut m4 = Machine::new(MachineProfile::t3e(), 4);
-        m4.compute(PhaseCategory::Chemistry, &[m4.profile.rate; 4]);
+        m4.charge("chemistry", PhaseCategory::Chemistry, 1.0);
         let r4 = RunReport::from_machine("LA", &m4, 1, vec![]);
         assert!((r4.speedup_vs(&r1) - 4.0).abs() < 1e-9);
         let text = format!("{r4}");

@@ -9,14 +9,16 @@
 //! Stage durations come from the same per-hour [`PhaseGraph`] the
 //! data-parallel driver executes: each graph node carries a pipeline
 //! stage annotation, [`PhaseGraph::stage_durations`] lowers the three
-//! stages (main loop replayed on the P − io compute subgroup), and the
-//! pipeline recurrence combines them.
+//! stages (main loop replayed on the P − io compute subgroup), and
+//! [`schedule_stages`] — the only caller of `hpf::pipeline::schedule` —
+//! combines them. §6's Airshed+PopExp (Figures 12/13) adds PopExp as a
+//! fourth stage to the same [`hourly_stage_durations`].
 
 use crate::driver::{ChemLayout, HourPlans, PlanLayouts};
 use crate::obs::{Obs, Track};
 use crate::plan::{replay_profile, PhaseGraph};
 use crate::profile::WorkProfile;
-use airshed_hpf::pipeline::{schedule, sequential_makespan};
+use airshed_hpf::pipeline::{schedule, sequential_makespan, PipelineSchedule};
 use airshed_machine::MachineProfile;
 use serde::Serialize;
 
@@ -43,12 +45,7 @@ pub struct TaskParReport {
 /// parallelises the `pretrans` operator assembly across layers (the
 /// file-reading part of `inputhour` stays sequential); output writing is
 /// sequential, so `p_out > 1` only ever wastes nodes — it is accepted to
-/// let the optimiser discover that.
-///
-/// The pipeline schedule is reported to `obs` as virtual-time spans: one
-/// [`Track::Stage`] row per stage (`input`, `compute`, `output`), one
-/// span per simulated hour on each — the paper's Fig 8 Gantt, exported
-/// to the trace.
+/// let the optimiser discover that. The schedule is reported to `obs`.
 pub fn replay_taskparallel(
     profile: &WorkProfile,
     machine_profile: MachineProfile,
@@ -65,35 +62,9 @@ pub fn replay_taskparallel(
     );
     let p_compute = p - p_in - p_out;
 
-    let mut input_durs = Vec::with_capacity(profile.hours.len());
-    let mut compute_durs = Vec::with_capacity(profile.hours.len());
-    let mut output_durs = Vec::with_capacity(profile.hours.len());
-
-    // Each hour's plan graph, lowered to the three stage durations: the
-    // Input stage nodes run on the input subgroup (pretrans parallelises
-    // across layers there) and hand off the decoded inputs; the Main
-    // stage replays on a scratch compute-subgroup machine; the Output
-    // stage receives the concentration array and writes it out.
-    let plans = HourPlans::shared(&profile.shape, p_compute, layouts);
-    for hp in &profile.hours {
-        let graph = PhaseGraph::for_hour(hp, &plans, p_compute);
-        let [input, compute, output] = graph.stage_durations(machine_profile, p_in, p_out);
-        input_durs.push(input);
-        compute_durs.push(compute);
-        output_durs.push(output);
-    }
-
-    let durations = vec![input_durs, compute_durs, output_durs];
-    let sched = schedule(&durations);
-    if obs.enabled() {
-        const STAGES: [&str; 3] = ["pipeline:input", "pipeline:compute", "pipeline:output"];
-        for (s, name) in STAGES.iter().enumerate() {
-            for (i, (&end, &dur)) in sched.completion[s].iter().zip(&durations[s]).enumerate() {
-                obs.record_virtual(name, Track::Stage(name), end - dur, end, Some(i as u32));
-            }
-        }
-        obs.flush();
-    }
+    let durations =
+        hourly_stage_durations(profile, machine_profile, p_compute, (p_in, p_out), layouts);
+    let sched = schedule_stages(&durations, obs);
     TaskParReport {
         p,
         io_nodes: p_in + p_out,
@@ -101,6 +72,52 @@ pub fn replay_taskparallel(
         unpipelined_seconds: sequential_makespan(&durations),
         stage_busy: [sched.busy[0], sched.busy[1], sched.busy[2]],
     }
+}
+
+/// The three §5 stage durations of every captured hour, stage-major
+/// (`[input, compute, output][hour]`): each hour's plan graph on
+/// `p_compute` nodes under `layouts`, lowered by
+/// [`PhaseGraph::stage_durations`] with `p_in`/`p_out` I/O nodes.
+pub fn hourly_stage_durations(
+    profile: &WorkProfile,
+    mp: MachineProfile,
+    p_compute: usize,
+    (p_in, p_out): (usize, usize),
+    layouts: PlanLayouts,
+) -> Vec<Vec<f64>> {
+    let plans = HourPlans::shared(&profile.shape, p_compute, layouts);
+    let hours: Vec<[f64; 3]> = profile
+        .hours
+        .iter()
+        .map(|hp| PhaseGraph::for_hour(hp, &plans, p_compute).stage_durations(mp, p_in, p_out))
+        .collect();
+    (0..3)
+        .map(|s| hours.iter().map(|h| h[s]).collect())
+        .collect()
+}
+
+/// Run stage-major per-hour durations (input, compute, output and, for
+/// §6, PopExp) through the pipeline recurrence — the one place a
+/// pipeline is scheduled — and report the schedule to `obs`: one
+/// [`Track::Stage`] row per stage, one virtual-time span per hour (the
+/// paper's Fig 8 Gantt).
+pub fn schedule_stages(durations: &[Vec<f64>], obs: &Obs) -> PipelineSchedule {
+    const STAGES: [&str; 4] = [
+        "pipeline:input",
+        "pipeline:compute",
+        "pipeline:output",
+        "pipeline:popexp",
+    ];
+    let sched = schedule(durations);
+    if obs.enabled() {
+        for ((name, ends), durs) in STAGES.iter().zip(&sched.completion).zip(durations) {
+            for (i, (&end, &dur)) in ends.iter().zip(durs).enumerate() {
+                obs.record_virtual(name, Track::Stage(name), end - dur, end, Some(i as u32));
+            }
+        }
+        obs.flush();
+    }
+    sched
 }
 
 /// Search over subgroup splits for the makespan-optimal allocation — the

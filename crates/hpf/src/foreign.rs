@@ -30,18 +30,6 @@ pub enum CouplingScenario {
     VarToVar,
 }
 
-/// A hosted foreign module: receives one hour of coupled data, does its
-/// (internally parallel) work, and reports the per-node work units it
-/// spent so the driver can charge the machine.
-pub trait ForeignModule {
-    fn name(&self) -> &'static str;
-    /// Number of nodes the module runs on.
-    fn nodes(&self) -> usize;
-    /// Process one hour of coupled data; returns per-module-node work
-    /// units (length `self.nodes()`).
-    fn process_hour(&mut self, hour: usize, payload: &[f64]) -> Vec<f64>;
-}
-
 /// Communication loads for moving `bytes` of coupled data from the native
 /// program (represented by `rep_node`, which holds the data — in Airshed
 /// the array is replicated at the coupling point) into the foreign module
@@ -58,89 +46,38 @@ pub fn coupling_loads(
 ) -> Vec<(usize, NodeCommLoad)> {
     assert!(!foreign.is_empty());
     let pf = foreign.len();
-    let mut out: Vec<(usize, NodeCommLoad)> = Vec::new();
+    let sent = |msgs, bytes| NodeCommLoad {
+        msgs_sent: msgs,
+        bytes_sent: bytes,
+        ..Default::default()
+    };
+    let recv = |msgs, bytes| NodeCommLoad {
+        msgs_recv: msgs,
+        bytes_recv: bytes,
+        ..Default::default()
+    };
+    let mut out = Vec::new();
     match scenario {
         CouplingScenario::InterfaceNode => {
             // rep -> interface (full payload), interface -> others (full
             // payload each: the prototype broadcasts the whole array).
-            let interface = foreign[0];
-            out.push((
-                rep_node,
-                NodeCommLoad {
-                    msgs_sent: 1,
-                    bytes_sent: bytes,
-                    ..Default::default()
-                },
-            ));
-            out.push((
-                interface,
-                NodeCommLoad {
-                    msgs_recv: 1,
-                    bytes_recv: bytes,
-                    msgs_sent: pf - 1,
-                    bytes_sent: bytes * (pf - 1),
-                    ..Default::default()
-                },
-            ));
-            for &n in &foreign[1..] {
-                out.push((
-                    n,
-                    NodeCommLoad {
-                        msgs_recv: 1,
-                        bytes_recv: bytes,
-                        ..Default::default()
-                    },
-                ));
-            }
+            let mut interface = recv(1, bytes);
+            interface.absorb(sent(pf - 1, bytes * (pf - 1)));
+            out.push((rep_node, sent(1, bytes)));
+            out.push((foreign[0], interface));
+            out.extend(foreign[1..].iter().map(|&n| (n, recv(1, bytes))));
         }
         CouplingScenario::DirectToNodes => {
             // rep -> each module node, its block only.
-            let share = bytes.div_ceil(pf);
-            out.push((
-                rep_node,
-                NodeCommLoad {
-                    msgs_sent: pf,
-                    bytes_sent: bytes,
-                    ..Default::default()
-                },
-            ));
-            for &n in foreign {
-                out.push((
-                    n,
-                    NodeCommLoad {
-                        msgs_recv: 1,
-                        bytes_recv: share,
-                        ..Default::default()
-                    },
-                ));
-            }
+            out.push((rep_node, sent(pf, bytes)));
+            out.extend(foreign.iter().map(|&n| (n, recv(1, bytes.div_ceil(pf)))));
         }
         CouplingScenario::VarToVar => {
             // Every native node sends its slice of each module node's
             // block: pn × pf messages, total volume `bytes`.
             let pn = native.len().max(1);
-            let per_native = bytes.div_ceil(pn);
-            for &n in native {
-                out.push((
-                    n,
-                    NodeCommLoad {
-                        msgs_sent: pf,
-                        bytes_sent: per_native,
-                        ..Default::default()
-                    },
-                ));
-            }
-            let share = bytes.div_ceil(pf);
-            for &n in foreign {
-                out.push((
-                    n,
-                    NodeCommLoad {
-                        msgs_recv: pn,
-                        bytes_recv: share,
-                        ..Default::default()
-                    },
-                ));
-            }
+            out.extend(native.iter().map(|&n| (n, sent(pf, bytes.div_ceil(pn)))));
+            out.extend(foreign.iter().map(|&n| (n, recv(pn, bytes.div_ceil(pf)))));
         }
     }
     out

@@ -16,8 +16,12 @@
 //! advances it by its most loaded node's seconds. (Rounded `+` and
 //! `/ rate` are monotone, so the maximum commutes with both and this is
 //! the per-node machine, bit for bit — `tests/proptest_machine.rs` keeps
-//! the per-node reference.) Task-parallel subgroups are separate
-//! machines of subgroup size scheduled by `airshed-hpf`'s pipeline.
+//! the per-node reference.) [`Machine::charge`] is the machine's only
+//! way to spend time: callers price a phase with the [`cost`] and
+//! [`profiles`] primitives (the plan layer does it for every phase) and
+//! charge its slowest node's seconds. Task-parallel subgroups are
+//! separate machines of subgroup size scheduled by `airshed-hpf`'s
+//! pipeline.
 //!
 //! The T3E parameter set is the one the paper reports
 //! (`L = 5.2e-5 s/msg`, `G = 2.47e-8 s/B`, `H = 2.04e-8 s/B`, 8-byte

@@ -16,7 +16,8 @@ use serde::Serialize;
 /// let mut m = Machine::new(MachineProfile::t3e(), 4);
 /// // 4 nodes each doing one second of work: the phase costs one second.
 /// let rate = m.profile.rate;
-/// let dt = m.compute(PhaseCategory::Chemistry, &[rate; 4]);
+/// let seconds = m.profile.compute_seconds(rate);
+/// let dt = m.charge("chemistry", PhaseCategory::Chemistry, seconds);
 /// assert!((dt - 1.0).abs() < 1e-12);
 /// assert_eq!(m.elapsed(), dt);
 /// ```

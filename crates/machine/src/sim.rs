@@ -5,7 +5,6 @@
 //! them to a phase category.
 
 use crate::accounting::{CommLog, PhaseBreakdown, PhaseCategory};
-use crate::cost::NodeCommLoad;
 use crate::profiles::MachineProfile;
 use crate::trace::Trace;
 
@@ -47,7 +46,9 @@ impl Machine {
     }
 
     /// Charge one phase: `seconds` is what its most loaded node takes,
-    /// after which all nodes barrier. The only place the clock advances.
+    /// after which all nodes barrier. This is the machine's only way to
+    /// spend time: the caller prices the phase (the plan layer with
+    /// `core::predict::step_seconds`) and the clock advances here alone.
     /// The time goes to `cat` in the breakdown (and, for a
     /// `Communication` phase, to `label` in the comm log) and the phase
     /// is traced under `label`. Returns the phase wall time.
@@ -62,46 +63,32 @@ impl Machine {
         self.trace.record(label, cat, start, self.now);
         dt
     }
-
-    /// Run a data-parallel computation phase: node `i` performs
-    /// `per_node_work[i]` units, then all nodes barrier. Returns the phase
-    /// wall time (slowest node).
-    pub fn compute(&mut self, cat: PhaseCategory, per_node_work: &[f64]) -> f64 {
-        assert_eq!(per_node_work.len(), self.p);
-        let heaviest = per_node_work.iter().fold(0.0f64, |a, &b| a.max(b));
-        self.charge(cat.label(), cat, self.profile.compute_seconds(heaviest))
-    }
-
-    /// Sequential (replicated) computation: every node does the same
-    /// `work`, so the phase costs `work/rate` regardless of the node
-    /// count — the paper's constant I/O processing time.
-    pub fn sequential(&mut self, cat: PhaseCategory, work: f64) -> f64 {
-        self.charge(cat.label(), cat, self.profile.compute_seconds(work))
-    }
-
-    /// Run a communication (redistribution) phase over all nodes, with a
-    /// per-node load vector, attributing the cost to `Communication` and
-    /// logging it under `label`. Returns the phase wall time.
-    pub fn communicate(&mut self, label: &'static str, loads: &[NodeCommLoad]) -> f64 {
-        assert_eq!(loads.len(), self.p);
-        let seconds = self.profile.comm_phase_seconds(loads);
-        self.charge(label, PhaseCategory::Communication, seconds)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cost::NodeCommLoad;
 
     fn machine(p: usize) -> Machine {
         Machine::new(MachineProfile::t3e(), p)
+    }
+
+    /// Charge a data-parallel phase as the per-node machine would: node
+    /// `i` does `per_node_work[i]` units, then all nodes barrier.
+    fn compute(m: &mut Machine, cat: PhaseCategory, per_node_work: &[f64]) -> f64 {
+        assert_eq!(per_node_work.len(), m.p());
+        let heaviest = per_node_work.iter().fold(0.0f64, |a, &b| a.max(b));
+        let seconds = m.profile.compute_seconds(heaviest);
+        m.charge(cat.label(), cat, seconds)
     }
 
     #[test]
     fn compute_phase_costs_slowest_node() {
         let mut m = machine(4);
         let rate = m.profile.rate;
-        let dt = m.compute(
+        let dt = compute(
+            &mut m,
             PhaseCategory::Chemistry,
             &[rate, 2.0 * rate, rate, 0.5 * rate],
         );
@@ -112,11 +99,13 @@ mod tests {
 
     #[test]
     fn sequential_phase_is_p_independent() {
+        // Every node does the same work: the phase costs `work/rate`
+        // whatever the node count — the paper's constant I/O time.
         let w = 1.0e8;
         let mut m4 = machine(4);
         let mut m64 = machine(64);
-        let t4 = m4.sequential(PhaseCategory::IoProc, w);
-        let t64 = m64.sequential(PhaseCategory::IoProc, w);
+        let t4 = compute(&mut m4, PhaseCategory::IoProc, &[w; 4]);
+        let t64 = compute(&mut m64, PhaseCategory::IoProc, &[w; 64]);
         assert!(
             (t4 - t64).abs() < 1e-12,
             "I/O time must not scale: {t4} vs {t64}"
@@ -129,7 +118,7 @@ mod tests {
         let run = |p: usize| {
             let mut m = machine(p);
             let per = vec![total / p as f64; p];
-            m.compute(PhaseCategory::Chemistry, &per)
+            compute(&mut m, PhaseCategory::Chemistry, &per)
         };
         let t4 = run(4);
         let t8 = run(8);
@@ -151,7 +140,8 @@ mod tests {
                 ..Default::default()
             },
         ];
-        let dt = m.communicate("D_Trans->D_Chem", &loads);
+        let seconds = m.profile.comm_phase_seconds(&loads);
+        let dt = m.charge("D_Trans->D_Chem", PhaseCategory::Communication, seconds);
         assert!(dt > 0.0);
         assert_eq!(m.breakdown.get(PhaseCategory::Communication), dt);
         assert_eq!(m.comm_log.total_for("D_Trans->D_Chem"), dt);

@@ -37,10 +37,11 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// The scalar clock is the per-node machine: advance every node by
-    /// its own seconds, barrier to the maximum. `elapsed`, the breakdown
-    /// and every traced `(start, end)` agree bit for bit — which they
-    /// stop doing the moment a phase charges a sum or a mean of its
-    /// nodes instead of the slowest one.
+    /// its own seconds, barrier to the maximum. Charging each phase's
+    /// slowest node once, `elapsed`, the breakdown and every traced
+    /// `(start, end)` agree bit for bit — which they stop doing the
+    /// moment a phase charges a sum or a mean of its nodes instead of
+    /// the slowest one.
     #[test]
     fn scalar_clock_is_the_per_node_machine(
         p in 1usize..12,
@@ -61,20 +62,15 @@ proptest! {
         let mut seconds = [0.0f64; 4];
         for (kind, work, loads) in &phases {
             let cat = CATS[*kind];
+            // Each node's own seconds: replicated work, a redistribution
+            // load, or its share of a data-parallel phase.
             let per_node: Vec<f64> = match kind {
-                0 => {
-                    m.sequential(cat, work[0]);
-                    vec![profile.compute_seconds(work[0]); p]
-                }
-                3 => {
-                    m.communicate("edge", &loads[..p]);
-                    loads[..p].iter().map(|l| profile.comm_cost(l)).collect()
-                }
-                _ => {
-                    m.compute(cat, &work[..p]);
-                    work[..p].iter().map(|&w| profile.compute_seconds(w)).collect()
-                }
+                0 => vec![profile.compute_seconds(work[0]); p],
+                3 => loads[..p].iter().map(|l| profile.comm_cost(l)).collect(),
+                _ => work[..p].iter().map(|&w| profile.compute_seconds(w)).collect(),
             };
+            let slowest = per_node.iter().cloned().fold(0.0f64, f64::max);
+            m.charge("phase", cat, slowest);
             let start = clocks[0];
             for (t, dt) in clocks.iter_mut().zip(per_node) {
                 *t += dt;
@@ -130,7 +126,8 @@ proptest! {
         let mut m = Machine::new(MachineProfile::t3d(), p);
         for (kind, work) in phases {
             let cat = [PhaseCategory::IoProc, PhaseCategory::Transport, PhaseCategory::Chemistry][kind];
-            m.compute(cat, &work[..p]);
+            let heaviest = work[..p].iter().cloned().fold(0.0f64, f64::max);
+            m.charge(cat.label(), cat, m.profile.compute_seconds(heaviest));
         }
         prop_assert!((m.breakdown.total() - m.elapsed()).abs() < 1e-9 * m.elapsed().max(1.0));
     }
@@ -142,7 +139,8 @@ proptest! {
         let (lo, hi) = if p1 <= p2 { (p1, p2) } else { (p2, p1) };
         let run = |p: usize| {
             let mut m = Machine::new(MachineProfile::t3e(), p);
-            m.compute(PhaseCategory::Chemistry, &vec![total / p as f64; p]);
+            let seconds = m.profile.compute_seconds(total / p as f64);
+            m.charge("chemistry", PhaseCategory::Chemistry, seconds);
             m.elapsed()
         };
         prop_assert!(run(hi) <= run(lo) + 1e-12);

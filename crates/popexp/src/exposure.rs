@@ -10,6 +10,8 @@
 //! the module's nodes.
 
 use crate::population::PopulationGrid;
+use airshed_core::plan::{ItemLayout, Work};
+use airshed_hpf::loops::block_ranges;
 use serde::Serialize;
 
 /// Exposure weights per coupled species (O3, NO2, CO, SO2 — the order of
@@ -32,7 +34,7 @@ pub struct ExposureResult {
 }
 
 impl ExposureResult {
-    fn zero(hour: usize) -> ExposureResult {
+    pub(crate) fn zero(hour: usize) -> ExposureResult {
         ExposureResult {
             hour,
             person_dose: 0.0,
@@ -115,29 +117,21 @@ impl PopExpModel {
         surface: &[f64],
         parts: usize,
     ) -> ExposureResult {
-        let n = self.grid.n_cells();
-        let b = n.div_ceil(parts.max(1));
         let mut total = ExposureResult::zero(hour);
-        let mut start = 0;
-        while start < n {
-            let end = (start + b).min(n);
-            total.absorb(&self.exposure_cells(hour, surface, start..end));
-            start = end;
+        for cells in block_ranges(self.grid.n_cells(), parts.max(1)) {
+            total.absorb(&self.exposure_cells(hour, surface, cells));
         }
         total
     }
 
-    /// Per-node work vector for the module running on `p` nodes.
-    pub fn work_per_node(&self, p: usize) -> Vec<f64> {
-        let n = self.grid.n_cells();
-        let b = n.div_ceil(p).max(1);
-        (0..p)
-            .map(|node| {
-                let lo = (node * b).min(n);
-                let hi = ((node + 1) * b).min(n);
-                (hi - lo) as f64 * self.work_per_cell
-            })
-            .collect()
+    /// The module's hourly work: `work_per_cell` for every population
+    /// cell, in blocks over the module's nodes (as the hostings split
+    /// the grid).
+    pub fn work(&self) -> Work {
+        Work::Distributed {
+            per_item: vec![self.work_per_cell; self.grid.n_cells()],
+            layout: ItemLayout::Block,
+        }
     }
 }
 
@@ -195,10 +189,14 @@ mod tests {
     }
 
     #[test]
-    fn work_per_node_covers_all_cells() {
+    fn work_covers_all_cells() {
         let (m, _, _) = model();
+        let Work::Distributed { per_item, layout } = m.work() else {
+            panic!("PopExp work is distributed over cells");
+        };
         for p in [1usize, 3, 8] {
-            let w = m.work_per_node(p);
+            let w = layout.per_node(&per_item, p);
+            assert_eq!(w.len(), p);
             let total: f64 = w.iter().sum();
             assert!(
                 (total - m.grid.n_cells() as f64 * m.work_per_cell).abs() < 1e-9,

@@ -99,23 +99,25 @@ impl Gems {
 
 /// "Select the best strategy under a given set of constraints": the
 /// cheapest scenario whose peak ozone meets the target, or `None` if no
-/// scenario attains it.
+/// scenario attains it. An outcome whose cost is NaN cannot be ranked
+/// and is never selected.
 pub fn cheapest_meeting_o3_target(
     outcomes: &[ScenarioOutcome],
     target_peak_o3: f64,
 ) -> Option<&ScenarioOutcome> {
     outcomes
         .iter()
-        .filter(|o| o.peak_o3 <= target_peak_o3)
-        .min_by(|a, b| a.control_cost.partial_cmp(&b.control_cost).unwrap())
+        .filter(|o| o.peak_o3 <= target_peak_o3 && !o.control_cost.is_nan())
+        .min_by(|a, b| a.control_cost.total_cmp(&b.control_cost))
 }
 
-/// The largest health benefit attainable within a control budget.
+/// The largest health benefit attainable within a control budget (an
+/// outcome whose excess events are NaN is never selected).
 pub fn best_within_budget(outcomes: &[ScenarioOutcome], budget: f64) -> Option<&ScenarioOutcome> {
     outcomes
         .iter()
-        .filter(|o| o.control_cost <= budget)
-        .min_by(|a, b| a.excess_events.partial_cmp(&b.excess_events).unwrap())
+        .filter(|o| o.control_cost <= budget && !o.excess_events.is_nan())
+        .min_by(|a, b| a.excess_events.total_cmp(&b.excess_events))
 }
 
 #[cfg(test)]
@@ -173,6 +175,31 @@ mod tests {
         assert_eq!(free.name, "baseline");
         let unlimited = best_within_budget(o, 1e9).unwrap();
         assert_eq!(unlimited.name, "aggressive");
+    }
+
+    #[test]
+    fn selectors_skip_nan_instead_of_panicking() {
+        let outcome = |name: &str, control_cost, excess_events| ScenarioOutcome {
+            name: name.into(),
+            emission_scale: 1.0,
+            control_cost,
+            peak_o3: 0.05,
+            person_dose: 1.0,
+            excess_events,
+            total_seconds: 1.0,
+        };
+        let o = [
+            outcome("unpriced", f64::NAN, 1.0),
+            outcome("cheap", 10.0, 5.0),
+            outcome("dear", 20.0, 2.0),
+            outcome("unassessed", 30.0, f64::NAN),
+            // x86 arithmetic yields NaN with the sign bit set, which
+            // `total_cmp` would rank before every number.
+            outcome("unpriced-", -f64::NAN, 1.0),
+            outcome("unassessed-", 40.0, -f64::NAN),
+        ];
+        assert_eq!(cheapest_meeting_o3_target(&o, 0.1).unwrap().name, "cheap");
+        assert_eq!(best_within_budget(&o, 100.0).unwrap().name, "dear");
     }
 
     #[test]

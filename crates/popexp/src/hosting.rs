@@ -13,17 +13,27 @@
 //!   systems.
 //!
 //! The integrated application runs as a four-stage pipeline (Figure 12):
-//! preprocessing | transport+chemistry | postprocessing | PopExp.
+//! preprocessing | transport+chemistry | postprocessing | PopExp. The
+//! first three are §5's stages, taken from the hour's `PhaseGraph`
+//! through `core::taskpar::hourly_stage_durations`, and the pipeline is
+//! scheduled by `core::taskpar::schedule_stages`. PopExp's stage is
+//! priced with the machine's own primitives: the coupling is the
+//! `comm_phase_seconds` of the hosting's `coupling_loads`, the foreign
+//! boundary is the `comm_cost` of one message that copies the payload
+//! twice, and the module's compute is [`PopExpModel::work`] charged on
+//! its subgroup. Only the sum of the three is this module's own.
 
 use crate::exposure::{ExposureResult, PopExpModel};
 use crate::population::PopulationGrid;
 use airshed_core::config::DatasetChoice;
-use airshed_core::driver::{charge_hour, HourPlans, PlanLayouts};
+use airshed_core::driver::PlanLayouts;
+use airshed_core::obs::Obs;
 use airshed_core::profile::WorkProfile;
+use airshed_core::taskpar::{hourly_stage_durations, schedule_stages};
 use airshed_hpf::foreign::{coupling_loads, CouplingScenario};
-use airshed_hpf::pipeline::schedule;
+use airshed_hpf::loops::block_ranges;
 use airshed_hpf::pvm;
-use airshed_machine::{Machine, MachineProfile};
+use airshed_machine::{MachineProfile, NodeCommLoad};
 use serde::Serialize;
 
 /// How PopExp is hosted.
@@ -75,8 +85,7 @@ pub fn foreign_exposure_hour(
     surface: &[f64],
     p_pop: usize,
 ) -> ExposureResult {
-    let n_cells = model.grid.n_cells();
-    let b = n_cells.div_ceil(p_pop.max(1));
+    let blocks = block_ranges(model.grid.n_cells(), p_pop.max(1));
     let results = pvm::spawn_group(p_pop, |task| {
         // Interface node (task 0) owns the payload and broadcasts it.
         let payload: Vec<f64> = if task.id == 0 {
@@ -85,32 +94,22 @@ pub fn foreign_exposure_hour(
         } else {
             task.recv_tag(1).data
         };
-        let lo = (task.id * b).min(n_cells);
-        let hi = ((task.id + 1) * b).min(n_cells);
-        let r = model.exposure_cells(hour, &payload, lo..hi);
+        let r = model.exposure_cells(hour, &payload, blocks[task.id].clone());
         let packed = vec![r.person_dose, r.people_above_o3_threshold, r.excess_events];
-        match task.gather_to_root(2, packed) {
-            Some(parts) => {
-                let mut total = ExposureResult {
-                    hour,
-                    person_dose: 0.0,
-                    people_above_o3_threshold: 0.0,
-                    excess_events: 0.0,
-                };
-                for part in parts {
-                    total.person_dose += part[0];
-                    total.people_above_o3_threshold += part[1];
-                    total.excess_events += part[2];
-                }
-                Some(total)
-            }
-            None => None,
+        let mut total = ExposureResult::zero(hour);
+        for part in task.gather_to_root(2, packed)? {
+            total.person_dose += part[0];
+            total.people_above_o3_threshold += part[1];
+            total.excess_events += part[2];
         }
+        Some(total)
     });
     results.into_iter().flatten().next().expect("root result")
 }
 
-/// Replay a captured profile through the integrated four-stage pipeline.
+/// Replay a captured profile through the integrated four-stage pipeline:
+/// §5's three stages on `p - 2 - p_pop` compute nodes, then PopExp on
+/// `p_pop` module nodes.
 pub fn replay_with_popexp(
     profile: &WorkProfile,
     machine_profile: MachineProfile,
@@ -121,77 +120,62 @@ pub fn replay_with_popexp(
     let p_pop = (p / 4).clamp(1, 8);
     let p_compute = p - 2 - p_pop;
     assert!(p_compute >= 1);
-    let rate = machine_profile.rate;
-    let [species, layers, nodes] = profile.shape;
-    let array_bytes = species * layers * nodes * machine_profile.word_size;
-
     let model = model_for(profile);
+
+    // The PopExp stage costs the same every hour. The coupling ships the
+    // hour's concentration data (the paper couples the full Airshed
+    // output into PopExp); the exposure kernel itself reads the surface
+    // planes. A foreign module also pays a fixed boundary overhead per
+    // exchange: one message, and a pack and an unpack of the payload
+    // into the shared library's format.
+    let payload_bytes = profile.shape.iter().product::<usize>() * machine_profile.word_size;
+    let scenario = match hosting {
+        Hosting::NativeTask => CouplingScenario::DirectToNodes,
+        Hosting::ForeignModule => CouplingScenario::InterfaceNode,
+    };
     let native_ids: Vec<usize> = (0..p_compute).collect();
     let popexp_ids: Vec<usize> = (p - p_pop..p).collect();
+    let loads: Vec<NodeCommLoad> =
+        coupling_loads(scenario, p_compute, &native_ids, &popexp_ids, payload_bytes)
+            .into_iter()
+            .map(|(_, load)| load)
+            .collect();
+    let coupling = machine_profile.comm_phase_seconds(&loads);
+    let boundary = match hosting {
+        Hosting::NativeTask => 0.0,
+        Hosting::ForeignModule => machine_profile.comm_cost(&NodeCommLoad {
+            msgs_sent: 1,
+            bytes_copied: 2 * payload_bytes,
+            ..Default::default()
+        }),
+    };
+    let module = model.work().subgroup_seconds(&machine_profile, p_pop);
+    let popexp = coupling + boundary + module;
 
-    let mut input_durs = Vec::new();
-    let mut compute_durs = Vec::new();
-    let mut output_durs = Vec::new();
-    let mut popexp_durs = Vec::new();
-    let mut exposures = Vec::new();
+    let mut durations = hourly_stage_durations(
+        profile,
+        machine_profile,
+        p_compute,
+        (1, 1),
+        PlanLayouts::default(),
+    );
+    durations.push(vec![popexp; profile.hours.len()]);
+    let sched = schedule_stages(&durations, &Obs::off());
 
-    let plans = HourPlans::shared(&profile.shape, p_compute, PlanLayouts::default());
-    for (h, hp) in profile.hours.iter().enumerate() {
-        let input_comm =
-            machine_profile.latency + machine_profile.byte_cost * (3 * hp.input_bytes) as f64;
-        input_durs.push((hp.input_work + hp.pretrans_work) / rate + input_comm);
-
-        let mut m = Machine::new(machine_profile, p_compute);
-        let mut inner = hp.clone();
-        inner.input_work = 0.0;
-        inner.pretrans_work = 0.0;
-        inner.output_work = 0.0;
-        charge_hour(&mut m, &inner, &plans);
-        compute_durs.push(m.elapsed());
-
-        let output_comm = machine_profile.latency + machine_profile.byte_cost * array_bytes as f64;
-        output_durs.push(output_comm + hp.output_work / rate);
-
-        // --- PopExp stage ---
-        // The coupling ships the hour's concentration data (the paper
-        // couples the full Airshed output into PopExp); the exposure
-        // kernel itself reads the surface planes.
-        let payload_bytes = array_bytes;
-        let scenario = match hosting {
-            Hosting::NativeTask => CouplingScenario::DirectToNodes,
-            Hosting::ForeignModule => CouplingScenario::InterfaceNode,
-        };
-        let loads = coupling_loads(scenario, p_compute, &native_ids, &popexp_ids, payload_bytes);
-        let coupling = loads
-            .iter()
-            .map(|(_, l)| machine_profile.comm_cost(l))
-            .fold(0.0, f64::max);
-        // Foreign modules pay a fixed boundary overhead per exchange
-        // (packing into the shared library's format on both sides).
-        let boundary = match hosting {
-            Hosting::NativeTask => 0.0,
-            Hosting::ForeignModule => {
-                2.0 * machine_profile.copy_cost * payload_bytes as f64 + machine_profile.latency
+    // The science: both hostings really compute the exposure; the
+    // foreign path exercises the PVM substrate.
+    let exposures = profile
+        .hours
+        .iter()
+        .enumerate()
+        .map(|(h, hp)| {
+            let hour = profile.summaries.get(h).map(|s| s.hour).unwrap_or(h);
+            match hosting {
+                Hosting::NativeTask => model.exposure_hour_split(hour, &hp.surface, p_pop),
+                Hosting::ForeignModule => foreign_exposure_hour(&model, hour, &hp.surface, p_pop),
             }
-        };
-        let compute_pop = model
-            .work_per_node(p_pop)
-            .iter()
-            .map(|&w| w / rate)
-            .fold(0.0, f64::max);
-        popexp_durs.push(coupling + boundary + compute_pop);
-
-        // The science: both hostings really compute the exposure; the
-        // foreign path exercises the PVM substrate.
-        let hour = profile.summaries.get(h).map(|s| s.hour).unwrap_or(h);
-        let result = match hosting {
-            Hosting::NativeTask => model.exposure_hour_split(hour, &hp.surface, p_pop),
-            Hosting::ForeignModule => foreign_exposure_hour(&model, hour, &hp.surface, p_pop),
-        };
-        exposures.push(result);
-    }
-
-    let sched = schedule(&[input_durs, compute_durs, output_durs, popexp_durs]);
+        })
+        .collect();
     PopExpRunReport {
         p,
         hosting: hosting.label(),

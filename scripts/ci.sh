@@ -2,7 +2,8 @@
 # CI gate: formatting, release build, the whole workspace's test suite
 # (every crate's unit tests and doctests included), the benchmark
 # package's build and tests, a warning-free clippy pass (all targets),
-# the one-arithmetic, one-pricing-machine and one-cost-fold word checks,
+# the one-arithmetic, one-pricing-machine, one-cost-fold and one-graph
+# word checks,
 # the one-way-to-a-plan-set and one-codec checks, the large-budget
 # hostile-input property of every decoder, a 2-thread backend smoke run, the
 # large-budget lane proptests of transport and chemistry, the paper-grid
@@ -80,6 +81,50 @@ if [ -n "$fold" ]; then
     exit 1
 fi
 echo "one cost fold OK"
+
+echo "==> one graph for §5 and §6, and charge is the machine's only door"
+# Figures 9, 12 and 13 lower from the hour's PhaseGraph: stage prices come
+# from PhaseGraph::stage_durations and Work::subgroup_seconds, PopExp's
+# from the machine's comm_cost/comm_phase_seconds, and core::taskpar is
+# the one place a pipeline is scheduled. These are the ways back to
+# pricing by hand, each a pattern over non-test lines (the loc.sh rule).
+non_test() { # <awk regex> <files...>
+    local re="$1"
+    shift
+    awk -v re="$re" '
+        FNR == 1 { in_tests = FILENAME ~ /(^|\/)tests\// }
+        /^[[:space:]]*#\[cfg\(test\)\]/ { in_tests = 1 }
+        !in_tests && !/^[[:space:]]*\/\// && $0 ~ re { print FILENAME ":" FNR ": " $0 }' "$@"
+}
+end='([^[:alnum:]_]|$)'
+doors="$(non_test "fn (compute|sequential|communicate)$end" crates/machine/src/sim.rs)"
+if [ -n "$doors" ]; then
+    echo "$doors"
+    echo "one graph FAILED: Machine has a door beside charge again" >&2
+    exit 1
+fi
+# The legacy oracle is gone from the tests too, so this one reads every file.
+if git ls-files '*.rs' | grep -v '^vendor/\|^benchmark/' \
+    | xargs grep -nE 'io_node_seconds|fn [[:alnum:]_]*_legacy\b'; then
+    echo "one graph FAILED: a second stage pricing or a legacy oracle is back" >&2
+    exit 1
+fi
+fields="$(non_test "\\.(latency|byte_cost|copy_cost|rate)$end" \
+    $(git ls-files 'crates/popexp/*.rs'))
+$(non_test "\\.(latency|byte_cost|copy_cost)$end" $(git ls-files 'crates/core/src/plan/*.rs'))"
+if [ -n "${fields//$'\n'/}" ]; then
+    echo "$fields"
+    echo "one graph FAILED: the lines above price with MachineProfile's fields by hand" >&2
+    exit 1
+fi
+schedules="$(non_test "(^|[^[:alnum:]_])schedule\\(" \
+    $(git ls-files '*.rs' | grep -v '^vendor/\|^benchmark/\|^crates/hpf/src/pipeline\.rs$'))"
+if [ "$(printf '%s' "$schedules" | grep -c .)" -gt 1 ]; then
+    echo "$schedules"
+    echo "one graph FAILED: the pipeline is scheduled in more than one place" >&2
+    exit 1
+fi
+echo "one graph OK"
 
 echo "==> one way to get a plan set: HourPlans::shared outside driver.rs"
 # A plan set is derived once per process (the memo in core::driver);

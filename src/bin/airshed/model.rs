@@ -14,7 +14,7 @@ use airshed::core::predict::PerfModel;
 use airshed::core::taskpar::{optimize_split, replay_taskparallel};
 use airshed::core::{viz, ExecSpec, RunReport, WorkProfile};
 use airshed::machine::MachineProfile;
-use airshed::popexp::{replay_with_popexp, Hosting};
+use airshed::popexp::{fig13_sweep, replay_with_popexp, Hosting};
 use std::sync::Arc;
 
 /// Run the numerics of `config`, traced through `obs`.
@@ -249,19 +249,20 @@ pub fn cmd_popexp(o: &Options, obs: &Obs) -> Result<(), String> {
         "{:>6} {:>14} {:>16} {:>10}",
         "P", "native (s)", "foreign (s)", "overhead"
     );
-    for &p in &o.nodes {
+    let mut ps = o.nodes.clone();
+    ps.retain(|&p| {
         if p < 4 {
             eprintln!("skipping P={p}: integrated app needs >= 4 nodes");
-            continue;
         }
-        let native = replay_with_popexp(&profile, o.machine, p, Hosting::NativeTask);
-        let foreign = replay_with_popexp(&profile, o.machine, p, Hosting::ForeignModule);
+        p >= 4
+    });
+    for r in fig13_sweep(&profile, o.machine, &ps) {
         println!(
             "{:>6} {:>14.1} {:>16.1} {:>9.3}%",
-            p,
-            native.total_seconds,
-            foreign.total_seconds,
-            100.0 * (foreign.total_seconds / native.total_seconds - 1.0)
+            r.p,
+            r.native_seconds,
+            r.foreign_seconds,
+            100.0 * r.overhead
         );
     }
     let p = o.nodes[0].max(4);
