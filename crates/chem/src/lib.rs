@@ -18,10 +18,11 @@
 //! * [`youngboris`] — the hybrid predictor–corrector stiff ODE scheme of
 //!   Young & Boris (1977) that the paper cites for the chemistry solve,
 //!   one cell at a time: the definition, and the oracle of the lanes;
-//! * [`simd`] — the same integrator on four cells at a time, one per
-//!   `F64x4` lane with its own substep controller, each lane
-//!   bit-identical to the scalar integrator: the kernel every run takes,
-//!   whatever its thread count or host;
+//! * [`simd`] — the same integrator on one cell per vector lane (eight
+//!   `F64x8` lanes on AVX-512 hosts, four `F64x4` lanes elsewhere), each
+//!   lane with its own substep controller and bit-identical to the scalar
+//!   integrator: the kernel every run takes, whatever its thread count,
+//!   width or host;
 //! * [`vertical`] — implicit (backward-Euler, Thomas-solve) vertical
 //!   diffusion with surface emission and dry-deposition fluxes;
 //! * [`audit`] — reaction-by-reaction atom-balance checking (N, S);

@@ -19,8 +19,9 @@
 //! its terms in reaction order — the order the table walk adds them in.
 //! The kernel is generic over its lane count (`airshed_simd::Lanes`):
 //! instantiated at `f64` it is [`Mechanism::prod_loss`], bit-identical to
-//! the table walk; instantiated at `F64x4` it is what the integrator's
-//! lanes run ([`crate::simd`]), each lane that same arithmetic.
+//! the table walk; instantiated at `F64x4` or `F64x8` it is what the
+//! integrator's lanes run ([`crate::simd`]), each lane that same
+//! arithmetic.
 //! [`Mechanism::carbon_bond`] is the only constructor that attaches the
 //! kernel, and a `Mechanism` is immutable once built, so kernel and table
 //! cannot disagree. A hand-built [`Mechanism::from_table`] is evaluated

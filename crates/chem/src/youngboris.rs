@@ -296,7 +296,8 @@ fn advance(c0: f64, p: f64, l: f64, h: f64, opts: &YbOptions) -> f64 {
 
 /// Asymptotic update of `dc/dt = P − L·c` over a step `h`, treating `P`
 /// and `τ = 1/L` as constant: one source for the scalar integrator
-/// (`V = f64`) and the lanes of `simd::integrate_stream` (`V = F64x4`).
+/// (`V = f64`) and the lanes of `simd::integrate_stream` (`F64x4`,
+/// `F64x8`).
 /// Lanes with `l == 0` come out NaN or infinite — callers select them
 /// away.
 #[inline(always)]
@@ -473,7 +474,7 @@ mod tests {
         fn exp_poly_is_within_two_ulp_on_random_arguments(
             x in prop::collection::vec(-50.0f64..0.0, 4),
         ) {
-            let got = exp_poly4(F64x4::from_slice(&x));
+            let got = exp_poly4(F64x4::new(x[0], x[1], x[2], x[3]));
             for lane in 0..4 {
                 let d = ulps_apart(got.lane(lane), x[lane].exp());
                 prop_assert!(d <= 2, "exp_poly({}) is {d} ulp off", x[lane]);

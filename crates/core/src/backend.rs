@@ -19,9 +19,9 @@
 //! queue; the crate itself is not a dependency — the pool is
 //! `airshed_hpf::host::run_parts`). Thread-level and lane-level
 //! parallelism compose: partitions across the pool, and inside a
-//! partition four cells (chemistry), four columns (vertical solve) or
-//! four species (transport) across `F64x4` lanes, each lane doing the
-//! scalar arithmetic.
+//! partition eight cells (chemistry, on AVX-512; four elsewhere), four
+//! columns (vertical solve) or four species (transport) across vector
+//! lanes, each lane doing the scalar arithmetic.
 //!
 //! Determinism contract: the thread count only controls *where* a
 //! partition runs, never how results merge and never the arithmetic.

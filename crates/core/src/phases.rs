@@ -391,14 +391,17 @@ impl PhaseEngine {
         for (&n, slot) in slots() {
             state.write_column_cells(n, &cols[slot * col_len..][..col_len]);
         }
-        if let Some(occupancy) = ran.ratio().filter(|_| self.obs.enabled()) {
-            // Measured where the work happens: four-lane substep attempts
-            // and the share of their lanes that advanced a cell.
+        let traced = ran.ratio().zip(ran.width()).filter(|_| self.obs.enabled());
+        if let Some((occupancy, width)) = traced {
+            // Measured where the work happens: vector substep attempts,
+            // their width and the share of their lanes that advanced a
+            // cell.
             let now_us = self.obs.us_since_epoch(Instant::now());
             let attempts = ran.vector_attempts as f64;
             for (name, v) in [
                 ("chem.lane_occupancy", occupancy),
                 ("chem.vector_attempts", attempts),
+                ("chem.lane_width", width),
             ] {
                 self.obs
                     .record_counter(name, "lanes", now_us, v, self.obs_hour);
@@ -812,6 +815,7 @@ mod tests {
     #[test]
     fn lane_occupancy_on_the_trace_reconciles_with_the_charged_evaluations() {
         use crate::obs::{SpanSink, Track};
+        use airshed_chem::simd::Instantiation;
         use std::sync::Arc;
         let mut e = engine();
         e.exec = ExecSpec::rayon(3);
@@ -841,7 +845,9 @@ mod tests {
             seen[0]
         };
         let occupancy = counter("chem.lane_occupancy");
-        let lanes_run = F64x4::LANES as f64 * counter("chem.vector_attempts");
+        let width = counter("chem.lane_width");
+        assert_eq!(width, Instantiation::host().lanes() as f64);
+        let lanes_run = width * counter("chem.vector_attempts");
         // The charged evaluations, measured through the work vector ...
         let evals: f64 = charged.iter().map(|&w| charged_evals(&e, w)).sum();
         // ... are two per lane-attempt, less the evaluation at the top of

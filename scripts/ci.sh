@@ -4,7 +4,8 @@
 # package's build and tests, a warning-free clippy pass (all targets),
 # the one-arithmetic, one-pricing-machine, one-cost-fold and one-graph
 # word checks,
-# the one-way-to-a-plan-set and one-codec checks, the large-budget
+# the one-way-to-a-plan-set and one-codec checks, the one-feature-probe and
+# chemistry `// SAFETY:` checks, the large-budget
 # hostile-input property of every decoder, a 2-thread backend smoke run, the
 # large-budget lane proptests of transport and chemistry, the paper-grid
 # smoke runs and the LA thread-count sweep (bit-identical, full stop), an
@@ -162,6 +163,32 @@ if grep -nE 'fn (enc|dec)_' crates/fabric/src/proto.rs; then
 fi
 echo "one codec OK"
 
+echo "==> one feature probe, and every chemistry unsafe says why"
+# airshed-simd detects each CPU feature once (fma_available,
+# avx512_available); a second probe is a second dispatch rule. And every
+# non-test `unsafe` of the chemistry has a `// SAFETY:` comment ending on
+# the line above it.
+probes="$(non_test 'is_x86_feature_detected!' \
+    $(git ls-files '*.rs' | grep -v '^vendor/\|^benchmark/\|^crates/simd/src/lib\.rs$'))"
+if [ -n "$probes" ]; then
+    echo "$probes"
+    echo "feature probe FAILED: CPU features are probed outside crates/simd/src/lib.rs" >&2
+    exit 1
+fi
+unjustified="$(git ls-files 'crates/chem/src/*.rs' | xargs awk '
+    FNR == 1 { in_tests = FILENAME ~ /(^|\/)tests\//; comment = 0; safety = 0 }
+    /^[[:space:]]*#\[cfg\(test\)\]/ { in_tests = 1 }
+    /^[[:space:]]*\/\// { safety = safety || /^[[:space:]]*\/\/ SAFETY:/; comment = 1; next }
+    !in_tests && /(^|[^[:alnum:]_])unsafe([^[:alnum:]_]|$)/ && !(comment && safety) {
+        print FILENAME ":" FNR ": " $0 }
+    { comment = 0; safety = 0 }')"
+if [ -n "$unjustified" ]; then
+    echo "$unjustified"
+    echo "unsafe FAILED: the lines above have no // SAFETY: comment ending on the line before" >&2
+    exit 1
+fi
+echo "feature probe and unsafe OK"
+
 echo "==> every decoder under the hostile-input property, large budget"
 # `cargo test` runs 24 seeded values per type; once here, 1 500 —
 # round trip, every prefix refused, seeded flips and inflated counts
@@ -188,7 +215,9 @@ cargo run --release --bin airshed -- run \
 echo "==> chemistry lane proptests, large case budget"
 # `cargo test` runs 40 random cell streams; once here, 4 000 — every
 # cell out of the lanes bit-identical to the scalar integrator, whatever
-# its lane and neighbours.
+# its lane and neighbours, through the dispatched stream and through
+# each instantiation the host runs (portable and avx2 at four lanes,
+# avx512 at eight).
 cargo test --release --offline -p airshed-chem --test proptest_chem -- \
     --ignored stream_lanes_are_the_scalar_integrator_bit_for_bit_soak
 
