@@ -5,15 +5,19 @@
 //! CYCLIC), task-parallel (Figure 9, pipeline split) and §6 (Figure 13)
 //! replays produce across LA/NE-shaped profiles × {Paragon, T3D, T3E} ×
 //! P ∈ {4, 16, 64} is pinned as an exact bit pattern under
-//! `tests/golden/plan/`. The files were captured while the pre-IR
+//! `tests/golden/plan/`. Those files were captured while the pre-IR
 //! charging code still ran here as the graph lowering's oracle and
-//! agreed with it bit for bit; they do not change with the code.
+//! agreed with it bit for bit; they do not change with the code. The
+//! text and JSON of `airshed validate` on the LA-shaped profile are
+//! pinned as bytes under `tests/golden/validate/`, captured while the
+//! oracle still rode along on every driver hour.
 //!
 //! Profiles are synthesized with a deterministic LCG (no `rand`), so the
 //! test is fast, self-contained, and exercises the real LA/NE array
 //! shapes without running the numerics.
 
 use airshed::core::driver::{ChemLayout, HourPlans, PlanLayouts, WORD};
+use airshed::core::obs::oracle::validate_profile;
 use airshed::core::obs::Obs;
 use airshed::core::plan::PhaseGraph;
 use airshed::core::profile::{HourProfile, StepProfile, WorkProfile};
@@ -112,11 +116,18 @@ fn bits(name: &str, x: f64) -> String {
 /// `AIRSHED_BLESS=1 cargo test --test plan_equivalence` rewrites the
 /// files instead; that is only right when a value is meant to move.
 fn assert_golden(file: &str, lines: &[String]) {
-    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/plan");
-    let path = dir.join(file);
     let text: String = lines.iter().map(|l| format!("{l}\n")).collect();
+    assert_golden_text(&format!("plan/{file}"), &text);
+}
+
+/// Compare `text` byte for byte with `tests/golden/<file>`, naming every
+/// moved line (`AIRSHED_BLESS=1` rewrites the file instead).
+fn assert_golden_text(file: &str, text: &str) {
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/golden")
+        .join(file);
     if std::env::var_os("AIRSHED_BLESS").is_some() {
-        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
         std::fs::write(&path, text).unwrap();
         return;
     }
@@ -132,7 +143,12 @@ fn assert_golden(file: &str, lines: &[String]) {
         "{file}: values moved\n{}",
         moved.join("\n")
     );
-    assert_eq!(golden.lines().count(), lines.len(), "{file}: line count");
+    assert_eq!(
+        golden.lines().count(),
+        text.lines().count(),
+        "{file}: line count"
+    );
+    assert_eq!(golden, text, "{file}: bytes");
 }
 
 /// Every time field of a replay report, `tag`-prefixed.
@@ -258,6 +274,17 @@ fn fig13_sweep_matches_golden() {
         }
     }
     assert_golden("fig13_sweep.txt", &lines);
+}
+
+#[test]
+fn validate_tables_match_golden() {
+    // `airshed validate`'s text and JSON (the Figures 5–7 tables and the
+    // per-phase model residuals) on the LA-shaped profile, T3E, P = 4,
+    // 16, 64: a fold over the profile's replay, so every byte is pinned.
+    let profile = &paper_profiles()[0];
+    let v = validate_profile(profile, MachineProfile::t3e(), &SWEEP_P);
+    assert_golden_text("validate/la_t3e.txt", &v.text());
+    assert_golden_text("validate/la_t3e.json", &v.to_json());
 }
 
 #[test]
