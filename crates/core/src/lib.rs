@@ -69,7 +69,7 @@ pub use backend::ExecSpec;
 pub use config::{DatasetChoice, SimConfig};
 pub use driver::{ChemLayout, PlanLayouts};
 pub use ensemble::{run_ensemble, DedupStats, EnsembleJob, EnsembleResult};
-pub use obs::oracle::{validate_profile, Oracle, Validation};
+pub use obs::oracle::{validate_profile, Validation};
 pub use obs::Obs;
 pub use plan::{optimize_plan, PhaseGraph, PlanChoice};
 pub use predict::{LayoutChoice, PerfModel};

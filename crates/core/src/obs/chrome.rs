@@ -15,8 +15,12 @@
 //! * **pid 2 — "virtual machine"**: one row per charged phase category,
 //!   timestamps in virtual µs — the paper's Fig 5–7 cost model, drawn;
 //! * **pid 3 — "pipeline (virtual time)"**: one row per task-parallel
-//!   stage — the paper's Fig 8/9 Gantt chart.
+//!   stage — the paper's Fig 8/9 Gantt chart;
+//! * **pid 4 — "counters"**: one `ph:"C"` series per counter track
+//!   (copy bytes, lane occupancy, solver counts, clock offsets);
+//! * **pid 5 — "fabric jobs"**: one row per fabric job.
 
+use super::dist::Quoted;
 use super::{SpanRecord, Track};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -26,25 +30,6 @@ const PID_VIRTUAL: u32 = 2;
 const PID_PIPELINE: u32 = 3;
 const PID_COUNTERS: u32 = 4;
 const PID_JOBS: u32 = 5;
-
-/// Escape a string for inclusion in a JSON string literal.
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
 
 /// Stable pid/tid assignment for a track. Virtual and stage tracks get
 /// tids in first-appearance order from `dynamic`.
@@ -91,29 +76,18 @@ fn track_name(track: Track) -> String {
 }
 
 /// Render spans as a complete Chrome trace JSON document.
-pub fn render(events: &[SpanRecord]) -> String {
-    render_with_open(events, &[])
-}
-
-/// [`render`], plus still-open spans emitted as unmatched `ph:"B"`
-/// begin events after the complete events — how the exporter
-/// flushes-on-drop: a run interrupted mid-hour still produces a trace
-/// Perfetto loads, with the in-flight spans visibly open-ended.
-pub fn render_with_open(events: &[SpanRecord], open: &[SpanRecord]) -> String {
-    render_namespaced(events, open, 0, "")
-}
-
-/// [`render_with_open`] with every pid offset by `pid_base` and every
-/// process name prefixed with `label` — how a fabric shard namespaces
-/// its per-process trace so merged timelines never collide on track
-/// identity. `pid_base` must be a multiple of [`super::dist::PID_STRIDE`]
-/// (local pids stay below the stride); `(0, "")` is the plain render.
-pub fn render_namespaced(
-    events: &[SpanRecord],
-    open: &[SpanRecord],
-    pid_base: u32,
-    label: &str,
-) -> String {
+///
+/// Still-open spans follow the complete events as unmatched `ph:"B"`
+/// begin events — how the exporter flushes-on-drop: a run interrupted
+/// mid-hour still produces a trace Perfetto loads, with the in-flight
+/// spans visibly open-ended.
+///
+/// Every pid is offset by `pid_base` and every process name prefixed
+/// with `label` — how a fabric shard namespaces its per-process trace so
+/// merged timelines never collide on track identity. `pid_base` must be
+/// a multiple of [`super::dist::PID_STRIDE`] (local pids stay below the
+/// stride); `(0, "")` is the plain trace.
+pub fn render(events: &[SpanRecord], open: &[SpanRecord], pid_base: u32, label: &str) -> String {
     let mut dynamic: BTreeMap<(u32, &'static str), u32> = BTreeMap::new();
     // First pass: discover every (pid, tid) so metadata events can name
     // the tracks before any duration event references them.
@@ -144,7 +118,7 @@ pub fn render_namespaced(
         let pname = match pid {
             PID_HOST => "host (wall clock)",
             PID_VIRTUAL => "virtual machine",
-            PID_COUNTERS => "oracle (counters)",
+            PID_COUNTERS => "counters",
             PID_JOBS => "fabric jobs",
             _ => "pipeline (virtual time)",
         };
@@ -158,9 +132,9 @@ pub fn render_namespaced(
             &mut first,
             format!(
                 "{{\"ph\":\"M\",\"name\":\"process_name\",\"pid\":{},\"tid\":0,\
-                 \"args\":{{\"name\":\"{}\"}}}}",
+                 \"args\":{{\"name\":{}}}}}",
                 pid + pid_base,
-                esc(&pname)
+                Quoted(&pname)
             ),
         );
     }
@@ -171,9 +145,9 @@ pub fn render_namespaced(
             &mut first,
             format!(
                 "{{\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":{},\"tid\":{tid},\
-                 \"args\":{{\"name\":\"{}\"}}}}",
+                 \"args\":{{\"name\":{}}}}}",
                 pid + pid_base,
-                esc(name)
+                Quoted(name)
             ),
         );
     }
@@ -188,9 +162,9 @@ pub fn render_namespaced(
                 &mut out,
                 &mut first,
                 format!(
-                    "{{\"ph\":\"C\",\"name\":\"{}\",\"cat\":\"airshed\",\"pid\":{pid},\
+                    "{{\"ph\":\"C\",\"name\":{},\"cat\":\"airshed\",\"pid\":{pid},\
                      \"tid\":{tid},\"ts\":{:.3},\"args\":{{\"value\":{:.6}}}}}",
-                    esc(e.name),
+                    Quoted(e.name),
                     e.ts_us,
                     e.dur_us
                 ),
@@ -205,15 +179,15 @@ pub fn render_namespaced(
             if !args.is_empty() {
                 args.push(',');
             }
-            let _ = write!(args, "\"{}\":{value}", esc(key));
+            let _ = write!(args, "{}:{value}", Quoted(key));
         }
         push(
             &mut out,
             &mut first,
             format!(
-                "{{\"ph\":\"X\",\"name\":\"{}\",\"cat\":\"airshed\",\"pid\":{pid},\
+                "{{\"ph\":\"X\",\"name\":{},\"cat\":\"airshed\",\"pid\":{pid},\
                  \"tid\":{tid},\"ts\":{:.3},\"dur\":{:.3},\"args\":{{{args}}}}}",
-                esc(e.name),
+                Quoted(e.name),
                 e.ts_us,
                 e.dur_us
             ),
@@ -231,9 +205,9 @@ pub fn render_namespaced(
             &mut out,
             &mut first,
             format!(
-                "{{\"ph\":\"B\",\"name\":\"{}\",\"cat\":\"airshed\",\"pid\":{pid},\
+                "{{\"ph\":\"B\",\"name\":{},\"cat\":\"airshed\",\"pid\":{pid},\
                  \"tid\":{tid},\"ts\":{:.3},\"args\":{{{args}}}}}",
-                esc(e.name),
+                Quoted(e.name),
                 e.ts_us
             ),
         );
@@ -243,18 +217,12 @@ pub fn render_namespaced(
 }
 
 impl super::SpanSink {
-    /// Flush and render everything recorded so far as Chrome trace JSON,
-    /// including spans whose guards are still open (flush-on-drop).
-    pub fn chrome_trace(&self) -> String {
-        render_with_open(&self.events(), &self.open_spans())
-    }
-
-    /// [`chrome_trace`](Self::chrome_trace) namespaced for a fabric
-    /// process: pids offset by `pid_base`, process names prefixed with
-    /// `label` (typically the shard name via
-    /// [`super::dist::pid_base`]).
-    pub fn chrome_trace_namespaced(&self, pid_base: u32, label: &str) -> String {
-        render_namespaced(&self.events(), &self.open_spans(), pid_base, label)
+    /// Flush and [`render`] everything recorded so far as Chrome trace
+    /// JSON, including spans whose guards are still open (flush-on-drop).
+    /// `(0, "")` is the plain trace; a fabric shard passes its
+    /// [`super::dist::pid_base`] and name.
+    pub fn chrome_trace(&self, pid_base: u32, label: &str) -> String {
+        render(&self.events(), &self.open_spans(), pid_base, label)
     }
 }
 
@@ -281,7 +249,7 @@ mod tests {
             span("task", Track::PoolWorker { lane: 0, worker: 1 }, 12.0, 8.0),
             span("chemistry", Track::Virtual("chemistry"), 0.0, 5e6),
         ];
-        let json = render(&events);
+        let json = render(&events, &[], 0, "");
         assert!(json.starts_with("{\"displayTimeUnit\":\"ms\""));
         assert!(json.contains("\"process_name\""));
         assert!(json.contains("\"thread_name\""));
@@ -296,25 +264,20 @@ mod tests {
     }
 
     #[test]
-    fn escapes_special_characters() {
-        assert_eq!(esc("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-    }
-
-    #[test]
     fn counter_tracks_render_as_counter_events() {
         let events = vec![SpanRecord {
-            name: "transport",
-            track: Track::Counter("oracle residual"),
+            name: "redist_local",
+            track: Track::Counter("copy bytes"),
             ts_us: 1e6,
             dur_us: 0.25,
             hour: Some(1),
             arg: None,
         }];
-        let json = render(&events);
-        assert!(json.contains("\"ph\":\"C\",\"name\":\"transport\""));
+        let json = render(&events, &[], 0, "");
+        assert!(json.contains("\"ph\":\"C\",\"name\":\"redist_local\""));
         assert!(json.contains("\"value\":0.250000"));
-        assert!(json.contains("\"name\":\"oracle residual\"")); // thread name
-        assert!(json.contains("\"name\":\"oracle (counters)\"")); // process
+        assert!(json.contains("\"name\":\"copy bytes\"")); // thread name
+        assert!(json.contains("\"name\":\"counters\"")); // process
     }
 
     #[test]
@@ -323,7 +286,7 @@ mod tests {
             span("hour", Track::Lane(0), 0.0, 100.0),
             span("chemistry", Track::Virtual("chemistry"), 0.0, 5e6),
         ];
-        let json = render_namespaced(&events, &[], 16, "shard-0");
+        let json = render(&events, &[], 16, "shard-0");
         assert!(json.contains("\"name\":\"shard-0: host (wall clock)\""));
         assert!(json.contains("\"name\":\"shard-0: virtual machine\""));
         assert!(json.contains("\"pid\":17"));
@@ -344,7 +307,7 @@ mod tests {
             hour: None,
             arg: Some(("trace_id", 4)),
         }];
-        let json = render(&events);
+        let json = render(&events, &[], 0, "");
         assert!(json.contains("\"name\":\"fabric jobs\""));
         assert!(json.contains("\"name\":\"job-3\""));
         assert!(json.contains("\"trace_id\":4"));
@@ -355,7 +318,7 @@ mod tests {
     fn open_spans_render_as_begin_events() {
         let done = vec![span("hour", Track::Lane(0), 0.0, 100.0)];
         let open = vec![span("chemistry", Track::Lane(0), 40.0, 0.0)];
-        let json = render_with_open(&done, &open);
+        let json = render(&done, &open, 0, "");
         assert!(json.contains("\"ph\":\"X\",\"name\":\"hour\""));
         assert!(json.contains("\"ph\":\"B\",\"name\":\"chemistry\""));
         let open_count = json.matches("\"ph\":\"B\"").count();

@@ -12,7 +12,7 @@
 //!   `trace_id` through routing, work stealing and failover.
 //! * [`pid_base`] / `PID_STRIDE` namespace a shard's Chrome pids so
 //!   per-process traces never collide on track identity (the exporter
-//!   side lives in [`super::chrome::render_namespaced`]).
+//!   side is [`super::SpanSink::chrome_trace`]'s `(pid_base, label)`).
 //! * [`stitch`] merges the per-process documents: it reads the
 //!   per-shard clock offsets the frontend measured from the
 //!   Hello/heartbeat exchange (recorded on the `"clock offset us"`
@@ -21,7 +21,7 @@
 //!   Chrome flow arrows (`ph:"s"` → `ph:"f"`) from each
 //!   route/steal/failover dispatch mark on the frontend's per-job
 //!   track to the shard-side `job` span it started. Counter tracks
-//!   (oracle residuals, copy bytes) pass through untouched.
+//!   (copy bytes, lane occupancy) pass through untouched.
 //!
 //! ## Clock offsets
 //!
@@ -36,7 +36,7 @@
 //! the merge pass self-contained: `airshed trace-merge` needs no
 //! side-channel file.
 
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 
 /// How far apart [`pid_base`] spaces shard pid namespaces. Local pids
 /// emitted by the Chrome exporter stay well below this (currently 5).
@@ -118,6 +118,28 @@ pub fn sharded_path(path: &str, name: &str) -> String {
 // of object keys is preserved so rewritten events stay diffable
 // against their inputs.
 // ---------------------------------------------------------------------------
+
+/// `s` as a JSON string literal, quotes included: the one string
+/// escaper of both the Chrome exporter and [`Json::render`].
+pub(crate) struct Quoted<'a>(pub &'a str);
+
+impl fmt::Display for Quoted<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_char('"')?;
+        for c in self.0.chars() {
+            match c {
+                '"' => f.write_str("\\\"")?,
+                '\\' => f.write_str("\\\\")?,
+                '\n' => f.write_str("\\n")?,
+                '\t' => f.write_str("\\t")?,
+                '\r' => f.write_str("\\r")?,
+                c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
+                c => f.write_char(c)?,
+            }
+        }
+        f.write_char('"')
+    }
+}
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -202,21 +224,7 @@ impl Json {
                 }
             }
             Json::Str(s) => {
-                out.push('"');
-                for c in s.chars() {
-                    match c {
-                        '"' => out.push_str("\\\""),
-                        '\\' => out.push_str("\\\\"),
-                        '\n' => out.push_str("\\n"),
-                        '\t' => out.push_str("\\t"),
-                        '\r' => out.push_str("\\r"),
-                        c if (c as u32) < 0x20 => {
-                            let _ = write!(out, "\\u{:04x}", c as u32);
-                        }
-                        c => out.push(c),
-                    }
-                }
-                out.push('"');
+                let _ = write!(out, "{}", Quoted(s));
             }
             Json::Arr(items) => {
                 out.push('[');
@@ -234,7 +242,7 @@ impl Json {
                     if i > 0 {
                         out.push(',');
                     }
-                    Json::Str(k.clone()).render_into(out);
+                    let _ = write!(out, "{}", Quoted(k));
                     out.push(':');
                     v.render_into(out);
                 }
@@ -640,7 +648,7 @@ pub fn clock_offsets(frontend: &Json) -> std::collections::BTreeMap<String, f64>
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::obs::chrome::{render, render_namespaced};
+    use crate::obs::chrome::render;
     use crate::obs::{SpanRecord, Track};
 
     fn span(
@@ -694,13 +702,27 @@ mod tests {
     #[test]
     fn json_round_trips_chrome_output() {
         let events = vec![span("hour", Track::Lane(0), 12.5, 100.0, Some(("seq", 3)))];
-        let text = render(&events);
+        let text = render(&events, &[], 0, "");
         let doc = Json::parse(&text).expect("chrome output parses");
         let arr = doc.get("traceEvents").and_then(Json::as_arr).unwrap();
         assert!(arr.len() >= 3); // metadata + span
         let rendered = doc.render();
         let again = Json::parse(&rendered).expect("re-rendered output parses");
         assert_eq!(doc, again);
+    }
+
+    #[test]
+    fn quoted_escapes_what_json_must() {
+        let cases = [
+            ("plain", "\"plain\""),
+            ("a\"b\\c\nd", "\"a\\\"b\\\\c\\nd\""),
+            ("\t\r\u{1}", "\"\\t\\r\\u0001\""),
+            ("h\u{e9}llo", "\"h\u{e9}llo\""),
+        ];
+        for (raw, want) in cases {
+            assert_eq!(Quoted(raw).to_string(), want);
+            assert_eq!(Json::parse(want), Ok(Json::Str(raw.to_string())));
+        }
     }
 
     /// The reader against documents written by hand, not by `render`:
@@ -804,7 +826,7 @@ mod tests {
                 arg: None,
             },
         ];
-        render(&events)
+        render(&events, &[], 0, "")
     }
 
     fn shard_doc() -> String {
@@ -820,7 +842,7 @@ mod tests {
                 arg: None,
             },
         ];
-        render_namespaced(&events, &[], pid_base("shard-0"), "shard-0")
+        render(&events, &[], pid_base("shard-0"), "shard-0")
     }
 
     #[test]

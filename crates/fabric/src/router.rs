@@ -430,15 +430,17 @@ impl Router {
     fn dispatch(&mut self) -> Vec<(usize, Msg)> {
         let mut out = Vec::new();
         for s in 0..self.shards.len() {
-            while self.shards[s].alive
-                && self.shards[s].inflight.len() < self.shards[s].window
-                && !self.shards[s].backlog.is_empty()
-            {
-                let id = self.shards[s].backlog.pop_front().unwrap();
-                self.shards[s].inflight.push(id);
+            while self.shards[s].alive && self.shards[s].inflight.len() < self.shards[s].window {
+                let Some(id) = self.shards[s].backlog.pop_front() else {
+                    break;
+                };
                 let predicted = self.job_cost(id);
                 let now_ms = self.now_ms;
-                let job = self.jobs.get_mut(&id).unwrap();
+                // A queued id whose job is gone has nothing to ship.
+                let Some(job) = self.jobs.get_mut(&id) else {
+                    continue;
+                };
+                self.shards[s].inflight.push(id);
                 job.predicted = predicted;
                 job.first_dispatch_ms.get_or_insert(now_ms);
                 job.segments += 1;

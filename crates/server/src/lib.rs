@@ -667,16 +667,14 @@ mod tests {
     }
 
     #[test]
-    fn reports_carry_predictions_and_the_oracle_pairs_every_hour() {
+    fn reports_carry_predictions_and_traced_hours() {
         let sink = Arc::new(airshed_core::obs::SpanSink::new());
         let config = {
             let mut c = SimConfig::test_tiny(4, 1);
             c.start_hour = 12;
             c
         };
-        let oracle = Arc::new(airshed_core::Oracle::new(config.machine));
-        let obs = Obs::new(Arc::clone(&sink) as Arc<dyn airshed_core::obs::Collector>)
-            .with_oracle(Arc::clone(&oracle));
+        let obs = Obs::new(Arc::clone(&sink));
         let server = ScenarioServer::start(ServerConfig {
             workers: 1,
             obs,
@@ -691,9 +689,6 @@ mod tests {
             .wait()
             .unwrap();
         assert!(r1.predicted_seconds.is_some());
-        // The driver fed the run's spans to the oracle.
-        assert!(oracle.hours_observed() >= 1);
-        assert_eq!(oracle.mismatched_hours(), 0);
         // Second job, same family on another placement: predicted up
         // front and in the same ballpark as the charged result.
         let mut c2 = config.clone();
@@ -712,9 +707,8 @@ mod tests {
             r2.total_seconds
         );
         server.shutdown();
-        // The final flush published the oracle section through obs.
-        let prom = sink.prometheus();
-        assert!(prom.contains("airshed_oracle_residual_mean{kind=\"model\""));
+        // The worker stepped its episodes on the server's handle.
+        assert!(sink.events().iter().any(|e| e.name == "charge_hour"));
     }
 
     #[test]
@@ -1005,10 +999,10 @@ mod tests {
     fn dropped_server_flushes_final_metrics() {
         // Drain-safety regression: a server dropped WITHOUT an explicit
         // shutdown() must still publish its final registry snapshot to
-        // the obs collector (counters registered but never reported
+        // the obs sink (counters registered but never reported
         // used to be lost on this path).
         let sink = Arc::new(airshed_core::obs::SpanSink::new());
-        let obs = Obs::new(Arc::clone(&sink) as Arc<dyn airshed_core::obs::Collector>);
+        let obs = Obs::new(Arc::clone(&sink));
         let server = ScenarioServer::start(ServerConfig {
             workers: 1,
             obs,

@@ -4,7 +4,7 @@
 //! state, and the metrics reconcile with the clients' own books.
 
 use airshed_core::config::SimConfig;
-use airshed_core::obs::{Collector, Obs, SpanSink};
+use airshed_core::obs::{Obs, SpanSink};
 use airshed_server::{JobError, ScenarioRequest, ScenarioServer, ServerConfig, SubmitOutcome};
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -31,7 +31,7 @@ fn stress_unique_job_ids_and_reconciled_metrics() {
         // Far below the offered load, so QueueFull backpressure fires
         // and the retry path is exercised for real.
         queue_capacity: 4,
-        obs: Obs::new(Arc::clone(&sink) as Arc<dyn Collector>),
+        obs: Obs::new(Arc::clone(&sink)),
         ..Default::default()
     });
 

@@ -2,8 +2,8 @@
 # CI gate: formatting, release build, the whole workspace's test suite
 # (every crate's unit tests and doctests included), the benchmark
 # package's build and tests, a warning-free clippy pass (all targets),
-# the one-arithmetic, one-pricing-machine, one-cost-fold and one-graph
-# word checks,
+# the one-arithmetic, one-pricing-machine, one-observer, one-cost-fold and
+# one-graph word checks,
 # the one-way-to-a-plan-set and one-codec checks, the one-feature-probe and
 # chemistry `// SAFETY:` checks, the large-budget
 # hostile-input property of every decoder, a 2-thread backend smoke run, the
@@ -59,12 +59,29 @@ if git ls-files '*.rs' | grep -v '^vendor/\|^benchmark/' \
 fi
 # A shard runs jobs on its caller's Obs; building its own sink is what
 # made every untraced cold job trace.
-if awk '/^[[:space:]]*#\[cfg\(test\)\]/ { exit } /SpanSink|with_oracle/ { print FILENAME ":" FNR ": " $0; found = 1 } END { exit !found }' \
+if awk '/^[[:space:]]*#\[cfg\(test\)\]/ { exit } /SpanSink/ { print FILENAME ":" FNR ": " $0; found = 1 } END { exit !found }' \
     crates/fabric/src/shard.rs; then
     echo "one pricing machine FAILED: fabric::shard builds its own observer" >&2
     exit 1
 fi
 echo "one pricing machine OK"
+
+echo "==> one observer: Obs is a sink or nothing"
+# A run observes through Option<Arc<SpanSink>> and nothing else, and the
+# performance oracle is a fold over a profile's replay inside
+# validate_profile. These are the names of the second ways: the
+# collector trait and its no-op, and the live oracle hooked into hours.
+observers="$(git ls-files '*.rs' | grep -v '^vendor/\|^benchmark/' | xargs awk '
+    FNR == 1 { in_tests = FILENAME ~ /(^|\/)tests\// }
+    /^[[:space:]]*#\[cfg\(test\)\]/ { in_tests = 1 }
+    !in_tests && /(^|[^[:alnum:]_])(Collector|NoopCollector|with_oracle|HourReport|Oracle::new)([^[:alnum:]_]|$)/ {
+        print FILENAME ":" FNR ": " $0 }')"
+if [ -n "$observers" ]; then
+    echo "$observers"
+    echo "one observer FAILED: the names above are back" >&2
+    exit 1
+fi
+echo "one observer OK"
 
 echo "==> one cost fold: the machine is a scalar clock charged with step_seconds"
 # PhaseGraph::execute charges each node with predict::step_seconds, so

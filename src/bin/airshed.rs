@@ -26,7 +26,7 @@ mod model;
 #[path = "airshed/service.rs"]
 mod service;
 
-use airshed::core::obs::{dist, Collector, Obs, SpanSink};
+use airshed::core::obs::{dist, Obs, SpanSink};
 use flags::{parse, usage, Cmd, Command, Options, COMMANDS, HELP};
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -45,7 +45,7 @@ fn execute(command: &Command, opts: &Options) -> Result<(), String> {
     let sink =
         (opts.trace_out.is_some() || opts.metrics_out.is_some()).then(|| Arc::new(SpanSink::new()));
     let obs = match &sink {
-        Some(sink) => Obs::new(Arc::clone(sink) as Arc<dyn Collector>),
+        Some(sink) => Obs::new(Arc::clone(sink)),
         None => Obs::off(),
     };
     (command.run)(opts, &obs)?;
@@ -54,9 +54,9 @@ fn execute(command: &Command, opts: &Options) -> Result<(), String> {
     // the merged timeline never collides tracks across processes.
     let trace = if command.cmd == Cmd::Shard {
         let name = &opts.shard_name;
-        sink.chrome_trace_namespaced(dist::pid_base(name), name)
+        sink.chrome_trace(dist::pid_base(name), name)
     } else {
-        sink.chrome_trace()
+        sink.chrome_trace(0, "")
     };
     if let Some(path) = &opts.trace_out {
         write_file(path, trace)?;

@@ -6,7 +6,7 @@ use crate::flags::{config, exec, layout, Options};
 use crate::write_file;
 use airshed::core::config::SimConfig;
 use airshed::core::driver::{ChemLayout, Episode, PlanLayouts};
-use airshed::core::obs::oracle::{validate_profile, Oracle};
+use airshed::core::obs::oracle::validate_profile;
 use airshed::core::obs::Obs;
 use airshed::core::plan::optimize::plan_cost;
 use airshed::core::plan::{optimize_plan, replay_profile, replay_profile_with};
@@ -15,7 +15,6 @@ use airshed::core::taskpar::{optimize_split, replay_taskparallel};
 use airshed::core::{viz, ExecSpec, RunReport, WorkProfile};
 use airshed::machine::MachineProfile;
 use airshed::popexp::{fig13_sweep, replay_with_popexp, Hosting};
-use std::sync::Arc;
 
 /// Run the numerics of `config`, traced through `obs`.
 fn simulate(config: &SimConfig, exec: ExecSpec, obs: &Obs) -> (RunReport, WorkProfile) {
@@ -229,12 +228,9 @@ pub fn cmd_validate(o: &Options, obs: &Obs) -> Result<(), String> {
     };
     let exec = exec(o);
     announce("validating", o, &format!("at P in {nodes:?}"), exec);
-    // Run the numerics once with a live oracle attached, so a --trace-out
-    // export of this command carries the per-hour residual counter track.
-    let live = Arc::new(Oracle::new(o.machine));
-    let obs_with_oracle = obs.clone().with_oracle(Arc::clone(&live));
-    let (_, profile) = simulate(&config(o, nodes[0]), exec, &obs_with_oracle);
-    // Then sweep the node counts through a fresh oracle on plan replays.
+    // Run the numerics once, then sweep the node counts on plan replays
+    // of the captured profile.
+    let (_, profile) = simulate(&config(o, nodes[0]), exec, obs);
     let v = validate_profile(&profile, o.machine, &nodes);
     print!("{}", v.text());
     if let Some(path) = &o.json_out {

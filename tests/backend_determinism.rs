@@ -18,7 +18,7 @@
 
 use airshed::core::config::{DatasetChoice, SimConfig};
 use airshed::core::driver::{run_resumable_with, Episode};
-use airshed::core::obs::{Collector, Obs, SpanSink};
+use airshed::core::obs::{Obs, SpanSink};
 use airshed::core::profile::WorkProfile;
 use airshed::core::ExecSpec;
 use std::sync::Arc;
@@ -104,7 +104,7 @@ fn tracing_enabled_is_bit_identical_to_disabled() {
         let (_, profile_off, chk_off) =
             Episode::new(&config, None, exec, &Obs::off()).run(config.hours);
         let sink = Arc::new(SpanSink::new());
-        let obs = Obs::new(Arc::clone(&sink) as Arc<dyn Collector>);
+        let obs = Obs::new(Arc::clone(&sink));
         let (_, profile_on, chk_on) = Episode::new(&config, None, exec, &obs).run(config.hours);
         assert_identical(
             &format!("tracing on vs off ({})", exec.describe()),
@@ -115,40 +115,6 @@ fn tracing_enabled_is_bit_identical_to_disabled() {
             sink.events().iter().any(|e| e.name == "transport"),
             "the traced run must actually record spans"
         );
-    }
-}
-
-#[test]
-fn oracle_validation_is_bit_identical_to_untraced() {
-    // The performance oracle rides on the trace stream: it pairs the
-    // hour's PhaseGraph with the recorded spans, but it only ever
-    // *reads* profiles and events. A run with the oracle attached must
-    // be bit-identical to an untraced run.
-    use airshed::core::Oracle;
-
-    let mut config = SimConfig::test_tiny(17, 2);
-    config.p = 4;
-    config.start_hour = 11;
-    for exec in [ExecSpec::serial(), ExecSpec::rayon(4)] {
-        let (_, profile_off, chk_off) =
-            Episode::new(&config, None, exec, &Obs::off()).run(config.hours);
-
-        let sink = Arc::new(SpanSink::new());
-        let oracle = Arc::new(Oracle::new(config.machine));
-        let obs =
-            Obs::new(Arc::clone(&sink) as Arc<dyn Collector>).with_oracle(Arc::clone(&oracle));
-        let (_, profile_on, chk_on) = Episode::new(&config, None, exec, &obs).run(config.hours);
-
-        assert_identical(
-            &format!("oracle on vs off ({})", exec.describe()),
-            &(profile_off, chk_off.state.conc),
-            &(profile_on, chk_on.state.conc),
-        );
-
-        // The oracle actually saw the run: every hour paired cleanly.
-        assert_eq!(oracle.hours_observed(), 2, "oracle observed both hours");
-        assert_eq!(oracle.mismatched_hours(), 0, "no mispaired hours");
-        assert!(oracle.observations() > 0);
     }
 }
 

@@ -357,11 +357,11 @@ fn fabric_traces_merge_into_one_coherent_timeline() {
 /// complete `ph:"X"` event once the guard drops.
 #[test]
 fn cross_shard_sort_and_open_span_flush_on_drop() {
-    use airshed::core::obs::{Collector, Obs, SpanSink, Track};
+    use airshed::core::obs::{Obs, SpanSink, Track};
     use std::sync::Arc;
 
     let sink = Arc::new(SpanSink::new());
-    let obs = Obs::new(Arc::clone(&sink) as Arc<dyn Collector>);
+    let obs = Obs::new(Arc::clone(&sink));
 
     // Interleaved spans from four lanes on four OS threads: each thread
     // hashes to its own shard, so the raw drain order is by shard, not
@@ -382,7 +382,7 @@ fn cross_shard_sort_and_open_span_flush_on_drop() {
 
     // Hold one guard open across the export.
     let open_guard = obs.span("hour");
-    let trace = sink.chrome_trace();
+    let trace = sink.chrome_trace(0, "");
     let events = sink.events();
 
     // (1) Global sort across shards.
@@ -420,7 +420,7 @@ fn cross_shard_sort_and_open_span_flush_on_drop() {
     // Once the guard drops the same span becomes a complete event and
     // the begin event disappears.
     drop(open_guard);
-    let trace = sink.chrome_trace();
+    let trace = sink.chrome_trace(0, "");
     let doc = Json::parse(&trace).unwrap();
     let trace_events = doc.get("traceEvents").and_then(Json::as_arr).unwrap();
     let closed_hours: Vec<&str> = trace_events
