@@ -10,15 +10,19 @@
 //! agreed with it bit for bit; they do not change with the code. The
 //! text and JSON of `airshed validate` on the LA-shaped profile are
 //! pinned as bytes under `tests/golden/validate/`, captured while the
-//! oracle still rode along on every driver hour.
+//! oracle still rode along on every driver hour. The virtual-time spans
+//! a traced run records (one per charged plan node) are pinned under
+//! `tests/golden/trace/`, captured while the machine still kept a trace
+//! of its own.
 //!
 //! Profiles are synthesized with a deterministic LCG (no `rand`), so the
 //! test is fast, self-contained, and exercises the real LA/NE array
-//! shapes without running the numerics.
+//! shapes without running the numerics; only the traced-episode test
+//! runs two hours of the tiny grid.
 
 use airshed::core::driver::{ChemLayout, HourPlans, PlanLayouts, WORD};
 use airshed::core::obs::oracle::validate_profile;
-use airshed::core::obs::Obs;
+use airshed::core::obs::{Obs, SpanSink, Track};
 use airshed::core::plan::PhaseGraph;
 use airshed::core::profile::{HourProfile, StepProfile, WorkProfile};
 use airshed::core::report::RunReport;
@@ -26,6 +30,7 @@ use airshed::core::taskpar::{optimize_split, replay_taskparallel};
 use airshed::machine::MachineProfile;
 use airshed::popexp::fig13_sweep;
 use std::path::PathBuf;
+use std::sync::Arc;
 
 /// Deterministic pseudo-random stream (64-bit LCG, MMIX constants).
 struct Lcg(u64);
@@ -285,6 +290,39 @@ fn validate_tables_match_golden() {
     let v = validate_profile(profile, MachineProfile::t3e(), &SWEEP_P);
     assert_golden_text("validate/la_t3e.txt", &v.text());
     assert_golden_text("validate/la_t3e.json", &v.to_json());
+}
+
+#[test]
+fn virtual_spans_of_a_traced_episode_match_golden() {
+    // Every `Track::Virtual` span a traced episode records — tiny grid,
+    // two hours, P = 4 on the T3E — as `name hour ts_us dur_us`, the two
+    // times as bit patterns: where each plan node sits on the virtual
+    // timeline, in recording order.
+    use airshed::core::driver::Episode;
+    use airshed::core::{ExecSpec, SimConfig};
+
+    let config = SimConfig::test_tiny(4, 2);
+    assert_eq!(config.machine, MachineProfile::t3e());
+    let sink = Arc::new(SpanSink::new());
+    let episode = Episode::new(&config, None, ExecSpec::default(), &Obs::new(sink.clone()));
+    episode.run(config.hours);
+    let lines: Vec<String> = sink
+        .events()
+        .iter()
+        .filter(|s| matches!(s.track, Track::Virtual(_)))
+        .map(|s| {
+            format!(
+                "{} {} {:016x} {:016x}",
+                s.name,
+                s.hour.expect("virtual spans carry their hour"),
+                s.ts_us.to_bits(),
+                s.dur_us.to_bits()
+            )
+        })
+        .collect();
+    assert!(!lines.is_empty(), "a traced episode records virtual spans");
+    let text: String = lines.iter().map(|l| format!("{l}\n")).collect();
+    assert_golden_text("trace/episode_tiny_t3e_p4.txt", &text);
 }
 
 #[test]
