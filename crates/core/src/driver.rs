@@ -287,13 +287,14 @@ pub struct InputStage {
 ///
 /// With an enabled [`Obs`] handle every hour opens one "hour" span, one
 /// span per phase invocation inside it (the [`PhaseKind`] labels) and
-/// one around [`charge_hour`]; the engine's pool forks report per-task
-/// worker spans through the same handle; and at each hour boundary the
-/// virtual machine's events (every PhaseGraph node and redistribution
-/// edge, in virtual time) are exported onto [`Track::Virtual`] rows, the
-/// cumulative `copy bytes` counters are sampled, and the span buffers
-/// are flushed. With a disabled handle there are no clock reads and no
-/// tracing, and the results are bit-identical either way
+/// one "charge_hour" around the hour's charge; the engine's pool forks
+/// report per-task worker spans through the same handle; the charge
+/// records every PhaseGraph node and redistribution edge on a
+/// [`Track::Virtual`] row, at the virtual `(start, end)` the machine
+/// charged it; and at each hour boundary the cumulative `copy bytes`
+/// counters are sampled and the span buffers are flushed. With a
+/// disabled handle there are no clock reads and no tracing, and the
+/// results are bit-identical either way
 /// (instrumentation never reorders the item-ordered reductions).
 ///
 /// [`PhaseKind`]: airshed_machine::accounting::PhaseKind
@@ -307,8 +308,6 @@ pub struct Episode {
     plans: Arc<HourPlans>,
     cell_volumes: Vec<f64>,
     copy_total: CopyBytes,
-    /// Machine trace events already exported to `obs`.
-    trace_mark: usize,
 }
 
 impl Episode {
@@ -341,10 +340,6 @@ impl Episode {
             shape,
             "checkpoint shape does not match the configured dataset"
         );
-        let mut machine = Machine::new(config.machine, config.p);
-        if obs.enabled() {
-            machine.trace.enable();
-        }
         Episode {
             profile: WorkProfile {
                 dataset: spec.name,
@@ -356,9 +351,8 @@ impl Episode {
             plans: HourPlans::shared(&shape, config.p, PlanLayouts::default()),
             engine,
             checkpoint,
-            machine,
+            machine: Machine::new(config.machine, config.p),
             copy_total: CopyBytes::default(),
-            trace_mark: 0,
         }
     }
 
@@ -374,8 +368,6 @@ impl Episode {
             "partial profile does not match the configured dataset"
         );
         self.copy_total = charge_hours(&mut self.machine, &partial.hours, &self.plans);
-        // Whoever ran those hours exported their virtual-time events.
-        self.trace_mark = self.machine.trace.events().len();
         self.profile = partial;
     }
 
@@ -469,7 +461,11 @@ impl Episode {
             };
             {
                 let _s = obs.span_hour("charge_hour", tag);
-                charge_hour(&mut self.machine, &hp, &self.plans);
+                let graph = PhaseGraph::for_hour(&hp, &self.plans, self.machine.p());
+                graph.execute_with(&mut self.machine, |node, start, end| {
+                    let (label, _) = graph.label(node);
+                    obs.record_virtual(label, Track::Virtual(label), start, end, Some(tag));
+                });
             }
             self.profile.hours.push(hp);
             self.profile.summaries.push(summary);
@@ -490,14 +486,6 @@ impl Episode {
             for (kind, _, v) in copy_classes(&self.copy_total) {
                 obs.record_counter(kind, "copy bytes", now_us, v as f64, Some(tag));
             }
-            // The virtual-machine events this hour's graph execution
-            // charged (every PhaseKind node and redist edge, in virtual
-            // time).
-            let events = self.machine.trace.events();
-            for e in &events[self.trace_mark..] {
-                obs.record_virtual(e.label, Track::Virtual(e.label), e.start, e.end, Some(tag));
-            }
-            self.trace_mark = events.len();
             obs.flush();
         }
     }

@@ -1,13 +1,15 @@
 //! # `obs` — the unified observability layer
 //!
 //! One span model for the three timing stories the repo used to tell
-//! separately (the virtual machine's [`Trace`], the server's metrics
-//! registry, the backend run reports):
+//! separately (the virtual machine's phase timeline, the server's
+//! metrics registry, the backend run reports):
 //!
 //! * a [`SpanRecord`] is a named interval on a [`Track`] — wall-clock
 //!   µs for real execution (driver hours, engine phases, pool tasks,
-//!   server job lifecycle) or virtual-machine µs for the charged
-//!   PhaseGraph replay and the pipeline schedule;
+//!   server job lifecycle) or virtual-machine µs for each charged
+//!   PhaseGraph node (recorded from `PhaseGraph::execute_with`, the one
+//!   source of a node's virtual `(start, end)`) and the pipeline
+//!   schedule;
 //! * a [`SpanSink`] receives spans (sharded, effectively per-thread
 //!   buffers, flushed at hour boundaries);
 //! * the [`Obs`] handle is what instrumented code carries: a sink or
@@ -37,8 +39,6 @@
 //! let trace = sink.chrome_trace(0, "");
 //! assert!(trace.contains("\"name\":\"transport\""));
 //! ```
-//!
-//! [`Trace`]: ../../airshed_machine/trace/struct.Trace.html
 
 pub mod chrome;
 pub mod dist;

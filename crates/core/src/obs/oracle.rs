@@ -11,14 +11,13 @@
 //! pure function of the profile: a run's charge *is* that replay, so
 //! there is nothing a live hook on the running hours would add.
 //!
-//! The pairing leans on a structural invariant of the virtual machine:
-//! executing a [`PhaseGraph`] charges exactly one trace event per plan
-//! node, in program order, so `graph.nodes` and the hour's slice of
-//! `machine.trace.events()` zip 1:1. For each pair the sweep computes
-//! the **model residual** — the §4 closed form (even division with the
-//! ceil rule; the [`comm_step_costs`] equations) against the charged
-//! duration. This is the Figure 6/7 error: genuinely nonzero, dominated
-//! by the urban/rural work imbalance the simple model ignores.
+//! The pairing holds by construction: [`PhaseGraph::execute_with`] hands
+//! each plan node over with the virtual `(start, end)` the machine just
+//! charged it, and for each node the sweep computes the **model
+//! residual** — the §4 closed form (even division with the ceil rule;
+//! the [`comm_step_costs`] equations) against the charged duration
+//! `end - start`. This is the Figure 6/7 error: genuinely nonzero,
+//! dominated by the urban/rural work imbalance the simple model ignores.
 //!
 //! The sweep reports; it does not fit, and it does not re-price. The
 //! machine's `L`/`G`/`H` are the datasheet the spans were charged from,
@@ -30,12 +29,13 @@
 //! pins that instead).
 
 use crate::driver::{HourPlans, PlanLayouts};
-use crate::plan::{Op, PhaseGraph, Work};
-use crate::predict::{ceil_rule_seconds, comm_step_costs, step_seconds, PerfModel, Prediction};
+use crate::plan::{Op, PhaseGraph, PhaseNode, Work};
+use crate::predict::{
+    ceil_rule_seconds, comm_step_costs, step_seconds, CommStepCosts, PerfModel, Prediction,
+};
 use crate::profile::WorkProfile;
 use crate::report::RunReport;
 use airshed_hpf::redist::labels;
-use airshed_machine::trace::TraceEvent;
 use airshed_machine::{Machine, MachineProfile};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -124,57 +124,40 @@ fn rel_err(measured: f64, predicted: f64) -> f64 {
 /// Per-label model residuals of a sweep.
 type Residuals = BTreeMap<&'static str, ResidualStat>;
 
-/// Pair one executed hour's plan graph with the trace events its
-/// execution charged — one per plan node, in program order — and
-/// accumulate the model residuals priced on `nominal`.
-fn observe_hour(
-    residuals: &mut Residuals,
-    nominal: &MachineProfile,
+/// The §4 closed-form seconds of one plan node priced on `nominal`, and
+/// the per-node imbalance of its charge (heaviest/mean).
+fn model_of(
     graph: &PhaseGraph,
-    events: &[TraceEvent],
-) {
-    assert_eq!(
-        events.len(),
-        graph.nodes.len(),
-        "PhaseGraph::execute charges one event per node"
-    );
+    node: &PhaseNode,
+    nominal: &MachineProfile,
+    costs: &CommStepCosts,
+) -> (f64, f64) {
     let p = graph.p;
-    let costs = comm_step_costs(nominal, graph.shape, p);
-    let rate = nominal.rate;
-    for (node, ev) in graph.nodes.iter().zip(events) {
-        let measured = ev.duration();
-        let (label, model_pred, imbalance) = match &node.op {
-            Op::Compute { kind, work } => {
-                let (_, imbalance) = work.charged(p);
-                // §4.1: replicated work in full; transport distributes
-                // layers, chemistry distributes columns, both by the
-                // ceil rule over their item count.
-                let model = match work {
-                    Work::Replicated { work, .. } => work / rate,
-                    Work::Distributed { per_item, .. } => {
-                        ceil_rule_seconds(work.total(), rate, per_item.len(), p)
-                    }
-                };
-                (kind.label(), model, imbalance)
-            }
-            Op::Comm { edge } => {
-                let e = &graph.edges[*edge];
-                let model = costs
-                    .for_label(e.label)
-                    .unwrap_or_else(|| step_seconds(graph, node, nominal));
-                let per_node: Vec<f64> = e.loads.iter().map(|l| nominal.comm_cost(l)).collect();
-                let max = per_node.iter().fold(0.0f64, |a, &b| a.max(b));
-                let mean = per_node.iter().sum::<f64>() / per_node.len().max(1) as f64;
-                let imbalance = if mean > 0.0 { max / mean } else { 1.0 };
-                (e.label, model, imbalance)
-            }
-        };
-        residuals.entry(label).or_default().record(
-            rel_err(measured, model_pred),
-            imbalance,
-            model_pred,
-            measured,
-        );
+    match &node.op {
+        Op::Compute { work, .. } => {
+            let (_, imbalance) = work.charged(p);
+            // §4.1: replicated work in full; transport distributes
+            // layers, chemistry distributes columns, both by the ceil
+            // rule over their item count.
+            let model = match work {
+                Work::Replicated { work, .. } => work / nominal.rate,
+                Work::Distributed { per_item, .. } => {
+                    ceil_rule_seconds(work.total(), nominal.rate, per_item.len(), p)
+                }
+            };
+            (model, imbalance)
+        }
+        Op::Comm { edge } => {
+            let e = &graph.edges[*edge];
+            let model = costs
+                .for_label(e.label)
+                .unwrap_or_else(|| step_seconds(graph, node, nominal));
+            let per_node: Vec<f64> = e.loads.iter().map(|l| nominal.comm_cost(l)).collect();
+            let max = per_node.iter().fold(0.0f64, |a, &b| a.max(b));
+            let mean = per_node.iter().sum::<f64>() / per_node.len().max(1) as f64;
+            let imbalance = if mean > 0.0 { max / mean } else { 1.0 };
+            (model, imbalance)
+        }
     }
 }
 
@@ -212,9 +195,9 @@ pub struct Validation {
 }
 
 /// Run the Figures 5–7 experiment on a captured profile: for each node
-/// count, execute every hour's plan graph on a traced machine, pair
-/// every charged event with its prediction (residuals pooled over the
-/// whole sweep), and collect the predicted-vs-measured rows.
+/// count, execute every hour's plan graph, pair every charged node with
+/// its prediction (residuals pooled over the whole sweep), and collect
+/// the predicted-vs-measured rows.
 pub fn validate_profile(
     profile: &WorkProfile,
     machine: MachineProfile,
@@ -225,15 +208,20 @@ pub fn validate_profile(
     let mut rows = Vec::with_capacity(nodes.len());
     for &p in nodes {
         let plans = HourPlans::shared(&profile.shape, p, PlanLayouts::default());
+        let costs = comm_step_costs(&machine, profile.shape, p);
         let mut m = Machine::new(machine, p);
-        m.trace.enable();
-        let mut mark = 0usize;
         for hp in &profile.hours {
             let graph = PhaseGraph::for_hour(hp, &plans, p);
-            graph.execute(&mut m);
-            let events = m.trace.events();
-            observe_hour(&mut residuals, &machine, &graph, &events[mark..]);
-            mark = events.len();
+            graph.execute_with(&mut m, |node, start, end| {
+                let measured = end - start;
+                let (model, imbalance) = model_of(&graph, node, &machine, &costs);
+                residuals.entry(graph.label(node).0).or_default().record(
+                    rel_err(measured, model),
+                    imbalance,
+                    model,
+                    measured,
+                );
+            });
         }
         let report = RunReport::from_machine(profile.dataset, &m, profile.hours.len(), Vec::new());
         rows.push(ValidationRow {
@@ -420,16 +408,6 @@ mod tests {
             let s = stats[label];
             assert!(s.count > 0 && s.mean_abs_rel < 0.6, "{label}: {s:?}");
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "one event per node")]
-    fn mismatched_event_count_panics_rather_than_mispairs() {
-        let t3e = MachineProfile::t3e();
-        let profile = tiny_profile();
-        let plans = HourPlans::new(&profile.shape, 4);
-        let graph = PhaseGraph::for_hour(&profile.hours[0], &plans, 4);
-        observe_hour(&mut Residuals::new(), &t3e, &graph, &[]);
     }
 
     #[test]

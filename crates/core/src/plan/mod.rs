@@ -23,7 +23,10 @@
 //!    with [`step_seconds`] — the one cost fold: what admission, the
 //!    router, the optimizer and the oracle price with is the machine's
 //!    charge. This *is* `driver::charge_hour` (every bit of it pinned by
-//!    the goldens under `tests/golden/plan/`);
+//!    the goldens under `tests/golden/plan/`). [`PhaseGraph::execute_with`]
+//!    also hands each node its virtual `(start, end)` as it is charged:
+//!    the trace rows, the oracle's residuals and the `timeline` Gantt
+//!    chart are all read from there;
 //! 2. [`PhaseGraph::stage_durations`] folds the stage annotations into
 //!    the three pipeline stage durations `taskpar` schedules — for §5's
 //!    Figure 9 and, with PopExp as a fourth stage, §6's Figures 12/13.
@@ -411,34 +414,40 @@ impl PhaseGraph {
         }
     }
 
-    /// Charge `nodes` to the machine in order, each with
-    /// [`step_seconds`] on the machine's own profile, under the label
-    /// and category of the node's kind or edge. Returns the elapsed
-    /// virtual time.
-    fn charge<'a>(&self, machine: &mut Machine, nodes: impl Iterator<Item = &'a PhaseNode>) -> f64 {
-        assert_eq!(machine.p(), self.p, "graph was planned for a different P");
-        let start = machine.elapsed();
-        for node in nodes {
-            let seconds = step_seconds(self, node, &machine.profile);
-            let (label, cat) = match &node.op {
-                Op::Compute { kind, .. } => (kind.label(), kind.category()),
-                Op::Comm { edge } => (self.edges[*edge].label, PhaseCategory::Communication),
-            };
-            machine.charge(label, cat, seconds);
+    /// The label and phase category a node is charged under: its kind's,
+    /// or its edge's as a `Communication` phase.
+    pub fn label(&self, node: &PhaseNode) -> (&'static str, PhaseCategory) {
+        match &node.op {
+            Op::Compute { kind, .. } => (kind.label(), kind.category()),
+            Op::Comm { edge } => (self.edges[*edge].label, PhaseCategory::Communication),
         }
-        machine.elapsed() - start
     }
 
     /// Data-parallel lowering: charge every node of the graph to the
     /// machine in program order. Returns the elapsed virtual time.
     pub fn execute(&self, machine: &mut Machine) -> f64 {
-        self.charge(machine, self.nodes.iter())
+        self.execute_with(machine, |_, _, _| {})
     }
 
-    /// Charge only the nodes of one pipeline stage (the task-parallel
-    /// compute subgroup executes `Stage::Main` this way).
-    pub fn execute_stage(&self, machine: &mut Machine, stage: Stage) -> f64 {
-        self.charge(machine, self.nodes.iter().filter(|n| n.stage == stage))
+    /// [`execute`](PhaseGraph::execute), each node with [`step_seconds`]
+    /// on the machine's own profile under its [`label`](PhaseGraph::label),
+    /// handing it to `charged` with the virtual `(start, end)` the
+    /// machine just charged it — the one source of a node's place on the
+    /// virtual timeline.
+    pub fn execute_with(
+        &self,
+        machine: &mut Machine,
+        mut charged: impl FnMut(&PhaseNode, f64, f64),
+    ) -> f64 {
+        assert_eq!(machine.p(), self.p, "graph was planned for a different P");
+        let start = machine.elapsed();
+        for node in &self.nodes {
+            let (label, cat) = self.label(node);
+            let at = machine.elapsed();
+            machine.charge(label, cat, step_seconds(self, node, &machine.profile));
+            charged(node, at, machine.elapsed());
+        }
+        machine.elapsed() - start
     }
 
     /// Task-parallel lowering: the three §5 pipeline stage durations
@@ -448,7 +457,8 @@ impl PhaseGraph {
     /// The input stage charges its nodes on the input subgroup
     /// ([`Work::subgroup_seconds`]) then hands the decoded inputs
     /// ([`PhaseGraph::input_handoff_bytes`]) to the compute subgroup; the
-    /// compute stage executes `Stage::Main` on a scratch machine; the
+    /// compute stage is the running sum of its nodes' [`step_seconds`],
+    /// which is where a fresh machine charging them would stand; the
     /// output stage receives the concentration array
     /// ([`PhaseGraph::output_handoff_elems`]) and charges its nodes. A
     /// handoff is one message of its bytes, priced by the machine.
@@ -471,7 +481,11 @@ impl PhaseGraph {
         };
         let input = on_subgroup(Stage::Input, p_in).fold(0.0, |t, s| t + s)
             + handoff(self.input_handoff_bytes);
-        let compute = self.execute_stage(&mut Machine::new(mp, self.p), Stage::Main);
+        let compute = self
+            .nodes
+            .iter()
+            .filter(|n| n.stage == Stage::Main)
+            .fold(0.0, |t, n| t + step_seconds(self, n, &mp));
         let output = on_subgroup(Stage::Output, p_out)
             .fold(handoff(self.output_handoff_elems * mp.word_size), |t, s| {
                 t + s
@@ -661,15 +675,14 @@ mod tests {
             })
             .sum();
         assert!(all > 0.0);
-        // Executing the three stages separately charges the same compute
-        // work as executing the whole graph.
-        let mut whole = Machine::new(MachineProfile::t3e(), 4);
-        g.execute(&mut whole);
-        let mut staged = Machine::new(MachineProfile::t3e(), 4);
-        for s in [Stage::Input, Stage::Main, Stage::Output] {
-            g.execute_stage(&mut staged, s);
-        }
-        assert_eq!(whole.elapsed(), staged.elapsed());
+        // The compute stage is exactly what a machine charging only the
+        // graph's Main nodes stands at.
+        let mut main_only = g.clone();
+        main_only.nodes.retain(|n| n.stage == Stage::Main);
+        let mut m = Machine::new(MachineProfile::t3e(), 4);
+        main_only.execute(&mut m);
+        let [_, compute, _] = g.stage_durations(MachineProfile::t3e(), 1, 1);
+        assert_eq!(compute.to_bits(), m.elapsed().to_bits());
     }
 
     #[test]

@@ -11,7 +11,7 @@
 
 use crate::proto::{self, Msg};
 use crate::router::{Router, RouterConfig, ShardCounters};
-use airshed_core::codec::WireError;
+use airshed_core::codec::{intern, WireError};
 use airshed_core::config::SimConfig;
 use airshed_core::driver::ChemLayout;
 use airshed_core::ensemble::EnsembleJob;
@@ -182,13 +182,6 @@ pub fn serve_batch(
                 router.on_disconnect(shard);
             }
         }
-        for (scenario, result) in router.take_finished() {
-            finish_job_span(obs, epoch, scenario);
-            match result {
-                Ok(report) => reports.push((scenario, report)),
-                Err(message) => failures.push((scenario, message)),
-            }
-        }
         if router.live_shards() == 0 && router.outstanding() > 0 {
             shutdown(&mut writers, &mut readers);
             return Err(format!(
@@ -225,6 +218,8 @@ pub fn serve_batch(
                 // decides whether that is completion or catastrophe.
             }
         }
+        // Only a shard's Completed or Failed finishes a job, so the
+        // events just handled are the one place results come from.
         for (scenario, result) in router.take_finished() {
             finish_job_span(obs, epoch, scenario);
             match result {
@@ -241,9 +236,13 @@ pub fn serve_batch(
         // the frontend trace alone.
         let ts = obs.us_since_epoch(Instant::now());
         for (s, &offset) in offsets.iter().enumerate().take(router.shard_count()) {
-            if offset.is_finite() {
-                let name: &'static str =
-                    Box::leak(router.shard_name(s).to_string().into_boxed_str());
+            if !offset.is_finite() {
+                continue;
+            }
+            // The peer chose this name in its Hello: interned, a
+            // long-lived frontend keeps one copy per name, and a name
+            // the bounded table refuses goes without a counter.
+            if let Ok(name) = intern(router.shard_name(s)) {
                 obs.record_counter(name, CLOCK_OFFSET_TRACK, ts, offset, None);
             }
         }
@@ -407,5 +406,65 @@ fn shutdown(writers: &mut [Option<TcpStream>], readers: &mut Vec<std::thread::Jo
     }
     for handle in readers.drain(..) {
         let _ = handle.join();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use airshed_core::obs::SpanSink;
+    use std::sync::Arc;
+
+    /// Serve an empty traced batch to stand-in shards that say a stamped
+    /// Hello under `names` and then wait for the end; returns the names
+    /// of the clock-offset counters the frontend recorded.
+    fn clock_offset_names(names: &[&str]) -> Vec<&'static str> {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let shards: Vec<_> = names
+            .iter()
+            .map(|name| {
+                let hello = Msg::Hello {
+                    name: name.to_string(),
+                    workers: 1,
+                    sent_us: 1,
+                };
+                std::thread::spawn(move || {
+                    let mut stream = TcpStream::connect(addr).unwrap();
+                    proto::send(&mut stream, &hello).unwrap();
+                    while proto::recv(&mut stream).is_ok() {}
+                })
+            })
+            .collect();
+        let sink = Arc::new(SpanSink::new());
+        let opts = FrontendOptions {
+            expect: names.len(),
+            ..FrontendOptions::default()
+        };
+        serve_batch(&listener, opts, &[], &Obs::new(sink.clone())).unwrap();
+        for shard in shards {
+            shard.join().unwrap();
+        }
+        sink.events()
+            .into_iter()
+            .filter(|e| e.track == Track::Counter(CLOCK_OFFSET_TRACK))
+            .map(|e| e.name)
+            .collect()
+    }
+
+    #[test]
+    fn traced_batches_share_one_copy_of_each_shard_name() {
+        let names = ["intern-a", "intern-b"];
+        let first = clock_offset_names(&names);
+        let second = clock_offset_names(&names);
+        assert_eq!(first.len(), names.len());
+        assert_eq!(second.len(), names.len());
+        for name in &first {
+            let again = second.iter().find(|n| *n == name).expect("same shards");
+            assert!(
+                std::ptr::eq(*name, *again),
+                "{name}: a second traced batch made a second copy of the name"
+            );
+        }
     }
 }

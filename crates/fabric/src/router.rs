@@ -329,16 +329,7 @@ impl Router {
             let Some(id) = self.orphans.pop_front() else {
                 break;
             };
-            match self.route(id) {
-                Some(s) => {
-                    self.shards[s].counters.failed_over += 1;
-                    if let Some(j) = self.jobs.get_mut(&id) {
-                        j.hop = HOP_NAMES[2];
-                        j.failed_over += 1;
-                    }
-                }
-                None => self.orphans.push_back(id),
-            }
+            self.fail_over(id);
         }
         self.steal();
         self.dispatch()
@@ -529,16 +520,22 @@ impl Router {
                 j.shard = None;
                 j.predicted = None;
             }
-            match self.route(id) {
-                Some(s) => {
-                    self.shards[s].counters.failed_over += 1;
-                    if let Some(j) = self.jobs.get_mut(&id) {
-                        j.hop = HOP_NAMES[2];
-                        j.failed_over += 1;
-                    }
+            self.fail_over(id);
+        }
+    }
+
+    /// Re-route a job whose shard was lost: a failover on the shard that
+    /// takes it, or an orphan again while no shard is live.
+    fn fail_over(&mut self, id: u64) {
+        match self.route(id) {
+            Some(s) => {
+                self.shards[s].counters.failed_over += 1;
+                if let Some(j) = self.jobs.get_mut(&id) {
+                    j.hop = HOP_NAMES[2];
+                    j.failed_over += 1;
                 }
-                None => self.orphans.push_back(id),
             }
+            None => self.orphans.push_back(id),
         }
     }
 

@@ -89,12 +89,6 @@ impl DistributedArray {
         }
     }
 
-    /// Zero-filled distributed array.
-    pub fn zeros(shape: &[usize], dist: Distribution, p: usize) -> Self {
-        let total: usize = shape.iter().product();
-        Self::scatter(&vec![0.0; total], shape, dist, p)
-    }
-
     pub fn shape(&self) -> &[usize] {
         &self.shape
     }

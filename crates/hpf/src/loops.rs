@@ -1,4 +1,4 @@
-//! Parallel-loop helpers: owned index ranges and useful parallelism.
+//! Parallel-loop helpers: owned index ranges.
 //!
 //! Fx expresses loop parallelism with a parallel-loop construct over the
 //! distributed dimension; the runtime equivalent is: split the iteration
@@ -20,28 +20,6 @@ pub fn block_ranges(extent: usize, p: usize) -> Vec<Range<usize>> {
         .collect()
 }
 
-/// The paper's degree of useful parallelism: `min(extent, p)`.
-pub fn useful_parallelism(extent: usize, p: usize) -> usize {
-    extent.min(p).max(1)
-}
-
-/// Execute a parallel loop over a blocked index space: calls
-/// `body(node, range)` for every node's non-empty share and collects the
-/// per-node work the body reports. Returns a full-length work vector
-/// (zeros for idle nodes) ready for `Machine::compute`.
-pub fn par_loop_block<F>(extent: usize, p: usize, mut body: F) -> Vec<f64>
-where
-    F: FnMut(usize, Range<usize>) -> f64,
-{
-    let mut work = vec![0.0; p];
-    for (node, r) in block_ranges(extent, p).into_iter().enumerate() {
-        if !r.is_empty() {
-            work[node] = body(node, r);
-        }
-    }
-    work
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -58,29 +36,5 @@ mod tests {
             }
             assert_eq!(rs.iter().map(|r| r.len()).sum::<usize>(), n);
         }
-    }
-
-    #[test]
-    fn useful_parallelism_is_min() {
-        assert_eq!(useful_parallelism(5, 128), 5);
-        assert_eq!(useful_parallelism(700, 16), 16);
-        assert_eq!(useful_parallelism(0, 4), 1);
-    }
-
-    #[test]
-    fn par_loop_collects_work() {
-        // 5 layers on 8 nodes: nodes 0..4 get one layer each.
-        let work = par_loop_block(5, 8, |_node, r| r.len() as f64 * 10.0);
-        assert_eq!(work, vec![10.0, 10.0, 10.0, 10.0, 10.0, 0.0, 0.0, 0.0]);
-    }
-
-    #[test]
-    fn par_loop_body_sees_correct_ranges() {
-        let mut seen = Vec::new();
-        par_loop_block(10, 3, |node, r| {
-            seen.push((node, r.clone()));
-            1.0
-        });
-        assert_eq!(seen, vec![(0, 0..4), (1, 4..8), (2, 8..10)]);
     }
 }

@@ -30,17 +30,17 @@
 //!
 //! Modules: [`profiles`] (machine parameter sets), [`cost`] (the
 //! communication cost model), [`accounting`] (per-phase time
-//! attribution), [`trace`] (the optional phase timeline), [`sim`] (the
-//! [`Machine`] façade the runtime drives).
+//! attribution), [`sim`] (the [`Machine`] façade the runtime drives).
+//! The machine keeps totals, not a timeline: where each phase sits in
+//! virtual time is reported by the plan layer as it charges
+//! (`airshed_core::plan::PhaseGraph::execute_with`).
 
 pub mod accounting;
 pub mod cost;
 pub mod profiles;
 pub mod sim;
-pub mod trace;
 
 pub use accounting::{PhaseBreakdown, PhaseCategory, PhaseKind};
 pub use cost::NodeCommLoad;
 pub use profiles::MachineProfile;
 pub use sim::Machine;
-pub use trace::{Trace, TraceEvent};

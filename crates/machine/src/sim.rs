@@ -6,7 +6,6 @@
 
 use crate::accounting::{CommLog, PhaseBreakdown, PhaseCategory};
 use crate::profiles::MachineProfile;
-use crate::trace::Trace;
 
 /// A virtual distributed-memory machine with `p` nodes.
 #[derive(Debug, Clone)]
@@ -18,8 +17,6 @@ pub struct Machine {
     now: f64,
     pub breakdown: PhaseBreakdown,
     pub comm_log: CommLog,
-    /// Optional phase trace (see [`Trace::enable`]).
-    pub trace: Trace,
 }
 
 impl Machine {
@@ -31,7 +28,6 @@ impl Machine {
             now: 0.0,
             breakdown: PhaseBreakdown::new(),
             comm_log: CommLog::new(),
-            trace: Trace::default(),
         }
     }
 
@@ -50,8 +46,8 @@ impl Machine {
     /// spend time: the caller prices the phase (the plan layer with
     /// `core::predict::step_seconds`) and the clock advances here alone.
     /// The time goes to `cat` in the breakdown (and, for a
-    /// `Communication` phase, to `label` in the comm log) and the phase
-    /// is traced under `label`. Returns the phase wall time.
+    /// `Communication` phase, to `label` in the comm log). Returns the
+    /// phase wall time.
     pub fn charge(&mut self, label: &'static str, cat: PhaseCategory, seconds: f64) -> f64 {
         let start = self.now;
         self.now = start + seconds;
@@ -60,7 +56,6 @@ impl Machine {
         if cat == PhaseCategory::Communication {
             self.comm_log.record(label, dt);
         }
-        self.trace.record(label, cat, start, self.now);
         dt
     }
 }

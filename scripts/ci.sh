@@ -2,8 +2,8 @@
 # CI gate: formatting, release build, the whole workspace's test suite
 # (every crate's unit tests and doctests included), the benchmark
 # package's build and tests, a warning-free clippy pass (all targets),
-# the one-arithmetic, one-pricing-machine, one-observer, one-cost-fold and
-# one-graph word checks,
+# the one-arithmetic, one-pricing-machine, one-observer, one-virtual-timeline,
+# one-cost-fold and one-graph word checks,
 # the one-way-to-a-plan-set and one-codec checks, the one-feature-probe and
 # chemistry `// SAFETY:` checks, the large-budget
 # hostile-input property of every decoder, a 2-thread backend smoke run, the
@@ -82,6 +82,26 @@ if [ -n "$observers" ]; then
     exit 1
 fi
 echo "one observer OK"
+
+echo "==> one virtual timeline: plan execution reports each charged node"
+# PhaseGraph::execute_with hands every node its virtual (start, end) as
+# the machine charges it, and the trace rows, the oracle's residuals and
+# the timeline Gantt all derive from that. These are the names of the
+# second copy: the machine's own event list and the switch that turned
+# it on, the driver's export cursor, and the oracle's zip of graph nodes
+# against those events.
+timeline="$(git ls-files '*.rs' | grep -v '^vendor/\|^benchmark/' | xargs awk '
+    FNR == 1 { in_tests = FILENAME ~ /(^|\/)tests\// }
+    /^[[:space:]]*#\[cfg\(test\)\]/ { in_tests = 1 }
+    !in_tests && (/(^|[^[:alnum:]_])(TraceEvent|trace_mark|observe_hour)([^[:alnum:]_]|$)/ \
+        || /airshed_machine::trace|\.trace\.enable\(/) {
+        print FILENAME ":" FNR ": " $0 }')"
+if [ -n "$timeline" ]; then
+    echo "$timeline"
+    echo "one virtual timeline FAILED: the names above are back" >&2
+    exit 1
+fi
+echo "one virtual timeline OK"
 
 echo "==> one cost fold: the machine is a scalar clock charged with step_seconds"
 # PhaseGraph::execute charges each node with predict::step_seconds, so
