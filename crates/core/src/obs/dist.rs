@@ -157,7 +157,7 @@ impl Json {
     pub fn parse(text: &str) -> Result<Json, String> {
         let b = text.as_bytes();
         let mut pos = 0usize;
-        let v = parse_value(b, &mut pos)?;
+        let v = parse_value(b, &mut pos, 0)?;
         skip_ws(b, &mut pos);
         if pos != b.len() {
             return Err(format!("trailing data at byte {pos}"));
@@ -258,8 +258,17 @@ fn skip_ws(b: &[u8], pos: &mut usize) {
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
+/// Deepest `[`/`{` nesting [`Json::parse`] accepts. Chrome traces nest
+/// four levels; the bound keeps a hostile document from overflowing the
+/// stack of the recursive reader.
+const MAX_DEPTH: usize = 64;
+
+/// Parse one value whose enclosing containers number `depth`.
+fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     skip_ws(b, pos);
+    if matches!(b.get(*pos), Some(b'{' | b'[')) && depth == MAX_DEPTH {
+        return Err(format!("nesting deeper than {MAX_DEPTH} at byte {pos}"));
+    }
     match b.get(*pos) {
         None => Err("unexpected end of input".into()),
         Some(b'{') => {
@@ -272,7 +281,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
             }
             loop {
                 skip_ws(b, pos);
-                let key = match parse_value(b, pos)? {
+                let key = match parse_value(b, pos, depth)? {
                     Json::Str(s) => s,
                     other => return Err(format!("object key must be a string, got {other:?}")),
                 };
@@ -281,7 +290,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
                     return Err(format!("expected ':' at byte {pos}"));
                 }
                 *pos += 1;
-                let value = parse_value(b, pos)?;
+                let value = parse_value(b, pos, depth + 1)?;
                 kv.push((key, value));
                 skip_ws(b, pos);
                 match b.get(*pos) {
@@ -303,7 +312,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(b, pos)?);
+                items.push(parse_value(b, pos, depth + 1)?);
                 skip_ws(b, pos);
                 match b.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -777,10 +786,16 @@ mod tests {
         assert_eq!(doc.get("s").and_then(Json::as_str), Some("x"));
         assert_eq!(doc.get("a").and_then(Json::as_arr), Some(&[Num(1.0)][..]));
         assert!(doc.get("missing").is_none() && doc.get("n").unwrap().get("x").is_none());
+        let deepest = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(
+            Json::parse(&deepest).is_ok(),
+            "{MAX_DEPTH} levels are allowed"
+        );
     }
 
     #[test]
     fn json_reader_rejects_malformed_documents() {
+        let (deep_arr, deep_obj) = ("[".repeat(100_000), "{\"a\":".repeat(100_000));
         let malformed = [
             "",
             "{",
@@ -800,6 +815,8 @@ mod tests {
             r#""\x""#,
             r#""\u12""#,
             r#""\uzzzz""#,
+            &deep_arr,
+            &deep_obj,
         ];
         for text in malformed {
             assert!(Json::parse(text).is_err(), "accepted {text:?}");

@@ -14,8 +14,8 @@
 //!   IR [`PhaseKind`] and carrying its work as either replicated
 //!   (sequential) or distributed-per-item with an [`ItemLayout`], plus a
 //!   pipeline [`Stage`] annotation; or references to comm edges.
-//! * **Edges** ([`PlanEdge`]) carry the per-node `(m, b, c)` loads of the
-//!   planned redistributions, extracted from the `hpf::redist` plans.
+//! * **Edges** are the planned redistributions themselves: each
+//!   [`RedistPlan`] carries the per-node `(m, b, c)` loads.
 //!
 //! Four lowerings consume the graph:
 //!
@@ -44,7 +44,7 @@ use crate::profile::{HourProfile, WorkProfile};
 use crate::report::RunReport;
 use airshed_hpf::dist::Distribution;
 use airshed_hpf::loops::block_ranges;
-use airshed_hpf::redist::PlanEdge;
+use airshed_hpf::redist::RedistPlan;
 use airshed_machine::{Machine, MachineProfile, NodeCommLoad, PhaseCategory, PhaseKind};
 
 pub mod optimize;
@@ -282,7 +282,7 @@ pub struct PhaseGraph {
     /// The four distinct redistribution edges (deduplicated; nodes refer
     /// to them by index). Order: `D_Repl->D_Trans`, `D_Trans->D_Chem`,
     /// `D_Chem->D_Repl`, `D_Trans->D_Repl`.
-    pub edges: Vec<PlanEdge>,
+    pub edges: Vec<RedistPlan>,
     /// Phase nodes in program order.
     pub nodes: Vec<PhaseNode>,
     /// Bytes handed from the input stage to the compute stage (decoded
@@ -312,10 +312,10 @@ impl PhaseGraph {
     /// before `outputhour`.
     pub fn for_hour(hp: &HourProfile, plans: &HourPlans, p: usize) -> PhaseGraph {
         let edges = vec![
-            plans.main.repl_to_trans.edge(),
-            plans.main.trans_to_chem.edge(),
-            plans.main.chem_to_repl.edge(),
-            plans.trans_to_repl.edge(),
+            plans.main.repl_to_trans.clone(),
+            plans.main.trans_to_chem.clone(),
+            plans.main.chem_to_repl.clone(),
+            plans.trans_to_repl.clone(),
         ];
         for e in &edges {
             assert_eq!(e.loads.len(), p, "plans were built for a different P");

@@ -14,10 +14,8 @@ use crate::router::{Router, RouterConfig, ShardCounters};
 use airshed_core::codec::{intern, WireError};
 use airshed_core::config::SimConfig;
 use airshed_core::driver::ChemLayout;
-use airshed_core::ensemble::EnsembleJob;
 use airshed_core::obs::dist::CLOCK_OFFSET_TRACK;
 use airshed_core::obs::Track;
-use airshed_core::surrogate::{ResponseSurface, SurrogateAnswer};
 use airshed_core::Obs;
 use airshed_core::RunReport;
 use std::io::Write;
@@ -260,97 +258,6 @@ pub fn serve_batch(
         failures,
         shards,
         prometheus,
-    })
-}
-
-/// What an ensemble fan-out produced: reports from members that were
-/// routed to shards plus members answered by the surrogate tier without
-/// touching the fabric at all.
-pub struct EnsembleFabricOutcome {
-    /// `(member index, report)` for every member that ran on a shard.
-    pub reports: Vec<(usize, RunReport)>,
-    /// `(member index, predicted surface field, error bound)` for
-    /// members the response surface answered within tolerance — these
-    /// were never routed, priced, or simulated.
-    pub surrogate_answers: Vec<(usize, Vec<f64>, f64)>,
-    /// `(member index, error)` for members that terminally failed.
-    pub failures: Vec<(usize, String)>,
-    /// Per-shard `(name, counters)` in connection order.
-    pub shards: Vec<(String, ShardCounters)>,
-    /// Fabric metrics in Prometheus exposition format (empty when every
-    /// member was answered by the surrogate).
-    pub prometheus: String,
-}
-
-/// Fan an [`EnsembleJob`] out across the shard fleet. Members are first
-/// offered to the surrogate tier: when `surface` answers a member's
-/// emission scale within `tolerance`, that member **bypasses routing
-/// (and therefore admission pricing) entirely** and its field comes
-/// from the fitted response surface. The remaining members are expanded
-/// to standalone scenarios and served through [`serve_batch`], which
-/// gives them the router's load balancing and mid-run failover (a shard
-/// lost mid-sweep has its members re-dispatched from their last
-/// hour-boundary checkpoint).
-///
-/// Shared-input dedup is a per-process optimisation (members in one
-/// process share the `inputhour`/`pretrans` stage — see
-/// [`airshed_core::ensemble::run_ensemble`]); the fabric instead
-/// buys horizontal scale, and the surrogate tier is what keeps fabric
-/// sweeps cheap. Members that differ in emission scale, weather or day
-/// are distinct numerics keys and spread over the shards like any
-/// batch; members with equal numerics (a repeated spec) are placed on
-/// one shard, which runs them once and replays the rest. Surrogate hits are recorded on the obs spine as the
-/// `fabric_surrogate_hits` counter.
-pub fn serve_ensemble(
-    listener: &TcpListener,
-    opts: FrontendOptions,
-    job: &EnsembleJob,
-    surface: Option<&ResponseSurface>,
-    tolerance: f64,
-    obs: &Obs,
-) -> Result<EnsembleFabricOutcome, String> {
-    let mut surrogate_answers = Vec::new();
-    let mut routed: Vec<usize> = Vec::new();
-    for i in 0..job.len() {
-        let config = job.member_config(i);
-        if let Some(s) = surface {
-            if let SurrogateAnswer::Hit { field, bound } = s.query(config.emission_scale, tolerance)
-            {
-                surrogate_answers.push((i, field, bound));
-                continue;
-            }
-        }
-        routed.push(i);
-    }
-    if !surrogate_answers.is_empty() {
-        obs.record_counter(
-            "fabric_surrogate_hits",
-            "fabric",
-            0.0,
-            surrogate_answers.len() as f64,
-            None,
-        );
-    }
-
-    let scenarios: Vec<(SimConfig, ChemLayout)> = routed
-        .iter()
-        .map(|&i| (job.member_config(i), ChemLayout::Block))
-        .collect();
-    let outcome = serve_batch(listener, opts, &scenarios, obs)?;
-    Ok(EnsembleFabricOutcome {
-        reports: outcome
-            .reports
-            .into_iter()
-            .map(|(s, r)| (routed[s], r))
-            .collect(),
-        surrogate_answers,
-        failures: outcome
-            .failures
-            .into_iter()
-            .map(|(s, e)| (routed[s], e))
-            .collect(),
-        shards: outcome.shards,
-        prometheus: outcome.prometheus,
     })
 }
 

@@ -34,9 +34,7 @@ pub mod router;
 pub mod shard;
 pub mod wire;
 
-pub use frontend::{
-    serve_batch, serve_ensemble, EnsembleFabricOutcome, FabricOutcome, FrontendOptions,
-};
+pub use frontend::{serve_batch, FabricOutcome, FrontendOptions};
 pub use proto::{report_fingerprint, Msg, ScenarioJob};
 pub use router::{Router, RouterConfig, ShardCounters};
 pub use shard::{run_shard, ShardOptions};

@@ -4,7 +4,8 @@
 //! then runs three kinds of threads against the shared socket:
 //!
 //! * the **main thread** reads frames — `Assign` lands jobs on the
-//!   local queue, `Shutdown` (or a closed socket) drains and exits;
+//!   server's [`BoundedQueue`], the one the local server's workers pop
+//!   from; `Shutdown` (or a closed socket) closes it, drains and exits;
 //! * a **heartbeat thread** sends `Heartbeat{seq, running, queued, plans}`
 //!   every `heartbeat_ms` — the front-end's liveness signal;
 //! * `workers` **worker threads** pop jobs and fetch each job's work
@@ -40,13 +41,13 @@ use airshed_core::obs::dist::TraceContext;
 use airshed_core::plan::replay_profile;
 use airshed_core::{ExecSpec, Obs, PerfModel};
 use airshed_server::cache::{NumericsKey, ProfileStore, CACHE_SHARDS, PROFILE_CACHE_CAPACITY};
+use airshed_server::queue::BoundedQueue;
 use airshed_server::worker::{panic_message, run_hourly};
 use airshed_server::JobError;
-use std::collections::VecDeque;
 use std::net::{Shutdown, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// Shard configuration.
@@ -87,9 +88,7 @@ impl Default for ShardOptions {
 
 struct Inner {
     writer: Mutex<FaultyWriter<TcpStream>>,
-    queue: Mutex<VecDeque<(u64, TraceContext, ScenarioJob)>>,
-    ready: Condvar,
-    done: AtomicBool,
+    queue: BoundedQueue<(u64, TraceContext, ScenarioJob)>,
     /// Global cancel: set by `drop_after_hours`, observed by running
     /// jobs at their next hour boundary.
     cancel: AtomicBool,
@@ -105,29 +104,11 @@ impl Inner {
         w.write_frame(msg.tag(), &msg.encode()).is_ok()
     }
 
-    fn pop(&self) -> Option<(u64, TraceContext, ScenarioJob)> {
-        let mut q = self.queue.lock().unwrap();
-        loop {
-            if let Some(job) = q.pop_front() {
-                return Some(job);
-            }
-            if self.done.load(Ordering::Relaxed) {
-                return None;
-            }
-            q = self.ready.wait(q).unwrap();
-        }
-    }
-
-    fn stop(&self) {
-        self.done.store(true, Ordering::Relaxed);
-        self.ready.notify_all();
-    }
-
     /// Sever the connection so the front-end's reader sees EOF now
     /// (rather than waiting out the heartbeat timeout).
     fn sever(&self) {
         self.cancel.store(true, Ordering::Relaxed);
-        self.stop();
+        self.queue.close();
         let w = self.writer.lock().unwrap();
         let _ = w.get_ref().shutdown(Shutdown::Both);
     }
@@ -142,9 +123,9 @@ pub fn run_shard(opts: ShardOptions, obs: &Obs) -> Result<(), String> {
     let mut reader = stream.try_clone().map_err(|e| format!("clone: {e}"))?;
     let inner = Arc::new(Inner {
         writer: Mutex::new(FaultyWriter::new(stream, opts.fault.clone())),
-        queue: Mutex::new(VecDeque::new()),
-        ready: Condvar::new(),
-        done: AtomicBool::new(false),
+        // Unbounded here: the router's dispatch window (at most
+        // `workers` jobs on the wire per shard) is the bound.
+        queue: BoundedQueue::new(usize::MAX),
         cancel: AtomicBool::new(false),
         running: AtomicU32::new(0),
         hours_done: AtomicU64::new(0),
@@ -174,10 +155,10 @@ pub fn run_shard(opts: ShardOptions, obs: &Obs) -> Result<(), String> {
         let wall = traced.then(|| obs.clone());
         std::thread::spawn(move || {
             let mut seq = 0u64;
-            while !inner.done.load(Ordering::Relaxed) {
+            while !inner.queue.is_closed() {
                 std::thread::sleep(period);
                 seq += 1;
-                let queued = inner.queue.lock().unwrap().len() as u32;
+                let queued = inner.queue.len() as u32;
                 let running = inner.running.load(Ordering::Relaxed);
                 if !inner.send(&Msg::Heartbeat {
                     seq,
@@ -207,11 +188,11 @@ pub fn run_shard(opts: ShardOptions, obs: &Obs) -> Result<(), String> {
     loop {
         match proto::recv(&mut reader) {
             Ok(Msg::Assign { job, ctx, work }) => {
-                inner.queue.lock().unwrap().push_back((job, ctx, *work));
-                inner.ready.notify_one();
+                // Refused only once severed: the router re-routes it.
+                let _ = inner.queue.try_push((job, ctx, *work));
             }
             Ok(Msg::Shutdown) | Err(WireError::Closed) => {
-                inner.stop();
+                inner.queue.close();
                 break;
             }
             Ok(other) => {
@@ -219,7 +200,7 @@ pub fn run_shard(opts: ShardOptions, obs: &Obs) -> Result<(), String> {
             }
             Err(e) => {
                 eprintln!("airshed-shard: stream error: {e}");
-                inner.stop();
+                inner.queue.close();
                 break;
             }
         }
@@ -242,7 +223,7 @@ fn worker_loop(inner: &Arc<Inner>, opts: &ShardOptions, base: &Obs) {
             0
         }
     };
-    while let Some((id, ctx, job)) = inner.pop() {
+    while let Some((id, ctx, job)) = inner.queue.pop() {
         inner.running.fetch_add(1, Ordering::Relaxed);
         let config = job.config.clone();
         let layout = job.layout;

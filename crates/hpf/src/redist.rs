@@ -82,40 +82,6 @@ impl RedistPlan {
         self.loads.iter().map(|l| l.bytes_copied).sum()
     }
 
-    /// Extract the comm edge this plan contributes to an execution
-    /// graph: its label plus the per-node `(m, b, c)` loads.
-    /// `airshed-core`'s `plan::PhaseGraph` attaches these to its
-    /// communication edges.
-    pub fn edge(&self) -> PlanEdge {
-        PlanEdge {
-            label: self.label,
-            loads: self.loads.clone(),
-        }
-    }
-}
-
-/// The execution-plan view of a redistribution: what a plan-graph comm
-/// edge carries — the per-node message/byte/copy loads the cost model
-/// consumes.
-#[derive(Debug, Clone)]
-pub struct PlanEdge {
-    /// Redistribution label, e.g. `"D_Trans->D_Chem"`.
-    pub label: &'static str,
-    /// Per-node communication loads (index = node id).
-    pub loads: Vec<NodeCommLoad>,
-}
-
-impl PlanEdge {
-    /// Total bytes leaving any node over this edge.
-    pub fn total_bytes_sent(&self) -> usize {
-        self.loads.iter().map(|l| l.bytes_sent).sum()
-    }
-
-    /// Total bytes arriving at any node over this edge.
-    pub fn total_bytes_recv(&self) -> usize {
-        self.loads.iter().map(|l| l.bytes_recv).sum()
-    }
-
     /// Byte conservation: everything sent is received. Holds for every
     /// planner lowering (flat pairwise, pure-copy, relayed broadcast).
     pub fn conserves_bytes(&self) -> bool {

@@ -1,5 +1,9 @@
 //! A bounded MPMC job queue with explicit backpressure.
 //!
+//! It has two consumers: the scenario server's workers, behind
+//! [`crate::ScenarioServer`]'s admission, and a fabric shard's workers,
+//! fed by the front-end's `Assign` frames.
+//!
 //! Producers never block: [`BoundedQueue::try_push`] fails fast when the
 //! queue is at capacity, which the server surfaces as
 //! [`crate::SubmitOutcome::QueueFull`] — callers decide whether to retry,
@@ -35,7 +39,7 @@ impl<T> BoundedQueue<T> {
     pub fn new(capacity: usize) -> BoundedQueue<T> {
         BoundedQueue {
             inner: Mutex::new(Inner {
-                items: VecDeque::with_capacity(capacity.min(1024)),
+                items: VecDeque::new(),
                 closed: false,
             }),
             not_empty: Condvar::new(),
@@ -80,6 +84,11 @@ impl<T> BoundedQueue<T> {
         self.not_empty.notify_all();
     }
 
+    /// Whether [`close`](Self::close) has been called (racy, like `len`).
+    pub fn is_closed(&self) -> bool {
+        self.inner.lock().unwrap().closed
+    }
+
     /// Current depth (racy, for observability only).
     pub fn len(&self) -> usize {
         self.inner.lock().unwrap().items.len()
@@ -114,12 +123,15 @@ mod tests {
         let q: BoundedQueue<u32> = BoundedQueue::new(8);
         q.try_push(1).unwrap();
         q.try_push(2).unwrap();
+        assert!(!q.is_closed());
         q.close();
+        assert!(q.is_closed());
         assert!(matches!(q.try_push(3), Err((3, PushError::Closed))));
         assert_eq!(q.pop(), Some(1));
         assert_eq!(q.pop(), Some(2));
         assert_eq!(q.pop(), None);
         assert_eq!(q.pop(), None);
+        assert!(q.is_closed());
     }
 
     #[test]

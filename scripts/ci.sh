@@ -3,6 +3,7 @@
 # (every crate's unit tests and doctests included), the benchmark
 # package's build and tests, a warning-free clippy pass (all targets),
 # the one-arithmetic, one-pricing-machine, one-observer, one-virtual-timeline,
+# fabric-routes-batches,
 # one-cost-fold and one-graph word checks,
 # the one-way-to-a-plan-set and one-codec checks, the one-feature-probe and
 # chemistry `// SAFETY:` checks, the large-budget
@@ -102,6 +103,29 @@ if [ -n "$timeline" ]; then
     exit 1
 fi
 echo "one virtual timeline OK"
+
+echo "==> fabric routes batches: no ensemble wrapper, no private job queue"
+# Ensemble members reach the fabric as serve_batch jobs, and a shard's
+# jobs wait on the server's BoundedQueue. These are the names of the
+# second copies: the surrogate-pruning wrapper with its outcome and
+# counter, the plan edge that copied RedistPlan field for field, and the
+# shard's hand-written queue and its imports of the ensemble layers.
+routes="$(git ls-files '*.rs' | grep -v '^vendor/\|^benchmark/' | xargs awk '
+    FNR == 1 { in_tests = FILENAME ~ /(^|\/)tests\// }
+    /^[[:space:]]*#\[cfg\(test\)\]/ { in_tests = 1 }
+    !in_tests && /(^|[^[:alnum:]_])(serve_ensemble|EnsembleFabricOutcome|fabric_surrogate_hits|PlanEdge)([^[:alnum:]_]|$)/ {
+        print FILENAME ":" FNR ": " $0 }')
+$(git ls-files 'crates/fabric/src/*.rs' | xargs awk '
+    /^[[:space:]]*#\[cfg\(test\)\]/ { nextfile }
+    /airshed_core::(ensemble|surrogate)/ \
+        || (FILENAME ~ /shard\.rs$/ && /(^|[^[:alnum:]_])(Condvar|VecDeque)([^[:alnum:]_]|$)/) {
+        print FILENAME ":" FNR ": " $0 }')"
+if [ -n "${routes//$'\n'/}" ]; then
+    echo "$routes"
+    echo "fabric routes batches FAILED: the lines above are back" >&2
+    exit 1
+fi
+echo "fabric routes batches OK"
 
 echo "==> one cost fold: the machine is a scalar clock charged with step_seconds"
 # PhaseGraph::execute charges each node with predict::step_seconds, so
