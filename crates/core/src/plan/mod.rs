@@ -46,6 +46,7 @@ use airshed_hpf::dist::Distribution;
 use airshed_hpf::loops::block_ranges;
 use airshed_hpf::redist::RedistPlan;
 use airshed_machine::{Machine, MachineProfile, NodeCommLoad, PhaseCategory, PhaseKind};
+use std::borrow::Cow;
 
 pub mod optimize;
 
@@ -98,8 +99,37 @@ impl ItemLayout {
         }
     }
 
-    /// Reduce per-item work (per layer or per column) to per-node work
-    /// under this layout.
+    /// Each node's share of per-item work (per layer or per column) in
+    /// node order — the one walk every per-node fold takes, allocating
+    /// nothing. A node adds its items in ascending order from `+0.0`
+    /// (not `Iterator::sum`'s `-0.0`), so an empty node yields `+0.0`
+    /// under every layout. Block takes `block_ranges`' ranges, Cyclic
+    /// strides by `p`, `BlockCyclic(b)` takes runs of `b` strided by `p·b`.
+    pub fn node_sums<'w>(self, per_item: &'w [f64], p: usize) -> impl Iterator<Item = f64> + 'w {
+        let n = per_item.len();
+        let block = n.div_ceil(p.max(1)).max(1);
+        (0..p).map(move |node| match self {
+            ItemLayout::Block => per_item[(node * block).min(n)..((node + 1) * block).min(n)]
+                .iter()
+                .fold(0.0, |a, &w| a + w),
+            ItemLayout::Cyclic => per_item
+                .get(node..)
+                .map_or(0.0, |mine| mine.iter().step_by(p).fold(0.0, |a, &w| a + w)),
+            ItemLayout::BlockCyclic(b) => {
+                let b = b.max(1);
+                (node.saturating_mul(b)..n)
+                    .step_by(p.saturating_mul(b))
+                    .fold(0.0, |a, run| {
+                        per_item[run..run.saturating_add(b).min(n)]
+                            .iter()
+                            .fold(a, |a, &w| a + w)
+                    })
+            }
+        })
+    }
+
+    /// [`ItemLayout::node_sums`] collected: per-item work reduced to
+    /// per-node work under this layout.
     ///
     /// ```
     /// use airshed_core::plan::ItemLayout;
@@ -110,30 +140,13 @@ impl ItemLayout {
     /// assert_eq!(ItemLayout::Cyclic.per_node(&per_item, 2), vec![12.0, 2.0]);
     /// ```
     pub fn per_node(&self, per_item: &[f64], p: usize) -> Vec<f64> {
-        match self {
-            ItemLayout::Block => block_ranges(per_item.len(), p)
-                .into_iter()
-                // Fold from +0.0 (not `Iterator::sum`, which starts at
-                // -0.0) so empty nodes charge the same +0.0 under both
-                // layouts and partition sums match bit for bit.
-                .map(|r| per_item[r].iter().fold(0.0, |a, &b| a + b))
-                .collect(),
-            ItemLayout::Cyclic => {
-                let mut out = vec![0.0; p];
-                for (i, &w) in per_item.iter().enumerate() {
-                    out[i % p] += w;
-                }
-                out
-            }
-            ItemLayout::BlockCyclic(b) => {
-                let b = (*b).max(1);
-                let mut out = vec![0.0; p];
-                for (i, &w) in per_item.iter().enumerate() {
-                    out[(i / b) % p] += w;
-                }
-                out
-            }
-        }
+        self.node_sums(per_item, p).collect()
+    }
+
+    /// The heaviest node's work under this layout: the largest of
+    /// [`ItemLayout::node_sums`], `+0.0` when every node is empty.
+    pub fn heaviest(&self, per_item: &[f64], p: usize) -> f64 {
+        self.node_sums(per_item, p).fold(0.0f64, f64::max)
     }
 
     /// Partition item *indices* into per-part ownership lists under this
@@ -186,9 +199,11 @@ impl std::fmt::Display for ItemLayout {
     }
 }
 
-/// The work a compute node carries.
+/// The work a compute node carries. A graph borrows its per-item work
+/// from the captured profile; a module that prices its own work (PopExp)
+/// owns it.
 #[derive(Debug, Clone)]
-pub enum Work {
+pub enum Work<'a> {
     /// Replicated (sequential) work: every node performs `work` units, so
     /// the phase cost is P-independent. `parallelism` is the useful
     /// parallelism a subgroup lowering may divide the work by (1 for the
@@ -198,17 +213,27 @@ pub enum Work {
     /// Work distributed along the phase's parallel axis: item `i` costs
     /// `per_item[i]` units and `layout` maps items to nodes.
     Distributed {
-        per_item: Vec<f64>,
+        per_item: Cow<'a, [f64]>,
         layout: ItemLayout,
     },
 }
 
-impl Work {
+impl Work<'_> {
     /// Total (sequential-equivalent) work units.
     pub fn total(&self) -> f64 {
         match self {
             Work::Replicated { work, .. } => *work,
             Work::Distributed { per_item, .. } => per_item.iter().sum(),
+        }
+    }
+
+    /// The units the machine charges for this work on `p` nodes:
+    /// replicated work in full, distributed work its heaviest node
+    /// under the layout ([`ItemLayout::heaviest`]).
+    pub(crate) fn heaviest(&self, p: usize) -> f64 {
+        match self {
+            Work::Replicated { work, .. } => *work,
+            Work::Distributed { per_item, layout } => layout.heaviest(per_item, p),
         }
     }
 
@@ -218,14 +243,18 @@ impl Work {
     /// Replicated work charges in full on every node (imbalance 1).
     /// Distributed work charges its heaviest node under the layout;
     /// imbalance is heaviest/mean, ≥ 1, and exactly the factor by which
-    /// the §4.1 even-division model underestimates the phase.
+    /// the §4.1 even-division model underestimates the phase. The mean
+    /// is the node-order `Iterator::sum` of the one walk.
     pub fn charged(&self, p: usize) -> (f64, f64) {
         match self {
             Work::Replicated { work, .. } => (*work, 1.0),
             Work::Distributed { per_item, layout } => {
-                let per = layout.per_node(per_item, p);
-                let max = per.iter().fold(0.0f64, |a, &b| a.max(b));
-                let mean = per.iter().sum::<f64>() / p.max(1) as f64;
+                let mut max = 0.0f64;
+                let sum: f64 = layout
+                    .node_sums(per_item, p)
+                    .inspect(|&w| max = max.max(w))
+                    .sum();
+                let mean = sum / p.max(1) as f64;
                 let imbalance = if mean > 0.0 { max / mean } else { 1.0 };
                 (max, imbalance)
             }
@@ -243,7 +272,7 @@ impl Work {
                 let par = (*parallelism).min(p_stage) as f64;
                 work / (mp.rate * par)
             }
-            Work::Distributed { .. } => self.charged(p_stage).0 / mp.rate,
+            Work::Distributed { .. } => self.heaviest(p_stage) / mp.rate,
         }
     }
 }
@@ -251,10 +280,10 @@ impl Work {
 /// What a graph node does: compute, or a redistribution over one of the
 /// graph's comm edges.
 #[derive(Debug, Clone)]
-pub enum Op {
+pub enum Op<'a> {
     Compute {
         kind: PhaseKind,
-        work: Work,
+        work: Work<'a>,
     },
     /// Index into [`PhaseGraph::edges`].
     Comm {
@@ -264,17 +293,18 @@ pub enum Op {
 
 /// One node of the execution plan.
 #[derive(Debug, Clone)]
-pub struct PhaseNode {
+pub struct PhaseNode<'a> {
     pub stage: Stage,
-    pub op: Op,
+    pub op: Op<'a>,
 }
 
 /// The execution plan for one simulated hour on `p` nodes: a linear
 /// graph of compute phases and redistribution edges, annotated with
 /// pipeline stages. Built once per hour from the captured profile and
-/// the pre-planned redistributions; every backend lowers from it.
+/// the pre-planned redistributions, which it borrows rather than copies;
+/// every backend lowers from it.
 #[derive(Debug, Clone)]
-pub struct PhaseGraph {
+pub struct PhaseGraph<'a> {
     /// Array shape `[species, layers, nodes]`.
     pub shape: [usize; 3],
     /// Node count the comm edges were planned for.
@@ -282,9 +312,9 @@ pub struct PhaseGraph {
     /// The four distinct redistribution edges (deduplicated; nodes refer
     /// to them by index). Order: `D_Repl->D_Trans`, `D_Trans->D_Chem`,
     /// `D_Chem->D_Repl`, `D_Trans->D_Repl`.
-    pub edges: Vec<RedistPlan>,
+    pub edges: [&'a RedistPlan; 4],
     /// Phase nodes in program order.
-    pub nodes: Vec<PhaseNode>,
+    pub nodes: Vec<PhaseNode<'a>>,
     /// Bytes handed from the input stage to the compute stage (decoded
     /// inputs + assembled operators, ~3× the raw hourly input).
     pub input_handoff_bytes: usize,
@@ -293,7 +323,7 @@ pub struct PhaseGraph {
     pub output_handoff_elems: usize,
 }
 
-impl PhaseGraph {
+impl<'a> PhaseGraph<'a> {
     /// Index of the `D_Repl->D_Trans` edge in [`PhaseGraph::edges`].
     pub const EDGE_REPL_TO_TRANS: usize = 0;
     /// Index of the `D_Trans->D_Chem` edge in [`PhaseGraph::edges`].
@@ -310,14 +340,14 @@ impl PhaseGraph {
     /// `D_Repl->D_Trans` → Transport, with the entry `D_Repl->D_Trans`
     /// before the first step and the hour-boundary `D_Trans->D_Repl`
     /// before `outputhour`.
-    pub fn for_hour(hp: &HourProfile, plans: &HourPlans, p: usize) -> PhaseGraph {
-        let edges = vec![
-            plans.main.repl_to_trans.clone(),
-            plans.main.trans_to_chem.clone(),
-            plans.main.chem_to_repl.clone(),
-            plans.trans_to_repl.clone(),
+    pub fn for_hour(hp: &'a HourProfile, plans: &'a HourPlans, p: usize) -> PhaseGraph<'a> {
+        let edges = [
+            &plans.main.repl_to_trans,
+            &plans.main.trans_to_chem,
+            &plans.main.chem_to_repl,
+            &plans.trans_to_repl,
         ];
-        for e in &edges {
+        for e in edges {
             assert_eq!(e.loads.len(), p, "plans were built for a different P");
         }
         let layers = plans.shape[1];
@@ -359,7 +389,7 @@ impl PhaseGraph {
                 Stage::Main,
                 PhaseKind::Transport,
                 Work::Distributed {
-                    per_item: step.transport1.clone(),
+                    per_item: Cow::Borrowed(&step.transport1),
                     layout: trans_layout,
                 },
             ));
@@ -368,7 +398,7 @@ impl PhaseGraph {
                 Stage::Main,
                 PhaseKind::Chemistry,
                 Work::Distributed {
-                    per_item: step.chemistry.clone(),
+                    per_item: Cow::Borrowed(&step.chemistry),
                     layout: chem_layout,
                 },
             ));
@@ -388,7 +418,7 @@ impl PhaseGraph {
                 Stage::Main,
                 PhaseKind::Transport,
                 Work::Distributed {
-                    per_item: step.transport2.clone(),
+                    per_item: Cow::Borrowed(&step.transport2),
                     layout: trans_layout,
                 },
             ));
@@ -429,22 +459,41 @@ impl PhaseGraph {
         self.execute_with(machine, |_, _, _| {})
     }
 
+    /// Every node in program order with its [`step_seconds`] on `mp`.
+    /// The hour's comm nodes share four edges, so each edge is priced
+    /// once here and every comm node over it reuses that price — the
+    /// same inputs, so the same bits.
+    pub(crate) fn priced<'g>(
+        &'g self,
+        mp: &'g MachineProfile,
+    ) -> impl Iterator<Item = (&'g PhaseNode<'a>, f64)> + 'g {
+        let edge_seconds = self.edges.map(|e| mp.comm_phase_seconds(&e.loads));
+        self.nodes.iter().map(move |node| {
+            let seconds = match node.op {
+                Op::Comm { edge } => edge_seconds[edge],
+                Op::Compute { .. } => step_seconds(self, node, mp),
+            };
+            (node, seconds)
+        })
+    }
+
     /// [`execute`](PhaseGraph::execute), each node with [`step_seconds`]
-    /// on the machine's own profile under its [`label`](PhaseGraph::label),
-    /// handing it to `charged` with the virtual `(start, end)` the
-    /// machine just charged it — the one source of a node's place on the
-    /// virtual timeline.
+    /// on the machine's own profile (each edge priced once) under its
+    /// [`label`](PhaseGraph::label), handing it to `charged` with the
+    /// virtual `(start, end)` the machine just charged it — the one
+    /// source of a node's place on the virtual timeline.
     pub fn execute_with(
         &self,
         machine: &mut Machine,
-        mut charged: impl FnMut(&PhaseNode, f64, f64),
+        mut charged: impl FnMut(&PhaseNode<'a>, f64, f64),
     ) -> f64 {
         assert_eq!(machine.p(), self.p, "graph was planned for a different P");
         let start = machine.elapsed();
-        for node in &self.nodes {
+        let mp = machine.profile;
+        for (node, seconds) in self.priced(&mp) {
             let (label, cat) = self.label(node);
             let at = machine.elapsed();
-            machine.charge(label, cat, step_seconds(self, node, &machine.profile));
+            machine.charge(label, cat, seconds);
             charged(node, at, machine.elapsed());
         }
         machine.elapsed() - start
@@ -482,10 +531,9 @@ impl PhaseGraph {
         let input = on_subgroup(Stage::Input, p_in).fold(0.0, |t, s| t + s)
             + handoff(self.input_handoff_bytes);
         let compute = self
-            .nodes
-            .iter()
-            .filter(|n| n.stage == Stage::Main)
-            .fold(0.0, |t, n| t + step_seconds(self, n, &mp));
+            .priced(&mp)
+            .filter(|(n, _)| n.stage == Stage::Main)
+            .fold(0.0, |t, (_, s)| t + s);
         let output = on_subgroup(Stage::Output, p_out)
             .fold(handoff(self.output_handoff_elems * mp.word_size), |t, s| {
                 t + s
@@ -536,10 +584,12 @@ mod tests {
     use crate::testsupport::tiny_profile;
     use airshed_machine::MachineProfile;
 
-    fn graph_for(p: usize) -> PhaseGraph {
+    /// The first tiny hour's graph; its plan set lives as long as the
+    /// test binary.
+    fn graph_for(p: usize) -> PhaseGraph<'static> {
         let prof = tiny_profile();
-        let plans = HourPlans::new(&prof.shape, p);
-        PhaseGraph::for_hour(&prof.hours[0], &plans, p)
+        let plans = Box::leak(Box::new(HourPlans::new(&prof.shape, p)));
+        PhaseGraph::for_hour(&prof.hours[0], plans, p)
     }
 
     #[test]
@@ -649,7 +699,7 @@ mod tests {
     #[test]
     fn charged_work_is_the_heaviest_node() {
         let w = Work::Distributed {
-            per_item: vec![3.0, 1.0, 4.0, 1.0, 5.0],
+            per_item: vec![3.0, 1.0, 4.0, 1.0, 5.0].into(),
             layout: ItemLayout::Block,
         };
         // BLOCK over 2 nodes: [3+1+4, 1+5] = [8, 6]; mean 7.

@@ -5,7 +5,8 @@
 //! module turns the [`PhaseGraph`] IR into an optimizing planner: given
 //! a captured profile and a machine, it enumerates candidate per-phase
 //! layouts (and the redistribution schedules they imply), folds each
-//! candidate's per-hour graphs through [`step_seconds`], and returns the
+//! candidate's per-hour graphs through
+//! [`step_seconds`](crate::predict::step_seconds), and returns the
 //! cheapest plan as a cost-annotated [`PlanChoice`]. The search space is
 //! tiny by construction — the paper's per-phase choice set (BLOCK,
 //! CYCLIC, and power-of-two CYCLIC(b)) crossed over two distributed
@@ -21,7 +22,6 @@
 
 use crate::driver::{ChemLayout, HourPlans, PlanLayouts};
 use crate::plan::PhaseGraph;
-use crate::predict::step_seconds;
 use crate::profile::WorkProfile;
 use crate::taskpar::optimize_split;
 use airshed_machine::MachineProfile;
@@ -70,7 +70,8 @@ impl PlanChoice {
 
 /// Predicted cost of executing `profile` under `layouts`: build each
 /// hour's [`PhaseGraph`] from the layouts' redistribution schedule and
-/// fold every node through [`step_seconds`] into one running sum —
+/// fold every node's [`step_seconds`](crate::predict::step_seconds)
+/// (each edge priced once per graph) into one running sum —
 /// which is what the virtual machine does when it executes them
 /// ([`PhaseGraph::execute`] charges each node with the same function),
 /// so this is the virtual time a replay of the same plan will charge.
@@ -83,9 +84,8 @@ pub fn plan_cost(
     let plans = HourPlans::shared(&profile.shape, p, layouts);
     let mut total = 0.0;
     for hp in &profile.hours {
-        let graph = PhaseGraph::for_hour(hp, &plans, p);
-        for node in &graph.nodes {
-            total += step_seconds(&graph, node, machine);
+        for (_, seconds) in PhaseGraph::for_hour(hp, &plans, p).priced(machine) {
+            total += seconds;
         }
     }
     total

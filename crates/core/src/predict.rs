@@ -27,7 +27,7 @@
 
 use crate::driver::{HourPlans, PlanLayouts};
 use crate::plan::optimize::search_layouts;
-use crate::plan::{ItemLayout, Op, PhaseGraph, PhaseNode};
+use crate::plan::{Op, PhaseGraph, PhaseNode};
 use crate::profile::WorkProfile;
 use airshed_hpf::redist::labels;
 use airshed_machine::{MachineProfile, PhaseKind};
@@ -41,7 +41,7 @@ use serde::Serialize;
 /// wherever it is folded.
 pub fn step_seconds(graph: &PhaseGraph, node: &PhaseNode, machine: &MachineProfile) -> f64 {
     match &node.op {
-        Op::Compute { work, .. } => work.charged(graph.p).0 / machine.rate,
+        Op::Compute { work, .. } => work.heaviest(graph.p) / machine.rate,
         Op::Comm { edge } => machine.comm_phase_seconds(&graph.edges[*edge].loads),
     }
 }
@@ -177,7 +177,7 @@ impl PerfModel {
         let mut chemistry_per_item = vec![0.0; profile.shape[2]];
         let accumulate = |into: &mut [f64], work: &crate::plan::Work| {
             if let crate::plan::Work::Distributed { per_item, .. } = work {
-                for (acc, w) in into.iter_mut().zip(per_item) {
+                for (acc, w) in into.iter_mut().zip(per_item.iter()) {
                     *acc += w;
                 }
             }
@@ -280,13 +280,9 @@ impl PerfModel {
     /// honestly on both sides.
     pub fn layout_cost(&self, machine: &MachineProfile, p: usize, layouts: PlanLayouts) -> f64 {
         let rate = machine.rate;
-        let heaviest = |per_item: &[f64], layout: ItemLayout| {
-            let per = layout.per_node(per_item, p);
-            per.iter().fold(0.0f64, |a, &b| a.max(b)) / rate
-        };
-        let transport = heaviest(&self.transport_per_item, layouts.transport);
-        let chemistry =
-            heaviest(&self.chemistry_per_item, layouts.chemistry) + self.seq_aerosol / rate;
+        let transport = layouts.transport.heaviest(&self.transport_per_item, p) / rate;
+        let chemistry = layouts.chemistry.heaviest(&self.chemistry_per_item, p) / rate
+            + self.seq_aerosol / rate;
         let plans = HourPlans::shared(&self.shape, p, layouts);
         let occ = self.occurrences;
         let communication = machine.comm_phase_seconds(&plans.main.repl_to_trans.loads)

@@ -1,10 +1,12 @@
 //! Property-based tests for the plan-graph IR.
 
 use airshed_core::driver::{ChemLayout, HourPlans, PlanLayouts};
-use airshed_core::plan::{optimize_plan, ItemLayout, Op, PhaseGraph};
+use airshed_core::plan::{optimize_plan, ItemLayout, Op, PhaseGraph, Work};
 use airshed_core::profile::{HourProfile, StepProfile, WorkProfile};
+use airshed_hpf::loops::block_ranges;
 use airshed_machine::MachineProfile;
 use proptest::prelude::*;
+use std::borrow::Cow;
 
 fn hour(shape: [usize; 3], steps: usize, scale: f64) -> HourProfile {
     let [_, layers, nodes] = shape;
@@ -29,6 +31,41 @@ fn hour(shape: [usize; 3], steps: usize, scale: f64) -> HourProfile {
     }
 }
 
+/// A non-negative weight from 64 random bits: zero one time in eight,
+/// otherwise a 53-bit significand scaled by 2^-60 … 2^59.
+fn weight(x: u64) -> f64 {
+    if x.is_multiple_of(8) {
+        return 0.0;
+    }
+    let significand = (x >> 11) as f64 / (1u64 << 53) as f64;
+    significand * 2f64.powi(((x >> 3) & 127) as i32 % 120 - 60)
+}
+
+fn to_bits(v: &[f64]) -> Vec<u64> {
+    v.iter().map(|w| w.to_bits()).collect()
+}
+
+/// Per-node work as the loops before the node walk computed it: block
+/// ranges each folded from `+0.0`, and round-robin accumulation into a
+/// zeroed vector.
+fn reference_per_node(layout: ItemLayout, per_item: &[f64], p: usize) -> Vec<f64> {
+    let b = match layout {
+        ItemLayout::Block => {
+            return block_ranges(per_item.len(), p)
+                .into_iter()
+                .map(|r| per_item[r].iter().fold(0.0, |a, &w| a + w))
+                .collect()
+        }
+        ItemLayout::Cyclic => 1,
+        ItemLayout::BlockCyclic(b) => b,
+    };
+    let mut out = vec![0.0; p];
+    for (i, &w) in per_item.iter().enumerate() {
+        out[(i / b) % p] += w;
+    }
+    out
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -47,7 +84,8 @@ proptest! {
         let shape = [species, layers, nodes];
         let layout = if cyclic { ChemLayout::Cyclic } else { ChemLayout::Block };
         let plans = HourPlans::with_layouts(&shape, p, PlanLayouts::chem(layout));
-        let graph = PhaseGraph::for_hour(&hour(shape, steps, 1.0e3), &plans, p);
+        let hp = hour(shape, steps, 1.0e3);
+        let graph = PhaseGraph::for_hour(&hp, &plans, p);
         for edge in &graph.edges {
             prop_assert!(
                 edge.conserves_bytes(),
@@ -59,26 +97,40 @@ proptest! {
         }
     }
 
-    /// Every item layout partitions per-item work exactly: per-node
-    /// vectors have length p and sum to the total work.
+    /// Every item layout partitions per-item work exactly, node by node
+    /// and bit for bit: `per_node` (the collected node walk) equals the
+    /// reference loops with the same summation order, and the heaviest
+    /// fold and `charged` equal their folds over it. The weights span
+    /// many exponents and include zeros, so a different summation order
+    /// or a `-0.0` start shows in the bits; `p` reaches past the item
+    /// count (empty nodes) and so does `b` (one run holds every item).
     #[test]
     fn item_layouts_partition_work(
-        items in 1usize..300,
-        p in 1usize..64,
-        pick in 0usize..3,
-        b in 1usize..17,
+        bits in proptest::collection::vec(any::<u64>(), 1..200),
+        p in 1usize..300,
+        b in 1usize..400,
     ) {
-        let layout = match pick {
-            0 => ItemLayout::Block,
-            1 => ItemLayout::Cyclic,
-            _ => ItemLayout::BlockCyclic(b),
-        };
-        let work: Vec<f64> = (0..items).map(|i| 1.0 + (i % 7) as f64).collect();
-        let per = layout.per_node(&work, p);
-        prop_assert_eq!(per.len(), p);
-        let total: f64 = per.iter().sum();
-        let expect: f64 = work.iter().sum();
-        prop_assert!((total - expect).abs() < 1e-9 * expect.max(1.0));
+        let work: Vec<f64> = bits.iter().map(|&x| weight(x)).collect();
+        for layout in [ItemLayout::Block, ItemLayout::Cyclic, ItemLayout::BlockCyclic(b)] {
+            let per = layout.per_node(&work, p);
+            prop_assert_eq!(per.len(), p);
+            prop_assert_eq!(to_bits(&per), to_bits(&reference_per_node(layout, &work, p)),
+                "{} p={p} n={}", layout, work.len());
+            let max = per.iter().fold(0.0f64, |a, &w| a.max(w));
+            prop_assert_eq!(layout.heaviest(&work, p).to_bits(), max.to_bits());
+            let mean = per.iter().sum::<f64>() / p as f64;
+            let imbalance = if mean > 0.0 { max / mean } else { 1.0 };
+            let (charged, charged_imbalance) = Work::Distributed {
+                per_item: Cow::Borrowed(&work),
+                layout,
+            }
+            .charged(p);
+            prop_assert_eq!(charged.to_bits(), max.to_bits());
+            prop_assert_eq!(charged_imbalance.to_bits(), imbalance.to_bits());
+            let total: f64 = per.iter().sum();
+            let expect: f64 = work.iter().sum();
+            prop_assert!((total - expect).abs() <= 1e-9 * expect);
+        }
     }
 
     /// Optimizer-emitted plans are well-formed for arbitrary shapes and

@@ -43,7 +43,16 @@ pub struct ScenarioJob {
     pub layout: ChemLayout,
     pub resume: Option<ResumePoint>,
 }
-codec! { ScenarioJob { config, layout, resume } }
+codec! {
+    ScenarioJob { config, layout, resume },
+    // A shard replays the job on `config.p` nodes under `layout`: a
+    // machine needs a node and a block-cyclic run needs an item.
+    validate = |job| match (job.config.p, job.layout) {
+        (0, _) => Err(WireError::Malformed("a job needs at least one node")),
+        (_, ChemLayout::BlockCyclic(0)) => Err(WireError::Malformed("a CYCLIC(0) layout")),
+        _ => Ok(()),
+    }
+}
 
 /// Every message on a fabric connection.
 ///

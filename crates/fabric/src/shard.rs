@@ -238,7 +238,7 @@ fn worker_loop(inner: &Arc<Inner>, opts: &ShardOptions, base: &Obs) {
             // attached resume point irrelevant, because the report is
             // bit-identical either way.
             let key = NumericsKey::of(&config);
-            inner.profiles.get_or_run(&key, &inner.cancel, None, || {
+            let (profile, _) = inner.profiles.get_or_run(&key, &inner.cancel, None, || {
                 let mut hour_started = Instant::now();
                 let mut on_hour = |rp: &airshed_server::ResumePoint| {
                     let hour_us = hour_started.elapsed().as_micros() as u64;
@@ -276,12 +276,14 @@ fn worker_loop(inner: &Arc<Inner>, opts: &ShardOptions, base: &Obs) {
                     model: PerfModel::from_profile(&profile),
                 });
                 Ok(profile)
-            })
+            })?;
+            // Inside the guard too: a replay that panics fails its job
+            // and the worker lives on.
+            Ok(replay_profile(&profile, config.machine, config.p, layout))
         }));
 
         match outcome {
-            Ok(Ok((profile, _))) => {
-                let report = replay_profile(&profile, config.machine, config.p, layout);
+            Ok(Ok(report)) => {
                 let msg = Msg::Completed {
                     job: id,
                     ctx,

@@ -368,10 +368,18 @@ fn resume(r: &mut Rng) -> ResumePoint {
     }
 }
 
+/// A job the codec accepts: at least one node, and no `CYCLIC(0)` (the
+/// refused ones are `an_assign_a_shard_cannot_replay_is_refused`).
 fn job(r: &mut Rng) -> ScenarioJob {
+    let mut config = config(r);
+    config.p = config.p.max(1);
+    let layout = match layout(r) {
+        ChemLayout::BlockCyclic(b) => ChemLayout::BlockCyclic(b.max(1)),
+        other => other,
+    };
     ScenarioJob {
-        config: config(r),
-        layout: layout(r),
+        config,
+        layout,
         resume: r.option(resume),
     }
 }
@@ -601,6 +609,38 @@ fn golden_files_survive_seeded_corruption() {
         encode: &Checkpoint::encode,
     };
     file.check(&bytes, 0, 32, false);
+}
+
+/// An `Assign` whose replay would panic a shard worker — no nodes, or
+/// a block-cyclic run of no items — is a typed decode error, not a job.
+#[test]
+fn an_assign_a_shard_cannot_replay_is_refused() {
+    let assign = |p: usize, layout: ChemLayout| {
+        let msg = Msg::Assign {
+            job: 7,
+            ctx: TraceContext {
+                trace_id: 1,
+                parent_span: 2,
+                job_id: 7,
+            },
+            work: Box::new(ScenarioJob {
+                config: SimConfig {
+                    p,
+                    ..SimConfig::test_tiny(4, 1)
+                },
+                layout,
+                resume: None,
+            }),
+        };
+        Msg::decode(msg.tag(), &msg.encode())
+    };
+    assert!(assign(4, ChemLayout::BlockCyclic(1)).is_ok());
+    for (p, layout) in [(4, ChemLayout::BlockCyclic(0)), (0, ChemLayout::Block)] {
+        match assign(p, layout) {
+            Err(WireError::Malformed(_)) => {}
+            other => panic!("p = {p}, {layout}: {other:?}"),
+        }
+    }
 }
 
 /// A vector never reserves more memory than there are unread bytes: a

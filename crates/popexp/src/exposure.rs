@@ -127,9 +127,9 @@ impl PopExpModel {
     /// The module's hourly work: `work_per_cell` for every population
     /// cell, in blocks over the module's nodes (as the hostings split
     /// the grid).
-    pub fn work(&self) -> Work {
+    pub fn work(&self) -> Work<'static> {
         Work::Distributed {
-            per_item: vec![self.work_per_cell; self.grid.n_cells()],
+            per_item: vec![self.work_per_cell; self.grid.n_cells()].into(),
             layout: ItemLayout::Block,
         }
     }

@@ -17,6 +17,9 @@
 //! numerics, concurrent callers of the same key wait for that run
 //! instead of repeating it, and everyone after replays the resident
 //! profile.
+//!
+//! Both caches are [`ShardedLru`]s, whose shards hold tens of entries:
+//! a shard is a short vector, and a lookup hashes its key once.
 
 use crate::JobError;
 use airshed_chem::youngboris::{AsymptoticForm, YbOptions};
@@ -24,7 +27,7 @@ use airshed_core::config::{DatasetChoice, SimConfig, Weather};
 use airshed_core::driver::{ChemLayout, PlanLayouts};
 use airshed_core::WorkProfile;
 use std::collections::hash_map::DefaultHasher;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
@@ -150,26 +153,36 @@ pub const PROFILE_CACHE_CAPACITY: usize = 64;
 /// Total entries across the run-report cache.
 pub const RESULT_CACHE_CAPACITY: usize = 256;
 
-struct Entry<V> {
+/// One resident key: its hash (compared before the key), the value and
+/// the shard tick of its last use.
+struct Slot<K, V> {
+    hash: u64,
+    key: K,
     value: V,
     stamp: u64,
 }
 
 /// A sharded LRU map. Shard count fixes lock granularity; each shard
 /// holds at most `ceil(capacity / shards)` entries and evicts its least
-/// recently used entry when full. Values are cloned out (use `Arc<V>`
-/// for large values).
+/// recently used entry when full. A shard is a short vector, not a hash
+/// map: `capacity / shards` is expected in the tens (32 reports, 8
+/// profiles per shard at the server's sizes), so each `get` or `insert`
+/// hashes its key once — the hash picks the shard and is kept beside
+/// the key — and one scan finds the key, the least recently used entry,
+/// or both. Values are cloned out (use `Arc<V>` for large values).
 pub struct ShardedLru<K, V> {
     shards: Vec<Mutex<LruShard<K, V>>>,
     per_shard: usize,
 }
 
+/// Every update leaves a shard valid (the tick moves, then one slot is
+/// written whole), so a poisoned lock still guards a usable shard.
 struct LruShard<K, V> {
-    map: HashMap<K, Entry<V>>,
+    slots: Vec<Slot<K, V>>,
     tick: u64,
 }
 
-impl<K: Hash + Eq + Clone, V: Clone> ShardedLru<K, V> {
+impl<K: Hash + Eq, V: Clone> ShardedLru<K, V> {
     /// `capacity` is the total entry budget spread over `shards` locks.
     pub fn new(shards: usize, capacity: usize) -> ShardedLru<K, V> {
         let shards = shards.max(1);
@@ -178,7 +191,7 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedLru<K, V> {
             shards: (0..shards)
                 .map(|_| {
                     Mutex::new(LruShard {
-                        map: HashMap::new(),
+                        slots: Vec::new(),
                         tick: 0,
                     })
                 })
@@ -187,47 +200,66 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedLru<K, V> {
         }
     }
 
-    fn shard_of(&self, key: &K) -> &Mutex<LruShard<K, V>> {
+    /// The key's one hash and its shard, chosen from that hash.
+    fn shard_of(&self, key: &K) -> (u64, &Mutex<LruShard<K, V>>) {
         let mut h = DefaultHasher::new();
         key.hash(&mut h);
-        &self.shards[(h.finish() as usize) % self.shards.len()]
+        let hash = h.finish();
+        (hash, &self.shards[(hash as usize) % self.shards.len()])
     }
 
     /// Look up a key, refreshing its recency on a hit.
     pub fn get(&self, key: &K) -> Option<V> {
-        let mut shard = self.shard_of(key).lock().unwrap();
+        let (hash, shard) = self.shard_of(key);
+        let mut shard = shard.lock().unwrap_or_else(PoisonError::into_inner);
         shard.tick += 1;
         let tick = shard.tick;
-        shard.map.get_mut(key).map(|e| {
-            e.stamp = tick;
-            e.value.clone()
-        })
+        shard
+            .slots
+            .iter_mut()
+            .find(|s| s.hash == hash && s.key == *key)
+            .map(|s| {
+                s.stamp = tick;
+                s.value.clone()
+            })
     }
 
     /// Insert (or refresh) a key, evicting the shard's least recently
-    /// used entry if the shard is at capacity.
+    /// used entry if the shard is at capacity. Stamps are unique within
+    /// a shard, so the victim is the one entry with the oldest stamp.
     pub fn insert(&self, key: K, value: V) {
-        let mut shard = self.shard_of(&key).lock().unwrap();
+        let (hash, shard) = self.shard_of(&key);
+        let mut shard = shard.lock().unwrap_or_else(PoisonError::into_inner);
         shard.tick += 1;
-        let tick = shard.tick;
-        if !shard.map.contains_key(&key) && shard.map.len() >= self.per_shard {
-            if let Some(oldest) = shard
-                .map
-                .iter()
-                .min_by_key(|(_, e)| e.stamp)
-                .map(|(k, _)| k.clone())
-            {
-                shard.map.remove(&oldest);
+        let stamp = shard.tick;
+        let (mut found, mut oldest) = (None, 0);
+        for (i, s) in shard.slots.iter().enumerate() {
+            if s.hash == hash && s.key == key {
+                found = Some(i);
+                break;
+            }
+            if s.stamp < shard.slots[oldest].stamp {
+                oldest = i;
             }
         }
-        shard.map.insert(key, Entry { value, stamp: tick });
+        let slot = Slot {
+            hash,
+            key,
+            value,
+            stamp,
+        };
+        match found {
+            Some(i) => shard.slots[i] = slot,
+            None if shard.slots.len() < self.per_shard => shard.slots.push(slot),
+            None => shard.slots[oldest] = slot,
+        }
     }
 
     /// Number of cached entries across all shards.
     pub fn len(&self) -> usize {
         self.shards
             .iter()
-            .map(|s| s.lock().unwrap().map.len())
+            .map(|s| s.lock().unwrap_or_else(PoisonError::into_inner).slots.len())
             .sum()
     }
 
@@ -360,6 +392,7 @@ impl ProfileStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashMap;
 
     #[test]
     fn get_returns_inserted_values() {
@@ -397,6 +430,90 @@ mod tests {
         assert_eq!(c.len(), 2);
         assert_eq!(c.get(&1), Some(11));
         assert_eq!(c.get(&2), Some(20));
+    }
+
+    /// The policy before shards were vectors, kept as the model: per
+    /// shard a hash map of `(value, stamp)` and a tick, the victim the
+    /// entry with the smallest stamp, the shard chosen by the same hash.
+    /// A model shard: key to `(value, stamp)`, and the shard's tick.
+    type MapShard = (HashMap<u32, (u64, u64)>, u64);
+
+    struct MapLru {
+        shards: Vec<MapShard>,
+        per_shard: usize,
+    }
+
+    impl MapLru {
+        fn new(shards: usize, capacity: usize) -> MapLru {
+            MapLru {
+                shards: vec![(HashMap::new(), 0); shards],
+                per_shard: capacity.div_ceil(shards).max(1),
+            }
+        }
+
+        fn shard(&mut self, key: u32) -> &mut MapShard {
+            let mut h = DefaultHasher::new();
+            key.hash(&mut h);
+            let n = self.shards.len();
+            &mut self.shards[(h.finish() as usize) % n]
+        }
+
+        fn get(&mut self, key: u32) -> Option<u64> {
+            let (map, tick) = self.shard(key);
+            *tick += 1;
+            let now = *tick;
+            map.get_mut(&key).map(|e| {
+                e.1 = now;
+                e.0
+            })
+        }
+
+        fn insert(&mut self, key: u32, value: u64) {
+            let per_shard = self.per_shard;
+            let (map, tick) = self.shard(key);
+            *tick += 1;
+            if !map.contains_key(&key) && map.len() >= per_shard {
+                let oldest = *map.iter().min_by_key(|(_, e)| e.1).unwrap().0;
+                map.remove(&oldest);
+            }
+            map.insert(key, (value, *tick));
+        }
+
+        fn len(&self) -> usize {
+            self.shards.iter().map(|(map, _)| map.len()).sum()
+        }
+    }
+
+    /// A seeded run of gets and inserts over keys about twice the
+    /// capacity: every `get` answers as the hash-map model does, and the
+    /// entry count matches after every operation.
+    #[test]
+    fn vector_shards_follow_the_hash_map_model() {
+        for shards in [1, 8] {
+            for capacity in [1, 5, 32, 256] {
+                let lru: ShardedLru<u32, u64> = ShardedLru::new(shards, capacity);
+                let mut model = MapLru::new(shards, capacity);
+                let keys = 2 * capacity as u64 + 3;
+                let mut state = 0x5eed_u64 ^ (shards * 1000 + capacity) as u64;
+                for op in 0..20_000u64 {
+                    // splitmix64
+                    state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+                    let mut z = state;
+                    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+                    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+                    z ^= z >> 31;
+                    let key = (z % keys) as u32;
+                    if z >> 63 == 0 {
+                        let got = lru.get(&key);
+                        assert_eq!(got, model.get(key), "{shards}x{capacity} op {op}");
+                    } else {
+                        lru.insert(key, op);
+                        model.insert(key, op);
+                    }
+                    assert_eq!(lru.len(), model.len(), "{shards}x{capacity} op {op}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -144,6 +144,27 @@ if [ -n "$fold" ]; then
 fi
 echo "one cost fold OK"
 
+echo "==> replay copies nothing: one allocation-free node walk"
+# Every per-node fold (the heaviest node, Work::charged) walks a layout's
+# items in place with ItemLayout::node_sums. ItemLayout::per_node, the
+# walk collected into a vector, is the reference tests and doc examples
+# read, so a non-test call outside plan/mod.rs is a copy back on a
+# pricing path.
+copies="$(git ls-files '*.rs' | grep -v '^vendor/\|^benchmark/\|^crates/core/src/plan/mod\.rs$' | xargs awk '
+    FNR == 1 { in_tests = FILENAME ~ /(^|\/)tests\// }
+    /^[[:space:]]*#\[cfg\(test\)\]/ { in_tests = 1 }
+    !in_tests && !/^[[:space:]]*\/\// && /\.per_node\(/ { print FILENAME ":" FNR ": " $0 }')"
+if [ -n "$copies" ]; then
+    echo "$copies"
+    echo "replay copies nothing FAILED: per_node is back on a pricing path" >&2
+    exit 1
+fi
+# The allocation gate, with its P x layout table in the log: a replay
+# allocates the same at every P and layout, and a charged graph charges
+# again without allocating.
+cargo test --release --offline -p airshed-core --test replay_allocations -- --nocapture
+echo "replay copies nothing OK"
+
 echo "==> one graph for §5 and §6, and charge is the machine's only door"
 # Figures 9, 12 and 13 lower from the hour's PhaseGraph: stage prices come
 # from PhaseGraph::stage_durations and Work::subgroup_seconds, PopExp's
