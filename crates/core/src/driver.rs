@@ -483,7 +483,7 @@ impl Episode {
             // Cumulative copy-bytes counters, one series per copy
             // class, sampled at the hour boundary.
             let now_us = obs.us_since_epoch(std::time::Instant::now());
-            for (kind, _, v) in copy_classes(&self.copy_total) {
+            for (kind, v) in copy_classes(&self.copy_total) {
                 obs.record_counter(kind, "copy bytes", now_us, v as f64, Some(tag));
             }
             obs.flush();
@@ -515,21 +515,10 @@ impl Episode {
     pub fn finish(self) -> (RunReport, WorkProfile, Checkpoint) {
         let obs = &self.engine.obs;
         if obs.enabled() {
-            use crate::obs::prom::{label, PromWriter};
-            let mut w = PromWriter::new();
-            w.header(
-                "airshed_copy_bytes_total",
-                "Bytes copied outside the kernels, by copy class.",
-                "counter",
+            obs.publish(
+                "copy-traffic",
+                crate::obs::prom::render(COPY_TRAFFIC, &self.copy_total),
             );
-            for (kind, phase, v) in copy_classes(&self.copy_total) {
-                w.sample(
-                    "airshed_copy_bytes_total",
-                    &format!("{},{}", label("kind", kind), label("phase", phase)),
-                    v as f64,
-                );
-            }
-            obs.publish("copy-traffic", w.finish());
         }
         let mut report = RunReport::from_machine(
             self.profile.dataset,
@@ -543,14 +532,25 @@ impl Episode {
     }
 }
 
-/// The copy classes with the phase each is attributed to, as
-/// `(kind, phase, bytes)`.
-fn copy_classes(cb: &CopyBytes) -> [(&'static str, &'static str, u64); 3] {
+/// The copy classes as `(kind, bytes)`: the per-hour trace counters.
+fn copy_classes(cb: &CopyBytes) -> [(&'static str, u64); 3] {
     [
-        ("redist_local", "communication", cb.redist_local),
-        ("soa_staging", "chemistry", cb.soa_staging),
-        ("result_serialization", "output", cb.result_serialization),
+        ("redist_local", cb.redist_local),
+        ("soa_staging", cb.soa_staging),
+        ("result_serialization", cb.result_serialization),
     ]
+}
+
+crate::metrics! {
+    /// The `copy-traffic` section: each copy class with the phase it is
+    /// attributed to.
+    const COPY_TRAFFIC: [CopyBytes] = {
+        counter "airshed_copy_bytes_total" "Bytes copied outside the kernels, by copy class." {
+            redist_local {kind = "redist_local", phase = "communication"},
+            soa_staging {kind = "soa_staging", phase = "chemistry"},
+            result_serialization {kind = "result_serialization", phase = "output"},
+        }
+    };
 }
 
 /// Execute `config.hours` hours untraced on `exec`, optionally resuming

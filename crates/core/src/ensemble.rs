@@ -50,7 +50,6 @@
 use crate::backend::ExecSpec;
 use crate::config::{SimConfig, Weather};
 use crate::driver::Episode;
-use crate::obs::prom::PromWriter;
 use crate::obs::Obs;
 use crate::profile::WorkProfile;
 use crate::report::RunReport;
@@ -378,53 +377,47 @@ fn run_group(
     }
 }
 
+/// What the `ensemble` section reads: one finished sweep.
+struct Sweep {
+    members: usize,
+    stats: DedupStats,
+    wall_seconds: f64,
+}
+
+crate::metrics! {
+    const SWEEP: [Sweep] = {
+        counter "airshed_ensemble_members_total" "Ensemble members executed." { members }
+        counter "airshed_ensemble_groups_total" "Shared-input groups." { stats.groups }
+        counter "airshed_ensemble_input_runs_total" "Input-stage executions that actually ran." {
+            stats.input_runs
+        }
+        counter "airshed_ensemble_input_hours_deduped_total"
+            "Member-hours whose input stage was served by a shared run." {
+            stats.input_hours_deduped
+        }
+        counter "airshed_ensemble_dedup_saved_bytes_total"
+            "Bytes of hourly input generation avoided by dedup." {
+            stats.saved_bytes
+        }
+        counter "airshed_ensemble_dedup_saved_seconds"
+            "Wall seconds of input+pretrans work avoided by dedup." {
+            stats.saved_seconds
+        }
+        gauge "airshed_ensemble_wall_seconds" "Wall-clock duration of the whole sweep." {
+            wall_seconds
+        }
+    };
+}
+
 /// Render the dedup stats as a Prometheus text section (published under
 /// the `ensemble` section name through the obs handle).
 pub fn prometheus_section(members: usize, stats: &DedupStats, wall_seconds: f64) -> String {
-    let mut w = PromWriter::new();
-    let counters: [(&str, &str, f64); 6] = [
-        (
-            "airshed_ensemble_members_total",
-            "Ensemble members executed.",
-            members as f64,
-        ),
-        (
-            "airshed_ensemble_groups_total",
-            "Shared-input groups.",
-            stats.groups as f64,
-        ),
-        (
-            "airshed_ensemble_input_runs_total",
-            "Input-stage executions that actually ran.",
-            stats.input_runs as f64,
-        ),
-        (
-            "airshed_ensemble_input_hours_deduped_total",
-            "Member-hours whose input stage was served by a shared run.",
-            stats.input_hours_deduped as f64,
-        ),
-        (
-            "airshed_ensemble_dedup_saved_bytes_total",
-            "Bytes of hourly input generation avoided by dedup.",
-            stats.saved_bytes as f64,
-        ),
-        (
-            "airshed_ensemble_dedup_saved_seconds",
-            "Wall seconds of input+pretrans work avoided by dedup.",
-            stats.saved_seconds,
-        ),
-    ];
-    for (name, help, v) in counters {
-        w.header(name, help, "counter");
-        w.sample(name, "", v);
-    }
-    w.header(
-        "airshed_ensemble_wall_seconds",
-        "Wall-clock duration of the whole sweep.",
-        "gauge",
-    );
-    w.sample("airshed_ensemble_wall_seconds", "", wall_seconds);
-    w.finish()
+    let sweep = Sweep {
+        members,
+        stats: *stats,
+        wall_seconds,
+    };
+    crate::obs::prom::render(SWEEP, &sweep)
 }
 
 #[cfg(test)]

@@ -1,11 +1,14 @@
-//! Metric primitives: counters, gauges, and latency histograms.
+//! Metric primitives — counters, gauges, latency histograms — and the
+//! one table every exported metric is declared in.
 //!
-//! These are the concurrent building blocks every subsystem reports
-//! through. They are deliberately tiny — plain relaxed atomics — so a
-//! disabled observability layer costs nothing and an enabled one costs
-//! one uncontended atomic RMW per event. The server's metrics registry
-//! (`airshed-server`) is built entirely from these types; the Prometheus
-//! exporter in [`super::prom`] renders their snapshots.
+//! The primitives are the concurrent building blocks every subsystem
+//! reports through. They are deliberately tiny — plain relaxed atomics —
+//! so a disabled observability layer costs nothing and an enabled one
+//! costs one uncontended atomic RMW per event.
+//!
+//! [`metrics!`](crate::metrics) declares each exported metric once, as a
+//! row under its Prometheus family; [`super::prom::render`] writes the
+//! resulting [`Family`] tables.
 
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::time::Duration;
@@ -148,6 +151,192 @@ impl HistogramSnapshot {
         }
         self.max_micros
     }
+}
+
+/// An atomic a registry holds, and the plain value its snapshot copies.
+pub trait Instrument: Default {
+    type Snapshot;
+    fn snapshot(&self) -> Self::Snapshot;
+}
+
+macro_rules! instrument {
+    ($($t:ty => $snap:ty, $get:ident);*) => {$(
+        impl Instrument for $t {
+            type Snapshot = $snap;
+            fn snapshot(&self) -> $snap {
+                self.$get()
+            }
+        }
+    )*};
+}
+instrument!(Counter => u64, get; Gauge => i64, get; Histogram => HistogramSnapshot, snapshot);
+
+/// What one row of a metrics table reads: a sample value, or a
+/// histogram rendered as its `_bucket`/`_sum`/`_count` series.
+pub enum Reading {
+    Value(f64),
+    Histogram(Box<HistogramSnapshot>),
+}
+
+/// A value a metrics row can read (a `bool` reads as 1 or 0).
+pub trait Readable {
+    fn reading(&self) -> Reading;
+}
+
+macro_rules! readable {
+    ($($t:ty: |$v:ident| $read:expr;)*) => {$(
+        impl Readable for $t {
+            fn reading(&self) -> Reading {
+                let $v = self;
+                $read
+            }
+        }
+    )*};
+}
+readable! {
+    u64: |v| Reading::Value(*v as f64);
+    i64: |v| Reading::Value(*v as f64);
+    usize: |v| Reading::Value(*v as f64);
+    f64: |v| Reading::Value(*v);
+    bool: |v| Reading::Value(f64::from(u8::from(*v)));
+    HistogramSnapshot: |v| Reading::Histogram(Box::new(v.clone()));
+    Histogram: |v| Reading::Histogram(Box::new(v.snapshot()));
+}
+
+/// One exported family: its name, Prometheus type and help text, and
+/// the rows of `T` it renders, in order.
+pub struct Family<T: ?Sized + 'static> {
+    pub name: &'static str,
+    pub kind: &'static str,
+    pub help: &'static str,
+    pub rows: &'static [Row<T>],
+}
+
+/// One sample (or histogram) of a family: its fixed labels and the
+/// value of `T` it reads.
+pub struct Row<T: ?Sized> {
+    pub labels: &'static [(&'static str, &'static str)],
+    pub read: fn(&T) -> Reading,
+}
+
+/// The Prometheus type named by a `metrics!` family, checked when the
+/// table is compiled.
+pub const fn kind(name: &'static str) -> &'static str {
+    match name.as_bytes() {
+        b"counter" | b"gauge" | b"histogram" => name,
+        _ => panic!("a metrics family is a counter, gauge or histogram"),
+    }
+}
+
+/// Declare exported metrics once: each row names the field it reads,
+/// under the family (`kind "name" "help"`) it is exported in, with its
+/// fixed labels. Families render in declaration order, one `# HELP` /
+/// `# TYPE` each, then their rows.
+///
+/// `const TABLE: [T] = { families };` makes the [`Family`] table of an
+/// existing type `T`, each row a field path (`stats.groups`). The
+/// registry form below also declares each row's instrument (`Counter`,
+/// `Gauge` or `Histogram`) and generates the registry of atomics, its
+/// snapshot (same field names, holding `u64`, `i64`, `HistogramSnapshot`
+/// and the fields sampled when it is taken), `new()`, `snapshot()` and
+/// the snapshot's `FAMILIES`:
+///
+/// ```
+/// use airshed_core::obs::metrics::Counter;
+///
+/// airshed_core::metrics! {
+///     pub struct Jobs;
+///     pub struct JobsSnapshot {
+///         pub limit: u64 = 8,
+///     }
+///     counter "jobs_total" "Jobs by outcome." {
+///         done: Counter {outcome = "done"},
+///         failed: Counter {outcome = "failed"},
+///     }
+///     gauge "jobs_limit" "Configured job limit." { limit }
+/// }
+/// let jobs = Jobs::new();
+/// jobs.done.add(2);
+/// let snap = jobs.snapshot();
+/// assert_eq!((snap.done, snap.failed, snap.limit), (2, 0, 8));
+/// let text = airshed_core::obs::prom::render(JobsSnapshot::FAMILIES, &snap);
+/// assert!(text.contains("jobs_total{outcome=\"done\"} 2\njobs_total{outcome=\"failed\"} 0"));
+/// ```
+#[macro_export]
+macro_rules! metrics {
+    (
+        $(#[$rmeta:meta])* $rvis:vis struct $reg:ident;
+        $(#[$smeta:meta])* $svis:vis struct $snap:ident {
+            $($(#[$fmeta:meta])* $fvis:vis $sf:ident: $sty:ty = $sexpr:expr),* $(,)?
+        }
+        $($kind:ident $name:literal $help:literal {
+            $($field:ident $(.$sub:ident)* $(: $ty:ident)?
+                $({ $($k:ident = $v:literal),* $(,)? })?),* $(,)?
+        })*
+    ) => {
+        $(#[$rmeta])*
+        #[derive(Default)]
+        $rvis struct $reg {
+            $($($(#[doc = $help] pub $field: $ty,)?)*)*
+        }
+
+        $(#[$smeta])*
+        $svis struct $snap {
+            $($($(
+                #[doc = $help]
+                pub $field: <$ty as $crate::obs::metrics::Instrument>::Snapshot,
+            )?)*)*
+            $($(#[$fmeta])* $fvis $sf: $sty,)*
+        }
+
+        impl $reg {
+            pub fn new() -> $reg {
+                $reg::default()
+            }
+
+            /// A point-in-time copy of every instrument (and of each
+            /// sampled field).
+            pub fn snapshot(&self) -> $snap {
+                $snap {
+                    $($($(
+                        $field: <$ty as $crate::obs::metrics::Instrument>::snapshot(&self.$field),
+                    )?)*)*
+                    $($sf: $sexpr,)*
+                }
+            }
+        }
+
+        impl $snap {
+            $crate::metrics! {
+                /// Every exported family of this snapshot, in exposition order.
+                pub const FAMILIES: [$snap] = {
+                    $($kind $name $help {
+                        $($field $(.$sub)* $({ $($k = $v),* })?),*
+                    })*
+                };
+            }
+        }
+    };
+    ($(
+        $(#[$meta:meta])* $vis:vis const $table:ident: [$ty:ty] = {
+            $($kind:ident $name:literal $help:literal {
+                $($field:ident $(.$sub:ident)* $({ $($k:ident = $v:literal),* $(,)? })?),* $(,)?
+            })*
+        };
+    )+) => {$(
+        $(#[$meta])*
+        $vis const $table: &[$crate::obs::metrics::Family<$ty>] = &[$(
+            $crate::obs::metrics::Family {
+                name: $name,
+                kind: $crate::obs::metrics::kind(stringify!($kind)),
+                help: $help,
+                rows: &[$($crate::obs::metrics::Row {
+                    labels: &[$($((stringify!($k), $v)),*)?],
+                    read: |s: &$ty| $crate::obs::metrics::Readable::reading(&s.$field $(.$sub)*),
+                }),*],
+            }
+        ),*];
+    )+};
 }
 
 #[cfg(test)]

@@ -1,10 +1,10 @@
 //! Prometheus text-format exporter.
 //!
-//! [`PromWriter`] is a tiny hand-rolled writer for the Prometheus
-//! exposition format (`# HELP` / `# TYPE` headers, `name{labels} value`
-//! samples, cumulative `_bucket`/`_sum`/`_count` histogram series).
-//! The vendored serde shim is a no-op, so the text is assembled by
-//! hand; the format is line-oriented and needs nothing more.
+//! [`render`] and [`render_labelled`] write any [`metrics!`] table in
+//! the exposition format: each family's `# HELP` / `# TYPE` header, then
+//! its rows as `name{labels} value` samples or cumulative
+//! `_bucket`/`_sum`/`_count` histogram series. The format is
+//! line-oriented, so the text is assembled by hand.
 //!
 //! [`SpanSink::prometheus`](super::SpanSink::prometheus) renders the
 //! span-derived phase-latency histograms and then appends every
@@ -12,82 +12,49 @@
 //! publishes its whole registry (job flow counters, queue depth, cache
 //! hit rates, latency histograms) as one such section.
 //!
+//! [`metrics!`]: crate::metrics
 //! [`Obs::publish`]: super::Obs::publish
 
-use super::metrics::{HistogramSnapshot, BUCKETS};
+use super::metrics::{Family, HistogramSnapshot, Reading, BUCKETS};
 use super::Track;
 use std::fmt::Write as _;
 
-/// Incremental writer for Prometheus text exposition format.
-///
-/// ```
-/// use airshed_core::obs::prom::PromWriter;
-/// let mut w = PromWriter::new();
-/// w.header("jobs_total", "Jobs ever submitted.", "counter");
-/// w.sample("jobs_total", "", 42.0);
-/// let text = w.finish();
-/// assert!(text.contains("# TYPE jobs_total counter"));
-/// assert!(text.contains("jobs_total 42"));
-/// ```
-#[derive(Default)]
-pub struct PromWriter {
-    out: String,
+/// Write one sample; `labels` is empty or a `key="value"` list
+/// without braces.
+fn sample(out: &mut String, name: &str, labels: &str, value: f64) {
+    let value = fmt_value(value);
+    let _ = if labels.is_empty() {
+        writeln!(out, "{name} {value}")
+    } else {
+        writeln!(out, "{name}{{{labels}}} {value}")
+    };
 }
 
-impl PromWriter {
-    pub fn new() -> PromWriter {
-        PromWriter::default()
-    }
-
-    /// Write the `# HELP` / `# TYPE` header for a metric family.
-    /// `kind` is `counter`, `gauge`, or `histogram`.
-    pub fn header(&mut self, name: &str, help: &str, kind: &str) {
-        let _ = writeln!(self.out, "# HELP {name} {help}");
-        let _ = writeln!(self.out, "# TYPE {name} {kind}");
-    }
-
-    /// Write one sample. `labels` is either empty or a preformatted
-    /// `key="value"` list without braces (e.g. `phase="transport"`).
-    pub fn sample(&mut self, name: &str, labels: &str, value: f64) {
-        if labels.is_empty() {
-            let _ = writeln!(self.out, "{name} {}", fmt_value(value));
-        } else {
-            let _ = writeln!(self.out, "{name}{{{labels}}} {}", fmt_value(value));
-        }
-    }
-
-    /// Write the `_bucket`/`_sum`/`_count` series for one histogram.
-    /// Buckets are the power-of-two-µs buckets converted to seconds
-    /// (the Prometheus convention), cumulative, with a final `+Inf`.
-    pub fn histogram(&mut self, name: &str, labels: &str, h: &HistogramSnapshot) {
-        let sep = if labels.is_empty() { "" } else { "," };
-        let mut cumulative = 0u64;
-        for (i, &b) in h.buckets.iter().enumerate() {
-            cumulative += b;
-            // Bucket i covers [2^i, 2^{i+1}) µs → le = 2^{i+1} µs.
-            if b == 0 && i < BUCKETS - 1 {
-                continue; // keep the text short; cumulative still correct
-            }
-            let le = (1u128 << (i + 1)) as f64 * 1e-6;
+/// Write the `_bucket`/`_sum`/`_count` series of one histogram: the
+/// power-of-two-µs buckets in seconds (the Prometheus convention),
+/// cumulative, empty ones skipped, with a final `+Inf`.
+fn histogram(out: &mut String, name: &str, labels: &str, h: &HistogramSnapshot) {
+    let sep = if labels.is_empty() { "" } else { "," };
+    let mut cumulative = 0u64;
+    for (i, &b) in h.buckets.iter().enumerate() {
+        cumulative += b;
+        // Bucket i covers [2^i, 2^{i+1}) µs → le = 2^{i+1} µs.
+        if b > 0 || i == BUCKETS - 1 {
+            let le = fmt_value((1u128 << (i + 1)) as f64 * 1e-6);
             let _ = writeln!(
-                self.out,
-                "{name}_bucket{{{labels}{sep}le=\"{}\"}} {cumulative}",
-                fmt_value(le)
+                out,
+                "{name}_bucket{{{labels}{sep}le=\"{le}\"}} {cumulative}"
             );
         }
-        let _ = writeln!(
-            self.out,
-            "{name}_bucket{{{labels}{sep}le=\"+Inf\"}} {}",
-            h.count
-        );
-        self.sample(&format!("{name}_sum"), labels, h.total_micros as f64 * 1e-6);
-        self.sample(&format!("{name}_count"), labels, h.count as f64);
     }
-
-    /// The accumulated document.
-    pub fn finish(self) -> String {
-        self.out
-    }
+    let _ = writeln!(out, "{name}_bucket{{{labels}{sep}le=\"+Inf\"}} {}", h.count);
+    sample(
+        out,
+        &format!("{name}_sum"),
+        labels,
+        h.total_micros as f64 * 1e-6,
+    );
+    sample(out, &format!("{name}_count"), labels, h.count as f64);
 }
 
 /// Format a value the way Prometheus expects: integers without a
@@ -128,52 +95,100 @@ pub fn label(key: &str, value: &str) -> String {
     format!("{key}=\"{}\"", escape_label_value(value))
 }
 
+/// Render a table's families over one value, without instance labels.
+pub fn render<T: 'static>(families: &[Family<T>], value: &T) -> String {
+    write_families(families, &[(String::new(), value)])
+}
+
+/// Render a table's families over every `(name, value)` instance, each
+/// sample labelled `key="name"` ahead of the row's fixed labels. Nothing
+/// is written for no instances.
+pub fn render_labelled<'a, T: 'static>(
+    families: &[Family<T>],
+    key: &str,
+    instances: impl IntoIterator<Item = (&'a str, &'a T)>,
+) -> String {
+    let instances: Vec<(String, &T)> = instances
+        .into_iter()
+        .map(|(name, value)| (label(key, name), value))
+        .collect();
+    write_families(families, &instances)
+}
+
+fn write_families<T: 'static>(families: &[Family<T>], instances: &[(String, &T)]) -> String {
+    let mut out = String::new();
+    if instances.is_empty() {
+        return out;
+    }
+    for family in families {
+        let name = family.name;
+        let _ = writeln!(out, "# HELP {name} {}", family.help);
+        let _ = writeln!(out, "# TYPE {name} {}", family.kind);
+        for (prefix, value) in instances {
+            for row in family.rows {
+                let mut labels = prefix.clone();
+                for (key, v) in row.labels {
+                    if !labels.is_empty() {
+                        labels.push(',');
+                    }
+                    labels.push_str(&label(key, v));
+                }
+                match (row.read)(value) {
+                    Reading::Value(v) => sample(&mut out, name, &labels, v),
+                    Reading::Histogram(h) => histogram(&mut out, name, &labels, &h),
+                }
+            }
+        }
+    }
+    out
+}
+
+/// A span-derived latency distribution, rendered under the label of
+/// what it times.
+#[derive(Default)]
+struct SpanLatency {
+    seconds: super::metrics::Histogram,
+}
+
+crate::metrics! {
+    const PHASE_LATENCY: [SpanLatency] = {
+        histogram "airshed_phase_seconds" "Wall-clock phase latency from spans." { seconds }
+    };
+
+    const POOL_LATENCY: [SpanLatency] = {
+        histogram "airshed_pool_task_seconds" "Wall-clock thread-pool task latency from spans." {
+            seconds
+        }
+    };
+}
+
 impl super::SpanSink {
     /// Render a Prometheus text snapshot: span-derived phase-latency
     /// histograms first, then every published section (e.g. the server
     /// registry) verbatim.
     pub fn prometheus(&self) -> String {
-        use super::metrics::Histogram;
         use std::collections::BTreeMap;
         use std::time::Duration;
 
-        let events = self.events();
-        let mut phases: BTreeMap<&'static str, Histogram> = BTreeMap::new();
-        let pool = Histogram::new();
-        for e in &events {
+        let mut phases: BTreeMap<&'static str, SpanLatency> = BTreeMap::new();
+        let pool = SpanLatency::default();
+        for e in &self.events() {
             let d = Duration::from_nanos((e.dur_us * 1e3) as u64);
             match e.track {
-                Track::Lane(_) => phases.entry(e.name).or_default().record(d),
-                Track::PoolWorker { .. } => pool.record(d),
+                Track::Lane(_) => phases.entry(e.name).or_default().seconds.record(d),
+                Track::PoolWorker { .. } => pool.seconds.record(d),
                 _ => {} // virtual-time tracks are not latency samples
             }
         }
 
-        let mut w = PromWriter::new();
-        if !phases.is_empty() {
-            w.header(
-                "airshed_phase_seconds",
-                "Wall-clock phase latency from spans.",
-                "histogram",
-            );
-            for (name, h) in &phases {
-                w.histogram(
-                    "airshed_phase_seconds",
-                    &label("phase", name),
-                    &h.snapshot(),
-                );
-            }
+        let mut out = render_labelled(
+            PHASE_LATENCY,
+            "phase",
+            phases.iter().map(|(name, h)| (*name, h)),
+        );
+        if pool.seconds.snapshot().count > 0 {
+            out.push_str(&render(POOL_LATENCY, &pool));
         }
-        let pool = pool.snapshot();
-        if pool.count > 0 {
-            w.header(
-                "airshed_pool_task_seconds",
-                "Wall-clock thread-pool task latency from spans.",
-                "histogram",
-            );
-            w.histogram("airshed_pool_task_seconds", "", &pool);
-        }
-        let mut out = w.finish();
         for (_, text) in self.sections() {
             out.push_str(&text);
         }
@@ -187,17 +202,21 @@ mod tests {
     use crate::obs::metrics::Histogram;
     use std::time::Duration;
 
+    fn header(out: &mut String, name: &str, help: &str, kind: &str) {
+        let _ = writeln!(out, "# HELP {name} {help}\n# TYPE {name} {kind}");
+    }
+
     #[test]
     fn writer_emits_headers_samples_and_histograms() {
         let h = Histogram::new();
         h.record(Duration::from_micros(3));
         h.record(Duration::from_micros(100));
-        let mut w = PromWriter::new();
-        w.header("x_seconds", "help text", "histogram");
-        w.histogram("x_seconds", "phase=\"t\"", &h.snapshot());
-        w.header("d", "depth", "gauge");
-        w.sample("d", "", 7.0);
-        let text = w.finish();
+        let mut w = String::new();
+        header(&mut w, "x_seconds", "help text", "histogram");
+        histogram(&mut w, "x_seconds", "phase=\"t\"", &h.snapshot());
+        header(&mut w, "d", "depth", "gauge");
+        sample(&mut w, "d", "", 7.0);
+        let text = w;
         assert!(text.contains("# TYPE x_seconds histogram"));
         // 3 µs is in [2,4) µs → le = 4e-6 s.
         assert!(text.contains("x_seconds_bucket{phase=\"t\",le=\"0.000004\"} 1"));
@@ -280,11 +299,16 @@ mod tests {
         for micros in [1u64, 3, 3, 9] {
             h.record(Duration::from_micros(micros));
         }
-        let mut w = PromWriter::new();
-        w.header("airshed_x_seconds", "test histogram", "histogram");
-        w.histogram("airshed_x_seconds", &label("grid", hostile), &h.snapshot());
-        w.sample("airshed_plain", &label("grid", hostile), 4.0);
-        let text = w.finish();
+        let mut w = String::new();
+        header(&mut w, "airshed_x_seconds", "test histogram", "histogram");
+        histogram(
+            &mut w,
+            "airshed_x_seconds",
+            &label("grid", hostile),
+            &h.snapshot(),
+        );
+        sample(&mut w, "airshed_plain", &label("grid", hostile), 4.0);
+        let text = w;
 
         let samples = parse_exposition(&text);
         // The escaping round-trips through a strict parser.
@@ -330,9 +354,9 @@ mod tests {
         for micros in [1u64, 3, 3, 9] {
             h.record(Duration::from_micros(micros));
         }
-        let mut w = PromWriter::new();
-        w.histogram("m", "", &h.snapshot());
-        let text = w.finish();
+        let mut w = String::new();
+        histogram(&mut w, "m", "", &h.snapshot());
+        let text = w;
         // [1] in [1,2): cum 1; [3,3] in [2,4): cum 3; [9] in [8,16): cum 4.
         assert!(text.contains("m_bucket{le=\"0.000002\"} 1"));
         assert!(text.contains("m_bucket{le=\"0.000004\"} 3"));

@@ -55,7 +55,7 @@ use airshed_core::config::SimConfig;
 use airshed_core::driver::{ChemLayout, PlanMemoStats};
 use airshed_core::obs::dist::{TraceContext, HOP_NAMES};
 use airshed_core::obs::metrics::Histogram;
-use airshed_core::obs::prom::{label, PromWriter};
+use airshed_core::obs::prom::{render, render_labelled};
 use airshed_core::report::{CopyBytes, LatencyAnatomy};
 use airshed_core::{PerfModel, RunReport};
 use airshed_server::cache::NumericsKey;
@@ -722,138 +722,99 @@ impl Router {
     }
 
     /// Render the fabric metrics in Prometheus exposition format:
-    /// per-shard routed/stolen/failed-over/completed counters, shard
-    /// liveness, and the predicted-vs-actual completion histograms.
+    /// per-shard routed/stolen/failed-over/completed counters, the
+    /// fleet's plan-memo rows, shard liveness, the predicted-vs-actual
+    /// completion and latency-anatomy histograms, fleet copy bytes and
+    /// trace-context mismatches.
     pub fn prometheus(&self) -> String {
-        let mut w = PromWriter::new();
-        w.header(
-            "airshed_fabric_jobs_total",
-            "Fabric job routing events by shard.",
-            "counter",
-        );
-        for s in &self.shards {
-            for (event, v) in [
-                ("routed", s.counters.routed),
-                ("stolen", s.counters.stolen),
-                ("failed_over", s.counters.failed_over),
-                ("completed", s.counters.completed),
-            ] {
-                let labels = format!("{},{}", label("shard", &s.name), label("event", event));
-                w.sample("airshed_fabric_jobs_total", &labels, v as f64);
-            }
-        }
-        w.header(
-            "airshed_fabric_shard_profile_hits_total",
-            "Completed jobs a shard answered by replaying a resident \
-             work profile (no numerics run).",
-            "counter",
-        );
-        for s in &self.shards {
-            w.sample(
-                "airshed_fabric_shard_profile_hits_total",
-                &label("shard", &s.name),
-                s.counters.profile_hits as f64,
-            );
-        }
-        w.header(
-            "airshed_fabric_cache_events_total",
-            "Fleet-wide plan-memo lookups (each shard process's counters \
-             as of its last heartbeat, summed).",
-            "counter",
-        );
-        let fleet = |f: fn(&PlanMemoStats) -> u64| -> f64 {
-            self.shards.iter().map(|s| f(&s.plans)).sum::<u64>() as f64
-        };
-        for (outcome, v) in [("hit", fleet(|p| p.hits)), ("miss", fleet(|p| p.misses))] {
-            let labels = format!("{},{}", label("cache", "plan"), label("outcome", outcome));
-            w.sample("airshed_fabric_cache_events_total", &labels, v);
-        }
-        w.header(
-            "airshed_fabric_cache_entries",
-            "Plan sets resident across the fleet (last heartbeats, summed).",
-            "gauge",
-        );
-        w.sample(
-            "airshed_fabric_cache_entries",
-            &label("cache", "plan"),
-            fleet(|p| p.entries),
-        );
-        w.header(
-            "airshed_fabric_shard_up",
-            "1 while the shard is connected and heartbeating.",
-            "gauge",
-        );
-        for s in &self.shards {
-            w.sample(
-                "airshed_fabric_shard_up",
-                &label("shard", &s.name),
-                if s.alive { 1.0 } else { 0.0 },
-            );
-        }
-        w.header(
-            "airshed_fabric_completion_virtual_seconds",
-            "Predicted vs actual job completion time (virtual seconds).",
-            "histogram",
-        );
-        w.histogram(
-            "airshed_fabric_completion_virtual_seconds",
-            &label("kind", "predicted"),
-            &self.predicted_hist.snapshot(),
-        );
-        w.histogram(
-            "airshed_fabric_completion_virtual_seconds",
-            &label("kind", "actual"),
-            &self.actual_hist.snapshot(),
-        );
-        w.header(
-            "airshed_fabric_job_stage_seconds",
-            "Per-job latency anatomy by stage (frontend clock; execute \
-             per shard-reported hour).",
-            "histogram",
-        );
-        for (stage, h) in [
-            ("queued", &self.queued_hist),
-            ("execute_hour", &self.exec_hour_hist),
-            ("wire", &self.wire_hist),
-            ("reply", &self.reply_hist),
-            ("end_to_end", &self.e2e_hist),
-        ] {
-            w.histogram(
-                "airshed_fabric_job_stage_seconds",
-                &label("stage", stage),
-                &h.snapshot(),
-            );
-        }
-        w.header(
-            "airshed_fabric_copy_bytes_total",
-            "Fleet-wide bytes copied outside the kernels, summed over \
-             completed jobs.",
-            "counter",
-        );
-        for (kind, v) in [
-            ("redist_local", self.fleet_copy.redist_local),
-            ("soa_staging", self.fleet_copy.soa_staging),
-            ("result_serialization", self.fleet_copy.result_serialization),
-        ] {
-            w.sample(
-                "airshed_fabric_copy_bytes_total",
-                &label("kind", kind),
-                v as f64,
-            );
-        }
-        w.header(
-            "airshed_fabric_ctx_mismatches_total",
-            "Frames whose trace context disagreed with the router's \
-             record for the job (should stay 0).",
-            "counter",
-        );
-        w.sample(
-            "airshed_fabric_ctx_mismatches_total",
-            "",
-            self.ctx_mismatches as f64,
-        );
-        w.finish()
+        let shards = || self.shards.iter().map(|s| (s.name.as_str(), s));
+        let fleet = self
+            .shards
+            .iter()
+            .fold(PlanMemoStats::default(), |sum, s| PlanMemoStats {
+                hits: sum.hits + s.plans.hits,
+                misses: sum.misses + s.plans.misses,
+                entries: sum.entries + s.plans.entries,
+            });
+        [
+            render_labelled(
+                SHARD_COUNTERS,
+                "shard",
+                shards().map(|(n, s)| (n, &s.counters)),
+            ),
+            render(FLEET_PLANS, &fleet),
+            render_labelled(SHARD_UP, "shard", shards()),
+            render(ROUTER_FAMILIES, self),
+        ]
+        .concat()
     }
+}
+
+airshed_core::metrics! {
+    /// Each shard's counters, rendered under its `shard` label.
+    const SHARD_COUNTERS: [ShardCounters] = {
+        counter "airshed_fabric_jobs_total" "Fabric job routing events by shard." {
+            routed {event = "routed"},
+            stolen {event = "stolen"},
+            failed_over {event = "failed_over"},
+            completed {event = "completed"},
+        }
+        counter "airshed_fabric_shard_profile_hits_total"
+            "Completed jobs a shard answered by replaying a resident \
+             work profile (no numerics run)." {
+            profile_hits
+        }
+    };
+
+    /// Every shard process's plan-memo counters as of its last
+    /// heartbeat, summed.
+    const FLEET_PLANS: [PlanMemoStats] = {
+        counter "airshed_fabric_cache_events_total"
+            "Fleet-wide plan-memo lookups (each shard process's counters \
+             as of its last heartbeat, summed)." {
+            hits {cache = "plan", outcome = "hit"},
+            misses {cache = "plan", outcome = "miss"},
+        }
+        gauge "airshed_fabric_cache_entries"
+            "Plan sets resident across the fleet (last heartbeats, summed)." {
+            entries {cache = "plan"}
+        }
+    };
+
+    const SHARD_UP: [Shard] = {
+        gauge "airshed_fabric_shard_up" "1 while the shard is connected and heartbeating." {
+            alive
+        }
+    };
+
+    const ROUTER_FAMILIES: [Router] = {
+        histogram "airshed_fabric_completion_virtual_seconds"
+            "Predicted vs actual job completion time (virtual seconds)." {
+            predicted_hist {kind = "predicted"},
+            actual_hist {kind = "actual"},
+        }
+        histogram "airshed_fabric_job_stage_seconds"
+            "Per-job latency anatomy by stage (frontend clock; execute \
+             per shard-reported hour)." {
+            queued_hist {stage = "queued"},
+            exec_hour_hist {stage = "execute_hour"},
+            wire_hist {stage = "wire"},
+            reply_hist {stage = "reply"},
+            e2e_hist {stage = "end_to_end"},
+        }
+        counter "airshed_fabric_copy_bytes_total"
+            "Fleet-wide bytes copied outside the kernels, summed over \
+             completed jobs." {
+            fleet_copy.redist_local {kind = "redist_local"},
+            fleet_copy.soa_staging {kind = "soa_staging"},
+            fleet_copy.result_serialization {kind = "result_serialization"},
+        }
+        counter "airshed_fabric_ctx_mismatches_total"
+            "Frames whose trace context disagreed with the router's \
+             record for the job (should stay 0)." {
+            ctx_mismatches
+        }
+    };
 }
 
 #[cfg(test)]

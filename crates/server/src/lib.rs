@@ -40,7 +40,7 @@ pub mod worker;
 use crate::admission::{AdmissionController, AdmissionDecision};
 use crate::cache::{NumericsKey, ProfileStore, ResultKey, ShardedLru};
 use crate::metrics::{Metrics, MetricsSnapshot};
-use crate::queue::{BoundedQueue, PushError};
+use crate::queue::BoundedQueue;
 use airshed_core::checkpoint::Checkpoint;
 use airshed_core::codec::{Codec, Dec, Enc, WireError};
 use airshed_core::config::SimConfig;
@@ -245,7 +245,9 @@ pub enum SubmitOutcome {
         predicted_seconds: f64,
         budget_seconds: f64,
     },
-    /// The server is shutting down.
+    /// Never returned: `submit` borrows the server, and only
+    /// `shutdown(self)` or `Drop` close its queue. Kept while the
+    /// benchmark package still matches on it (ROADMAP item 2).
     ShuttingDown,
 }
 
@@ -486,13 +488,11 @@ impl ScenarioServer {
                 metrics.queue_depth.inc();
                 SubmitOutcome::Submitted(JobHandle { id, cell })
             }
-            Err((_, PushError::Full)) => {
+            // The queue closes only in `shutdown(self)` and `Drop`, which
+            // own the server, so a push that fails found it full.
+            Err(_) => {
                 metrics.rejected_queue_full.inc();
                 SubmitOutcome::QueueFull
-            }
-            Err((_, PushError::Closed)) => {
-                metrics.rejected_queue_full.inc();
-                SubmitOutcome::ShuttingDown
             }
         }
     }
@@ -944,7 +944,6 @@ mod tests {
                     "unexpected outcome: {:?}",
                     match other {
                         SubmitOutcome::Rejected { .. } => "rejected",
-                        SubmitOutcome::ShuttingDown => "shutting down",
                         _ => "?",
                     }
                 ),

@@ -2,13 +2,14 @@
 //! snapshot-able as a plain struct, printable as a text report, and
 //! renderable as a Prometheus text-format section.
 //!
-//! The registry is built from the observability layer's primitives
-//! ([`airshed_core::obs::metrics`]) — the same `Counter`/`Gauge`/
-//! [`Histogram`] types the span exporters use — so the server reports
-//! through the unified spine rather than a bespoke one. The final
-//! snapshot is published into the run's obs collector when the server's
-//! shared state drops (see `Shared` in the crate root), which makes the
-//! registry drain-safe: a server that is dropped without an explicit
+//! The registry is one [`metrics!`](airshed_core::metrics) list: each
+//! counter, gauge and histogram is a row under the Prometheus family it
+//! is exported in, and the registry of atomics ([`Metrics`]), its
+//! snapshot ([`MetricsSnapshot`]), `snapshot()` and the exported
+//! section all come from that list. The final snapshot is published
+//! into the run's obs collector when the server's shared state drops
+//! (see `Shared` in the crate root), which makes the registry
+//! drain-safe: a server that is dropped without an explicit
 //! `shutdown()` still flushes its counters to the `--metrics-out`
 //! export.
 //!
@@ -25,115 +26,88 @@
 
 use airshed_core::driver::{HourPlans, PlanMemoStats};
 pub use airshed_core::obs::metrics::{Counter, Gauge, Histogram, HistogramSnapshot};
-use airshed_core::obs::prom::{self, PromWriter};
 use std::fmt;
 
-/// The scenario service's metrics registry.
-#[derive(Default)]
-pub struct Metrics {
+airshed_core::metrics! {
+    /// The scenario service's metrics registry.
+    pub struct Metrics;
+
+    /// A point-in-time copy of the whole registry — a plain struct, so it
+    /// can be asserted on in tests and serialised by harnesses.
+    #[derive(Debug, Clone)]
+    pub struct MetricsSnapshot {
+        /// The plan memo behind every replay and layout search
+        /// (`HourPlans::shared`). It is the *process's*, not this server's:
+        /// a plan set depends on nothing a server owns, so servers sharing a
+        /// process share the sets and report the same three numbers.
+        pub plans: PlanMemoStats = HourPlans::memo_stats(),
+    }
+
     // Flow counters. `submitted` counts every submit attempt; each
     // attempt ends in exactly one of the other flow counters.
-    pub submitted: Counter,
-    pub completed: Counter,
-    pub rejected_admission: Counter,
-    pub rejected_queue_full: Counter,
-    pub cancelled: Counter,
-    pub deadline_expired: Counter,
-    pub failed: Counter,
-    /// Jobs accepted into the queue but not yet finished (gauge).
-    pub in_flight: Gauge,
-    /// Jobs currently sitting in the submission queue (gauge).
-    pub queue_depth: Gauge,
+    counter "airshed_server_submitted_total" "Submit attempts." { submitted: Counter }
+    counter "airshed_server_completed_total" "Jobs completed." { completed: Counter }
+    counter "airshed_server_rejected_admission_total" "Jobs rejected by admission control." {
+        rejected_admission: Counter
+    }
+    counter "airshed_server_rejected_queue_full_total" "Jobs rejected by queue backpressure." {
+        rejected_queue_full: Counter
+    }
+    counter "airshed_server_cancelled_total" "Jobs cancelled." { cancelled: Counter }
+    counter "airshed_server_deadline_expired_total" "Jobs expired at an hour boundary." {
+        deadline_expired: Counter
+    }
+    counter "airshed_server_failed_total" "Jobs that panicked." { failed: Counter }
+    gauge "airshed_server_in_flight" "Jobs accepted but not finished." { in_flight: Gauge }
+    gauge "airshed_server_queue_depth" "Jobs waiting in the queue." { queue_depth: Gauge }
 
     // Cache observability. A profile miss is a numerics run, exactly:
     // a job that waited on another job's run of its key is a hit, and
     // is also counted in `profile_coalesced`.
-    pub profile_cache_hits: Counter,
-    pub profile_cache_misses: Counter,
-    pub profile_coalesced: Counter,
-    pub result_cache_hits: Counter,
-    pub result_cache_misses: Counter,
+    counter "airshed_server_cache_events_total" "Cache hits and misses by cache and outcome." {
+        profile_cache_hits: Counter {cache = "profile", outcome = "hit"},
+        profile_cache_misses: Counter {cache = "profile", outcome = "miss"},
+        result_cache_hits: Counter {cache = "result", outcome = "hit"},
+        result_cache_misses: Counter {cache = "result", outcome = "miss"},
+        plans.hits {cache = "plan", outcome = "hit"},
+        plans.misses {cache = "plan", outcome = "miss"},
+    }
+    gauge "airshed_server_cache_entries"
+        "Entries resident in a cache (the process-wide plan memo)." {
+        plans.entries {cache = "plan"}
+    }
+    counter "airshed_server_profile_coalesced_total"
+        "Profile-cache hits that waited on another job's numerics run." {
+        profile_coalesced: Counter
+    }
 
-    // Ensemble + surrogate tier. These count *sweep* work and
-    // what-if answers, not queue jobs, so they stay outside the
-    // job-flow reconciliation above.
-    pub ensemble_members: Counter,
-    pub ensemble_input_hours_shared: Counter,
-    pub ensemble_saved_bytes: Counter,
-    pub surrogate_hits: Counter,
-    pub surrogate_misses: Counter,
+    // Ensemble + surrogate tier. These count *sweep* work and what-if
+    // answers, not queue jobs, so they stay outside the job-flow
+    // reconciliation above.
+    counter "airshed_server_ensemble_members_total" "Ensemble members run through sweeps." {
+        ensemble_members: Counter
+    }
+    counter "airshed_server_ensemble_input_hours_shared_total"
+        "Member-hours whose input stage was deduplicated." {
+        ensemble_input_hours_shared: Counter
+    }
+    counter "airshed_server_ensemble_saved_bytes_total"
+        "Input-generation bytes avoided by the shared input stage." {
+        ensemble_saved_bytes: Counter
+    }
+    counter "airshed_server_surrogate_answers_total"
+        "What-if answers by tier (surrogate hit vs exact fallback)." {
+        surrogate_hits: Counter {tier = "hit"},
+        surrogate_misses: Counter {tier = "miss"},
+    }
 
     // Latency histograms per job phase.
-    pub queue_wait: Histogram,
-    pub service: Histogram,
-    pub latency: Histogram,
-}
-
-impl Metrics {
-    pub fn new() -> Metrics {
-        Metrics::default()
+    histogram "airshed_server_job_seconds"
+        "Job latency by stage (queue wait, service, end-to-end)." {
+        queue_wait: Histogram {stage = "queue_wait"},
+        service: Histogram {stage = "service"},
+        latency: Histogram {stage = "latency"},
     }
-
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        MetricsSnapshot {
-            submitted: self.submitted.get(),
-            completed: self.completed.get(),
-            rejected_admission: self.rejected_admission.get(),
-            rejected_queue_full: self.rejected_queue_full.get(),
-            cancelled: self.cancelled.get(),
-            deadline_expired: self.deadline_expired.get(),
-            failed: self.failed.get(),
-            in_flight: self.in_flight.get(),
-            queue_depth: self.queue_depth.get(),
-            profile_cache_hits: self.profile_cache_hits.get(),
-            profile_cache_misses: self.profile_cache_misses.get(),
-            profile_coalesced: self.profile_coalesced.get(),
-            result_cache_hits: self.result_cache_hits.get(),
-            result_cache_misses: self.result_cache_misses.get(),
-            plans: HourPlans::memo_stats(),
-            ensemble_members: self.ensemble_members.get(),
-            ensemble_input_hours_shared: self.ensemble_input_hours_shared.get(),
-            ensemble_saved_bytes: self.ensemble_saved_bytes.get(),
-            surrogate_hits: self.surrogate_hits.get(),
-            surrogate_misses: self.surrogate_misses.get(),
-            queue_wait: self.queue_wait.snapshot(),
-            service: self.service.snapshot(),
-            latency: self.latency.snapshot(),
-        }
-    }
-}
-
-/// A point-in-time copy of the whole registry — a plain struct, so it can
-/// be asserted on in tests and serialised by harnesses.
-#[derive(Debug, Clone)]
-pub struct MetricsSnapshot {
-    pub submitted: u64,
-    pub completed: u64,
-    pub rejected_admission: u64,
-    pub rejected_queue_full: u64,
-    pub cancelled: u64,
-    pub deadline_expired: u64,
-    pub failed: u64,
-    pub in_flight: i64,
-    pub queue_depth: i64,
-    pub profile_cache_hits: u64,
-    pub profile_cache_misses: u64,
-    pub profile_coalesced: u64,
-    pub result_cache_hits: u64,
-    pub result_cache_misses: u64,
-    /// The plan memo behind every replay and layout search
-    /// (`HourPlans::shared`). It is the *process's*, not this server's:
-    /// a plan set depends on nothing a server owns, so servers sharing a
-    /// process share the sets and report the same three numbers.
-    pub plans: PlanMemoStats,
-    pub ensemble_members: u64,
-    pub ensemble_input_hours_shared: u64,
-    pub ensemble_saved_bytes: u64,
-    pub surrogate_hits: u64,
-    pub surrogate_misses: u64,
-    pub queue_wait: HistogramSnapshot,
-    pub service: HistogramSnapshot,
-    pub latency: HistogramSnapshot,
 }
 
 impl MetricsSnapshot {
@@ -172,166 +146,10 @@ impl MetricsSnapshot {
                 + self.in_flight
     }
 
-    /// Render the snapshot in Prometheus text exposition format:
-    /// job-flow counters, the queue-depth and in-flight gauges, cache
-    /// hit/miss counters, and the three latency histograms.
+    /// Render the snapshot in Prometheus text exposition format, one
+    /// family per declared row group.
     pub fn to_prometheus(&self) -> String {
-        let mut w = PromWriter::new();
-        let counters: [(&str, &str, u64); 7] = [
-            (
-                "airshed_server_submitted_total",
-                "Submit attempts.",
-                self.submitted,
-            ),
-            (
-                "airshed_server_completed_total",
-                "Jobs completed.",
-                self.completed,
-            ),
-            (
-                "airshed_server_rejected_admission_total",
-                "Jobs rejected by admission control.",
-                self.rejected_admission,
-            ),
-            (
-                "airshed_server_rejected_queue_full_total",
-                "Jobs rejected by queue backpressure.",
-                self.rejected_queue_full,
-            ),
-            (
-                "airshed_server_cancelled_total",
-                "Jobs cancelled.",
-                self.cancelled,
-            ),
-            (
-                "airshed_server_deadline_expired_total",
-                "Jobs expired at an hour boundary.",
-                self.deadline_expired,
-            ),
-            (
-                "airshed_server_failed_total",
-                "Jobs that panicked.",
-                self.failed,
-            ),
-        ];
-        for (name, help, v) in counters {
-            w.header(name, help, "counter");
-            w.sample(name, "", v as f64);
-        }
-        w.header(
-            "airshed_server_in_flight",
-            "Jobs accepted but not finished.",
-            "gauge",
-        );
-        w.sample("airshed_server_in_flight", "", self.in_flight as f64);
-        w.header(
-            "airshed_server_queue_depth",
-            "Jobs waiting in the queue.",
-            "gauge",
-        );
-        w.sample("airshed_server_queue_depth", "", self.queue_depth as f64);
-
-        w.header(
-            "airshed_server_cache_events_total",
-            "Cache hits and misses by cache and outcome.",
-            "counter",
-        );
-        let caches: [(&str, &str, u64); 6] = [
-            ("profile", "hit", self.profile_cache_hits),
-            ("profile", "miss", self.profile_cache_misses),
-            ("result", "hit", self.result_cache_hits),
-            ("result", "miss", self.result_cache_misses),
-            ("plan", "hit", self.plans.hits),
-            ("plan", "miss", self.plans.misses),
-        ];
-        for (cache, outcome, v) in caches {
-            w.sample(
-                "airshed_server_cache_events_total",
-                &format!(
-                    "{},{}",
-                    prom::label("cache", cache),
-                    prom::label("outcome", outcome)
-                ),
-                v as f64,
-            );
-        }
-
-        w.header(
-            "airshed_server_cache_entries",
-            "Entries resident in a cache (the process-wide plan memo).",
-            "gauge",
-        );
-        w.sample(
-            "airshed_server_cache_entries",
-            &prom::label("cache", "plan"),
-            self.plans.entries as f64,
-        );
-
-        w.header(
-            "airshed_server_profile_coalesced_total",
-            "Profile-cache hits that waited on another job's numerics run.",
-            "counter",
-        );
-        w.sample(
-            "airshed_server_profile_coalesced_total",
-            "",
-            self.profile_coalesced as f64,
-        );
-
-        let ensemble: [(&str, &str, u64); 3] = [
-            (
-                "airshed_server_ensemble_members_total",
-                "Ensemble members run through sweeps.",
-                self.ensemble_members,
-            ),
-            (
-                "airshed_server_ensemble_input_hours_shared_total",
-                "Member-hours whose input stage was deduplicated.",
-                self.ensemble_input_hours_shared,
-            ),
-            (
-                "airshed_server_ensemble_saved_bytes_total",
-                "Input-generation bytes avoided by the shared input stage.",
-                self.ensemble_saved_bytes,
-            ),
-        ];
-        for (name, help, v) in ensemble {
-            w.header(name, help, "counter");
-            w.sample(name, "", v as f64);
-        }
-        w.header(
-            "airshed_server_surrogate_answers_total",
-            "What-if answers by tier (surrogate hit vs exact fallback).",
-            "counter",
-        );
-        for (tier, v) in [
-            ("hit", self.surrogate_hits),
-            ("miss", self.surrogate_misses),
-        ] {
-            w.sample(
-                "airshed_server_surrogate_answers_total",
-                &prom::label("tier", tier),
-                v as f64,
-            );
-        }
-
-        w.header(
-            "airshed_server_job_seconds",
-            "Job latency by stage (queue wait, service, end-to-end).",
-            "histogram",
-        );
-        for (stage, h) in [
-            ("queue_wait", &self.queue_wait),
-            ("service", &self.service),
-            ("latency", &self.latency),
-        ] {
-            w.histogram(
-                "airshed_server_job_seconds",
-                &prom::label("stage", stage),
-                h,
-            );
-        }
-        w.finish()
+        airshed_core::obs::prom::render(Self::FAMILIES, self)
     }
 }
 

@@ -5,7 +5,8 @@
 # the one-arithmetic, one-pricing-machine, one-observer, one-virtual-timeline,
 # fabric-routes-batches,
 # one-cost-fold and one-graph word checks,
-# the one-way-to-a-plan-set and one-codec checks, the one-feature-probe and
+# the one-way-to-a-plan-set, one-codec and one-metrics-table checks, the
+# one-feature-probe and
 # chemistry `// SAFETY:` checks, the large-budget
 # hostile-input property of every decoder, a 2-thread backend smoke run, the
 # large-budget lane proptests of transport and chemistry, the paper-grid
@@ -244,6 +245,39 @@ if grep -nE 'fn (enc|dec)_' crates/fabric/src/proto.rs; then
     exit 1
 fi
 echo "one codec OK"
+
+echo "==> one metrics table: every exported family is a metrics! row"
+# Each counter, gauge and histogram is declared once, as a row of a
+# `metrics!` list (crates/core/src/obs/metrics.rs), and written by
+# core::obs::prom::render. A hand-written renderer, or a snapshot filled
+# in field by field beside the registry, is a second copy of the list.
+tables="$(git ls-files '*.rs' \
+    | grep -v '^vendor/\|^benchmark/\|^crates/core/src/obs/' | xargs awk '
+    FNR == 1 { in_tests = FILENAME ~ /(^|\/)tests\// }
+    /^[[:space:]]*#\[cfg\(test\)\]/ { in_tests = 1 }
+    !in_tests && !/^[[:space:]]*\/\// \
+        && (/PromWriter::new|\.header\(|\.sample\(/ \
+            || (/MetricsSnapshot[[:space:]]*\{/ \
+                && !/(->|impl|for|struct)[[:space:]]+MetricsSnapshot/)) {
+        print FILENAME ":" FNR ": " $0 }')"
+if [ -n "$tables" ]; then
+    echo "$tables"
+    echo "one metrics table FAILED: the lines above render or snapshot metrics by hand" >&2
+    exit 1
+fi
+# A family is named once: a second string literal of an exported name is
+# a second declaration of it.
+twice="$(git ls-files '*.rs' | grep -v '^vendor/\|^benchmark/' | xargs awk '
+    FNR == 1 { in_tests = FILENAME ~ /(^|\/)tests\// }
+    /^[[:space:]]*#\[cfg\(test\)\]/ { in_tests = 1 }
+    !in_tests { while (match($0, /"airshed_(server|fabric|ensemble)_[a-z_]*"|"airshed_copy_bytes_total"/)) {
+        print substr($0, RSTART, RLENGTH); $0 = substr($0, RSTART + RLENGTH) } }' | sort | uniq -d)"
+if [ -n "$twice" ]; then
+    echo "$twice"
+    echo "one metrics table FAILED: the family names above are declared more than once" >&2
+    exit 1
+fi
+echo "one metrics table OK"
 
 echo "==> one feature probe, and every chemistry unsafe says why"
 # airshed-simd detects each CPU feature once (fma_available,
