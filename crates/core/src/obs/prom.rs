@@ -48,12 +48,8 @@ fn histogram(out: &mut String, name: &str, labels: &str, h: &HistogramSnapshot) 
         }
     }
     let _ = writeln!(out, "{name}_bucket{{{labels}{sep}le=\"+Inf\"}} {}", h.count);
-    sample(
-        out,
-        &format!("{name}_sum"),
-        labels,
-        h.total_micros as f64 * 1e-6,
-    );
+    let sum = h.total_micros as f64 * 1e-6;
+    sample(out, &format!("{name}_sum"), labels, sum);
     sample(out, &format!("{name}_count"), labels, h.count as f64);
 }
 
