@@ -30,9 +30,10 @@ use std::sync::{Arc, LazyLock, Mutex, MutexGuard, PoisonError};
 /// Machine word size — 8 bytes on all three paper machines.
 pub const WORD: usize = 8;
 
-/// The historical name of [`crate::plan::ItemLayout`] (chemistry was the
-/// first phase to gain a layout knob); the two are one type.
-pub use crate::plan::ItemLayout as ChemLayout;
+/// The historical name of [`airshed_hpf::dist::Layout`] (chemistry was
+/// the first phase to gain a layout knob); like
+/// [`crate::plan::ItemLayout`], it is that one type.
+pub use airshed_hpf::dist::Layout as ChemLayout;
 
 /// One layout choice per distributed phase — the optimizer's decision
 /// variable. `Default` is the paper's plan: `BLOCK` everywhere.
@@ -82,10 +83,8 @@ pub struct HourPlans {
     pub main: AirshedRedists,
     /// `D_Trans -> D_Repl` at the hour boundary (before `outputhour`).
     pub trans_to_repl: RedistPlan,
-    /// Transport layer layout.
-    pub trans_layout: ChemLayout,
-    /// Chemistry column layout.
-    pub chem_layout: ChemLayout,
+    /// The per-phase layouts the plans were built for.
+    pub layouts: PlanLayouts,
 }
 
 /// Plan sets the process-wide memo keeps. A server sees one set per
@@ -203,8 +202,7 @@ impl HourPlans {
                 chem_to_repl: edge(&d_chem, &d_repl, labels::CHEM_TO_REPL),
             },
             trans_to_repl: edge(&d_trans, &d_repl, labels::TRANS_TO_REPL),
-            trans_layout: layouts.transport,
-            chem_layout: layouts.chemistry,
+            layouts,
         }
     }
 }

@@ -42,8 +42,6 @@ use crate::driver::{HourPlans, PlanLayouts};
 use crate::predict::step_seconds;
 use crate::profile::{HourProfile, WorkProfile};
 use crate::report::RunReport;
-use airshed_hpf::dist::Distribution;
-use airshed_hpf::loops::block_ranges;
 use airshed_hpf::redist::RedistPlan;
 use airshed_machine::{Machine, MachineProfile, NodeCommLoad, PhaseCategory, PhaseKind};
 use std::borrow::Cow;
@@ -65,139 +63,11 @@ pub enum Stage {
     Output,
 }
 
-/// How a distributed phase lays its items out over nodes — the
-/// plan-level view of an HPF distribution's work partition, and the
-/// *single* place that owns the per-item → per-node reduction. Fx
-/// supports block, cyclic and block-cyclic layouts; the paper's Airshed
-/// used `BLOCK` everywhere (the `Default`). `CYCLIC` balances the
-/// urban/rural chemistry load imbalance; `BlockCyclic(b)` trades
-/// imbalance against redistribution message counts. The plan optimizer
-/// picks one per distributed phase.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum ItemLayout {
-    /// Contiguous blocks (HPF `BLOCK`), ceil-sized with trailing nodes
-    /// possibly empty.
-    #[default]
-    Block,
-    /// Round-robin striping (HPF `CYCLIC`): item `i` goes to node
-    /// `i mod p`.
-    Cyclic,
-    /// Round-robin runs of `b` items (HPF `CYCLIC(b)`): item `i` goes to
-    /// node `(i / b) mod p` — the same ownership rule as
-    /// `hpf::dist::DimDist::BlockCyclic`.
-    BlockCyclic(usize),
-}
-
-impl ItemLayout {
-    /// The HPF distribution of `A(species, layers, nodes)` this layout
-    /// gives a phase distributed along dimension `dim`.
-    pub fn distribution_on(&self, dim: usize) -> Distribution {
-        match self {
-            ItemLayout::Block => Distribution::block(3, dim),
-            ItemLayout::Cyclic => Distribution::cyclic(3, dim),
-            ItemLayout::BlockCyclic(b) => Distribution::block_cyclic(3, dim, *b),
-        }
-    }
-
-    /// Each node's share of per-item work (per layer or per column) in
-    /// node order — the one walk every per-node fold takes, allocating
-    /// nothing. A node adds its items in ascending order from `+0.0`
-    /// (not `Iterator::sum`'s `-0.0`), so an empty node yields `+0.0`
-    /// under every layout. Block takes `block_ranges`' ranges, Cyclic
-    /// strides by `p`, `BlockCyclic(b)` takes runs of `b` strided by `p·b`.
-    pub fn node_sums<'w>(self, per_item: &'w [f64], p: usize) -> impl Iterator<Item = f64> + 'w {
-        let n = per_item.len();
-        let block = n.div_ceil(p.max(1)).max(1);
-        (0..p).map(move |node| match self {
-            ItemLayout::Block => per_item[(node * block).min(n)..((node + 1) * block).min(n)]
-                .iter()
-                .fold(0.0, |a, &w| a + w),
-            ItemLayout::Cyclic => per_item
-                .get(node..)
-                .map_or(0.0, |mine| mine.iter().step_by(p).fold(0.0, |a, &w| a + w)),
-            ItemLayout::BlockCyclic(b) => {
-                let b = b.max(1);
-                (node.saturating_mul(b)..n)
-                    .step_by(p.saturating_mul(b))
-                    .fold(0.0, |a, run| {
-                        per_item[run..run.saturating_add(b).min(n)]
-                            .iter()
-                            .fold(a, |a, &w| a + w)
-                    })
-            }
-        })
-    }
-
-    /// [`ItemLayout::node_sums`] collected: per-item work reduced to
-    /// per-node work under this layout.
-    ///
-    /// ```
-    /// use airshed_core::plan::ItemLayout;
-    /// let per_item = [3.0, 1.0, 4.0, 1.0, 5.0];
-    /// // BLOCK: ceil-sized contiguous blocks of 3 + 2 items.
-    /// assert_eq!(ItemLayout::Block.per_node(&per_item, 2), vec![8.0, 6.0]);
-    /// // CYCLIC: items 0,2,4 on node 0; items 1,3 on node 1.
-    /// assert_eq!(ItemLayout::Cyclic.per_node(&per_item, 2), vec![12.0, 2.0]);
-    /// ```
-    pub fn per_node(&self, per_item: &[f64], p: usize) -> Vec<f64> {
-        self.node_sums(per_item, p).collect()
-    }
-
-    /// The heaviest node's work under this layout: the largest of
-    /// [`ItemLayout::node_sums`], `+0.0` when every node is empty.
-    pub fn heaviest(&self, per_item: &[f64], p: usize) -> f64 {
-        self.node_sums(per_item, p).fold(0.0f64, f64::max)
-    }
-
-    /// Partition item *indices* into per-part ownership lists under this
-    /// layout — the index-level counterpart of [`ItemLayout::per_node`]:
-    /// summing `per_item` over `partition(n, p)[k]` gives
-    /// `per_node(per_item, p)[k]`. The virtual machine charges the
-    /// per-node sums; the real execution backend runs the index lists.
-    /// Block parts are contiguous ascending ranges; cyclic parts stripe
-    /// round-robin (each list still ascends).
-    ///
-    /// ```
-    /// use airshed_core::plan::ItemLayout;
-    /// assert_eq!(
-    ///     ItemLayout::Cyclic.partition(5, 2),
-    ///     vec![vec![0, 2, 4], vec![1, 3]],
-    /// );
-    /// ```
-    pub fn partition(&self, n_items: usize, parts: usize) -> Vec<Vec<usize>> {
-        match self {
-            ItemLayout::Block => block_ranges(n_items, parts)
-                .into_iter()
-                .map(|r| r.collect())
-                .collect(),
-            ItemLayout::Cyclic => {
-                let mut out = vec![Vec::new(); parts];
-                for i in 0..n_items {
-                    out[i % parts].push(i);
-                }
-                out
-            }
-            ItemLayout::BlockCyclic(b) => {
-                let b = (*b).max(1);
-                let mut out = vec![Vec::new(); parts];
-                for i in 0..n_items {
-                    out[(i / b) % parts].push(i);
-                }
-                out
-            }
-        }
-    }
-}
-
-impl std::fmt::Display for ItemLayout {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ItemLayout::Block => write!(f, "BLOCK"),
-            ItemLayout::Cyclic => write!(f, "CYCLIC"),
-            ItemLayout::BlockCyclic(b) => write!(f, "CYCLIC({b})"),
-        }
-    }
-}
+/// How a distributed phase lays its items out over nodes: the HPF
+/// layout of its parallel axis, [`airshed_hpf::dist::Layout`] — one
+/// type and one ownership rule for the plan, the planner and the host
+/// pool. The plan optimizer picks one per distributed phase.
+pub use airshed_hpf::dist::Layout as ItemLayout;
 
 /// The work a compute node carries. A graph borrows its per-item work
 /// from the captured profile; a module that prices its own work (PopExp)
@@ -351,8 +221,10 @@ impl<'a> PhaseGraph<'a> {
             assert_eq!(e.loads.len(), p, "plans were built for a different P");
         }
         let layers = plans.shape[1];
-        let trans_layout = plans.trans_layout;
-        let chem_layout = plans.chem_layout;
+        let PlanLayouts {
+            transport: trans_layout,
+            chemistry: chem_layout,
+        } = plans.layouts;
 
         let compute = |stage, kind, work| PhaseNode {
             stage,
@@ -621,20 +493,6 @@ mod tests {
                 assert!(e.conserves_bytes(), "{} at p={p}", e.label);
             }
         }
-    }
-
-    #[test]
-    fn block_layout_partitions_work() {
-        let work: Vec<f64> = (0..17).map(|i| i as f64).collect();
-        for p in [1usize, 4, 5, 17, 32] {
-            let per = ItemLayout::Block.per_node(&work, p);
-            assert_eq!(per.len(), p);
-            let total: f64 = per.iter().sum();
-            assert!((total - work.iter().sum::<f64>()).abs() < 1e-12, "p={p}");
-        }
-        // Ceil-sized blocks: 17 items over 4 nodes = 5,5,5,2.
-        let per = ItemLayout::Block.per_node(&[1.0; 17], 4);
-        assert_eq!(per, vec![5.0, 5.0, 5.0, 2.0]);
     }
 
     #[test]

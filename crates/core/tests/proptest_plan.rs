@@ -3,10 +3,10 @@
 use airshed_core::driver::{ChemLayout, HourPlans, PlanLayouts};
 use airshed_core::plan::{optimize_plan, ItemLayout, Op, PhaseGraph, Work};
 use airshed_core::profile::{HourProfile, StepProfile, WorkProfile};
-use airshed_hpf::loops::block_ranges;
 use airshed_machine::MachineProfile;
 use proptest::prelude::*;
 use std::borrow::Cow;
+use std::ops::Range;
 
 fn hour(shape: [usize; 3], steps: usize, scale: f64) -> HourProfile {
     let [_, layers, nodes] = shape;
@@ -43,6 +43,15 @@ fn weight(x: u64) -> f64 {
 
 fn to_bits(v: &[f64]) -> Vec<u64> {
     v.iter().map(|w| w.to_bits()).collect()
+}
+
+/// `BLOCK` ownership written out: ceil-sized ranges, one per node,
+/// trailing ones possibly empty.
+fn block_ranges(extent: usize, p: usize) -> Vec<Range<usize>> {
+    let b = extent.div_ceil(p).max(1);
+    (0..p)
+        .map(|node| (node * b).min(extent)..((node + 1) * b).min(extent))
+        .collect()
 }
 
 /// Per-node work as the loops before the node walk computed it: block

@@ -43,12 +43,22 @@ pub struct ScenarioJob {
     pub layout: ChemLayout,
     pub resume: Option<ResumePoint>,
 }
+
+/// The most nodes a job may ask a shard to replay on: 512× the paper's
+/// largest machine (128 nodes). A replay plans four redistributions of
+/// one 40-byte load per node, so the bound holds a job's plans to
+/// ≈ 10 MB; an unbounded `P` would be an allocation the shard process
+/// cannot survive (an abort, which no worker guard catches).
+pub const MAX_NODES: usize = 65_536;
+
 codec! {
     ScenarioJob { config, layout, resume },
     // A shard replays the job on `config.p` nodes under `layout`: a
-    // machine needs a node and a block-cyclic run needs an item.
+    // machine needs a node (and no more than `MAX_NODES`) and a
+    // block-cyclic run needs an item.
     validate = |job| match (job.config.p, job.layout) {
         (0, _) => Err(WireError::Malformed("a job needs at least one node")),
+        (p, _) if p > MAX_NODES => Err(WireError::Malformed("a job on more than MAX_NODES nodes")),
         (_, ChemLayout::BlockCyclic(0)) => Err(WireError::Malformed("a CYCLIC(0) layout")),
         _ => Ok(()),
     }

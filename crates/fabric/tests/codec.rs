@@ -23,11 +23,13 @@ use airshed_core::codec::{self, intern, Codec, WireError, MAX_INTERNED_NAMES};
 use airshed_core::config::{DatasetChoice, SimConfig, Weather};
 use airshed_core::driver::{run_with_profile_on, ChemLayout, PlanMemoStats};
 use airshed_core::obs::dist::TraceContext;
+use airshed_core::plan::replay_profile;
 use airshed_core::predict::{CommOccurrences, PerfModel};
 use airshed_core::profile::{HourProfile, StepProfile, WorkProfile};
 use airshed_core::report::{CommStepSummary, CopyBytes, LatencyAnatomy, RunReport};
 use airshed_core::state::{HourSummary, SimState};
 use airshed_core::ExecSpec;
+use airshed_fabric::proto::MAX_NODES;
 use airshed_fabric::{Msg, ScenarioJob};
 use airshed_machine::MachineProfile;
 use airshed_server::ResumePoint;
@@ -368,11 +370,12 @@ fn resume(r: &mut Rng) -> ResumePoint {
     }
 }
 
-/// A job the codec accepts: at least one node, and no `CYCLIC(0)` (the
-/// refused ones are `an_assign_a_shard_cannot_replay_is_refused`).
+/// A job the codec accepts: one to `MAX_NODES` nodes, and no
+/// `CYCLIC(0)` (the refused ones are
+/// `an_assign_a_shard_cannot_replay_is_refused`).
 fn job(r: &mut Rng) -> ScenarioJob {
     let mut config = config(r);
-    config.p = config.p.max(1);
+    config.p = config.p.clamp(1, MAX_NODES);
     let layout = match layout(r) {
         ChemLayout::BlockCyclic(b) => ChemLayout::BlockCyclic(b.max(1)),
         other => other,
@@ -611,36 +614,66 @@ fn golden_files_survive_seeded_corruption() {
     file.check(&bytes, 0, 32, false);
 }
 
-/// An `Assign` whose replay would panic a shard worker — no nodes, or
-/// a block-cyclic run of no items — is a typed decode error, not a job.
+/// `Msg::Assign` carrying one tiny job on `p` nodes under `layout`,
+/// encoded and decoded again.
+fn assign(p: usize, layout: ChemLayout) -> Result<Msg, WireError> {
+    let msg = Msg::Assign {
+        job: 7,
+        ctx: TraceContext {
+            trace_id: 1,
+            parent_span: 2,
+            job_id: 7,
+        },
+        work: Box::new(ScenarioJob {
+            config: SimConfig {
+                p,
+                ..SimConfig::test_tiny(4, 1)
+            },
+            layout,
+            resume: None,
+        }),
+    };
+    Msg::decode(msg.tag(), &msg.encode())
+}
+
+/// An `Assign` a shard cannot replay — no nodes, more nodes than
+/// `MAX_NODES` (whose plans would abort the shard on allocation), or a
+/// block-cyclic run of no items — is a typed decode error, not a job.
 #[test]
 fn an_assign_a_shard_cannot_replay_is_refused() {
-    let assign = |p: usize, layout: ChemLayout| {
-        let msg = Msg::Assign {
-            job: 7,
-            ctx: TraceContext {
-                trace_id: 1,
-                parent_span: 2,
-                job_id: 7,
-            },
-            work: Box::new(ScenarioJob {
-                config: SimConfig {
-                    p,
-                    ..SimConfig::test_tiny(4, 1)
-                },
-                layout,
-                resume: None,
-            }),
-        };
-        Msg::decode(msg.tag(), &msg.encode())
-    };
     assert!(assign(4, ChemLayout::BlockCyclic(1)).is_ok());
-    for (p, layout) in [(4, ChemLayout::BlockCyclic(0)), (0, ChemLayout::Block)] {
+    assert!(assign(MAX_NODES, ChemLayout::Block).is_ok());
+    for (p, layout) in [
+        (4, ChemLayout::BlockCyclic(0)),
+        (0, ChemLayout::Block),
+        (1 << 36, ChemLayout::Block),
+        (MAX_NODES + 1, ChemLayout::Block),
+    ] {
         match assign(p, layout) {
             Err(WireError::Malformed(_)) => {}
             other => panic!("p = {p}, {layout}: {other:?}"),
         }
     }
+}
+
+/// A decoded `Assign` carrying `CYCLIC(2^62)` on 64 nodes — a run so
+/// long that `p·b` overflows — replays as a shard replays it, without
+/// panicking: every column lands on node 0, as under `CYCLIC(n)` for
+/// the grid's `n` columns.
+#[test]
+fn an_assign_whose_run_overflows_replays_on_node_zero() {
+    let Ok(Msg::Assign { work, .. }) = assign(64, ChemLayout::BlockCyclic(1 << 62)) else {
+        panic!("the job is well formed");
+    };
+    let (_, profile) = run_with_profile_on(&work.config, ExecSpec::serial());
+    let replay = |layout| replay_profile(&profile, work.config.machine, work.config.p, layout);
+    let report = replay(work.layout);
+    let one_run = replay(ChemLayout::BlockCyclic(profile.shape[2]));
+    assert!(report.total_seconds > 0.0);
+    assert_eq!(
+        report.total_seconds.to_bits(),
+        one_run.total_seconds.to_bits()
+    );
 }
 
 /// A vector never reserves more memory than there are unread bytes: a

@@ -173,7 +173,7 @@ impl DistributedArray {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dist::Distribution;
+    use crate::dist::{Distribution, Layout};
 
     fn global(shape: &[usize]) -> Vec<f64> {
         (0..shape.iter().product::<usize>())
@@ -196,9 +196,14 @@ mod tests {
     fn scatter_gather_roundtrip_cyclic_and_block_cyclic() {
         let shape = [5usize, 7];
         let g = global(&shape);
-        let a = DistributedArray::scatter(&g, &shape, Distribution::cyclic(2, 1), 3);
+        let a = DistributedArray::scatter(&g, &shape, Distribution::new(2, 1, Layout::Cyclic), 3);
         assert_eq!(a.gather(), g);
-        let b = DistributedArray::scatter(&g, &shape, Distribution::block_cyclic(2, 0, 2), 2);
+        let b = DistributedArray::scatter(
+            &g,
+            &shape,
+            Distribution::new(2, 0, Layout::BlockCyclic(2)),
+            2,
+        );
         assert_eq!(b.gather(), g);
     }
 

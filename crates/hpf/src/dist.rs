@@ -1,9 +1,9 @@
-//! HPF data distributions and ownership maps.
+//! HPF data distributions and the one ownership rule behind them.
 //!
 //! A distribution assigns each dimension of an array either `*`
-//! (collapsed — every node holds the full extent) or one of `BLOCK`,
-//! `CYCLIC`, `CYCLIC(b)` over the node set. At most one dimension may be
-//! distributed (the 1-D processor arrangements Airshed uses); a
+//! (collapsed — every node holds the full extent) or a [`Layout`] over
+//! the node set: `BLOCK`, `CYCLIC` or `CYCLIC(b)`. At most one dimension
+//! is distributed (the 1-D processor arrangements Airshed uses); a
 //! distribution with no distributed dimension is fully replicated.
 //!
 //! Airshed's three distributions of the concentration array
@@ -12,23 +12,161 @@
 //! * `D_Repl  = A(*, *, *)`      — I/O processing and aerosol;
 //! * `D_Trans = A(*, BLOCK, *)`  — transport (parallel over layers);
 //! * `D_Chem  = A(*, *, BLOCK)`  — chemistry (parallel over columns).
+//!
+//! Every view of ownership — the owned ranges, their closed-form
+//! extent, the owner of an index, the per-node work walk and the
+//! host-pool partition — is derived here from [`Layout`]'s single rule.
 
 use std::ops::Range;
 
-/// Distribution of one array dimension.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DimDist {
-    /// `*`: collapsed; all nodes hold the whole extent.
-    Collapsed,
+/// How the indices `0..n` of a distributed dimension (or the items of a
+/// distributed phase) are laid out over `p` nodes. Fx supports block,
+/// cyclic and block-cyclic layouts; the paper's Airshed used `BLOCK`
+/// everywhere (the `Default`). `CYCLIC` balances the urban/rural
+/// chemistry load imbalance; `CYCLIC(b)` trades imbalance against
+/// redistribution message counts.
+///
+/// **The rule.** Node `k` owns runs of `b` consecutive indices starting
+/// at `k·b`, `k·b + p·b`, `k·b + 2·p·b`, …, cut short at `n`, where the
+/// run length `b` is `⌈n/p⌉` for `BLOCK` (one run per node, trailing
+/// nodes possibly empty), 1 for `CYCLIC` and `b` for `CYCLIC(b)`; index
+/// `i` is owned by node `⌊i/b⌋ mod p`. Products saturate, so a run
+/// longer than any extent leaves every index on node 0.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+pub enum Layout {
     /// `BLOCK`: contiguous ceil-sized blocks.
+    #[default]
     Block,
-    /// `CYCLIC`: round-robin single elements.
+    /// `CYCLIC`: round-robin single indices.
     Cyclic,
-    /// `CYCLIC(b)`: round-robin blocks of `b`.
+    /// `CYCLIC(b)`: round-robin runs of `b` (`CYCLIC(0)` reads as
+    /// `CYCLIC(1)`).
     BlockCyclic(usize),
 }
 
-/// Distribution of a whole array.
+impl Layout {
+    /// The run length `b` of the rule for `n` indices on `p` nodes.
+    fn run(self, n: usize, p: usize) -> usize {
+        match self {
+            Layout::Block => n.div_ceil(p.max(1)).max(1),
+            Layout::Cyclic => 1,
+            Layout::BlockCyclic(b) => b.max(1),
+        }
+    }
+
+    /// The runs `node` owns of `0..n` on `p` nodes, in ascending order;
+    /// none is empty.
+    pub fn runs(self, n: usize, p: usize, node: usize) -> impl Iterator<Item = Range<usize>> {
+        runs_of(self.run(n, p), n, p, node)
+    }
+
+    /// What `node` owns of `0..n` on `p` nodes, counted in closed form:
+    /// `(indices, runs)` — the total length and the count of
+    /// [`Layout::runs`].
+    fn extent(self, n: usize, p: usize, node: usize) -> (usize, usize) {
+        let b = self.run(n, p);
+        let first = node.saturating_mul(b);
+        if first >= n {
+            return (0, 0);
+        }
+        // Runs after the first, each a stride of `p·b` further on; the
+        // last is cut short at `n`.
+        let stride = b.saturating_mul(p);
+        let later = (n - first - 1) / stride;
+        let last_start = first + later * stride;
+        (later * b + b.min(n - last_start), later + 1)
+    }
+
+    /// The node owning index `i` of `0..n` on `p` nodes.
+    fn owner(self, n: usize, p: usize, i: usize) -> usize {
+        (i / self.run(n, p)) % p
+    }
+
+    /// Each node's share of per-item work in node order — the one walk
+    /// every per-node fold takes, allocating nothing. A node adds its
+    /// items in ascending order from `+0.0` (not `Iterator::sum`'s
+    /// `-0.0`), so an empty node yields `+0.0` under every layout. A
+    /// unit run strides through the items by `p`, several times faster
+    /// than slicing one-item runs; longer runs fold slice by slice.
+    pub fn node_sums<'w>(self, per_item: &'w [f64], p: usize) -> impl Iterator<Item = f64> + 'w {
+        let n = per_item.len();
+        let b = self.run(n, p);
+        (0..p).map(move |node| {
+            if b == 1 {
+                per_item
+                    .get(node..)
+                    .map_or(0.0, |mine| mine.iter().step_by(p).fold(0.0, |a, &w| a + w))
+            } else {
+                runs_of(b, n, p, node)
+                    .fold(0.0, |a, run| per_item[run].iter().fold(a, |a, &w| a + w))
+            }
+        })
+    }
+
+    /// [`Layout::node_sums`] collected: per-item work reduced to
+    /// per-node work under this layout.
+    ///
+    /// ```
+    /// use airshed_hpf::dist::Layout;
+    /// let per_item = [3.0, 1.0, 4.0, 1.0, 5.0];
+    /// // BLOCK: ceil-sized contiguous blocks of 3 + 2 items.
+    /// assert_eq!(Layout::Block.per_node(&per_item, 2), vec![8.0, 6.0]);
+    /// // CYCLIC: items 0,2,4 on node 0; items 1,3 on node 1.
+    /// assert_eq!(Layout::Cyclic.per_node(&per_item, 2), vec![12.0, 2.0]);
+    /// ```
+    pub fn per_node(self, per_item: &[f64], p: usize) -> Vec<f64> {
+        self.node_sums(per_item, p).collect()
+    }
+
+    /// The heaviest node's work under this layout: the largest of
+    /// [`Layout::node_sums`], `+0.0` when every node is empty.
+    pub fn heaviest(self, per_item: &[f64], p: usize) -> f64 {
+        self.node_sums(per_item, p).fold(0.0f64, f64::max)
+    }
+
+    /// Partition item *indices* into per-part ownership lists — the
+    /// index-level counterpart of [`Layout::per_node`]: summing
+    /// `per_item` over `partition(n, p)[k]` gives `per_node(per_item,
+    /// p)[k]`. The virtual machine charges the per-node sums; the real
+    /// execution backend runs the index lists. Each list ascends.
+    ///
+    /// ```
+    /// use airshed_hpf::dist::Layout;
+    /// assert_eq!(Layout::Cyclic.partition(5, 2), vec![vec![0, 2, 4], vec![1, 3]]);
+    /// ```
+    pub fn partition(self, n_items: usize, parts: usize) -> Vec<Vec<usize>> {
+        (0..parts)
+            .map(|k| self.runs(n_items, parts, k).flatten().collect())
+            .collect()
+    }
+
+    /// The HPF distribution of a three-dimensional array (Airshed's
+    /// `A(species, layers, nodes)`) with this layout on dimension `dim`.
+    pub fn distribution_on(self, dim: usize) -> Distribution {
+        Distribution::new(3, dim, self)
+    }
+}
+
+/// The rule itself: the runs of length `b` that `node` of `p` owns in
+/// `0..n`, starting at `node·b` and strided by `p·b`.
+fn runs_of(b: usize, n: usize, p: usize, node: usize) -> impl Iterator<Item = Range<usize>> {
+    (node.saturating_mul(b)..n)
+        .step_by(b.saturating_mul(p))
+        .map(move |start| start..start.saturating_add(b).min(n))
+}
+
+impl std::fmt::Display for Layout {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Layout::Block => write!(f, "BLOCK"),
+            Layout::Cyclic => write!(f, "CYCLIC"),
+            Layout::BlockCyclic(b) => write!(f, "CYCLIC({b})"),
+        }
+    }
+}
+
+/// Distribution of a whole array: its rank and, if any, the one
+/// distributed dimension with its layout.
 ///
 /// ```
 /// use airshed_hpf::dist::Distribution;
@@ -43,101 +181,63 @@ pub enum DimDist {
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Distribution {
-    dims: Vec<DimDist>,
+    ndims: usize,
+    distributed: Option<(usize, Layout)>,
 }
 
 impl Distribution {
-    /// Build a distribution, checking that at most one dimension is
-    /// distributed.
-    pub fn new(dims: Vec<DimDist>) -> Distribution {
-        let distributed = dims
-            .iter()
-            .filter(|d| !matches!(d, DimDist::Collapsed))
-            .count();
-        assert!(
-            distributed <= 1,
-            "at most one distributed dimension is supported (got {distributed})"
-        );
-        if let Some(DimDist::BlockCyclic(b)) =
-            dims.iter().find(|d| matches!(d, DimDist::BlockCyclic(_)))
-        {
-            assert!(*b > 0, "block-cyclic block size must be positive");
+    /// `layout` on dimension `dim` of an `ndims`-dimensional array,
+    /// collapsed elsewhere.
+    pub fn new(ndims: usize, dim: usize, layout: Layout) -> Distribution {
+        assert!(dim < ndims, "dimension {dim} of a rank-{ndims} array");
+        Distribution {
+            ndims,
+            distributed: Some((dim, layout)),
         }
-        Distribution { dims }
     }
 
     /// Fully replicated array of `ndims` dimensions: `A(*, ..., *)`.
     pub fn replicated(ndims: usize) -> Distribution {
-        Distribution::new(vec![DimDist::Collapsed; ndims])
+        Distribution {
+            ndims,
+            distributed: None,
+        }
     }
 
     /// `BLOCK` on dimension `dim`, collapsed elsewhere.
     pub fn block(ndims: usize, dim: usize) -> Distribution {
-        let mut dims = vec![DimDist::Collapsed; ndims];
-        dims[dim] = DimDist::Block;
-        Distribution::new(dims)
-    }
-
-    /// `CYCLIC` on dimension `dim`.
-    pub fn cyclic(ndims: usize, dim: usize) -> Distribution {
-        let mut dims = vec![DimDist::Collapsed; ndims];
-        dims[dim] = DimDist::Cyclic;
-        Distribution::new(dims)
-    }
-
-    /// `CYCLIC(b)` on dimension `dim`.
-    pub fn block_cyclic(ndims: usize, dim: usize, b: usize) -> Distribution {
-        let mut dims = vec![DimDist::Collapsed; ndims];
-        dims[dim] = DimDist::BlockCyclic(b);
-        Distribution::new(dims)
+        Distribution::new(ndims, dim, Layout::Block)
     }
 
     pub fn ndims(&self) -> usize {
-        self.dims.len()
-    }
-
-    pub fn dims(&self) -> &[DimDist] {
-        &self.dims
+        self.ndims
     }
 
     /// Index of the distributed dimension, if any.
     pub fn distributed_dim(&self) -> Option<usize> {
-        self.dims
-            .iter()
-            .position(|d| !matches!(d, DimDist::Collapsed))
+        self.distributed.map(|(dim, _)| dim)
+    }
+
+    /// The layout of dimension `dim`, `None` if it is collapsed.
+    fn layout_of(&self, dim: usize) -> Option<Layout> {
+        assert!(dim < self.ndims);
+        self.distributed
+            .and_then(|(d, layout)| (d == dim).then_some(layout))
     }
 
     /// True if no dimension is distributed.
     pub fn is_replicated(&self) -> bool {
-        self.distributed_dim().is_none()
+        self.distributed.is_none()
     }
 
     /// Index ranges of dimension `dim` (extent `n`) owned by `node` out
-    /// of `p`. Collapsed dimensions are fully owned by everyone.
+    /// of `p`: [`Layout::runs`]. Collapsed dimensions are fully owned by
+    /// everyone.
     pub fn owned_dim(&self, dim: usize, n: usize, p: usize, node: usize) -> Vec<Range<usize>> {
         assert!(node < p);
-        match self.dims[dim] {
-            DimDist::Collapsed => vec![0..n],
-            DimDist::Block => {
-                let b = n.div_ceil(p).max(1);
-                let lo = (node * b).min(n);
-                let hi = ((node + 1) * b).min(n);
-                if lo < hi {
-                    vec![lo..hi]
-                } else {
-                    vec![]
-                }
-            }
-            DimDist::Cyclic => (0..n).skip(node).step_by(p).map(|i| i..i + 1).collect(),
-            DimDist::BlockCyclic(b) => {
-                let mut out = Vec::new();
-                let mut start = node * b;
-                while start < n {
-                    out.push(start..(start + b).min(n));
-                    start += b * p;
-                }
-                out
-            }
+        match self.layout_of(dim) {
+            None => vec![0..n],
+            Some(layout) => layout.runs(n, p, node).collect(),
         }
     }
 
@@ -157,27 +257,9 @@ impl Distribution {
     /// total length and the entry count of [`Distribution::owned_dim`].
     pub fn owned_extent(&self, dim: usize, n: usize, p: usize, node: usize) -> (usize, usize) {
         assert!(node < p);
-        match self.dims[dim] {
-            DimDist::Collapsed => (n, usize::from(n > 0)),
-            DimDist::Block => {
-                let b = n.div_ceil(p).max(1);
-                let len = ((node + 1) * b).min(n) - (node * b).min(n);
-                (len, usize::from(len > 0))
-            }
-            DimDist::Cyclic => {
-                let count = n.saturating_sub(node).div_ceil(p);
-                (count, count)
-            }
-            DimDist::BlockCyclic(b) => {
-                // Ranges start at `node*b + k*b*p`; all are `b` long but
-                // possibly the last, which the extent cuts short.
-                let ranges = n.saturating_sub(node * b).div_ceil(b * p);
-                let Some(full) = ranges.checked_sub(1) else {
-                    return (0, 0);
-                };
-                let last_start = node * b + full * b * p;
-                (full * b + b.min(n - last_start), ranges)
-            }
+        match self.layout_of(dim) {
+            None => (n, usize::from(n > 0)),
+            Some(layout) => layout.extent(n, p, node),
         }
     }
 
@@ -193,18 +275,9 @@ impl Distribution {
     /// if the distribution is replicated (every node owns it).
     pub fn owner_of(&self, shape: &[usize], p: usize, idx: &[usize]) -> Option<usize> {
         debug_assert_eq!(idx.len(), self.ndims());
-        let d = self.distributed_dim()?;
-        let i = idx[d];
-        debug_assert!(i < shape[d]);
-        Some(match self.dims[d] {
-            DimDist::Collapsed => unreachable!(),
-            DimDist::Block => {
-                let b = shape[d].div_ceil(p).max(1);
-                i / b
-            }
-            DimDist::Cyclic => i % p,
-            DimDist::BlockCyclic(b) => (i / b) % p,
-        })
+        let (d, layout) = self.distributed?;
+        debug_assert!(idx[d] < shape[d]);
+        Some(layout.owner(shape[d], p, idx[d]))
     }
 
     /// The degree of useful parallelism this distribution offers for a
@@ -312,23 +385,6 @@ mod tests {
     }
 
     #[test]
-    fn block_ownership_partitions_extent() {
-        for (n, p) in [(700usize, 16usize), (5, 8), (10, 3), (1, 4)] {
-            let d = Distribution::block(1, 0);
-            let mut seen = vec![false; n];
-            for node in 0..p {
-                for r in d.owned_dim(0, n, p, node) {
-                    for i in r {
-                        assert!(!seen[i], "index {i} owned twice (n={n}, p={p})");
-                        seen[i] = true;
-                    }
-                }
-            }
-            assert!(seen.iter().all(|&s| s), "not all owned (n={n}, p={p})");
-        }
-    }
-
-    #[test]
     fn block_uses_ceil_blocks() {
         // Paper: "the ceil operation is required ... since the node with
         // the largest amount of data should be considered".
@@ -346,22 +402,8 @@ mod tests {
     }
 
     #[test]
-    fn cyclic_ownership_partitions_extent() {
-        let d = Distribution::cyclic(1, 0);
-        let (n, p) = (13usize, 4usize);
-        let mut owned_count = 0;
-        for node in 0..p {
-            let v: usize = d.owned_dim(0, n, p, node).iter().map(|r| r.len()).sum();
-            owned_count += v;
-            // Cyclic is maximally balanced.
-            assert!(v == n / p || v == n / p + 1);
-        }
-        assert_eq!(owned_count, n);
-    }
-
-    #[test]
     fn block_cyclic_ownership() {
-        let d = Distribution::block_cyclic(1, 0, 3);
+        let d = Distribution::new(1, 0, Layout::BlockCyclic(3));
         // n=10, p=2, b=3: node0 gets [0..3),[6..9); node1 [3..6),[9..10).
         assert_eq!(d.owned_dim(0, 10, 2, 0), vec![0..3, 6..9]);
         assert_eq!(d.owned_dim(0, 10, 2, 1), vec![3..6, 9..10]);
@@ -374,6 +416,7 @@ mod tests {
         for node in 0..7 {
             assert_eq!(d.owned_volume(&shape, 7, node), 120);
         }
+        assert_eq!(d.owner_of(&shape, 4, &[0, 0, 0]), None);
     }
 
     #[test]
@@ -398,42 +441,6 @@ mod tests {
     }
 
     #[test]
-    fn owner_of_agrees_with_owned_regions() {
-        let shape = [3usize, 5, 11];
-        for p in [1usize, 2, 4, 7] {
-            for dist in [
-                Distribution::block(3, 1),
-                Distribution::cyclic(3, 2),
-                Distribution::block_cyclic(3, 2, 3),
-            ] {
-                let regions: Vec<_> = (0..p).map(|n| dist.owned(&shape, p, n)).collect();
-                for a in 0..shape[0] {
-                    for b in 0..shape[1] {
-                        for c in 0..shape[2] {
-                            let idx = [a, b, c];
-                            let owner = dist.owner_of(&shape, p, &idx).unwrap();
-                            assert!(regions[owner].contains(&idx), "{idx:?} p={p}");
-                            for (n, r) in regions.iter().enumerate() {
-                                assert_eq!(r.contains(&idx), n == owner);
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        assert_eq!(
-            Distribution::replicated(3).owner_of(&shape, 4, &[0, 0, 0]),
-            None
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "at most one distributed dimension")]
-    fn two_distributed_dims_rejected() {
-        Distribution::new(vec![DimDist::Block, DimDist::Block]);
-    }
-
-    #[test]
     fn overlap_cases() {
         assert_eq!(overlap(&[0..5], &[3..8]), (2, 1));
         assert_eq!(overlap(&[0..2, 4..6], &[1..5]), (2, 2));
@@ -444,14 +451,16 @@ mod tests {
     #[test]
     fn owned_extent_counts_what_owned_dim_lists() {
         for kind in [
-            DimDist::Collapsed,
-            DimDist::Block,
-            DimDist::Cyclic,
-            DimDist::BlockCyclic(1),
-            DimDist::BlockCyclic(3),
-            DimDist::BlockCyclic(8),
+            None,
+            Some(Layout::Block),
+            Some(Layout::Cyclic),
+            Some(Layout::BlockCyclic(1)),
+            Some(Layout::BlockCyclic(3)),
+            Some(Layout::BlockCyclic(8)),
+            Some(Layout::BlockCyclic(1 << 62)),
+            Some(Layout::BlockCyclic(usize::MAX)),
         ] {
-            let d = Distribution::new(vec![kind]);
+            let d = kind.map_or(Distribution::replicated(1), |l| Distribution::new(1, 0, l));
             for n in 0..40 {
                 for p in 1..12 {
                     for node in 0..p {

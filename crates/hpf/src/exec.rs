@@ -125,6 +125,7 @@ pub fn execute_redistribution(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dist::Layout;
     use crate::redist::plan;
 
     fn global(shape: &[usize]) -> Vec<f64> {
@@ -139,10 +140,16 @@ mod tests {
         let g = global(&shape);
         for (src, dst) in [
             (Distribution::block(3, 1), Distribution::block(3, 2)),
-            (Distribution::block(3, 2), Distribution::cyclic(3, 2)),
-            (Distribution::cyclic(3, 2), Distribution::block(3, 1)),
             (
-                Distribution::block_cyclic(3, 2, 2),
+                Distribution::block(3, 2),
+                Distribution::new(3, 2, Layout::Cyclic),
+            ),
+            (
+                Distribution::new(3, 2, Layout::Cyclic),
+                Distribution::block(3, 1),
+            ),
+            (
+                Distribution::new(3, 2, Layout::BlockCyclic(2)),
                 Distribution::block(3, 2),
             ),
         ] {
@@ -201,8 +208,8 @@ mod tests {
     fn executor_agrees_with_gather_scatter_reference() {
         let shape = [2usize, 6, 10];
         let g = global(&shape);
-        let src = Distribution::cyclic(3, 1);
-        let dst = Distribution::block_cyclic(3, 2, 3);
+        let src = Distribution::new(3, 1, Layout::Cyclic);
+        let dst = Distribution::new(3, 2, Layout::BlockCyclic(3));
         let mut reference = DistributedArray::scatter(&g, &shape, src.clone(), 4);
         let arr = reference.clone();
         reference.redistribute(dst.clone(), 8);

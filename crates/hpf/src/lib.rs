@@ -18,13 +18,13 @@
 //! virtual [`airshed_machine::Machine`] charges the paper's
 //! `Ct = L·m + G·b + H·c` model for them.
 //!
-//! * [`dist`] — distribution descriptors and ownership maps;
+//! * [`dist`] — the one ownership rule ([`dist::Layout`]: `BLOCK`,
+//!   `CYCLIC`, `CYCLIC(b)`) and the distributions built on it;
 //! * [`mod@array`] — distributed arrays with per-node local tiles;
 //! * [`redist`] — redistribution planning;
 //! * [`exec`] — message-passing execution of a plan over the PVM
 //!   substrate, with observed-traffic accounting (the plan-vs-reality
 //!   check);
-//! * [`loops`] — owned-index-set helpers for parallel loops;
 //! * [`pipeline`] — pipelined task-parallel scheduling (§5, Figure 8);
 //! * [`pvm`] — a PVM-like message-passing substrate (threads +
 //!   mailboxes) hosting foreign modules;
@@ -35,11 +35,10 @@ pub mod dist;
 pub mod exec;
 pub mod foreign;
 pub mod host;
-pub mod loops;
 pub mod pipeline;
 pub mod pvm;
 pub mod redist;
 
 pub use array::DistributedArray;
-pub use dist::{DimDist, Distribution};
+pub use dist::{Distribution, Layout};
 pub use redist::RedistPlan;

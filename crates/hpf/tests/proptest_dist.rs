@@ -1,17 +1,17 @@
 //! Property-based tests for distributions and redistribution planning.
 
 use airshed_hpf::array::DistributedArray;
-use airshed_hpf::dist::{DimDist, Distribution};
+use airshed_hpf::dist::{Distribution, Layout};
 use airshed_hpf::redist::{plan, transfers};
 use airshed_machine::cost::NodeCommLoad;
 use proptest::prelude::*;
 
 /// Strategy: an arbitrary single-dim distribution kind.
-fn dim_kind() -> impl Strategy<Value = DimDist> {
+fn dim_kind() -> impl Strategy<Value = Layout> {
     prop_oneof![
-        Just(DimDist::Block),
-        Just(DimDist::Cyclic),
-        (1usize..5).prop_map(DimDist::BlockCyclic),
+        Just(Layout::Block),
+        Just(Layout::Cyclic),
+        (1usize..5).prop_map(Layout::BlockCyclic),
     ]
 }
 
@@ -20,11 +20,7 @@ fn dim_kind() -> impl Strategy<Value = DimDist> {
 fn distribution(ndims: usize) -> impl Strategy<Value = Distribution> {
     prop_oneof![
         Just(Distribution::replicated(ndims)),
-        (0..ndims, dim_kind()).prop_map(move |(dim, kind)| {
-            let mut dims = vec![DimDist::Collapsed; ndims];
-            dims[dim] = kind;
-            Distribution::new(dims)
-        }),
+        (0..ndims, dim_kind()).prop_map(move |(dim, kind)| Distribution::new(ndims, dim, kind)),
     ]
 }
 
@@ -98,7 +94,7 @@ proptest! {
         p in 1usize..20,
         kind in dim_kind(),
     ) {
-        let d = Distribution::new(vec![kind]);
+        let d = Distribution::new(1, 0, kind);
         let mut owned = vec![0u32; n];
         for node in 0..p {
             for r in d.owned_dim(0, n, p, node) {

@@ -11,7 +11,6 @@
 
 use crate::population::PopulationGrid;
 use airshed_core::plan::{ItemLayout, Work};
-use airshed_hpf::loops::block_ranges;
 use serde::Serialize;
 
 /// Exposure weights per coupled species (O3, NO2, CO, SO2 — the order of
@@ -117,8 +116,9 @@ impl PopExpModel {
         surface: &[f64],
         parts: usize,
     ) -> ExposureResult {
+        let (n, parts) = (self.grid.n_cells(), parts.max(1));
         let mut total = ExposureResult::zero(hour);
-        for cells in block_ranges(self.grid.n_cells(), parts.max(1)) {
+        for cells in (0..parts).flat_map(|part| ItemLayout::Block.runs(n, parts, part)) {
             total.absorb(&self.exposure_cells(hour, surface, cells));
         }
         total

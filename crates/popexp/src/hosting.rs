@@ -30,8 +30,8 @@ use airshed_core::driver::PlanLayouts;
 use airshed_core::obs::Obs;
 use airshed_core::profile::WorkProfile;
 use airshed_core::taskpar::{hourly_stage_durations, schedule_stages};
+use airshed_hpf::dist::Layout;
 use airshed_hpf::foreign::{coupling_loads, CouplingScenario};
-use airshed_hpf::loops::block_ranges;
 use airshed_hpf::pvm;
 use airshed_machine::{MachineProfile, NodeCommLoad};
 use serde::Serialize;
@@ -85,7 +85,6 @@ pub fn foreign_exposure_hour(
     surface: &[f64],
     p_pop: usize,
 ) -> ExposureResult {
-    let blocks = block_ranges(model.grid.n_cells(), p_pop.max(1));
     let results = pvm::spawn_group(p_pop, |task| {
         // Interface node (task 0) owns the payload and broadcasts it.
         let payload: Vec<f64> = if task.id == 0 {
@@ -94,7 +93,10 @@ pub fn foreign_exposure_hour(
         } else {
             task.recv_tag(1).data
         };
-        let r = model.exposure_cells(hour, &payload, blocks[task.id].clone());
+        let cells = Layout::Block
+            .runs(model.grid.n_cells(), p_pop, task.id)
+            .next();
+        let r = model.exposure_cells(hour, &payload, cells.unwrap_or_default());
         let packed = vec![r.person_dose, r.people_above_o3_threshold, r.excess_events];
         let mut total = ExposureResult::zero(hour);
         for part in task.gather_to_root(2, packed)? {

@@ -147,11 +147,11 @@ echo "one cost fold OK"
 
 echo "==> replay copies nothing: one allocation-free node walk"
 # Every per-node fold (the heaviest node, Work::charged) walks a layout's
-# items in place with ItemLayout::node_sums. ItemLayout::per_node, the
-# walk collected into a vector, is the reference tests and doc examples
-# read, so a non-test call outside plan/mod.rs is a copy back on a
-# pricing path.
-copies="$(git ls-files '*.rs' | grep -v '^vendor/\|^benchmark/\|^crates/core/src/plan/mod\.rs$' | xargs awk '
+# items in place with Layout::node_sums (hpf::dist; core::plan calls it
+# ItemLayout). Layout::per_node, the walk collected into a vector, is
+# the reference tests and doc examples read, so a non-test call outside
+# hpf/src/dist.rs is a copy back on a pricing path.
+copies="$(git ls-files '*.rs' | grep -v '^vendor/\|^benchmark/\|^crates/hpf/src/dist\.rs$' | xargs awk '
     FNR == 1 { in_tests = FILENAME ~ /(^|\/)tests\// }
     /^[[:space:]]*#\[cfg\(test\)\]/ { in_tests = 1 }
     !in_tests && !/^[[:space:]]*\/\// && /\.per_node\(/ { print FILENAME ":" FNR ": " $0 }')"
@@ -278,6 +278,22 @@ if [ -n "$twice" ]; then
     exit 1
 fi
 echo "one metrics table OK"
+
+echo "==> one ownership rule: every layout view derives from hpf::dist::Layout"
+# BLOCK, CYCLIC and CYCLIC(b) are declared once, as hpf::dist::Layout,
+# and its one rule gives the owned runs, their extent, the owner of an
+# index, the per-node work walk and the host-pool partition. These are
+# the names of the second copies: the per-dimension enum with its
+# converter, the block-range helper, a plan-level layout enum and a
+# walk or partition written beside it.
+rules="$(non_test "(^|[^[:alnum:]_])(DimDist|block_ranges)$end|enum ItemLayout$end|fn (node_sums|partition)$end" \
+    $(git ls-files '*.rs' | grep -v '^vendor/\|^benchmark/\|^crates/hpf/src/dist\.rs$'))"
+if [ -n "$rules" ]; then
+    echo "$rules"
+    echo "one ownership rule FAILED: the lines above lay out items outside hpf::dist" >&2
+    exit 1
+fi
+echo "one ownership rule OK"
 
 echo "==> one feature probe, and every chemistry unsafe says why"
 # airshed-simd detects each CPU feature once (fma_available,
