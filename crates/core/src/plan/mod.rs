@@ -20,9 +20,9 @@
 //! Four lowerings consume the graph:
 //!
 //! 1. [`PhaseGraph::execute`] charges it to a [`Machine`], each node
-//!    with [`step_seconds`] — the one cost fold: what admission, the
-//!    router, the optimizer and the oracle price with is the machine's
-//!    charge. This *is* `driver::charge_hour` (every bit of it pinned by
+//!    with [`step_seconds`], the machine's charge, which the optimizer
+//!    and the oracle fold too (admission and the router price with the
+//!    calibrated [`PerfModel`](crate::predict::PerfModel)). This *is* `driver::charge_hour` (every bit of it pinned by
 //!    the goldens under `tests/golden/plan/`). [`PhaseGraph::execute_with`]
 //!    also hands each node its virtual `(start, end)` as it is charged:
 //!    the trace rows, the oracle's residuals and the `timeline` Gantt

@@ -33,12 +33,15 @@ use airshed_hpf::redist::labels;
 use airshed_machine::{MachineProfile, PhaseKind};
 use serde::Serialize;
 
-/// Virtual seconds the machine charges for one plan node — the single
-/// §4 pricing rule, and the machine's only charge:
-/// [`PhaseGraph::execute`] advances the virtual clock by exactly this,
-/// and the plan optimizer ([`crate::plan::optimize`]), admission and the
-/// router fold the same function, so a plan is priced as it is charged
-/// wherever it is folded.
+/// Virtual seconds the machine charges for one plan node — the
+/// machine's only charge: [`PhaseGraph::execute`] advances the virtual
+/// clock by exactly this, and the profile-level plan optimizer
+/// ([`crate::plan::optimize`]) folds the same function, so its plans are
+/// priced as they are charged. Serving does not fold it: admission and
+/// the fabric router price with the calibrated model
+/// ([`PerfModel::layout_cost`] under [`PerfModel::choose_layout`], or
+/// the §4 closed form [`PerfModel::scenario_seconds`] for an
+/// unoptimized job).
 pub fn step_seconds(graph: &PhaseGraph, node: &PhaseNode, machine: &MachineProfile) -> f64 {
     match &node.op {
         Op::Compute { work, .. } => work.heaviest(graph.p) / machine.rate,

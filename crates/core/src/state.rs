@@ -93,28 +93,6 @@ impl SimState {
         &mut self.conc[base..base + self.nodes]
     }
 
-    /// Copy one grid column (all species × layers) into `out`
-    /// (species-major, layer-minor: `out[s * layers + l]`).
-    pub fn read_column(&self, n: usize, out: &mut [f64]) {
-        debug_assert_eq!(out.len(), self.species * self.layers);
-        for s in 0..self.species {
-            for l in 0..self.layers {
-                out[s * self.layers + l] = self.conc[self.idx(s, l, n)];
-            }
-        }
-    }
-
-    /// Write a grid column back from the layout `read_column` produced.
-    pub fn write_column(&mut self, n: usize, data: &[f64]) {
-        debug_assert_eq!(data.len(), self.species * self.layers);
-        for s in 0..self.species {
-            for l in 0..self.layers {
-                let i = self.idx(s, l, n);
-                self.conc[i] = data[s * self.layers + l];
-            }
-        }
-    }
-
     /// Copy one grid column into `out` cell-major (`out[l * species + s]`):
     /// each grid cell's species vector is contiguous — the structure-of-
     /// arrays layout the Young–Boris inner loop integrates in place.
@@ -257,12 +235,14 @@ mod tests {
         let d = Dataset::tiny(60);
         let mut s = SimState::from_background(&d);
         let mut col = vec![0.0; 35 * 5];
-        s.read_column(3, &mut col);
+        s.read_column_cells(3, &mut col);
         col[7] = 0.123;
-        s.write_column(3, &col);
+        s.write_column_cells(3, &col);
         let mut col2 = vec![0.0; 35 * 5];
-        s.read_column(3, &mut col2);
+        s.read_column_cells(3, &mut col2);
         assert_eq!(col, col2);
+        // Cell-major: entry 7 is species 7 of layer 0.
+        assert_eq!(s.plane(7, 0)[3], 0.123);
     }
 
     #[test]

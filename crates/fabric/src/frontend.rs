@@ -1,23 +1,31 @@
-//! The front-end process: accept shard connections, drive the
-//! [`Router`], and shuffle frames.
+//! The front-end process: a pure state machine around the [`Router`],
+//! and the socket driver that feeds it.
 //!
-//! All policy lives in the router; this module only does IO. One reader
-//! thread per shard funnels decoded messages into an mpsc channel; the
-//! main loop multiplexes those events with periodic [`Router::poll`]
-//! calls (which is where heartbeat timeouts and re-dispatch happen) and
-//! writes the resulting `Assign`/`Shutdown` frames. A failed write or a
-//! closed reader both collapse to [`Router::on_disconnect`] — the
-//! router treats them identically to a heartbeat timeout.
+//! [`Frontend`] holds no socket and reads no clock, like the router it
+//! owns. Each [`Frontend::step`] takes one [`Event`] with the driver's
+//! clock readings and returns a [`Step`]: the frames to write and the
+//! jobs whose results arrived. Around the router it keeps the fleet's
+//! `Hello` phase, the per-shard clock-offset estimates and wire times,
+//! the collected results, and the "all shards lost" verdict. A seeded
+//! simulation (`tests/fabric_sim.rs`) drives it against in-process
+//! shard models.
+//!
+//! [`serve_batch`] is the IO: accept shards and read their `Hello`s, one
+//! reader thread per shard funnelling decoded messages into an mpsc
+//! channel, the writes, the deadline and the trace marks. A failed
+//! write or a closed reader both become [`Event::Gone`] — the router
+//! treats them identically to a heartbeat timeout.
 
 use crate::proto::{self, Msg};
 use crate::router::{Router, RouterConfig, ShardCounters};
 use airshed_core::codec::{intern, WireError};
 use airshed_core::config::SimConfig;
 use airshed_core::driver::ChemLayout;
-use airshed_core::obs::dist::CLOCK_OFFSET_TRACK;
+use airshed_core::obs::dist::{TraceContext, CLOCK_OFFSET_TRACK};
 use airshed_core::obs::Track;
 use airshed_core::Obs;
 use airshed_core::RunReport;
+use std::collections::{HashMap, VecDeque};
 use std::io::Write;
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::mpsc;
@@ -55,9 +63,250 @@ pub struct FabricOutcome {
     pub prometheus: String,
 }
 
-enum Event {
+/// One input to [`Frontend::step`]. Shards are numbered in the order
+/// their `Hello` arrives.
+#[derive(Debug)]
+pub enum Event {
+    /// A frame from a shard.
     Msg(usize, Msg),
+    /// The shard's connection closed or failed.
     Gone(usize),
+    /// Time passed with no traffic.
+    Tick,
+}
+
+/// What one [`Frontend::step`] asks of its driver.
+#[derive(Debug, Default)]
+pub struct Step {
+    /// `(shard, frame)` to write, in order.
+    pub frames: Vec<(usize, Msg)>,
+    /// `(scenario, trace context)` of every job whose result arrived.
+    pub finished: Vec<(usize, TraceContext)>,
+}
+
+impl Step {
+    /// Record this step's trace marks: a dispatch mark on each shipped
+    /// job's track (the stitcher draws the flow arrow from it to the
+    /// shard-side span with the same `trace_id`), and each finished
+    /// job's span from `submitted` (all jobs are submitted together) to
+    /// `now`.
+    pub fn trace(&self, obs: &Obs, router: &Router, submitted: Instant, now: Instant) {
+        if !obs.enabled() {
+            return;
+        }
+        for (_, msg) in &self.frames {
+            if let Msg::Assign { job, ctx, .. } = msg {
+                obs.record_interval(
+                    router.job_hop(*job),
+                    Track::Job(*job as u32),
+                    now,
+                    now + Duration::from_micros(1),
+                    None,
+                    Some(("trace_id", ctx.trace_id as i64)),
+                );
+            }
+        }
+        for (scenario, ctx) in &self.finished {
+            obs.record_interval(
+                "job",
+                Track::Job(*scenario as u32),
+                submitted,
+                now,
+                None,
+                Some(("trace_id", ctx.trace_id as i64)),
+            );
+        }
+    }
+}
+
+/// The batch cannot finish: every shard is lost with jobs outstanding.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct AllShardsLost {
+    pub outstanding: usize,
+}
+
+impl std::fmt::Display for AllShardsLost {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "all shards lost with {} jobs outstanding",
+            self.outstanding
+        )
+    }
+}
+
+/// See the module docs.
+pub struct Frontend {
+    router: Router,
+    /// Shards to wait for before the batch is submitted.
+    expect: usize,
+    /// The batch until the fleet is complete, then empty.
+    pending: Vec<(SimConfig, ChemLayout)>,
+    /// Each outstanding scenario's trace context, as the router stamped it.
+    ctxs: HashMap<usize, TraceContext>,
+    /// Best clock-offset estimate per shard (µs the driver's trace clock
+    /// is ahead of the shard's): min over `recv - sent` of every
+    /// Hello/Heartbeat sample — each is the true offset plus a one-way
+    /// wire delay, so the minimum is the tightest upper bound.
+    offsets: Vec<f64>,
+    reports: Vec<(usize, RunReport)>,
+    failures: Vec<(usize, String)>,
+}
+
+impl Frontend {
+    /// A front-end that submits `scenarios` (scenario `i` as job `i`)
+    /// once `expect` shards said `Hello`.
+    pub fn new(
+        cfg: RouterConfig,
+        expect: usize,
+        scenarios: &[(SimConfig, ChemLayout)],
+    ) -> Frontend {
+        let mut frontend = Frontend {
+            router: Router::new(cfg),
+            expect,
+            pending: scenarios.to_vec(),
+            ctxs: HashMap::new(),
+            offsets: Vec::new(),
+            reports: Vec::new(),
+            failures: Vec::new(),
+        };
+        frontend.submit_if_ready();
+        frontend
+    }
+
+    /// Feed one event. `now_ms` is the driver's batch clock; `recv_us`
+    /// is when the event arrived on the trace clock, `None` untraced.
+    pub fn step(
+        &mut self,
+        event: Event,
+        now_ms: u64,
+        recv_us: Option<f64>,
+    ) -> Result<Step, AllShardsLost> {
+        match event {
+            Event::Msg(
+                shard,
+                Msg::Hello {
+                    name,
+                    workers,
+                    sent_us,
+                },
+            ) if shard == self.router.shard_count() => {
+                self.router.add_shard(&name, workers as usize, now_ms);
+                self.offsets.push(match recv_us {
+                    Some(recv) if sent_us > 0 => recv - sent_us as f64,
+                    _ => f64::INFINITY,
+                });
+                self.submit_if_ready();
+            }
+            Event::Msg(shard, msg) => {
+                if let Some(recv) = recv_us {
+                    self.observe(shard, &msg, recv);
+                }
+                self.router.on_msg(shard, msg, now_ms);
+            }
+            Event::Gone(shard) => self.router.on_disconnect(shard),
+            Event::Tick => {}
+        }
+        let mut step = Step::default();
+        // Only a shard's Completed or Failed finishes a job, so the
+        // event just handled is the one place results come from.
+        for (scenario, result) in self.router.take_finished() {
+            step.finished
+                .extend(self.ctxs.remove(&scenario).map(|ctx| (scenario, ctx)));
+            match result {
+                Ok(report) => self.reports.push((scenario, report)),
+                Err(message) => self.failures.push((scenario, message)),
+            }
+        }
+        if self.router.shard_count() < self.expect {
+            return Ok(step);
+        }
+        step.frames = self.router.poll(now_ms);
+        let outstanding = self.router.outstanding();
+        if self.router.live_shards() == 0 && outstanding > 0 {
+            return Err(AllShardsLost { outstanding });
+        }
+        Ok(step)
+    }
+
+    fn submit_if_ready(&mut self) {
+        if self.router.shard_count() < self.expect {
+            return;
+        }
+        for (scenario, (config, layout)) in
+            std::mem::take(&mut self.pending).into_iter().enumerate()
+        {
+            let id = self.router.submit(scenario, config, layout);
+            self.ctxs
+                .extend(self.router.job_ctx(id).map(|ctx| (scenario, ctx)));
+        }
+    }
+
+    /// Refine the shard's clock-offset estimate from heartbeat samples
+    /// and turn shard-stamped `sent_us` values into one-way wire times
+    /// for the router's latency anatomy. Runs *before* the message
+    /// reaches [`Router::on_msg`]: completion consumes the job record.
+    fn observe(&mut self, shard: usize, msg: &Msg, recv_us: f64) {
+        let offset = &mut self.offsets[shard];
+        match msg {
+            Msg::Heartbeat { sent_us, .. } if *sent_us > 0 => {
+                *offset = offset.min(recv_us - *sent_us as f64);
+            }
+            Msg::Progress { job, sent_us, .. } | Msg::Completed { job, sent_us, .. }
+                if *sent_us > 0 && offset.is_finite() =>
+            {
+                let wire = (recv_us - (*sent_us as f64 + *offset)).max(0.0);
+                let reply = matches!(msg, Msg::Completed { .. });
+                self.router.note_wire(*job, wire as u64, reply);
+            }
+            _ => {}
+        }
+    }
+
+    /// Every scenario has its result.
+    pub fn is_done(&self) -> bool {
+        self.router.shard_count() >= self.expect && self.router.outstanding() == 0
+    }
+
+    pub fn router(&self) -> &Router {
+        &self.router
+    }
+
+    /// `(scenario, report)` of every completed job, in arrival order.
+    pub fn reports(&self) -> &[(usize, RunReport)] {
+        &self.reports
+    }
+
+    /// `(scenario, error)` of every failed job, in arrival order.
+    pub fn failures(&self) -> &[(usize, String)] {
+        &self.failures
+    }
+
+    /// `(shard name, offset µs)` of every shard with a clock-offset
+    /// estimate.
+    pub fn clock_offsets(&self) -> impl Iterator<Item = (&str, f64)> {
+        let router = &self.router;
+        self.offsets
+            .iter()
+            .enumerate()
+            .filter(|(_, offset)| offset.is_finite())
+            .map(|(s, &offset)| (router.shard_name(s), offset))
+    }
+
+    /// The batch's results (sorted by scenario), counters and metrics.
+    pub fn into_outcome(mut self) -> FabricOutcome {
+        self.reports.sort_by_key(|(i, _)| *i);
+        self.failures.sort_by_key(|(i, _)| *i);
+        let router = &self.router;
+        FabricOutcome {
+            shards: (0..router.shard_count())
+                .map(|s| (router.shard_name(s).to_string(), router.counters(s)))
+                .collect(),
+            prometheus: router.prometheus(),
+            reports: self.reports,
+            failures: self.failures,
+        }
+    }
 }
 
 /// Serve one batch of scenarios over `listener`: wait for
@@ -75,19 +324,16 @@ pub fn serve_batch(
     scenarios: &[(SimConfig, ChemLayout)],
     obs: &Obs,
 ) -> Result<FabricOutcome, String> {
-    let mut router = Router::new(opts.router);
+    let mut frontend = Frontend::new(opts.router, opts.expect, scenarios);
     let (tx, rx) = mpsc::channel::<Event>();
     let mut writers: Vec<Option<TcpStream>> = Vec::new();
     let mut readers = Vec::new();
-    // Best clock-offset estimate per shard (µs this frontend's trace
-    // clock is ahead of the shard's): min over `recv - sent` of every
-    // Hello/Heartbeat sample — each is the true offset plus a one-way
-    // wire delay, so the minimum is the tightest upper bound.
-    let mut offsets: Vec<f64> = vec![f64::INFINITY; opts.expect];
+    let recv_us = || obs.enabled().then(|| obs.us_since_epoch(Instant::now()));
+    let mut events = VecDeque::new();
 
     // Phase 1: collect the fleet. Shards introduce themselves with a
     // Hello frame carrying their name and worker count.
-    for (i, offset) in offsets.iter_mut().enumerate() {
+    for shard in 0..opts.expect {
         let (stream, addr) = listener
             .accept()
             .map_err(|e| format!("accept failed: {e}"))?;
@@ -96,22 +342,13 @@ pub fn serve_batch(
             .try_clone()
             .map_err(|e| format!("clone failed: {e}"))?;
         let hello = proto::recv(&mut reader).map_err(|e| format!("bad hello from {addr}: {e}"))?;
-        let Msg::Hello {
-            name,
-            workers,
-            sent_us,
-        } = hello
-        else {
+        if !matches!(hello, Msg::Hello { .. }) {
             return Err(format!(
                 "expected Hello from {addr}, got tag {}",
                 hello.tag()
             ));
-        };
-        if obs.enabled() && sent_us > 0 {
-            *offset = obs.us_since_epoch(Instant::now()) - sent_us as f64;
         }
-        let shard = router.add_shard(&name, workers as usize, 0);
-        debug_assert_eq!(shard, i);
+        events.push_back((Event::Msg(shard, hello), recv_us()));
         let tx = tx.clone();
         readers.push(std::thread::spawn(move || loop {
             match proto::recv(&mut reader) {
@@ -135,170 +372,62 @@ pub fn serve_batch(
     }
     drop(tx);
 
-    // Phase 2: route everything, then run the event loop.
-    for (i, (config, layout)) in scenarios.iter().enumerate() {
-        router.submit(i, config.clone(), *layout);
-    }
-
+    // Phase 2: the Hellos submit the batch; step until every job is
+    // terminal. The batch clock starts here, so the fleet starts live.
     let epoch = Instant::now();
     let deadline = opts.deadline.map(|d| epoch + d);
-    let mut reports = Vec::new();
-    let mut failures = Vec::new();
-
-    while reports.len() + failures.len() < scenarios.len() {
+    let served = loop {
+        if frontend.is_done() {
+            break Ok(());
+        }
         if deadline.is_some_and(|d| Instant::now() >= d) {
-            shutdown(&mut writers, &mut readers);
-            return Err(format!(
+            break Err(format!(
                 "fabric deadline expired with {} jobs outstanding",
-                router.outstanding()
+                frontend.router().outstanding()
             ));
         }
-        let now_ms = epoch.elapsed().as_millis() as u64;
-        for (shard, msg) in router.poll(now_ms) {
-            if obs.enabled() {
-                if let Msg::Assign { job, ctx, .. } = &msg {
-                    // A dispatch mark on the job's track: the stitcher
-                    // draws the flow arrow from here to the shard-side
-                    // execute span with the same trace_id.
-                    let now = Instant::now();
-                    obs.record_interval(
-                        router.job_hop(*job),
-                        Track::Job(*job as u32),
-                        now,
-                        now + Duration::from_micros(1),
-                        None,
-                        Some(("trace_id", ctx.trace_id as i64)),
-                    );
-                }
-            }
-            let ok = match writers[shard].as_mut() {
-                Some(w) => proto::send(w, &msg).is_ok(),
-                None => false,
-            };
-            if !ok {
+        let (event, recv) = events.pop_front().unwrap_or_else(|| {
+            let event = rx
+                .recv_timeout(Duration::from_millis(20))
+                .unwrap_or(Event::Tick);
+            (event, recv_us())
+        });
+        let step = match frontend.step(event, epoch.elapsed().as_millis() as u64, recv) {
+            Ok(step) => step,
+            Err(lost) => break Err(lost.to_string()),
+        };
+        step.trace(obs, frontend.router(), epoch, Instant::now());
+        for (shard, msg) in step.frames {
+            let sent = writers[shard]
+                .as_mut()
+                .is_some_and(|w| proto::send(w, &msg).is_ok());
+            if !sent {
                 writers[shard] = None;
-                router.on_disconnect(shard);
+                events.push_back((Event::Gone(shard), None));
             }
         }
-        if router.live_shards() == 0 && router.outstanding() > 0 {
-            shutdown(&mut writers, &mut readers);
-            return Err(format!(
-                "all shards lost with {} jobs outstanding",
-                router.outstanding()
-            ));
-        }
-        // Block briefly for traffic, then drain whatever queued up.
-        match rx.recv_timeout(Duration::from_millis(20)) {
-            Ok(ev) => {
-                let mut pending = vec![ev];
-                while let Ok(ev) = rx.try_recv() {
-                    pending.push(ev);
-                }
-                let now_ms = epoch.elapsed().as_millis() as u64;
-                for ev in pending {
-                    match ev {
-                        Event::Msg(shard, msg) => {
-                            if obs.enabled() {
-                                observe_msg(obs, &mut router, &mut offsets, shard, &msg);
-                            }
-                            router.on_msg(shard, msg, now_ms);
-                        }
-                        Event::Gone(shard) => {
-                            writers[shard] = None;
-                            router.on_disconnect(shard);
-                        }
-                    }
-                }
-            }
-            Err(mpsc::RecvTimeoutError::Timeout) => {}
-            Err(mpsc::RecvTimeoutError::Disconnected) => {
-                // Every reader exited; the next live_shards() check
-                // decides whether that is completion or catastrophe.
-            }
-        }
-        // Only a shard's Completed or Failed finishes a job, so the
-        // events just handled are the one place results come from.
-        for (scenario, result) in router.take_finished() {
-            finish_job_span(obs, epoch, scenario);
-            match result {
-                Ok(report) => reports.push((scenario, report)),
-                Err(message) => failures.push((scenario, message)),
-            }
-        }
-    }
-
+    };
     shutdown(&mut writers, &mut readers);
+    served?;
+
     if obs.enabled() {
         // Persist the per-shard clock offsets as a counter track so the
         // trace stitcher can place every process on this timeline from
         // the frontend trace alone.
         let ts = obs.us_since_epoch(Instant::now());
-        for (s, &offset) in offsets.iter().enumerate().take(router.shard_count()) {
-            if !offset.is_finite() {
-                continue;
-            }
+        for (name, offset) in frontend.clock_offsets() {
             // The peer chose this name in its Hello: interned, a
             // long-lived frontend keeps one copy per name, and a name
             // the bounded table refuses goes without a counter.
-            if let Ok(name) = intern(router.shard_name(s)) {
+            if let Ok(name) = intern(name) {
                 obs.record_counter(name, CLOCK_OFFSET_TRACK, ts, offset, None);
             }
         }
     }
-    let prometheus = router.prometheus();
-    obs.publish("fabric-metrics", prometheus.clone());
+    let outcome = frontend.into_outcome();
+    obs.publish("fabric-metrics", outcome.prometheus.clone());
     obs.flush();
-    let shards = (0..router.shard_count())
-        .map(|s| (router.shard_name(s).to_string(), router.counters(s)))
-        .collect();
-    reports.sort_by_key(|(i, _)| *i);
-    failures.sort_by_key(|(i, _)| *i);
-    Ok(FabricOutcome {
-        reports,
-        failures,
-        shards,
-        prometheus,
-    })
-}
-
-/// Refine the shard's clock-offset estimate from heartbeat samples and
-/// turn shard-stamped `sent_us` values into one-way wire times for the
-/// router's latency anatomy. Must run *before* the message reaches
-/// [`Router::on_msg`]: completion consumes the job record.
-fn observe_msg(obs: &Obs, router: &mut Router, offsets: &mut [f64], shard: usize, msg: &Msg) {
-    let recv_us = obs.us_since_epoch(Instant::now());
-    match msg {
-        Msg::Heartbeat { sent_us, .. } if *sent_us > 0 => {
-            let sample = recv_us - *sent_us as f64;
-            if sample < offsets[shard] {
-                offsets[shard] = sample;
-            }
-        }
-        Msg::Progress { job, sent_us, .. } | Msg::Completed { job, sent_us, .. }
-            if *sent_us > 0 && offsets[shard].is_finite() =>
-        {
-            let wire = (recv_us - (*sent_us as f64 + offsets[shard])).max(0.0);
-            router.note_wire(*job, wire as u64, matches!(msg, Msg::Completed { .. }));
-        }
-        _ => {}
-    }
-}
-
-/// Close job `scenario`'s lifecycle span on the fabric-jobs track:
-/// submit (the batch epoch — all jobs are submitted together) to the
-/// moment its result drained. Tagged with the trace id every shard-side
-/// span of this job carries.
-fn finish_job_span(obs: &Obs, epoch: Instant, scenario: usize) {
-    if obs.enabled() {
-        obs.record_interval(
-            "job",
-            Track::Job(scenario as u32),
-            epoch,
-            Instant::now(),
-            None,
-            Some(("trace_id", scenario as i64 + 1)),
-        );
-    }
+    Ok(outcome)
 }
 
 /// Tell live shards to exit, unblock their readers, and join them.

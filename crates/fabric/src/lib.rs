@@ -22,11 +22,11 @@
 //!
 //! | module       | job                                                    |
 //! |--------------|--------------------------------------------------------|
-//! | [`wire`]     | frames and fault injection ([`FaultPlan`])             |
+//! | [`wire`]     | length-prefixed frames, typed framing errors           |
 //! | [`proto`]    | [`Msg`] — the typed protocol, its layout declared once |
 //! | [`router`]   | deterministic routing/stealing/failover state machine  |
 //! | [`shard`]    | shard process: worker pool behind one TCP connection   |
-//! | [`frontend`] | front-end process: accept shards, drive the [`Router`] |
+//! | [`frontend`] | [`Frontend`] state machine and its socket driver       |
 
 pub mod frontend;
 pub mod proto;
@@ -34,8 +34,9 @@ pub mod router;
 pub mod shard;
 pub mod wire;
 
-pub use frontend::{serve_batch, FabricOutcome, FrontendOptions};
+pub use frontend::{
+    serve_batch, AllShardsLost, Event, FabricOutcome, Frontend, FrontendOptions, Step,
+};
 pub use proto::{report_fingerprint, Msg, ScenarioJob};
 pub use router::{Router, RouterConfig, ShardCounters};
 pub use shard::{run_shard, ShardOptions};
-pub use wire::{FaultAction, FaultPlan, FaultyWriter};

@@ -60,7 +60,7 @@ use airshed_core::report::{CopyBytes, LatencyAnatomy};
 use airshed_core::{PerfModel, RunReport};
 use airshed_server::cache::NumericsKey;
 use airshed_server::ResumePoint;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::time::Duration;
 
 /// Router tuning knobs.
@@ -149,7 +149,9 @@ struct Job {
 pub struct Router {
     cfg: RouterConfig,
     shards: Vec<Shard>,
-    jobs: HashMap<u64, Job>,
+    /// By id, so the float folds over it (`mean_cost`) add in one order
+    /// and a seeded run replays whatever the hasher.
+    jobs: BTreeMap<u64, Job>,
     next_job: u64,
     /// Calibrated §4 models by scenario family.
     models: HashMap<NumericsKey, PerfModel>,
@@ -181,7 +183,7 @@ impl Router {
         Router {
             cfg,
             shards: Vec::new(),
-            jobs: HashMap::new(),
+            jobs: BTreeMap::new(),
             next_job: 0,
             models: HashMap::new(),
             orphans: VecDeque::new(),

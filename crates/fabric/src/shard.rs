@@ -23,9 +23,10 @@
 //! Jobs run on the caller's [`Obs`], one lane per worker: an untraced
 //! shard runs its numerics on a disabled handle.
 //!
-//! All writes share one mutex-guarded [`FaultyWriter`], so frames from
-//! concurrent workers never interleave — and a [`FaultPlan`] can
-//! drop/delay/truncate any frame for fault-injection tests.
+//! All writes share one mutex-guarded socket, so frames from concurrent
+//! workers never interleave. A writer that panicked mid-frame poisons
+//! that lock, and a poisoned writer is a dead connection: nothing is
+//! written after a partial frame.
 //!
 //! Two self-destruct knobs support shard-loss testing: `die_after_hours`
 //! hard-exits the process (CI's `kill -9` stand-in, deterministic at an
@@ -34,7 +35,6 @@
 //! test harness down with it.
 
 use crate::proto::{self, Msg, ScenarioJob};
-use crate::wire::{FaultPlan, FaultyWriter};
 use airshed_core::codec::WireError;
 use airshed_core::driver::HourPlans;
 use airshed_core::obs::dist::TraceContext;
@@ -47,7 +47,7 @@ use airshed_server::JobError;
 use std::net::{Shutdown, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Shard configuration.
@@ -67,8 +67,6 @@ pub struct ShardOptions {
     /// Sever the connection and stop (no process exit) once this many
     /// hours completed. The in-process-test variant of the above.
     pub drop_after_hours: Option<u64>,
-    /// Wire-layer fault injection applied to outbound frames.
-    pub fault: FaultPlan,
 }
 
 impl Default for ShardOptions {
@@ -81,13 +79,12 @@ impl Default for ShardOptions {
             heartbeat_ms: 250,
             die_after_hours: None,
             drop_after_hours: None,
-            fault: FaultPlan::none(),
         }
     }
 }
 
 struct Inner {
-    writer: Mutex<FaultyWriter<TcpStream>>,
+    writer: Mutex<TcpStream>,
     queue: BoundedQueue<(u64, TraceContext, ScenarioJob)>,
     /// Global cancel: set by `drop_after_hours`, observed by running
     /// jobs at their next hour boundary.
@@ -99,9 +96,13 @@ struct Inner {
 }
 
 impl Inner {
+    /// Write one frame; `false` once the connection is dead. A poisoned
+    /// lock counts as dead: its holder may have left a partial frame.
     fn send(&self, msg: &Msg) -> bool {
-        let mut w = self.writer.lock().unwrap();
-        w.write_frame(msg.tag(), &msg.encode()).is_ok()
+        match self.writer.lock() {
+            Ok(mut w) => proto::send(&mut *w, msg).is_ok(),
+            Err(_) => false,
+        }
     }
 
     /// Sever the connection so the front-end's reader sees EOF now
@@ -109,8 +110,9 @@ impl Inner {
     fn sever(&self) {
         self.cancel.store(true, Ordering::Relaxed);
         self.queue.close();
-        let w = self.writer.lock().unwrap();
-        let _ = w.get_ref().shutdown(Shutdown::Both);
+        // Shutting the socket writes nothing, so a poisoned lock is safe.
+        let w = self.writer.lock().unwrap_or_else(PoisonError::into_inner);
+        let _ = w.shutdown(Shutdown::Both);
     }
 }
 
@@ -122,7 +124,7 @@ pub fn run_shard(opts: ShardOptions, obs: &Obs) -> Result<(), String> {
     stream.set_nodelay(true).ok();
     let mut reader = stream.try_clone().map_err(|e| format!("clone: {e}"))?;
     let inner = Arc::new(Inner {
-        writer: Mutex::new(FaultyWriter::new(stream, opts.fault.clone())),
+        writer: Mutex::new(stream),
         // Unbounded here: the router's dispatch window (at most
         // `workers` jobs on the wire per shard) is the bound.
         queue: BoundedQueue::new(usize::MAX),

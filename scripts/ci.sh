@@ -6,6 +6,7 @@
 # fabric-routes-batches,
 # one-cost-fold and one-graph word checks,
 # the one-way-to-a-plan-set, one-codec and one-metrics-table checks, the
+# no-fault-injection check and the large-budget fabric simulation, the
 # one-feature-probe and
 # chemistry `// SAFETY:` checks, the large-budget
 # hostile-input property of every decoder, a 2-thread backend smoke run, the
@@ -295,6 +296,20 @@ if [ -n "$rules" ]; then
 fi
 echo "one ownership rule OK"
 
+echo "==> fabric carries no fault injection: failure paths are simulated"
+# The front-end is a state machine driven by a seeded simulation
+# (tests/fabric_sim.rs), so the product has no wire fault layer. These
+# are the names of the one it had: the plan, its actions, the writer
+# that applied them, and the shard option and flag that carried it.
+faults="$(non_test "(^|[^[:alnum:]_])(FaultPlan|FaultAction|FaultyWriter)$end|\"--fault\"|pub fault:" \
+    $(git ls-files '*.rs' | grep -v '^vendor/\|^benchmark/'))"
+if [ -n "$faults" ]; then
+    echo "$faults"
+    echo "fault injection FAILED: the lines above put it back in the product" >&2
+    exit 1
+fi
+echo "no fault injection OK"
+
 echo "==> one feature probe, and every chemistry unsafe says why"
 # airshed-simd detects each CPU feature once (fma_available,
 # avx512_available); a second probe is a second dispatch rule. And every
@@ -327,6 +342,13 @@ echo "==> every decoder under the hostile-input property, large budget"
 # typed errors, and the allocation bound under a counting allocator.
 cargo test --release --offline -p airshed-fabric --test codec -- \
     --ignored every_codec_type_round_trips_and_refuses_hostile_bytes_soak
+
+echo "==> the fabric front-end under the seeded simulation, large budget"
+# `cargo test` runs 96 seeded cases; once here, 22 000 — delay, drops,
+# stalls mid-frame, kills, zombies and steals against the real Frontend
+# and Router, every step checked; a failure names its seed.
+cargo test --release --offline --test fabric_sim -- \
+    --ignored seeded_interleavings_keep_every_contract_soak
 
 echo "==> backend smoke test (rayon, 2 threads)"
 cargo run --release --bin airshed -- run \

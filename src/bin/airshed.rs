@@ -283,16 +283,13 @@ mod tests {
         let o = parse(
             Shard,
             "--connect 127.0.0.1:7700 --name s0 --workers 2 --heartbeat-ms 100 \
-             --die-after-hours 4 --fault drop:3,truncate:5:2",
+             --die-after-hours 4",
         )
         .unwrap();
         assert_eq!(o.connect.as_deref(), Some("127.0.0.1:7700"));
         assert_eq!(o.shard_name, "s0");
         assert_eq!(o.heartbeat_ms, 100);
         assert_eq!(o.die_after_hours, Some(4));
-        assert_eq!(o.fault.as_deref(), Some("drop:3,truncate:5:2"));
-        // Fault specs are validated at parse time, not at shard start.
-        assert!(parse(Shard, "--fault explode:9 --connect 127.0.0.1:7700").is_err());
         assert!(parse(Shard, "--die-after-hours 0 --connect 127.0.0.1:7700").is_err());
         assert!(parse(Shard, "--heartbeat-ms 0 --connect 127.0.0.1:7700").is_err());
     }

@@ -19,7 +19,6 @@ use airshed::core::config::{DatasetChoice, SimConfig, Weather};
 use airshed::core::driver::ChemLayout;
 use airshed::core::obs::Obs;
 use airshed::core::ExecSpec;
-use airshed::fabric::FaultPlan;
 use airshed::machine::MachineProfile;
 use Cmd::*;
 use Kind::*;
@@ -75,7 +74,6 @@ pub struct Options {
     pub shard_name: String,
     pub heartbeat_ms: u64,
     pub die_after_hours: Option<u64>,
-    pub fault: Option<String>,
     // trace-merge knobs
     pub frontend_trace: Option<String>,
     pub shard_traces: Vec<String>,
@@ -274,12 +272,6 @@ fn backend(o: &mut Options, v: &str) -> Result<(), String> {
         _ => return Err(format!("unknown backend '{v}' (serial|rayon|simd)")),
     }
     Ok(())
-}
-
-/// A fault plan is validated here, not at shard start, and kept as text
-/// so that `fabric` can forward it.
-fn fault_spec(v: &str) -> Result<Option<String>, String> {
-    FaultPlan::parse(v).map(|_| Some(v.to_string()))
 }
 
 /// A flag the subcommand cannot run without.
@@ -496,10 +488,6 @@ pub static FLAGS: &[Flag] = &[
     flag("--die-after-hours", Int(1, |o, n| o.die_after_hours = Some(n as u64)), None, Shard.bit())
         .help(Some(Shard), " H  hard-exit after H completed hours (crash drill)")
         .forward(|o| o.die_after_hours.map(|h| h.to_string())),
-    flag("--fault", Parsed(|o, v| set(&mut o.fault, fault_spec(v))), None,
-        Fabric.bit() | Shard.bit())
-        .help(Some(Shard), " SPEC     wire fault injection: drop:N | delay:N:MS | truncate:N:KEEP")
-        .forward(|o| o.fault.clone()),
     flag("--frontend", Text(|o, v| o.frontend_trace = Some(v)), None, TraceMerge.bit())
         .help(Some(TraceMerge), " F     the frontend trace written by `fabric --trace-out F`")
         .check(|o| need(&o.frontend_trace, "trace-merge needs the frontend's trace.json")),
@@ -631,7 +619,6 @@ mod tests {
     fn line(flag: &Flag, name: &str) -> Vec<String> {
         let sample = flag.default.unwrap_or(match flag.name {
             "--backend" => "simd",
-            "--fault" => "drop:3",
             "--kill-shard" => "0",
             _ => "3",
         });
@@ -712,7 +699,7 @@ mod tests {
         }
         // What fabric passes through and what it sets per shard both come
         // back out of the shard's own parse.
-        let passed = "--backend simd --threads 3 --workers 5 --heartbeat-ms 40 --fault drop:3";
+        let passed = "--backend simd --threads 3 --workers 5 --heartbeat-ms 40";
         let child = Options {
             connect: Some("127.0.0.1:7".into()),
             shard_name: "shard-1".into(),

@@ -12,8 +12,7 @@ use airshed::core::obs::Obs;
 use airshed::core::plan::replay_profile;
 use airshed::core::report::RunReport;
 use airshed::fabric::{
-    report_fingerprint, run_shard, serve_batch, FaultPlan, FrontendOptions, RouterConfig,
-    ShardOptions,
+    report_fingerprint, run_shard, serve_batch, FrontendOptions, RouterConfig, ShardOptions,
 };
 use airshed::machine::MachineProfile;
 use airshed::server::{JobHandle, ScenarioRequest, ScenarioServer, ServerConfig, SubmitOutcome};
@@ -397,10 +396,6 @@ pub fn cmd_fabric(o: &Options, obs: &Obs) -> Result<(), String> {
 }
 
 pub fn cmd_shard(o: &Options, obs: &Obs) -> Result<(), String> {
-    let fault = match &o.fault {
-        Some(spec) => FaultPlan::parse(spec)?,
-        None => FaultPlan::none(),
-    };
     run_shard(
         ShardOptions {
             connect: o.connect.clone().expect("required by the flag table"),
@@ -410,7 +405,6 @@ pub fn cmd_shard(o: &Options, obs: &Obs) -> Result<(), String> {
             heartbeat_ms: o.heartbeat_ms,
             die_after_hours: o.die_after_hours,
             drop_after_hours: None,
-            fault,
         },
         obs,
     )

@@ -14,8 +14,7 @@ use airshed::core::driver::ChemLayout;
 use airshed::core::plan::replay_profile;
 use airshed::core::{ExecSpec, Obs, PerfModel};
 use airshed::fabric::{
-    report_fingerprint, run_shard, serve_batch, FaultPlan, FrontendOptions, RouterConfig,
-    ShardOptions,
+    report_fingerprint, run_shard, serve_batch, FrontendOptions, RouterConfig, ShardOptions,
 };
 use airshed::server::cache::NumericsKey;
 use airshed::server::worker::run_hourly;
@@ -66,9 +65,8 @@ fn shard_thread(
     addr: std::net::SocketAddr,
     name: &str,
     drop_after_hours: Option<u64>,
-    fault: FaultPlan,
 ) -> std::thread::JoinHandle<()> {
-    shard_with_workers(addr, name, 1, drop_after_hours, fault)
+    shard_with_workers(addr, name, 1, drop_after_hours)
 }
 
 fn shard_with_workers(
@@ -76,7 +74,6 @@ fn shard_with_workers(
     name: &str,
     workers: usize,
     drop_after_hours: Option<u64>,
-    fault: FaultPlan,
 ) -> std::thread::JoinHandle<()> {
     let name = name.to_string();
     std::thread::spawn(move || {
@@ -89,7 +86,6 @@ fn shard_with_workers(
                 heartbeat_ms: 50,
                 die_after_hours: None,
                 drop_after_hours,
-                fault,
             },
             &Obs::off(),
         );
@@ -102,10 +98,7 @@ fn fabric_batch_is_bit_identical_to_single_process() {
     let batch = scenarios(6);
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
-    let shards = [
-        shard_thread(addr, "a", None, FaultPlan::none()),
-        shard_thread(addr, "b", None, FaultPlan::none()),
-    ];
+    let shards = [shard_thread(addr, "a", None), shard_thread(addr, "b", None)];
 
     let outcome = serve_batch(
         &listener,
@@ -154,8 +147,8 @@ fn fabric_survives_a_shard_dropping_mid_batch() {
     // behind it (a shard runs each numerics key once, so either shard
     // only ever completes two hours per key it holds).
     let shards = [
-        shard_thread(addr, "doomed", Some(1), FaultPlan::none()),
-        shard_thread(addr, "survivor", None, FaultPlan::none()),
+        shard_thread(addr, "doomed", Some(1)),
+        shard_thread(addr, "survivor", None),
     ];
 
     let outcome = serve_batch(
@@ -262,10 +255,7 @@ fn each_key_runs_once(shards: Vec<std::thread::JoinHandle<()>>, listener: TcpLis
 fn fabric_runs_each_numerics_key_once_across_two_shards() {
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
-    let shards = vec![
-        shard_thread(addr, "a", None, FaultPlan::none()),
-        shard_thread(addr, "b", None, FaultPlan::none()),
-    ];
+    let shards = vec![shard_thread(addr, "a", None), shard_thread(addr, "b", None)];
     each_key_runs_once(shards, listener);
 }
 
@@ -275,7 +265,7 @@ fn concurrent_workers_of_one_shard_share_a_single_numerics_run() {
     // it is the store's single-flight path that keeps the count at one.
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
-    let shards = vec![shard_with_workers(addr, "solo", 2, None, FaultPlan::none())];
+    let shards = vec![shard_with_workers(addr, "solo", 2, None)];
     each_key_runs_once(shards, listener);
 }
 
@@ -294,7 +284,7 @@ fn a_fabric_prediction_is_the_family_model_on_the_jobs_own_machine() {
         .collect();
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
-    let shard = shard_thread(addr, "solo", None, FaultPlan::none());
+    let shard = shard_thread(addr, "solo", None);
     let outcome = serve_batch(
         &listener,
         FrontendOptions {
@@ -331,97 +321,4 @@ fn a_fabric_prediction_is_the_family_model_on_the_jobs_own_machine() {
         .collect();
     assert_eq!(predicted[&0], None, "dispatched before any model existed");
     assert_eq!(predicted[&1], Some(per_hour * config.hours as f64));
-}
-
-#[test]
-fn trace_context_survives_dropped_and_delayed_frames() {
-    // Wire faults must not corrupt trace propagation: one shard drops
-    // its 3rd outbound frame (a heartbeat or a progress checkpoint —
-    // both survivable), the other delays its 3rd by 40ms. Every frame
-    // that does arrive must still echo the context the router stamped
-    // at submit, and fidelity must be untouched.
-    let batch = scenarios(4);
-    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-    let addr = listener.local_addr().unwrap();
-    let shards = [
-        shard_thread(addr, "droppy", None, FaultPlan::parse("drop:2").unwrap()),
-        shard_thread(addr, "latey", None, FaultPlan::parse("delay:2:40").unwrap()),
-    ];
-
-    let outcome = serve_batch(
-        &listener,
-        FrontendOptions {
-            expect: 2,
-            router: RouterConfig {
-                heartbeat_timeout_ms: 2000,
-            },
-            deadline: Some(Duration::from_secs(120)),
-        },
-        &batch,
-        &Obs::off(),
-    )
-    .unwrap();
-    for handle in shards {
-        handle.join().unwrap();
-    }
-
-    assert!(outcome.failures.is_empty(), "{:?}", outcome.failures);
-    assert_eq!(outcome.reports.len(), batch.len());
-    // No surviving frame disagreed with the router's context record.
-    assert!(
-        outcome
-            .prometheus
-            .contains("airshed_fabric_ctx_mismatches_total 0"),
-        "context mismatches under wire faults"
-    );
-    let reference = reference_fingerprints(&batch);
-    for (i, report) in &outcome.reports {
-        // Completions carry the latency anatomy assembled from the
-        // frames that made it through.
-        let a = report.anatomy.expect("fabric completions carry anatomy");
-        assert!(a.segments >= 1, "scenario {i} never dispatched?");
-        assert!(a.end_to_end_ms > 0, "scenario {i} has no lifetime");
-        assert_eq!(report_fingerprint(report), reference[*i]);
-    }
-}
-
-#[test]
-fn fabric_recovers_from_a_shard_with_a_truncating_writer() {
-    // Wire-level fault injection, end to end: shard "mute" truncates its
-    // 3rd outbound frame (killing its writer), so the front-end stops
-    // hearing from it mid-stream. The framing layer must surface a clean
-    // error — never a panic — and the batch must still finish via the
-    // healthy shard after the heartbeat timeout.
-    let batch = scenarios(2);
-    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-    let addr = listener.local_addr().unwrap();
-    let fault = FaultPlan::parse("truncate:2:3").unwrap();
-    let shards = [
-        shard_thread(addr, "mute", None, fault),
-        shard_thread(addr, "healthy", None, FaultPlan::none()),
-    ];
-
-    let outcome = serve_batch(
-        &listener,
-        FrontendOptions {
-            expect: 2,
-            router: RouterConfig {
-                heartbeat_timeout_ms: 600,
-            },
-            deadline: Some(Duration::from_secs(120)),
-        },
-        &batch,
-        &Obs::off(),
-    )
-    .unwrap();
-    for handle in shards {
-        handle.join().unwrap();
-    }
-
-    assert!(outcome.failures.is_empty(), "{:?}", outcome.failures);
-    assert_eq!(outcome.reports.len(), batch.len());
-    let reference = reference_fingerprints(&batch);
-    for (i, report) in &outcome.reports {
-        assert_eq!(report_fingerprint(report), reference[*i]);
-    }
 }
