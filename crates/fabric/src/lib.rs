@@ -4,7 +4,8 @@
 //! The paper's airshed model ran on one fixed-size MPP. This crate is
 //! the step from one box to many: a front-end process accepts scenario
 //! jobs and routes each over TCP to one of N shard processes, each an
-//! `airshed-server`-style worker pool. Everything rides a hand-rolled
+//! `airshed-server` [`ScenarioServer`](airshed_server::ScenarioServer)
+//! behind one socket. Everything rides a hand-rolled
 //! length-framed wire protocol ([`wire`], [`proto`]) — no serialization
 //! dependencies, every `f64` crosses the wire as its exact bit pattern,
 //! so a fabric run's reports are bit-identical to a single-process run.
@@ -25,7 +26,7 @@
 //! | [`wire`]     | length-prefixed frames, typed framing errors           |
 //! | [`proto`]    | [`Msg`] — the typed protocol, its layout declared once |
 //! | [`router`]   | deterministic routing/stealing/failover state machine  |
-//! | [`shard`]    | shard process: worker pool behind one TCP connection   |
+//! | [`shard`]    | shard process: a scenario server behind one socket     |
 //! | [`frontend`] | [`Frontend`] state machine and its socket driver       |
 
 pub mod frontend;

@@ -12,9 +12,10 @@
 //! **Routing** prices a job with the §4
 //! [`PerfModel`] of the job's scenario *family* (the
 //! [`NumericsKey::family`] the server's admission controller also uses)
-//! on the job's own `config.machine`, scaled to the hours the job still
-//! has to run — a function of the job and its family model alone, so
-//! the price is the same on every shard and in every run.
+//! on the job's own `config.machine`, for the plan the shard will run
+//! (the job's requested layout), scaled to the hours the job still has
+//! to run — a function of the job and its family model alone, so the
+//! price is the same on every shard and in every run.
 //! The job goes to the shard with the earliest predicted completion:
 //! `argmin(predicted backlog + this job's predicted cost)`. Families
 //! with no calibrated model yet are priced at the mean cost of the
@@ -52,7 +53,7 @@
 
 use crate::proto::{Msg, ScenarioJob};
 use airshed_core::config::SimConfig;
-use airshed_core::driver::{ChemLayout, PlanMemoStats};
+use airshed_core::driver::{ChemLayout, PlanLayouts, PlanMemoStats};
 use airshed_core::obs::dist::{TraceContext, HOP_NAMES};
 use airshed_core::obs::metrics::Histogram;
 use airshed_core::obs::prom::{render, render_labelled};
@@ -465,8 +466,9 @@ impl Router {
             s.counters.profile_hits += 1;
         }
         s.keys.insert(j.key.clone(), true);
+        // The router's price, never the shard's own admission estimate.
+        report.predicted_seconds = j.predicted;
         if let Some(p) = j.predicted {
-            report.predicted_seconds = Some(p);
             self.predicted_hist
                 .record(Duration::from_secs_f64(p.max(0.0)));
             self.actual_hist
@@ -571,16 +573,16 @@ impl Router {
     }
 
     /// Predicted remaining virtual seconds of `job`: the family model's
-    /// *optimized* hour cost — the cheapest per-phase layout the planner
-    /// could run this family with, priced on the job's `config.machine`
-    /// — scaled to the hours not yet checkpointed. Placement-only: the
-    /// shard still executes the job's requested layout, so results are
-    /// bit-identical wherever the job lands. Public so tests can assert
-    /// the cost function directly.
+    /// hour cost of the plan the shard will run — the job's requested
+    /// layout, priced layout-aware on the job's `config.machine` —
+    /// scaled to the hours not yet checkpointed. Public so tests can
+    /// assert the cost function directly.
     pub fn job_cost(&self, job: u64) -> Option<f64> {
         let j = self.jobs.get(&job)?;
         let model = self.models.get(&j.key.family())?;
-        let per_hour = model.choose_layout(&j.config.machine, j.config.p).hour_cost;
+        let plan = PlanLayouts::chem(j.layout);
+        let per_hour =
+            model.layout_cost(&j.config.machine, j.config.p, plan) / model.hours.max(1) as f64;
         let done = j.resume.as_ref().map_or(0, |r| r.partial.hours.len());
         let remaining = j.config.hours.saturating_sub(done);
         Some(per_hour * remaining as f64)

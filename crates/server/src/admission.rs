@@ -17,6 +17,7 @@
 //! question.
 
 use crate::cache::NumericsKey;
+use crate::lock;
 use airshed_core::config::SimConfig;
 use airshed_core::{LayoutChoice, PerfModel, WorkProfile};
 use std::collections::HashMap;
@@ -64,7 +65,7 @@ impl AdmissionController {
     /// another worker's pricing nor `calibrate`.
     fn model_for(&self, config: &SimConfig) -> Option<Arc<PerfModel>> {
         let family = NumericsKey::of(config).family();
-        self.models.lock().unwrap().get(&family).cloned()
+        lock(&self.models).get(&family).cloned()
     }
 
     /// Predict the virtual run time of `config`, if this family has been
@@ -132,19 +133,19 @@ impl AdmissionController {
     /// profile wins; the model is deterministic per family).
     pub fn calibrate(&self, config: &SimConfig, profile: &WorkProfile) {
         let family = NumericsKey::of(config).family();
-        if self.models.lock().unwrap().contains_key(&family) {
+        if lock(&self.models).contains_key(&family) {
             return;
         }
         // Folded outside the lock; if two first runs of a family race,
         // both fold the same deterministic model and the first insert
         // stays.
         let model = Arc::new(PerfModel::from_profile(profile));
-        self.models.lock().unwrap().entry(family).or_insert(model);
+        lock(&self.models).entry(family).or_insert(model);
     }
 
     /// Number of calibrated scenario families.
     pub fn calibrated_families(&self) -> usize {
-        self.models.lock().unwrap().len()
+        lock(&self.models).len()
     }
 }
 

@@ -21,7 +21,7 @@
 //! Both caches are [`ShardedLru`]s, whose shards hold tens of entries:
 //! a shard is a short vector, and a lookup hashes its key once.
 
-use crate::JobError;
+use crate::{lock, JobError};
 use airshed_chem::youngboris::{AsymptoticForm, YbOptions};
 use airshed_core::config::{DatasetChoice, SimConfig, Weather};
 use airshed_core::driver::{ChemLayout, PlanLayouts};
@@ -30,7 +30,7 @@ use std::collections::hash_map::DefaultHasher;
 use std::collections::HashSet;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Everything that determines the *numerics* of a scenario — two configs
@@ -211,7 +211,7 @@ impl<K: Hash + Eq, V: Clone> ShardedLru<K, V> {
     /// Look up a key, refreshing its recency on a hit.
     pub fn get(&self, key: &K) -> Option<V> {
         let (hash, shard) = self.shard_of(key);
-        let mut shard = shard.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut shard = lock(shard);
         shard.tick += 1;
         let tick = shard.tick;
         shard
@@ -229,7 +229,7 @@ impl<K: Hash + Eq, V: Clone> ShardedLru<K, V> {
     /// a shard, so the victim is the one entry with the oldest stamp.
     pub fn insert(&self, key: K, value: V) {
         let (hash, shard) = self.shard_of(&key);
-        let mut shard = shard.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut shard = lock(shard);
         shard.tick += 1;
         let stamp = shard.tick;
         let (mut found, mut oldest) = (None, 0);
@@ -257,10 +257,7 @@ impl<K: Hash + Eq, V: Clone> ShardedLru<K, V> {
 
     /// Number of cached entries across all shards.
     pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().unwrap_or_else(PoisonError::into_inner).slots.len())
-            .sum()
+        self.shards.iter().map(|s| lock(s).slots.len()).sum()
     }
 
     pub fn is_empty(&self) -> bool {
@@ -305,7 +302,7 @@ struct Flight<'a> {
 
 impl Drop for Flight<'_> {
     fn drop(&mut self) {
-        self.store.flights().remove(self.key);
+        lock(&self.store.in_flight).remove(self.key);
         self.store.released.notify_all();
     }
 }
@@ -318,14 +315,6 @@ impl ProfileStore {
             in_flight: Mutex::new(HashSet::new()),
             released: Condvar::new(),
         }
-    }
-
-    /// The in-flight set only ever sees whole `insert`/`remove` calls,
-    /// so it is valid even if a holder of the lock panicked.
-    fn flights(&self) -> MutexGuard<'_, HashSet<NumericsKey>> {
-        self.in_flight
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Seed a profile computed elsewhere (an ensemble sweep's members).
@@ -353,7 +342,7 @@ impl ProfileStore {
         if let Some(profile) = self.resident.get(key) {
             return Ok((profile, Fetch::Hit));
         }
-        let mut flights = self.flights();
+        let mut flights = lock(&self.in_flight);
         let mut fetch = Fetch::Hit;
         loop {
             // A leader publishes its profile before it releases the

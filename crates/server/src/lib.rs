@@ -51,9 +51,16 @@ use airshed_core::{Obs, RunReport, WorkProfile};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
+
+/// The one lock policy of the serving path (server and fabric): no lock
+/// there guards data a panicking holder can leave half-written, so a
+/// poisoned lock is taken back rather than passed on as a second panic.
+pub fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// Unique identity of one accepted job.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -112,6 +119,37 @@ pub struct ScenarioRequest {
     pub deadline: Option<Duration>,
     /// Resume an interrupted scenario instead of starting from hour one.
     pub resume: Option<Box<ResumePoint>>,
+    /// Hears the job's [`JobEvent`]s on the worker thread that runs it;
+    /// `None` runs the job exactly as if nobody listened.
+    pub observer: Option<Arc<dyn JobObserver>>,
+}
+
+/// What a job's [`JobObserver`] hears, in order: `Hour` after every
+/// hour of a cold run (all progress so far, and the hour's wall time on
+/// its worker), `Calibrated` once that run's profile exists (before the
+/// job's replay), and `Finished`. A job served from a cache hears
+/// `Finished` alone.
+pub enum JobEvent<'a> {
+    Hour(&'a ResumePoint, Duration),
+    Calibrated(&'a WorkProfile),
+    Finished(&'a JobResult),
+}
+
+/// A job's event hook ([`ScenarioRequest::observer`]).
+pub trait JobObserver: Send + Sync {
+    /// The distributed trace the job belongs to: when set, the worker's
+    /// `job` span carries it as its `trace_id` argument instead of the
+    /// server's job id.
+    fn trace_id(&self) -> Option<u64> {
+        None
+    }
+    fn event(&self, event: JobEvent<'_>);
+}
+
+impl fmt::Debug for dyn JobObserver {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("JobObserver")
+    }
 }
 
 impl ScenarioRequest {
@@ -122,6 +160,7 @@ impl ScenarioRequest {
             optimize: false,
             deadline: None,
             resume: None,
+            observer: None,
         }
     }
 
@@ -195,7 +234,7 @@ impl JobCell {
     }
 
     fn finish(&self, result: JobResult) {
-        let mut done = self.done.lock().unwrap();
+        let mut done = lock(&self.done);
         *done = Some(result);
         drop(done);
         self.completed.notify_all();
@@ -222,12 +261,16 @@ impl JobHandle {
 
     /// Block until the job reaches a terminal state.
     pub fn wait(&self) -> JobResult {
-        let mut done = self.cell.done.lock().unwrap();
+        let mut done = lock(&self.cell.done);
         loop {
             if let Some(result) = done.as_ref() {
                 return result.clone();
             }
-            done = self.cell.completed.wait(done).unwrap();
+            done = self
+                .cell
+                .completed
+                .wait(done)
+                .unwrap_or_else(PoisonError::into_inner);
         }
     }
 }
@@ -545,11 +588,7 @@ impl ScenarioServer {
         // what-if tier simply has no surface for that family.
         if let Ok(surface) = ResponseSurface::from_ensemble(&result) {
             let key = surrogate_key(&job.member_config(0));
-            self.shared
-                .surrogates
-                .lock()
-                .unwrap()
-                .insert(key, Arc::new(surface));
+            lock(&self.shared.surrogates).insert(key, Arc::new(surface));
         }
         EnsembleOutcome::Completed(Box::new(result))
     }
@@ -565,11 +604,7 @@ impl ScenarioServer {
     pub fn what_if(&self, base: &SimConfig, scale: f64, tolerance: f64) -> WhatIfRouted {
         let obs = &self.shared.obs;
         let _span = obs.span("what-if");
-        let surface = self
-            .shared
-            .surrogates
-            .lock()
-            .unwrap()
+        let surface = lock(&self.shared.surrogates)
             .get(&surrogate_key(base))
             .cloned();
         let metrics = &self.shared.metrics;
@@ -606,7 +641,7 @@ impl ScenarioServer {
     /// Number of response surfaces fitted and stored by completed
     /// ensemble sweeps.
     pub fn surrogate_surfaces(&self) -> usize {
-        self.shared.surrogates.lock().unwrap().len()
+        lock(&self.shared.surrogates).len()
     }
 
     /// A point-in-time metrics snapshot.

@@ -1,8 +1,8 @@
 //! A bounded MPMC job queue with explicit backpressure.
 //!
-//! It has two consumers: the scenario server's workers, behind
-//! [`crate::ScenarioServer`]'s admission, and a fabric shard's workers,
-//! fed by the front-end's `Assign` frames.
+//! Its one consumer is the scenario server's worker pool, behind
+//! [`crate::ScenarioServer`]'s admission; a fabric shard's `Assign`
+//! frames reach it through the same `submit`.
 //!
 //! Producers never block: [`BoundedQueue::try_push`] fails fast when the
 //! queue is at capacity, which the server surfaces as
@@ -10,8 +10,9 @@
 //! shed load, or route elsewhere. Consumers block on [`BoundedQueue::pop`]
 //! until an item arrives or the queue is closed and drained.
 
+use crate::lock;
 use std::collections::VecDeque;
-use std::sync::{Condvar, Mutex};
+use std::sync::{Condvar, Mutex, PoisonError};
 
 struct Inner<T> {
     items: VecDeque<T>,
@@ -50,7 +51,7 @@ impl<T> BoundedQueue<T> {
     /// Non-blocking push; returns the item on refusal so the caller can
     /// report or retry it.
     pub fn try_push(&self, item: T) -> Result<(), (T, PushError)> {
-        let mut inner = self.inner.lock().unwrap();
+        let mut inner = lock(&self.inner);
         if inner.closed {
             return Err((item, PushError::Closed));
         }
@@ -65,7 +66,7 @@ impl<T> BoundedQueue<T> {
 
     /// Blocking pop; `None` once the queue is closed *and* drained.
     pub fn pop(&self) -> Option<T> {
-        let mut inner = self.inner.lock().unwrap();
+        let mut inner = lock(&self.inner);
         loop {
             if let Some(item) = inner.items.pop_front() {
                 return Some(item);
@@ -73,25 +74,23 @@ impl<T> BoundedQueue<T> {
             if inner.closed {
                 return None;
             }
-            inner = self.not_empty.wait(inner).unwrap();
+            inner = self
+                .not_empty
+                .wait(inner)
+                .unwrap_or_else(PoisonError::into_inner);
         }
     }
 
     /// Close the queue: producers start failing, consumers drain what is
     /// left and then observe `None`.
     pub fn close(&self) {
-        self.inner.lock().unwrap().closed = true;
+        lock(&self.inner).closed = true;
         self.not_empty.notify_all();
-    }
-
-    /// Whether [`close`](Self::close) has been called (racy, like `len`).
-    pub fn is_closed(&self) -> bool {
-        self.inner.lock().unwrap().closed
     }
 
     /// Current depth (racy, for observability only).
     pub fn len(&self) -> usize {
-        self.inner.lock().unwrap().items.len()
+        lock(&self.inner).items.len()
     }
 
     pub fn is_empty(&self) -> bool {
@@ -123,15 +122,12 @@ mod tests {
         let q: BoundedQueue<u32> = BoundedQueue::new(8);
         q.try_push(1).unwrap();
         q.try_push(2).unwrap();
-        assert!(!q.is_closed());
         q.close();
-        assert!(q.is_closed());
         assert!(matches!(q.try_push(3), Err((3, PushError::Closed))));
         assert_eq!(q.pop(), Some(1));
         assert_eq!(q.pop(), Some(2));
         assert_eq!(q.pop(), None);
         assert_eq!(q.pop(), None);
-        assert!(q.is_closed());
     }
 
     #[test]

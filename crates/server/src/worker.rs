@@ -19,9 +19,12 @@
 //!
 //! Panics inside the numerics are contained with `catch_unwind`: the job
 //! fails, the worker thread survives.
+//!
+//! A request's observer hears each hour of a miss, the fresh profile and
+//! the terminal state ([`JobEvent`]); a fabric shard writes them as frames.
 
 use crate::cache::{Fetch, NumericsKey, ResultKey};
-use crate::{JobCell, JobError, JobResult, ResumePoint, ScenarioRequest, Shared};
+use crate::{JobCell, JobError, JobEvent, JobResult, ResumePoint, ScenarioRequest, Shared};
 use airshed_core::config::SimConfig;
 use airshed_core::driver::{Episode, PlanLayouts};
 use airshed_core::obs::Track;
@@ -66,14 +69,18 @@ pub(crate) fn worker_loop(shared: &Shared, obs: &Obs) {
         if job.cell.cancel.load(Ordering::Relaxed) {
             metrics.cancelled.inc();
             metrics.in_flight.dec();
-            job.cell.finish(Err(JobError::Cancelled { resume: None }));
+            job.finish(Err(JobError::Cancelled { resume: None }));
             continue;
         }
 
         let started = Instant::now();
         let deadline_at = job.request.deadline.map(|d| started + d);
         let result: JobResult = {
-            let _job_span = obs.span_arg("job", "job", job.id.0 as i64);
+            let trace_id = job.request.observer.as_ref().and_then(|o| o.trace_id());
+            let _job_span = match trace_id {
+                Some(id) => obs.span_arg("job", "trace_id", id as i64),
+                None => obs.span_arg("job", "job", job.id.0 as i64),
+            };
             match catch_unwind(AssertUnwindSafe(|| execute(shared, &job, deadline_at, obs))) {
                 Ok(result) => result,
                 Err(panic) => Err(JobError::Failed {
@@ -100,8 +107,18 @@ pub(crate) fn worker_loop(shared: &Shared, obs: &Obs) {
             }
         }
         metrics.in_flight.dec();
-        job.cell.finish(result);
+        job.finish(result);
         obs.flush();
+    }
+}
+
+impl QueuedJob {
+    /// Hand the terminal state to the job's observer, then its client.
+    fn finish(&self, result: JobResult) {
+        if let Some(observer) = &self.request.observer {
+            observer.event(JobEvent::Finished(&result));
+        }
+        self.cell.finish(result);
     }
 }
 
@@ -140,11 +157,19 @@ fn execute(shared: &Shared, job: &QueuedJob, deadline_at: Option<Instant>, obs: 
     }
     metrics.result_cache_misses.inc();
 
+    let observer = request.observer.as_deref();
     let (profile, fetch) =
         shared
             .profiles
             .get_or_run(&numerics_key, &job.cell.cancel, deadline_at, || {
                 metrics.profile_cache_misses.inc();
+                let mut hour_started = Instant::now();
+                let mut on_hour = |resume: &ResumePoint| {
+                    if let Some(observer) = observer {
+                        observer.event(JobEvent::Hour(resume, hour_started.elapsed()));
+                    }
+                    hour_started = Instant::now();
+                };
                 let profile = run_hourly(
                     config,
                     request.resume.as_deref().cloned(),
@@ -152,11 +177,15 @@ fn execute(shared: &Shared, job: &QueuedJob, deadline_at: Option<Instant>, obs: 
                     deadline_at,
                     shared.exec,
                     obs,
-                    None,
+                    observer.map(|_| &mut on_hour as _),
                 )?;
                 // Before the profile is published, so a job that waited
-                // on this run is priced by the model it calibrated.
+                // on this run is priced by the model it calibrated, and
+                // its observer hears of the run before any replay of it.
                 shared.admission.calibrate(config, &profile);
+                if let Some(observer) = observer {
+                    observer.event(JobEvent::Calibrated(&profile));
+                }
                 Ok(profile)
             })?;
     // A job that waited on another job's run counts as a hit: misses
@@ -196,10 +225,11 @@ fn execute(shared: &Shared, job: &QueuedJob, deadline_at: Option<Instant>, obs: 
 /// `on_hour`, when given, is called after every completed hour with a
 /// [`ResumePoint`] capturing all progress (a per-hour clone of the
 /// accumulated profile; streaming-checkpoint callers accept that cost).
-/// The fabric shard streams these to its front-end so that if the shard
-/// is lost, its jobs resume from the last reported hour on another
-/// shard instead of restarting — with bit-identical final results,
-/// courtesy of the checkpoint guarantee.
+/// A job's observer hears them as [`JobEvent::Hour`]: the fabric shard
+/// streams them to its front-end so that if the shard is lost, its jobs
+/// resume from the last reported hour on another shard instead of
+/// restarting — with bit-identical final results, courtesy of the
+/// checkpoint guarantee.
 pub fn run_hourly(
     config: &SimConfig,
     resume: Option<ResumePoint>,

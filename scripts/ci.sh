@@ -3,7 +3,7 @@
 # (every crate's unit tests and doctests included), the benchmark
 # package's build and tests, a warning-free clippy pass (all targets),
 # the one-arithmetic, one-pricing-machine, one-observer, one-virtual-timeline,
-# fabric-routes-batches,
+# fabric-routes-batches, one-job-executor, one-lock-policy,
 # one-cost-fold and one-graph word checks,
 # the one-way-to-a-plan-set, one-codec and one-metrics-table checks, the
 # no-fault-injection check and the large-budget fabric simulation, the
@@ -108,7 +108,7 @@ echo "one virtual timeline OK"
 
 echo "==> fabric routes batches: no ensemble wrapper, no private job queue"
 # Ensemble members reach the fabric as serve_batch jobs, and a shard's
-# jobs wait on the server's BoundedQueue. These are the names of the
+# jobs run on a ScenarioServer. These are the names of the
 # second copies: the surrogate-pruning wrapper with its outcome and
 # counter, the plan edge that copied RedistPlan field for field, and the
 # shard's hand-written queue and its imports of the ensemble layers.
@@ -128,6 +128,44 @@ if [ -n "${routes//$'\n'/}" ]; then
     exit 1
 fi
 echo "fabric routes batches OK"
+
+echo "==> one job executor: a fabric shard is a ScenarioServer behind one socket"
+# Every fabric job, on a shard or in `fabric --local`, runs on the
+# scenario server's workers, and the shard only turns the job's events
+# into frames. These are the names of the second and third copies of
+# the executor: the hourly runner, the single-flight profile store and
+# its fetch, the job queue and the panic guard.
+executor="$({ git ls-files 'crates/fabric/src/*.rs'; echo src/bin/airshed/service.rs; } | xargs awk '
+    FNR == 1 { in_tests = 0 }
+    /^[[:space:]]*#\[cfg\(test\)\]/ { in_tests = 1 }
+    !in_tests && /(^|[^[:alnum:]_])(run_hourly|get_or_run|ProfileStore|BoundedQueue|catch_unwind)([^[:alnum:]_]|$)/ {
+        print FILENAME ":" FNR ": " $0 }')"
+if [ -n "$executor" ]; then
+    echo "$executor"
+    echo "one job executor FAILED: the names above are back" >&2
+    exit 1
+fi
+echo "one job executor OK"
+
+echo "==> one lock policy: a poisoned serving lock is recovered, not unwrapped"
+# No lock on the serving path guards data a panic can leave
+# half-written, so each one recovers with PoisonError::into_inner (a
+# poisoned shard writer is handled by hand: it is a dead connection).
+# An unwrapped lock or condvar wait, on one line or split over two, is
+# the policy this replaced.
+locks="$(git ls-files 'crates/server/src/*.rs' 'crates/fabric/src/*.rs' | xargs awk '
+    FNR == 1 { prev = "" }
+    /^[[:space:]]*#\[cfg\(test\)\]/ { nextfile }
+    /\.(lock\(\)|wait(_timeout)?\([^()]*\))\.unwrap\(\)/ \
+        || (prev ~ /\.(lock\(\)|wait(_timeout)?\([^()]*\))$/ && /^[[:space:]]*\.unwrap\(\)/) {
+        print FILENAME ":" FNR ": " $0 }
+    { prev = $0 }')"
+if [ -n "$locks" ]; then
+    echo "$locks"
+    echo "one lock policy FAILED: the unwraps above are back" >&2
+    exit 1
+fi
+echo "one lock policy OK"
 
 echo "==> one cost fold: the machine is a scalar clock charged with step_seconds"
 # PhaseGraph::execute charges each node with predict::step_seconds, so

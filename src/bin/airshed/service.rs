@@ -9,7 +9,6 @@ use airshed::core::config::SimConfig;
 use airshed::core::driver::ChemLayout;
 use airshed::core::obs::dist::{self, TraceDoc};
 use airshed::core::obs::Obs;
-use airshed::core::plan::replay_profile;
 use airshed::core::report::RunReport;
 use airshed::fabric::{
     report_fingerprint, run_shard, serve_batch, FrontendOptions, RouterConfig, ShardOptions,
@@ -45,11 +44,9 @@ impl Scenario {
 
     fn request(&self, o: &Options) -> ScenarioRequest {
         ScenarioRequest {
-            config: self.config.clone(),
             layout: self.layout,
             optimize: o.optimize,
-            deadline: None,
-            resume: None,
+            ..ScenarioRequest::new(self.config.clone())
         }
     }
 
@@ -242,11 +239,10 @@ fn write_fingerprints(
 }
 
 /// Single-process reference for the fabric batch: the same scenarios
-/// through the same hourly checkpoint machinery, profile-cached per
-/// scenario family exactly as a shard would compute them.
-fn fabric_local(o: &Options, scenarios: &[Scenario]) -> Result<(), String> {
-    use airshed::server::cache::NumericsKey;
-    use airshed::server::worker::run_hourly;
+/// through one in-process scenario server, the executor every shard
+/// runs, so each numerics key is computed once and replayed for its
+/// other placements exactly as a shard would.
+fn fabric_local(o: &Options, scenarios: &[Scenario], obs: &Obs) -> Result<(), String> {
     let exec = exec(o);
     eprintln!(
         "fabric --local: {} jobs single-process (host backend {})",
@@ -254,26 +250,31 @@ fn fabric_local(o: &Options, scenarios: &[Scenario]) -> Result<(), String> {
         exec.describe()
     );
     let started = std::time::Instant::now();
-    let never = std::sync::atomic::AtomicBool::new(false);
-    let mut profiles = std::collections::HashMap::new();
+    let server = ScenarioServer::start(ServerConfig {
+        workers: o.workers,
+        queue_capacity: scenarios.len(),
+        budget_seconds: None,
+        exec,
+        obs: obs.clone(),
+    });
+    let handles: Vec<_> = scenarios
+        .iter()
+        .map(|s| server.submit(s.request(o)).into_handle())
+        .collect();
     let mut reports = Vec::new();
-    for (i, s) in scenarios.iter().enumerate() {
-        let key = NumericsKey::of(&s.config);
-        if !profiles.contains_key(&key) {
-            let p = run_hourly(&s.config, None, &never, None, exec, &Obs::off(), None)
-                .map_err(|e| format!("scenario {i}: {e:?}"))?;
-            profiles.insert(key.clone(), p);
-        }
-        let report = replay_profile(&profiles[&key], s.config.machine, s.config.p, s.layout);
-        reports.push((i, report));
+    for (i, handle) in handles.into_iter().enumerate() {
+        let report = handle.ok_or("a job was refused")?.wait();
+        let report = report.map_err(|e| format!("scenario {i}: {e}"))?;
+        reports.push((i, RunReport::clone(&report)));
     }
     let wall = started.elapsed();
+    let metrics = server.shutdown();
     println!(
-        "{} jobs in {:.2}s ({:.1} jobs/s), {} scenario families",
+        "{} jobs in {:.2}s ({:.1} jobs/s), {} numerics runs",
         reports.len(),
         wall.as_secs_f64(),
         reports.len() as f64 / wall.as_secs_f64().max(1e-9),
-        profiles.len()
+        metrics.profile_cache_misses
     );
     if let Some(path) = &o.out {
         write_fingerprints(path, &reports, scenarios)?;
@@ -284,7 +285,7 @@ fn fabric_local(o: &Options, scenarios: &[Scenario]) -> Result<(), String> {
 pub fn cmd_fabric(o: &Options, obs: &Obs) -> Result<(), String> {
     let scenarios = fabric_scenarios(o);
     if o.local {
-        return fabric_local(o, &scenarios);
+        return fabric_local(o, &scenarios, obs);
     }
     let expect = o.expect.unwrap_or(o.shards);
     let listener =

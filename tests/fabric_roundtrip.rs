@@ -10,7 +10,7 @@
 //! same drill with real processes and a real `exit(3)`.
 
 use airshed::core::config::SimConfig;
-use airshed::core::driver::ChemLayout;
+use airshed::core::driver::{ChemLayout, PlanLayouts};
 use airshed::core::plan::replay_profile;
 use airshed::core::{ExecSpec, Obs, PerfModel};
 use airshed::fabric::{
@@ -311,9 +311,9 @@ fn a_fabric_prediction_is_the_family_model_on_the_jobs_own_machine() {
         None,
     )
     .unwrap();
-    let per_hour = PerfModel::from_profile(&profile)
-        .choose_layout(&config.machine, config.p)
-        .hour_cost;
+    let model = PerfModel::from_profile(&profile);
+    let plan = PlanLayouts::chem(batch[1].1);
+    let per_hour = model.layout_cost(&config.machine, config.p, plan) / model.hours as f64;
     let predicted: HashMap<usize, Option<f64>> = outcome
         .reports
         .iter()
