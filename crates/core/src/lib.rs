@@ -72,7 +72,7 @@ pub use ensemble::{run_ensemble, DedupStats, EnsembleJob, EnsembleResult};
 pub use obs::oracle::{validate_profile, Validation};
 pub use obs::Obs;
 pub use plan::{optimize_plan, PhaseGraph, PlanChoice};
-pub use predict::{LayoutChoice, PerfModel};
+pub use predict::{PerfModel, PricedModel};
 pub use profile::WorkProfile;
 pub use report::RunReport;
 pub use surrogate::{what_if, ResponseSurface, SurrogateAnswer, WhatIfOutcome};

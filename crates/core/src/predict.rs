@@ -32,16 +32,17 @@ use crate::profile::WorkProfile;
 use airshed_hpf::redist::labels;
 use airshed_machine::{MachineProfile, PhaseKind};
 use serde::Serialize;
+use std::collections::HashMap;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Virtual seconds the machine charges for one plan node — the
 /// machine's only charge: [`PhaseGraph::execute`] advances the virtual
 /// clock by exactly this, and the profile-level plan optimizer
 /// ([`crate::plan::optimize`]) folds the same function, so its plans are
-/// priced as they are charged. Serving does not fold it: admission and
-/// the fabric router price with the calibrated model
-/// ([`PerfModel::layout_cost`] under [`PerfModel::choose_layout`], or
-/// the §4 closed form [`PerfModel::scenario_seconds`] for an
-/// unoptimized job).
+/// priced as they are charged. Serving does not fold it: admission, the
+/// worker's report and the fabric router all price with the calibrated
+/// model's [`PricedModel::hour_price`] of the plan the job runs (or
+/// [`PerfModel::choose_layout`]'s choice for an optimized job).
 pub fn step_seconds(graph: &PhaseGraph, node: &PhaseNode, machine: &MachineProfile) -> f64 {
     match &node.op {
         Op::Compute { work, .. } => work.heaviest(graph.p) / machine.rate,
@@ -268,12 +269,6 @@ impl PerfModel {
         }
     }
 
-    /// Predicted virtual cost of an `hours`-hour scenario of this family
-    /// under the default plan.
-    pub fn scenario_seconds(&self, machine: &MachineProfile, p: usize, hours: usize) -> f64 {
-        self.predict(machine, p).total * (hours as f64 / self.hours.max(1) as f64)
-    }
-
     /// The §4 cost of the calibrated run under an explicit per-phase
     /// layout choice: distributed compute phases charge their heaviest
     /// node under the layout (the measured per-item work, not the §4.1
@@ -299,48 +294,74 @@ impl PerfModel {
 
     /// Search the per-phase layout space for the cheapest plan on
     /// `machine` × `p` under [`PerfModel::layout_cost`]: the same
-    /// exhaustive search as [`crate::plan::optimize_plan`]'s first stage.
-    /// The default plan is always a candidate and ties keep it, so
-    /// `chosen.hour_cost <= chosen.default_hour_cost` by construction.
-    pub fn choose_layout(&self, machine: &MachineProfile, p: usize) -> LayoutChoice {
-        let (layouts, cost, default_cost) =
-            search_layouts(&self.shape, p, |l| self.layout_cost(machine, p, l));
-        let hours = self.hours.max(1) as f64;
-        LayoutChoice {
-            layouts,
-            hour_cost: cost / hours,
-            default_hour_cost: default_cost / hours,
+    /// exhaustive search as [`crate::plan::optimize_plan`]'s first stage
+    /// (profile-level optimization, with the exact per-hour graphs and
+    /// pipeline splits, lives there). The default plan is always a
+    /// candidate and ties keep it, so the chosen plan never prices above
+    /// the default.
+    pub fn choose_layout(&self, machine: &MachineProfile, p: usize) -> PlanLayouts {
+        search_layouts(&self.shape, p, |l| self.layout_cost(machine, p, l)).0
+    }
+}
+
+/// Prices one [`PricedModel`] keeps, cleared when full: above the 378
+/// placements a family meets in a replay batch (3 machines × 63 `P` × 2
+/// layouts), and a bound on what machines arriving in fabric `Assign`
+/// frames can make it hold.
+pub const PRICE_MEMO_ENTRIES: usize = 1024;
+
+/// A machine's numeric fields (rate, `L`, `G`, `H` as bits, then `W`),
+/// `P` and the plan.
+type PriceKey = ([u64; 4], usize, usize, PlanLayouts);
+
+/// The one serving price: a calibrated [`PerfModel`] with a bounded memo
+/// of [`PricedModel::hour_price`]. Admission, the worker's report and
+/// the fabric router price a job's plan with it, so one plan has one
+/// price wherever it is asked for.
+#[derive(Debug)]
+pub struct PricedModel {
+    /// Private, so every price in the memo is this model's.
+    model: PerfModel,
+    prices: Mutex<HashMap<PriceKey, f64>>,
+}
+
+impl PricedModel {
+    pub fn new(model: PerfModel) -> PricedModel {
+        let prices = Mutex::default();
+        PricedModel { model, prices }
+    }
+
+    pub fn model(&self) -> &PerfModel {
+        &self.model
+    }
+
+    /// Predicted virtual seconds per hour of the plan `layouts` on
+    /// `machine` × `p`: exactly `layout_cost(..) / hours.max(1)` of the
+    /// calibrated run, folded (outside the lock) once while resident.
+    pub fn hour_price(&self, machine: &MachineProfile, p: usize, layouts: PlanLayouts) -> f64 {
+        let m = machine;
+        let fields = [m.rate, m.latency, m.byte_cost, m.copy_cost].map(f64::to_bits);
+        let key = (fields, m.word_size, p, layouts);
+        if let Some(&hit) = self.prices().get(&key) {
+            return hit;
         }
-    }
-}
-
-/// The model-level result of a layout search: the chosen per-phase
-/// layouts with their predicted per-hour cost next to the default
-/// plan's. Profile-level optimization (with the exact per-hour graphs
-/// and pipeline splits) lives in [`crate::plan::optimize`]; this is the
-/// cheap form admission control and the fabric router can afford per
-/// pricing decision.
-#[derive(Debug, Clone, Copy)]
-pub struct LayoutChoice {
-    pub layouts: PlanLayouts,
-    /// Predicted per-hour cost of the chosen plan.
-    pub hour_cost: f64,
-    /// Predicted per-hour cost of the default (all-`BLOCK`) plan under
-    /// the same fold.
-    pub default_hour_cost: f64,
-}
-
-impl LayoutChoice {
-    /// Predicted saving of the chosen plan over the default, in seconds
-    /// per hour (>= 0 by construction).
-    pub fn hour_saving(&self) -> f64 {
-        self.default_hour_cost - self.hour_cost
+        let price = self.model.layout_cost(m, p, layouts) / self.model.hours.max(1) as f64;
+        let mut prices = self.prices();
+        if prices.len() >= PRICE_MEMO_ENTRIES {
+            prices.clear();
+        }
+        prices.insert(key, price);
+        price
     }
 
-    /// Predicted virtual cost of an `hours`-hour scenario under the
-    /// chosen plan.
-    pub fn scenario_seconds(&self, hours: usize) -> f64 {
-        self.hour_cost * hours as f64
+    /// Prices resident in the memo.
+    pub fn memo_entries(&self) -> usize {
+        self.prices().len()
+    }
+
+    /// The memo holds plain values, so a poisoned lock is still good.
+    fn prices(&self) -> MutexGuard<'_, HashMap<PriceKey, f64>> {
+        self.prices.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 

@@ -9,13 +9,14 @@
 //! clock (see `tests/robustness.rs`), while the socket shuffling in
 //! [`crate::frontend`] stays dumb.
 //!
-//! **Routing** prices a job with the §4
-//! [`PerfModel`] of the job's scenario *family* (the
+//! **Routing** prices a job with the one serving price,
+//! [`PricedModel::hour_price`] of the job's scenario *family* (the
 //! [`NumericsKey::family`] the server's admission controller also uses)
 //! on the job's own `config.machine`, for the plan the shard will run
 //! (the job's requested layout), scaled to the hours the job still has
 //! to run — a function of the job and its family model alone, so the
-//! price is the same on every shard and in every run.
+//! price is the same on every shard, in every run and at the shard's own
+//! admission.
 //! The job goes to the shard with the earliest predicted completion:
 //! `argmin(predicted backlog + this job's predicted cost)`. Families
 //! with no calibrated model yet are priced at the mean cost of the
@@ -58,7 +59,7 @@ use airshed_core::obs::dist::{TraceContext, HOP_NAMES};
 use airshed_core::obs::metrics::Histogram;
 use airshed_core::obs::prom::{render, render_labelled};
 use airshed_core::report::{CopyBytes, LatencyAnatomy};
-use airshed_core::{PerfModel, RunReport};
+use airshed_core::{PerfModel, PricedModel, RunReport};
 use airshed_server::cache::NumericsKey;
 use airshed_server::ResumePoint;
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
@@ -154,8 +155,8 @@ pub struct Router {
     /// and a seeded run replays whatever the hasher.
     jobs: BTreeMap<u64, Job>,
     next_job: u64,
-    /// Calibrated §4 models by scenario family.
-    models: HashMap<NumericsKey, PerfModel>,
+    /// Calibrated §4 models by scenario family, each with its price memo.
+    models: HashMap<NumericsKey, PricedModel>,
     /// Jobs with no live shard to run on (all lost); re-routed as soon
     /// as a shard is (re)registered.
     orphans: VecDeque<u64>,
@@ -256,7 +257,8 @@ impl Router {
     /// Record a calibrated performance model for `config`'s family.
     /// Normally fed by `Calibrated` messages; also a test hook.
     pub fn calibrate(&mut self, config: &SimConfig, model: PerfModel) {
-        self.models.insert(NumericsKey::of(config).family(), model);
+        self.models
+            .insert(NumericsKey::of(config).family(), PricedModel::new(model));
     }
 
     /// Handle one shard message. `now_ms` marks the shard live.
@@ -296,13 +298,11 @@ impl Router {
                     self.finished.push((j.scenario, Err(message)));
                 }
             }
+            // A shard sends Calibrated before Completed on one stream, so
+            // a model for a job already finished is not expected: ignored.
             Msg::Calibrated { job, model } => {
                 if let Some(j) = self.jobs.get(&job) {
-                    self.models.insert(j.key.family(), model);
-                } else {
-                    // Job already finished (Calibrated races Completed
-                    // only if reordered — same stream, so in practice
-                    // Calibrated lands first); ignore.
+                    self.models.insert(j.key.family(), PricedModel::new(model));
                 }
             }
             Msg::Assign { .. } | Msg::Shutdown => {} // not shard -> front-end
@@ -573,16 +573,15 @@ impl Router {
     }
 
     /// Predicted remaining virtual seconds of `job`: the family model's
-    /// hour cost of the plan the shard will run — the job's requested
-    /// layout, priced layout-aware on the job's `config.machine` —
+    /// hour price of the plan the shard will run — the job's requested
+    /// layout on the job's `config.machine` —
     /// scaled to the hours not yet checkpointed. Public so tests can
     /// assert the cost function directly.
     pub fn job_cost(&self, job: u64) -> Option<f64> {
         let j = self.jobs.get(&job)?;
         let model = self.models.get(&j.key.family())?;
         let plan = PlanLayouts::chem(j.layout);
-        let per_hour =
-            model.layout_cost(&j.config.machine, j.config.p, plan) / model.hours.max(1) as f64;
+        let per_hour = model.hour_price(&j.config.machine, j.config.p, plan);
         let done = j.resume.as_ref().map_or(0, |r| r.partial.hours.len());
         let remaining = j.config.hours.saturating_sub(done);
         Some(per_hour * remaining as f64)

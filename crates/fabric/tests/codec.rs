@@ -21,10 +21,10 @@ use airshed_chem::youngboris::{AsymptoticForm, YbOptions};
 use airshed_core::checkpoint::Checkpoint;
 use airshed_core::codec::{self, intern, Codec, WireError, MAX_INTERNED_NAMES};
 use airshed_core::config::{DatasetChoice, SimConfig, Weather};
-use airshed_core::driver::{run_with_profile_on, ChemLayout, PlanMemoStats};
+use airshed_core::driver::{run_with_profile_on, ChemLayout, PlanLayouts, PlanMemoStats};
 use airshed_core::obs::dist::TraceContext;
 use airshed_core::plan::replay_profile;
-use airshed_core::predict::{CommOccurrences, PerfModel};
+use airshed_core::predict::{CommOccurrences, PerfModel, PricedModel, PRICE_MEMO_ENTRIES};
 use airshed_core::profile::{HourProfile, StepProfile, WorkProfile};
 use airshed_core::report::{CommStepSummary, CopyBytes, LatencyAnatomy, RunReport};
 use airshed_core::state::{HourSummary, SimState};
@@ -674,6 +674,31 @@ fn an_assign_whose_run_overflows_replays_on_node_zero() {
         report.total_seconds.to_bits(),
         one_run.total_seconds.to_bits()
     );
+}
+
+/// A machine arrives in an `Assign` frame, so the machines one family
+/// is priced on are outside input: over three times the memo's bound of
+/// distinct hostile machines (NaN, ±∞, 0 and any bit pattern in every
+/// field) the serving price memo stays within its bound, a hit returns
+/// the priced bits, and nothing panics. A NaN price is a value here.
+#[test]
+fn hostile_machines_keep_the_price_memo_bounded() {
+    let (_, profile) = run_with_profile_on(&SimConfig::test_tiny(2, 1), ExecSpec::serial());
+    let priced = PricedModel::new(PerfModel::from_profile(&profile));
+    let mut r = Rng(41);
+    for case in 0..3 * PRICE_MEMO_ENTRIES {
+        let machine = machine(&mut r);
+        let p = 1 + r.below(64) as usize;
+        let plan = PlanLayouts::chem([ChemLayout::Block, ChemLayout::Cyclic][r.below(2) as usize]);
+        let price = priced.hour_price(&machine, p, plan);
+        let again = priced.hour_price(&machine, p, plan);
+        assert_eq!(
+            again.to_bits(),
+            price.to_bits(),
+            "case {case}: {machine:?} P={p}"
+        );
+        assert!(priced.memo_entries() <= PRICE_MEMO_ENTRIES, "case {case}");
+    }
 }
 
 /// A vector never reserves more memory than there are unread bytes: a

@@ -2,11 +2,12 @@
 //! operational use.
 //!
 //! Before a scenario is queued, the controller *predicts* its cost with
-//! [`airshed_core::PerfModel`] — the closed-form model the paper
-//! validates against measurements in Figures 6/7, calibrated by folding
-//! over the same `airshed_core::plan::PhaseGraph` the workers execute —
-//! and rejects jobs whose predicted virtual run time on the target
-//! machine exceeds a configured budget. Models are calibrated per scenario *family* (dataset, mode)
+//! the one serving price, [`airshed_core::PricedModel::hour_price`] of
+//! the plan the job runs — the calibrated model folded over the
+//! requested layout's planned loads, the same price the worker stamps on
+//! the report and the fabric router routes by — and rejects jobs whose
+//! predicted virtual run time on the target machine exceeds a configured
+//! budget. Models are calibrated per scenario *family* (dataset, mode)
 //! from the first captured profile of that family and extrapolated across
 //! machines, node counts and episode lengths — the paper's "measurements
 //! obtained on a small number of nodes can be used to extrapolate".
@@ -19,17 +20,17 @@
 use crate::cache::NumericsKey;
 use crate::lock;
 use airshed_core::config::SimConfig;
-use airshed_core::{LayoutChoice, PerfModel, WorkProfile};
+use airshed_core::{ChemLayout, PerfModel, PlanLayouts, PricedModel, WorkProfile};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 /// The controller's verdict on one scenario.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum AdmissionDecision {
-    /// Admitted; the predicted virtual seconds when a model was
-    /// available (`None` for a first-of-its-family scenario, which is
-    /// admitted optimistically to bootstrap calibration).
-    Admit { predicted_seconds: Option<f64> },
+    /// Admitted: no budget is set, the price fits it, or the scenario is
+    /// the first of its family (admitted optimistically to bootstrap
+    /// calibration).
+    Admit,
     /// Rejected: predicted cost exceeds the budget.
     Reject {
         predicted_seconds: f64,
@@ -42,7 +43,7 @@ pub struct AdmissionController {
     budget_seconds: Option<f64>,
     /// Shared handles, so pricing clones one out and lets the lock go
     /// before it folds or searches anything.
-    models: Mutex<HashMap<NumericsKey, Arc<PerfModel>>>,
+    models: Mutex<HashMap<NumericsKey, Arc<PricedModel>>>,
 }
 
 impl AdmissionController {
@@ -55,77 +56,55 @@ impl AdmissionController {
         }
     }
 
-    pub fn budget_seconds(&self) -> Option<f64> {
-        self.budget_seconds
-    }
-
     /// The model of `config`'s family, if the family has been
     /// calibrated. The `models` lock is released before the caller
     /// prices with it: a layout search on one worker stalls neither
     /// another worker's pricing nor `calibrate`.
-    fn model_for(&self, config: &SimConfig) -> Option<Arc<PerfModel>> {
+    fn model_for(&self, config: &SimConfig) -> Option<Arc<PricedModel>> {
         let family = NumericsKey::of(config).family();
         lock(&self.models).get(&family).cloned()
     }
 
-    /// Predict the virtual run time of `config`, if this family has been
-    /// calibrated. Episode length is scaled linearly from the calibrated
-    /// run — diurnal variation makes this approximate, which is fine for
-    /// an admission estimate.
-    pub fn predict_seconds(&self, config: &SimConfig) -> Option<f64> {
+    /// The one serving price of running `config` under `plan`, if its
+    /// family has been calibrated. Episode length is scaled linearly
+    /// from the calibrated run — diurnal variation makes this
+    /// approximate, which is fine for an admission estimate.
+    pub fn price(&self, config: &SimConfig, plan: PlanLayouts) -> Option<f64> {
         let model = self.model_for(config)?;
-        Some(model.scenario_seconds(&config.machine, config.p, config.hours))
+        Some(model.hour_price(&config.machine, config.p, plan) * config.hours as f64)
     }
 
     /// Run the model-level plan search for `config`'s family: the
-    /// cheapest per-phase layouts on `config.machine`, cost-annotated
-    /// against the default plan. `None` until the family is calibrated.
-    /// Called at execute time rather than at submit, so a job queued
-    /// before its family's first profile landed is still planned.
-    pub fn plan_for(&self, config: &SimConfig) -> Option<LayoutChoice> {
+    /// cheapest per-phase layouts on `config.machine`. `None` until the
+    /// family is calibrated. The worker calls it again at execute time,
+    /// so a job queued before its family's first profile landed is still
+    /// planned.
+    pub fn plan_for(&self, config: &SimConfig) -> Option<PlanLayouts> {
         let model = self.model_for(config)?;
-        Some(model.choose_layout(&config.machine, config.p))
+        Some(model.model().choose_layout(&config.machine, config.p))
     }
 
-    /// [`AdmissionController::predict_seconds`] repriced with the
-    /// optimizer's chosen plan instead of the default.
-    pub fn predict_seconds_optimized(&self, config: &SimConfig) -> Option<f64> {
-        self.plan_for(config)
-            .map(|choice| choice.scenario_seconds(config.hours))
-    }
-
-    /// Decide whether to admit `config` under the default plan.
-    pub fn decide(&self, config: &SimConfig) -> AdmissionDecision {
-        self.decide_opt(config, false)
-    }
-
-    /// Decide whether to admit `config`; `optimize` prices against the
-    /// plan the optimizer would run instead of the paper default, so a
-    /// scenario that only fits the budget when re-planned is admitted.
-    pub fn decide_opt(&self, config: &SimConfig, optimize: bool) -> AdmissionDecision {
-        let predict = || {
-            if optimize {
-                self.predict_seconds_optimized(config)
-            } else {
-                self.predict_seconds(config)
-            }
-        };
+    /// Decide whether to admit `config` at the price of the plan it will
+    /// run: the requested `layout`, or with `optimize` the plan the
+    /// optimizer would run, so a scenario that only fits the budget when
+    /// re-planned is admitted. Without a budget nothing is priced here:
+    /// the worker prices the plan the job runs.
+    pub fn decide(
+        &self,
+        config: &SimConfig,
+        layout: ChemLayout,
+        optimize: bool,
+    ) -> AdmissionDecision {
         let Some(budget) = self.budget_seconds else {
-            return AdmissionDecision::Admit {
-                predicted_seconds: predict(),
-            };
+            return AdmissionDecision::Admit;
         };
-        match predict() {
-            None => AdmissionDecision::Admit {
-                predicted_seconds: None,
-            },
+        let plan = optimize.then(|| self.plan_for(config)).flatten();
+        match self.price(config, plan.unwrap_or(PlanLayouts::chem(layout))) {
             Some(predicted) if predicted > budget => AdmissionDecision::Reject {
                 predicted_seconds: predicted,
                 budget_seconds: budget,
             },
-            Some(predicted) => AdmissionDecision::Admit {
-                predicted_seconds: Some(predicted),
-            },
+            _ => AdmissionDecision::Admit,
         }
     }
 
@@ -139,7 +118,7 @@ impl AdmissionController {
         // Folded outside the lock; if two first runs of a family race,
         // both fold the same deterministic model and the first insert
         // stays.
-        let model = Arc::new(PerfModel::from_profile(profile));
+        let model = Arc::new(PricedModel::new(PerfModel::from_profile(profile)));
         lock(&self.models).entry(family).or_insert(model);
     }
 
@@ -170,10 +149,8 @@ mod tests {
         let ctl = AdmissionController::new(Some(1.0));
         let config = SimConfig::test_tiny(4, 1);
         assert_eq!(
-            ctl.decide(&config),
-            AdmissionDecision::Admit {
-                predicted_seconds: None
-            }
+            ctl.decide(&config, ChemLayout::Block, false),
+            AdmissionDecision::Admit
         );
     }
 
@@ -186,7 +163,7 @@ mod tests {
         monster.hours = 100;
         monster.p = 1;
         monster.machine = MachineProfile::paragon();
-        let predicted = ctl.predict_seconds(&monster).unwrap();
+        let predicted = ctl.price(&monster, PlanLayouts::default()).unwrap();
         assert!(predicted > 0.0);
 
         let ctl = {
@@ -197,7 +174,7 @@ mod tests {
             );
             c
         };
-        match ctl.decide(&monster) {
+        match ctl.decide(&monster, ChemLayout::Block, false) {
             AdmissionDecision::Reject {
                 predicted_seconds,
                 budget_seconds,
@@ -209,23 +186,23 @@ mod tests {
         // The calibrated scenario itself still fits if the budget covers it.
         let ctl2 = calibrated_controller(Some(predicted * 2.0)).0;
         assert!(matches!(
-            ctl2.decide(&monster),
-            AdmissionDecision::Admit { .. }
+            ctl2.decide(&monster, ChemLayout::Block, false),
+            AdmissionDecision::Admit
         ));
     }
 
     #[test]
     fn prediction_scales_with_hours_and_machine() {
         let (ctl, config) = calibrated_controller(None);
-        let one = ctl.predict_seconds(&config).unwrap();
+        let one = ctl.price(&config, PlanLayouts::default()).unwrap();
         let mut long = config.clone();
         long.hours = 10;
-        let ten = ctl.predict_seconds(&long).unwrap();
+        let ten = ctl.price(&long, PlanLayouts::default()).unwrap();
         assert!((ten / one - 10.0).abs() < 1e-9);
 
         let mut slow = config.clone();
         slow.machine = MachineProfile::paragon();
-        assert!(ctl.predict_seconds(&slow).unwrap() > one);
+        assert!(ctl.price(&slow, PlanLayouts::default()).unwrap() > one);
     }
 
     #[test]
@@ -254,22 +231,18 @@ mod tests {
             let model = ctl.model_for(&config).expect("calibrated family");
             searching_tx.send(()).expect("announce");
             let during = calibrated_rx.recv_timeout(std::time::Duration::from_secs(30));
-            let choice = model.choose_layout(&config.machine, config.p);
+            let choice = model.model().choose_layout(&config.machine, config.p);
             assert_eq!(
                 during,
                 Ok(2),
                 "calibrate blocked behind a running layout search"
             );
-            assert_eq!(
-                Some(choice.scenario_seconds(config.hours)),
-                ctl.predict_seconds_optimized(&config)
-            );
+            assert_eq!(Some(choice), ctl.plan_for(&config));
         });
     }
 
     #[test]
     fn the_chosen_layout_follows_the_configured_machine() {
-        use airshed_core::driver::ChemLayout;
         use airshed_core::profile::{HourProfile, StepProfile};
 
         // A family whose chemistry load piles onto the first block of
@@ -303,19 +276,21 @@ mod tests {
         assert!(ctl.plan_for(&config).is_none(), "uncalibrated family");
         ctl.calibrate(&config, &planted);
 
+        let price = |config: &SimConfig, plan| ctl.price(config, plan).unwrap();
         let before = ctl.plan_for(&config).unwrap();
-        assert_eq!(before.layouts.chemistry, ChemLayout::Cyclic);
-        assert!(before.hour_cost < before.default_hour_cost);
+        assert_eq!(before.chemistry, ChemLayout::Cyclic);
+        assert!(price(&config, before) < price(&config, PlanLayouts::default()));
 
         // The same family on a machine whose per-message latency is a
         // million times worse: CYCLIC's extra messages now cost more
         // than its balance wins, so the plan is the default BLOCK.
         config.machine.latency *= 1.0e6;
         let after = ctl.plan_for(&config).unwrap();
-        assert_eq!(after.layouts.chemistry, ChemLayout::Block);
-        // And the optimized admission price tracks the re-plan.
-        let optimized = ctl.predict_seconds_optimized(&config).unwrap();
-        let default = ctl.predict_seconds(&config).unwrap();
-        assert!(optimized <= default * 1.5, "{optimized} vs {default}");
+        assert_eq!(after.chemistry, ChemLayout::Block);
+        // And the optimized admission price tracks the re-plan: both are
+        // the one price, and the search keeps the default plan on ties.
+        let optimized = price(&config, after);
+        let default = price(&config, PlanLayouts::default());
+        assert!(optimized <= default, "{optimized} vs {default}");
     }
 }

@@ -136,20 +136,9 @@ fn execute(shared: &Shared, job: &QueuedJob, deadline_at: Option<Instant>, obs: 
     } else {
         None
     };
-    let layouts = plan
-        .map(|c| c.layouts)
-        .unwrap_or(PlanLayouts::chem(request.layout));
+    let layouts = plan.unwrap_or(PlanLayouts::chem(request.layout));
     let result_key = ResultKey::of_layouts(config, layouts);
     let metrics = &shared.metrics;
-
-    // Predict the cost before doing any work, while the model state is
-    // what admission saw (None for a first-of-its-family scenario). An
-    // optimized job is priced from the search it just ran, not a second.
-    let predicted_before = if request.optimize {
-        plan.map(|choice| choice.scenario_seconds(config.hours))
-    } else {
-        shared.admission.predict_seconds(config)
-    };
 
     if let Some(report) = shared.results.get(&result_key) {
         metrics.result_cache_hits.inc();
@@ -199,16 +188,19 @@ fn execute(shared: &Shared, job: &QueuedJob, deadline_at: Option<Instant>, obs: 
         }
     }
 
+    // Priced once, now that the family is calibrated (a first run has
+    // just calibrated it): the plan the job runs, at admission's price.
+    let predicted = shared.admission.price(config, layouts);
     // Whether the profile came from the cache or was just captured, the
     // report is charged through the same plan-graph execution — a cached
     // profile and a fresh run price identically.
-    let predicted = predicted_before.or_else(|| shared.admission.predict_seconds(config));
     let _replay_span = obs.span("replay");
     let mut report = replay_profile_with(&profile, config.machine, config.p, layouts);
     report.predicted_seconds = predicted;
-    if let Some(choice) = plan {
-        report.plan_layouts = Some(choice.layouts.to_string());
-        report.plan_delta_seconds = Some(choice.hour_saving() * config.hours as f64);
+    if let Some(chosen) = plan {
+        report.plan_layouts = Some(chosen.to_string());
+        let default = shared.admission.price(config, PlanLayouts::default());
+        report.plan_delta_seconds = default.zip(predicted).map(|(d, c)| d - c);
     }
     let report = Arc::new(report);
     shared.results.insert(result_key, Arc::clone(&report));

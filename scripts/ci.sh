@@ -249,6 +249,21 @@ if [ "$(printf '%s' "$schedules" | grep -c .)" -gt 1 ]; then
 fi
 echo "one graph OK"
 
+echo "==> one serving price: admission, the report and the router price alike"
+# Serving prices a job with PricedModel::hour_price of the plan it runs,
+# memoized beside its family's model, so one plan has one price in
+# admission, in the worker's report and in the router. A direct
+# layout_cost or predict call in the server or the fabric is a second
+# price beside it (the closed form is for Figures 6/7 and validate).
+prices="$(non_test "layout_cost\\(|\\.predict\\(" \
+    $(git ls-files 'crates/server/src/*.rs' 'crates/fabric/src/*.rs'))"
+if [ -n "$prices" ]; then
+    echo "$prices"
+    echo "one serving price FAILED: the lines above price beside PricedModel" >&2
+    exit 1
+fi
+echo "one serving price OK"
+
 echo "==> one way to get a plan set: HourPlans::shared outside driver.rs"
 # A plan set is derived once per process (the memo in core::driver);
 # planning one directly anywhere else in non-test code re-derives it per
