@@ -30,7 +30,7 @@ use crate::plan::optimize::search_layouts;
 use crate::plan::{Op, PhaseGraph, PhaseNode};
 use crate::profile::WorkProfile;
 use airshed_hpf::redist::labels;
-use airshed_machine::{MachineProfile, PhaseKind};
+use airshed_machine::{MachineKey, MachineProfile, PhaseKind};
 use serde::Serialize;
 use std::collections::HashMap;
 use std::sync::{Mutex, MutexGuard, PoisonError};
@@ -310,9 +310,8 @@ impl PerfModel {
 /// frames can make it hold.
 pub const PRICE_MEMO_ENTRIES: usize = 1024;
 
-/// A machine's numeric fields (rate, `L`, `G`, `H` as bits, then `W`),
-/// `P` and the plan.
-type PriceKey = ([u64; 4], usize, usize, PlanLayouts);
+/// The machine, `P` and the plan.
+type PriceKey = (MachineKey, usize, PlanLayouts);
 
 /// The one serving price: a calibrated [`PerfModel`] with a bounded memo
 /// of [`PricedModel::hour_price`]. Admission, the worker's report and
@@ -339,13 +338,11 @@ impl PricedModel {
     /// `machine` × `p`: exactly `layout_cost(..) / hours.max(1)` of the
     /// calibrated run, folded (outside the lock) once while resident.
     pub fn hour_price(&self, machine: &MachineProfile, p: usize, layouts: PlanLayouts) -> f64 {
-        let m = machine;
-        let fields = [m.rate, m.latency, m.byte_cost, m.copy_cost].map(f64::to_bits);
-        let key = (fields, m.word_size, p, layouts);
+        let key = (machine.key(), p, layouts);
         if let Some(&hit) = self.prices().get(&key) {
             return hit;
         }
-        let price = self.model.layout_cost(m, p, layouts) / self.model.hours.max(1) as f64;
+        let price = self.model.layout_cost(machine, p, layouts) / self.model.hours.max(1) as f64;
         let mut prices = self.prices();
         if prices.len() >= PRICE_MEMO_ENTRIES {
             prices.clear();

@@ -341,7 +341,10 @@ pub fn serve_batch(
         let mut reader = stream
             .try_clone()
             .map_err(|e| format!("clone failed: {e}"))?;
+        // Bounded, so a peer that connects and stalls cannot hang it.
+        reader.set_read_timeout(opts.deadline).ok();
         let hello = proto::recv(&mut reader).map_err(|e| format!("bad hello from {addr}: {e}"))?;
+        reader.set_read_timeout(None).ok();
         if !matches!(hello, Msg::Hello { .. }) {
             return Err(format!(
                 "expected Hello from {addr}, got tag {}",
@@ -486,6 +489,30 @@ mod tests {
             .filter(|e| e.track == Track::Counter(CLOCK_OFFSET_TRACK))
             .map(|e| e.name)
             .collect()
+    }
+
+    /// A peer that connects and sends 3 bytes of a Hello is refused
+    /// within the deadline, with the typed error.
+    #[test]
+    fn a_stalled_hello_is_refused_within_the_deadline() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        peer.write_all(b"AF\x01").unwrap();
+        let opts = FrontendOptions {
+            expect: 1,
+            deadline: Some(Duration::from_millis(200)),
+            ..FrontendOptions::default()
+        };
+        let (done, outcome) = mpsc::channel();
+        std::thread::spawn(move || {
+            let served = serve_batch(&listener, opts, &[], &Obs::off());
+            let _ = done.send(served.err());
+        });
+        let refused = outcome.recv_timeout(Duration::from_secs(30));
+        let message = refused.expect("serve_batch hangs on a stalled Hello");
+        let message = message.expect("a stalled Hello is an error");
+        assert!(message.starts_with("bad hello from"), "{message}");
+        drop(peer);
     }
 
     #[test]

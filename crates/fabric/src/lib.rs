@@ -26,7 +26,7 @@
 //! | [`wire`]     | length-prefixed frames, typed framing errors           |
 //! | [`proto`]    | [`Msg`] — the typed protocol, its layout declared once |
 //! | [`router`]   | deterministic routing/stealing/failover state machine  |
-//! | [`shard`]    | shard process: a scenario server behind one socket     |
+//! | [`shard`]    | [`ShardCore`] state machine and its socket driver      |
 //! | [`frontend`] | [`Frontend`] state machine and its socket driver       |
 
 pub mod frontend;
@@ -40,4 +40,4 @@ pub use frontend::{
 };
 pub use proto::{report_fingerprint, Msg, ScenarioJob};
 pub use router::{Router, RouterConfig, ShardCounters};
-pub use shard::{run_shard, ShardOptions};
+pub use shard::{run_shard, ShardCore, ShardEvent, ShardOptions, ShardStep};

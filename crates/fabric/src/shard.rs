@@ -1,45 +1,52 @@
-//! The shard process: a [`ScenarioServer`] behind one TCP connection.
+//! The shard process: a [`ScenarioServer`] behind one TCP connection, as
+//! a pure state machine and the socket driver that feeds it.
 //!
-//! A shard dials the front-end, says `Hello`, and starts an in-process
-//! [`ScenarioServer`] on the caller's [`Obs`]: `workers` workers, no
-//! admission budget and an unbounded queue (the router's dispatch window
-//! of `workers` jobs is the bound). Then one thread reads frames — each
-//! `Assign` becomes one `submit`, and `Shutdown` (or a closed socket)
-//! drains the server — and a heartbeat thread sends `Heartbeat` every
-//! `heartbeat_ms`, read off the server's metrics (queue depth, jobs in
-//! flight, the plan memo).
+//! [`ShardCore`] holds no socket, reads no clock and takes no lock. Each
+//! [`ShardCore::step`] takes one [`ShardEvent`] and returns a
+//! [`ShardStep`]: the frames to write, the jobs to submit and cancel, and
+//! whether to sever the connection or exit the process. It keeps the
+//! outstanding jobs and their trace contexts, the hour count behind the
+//! self-destruct knobs, and the heartbeat sequence: the first `Tick`
+//! `heartbeat_ms` after the last `Heartbeat` sends one, with its own
+//! load. A seeded simulation (`tests/fabric_sim.rs`) drives it over a
+//! stand-in executor.
 //!
-//! The server runs each job as for a local client: a numerics key is
-//! computed once, hour by hour, its other jobs replay the profile, and a
-//! repeated job is a result-cache hit. Each request's [`JobObserver`]
-//! turns the job's events into frames: `Progress` after every hour of a
-//! cold run, `Calibrated` (the §4 model of the fresh profile) before its
+//! [`run_shard`] is the IO. It dials the front-end, says `Hello`, and
+//! starts a [`ScenarioServer`] on the caller's [`Obs`]: `workers` workers,
+//! no admission budget, an unbounded queue (the router's dispatch window
+//! of `workers` jobs is the bound). A reader thread and every job's
+//! [`JobObserver`] send events into one channel, and one loop waits on it
+//! until the next heartbeat is due, steps, submits and cancels on the
+//! server, then writes the frames. An observer holds its worker until its
+//! event is stepped, so a sever's cancels land before the job's next hour
+//! boundary. `Shutdown` (or a closed socket) lets the outstanding jobs
+//! finish, then drains the server.
+//!
+//! A job's events become frames: `Progress` after every hour of a cold
+//! run, `Calibrated` (the §4 model of the fresh profile) before its
 //! replay, then `Completed` or `Failed`. A job answered from a resident
 //! profile or result sends `Completed` alone.
-//!
-//! All writes share one mutex-guarded socket, so frames from concurrent
-//! workers never interleave; a writer that panicked mid-frame poisons
-//! the lock, and a poisoned writer is a dead connection.
 //!
 //! Two self-destruct knobs support shard-loss testing: `die_after_hours`
 //! hard-exits the process (CI's `kill -9` stand-in, deterministic at an
 //! hour boundary), and `drop_after_hours` severs the connection and
-//! cancels every outstanding job, which stops at its next hour boundary
-//! — usable in-process where `process::exit` would take the test harness
-//! down with it.
+//! cancels every outstanding job — usable in-process where
+//! `process::exit` would take the test harness down with it.
 
-use crate::proto::{self, Msg};
+use crate::proto::{self, Msg, ScenarioJob};
 use airshed_core::codec::WireError;
+use airshed_core::driver::PlanMemoStats;
 use airshed_core::obs::dist::TraceContext;
 use airshed_core::{ExecSpec, Obs, PerfModel};
 use airshed_server::{
-    lock, JobError, JobEvent, JobHandle, JobObserver, ScenarioRequest, ScenarioServer, ServerConfig,
+    JobError, JobEvent, JobObserver, JobResult, ResumePoint, ScenarioRequest, ScenarioServer,
+    ServerConfig,
 };
-use std::collections::HashMap;
+use std::collections::btree_map::Entry;
+use std::collections::{BTreeMap, HashMap};
 use std::net::{Shutdown, TcpStream};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{self, RecvTimeoutError};
-use std::sync::{Arc, Mutex};
+use std::sync::mpsc::{self, Sender};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Shard configuration.
@@ -75,146 +82,214 @@ impl Default for ShardOptions {
     }
 }
 
-/// The connection, and what every job's observer shares.
-struct Link {
-    writer: Mutex<TcpStream>,
-    /// Unfinished jobs by fabric id, what a sever cancels; `None` once
-    /// severed.
-    jobs: Mutex<Option<HashMap<u64, JobHandle>>>,
-    hours_done: AtomicU64,
-    opts: ShardOptions,
-    /// Its epoch is the one the front-end's clock-offset estimate is
-    /// relative to.
-    obs: Obs,
+/// One input to [`ShardCore::step`]. A job's event names its fabric id.
+#[derive(Debug)]
+pub enum ShardEvent {
+    /// A frame from the front-end.
+    Frame(Msg),
+    /// An hour of a cold run: all progress so far, and its wall time.
+    Hour(u64, Box<ResumePoint>, Duration),
+    /// The fresh profile's §4 model.
+    Calibrated(u64, PerfModel),
+    Finished(u64, JobResult),
+    /// The executor's load: jobs running, jobs queued, the plan memo.
+    Tick(u32, u32, PlanMemoStats),
 }
 
-impl Link {
-    /// Write one frame; `false` once the connection is dead (a poisoned
-    /// writer may have left a partial frame).
-    fn send(&self, msg: &Msg) -> bool {
-        match self.writer.lock() {
-            Ok(mut w) => proto::send(&mut *w, msg).is_ok(),
-            Err(_) => false,
+/// What one [`ShardCore::step`] asks of its driver.
+#[derive(Debug, Default)]
+pub struct ShardStep {
+    /// Frames to write, in order.
+    pub frames: Vec<Msg>,
+    /// `(job, trace context, work)` to submit to the executor.
+    pub submits: Vec<(u64, TraceContext, ScenarioJob)>,
+    /// Jobs to cancel: each stops at its next hour boundary.
+    pub cancels: Vec<u64>,
+    /// Shut the connection.
+    pub sever: bool,
+    /// Exit the process with status 3.
+    pub exit: bool,
+}
+
+/// See the module docs.
+pub struct ShardCore {
+    name: String,
+    workers: u32,
+    heartbeat_ms: u64,
+    die_after_hours: Option<u64>,
+    drop_after_hours: Option<u64>,
+    /// Unfinished jobs and their trace contexts: what a sever cancels.
+    jobs: BTreeMap<u64, TraceContext>,
+    hours_done: u64,
+    severed: bool,
+    /// The front-end said `Shutdown` or hung up.
+    closed: bool,
+    seq: u64,
+    last_beat_ms: u64,
+}
+
+impl ShardCore {
+    /// A shard whose step clock starts at 0.
+    pub fn new(opts: &ShardOptions) -> ShardCore {
+        ShardCore {
+            name: opts.name.clone(),
+            workers: opts.workers.max(1) as u32,
+            heartbeat_ms: opts.heartbeat_ms.max(10),
+            die_after_hours: opts.die_after_hours,
+            drop_after_hours: opts.drop_after_hours,
+            jobs: BTreeMap::new(),
+            hours_done: 0,
+            severed: false,
+            closed: false,
+            seq: 0,
+            last_beat_ms: 0,
         }
     }
 
-    /// A `sent_us` stamp; 0 (= no stamp) when the shard runs untraced.
-    fn stamp(&self) -> u64 {
-        if self.obs.enabled() {
-            self.obs.us_since_epoch(Instant::now()) as u64
-        } else {
-            0
+    /// The frame that opens the connection.
+    pub fn hello(&self, sent_us: u64) -> Msg {
+        Msg::Hello {
+            name: self.name.clone(),
+            workers: self.workers,
+            sent_us,
         }
     }
 
-    /// Cancel every outstanding job and shut the socket, so the
-    /// front-end's reader sees EOF now rather than at the heartbeat
-    /// timeout. Shutting writes nothing, so a poisoned writer is safe.
-    fn sever(&self) {
-        for (_, handle) in lock(&self.jobs).take().into_iter().flatten() {
-            handle.cancel();
+    /// When the next `Heartbeat` is due, on the step clock.
+    pub fn next_beat_ms(&self) -> u64 {
+        self.last_beat_ms + self.heartbeat_ms
+    }
+
+    /// Nothing left to do: the connection is severed or closed, and no
+    /// job is outstanding.
+    pub fn is_done(&self) -> bool {
+        (self.severed || self.closed) && self.jobs.is_empty()
+    }
+
+    /// Feed one event. `now_ms` is the driver's clock since the core was
+    /// made; `sent_us` stamps this step's frames (0 untraced).
+    pub fn step(&mut self, event: ShardEvent, now_ms: u64, sent_us: u64) -> ShardStep {
+        let mut step = ShardStep::default();
+        if self.severed {
+            return step;
         }
-        let _ = lock(&self.writer).shutdown(Shutdown::Both);
+        match event {
+            // One server job per fabric id: a repeat of an outstanding
+            // job is refused, so every job event finds its context.
+            ShardEvent::Frame(Msg::Assign { job, ctx, work }) => {
+                if let Entry::Vacant(slot) = self.jobs.entry(job) {
+                    slot.insert(ctx);
+                    step.submits.push((job, ctx, *work));
+                }
+            }
+            ShardEvent::Frame(Msg::Shutdown) => self.closed = true,
+            ShardEvent::Frame(other) => {
+                eprintln!("airshed-shard: unexpected frame tag {}", other.tag())
+            }
+            ShardEvent::Hour(job, resume, wall) => {
+                let (ctx, hour_us) = (self.jobs[&job], wall.as_micros() as u64);
+                step.frames.push(Msg::Progress {
+                    job,
+                    ctx,
+                    sent_us,
+                    hour_us,
+                    resume,
+                });
+                self.hours_done += 1;
+                let reached = |n: Option<u64>| n.is_some_and(|n| self.hours_done >= n);
+                step.exit = reached(self.die_after_hours);
+                if reached(self.drop_after_hours) {
+                    self.severed = true;
+                    step.sever = true;
+                    step.cancels = std::mem::take(&mut self.jobs).into_keys().collect();
+                }
+            }
+            // Stepped before the job's `Finished`, so the router prices
+            // with the model before a completion frees capacity.
+            ShardEvent::Calibrated(job, model) => step.frames.push(Msg::Calibrated { job, model }),
+            ShardEvent::Finished(job, result) => {
+                let ctx = self.jobs.remove(&job).expect("an outstanding job");
+                step.frames.extend(match result {
+                    Ok(report) => Some(Msg::Completed {
+                        job,
+                        ctx,
+                        sent_us,
+                        report: Box::new(Arc::unwrap_or_clone(report)),
+                    }),
+                    Err(JobError::Failed { message }) => Some(Msg::Failed { job, ctx, message }),
+                    // No job here has a deadline, and only a sever
+                    // cancels: the front-end re-routes it.
+                    Err(JobError::Cancelled { .. } | JobError::DeadlineExpired { .. }) => None,
+                });
+            }
+            // Only a `Tick` beats, so a heartbeat's load is never stale.
+            ShardEvent::Tick(running, queued, plans) if now_ms >= self.next_beat_ms() => {
+                self.seq += 1;
+                self.last_beat_ms = now_ms;
+                step.frames.push(Msg::Heartbeat {
+                    seq: self.seq,
+                    running,
+                    queued,
+                    sent_us,
+                    plans,
+                });
+            }
+            ShardEvent::Tick(..) => {}
+        }
+        step
     }
 }
 
-/// One fabric job on the shard's server: its events become frames.
+/// What the loop's channel carries: an event, and for a job's event the
+/// sender its worker waits on until the loop drops it after the step.
+type Inbound = (ShardEvent, Option<Sender<()>>);
+
+/// One fabric job on the shard's server: its events go to the loop.
 struct FabricJob {
     job: u64,
-    ctx: TraceContext,
-    link: Arc<Link>,
+    trace_id: u64,
+    events: Sender<Inbound>,
 }
 
 impl JobObserver for FabricJob {
     /// The front-end's trace, so the stitcher links the shard's span.
     fn trace_id(&self) -> Option<u64> {
-        Some(self.ctx.trace_id)
+        Some(self.trace_id)
     }
 
     fn event(&self, event: JobEvent<'_>) {
-        let (link, job, ctx) = (&*self.link, self.job, self.ctx);
-        let msg = match event {
-            JobEvent::Hour(resume, wall) => {
-                link.send(&Msg::Progress {
-                    job,
-                    ctx,
-                    sent_us: link.stamp(),
-                    hour_us: wall.as_micros() as u64,
-                    resume: Box::new(resume.clone()),
-                });
-                let done = link.hours_done.fetch_add(1, Ordering::Relaxed) + 1;
-                if link.opts.die_after_hours.is_some_and(|n| done >= n) {
-                    // The CI crash: gone between two heartbeats, with
-                    // the hour just finished already on the wire.
-                    std::process::exit(3);
-                }
-                if link.opts.drop_after_hours.is_some_and(|n| done >= n) {
-                    link.sever();
-                }
-                return;
+        let job = self.job;
+        let event = match event {
+            JobEvent::Hour(resume, wall) => ShardEvent::Hour(job, Box::new(resume.clone()), wall),
+            JobEvent::Calibrated(profile) => {
+                ShardEvent::Calibrated(job, PerfModel::from_profile(profile))
             }
-            // Sent before the replay, so the router prices with the
-            // model before a completion frees capacity for a dispatch.
-            JobEvent::Calibrated(profile) => Msg::Calibrated {
-                job,
-                model: PerfModel::from_profile(profile),
-            },
-            JobEvent::Finished(result) => {
-                if let Some(jobs) = lock(&link.jobs).as_mut() {
-                    jobs.remove(&job);
-                }
-                match result {
-                    Ok(report) => Msg::Completed {
-                        job,
-                        ctx,
-                        sent_us: link.stamp(),
-                        report: Box::new((**report).clone()),
-                    },
-                    Err(JobError::Failed { message }) => Msg::Failed {
-                        job,
-                        ctx,
-                        message: message.clone(),
-                    },
-                    // Cancelled by a sever (no job here has a deadline):
-                    // the front-end re-routes from the last `Progress`.
-                    Err(JobError::Cancelled { .. } | JobError::DeadlineExpired { .. }) => return,
-                }
-            }
+            JobEvent::Finished(result) => ShardEvent::Finished(job, result.clone()),
         };
-        if link.obs.enabled() && matches!(msg, Msg::Completed { .. }) {
-            // The wire cost of shipping a result back: the
-            // serialization leg of copy accounting.
-            let at = link.obs.us_since_epoch(Instant::now());
-            let bytes = msg.encode().len() as f64;
-            link.obs
-                .record_counter("result_frame_bytes", "copy bytes", at, bytes, None);
-        }
-        link.send(&msg);
+        let (stepped, wait) = mpsc::channel();
+        // Returns once the loop dropped `stepped`, or never took it.
+        let _ = self.events.send((event, Some(stepped)));
+        let _ = wait.recv();
     }
 }
 
 /// Run a shard to completion: connect, serve until `Shutdown` or
 /// disconnect, drain the server, exit. See the module docs.
 pub fn run_shard(opts: ShardOptions, obs: &Obs) -> Result<(), String> {
-    let stream =
+    let mut stream =
         TcpStream::connect(&opts.connect).map_err(|e| format!("connect {}: {e}", opts.connect))?;
     stream.set_nodelay(true).ok();
     let mut reader = stream.try_clone().map_err(|e| format!("clone: {e}"))?;
-    let link = Arc::new(Link {
-        writer: Mutex::new(stream),
-        jobs: Mutex::new(Some(HashMap::new())),
-        hours_done: AtomicU64::new(0),
-        opts: opts.clone(),
-        obs: obs.clone(),
-    });
-    let hello = Msg::Hello {
-        name: opts.name,
-        workers: opts.workers.max(1) as u32,
-        sent_us: link.stamp(),
+    // On the epoch the front-end's clock-offset estimate is relative to;
+    // 0 (= no stamp) untraced.
+    let stamp = || {
+        let now = obs.enabled().then(|| obs.us_since_epoch(Instant::now()));
+        now.map_or(0, |us| us as u64)
     };
-    if !link.send(&hello) {
-        return Err("failed to send Hello".to_string());
-    }
+    let epoch = Instant::now();
+    let now_ms = || epoch.elapsed().as_millis() as u64;
+    let mut core = ShardCore::new(&opts);
+    proto::send(&mut stream, &core.hello(stamp())).map_err(|_| "failed to send Hello")?;
 
     let server = ScenarioServer::start(ServerConfig {
         workers: opts.workers,
@@ -223,61 +298,87 @@ pub fn run_shard(opts: ShardOptions, obs: &Obs) -> Result<(), String> {
         exec: opts.exec,
         obs: obs.clone(),
     });
-    let period = Duration::from_millis(opts.heartbeat_ms.max(10));
-    let (stop, stopped) = mpsc::channel::<()>();
+    let load = || {
+        let m = server.metrics();
+        let (running, queued) = (m.in_flight - m.queue_depth, m.queue_depth);
+        let tick = ShardEvent::Tick(running.max(0) as u32, queued.max(0) as u32, m.plans);
+        (tick, None)
+    };
+    let (events, inbox) = mpsc::channel::<Inbound>();
+    let forward = events.clone();
+    let mut handles = HashMap::new();
     std::thread::scope(|scope| {
-        let (server, link) = (&server, &link);
-        // Heartbeats, the front-end's only liveness signal, until the
-        // read side ends.
-        scope.spawn(move || {
-            for seq in 1.. {
-                if stopped.recv_timeout(period) != Err(RecvTimeoutError::Timeout) {
-                    return;
+        // The front-end's frames, ending in `Shutdown` (a closed or
+        // broken stream reads as one).
+        scope.spawn(move || loop {
+            let msg = proto::recv(&mut reader).unwrap_or_else(|e| {
+                if !matches!(e, WireError::Closed) {
+                    eprintln!("airshed-shard: stream error: {e}");
                 }
-                let m = server.metrics();
-                if !link.send(&Msg::Heartbeat {
-                    seq,
-                    running: (m.in_flight - m.queue_depth).max(0) as u32,
-                    queued: m.queue_depth.max(0) as u32,
-                    sent_us: link.stamp(),
-                    plans: m.plans,
-                }) {
-                    return;
-                }
+                Msg::Shutdown
+            });
+            let end = matches!(msg, Msg::Shutdown);
+            if forward.send((ShardEvent::Frame(msg), None)).is_err() || end {
+                return;
             }
         });
-        loop {
-            match proto::recv(&mut reader) {
-                Ok(Msg::Assign { job, ctx, work }) => {
-                    // Locked until the handle is in, so the job's
-                    // `Finished` cannot look for it first. Refused once
-                    // severed: the router re-routes it.
-                    let mut jobs = lock(&link.jobs);
-                    let Some(jobs) = jobs.as_mut() else { continue };
-                    let request = ScenarioRequest {
-                        layout: work.layout,
-                        resume: work.resume.map(Box::new),
-                        observer: Some(Arc::new(FabricJob {
-                            job,
-                            ctx,
-                            link: Arc::clone(link),
-                        })),
-                        ..ScenarioRequest::new(work.config)
-                    };
-                    if let Some(handle) = server.submit(request).into_handle() {
-                        jobs.insert(job, handle);
-                    }
-                }
-                Ok(Msg::Shutdown) | Err(WireError::Closed) => break,
-                Ok(other) => eprintln!("airshed-shard: unexpected frame tag {}", other.tag()),
-                Err(e) => {
-                    eprintln!("airshed-shard: stream error: {e}");
-                    break;
+        while !core.is_done() {
+            // A due heartbeat steps the executor's load first.
+            let (event, stepped) = match core.next_beat_ms().saturating_sub(now_ms()) {
+                0 => load(),
+                wait => inbox
+                    .recv_timeout(Duration::from_millis(wait))
+                    .unwrap_or_else(|_| load()),
+            };
+            if let ShardEvent::Finished(job, _) = &event {
+                handles.remove(job);
+            }
+            // Submits and cancels, then the frames, then the connection.
+            let step = core.step(event, now_ms(), stamp());
+            for (job, ctx, work) in step.submits {
+                let observer = FabricJob {
+                    job,
+                    trace_id: ctx.trace_id,
+                    events: events.clone(),
+                };
+                let request = ScenarioRequest {
+                    layout: work.layout,
+                    resume: work.resume.map(Box::new),
+                    observer: Some(Arc::new(observer)),
+                    ..ScenarioRequest::new(work.config)
+                };
+                handles.extend(server.submit(request).into_handle().map(|h| (job, h)));
+            }
+            for job in step.cancels {
+                if let Some(handle) = handles.remove(&job) {
+                    handle.cancel();
                 }
             }
+            for msg in &step.frames {
+                if obs.enabled() && matches!(msg, Msg::Completed { .. }) {
+                    // The wire cost of shipping a result back: the
+                    // serialization leg of copy accounting.
+                    let at = obs.us_since_epoch(Instant::now());
+                    let bytes = msg.encode().len() as f64;
+                    obs.record_counter("result_frame_bytes", "copy bytes", at, bytes, None);
+                }
+                let _ = proto::send(&mut stream, msg);
+            }
+            if step.sever {
+                let _ = stream.shutdown(Shutdown::Both);
+            }
+            if step.exit {
+                // The CI crash: gone between two heartbeats, with the
+                // hour just finished already on the wire.
+                std::process::exit(3);
+            }
+            drop(stepped);
         }
-        drop(stop);
+        // Unblocks the reader if the loop ended on a sever.
+        let _ = stream.shutdown(Shutdown::Both);
     });
+    // Dropping the channel releases any worker still waiting on a step.
+    drop(inbox);
     server.shutdown();
     Ok(())
 }
@@ -409,6 +510,38 @@ mod tests {
         shard.join().unwrap().unwrap();
         let hours = sink.events().iter().filter(|e| e.name == "hour").count();
         assert_eq!(hours, 1, "the job ran past the hour that severed it");
+    }
+
+    /// A repeated `Assign` of an outstanding job is refused: one server
+    /// job per fabric id, whose events all find the job's context.
+    #[test]
+    fn a_repeated_assign_of_an_outstanding_job_is_refused() {
+        let mut core = ShardCore::new(&ShardOptions::default());
+        for submits in [1, 0] {
+            let step = core.step(ShardEvent::Frame(assign(1, config(2, 1))), 0, 0);
+            assert_eq!(step.submits.len(), submits);
+        }
+        let failed = Err(JobError::Failed {
+            message: "numerics panicked".into(),
+        });
+        let step = core.step(ShardEvent::Finished(1, failed), 0, 0);
+        assert!(matches!(step.frames[..], [Msg::Failed { job: 1, .. }]));
+        let shutdown = core.step(ShardEvent::Frame(Msg::Shutdown), 0, 0);
+        assert!(shutdown.frames.is_empty() && core.is_done());
+    }
+
+    /// Only a `Tick` beats, so a heartbeat reports the load of the
+    /// `Tick` that sent it: a due step of any other event sends none.
+    #[test]
+    fn a_heartbeat_reports_the_load_of_the_tick_that_sends_it() {
+        let mut core = ShardCore::new(&ShardOptions::default());
+        let due = core.next_beat_ms();
+        let tick = |running| ShardEvent::Tick(running, 0, PlanMemoStats::default());
+        assert!(core.step(tick(1), due - 1, 0).frames.is_empty());
+        let assigned = core.step(ShardEvent::Frame(assign(1, config(2, 1))), due, 0);
+        assert!(assigned.frames.is_empty(), "a heartbeat off a Tick");
+        let beat = core.step(tick(2), due, 0).frames;
+        assert!(matches!(beat[..], [Msg::Heartbeat { running: 2, .. }]));
     }
 
     /// A traced roundtrip through the real front-end: every shard-side

@@ -42,5 +42,5 @@ pub mod sim;
 
 pub use accounting::{PhaseBreakdown, PhaseCategory, PhaseKind};
 pub use cost::NodeCommLoad;
-pub use profiles::MachineProfile;
+pub use profiles::{MachineKey, MachineProfile};
 pub use sim::Machine;

@@ -105,7 +105,18 @@ impl MachineProfile {
     pub fn compute_seconds(&self, work: f64) -> f64 {
         work / self.rate
     }
+
+    /// The machine's identity, for a cache key.
+    pub fn key(&self) -> MachineKey {
+        let fields = [self.rate, self.latency, self.byte_cost, self.copy_cost];
+        MachineKey(self.name, fields.map(f64::to_bits), self.word_size)
+    }
 }
+
+/// What tells two machines apart: the name, rate, `L`, `G` and `H` (as
+/// bits) and `W`. Two profiles with equal keys charge every span alike.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct MachineKey(&'static str, [u64; 4], usize);
 
 #[cfg(test)]
 mod tests {

@@ -26,6 +26,7 @@ use airshed_chem::youngboris::{AsymptoticForm, YbOptions};
 use airshed_core::config::{DatasetChoice, SimConfig, Weather};
 use airshed_core::driver::{ChemLayout, PlanLayouts};
 use airshed_core::WorkProfile;
+use airshed_machine::MachineKey;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashSet;
 use std::hash::{Hash, Hasher};
@@ -116,14 +117,15 @@ impl NumericsKey {
     }
 }
 
-/// Full scenario identity: numerics plus the virtual machine placement,
-/// including the per-phase layouts the plan was executed with (two
-/// placements of the same numerics charge different virtual cost under
-/// different layouts, so they must not share a cached report).
+/// Full scenario identity: numerics plus the virtual machine placement
+/// (the whole machine, not its name), including the per-phase layouts
+/// the plan was executed with (two placements of the same numerics
+/// charge different virtual cost under different layouts, so they must
+/// not share a cached report).
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct ResultKey {
     pub numerics: NumericsKey,
-    pub machine: &'static str,
+    pub machine: MachineKey,
     pub p: usize,
     pub layouts: PlanLayouts,
 }
@@ -138,7 +140,7 @@ impl ResultKey {
     pub fn of_layouts(config: &SimConfig, layouts: PlanLayouts) -> ResultKey {
         ResultKey {
             numerics: NumericsKey::of(config),
-            machine: config.machine.name,
+            machine: config.machine.key(),
             p: config.p,
             layouts,
         }
@@ -381,6 +383,7 @@ impl ProfileStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use airshed_machine::MachineProfile;
     use std::collections::HashMap;
 
     #[test]
@@ -547,6 +550,30 @@ mod tests {
         assert_eq!(
             ResultKey::of(&a, ChemLayout::Cyclic).layouts.chemistry,
             ChemLayout::Cyclic
+        );
+        // The machine is keyed whole: the same name with any other
+        // rate, L, G, H or W is another placement.
+        let edits: [fn(&mut MachineProfile); 5] = [
+            |m| m.rate *= 2.0,
+            |m| m.latency *= 1.0e6,
+            |m| m.byte_cost *= 2.0,
+            |m| m.copy_cost *= 2.0,
+            |m| m.word_size = 4,
+        ];
+        for edit in edits {
+            let mut c = a.clone();
+            edit(&mut c.machine);
+            assert_eq!(c.machine.name, a.machine.name);
+            assert_ne!(
+                ResultKey::of(&c, ChemLayout::Block),
+                ResultKey::of(&a, ChemLayout::Block)
+            );
+        }
+        let mut renamed = a.clone();
+        renamed.machine.name = "another T3E";
+        assert_ne!(
+            ResultKey::of(&renamed, ChemLayout::Block),
+            ResultKey::of(&a, ChemLayout::Block)
         );
     }
 

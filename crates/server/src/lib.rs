@@ -297,13 +297,6 @@ pub enum SubmitOutcome {
 
 impl SubmitOutcome {
     /// The handle, if the job was accepted.
-    pub fn handle(&self) -> Option<&JobHandle> {
-        match self {
-            SubmitOutcome::Submitted(h) => Some(h),
-            _ => None,
-        }
-    }
-
     pub fn into_handle(self) -> Option<JobHandle> {
         match self {
             SubmitOutcome::Submitted(h) => Some(h),
@@ -654,11 +647,6 @@ impl ScenarioServer {
     /// A point-in-time metrics snapshot.
     pub fn metrics(&self) -> MetricsSnapshot {
         self.shared.metrics.snapshot()
-    }
-
-    /// Current submission-queue depth.
-    pub fn queue_depth(&self) -> usize {
-        self.shared.queue.len()
     }
 
     /// Number of calibrated scenario families available to admission.

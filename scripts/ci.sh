@@ -3,7 +3,7 @@
 # (every crate's unit tests and doctests included), the benchmark
 # package's build and tests, a warning-free clippy pass (all targets),
 # the one-arithmetic, one-pricing-machine, one-observer, one-virtual-timeline,
-# fabric-routes-batches, one-job-executor, one-lock-policy,
+# fabric-routes-batches, one-job-executor, one-shard-loop, one-lock-policy,
 # one-cost-fold and one-graph word checks,
 # the one-way-to-a-plan-set, one-codec and one-metrics-table checks, the
 # no-fault-injection check and the large-budget fabric simulation, the
@@ -147,10 +147,26 @@ if [ -n "$executor" ]; then
 fi
 echo "one job executor OK"
 
+echo "==> one shard loop: the shard is a pure step, and the simulation runs it"
+# fabric::shard's ShardCore takes no lock, and run_shard's one loop owns
+# the socket, so non-test shard.rs names no Mutex (the shared writer and
+# job table were the second and third owners). The simulation drives
+# the real ShardCore, so it builds none of the frames a shard sends (a
+# `Msg::X { .. }` pattern reads them).
+loop_words="$(awk '/^[[:space:]]*#\[cfg\(test\)\]/ { exit } /(^|[^[:alnum:]_])Mutex([^[:alnum:]_]|$)/ {
+        print FILENAME ":" FNR ": " $0 }' crates/fabric/src/shard.rs)
+$(awk -v v='Msg::(Hello|Heartbeat|Progress|Calibrated|Completed)[[:space:]]*[{]' '
+    $0 ~ v && $0 !~ (v "[^}]*[.][.][[:space:]]*[}]") { print FILENAME ":" FNR ": " $0 }' tests/fabric_sim.rs)"
+if [ -n "${loop_words//$'\n'/}" ]; then
+    echo "$loop_words"
+    echo "one shard loop FAILED: the lines above are back" >&2
+    exit 1
+fi
+echo "one shard loop OK"
+
 echo "==> one lock policy: a poisoned serving lock is recovered, not unwrapped"
 # No lock on the serving path guards data a panic can leave
-# half-written, so each one recovers with PoisonError::into_inner (a
-# poisoned shard writer is handled by hand: it is a dead connection).
+# half-written, so each one recovers with PoisonError::into_inner.
 # An unwrapped lock or condvar wait, on one line or split over two, is
 # the policy this replaced.
 locks="$(git ls-files 'crates/server/src/*.rs' 'crates/fabric/src/*.rs' | xargs awk '
@@ -398,8 +414,9 @@ cargo test --release --offline -p airshed-fabric --test codec -- \
 
 echo "==> the fabric front-end under the seeded simulation, large budget"
 # `cargo test` runs 96 seeded cases; once here, 22 000 — delay, drops,
-# stalls mid-frame, kills, zombies and steals against the real Frontend
-# and Router, every step checked; a failure names its seed.
+# stalls mid-frame, kills, zombies, severs and steals against the real
+# Frontend, Router and ShardCore, every step checked; a failure names
+# its seed.
 cargo test --release --offline --test fabric_sim -- \
     --ignored seeded_interleavings_keep_every_contract_soak
 

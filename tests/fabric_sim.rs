@@ -1,13 +1,15 @@
-//! The fabric front-end under a seeded simulation.
+//! The fabric's two ends under a seeded simulation.
 //!
 //! One scheduler, seeded per case, drives the real [`Frontend`] (and the
 //! [`Router`](airshed::fabric::Router) inside it) against N in-process
-//! shard models over simulated connections. The models answer with real
-//! data: each numerics key runs once per test process through
-//! `run_hourly`, whose `on_hour` hook yields the per-hour `ResumePoint`s
-//! a shard streams as `Progress`, and each completion is
-//! `replay_profile` of that profile on the job's own placement — which
-//! the checkpoint contract makes equal to what a resumed run reports.
+//! shards over simulated connections. Each shard is a real [`ShardCore`]
+//! over a stand-in executor: an inbox, workers, and single-flight
+//! Lead/Wait/Replay of real data. Each numerics key runs once per test
+//! process through `run_hourly`, whose `on_hour` hook yields the
+//! per-hour `ResumePoint`s a job's `Hour` events carry, and each
+//! completion is `replay_profile` of that profile on the job's own
+//! placement — which the checkpoint contract makes equal to what a
+//! resumed run reports.
 //!
 //! The events are the failure modes of a connection in Sundararajan and
 //! Harwood's survey of parallel computing on the Internet (PAPERS.md):
@@ -19,19 +21,24 @@
 //!   the frame it was sending never completes, so only heartbeat expiry
 //!   can fail it over;
 //! * a kill: the connection closes (`Gone`);
+//! * a sever: the shard's own `drop_after_hours` closes the connection
+//!   and cancels its jobs;
 //! * a zombie: a stall that ends after the shard was declared lost, so
 //!   its frames — the one cut mid-send first — arrive from a lost shard;
 //! * steals, which arise from the dispatch windows.
 //!
 //! After every front-end step: `submitted == reports + failures +
 //! outstanding`, no scenario finishes twice, no trace-context mismatch,
-//! and every `Assign` carries `TraceContext::for_job(job)`. At the end:
+//! and every `Assign` carries `TraceContext::for_job(job)`. After every
+//! shard step: a severed shard writes, submits and cancels nothing more,
+//! and a sever cancels every job its executor held. At the end:
 //! every fingerprint equals the single-process reference, every latency
 //! anatomy has `segments >= 1` and `queued_ms <= end_to_end_ms`, a
-//! silenced shard was declared lost, and on traced cases the job spans
-//! and dispatch marks carry the job's `trace_id` too. Every seed replays:
-//! a second run writes the same frames at the same times. A step bound
-//! turns a hang into a failure, and every failure names its seed.
+//! silenced or severed shard was declared lost, and on traced cases the
+//! job spans and dispatch marks carry the job's `trace_id` too. Every
+//! seed replays: a second run writes the same frames at the same times.
+//! A step bound turns a hang into a failure, and every failure names its
+//! seed.
 //!
 //! `cargo test` runs a small budget; `cargo test --release --test
 //! fabric_sim -- --ignored` runs the large one.
@@ -44,12 +51,13 @@ use airshed::core::obs::{SpanSink, Track};
 use airshed::core::plan::replay_profile;
 use airshed::core::{ExecSpec, Obs, PerfModel, RunReport, WorkProfile};
 use airshed::fabric::{
-    report_fingerprint, AllShardsLost, Event, Frontend, Msg, RouterConfig, ScenarioJob,
+    report_fingerprint, AllShardsLost, Event, Frontend, Msg, RouterConfig, ScenarioJob, ShardCore,
+    ShardEvent, ShardOptions,
 };
 use airshed::server::cache::NumericsKey;
 use airshed::server::worker::{panic_message, run_hourly};
 use airshed::server::ResumePoint;
-use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
 use std::hash::{DefaultHasher, Hash, Hasher};
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -181,6 +189,9 @@ enum Fault {
     Zombie { for_ms: u64 },
     /// The connection closes.
     Kill,
+    /// The shard's `drop_after_hours`: it severs itself after this many
+    /// hours (the fault's time is unused).
+    Sever { after_hours: u64 },
 }
 
 /// Everything a seed decides.
@@ -225,12 +236,15 @@ impl Case {
                 let healthy = rng.range(0, shards as u64 - 1) as usize;
                 for s in (0..shards).filter(|&s| s != healthy) {
                     if rng.chance(0.8) {
-                        let fault = match rng.range(0, 2) {
+                        let fault = match rng.range(0, 3) {
                             0 => Fault::Stall,
                             1 => Fault::Zombie {
                                 for_ms: TIMEOUT_MS + TICK_MS + rng.range(50, 600),
                             },
-                            _ => Fault::Kill,
+                            2 => Fault::Kill,
+                            _ => Fault::Sever {
+                                after_hours: rng.range(1, 4),
+                            },
                         };
                         faults.push((rng.range(0, 500), s, fault));
                     }
@@ -284,16 +298,17 @@ enum Phase {
 
 struct Running {
     job: u64,
-    ctx: TraceContext,
     work: ScenarioJob,
     key: NumericsKey,
     hours_done: usize,
     phase: Phase,
 }
 
-/// The model of one shard process: a worker pool over a single-flight
-/// profile store, as `fabric::shard` runs it.
+/// One shard process: the real [`ShardCore`], and a stand-in for the
+/// `ScenarioServer` it submits to — a worker pool over a single-flight
+/// profile store.
 struct ShardModel {
+    core: ShardCore,
     workers: usize,
     inbox: VecDeque<(u64, TraceContext, ScenarioJob)>,
     running: Vec<Running>,
@@ -301,7 +316,8 @@ struct ShardModel {
     /// Frozen and silent while `now < wake_at` (`u64::MAX`: for good).
     wake_at: u64,
     dead: bool,
-    beats: u64,
+    /// When the core severed the connection.
+    severed_at: Option<u64>,
     drops_in_a_row: u32,
     /// How far this shard's trace clock runs behind the front-end's.
     skew_us: u64,
@@ -341,6 +357,7 @@ struct Coverage {
     failed_over: u64,
     resumed: u64,
     zombie_frames: u64,
+    severed: u64,
     lost_verdicts: u64,
     /// A digest of every frame the front-end wrote and every result it
     /// took, with their times: what a replay of the seed must repeat.
@@ -368,19 +385,31 @@ struct Sim<'a> {
 impl<'a> Sim<'a> {
     fn new(case: &'a Case) -> Sim<'a> {
         let mut rng = Rng(case.seed);
-        let shards = case
-            .workers
-            .iter()
-            .map(|&workers| ShardModel {
-                workers,
-                inbox: VecDeque::new(),
-                running: Vec::new(),
-                resident: HashSet::new(),
-                wake_at: 0,
-                dead: false,
-                beats: 0,
-                drops_in_a_row: 0,
-                skew_us: rng.range(0, 500_000),
+        let shards = (case.workers.iter().enumerate())
+            .map(|(s, &workers)| {
+                let drop_after_hours = case.faults.iter().find_map(|f| match *f {
+                    (_, shard, Fault::Sever { after_hours }) if shard == s => Some(after_hours),
+                    _ => None,
+                });
+                let opts = ShardOptions {
+                    name: format!("sim-{s}"),
+                    workers,
+                    heartbeat_ms: HEARTBEAT_MS,
+                    drop_after_hours,
+                    ..ShardOptions::default()
+                };
+                ShardModel {
+                    core: ShardCore::new(&opts),
+                    workers,
+                    inbox: VecDeque::new(),
+                    running: Vec::new(),
+                    resident: HashSet::new(),
+                    wake_at: 0,
+                    dead: false,
+                    severed_at: None,
+                    drops_in_a_row: 0,
+                    skew_us: rng.range(0, 500_000),
+                }
             })
             .collect();
         let sink = Arc::new(SpanSink::new());
@@ -438,11 +467,7 @@ impl<'a> Sim<'a> {
         let n = self.shards.len();
         // The accept phase: every shard's Hello, in connection order.
         for s in 0..n {
-            let hello = Msg::Hello {
-                name: format!("sim-{s}"),
-                workers: self.shards[s].workers as u32,
-                sent_us: self.stamp(s),
-            };
+            let hello = self.shards[s].core.hello(self.stamp(s));
             if let Err(lost) = self.front(Event::Msg(s, hello)) {
                 return Err((lost, self.cov));
             }
@@ -565,23 +590,14 @@ impl<'a> Sim<'a> {
             return;
         }
         match ev {
-            Ev::Down(_, Msg::Assign { job, ctx, work }) => {
-                self.shards[s].inbox.push_back((job, ctx, *work));
-                self.start_jobs(s);
-            }
+            Ev::Down(_, msg @ Msg::Assign { .. }) => self.step_shard(s, ShardEvent::Frame(msg)),
             Ev::Down(_, other) => panic!("the front-end sent tag {}", other.tag()),
             Ev::Beat(_) => {
-                let sent_us = self.stamp(s);
-                let shard = &mut self.shards[s];
-                shard.beats += 1;
-                let beat = Msg::Heartbeat {
-                    seq: shard.beats,
-                    running: shard.running.len() as u32,
-                    queued: shard.inbox.len() as u32,
-                    sent_us,
-                    plans: PlanMemoStats::default(),
-                };
-                self.send(s, beat);
+                let shard = &self.shards[s];
+                let (running, queued) = (shard.running.len(), shard.inbox.len());
+                let tick =
+                    ShardEvent::Tick(running as u32, queued as u32, PlanMemoStats::default());
+                self.step_shard(s, tick);
                 self.at(self.now + HEARTBEAT_MS, Ev::Beat(s));
             }
             Ev::Work(_, job) => self.work(s, job),
@@ -591,7 +607,44 @@ impl<'a> Sim<'a> {
             }
             Ev::Fault(_, Fault::Stall) => self.freeze(s, u64::MAX),
             Ev::Fault(_, Fault::Zombie { for_ms }) => self.freeze(s, self.now + for_ms),
+            Ev::Fault(_, Fault::Sever { .. }) => {}
             Ev::Up(..) | Ev::Tick => unreachable!("not a shard event"),
+        }
+    }
+
+    /// One step of the shard's core, its asks applied to the stand-in
+    /// executor and the connection, then the sever properties.
+    fn step_shard(&mut self, s: usize, event: ShardEvent) {
+        let sent_us = self.stamp(s);
+        let shard = &mut self.shards[s];
+        let step = shard.core.step(event, self.now, sent_us);
+        if shard.severed_at.is_some() {
+            let idle = step.frames.is_empty() && step.submits.is_empty() && step.cancels.is_empty();
+            assert!(idle, "shard {s} acts after its sever");
+            return;
+        }
+        if step.sever {
+            let queued = shard.inbox.iter().map(|&(job, ..)| job);
+            let held = BTreeSet::from_iter(queued.chain(shard.running.iter().map(|r| r.job)));
+            let cancelled = BTreeSet::from_iter(step.cancels.iter().copied());
+            assert_eq!(cancelled, held, "shard {s} severed, its jobs uncancelled");
+        }
+        // A cancelled job stops at its next hour boundary, and the real
+        // driver's loop ends with the sever: nothing more of it is stepped.
+        shard.inbox.retain(|(job, ..)| !step.cancels.contains(job));
+        shard.running.retain(|r| !step.cancels.contains(&r.job));
+        let submitted = !step.submits.is_empty();
+        shard.inbox.extend(step.submits);
+        for msg in step.frames {
+            self.send(s, msg);
+        }
+        if step.sever {
+            self.shards[s].severed_at = Some(self.now);
+            self.cov.severed += 1;
+            self.up(s, None);
+        }
+        if submitted {
+            self.start_jobs(s);
         }
     }
 
@@ -625,7 +678,7 @@ impl<'a> Sim<'a> {
     /// Fill free workers from the inbox.
     fn start_jobs(&mut self, s: usize) {
         while self.shards[s].running.len() < self.shards[s].workers {
-            let Some((job, ctx, work)) = self.shards[s].inbox.pop_front() else {
+            let Some((job, _, work)) = self.shards[s].inbox.pop_front() else {
                 return;
             };
             let key = NumericsKey::of(&work.config);
@@ -667,7 +720,6 @@ impl<'a> Sim<'a> {
             }
             self.shards[s].running.push(Running {
                 job,
-                ctx,
                 work,
                 key,
                 hours_done,
@@ -680,34 +732,27 @@ impl<'a> Sim<'a> {
         let Some(i) = self.shards[s].running.iter().position(|r| r.job == job) else {
             return;
         };
-        let sent_us = self.stamp(s);
-        let (hour_us, next_ms) = (self.hour_ms() * 1000, self.hour_ms());
+        let (wall, next_ms) = (Duration::from_millis(self.hour_ms()), self.hour_ms());
         let r = &mut self.shards[s].running[i];
         if r.phase == Phase::Lead {
-            let (job, ctx, key) = (r.job, r.ctx, r.key.clone());
+            let key = r.key.clone();
             let hours = r.work.config.hours;
             if r.hours_done < hours {
                 r.hours_done += 1;
                 let done = r.hours_done;
                 let resume = Box::new(runs()[&key].points[done - 1].clone());
-                self.send(
-                    s,
-                    Msg::Progress {
-                        job,
-                        ctx,
-                        sent_us,
-                        hour_us,
-                        resume,
-                    },
-                );
+                self.step_shard(s, ShardEvent::Hour(job, resume, wall));
+                if self.shards[s].severed_at.is_some() {
+                    return;
+                }
                 if done < hours {
                     self.at(self.now + next_ms, Ev::Work(s, job));
                     return;
                 }
             }
-            // Model first, as the real shard sends it.
+            // Model first, as the real server reports it.
             let model = runs()[&key].model.clone();
-            self.send(s, Msg::Calibrated { job, model });
+            self.step_shard(s, ShardEvent::Calibrated(job, model));
             let shard = &mut self.shards[s];
             shard.resident.insert(key.clone());
             let waiting: Vec<u64> = shard
@@ -725,16 +770,8 @@ impl<'a> Sim<'a> {
             }
         }
         let r = self.shards[s].running.remove(i);
-        let report = Box::new(report(&r.work.config, r.work.layout));
-        self.send(
-            s,
-            Msg::Completed {
-                job: r.job,
-                ctx: r.ctx,
-                sent_us,
-                report,
-            },
-        );
+        let result = Ok(Arc::new(report(&r.work.config, r.work.layout)));
+        self.step_shard(s, ShardEvent::Finished(job, result));
         self.start_jobs(s);
     }
 
@@ -759,9 +796,11 @@ impl<'a> Sim<'a> {
         for &(t, s, fault) in &self.case.faults {
             // Silence is noticed within the timeout plus one tick, a
             // closed connection once its last frame is read.
-            let noticed = match fault {
-                Fault::Stall | Fault::Zombie { .. } => t + TIMEOUT_MS + TICK_MS,
-                Fault::Kill => t + self.case.max_delay_ms,
+            let noticed = match (fault, self.shards[s].severed_at) {
+                (Fault::Stall | Fault::Zombie { .. }, _) => t + TIMEOUT_MS + TICK_MS,
+                (Fault::Kill, _) => t + self.case.max_delay_ms,
+                (Fault::Sever { .. }, Some(at)) => at + self.case.max_delay_ms,
+                (Fault::Sever { .. }, None) => u64::MAX,
             };
             if self.now > noticed {
                 assert!(
@@ -847,6 +886,7 @@ fn simulate(mix: Mix, seeds: Range<u64>) -> Coverage {
         total.failed_over += cov.failed_over;
         total.resumed += cov.resumed;
         total.zombie_frames += cov.zombie_frames;
+        total.severed += cov.severed;
         total.lost_verdicts += cov.lost_verdicts;
     }
     println!("{mix:?}: {total:?}");
@@ -872,6 +912,7 @@ fn seeded_interleavings_keep_every_contract() {
         cov.stolen > 0 && cov.failed_over > 0 && cov.resumed > 0 && cov.zombie_frames > 0,
         "{cov:?}"
     );
+    assert!(cov.severed > 0, "{cov:?}");
 }
 
 #[test]
