@@ -19,6 +19,11 @@
 //! on the training members themselves always respect the reported
 //! bound (pinned by `crates/core/tests/proptest_surrogate.rs`).
 //!
+//! A hit is one pass over fixed-width coefficient rows with the number
+//! of terms a compile-time constant; each cell sums exactly
+//! `((0 + a·1) + b·x) + d·x²` up to its degree, so answers and bounds keep
+//! their bits (pinned by `crates/core/tests/surrogate_bits.rs`).
+//!
 //! ```
 //! use airshed_core::surrogate::{ResponseSurface, SurrogateAnswer};
 //!
@@ -130,10 +135,10 @@ pub struct ResponseSurface {
     scales: Vec<f64>,
     /// Polynomial degree (0, 1 or 2).
     degree: usize,
-    /// Response cells per member field.
-    cells: usize,
-    /// Cell-major coefficients, `cells × (degree + 1)`.
-    coeffs: Vec<f64>,
+    /// One `[a, b, d]` row per response cell. Terms above the degree are
+    /// zero and never evaluated: `0·∞` is NaN, so padding the sum would
+    /// change `predict(±∞)`.
+    coeffs: Vec<[f64; 3]>,
     /// Max |prediction − observation| over all cells and members.
     max_residual: f64,
     lo: f64,
@@ -163,9 +168,9 @@ impl ResponseSurface {
         let k = degree + 1;
 
         // Normal equations share one matrix across cells (the design
-        // depends only on the scales); only the right-hand side is
-        // per-cell.
-        let mut ata = vec![vec![0.0f64; k]; k];
+        // depends only on the scales), so it is eliminated once; only
+        // the right-hand side is per-cell.
+        let mut ata = [[0.0f64; 3]; 3];
         for &x in scales {
             let basis = powers(x, k);
             for i in 0..k {
@@ -174,27 +179,25 @@ impl ResponseSurface {
                 }
             }
         }
-        let mut ridged = ata.clone();
-        for (i, row) in ridged.iter_mut().enumerate() {
+        let mut ridged = ata;
+        for (i, row) in ridged.iter_mut().enumerate().take(k) {
             row[i] *= 1.0 + RIDGE;
             if row[i] == 0.0 {
                 row[i] = RIDGE;
             }
         }
+        let elimination = eliminate(ata, k).or_else(|| eliminate(ridged, k));
 
-        let mut coeffs = vec![0.0f64; cells * k];
-        for c in 0..cells {
-            let mut atb = vec![0.0f64; k];
+        let mut coeffs = vec![[0.0f64; 3]; cells];
+        for (c, row) in coeffs.iter_mut().enumerate() {
+            let mut atb = [0.0f64; 3];
             for (m, &x) in scales.iter().enumerate() {
                 let basis = powers(x, k);
                 for i in 0..k {
                     atb[i] += basis[i] * fields[m][c];
                 }
             }
-            let y = solve_dense(ata.clone(), atb.clone())
-                .or_else(|| solve_dense(ridged.clone(), atb))
-                .ok_or(FitError::Singular)?;
-            coeffs[c * k..(c + 1) * k].copy_from_slice(&y);
+            *row = solve(elimination.as_ref().ok_or(FitError::Singular)?, k, atb);
         }
 
         let (lo, hi) = scales
@@ -205,7 +208,6 @@ impl ResponseSurface {
         let mut surface = ResponseSurface {
             scales: scales.to_vec(),
             degree,
-            cells,
             coeffs,
             max_residual: 0.0,
             lo,
@@ -256,17 +258,20 @@ impl ResponseSurface {
     /// tolerance check — use [`ResponseSurface::query`] for the guarded
     /// path).
     pub fn predict(&self, scale: f64) -> Vec<f64> {
-        let k = self.degree + 1;
-        let basis = powers(scale, k);
-        (0..self.cells)
-            .map(|c| {
-                let co = &self.coeffs[c * k..(c + 1) * k];
-                let mut y = 0.0;
-                for i in 0..k {
-                    y += co[i] * basis[i];
-                }
-                y
-            })
+        match self.degree {
+            0 => self.evaluate::<1>(scale),
+            1 => self.evaluate::<2>(scale),
+            _ => self.evaluate::<3>(scale),
+        }
+    }
+
+    /// Every cell's `((0 + a·1) + b·x) + d·x²` cut to its first `K`
+    /// terms, in one pass collected into the answer's one allocation.
+    fn evaluate<const K: usize>(&self, x: f64) -> Vec<f64> {
+        let basis = powers(x, K);
+        self.coeffs
+            .iter()
+            .map(|c| (0..K).fold(0.0, |y, i| y + c[i] * basis[i]))
             .collect()
     }
 
@@ -315,7 +320,7 @@ impl ResponseSurface {
 
     /// Response cells per field.
     pub fn cells(&self) -> usize {
-        self.cells
+        self.coeffs.len()
     }
 
     /// Trained scale range.
@@ -420,41 +425,198 @@ pub fn exact_tier(
     }
 }
 
-/// Solve `m y = r` (small k) by Gaussian elimination with partial
-/// pivoting. Returns `None` on a (numerically) singular system.
-fn solve_dense(mut m: Vec<Vec<f64>>, mut r: Vec<f64>) -> Option<Vec<f64>> {
-    let k = r.len();
+/// Gaussian elimination with partial pivoting of the `k × k` normal
+/// matrix (`k ≤ 3`), once for every cell: the upper triangle with each
+/// row's multiple stored in the entry it eliminated (later swaps carry
+/// it along), and the row each column swapped in. `None` on a
+/// (numerically) singular matrix.
+fn eliminate(mut m: [[f64; 3]; 3], k: usize) -> Option<([[f64; 3]; 3], [usize; 3])> {
+    let mut swaps = [0; 3];
     for col in 0..k {
         let pivot = (col..k).max_by(|&a, &b| m[a][col].abs().total_cmp(&m[b][col].abs()))?;
         if m[pivot][col].abs() < 1e-12 {
             return None;
         }
         m.swap(col, pivot);
-        r.swap(col, pivot);
-        let pivot_row = m[col].clone();
-        for row in col + 1..k {
-            let f = m[row][col] / pivot_row[col];
-            for (v, p) in m[row][col..].iter_mut().zip(&pivot_row[col..]) {
+        swaps[col] = pivot;
+        let pivot_row = m[col];
+        for row in &mut m[col + 1..k] {
+            let f = row[col] / pivot_row[col];
+            for (v, p) in row[col + 1..k].iter_mut().zip(&pivot_row[col + 1..k]) {
                 *v -= f * p;
             }
-            r[row] -= f * r[col];
+            row[col] = f;
         }
     }
-    let mut y = vec![0.0; k];
+    Some((m, swaps))
+}
+
+/// `y` with `m y = r`: [`eliminate`]'s swaps, then its multiples, each
+/// entry taking the same subtractions in the same order as when the two
+/// interleave, then back-substitution.
+fn solve((m, swaps): &([[f64; 3]; 3], [usize; 3]), k: usize, mut r: [f64; 3]) -> [f64; 3] {
+    for (col, &pivot) in swaps[..k].iter().enumerate() {
+        r.swap(col, pivot);
+    }
+    for col in 0..k {
+        for row in col + 1..k {
+            r[row] -= m[row][col] * r[col];
+        }
+    }
+    let mut y = [0.0; 3];
     for col in (0..k).rev() {
         let mut v = r[col];
-        for j in col + 1..k {
-            v -= m[col][j] * y[j];
+        for (u, y) in m[col][col + 1..k].iter().zip(&y[col + 1..k]) {
+            v -= u * y;
         }
         y[col] = v / m[col][col];
     }
-    Some(y)
+    y
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::ensemble::{run_ensemble, EnsembleJob};
+
+    /// The per-cell solve the fit ran before it shared one elimination:
+    /// `m y = r` by Gaussian elimination with partial pivoting, `None`
+    /// on a (numerically) singular system.
+    fn solve_dense(mut m: Vec<Vec<f64>>, mut r: Vec<f64>) -> Option<Vec<f64>> {
+        let k = r.len();
+        for col in 0..k {
+            let pivot = (col..k).max_by(|&a, &b| m[a][col].abs().total_cmp(&m[b][col].abs()))?;
+            if m[pivot][col].abs() < 1e-12 {
+                return None;
+            }
+            m.swap(col, pivot);
+            r.swap(col, pivot);
+            let pivot_row = m[col].clone();
+            for row in col + 1..k {
+                let f = m[row][col] / pivot_row[col];
+                for (v, p) in m[row][col..].iter_mut().zip(&pivot_row[col..]) {
+                    *v -= f * p;
+                }
+                r[row] -= f * r[col];
+            }
+        }
+        let mut y = vec![0.0; k];
+        for col in (0..k).rev() {
+            let mut v = r[col];
+            for j in col + 1..k {
+                v -= m[col][j] * y[j];
+            }
+            y[col] = v / m[col][col];
+        }
+        Some(y)
+    }
+
+    /// Fits of five cells, `fields` at each of their scales, that cover
+    /// every degree, a `-0.0` intercept (the first cell over negative
+    /// scales) and the ridged solve (near-duplicate scales).
+    fn fits() -> Vec<(ResponseSurface, Vec<Vec<f64>>)> {
+        let scale_sets: [&[f64]; 6] = [
+            &[0.7],
+            &[-1.0, -2.0],
+            &[0.5, 1.0, 1.5],
+            &[-1.5, -1.0, -0.5, 0.5, 1.0, 1.5],
+            &[0.5, 0.5, 1.5],
+            &[1.0, 1.0 + 1e-9],
+        ];
+        scale_sets
+            .iter()
+            .map(|scales| {
+                let fields: Vec<Vec<f64>> = scales
+                    .iter()
+                    .map(|&s| vec![-s, -0.0, 3.0 - 2.0 * s, s.sin(), 1e-2 * s.exp()])
+                    .collect();
+                (ResponseSurface::fit(scales, &fields).unwrap(), fields)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn shared_elimination_matches_the_per_cell_solve() {
+        let fits = fits();
+        assert!(fits
+            .iter()
+            .any(|(s, _)| s.coeffs[0][0].to_bits() == (-0.0f64).to_bits()));
+        for (surface, fields) in &fits {
+            let k = surface.degree + 1;
+            let mut ata = vec![vec![0.0f64; k]; k];
+            for &x in &surface.scales {
+                let basis = powers(x, k);
+                for i in 0..k {
+                    for j in 0..k {
+                        ata[i][j] += basis[i] * basis[j];
+                    }
+                }
+            }
+            let mut ridged = ata.clone();
+            for (i, row) in ridged.iter_mut().enumerate() {
+                row[i] *= 1.0 + RIDGE;
+                if row[i] == 0.0 {
+                    row[i] = RIDGE;
+                }
+            }
+            for (c, row) in surface.coeffs.iter().enumerate() {
+                let mut atb = vec![0.0f64; k];
+                for (m, &x) in surface.scales.iter().enumerate() {
+                    let basis = powers(x, k);
+                    for i in 0..k {
+                        atb[i] += basis[i] * fields[m][c];
+                    }
+                }
+                let want = solve_dense(ata.clone(), atb.clone())
+                    .or_else(|| solve_dense(ridged.clone(), atb))
+                    .unwrap();
+                let bits = |v: &[f64]| v.iter().map(|y| y.to_bits()).collect::<Vec<_>>();
+                assert_eq!(
+                    bits(&row[..k]),
+                    bits(&want),
+                    "{:?} cell {c}",
+                    surface.scales
+                );
+                assert!(row[k..].iter().all(|&t| t.to_bits() == 0));
+            }
+        }
+    }
+
+    #[test]
+    fn one_pass_evaluation_matches_the_cell_major_loop() {
+        for (surface, _) in fits() {
+            let k = surface.degree + 1;
+            let flat: Vec<f64> = surface
+                .coeffs
+                .iter()
+                .flat_map(|c| c[..k].to_vec())
+                .collect();
+            for x in [
+                0.0,
+                -0.0,
+                0.6,
+                -1.0,
+                1e300,
+                f64::INFINITY,
+                f64::NEG_INFINITY,
+                f64::NAN,
+            ] {
+                let basis = powers(x, k);
+                let want: Vec<u64> = (0..surface.cells())
+                    .map(|c| {
+                        let co = &flat[c * k..(c + 1) * k];
+                        let mut y = 0.0;
+                        for i in 0..k {
+                            y += co[i] * basis[i];
+                        }
+                        y.to_bits()
+                    })
+                    .collect();
+                let got: Vec<u64> = surface.predict(x).iter().map(|y| y.to_bits()).collect();
+                assert_eq!(got, want, "{:?} at {x}", surface.scales);
+            }
+        }
+    }
 
     #[test]
     fn linear_data_fits_exactly() {

@@ -26,7 +26,7 @@ use airshed_core::obs::Track;
 use airshed_core::Obs;
 use airshed_core::RunReport;
 use std::collections::{HashMap, VecDeque};
-use std::io::Write;
+use std::io::{ErrorKind, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
@@ -313,7 +313,8 @@ impl Frontend {
 /// `opts.expect` shards to connect and say `Hello`, route every
 /// scenario, and run the event loop until each job reaches a terminal
 /// state. Returns an error only when the batch cannot finish (all
-/// shards lost, or the deadline expires).
+/// shards lost, or the deadline expires). The deadline runs from entry,
+/// so it bounds the wait for the fleet too.
 ///
 /// The fabric metrics are published through `obs` under the
 /// `fabric-metrics` section, so `--metrics-out` exports them alongside
@@ -324,6 +325,7 @@ pub fn serve_batch(
     scenarios: &[(SimConfig, ChemLayout)],
     obs: &Obs,
 ) -> Result<FabricOutcome, String> {
+    let deadline = opts.deadline.map(|d| Instant::now() + d);
     let mut frontend = Frontend::new(opts.router, opts.expect, scenarios);
     let (tx, rx) = mpsc::channel::<Event>();
     let mut writers: Vec<Option<TcpStream>> = Vec::new();
@@ -333,10 +335,26 @@ pub fn serve_batch(
 
     // Phase 1: collect the fleet. Shards introduce themselves with a
     // Hello frame carrying their name and worker count.
+    listener
+        .set_nonblocking(deadline.is_some())
+        .map_err(|e| format!("listener: {e}"))?;
     for shard in 0..opts.expect {
-        let (stream, addr) = listener
-            .accept()
-            .map_err(|e| format!("accept failed: {e}"))?;
+        let (stream, addr) = loop {
+            match listener.accept() {
+                Ok(accepted) => break accepted,
+                Err(e) if e.kind() != ErrorKind::WouldBlock => {
+                    return Err(format!("accept failed: {e}"))
+                }
+                Err(_) if deadline.is_some_and(|d| Instant::now() >= d) => {
+                    return Err(format!(
+                        "fabric deadline expired with {shard} of {} shards connected",
+                        opts.expect
+                    ))
+                }
+                Err(_) => std::thread::sleep(Duration::from_millis(1)),
+            }
+        };
+        stream.set_nonblocking(false).ok();
         stream.set_nodelay(true).ok();
         let mut reader = stream
             .try_clone()
@@ -378,7 +396,6 @@ pub fn serve_batch(
     // Phase 2: the Hellos submit the batch; step until every job is
     // terminal. The batch clock starts here, so the fleet starts live.
     let epoch = Instant::now();
-    let deadline = opts.deadline.map(|d| epoch + d);
     let served = loop {
         if frontend.is_done() {
             break Ok(());
@@ -512,6 +529,38 @@ mod tests {
         let message = refused.expect("serve_batch hangs on a stalled Hello");
         let message = message.expect("a stalled Hello is an error");
         assert!(message.starts_with("bad hello from"), "{message}");
+        drop(peer);
+    }
+
+    /// A fleet of two where only one shard ever connects is refused
+    /// within the deadline, naming how many connected.
+    #[test]
+    fn a_missing_shard_is_refused_within_the_deadline() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let hello = Msg::Hello {
+            name: "lonely".to_string(),
+            workers: 1,
+            sent_us: 1,
+        };
+        proto::send(&mut peer, &hello).unwrap();
+        let opts = FrontendOptions {
+            expect: 2,
+            deadline: Some(Duration::from_millis(200)),
+            ..FrontendOptions::default()
+        };
+        let (done, outcome) = mpsc::channel();
+        std::thread::spawn(move || {
+            let served = serve_batch(&listener, opts, &[], &Obs::off());
+            let _ = done.send(served.err());
+        });
+        let refused = outcome.recv_timeout(Duration::from_secs(30));
+        let message = refused.expect("serve_batch hangs waiting for the second shard");
+        let message = message.expect("a missing shard is an error");
+        assert_eq!(
+            message,
+            "fabric deadline expired with 1 of 2 shards connected"
+        );
         drop(peer);
     }
 

@@ -220,6 +220,11 @@ fi
 # again without allocating.
 cargo test --release --offline -p airshed-core --test replay_allocations -- --nocapture
 echo "replay copies nothing OK"
+# The surrogate's allocation gate, with its table in the log: a hit
+# through ScenarioServer::what_if allocates only its answer, and a fit's
+# allocation calls do not grow with the cells.
+cargo test --release --offline -p airshed-core --test surrogate_allocations -- --nocapture
+echo "surrogate allocates its answer OK"
 
 echo "==> one graph for §5 and §6, and charge is the machine's only door"
 # Figures 9, 12 and 13 lower from the hour's PhaseGraph: stage prices come
