@@ -39,7 +39,7 @@ pub mod queue;
 pub mod worker;
 
 use crate::admission::{AdmissionController, AdmissionDecision};
-use crate::cache::{NumericsKey, ProfileStore, ResultKey, ShardedLru};
+use crate::cache::{NumericsKey, PlacementMemo, ProfileStore, ResultKey, ShardedLru};
 use crate::metrics::{Metrics, MetricsSnapshot};
 use crate::queue::BoundedQueue;
 use airshed_core::checkpoint::Checkpoint;
@@ -392,6 +392,7 @@ pub(crate) struct Shared {
     pub(crate) queue: BoundedQueue<worker::QueuedJob>,
     pub(crate) metrics: Metrics,
     pub(crate) profiles: ProfileStore,
+    pub(crate) placements: PlacementMemo,
     pub(crate) results: ShardedLru<ResultKey, Arc<RunReport>>,
     pub(crate) admission: AdmissionController,
     /// Fitted response surfaces from completed ensembles, keyed by the
@@ -458,6 +459,7 @@ impl ScenarioServer {
             queue: BoundedQueue::new(config.queue_capacity),
             metrics: Metrics::new(),
             profiles: ProfileStore::new(cache::CACHE_SHARDS, cache::PROFILE_CACHE_CAPACITY),
+            placements: PlacementMemo::default(),
             results: ShardedLru::new(cache::CACHE_SHARDS, cache::RESULT_CACHE_CAPACITY),
             admission: AdmissionController::new(config.budget_seconds),
             surrogates: Mutex::new(HashMap::new()),

@@ -69,12 +69,15 @@ airshed_core::metrics! {
         profile_cache_misses: Counter {cache = "profile", outcome = "miss"},
         result_cache_hits: Counter {cache = "result", outcome = "hit"},
         result_cache_misses: Counter {cache = "result", outcome = "miss"},
+        placement_hits: Counter {cache = "placement", outcome = "hit"},
+        placement_misses: Counter {cache = "placement", outcome = "miss"},
         plans.hits {cache = "plan", outcome = "hit"},
         plans.misses {cache = "plan", outcome = "miss"},
     }
     gauge "airshed_server_cache_entries"
-        "Entries resident in a cache (the process-wide plan memo)." {
-        plans.entries {cache = "plan"}
+        "Entries resident in a cache (this server's placement memo, the process-wide plan memo)." {
+        placement_entries: Gauge {cache = "placement"},
+        plans.entries {cache = "plan"},
     }
     counter "airshed_server_profile_coalesced_total"
         "Profile-cache hits that waited on another job's numerics run." {
