@@ -2,10 +2,10 @@
 //!
 //! Everything up to PR 5 used the analytic model retrospectively: to
 //! price admission and to validate executed plans (the oracle). This
-//! module turns the [`PhaseGraph`] IR into an optimizing planner: given
-//! a captured profile and a machine, it enumerates candidate per-phase
-//! layouts (and the redistribution schedules they imply), folds each
-//! candidate's per-hour graphs through
+//! module turns the [`PhaseGraph`](crate::plan::PhaseGraph) IR into an
+//! optimizing planner: given a captured profile and a machine, it
+//! enumerates candidate per-phase layouts (and the redistribution
+//! schedules they imply), replays each candidate's [`Placement`] at
 //! [`step_seconds`](crate::predict::step_seconds), and returns the
 //! cheapest plan as a cost-annotated [`PlanChoice`]. The search space is
 //! tiny by construction — the paper's per-phase choice set (BLOCK,
@@ -20,11 +20,11 @@
 //! charged time. `tests/plan_equivalence.rs` golden-tests this across
 //! LA/NE × machines × P.
 
-use crate::driver::{ChemLayout, HourPlans, PlanLayouts};
-use crate::plan::PhaseGraph;
+use crate::driver::{ChemLayout, PlanLayouts};
+use crate::plan::Placement;
 use crate::profile::WorkProfile;
 use crate::taskpar::optimize_split;
-use airshed_machine::MachineProfile;
+use airshed_machine::{Machine, MachineProfile};
 
 /// Candidate layouts for one distributed phase of `n_items` items on
 /// `p` nodes: the two HPF staples plus a power-of-two ladder of
@@ -68,27 +68,19 @@ impl PlanChoice {
     }
 }
 
-/// Predicted cost of executing `profile` under `layouts`: build each
-/// hour's [`PhaseGraph`] from the layouts' redistribution schedule and
-/// fold every node's [`step_seconds`](crate::predict::step_seconds)
-/// (each edge priced once per graph) into one running sum —
-/// which is what the virtual machine does when it executes them
-/// ([`PhaseGraph::execute`] charges each node with the same function),
-/// so this is the virtual time a replay of the same plan will charge.
+/// Predicted cost of executing `profile` under `layouts`: the virtual
+/// time its replay charges a fresh machine ([`Placement::charge`], each
+/// node at its [`step_seconds`](crate::predict::step_seconds)), so this
+/// is what a replay of the same plan reports.
 pub fn plan_cost(
     profile: &WorkProfile,
     machine: &MachineProfile,
     p: usize,
     layouts: PlanLayouts,
 ) -> f64 {
-    let plans = HourPlans::shared(&profile.shape, p, layouts);
-    let mut total = 0.0;
-    for hp in &profile.hours {
-        for (_, seconds) in PhaseGraph::for_hour(hp, &plans, p).priced(machine) {
-            total += seconds;
-        }
-    }
-    total
+    let mut replayed = Machine::new(*machine, p);
+    Placement::of(profile, p, layouts).charge(profile, &mut replayed);
+    replayed.elapsed()
 }
 
 /// The one exhaustive layout search: transport over the layer axis
