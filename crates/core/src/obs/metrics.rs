@@ -75,6 +75,11 @@ impl Gauge {
         self.add(-1);
     }
 
+    /// Set to `n`.
+    pub fn set(&self, n: i64) {
+        self.0.store(n, Ordering::Relaxed);
+    }
+
     /// Current value.
     pub fn get(&self) -> i64 {
         self.0.load(Ordering::Relaxed)

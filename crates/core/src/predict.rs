@@ -27,7 +27,7 @@
 
 use crate::driver::{HourPlans, PlanLayouts};
 use crate::plan::optimize::search_layouts;
-use crate::plan::{Op, PhaseGraph, PhaseNode};
+use crate::plan::{Op, PhaseGraph, PhaseNode, Prices};
 use crate::profile::WorkProfile;
 use airshed_hpf::redist::labels;
 use airshed_machine::{MachineKey, MachineProfile, PhaseKind};
@@ -36,18 +36,16 @@ use std::collections::HashMap;
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Virtual seconds the machine charges for one plan node — the
-/// machine's only charge: [`PhaseGraph::execute`] advances the virtual
-/// clock by exactly this, and the profile-level plan optimizer
-/// ([`crate::plan::optimize`]) folds the same function, so its plans are
-/// priced as they are charged. Serving does not fold it: admission, the
-/// worker's report and the fabric router all price with the calibrated
-/// model's [`PricedModel::hour_price`] of the plan the job runs (or
-/// [`PerfModel::choose_layout`]'s choice for an optimized job).
+/// machine's only charge (`plan::Prices`): [`PhaseGraph::execute`]
+/// advances the virtual clock by exactly this, and a
+/// [`Placement`](crate::plan::Placement)'s replay, the server's and the
+/// plan optimizer's, charges every node the same. Serving does not fold
+/// it: admission, the worker's report and the fabric router all price
+/// with the calibrated model's [`PricedModel::hour_price`] of the plan
+/// the job runs (or [`PerfModel::choose_layout`]'s choice for an
+/// optimized job).
 pub fn step_seconds(graph: &PhaseGraph, node: &PhaseNode, machine: &MachineProfile) -> f64 {
-    match &node.op {
-        Op::Compute { work, .. } => work.heaviest(graph.p) / machine.rate,
-        Op::Comm { edge } => machine.comm_phase_seconds(&graph.edges[*edge].loads),
-    }
+    Prices::new(&graph.edges, *machine).seconds(&node.op, |work| work.heaviest(graph.p))
 }
 
 /// §4.1 for a distributed phase of `items` items: the sequential time
