@@ -21,17 +21,18 @@ use airshed_server::ResumePoint;
 use std::fmt::Write as _;
 
 /// Frame tag bytes, one per [`Msg`] variant. Tag 8 carried a message
-/// that no longer exists; it is retired, never reused, so an old peer's
-/// frame decodes to [`WireError::UnknownTag`].
+/// that no longer exists and tag 2 a heartbeat with load counts no peer
+/// read; both are retired, never reused, so an old peer's frame decodes
+/// to [`WireError::UnknownTag`].
 pub mod tags {
     pub const HELLO: u8 = 1;
-    pub const HEARTBEAT: u8 = 2;
     pub const ASSIGN: u8 = 3;
     pub const PROGRESS: u8 = 4;
     pub const COMPLETED: u8 = 5;
     pub const FAILED: u8 = 6;
     pub const CALIBRATED: u8 = 7;
     pub const SHUTDOWN: u8 = 9;
+    pub const HEARTBEAT: u8 = 10;
 }
 
 /// One scenario as shipped to a shard: the configuration, the replay
@@ -79,13 +80,10 @@ pub enum Msg {
         workers: u32,
         sent_us: u64,
     },
-    /// Shard -> front-end liveness beacon with queue-depth telemetry and
-    /// the shard process's plan-memo counters (cumulative; the front-end
-    /// keeps the latest).
+    /// Shard -> front-end liveness beacon with the shard process's
+    /// plan-memo counters (cumulative; the front-end keeps the latest).
     Heartbeat {
         seq: u64,
-        running: u32,
-        queued: u32,
         sent_us: u64,
         plans: PlanMemoStats,
     },
@@ -127,7 +125,7 @@ pub enum Msg {
 
 codec! { enum Msg {
     tags::HELLO => Hello { name, workers, sent_us },
-    tags::HEARTBEAT => Heartbeat { seq, running, queued, sent_us, plans },
+    tags::HEARTBEAT => Heartbeat { seq, sent_us, plans },
     tags::ASSIGN => Assign { job, ctx, work },
     tags::PROGRESS => Progress { job, ctx, sent_us, hour_us, resume },
     tags::COMPLETED => Completed { job, ctx, sent_us, report },
@@ -231,7 +229,7 @@ mod tests {
         c
     }
 
-    /// Tags 1, 2, 3, 6 and 9 here; 4, 5 and 7 carry run artifacts and
+    /// Tags 1, 3, 6, 9 and 10 here; 4, 5 and 7 carry run artifacts and
     /// round-trip in `full_run_artifacts_round_trip_bit_exactly`.
     #[test]
     fn control_messages_round_trip() {
@@ -243,8 +241,6 @@ mod tests {
             },
             Msg::Heartbeat {
                 seq: 42,
-                running: 2,
-                queued: 7,
                 sent_us: 67_890,
                 plans: PlanMemoStats {
                     hits: 40,
@@ -491,9 +487,9 @@ mod tests {
             sent_us: 0,
         };
         let mut payload = msg.encode();
-        // Unknown tag — 8 among them: retired with the message it
-        // carried, so an old peer's frame is a typed error.
-        for tag in [0, 8, 10, 200] {
+        // Unknown tag — 2 and 8 among them: retired with the layouts
+        // they carried, so an old peer's frame is a typed error.
+        for tag in [0, 2, 8, 11, 200] {
             assert!(matches!(
                 Msg::decode(tag, &payload),
                 Err(WireError::UnknownTag(t)) if t == tag

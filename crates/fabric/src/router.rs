@@ -1054,8 +1054,6 @@ mod tests {
                 shard,
                 Msg::Heartbeat {
                     seq,
-                    running: 0,
-                    queued: 0,
                     sent_us: 0,
                     plans,
                 },

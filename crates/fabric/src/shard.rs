@@ -8,7 +8,7 @@
 //! outstanding jobs and their trace contexts, the hour count behind the
 //! self-destruct knobs, and the heartbeat sequence: the first `Tick`
 //! `heartbeat_ms` after the last `Heartbeat` sends one, with its own
-//! load. A seeded simulation (`tests/fabric_sim.rs`) drives it over a
+//! plan-memo counters. A seeded simulation (`tests/fabric_sim.rs`) drives it over a
 //! stand-in executor.
 //!
 //! [`run_shard`] is the IO. It dials the front-end, says `Hello`, and
@@ -92,8 +92,8 @@ pub enum ShardEvent {
     /// The fresh profile's §4 model.
     Calibrated(u64, PerfModel),
     Finished(u64, JobResult),
-    /// The executor's load: jobs running, jobs queued, the plan memo.
-    Tick(u32, u32, PlanMemoStats),
+    /// The executor's plan-memo counters, read when a beat may be due.
+    Tick(PlanMemoStats),
 }
 
 /// What one [`ShardCore::step`] asks of its driver.
@@ -222,14 +222,13 @@ impl ShardCore {
                     Err(JobError::Cancelled { .. } | JobError::DeadlineExpired { .. }) => None,
                 });
             }
-            // Only a `Tick` beats, so a heartbeat's load is never stale.
-            ShardEvent::Tick(running, queued, plans) if now_ms >= self.next_beat_ms() => {
+            // Only a `Tick` beats, so a heartbeat's counters are never
+            // stale.
+            ShardEvent::Tick(plans) if now_ms >= self.next_beat_ms() => {
                 self.seq += 1;
                 self.last_beat_ms = now_ms;
                 step.frames.push(Msg::Heartbeat {
                     seq: self.seq,
-                    running,
-                    queued,
                     sent_us,
                     plans,
                 });
@@ -298,12 +297,7 @@ pub fn run_shard(opts: ShardOptions, obs: &Obs) -> Result<(), String> {
         exec: opts.exec,
         obs: obs.clone(),
     });
-    let load = || {
-        let m = server.metrics();
-        let (running, queued) = (m.in_flight - m.queue_depth, m.queue_depth);
-        let tick = ShardEvent::Tick(running.max(0) as u32, queued.max(0) as u32, m.plans);
-        (tick, None)
-    };
+    let tick = || (ShardEvent::Tick(server.metrics().plans), None);
     let (events, inbox) = mpsc::channel::<Inbound>();
     let forward = events.clone();
     let mut handles = HashMap::new();
@@ -323,12 +317,12 @@ pub fn run_shard(opts: ShardOptions, obs: &Obs) -> Result<(), String> {
             }
         });
         while !core.is_done() {
-            // A due heartbeat steps the executor's load first.
+            // A due heartbeat steps the executor's counters first.
             let (event, stepped) = match core.next_beat_ms().saturating_sub(now_ms()) {
-                0 => load(),
+                0 => tick(),
                 wait => inbox
                     .recv_timeout(Duration::from_millis(wait))
-                    .unwrap_or_else(|_| load()),
+                    .unwrap_or_else(|_| tick()),
             };
             if let ShardEvent::Finished(job, _) = &event {
                 handles.remove(job);
@@ -530,18 +524,30 @@ mod tests {
         assert!(shutdown.frames.is_empty() && core.is_done());
     }
 
-    /// Only a `Tick` beats, so a heartbeat reports the load of the
-    /// `Tick` that sent it: a due step of any other event sends none.
+    /// Only a `Tick` beats, so a heartbeat reports the plan-memo
+    /// counters of the `Tick` that sent it: a due step of any other event
+    /// sends none.
     #[test]
     fn a_heartbeat_reports_the_load_of_the_tick_that_sends_it() {
         let mut core = ShardCore::new(&ShardOptions::default());
         let due = core.next_beat_ms();
-        let tick = |running| ShardEvent::Tick(running, 0, PlanMemoStats::default());
+        let tick = |hits| {
+            ShardEvent::Tick(PlanMemoStats {
+                hits,
+                ..PlanMemoStats::default()
+            })
+        };
         assert!(core.step(tick(1), due - 1, 0).frames.is_empty());
         let assigned = core.step(ShardEvent::Frame(assign(1, config(2, 1))), due, 0);
         assert!(assigned.frames.is_empty(), "a heartbeat off a Tick");
         let beat = core.step(tick(2), due, 0).frames;
-        assert!(matches!(beat[..], [Msg::Heartbeat { running: 2, .. }]));
+        assert!(matches!(
+            beat[..],
+            [Msg::Heartbeat {
+                plans: PlanMemoStats { hits: 2, .. },
+                ..
+            }]
+        ));
     }
 
     /// A traced roundtrip through the real front-end: every shard-side

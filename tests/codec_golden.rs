@@ -1,5 +1,5 @@
 //! Golden bytes of every format that leaves a process: one `Msg` payload
-//! per live wire tag (1–7 and 9) and one `ASHCKPT1` checkpoint. The
+//! per live wire tag (1, 3–7, 9 and 10) and one `ASHCKPT1` checkpoint. The
 //! figure cache's `ASHPRF08` file is pinned beside its codec in
 //! `crates/bench/src/cache.rs`. The files under `tests/golden/codec/`
 //! were captured once and never change with the code: a codec edit
@@ -66,17 +66,6 @@ fn corpus() -> Vec<(String, Vec<u8>)> {
             workers: 2,
             sent_us: 1_234,
         },
-        Msg::Heartbeat {
-            seq: 42,
-            running: 1,
-            queued: 3,
-            sent_us: 5_678,
-            plans: PlanMemoStats {
-                hits: 40,
-                misses: 2,
-                entries: 2,
-            },
-        },
         Msg::Assign {
             job: 7,
             ctx: TraceContext::for_job(7),
@@ -109,6 +98,15 @@ fn corpus() -> Vec<(String, Vec<u8>)> {
             model: PerfModel::from_profile(&profile),
         },
         Msg::Shutdown,
+        Msg::Heartbeat {
+            seq: 42,
+            sent_us: 5_678,
+            plans: PlanMemoStats {
+                hits: 40,
+                misses: 2,
+                entries: 2,
+            },
+        },
     ];
     let mut files: Vec<(String, Vec<u8>)> = messages
         .iter()
@@ -167,5 +165,5 @@ fn every_golden_file_decodes_and_re_encodes_to_itself() {
         };
         assert!(again == golden, "{name}: re-encoding moved a byte");
     }
-    assert_eq!(tags, [1, 2, 3, 4, 5, 6, 7, 9], "one file per live tag");
+    assert_eq!(tags, [1, 3, 4, 5, 6, 7, 9, 10], "one file per live tag");
 }

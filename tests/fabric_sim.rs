@@ -593,11 +593,7 @@ impl<'a> Sim<'a> {
             Ev::Down(_, msg @ Msg::Assign { .. }) => self.step_shard(s, ShardEvent::Frame(msg)),
             Ev::Down(_, other) => panic!("the front-end sent tag {}", other.tag()),
             Ev::Beat(_) => {
-                let shard = &self.shards[s];
-                let (running, queued) = (shard.running.len(), shard.inbox.len());
-                let tick =
-                    ShardEvent::Tick(running as u32, queued as u32, PlanMemoStats::default());
-                self.step_shard(s, tick);
+                self.step_shard(s, ShardEvent::Tick(PlanMemoStats::default()));
                 self.at(self.now + HEARTBEAT_MS, Ev::Beat(s));
             }
             Ev::Work(_, job) => self.work(s, job),

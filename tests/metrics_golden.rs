@@ -153,8 +153,6 @@ fn router_session() -> String {
     r.poll(0);
     let heartbeat = |seq, hits, misses, entries| Msg::Heartbeat {
         seq,
-        running: 0,
-        queued: 0,
         sent_us: 0,
         plans: PlanMemoStats {
             hits,

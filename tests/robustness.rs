@@ -175,8 +175,6 @@ fn fabric_shard_loss_fails_over_on_missed_heartbeats_deterministically() {
         0,
         Msg::Heartbeat {
             seq: 1,
-            running: 2,
-            queued: 0,
             sent_us: 0,
             plans: Default::default(),
         },
@@ -335,8 +333,6 @@ fn fabric_failover_resumes_from_progress_checkpoints() {
         1,
         Msg::Heartbeat {
             seq: 1,
-            running: 0,
-            queued: 0,
             sent_us: 0,
             plans: Default::default(),
         },
