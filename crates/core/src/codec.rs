@@ -505,7 +505,8 @@ codec! { enum ChemLayout { 0 => Block, 1 => Cyclic, 2 => BlockCyclic(b) } }
 codec! { MachineProfile { name, rate, latency, byte_cost, copy_cost, word_size } }
 codec! { YbOptions { eps, atol, h_min, h_max, stiff_ratio, form } }
 codec! {
-    SimConfig { dataset, machine, p, hours, start_hour, kh, chem_opts, weather, emission_scale }
+    SimConfig { dataset, machine, p, hours, start_hour, kh, chem_opts, weather, emission_scale },
+    validate = |c| c.validate().map_err(WireError::Malformed)
 }
 // Three fixed u64s, no option prefix: an untraced run carries the
 // all-zero context, so the frame layout never forks on tracing.

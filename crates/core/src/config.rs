@@ -104,6 +104,32 @@ impl SimConfig {
             ..SimConfig::new(DatasetChoice::Tiny(80), p)
         }
     }
+
+    /// Whether a worker can run this configuration: a finite chemistry
+    /// tolerance `eps > 0`, substep bounds `0 < h_min <= h_max`, a finite
+    /// `kh`, a finite `emission_scale >= 0` and at least one node.
+    /// Outside them a run hangs or panics: a NaN `eps` accepts no substep
+    /// above `h_min`, `h_min > h_max` panics in the step control's clamp
+    /// and a NaN scale at the emission scaling's assert. A decoded
+    /// configuration is checked here before it reaches a worker.
+    pub fn validate(&self) -> Result<(), &'static str> {
+        let YbOptions {
+            eps, h_min, h_max, ..
+        } = self.chem_opts;
+        if !(eps.is_finite() && eps > 0.0) {
+            Err("chemistry eps is not finite and positive")
+        } else if !(h_min > 0.0 && h_min <= h_max) {
+            Err("chemistry substep bounds are not 0 < h_min <= h_max")
+        } else if !self.kh.is_finite() {
+            Err("kh is not finite")
+        } else if !(self.emission_scale.is_finite() && self.emission_scale >= 0.0) {
+            Err("emission scale is not finite and non-negative")
+        } else if self.p == 0 {
+            Err("a run needs at least one node")
+        } else {
+            Ok(())
+        }
+    }
 }
 
 #[cfg(test)]

@@ -54,11 +54,10 @@ pub const MAX_NODES: usize = 65_536;
 
 codec! {
     ScenarioJob { config, layout, resume },
-    // A shard replays the job on `config.p` nodes under `layout`: a
-    // machine needs a node (and no more than `MAX_NODES`) and a
+    // A shard replays the job on `config.p` nodes under `layout`: no
+    // more than `MAX_NODES` (the config's own check refuses none), and a
     // block-cyclic run needs an item.
     validate = |job| match (job.config.p, job.layout) {
-        (0, _) => Err(WireError::Malformed("a job needs at least one node")),
         (p, _) if p > MAX_NODES => Err(WireError::Malformed("a job on more than MAX_NODES nodes")),
         (_, ChemLayout::BlockCyclic(0)) => Err(WireError::Malformed("a CYCLIC(0) layout")),
         _ => Ok(()),

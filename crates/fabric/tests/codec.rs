@@ -170,6 +170,12 @@ impl Rng {
             _ => f64::from_bits(self.next()),
         }
     }
+    /// A finite positive value of any magnitude.
+    fn positive(&mut self) -> f64 {
+        Some(self.f64().abs())
+            .filter(|x| x.is_finite() && *x > 0.0)
+            .unwrap_or(1.0)
+    }
     fn f64s(&mut self) -> Vec<f64> {
         self.vec(Rng::f64)
     }
@@ -209,7 +215,9 @@ fn machine(r: &mut Rng) -> MachineProfile {
     }
 }
 
+/// Any configuration `SimConfig::validate` accepts.
 fn config(r: &mut Rng) -> SimConfig {
+    let (a, b) = (r.positive(), r.positive());
     SimConfig {
         dataset: [
             DatasetChoice::LosAngeles,
@@ -217,20 +225,20 @@ fn config(r: &mut Rng) -> SimConfig {
             DatasetChoice::Tiny(r.usize()),
         ][r.below(3) as usize],
         machine: machine(r),
-        p: r.usize(),
+        p: r.usize().max(1),
         hours: r.usize(),
         start_hour: r.usize(),
-        kh: r.f64(),
+        kh: Some(r.f64()).filter(|k| k.is_finite()).unwrap_or(0.0),
         chem_opts: YbOptions {
-            eps: r.f64(),
+            eps: r.positive(),
             atol: r.f64(),
-            h_min: r.f64(),
-            h_max: r.f64(),
+            h_min: a.min(b),
+            h_max: a.max(b),
             stiff_ratio: r.f64(),
             form: [AsymptoticForm::Rational, AsymptoticForm::Exponential][r.below(2) as usize],
         },
         weather: [Weather::Ventilated, Weather::Stagnation][r.below(2) as usize],
-        emission_scale: r.f64(),
+        emission_scale: if r.coin() { 0.0 } else { r.positive() },
     }
 }
 
@@ -615,6 +623,16 @@ fn golden_files_survive_seeded_corruption() {
 /// `Msg::Assign` carrying one tiny job on `p` nodes under `layout`,
 /// encoded and decoded again.
 fn assign(p: usize, layout: ChemLayout) -> Result<Msg, WireError> {
+    let config = SimConfig {
+        p,
+        ..SimConfig::test_tiny(4, 1)
+    };
+    assign_config(config, layout)
+}
+
+/// `Msg::Assign` carrying `config` under `layout`, encoded and decoded
+/// again.
+fn assign_config(config: SimConfig, layout: ChemLayout) -> Result<Msg, WireError> {
     let msg = Msg::Assign {
         job: 7,
         ctx: TraceContext {
@@ -623,15 +641,52 @@ fn assign(p: usize, layout: ChemLayout) -> Result<Msg, WireError> {
             job_id: 7,
         },
         work: Box::new(ScenarioJob {
-            config: SimConfig {
-                p,
-                ..SimConfig::test_tiny(4, 1)
-            },
+            config,
             layout,
             resume: None,
         }),
     };
     Msg::decode(msg.tag(), &msg.encode())
+}
+
+/// An `Assign` whose configuration would hang or panic a worker — a NaN
+/// chemistry tolerance (every substep at `h_min`), `h_min > h_max` (the
+/// step control's clamp panics), a NaN emission scale (the scaling's
+/// assert) and their neighbours — is a typed decode error, not a job;
+/// the stock configurations decode.
+#[test]
+fn an_assign_a_worker_cannot_run_is_refused() {
+    for config in [
+        SimConfig::new(DatasetChoice::LosAngeles, 16),
+        SimConfig::new(DatasetChoice::Tiny(60), 1),
+        SimConfig::test_tiny(4, 1),
+    ] {
+        assert!(assign_config(config, ChemLayout::Block).is_ok());
+    }
+    let spoilt: [(&str, fn(&mut SimConfig)); 10] = [
+        ("NaN eps", |c| c.chem_opts.eps = f64::NAN),
+        ("zero eps", |c| c.chem_opts.eps = 0.0),
+        ("infinite eps", |c| c.chem_opts.eps = f64::INFINITY),
+        ("h_min > h_max", |c| {
+            c.chem_opts.h_min = 2.0 * c.chem_opts.h_max
+        }),
+        ("zero h_min", |c| c.chem_opts.h_min = 0.0),
+        ("NaN h_max", |c| c.chem_opts.h_max = f64::NAN),
+        ("NaN kh", |c| c.kh = f64::NAN),
+        ("NaN emission scale", |c| c.emission_scale = f64::NAN),
+        ("negative emission scale", |c| c.emission_scale = -0.5),
+        ("infinite emission scale", |c| {
+            c.emission_scale = f64::INFINITY
+        }),
+    ];
+    for (what, spoil) in spoilt {
+        let mut config = SimConfig::test_tiny(4, 1);
+        spoil(&mut config);
+        match assign_config(config, ChemLayout::Block) {
+            Err(WireError::Malformed(_)) => {}
+            other => panic!("{what}: {other:?}"),
+        }
+    }
 }
 
 /// An `Assign` a shard cannot replay — no nodes, more nodes than
