@@ -4,9 +4,9 @@
 //! Expected shape (paper): the pipelined version scales further; "the
 //! execution time on 64 nodes was reduced by around 25%".
 //!
-//! Both columns lower from the same per-hour `PhaseGraph`: the
-//! data-parallel time executes the whole graph, the task+data time
-//! schedules its pipeline-stage annotations.
+//! Both columns fold the same per-hour node order: the data-parallel
+//! time charges every node, the task+data time schedules the nodes'
+//! pipeline-stage annotations.
 
 use airshed_bench::table::{secs, Table};
 use airshed_bench::{la_profile, PAPER_NODES};

@@ -1,13 +1,13 @@
 //! Execution timeline: a Gantt view of one simulated hour on the virtual
-//! machine — what the plan graph's phase/redistribution sequence actually
+//! machine — what the plan's phase/redistribution sequence actually
 //! looks like in time, and why transport and I/O dominate at scale. Rows
 //! are labelled from the IR `PhaseKind` (compute phases) and the plan
 //! edge names (redistributions); each bar is the virtual `(start, end)`
-//! `PhaseGraph::execute_with` reports for a charged node.
+//! the one charge loop, `plan::charge_hours`, reports for a charged node.
 
 use airshed_bench::la_profile;
 use airshed_core::driver::{HourPlans, PlanLayouts};
-use airshed_core::plan::PhaseGraph;
+use airshed_core::plan::charge_hours;
 use airshed_machine::{Machine, MachineProfile, PhaseCategory};
 
 /// Render a text Gantt chart of `(label, start, end)` spans: one row per
@@ -62,10 +62,10 @@ fn main() {
     for p in [4usize, 64] {
         let mut m = Machine::new(MachineProfile::t3e(), p);
         let plans = HourPlans::shared(&profile.shape, p, PlanLayouts::default());
-        let graph = PhaseGraph::for_hour(&profile.hours[noon], &plans, p);
-        let mut spans = Vec::with_capacity(graph.nodes.len());
-        graph.execute_with(&mut m, |node, start, end| {
-            spans.push((graph.label(node).0, start, end));
+        let mut spans = Vec::new();
+        let hour = &profile.hours[noon..=noon];
+        charge_hours(&mut m, hour, &plans, None, |_, label, start, end| {
+            spans.push((label, start, end));
         });
         println!(
             "\n=== one simulated hour (hour index {noon}) on the T3E, P = {p} — {:.2}s ===",

@@ -113,12 +113,10 @@ impl SimConfig {
     /// and a NaN scale at the emission scaling's assert. A decoded
     /// configuration is checked here before it reaches a worker.
     pub fn validate(&self) -> Result<(), &'static str> {
-        let YbOptions {
-            eps, h_min, h_max, ..
-        } = self.chem_opts;
-        if !(eps.is_finite() && eps > 0.0) {
+        let c = &self.chem_opts;
+        if !(c.eps.is_finite() && c.eps > 0.0) {
             Err("chemistry eps is not finite and positive")
-        } else if !(h_min > 0.0 && h_min <= h_max) {
+        } else if !(c.h_min > 0.0 && c.h_min <= c.h_max) {
             Err("chemistry substep bounds are not 0 < h_min <= h_max")
         } else if !self.kh.is_finite() {
             Err("kh is not finite")

@@ -14,7 +14,7 @@ use crate::checkpoint::Checkpoint;
 use crate::config::SimConfig;
 use crate::obs::{Obs, Track};
 use crate::phases::PhaseEngine;
-use crate::plan::{PhaseGraph, Placement};
+use crate::plan::{charge_hours, Placement};
 use crate::profile::{HourProfile, StepProfile, WorkProfile};
 use crate::report::{CopyBytes, RunReport};
 use crate::state::SimState;
@@ -232,13 +232,13 @@ pub fn copy_bytes_for_hour(plans: &HourPlans, steps: usize, surface_len: usize) 
     }
 }
 
-/// Charge one hour's captured work to the machine: build the hour's
-/// [`crate::plan::PhaseGraph`] and execute it. The graph's program order
-/// is exactly the phase/redistribution sequence of the main loop, so the
-/// virtual times are bit-identical to charging the phases by hand (the
-/// `plan_equivalence` golden test pins this).
+/// Charge one hour's captured work to the machine: [`charge_hours`]
+/// over that hour, each distributed node at its heaviest node, in the
+/// main loop's phase/redistribution order (the `plan_equivalence`
+/// goldens pin every bit).
 pub fn charge_hour(machine: &mut Machine, hp: &HourProfile, plans: &HourPlans) {
-    PhaseGraph::for_hour(hp, plans, machine.p()).execute(machine);
+    let hour = std::slice::from_ref(hp);
+    charge_hours(machine, hour, plans, None, |_, _, _, _| {});
 }
 
 /// The shared input stage of one simulated hour: the hourly input
@@ -268,10 +268,11 @@ pub struct InputStage {
 /// span per phase invocation inside it (the [`PhaseKind`] labels) and
 /// one "charge_hour" around the hour's charge; the engine's pool forks
 /// report per-task worker spans through the same handle; the charge
-/// records every PhaseGraph node and redistribution edge on a
-/// [`Track::Virtual`] row, at the virtual `(start, end)` the machine
-/// charged it; and at each hour boundary the cumulative `copy bytes`
-/// counters are sampled and the span buffers are flushed. With a
+/// ([`charge_hours`], the loop replays charge through too) records
+/// every plan node and redistribution edge on a [`Track::Virtual`] row,
+/// at the virtual `(start, end)` the machine charged it; and at each
+/// hour boundary the cumulative `copy bytes` counters are sampled and
+/// the span buffers are flushed. With a
 /// disabled handle there are no clock reads and no tracing, and the
 /// results are bit-identical either way
 /// (instrumentation never reorders the item-ordered reductions).
@@ -441,11 +442,16 @@ impl Episode {
             };
             {
                 let _s = obs.span_hour("charge_hour", tag);
-                let graph = PhaseGraph::for_hour(&hp, &self.plans, self.machine.p());
-                graph.execute_with(&mut self.machine, |node, start, end| {
-                    let (label, _) = graph.label(node);
-                    obs.record_virtual(label, Track::Virtual(label), start, end, Some(tag));
-                });
+                let hour = std::slice::from_ref(&hp);
+                charge_hours(
+                    &mut self.machine,
+                    hour,
+                    &self.plans,
+                    None,
+                    |_, label, s, e| {
+                        obs.record_virtual(label, Track::Virtual(label), s, e, Some(tag));
+                    },
+                );
             }
             self.profile.hours.push(hp);
             self.profile.summaries.push(summary);

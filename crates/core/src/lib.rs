@@ -27,16 +27,16 @@
 //! * [`state`] — the concentration array and its science summaries;
 //! * [`phases`] — the five phases with their work accounting;
 //! * [`profile`] — captured work profiles (run once, replay across P);
-//! * [`plan`] — the [`plan::PhaseGraph`] execution-plan IR every backend
-//!   lowers from;
+//! * [`plan`] — the execution-plan IR: an hour's node order, written
+//!   once, and [`plan::charge_hours`], the one loop that charges it;
 //! * [`backend`] — execution backends (serial / thread pool) that run
 //!   the same partitions on real host cores;
 //! * [`driver`] — the data-parallel main loop: [`driver::Episode`], the
 //!   one hour stepper every way of running a simulation goes through;
 //! * [`taskpar`] — the pipelined task-parallel variant (§5, Figure 8),
-//!   scheduled from the graph's stage annotations;
+//!   scheduled from the nodes' stage annotations;
 //! * [`predict`] — the §4 analytic performance model, folded over the
-//!   same graph;
+//!   same node order;
 //! * [`obs`] — the unified observability layer (spans, Chrome-trace and
 //!   Prometheus exporters) every other module reports through;
 //! * [`ensemble`] — perturbation sweeps run as one job, with the
@@ -71,7 +71,7 @@ pub use driver::{ChemLayout, PlanLayouts};
 pub use ensemble::{run_ensemble, DedupStats, EnsembleJob, EnsembleResult};
 pub use obs::oracle::{validate_profile, Validation};
 pub use obs::Obs;
-pub use plan::{optimize_plan, PhaseGraph, PlanChoice};
+pub use plan::{optimize_plan, PlanChoice};
 pub use predict::{PerfModel, PricedModel};
 pub use profile::WorkProfile;
 pub use report::RunReport;

@@ -6,10 +6,9 @@
 //!
 //! * a [`SpanRecord`] is a named interval on a [`Track`] — wall-clock
 //!   µs for real execution (driver hours, engine phases, pool tasks,
-//!   server job lifecycle) or virtual-machine µs for each charged
-//!   PhaseGraph node (recorded from `PhaseGraph::execute_with`, the one
-//!   source of a node's virtual `(start, end)`) and the pipeline
-//!   schedule;
+//!   server job lifecycle) or virtual-machine µs for each charged plan
+//!   node (recorded from `plan::charge_hours`'s observer, the one source
+//!   of a node's virtual `(start, end)`) and the pipeline schedule;
 //! * a [`SpanSink`] receives spans (sharded, effectively per-thread
 //!   buffers, flushed at hour boundaries);
 //! * the [`Obs`] handle is what instrumented code carries: a sink or
@@ -62,7 +61,7 @@ pub enum Track {
     Lane(u32),
     /// Worker `worker` of the host thread pool serving lane `lane`.
     PoolWorker { lane: u32, worker: u32 },
-    /// A virtual-machine-time track (charged PhaseGraph events).
+    /// A virtual-machine-time track (charged plan nodes).
     Virtual(&'static str),
     /// A pipeline-stage track in virtual time (task-parallel schedule).
     Stage(&'static str),

@@ -11,9 +11,10 @@
 //! pure function of the profile: a run's charge *is* that replay, so
 //! there is nothing a live hook on the running hours would add.
 //!
-//! The pairing holds by construction: [`PhaseGraph::execute_with`] hands
-//! each plan node over with the virtual `(start, end)` the machine just
-//! charged it, and for each node the sweep computes the **model
+//! The pairing holds by construction: the one charge loop
+//! ([`charge_hours`], which live hours and replays charge through too)
+//! hands each plan node over with the virtual `(start, end)` the machine
+//! just charged it, and for each node the sweep computes the **model
 //! residual** — the §4 closed form (even division with the ceil rule;
 //! the [`comm_step_costs`] equations) against the charged duration
 //! `end - start`. This is the Figure 6/7 error: genuinely nonzero,
@@ -23,19 +24,17 @@
 //! machine's `L`/`G`/`H` are the datasheet the spans were charged from,
 //! so there is nothing in them to recover (EXPERIMENTS.md, "Online
 //! recalibration": the refit was the identity to 14 digits); and the
-//! charge itself *is* [`step_seconds`] — what admission and the planner
-//! price with — so a residual between the two would compare a formula
-//! with itself (`plan::tests::execute_is_the_running_sum_of_step_seconds`
-//! pins that instead).
+//! charge itself *is* what a replay and the planner price with, so a
+//! residual between the two would compare a formula with itself
+//! (`plan::tests::a_live_charge_and_a_replay_are_one_walk` pins that
+//! instead).
 
 use crate::driver::{HourPlans, PlanLayouts};
-use crate::plan::{Op, PhaseGraph, PhaseNode, Work};
-use crate::predict::{
-    ceil_rule_seconds, comm_step_costs, step_seconds, CommStepCosts, PerfModel, Prediction,
-};
+use crate::plan::{charge_hours, edges, Op, PhaseNode, Work};
+use crate::predict::{ceil_rule_seconds, comm_step_costs, CommStepCosts, PerfModel, Prediction};
 use crate::profile::WorkProfile;
 use crate::report::RunReport;
-use airshed_hpf::redist::labels;
+use airshed_hpf::redist::{labels, RedistPlan};
 use airshed_machine::{Machine, MachineProfile};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -124,15 +123,15 @@ fn rel_err(measured: f64, predicted: f64) -> f64 {
 /// Per-label model residuals of a sweep.
 type Residuals = BTreeMap<&'static str, ResidualStat>;
 
-/// The §4 closed-form seconds of one plan node priced on `nominal`, and
-/// the per-node imbalance of its charge (heaviest/mean).
+/// The §4 closed-form seconds of one plan node on `p` nodes priced on
+/// `nominal`, and the per-node imbalance of its charge (heaviest/mean).
 fn model_of(
-    graph: &PhaseGraph,
     node: &PhaseNode,
+    p: usize,
+    edges: &[&RedistPlan; 4],
     nominal: &MachineProfile,
     costs: &CommStepCosts,
 ) -> (f64, f64) {
-    let p = graph.p;
     match &node.op {
         Op::Compute { work, .. } => {
             let (_, imbalance) = work.charged(p);
@@ -148,10 +147,10 @@ fn model_of(
             (model, imbalance)
         }
         Op::Comm { edge } => {
-            let e = &graph.edges[*edge];
+            let e = edges[*edge];
             let model = costs
                 .for_label(e.label)
-                .unwrap_or_else(|| step_seconds(graph, node, nominal));
+                .expect("a plan edge is one of the four redistributions");
             let per_node: Vec<f64> = e.loads.iter().map(|l| nominal.comm_cost(l)).collect();
             let max = per_node.iter().fold(0.0f64, |a, &b| a.max(b));
             let mean = per_node.iter().sum::<f64>() / per_node.len().max(1) as f64;
@@ -195,9 +194,9 @@ pub struct Validation {
 }
 
 /// Run the Figures 5–7 experiment on a captured profile: for each node
-/// count, execute every hour's plan graph, pair every charged node with
-/// its prediction (residuals pooled over the whole sweep), and collect
-/// the predicted-vs-measured rows.
+/// count, charge every hour, pair every charged node with its prediction
+/// (residuals pooled over the whole sweep), and collect the
+/// predicted-vs-measured rows.
 pub fn validate_profile(
     profile: &WorkProfile,
     machine: MachineProfile,
@@ -208,21 +207,25 @@ pub fn validate_profile(
     let mut rows = Vec::with_capacity(nodes.len());
     for &p in nodes {
         let plans = HourPlans::shared(&profile.shape, p, PlanLayouts::default());
+        let edges = edges(&plans);
         let costs = comm_step_costs(&machine, profile.shape, p);
         let mut m = Machine::new(machine, p);
-        for hp in &profile.hours {
-            let graph = PhaseGraph::for_hour(hp, &plans, p);
-            graph.execute_with(&mut m, |node, start, end| {
+        charge_hours(
+            &mut m,
+            &profile.hours,
+            &plans,
+            None,
+            |node, label, start, end| {
                 let measured = end - start;
-                let (model, imbalance) = model_of(&graph, node, &machine, &costs);
-                residuals.entry(graph.label(node).0).or_default().record(
+                let (model, imbalance) = model_of(node, p, &edges, &machine, &costs);
+                residuals.entry(label).or_default().record(
                     rel_err(measured, model),
                     imbalance,
                     model,
                     measured,
                 );
-            });
-        }
+            },
+        );
         let report = RunReport::from_machine(profile.dataset, &m, profile.hours.len(), Vec::new());
         rows.push(ValidationRow {
             p,

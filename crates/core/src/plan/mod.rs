@@ -1,51 +1,44 @@
 //! The execution-plan IR — one declarative description of an hour's work
-//! that every backend lowers from.
+//! that every backend derives its view from.
 //!
 //! The paper's central economy is that *one* description of an hour —
 //! phase work shares plus the redistribution message sets — explains the
 //! simulated run (Figure 4), the pipelined run (Figure 9) and the
-//! analytic prediction (Figures 6/7) alike. Before this module that
-//! description lived implicitly in four hand-kept-in-sync code paths
-//! (`driver::charge_hour`, `taskpar::replay_taskparallel`,
-//! `predict::PerfModel::from_profile`, and the server's replay). The
-//! [`PhaseGraph`] makes it explicit:
+//! analytic prediction (Figures 6/7) alike. Here that description is
+//! written once, as `hour_nodes`'s program order:
 //!
 //! * **Nodes** ([`PhaseNode`]) are compute phases, each identified by its
 //!   IR [`PhaseKind`] and carrying its work as either replicated
 //!   (sequential) or distributed-per-item with an [`ItemLayout`], plus a
 //!   pipeline [`Stage`] annotation; or references to comm edges.
-//! * **Edges** are the planned redistributions themselves: each
-//!   [`RedistPlan`] carries the per-node `(m, b, c)` loads.
+//! * **Edges** are the planned redistributions themselves (a
+//!   [`HourPlans`] set): each [`RedistPlan`] carries the per-node
+//!   `(m, b, c)` loads.
 //!
-//! Four lowerings consume the graph:
+//! Three folds read that order:
 //!
-//! 1. [`PhaseGraph::execute`] charges it to a [`Machine`], each node
-//!    at its [`step_seconds`] through `Prices`, the machine's one price
-//!    list (admission and the router price with the calibrated
-//!    [`PerfModel`](crate::predict::PerfModel)). This *is* `driver::charge_hour` (every bit of it pinned by
-//!    the goldens under `tests/golden/plan/`). [`PhaseGraph::execute_with`]
-//!    also hands each node its virtual `(start, end)` as it is charged:
-//!    the trace rows, the oracle's residuals and the `timeline` Gantt
-//!    chart are all read from there;
-//! 2. [`PhaseGraph::stage_durations`] folds the stage annotations into
+//! 1. [`charge_hours`], the one loop that charges a [`Machine`]: each
+//!    node priced through `Prices`, the machine's one price list, under
+//!    its label, with an optional observer that hears each node's
+//!    virtual `(start, end)`. A live hour (`driver::Episode`,
+//!    `driver::charge_hour`), the oracle's residuals and the `timeline`
+//!    Gantt charge each distributed node at its heaviest node; a replay
+//!    ([`Placement::charge`] — [`replay_profile_with`], the server's and
+//!    the optimizer's) charges the units a [`Placement`] folded once per
+//!    `(profile, P, layouts)`. A server looks in its result cache, then
+//!    its profile store, then its placement memo. Every bit of the
+//!    charge is pinned by the goldens under `tests/golden/plan/`;
+//! 2. `taskpar::hourly_stage_durations` folds the stage annotations into
 //!    the three pipeline stage durations `taskpar` schedules — for §5's
-//!    Figure 9 and, with PopExp as a fourth stage, §6's Figures 12/13.
-//!    I/O stages charge [`Work::subgroup_seconds`] on their subgroup and
-//!    a handoff is the machine's `comm_cost` of one message;
+//!    Figure 9 and, with PopExp as a fourth stage, §6's Figures 12/13;
 //! 3. `predict::PerfModel::from_profile` folds node work totals and edge
-//!    occurrence counts into the §4 closed-form model inputs;
-//! 4. a replay ([`replay_profile_with`], the server's and the
-//!    optimizer's) folds a profile over `P` nodes once, a [`Placement`]
-//!    in the graph's program order, and charges it to any machine
-//!    through the same `Prices`. A server looks in its result cache,
-//!    then its profile store, then its placement memo.
+//!    occurrence counts into the §4 closed-form model inputs.
 
 use crate::driver::{copy_bytes_for_hour, HourPlans, PlanLayouts};
-use crate::predict::step_seconds;
 use crate::profile::{HourProfile, WorkProfile};
 use crate::report::{CopyBytes, RunReport};
 use airshed_hpf::redist::RedistPlan;
-use airshed_machine::{Machine, MachineProfile, NodeCommLoad, PhaseCategory, PhaseKind};
+use airshed_machine::{Machine, MachineProfile, PhaseCategory, PhaseKind};
 use std::borrow::Cow;
 
 pub mod optimize;
@@ -71,7 +64,7 @@ pub enum Stage {
 /// pool. The plan optimizer picks one per distributed phase.
 pub use airshed_hpf::dist::Layout as ItemLayout;
 
-/// The work a compute node carries. A graph borrows its per-item work
+/// The work a compute node carries. A node borrows its per-item work
 /// from the captured profile; a module that prices its own work (PopExp)
 /// owns it.
 #[derive(Debug, Clone)]
@@ -149,15 +142,16 @@ impl Work<'_> {
     }
 }
 
-/// What a graph node does: compute, or a redistribution over one of the
-/// graph's comm edges.
+/// What a plan node does: compute, or a redistribution over one of the
+/// plan set's four comm edges.
 #[derive(Debug, Clone)]
 pub enum Op<'a> {
     Compute {
         kind: PhaseKind,
         work: Work<'a>,
     },
-    /// Index into [`PhaseGraph::edges`].
+    /// Index into the plan set's four edges: `D_Repl->D_Trans`,
+    /// `D_Trans->D_Chem`, `D_Chem->D_Repl`, `D_Trans->D_Repl`.
     Comm {
         edge: usize,
     },
@@ -170,150 +164,50 @@ pub struct PhaseNode<'a> {
     pub op: Op<'a>,
 }
 
-/// The execution plan for one simulated hour on `p` nodes: a linear
-/// graph of compute phases and redistribution edges, annotated with
-/// pipeline stages. Built once per hour from the captured profile and
-/// the pre-planned redistributions, which it borrows rather than copies;
-/// every backend lowers from it.
+// The four edges' indexes, in the order `edges` lists them.
+const EDGE_REPL_TO_TRANS: usize = 0;
+const EDGE_TRANS_TO_CHEM: usize = 1;
+const EDGE_CHEM_TO_REPL: usize = 2;
+const EDGE_TRANS_TO_REPL: usize = 3;
+
+/// One hour's charge on `p` nodes, kept only because the benchmark
+/// times building and executing it (`core.plan.lower_us`,
+/// `machine.execute_hour_us`); ROADMAP item 2 deletes it with those
+/// call sites. Everything else charges through [`charge_hours`].
 #[derive(Debug, Clone)]
 pub struct PhaseGraph<'a> {
-    /// Array shape `[species, layers, nodes]`.
-    pub shape: [usize; 3],
-    /// Node count the comm edges were planned for.
-    pub p: usize,
-    /// The four distinct redistribution edges (deduplicated; nodes refer
-    /// to them by index). Order: `D_Repl->D_Trans`, `D_Trans->D_Chem`,
-    /// `D_Chem->D_Repl`, `D_Trans->D_Repl`.
+    hour: &'a HourProfile,
+    plans: &'a HourPlans,
+    /// The plan set's four redistribution edges, in the order
+    /// [`Op::Comm`] indexes.
     pub edges: [&'a RedistPlan; 4],
-    /// Phase nodes in program order.
-    pub nodes: Vec<PhaseNode<'a>>,
-    /// Bytes handed from the input stage to the compute stage (decoded
-    /// inputs + assembled operators, ~3× the raw hourly input).
-    pub input_handoff_bytes: usize,
-    /// Elements handed from the compute stage to the output stage (the
-    /// full concentration array).
-    pub output_handoff_elems: usize,
 }
 
 impl<'a> PhaseGraph<'a> {
-    /// Index of the `D_Repl->D_Trans` edge in [`PhaseGraph::edges`].
-    pub const EDGE_REPL_TO_TRANS: usize = 0;
-    /// Index of the `D_Trans->D_Chem` edge in [`PhaseGraph::edges`].
-    pub const EDGE_TRANS_TO_CHEM: usize = 1;
-    /// Index of the `D_Chem->D_Repl` edge in [`PhaseGraph::edges`].
-    pub const EDGE_CHEM_TO_REPL: usize = 2;
-    /// Index of the hour-boundary `D_Trans->D_Repl` edge in
-    /// [`PhaseGraph::edges`].
-    pub const EDGE_TRANS_TO_REPL: usize = 3;
-
-    /// Build the plan graph for one captured hour: Figure 1's loop, in
-    /// the program order `hour_nodes` writes.
+    /// The charge of one captured hour on the `p` nodes `plans` were
+    /// built for.
     pub fn for_hour(hp: &'a HourProfile, plans: &'a HourPlans, p: usize) -> PhaseGraph<'a> {
         let edges = edges(plans);
         for e in edges {
             assert_eq!(e.loads.len(), p, "plans were built for a different P");
         }
-        let mut nodes = Vec::with_capacity(4 + 7 * hp.steps.len());
-        hour_nodes(hp, plans, |node| nodes.push(node));
         PhaseGraph {
-            shape: plans.shape,
-            p,
+            hour: hp,
+            plans,
             edges,
-            nodes,
-            input_handoff_bytes: 3 * hp.input_bytes,
-            output_handoff_elems: plans.shape.iter().product(),
         }
     }
 
-    /// The label and phase category a node is charged under: its kind's,
-    /// or its edge's as a `Communication` phase.
-    pub fn label(&self, node: &PhaseNode) -> (&'static str, PhaseCategory) {
-        label(&node.op, &self.edges)
-    }
-
-    /// Data-parallel lowering: charge every node of the graph to the
-    /// machine in program order. Returns the elapsed virtual time.
+    /// [`charge_hours`] of the hour, each distributed node at its
+    /// heaviest node. Returns the elapsed virtual time.
     pub fn execute(&self, machine: &mut Machine) -> f64 {
-        self.execute_with(machine, |_, _, _| {})
-    }
-
-    /// Every node in program order with its [`step_seconds`] on `mp`.
-    pub(crate) fn priced<'g>(
-        &'g self,
-        mp: &MachineProfile,
-    ) -> impl Iterator<Item = (&'g PhaseNode<'a>, f64)> + 'g {
-        let prices = Prices::new(&self.edges, *mp);
-        self.nodes
-            .iter()
-            .map(move |node| (node, prices.seconds(&node.op, |work| work.heaviest(self.p))))
-    }
-
-    /// [`execute`](PhaseGraph::execute), each node with [`step_seconds`]
-    /// on the machine's own profile (each edge priced once) under its
-    /// [`label`](PhaseGraph::label), handing it to `charged` with the
-    /// virtual `(start, end)` the machine just charged it — the one
-    /// source of a node's place on the virtual timeline.
-    pub fn execute_with(
-        &self,
-        machine: &mut Machine,
-        mut charged: impl FnMut(&PhaseNode<'a>, f64, f64),
-    ) -> f64 {
-        assert_eq!(machine.p(), self.p, "graph was planned for a different P");
-        let start = machine.elapsed();
-        let mp = machine.profile;
-        for (node, seconds) in self.priced(&mp) {
-            let (label, cat) = self.label(node);
-            let at = machine.elapsed();
-            machine.charge(label, cat, seconds);
-            charged(node, at, machine.elapsed());
-        }
-        machine.elapsed() - start
-    }
-
-    /// Task-parallel lowering: the three §5 pipeline stage durations
-    /// `[input, compute, output]` for this hour, with `p_in` input nodes,
-    /// `self.p` compute nodes and `p_out` output nodes.
-    ///
-    /// The input stage charges its nodes on the input subgroup
-    /// ([`Work::subgroup_seconds`]) then hands the decoded inputs
-    /// ([`PhaseGraph::input_handoff_bytes`]) to the compute subgroup; the
-    /// compute stage is the running sum of its nodes' [`step_seconds`],
-    /// which is where a fresh machine charging them would stand; the
-    /// output stage receives the concentration array
-    /// ([`PhaseGraph::output_handoff_elems`]) and charges its nodes. A
-    /// handoff is one message of its bytes, priced by the machine.
-    pub fn stage_durations(&self, mp: MachineProfile, p_in: usize, p_out: usize) -> [f64; 3] {
-        let on_subgroup = |stage: Stage, p_stage: usize| {
-            self.nodes
-                .iter()
-                .filter(move |n| n.stage == stage)
-                .map(move |n| match &n.op {
-                    Op::Compute { work, .. } => work.subgroup_seconds(&mp, p_stage),
-                    Op::Comm { .. } => step_seconds(self, n, &mp),
-                })
-        };
-        let handoff = |bytes| {
-            mp.comm_cost(&NodeCommLoad {
-                msgs_sent: 1,
-                bytes_sent: bytes,
-                ..Default::default()
-            })
-        };
-        let input = on_subgroup(Stage::Input, p_in).fold(0.0, |t, s| t + s)
-            + handoff(self.input_handoff_bytes);
-        let compute = self
-            .priced(&mp)
-            .filter(|(n, _)| n.stage == Stage::Main)
-            .fold(0.0, |t, (_, s)| t + s);
-        let output = on_subgroup(Stage::Output, p_out)
-            .fold(handoff(self.output_handoff_elems * mp.word_size), |t, s| {
-                t + s
-            });
-        [input, compute, output]
+        let hour = std::slice::from_ref(self.hour);
+        charge_hours(machine, hour, self.plans, None, |_, _, _, _| {})
     }
 }
 
-/// [`PhaseGraph::label`] of `op` over a plan set's four `edges`.
+/// The label and phase category a node is charged under: its kind's,
+/// or its edge's as a `Communication` phase.
 fn label(op: &Op, edges: &[&RedistPlan; 4]) -> (&'static str, PhaseCategory) {
     match op {
         Op::Compute { kind, .. } => (kind.label(), kind.category()),
@@ -322,9 +216,9 @@ fn label(op: &Op, edges: &[&RedistPlan; 4]) -> (&'static str, PhaseCategory) {
 }
 
 /// One machine's prices for the nodes over one plan set — the machine's
-/// only charge, which a graph's execution, [`step_seconds`] and a
-/// [`Placement`]'s replay all price through: a compute node's charged
-/// units at the rate, a comm node's edge priced once.
+/// only charge, which [`charge_hours`] and the §5 stage fold price
+/// through: a compute node's charged units at the rate, a comm node's
+/// edge priced once.
 pub(crate) struct Prices {
     edge_seconds: [f64; 4],
     machine: MachineProfile,
@@ -349,8 +243,8 @@ impl Prices {
     }
 }
 
-/// A plan set's four edges in [`PhaseGraph::edges`] order.
-fn edges(plans: &HourPlans) -> [&RedistPlan; 4] {
+/// A plan set's four edges, in the order [`Op::Comm`] indexes.
+pub(crate) fn edges(plans: &HourPlans) -> [&RedistPlan; 4] {
     [
         &plans.main.repl_to_trans,
         &plans.main.trans_to_chem,
@@ -359,14 +253,64 @@ fn edges(plans: &HourPlans) -> [&RedistPlan; 4] {
     ]
 }
 
+/// The one loop that charges a machine: every node of `hours` in
+/// program order (`hour_nodes` over `plans`), priced through `Prices`
+/// (each edge once per call) and charged under its label. A distributed
+/// node charges the next of the `cached` units (a [`Placement`]'s) or,
+/// without them, its heaviest node on `machine.p()`
+/// ([`ItemLayout::heaviest`]). `observe` hears every node with its
+/// label and the virtual `(start, end)` the machine just charged it —
+/// the one source of a node's place on the virtual timeline; a no-op
+/// observer compiles away. Returns the elapsed virtual time.
+pub fn charge_hours<'h>(
+    machine: &mut Machine,
+    hours: &'h [HourProfile],
+    plans: &HourPlans,
+    cached: Option<&[f64]>,
+    mut observe: impl FnMut(&PhaseNode<'h>, &'static str, f64, f64),
+) -> f64 {
+    let p = machine.p();
+    let edges = edges(plans);
+    for e in edges {
+        assert_eq!(e.loads.len(), p, "plans were built for a different P");
+    }
+    let prices = Prices::new(&edges, machine.profile);
+    let mut cached = cached.map(<[f64]>::iter);
+    let mut units = |work: &Work| match (work, cached.as_mut()) {
+        (Work::Distributed { .. }, Some(units)) => {
+            *units.next().expect("placement is for another profile")
+        }
+        _ => work.heaviest(p),
+    };
+    let start = machine.elapsed();
+    for hp in hours {
+        hour_nodes(hp, plans, |node| {
+            let (label, category) = label(&node.op, &edges);
+            let at = machine.elapsed();
+            machine.charge(label, category, prices.seconds(&node.op, &mut units));
+            observe(&node, label, at, machine.elapsed());
+        });
+    }
+    assert!(
+        cached.is_none_or(|mut rest| rest.next().is_none()),
+        "placement is for another profile"
+    );
+    machine.elapsed() - start
+}
+
 /// Hand `visit` one hour's nodes in program order, mirroring Figure 1's
 /// loop: `inputhour`, `pretrans`, then per step Transport →
 /// `D_Trans->D_Chem` → Chemistry → `D_Chem->D_Repl` → Aerosol →
 /// `D_Repl->D_Trans` → Transport, with the entry `D_Repl->D_Trans`
 /// before the first step and the hour-boundary `D_Trans->D_Repl` before
-/// `outputhour`. The one place that order is written: a graph collects
-/// it and a [`Placement`] folds and replays it.
-fn hour_nodes<'a>(hp: &'a HourProfile, plans: &HourPlans, mut visit: impl FnMut(PhaseNode<'a>)) {
+/// `outputhour`. The one place that order is written: [`charge_hours`]
+/// charges it, a [`Placement`] folds it, and the §5 stages and the §4
+/// model inputs are folds of it.
+pub(crate) fn hour_nodes<'a>(
+    hp: &'a HourProfile,
+    plans: &HourPlans,
+    mut visit: impl FnMut(PhaseNode<'a>),
+) {
     let layers = plans.shape[1];
     let PlanLayouts {
         transport: trans_layout,
@@ -396,24 +340,24 @@ fn hour_nodes<'a>(hp: &'a HourProfile, plans: &HourPlans, mut visit: impl FnMut(
     for (k, step) in hp.steps.iter().enumerate() {
         if k == 0 {
             // Entering the first step from the replicated (I/O) state.
-            visit(comm(PhaseGraph::EDGE_REPL_TO_TRANS));
+            visit(comm(EDGE_REPL_TO_TRANS));
         }
         let transport1 = distributed(&step.transport1, trans_layout);
         visit(compute(Stage::Main, PhaseKind::Transport, transport1));
-        visit(comm(PhaseGraph::EDGE_TRANS_TO_CHEM));
+        visit(comm(EDGE_TRANS_TO_CHEM));
         let chemistry = distributed(&step.chemistry, chem_layout);
         visit(compute(Stage::Main, PhaseKind::Chemistry, chemistry));
-        visit(comm(PhaseGraph::EDGE_CHEM_TO_REPL));
+        visit(comm(EDGE_CHEM_TO_REPL));
         // Aerosol: sequential over the replicated array; grouped with
         // chemistry in the paper's phase accounting (via its kind).
         let aerosol = replicated(step.aerosol, 1);
         visit(compute(Stage::Main, PhaseKind::Aerosol, aerosol));
-        visit(comm(PhaseGraph::EDGE_REPL_TO_TRANS));
+        visit(comm(EDGE_REPL_TO_TRANS));
         let transport2 = distributed(&step.transport2, trans_layout);
         visit(compute(Stage::Main, PhaseKind::Transport, transport2));
     }
     // Hour boundary: back to replicated for outputhour/inputhour.
-    visit(comm(PhaseGraph::EDGE_TRANS_TO_REPL));
+    visit(comm(EDGE_TRANS_TO_REPL));
     let output = replicated(hp.output_work, 1);
     visit(compute(Stage::Output, PhaseKind::OutputHour, output));
 }
@@ -421,8 +365,8 @@ fn hour_nodes<'a>(hp: &'a HourProfile, plans: &HourPlans, mut visit: impl FnMut(
 /// The machine-independent half of a replay, a pure function of
 /// `(profile, P, layouts)`: the heaviest-node units of every distributed
 /// compute node in program order and the copy traffic. A replay on any
-/// machine is then one walk of the node order charging those units
-/// through `Prices`. [`replay_profile_with`] is
+/// machine is then [`charge_hours`] charging those units.
+/// [`replay_profile_with`] is
 /// `Placement::of(..).replay(..)`.
 ///
 /// It keeps no `O(P)` plan set, which a memo of placements would pin
@@ -465,28 +409,20 @@ impl Placement {
         }
     }
 
-    /// Charge `profile`'s hours to `machine` in program order, each node
-    /// at exactly its [`step_seconds`], each edge priced once; returns
-    /// their copy traffic. `profile` must be the one this placement was
-    /// folded from (or one with the same numerics).
+    /// Charge `profile`'s hours to `machine`: [`charge_hours`] with this
+    /// placement's units; returns their copy traffic. `profile` must be
+    /// the one this placement was folded from (or one with the same
+    /// numerics).
     pub fn charge(&self, profile: &WorkProfile, machine: &mut Machine) -> CopyBytes {
-        assert_eq!(machine.p(), self.p, "placement is for a different P");
         assert_eq!(profile.shape, self.shape, "placement is for another shape");
         let plans = HourPlans::shared(&self.shape, self.p, self.layouts);
-        let edges = edges(&plans);
-        let prices = Prices::new(&edges, machine.profile);
-        let mut units = self.units.iter();
-        let mut charged = |work: &Work<'_>| match work {
-            Work::Distributed { .. } => *units.next().expect("placement is for another profile"),
-            Work::Replicated { .. } => work.heaviest(self.p),
-        };
-        for hp in &profile.hours {
-            hour_nodes(hp, &plans, |node| {
-                let (label, category) = label(&node.op, &edges);
-                machine.charge(label, category, prices.seconds(&node.op, &mut charged));
-            });
-        }
-        assert!(units.next().is_none(), "placement is for another profile");
+        charge_hours(
+            machine,
+            &profile.hours,
+            &plans,
+            Some(&self.units),
+            |_, _, _, _| {},
+        );
         self.copy_bytes
     }
 
@@ -537,29 +473,21 @@ mod tests {
     use crate::testsupport::tiny_profile;
     use airshed_machine::MachineProfile;
 
-    /// The first tiny hour's graph; its plan set lives as long as the
-    /// test binary.
-    fn graph_for(p: usize) -> PhaseGraph<'static> {
-        let prof = tiny_profile();
-        let plans = Box::leak(Box::new(HourPlans::new(&prof.shape, p)));
-        PhaseGraph::for_hour(&prof.hours[0], plans, p)
-    }
-
     #[test]
-    fn graph_structure_mirrors_figure1() {
+    fn hour_nodes_mirror_figure1() {
         let prof = tiny_profile();
-        let g = graph_for(4);
+        let plans = HourPlans::new(&prof.shape, 4);
+        let mut nodes = Vec::new();
+        hour_nodes(&prof.hours[0], &plans, |node| nodes.push(node));
         let steps = prof.hours[0].steps.len();
         // 2 input nodes + entry comm + 7 per step + exit comm + 1 output.
-        assert_eq!(g.nodes.len(), 5 + 7 * steps);
-        assert_eq!(g.edges.len(), 4);
-        let count = |s: Stage| g.nodes.iter().filter(|n| n.stage == s).count();
+        assert_eq!(nodes.len(), 5 + 7 * steps);
+        let count = |s: Stage| nodes.iter().filter(|n| n.stage == s).count();
         assert_eq!(count(Stage::Input), 2);
         assert_eq!(count(Stage::Output), 1);
         assert_eq!(count(Stage::Main), 2 + 7 * steps);
         // Per-step comm pattern: 3 comm references per step + entry + exit.
-        let comms = g
-            .nodes
+        let comms = nodes
             .iter()
             .filter(|n| matches!(n.op, Op::Comm { .. }))
             .count();
@@ -568,71 +496,71 @@ mod tests {
 
     #[test]
     fn edges_conserve_bytes() {
+        let prof = tiny_profile();
         for p in [2usize, 4, 16, 64] {
-            let g = graph_for(p);
-            for e in &g.edges {
+            let plans = HourPlans::new(&prof.shape, p);
+            for e in edges(&plans) {
                 assert!(e.conserves_bytes(), "{} at p={p}", e.label);
             }
         }
     }
 
-    #[test]
-    fn execute_matches_driver_charge_hour() {
-        let prof = tiny_profile();
-        for p in [2usize, 4, 16] {
-            let plans = HourPlans::new(&prof.shape, p);
-            let mut direct = Machine::new(MachineProfile::t3e(), p);
-            for hp in &prof.hours {
-                crate::driver::charge_hour(&mut direct, hp, &plans);
-            }
-            let mut via_graph = Machine::new(MachineProfile::t3e(), p);
-            for hp in &prof.hours {
-                PhaseGraph::for_hour(hp, &plans, p).execute(&mut via_graph);
-            }
-            assert_eq!(direct.elapsed(), via_graph.elapsed(), "p={p}");
-        }
-    }
-
-    /// The one-fold property: on every paper machine, a fresh machine
-    /// that executes the hours' graphs stands at exactly the running sum
-    /// of `step_seconds` over their nodes.
-    fn assert_one_fold(profile: &WorkProfile) {
+    /// The one-walk property: on every paper machine, a live charge
+    /// (each distributed node at its heaviest node) and a placement's
+    /// charge of the same profile stand at the same bits in every
+    /// category, and the observed spans tile the timeline — each node
+    /// starts where the one before it ended.
+    fn assert_one_walk(profile: &WorkProfile) {
         for mp in MachineProfile::paper_machines() {
             for p in [1usize, 3, 16, 128] {
                 let plans = HourPlans::new(&profile.shape, p);
-                let mut machine = Machine::new(mp, p);
-                let mut sum = 0.0f64;
-                for hp in &profile.hours {
-                    let graph = PhaseGraph::for_hour(hp, &plans, p);
-                    graph.execute(&mut machine);
-                    for node in &graph.nodes {
-                        sum += step_seconds(&graph, node, &mp);
-                    }
-                    assert_eq!(
-                        machine.elapsed().to_bits(),
-                        sum.to_bits(),
-                        "{} p={p}",
-                        mp.name
-                    );
-                }
+                let mut live = Machine::new(mp, p);
+                let mut at = 0.0f64;
+                let elapsed =
+                    charge_hours(&mut live, &profile.hours, &plans, None, |_, _, s, e| {
+                        assert_eq!(s.to_bits(), at.to_bits(), "{} p={p}", mp.name);
+                        at = e;
+                    });
+                assert_eq!(elapsed.to_bits(), live.elapsed().to_bits());
+                assert_eq!(at.to_bits(), live.elapsed().to_bits());
+                let mut replayed = Machine::new(mp, p);
+                Placement::of(profile, p, PlanLayouts::default()).charge(profile, &mut replayed);
+                let bits = |m: &Machine| {
+                    let mut bits = vec![m.elapsed().to_bits()];
+                    bits.extend(PhaseCategory::ALL.map(|c| m.breakdown.get(c).to_bits()));
+                    bits
+                };
+                assert_eq!(bits(&replayed), bits(&live), "{} p={p}", mp.name);
             }
         }
     }
 
     #[test]
-    fn execute_is_the_running_sum_of_step_seconds() {
-        assert_one_fold(tiny_profile());
+    fn a_live_charge_and_a_replay_are_one_walk() {
+        assert_one_walk(tiny_profile());
     }
 
     #[test]
     #[ignore = "runs two hours of the LA numerics"]
-    fn execute_is_the_running_sum_of_step_seconds_on_la() {
+    fn a_live_charge_and_a_replay_are_one_walk_on_la() {
         let config = crate::SimConfig {
             hours: 2,
             ..crate::SimConfig::la_t3e(4)
         };
         let (_, profile) = crate::driver::run_with_profile_on(&config, Default::default());
-        assert_one_fold(&profile);
+        assert_one_walk(&profile);
+    }
+
+    #[test]
+    #[should_panic(expected = "placement is for another profile")]
+    fn a_placement_refuses_a_longer_profile() {
+        let prof = tiny_profile();
+        let one_hour = WorkProfile {
+            hours: prof.hours[..1].to_vec(),
+            ..prof.clone()
+        };
+        let placement = Placement::of(&one_hour, 4, PlanLayouts::default());
+        placement.charge(prof, &mut Machine::new(MachineProfile::t3e(), 4));
     }
 
     #[test]
@@ -650,42 +578,5 @@ mod tests {
             parallelism: 1,
         };
         assert_eq!(r.charged(16), (9.0, 1.0));
-    }
-
-    #[test]
-    fn stage_totals_cover_all_work() {
-        let g = graph_for(4);
-        let all: f64 = g
-            .nodes
-            .iter()
-            .filter_map(|n| match &n.op {
-                Op::Compute { work, .. } => Some(work.total()),
-                Op::Comm { .. } => None,
-            })
-            .sum();
-        assert!(all > 0.0);
-        // The compute stage is exactly what a machine charging only the
-        // graph's Main nodes stands at.
-        let mut main_only = g.clone();
-        main_only.nodes.retain(|n| n.stage == Stage::Main);
-        let mut m = Machine::new(MachineProfile::t3e(), 4);
-        main_only.execute(&mut m);
-        let [_, compute, _] = g.stage_durations(MachineProfile::t3e(), 1, 1);
-        assert_eq!(compute.to_bits(), m.elapsed().to_bits());
-    }
-
-    #[test]
-    fn stage_durations_put_io_in_io_stages() {
-        let prof = tiny_profile();
-        let plans = HourPlans::new(&prof.shape, 6);
-        let g = PhaseGraph::for_hour(&prof.hours[0], &plans, 6);
-        let [input, compute, output] = g.stage_durations(MachineProfile::t3e(), 1, 1);
-        assert!(input > 0.0 && compute > 0.0 && output > 0.0);
-        // A larger input subgroup parallelises pretrans (5 layers).
-        let [input5, _, _] = g.stage_durations(MachineProfile::t3e(), 5, 1);
-        assert!(input5 < input);
-        // Output is sequential: extra output nodes change nothing.
-        let [_, _, output4] = g.stage_durations(MachineProfile::t3e(), 1, 4);
-        assert_eq!(output, output4);
     }
 }

@@ -2,11 +2,11 @@
 //!
 //! Everything up to PR 5 used the analytic model retrospectively: to
 //! price admission and to validate executed plans (the oracle). This
-//! module turns the [`PhaseGraph`](crate::plan::PhaseGraph) IR into an
-//! optimizing planner: given a captured profile and a machine, it
-//! enumerates candidate per-phase layouts (and the redistribution
-//! schedules they imply), replays each candidate's [`Placement`] at
-//! [`step_seconds`](crate::predict::step_seconds), and returns the
+//! module turns the plan IR into an optimizing planner: given a captured
+//! profile and a machine, it enumerates candidate per-phase layouts (and
+//! the redistribution schedules they imply), charges each candidate's
+//! [`Placement`] through the one charge loop
+//! ([`charge_hours`](crate::plan::charge_hours)), and returns the
 //! cheapest plan as a cost-annotated [`PlanChoice`]. The search space is
 //! tiny by construction — the paper's per-phase choice set (BLOCK,
 //! CYCLIC, and power-of-two CYCLIC(b)) crossed over two distributed
@@ -69,9 +69,8 @@ impl PlanChoice {
 }
 
 /// Predicted cost of executing `profile` under `layouts`: the virtual
-/// time its replay charges a fresh machine ([`Placement::charge`], each
-/// node at its [`step_seconds`](crate::predict::step_seconds)), so this
-/// is what a replay of the same plan reports.
+/// time its replay charges a fresh machine ([`Placement::charge`]), so
+/// this is what a replay of the same plan reports.
 pub fn plan_cost(
     profile: &WorkProfile,
     machine: &MachineProfile,
@@ -115,7 +114,7 @@ pub(crate) fn search_layouts(
 ///
 /// Stage 1 is the exhaustive per-phase layout search (transport ×
 /// chemistry over [`candidate_layouts`], default first, ties keep it)
-/// scoring each candidate's implied graphs with [`plan_cost`]. Stage 2
+/// scoring each candidate's charge with [`plan_cost`]. Stage 2
 /// (when `p` admits a pipeline) reuses the task-parallel split search
 /// on the winning layouts and adopts the pipelined plan only if its
 /// makespan beats the data-parallel prediction.

@@ -15,38 +15,25 @@
 //! ```
 //!
 //! The predictor derives its inputs by an analytic fold over the same
-//! [`crate::plan::PhaseGraph`] the simulator executes: per-kind work
+//! node order the simulator charges (`plan::hour_nodes`): per-kind work
 //! totals from the compute nodes, redistribution occurrence counts from
 //! the comm edges — the paper's "measurements obtained by executing an
 //! application on a small number of nodes can be used to extrapolate the
 //! performance to larger numbers of nodes". The *costs* stay closed-form
 //! (§4's equations, not the planned loads), so Figures 6/7's
 //! predicted-vs-measured comparison remains a real cross-validation: the
-//! graph supplies what happens and how often, the model prices it
+//! node order supplies what happens and how often, the model prices it
 //! independently.
 
 use crate::driver::{HourPlans, PlanLayouts};
 use crate::plan::optimize::search_layouts;
-use crate::plan::{Op, PhaseGraph, PhaseNode, Prices};
+use crate::plan::{edges, hour_nodes, Op, Work};
 use crate::profile::WorkProfile;
 use airshed_hpf::redist::labels;
 use airshed_machine::{MachineKey, MachineProfile, PhaseKind};
 use serde::Serialize;
 use std::collections::HashMap;
 use std::sync::{Mutex, MutexGuard, PoisonError};
-
-/// Virtual seconds the machine charges for one plan node — the
-/// machine's only charge (`plan::Prices`): [`PhaseGraph::execute`]
-/// advances the virtual clock by exactly this, and a
-/// [`Placement`](crate::plan::Placement)'s replay, the server's and the
-/// plan optimizer's, charges every node the same. Serving does not fold
-/// it: admission, the worker's report and the fabric router all price
-/// with the calibrated model's [`PricedModel::hour_price`] of the plan
-/// the job runs (or [`PerfModel::choose_layout`]'s choice for an
-/// optimized job).
-pub fn step_seconds(graph: &PhaseGraph, node: &PhaseNode, machine: &MachineProfile) -> f64 {
-    Prices::new(&graph.edges, *machine).seconds(&node.op, |work| work.heaviest(graph.p))
-}
 
 /// §4.1 for a distributed phase of `items` items: the sequential time
 /// divided by the useful parallelism `min(items, P)`, per-node load
@@ -58,7 +45,7 @@ pub(crate) fn ceil_rule_seconds(seq_work: f64, rate: f64, items: usize, p: usize
 }
 
 /// How many times each redistribution edge occurs in the modelled run,
-/// counted off the plan graphs' comm nodes.
+/// counted off the hours' comm nodes.
 #[derive(Debug, Clone, Copy, Default, Serialize)]
 pub struct CommOccurrences {
     pub repl_to_trans: usize,
@@ -79,7 +66,7 @@ pub struct PerfModel {
     /// Total main-loop steps and hours in the modelled run.
     pub steps: usize,
     pub hours: usize,
-    /// Redistribution occurrence counts from the plan graphs.
+    /// Redistribution occurrence counts from the hours' node order.
     pub occurrences: CommOccurrences,
     /// Per-layer transport work summed over the whole run
     /// (P- and layout-independent) — what the layout-aware pricing in
@@ -163,12 +150,13 @@ pub struct Prediction {
 }
 
 impl PerfModel {
-    /// Extract model inputs by folding over the run's plan graphs: build
-    /// each hour's [`PhaseGraph`] at P = 1 (work totals and edge
-    /// occurrences are P-independent) and accumulate per-kind compute
-    /// work and per-label comm occurrence counts.
+    /// Extract model inputs by folding each hour's nodes in program order
+    /// over the P = 1 plan set (work totals and edge occurrences are
+    /// P-independent): per-kind compute work and per-label comm
+    /// occurrence counts.
     pub fn from_profile(profile: &WorkProfile) -> PerfModel {
         let plans = HourPlans::shared(&profile.shape, 1, PlanLayouts::default());
+        let edges = edges(&plans);
         let mut io = 0.0;
         let mut transport = 0.0;
         let mut chemistry = 0.0;
@@ -177,44 +165,41 @@ impl PerfModel {
         let mut occ = CommOccurrences::default();
         let mut transport_per_item = vec![0.0; profile.shape[1]];
         let mut chemistry_per_item = vec![0.0; profile.shape[2]];
-        let accumulate = |into: &mut [f64], work: &crate::plan::Work| {
-            if let crate::plan::Work::Distributed { per_item, .. } = work {
+        let accumulate = |into: &mut [f64], work: &Work| {
+            if let Work::Distributed { per_item, .. } = work {
                 for (acc, w) in into.iter_mut().zip(per_item.iter()) {
                     *acc += w;
                 }
             }
         };
         for hp in &profile.hours {
-            let graph = PhaseGraph::for_hour(hp, &plans, 1);
-            for node in &graph.nodes {
-                match &node.op {
-                    Op::Compute { kind, work } => {
-                        let w = work.total();
-                        match kind {
-                            PhaseKind::InputHour | PhaseKind::PreTrans | PhaseKind::OutputHour => {
-                                io += w
-                            }
-                            PhaseKind::Transport => {
-                                transport += w;
-                                accumulate(&mut transport_per_item, work);
-                            }
-                            PhaseKind::Chemistry => {
-                                chemistry += w;
-                                steps += 1;
-                                accumulate(&mut chemistry_per_item, work);
-                            }
-                            PhaseKind::Aerosol => aerosol += w,
+            hour_nodes(hp, &plans, |node| match &node.op {
+                Op::Compute { kind, work } => {
+                    let w = work.total();
+                    match kind {
+                        PhaseKind::InputHour | PhaseKind::PreTrans | PhaseKind::OutputHour => {
+                            io += w
                         }
+                        PhaseKind::Transport => {
+                            transport += w;
+                            accumulate(&mut transport_per_item, work);
+                        }
+                        PhaseKind::Chemistry => {
+                            chemistry += w;
+                            steps += 1;
+                            accumulate(&mut chemistry_per_item, work);
+                        }
+                        PhaseKind::Aerosol => aerosol += w,
                     }
-                    Op::Comm { edge } => match graph.edges[*edge].label {
-                        labels::REPL_TO_TRANS => occ.repl_to_trans += 1,
-                        labels::TRANS_TO_CHEM => occ.trans_to_chem += 1,
-                        labels::CHEM_TO_REPL => occ.chem_to_repl += 1,
-                        labels::TRANS_TO_REPL => occ.trans_to_repl += 1,
-                        other => unreachable!("unknown plan edge {other}"),
-                    },
                 }
-            }
+                Op::Comm { edge } => match edges[*edge].label {
+                    labels::REPL_TO_TRANS => occ.repl_to_trans += 1,
+                    labels::TRANS_TO_CHEM => occ.trans_to_chem += 1,
+                    labels::CHEM_TO_REPL => occ.chem_to_repl += 1,
+                    labels::TRANS_TO_REPL => occ.trans_to_repl += 1,
+                    other => unreachable!("unknown plan edge {other}"),
+                },
+            });
         }
         PerfModel {
             shape: profile.shape,
@@ -244,7 +229,7 @@ impl PerfModel {
         // --- Communication (§4.2): per-occurrence costs × counts ---
         let c = comm_step_costs(machine, self.shape, p);
 
-        // Occurrences come straight off the plan graphs' comm nodes:
+        // Occurrences come straight off the hours' comm nodes:
         // D_Repl->D_Trans once per step plus once at each hour start,
         // D_Trans->D_Chem and D_Chem->D_Repl once per step,
         // D_Trans->D_Repl once per hour.
@@ -293,7 +278,7 @@ impl PerfModel {
     /// Search the per-phase layout space for the cheapest plan on
     /// `machine` × `p` under [`PerfModel::layout_cost`]: the same
     /// exhaustive search as [`crate::plan::optimize_plan`]'s first stage
-    /// (profile-level optimization, with the exact per-hour graphs and
+    /// (profile-level optimization, with the exact per-hour charges and
     /// pipeline splits, lives there). The default plan is always a
     /// candidate and ties keep it, so the chosen plan never prices above
     /// the default.
@@ -476,8 +461,8 @@ mod tests {
     }
 
     #[test]
-    fn graph_fold_matches_profile_totals() {
-        // The graph fold must agree with the raw profile sums: per-kind
+    fn node_fold_matches_profile_totals() {
+        // The node fold must agree with the raw profile sums: per-kind
         // work and the per-label occurrence structure of Figure 1's loop.
         let (m, prof) = model_and_profile();
         let (io, transport, chem_plus_aero) = prof.sequential_totals();

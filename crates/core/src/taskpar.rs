@@ -6,20 +6,20 @@
 //! compute subgroup works on hour *i*, the input subgroup reads and
 //! preprocesses hour *i+1* and the output subgroup writes hour *i−1*.
 //!
-//! Stage durations come from the same per-hour [`PhaseGraph`] the
-//! data-parallel driver executes: each graph node carries a pipeline
-//! stage annotation, [`PhaseGraph::stage_durations`] lowers the three
-//! stages (main loop replayed on the P − io compute subgroup), and
+//! Stage durations come from the same node order the data-parallel
+//! driver charges (`plan::hour_nodes`): each node carries a pipeline
+//! stage annotation, [`hourly_stage_durations`] folds the three stages
+//! (main loop priced on the P − io compute subgroup), and
 //! [`schedule_stages`] — the only caller of `hpf::pipeline::schedule` —
 //! combines them. §6's Airshed+PopExp (Figures 12/13) adds PopExp as a
 //! fourth stage to the same [`hourly_stage_durations`].
 
 use crate::driver::{ChemLayout, HourPlans, PlanLayouts};
 use crate::obs::{Obs, Track};
-use crate::plan::{replay_profile, PhaseGraph};
+use crate::plan::{edges, hour_nodes, replay_profile, Op, Prices, Stage};
 use crate::profile::WorkProfile;
 use airshed_hpf::pipeline::{schedule, sequential_makespan, PipelineSchedule};
-use airshed_machine::MachineProfile;
+use airshed_machine::{MachineProfile, NodeCommLoad};
 use serde::Serialize;
 
 /// Outcome of a pipelined replay.
@@ -75,9 +75,17 @@ pub fn replay_taskparallel(
 }
 
 /// The three §5 stage durations of every captured hour, stage-major
-/// (`[input, compute, output][hour]`): each hour's plan graph on
-/// `p_compute` nodes under `layouts`, lowered by
-/// [`PhaseGraph::stage_durations`] with `p_in`/`p_out` I/O nodes.
+/// (`[input, compute, output][hour]`): one fold of each hour's nodes,
+/// the main loop on `p_compute` nodes under `layouts`.
+///
+/// The input stage charges its nodes on the `p_in`-node input subgroup
+/// ([`Work::subgroup_seconds`](crate::plan::Work::subgroup_seconds)),
+/// then hands the decoded inputs and assembled operators (≈ 3× the raw
+/// hourly input) to the compute subgroup; the compute stage is the
+/// running sum of its nodes' prices, which is where a fresh machine
+/// charging them would stand; the output stage receives the
+/// concentration array and charges its nodes on `p_out` nodes. A
+/// handoff is one message of its bytes, priced by the machine.
 pub fn hourly_stage_durations(
     profile: &WorkProfile,
     mp: MachineProfile,
@@ -86,14 +94,32 @@ pub fn hourly_stage_durations(
     layouts: PlanLayouts,
 ) -> Vec<Vec<f64>> {
     let plans = HourPlans::shared(&profile.shape, p_compute, layouts);
-    let hours: Vec<[f64; 3]> = profile
-        .hours
-        .iter()
-        .map(|hp| PhaseGraph::for_hour(hp, &plans, p_compute).stage_durations(mp, p_in, p_out))
-        .collect();
-    (0..3)
-        .map(|s| hours.iter().map(|h| h[s]).collect())
-        .collect()
+    let prices = Prices::new(&edges(&plans), mp);
+    let handoff = |bytes| {
+        mp.comm_cost(&NodeCommLoad {
+            msgs_sent: 1,
+            bytes_sent: bytes,
+            ..Default::default()
+        })
+    };
+    let output_handoff = handoff(profile.shape.iter().product::<usize>() * mp.word_size);
+    let mut stages: Vec<Vec<f64>> = vec![Vec::new(); 3];
+    for hp in &profile.hours {
+        let (mut input, mut compute, mut output) = (0.0, 0.0, output_handoff);
+        hour_nodes(hp, &plans, |node| match (node.stage, &node.op) {
+            (Stage::Main, op) => compute += prices.seconds(op, |w| w.heaviest(p_compute)),
+            (Stage::Input, Op::Compute { work, .. }) => input += work.subgroup_seconds(&mp, p_in),
+            (Stage::Output, Op::Compute { work, .. }) => {
+                output += work.subgroup_seconds(&mp, p_out)
+            }
+            (_, Op::Comm { .. }) => unreachable!("every redistribution is on the main stage"),
+        });
+        let hour = [input + handoff(3 * hp.input_bytes), compute, output];
+        for (stage, seconds) in stages.iter_mut().zip(hour) {
+            stage.push(seconds);
+        }
+    }
+    stages
 }
 
 /// Run stage-major per-hour durations (input, compute, output and, for
@@ -123,9 +149,9 @@ pub fn schedule_stages(durations: &[Vec<f64>], obs: &Obs) -> PipelineSchedule {
 /// Search over subgroup splits for the makespan-optimal allocation — the
 /// optimisation problem of Subhlok & Vondran's "optimal mapping of
 /// sequences of data parallel tasks" that the paper cites, solved here by
-/// enumeration over the graph's stage lowerings (the space is tiny: the
-/// same per-hour `PhaseGraph`s are re-lowered with each candidate
-/// `(p_in, p_out)`), the main loop executed under `layouts` — the
+/// enumeration over the stage folds (the space is tiny: the same hours
+/// are folded again with each candidate `(p_in, p_out)`), the main loop
+/// executed under `layouts` — the
 /// pipeline-stage half of the plan optimizer's search
 /// ([`crate::plan::optimize::optimize_plan`]). Returns the best
 /// `(p_in, p_out)` and its report.
@@ -220,6 +246,46 @@ mod tests {
         split: (usize, usize),
     ) -> TaskParReport {
         replay_taskparallel(prof, m, p, split, PlanLayouts::default(), &Obs::off())
+    }
+
+    /// `[input, compute, output]` of the first tiny hour on 6 compute
+    /// nodes with `split` I/O nodes.
+    fn first_hour_stages(split: (usize, usize)) -> [f64; 3] {
+        let mut prof = profile();
+        prof.hours.truncate(1);
+        let d = hourly_stage_durations(&prof, MachineProfile::t3e(), 6, split, Default::default());
+        [d[0][0], d[1][0], d[2][0]]
+    }
+
+    #[test]
+    fn io_lands_in_the_io_stages() {
+        let [input, compute, output] = first_hour_stages((1, 1));
+        assert!(input > 0.0 && compute > 0.0 && output > 0.0);
+        // A larger input subgroup parallelises pretrans (5 layers).
+        assert!(first_hour_stages((5, 1))[0] < input);
+        // Output is sequential: extra output nodes change nothing.
+        assert_eq!(first_hour_stages((1, 4))[2], output);
+    }
+
+    /// The compute stage is where a machine charging the hour stands
+    /// after its main-stage nodes alone.
+    #[test]
+    fn the_compute_stage_is_the_charge_of_the_main_nodes() {
+        let prof = profile();
+        let plans = HourPlans::shared(&prof.shape, 6, PlanLayouts::default());
+        let mut machine = airshed_machine::Machine::new(MachineProfile::t3e(), 6);
+        let mut main = 0.0;
+        let hour = &prof.hours[..1];
+        crate::plan::charge_hours(&mut machine, hour, &plans, None, |node, _, s, e| {
+            if node.stage == Stage::Main {
+                main += e - s;
+            }
+        });
+        let [_, compute, _] = first_hour_stages((1, 1));
+        assert!(
+            (compute - main).abs() <= 1e-12 * compute,
+            "{compute} vs {main}"
+        );
     }
 
     #[test]

@@ -1,9 +1,9 @@
-//! Property-based tests for the plan-graph IR.
+//! Property-based tests for the plan IR.
 
 use airshed_core::driver::{ChemLayout, HourPlans, PlanLayouts};
-use airshed_core::plan::{optimize_plan, ItemLayout, Op, PhaseGraph, Work};
+use airshed_core::plan::{charge_hours, optimize_plan, ItemLayout, Op, PhaseGraph, Work};
 use airshed_core::profile::{HourProfile, StepProfile, WorkProfile};
-use airshed_machine::MachineProfile;
+use airshed_machine::{Machine, MachineProfile};
 use proptest::prelude::*;
 use std::borrow::Cow;
 use std::ops::Range;
@@ -189,25 +189,23 @@ proptest! {
         }
     }
 
-    /// The graph's compute nodes carry exactly the profile's work: the
-    /// per-kind totals folded off the graph equal the raw profile sums.
+    /// The charged compute nodes carry exactly the profile's work: the
+    /// totals folded off the charge equal the raw profile sums.
     #[test]
-    fn graph_work_accounts_for_the_profile(
+    fn charged_work_accounts_for_the_profile(
         steps in 1usize..4,
         scale in 1.0f64..1.0e6,
     ) {
         let shape = [5usize, 3, 40];
         let hp = hour(shape, steps, scale);
         let plans = HourPlans::new(&shape, 1);
-        let graph = PhaseGraph::for_hour(&hp, &plans, 1);
-        let total: f64 = graph
-            .nodes
-            .iter()
-            .filter_map(|n| match &n.op {
-                Op::Compute { work, .. } => Some(work.total()),
-                Op::Comm { .. } => None,
-            })
-            .sum();
+        let mut machine = Machine::new(MachineProfile::t3e(), 1);
+        let mut total = 0.0;
+        charge_hours(&mut machine, std::slice::from_ref(&hp), &plans, None, |node, _, _, _| {
+            if let Op::Compute { work, .. } = &node.op {
+                total += work.total();
+            }
+        });
         let mut expect = hp.input_work + hp.pretrans_work + hp.output_work;
         for s in &hp.steps {
             expect += s.transport1.iter().sum::<f64>()

@@ -2,12 +2,13 @@
 //!
 //! A replay prices a cached profile with arithmetic: a [`Placement`]
 //! borrows the plan set and folds each distributed node's items in place
-//! into one vector of heaviest-node units, and its machine half walks
-//! the node order without a graph. So what building a placement
-//! allocates (that vector) does not depend on the node count or the
-//! layout; a replay from a built placement allocates only the machine's
-//! comm log and the report, the same at every P, layout and machine; and
-//! charging a graph a second time allocates nothing at all. A placement
+//! into one vector of heaviest-node units, and its machine half is the
+//! one charge loop walking the node order, collecting nothing. So what
+//! building a placement allocates (that vector) does not depend on the
+//! node count or the layout; a replay from a built placement allocates
+//! only the machine's comm log and the report, the same at every P,
+//! layout and machine; and charging a live hour, or the benchmark's
+//! `PhaseGraph` a second time, allocates nothing at all. A placement
 //! keeps that vector and no plan set, so what it holds does not grow
 //! with P either. The counting allocator below counts this thread's
 //! allocation calls and bytes, and the bytes it still holds, so tests
@@ -16,7 +17,7 @@
 //! `cargo test --release -p airshed-core --test replay_allocations --
 //! --nocapture` prints the table.
 
-use airshed_core::driver::{HourPlans, PlanLayouts};
+use airshed_core::driver::{charge_hour, HourPlans, PlanLayouts};
 use airshed_core::plan::{replay_profile, ItemLayout, PhaseGraph, Placement};
 use airshed_core::profile::{HourProfile, StepProfile, WorkProfile};
 use airshed_machine::{Machine, MachineProfile};
@@ -166,6 +167,31 @@ fn a_charged_graph_executes_again_without_allocating() {
             (calls, bytes),
             (0, 0),
             "P = {p} {layout}: charging the graph again allocated"
+        );
+    }
+}
+
+/// A live hour's charge walks the node order with nothing collected:
+/// once the plan set is resident and the machine's comm log holds the
+/// four edge labels, charging another hour allocates nothing at any P
+/// and layout.
+#[test]
+fn a_live_hour_charges_without_allocating() {
+    let profile = profile();
+    let t3e = MachineProfile::t3e();
+    for (p, layout) in cases() {
+        let plans = HourPlans::shared(&profile.shape, p, PlanLayouts::chem(layout));
+        let mut machine = Machine::new(t3e, p);
+        charge_hour(&mut machine, &profile.hours[0], &plans);
+        let (_, calls, bytes) = counted(|| charge_hour(&mut machine, &profile.hours[1], &plans));
+        println!(
+            "live   P = {p:>4} {:<10} {calls:>3} allocations {bytes:>6} bytes",
+            layout.to_string()
+        );
+        assert_eq!(
+            (calls, bytes),
+            (0, 0),
+            "P = {p} {layout}: charging a live hour allocated"
         );
     }
 }

@@ -663,7 +663,8 @@ fn an_assign_a_worker_cannot_run_is_refused() {
     ] {
         assert!(assign_config(config, ChemLayout::Block).is_ok());
     }
-    let spoilt: [(&str, fn(&mut SimConfig)); 10] = [
+    type Spoil = fn(&mut SimConfig);
+    let spoilt: [(&str, Spoil); 10] = [
         ("NaN eps", |c| c.chem_opts.eps = f64::NAN),
         ("zero eps", |c| c.chem_opts.eps = 0.0),
         ("infinite eps", |c| c.chem_opts.eps = f64::INFINITY),

@@ -52,7 +52,7 @@ impl PhaseCategory {
 }
 
 /// The concrete program phases of one Airshed hour — the vocabulary of
-/// the execution-plan IR (`airshed-core`'s `plan::PhaseGraph`). Every
+/// the execution-plan IR (`airshed-core`'s `plan::PhaseNode`). Every
 /// kind maps to exactly one accounting [`PhaseCategory`] and one stable
 /// trace label, so Gantt rows, Figure 4 columns, and plan nodes cannot
 /// drift apart: a phase is *named* here once and every layer derives its

@@ -32,8 +32,8 @@
 //! communication cost model), [`accounting`] (per-phase time
 //! attribution), [`sim`] (the [`Machine`] façade the runtime drives).
 //! The machine keeps totals, not a timeline: where each phase sits in
-//! virtual time is reported by the plan layer as it charges
-//! (`airshed_core::plan::PhaseGraph::execute_with`).
+//! virtual time is reported by the plan layer's one charge loop as it
+//! charges (`airshed_core::plan::charge_hours`).
 
 pub mod accounting;
 pub mod cost;

@@ -44,8 +44,8 @@ impl Machine {
     /// Charge one phase: `seconds` is what its most loaded node takes,
     /// after which all nodes barrier. This is the machine's only way to
     /// spend time: the caller prices the phase (the plan layer's one
-    /// price list, `core::plan::Prices`, which `core::predict::step_seconds`
-    /// prices a single node with) and the clock advances here alone.
+    /// charge loop, `core::plan::charge_hours`, through its one price
+    /// list, `core::plan::Prices`) and the clock advances here alone.
     /// The time goes to `cat` in the breakdown (and, for a
     /// `Communication` phase, to `label` in the comm log). Returns the
     /// phase wall time.

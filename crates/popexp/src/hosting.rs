@@ -14,8 +14,8 @@
 //!
 //! The integrated application runs as a four-stage pipeline (Figure 12):
 //! preprocessing | transport+chemistry | postprocessing | PopExp. The
-//! first three are §5's stages, taken from the hour's `PhaseGraph`
-//! through `core::taskpar::hourly_stage_durations`, and the pipeline is
+//! first three are §5's stages, folded from the hour's node order by
+//! `core::taskpar::hourly_stage_durations`, and the pipeline is
 //! scheduled by `core::taskpar::schedule_stages`. PopExp's stage is
 //! priced with the machine's own primitives: the coupling is the
 //! `comm_phase_seconds` of the hosting's `coupling_loads`, the foreign

@@ -371,7 +371,7 @@ mod tests {
 
     #[test]
     fn cached_profile_and_fresh_run_charge_identical_cost() {
-        // The graph path guarantees the server's price invariant: a
+        // The one charge loop guarantees the server's price invariant: a
         // result computed from a cached profile (plan replay) carries
         // exactly the virtual cost a fresh run would have charged.
         let cfg = config(2);

@@ -86,10 +86,11 @@ if [ -n "$observers" ]; then
 fi
 echo "one observer OK"
 
-echo "==> one virtual timeline: plan execution reports each charged node"
-# PhaseGraph::execute_with hands every node its virtual (start, end) as
-# the machine charges it, and the trace rows, the oracle's residuals and
-# the timeline Gantt all derive from that. These are the names of the
+echo "==> one virtual timeline: the charge loop reports each charged node"
+# plan::charge_hours, the one loop that charges a machine, hands every
+# node its virtual (start, end) as the machine charges it, and the trace
+# rows, the oracle's residuals and the timeline Gantt all derive from
+# that observer. These are the names of the
 # second copy: the machine's own event list and the switch that turned
 # it on, the driver's export cursor, and the oracle's zip of graph nodes
 # against those events.
@@ -183,19 +184,36 @@ if [ -n "$locks" ]; then
 fi
 echo "one lock policy OK"
 
-echo "==> one cost fold: the machine is a scalar clock charged with step_seconds"
-# PhaseGraph::execute charges each node with predict::step_seconds, so
-# there is no second copy of the rule to keep in step. These are the
-# names of the copy: per-node clocks, the plan-step instruction set, the
-# group doors, the unused graph fold and the residual between the two.
+echo "==> one cost fold: the machine is a scalar clock charged by one loop"
+# plan::charge_hours is the one loop that charges a machine per plan
+# node — live hours, replays (a Placement's units), the oracle and the
+# timeline — pricing each through plan::Prices, so there is no second
+# copy of the rule to keep in step. These are the names of the copy:
+# per-node clocks, the plan-step instruction set, the group doors, the
+# unused graph fold, the residual between the two, and the second walk
+# over a collected node vector (its execute_with, priced and
+# stage_durations, and the step_seconds it priced a node with).
 fold="$(git ls-files '*.rs' | grep -v '^vendor/\|^benchmark/' | xargs awk '
     FNR == 1 { in_tests = FILENAME ~ /(^|\/)tests\// }
     /^[[:space:]]*#\[cfg\(test\)\]/ { in_tests = 1 }
-    !in_tests && /(^|[^[:alnum:]_])(NodeClocks|PlanStep|compute_group|communicate_group|cost_of|GraphCost|pricing_mare)([^[:alnum:]_]|$)/ {
+    !in_tests && (/(^|[^[:alnum:]_])(NodeClocks|PlanStep|compute_group|communicate_group|cost_of|GraphCost|pricing_mare|execute_with|step_seconds|stage_durations)([^[:alnum:]_]|$)/ \
+        || /(fn |\.)priced[(<]/) {
         print FILENAME ":" FNR ": " $0 }')"
 if [ -n "$fold" ]; then
     echo "$fold"
     echo "one cost fold FAILED: the names above are back" >&2
+    exit 1
+fi
+# Machine::charge(label, category, seconds) is called from that loop
+# alone in core's non-test code.
+charges="$(git ls-files 'crates/core/src/*.rs' | xargs awk '
+    FNR == 1 { in_tests = 0 }
+    /^[[:space:]]*#\[cfg\(test\)\]/ { in_tests = 1 }
+    !in_tests && !/^[[:space:]]*\/\// && /\.charge\([^,()]*,[^,()]*,/ {
+        print FILENAME ":" FNR ": " $0 }')"
+if [ "$(printf '%s' "$charges" | grep -c .)" -ne 1 ]; then
+    echo "$charges"
+    echo "one cost fold FAILED: a machine is charged outside plan::charge_hours" >&2
     exit 1
 fi
 echo "one cost fold OK"
@@ -230,10 +248,11 @@ cargo test --release --offline -p airshed-core --test surrogate_allocations -- -
 echo "surrogate allocates its answer OK"
 
 echo "==> one graph for §5 and §6, and charge is the machine's only door"
-# Figures 9, 12 and 13 lower from the hour's PhaseGraph: stage prices come
-# from PhaseGraph::stage_durations and Work::subgroup_seconds, PopExp's
-# from the machine's comm_cost/comm_phase_seconds, and core::taskpar is
-# the one place a pipeline is scheduled. These are the ways back to
+# Figures 9, 12 and 13 fold the hour's node order: stage prices come
+# from taskpar::hourly_stage_durations (plan::Prices for the main loop,
+# Work::subgroup_seconds for the I/O stages), PopExp's from the
+# machine's comm_cost/comm_phase_seconds, and core::taskpar is the one
+# place a pipeline is scheduled. These are the ways back to
 # pricing by hand, each a pattern over non-test lines (the loc.sh rule).
 non_test() { # <awk regex> <files...>
     local re="$1"
