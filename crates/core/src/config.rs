@@ -105,13 +105,18 @@ impl SimConfig {
         }
     }
 
-    /// Whether a worker can run this configuration: a finite chemistry
-    /// tolerance `eps > 0`, substep bounds `0 < h_min <= h_max`, a finite
-    /// `kh`, a finite `emission_scale >= 0` and at least one node.
-    /// Outside them a run hangs or panics: a NaN `eps` accepts no substep
-    /// above `h_min`, `h_min > h_max` panics in the step control's clamp
-    /// and a NaN scale at the emission scaling's assert. A decoded
-    /// configuration is checked here before it reaches a worker.
+    /// Refuse the values a run is undefined on: a NaN, infinite or
+    /// non-positive chemistry tolerance `eps`, substep bounds outside
+    /// `0 < h_min <= h_max`, a non-finite `kh`, an `emission_scale` that
+    /// is not finite and `>= 0`, and zero nodes. On them a run never
+    /// accepts a substep above `h_min` (NaN `eps`), panics in the step
+    /// control's clamp (`h_min > h_max`) or at the emission scaling's
+    /// assert (NaN scale). A decoded configuration is checked here
+    /// before it reaches a worker. Finite values can still ask for
+    /// unbounded work — a tiny `eps` runs every substep at `h_min`, and
+    /// an `h_min` below the clock's resolution stops it advancing — so
+    /// bounding a job's work is the attempt cap's (ROADMAP item 18), not
+    /// this check's.
     pub fn validate(&self) -> Result<(), &'static str> {
         let c = &self.chem_opts;
         if !(c.eps.is_finite() && c.eps > 0.0) {

@@ -165,10 +165,10 @@ pub struct PhaseNode<'a> {
 }
 
 // The four edges' indexes, in the order `edges` lists them.
-const EDGE_REPL_TO_TRANS: usize = 0;
-const EDGE_TRANS_TO_CHEM: usize = 1;
-const EDGE_CHEM_TO_REPL: usize = 2;
-const EDGE_TRANS_TO_REPL: usize = 3;
+pub(crate) const EDGE_REPL_TO_TRANS: usize = 0;
+pub(crate) const EDGE_TRANS_TO_CHEM: usize = 1;
+pub(crate) const EDGE_CHEM_TO_REPL: usize = 2;
+pub(crate) const EDGE_TRANS_TO_REPL: usize = 3;
 
 /// One hour's charge on `p` nodes, kept only because the benchmark
 /// times building and executing it (`core.plan.lower_us`,

@@ -27,7 +27,10 @@
 
 use crate::driver::{HourPlans, PlanLayouts};
 use crate::plan::optimize::search_layouts;
-use crate::plan::{edges, hour_nodes, Op, Work};
+use crate::plan::{
+    hour_nodes, Op, Work, EDGE_CHEM_TO_REPL, EDGE_REPL_TO_TRANS, EDGE_TRANS_TO_CHEM,
+    EDGE_TRANS_TO_REPL,
+};
 use crate::profile::WorkProfile;
 use airshed_hpf::redist::labels;
 use airshed_machine::{MachineKey, MachineProfile, PhaseKind};
@@ -156,13 +159,13 @@ impl PerfModel {
     /// occurrence counts.
     pub fn from_profile(profile: &WorkProfile) -> PerfModel {
         let plans = HourPlans::shared(&profile.shape, 1, PlanLayouts::default());
-        let edges = edges(&plans);
         let mut io = 0.0;
         let mut transport = 0.0;
         let mut chemistry = 0.0;
         let mut aerosol = 0.0;
         let mut steps = 0usize;
-        let mut occ = CommOccurrences::default();
+        // Occurrences per edge, indexed as `Op::Comm` names them.
+        let mut occ = [0usize; 4];
         let mut transport_per_item = vec![0.0; profile.shape[1]];
         let mut chemistry_per_item = vec![0.0; profile.shape[2]];
         let accumulate = |into: &mut [f64], work: &Work| {
@@ -192,13 +195,7 @@ impl PerfModel {
                         PhaseKind::Aerosol => aerosol += w,
                     }
                 }
-                Op::Comm { edge } => match edges[*edge].label {
-                    labels::REPL_TO_TRANS => occ.repl_to_trans += 1,
-                    labels::TRANS_TO_CHEM => occ.trans_to_chem += 1,
-                    labels::CHEM_TO_REPL => occ.chem_to_repl += 1,
-                    labels::TRANS_TO_REPL => occ.trans_to_repl += 1,
-                    other => unreachable!("unknown plan edge {other}"),
-                },
+                Op::Comm { edge } => occ[*edge] += 1,
             });
         }
         PerfModel {
@@ -209,7 +206,12 @@ impl PerfModel {
             seq_aerosol: aerosol,
             steps,
             hours: profile.hours.len(),
-            occurrences: occ,
+            occurrences: CommOccurrences {
+                repl_to_trans: occ[EDGE_REPL_TO_TRANS],
+                trans_to_chem: occ[EDGE_TRANS_TO_CHEM],
+                chem_to_repl: occ[EDGE_CHEM_TO_REPL],
+                trans_to_repl: occ[EDGE_TRANS_TO_REPL],
+            },
             transport_per_item,
             chemistry_per_item,
         }

@@ -267,24 +267,32 @@ mod tests {
         assert_eq!(first_hour_stages((1, 4))[2], output);
     }
 
-    /// The compute stage is where a machine charging the hour stands
-    /// after its main-stage nodes alone.
+    /// The compute stage is, bit for bit, where a machine charging the
+    /// hour stands after its main-stage nodes: with no input work the
+    /// two input nodes charge 0 and the main nodes start at 0.0, so the
+    /// machine folds the same prices in the same order.
     #[test]
     fn the_compute_stage_is_the_charge_of_the_main_nodes() {
-        let prof = profile();
+        let mut prof = profile();
+        prof.hours.truncate(1);
+        let hp = &mut prof.hours[0];
+        (hp.input_work, hp.pretrans_work, hp.output_work) = (0.0, 0.0, 0.0);
+        let m = MachineProfile::t3e();
         let plans = HourPlans::shared(&prof.shape, 6, PlanLayouts::default());
-        let mut machine = airshed_machine::Machine::new(MachineProfile::t3e(), 6);
-        let mut main = 0.0;
-        let hour = &prof.hours[..1];
-        crate::plan::charge_hours(&mut machine, hour, &plans, None, |node, _, s, e| {
+        let mut machine = airshed_machine::Machine::new(m, 6);
+        let mut main_end = None;
+        crate::plan::charge_hours(&mut machine, &prof.hours, &plans, None, |node, _, _, e| {
             if node.stage == Stage::Main {
-                main += e - s;
+                main_end = Some(e);
             }
         });
-        let [_, compute, _] = first_hour_stages((1, 1));
-        assert!(
-            (compute - main).abs() <= 1e-12 * compute,
-            "{compute} vs {main}"
+        let compute = hourly_stage_durations(&prof, m, 6, (1, 1), Default::default())[1][0];
+        let main_end = main_end.expect("the hour has main-stage nodes");
+        assert!(compute > 0.0);
+        assert_eq!(
+            compute.to_bits(),
+            main_end.to_bits(),
+            "{compute} vs {main_end}"
         );
     }
 

@@ -205,12 +205,31 @@ if [ -n "$fold" ]; then
     exit 1
 fi
 # Machine::charge(label, category, seconds) is called from that loop
-# alone in core's non-test code.
-charges="$(git ls-files 'crates/core/src/*.rs' | xargs awk '
-    FNR == 1 { in_tests = 0 }
+# alone in the workspace's non-test code (benchmark/ and vendor/ aside):
+# exactly one three-argument .charge( call, its arguments counted across
+# lines so a call rustfmt wraps is counted too.
+charges="$(git ls-files '*.rs' | grep -v '^vendor/\|^benchmark/' | xargs awk '
+    function scan(s,   i, ch) {
+        for (i = 1; i <= length(s); i++) {
+            ch = substr(s, i, 1)
+            if (ch == "(") depth++
+            else if (ch == ")" && --depth == 0) {
+                if (commas + (last != ",") == 3) print at
+                active = 0
+                return
+            } else if (depth == 1 && ch == ",") commas++
+            if (depth == 1 && ch !~ /[[:space:]]/) last = ch
+        }
+    }
+    FNR == 1 { in_tests = FILENAME ~ /(^|\/)tests\//; active = 0 }
     /^[[:space:]]*#\[cfg\(test\)\]/ { in_tests = 1 }
-    !in_tests && !/^[[:space:]]*\/\// && /\.charge\([^,()]*,[^,()]*,/ {
-        print FILENAME ":" FNR ": " $0 }')"
+    in_tests || /^[[:space:]]*\/\// { next }
+    active { scan($0); next }
+    (i = index($0, ".charge(")) {
+        active = 1; depth = 1; commas = 0; last = "("
+        at = FILENAME ":" FNR ": " $0
+        scan(substr($0, i + 8))
+    }')"
 if [ "$(printf '%s' "$charges" | grep -c .)" -ne 1 ]; then
     echo "$charges"
     echo "one cost fold FAILED: a machine is charged outside plan::charge_hours" >&2
