@@ -7,11 +7,14 @@
 //! [`crate::plan::replay_profile`] re-charges a captured profile on a
 //! different machine or node count without re-running the kernels — the
 //! results are identical because the numerics are deterministic and
-//! P-independent.
+//! P-independent. Both take their redistribution plans from
+//! [`HourPlans::shared`], which keeps each plan set in a process-wide
+//! [`ShardedLru`] (least recently used out, like every memo here).
 
 use crate::backend::ExecSpec;
 use crate::checkpoint::Checkpoint;
 use crate::config::SimConfig;
+use crate::memo::ShardedLru;
 use crate::obs::{Obs, Track};
 use crate::phases::PhaseEngine;
 use crate::plan::{charge_hours, Placement};
@@ -23,9 +26,8 @@ use airshed_hpf::redist::{labels, plan, AirshedRedists, RedistPlan};
 use airshed_machine::Machine;
 use airshed_met::hourly::HourlyInput;
 use airshed_transport::operator::HorizontalTransport;
-use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, LazyLock, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, LazyLock};
 
 /// Machine word size — 8 bytes on all three paper machines.
 pub const WORD: usize = 8;
@@ -90,7 +92,7 @@ pub struct HourPlans {
 /// Plan sets the process-wide memo keeps. A server sees one set per
 /// distinct `(shape, P, layouts)` placement it replays on and an
 /// optimizing one ≈ 14 candidates per `(shape, P)`; past the bound the
-/// oldest entry goes first.
+/// least recently used set goes first.
 pub const PLAN_MEMO_ENTRIES: usize = 256;
 
 /// Largest `P` whose plan set the memo keeps. An entry is four load
@@ -101,21 +103,9 @@ const PLAN_MEMO_MAX_P: usize = 1024;
 
 type PlanKey = ([usize; 3], usize, PlanLayouts);
 
-#[derive(Default)]
-struct PlanMemo {
-    sets: HashMap<PlanKey, Arc<HourPlans>>,
-    /// Keys of `sets`, oldest first.
-    order: VecDeque<PlanKey>,
-}
-
-static PLAN_MEMO: LazyLock<Mutex<PlanMemo>> = LazyLock::new(Mutex::default);
-
-/// The memo, locked. A panic cannot leave it half-updated in a way that
-/// matters (a key in `order` without its set is skipped on eviction), so
-/// a poisoned lock is still good.
-fn plan_memo() -> MutexGuard<'static, PlanMemo> {
-    PLAN_MEMO.lock().unwrap_or_else(PoisonError::into_inner)
-}
+/// The memo behind [`HourPlans::shared`]: 32 sets a shard.
+static PLAN_MEMO: LazyLock<ShardedLru<PlanKey, Arc<HourPlans>>> =
+    LazyLock::new(|| ShardedLru::new(PLAN_MEMO_ENTRIES / 32, PLAN_MEMO_ENTRIES));
 static PLAN_MEMO_HITS: AtomicU64 = AtomicU64::new(0);
 static PLAN_MEMO_MISSES: AtomicU64 = AtomicU64::new(0);
 
@@ -132,37 +122,20 @@ pub struct PlanMemoStats {
 
 impl HourPlans {
     /// The plan set for `(shape, p, layouts)`, derived at most once
-    /// while it stays resident: a bounded process-wide memo
-    /// ([`PLAN_MEMO_ENTRIES`] sets, first in first out). Process-wide
-    /// rather than per server or per optimizer because the value depends
-    /// on nothing but the key — there is nothing to invalidate and every
-    /// caller (replay, layout search, pipeline split, oracle) wants the
-    /// same set.
+    /// while it stays resident in a bounded process-wide memo
+    /// ([`PLAN_MEMO_ENTRIES`] sets). Process-wide rather than per server
+    /// or per optimizer because the value depends on nothing but the key
+    /// — there is nothing to invalidate and every caller (replay, layout
+    /// search, pipeline split, oracle) wants the same set.
     pub fn shared(shape: &[usize; 3], p: usize, layouts: PlanLayouts) -> Arc<HourPlans> {
-        let key = (*shape, p, layouts);
-        if let Some(hit) = plan_memo().sets.get(&key) {
-            PLAN_MEMO_HITS.fetch_add(1, Ordering::Relaxed);
-            return Arc::clone(hit);
-        }
-        PLAN_MEMO_MISSES.fetch_add(1, Ordering::Relaxed);
-        // Planned outside the lock, so a cold key never stalls hits.
-        let fresh = Arc::new(HourPlans::with_layouts(shape, p, layouts));
-        if p > PLAN_MEMO_MAX_P {
-            return fresh;
-        }
-        let mut memo = plan_memo();
-        if let Some(raced) = memo.sets.get(&key) {
-            // Another thread planned the same key meanwhile: one entry.
-            return Arc::clone(raced);
-        }
-        if memo.sets.len() >= PLAN_MEMO_ENTRIES {
-            if let Some(oldest) = memo.order.pop_front() {
-                memo.sets.remove(&oldest);
-            }
-        }
-        memo.order.push_back(key);
-        memo.sets.insert(key, Arc::clone(&fresh));
-        fresh
+        let plan = || Arc::new(HourPlans::with_layouts(shape, p, layouts));
+        let (plans, hit) = if p > PLAN_MEMO_MAX_P {
+            (plan(), false)
+        } else {
+            PLAN_MEMO.get_or_insert_with((*shape, p, layouts), plan)
+        };
+        [&PLAN_MEMO_MISSES, &PLAN_MEMO_HITS][usize::from(hit)].fetch_add(1, Ordering::Relaxed);
+        plans
     }
 
     /// Hits, misses and resident entries of the memo behind
@@ -171,7 +144,7 @@ impl HourPlans {
         PlanMemoStats {
             hits: PLAN_MEMO_HITS.load(Ordering::Relaxed),
             misses: PLAN_MEMO_MISSES.load(Ordering::Relaxed),
-            entries: plan_memo().sets.len() as u64,
+            entries: PLAN_MEMO.len() as u64,
         }
     }
 

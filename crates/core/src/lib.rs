@@ -53,6 +53,7 @@ pub mod codec;
 pub mod config;
 pub mod driver;
 pub mod ensemble;
+pub mod memo;
 pub mod obs;
 pub mod phases;
 pub mod plan;

@@ -284,7 +284,7 @@ pub fn charge_hours<'h>(
     };
     let start = machine.elapsed();
     for hp in hours {
-        hour_nodes(hp, plans, |node| {
+        hour_nodes(hp, plans.shape[1], plans.layouts, |node| {
             let (label, category) = label(&node.op, &edges);
             let at = machine.elapsed();
             machine.charge(label, category, prices.seconds(&node.op, &mut units));
@@ -298,7 +298,8 @@ pub fn charge_hours<'h>(
     machine.elapsed() - start
 }
 
-/// Hand `visit` one hour's nodes in program order, mirroring Figure 1's
+/// Hand `visit` one hour's nodes, over `layers` vertical layers under
+/// `layouts`, in program order, mirroring Figure 1's
 /// loop: `inputhour`, `pretrans`, then per step Transport →
 /// `D_Trans->D_Chem` → Chemistry → `D_Chem->D_Repl` → Aerosol →
 /// `D_Repl->D_Trans` → Transport, with the entry `D_Repl->D_Trans`
@@ -308,14 +309,14 @@ pub fn charge_hours<'h>(
 /// model inputs are folds of it.
 pub(crate) fn hour_nodes<'a>(
     hp: &'a HourProfile,
-    plans: &HourPlans,
+    layers: usize,
+    layouts: PlanLayouts,
     mut visit: impl FnMut(PhaseNode<'a>),
 ) {
-    let layers = plans.shape[1];
     let PlanLayouts {
         transport: trans_layout,
         chemistry: chem_layout,
-    } = plans.layouts;
+    } = layouts;
     let compute = |stage, kind, work| PhaseNode {
         stage,
         op: Op::Compute { kind, work },
@@ -391,7 +392,7 @@ impl Placement {
         let mut units = Vec::with_capacity(distributed);
         let mut copy_bytes = CopyBytes::default();
         for hp in &profile.hours {
-            hour_nodes(hp, &plans, |node| match &node.op {
+            hour_nodes(hp, profile.shape[1], layouts, |node| match &node.op {
                 Op::Compute { work, .. } if matches!(work, Work::Distributed { .. }) => {
                     units.push(work.heaviest(p))
                 }
@@ -476,9 +477,11 @@ mod tests {
     #[test]
     fn hour_nodes_mirror_figure1() {
         let prof = tiny_profile();
-        let plans = HourPlans::new(&prof.shape, 4);
         let mut nodes = Vec::new();
-        hour_nodes(&prof.hours[0], &plans, |node| nodes.push(node));
+        let layers = prof.shape[1];
+        hour_nodes(&prof.hours[0], layers, PlanLayouts::default(), |node| {
+            nodes.push(node)
+        });
         let steps = prof.hours[0].steps.len();
         // 2 input nodes + entry comm + 7 per step + exit comm + 1 output.
         assert_eq!(nodes.len(), 5 + 7 * steps);

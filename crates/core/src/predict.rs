@@ -26,6 +26,7 @@
 //! independently.
 
 use crate::driver::{HourPlans, PlanLayouts};
+use crate::memo::ShardedLru;
 use crate::plan::optimize::search_layouts;
 use crate::plan::{
     hour_nodes, Op, Work, EDGE_CHEM_TO_REPL, EDGE_REPL_TO_TRANS, EDGE_TRANS_TO_CHEM,
@@ -35,8 +36,6 @@ use crate::profile::WorkProfile;
 use airshed_hpf::redist::labels;
 use airshed_machine::{MachineKey, MachineProfile, PhaseKind};
 use serde::Serialize;
-use std::collections::HashMap;
-use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// §4.1 for a distributed phase of `items` items: the sequential time
 /// divided by the useful parallelism `min(items, P)`, per-node load
@@ -154,11 +153,11 @@ pub struct Prediction {
 
 impl PerfModel {
     /// Extract model inputs by folding each hour's nodes in program order
-    /// over the P = 1 plan set (work totals and edge occurrences are
-    /// P-independent): per-kind compute work and per-label comm
-    /// occurrence counts.
+    /// under the default layouts (work totals and edge occurrences are
+    /// P- and layout-independent): per-kind compute work and per-label
+    /// comm occurrence counts.
     pub fn from_profile(profile: &WorkProfile) -> PerfModel {
-        let plans = HourPlans::shared(&profile.shape, 1, PlanLayouts::default());
+        let layers = profile.shape[1];
         let mut io = 0.0;
         let mut transport = 0.0;
         let mut chemistry = 0.0;
@@ -176,7 +175,7 @@ impl PerfModel {
             }
         };
         for hp in &profile.hours {
-            hour_nodes(hp, &plans, |node| match &node.op {
+            hour_nodes(hp, layers, PlanLayouts::default(), |node| match &node.op {
                 Op::Compute { kind, work } => {
                     let w = work.total();
                     match kind {
@@ -289,29 +288,27 @@ impl PerfModel {
     }
 }
 
-/// Prices one [`PricedModel`] keeps, cleared when full: above the 378
-/// placements a family meets in a replay batch (3 machines × 63 `P` × 2
-/// layouts), and a bound on what machines arriving in fabric `Assign`
-/// frames can make it hold.
+/// Prices one [`PricedModel`] keeps: above the 378 placements a family
+/// meets in a replay batch (3 machines × 63 `P` × 2 layouts), and a
+/// bound on what machines arriving in fabric `Assign` frames can make it
+/// hold.
 pub const PRICE_MEMO_ENTRIES: usize = 1024;
 
-/// The machine, `P` and the plan.
-type PriceKey = (MachineKey, usize, PlanLayouts);
-
 /// The one serving price: a calibrated [`PerfModel`] with a bounded memo
-/// of [`PricedModel::hour_price`]. Admission, the worker's report and
-/// the fabric router price a job's plan with it, so one plan has one
-/// price wherever it is asked for.
+/// of [`PricedModel::hour_price`] by machine, `P` and plan. Admission,
+/// the worker's report and the fabric router price a job's plan with
+/// it, so one plan has one price wherever it is asked for.
 #[derive(Debug)]
 pub struct PricedModel {
     /// Private, so every price in the memo is this model's.
     model: PerfModel,
-    prices: Mutex<HashMap<PriceKey, f64>>,
+    prices: ShardedLru<(MachineKey, usize, PlanLayouts), f64>,
 }
 
 impl PricedModel {
     pub fn new(model: PerfModel) -> PricedModel {
-        let prices = Mutex::default();
+        // 32 prices a shard.
+        let prices = ShardedLru::new(PRICE_MEMO_ENTRIES / 32, PRICE_MEMO_ENTRIES);
         PricedModel { model, prices }
     }
 
@@ -324,26 +321,14 @@ impl PricedModel {
     /// calibrated run, folded (outside the lock) once while resident.
     pub fn hour_price(&self, machine: &MachineProfile, p: usize, layouts: PlanLayouts) -> f64 {
         let key = (machine.key(), p, layouts);
-        if let Some(&hit) = self.prices().get(&key) {
-            return hit;
-        }
-        let price = self.model.layout_cost(machine, p, layouts) / self.model.hours.max(1) as f64;
-        let mut prices = self.prices();
-        if prices.len() >= PRICE_MEMO_ENTRIES {
-            prices.clear();
-        }
-        prices.insert(key, price);
-        price
+        let hours = self.model.hours.max(1) as f64;
+        let price = || self.model.layout_cost(machine, p, layouts) / hours;
+        self.prices.get_or_insert_with(key, price).0
     }
 
     /// Prices resident in the memo.
     pub fn memo_entries(&self) -> usize {
-        self.prices().len()
-    }
-
-    /// The memo holds plain values, so a poisoned lock is still good.
-    fn prices(&self) -> MutexGuard<'_, HashMap<PriceKey, f64>> {
-        self.prices.lock().unwrap_or_else(PoisonError::into_inner)
+        self.prices.len()
     }
 }
 

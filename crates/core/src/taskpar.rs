@@ -104,9 +104,10 @@ pub fn hourly_stage_durations(
     };
     let output_handoff = handoff(profile.shape.iter().product::<usize>() * mp.word_size);
     let mut stages: Vec<Vec<f64>> = vec![Vec::new(); 3];
+    let layers = profile.shape[1];
     for hp in &profile.hours {
         let (mut input, mut compute, mut output) = (0.0, 0.0, output_handoff);
-        hour_nodes(hp, &plans, |node| match (node.stage, &node.op) {
+        hour_nodes(hp, layers, layouts, |node| match (node.stage, &node.op) {
             (Stage::Main, op) => compute += prices.seconds(op, |w| w.heaviest(p_compute)),
             (Stage::Input, Op::Compute { work, .. }) => input += work.subgroup_seconds(&mp, p_in),
             (Stage::Output, Op::Compute { work, .. }) => {

@@ -22,10 +22,13 @@
 //! [`PlacementMemo`] (the machine-independent half of a replay, kept by
 //! numerics, `P` and plan).
 //!
-//! Both caches are [`ShardedLru`]s, whose shards hold tens of entries:
-//! a shard is a short vector, and a lookup hashes its key once.
+//! All three are [`ShardedLru`]s, the one bounded map of the workspace
+//! (it lives in `airshed_core::memo`, beside the plan and price memos
+//! that are one too, and is re-exported here): least recently used
+//! entries go first, and a shard holds at most 32.
 
-use crate::metrics::Metrics;
+pub use airshed_core::memo::ShardedLru;
+
 use crate::{lock, JobError};
 use airshed_chem::youngboris::{AsymptoticForm, YbOptions};
 use airshed_core::config::{DatasetChoice, SimConfig, Weather};
@@ -33,9 +36,7 @@ use airshed_core::driver::{ChemLayout, PlanLayouts};
 use airshed_core::plan::Placement;
 use airshed_core::WorkProfile;
 use airshed_machine::MachineKey;
-use std::collections::hash_map::DefaultHasher;
-use std::collections::{HashMap, HashSet};
-use std::hash::{Hash, Hasher};
+use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
@@ -161,118 +162,6 @@ pub const PROFILE_CACHE_CAPACITY: usize = 64;
 /// Total entries across the run-report cache.
 pub const RESULT_CACHE_CAPACITY: usize = 256;
 
-/// One resident key: its hash (compared before the key), the value and
-/// the shard tick of its last use.
-struct Slot<K, V> {
-    hash: u64,
-    key: K,
-    value: V,
-    stamp: u64,
-}
-
-/// A sharded LRU map. Shard count fixes lock granularity; each shard
-/// holds at most `ceil(capacity / shards)` entries and evicts its least
-/// recently used entry when full. A shard is a short vector, not a hash
-/// map: `capacity / shards` is expected in the tens (32 reports, 8
-/// profiles per shard at the server's sizes), so each `get` or `insert`
-/// hashes its key once — the hash picks the shard and is kept beside
-/// the key — and one scan finds the key, the least recently used entry,
-/// or both. Values are cloned out (use `Arc<V>` for large values).
-pub struct ShardedLru<K, V> {
-    shards: Vec<Mutex<LruShard<K, V>>>,
-    per_shard: usize,
-}
-
-/// Every update leaves a shard valid (the tick moves, then one slot is
-/// written whole), so a poisoned lock still guards a usable shard.
-struct LruShard<K, V> {
-    slots: Vec<Slot<K, V>>,
-    tick: u64,
-}
-
-impl<K: Hash + Eq, V: Clone> ShardedLru<K, V> {
-    /// `capacity` is the total entry budget spread over `shards` locks.
-    pub fn new(shards: usize, capacity: usize) -> ShardedLru<K, V> {
-        let shards = shards.max(1);
-        let per_shard = capacity.div_ceil(shards).max(1);
-        ShardedLru {
-            shards: (0..shards)
-                .map(|_| {
-                    Mutex::new(LruShard {
-                        slots: Vec::new(),
-                        tick: 0,
-                    })
-                })
-                .collect(),
-            per_shard,
-        }
-    }
-
-    /// The key's one hash and its shard, chosen from that hash.
-    fn shard_of(&self, key: &K) -> (u64, &Mutex<LruShard<K, V>>) {
-        let mut h = DefaultHasher::new();
-        key.hash(&mut h);
-        let hash = h.finish();
-        (hash, &self.shards[(hash as usize) % self.shards.len()])
-    }
-
-    /// Look up a key, refreshing its recency on a hit.
-    pub fn get(&self, key: &K) -> Option<V> {
-        let (hash, shard) = self.shard_of(key);
-        let mut shard = lock(shard);
-        shard.tick += 1;
-        let tick = shard.tick;
-        shard
-            .slots
-            .iter_mut()
-            .find(|s| s.hash == hash && s.key == *key)
-            .map(|s| {
-                s.stamp = tick;
-                s.value.clone()
-            })
-    }
-
-    /// Insert (or refresh) a key, evicting the shard's least recently
-    /// used entry if the shard is at capacity. Stamps are unique within
-    /// a shard, so the victim is the one entry with the oldest stamp.
-    pub fn insert(&self, key: K, value: V) {
-        let (hash, shard) = self.shard_of(&key);
-        let mut shard = lock(shard);
-        shard.tick += 1;
-        let stamp = shard.tick;
-        let (mut found, mut oldest) = (None, 0);
-        for (i, s) in shard.slots.iter().enumerate() {
-            if s.hash == hash && s.key == key {
-                found = Some(i);
-                break;
-            }
-            if s.stamp < shard.slots[oldest].stamp {
-                oldest = i;
-            }
-        }
-        let slot = Slot {
-            hash,
-            key,
-            value,
-            stamp,
-        };
-        match found {
-            Some(i) => shard.slots[i] = slot,
-            None if shard.slots.len() < self.per_shard => shard.slots.push(slot),
-            None => shard.slots[oldest] = slot,
-        }
-    }
-
-    /// Number of cached entries across all shards.
-    pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| lock(s).slots.len()).sum()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
 /// How [`ProfileStore::get_or_run`] came by the profile it returned.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Fetch {
@@ -386,193 +275,24 @@ impl ProfileStore {
     }
 }
 
-/// Placements one [`PlacementMemo`] keeps, cleared when full: above the
-/// 756 a replay batch's six families meet (63 `P` × 2 layouts each). A
-/// placement is three `f64` per simulated step (18 for two `tiny:80`
-/// hours) and a few words, whatever its `P` (it keeps no plan set), so a
-/// full memo holds 24 KiB per step of its episodes.
+/// Placements one [`PlacementMemo`] keeps: above the 756 a replay
+/// batch's six families meet (63 `P` × 2 layouts each). A placement is
+/// three `f64` per simulated step (18 for two `tiny:80` hours) and a few
+/// words, whatever its `P` (it keeps no plan set), so a full memo holds
+/// 24 KiB per step of its episodes.
 pub const PLACEMENT_MEMO_ENTRIES: usize = 1024;
-
-/// A placement's `P` and plan, under its profile's numerics.
-type Placed = HashMap<(usize, PlanLayouts), Arc<Placement>>;
 
 /// The [`Placement`]s a server has folded, so a result-cache miss on a
 /// placement another machine already replayed costs only the machine
-/// half. Keyed by the profile's [`NumericsKey`] (stored once per family),
-/// never by its address: an evicted profile runs again at another
+/// half. Keyed by the profile's [`NumericsKey`], `P` and plan, never by
+/// the profile's address: an evicted profile runs again at another
 /// address, and equal keys fold to the same units.
-#[derive(Default)]
-pub struct PlacementMemo {
-    resident: Mutex<Placements>,
-}
-
-#[derive(Default)]
-struct Placements {
-    families: HashMap<NumericsKey, Placed>,
-    entries: usize,
-}
-
-impl PlacementMemo {
-    /// The placement of `profile` (whose numerics are `numerics`) on `p`
-    /// nodes under `layouts`, folded (outside the lock) once while
-    /// resident. Counts the hit or miss and the resident entries.
-    pub fn get_or_fold(
-        &self,
-        numerics: &NumericsKey,
-        profile: &WorkProfile,
-        p: usize,
-        layouts: PlanLayouts,
-        metrics: &Metrics,
-    ) -> Arc<Placement> {
-        let hit = lock(&self.resident)
-            .families
-            .get(numerics)
-            .and_then(|placed| placed.get(&(p, layouts)).cloned());
-        if let Some(hit) = hit {
-            metrics.placement_hits.inc();
-            return hit;
-        }
-        metrics.placement_misses.inc();
-        let placement = Arc::new(Placement::of(profile, p, layouts));
-        let mut resident = lock(&self.resident);
-        if resident.entries >= PLACEMENT_MEMO_ENTRIES {
-            *resident = Placements::default();
-        }
-        let placed = resident.families.entry(numerics.clone()).or_default();
-        let fresh = placed.insert((p, layouts), Arc::clone(&placement));
-        resident.entries += usize::from(fresh.is_none());
-        metrics.placement_entries.set(resident.entries as i64);
-        placement
-    }
-}
+pub type PlacementMemo = ShardedLru<(NumericsKey, usize, PlanLayouts), Arc<Placement>>;
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use airshed_machine::MachineProfile;
-    use std::collections::HashMap;
-
-    #[test]
-    fn get_returns_inserted_values() {
-        let c: ShardedLru<u32, String> = ShardedLru::new(4, 16);
-        assert!(c.get(&1).is_none());
-        c.insert(1, "one".into());
-        c.insert(2, "two".into());
-        assert_eq!(c.get(&1).as_deref(), Some("one"));
-        assert_eq!(c.get(&2).as_deref(), Some("two"));
-        assert_eq!(c.len(), 2);
-    }
-
-    #[test]
-    fn evicts_least_recently_used_within_a_shard() {
-        // One shard so eviction order is fully observable.
-        let c: ShardedLru<u32, u32> = ShardedLru::new(1, 3);
-        c.insert(1, 10);
-        c.insert(2, 20);
-        c.insert(3, 30);
-        // Touch 1 so 2 becomes the LRU entry.
-        assert_eq!(c.get(&1), Some(10));
-        c.insert(4, 40);
-        assert_eq!(c.len(), 3);
-        assert!(c.get(&2).is_none(), "2 was least recently used");
-        assert_eq!(c.get(&1), Some(10));
-        assert_eq!(c.get(&4), Some(40));
-    }
-
-    #[test]
-    fn reinserting_an_existing_key_does_not_evict() {
-        let c: ShardedLru<u32, u32> = ShardedLru::new(1, 2);
-        c.insert(1, 10);
-        c.insert(2, 20);
-        c.insert(1, 11);
-        assert_eq!(c.len(), 2);
-        assert_eq!(c.get(&1), Some(11));
-        assert_eq!(c.get(&2), Some(20));
-    }
-
-    /// The policy before shards were vectors, kept as the model: per
-    /// shard a hash map of `(value, stamp)` and a tick, the victim the
-    /// entry with the smallest stamp, the shard chosen by the same hash.
-    /// A model shard: key to `(value, stamp)`, and the shard's tick.
-    type MapShard = (HashMap<u32, (u64, u64)>, u64);
-
-    struct MapLru {
-        shards: Vec<MapShard>,
-        per_shard: usize,
-    }
-
-    impl MapLru {
-        fn new(shards: usize, capacity: usize) -> MapLru {
-            MapLru {
-                shards: vec![(HashMap::new(), 0); shards],
-                per_shard: capacity.div_ceil(shards).max(1),
-            }
-        }
-
-        fn shard(&mut self, key: u32) -> &mut MapShard {
-            let mut h = DefaultHasher::new();
-            key.hash(&mut h);
-            let n = self.shards.len();
-            &mut self.shards[(h.finish() as usize) % n]
-        }
-
-        fn get(&mut self, key: u32) -> Option<u64> {
-            let (map, tick) = self.shard(key);
-            *tick += 1;
-            let now = *tick;
-            map.get_mut(&key).map(|e| {
-                e.1 = now;
-                e.0
-            })
-        }
-
-        fn insert(&mut self, key: u32, value: u64) {
-            let per_shard = self.per_shard;
-            let (map, tick) = self.shard(key);
-            *tick += 1;
-            if !map.contains_key(&key) && map.len() >= per_shard {
-                let oldest = *map.iter().min_by_key(|(_, e)| e.1).unwrap().0;
-                map.remove(&oldest);
-            }
-            map.insert(key, (value, *tick));
-        }
-
-        fn len(&self) -> usize {
-            self.shards.iter().map(|(map, _)| map.len()).sum()
-        }
-    }
-
-    /// A seeded run of gets and inserts over keys about twice the
-    /// capacity: every `get` answers as the hash-map model does, and the
-    /// entry count matches after every operation.
-    #[test]
-    fn vector_shards_follow_the_hash_map_model() {
-        for shards in [1, 8] {
-            for capacity in [1, 5, 32, 256] {
-                let lru: ShardedLru<u32, u64> = ShardedLru::new(shards, capacity);
-                let mut model = MapLru::new(shards, capacity);
-                let keys = 2 * capacity as u64 + 3;
-                let mut state = 0x5eed_u64 ^ (shards * 1000 + capacity) as u64;
-                for op in 0..20_000u64 {
-                    // splitmix64
-                    state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-                    let mut z = state;
-                    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-                    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-                    z ^= z >> 31;
-                    let key = (z % keys) as u32;
-                    if z >> 63 == 0 {
-                        let got = lru.get(&key);
-                        assert_eq!(got, model.get(key), "{shards}x{capacity} op {op}");
-                    } else {
-                        lru.insert(key, op);
-                        model.insert(key, op);
-                    }
-                    assert_eq!(lru.len(), model.len(), "{shards}x{capacity} op {op}");
-                }
-            }
-        }
-    }
 
     #[test]
     fn numerics_key_separates_scenarios_and_erases_placement() {

@@ -459,7 +459,11 @@ impl ScenarioServer {
             queue: BoundedQueue::new(config.queue_capacity),
             metrics: Metrics::new(),
             profiles: ProfileStore::new(cache::CACHE_SHARDS, cache::PROFILE_CACHE_CAPACITY),
-            placements: PlacementMemo::default(),
+            // 32 placements a shard.
+            placements: ShardedLru::new(
+                cache::PLACEMENT_MEMO_ENTRIES / 32,
+                cache::PLACEMENT_MEMO_ENTRIES,
+            ),
             results: ShardedLru::new(cache::CACHE_SHARDS, cache::RESULT_CACHE_CAPACITY),
             admission: AdmissionController::new(config.budget_seconds),
             surrogates: Mutex::new(HashMap::new()),

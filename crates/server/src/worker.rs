@@ -31,6 +31,7 @@ use crate::{JobCell, JobError, JobEvent, JobResult, ResumePoint, ScenarioRequest
 use airshed_core::config::SimConfig;
 use airshed_core::driver::{Episode, PlanLayouts};
 use airshed_core::obs::Track;
+use airshed_core::plan::Placement;
 use airshed_core::ExecSpec;
 use airshed_core::Obs;
 use airshed_core::WorkProfile;
@@ -198,10 +199,18 @@ fn execute(shared: &Shared, job: &QueuedJob, deadline_at: Option<Instant>, obs: 
     // report is charged through the one replay — a cached profile and a
     // fresh run price identically.
     let _replay_span = obs.span("replay");
-    let placement =
-        shared
-            .placements
-            .get_or_fold(&numerics_key, &profile, config.p, layouts, metrics);
+    let (placement, hit) = shared
+        .placements
+        .get_or_insert_with((numerics_key, config.p, layouts), || {
+            Arc::new(Placement::of(&profile, config.p, layouts))
+        });
+    if hit {
+        metrics.placement_hits.inc();
+    } else {
+        metrics.placement_misses.inc();
+        let resident = shared.placements.len() as i64;
+        metrics.placement_entries.set(resident);
+    }
     let mut report = placement.replay(&profile, config.machine);
     report.predicted_seconds = predicted;
     if let Some(chosen) = plan {

@@ -1,11 +1,12 @@
 //! A server replays through its placement memo exactly as a direct
 //! replay does, whether the placement was folded for this job or for
-//! another machine before it, and across the memo's clears.
+//! another machine before it, and across the memo's evictions.
 //!
 //! One family is placed on every machine × P × chemistry layout, more
 //! placements than the memo holds, then optimized on a few (machine, P):
 //! every report must carry the bits of `plan::replay_profile`, and the
-//! memo's resident count must never pass its bound.
+//! memo's resident count must never pass its bound. A placement in use
+//! while the memo fills stays resident: the least recently used go.
 
 use airshed_core::config::SimConfig;
 use airshed_core::driver::{run_with_profile_on, ChemLayout};
@@ -50,7 +51,7 @@ fn family(machine: MachineProfile, p: usize) -> SimConfig {
 }
 
 #[test]
-fn every_report_is_a_direct_replay_across_memo_clears() {
+fn every_report_is_a_direct_replay_across_evictions() {
     let layouts = [
         ChemLayout::Block,
         ChemLayout::Cyclic,
@@ -67,20 +68,16 @@ fn every_report_is_a_direct_replay_across_memo_clears() {
     });
 
     let bound = PLACEMENT_MEMO_ENTRIES as i64;
-    let mut resident = 0;
-    let mut cleared = false;
-    let mut run = |request: ScenarioRequest| {
+    let run = |request: ScenarioRequest| {
         let handle = server.submit(request).into_handle().expect("accepted");
         let report = handle.wait().expect("completed");
         let now = server.metrics().placement_entries;
         assert!(now <= bound, "{now} placements resident, bound {bound}");
-        cleared |= now < resident;
-        resident = now;
         report
     };
 
     // The three machines of a placement run back to back: one fold, two
-    // memo hits, unless a clear falls between them.
+    // memo hits.
     for p in 1..=max_p {
         for layout in layouts {
             for machine in machines {
@@ -107,9 +104,15 @@ fn every_report_is_a_direct_replay_across_memo_clears() {
             assert_eq!(replay_bits(&report), replay_bits(&direct), "{case}");
         }
     }
-    assert!(cleared, "the memo never cleared");
-
     let metrics = server.shutdown();
+    // One worker folds each missed placement once and keeps it, so fewer
+    // resident than folded means full shards evicted.
+    let resident = metrics.placement_entries as u64;
+    assert!(
+        resident < metrics.placement_misses,
+        "{resident} resident of {} folds: the memo never evicted",
+        metrics.placement_misses
+    );
     let placements = (max_p * layouts.len()) as u64;
     assert_eq!(metrics.completed, placements * machines.len() as u64 + 12);
     // Every result-cache miss replays through the memo once.
@@ -124,4 +127,51 @@ fn every_report_is_a_direct_replay_across_memo_clears() {
         "{hits} hits over {placements} placements"
     );
     assert!(metrics.reconciles());
+}
+
+/// Filling the memo to twice its bound while one placement is touched
+/// between every two folds leaves that placement resident: each fold
+/// evicts its shard's least recently used placement, never the one in
+/// use. A memo cleared when full drops it.
+#[test]
+fn a_placement_in_use_survives_filling_the_memo_twice_over() {
+    let server = ScenarioServer::start(ServerConfig {
+        workers: 1,
+        exec: ExecSpec::serial(),
+        ..Default::default()
+    });
+    let run = |config: SimConfig, layout: ChemLayout| {
+        let mut request = ScenarioRequest::new(config);
+        request.layout = layout;
+        let handle = server.submit(request).into_handle().expect("accepted");
+        handle.wait().expect("completed");
+    };
+    let t3e = MachineProfile::t3e();
+    // The touched placement, on a machine of its own each time so that
+    // every touch misses the result cache and looks in the memo.
+    let mut touches = 0;
+    let mut touch = || {
+        let mut machine = t3e;
+        machine.rate *= 1.0 + touches as f64 / 8192.0;
+        touches += 1;
+        run(family(machine, 3), ChemLayout::BlockCyclic(2));
+    };
+    touch();
+    let before = server.metrics();
+    for p in 1..=PLACEMENT_MEMO_ENTRIES {
+        for layout in [ChemLayout::Block, ChemLayout::Cyclic] {
+            run(family(t3e, p), layout);
+            touch();
+        }
+    }
+    let after = server.shutdown();
+    let fills = 2 * PLACEMENT_MEMO_ENTRIES as u64;
+    let misses = after.placement_misses - before.placement_misses;
+    let hits = after.placement_hits - before.placement_hits;
+    assert_eq!(
+        misses, fills,
+        "each fill folds once, the touched one never again"
+    );
+    assert_eq!(hits, fills, "every touch is a hit");
+    assert!(after.placement_entries <= PLACEMENT_MEMO_ENTRIES as i64);
 }

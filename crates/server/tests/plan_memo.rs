@@ -38,8 +38,8 @@ fn replays_plan_each_placement_once() {
         c.emission_scale = scale;
         c
     };
-    // K placements (P = 1 among them: calibrating a family folds its
-    // profile over the P = 1 plan set) ...
+    // K placements (P = 1 among them; calibrating a family plans
+    // nothing, so only replays and the admission prices count) ...
     let placements: Vec<(usize, ChemLayout)> = [1, 2, 5, 16, 64]
         .into_iter()
         .flat_map(|p| [(p, ChemLayout::Block), (p, ChemLayout::Cyclic)])

@@ -5,16 +5,17 @@
 # the one-arithmetic, one-pricing-machine, one-observer, one-virtual-timeline,
 # fabric-routes-batches, one-job-executor, one-shard-loop, one-lock-policy,
 # one-cost-fold and one-graph word checks,
-# the one-way-to-a-plan-set, one-codec and one-metrics-table checks, the
+# the one-way-to-a-plan-set, one-bounded-memo, one-codec and
+# one-metrics-table checks, the
 # no-fault-injection check and the large-budget fabric simulation, the
 # one-feature-probe and
 # chemistry `// SAFETY:` checks, the large-budget
-# hostile-input property of every decoder, a 2-thread backend smoke run, the
+# hostile-input property of every decoder, a 2-thread smoke run, the
 # large-budget lane proptests of transport and chemistry, the paper-grid
 # smoke runs and the LA thread-count sweep (bit-identical, full stop), an
 # observability smoke run (the trace must be loadable JSON with spans for
 # every phase), a serve-batch smoke (plan-memo rows present, with hits),
-# the CLI thread-count invariance checks (serial == rayon == simd), a
+# the CLI thread-count invariance checks (--threads 1 == 3 == 8), a
 # smoke run of all four benchmark workloads, the fabric / ensemble /
 # oracle / optimizer smokes, the flag table's help golden and bad-input
 # refusals, warning-free rustdoc, and the tracked line counts.
@@ -342,6 +343,20 @@ if [ -n "$direct" ]; then
 fi
 echo "plan sets OK"
 
+echo "==> one bounded memo: the plan, price and placement memos are ShardedLrus"
+# Every memo of a pure function is an airshed_core::memo::ShardedLru
+# (least recently used out, at most 32 entries a shard). A hash map, a
+# queue or one of the old hand-written memo types in these three files
+# is a second eviction policy beside it.
+memos="$(non_test "(^|[^[:alnum:]_])(HashMap|VecDeque|PlanMemo|Placements)$end|plan_memo\\(" \
+    crates/core/src/driver.rs crates/core/src/predict.rs crates/server/src/cache.rs)"
+if [ -n "$memos" ]; then
+    echo "$memos"
+    echo "one bounded memo FAILED: the lines above keep a memo beside ShardedLru" >&2
+    exit 1
+fi
+echo "one bounded memo OK"
+
 echo "==> one codec: bytes meet numbers only in core::codec"
 # Every wire, checkpoint and cache layout is declared once with
 # `codec!` (crates/core/src/codec.rs); a second hand-rolled framing, or
@@ -466,9 +481,9 @@ echo "==> the fabric front-end under the seeded simulation, large budget"
 cargo test --release --offline --test fabric_sim -- \
     --ignored seeded_interleavings_keep_every_contract_soak
 
-echo "==> backend smoke test (rayon, 2 threads)"
+echo "==> host-thread smoke test (2 threads)"
 cargo run --release --bin airshed -- run \
-    --dataset tiny:60 --hours 1 --backend rayon --threads 2 --no-map
+    --dataset tiny:60 --hours 1 --threads 2 --no-map
 
 echo "==> four-RHS solver proptests, large case budget"
 # `cargo test` runs 48 random systems; once here, 20 000 — every lane of
@@ -478,9 +493,9 @@ cargo test --release --offline -p airshed-transport --test proptest_transport --
 
 echo "==> paper-grid smoke test (LA, NE)"
 cargo run --release --bin airshed -- run \
-    --dataset la --hours 1 --backend simd --no-map
+    --dataset la --hours 1 --no-map
 cargo run --release --bin airshed -- run \
-    --dataset ne --hours 1 --backend simd --no-map
+    --dataset ne --hours 1 --no-map
 
 echo "==> chemistry lane proptests, large case budget"
 # `cargo test` runs 40 random cell streams; once here, 4 000 — every
@@ -502,7 +517,7 @@ echo "==> observability smoke test (--trace-out / --metrics-out)"
 trace_dir="$(mktemp -d)"
 trap 'rm -rf "$trace_dir"' EXIT
 cargo run --release --bin airshed -- run \
-    --dataset tiny:60 --hours 1 --backend rayon --threads 2 --no-map \
+    --dataset tiny:60 --hours 1 --threads 2 --no-map \
     --trace-out "$trace_dir/trace.json" --metrics-out "$trace_dir/metrics.prom"
 python3 - "$trace_dir/trace.json" <<'PY'
 import json, sys
@@ -531,24 +546,20 @@ plan_hits="$(awk '/^airshed_server_cache_events_total\{cache="plan",outcome="hit
 grep -q 'airshed_server_cache_entries{cache="plan"}' "$trace_dir/serve.prom"
 echo "serve-batch OK: $plan_hits plan-memo hits"
 
-echo "==> thread-count invariance at the CLI (serial == rayon 3 == rayon 8 == simd 3)"
+echo "==> thread-count invariance at the CLI (--threads 1 == 3 == 8)"
 # One transport kernel, one chemistry kernel and one arithmetic, no
 # lane's result depending on its neighbours: the printed report may
 # differ in its "host backend" line and nowhere else.
 report() {
     cargo run --release -q --bin airshed -- run \
-        --dataset tiny:60 --hours 2 --no-map --backend "$1" --threads "$2" "${@:3}" \
+        --dataset tiny:60 --hours 2 --no-map --threads "$1" "${@:2}" \
         | grep -v '^  host backend:'
 }
-report serial 1 > "$trace_dir/serial.txt"
-report rayon 3 > "$trace_dir/rayon3.txt"
-report rayon 8 --trace-out "$trace_dir/t8.json" > "$trace_dir/rayon8.txt"
-cmp "$trace_dir/serial.txt" "$trace_dir/rayon3.txt"
-cmp "$trace_dir/serial.txt" "$trace_dir/rayon8.txt"
-report simd 1 > "$trace_dir/simd1.txt"
-report simd 3 > "$trace_dir/simd3.txt"
-cmp "$trace_dir/serial.txt" "$trace_dir/simd1.txt"
-cmp "$trace_dir/serial.txt" "$trace_dir/simd3.txt"
+report 1 > "$trace_dir/threads1.txt"
+report 3 > "$trace_dir/threads3.txt"
+report 8 --trace-out "$trace_dir/t8.json" > "$trace_dir/threads8.txt"
+cmp "$trace_dir/threads1.txt" "$trace_dir/threads3.txt"
+cmp "$trace_dir/threads1.txt" "$trace_dir/threads8.txt"
 # ... and 8 threads have work: min(threads, layers x ceil(species/4)) =
 # min(8, 5 x 9) transport pool tasks per half step, where BLOCK over
 # the 5 layers alone could fill 5.
@@ -630,7 +641,7 @@ echo "==> ensemble + surrogate smoke (shared-input dedup, two-tier what-if)"
 # dedup savings, and the what-if batch must exercise both tiers — the
 # surrogate hit (simulator not invoked) and the exact fallback.
 ensemble_out="$(cargo run --release -q --bin airshed -- ensemble \
-    --dataset tiny:60 --members 5 --hours 2 --nodes 8 --backend rayon --threads 2 \
+    --dataset tiny:60 --members 5 --hours 2 --nodes 8 --threads 2 \
     --queries 0.9,2.0 --metrics-out "$trace_dir/ensemble.prom")"
 echo "$ensemble_out"
 echo "$ensemble_out" | grep -q "surrogate hit"
@@ -667,7 +678,7 @@ refused() { # <flag the message must name> <command line...>
 refused --hours run --hours x
 refused --emis run --emis nan --dataset tiny:40 --hours 1 --no-map
 refused --shards gridinfo --shards 3 --members 50
-refused --backend run --backend serial --threads 3
+refused --backend run --backend serial
 echo "flag table OK: help byte-identical, four bad command lines refused by name"
 
 echo "==> performance-oracle smoke (airshed validate)"

@@ -234,24 +234,12 @@ mod tests {
         let o = parse(Run, "").unwrap();
         assert_eq!(o.threads, None);
         assert_eq!(exec(&o), ExecSpec::default());
-        let o = parse(Run, "--backend serial").unwrap();
-        assert_eq!(exec(&o), ExecSpec::serial());
-        let o = parse(Run, "--backend rayon --threads 4").unwrap();
-        assert_eq!(exec(&o), ExecSpec::rayon(4));
-        let o = parse(Run, "--threads 2 --backend simd").unwrap();
-        assert_eq!(exec(&o), ExecSpec::rayon(2));
-        let o = parse(Run, "--backend simd").unwrap();
-        assert_eq!(exec(&o), ExecSpec::default());
-        let o = parse(Run, "--backend serial --threads 1").unwrap();
-        assert_eq!(exec(&o), ExecSpec::serial());
-        for line in [
-            "--backend serial --threads 3",
-            "--threads 3 --backend serial",
-        ] {
-            let err = parse(Run, line).unwrap_err();
-            assert!(err.contains("--backend"), "{err}");
-        }
-        assert!(parse(Run, "--backend omp").is_err());
+        // `--threads` is the one way to set host threads.
+        let threads = |line| exec(&parse(Run, line).unwrap());
+        assert_eq!(threads("--threads 1"), ExecSpec::serial());
+        assert_eq!(threads("--threads 4"), ExecSpec::rayon(4));
+        let err = parse(Run, "--backend serial").unwrap_err();
+        assert!(err.contains("--backend"), "{err}");
         assert!(parse(Run, "--threads 0").is_err());
     }
 

@@ -39,8 +39,6 @@ pub struct Options {
     pub taskpar: bool,
     pub optimize: bool,
     pub no_map: bool,
-    /// `--backend serial` was given: its word for `--threads 1`.
-    pub serial: bool,
     pub threads: Option<usize>,
     // observability exports
     pub trace_out: Option<String>,
@@ -260,20 +258,6 @@ fn machine(v: &str) -> Result<MachineProfile, String> {
     MachineProfile::by_name(v).ok_or_else(|| format!("unknown machine '{v}' (t3e|t3d|paragon)"))
 }
 
-/// The three words `--backend` has always taken, as what they now mean: a
-/// thread count (the arithmetic is the same at every one).
-fn backend(o: &mut Options, v: &str) -> Result<(), String> {
-    match v {
-        "serial" => {
-            o.serial = true;
-            o.threads.get_or_insert(1);
-        }
-        "rayon" | "simd" => {}
-        _ => return Err(format!("unknown backend '{v}' (serial|rayon|simd)")),
-    }
-    Ok(())
-}
-
 /// A flag the subcommand cannot run without.
 fn need<T>(value: &Option<T>, why: &str) -> Result<(), String> {
     value.as_ref().map(drop).ok_or_else(|| why.to_string())
@@ -399,12 +383,6 @@ pub static FLAGS: &[Flag] = &[
                   model (at execute time, once its family is calibrated)"),
     flag("--no-map", Switch(|o| o.no_map = true), None, Run.bit() | Gridinfo.bit())
         .help(GENERAL, "  skip the ASCII ozone map"),
-    flag("--backend", Parsed(backend), None, SIM)
-        .help(GENERAL, " serial | rayon | simd        serial = --threads 1; rayon, simd = the pool")
-        .check(|o| match o.threads {
-            Some(n) if o.serial && n > 1 => Err(format!("serial is one thread, --threads says {n}")),
-            _ => Ok(()),
-        }),
     flag("--threads", Int(1, |o, n| o.threads = Some(n)), None, HOST)
         .help(GENERAL, " N  host threads, same results at any N (default: all cores)")
         .forward(|o| o.threads.map(|n| n.to_string())),
@@ -618,7 +596,6 @@ mod tests {
     /// has one).
     fn line(flag: &Flag, name: &str) -> Vec<String> {
         let sample = flag.default.unwrap_or(match flag.name {
-            "--backend" => "simd",
             "--kill-shard" => "0",
             _ => "3",
         });
@@ -699,7 +676,7 @@ mod tests {
         }
         // What fabric passes through and what it sets per shard both come
         // back out of the shard's own parse.
-        let passed = "--backend simd --threads 3 --workers 5 --heartbeat-ms 40";
+        let passed = "--threads 3 --workers 5 --heartbeat-ms 40";
         let child = Options {
             connect: Some("127.0.0.1:7".into()),
             shard_name: "shard-1".into(),
@@ -712,9 +689,7 @@ mod tests {
         let back = parse(Shard, &args[1..]).unwrap();
         assert_eq!(format!("{back:?}"), format!("{child:?}"));
         assert_eq!(exec(&back), ExecSpec::rayon(3));
-        // `--backend` stays with the front-end: a shard is told a thread count.
-        assert!(!args.contains(&"--backend".to_string()));
-        let serial = shard_args(&parse(Fabric, &words("--backend serial")).unwrap());
+        let serial = shard_args(&parse(Fabric, &words("--threads 1")).unwrap());
         assert_eq!(serial[1..3], ["--threads", "1"]);
         // Nothing the user did not set is spelled out for the child.
         let bare = shard_args(&parse(Shard, &required(Shard)).unwrap());

@@ -86,21 +86,29 @@ fn load_scenarios(path: &str) -> Result<Vec<Scenario>, String> {
     Ok(scenarios)
 }
 
+/// Job `i` of a built-in batch: four node counts striped over four
+/// emission scales, the node count moving fastest.
+fn striped(o: &Options, i: usize) -> SimConfig {
+    const NODE_COUNTS: [usize; 4] = [4, 8, 16, 32];
+    const EMISSION_SCALES: [f64; 4] = [1.0, 0.8, 0.6, 0.4];
+    let mut c = config(o, NODE_COUNTS[i % 4]);
+    c.emission_scale = EMISSION_SCALES[(i / 4) % 4];
+    c
+}
+
 /// The built-in demo batch: 32 scenarios over four emission-control
 /// policies and four node counts, so every (policy, placement) pair
 /// appears twice — plenty of duplicate work for the caches to reuse.
 /// With an admission budget, a deliberately monstrous episode of the
 /// calibrated family is appended to demonstrate rejection.
 pub fn demo_scenarios(o: &Options) -> Vec<Scenario> {
-    let emission_scales = [1.0, 0.8, 0.6, 0.4];
-    let node_counts = [4, 8, 16, 32];
-    let mut scenarios = Vec::new();
-    for i in 0..32 {
-        let mut c = config(o, node_counts[i % node_counts.len()]);
-        c.hours = o.hours.clamp(1, 2);
-        c.emission_scale = emission_scales[(i / node_counts.len()) % emission_scales.len()];
-        scenarios.push(Scenario::new(o, c));
-    }
+    let mut scenarios: Vec<Scenario> = (0..32)
+        .map(|i| {
+            let mut c = striped(o, i);
+            c.hours = o.hours.clamp(1, 2);
+            Scenario::new(o, c)
+        })
+        .collect();
     if o.budget.is_some() {
         // Same numerics family as scenario 0 (which calibrates the
         // admission model), but a 10 000-hour episode on one Paragon
@@ -208,14 +216,8 @@ pub fn cmd_serve_batch(o: &Options, obs: &Obs) -> Result<(), String> {
 /// Deterministic by construction: the same options always produce the
 /// same batch, which is what makes the `--local` reference comparable.
 pub fn fabric_scenarios(o: &Options) -> Vec<Scenario> {
-    let node_counts = [4, 8, 16, 32];
-    let emission_scales = [1.0, 0.8, 0.6, 0.4];
     (0..o.jobs)
-        .map(|i| {
-            let mut c = config(o, node_counts[i % node_counts.len()]);
-            c.emission_scale = emission_scales[(i / node_counts.len()) % emission_scales.len()];
-            Scenario::new(o, c)
-        })
+        .map(|i| Scenario::new(o, striped(o, i)))
         .collect()
 }
 
@@ -306,8 +308,8 @@ pub fn cmd_fabric(o: &Options, obs: &Obs) -> Result<(), String> {
     let exe = std::env::current_exe().map_err(|e| format!("current_exe: {e}"))?;
     let mut children = Vec::new();
     for i in 0..o.shards {
-        // A shard is handed the front-end's own options (backend, threads,
-        // workers, heartbeat, fault plan pass through) with the per-shard
+        // A shard is handed the front-end's own options (threads, workers,
+        // heartbeat, fault plan pass through) with the per-shard
         // ones set here. Its observability artifacts land next to the
         // frontend's, at the `trace.json` + `shard-0` -> `trace.shard-0.json`
         // paths that `airshed trace-merge` auto-discovers.

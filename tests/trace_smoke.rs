@@ -39,8 +39,6 @@ fn cli_trace_and_metrics_exports_are_valid_and_complete() {
             "--hours",
             "2",
             "--no-map",
-            "--backend",
-            "rayon",
             "--threads",
             "2",
             "--trace-out",
@@ -231,8 +229,8 @@ fn fabric_traces_merge_into_one_coherent_timeline() {
             "tiny:40",
             "--hours",
             "2",
-            "--backend",
-            "serial",
+            "--threads",
+            "1",
             "--trace-out",
         ])
         .arg(&trace_path)
