@@ -11,8 +11,8 @@
 //! is declared once, by [`codec!`](macro@crate::codec) listing its
 //! fields (or an enum's tagged variants) in order, and both the writer
 //! and the reader come from that one list. Rust's orphan rule decides where each list lives:
-//! this crate's types, and the `MachineProfile` and `YbOptions` it
-//! carries, are declared at the bottom of this file; `airshed-server`
+//! this crate's types, and the `MachineProfile`, `CommStepRecord` and
+//! `YbOptions` it carries, are declared at the bottom of this file; `airshed-server`
 //! declares `ResumePoint`, and `airshed-fabric` its job, message and
 //! frame header. A file format is a value behind an eight-byte magic
 //! ([`encode_magic`]): the checkpoint's `ASHCKPT1` and the figure
@@ -39,9 +39,11 @@ use crate::driver::{ChemLayout, PlanMemoStats};
 use crate::obs::dist::TraceContext;
 use crate::predict::{CommOccurrences, PerfModel};
 use crate::profile::{HourProfile, StepProfile, WorkProfile};
-use crate::report::{CommStepSummary, CopyBytes, LatencyAnatomy, RunReport};
+use crate::report::{CopyBytes, LatencyAnatomy, RunReport};
 use crate::state::{HourSummary, SimState};
 use airshed_chem::youngboris::{AsymptoticForm, YbOptions};
+use airshed_hpf::redist::labels;
+use airshed_machine::accounting::CommStepRecord;
 use airshed_machine::MachineProfile;
 use std::collections::BTreeSet;
 use std::io;
@@ -335,8 +337,8 @@ impl Codec for String {
     }
 }
 
-/// A dataset or machine name, decoded through [`intern`]: the same
-/// bytes as a `String`.
+/// A dataset, machine or redistribution name, decoded through
+/// [`intern`]: the same bytes as a `String`.
 impl Codec for &'static str {
     const MIN_BYTES: usize = 4;
     fn enc(&self, e: &mut Enc) {
@@ -452,9 +454,9 @@ pub fn decode_magic<T: Codec>(magic: &[u8; 8], bytes: &[u8]) -> Result<T, WireEr
     Ok(value)
 }
 
-/// Names the codebase itself gives datasets and machines: decoding one
-/// allocates nothing.
-const CANONICAL_NAMES: [&str; 7] = [
+/// Names the codebase itself gives datasets, machines and the four
+/// redistributions: decoding one allocates nothing.
+pub const CANONICAL_NAMES: [&str; 11] = [
     "LA",
     "NE",
     "TINY",
@@ -462,16 +464,21 @@ const CANONICAL_NAMES: [&str; 7] = [
     "Cray T3E",
     "Cray T3D",
     "Intel Paragon",
+    labels::REPL_TO_TRANS,
+    labels::TRANS_TO_CHEM,
+    labels::CHEM_TO_REPL,
+    labels::TRANS_TO_REPL,
 ];
 /// Most distinct non-canonical names one process will intern, and the
 /// longest: together they bound what hostile bytes can make it keep.
 pub const MAX_INTERNED_NAMES: usize = 64;
 const MAX_INTERNED_NAME_LEN: usize = 64;
 
-/// Intern a decoded dataset or machine name into the `&'static str` the
-/// profile structs carry. A name outside the canonical ones (a test
-/// fixture, a custom machine) is leaked once and found again on every
-/// later decode; past the caps a new name is a decode error.
+/// Intern a decoded dataset, machine or redistribution name into the
+/// `&'static str` the profile and report structs carry. A name outside
+/// the canonical ones (a test fixture, a custom machine) is leaked once
+/// and found again on every later decode; past the caps a new name is a
+/// decode error.
 pub fn intern(name: &str) -> Result<&'static str, WireError> {
     static INTERNED: Mutex<BTreeSet<&'static str>> = Mutex::new(BTreeSet::new());
     if let Some(canonical) = CANONICAL_NAMES.iter().find(|c| **c == name) {
@@ -495,7 +502,7 @@ pub fn intern(name: &str) -> Result<&'static str, WireError> {
 }
 
 // ---------------------------------------------------------------------------
-// Layouts of this crate's types (and the two foreign ones it carries)
+// Layouts of this crate's types (and the three foreign ones it carries)
 // ---------------------------------------------------------------------------
 
 codec! { enum DatasetChoice { 0 => LosAngeles, 1 => NorthEast, 2 => Tiny(columns) } }
@@ -532,7 +539,7 @@ codec! { StepProfile { transport1, transport2, chemistry, aerosol } }
 codec! { HourProfile { input_work, pretrans_work, output_work, input_bytes, steps, surface } }
 codec! { WorkProfile { dataset, shape, hours, summaries } }
 codec! { HourSummary { hour, max_o3, mean_o3, mean_nox, mean_total_n } }
-codec! { CommStepSummary { label, total_seconds, count } }
+codec! { CommStepRecord { label, total_seconds, count } }
 codec! {
     LatencyAnatomy {
         queued_ms, exec_us, wire_us, reply_us, end_to_end_ms, hours, segments, stolen, failed_over,

@@ -82,12 +82,11 @@ fn track_name(track: Track) -> String {
 /// mid-hour still produces a trace Perfetto loads, with the in-flight
 /// spans visibly open-ended.
 ///
-/// Every pid is offset by `pid_base` and every process name prefixed
-/// with `label` — how a fabric shard namespaces its per-process trace so
-/// merged timelines never collide on track identity. `pid_base` must be
-/// a multiple of [`super::dist::PID_STRIDE`] (local pids stay below the
-/// stride); `(0, "")` is the plain trace.
-pub fn render(events: &[SpanRecord], open: &[SpanRecord], pid_base: u32, label: &str) -> String {
+/// Pids are the process-local ones (1 to 5, below
+/// [`super::dist::PID_STRIDE`]) in every process, fabric shards
+/// included: [`super::dist::stitch`] is what gives each process of a
+/// merged timeline its own pid namespace and process-name prefix.
+pub fn render(events: &[SpanRecord], open: &[SpanRecord]) -> String {
     let mut dynamic: BTreeMap<(u32, &'static str), u32> = BTreeMap::new();
     // First pass: discover every (pid, tid) so metadata events can name
     // the tracks before any duration event references them.
@@ -122,19 +121,14 @@ pub fn render(events: &[SpanRecord], open: &[SpanRecord], pid_base: u32, label: 
             PID_JOBS => "fabric jobs",
             _ => "pipeline (virtual time)",
         };
-        let pname = if label.is_empty() {
-            pname.to_string()
-        } else {
-            format!("{label}: {pname}")
-        };
         push(
             &mut out,
             &mut first,
             format!(
                 "{{\"ph\":\"M\",\"name\":\"process_name\",\"pid\":{},\"tid\":0,\
                  \"args\":{{\"name\":{}}}}}",
-                pid + pid_base,
-                Quoted(&pname)
+                pid,
+                Quoted(pname)
             ),
         );
     }
@@ -146,7 +140,7 @@ pub fn render(events: &[SpanRecord], open: &[SpanRecord], pid_base: u32, label: 
             format!(
                 "{{\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":{},\"tid\":{tid},\
                  \"args\":{{\"name\":{}}}}}",
-                pid + pid_base,
+                pid,
                 Quoted(name)
             ),
         );
@@ -155,7 +149,6 @@ pub fn render(events: &[SpanRecord], open: &[SpanRecord], pid_base: u32, label: 
     // Duration and counter events.
     for e in events {
         let (pid, tid) = pid_tid(e.track, &mut dynamic);
-        let pid = pid + pid_base;
         if let Track::Counter(_) = e.track {
             // Counter sample: the record's dur field carries the value.
             push(
@@ -196,7 +189,6 @@ pub fn render(events: &[SpanRecord], open: &[SpanRecord], pid_base: u32, label: 
     // Still-open spans: begin events with no matching end.
     for e in open {
         let (pid, tid) = pid_tid(e.track, &mut dynamic);
-        let pid = pid + pid_base;
         let mut args = String::new();
         if let Some(hour) = e.hour {
             let _ = write!(args, "\"hour\":{hour}");
@@ -219,10 +211,8 @@ pub fn render(events: &[SpanRecord], open: &[SpanRecord], pid_base: u32, label: 
 impl super::SpanSink {
     /// Flush and [`render`] everything recorded so far as Chrome trace
     /// JSON, including spans whose guards are still open (flush-on-drop).
-    /// `(0, "")` is the plain trace; a fabric shard passes its
-    /// [`super::dist::pid_base`] and name.
-    pub fn chrome_trace(&self, pid_base: u32, label: &str) -> String {
-        render(&self.events(), &self.open_spans(), pid_base, label)
+    pub fn chrome_trace(&self) -> String {
+        render(&self.events(), &self.open_spans())
     }
 }
 
@@ -249,7 +239,7 @@ mod tests {
             span("task", Track::PoolWorker { lane: 0, worker: 1 }, 12.0, 8.0),
             span("chemistry", Track::Virtual("chemistry"), 0.0, 5e6),
         ];
-        let json = render(&events, &[], 0, "");
+        let json = render(&events, &[]);
         assert!(json.starts_with("{\"displayTimeUnit\":\"ms\""));
         assert!(json.contains("\"process_name\""));
         assert!(json.contains("\"thread_name\""));
@@ -273,28 +263,11 @@ mod tests {
             hour: Some(1),
             arg: None,
         }];
-        let json = render(&events, &[], 0, "");
+        let json = render(&events, &[]);
         assert!(json.contains("\"ph\":\"C\",\"name\":\"redist_local\""));
         assert!(json.contains("\"value\":0.250000"));
         assert!(json.contains("\"name\":\"copy bytes\"")); // thread name
         assert!(json.contains("\"name\":\"counters\"")); // process
-    }
-
-    #[test]
-    fn namespaced_render_offsets_pids_and_prefixes_process_names() {
-        let events = vec![
-            span("hour", Track::Lane(0), 0.0, 100.0),
-            span("chemistry", Track::Virtual("chemistry"), 0.0, 5e6),
-        ];
-        let json = render(&events, &[], 16, "shard-0");
-        assert!(json.contains("\"name\":\"shard-0: host (wall clock)\""));
-        assert!(json.contains("\"name\":\"shard-0: virtual machine\""));
-        assert!(json.contains("\"pid\":17"));
-        assert!(json.contains("\"pid\":18"));
-        assert!(!json.contains("\"pid\":1,"));
-        // Track (thread) names stay unprefixed — the process carries the
-        // shard identity.
-        assert!(json.contains("\"name\":\"driver\""));
     }
 
     #[test]
@@ -307,7 +280,7 @@ mod tests {
             hour: None,
             arg: Some(("trace_id", 4)),
         }];
-        let json = render(&events, &[], 0, "");
+        let json = render(&events, &[]);
         assert!(json.contains("\"name\":\"fabric jobs\""));
         assert!(json.contains("\"name\":\"job-3\""));
         assert!(json.contains("\"trace_id\":4"));
@@ -318,7 +291,7 @@ mod tests {
     fn open_spans_render_as_begin_events() {
         let done = vec![span("hour", Track::Lane(0), 0.0, 100.0)];
         let open = vec![span("chemistry", Track::Lane(0), 40.0, 0.0)];
-        let json = render(&done, &open, 0, "");
+        let json = render(&done, &open);
         assert!(json.contains("\"ph\":\"X\",\"name\":\"hour\""));
         assert!(json.contains("\"ph\":\"B\",\"name\":\"chemistry\""));
         let open_count = json.matches("\"ph\":\"B\"").count();

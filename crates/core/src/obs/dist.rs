@@ -10,14 +10,14 @@
 //!   ships it to the executing shard, and every `Progress` /
 //!   `Completed` / `Failed` echoes it back — so a job keeps a single
 //!   `trace_id` through routing, work stealing and failover.
-//! * [`pid_base`] / `PID_STRIDE` namespace a shard's Chrome pids so
-//!   per-process traces never collide on track identity (the exporter
-//!   side is [`super::SpanSink::chrome_trace`]'s `(pid_base, label)`).
-//! * [`stitch`] merges the per-process documents: it reads the
-//!   per-shard clock offsets the frontend measured from the
+//! * [`stitch`] merges the per-process documents, each a plain
+//!   [`super::SpanSink::chrome_trace`] with the process-local pids: it
+//!   reads the per-shard clock offsets the frontend measured from the
 //!   Hello/heartbeat exchange (recorded on the `"clock offset us"`
 //!   counter track), shifts every shard's wall-clock events onto the
-//!   frontend's time axis, renumbers pids per process, and draws
+//!   frontend's time axis, gives the `k`-th document the pid namespace
+//!   `k * PID_STRIDE` and its label as a process-name prefix (so merged
+//!   processes never collide on track identity), and draws
 //!   Chrome flow arrows (`ph:"s"` → `ph:"f"`) from each
 //!   route/steal/failover dispatch mark on the frontend's per-job
 //!   track to the shard-side `job` span it started. Counter tracks
@@ -38,8 +38,9 @@
 
 use std::fmt::{self, Write as _};
 
-/// How far apart [`pid_base`] spaces shard pid namespaces. Local pids
-/// emitted by the Chrome exporter stay well below this (currently 5).
+/// How far apart [`stitch`] spaces the pid namespaces of the processes
+/// it merges. Local pids emitted by the Chrome exporter stay well below
+/// this (currently 5).
 pub const PID_STRIDE: u32 = 16;
 
 /// The identity a job carries across fabric processes.
@@ -72,30 +73,6 @@ impl TraceContext {
     pub fn is_set(&self) -> bool {
         self.trace_id != 0
     }
-}
-
-/// The pid namespace base for a shard name: multiples of
-/// [`PID_STRIDE`], derived from the trailing digits of the name
-/// (`shard-3` → `4 * PID_STRIDE`) so spawn order gives dense, stable
-/// namespaces; names without digits hash instead. Never returns 0 —
-/// the frontend keeps the unshifted namespace.
-pub fn pid_base(name: &str) -> u32 {
-    let digits: String = name
-        .chars()
-        .rev()
-        .take_while(|c| c.is_ascii_digit())
-        .collect();
-    if !digits.is_empty() {
-        if let Ok(i) = digits.chars().rev().collect::<String>().parse::<u32>() {
-            return PID_STRIDE * (1 + (i % 4000));
-        }
-    }
-    let mut h: u32 = 2166136261;
-    for b in name.bytes() {
-        h ^= b as u32;
-        h = h.wrapping_mul(16777619);
-    }
-    PID_STRIDE * (1 + (h % 4000))
 }
 
 /// The per-shard artifact path convention: `trace.json` + `shard-0`
@@ -433,8 +410,9 @@ const HOP_SLACK_US: f64 = 1000.0;
 /// frontend (reference clock, pids kept in namespace 0); each
 /// following doc is a shard whose wall-clock events are shifted by
 /// the offset recorded for its label on the frontend's
-/// [`CLOCK_OFFSET_TRACK`] and whose pids move to namespace
-/// `k * PID_STRIDE`. Emits flow arrows pairing every
+/// [`CLOCK_OFFSET_TRACK`], whose process-local pids move to namespace
+/// `k * PID_STRIDE` and whose process names take its label as a prefix.
+/// Emits flow arrows pairing every
 /// route/steal/failover hop with the shard `job` span it started,
 /// and passes counter tracks through untouched.
 pub fn stitch(docs: &[TraceDoc]) -> Result<String, String> {
@@ -471,17 +449,6 @@ pub fn stitch(docs: &[TraceDoc]) -> Result<String, String> {
             .get("traceEvents")
             .and_then(Json::as_arr)
             .ok_or_else(|| format!("{}: missing traceEvents array", input.label))?;
-        // The process's own pid namespace base: local pids from the
-        // exporter are 1..PID_STRIDE, so the base is the containing
-        // multiple of PID_STRIDE whether or not the process namespaced
-        // its own export.
-        let base_old = events
-            .iter()
-            .filter_map(|e| e.get("pid").and_then(Json::as_num))
-            .fold(u32::MAX, |m, p| m.min(p as u32))
-            .min(u32::MAX - 1)
-            / PID_STRIDE
-            * PID_STRIDE;
         let offset = if k == 0 {
             0.0
         } else {
@@ -490,9 +457,8 @@ pub fn stitch(docs: &[TraceDoc]) -> Result<String, String> {
         for e in events {
             let mut e = e.clone();
             let ph = e.get("ph").and_then(Json::as_str).unwrap_or("").to_string();
-            let old_pid = e.get("pid").and_then(Json::as_num).unwrap_or(0.0) as u32;
-            let local = old_pid.saturating_sub(base_old);
-            let new_pid = k as u32 * PID_STRIDE + local;
+            let local = e.get("pid").and_then(Json::as_num).unwrap_or(0.0) as u32;
+            let new_pid = (k as u32 * PID_STRIDE).saturating_add(local);
             e.set("pid", Json::Num(new_pid as f64));
             // Wall-clock tracks (host = local pid 1, fabric jobs =
             // local pid 5) move onto the frontend's time axis; virtual,
@@ -509,10 +475,7 @@ pub fn stitch(docs: &[TraceDoc]) -> Result<String, String> {
                 if k > 0 && e.get("name").and_then(Json::as_str) == Some("process_name") {
                     if let Some(args) = e.get("args") {
                         if let Some(orig) = args.get("name").and_then(Json::as_str) {
-                            let stripped = orig
-                                .strip_prefix(&format!("{}: ", input.label))
-                                .unwrap_or(orig);
-                            let renamed = format!("{}: {stripped}", input.label);
+                            let renamed = format!("{}: {orig}", input.label);
                             let mut args = args.clone();
                             args.set("name", Json::Str(renamed));
                             e.set("args", args);
@@ -689,16 +652,6 @@ mod tests {
     }
 
     #[test]
-    fn pid_bases_are_stride_multiples_and_distinct_per_shard() {
-        assert_eq!(pid_base("shard-0"), PID_STRIDE);
-        assert_eq!(pid_base("shard-1"), 2 * PID_STRIDE);
-        assert_eq!(pid_base("shard-7"), 8 * PID_STRIDE);
-        let named = pid_base("doomed");
-        assert!(named > 0 && named.is_multiple_of(PID_STRIDE));
-        assert_eq!(named, pid_base("doomed"));
-    }
-
-    #[test]
     fn sharded_paths_insert_the_name_before_the_extension() {
         assert_eq!(sharded_path("trace.json", "shard-0"), "trace.shard-0.json");
         assert_eq!(
@@ -711,7 +664,7 @@ mod tests {
     #[test]
     fn json_round_trips_chrome_output() {
         let events = vec![span("hour", Track::Lane(0), 12.5, 100.0, Some(("seq", 3)))];
-        let text = render(&events, &[], 0, "");
+        let text = render(&events, &[]);
         let doc = Json::parse(&text).expect("chrome output parses");
         let arr = doc.get("traceEvents").and_then(Json::as_arr).unwrap();
         assert!(arr.len() >= 3); // metadata + span
@@ -843,7 +796,7 @@ mod tests {
                 arg: None,
             },
         ];
-        render(&events, &[], 0, "")
+        render(&events, &[])
     }
 
     fn shard_doc() -> String {
@@ -859,7 +812,7 @@ mod tests {
                 arg: None,
             },
         ];
-        render(&events, &[], pid_base("shard-0"), "shard-0")
+        render(&events, &[])
     }
 
     #[test]

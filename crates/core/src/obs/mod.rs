@@ -35,7 +35,7 @@
 //!     let _phase = obs.span_hour("transport", 0);
 //! } // guards drop; spans are recorded
 //! obs.flush();
-//! let trace = sink.chrome_trace(0, "");
+//! let trace = sink.chrome_trace();
 //! assert!(trace.contains("\"name\":\"transport\""));
 //! ```
 

@@ -43,18 +43,16 @@ use std::fmt::Write as _;
 /// against a floor instead of the raw prediction, so an all-but-empty
 /// phase cannot produce a million-percent relative error.
 const REL_FLOOR: f64 = 1e-12;
-/// Ring size for the rolling p95 estimate.
-const RING: usize = 512;
 
-/// Rolling residual statistics for one phase or redistribution label.
+/// Residual statistics for one phase or redistribution label, over every
+/// observation of a sweep.
 #[derive(Debug, Clone, Default)]
 struct ResidualStat {
     count: u64,
     sum_rel: f64,
     sum_abs_rel: f64,
-    /// Ring buffer of recent |relative error| for the p95.
-    recent: Vec<f64>,
-    cursor: usize,
+    /// Every |relative error|, for the p95.
+    abs_rel: Vec<f64>,
     max_imbalance: f64,
     sum_predicted: f64,
     sum_measured: f64,
@@ -65,12 +63,7 @@ impl ResidualStat {
         self.count += 1;
         self.sum_rel += rel;
         self.sum_abs_rel += rel.abs();
-        if self.recent.len() < RING {
-            self.recent.push(rel.abs());
-        } else {
-            self.recent[self.cursor] = rel.abs();
-            self.cursor = (self.cursor + 1) % RING;
-        }
+        self.abs_rel.push(rel.abs());
         self.max_imbalance = self.max_imbalance.max(imbalance);
         self.sum_predicted += predicted;
         self.sum_measured += measured;
@@ -78,7 +71,7 @@ impl ResidualStat {
 
     fn summary(&self) -> ResidualSummary {
         let n = self.count.max(1) as f64;
-        let mut sorted = self.recent.clone();
+        let mut sorted = self.abs_rel.clone();
         sorted.sort_by(f64::total_cmp);
         let p95 = if sorted.is_empty() {
             0.0
@@ -106,7 +99,7 @@ pub struct ResidualSummary {
     pub mean_rel: f64,
     /// Mean absolute relative error.
     pub mean_abs_rel: f64,
-    /// Rolling p95 of the absolute relative error.
+    /// p95 of the absolute relative error over every observation.
     pub p95_abs_rel: f64,
     /// Worst per-node imbalance (heaviest/mean charge) seen.
     pub max_imbalance: f64,
@@ -411,6 +404,25 @@ mod tests {
             let s = stats[label];
             assert!(s.count > 0 && s.mean_abs_rel < 0.6, "{label}: {s:?}");
         }
+    }
+
+    /// The p95 reads every observation of a sweep: a label whose first
+    /// residuals are large and whose last 512 are small reports the
+    /// large ones.
+    #[test]
+    fn residual_p95_covers_every_observation() {
+        let mut stat = ResidualStat::default();
+        for _ in 0..500 {
+            stat.record(1.0, 1.0, 1.0, 2.0);
+        }
+        for _ in 0..512 {
+            stat.record(-0.01, 1.0, 1.0, 0.99);
+        }
+        let s = stat.summary();
+        assert_eq!(s.count, 1012);
+        // Sorted, the 500 ones follow the 512 hundredths; the p95 rank
+        // round(1011 · 0.95) = 960 lands among the ones.
+        assert_eq!(s.p95_abs_rel, 1.0);
     }
 
     #[test]

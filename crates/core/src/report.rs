@@ -1,29 +1,10 @@
 //! Run reports — the rows the figure harness prints.
 
 use crate::state::HourSummary;
-use airshed_machine::accounting::{PhaseBreakdown, PhaseCategory};
+use airshed_machine::accounting::{CommStepRecord, PhaseBreakdown, PhaseCategory};
 use airshed_machine::Machine;
 use serde::Serialize;
 use std::fmt;
-
-/// Per-label communication step summary (Figure 5 rows).
-#[derive(Debug, Clone, Serialize)]
-pub struct CommStepSummary {
-    pub label: String,
-    pub total_seconds: f64,
-    pub count: usize,
-}
-
-impl CommStepSummary {
-    /// Mean seconds per occurrence.
-    pub fn per_step(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.total_seconds / self.count as f64
-        }
-    }
-}
 
 /// Where a fabric job's wall-clock time went, end to end — the
 /// fields the frontend's router measures from its own clock plus the
@@ -87,8 +68,8 @@ impl CopyBytes {
 /// The outcome of one simulated run on the virtual machine.
 #[derive(Debug, Clone, Serialize)]
 pub struct RunReport {
-    pub dataset: String,
-    pub machine: String,
+    pub dataset: &'static str,
+    pub machine: &'static str,
     pub p: usize,
     pub hours: usize,
     /// Total virtual execution time (seconds).
@@ -98,7 +79,9 @@ pub struct RunReport {
     pub chemistry_seconds: f64,
     pub communication_seconds: f64,
     pub popexp_seconds: f64,
-    pub comm_steps: Vec<CommStepSummary>,
+    /// The machine's comm log as it recorded it: one row per
+    /// redistribution label, in first-charged order (Figure 5 rows).
+    pub comm_steps: Vec<CommStepRecord>,
     pub summaries: Vec<HourSummary>,
     /// Host execution backend that ran the kernels (e.g. `rayon(8)`);
     /// empty for replays, which never run the numerics.
@@ -134,15 +117,15 @@ pub struct RunReport {
 impl RunReport {
     /// Assemble a report from a finished virtual machine.
     pub fn from_machine(
-        dataset: &str,
+        dataset: &'static str,
         machine: &Machine,
         hours: usize,
         summaries: Vec<HourSummary>,
     ) -> RunReport {
         let b: &PhaseBreakdown = &machine.breakdown;
         RunReport {
-            dataset: dataset.to_string(),
-            machine: machine.profile.name.to_string(),
+            dataset,
+            machine: machine.profile.name,
             p: machine.p(),
             hours,
             total_seconds: machine.elapsed(),
@@ -159,33 +142,18 @@ impl RunReport {
             dedup_saved_seconds: None,
             anatomy: None,
             copy_bytes: None,
-            comm_steps: machine
-                .comm_log
-                .records()
-                .iter()
-                .map(|r| CommStepSummary {
-                    label: r.label.to_string(),
-                    total_seconds: r.seconds,
-                    count: r.count,
-                })
-                .collect(),
+            comm_steps: machine.comm_log.records().to_vec(),
             summaries,
         }
     }
 
-    /// Speedup of this run relative to a baseline (usually the same
-    /// configuration at small P or P = 1).
-    pub fn speedup_vs(&self, baseline: &RunReport) -> f64 {
-        baseline.total_seconds / self.total_seconds
-    }
-
-    /// Seconds of one labelled communication step per occurrence.
+    /// Seconds of one labelled communication step per occurrence: 0 for
+    /// a label the run never charged, or charged no times.
     pub fn comm_per_step(&self, label: &str) -> f64 {
-        self.comm_steps
-            .iter()
-            .find(|c| c.label == label)
-            .map(|c| c.per_step())
-            .unwrap_or(0.0)
+        match self.comm_steps.iter().find(|c| c.label == label) {
+            Some(c) if c.count > 0 => c.total_seconds / c.count as f64,
+            _ => 0.0,
+        }
     }
 
     /// Peak surface ozone over the whole run (ppm) — the headline science
@@ -269,7 +237,7 @@ impl fmt::Display for RunReport {
                 c.label,
                 c.total_seconds,
                 c.count,
-                1000.0 * c.per_step()
+                1000.0 * self.comm_per_step(c.label)
             )?;
         }
         if let Some(last) = self.summaries.last() {
@@ -312,16 +280,19 @@ mod tests {
     }
 
     #[test]
-    fn speedup_and_display() {
-        // Four seconds of chemistry on one node, or one on each of four.
-        let mut m1 = Machine::new(MachineProfile::t3e(), 1);
-        m1.charge("chemistry", PhaseCategory::Chemistry, 4.0);
-        let r1 = RunReport::from_machine("LA", &m1, 1, vec![]);
-        let mut m4 = Machine::new(MachineProfile::t3e(), 4);
-        m4.charge("chemistry", PhaseCategory::Chemistry, 1.0);
-        let r4 = RunReport::from_machine("LA", &m4, 1, vec![]);
-        assert!((r4.speedup_vs(&r1) - 4.0).abs() < 1e-9);
-        let text = format!("{r4}");
+    fn comm_per_step_divides_and_display_prints_it() {
+        let mut m = Machine::new(MachineProfile::t3e(), 4);
+        m.charge("chemistry", PhaseCategory::Chemistry, 1.0);
+        m.charge("D_Trans->D_Chem", PhaseCategory::Communication, 0.25);
+        m.charge("D_Trans->D_Chem", PhaseCategory::Communication, 0.25);
+        let mut r = RunReport::from_machine("LA", &m, 1, vec![]);
+        assert_eq!(r.comm_per_step("D_Trans->D_Chem"), 0.25);
+        assert_eq!(r.comm_per_step("D_Chem->D_Repl"), 0.0);
+        let text = format!("{r}");
         assert!(text.contains("chemistry"));
+        assert!(text.contains("comm D_Trans->D_Chem: 0.500s total over 2 steps (250.00 ms/step)"));
+        // A row that never occurred costs nothing per step.
+        r.comm_steps[0].count = 0;
+        assert_eq!(r.comm_per_step("D_Trans->D_Chem"), 0.0);
     }
 }

@@ -6,8 +6,8 @@
 //! one charge loop walking the node order, collecting nothing. So what
 //! building a placement allocates (that vector) does not depend on the
 //! node count or the layout; a replay from a built placement allocates
-//! only the machine's comm log and the report, the same at every P,
-//! layout and machine; and charging a live hour, or the benchmark's
+//! only the machine's comm log and the report's one comm-step vector,
+//! the same at every P, layout and machine; and charging a live hour, or the benchmark's
 //! `PhaseGraph` a second time, allocates nothing at all. A placement
 //! keeps that vector and no plan set, so what it holds does not grow
 //! with P either. The counting allocator below counts this thread's
@@ -213,9 +213,13 @@ fn a_placement_folds_alike_and_replays_only_its_report() {
         folds.push((p, layout, calls, bytes));
         for machine in MachineProfile::paper_machines() {
             let (report, calls, bytes) = counted(|| placement.replay(&profile, machine));
-            // What cloning the report allocates, so the machine's name
-            // (which differs per machine) is accounted for.
+            // What cloning the report allocates: its comm-step rows,
+            // one vector (its names are static and its summaries empty).
             let (_, report_calls, report_bytes) = counted(|| report.clone());
+            assert_eq!(
+                report_calls, 1,
+                "P = {p} {layout}: a report allocates more than its comm-step rows"
+            );
             println!(
                 "replay P = {p:>4} {:<10} {:<13} {calls:>3} allocations {bytes:>6} bytes \
                  (report {report_calls} / {report_bytes})",

@@ -84,7 +84,7 @@ fn fold(hash: &mut Fnv, r: &RunReport) {
     }
     hash.word(r.comm_steps.len() as u64);
     for step in &r.comm_steps {
-        hash.text(&step.label);
+        hash.text(step.label);
         hash.word(step.total_seconds.to_bits());
         hash.word(step.count as u64);
     }

@@ -26,11 +26,12 @@ use airshed_core::obs::dist::TraceContext;
 use airshed_core::plan::replay_profile;
 use airshed_core::predict::{CommOccurrences, PerfModel, PricedModel, PRICE_MEMO_ENTRIES};
 use airshed_core::profile::{HourProfile, StepProfile, WorkProfile};
-use airshed_core::report::{CommStepSummary, CopyBytes, LatencyAnatomy, RunReport};
+use airshed_core::report::{CopyBytes, LatencyAnatomy, RunReport};
 use airshed_core::state::{HourSummary, SimState};
 use airshed_core::ExecSpec;
 use airshed_fabric::proto::MAX_NODES;
 use airshed_fabric::{Msg, ScenarioJob};
+use airshed_machine::accounting::CommStepRecord;
 use airshed_machine::MachineProfile;
 use airshed_server::ResumePoint;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -106,7 +107,7 @@ fn bound(n: usize) -> usize {
         ratio::<StepProfile>(),
         ratio::<HourProfile>(),
         ratio::<HourSummary>(),
-        ratio::<CommStepSummary>(),
+        ratio::<CommStepRecord>(),
         ratio::<RunReport>(),
         ratio::<ScenarioJob>(),
         ratio::<ResumePoint>(),
@@ -192,15 +193,7 @@ impl Rng {
     /// Names decode through the interning set, which tests keep full:
     /// only canonical names round-trip.
     fn name(&mut self) -> &'static str {
-        [
-            "LA",
-            "NE",
-            "TINY",
-            "TEST",
-            "Cray T3E",
-            "Cray T3D",
-            "Intel Paragon",
-        ][self.below(7) as usize]
+        codec::CANONICAL_NAMES[self.below(codec::CANONICAL_NAMES.len() as u64) as usize]
     }
 }
 
@@ -313,8 +306,8 @@ fn model(r: &mut Rng) -> PerfModel {
 
 fn report(r: &mut Rng) -> RunReport {
     RunReport {
-        dataset: r.string(),
-        machine: r.string(),
+        dataset: r.name(),
+        machine: r.name(),
         p: r.usize(),
         hours: r.usize(),
         total_seconds: r.f64(),
@@ -323,8 +316,8 @@ fn report(r: &mut Rng) -> RunReport {
         chemistry_seconds: r.f64(),
         communication_seconds: r.f64(),
         popexp_seconds: r.f64(),
-        comm_steps: r.vec(|r| CommStepSummary {
-            label: r.string(),
+        comm_steps: r.vec(|r| CommStepRecord {
+            label: r.name(),
             total_seconds: r.f64(),
             count: r.usize(),
         }),
@@ -755,6 +748,41 @@ fn hostile_machines_keep_the_price_memo_bounded() {
     }
 }
 
+/// Hostile names stay bounded in a report too: with the interning set
+/// full, a `Completed` frame whose report names the four
+/// redistributions decodes (their labels are canonical), and one naming
+/// a label the planner never charges is a typed decode error.
+#[test]
+fn a_full_name_set_decodes_the_four_redistributions_and_refuses_a_fifth() {
+    fill_the_name_set();
+    let (_, profile) = run_with_profile_on(&SimConfig::test_tiny(2, 1), ExecSpec::serial());
+    let report = replay_profile(&profile, MachineProfile::t3e(), 4, ChemLayout::Block);
+    let labels: Vec<&str> = report.comm_steps.iter().map(|c| c.label).collect();
+    assert_eq!(labels.len(), 4, "{labels:?}");
+    let completed = |report: RunReport| {
+        let msg = Msg::Completed {
+            job: 3,
+            ctx: TraceContext::for_job(3),
+            sent_us: 0,
+            report: Box::new(report),
+        };
+        Msg::decode(msg.tag(), &msg.encode())
+    };
+    match completed(report.clone()) {
+        Ok(Msg::Completed { report, .. }) => {
+            let decoded: Vec<&str> = report.comm_steps.iter().map(|c| c.label).collect();
+            assert_eq!(decoded, labels);
+        }
+        other => panic!("the four redistributions: {other:?}"),
+    }
+    let mut hostile = report;
+    hostile.comm_steps[0].label = "D_Chem->D_Trans";
+    match completed(hostile) {
+        Err(WireError::Malformed(_)) => {}
+        other => panic!("a fifth label: {other:?}"),
+    }
+}
+
 /// A vector never reserves more memory than there are unread bytes: a
 /// count admitted at its elements' minimum size, over bytes whose first
 /// element is refused, holds no more than those bytes.
@@ -770,7 +798,7 @@ fn a_refused_first_element_holds_no_more_than_the_bytes_behind_its_count() {
     }
     check::<StepProfile>();
     check::<HourProfile>();
-    check::<CommStepSummary>();
+    check::<CommStepRecord>();
 }
 
 /// A profile whose hour count and first step count each claim every

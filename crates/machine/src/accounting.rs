@@ -30,16 +30,6 @@ impl PhaseCategory {
         PhaseCategory::PopExp,
     ];
 
-    pub fn label(&self) -> &'static str {
-        match self {
-            PhaseCategory::IoProc => "I/O Processing",
-            PhaseCategory::Transport => "Transport",
-            PhaseCategory::Chemistry => "Chemistry",
-            PhaseCategory::Communication => "Communication",
-            PhaseCategory::PopExp => "PopExp",
-        }
-    }
-
     fn index(&self) -> usize {
         match self {
             PhaseCategory::IoProc => 0,
@@ -74,15 +64,6 @@ pub enum PhaseKind {
 }
 
 impl PhaseKind {
-    pub const ALL: [PhaseKind; 6] = [
-        PhaseKind::InputHour,
-        PhaseKind::PreTrans,
-        PhaseKind::Transport,
-        PhaseKind::Chemistry,
-        PhaseKind::Aerosol,
-        PhaseKind::OutputHour,
-    ];
-
     /// The accounting category this phase's time is attributed to —
     /// `IoProc` groups inputhour + pretrans + outputhour and `Chemistry`
     /// groups kinetics + aerosol, exactly as in the paper's §2.2.
@@ -128,27 +109,16 @@ impl PhaseBreakdown {
     pub fn get(&self, cat: PhaseCategory) -> f64 {
         self.seconds[cat.index()]
     }
-
-    /// Total attributed time.
-    pub fn total(&self) -> f64 {
-        self.seconds.iter().sum()
-    }
-
-    /// Merge another breakdown (e.g. from a pipeline stage).
-    pub fn absorb(&mut self, other: &PhaseBreakdown) {
-        for i in 0..self.seconds.len() {
-            self.seconds[i] += other.seconds[i];
-        }
-    }
 }
 
 /// A labelled communication step record: which redistribution, and what it
-/// cost — the rows of Figure 5.
+/// cost — the rows of Figure 5. A run report carries these rows as the
+/// machine recorded them, and the codec writes them as they are.
 #[derive(Debug, Clone, Serialize)]
 pub struct CommStepRecord {
     pub label: &'static str,
-    pub seconds: f64,
-    /// Per-phase occurrence count folded into `seconds`.
+    pub total_seconds: f64,
+    /// Per-phase occurrence count folded into `total_seconds`.
     pub count: usize,
 }
 
@@ -166,12 +136,12 @@ impl CommLog {
     /// Record one occurrence of a labelled communication step.
     pub fn record(&mut self, label: &'static str, seconds: f64) {
         if let Some(r) = self.records.iter_mut().find(|r| r.label == label) {
-            r.seconds += seconds;
+            r.total_seconds += seconds;
             r.count += 1;
         } else {
             self.records.push(CommStepRecord {
                 label,
-                seconds,
+                total_seconds: seconds,
                 count: 1,
             });
         }
@@ -180,20 +150,6 @@ impl CommLog {
     pub fn records(&self) -> &[CommStepRecord] {
         &self.records
     }
-
-    /// Total time for one label.
-    pub fn total_for(&self, label: &str) -> f64 {
-        self.records
-            .iter()
-            .filter(|r| r.label == label)
-            .map(|r| r.seconds)
-            .sum()
-    }
-
-    /// Total communication time.
-    pub fn total(&self) -> f64 {
-        self.records.iter().map(|r| r.seconds).sum()
-    }
 }
 
 #[cfg(test)]
@@ -201,7 +157,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn breakdown_accumulates_and_totals() {
+    fn breakdown_accumulates_per_category() {
         let mut b = PhaseBreakdown::new();
         b.add(PhaseCategory::Chemistry, 10.0);
         b.add(PhaseCategory::Chemistry, 5.0);
@@ -209,19 +165,8 @@ mod tests {
         assert_eq!(b.get(PhaseCategory::Chemistry), 15.0);
         assert_eq!(b.get(PhaseCategory::Transport), 3.0);
         assert_eq!(b.get(PhaseCategory::IoProc), 0.0);
-        assert_eq!(b.total(), 18.0);
-    }
-
-    #[test]
-    fn absorb_merges() {
-        let mut a = PhaseBreakdown::new();
-        a.add(PhaseCategory::IoProc, 2.0);
-        let mut b = PhaseBreakdown::new();
-        b.add(PhaseCategory::IoProc, 3.0);
-        b.add(PhaseCategory::PopExp, 1.0);
-        a.absorb(&b);
-        assert_eq!(a.get(PhaseCategory::IoProc), 5.0);
-        assert_eq!(a.get(PhaseCategory::PopExp), 1.0);
+        let total: f64 = PhaseCategory::ALL.iter().map(|&c| b.get(c)).sum();
+        assert_eq!(total, 18.0);
     }
 
     #[test]
@@ -230,16 +175,10 @@ mod tests {
         log.record("D_Repl->D_Trans", 0.5);
         log.record("D_Trans->D_Chem", 0.2);
         log.record("D_Repl->D_Trans", 0.5);
-        assert_eq!(log.records().len(), 2);
-        assert_eq!(log.total_for("D_Repl->D_Trans"), 1.0);
-        assert_eq!(log.total(), 1.2);
-        let r = &log.records()[0];
-        assert_eq!(r.count, 2);
-    }
-
-    #[test]
-    fn labels_are_stable() {
-        assert_eq!(PhaseCategory::IoProc.label(), "I/O Processing");
-        assert_eq!(PhaseCategory::ALL.len(), 5);
+        let rows = log.records();
+        assert_eq!(rows.len(), 2);
+        assert_eq!(rows[0].label, "D_Repl->D_Trans");
+        assert_eq!((rows[0].total_seconds, rows[0].count), (1.0, 2));
+        assert_eq!(rows.iter().map(|r| r.total_seconds).sum::<f64>(), 1.2);
     }
 }

@@ -76,7 +76,7 @@ mod tests {
         assert_eq!(per_node_work.len(), m.p());
         let heaviest = per_node_work.iter().fold(0.0f64, |a, &b| a.max(b));
         let seconds = m.profile.compute_seconds(heaviest);
-        m.charge(cat.label(), cat, seconds)
+        m.charge("compute", cat, seconds)
     }
 
     #[test]
@@ -140,6 +140,11 @@ mod tests {
         let dt = m.charge("D_Trans->D_Chem", PhaseCategory::Communication, seconds);
         assert!(dt > 0.0);
         assert_eq!(m.breakdown.get(PhaseCategory::Communication), dt);
-        assert_eq!(m.comm_log.total_for("D_Trans->D_Chem"), dt);
+        let rows = m.comm_log.records();
+        assert_eq!(rows.len(), 1);
+        assert_eq!(
+            (rows[0].label, rows[0].total_seconds),
+            ("D_Trans->D_Chem", dt)
+        );
     }
 }

@@ -357,6 +357,23 @@ if [ -n "$memos" ]; then
 fi
 echo "one bounded memo OK"
 
+echo "==> one accounting record: a report carries the machine's own comm-step rows"
+# The Figure 5 rows are declared once, as the machine's
+# accounting::CommStepRecord, and a RunReport carries them with the
+# static dataset and machine names the profiles already hold. These are
+# the names of the second copies: the report's own row type, the
+# exporter-side pid namespace the trace merger now owns alone, and the
+# totals nothing outside tests read.
+records="$(non_test "(^|[^[:alnum:]_])(CommStepSummary|pid_base|speedup_vs|total_for)$end" \
+    $(git ls-files '*.rs' | grep -v '^vendor/\|^benchmark/'))
+$(non_test "pub (dataset|machine): String" crates/core/src/report.rs)"
+if [ -n "${records//$'\n'/}" ]; then
+    echo "$records"
+    echo "one accounting record FAILED: the lines above keep a second copy of the record" >&2
+    exit 1
+fi
+echo "one accounting record OK"
+
 echo "==> one codec: bytes meet numbers only in core::codec"
 # Every wire, checkpoint and cache layout is declared once with
 # `codec!` (crates/core/src/codec.rs); a second hand-rolled framing, or

@@ -26,8 +26,8 @@ mod model;
 #[path = "airshed/service.rs"]
 mod service;
 
-use airshed::core::obs::{dist, Obs, SpanSink};
-use flags::{parse, usage, Cmd, Command, Options, COMMANDS, HELP};
+use airshed::core::obs::{Obs, SpanSink};
+use flags::{parse, usage, Command, Options, COMMANDS, HELP};
 use std::process::ExitCode;
 use std::sync::Arc;
 
@@ -50,16 +50,8 @@ fn execute(command: &Command, opts: &Options) -> Result<(), String> {
     };
     (command.run)(opts, &obs)?;
     let Some(sink) = sink else { return Ok(()) };
-    // Shard processes namespace their pids/tids by shard name so
-    // the merged timeline never collides tracks across processes.
-    let trace = if command.cmd == Cmd::Shard {
-        let name = &opts.shard_name;
-        sink.chrome_trace(dist::pid_base(name), name)
-    } else {
-        sink.chrome_trace(0, "")
-    };
     if let Some(path) = &opts.trace_out {
-        write_file(path, trace)?;
+        write_file(path, sink.chrome_trace())?;
     }
     if let Some(path) = &opts.metrics_out {
         write_file(path, sink.prometheus())?;

@@ -380,7 +380,7 @@ fn cross_shard_sort_and_open_span_flush_on_drop() {
 
     // Hold one guard open across the export.
     let open_guard = obs.span("hour");
-    let trace = sink.chrome_trace(0, "");
+    let trace = sink.chrome_trace();
     let events = sink.events();
 
     // (1) Global sort across shards.
@@ -418,7 +418,7 @@ fn cross_shard_sort_and_open_span_flush_on_drop() {
     // Once the guard drops the same span becomes a complete event and
     // the begin event disappears.
     drop(open_guard);
-    let trace = sink.chrome_trace(0, "");
+    let trace = sink.chrome_trace();
     let doc = Json::parse(&trace).unwrap();
     let trace_events = doc.get("traceEvents").and_then(Json::as_arr).unwrap();
     let closed_hours: Vec<&str> = trace_events
