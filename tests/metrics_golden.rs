@@ -16,8 +16,6 @@
 //! * `router.prom` — `Router::prometheus` after a scripted two-shard
 //!   session on the router's injected clock (failover, a trace-context
 //!   mismatch, heartbeat plan counters, copy bytes). Nothing is masked.
-//! * `ensemble.prom` — `ensemble::prometheus_section` over fixed
-//!   `DedupStats`.
 //! * `copy_traffic.prom` — the `copy-traffic` section one tiny traced
 //!   episode publishes.
 //!
@@ -27,7 +25,7 @@
 
 use airshed::core::config::SimConfig;
 use airshed::core::driver::{run_resumable_with, ChemLayout, Episode, PlanMemoStats};
-use airshed::core::ensemble::{prometheus_section, DedupStats, EnsembleJob};
+use airshed::core::ensemble::EnsembleJob;
 use airshed::core::obs::prom::escape_label_value;
 use airshed::core::obs::{Obs, SpanSink};
 use airshed::core::report::CopyBytes;
@@ -223,17 +221,6 @@ fn episode_session() -> (String, Arc<SpanSink>) {
         .expect("a traced episode publishes its copy traffic")
         .1;
     (section, sink)
-}
-
-fn fixed_dedup() -> String {
-    let stats = DedupStats {
-        input_runs: 6,
-        input_hours_deduped: 18,
-        saved_bytes: 1_234_567,
-        saved_seconds: 0.375,
-        groups: 2,
-    };
-    prometheus_section(8, &stats, 2.5)
 }
 
 // ---- the exposition checker -------------------------------------------
@@ -432,13 +419,6 @@ fn router_section_matches_golden() {
     let text = router_session();
     check_exposition("router", &text);
     assert_golden("router.prom", &text);
-}
-
-#[test]
-fn ensemble_section_matches_golden() {
-    let text = fixed_dedup();
-    check_exposition("ensemble", &text);
-    assert_golden("ensemble.prom", &text);
 }
 
 #[test]
