@@ -23,8 +23,12 @@
 //! input stage **once per group per hour**, and forks only the
 //! perturbed fields per member. The savings are measured (bytes of
 //! input generation avoided, wall seconds of input+pretrans avoided)
-//! and reported in each member's [`RunReport`] and in a Prometheus
-//! section published through the [`Obs`] handle.
+//! and reported in each member's [`RunReport`] and in
+//! [`EnsembleResult::dedup`]. Sweeps are served by
+//! `airshed_server::ScenarioServer::run_ensemble`, the one caller of
+//! [`run_ensemble`] outside tests, which prices the members, keeps their
+//! profiles and exports the accounting as its `airshed_server_ensemble_*`
+//! counters.
 //!
 //! Deduplication never changes results: a member's report and profile
 //! are bit-identical to a standalone run of
@@ -289,32 +293,12 @@ pub fn run_ensemble(job: &EnsembleJob, exec: ExecSpec, obs: &Obs, dedup: bool) -
         .into_iter()
         .map(|r| r.expect("every member ran"))
         .collect();
-    let wall_seconds = sweep_start.elapsed().as_secs_f64();
-    if obs.enabled() {
-        obs.record_counter(
-            "ensemble_input_hours_deduped",
-            "ensemble",
-            0.0,
-            stats.input_hours_deduped as f64,
-            None,
-        );
-        obs.record_counter(
-            "ensemble_saved_bytes",
-            "ensemble",
-            0.0,
-            stats.saved_bytes as f64,
-            None,
-        );
-        obs.publish(
-            "ensemble",
-            prometheus_section(job.len(), &stats, wall_seconds),
-        );
-        obs.flush();
-    }
+    // The last hour's member spans close after that hour's flush.
+    obs.flush();
     EnsembleResult {
         members,
         dedup: stats,
-        wall_seconds,
+        wall_seconds: sweep_start.elapsed().as_secs_f64(),
     }
 }
 
@@ -375,49 +359,6 @@ fn run_group(
             profile,
         });
     }
-}
-
-/// What the `ensemble` section reads: one finished sweep.
-struct Sweep {
-    members: usize,
-    stats: DedupStats,
-    wall_seconds: f64,
-}
-
-crate::metrics! {
-    const SWEEP: [Sweep] = {
-        counter "airshed_ensemble_members_total" "Ensemble members executed." { members }
-        counter "airshed_ensemble_groups_total" "Shared-input groups." { stats.groups }
-        counter "airshed_ensemble_input_runs_total" "Input-stage executions that actually ran." {
-            stats.input_runs
-        }
-        counter "airshed_ensemble_input_hours_deduped_total"
-            "Member-hours whose input stage was served by a shared run." {
-            stats.input_hours_deduped
-        }
-        counter "airshed_ensemble_dedup_saved_bytes_total"
-            "Bytes of hourly input generation avoided by dedup." {
-            stats.saved_bytes
-        }
-        counter "airshed_ensemble_dedup_saved_seconds"
-            "Wall seconds of input+pretrans work avoided by dedup." {
-            stats.saved_seconds
-        }
-        gauge "airshed_ensemble_wall_seconds" "Wall-clock duration of the whole sweep." {
-            wall_seconds
-        }
-    };
-}
-
-/// Render the dedup stats as a Prometheus text section (published under
-/// the `ensemble` section name through the obs handle).
-pub fn prometheus_section(members: usize, stats: &DedupStats, wall_seconds: f64) -> String {
-    let sweep = Sweep {
-        members,
-        stats: *stats,
-        wall_seconds,
-    };
-    crate::obs::prom::render(SWEEP, &sweep)
 }
 
 #[cfg(test)]
@@ -485,20 +426,5 @@ mod tests {
             o3[0] != o3[1] && o3[1] != o3[2],
             "emission scaling must matter: {o3:?}"
         );
-    }
-
-    #[test]
-    fn prometheus_section_names_the_counters() {
-        let stats = DedupStats {
-            input_runs: 3,
-            input_hours_deduped: 9,
-            saved_bytes: 12345,
-            saved_seconds: 0.5,
-            groups: 1,
-        };
-        let text = prometheus_section(4, &stats, 2.0);
-        assert!(text.contains("airshed_ensemble_members_total 4"));
-        assert!(text.contains("airshed_ensemble_input_hours_deduped_total 9"));
-        assert!(text.contains("airshed_ensemble_dedup_saved_bytes_total 12345"));
     }
 }

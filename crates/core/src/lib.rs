@@ -40,9 +40,11 @@
 //! * [`obs`] — the unified observability layer (spans, Chrome-trace and
 //!   Prometheus exporters) every other module reports through;
 //! * [`ensemble`] — perturbation sweeps run as one job, with the
-//!   shared input stage executed once per group of members;
+//!   shared input stage executed once per group of members (served by
+//!   `airshed_server::ScenarioServer::run_ensemble`);
 //! * [`surrogate`] — the per-cell response surface fitted over a
-//!   finished ensemble, answering what-if queries with an error bound;
+//!   finished ensemble, whose guarded query the server's what-if router
+//!   tries before an exact run;
 //! * [`report`] — run reports for the figure harness;
 //! * [`codec`](mod@codec) — the one byte layout of everything that
 //!   leaves a process: fabric frames, checkpoints, the figure cache.
@@ -67,13 +69,9 @@ pub mod testsupport;
 pub mod viz;
 
 pub use backend::ExecSpec;
-pub use config::{DatasetChoice, SimConfig};
+pub use config::SimConfig;
 pub use driver::{ChemLayout, PlanLayouts};
-pub use ensemble::{run_ensemble, DedupStats, EnsembleJob, EnsembleResult};
-pub use obs::oracle::{validate_profile, Validation};
 pub use obs::Obs;
-pub use plan::{optimize_plan, PlanChoice};
 pub use predict::{PerfModel, PricedModel};
 pub use profile::WorkProfile;
 pub use report::RunReport;
-pub use surrogate::{what_if, ResponseSurface, SurrogateAnswer, WhatIfOutcome};

@@ -15,7 +15,8 @@
 //! [`ResponseSurface::query`] answers only when that bound is within
 //! the caller's tolerance and the queried scale is inside the trained
 //! range — otherwise it reports *why* and the caller falls back to
-//! exact simulation ([`what_if`] automates that fallback). Predictions
+//! exact simulation (`airshed_server::ScenarioServer::what_if`, the one
+//! what-if router, runs that fallback). Predictions
 //! on the training members themselves always respect the reported
 //! bound (pinned by `crates/core/tests/proptest_surrogate.rs`).
 //!
@@ -49,11 +50,7 @@
 //!
 //! [`EnsembleJob`]: crate::ensemble::EnsembleJob
 
-use crate::backend::ExecSpec;
-use crate::config::SimConfig;
-use crate::driver::Episode;
 use crate::ensemble::EnsembleResult;
-use crate::obs::Obs;
 use crate::report::RunReport;
 use std::fmt;
 
@@ -340,7 +337,7 @@ fn powers(x: f64, k: usize) -> [f64; 3] {
     b
 }
 
-/// How a [`what_if`] query was answered.
+/// How `airshed_server::ScenarioServer::what_if` answered a query.
 #[derive(Debug, Clone)]
 pub enum WhatIfOutcome {
     /// Answered from the surrogate — the simulator never ran.
@@ -366,62 +363,6 @@ impl WhatIfOutcome {
 
     pub fn is_surrogate(&self) -> bool {
         matches!(self, WhatIfOutcome::Surrogate { .. })
-    }
-}
-
-/// The two-tier what-if query: try the surrogate, fall back to running
-/// the exact simulation of `base` at `scale` when the surrogate
-/// declines (bound over tolerance, scale out of range, or no surface).
-pub fn what_if(
-    surface: Option<&ResponseSurface>,
-    base: &SimConfig,
-    scale: f64,
-    tolerance: f64,
-    exec: ExecSpec,
-    obs: &Obs,
-) -> WhatIfOutcome {
-    surrogate_tier(surface, scale, tolerance).unwrap_or_else(|reason| {
-        let mut config = base.clone();
-        config.emission_scale = scale;
-        exact_tier(&config, reason, exec, obs)
-    })
-}
-
-/// The first tier of [`what_if`] alone, querying the surface once: its
-/// answer, or why the exact tier must run (`None` when there is no
-/// surface at all).
-pub fn surrogate_tier(
-    surface: Option<&ResponseSurface>,
-    scale: f64,
-    tolerance: f64,
-) -> Result<WhatIfOutcome, Option<FallbackReason>> {
-    match surface.map(|s| s.query(scale, tolerance)) {
-        Some(SurrogateAnswer::Hit { field, bound }) => {
-            Ok(WhatIfOutcome::Surrogate { field, bound })
-        }
-        Some(SurrogateAnswer::Fallback(reason)) => Err(Some(reason)),
-        None => Err(None),
-    }
-}
-
-/// The second tier of [`what_if`] alone: simulate `config` (the base at
-/// the queried scale) and answer with its final-hour surface field.
-pub fn exact_tier(
-    config: &SimConfig,
-    reason: Option<FallbackReason>,
-    exec: ExecSpec,
-    obs: &Obs,
-) -> WhatIfOutcome {
-    let (report, profile, _) = Episode::new(config, None, exec, obs).run(config.hours);
-    let field = profile
-        .hours
-        .last()
-        .map(|h| h.surface.clone())
-        .unwrap_or_default();
-    WhatIfOutcome::Exact {
-        field,
-        report: Box::new(report),
-        reason,
     }
 }
 
@@ -477,7 +418,11 @@ fn solve((m, swaps): &([[f64; 3]; 3], [usize; 3]), k: usize, mut r: [f64; 3]) ->
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::ExecSpec;
+    use crate::config::SimConfig;
+    use crate::driver::Episode;
     use crate::ensemble::{run_ensemble, EnsembleJob};
+    use crate::obs::Obs;
 
     /// The per-cell solve the fit ran before it shared one elimination:
     /// `m y = r` by Gaussian elimination with partial pivoting, `None`
@@ -701,10 +646,14 @@ mod tests {
         }
         // An interior scale predicts between its neighbours for the
         // bulk of cells (the response is smooth in the scale).
-        let exact = what_if(None, &base, 0.875, 0.0, ExecSpec::serial(), &Obs::off());
+        let mut interior = base.clone();
+        interior.emission_scale = 0.875;
+        let (_, profile, _) =
+            Episode::new(&interior, None, ExecSpec::serial(), &Obs::off()).run(interior.hours);
+        let exact = &profile.hours.last().expect("one hour ran").surface;
         let approx = surface.predict(0.875);
         let (mut close, mut total) = (0usize, 0usize);
-        for (p, y) in approx.iter().zip(exact.field()) {
+        for (p, y) in approx.iter().zip(exact) {
             total += 1;
             if (p - y).abs() <= 5e-3 * y.abs().max(1e-6) + 1e-6 {
                 close += 1;
@@ -714,42 +663,6 @@ mod tests {
             close * 10 >= total * 9,
             "only {close}/{total} cells within the smoothness band"
         );
-    }
-
-    #[test]
-    fn what_if_takes_the_surrogate_tier_when_allowed() {
-        let mut base = SimConfig::test_tiny(4, 1);
-        base.dataset = crate::config::DatasetChoice::Tiny(40);
-        base.start_hour = 10;
-        let job = EnsembleJob::emission_sweep(base.clone(), &[0.6, 0.8, 1.0]);
-        let result = run_ensemble(&job, ExecSpec::default(), &Obs::off(), true);
-        let surface = ResponseSurface::from_ensemble(&result).unwrap();
-        let loose = surface.error_bound().max(1e-12) * 10.0;
-        let hit = what_if(
-            Some(&surface),
-            &base,
-            0.7,
-            loose,
-            ExecSpec::serial(),
-            &Obs::off(),
-        );
-        assert!(hit.is_surrogate());
-        // Out-of-range query really runs the simulator.
-        let exact = what_if(
-            Some(&surface),
-            &base,
-            1.5,
-            loose,
-            ExecSpec::serial(),
-            &Obs::off(),
-        );
-        match exact {
-            WhatIfOutcome::Exact { reason, report, .. } => {
-                assert!(matches!(reason, Some(FallbackReason::OutOfRange { .. })));
-                assert_eq!(report.hours, 1);
-            }
-            other => panic!("expected exact fallback, got {other:?}"),
-        }
     }
 
     #[test]

@@ -31,6 +31,14 @@
 //! * [`metrics`] — counters and latency histograms for every stage, with
 //!   a reconciliation invariant (`submitted = completed + rejected +
 //!   cancelled`) checked in tests and printed in the report.
+//!
+//! [`ScenarioServer::run_ensemble`] and [`ScenarioServer::what_if`] are
+//! the one way to run an ensemble sweep or a what-if query (the
+//! `airshed ensemble` CLI is a client): a sweep's members are priced and
+//! feed the caches, a clean emission sweep stores its response surface,
+//! and a what-if is answered from that surface or by an admitted exact
+//! run, counted by tier in the `airshed_server_ensemble_*` and
+//! `airshed_server_surrogate_answers_total` rows.
 
 pub mod admission;
 pub mod cache;
@@ -45,9 +53,9 @@ use crate::queue::BoundedQueue;
 use airshed_core::checkpoint::Checkpoint;
 use airshed_core::codec::{Codec, Dec, Enc, WireError};
 use airshed_core::config::SimConfig;
-use airshed_core::driver::{ChemLayout, PlanLayouts};
+use airshed_core::driver::{ChemLayout, Episode, PlanLayouts};
 use airshed_core::ensemble::{run_ensemble, EnsembleJob, EnsembleResult};
-use airshed_core::surrogate::{exact_tier, surrogate_tier, ResponseSurface, WhatIfOutcome};
+use airshed_core::surrogate::{ResponseSurface, SurrogateAnswer, WhatIfOutcome};
 use airshed_core::{Obs, RunReport, WorkProfile};
 use std::collections::HashMap;
 use std::fmt;
@@ -341,6 +349,9 @@ pub enum WhatIfRouted {
         predicted_seconds: f64,
         budget_seconds: f64,
     },
+    /// The surrogate declined and no run is defined at the queried scale
+    /// (NaN, negative or infinite): why, from [`SimConfig::validate`].
+    Refused(&'static str),
 }
 
 impl WhatIfRouted {
@@ -348,7 +359,7 @@ impl WhatIfRouted {
     pub fn outcome(&self) -> Option<&WhatIfOutcome> {
         match self {
             WhatIfRouted::Answered(o) => Some(o),
-            WhatIfRouted::Rejected { .. } => None,
+            WhatIfRouted::Rejected { .. } | WhatIfRouted::Refused(_) => None,
         }
     }
 }
@@ -597,32 +608,35 @@ impl ScenarioServer {
     }
 
     /// Answer a what-if query ("what if emissions were at `scale`?") in
-    /// two tiers. A surrogate hit is answered from the fitted response
-    /// surface and **bypasses admission pricing entirely** — no budget
-    /// is spent on a query the surface answers within `tolerance`. When
-    /// the surrogate declines (no surface for the family, scale outside
-    /// the fitted range, or error bound over tolerance), the exact
+    /// two tiers — the one what-if router. A surrogate hit is answered
+    /// from the fitted response surface and **bypasses admission pricing
+    /// entirely** — no budget is spent on a query the surface answers
+    /// within `tolerance`. When the surrogate declines (no surface for
+    /// the family, scale outside the fitted range, or error bound over
+    /// tolerance), a scale no run is defined at is refused, and the exact
     /// fallback simulation is priced by admission control like any other
-    /// job and may be rejected.
+    /// job and may be rejected; an admitted one runs on the caller's
+    /// thread and answers with its last hour's surface field.
     pub fn what_if(&self, base: &SimConfig, scale: f64, tolerance: f64) -> WhatIfRouted {
         let obs = &self.shared.obs;
         let _span = obs.span("what-if");
-        let surface = lock(&self.shared.surrogates)
-            .get(&surrogate_key(base))
-            .cloned();
         let metrics = &self.shared.metrics;
-        let reason = match surrogate_tier(surface.as_deref(), scale, tolerance) {
-            Ok(hit) => {
+        let reason = match self.surface(base).map(|s| s.query(scale, tolerance)) {
+            Some(SurrogateAnswer::Hit { field, bound }) => {
                 metrics.surrogate_hits.inc();
-                return WhatIfRouted::Answered(hit);
+                return WhatIfRouted::Answered(WhatIfOutcome::Surrogate { field, bound });
             }
-            Err(reason) => reason,
+            Some(SurrogateAnswer::Fallback(reason)) => Some(reason),
+            None => None,
         };
-        // Price the fallback before running it. Rejection here is not
-        // job-flow accounting: the query never entered the submit
-        // queue, so `rejected_admission` stays untouched.
+        // Refuse, then price, the fallback before running it. Neither is
+        // job-flow accounting: the query never entered the submit queue,
+        // so `rejected_admission` stays untouched.
         let mut exact = base.clone();
         exact.emission_scale = scale;
+        if let Err(why) = exact.validate() {
+            return WhatIfRouted::Refused(why);
+        }
         {
             let _admission_span = obs.span("admission");
             if let AdmissionDecision::Reject {
@@ -639,15 +653,22 @@ impl ScenarioServer {
                 };
             }
         }
-        let outcome = exact_tier(&exact, reason, self.shared.exec, obs);
+        let (report, mut profile, _) =
+            Episode::new(&exact, None, self.shared.exec, obs).run(exact.hours);
         metrics.surrogate_misses.inc();
-        WhatIfRouted::Answered(outcome)
+        WhatIfRouted::Answered(WhatIfOutcome::Exact {
+            field: profile.hours.pop().map(|h| h.surface).unwrap_or_default(),
+            report: Box::new(report),
+            reason,
+        })
     }
 
-    /// Number of response surfaces fitted and stored by completed
-    /// ensemble sweeps.
-    pub fn surrogate_surfaces(&self) -> usize {
-        lock(&self.shared.surrogates).len()
+    /// The response surface a completed sweep of `base`'s family stored:
+    /// the one [`ScenarioServer::what_if`] answers from.
+    pub fn surface(&self, base: &SimConfig) -> Option<Arc<ResponseSurface>> {
+        lock(&self.shared.surrogates)
+            .get(&surrogate_key(base))
+            .cloned()
     }
 
     /// A point-in-time metrics snapshot.
@@ -1072,7 +1093,10 @@ mod tests {
         assert_eq!(result.members.len(), 5);
         assert_eq!(result.dedup.input_runs, 1, "one shared input group");
         assert!(result.dedup.saved_bytes > 0);
-        assert_eq!(server.surrogate_surfaces(), 1);
+        let surface = server
+            .surface(&base)
+            .expect("a clean sweep stores a surface");
+        assert_eq!(surface.members(), 5);
         // Member profiles calibrated admission for the family.
         assert!(server.calibrated_families() >= 1);
 
@@ -1094,14 +1118,21 @@ mod tests {
         let answer = hit.outcome().expect("not rejected");
         assert!(answer.is_surrogate(), "in-range query takes the surrogate");
         assert!(!answer.field().is_empty());
-        // ... and it is the surface's own prediction, bit for bit.
-        let surface = ResponseSurface::from_ensemble(result).expect("clean sweep");
+        // ... and it is the stored surface's own prediction, bit for bit.
         let bits = |f: &[f64]| f.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(answer.field()), bits(&surface.predict(0.9)));
         // Out-of-range what-if: exact fallback runs the simulator.
         let miss = server.what_if(&base, 3.0, 1.0);
-        let answer = miss.outcome().expect("admitted fallback");
-        assert!(!answer.is_surrogate(), "out-of-range query falls back");
+        match miss.outcome().expect("admitted fallback") {
+            WhatIfOutcome::Exact { reason, report, .. } => {
+                assert!(matches!(
+                    reason,
+                    Some(airshed_core::surrogate::FallbackReason::OutOfRange { .. })
+                ));
+                assert_eq!(report.hours, 1);
+            }
+            other => panic!("out-of-range query must fall back, got {other:?}"),
+        }
 
         let m = server.shutdown();
         assert_eq!(m.ensemble_members, 5);
@@ -1164,6 +1195,33 @@ mod tests {
         assert_eq!(m.surrogate_hits, 1);
         assert_eq!(m.surrogate_misses, 0, "rejected fallback served no answer");
         assert!(m.reconciles());
+    }
+
+    #[test]
+    fn a_what_if_at_a_scale_no_run_is_defined_on_is_refused() {
+        let server = small_server(1);
+        let mut base = SimConfig::test_tiny(4, 1);
+        base.start_hour = 9;
+        let refused_all = |server: &ScenarioServer| {
+            for scale in [f64::NAN, -1.0, f64::INFINITY] {
+                let routed = server.what_if(&base, scale, 1.0);
+                assert!(
+                    matches!(routed, WhatIfRouted::Refused(_)),
+                    "scale {scale} must be refused"
+                );
+            }
+        };
+        // No surface for the family yet.
+        refused_all(&server);
+        // A fitted surface declines each of them as out of range.
+        let job = EnsembleJob::emission_sweep(base.clone(), &[0.8, 1.0, 1.2]);
+        assert!(server.run_ensemble(&job, true).result().is_some());
+        assert!(server.surface(&base).is_some());
+        refused_all(&server);
+
+        let m = server.shutdown();
+        assert_eq!((m.surrogate_hits, m.surrogate_misses), (0, 0));
+        assert!(m.reconciles(), "{m}");
     }
 
     #[test]

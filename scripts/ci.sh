@@ -374,6 +374,26 @@ if [ -n "${records//$'\n'/}" ]; then
 fi
 echo "one accounting record OK"
 
+echo "==> one ensemble path: sweeps and what-ifs go through ScenarioServer"
+# ScenarioServer::run_ensemble and ScenarioServer::what_if are the one
+# way to run a sweep or a what-if query, and the server's
+# airshed_server_ensemble_* rows the one ensemble export. These are the
+# second copies: core's own metrics section and free what-if tiers, the
+# surface count, a what-if router outside the server, a free
+# run_ensemble call in the CLI, and the old family's names.
+paths="$(non_test "(^|[^[:alnum:]_])(prometheus_section|surrogate_tier|exact_tier|surrogate_surfaces)$end" \
+    $(git ls-files '*.rs' | grep -v '^vendor/\|^benchmark/'))
+$(non_test "fn what_if$end" \
+    $(git ls-files '*.rs' | grep -v '^vendor/\|^benchmark/\|^crates/server/src/lib\.rs$'))
+$(non_test "(^|[^.[:alnum:]_])run_ensemble\\(" $(git ls-files 'src/bin/*.rs'))
+$(non_test "airshed_ensemble_" $(git ls-files '*.rs' | grep -v '^vendor/'))"
+if [ -n "${paths//$'\n'/}" ]; then
+    echo "$paths"
+    echo "one ensemble path FAILED: the lines above run or export an ensemble beside ScenarioServer" >&2
+    exit 1
+fi
+echo "one ensemble path OK"
+
 echo "==> one codec: bytes meet numbers only in core::codec"
 # Every wire, checkpoint and cache layout is declared once with
 # `codec!` (crates/core/src/codec.rs); a second hand-rolled framing, or
@@ -654,21 +674,28 @@ grep -q 'airshed_fabric_ctx_mismatches_total 0' "$trace_dir/fab.prom"
 echo "fabric metrics OK: latency anatomy + copy bytes + zero ctx mismatches"
 
 echo "==> ensemble + surrogate smoke (shared-input dedup, two-tier what-if)"
-# A small sweep with dedup: the Prometheus snapshot must show nonzero
-# dedup savings, and the what-if batch must exercise both tiers — the
-# surrogate hit (simulator not invoked) and the exact fallback.
+# A small sweep with dedup through the CLI's ScenarioServer: the
+# server's Prometheus snapshot must show nonzero dedup savings, and the
+# what-if batch must exercise both tiers — the surrogate hit (simulator
+# not invoked) and the exact fallback — and count one answer in each.
 ensemble_out="$(cargo run --release -q --bin airshed -- ensemble \
     --dataset tiny:60 --members 5 --hours 2 --nodes 8 --threads 2 \
     --queries 0.9,2.0 --metrics-out "$trace_dir/ensemble.prom")"
 echo "$ensemble_out"
 echo "$ensemble_out" | grep -q "surrogate hit"
 echo "$ensemble_out" | grep -q "exact fallback"
-saved_bytes="$(grep '^airshed_ensemble_dedup_saved_bytes_total' "$trace_dir/ensemble.prom" | awk '{print $2}')"
+saved_bytes="$(grep '^airshed_server_ensemble_saved_bytes_total' "$trace_dir/ensemble.prom" | awk '{print $2}')"
 [ -n "$saved_bytes" ] && [ "${saved_bytes%.*}" -gt 0 ] || {
     echo "ensemble smoke FAILED: dedup counter not positive ($saved_bytes)" >&2
     exit 1
 }
-echo "ensemble OK: dedup saved $saved_bytes bytes, both what-if tiers exercised"
+for tier in hit miss; do
+    grep -qx "airshed_server_surrogate_answers_total{tier=\"$tier\"} 1" "$trace_dir/ensemble.prom" || {
+        echo "ensemble smoke FAILED: no single $tier row in the server's what-if counters" >&2
+        exit 1
+    }
+done
+echo "ensemble OK: dedup saved $saved_bytes bytes, both what-if tiers exercised and counted"
 
 echo "==> docs link check (README.md, docs/*.md)"
 bash scripts/check_links.sh

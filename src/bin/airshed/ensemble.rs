@@ -1,11 +1,16 @@
 //! `airshed ensemble`: an emission-scaling sweep with shared-input dedup,
 //! the surrogate fitted to it, and what-if queries answered from both tiers.
+//! The command is a client of one `ScenarioServer` (one worker, no
+//! budget): the sweep, the fit and every query go through the server,
+//! so `--metrics-out` carries its `airshed_server_ensemble_*` and
+//! `airshed_server_surrogate_answers_total` rows.
 
 use crate::flags::{config, exec, Options};
-use airshed::core::ensemble::{run_ensemble, EnsembleJob, MemberSpec};
+use airshed::core::ensemble::{EnsembleJob, MemberSpec};
 use airshed::core::obs::Obs;
 use airshed::core::profile::SURFACE_SPECIES;
-use airshed::core::surrogate::{what_if, ResponseSurface, WhatIfOutcome};
+use airshed::core::surrogate::WhatIfOutcome;
+use airshed::server::{ScenarioServer, ServerConfig};
 
 fn fmt_bytes(b: u64) -> String {
     if b >= 10_000_000 {
@@ -18,7 +23,6 @@ fn fmt_bytes(b: u64) -> String {
 pub fn cmd_ensemble(o: &Options, obs: &Obs) -> Result<(), String> {
     let p = o.nodes[0];
     let base = config(o, p);
-    let run_exec = exec(o);
     let (lo, hi) = o.scale_range;
     let n = o.members;
     let scales: Vec<f64> = (0..n)
@@ -51,7 +55,17 @@ pub fn cmd_ensemble(o: &Options, obs: &Obs) -> Result<(), String> {
         },
         if dedup { "on" } else { "off" },
     );
-    let result = run_ensemble(&job, run_exec, obs, dedup);
+    // One worker and no budget: admission refuses no member and no query.
+    let server = ScenarioServer::start(ServerConfig {
+        workers: 1,
+        exec: exec(o),
+        obs: obs.clone(),
+        ..ServerConfig::default()
+    });
+    let outcome = server.run_ensemble(&job, dedup);
+    let result = outcome
+        .result()
+        .ok_or("the sweep was refused by admission")?;
 
     println!("member  perturbation                      total(s)  peak O3(ppb)  input stage");
     for (i, m) in result.members.iter().enumerate() {
@@ -82,8 +96,8 @@ pub fn cmd_ensemble(o: &Options, obs: &Obs) -> Result<(), String> {
         result.wall_seconds,
     );
 
-    match ResponseSurface::from_ensemble(&result) {
-        Ok(surface) => {
+    match server.surface(&base) {
+        Some(surface) => {
             let (slo, shi) = surface.range();
             println!(
                 "surrogate: degree-{} response surface over {} members, {} cells, \
@@ -97,7 +111,10 @@ pub fn cmd_ensemble(o: &Options, obs: &Obs) -> Result<(), String> {
             );
             let nodes = surface.cells() / SURFACE_SPECIES.len();
             for &q in &o.queries {
-                let answer = what_if(Some(&surface), &base, q, o.tolerance, run_exec, obs);
+                let routed = server.what_if(&base, q, o.tolerance);
+                let answer = routed
+                    .outcome()
+                    .ok_or(format!("what-if x{q} was refused"))?;
                 let peak_o3 = 1000.0
                     * answer.field()[..nodes]
                         .iter()
@@ -119,7 +136,11 @@ pub fn cmd_ensemble(o: &Options, obs: &Obs) -> Result<(), String> {
                 }
             }
         }
-        Err(e) => println!("surrogate: not fitted ({e}); what-if queries would run exact"),
+        None => println!(
+            "surrogate: not fitted (the members are not one day's emission sweep); \
+             what-if queries would run exact"
+        ),
     }
+    server.shutdown();
     Ok(())
 }

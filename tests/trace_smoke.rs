@@ -9,7 +9,8 @@
 //! at least one complete-event span per simulated phase, nest every phase
 //! span inside an `hour` span on the driver lane, and name per-worker
 //! pool tracks. The Prometheus snapshot must parse line by line and
-//! carry the phase-latency histogram series.
+//! carry the phase-latency histogram series. An `airshed ensemble`
+//! snapshot must carry the server's ensemble family and no other.
 
 use airshed::core::obs::dist::Json;
 use std::collections::BTreeMap;
@@ -197,6 +198,54 @@ fn cli_trace_and_metrics_exports_are_valid_and_complete() {
     assert!(
         prom.contains("airshed_copy_bytes_total{kind=\"redist_local\""),
         "copy-traffic counters missing from metrics"
+    );
+
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `airshed ensemble` is a `ScenarioServer` client: its metrics snapshot
+/// carries the server's ensemble rows and counts both what-if tiers, and
+/// no second ensemble family beside them.
+#[test]
+fn ensemble_cli_exports_the_servers_ensemble_family_only() {
+    let dir = std::env::temp_dir().join(format!("airshed-ensemble-smoke-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let metrics_path = dir.join("ensemble.prom");
+
+    let output = Command::new(env!("CARGO_BIN_EXE_airshed"))
+        .args([
+            "ensemble",
+            "--dataset",
+            "tiny:60",
+            "--members",
+            "3",
+            "--hours",
+            "1",
+            "--nodes",
+            "4",
+            "--queries",
+            "0.9,2.0",
+            "--metrics-out",
+        ])
+        .arg(&metrics_path)
+        .output()
+        .expect("airshed binary runs");
+    assert!(output.status.success(), "airshed ensemble failed");
+    let stdout = String::from_utf8(output.stdout).unwrap();
+    assert!(stdout.contains("surrogate hit"), "{stdout}");
+    assert!(stdout.contains("exact fallback"), "{stdout}");
+
+    let prom = std::fs::read_to_string(&metrics_path).unwrap();
+    for line in [
+        "airshed_server_ensemble_members_total 3",
+        "airshed_server_surrogate_answers_total{tier=\"hit\"} 1",
+        "airshed_server_surrogate_answers_total{tier=\"miss\"} 1",
+    ] {
+        assert!(prom.lines().any(|l| l == line), "missing {line}:\n{prom}");
+    }
+    assert!(
+        !prom.lines().any(|l| l.starts_with("airshed_ensemble_")),
+        "a second ensemble family:\n{prom}"
     );
 
     std::fs::remove_dir_all(&dir).ok();
