@@ -67,12 +67,6 @@ impl TraceContext {
             job_id,
         }
     }
-
-    /// Whether this is a real context (minted by a frontend) rather
-    /// than the zero default.
-    pub fn is_set(&self) -> bool {
-        self.trace_id != 0
-    }
 }
 
 /// The per-shard artifact path convention: `trace.json` + `shard-0`
@@ -646,8 +640,6 @@ mod tests {
         assert_eq!(ctx.trace_id, 1);
         assert_eq!(ctx.parent_span, 1);
         assert_eq!(ctx.job_id, 0);
-        assert!(ctx.is_set());
-        assert!(!TraceContext::default().is_set());
         assert_eq!(TraceContext::for_job(7), TraceContext::for_job(7));
     }
 

@@ -67,6 +67,8 @@ pub enum FitError {
     NoMembers,
     /// Members disagree on the response-field length.
     MismatchedFields,
+    /// Members differ in weather or day, not only in emission scale.
+    MixedInputs,
     /// The normal equations were singular even with the ridge.
     Singular,
 }
@@ -76,6 +78,10 @@ impl fmt::Display for FitError {
         match self {
             FitError::NoMembers => write!(f, "no training members"),
             FitError::MismatchedFields => write!(f, "members have different field lengths"),
+            FitError::MixedInputs => write!(
+                f,
+                "members differ in weather or day, not only in emission scale"
+            ),
             FitError::Singular => write!(f, "singular normal equations"),
         }
     }
@@ -240,7 +246,7 @@ impl ResponseSurface {
             .iter()
             .any(|m| m.spec.weather != first.weather || m.spec.day != first.day)
         {
-            return Err(FitError::MismatchedFields);
+            return Err(FitError::MixedInputs);
         }
         let scales = result.scales();
         let fields: Vec<Vec<f64>> = result
@@ -662,6 +668,22 @@ mod tests {
         assert!(
             close * 10 >= total * 9,
             "only {close}/{total} cells within the smoothness band"
+        );
+    }
+
+    #[test]
+    fn a_sweep_over_two_days_is_refused_as_mixed_inputs() {
+        let mut base = SimConfig::test_tiny(4, 1);
+        base.dataset = crate::config::DatasetChoice::Tiny(40);
+        base.start_hour = 10;
+        let mut job = EnsembleJob::emission_sweep(base, &[0.5, 1.0]);
+        job.members[1].day = 1;
+        let result = run_ensemble(&job, ExecSpec::default(), &Obs::off(), true);
+        let refused = ResponseSurface::from_ensemble(&result).unwrap_err();
+        assert_eq!(refused, FitError::MixedInputs);
+        assert_eq!(
+            refused.to_string(),
+            "members differ in weather or day, not only in emission scale"
         );
     }
 

@@ -1,31 +1,22 @@
-//! The front-end process: a pure state machine around the [`Router`],
-//! and the socket driver that feeds it.
-//!
-//! [`Frontend`] holds no socket and reads no clock, like the router it
-//! owns. Each [`Frontend::step`] takes one [`Event`] with the driver's
-//! clock readings and returns a [`Step`]: the frames to write and the
-//! jobs whose results arrived. Around the router it keeps the fleet's
-//! `Hello` phase, the per-shard clock-offset estimates and wire times,
-//! the collected results, and the "all shards lost" verdict. A seeded
-//! simulation (`tests/fabric_sim.rs`) drives it against in-process
-//! shard models.
+//! The front-end process: the socket driver of the [`Router`], the
+//! front-end's one state machine.
 //!
 //! [`serve_batch`] is the IO: accept shards and read their `Hello`s, one
 //! reader thread per shard funnelling decoded messages into an mpsc
-//! channel, the writes, the deadline and the trace marks. A failed
-//! write or a closed reader both become [`Event::Gone`] — the router
-//! treats them identically to a heartbeat timeout.
+//! channel, the writes, the deadline and the trace marks. Every decision
+//! is the router's: each event goes to [`Router::step`], whose
+//! [`Step`](crate::router::Step) says what to write. A failed write or a
+//! closed reader both become [`Event::Gone`] — the router treats them
+//! identically to a heartbeat timeout.
 
 use crate::proto::{self, Msg};
-use crate::router::{Router, RouterConfig, ShardCounters};
+use crate::router::{Event, FabricOutcome, Router, RouterConfig};
 use airshed_core::codec::{intern, WireError};
 use airshed_core::config::SimConfig;
 use airshed_core::driver::ChemLayout;
-use airshed_core::obs::dist::{TraceContext, CLOCK_OFFSET_TRACK};
-use airshed_core::obs::Track;
+use airshed_core::obs::dist::CLOCK_OFFSET_TRACK;
 use airshed_core::Obs;
-use airshed_core::RunReport;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::io::{ErrorKind, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::mpsc;
@@ -51,264 +42,6 @@ impl Default for FrontendOptions {
     }
 }
 
-/// What a batch produced.
-pub struct FabricOutcome {
-    /// `(scenario index, report)` for every job that completed.
-    pub reports: Vec<(usize, RunReport)>,
-    /// `(scenario index, error)` for every job that terminally failed.
-    pub failures: Vec<(usize, String)>,
-    /// Per-shard `(name, counters)` in connection order.
-    pub shards: Vec<(String, ShardCounters)>,
-    /// Fabric metrics in Prometheus exposition format.
-    pub prometheus: String,
-}
-
-/// One input to [`Frontend::step`]. Shards are numbered in the order
-/// their `Hello` arrives.
-#[derive(Debug)]
-pub enum Event {
-    /// A frame from a shard.
-    Msg(usize, Msg),
-    /// The shard's connection closed or failed.
-    Gone(usize),
-    /// Time passed with no traffic.
-    Tick,
-}
-
-/// What one [`Frontend::step`] asks of its driver.
-#[derive(Debug, Default)]
-pub struct Step {
-    /// `(shard, frame)` to write, in order.
-    pub frames: Vec<(usize, Msg)>,
-    /// `(scenario, trace context)` of every job whose result arrived.
-    pub finished: Vec<(usize, TraceContext)>,
-}
-
-impl Step {
-    /// Record this step's trace marks: a dispatch mark on each shipped
-    /// job's track (the stitcher draws the flow arrow from it to the
-    /// shard-side span with the same `trace_id`), and each finished
-    /// job's span from `submitted` (all jobs are submitted together) to
-    /// `now`.
-    pub fn trace(&self, obs: &Obs, router: &Router, submitted: Instant, now: Instant) {
-        if !obs.enabled() {
-            return;
-        }
-        for (_, msg) in &self.frames {
-            if let Msg::Assign { job, ctx, .. } = msg {
-                obs.record_interval(
-                    router.job_hop(*job),
-                    Track::Job(*job as u32),
-                    now,
-                    now + Duration::from_micros(1),
-                    None,
-                    Some(("trace_id", ctx.trace_id as i64)),
-                );
-            }
-        }
-        for (scenario, ctx) in &self.finished {
-            obs.record_interval(
-                "job",
-                Track::Job(*scenario as u32),
-                submitted,
-                now,
-                None,
-                Some(("trace_id", ctx.trace_id as i64)),
-            );
-        }
-    }
-}
-
-/// The batch cannot finish: every shard is lost with jobs outstanding.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AllShardsLost {
-    pub outstanding: usize,
-}
-
-impl std::fmt::Display for AllShardsLost {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "all shards lost with {} jobs outstanding",
-            self.outstanding
-        )
-    }
-}
-
-/// See the module docs.
-pub struct Frontend {
-    router: Router,
-    /// Shards to wait for before the batch is submitted.
-    expect: usize,
-    /// The batch until the fleet is complete, then empty.
-    pending: Vec<(SimConfig, ChemLayout)>,
-    /// Each outstanding scenario's trace context, as the router stamped it.
-    ctxs: HashMap<usize, TraceContext>,
-    /// Best clock-offset estimate per shard (µs the driver's trace clock
-    /// is ahead of the shard's): min over `recv - sent` of every
-    /// Hello/Heartbeat sample — each is the true offset plus a one-way
-    /// wire delay, so the minimum is the tightest upper bound.
-    offsets: Vec<f64>,
-    reports: Vec<(usize, RunReport)>,
-    failures: Vec<(usize, String)>,
-}
-
-impl Frontend {
-    /// A front-end that submits `scenarios` (scenario `i` as job `i`)
-    /// once `expect` shards said `Hello`.
-    pub fn new(
-        cfg: RouterConfig,
-        expect: usize,
-        scenarios: &[(SimConfig, ChemLayout)],
-    ) -> Frontend {
-        let mut frontend = Frontend {
-            router: Router::new(cfg),
-            expect,
-            pending: scenarios.to_vec(),
-            ctxs: HashMap::new(),
-            offsets: Vec::new(),
-            reports: Vec::new(),
-            failures: Vec::new(),
-        };
-        frontend.submit_if_ready();
-        frontend
-    }
-
-    /// Feed one event. `now_ms` is the driver's batch clock; `recv_us`
-    /// is when the event arrived on the trace clock, `None` untraced.
-    pub fn step(
-        &mut self,
-        event: Event,
-        now_ms: u64,
-        recv_us: Option<f64>,
-    ) -> Result<Step, AllShardsLost> {
-        match event {
-            Event::Msg(
-                shard,
-                Msg::Hello {
-                    name,
-                    workers,
-                    sent_us,
-                },
-            ) if shard == self.router.shard_count() => {
-                self.router.add_shard(&name, workers as usize, now_ms);
-                self.offsets.push(match recv_us {
-                    Some(recv) if sent_us > 0 => recv - sent_us as f64,
-                    _ => f64::INFINITY,
-                });
-                self.submit_if_ready();
-            }
-            Event::Msg(shard, msg) => {
-                if let Some(recv) = recv_us {
-                    self.observe(shard, &msg, recv);
-                }
-                self.router.on_msg(shard, msg, now_ms);
-            }
-            Event::Gone(shard) => self.router.on_disconnect(shard),
-            Event::Tick => {}
-        }
-        let mut step = Step::default();
-        // Only a shard's Completed or Failed finishes a job, so the
-        // event just handled is the one place results come from.
-        for (scenario, result) in self.router.take_finished() {
-            step.finished
-                .extend(self.ctxs.remove(&scenario).map(|ctx| (scenario, ctx)));
-            match result {
-                Ok(report) => self.reports.push((scenario, report)),
-                Err(message) => self.failures.push((scenario, message)),
-            }
-        }
-        if self.router.shard_count() < self.expect {
-            return Ok(step);
-        }
-        step.frames = self.router.poll(now_ms);
-        let outstanding = self.router.outstanding();
-        if self.router.live_shards() == 0 && outstanding > 0 {
-            return Err(AllShardsLost { outstanding });
-        }
-        Ok(step)
-    }
-
-    fn submit_if_ready(&mut self) {
-        if self.router.shard_count() < self.expect {
-            return;
-        }
-        for (scenario, (config, layout)) in
-            std::mem::take(&mut self.pending).into_iter().enumerate()
-        {
-            let id = self.router.submit(scenario, config, layout);
-            self.ctxs
-                .extend(self.router.job_ctx(id).map(|ctx| (scenario, ctx)));
-        }
-    }
-
-    /// Refine the shard's clock-offset estimate from heartbeat samples
-    /// and turn shard-stamped `sent_us` values into one-way wire times
-    /// for the router's latency anatomy. Runs *before* the message
-    /// reaches [`Router::on_msg`]: completion consumes the job record.
-    fn observe(&mut self, shard: usize, msg: &Msg, recv_us: f64) {
-        let offset = &mut self.offsets[shard];
-        match msg {
-            Msg::Heartbeat { sent_us, .. } if *sent_us > 0 => {
-                *offset = offset.min(recv_us - *sent_us as f64);
-            }
-            Msg::Progress { job, sent_us, .. } | Msg::Completed { job, sent_us, .. }
-                if *sent_us > 0 && offset.is_finite() =>
-            {
-                let wire = (recv_us - (*sent_us as f64 + *offset)).max(0.0);
-                let reply = matches!(msg, Msg::Completed { .. });
-                self.router.note_wire(*job, wire as u64, reply);
-            }
-            _ => {}
-        }
-    }
-
-    /// Every scenario has its result.
-    pub fn is_done(&self) -> bool {
-        self.router.shard_count() >= self.expect && self.router.outstanding() == 0
-    }
-
-    pub fn router(&self) -> &Router {
-        &self.router
-    }
-
-    /// `(scenario, report)` of every completed job, in arrival order.
-    pub fn reports(&self) -> &[(usize, RunReport)] {
-        &self.reports
-    }
-
-    /// `(scenario, error)` of every failed job, in arrival order.
-    pub fn failures(&self) -> &[(usize, String)] {
-        &self.failures
-    }
-
-    /// `(shard name, offset µs)` of every shard with a clock-offset
-    /// estimate.
-    pub fn clock_offsets(&self) -> impl Iterator<Item = (&str, f64)> {
-        let router = &self.router;
-        self.offsets
-            .iter()
-            .enumerate()
-            .filter(|(_, offset)| offset.is_finite())
-            .map(|(s, &offset)| (router.shard_name(s), offset))
-    }
-
-    /// The batch's results (sorted by scenario), counters and metrics.
-    pub fn into_outcome(mut self) -> FabricOutcome {
-        self.reports.sort_by_key(|(i, _)| *i);
-        self.failures.sort_by_key(|(i, _)| *i);
-        let router = &self.router;
-        FabricOutcome {
-            shards: (0..router.shard_count())
-                .map(|s| (router.shard_name(s).to_string(), router.counters(s)))
-                .collect(),
-            prometheus: router.prometheus(),
-            reports: self.reports,
-            failures: self.failures,
-        }
-    }
-}
-
 /// Serve one batch of scenarios over `listener`: wait for
 /// `opts.expect` shards to connect and say `Hello`, route every
 /// scenario, and run the event loop until each job reaches a terminal
@@ -326,7 +59,7 @@ pub fn serve_batch(
     obs: &Obs,
 ) -> Result<FabricOutcome, String> {
     let deadline = opts.deadline.map(|d| Instant::now() + d);
-    let mut frontend = Frontend::new(opts.router, opts.expect, scenarios);
+    let mut router = Router::new(opts.router, opts.expect, scenarios);
     let (tx, rx) = mpsc::channel::<Event>();
     let mut writers: Vec<Option<TcpStream>> = Vec::new();
     let mut readers = Vec::new();
@@ -397,13 +130,13 @@ pub fn serve_batch(
     // terminal. The batch clock starts here, so the fleet starts live.
     let epoch = Instant::now();
     let served = loop {
-        if frontend.is_done() {
+        if router.is_done() {
             break Ok(());
         }
         if deadline.is_some_and(|d| Instant::now() >= d) {
             break Err(format!(
                 "fabric deadline expired with {} jobs outstanding",
-                frontend.router().outstanding()
+                router.outstanding()
             ));
         }
         let (event, recv) = events.pop_front().unwrap_or_else(|| {
@@ -412,11 +145,11 @@ pub fn serve_batch(
                 .unwrap_or(Event::Tick);
             (event, recv_us())
         });
-        let step = match frontend.step(event, epoch.elapsed().as_millis() as u64, recv) {
+        let step = match router.step(event, epoch.elapsed().as_millis() as u64, recv) {
             Ok(step) => step,
             Err(lost) => break Err(lost.to_string()),
         };
-        step.trace(obs, frontend.router(), epoch, Instant::now());
+        step.trace(obs, &router, epoch, Instant::now());
         for (shard, msg) in step.frames {
             let sent = writers[shard]
                 .as_mut()
@@ -435,7 +168,7 @@ pub fn serve_batch(
         // trace stitcher can place every process on this timeline from
         // the frontend trace alone.
         let ts = obs.us_since_epoch(Instant::now());
-        for (name, offset) in frontend.clock_offsets() {
+        for (name, offset) in router.clock_offsets() {
             // The peer chose this name in its Hello: interned, a
             // long-lived frontend keeps one copy per name, and a name
             // the bounded table refuses goes without a counter.
@@ -444,7 +177,7 @@ pub fn serve_batch(
             }
         }
     }
-    let outcome = frontend.into_outcome();
+    let outcome = router.into_outcome();
     obs.publish("fabric-metrics", outcome.prometheus.clone());
     obs.flush();
     Ok(outcome)
@@ -468,7 +201,7 @@ fn shutdown(writers: &mut [Option<TcpStream>], readers: &mut Vec<std::thread::Jo
 #[cfg(test)]
 mod tests {
     use super::*;
-    use airshed_core::obs::SpanSink;
+    use airshed_core::obs::{SpanSink, Track};
     use std::sync::Arc;
 
     /// Serve an empty traced batch to stand-in shards that say a stamped

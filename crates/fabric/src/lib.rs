@@ -25,9 +25,10 @@
 //! |--------------|--------------------------------------------------------|
 //! | [`wire`]     | length-prefixed frames, typed framing errors           |
 //! | [`proto`]    | [`Msg`] — the typed protocol, its layout declared once |
-//! | [`router`]   | deterministic routing/stealing/failover state machine  |
+//! | [`router`]   | [`Router`], the front-end's state machine: session,    |
+//! |              | routing, stealing, failover and results                |
 //! | [`shard`]    | [`ShardCore`] state machine and its socket driver      |
-//! | [`frontend`] | [`Frontend`] state machine and its socket driver       |
+//! | [`frontend`] | [`serve_batch`], the router's socket driver            |
 
 pub mod frontend;
 pub mod proto;
@@ -35,9 +36,7 @@ pub mod router;
 pub mod shard;
 pub mod wire;
 
-pub use frontend::{
-    serve_batch, AllShardsLost, Event, FabricOutcome, Frontend, FrontendOptions, Step,
-};
+pub use frontend::{serve_batch, FrontendOptions};
 pub use proto::{report_fingerprint, Msg, ScenarioJob};
-pub use router::{Router, RouterConfig, ShardCounters};
+pub use router::{AllShardsLost, Event, FabricOutcome, Router, RouterConfig, ShardCounters, Step};
 pub use shard::{run_shard, ShardCore, ShardEvent, ShardOptions, ShardStep};

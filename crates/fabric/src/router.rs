@@ -1,13 +1,20 @@
-//! The front-end routing brain: a deterministic state machine.
+//! The front-end's state machine: the fleet's session, every job's
+//! record, routing and the batch's results.
 //!
 //! The router holds no sockets and never reads a clock — every method
 //! that depends on time takes an explicit `now_ms`, and all outbound
-//! wire traffic is returned as `(shard, Msg)` pairs from [`Router::poll`].
-//! That makes the interesting distributed behaviors — earliest-
-//! predicted-completion routing, work stealing, heartbeat-timeout
-//! failover with checkpoint resume — unit-testable with a scripted
-//! clock (see `tests/robustness.rs`), while the socket shuffling in
-//! [`crate::frontend`] stays dumb.
+//! wire traffic is returned as `(shard, Msg)` pairs. Each
+//! [`Router::step`] takes one [`Event`] with the driver's clock readings
+//! and returns a [`Step`]: the frames to write and the jobs whose
+//! results arrived. Around routing it keeps the fleet's `Hello` phase
+//! (the batch is submitted once `expect` shards said `Hello`), each
+//! shard's clock-offset estimate and the wire times it yields, the
+//! results, and the "all shards lost" verdict. That makes the
+//! interesting distributed behaviors — earliest-predicted-completion
+//! routing, work stealing, heartbeat-timeout failover with checkpoint
+//! resume — testable with a scripted clock (see `tests/robustness.rs`)
+//! and under a seeded simulation (`tests/fabric_sim.rs`), while the
+//! socket shuffling in [`crate::frontend`] stays dumb.
 //!
 //! **Routing** prices a job with the one serving price,
 //! [`PricedModel::hour_price`] of the job's scenario *family* (the
@@ -58,12 +65,13 @@ use airshed_core::driver::{ChemLayout, PlanLayouts, PlanMemoStats};
 use airshed_core::obs::dist::{TraceContext, HOP_NAMES};
 use airshed_core::obs::metrics::Histogram;
 use airshed_core::obs::prom::{render, render_labelled};
+use airshed_core::obs::Track;
 use airshed_core::report::{CopyBytes, LatencyAnatomy};
-use airshed_core::{PerfModel, PricedModel, RunReport};
+use airshed_core::{Obs, PerfModel, PricedModel, RunReport};
 use airshed_server::cache::NumericsKey;
 use airshed_server::ResumePoint;
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Router tuning knobs.
 #[derive(Debug, Clone, Copy)]
@@ -111,6 +119,11 @@ struct Shard {
     counters: ShardCounters,
     /// The shard process's plan-memo counters, as of its last heartbeat.
     plans: PlanMemoStats,
+    /// Best clock-offset estimate (µs the driver's trace clock is ahead
+    /// of the shard's): min over `recv - sent` of every Hello/Heartbeat
+    /// sample — each is the true offset plus a one-way wire delay, so
+    /// the minimum is the tightest upper bound. Infinite until sampled.
+    offset: f64,
 }
 
 struct Job {
@@ -133,23 +146,102 @@ struct Job {
     // --- latency anatomy, all on the router's scripted clock ---------
     submit_ms: u64,
     first_dispatch_ms: Option<u64>,
-    /// Shard-measured execute time accumulated from `Progress.hour_us`.
-    exec_us: u64,
-    /// One-way wire time of progress messages (fed by the frontend's
-    /// clock-offset estimate via [`Router::note_wire`]).
-    wire_us: u64,
-    /// One-way wire time of the final reply.
-    reply_us: u64,
-    hours_reported: u32,
-    /// Dispatch segments (each Assign shipped for this job is one).
-    segments: u32,
-    stolen: u32,
-    failed_over: u32,
+    /// Filled in place as the job runs; `queued_ms` and `end_to_end_ms`
+    /// are set at completion.
+    anatomy: LatencyAnatomy,
+}
+
+/// One input to [`Router::step`]. Shards are numbered in the order
+/// their `Hello` arrives.
+#[derive(Debug)]
+pub enum Event {
+    /// A frame from a shard.
+    Msg(usize, Msg),
+    /// The shard's connection closed or failed.
+    Gone(usize),
+    /// Time passed with no traffic.
+    Tick,
+}
+
+/// What one [`Router::step`] asks of its driver.
+#[derive(Debug, Default)]
+pub struct Step {
+    /// `(shard, frame)` to write, in order.
+    pub frames: Vec<(usize, Msg)>,
+    /// `(scenario, trace context)` of every job whose result arrived.
+    pub finished: Vec<(usize, TraceContext)>,
+}
+
+impl Step {
+    /// Record this step's trace marks: a dispatch mark on each shipped
+    /// job's track (the stitcher draws the flow arrow from it to the
+    /// shard-side span with the same `trace_id`), and each finished
+    /// job's span from `submitted` (all jobs are submitted together) to
+    /// `now`.
+    pub fn trace(&self, obs: &Obs, router: &Router, submitted: Instant, now: Instant) {
+        if !obs.enabled() {
+            return;
+        }
+        for (_, msg) in &self.frames {
+            if let Msg::Assign { job, ctx, .. } = msg {
+                obs.record_interval(
+                    router.job_hop(*job),
+                    Track::Job(*job as u32),
+                    now,
+                    now + Duration::from_micros(1),
+                    None,
+                    Some(("trace_id", ctx.trace_id as i64)),
+                );
+            }
+        }
+        for (scenario, ctx) in &self.finished {
+            obs.record_interval(
+                "job",
+                Track::Job(*scenario as u32),
+                submitted,
+                now,
+                None,
+                Some(("trace_id", ctx.trace_id as i64)),
+            );
+        }
+    }
+}
+
+/// The batch cannot finish: every shard is lost with jobs outstanding.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct AllShardsLost {
+    pub outstanding: usize,
+}
+
+impl std::fmt::Display for AllShardsLost {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "all shards lost with {} jobs outstanding",
+            self.outstanding
+        )
+    }
+}
+
+/// What a batch produced.
+pub struct FabricOutcome {
+    /// `(scenario index, report)` for every job that completed.
+    pub reports: Vec<(usize, RunReport)>,
+    /// `(scenario index, error)` for every job that terminally failed.
+    pub failures: Vec<(usize, String)>,
+    /// Per-shard `(name, counters)` in connection order.
+    pub shards: Vec<(String, ShardCounters)>,
+    /// Fabric metrics in Prometheus exposition format.
+    pub prometheus: String,
 }
 
 /// See the module docs.
 pub struct Router {
     cfg: RouterConfig,
+    /// Shards to wait for before the batch is submitted.
+    expect: usize,
+    /// The batch until the fleet is complete, then empty.
+    pending: Vec<(SimConfig, ChemLayout)>,
     shards: Vec<Shard>,
     /// By id, so the float folds over it (`mean_cost`) add in one order
     /// and a seeded run replays whatever the hasher.
@@ -160,7 +252,8 @@ pub struct Router {
     /// Jobs with no live shard to run on (all lost); re-routed as soon
     /// as a shard is (re)registered.
     orphans: VecDeque<u64>,
-    finished: Vec<(usize, Result<RunReport, String>)>,
+    /// `(scenario, result)` of every finished job, in arrival order.
+    results: Vec<(usize, Result<RunReport, String>)>,
     /// Predicted-vs-actual completion time distributions (virtual s).
     predicted_hist: Histogram,
     actual_hist: Histogram,
@@ -181,15 +274,20 @@ pub struct Router {
 }
 
 impl Router {
-    pub fn new(cfg: RouterConfig) -> Router {
-        Router {
+    /// A router that submits `scenarios` (scenario `i` as job `i`) once
+    /// `expect` shards said `Hello`. Scripted sessions that register
+    /// shards and submit jobs themselves pass `0, &[]`.
+    pub fn new(cfg: RouterConfig, expect: usize, scenarios: &[(SimConfig, ChemLayout)]) -> Router {
+        let mut router = Router {
             cfg,
+            expect,
+            pending: scenarios.to_vec(),
             shards: Vec::new(),
             jobs: BTreeMap::new(),
             next_job: 0,
             models: HashMap::new(),
             orphans: VecDeque::new(),
-            finished: Vec::new(),
+            results: Vec::new(),
             predicted_hist: Histogram::new(),
             actual_hist: Histogram::new(),
             now_ms: 0,
@@ -200,6 +298,130 @@ impl Router {
             wire_hist: Histogram::new(),
             reply_hist: Histogram::new(),
             e2e_hist: Histogram::new(),
+        };
+        router.submit_if_ready();
+        router
+    }
+
+    /// Feed one event. `now_ms` is the driver's batch clock; `recv_us`
+    /// is when the event arrived on the trace clock, `None` untraced.
+    pub fn step(
+        &mut self,
+        event: Event,
+        now_ms: u64,
+        recv_us: Option<f64>,
+    ) -> Result<Step, AllShardsLost> {
+        let mut step = Step::default();
+        match event {
+            Event::Msg(
+                shard,
+                Msg::Hello {
+                    name,
+                    workers,
+                    sent_us,
+                },
+            ) if shard == self.shards.len() => {
+                self.add_shard(&name, workers as usize, now_ms);
+                if let Some(recv) = recv_us.filter(|_| sent_us > 0) {
+                    self.shards[shard].offset = recv - sent_us as f64;
+                }
+                self.submit_if_ready();
+            }
+            Event::Msg(shard, msg) => {
+                if let Some(recv) = recv_us {
+                    self.observe(shard, &msg, recv);
+                }
+                // Only a shard's Completed or Failed finishes a job, and
+                // it consumes the job's record: read it first.
+                if let Msg::Completed { job, .. } | Msg::Failed { job, .. } = &msg {
+                    step.finished
+                        .extend(self.jobs.get(job).map(|j| (j.scenario, j.ctx)));
+                }
+                self.on_msg(shard, msg, now_ms);
+            }
+            Event::Gone(shard) => self.on_disconnect(shard),
+            Event::Tick => {}
+        }
+        if self.shards.len() < self.expect {
+            return Ok(step);
+        }
+        step.frames = self.poll(now_ms);
+        let outstanding = self.outstanding();
+        if self.live_shards() == 0 && outstanding > 0 {
+            return Err(AllShardsLost { outstanding });
+        }
+        Ok(step)
+    }
+
+    fn submit_if_ready(&mut self) {
+        if self.shards.len() < self.expect {
+            return;
+        }
+        for (scenario, (config, layout)) in
+            std::mem::take(&mut self.pending).into_iter().enumerate()
+        {
+            self.submit(scenario, config, layout);
+        }
+    }
+
+    /// Refine the shard's clock-offset estimate from heartbeat samples
+    /// and turn shard-stamped `sent_us` values into one-way wire times
+    /// for the job's latency anatomy. Runs *before* the message reaches
+    /// [`Router::on_msg`]: completion consumes the job record.
+    fn observe(&mut self, shard: usize, msg: &Msg, recv_us: f64) {
+        let offset = &mut self.shards[shard].offset;
+        match msg {
+            Msg::Heartbeat { sent_us, .. } if *sent_us > 0 => {
+                *offset = offset.min(recv_us - *sent_us as f64);
+            }
+            Msg::Progress { job, sent_us, .. } | Msg::Completed { job, sent_us, .. }
+                if *sent_us > 0 && offset.is_finite() =>
+            {
+                let wire = (recv_us - (*sent_us as f64 + *offset)).max(0.0);
+                let reply = matches!(msg, Msg::Completed { .. });
+                self.note_wire(*job, wire as u64, reply);
+            }
+            _ => {}
+        }
+    }
+
+    /// Every scenario has its result.
+    pub fn is_done(&self) -> bool {
+        self.shards.len() >= self.expect && self.jobs.is_empty()
+    }
+
+    /// `(scenario, result)` of every finished job, in arrival order.
+    pub fn results(&self) -> &[(usize, Result<RunReport, String>)] {
+        &self.results
+    }
+
+    /// `(shard name, offset µs)` of every shard with a clock-offset
+    /// estimate.
+    pub fn clock_offsets(&self) -> impl Iterator<Item = (&str, f64)> {
+        self.shards
+            .iter()
+            .filter(|s| s.offset.is_finite())
+            .map(|s| (s.name.as_str(), s.offset))
+    }
+
+    /// The batch's results (sorted by scenario), counters and metrics.
+    pub fn into_outcome(mut self) -> FabricOutcome {
+        let (mut reports, mut failures) = (Vec::new(), Vec::new());
+        for (scenario, result) in std::mem::take(&mut self.results) {
+            match result {
+                Ok(report) => reports.push((scenario, report)),
+                Err(message) => failures.push((scenario, message)),
+            }
+        }
+        reports.sort_by_key(|(i, _)| *i);
+        failures.sort_by_key(|(i, _)| *i);
+        FabricOutcome {
+            shards: (self.shards.iter())
+                .map(|s| (s.name.clone(), s.counters))
+                .collect(),
+            prometheus: self.prometheus(),
+            reports,
+            failures,
         }
     }
 
@@ -215,6 +437,7 @@ impl Router {
             keys: HashMap::new(),
             counters: ShardCounters::default(),
             plans: PlanMemoStats::default(),
+            offset: f64::INFINITY,
         });
         self.shards.len() - 1
     }
@@ -238,13 +461,7 @@ impl Router {
                 hop: HOP_NAMES[0],
                 submit_ms: self.now_ms,
                 first_dispatch_ms: None,
-                exec_us: 0,
-                wire_us: 0,
-                reply_us: 0,
-                hours_reported: 0,
-                segments: 0,
-                stolen: 0,
-                failed_over: 0,
+                anatomy: LatencyAnatomy::default(),
             },
         );
         match self.route(id) {
@@ -280,8 +497,8 @@ impl Router {
                 self.check_ctx(job, ctx);
                 if let Some(j) = self.jobs.get_mut(&job) {
                     j.resume = Some(*resume);
-                    j.exec_us += hour_us;
-                    j.hours_reported += 1;
+                    j.anatomy.exec_us += hour_us;
+                    j.anatomy.hours += 1;
                     self.exec_hour_hist.record(Duration::from_micros(hour_us));
                 }
             }
@@ -295,7 +512,7 @@ impl Router {
                 self.check_ctx(job, ctx);
                 if let Some(j) = self.jobs.remove(&job) {
                     self.detach(job);
-                    self.finished.push((j.scenario, Err(message)));
+                    self.results.push((j.scenario, Err(message)));
                 }
             }
             // A shard sends Calibrated before Completed on one stream, so
@@ -396,7 +613,7 @@ impl Router {
                     if let Some(j) = self.jobs.get_mut(id) {
                         j.shard = Some(thief);
                         j.hop = HOP_NAMES[1];
-                        j.stolen += 1;
+                        j.anatomy.stolen += 1;
                     }
                 }
                 self.shards[thief].backlog = group;
@@ -437,7 +654,7 @@ impl Router {
                 self.shards[s].inflight.push(id);
                 job.predicted = predicted;
                 job.first_dispatch_ms.get_or_insert(now_ms);
-                job.segments += 1;
+                job.anatomy.segments += 1;
                 out.push((
                     s,
                     Msg::Assign {
@@ -456,13 +673,13 @@ impl Router {
     }
 
     fn complete(&mut self, shard: usize, job: u64, mut report: RunReport) {
-        let Some(j) = self.jobs.remove(&job) else {
+        let Some(mut j) = self.jobs.remove(&job) else {
             return;
         };
         self.detach(job);
         let s = &mut self.shards[shard];
         s.counters.completed += 1;
-        if j.hours_reported == 0 && j.resume.is_none() && j.config.hours > 0 {
+        if j.anatomy.hours == 0 && j.resume.is_none() && j.config.hours > 0 {
             s.counters.profile_hits += 1;
         }
         s.keys.insert(j.key.clone(), true);
@@ -474,30 +691,21 @@ impl Router {
             self.actual_hist
                 .record(Duration::from_secs_f64(report.total_seconds.max(0.0)));
         }
-        let queued_ms = j
+        let a = &mut j.anatomy;
+        a.queued_ms = j
             .first_dispatch_ms
             .unwrap_or(j.submit_ms)
             .saturating_sub(j.submit_ms);
-        let end_to_end_ms = self.now_ms.saturating_sub(j.submit_ms);
-        self.queued_hist.record(Duration::from_millis(queued_ms));
-        self.wire_hist.record(Duration::from_micros(j.wire_us));
-        self.reply_hist.record(Duration::from_micros(j.reply_us));
-        self.e2e_hist.record(Duration::from_millis(end_to_end_ms));
-        report.anatomy = Some(LatencyAnatomy {
-            queued_ms,
-            exec_us: j.exec_us,
-            wire_us: j.wire_us,
-            reply_us: j.reply_us,
-            end_to_end_ms,
-            hours: j.hours_reported,
-            segments: j.segments,
-            stolen: j.stolen,
-            failed_over: j.failed_over,
-        });
+        a.end_to_end_ms = self.now_ms.saturating_sub(j.submit_ms);
+        self.queued_hist.record(Duration::from_millis(a.queued_ms));
+        self.wire_hist.record(Duration::from_micros(a.wire_us));
+        self.reply_hist.record(Duration::from_micros(a.reply_us));
+        self.e2e_hist.record(Duration::from_millis(a.end_to_end_ms));
+        report.anatomy = Some(j.anatomy);
         if let Some(cb) = &report.copy_bytes {
             self.fleet_copy.add(cb);
         }
-        self.finished.push((j.scenario, Ok(report)));
+        self.results.push((j.scenario, Ok(report)));
     }
 
     /// Remove `job` from whichever shard queue holds it.
@@ -536,7 +744,7 @@ impl Router {
                 self.shards[s].counters.failed_over += 1;
                 if let Some(j) = self.jobs.get_mut(&id) {
                     j.hop = HOP_NAMES[2];
-                    j.failed_over += 1;
+                    j.anatomy.failed_over += 1;
                 }
             }
             None => self.orphans.push_back(id),
@@ -656,18 +864,9 @@ impl Router {
         self.shards[shard].alive
     }
 
-    pub fn shard_name(&self, shard: usize) -> &str {
-        &self.shards[shard].name
-    }
-
     /// Jobs not yet in a terminal state.
     pub fn outstanding(&self) -> usize {
         self.jobs.len()
-    }
-
-    /// Drain finished `(scenario, result)` pairs.
-    pub fn take_finished(&mut self) -> Vec<(usize, Result<RunReport, String>)> {
-        std::mem::take(&mut self.finished)
     }
 
     pub fn counters(&self, shard: usize) -> ShardCounters {
@@ -698,9 +897,9 @@ impl Router {
     pub fn note_wire(&mut self, job: u64, wire_us: u64, is_reply: bool) {
         if let Some(j) = self.jobs.get_mut(&job) {
             if is_reply {
-                j.reply_us += wire_us;
+                j.anatomy.reply_us += wire_us;
             } else {
-                j.wire_us += wire_us;
+                j.anatomy.wire_us += wire_us;
             }
         }
     }
@@ -709,11 +908,6 @@ impl Router {
     /// healthy fabric).
     pub fn ctx_mismatches(&self) -> u64 {
         self.ctx_mismatches
-    }
-
-    /// Fleet-wide copy traffic summed over completed jobs.
-    pub fn fleet_copy_bytes(&self) -> CopyBytes {
-        self.fleet_copy
     }
 
     /// Hours of `job` already checkpointed (from progress reports).
@@ -892,7 +1086,7 @@ mod tests {
 
     /// Two identical shards and the tiny family's model.
     fn calibrated_router() -> Router {
-        let mut r = Router::new(RouterConfig::default());
+        let mut r = Router::new(RouterConfig::default(), 0, &[]);
         r.add_shard("a", 8, 0);
         r.add_shard("b", 8, 0);
         r.calibrate(
@@ -957,7 +1151,7 @@ mod tests {
 
     #[test]
     fn dry_shards_steal_queued_work() {
-        let mut r = Router::new(RouterConfig::default());
+        let mut r = Router::new(RouterConfig::default(), 0, &[]);
         // Tiny windows so most jobs sit in the router-side backlog.
         r.add_shard("a", 1, 0);
         r.add_shard("b", 1, 0);
@@ -994,7 +1188,7 @@ mod tests {
 
     #[test]
     fn uncalibrated_families_fall_back_to_least_loaded() {
-        let mut r = Router::new(RouterConfig::default());
+        let mut r = Router::new(RouterConfig::default(), 0, &[]);
         r.add_shard("a", 4, 0);
         r.add_shard("b", 4, 0);
         // No models calibrated: routing must still spread the load.
@@ -1027,7 +1221,7 @@ mod tests {
             },
             5,
         );
-        let finished = r.take_finished();
+        let finished = r.results();
         assert_eq!(finished.len(), 1);
         let (scenario, result) = &finished[0];
         assert_eq!(*scenario, 0);
@@ -1041,7 +1235,6 @@ mod tests {
         assert_eq!(a.end_to_end_ms, 5);
         assert_eq!((a.stolen, a.failed_over), (0, 0));
         assert_eq!(r.ctx_mismatches(), 0);
-        assert_eq!(r.fleet_copy_bytes().total(), 1550);
         // Each shard's latest heartbeat carries its process's plan-memo
         // counters; the fleet rows are their sum.
         for (shard, seq, hits) in [(0, 1, 5), (1, 1, 30), (0, 2, 12)] {
@@ -1082,6 +1275,7 @@ mod tests {
         assert!(text.contains(r#"airshed_fabric_job_stage_seconds_count{stage="end_to_end"} 1"#));
         assert!(text.contains(r#"airshed_fabric_copy_bytes_total{kind="redist_local"} 1000"#));
         assert!(text.contains(r#"airshed_fabric_copy_bytes_total{kind="soa_staging"} 500"#));
+        assert!(text.contains(r#"airshed_fabric_copy_bytes_total{kind="result_serialization"} 50"#));
         assert!(text.contains("airshed_fabric_ctx_mismatches_total 0"));
     }
 
@@ -1107,7 +1301,7 @@ mod tests {
                         .wrapping_add(1_442_695_040_888_963_407);
                     order.swap(i, (state >> 33) as usize % (i + 1));
                 }
-                let mut r = Router::new(RouterConfig::default());
+                let mut r = Router::new(RouterConfig::default(), 0, &[]);
                 r.add_shard("a", window, 0);
                 r.add_shard("b", window, 0);
                 let mut shards_of_key = [[false; 2]; 4];
@@ -1129,7 +1323,7 @@ mod tests {
 
     #[test]
     fn thieves_take_whole_unstarted_key_groups_only() {
-        let mut r = Router::new(RouterConfig::default());
+        let mut r = Router::new(RouterConfig::default(), 0, &[]);
         r.add_shard("victim", 1, 0);
         r.add_shard("thief", 1, 0);
         // Key 0 (three placements) and key 2 (two) pile up on the
@@ -1189,7 +1383,7 @@ mod tests {
 
     #[test]
     fn a_lost_shards_key_group_follows_its_leader_to_one_survivor() {
-        let mut r = Router::new(RouterConfig::default());
+        let mut r = Router::new(RouterConfig::default(), 0, &[]);
         for name in ["doomed", "s1", "s2"] {
             r.add_shard(name, 1, 0);
         }
@@ -1248,8 +1442,7 @@ mod tests {
         // The sibling replays: no Progress, just Completed.
         complete(&mut r, shard, sibling, 21);
         assert_eq!(r.counters(shard).profile_hits, 1);
-        let finished = r.take_finished();
-        let (_, report) = &finished[1];
+        let (_, report) = &r.results()[1];
         assert_eq!(
             report.as_ref().unwrap().predicted_seconds,
             Some(price),
@@ -1257,7 +1450,7 @@ mod tests {
         );
         assert!(r.prometheus().contains(&format!(
             "airshed_fabric_shard_profile_hits_total{{shard=\"{}\"}} 1",
-            r.shard_name(shard)
+            ["a", "b"][shard]
         )));
     }
 }

@@ -30,7 +30,7 @@
 //!   are rejected up front;
 //! * [`metrics`] — counters and latency histograms for every stage, with
 //!   a reconciliation invariant (`submitted = completed + rejected +
-//!   cancelled`) checked in tests and printed in the report.
+//!   cancelled + failed`) checked in tests and printed in the report.
 //!
 //! [`ScenarioServer::run_ensemble`] and [`ScenarioServer::what_if`] are
 //! the one way to run an ensemble sweep or a what-if query (the
@@ -124,7 +124,7 @@ pub struct ScenarioRequest {
     /// it.
     pub optimize: bool,
     /// Wall-clock budget for the job once it starts running; checked at
-    /// hour boundaries. `None` falls back to the server default.
+    /// hour boundaries. `None` means no deadline.
     pub deadline: Option<Duration>,
     /// Resume an interrupted scenario instead of starting from hour one.
     pub resume: Option<Box<ResumePoint>>,
@@ -980,6 +980,36 @@ mod tests {
         let m = server.shutdown();
         assert_eq!(m.deadline_expired, 1);
         assert!(m.reconciles());
+    }
+
+    #[test]
+    fn configs_validate_refuses_fail_and_the_worker_runs_on() {
+        let server = small_server(1);
+        let refused = |edit: fn(&mut SimConfig), why: &str| {
+            let mut request = tiny_request(4, 1);
+            edit(&mut request.config);
+            match server.submit(request).into_handle().unwrap().wait() {
+                Err(JobError::Failed { message }) => {
+                    assert_eq!(message, format!("invalid config: {why}"));
+                }
+                other => panic!("expected validate's refusal, got {other:?}"),
+            }
+        };
+        let bounds = "chemistry substep bounds are not 0 < h_min <= h_max";
+        refused(|c| c.chem_opts.h_min = c.chem_opts.h_max * 2.0, bounds);
+        let scale = "emission scale is not finite and non-negative";
+        refused(|c| c.emission_scale = f64::NAN, scale);
+        // Only now: a NaN eps never accepts a substep, so without the
+        // check this job would hang rather than fail an assertion.
+        let eps = "chemistry eps is not finite and positive";
+        refused(|c| c.chem_opts.eps = f64::NAN, eps);
+        let report = server.submit(tiny_request(4, 1)).into_handle().unwrap();
+        report
+            .wait()
+            .expect("the one worker still runs a valid job");
+        let m = server.shutdown();
+        assert_eq!((m.failed, m.completed), (3, 1), "{m}");
+        assert!(m.reconciles(), "{m}");
     }
 
     #[test]

@@ -148,6 +148,14 @@ fn execute(shared: &Shared, job: &QueuedJob, deadline_at: Option<Instant>, obs: 
         return Ok(report);
     }
     metrics.result_cache_misses.inc();
+    // After the cache, so a hit runs nothing more. A config validate
+    // refuses would hang or panic in the numerics (a NaN eps never
+    // accepts a substep; h_min > h_max panics in the step clamp).
+    if let Err(why) = config.validate() {
+        return Err(JobError::Failed {
+            message: format!("invalid config: {why}"),
+        });
+    }
 
     let observer = request.observer.as_deref();
     let (profile, fetch) =

@@ -5,8 +5,8 @@
 # the one-arithmetic, one-pricing-machine, one-observer, one-virtual-timeline,
 # fabric-routes-batches, one-job-executor, one-shard-loop, one-lock-policy,
 # one-cost-fold and one-graph word checks,
-# the one-way-to-a-plan-set, one-bounded-memo, one-codec and
-# one-metrics-table checks, the
+# the one-way-to-a-plan-set, one-bounded-memo, one-front-end-state-machine,
+# one-codec and one-metrics-table checks, the
 # no-fault-injection check and the large-budget fabric simulation, the
 # one-feature-probe and
 # chemistry `// SAFETY:` checks, the large-budget
@@ -394,6 +394,20 @@ if [ -n "${paths//$'\n'/}" ]; then
 fi
 echo "one ensemble path OK"
 
+echo "==> one front-end state machine: the Router, driven by serve_batch"
+# fabric::Router keeps the fleet's session, every job's record and the
+# batch's results; serve_batch and tests/fabric_sim.rs step it directly.
+# A wrapper state machine around it, or a drain that copies its results
+# out on every step, is a second copy of that state.
+fronts="$(non_test "struct +Frontend$end|fn +take_finished$end" \
+    $(git ls-files 'crates/fabric/src/*.rs'))"
+if [ -n "$fronts" ]; then
+    echo "$fronts"
+    echo "one front-end state machine FAILED: the lines above keep front-end state beside the Router" >&2
+    exit 1
+fi
+echo "one front-end state machine OK"
+
 echo "==> one codec: bytes meet numbers only in core::codec"
 # Every wire, checkpoint and cache layout is declared once with
 # `codec!` (crates/core/src/codec.rs); a second hand-rolled framing, or
@@ -513,8 +527,7 @@ cargo test --release --offline -p airshed-fabric --test codec -- \
 echo "==> the fabric front-end under the seeded simulation, large budget"
 # `cargo test` runs 96 seeded cases; once here, 22 000 — delay, drops,
 # stalls mid-frame, kills, zombies, severs and steals against the real
-# Frontend, Router and ShardCore, every step checked; a failure names
-# its seed.
+# Router and ShardCore, every step checked; a failure names its seed.
 cargo test --release --offline --test fabric_sim -- \
     --ignored seeded_interleavings_keep_every_contract_soak
 

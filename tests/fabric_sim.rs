@@ -1,8 +1,8 @@
 //! The fabric's two ends under a seeded simulation.
 //!
-//! One scheduler, seeded per case, drives the real [`Frontend`] (and the
-//! [`Router`](airshed::fabric::Router) inside it) against N in-process
-//! shards over simulated connections. Each shard is a real [`ShardCore`]
+//! One scheduler, seeded per case, drives the real [`Router`], the
+//! front-end's state machine, against N in-process shards over
+//! simulated connections. Each shard is a real [`ShardCore`]
 //! over a stand-in executor: an inbox, workers, and single-flight
 //! Lead/Wait/Replay of real data. Each numerics key runs once per test
 //! process through `run_hourly`, whose `on_hour` hook yields the
@@ -51,7 +51,7 @@ use airshed::core::obs::{SpanSink, Track};
 use airshed::core::plan::replay_profile;
 use airshed::core::{ExecSpec, Obs, PerfModel, RunReport, WorkProfile};
 use airshed::fabric::{
-    report_fingerprint, AllShardsLost, Event, Frontend, Msg, RouterConfig, ScenarioJob, ShardCore,
+    report_fingerprint, AllShardsLost, Event, Msg, Router, RouterConfig, ScenarioJob, ShardCore,
     ShardEvent, ShardOptions,
 };
 use airshed::server::cache::NumericsKey;
@@ -373,7 +373,7 @@ struct Sim<'a> {
     shards: Vec<ShardModel>,
     up_last: Vec<u64>,
     down_last: Vec<u64>,
-    frontend: Frontend,
+    router: Router,
     finished: Vec<bool>,
     assigns: usize,
     sink: Arc<SpanSink>,
@@ -423,7 +423,7 @@ impl<'a> Sim<'a> {
             shards,
             up_last: vec![0; n],
             down_last: vec![0; n],
-            frontend: Frontend::new(
+            router: Router::new(
                 RouterConfig {
                     heartbeat_timeout_ms: TIMEOUT_MS,
                 },
@@ -482,7 +482,7 @@ impl<'a> Sim<'a> {
         self.at(TICK_MS, Ev::Tick);
 
         for _ in 0..MAX_STEPS {
-            if self.frontend.is_done() {
+            if self.router.is_done() {
                 self.finish();
                 return Ok(self.cov);
             }
@@ -494,7 +494,7 @@ impl<'a> Sim<'a> {
                     self.front(Event::Tick)
                 }
                 Ev::Up(s, Some(msg)) => {
-                    if !self.frontend.router().shard_is_alive(s) {
+                    if !self.router.shard_is_alive(s) {
                         self.cov.zombie_frames += 1;
                     }
                     self.front(Event::Msg(s, msg))
@@ -506,7 +506,7 @@ impl<'a> Sim<'a> {
                 }
             };
             if let Err(lost) = stepped {
-                let reported = self.frontend.reports().len() + self.frontend.failures().len();
+                let reported = self.router.results().len();
                 assert_eq!(lost.outstanding, self.case.batch.len() - reported);
                 return Err((lost, self.cov));
             }
@@ -517,9 +517,9 @@ impl<'a> Sim<'a> {
     /// One front-end step, then the per-step properties.
     fn front(&mut self, event: Event) -> Result<(), AllShardsLost> {
         let recv_us = self.case.traced.then(|| self.clock_us() as f64);
-        let step = self.frontend.step(event, self.now, recv_us)?;
+        let step = self.router.step(event, self.now, recv_us)?;
         let now = self.base + Duration::from_millis(self.now);
-        step.trace(&self.obs, self.frontend.router(), self.base, now);
+        step.trace(&self.obs, &self.router, self.base, now);
         for &(scenario, ctx) in &step.finished {
             self.cov.trail = digest((self.cov.trail, self.now, scenario));
             assert!(
@@ -539,16 +539,16 @@ impl<'a> Sim<'a> {
             self.down_last[s] = arrive;
             self.at(arrive, Ev::Down(s, msg));
         }
-        let f = &self.frontend;
-        if f.router().shard_count() == self.shards.len() {
-            let done = f.reports().len() + f.failures().len();
+        let router = &self.router;
+        if router.shard_count() == self.shards.len() {
+            let done = router.results().len();
             assert_eq!(
                 self.case.batch.len(),
-                done + f.router().outstanding(),
+                done + router.outstanding(),
                 "submitted != reports + failures + outstanding"
             );
             assert_eq!(done, self.finished.iter().filter(|&&f| f).count());
-            assert_eq!(f.router().ctx_mismatches(), 0, "trace-context mismatch");
+            assert_eq!(router.ctx_mismatches(), 0, "trace-context mismatch");
         }
         Ok(())
     }
@@ -773,9 +773,11 @@ impl<'a> Sim<'a> {
 
     /// The end-of-batch properties.
     fn finish(&mut self) {
-        let f = &self.frontend;
-        assert!(f.failures().is_empty(), "{:?}", f.failures());
-        for (i, got) in f.reports() {
+        let router = &self.router;
+        for (i, result) in router.results() {
+            let got = result
+                .as_ref()
+                .unwrap_or_else(|e| panic!("scenario {i} failed: {e}"));
             let (config, layout) = &self.case.batch[*i];
             assert_eq!(
                 report_fingerprint(got),
@@ -788,7 +790,6 @@ impl<'a> Sim<'a> {
             assert!(a.segments >= 1, "scenario {i} finished undispatched");
             assert!(a.queued_ms <= a.end_to_end_ms, "scenario {i}: {a:?}");
         }
-        let router = f.router();
         for &(t, s, fault) in &self.case.faults {
             // Silence is noticed within the timeout plus one tick, a
             // closed connection once its last frame is read.

@@ -135,9 +135,13 @@ fn server_session() -> (String, String) {
 fn router_session() -> String {
     let (report, profile, _) = run_resumable_with(&family(1.0), None, ExecSpec::serial());
     let model = PerfModel::from_profile(&profile);
-    let mut r = Router::new(RouterConfig {
-        heartbeat_timeout_ms: 1000,
-    });
+    let mut r = Router::new(
+        RouterConfig {
+            heartbeat_timeout_ms: 1000,
+        },
+        0,
+        &[],
+    );
     // The second name carries a quote and a backslash: its label value
     // must be escaped.
     r.add_shard("a", 1, 0);

@@ -39,7 +39,7 @@ fn admission_the_report_and_the_router_price_a_job_alike() {
     let admission = server(Some(0.0));
     let runner = server(None);
     let (_, profile) = run_with_profile_on(&family(), ExecSpec::serial());
-    let mut router = Router::new(RouterConfig::default());
+    let mut router = Router::new(RouterConfig::default(), 0, &[]);
     router.add_shard("a", 1, 0);
     router.calibrate(&family(), PerfModel::from_profile(&profile));
 

@@ -135,6 +135,15 @@ fn tiny_datasets_of_any_size_build() {
 // — no wall sleeps, no timing-dependent flakiness — and assert the
 // same behaviors the multi-process CI smoke exercises for real.
 
+/// A router session on the scripted clock, with a one-second
+/// heartbeat timeout.
+fn scripted_router() -> airshed::fabric::Router {
+    let cfg = airshed::fabric::RouterConfig {
+        heartbeat_timeout_ms: 1000,
+    };
+    airshed::fabric::Router::new(cfg, 0, &[])
+}
+
 /// Job `i` of a batch in which every job has numerics of its own: the
 /// router co-locates jobs that share a numerics key, and these tests are
 /// about balancing, stealing and failover of independent work.
@@ -146,11 +155,9 @@ fn distinct_tiny(i: usize, hours: usize) -> SimConfig {
 
 #[test]
 fn fabric_shard_loss_fails_over_on_missed_heartbeats_deterministically() {
-    use airshed::fabric::{Msg, Router, RouterConfig};
+    use airshed::fabric::Msg;
 
-    let mut r = Router::new(RouterConfig {
-        heartbeat_timeout_ms: 1000,
-    });
+    let mut r = scripted_router();
     r.add_shard("s0", 4, 0);
     r.add_shard("s1", 4, 0);
     let jobs: Vec<u64> = (0..4)
@@ -201,11 +208,9 @@ fn fabric_shard_loss_fails_over_on_missed_heartbeats_deterministically() {
 
 #[test]
 fn fabric_steal_keeps_one_trace_context_across_victim_and_thief() {
-    use airshed::fabric::{Msg, Router, RouterConfig};
+    use airshed::fabric::Msg;
 
-    let mut r = Router::new(RouterConfig {
-        heartbeat_timeout_ms: 1000,
-    });
+    let mut r = scripted_router();
     r.add_shard("victim", 1, 0);
     r.add_shard("thief", 1, 0);
     // Three one-hour jobs into two one-job windows: both windows fill,
@@ -275,8 +280,8 @@ fn fabric_steal_keeps_one_trace_context_across_victim_and_thief() {
         },
         250,
     );
-    let finished = r.take_finished();
-    let stolen_report = finished
+    let stolen_report = r
+        .results()
         .iter()
         .find(|(i, _)| *i == 2)
         .map(|(_, r)| r.as_ref().expect("the stolen job completed"))
@@ -289,7 +294,7 @@ fn fabric_steal_keeps_one_trace_context_across_victim_and_thief() {
 
 #[test]
 fn fabric_failover_resumes_from_progress_checkpoints() {
-    use airshed::fabric::{Msg, Router, RouterConfig};
+    use airshed::fabric::Msg;
     use airshed::server::ResumePoint;
 
     // A real one-hour checkpoint of a two-hour episode.
@@ -303,9 +308,7 @@ fn fabric_failover_resumes_from_progress_checkpoints() {
         partial,
     };
 
-    let mut r = Router::new(RouterConfig {
-        heartbeat_timeout_ms: 1000,
-    });
+    let mut r = scripted_router();
     r.add_shard("doomed", 1, 0);
     r.add_shard("survivor", 1, 0);
     let job = r.submit(0, cfg, airshed::core::driver::ChemLayout::Block);
@@ -386,7 +389,7 @@ fn fabric_failover_resumes_from_progress_checkpoints() {
         },
         2400,
     );
-    let finished = r.take_finished();
+    let finished = r.results();
     assert_eq!(finished.len(), 1);
     let report = finished[0].1.as_ref().expect("job completed");
     let a = report.anatomy.expect("fabric completion fills anatomy");
