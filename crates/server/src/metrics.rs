@@ -57,7 +57,7 @@ airshed_core::metrics! {
     counter "airshed_server_deadline_expired_total" "Jobs expired at an hour boundary." {
         deadline_expired: Counter
     }
-    counter "airshed_server_failed_total" "Jobs that panicked." { failed: Counter }
+    counter "airshed_server_failed_total" "Jobs that panicked or whose config was refused." { failed: Counter }
     gauge "airshed_server_in_flight" "Jobs accepted but not finished." { in_flight: Gauge }
     gauge "airshed_server_queue_depth" "Jobs waiting in the queue." { queue_depth: Gauge }
 
