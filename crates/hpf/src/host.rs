@@ -5,10 +5,12 @@
 //! charges communication and compute to a clock without running
 //! anything concurrently. This module is the real counterpart: it takes
 //! the per-node partitions an HPF distribution implies and runs them on
-//! actual host cores. Tasks are pulled from a shared queue (dynamic
-//! self-scheduling, like HPF's `CYCLIC` guided loops) so uneven
-//! partitions — the paper's urban/rural chemistry imbalance — do not
-//! leave workers idle.
+//! actual host cores. Workers draw tasks from a shared queue, but every
+//! caller in the workspace (`airshed-core`'s phases) submits exactly one
+//! task per worker, so nothing is ever pulled twice: the schedule is
+//! the caller's static partition. The paper's urban/rural chemistry
+//! imbalance is balanced there, by dealing grid columns `CYCLIC`, not
+//! by this pool.
 //!
 //! The pool is allocation-light by design: one `Vec` of boxed tasks per
 //! fork, no channels, no long-lived threads. Scoped spawning lets tasks
@@ -58,9 +60,9 @@ pub trait PoolObserver: Sync {
 /// caller's thread in queue order — the serial path has zero spawn
 /// overhead, so a 1-thread pool is exactly the serial executor.
 ///
-/// Workers pull tasks one at a time from a shared queue, so scheduling
-/// is dynamic: a worker that drew a cheap task comes back for more.
-/// Nothing about *results* is ordered — callers that need deterministic
+/// Workers pull tasks one at a time from a shared queue: given more
+/// tasks than threads, a worker that drew a cheap task comes back for
+/// more (the workspace's callers submit one task per worker). Nothing about *results* is ordered — callers that need deterministic
 /// reductions must write into per-task slots and reduce sequentially
 /// after this returns (see `airshed-core`'s backend layer).
 ///
