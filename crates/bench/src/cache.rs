@@ -15,7 +15,7 @@ use std::fs;
 use std::path::PathBuf;
 
 /// Format magic + version.
-pub const MAGIC: &[u8; 8] = b"ASHPRF08";
+pub const MAGIC: &[u8; 8] = b"ASHPRF09";
 
 fn cache_dir() -> PathBuf {
     // Keep the cache inside the workspace target dir.
@@ -164,7 +164,7 @@ mod tests {
     #[test]
     fn cache_file_matches_its_golden_bytes() {
         let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-            .join("../../tests/golden/codec/profile.ashprf08");
+            .join("../../tests/golden/codec/profile.ashprf09");
         let bytes = encode(&sample());
         if std::env::var_os("AIRSHED_BLESS").is_some() {
             std::fs::write(&path, &bytes).unwrap();

@@ -389,6 +389,8 @@ struct Lane {
     h: f64,
     /// The lane's state changed since production/loss was last evaluated
     /// at it: the evaluation at the top of the next attempt is new work.
+    /// False exactly when the lane's last attempt was rejected, which is
+    /// the controller's `after_reject`.
     fresh: bool,
 }
 
@@ -545,7 +547,7 @@ impl Stream<'_> {
                 if lane.cell.is_none() {
                     continue;
                 }
-                let (accept, h_next) = step_control(err.lane(j), lane.h, opts);
+                let (accept, h_next) = step_control(err.lane(j), lane.h, !lane.fresh, opts);
                 if accept {
                     accepted.set_lane(j, 1.0);
                     lane.t += lane.h;

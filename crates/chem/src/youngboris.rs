@@ -176,6 +176,7 @@ pub fn integrate_cell_with_k(
     let mut h = initial_substep(state, dt_min, opts);
 
     let mut fresh_pl = true;
+    let mut after_reject = false;
     while t < dt_min {
         h = h.min(dt_min - t).max(opts.h_min);
         if !fresh_pl {
@@ -223,7 +224,8 @@ pub fn integrate_cell_with_k(
             err = err.max(e);
         }
 
-        let (accepted, h_next) = step_control(err, h, opts);
+        let (accepted, h_next) = step_control(err, h, after_reject, opts);
+        after_reject = !accepted;
         if accepted {
             conc.copy_from_slice(&ws.c1);
             t += h;
@@ -266,16 +268,20 @@ pub(crate) fn initial_substep(
 
 /// The substep controller: whether an attempt of size `h` with error
 /// estimate `err` is accepted (always at `h_min`, to guarantee progress),
-/// and the size of the next attempt. Shared with the lanes of
+/// and the size of the next attempt. An accepted attempt that directly
+/// follows a rejection (`after_reject`) does not grow the step (Hairer &
+/// Wanner, *Solving ODEs II*, §IV.8): growing it would head straight
+/// back to the size that just failed. Shared with the lanes of
 /// `simd::integrate_stream`, each of which runs it on its own `err`, `h`.
 #[inline]
-pub(crate) fn step_control(err: f64, h: f64, opts: &YbOptions) -> (bool, f64) {
+pub(crate) fn step_control(err: f64, h: f64, after_reject: bool, opts: &YbOptions) -> (bool, f64) {
     if err <= opts.eps || h <= opts.h_min * (1.0 + 1e-12) {
         let grow = if err > 0.0 {
             (0.9 * (opts.eps / err).sqrt()).clamp(0.5, 2.0)
         } else {
             2.0
         };
+        let grow = if after_reject { grow.min(1.0) } else { grow };
         (true, (h * grow).clamp(opts.h_min, opts.h_max))
     } else {
         let shrink = (0.9 * (opts.eps / err).sqrt()).clamp(0.1, 0.5);
@@ -566,6 +572,24 @@ mod tests {
         let eq = p / l;
         assert!((ce - eq).abs() / eq < 1e-9, "exp form {ce} vs eq {eq}");
         assert!(cr > 1.5 * eq, "rational form should overshoot: {cr}");
+    }
+
+    #[test]
+    fn the_step_right_after_a_rejection_does_not_grow() {
+        let opts = YbOptions::default();
+        let small = opts.eps / 100.0;
+        // A small error grows an ordinary accepted step twofold ...
+        assert_eq!(step_control(small, 1.0, false, &opts), (true, 2.0));
+        // ... but not the accepted step that follows a rejection.
+        let (accepted, retry) = step_control(4.0 * opts.eps, 1.0, false, &opts);
+        assert!(!accepted && retry <= 0.5);
+        assert_eq!(step_control(small, retry, true, &opts), (true, retry));
+        assert_eq!(step_control(0.0, retry, true, &opts), (true, retry));
+        // It may still shrink, and the clamps are unchanged.
+        let (accepted, next) = step_control(0.95 * opts.eps, retry, true, &opts);
+        assert!(accepted && next < retry);
+        let (accepted, next) = step_control(100.0 * opts.eps, 1.0, true, &opts);
+        assert!(!accepted && next == 0.1);
     }
 
     #[test]

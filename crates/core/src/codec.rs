@@ -16,7 +16,7 @@
 //! declares `ResumePoint`, and `airshed-fabric` its job, message and
 //! frame header. A file format is a value behind an eight-byte magic
 //! ([`encode_magic`]): the checkpoint's `ASHCKPT1` and the figure
-//! cache's `ASHPRF08`. Nothing else in the workspace turns numbers into
+//! cache's `ASHPRF09`. Nothing else in the workspace turns numbers into
 //! bytes (`scripts/ci.sh` checks).
 //!
 //! **Bounded decoding.** Every read is checked, so a truncated or

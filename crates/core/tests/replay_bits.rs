@@ -129,7 +129,7 @@ fn hash_of_every_replay() -> u64 {
 fn every_replayed_bit_matches_the_pinned_hash() {
     assert_eq!(
         hash_of_every_replay(),
-        0x9e87_f8aa_d55b_f1c8,
+        0x0560_ca7e_dd75_58cb,
         "a replayed second, comm step or copy count moved"
     );
 }

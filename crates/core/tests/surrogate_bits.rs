@@ -128,7 +128,7 @@ fn hash_of_every_fit() -> u64 {
 fn every_predicted_bit_and_bound_match_the_pinned_hash() {
     assert_eq!(
         hash_of_every_fit(),
-        0x8293_550d_fec5_d671,
+        0x23a1_389a_0a6d_5ee7,
         "a surface's error bound or a predicted bit moved"
     );
 }

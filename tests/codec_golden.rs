@@ -1,6 +1,6 @@
 //! Golden bytes of every format that leaves a process: one `Msg` payload
 //! per live wire tag (1, 3–7, 9 and 10) and one `ASHCKPT1` checkpoint. The
-//! figure cache's `ASHPRF08` file is pinned beside its codec in
+//! figure cache's `ASHPRF09` file is pinned beside its codec in
 //! `crates/bench/src/cache.rs`. The files under `tests/golden/codec/`
 //! were captured once and never change with the code: a codec edit
 //! that moves one byte, or a decoder that no longer reads what an older

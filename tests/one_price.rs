@@ -94,7 +94,7 @@ fn admission_the_report_and_the_router_price_a_job_alike() {
     // The price tests/golden/metrics/router.prom records for this job.
     assert_eq!(
         format!("{:.6}", anchor.expect("the T3E P=4 BLOCK case")),
-        "1.221461"
+        "1.179380"
     );
     admission.shutdown();
     runner.shutdown();
