@@ -62,7 +62,8 @@ pub trait PoolObserver: Sync {
 ///
 /// Workers pull tasks one at a time from a shared queue: given more
 /// tasks than threads, a worker that drew a cheap task comes back for
-/// more (the workspace's callers submit one task per worker). Nothing about *results* is ordered — callers that need deterministic
+/// more (the workspace's callers submit one task per worker). Nothing
+/// about *results* is ordered — callers that need deterministic
 /// reductions must write into per-task slots and reduce sequentially
 /// after this returns (see `airshed-core`'s backend layer).
 ///
